@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -266,9 +267,11 @@ func (l *Link) Err() error {
 	}
 }
 
+var errLinkClosed = errors.New("cluster: link closed")
+
 // Close tears the link down and closes the connection.
 func (l *Link) Close() error {
-	l.fail(fmt.Errorf("cluster: link closed"))
+	l.fail(errLinkClosed)
 	return l.conn.Close()
 }
 

@@ -178,3 +178,65 @@ func TestLinkRetryBound(t *testing.T) {
 		t.Fatal("Send with all frames dropped: want error, got nil")
 	}
 }
+
+// TestServeByeRaceIsCleanShutdown: the coordinator closes a worker's
+// link as soon as it has read the BYE, and that close can overtake the
+// BYE's ACK. The worker has nothing left to deliver, so Serve must
+// report a clean shutdown, not the EOF. The peer here reads the BYE
+// frame off the wire and closes without ever acknowledging it.
+func TestServeByeRaceIsCleanShutdown(t *testing.T) {
+	coord, wlink := linkPair(t, fault.NetPlan{}, 5*time.Second, nil)
+	served := make(chan error, 1)
+	go func() { served <- (&Worker{Spare: true}).Serve(wlink) }()
+	if _, err := coord.Recv(5 * time.Second); err != nil { // the parking HELLO
+		t.Fatal(err)
+	}
+	if err := coord.Send(encodeKind(msgShutdown)); err != nil {
+		t.Fatal(err)
+	}
+	// The BYE either arrived as the SHUTDOWN's implicit ACK (stashed) or
+	// is the next data frame; take it raw, so no ACK goes back.
+	bye := coord.stash
+	for bye == nil {
+		select {
+		case f := <-coord.in:
+			if f.kind == frameData {
+				bye = &f
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no BYE from the worker")
+		}
+	}
+	if _, err := expect(bye.payload, msgBye); err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after an unacknowledged BYE = %v, want nil (clean shutdown)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the peer closed")
+	}
+}
+
+// TestServeMidRunCloseIsAnError: only the final BYE send forgives a
+// closed link; losing the coordinator mid-run still fails Serve.
+func TestServeMidRunCloseIsAnError(t *testing.T) {
+	coord, wlink := linkPair(t, fault.NetPlan{}, 5*time.Second, nil)
+	served := make(chan error, 1)
+	go func() { served <- (&Worker{Spare: true}).Serve(wlink) }()
+	if _, err := coord.Recv(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("Serve = nil after losing the coordinator mid-run, want the link error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the peer closed")
+	}
+}

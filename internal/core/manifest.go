@@ -229,15 +229,7 @@ func (e *seqEngine) encodeManifest(enc *words.Encoder) {
 	enc.PutFloat(e.maxSkew)
 	enc.PutInt(e.acct.High())
 	encodeRecSteps(enc, e.rec.Steps())
-	encodeStoreState(enc, e.store.State())
-	enc.PutBool(e.fd != nil)
-	if e.fd != nil {
-		e.fd.EncodeState(enc)
-	}
-	enc.PutBool(e.red != nil)
-	if e.red != nil {
-		e.red.EncodeState(enc)
-	}
+	e.encodeState(enc)
 }
 
 func (e *seqEngine) decodeManifest(payload []uint64) error {
@@ -264,28 +256,7 @@ func (e *seqEngine) decodeManifest(payload []uint64) error {
 	e.maxSkew = dec.Float()
 	e.acct.AdoptHigh(dec.Int())
 	e.rec.Restore(decodeRecSteps(dec))
-	if err := e.store.AdoptState(decodeStoreState(dec)); err != nil {
-		return err
-	}
-	hadFault := dec.Bool()
-	if hadFault != (e.fd != nil) {
-		return fmt.Errorf("core: journal fault-layer presence (%v) disagrees with the resuming options (%v)", hadFault, e.fd != nil)
-	}
-	if e.fd != nil {
-		if err := e.fd.DecodeState(dec); err != nil {
-			return err
-		}
-	}
-	hadRed := dec.Bool()
-	if hadRed != (e.red != nil) {
-		return fmt.Errorf("core: journal parity-layer presence (%v) disagrees with the resuming options (%v)", hadRed, e.red != nil)
-	}
-	if e.red != nil {
-		if err := e.red.DecodeState(dec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.decodeState(dec)
 }
 
 // --- parallel engine ---------------------------------------------------
@@ -323,15 +294,7 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	enc.PutInts([]int64{ps.routeOps, ps.ragged, ps.peakLive})
 	enc.PutFloat(ps.maxSkew)
 	enc.PutInt(ps.acct.High())
-	encodeStoreState(enc, ps.store.State())
-	enc.PutBool(ps.fd != nil)
-	if ps.fd != nil {
-		ps.fd.EncodeState(enc)
-	}
-	enc.PutBool(ps.red != nil)
-	if ps.red != nil {
-		ps.red.EncodeState(enc)
-	}
+	ps.encodeState(enc)
 }
 
 func decodeProcManifest(dec *words.Decoder, ps *procState) error {
@@ -350,28 +313,7 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	ps.routeOps, ps.ragged, ps.peakLive = pt[0], pt[1], pt[2]
 	ps.maxSkew = dec.Float()
 	ps.acct.AdoptHigh(dec.Int())
-	if err := ps.store.AdoptState(decodeStoreState(dec)); err != nil {
-		return err
-	}
-	hadFault := dec.Bool()
-	if hadFault != (ps.fd != nil) {
-		return fmt.Errorf("core: journal fault-layer presence (%v) disagrees with the resuming options (%v)", hadFault, ps.fd != nil)
-	}
-	if ps.fd != nil {
-		if err := ps.fd.DecodeState(dec); err != nil {
-			return err
-		}
-	}
-	hadRed := dec.Bool()
-	if hadRed != (ps.red != nil) {
-		return fmt.Errorf("core: journal parity-layer presence (%v) disagrees with the resuming options (%v)", hadRed, ps.red != nil)
-	}
-	if ps.red != nil {
-		if err := ps.red.DecodeState(dec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ps.decodeState(dec)
 }
 
 func (e *parEngine) decodeManifest(payload []uint64) error {

@@ -101,10 +101,9 @@ func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
 	return lo, hi
 }
 
-// newProcState builds processor i's base state: VP range, accountant,
-// per-processor RNG, and the backing store (file-backed under dir, or
-// in-memory when dir is empty). Redundancy and fault layers, when the
-// run asks for them, are stacked on top by the caller.
+// newProcState builds processor i's state: VP range, accountant,
+// per-processor RNG, and the store chain (file-backed under dir, or
+// in-memory when dir is empty).
 func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, error) {
 	lo := i * sh.vpp
 	hi := lo + sh.vpp
@@ -119,20 +118,10 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 		acct: mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
 		rng:  prng.New(prng.Derive(sh.opts.Seed, 0xFA12, uint64(i))),
 	}
-	diskCfg := disk.Config{D: sh.cfg.D, B: sh.cfg.B}
-	if dir != "" {
-		f, pf, backend, err := openRunStore(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i)
-		if err != nil {
-			return nil, err
-		}
-		ps.store = f
-		ps.bfile = f
-		ps.pf = pf
-		ps.backend = backend
-	} else {
-		ps.store = disk.MustNewArray(diskCfg)
+	var err error
+	if ps.storeStack, err = openStack(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i); err != nil {
+		return nil, err
 	}
-	ps.dsk = ps.store
 	return ps, nil
 }
 
@@ -541,40 +530,6 @@ func (sh *simShape) commitProc(ps *procState) error {
 	}
 	ps.ctxCur ^= 1
 	return nil
-}
-
-// redProc is the processor's share of the parity-aware commit point:
-// stripe the fresh tracks into parity groups, then a budgeted slice of
-// online rebuild and (when enabled) scrub. Returns the I/O operations
-// consumed so the driver can charge the slowest processor's share.
-func (sh *simShape) redProc(ps *procState) (int64, error) {
-	if ps.red == nil {
-		return 0, nil
-	}
-	before := ps.dsk.Stats().Ops
-	sp := sh.tr.Begin(obs.CatEngine, phParity, ps.id, 0)
-	err := ps.red.FlushParity()
-	sp.End()
-	if err != nil {
-		return 0, err
-	}
-	if ps.red.Rebuilding() {
-		sp := sh.tr.Begin(obs.CatEngine, phRebuild, ps.id, 0)
-		err := ps.red.RebuildStep(redBudget(sh.cfg.D))
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-	}
-	if sh.opts.Scrub {
-		sp := sh.tr.Begin(obs.CatEngine, phScrub, ps.id, 0)
-		_, err := ps.red.Scrub(redBudget(sh.cfg.D))
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-	}
-	return ps.dsk.Stats().Ops - before, nil
 }
 
 // superstepCommCosts folds one superstep's exchange matrices into the

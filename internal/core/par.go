@@ -72,16 +72,10 @@ type procState struct {
 	lo int // first owned VP
 	hi int // one past last owned VP
 
-	store   disk.Store        // outermost store: raw array/file/mapped, or the parity layer over it
-	bfile   fileStore         // the durable store chain (tiers over file/mapped), nil for in-memory runs
-	backend string            // name of the durable backend actually opened ("" in-memory)
-	pf      disk.Prefetcher   // group-pipeline prefetch target, nil when off
-	red     *redundancy.Store // nil unless Redundancy is parity
-	fd      *fault.Disk       // nil without a fault plan
-	dsk     disk.Disk         // store, or fd wrapping it
-	ckptOn  bool              // barrier checkpoint discipline active
-	acct    *mem.Accountant
-	rng     *prng.Rand
+	storeStack      // the store chain: store, bfile, pf, red, fd, dsk
+	ckptOn     bool // barrier checkpoint discipline active
+	acct       *mem.Accountant
+	rng        *prng.Rand
 
 	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
 	ctxCur    int
@@ -185,44 +179,6 @@ func runPar(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options)
 			e.closeState()
 			return nil, err
 		}
-		mode := opts.effectiveRedundancy()
-		if mode == redundancy.Parity {
-			red, rerr := redundancy.Wrap(ps.store)
-			if rerr != nil {
-				e.procs[i] = ps
-				e.closeState()
-				return nil, rerr
-			}
-			ps.red = red
-			ps.store = red
-		}
-		ps.dsk = ps.store
-		// Each processor's disk array gets its own fault layer with an
-		// independently keyed schedule; the planned drive death strikes
-		// only processor FailProc. Redundancy mode is explicit: mirror
-		// copies exactly when the run asked for mirror redundancy.
-		var plan fault.Plan
-		if opts.FaultPlan != nil {
-			plan = *opts.FaultPlan
-			plan.Seed = prng.Derive(plan.Seed, 0xFA17, uint64(i))
-			if plan.FailProc != i {
-				plan.FailDriveOp = 0
-			}
-		}
-		plan.Mirror = mode == redundancy.Mirror
-		// The wrap decision must be uniform across processors — the
-		// engine treats fd as all-or-nothing — so it depends on the
-		// original plan, not the per-processor pruned copy.
-		if (opts.FaultPlan != nil && opts.FaultPlan.Enabled()) || plan.Mirror {
-			fd, err := fault.Wrap(ps.store, plan, opts.MaxRetries)
-			if err != nil {
-				e.procs[i] = ps
-				e.closeState()
-				return nil, err
-			}
-			ps.fd = fd
-			ps.dsk = fd
-		}
 		e.procs[i] = ps
 	}
 	if opts.StateDir != "" {
@@ -259,8 +215,8 @@ func (e *parEngine) closeState() error {
 		errs = append(errs, e.jrn.Close())
 	}
 	for _, ps := range e.procs {
-		if ps != nil && ps.store != nil {
-			errs = append(errs, ps.store.Close())
+		if ps != nil {
+			errs = append(errs, ps.close())
 		}
 	}
 	return errors.Join(errs...)
@@ -312,14 +268,9 @@ func (e *parEngine) resume() error {
 	if err := e.decodeManifest(recs[len(recs)-1]); err != nil {
 		return err
 	}
-	// The crashed attempt may have left in-place rewrites (or torn
-	// writes) the manifest's parity does not encode; repair or adopt
-	// them before the replay's parity arithmetic trusts the disk.
 	for _, ps := range e.procs {
-		if ps.red != nil {
-			if err := ps.red.Reconcile(); err != nil {
-				return err
-			}
+		if err := ps.reconcile(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -479,35 +430,15 @@ func (e *parEngine) run() (*Result, error) {
 			em.LiveBlocksPerDrive = ps.peakLive
 		}
 	}
-	if e.faulty() {
-		var c fault.Counters
-		for _, ps := range e.procs {
-			c.Add(ps.fd.Counters())
-		}
-		em.FaultsInjected = c.Injected()
-		em.ChecksumFailures = c.ChecksumFailures
-		em.DriveFailures = c.DriveFailures
-		em.Retries = c.Retries
-		em.RetriedBlocks = c.RetriedBlocks
-		em.MirrorOps = c.MirrorOps
-		em.Replays = e.replays
-		em.RecoveryOps = c.RecoveryOps + e.recoveryOps
-		c.Publish(e.opts.Metrics)
-	}
 	for _, ps := range e.procs {
-		if ps.red != nil {
-			c := ps.red.Counters()
-			addRedStats(&em, c)
-			c.Publish(e.opts.Metrics)
-		}
+		ps.report(&em, e.opts.Metrics)
 		if ps.bfile != nil {
-			ov := ps.bfile.Overlap()
-			em.Overlap.Add(ov)
-			ov.Publish(e.opts.Metrics)
-			publishMappedWords(e.opts.Metrics, ps.bfile)
-			em.StoreBackend = ps.backend
 			em.Tiers = addTierStats(em.Tiers, collectTierStats(ps.bfile))
 		}
+	}
+	if e.faulty() {
+		em.Replays = e.replays
+		em.RecoveryOps += e.recoveryOps
 	}
 	publishTierStats(e.opts.Metrics, em.Tiers)
 	res.EM = em
@@ -639,7 +570,7 @@ func (e *parEngine) redBarrier() error {
 	}
 	var maxOps int64
 	for _, ps := range e.procs {
-		d, err := e.redProc(ps)
+		d, err := ps.parityBarrier(e.tr, ps.id, e.opts.Scrub)
 		if err != nil {
 			return err
 		}

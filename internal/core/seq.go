@@ -87,20 +87,14 @@ type seqEngine struct {
 	groups   int
 	muBlocks int
 
-	store   disk.Store        // outermost store: raw array/file/mapped, or the parity layer over it
-	bfile   fileStore         // the durable store chain (tiers over file/mapped), nil for in-memory runs
-	backend string            // name of the durable backend actually opened ("" in-memory)
-	pf      disk.Prefetcher   // group-pipeline prefetch target, nil when off
-	red     *redundancy.Store // nil unless Redundancy is parity
-	fd      *fault.Disk       // nil without a fault plan
-	dsk     disk.Disk         // store, or fd wrapping it
-	jrn     *journal.Journal  // nil without a StateDir
-	tr      *obs.Tracer       // nil = tracing off (no-op fast path)
-	goctx   context.Context
-	acct    *mem.Accountant
-	rec     *bsp.CostRecorder
-	rng     *prng.Rand
-	fpr     uint64 // config fingerprint stamped into every manifest
+	storeStack                  // the store chain: store, bfile, pf, red, fd, dsk
+	jrn        *journal.Journal // nil without a StateDir
+	tr         *obs.Tracer      // nil = tracing off (no-op fast path)
+	goctx      context.Context
+	acct       *mem.Accountant
+	rec        *bsp.CostRecorder
+	rng        *prng.Rand
+	fpr        uint64 // config fingerprint stamped into every manifest
 
 	setup     disk.Stats // setup-phase statistics (journaled for resume)
 	stepsDone int        // supersteps committed so far
@@ -161,54 +155,11 @@ func runSeq(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options)
 		rng:      prng.New(prng.Derive(opts.Seed, 0xE19)),
 		fpr:      configFingerprint(manifestSeqKind, cfg, opts, v, mu, gamma),
 	}
-	diskCfg := disk.Config{D: cfg.D, B: cfg.B}
-	if opts.StateDir != "" {
-		f, pf, backend, err := openRunStore(opts.StateDir, cfg, opts, opts.Resume, k, mu, gamma, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.store = f
-		e.bfile = f
-		e.pf = pf
-		e.backend = backend
-	} else {
-		e.store = disk.MustNewArray(diskCfg)
-	}
-	mode := opts.effectiveRedundancy()
-	if mode == redundancy.Parity {
-		red, err := redundancy.Wrap(e.store)
-		if err != nil {
-			e.store.Close()
-			return nil, err
-		}
-		e.red = red
-		e.store = red
-	}
-	e.dsk = e.store
-	var plan fault.Plan
-	if opts.FaultPlan != nil {
-		plan = *opts.FaultPlan
-		if plan.FailProc != 0 {
-			// The failing processor does not exist on this one-processor
-			// machine; its drive death cannot happen here.
-			plan.FailDriveOp = 0
-		}
-	}
-	// Redundancy mode is explicit: the fault layer mirrors exactly when
-	// the run asked for mirror redundancy (parity protection lives in
-	// the layer below it).
-	plan.Mirror = mode == redundancy.Mirror
-	if plan.Enabled() {
-		fd, err := fault.Wrap(e.store, plan, opts.MaxRetries)
-		if err != nil {
-			e.store.Close()
-			return nil, err
-		}
-		e.fd = fd
-		e.dsk = fd
+	var err error
+	if e.storeStack, err = openStack(opts.StateDir, cfg, opts, opts.Resume, k, mu, gamma, 0); err != nil {
+		return nil, err
 	}
 	if opts.StateDir != "" {
-		var err error
 		if opts.Resume {
 			e.jrn, err = journal.Open(opts.StateDir)
 		} else {
@@ -245,39 +196,11 @@ func runSeq(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options)
 // is never overwritten before the next record is committed.
 func (e *seqEngine) ckpt() bool { return e.fd != nil || e.jrn != nil }
 
-// redBarrier is the parity-aware commit point: at every barrier the
-// superstep's fresh tracks are striped into parity groups, then a
-// budgeted slice of background maintenance runs — online rebuild of a
-// dead drive, and (when enabled) the latent-corruption scrub. All
-// before the journal commit, so the manifest always captures a
-// parity-consistent state.
+// redBarrier is the parity-aware commit point (its I/O is already in
+// the processor's own Stats, which is all a one-processor run charges).
 func (e *seqEngine) redBarrier() error {
-	if e.red == nil {
-		return nil
-	}
-	sp := e.tr.Begin(obs.CatEngine, phParity, 0, 0)
-	err := e.red.FlushParity()
-	sp.End()
-	if err != nil {
-		return err
-	}
-	if e.red.Rebuilding() {
-		sp := e.tr.Begin(obs.CatEngine, phRebuild, 0, 0)
-		err := e.red.RebuildStep(redBudget(e.cfg.D))
-		sp.End()
-		if err != nil {
-			return err
-		}
-	}
-	if e.opts.Scrub {
-		sp := e.tr.Begin(obs.CatEngine, phScrub, 0, 0)
-		_, err := e.red.Scrub(redBudget(e.cfg.D))
-		sp.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := e.parityBarrier(e.tr, 0, e.opts.Scrub)
+	return err
 }
 
 func (e *seqEngine) closeState() error {
@@ -285,10 +208,7 @@ func (e *seqEngine) closeState() error {
 	if e.jrn != nil {
 		errs = append(errs, e.jrn.Close())
 	}
-	if e.store != nil {
-		errs = append(errs, e.store.Close())
-	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, e.close())...)
 }
 
 // checkCtx implements cooperative cancellation at barriers.
@@ -335,13 +255,7 @@ func (e *seqEngine) resume() error {
 	if err := e.decodeManifest(recs[len(recs)-1]); err != nil {
 		return err
 	}
-	if e.red != nil {
-		// The crashed attempt may have left in-place rewrites (or torn
-		// writes) the manifest's parity does not encode; repair or adopt
-		// them before the replay's parity arithmetic trusts the disk.
-		return e.red.Reconcile()
-	}
-	return nil
+	return e.reconcile()
 }
 
 // engineMemLimit computes the internal-memory budget for one
@@ -449,52 +363,17 @@ func (e *seqEngine) run() (*Result, error) {
 		MemHigh:            e.acct.High(),
 		LiveBlocksPerDrive: e.peakLive,
 	}
+	e.report(&res.EM, e.opts.Metrics)
 	if e.fd != nil {
-		c := e.fd.Counters()
-		res.EM.FaultsInjected = c.Injected()
-		res.EM.ChecksumFailures = c.ChecksumFailures
-		res.EM.DriveFailures = c.DriveFailures
-		res.EM.Retries = c.Retries
-		res.EM.RetriedBlocks = c.RetriedBlocks
-		res.EM.MirrorOps = c.MirrorOps
 		res.EM.Replays = e.replays
-		res.EM.RecoveryOps = c.RecoveryOps + e.recoveryOps
-		c.Publish(e.opts.Metrics)
-	}
-	if e.red != nil {
-		c := e.red.Counters()
-		addRedStats(&res.EM, c)
-		c.Publish(e.opts.Metrics)
+		res.EM.RecoveryOps += e.recoveryOps
 	}
 	if e.bfile != nil {
-		// Accumulate (not assign): the same semantics as the parallel
-		// engine's per-processor fold, so any overlap already present —
-		// or added by future multi-store configurations — is never lost.
-		ov := e.bfile.Overlap()
-		res.EM.Overlap.Add(ov)
-		ov.Publish(e.opts.Metrics)
-		publishMappedWords(e.opts.Metrics, e.bfile)
-		res.EM.StoreBackend = e.backend
 		res.EM.Tiers = collectTierStats(e.bfile)
 		publishTierStats(e.opts.Metrics, res.EM.Tiers)
 	}
 	publishEMStats(e.opts.Metrics, &res.EM)
 	return res, nil
-}
-
-// addRedStats folds one parity layer's counters into the run's EMStats
-// (called once per processor).
-func addRedStats(em *EMStats, c redundancy.Counters) {
-	em.ChecksumFailures += c.ChecksumFailures
-	em.ParityOps += c.ParityOps
-	em.ParityBlocks += c.ParityBlocks
-	em.StripedBlocks += c.StripedBlocks
-	em.DegradedOps += c.DegradedOps
-	em.ReconstructedBlocks += c.ReconstructedBlocks
-	em.RepairedBlocks += c.RepairedBlocks
-	em.ScrubbedBlocks += c.ScrubbedBlocks
-	em.ScrubRepairs += c.ScrubRepairs
-	em.RebuiltBlocks += c.RebuiltBlocks
 }
 
 // seqSnapshot is the superstep checkpoint manifest: everything needed

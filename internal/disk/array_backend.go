@@ -1,16 +1,11 @@
 package disk
 
-import (
-	"fmt"
-	"sort"
-)
-
 // The in-memory Array's side of the Backend contract: the Array moves
 // no physical bytes, so the overlap counters are identically zero,
 // and the replication hooks operate directly on the in-memory tracks.
 // They exist so a Tier (and tests, and the cluster runtime's replica
-// machinery) can treat every store uniformly; like File's, none of
-// them touch model accounting.
+// machinery) can treat every store uniformly; none of them touch model
+// accounting.
 
 // Overlap reports zeros: the in-memory array overlaps nothing.
 func (a *Array) Overlap() OverlapStats { return OverlapStats{} }
@@ -18,46 +13,19 @@ func (a *Array) Overlap() OverlapStats { return OverlapStats{} }
 // ResetOverlap is a no-op: there are no overlap counters to reset.
 func (a *Array) ResetOverlap() {}
 
-// TakeDirty returns the addresses of every track logically mutated
-// (written, released, or rolled back) since the previous TakeDirty,
-// and resets the set — the same superset semantics as File.TakeDirty.
-func (a *Array) TakeDirty() []Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Addr, 0, len(a.repl))
-	for ad := range a.repl {
-		out = append(out, ad)
-	}
-	clear(a.repl)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Disk != out[j].Disk {
-			return out[i].Disk < out[j].Disk
-		}
-		return out[i].Track < out[j].Track
-	})
-	return out
-}
-
 // ExportTrack returns a copy of one track's payload without model
 // accounting, or nil when the track reads as blank (free, beyond the
 // bump mark, or never written).
 func (a *Array) ExportTrack(d, t int) ([]uint64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if d < 0 || d >= a.cfg.D || t < 0 {
-		return nil, fmt.Errorf("disk: ExportTrack (%d,%d) out of range", d, t)
+	if err := a.checkRaw("ExportTrack", d, t, nil); err != nil {
+		return nil, err
 	}
-	dr := &a.drives[d]
-	if t >= dr.next {
+	if a.blank(d, t) || t >= len(a.tracks[d]) || a.tracks[d][t] == nil {
 		return nil, nil
 	}
-	if _, free := dr.freeSet[t]; free {
-		return nil, nil
-	}
-	if t >= len(dr.tracks) || dr.tracks[t] == nil {
-		return nil, nil
-	}
-	return append([]uint64(nil), dr.tracks[t]...), nil
+	return append([]uint64(nil), a.tracks[d][t]...), nil
 }
 
 // ImportTrack replaces one track's contents raw (nil payload clears
@@ -66,25 +34,12 @@ func (a *Array) ExportTrack(d, t int) ([]uint64, error) {
 func (a *Array) ImportTrack(d, t int, payload []uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if d < 0 || d >= a.cfg.D || t < 0 {
-		return fmt.Errorf("disk: ImportTrack (%d,%d) out of range", d, t)
+	if err := a.checkRaw("ImportTrack", d, t, payload); err != nil {
+		return err
 	}
-	dr := &a.drives[d]
 	if payload == nil {
-		if t < len(dr.tracks) {
-			dr.tracks[t] = nil
-		}
+		a.wipeSlot(d, t)
 		return nil
 	}
-	if len(payload) != a.cfg.B {
-		return fmt.Errorf("disk: ImportTrack payload has %d words, want B=%d", len(payload), a.cfg.B)
-	}
-	for t >= len(dr.tracks) {
-		dr.tracks = append(dr.tracks, nil)
-	}
-	if dr.tracks[t] == nil {
-		dr.tracks[t] = make([]uint64, a.cfg.B)
-	}
-	copy(dr.tracks[t], payload)
-	return nil
+	return a.writeSlot(d, t, payload)
 }

@@ -1,0 +1,483 @@
+package disk
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"embsp/internal/prng"
+)
+
+// The store conformance suite: one seeded script per case, replayed
+// against every store kind. Each replay records everything a caller
+// can observe of the model — returned tracks, read payloads, which
+// guarded calls were refused, dirty sets, raw exports, Stats and
+// StoreState — and every store's transcript must equal the in-memory
+// Array's. The cases also assert the absolute expectations of the
+// per-store tests they replace (free-list reuse order, release guards,
+// snapshot/rollback wipes, flat-vs-tier accounting).
+
+const confD, confB = 3, 8
+
+// confStores lists the store kinds under test: name and constructor.
+func confStores() []struct {
+	name string
+	open func(t *testing.T) Backend
+} {
+	cfg := Config{D: confD, B: confB}
+	file := func(workers int) func(t *testing.T) Backend {
+		return func(t *testing.T) Backend {
+			f, err := OpenFileOpts(t.TempDir(), cfg, false, FileOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	mapped := func(t *testing.T) Backend {
+		if !MmapSupported() {
+			t.Skip("no mmap on this platform")
+		}
+		m, err := OpenMapped(t.TempDir(), cfg, false, MappedOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	return []struct {
+		name string
+		open func(t *testing.T) Backend
+	}{
+		{"array", func(t *testing.T) Backend { return MustNewArray(cfg) }},
+		{"file", file(0)},
+		{"file-workers", file(confD)},
+		{"mapped", mapped},
+		{"tier-over-file", func(t *testing.T) Backend { return NewTier(file(confD)(t), TierOptions{}) }},
+		{"tier-over-mapped", func(t *testing.T) Backend { return NewTier(mapped(t), TierOptions{}) }},
+	}
+}
+
+// transcript is everything one replay observed, in script order.
+type transcript struct {
+	Tracks  []int      // every track Alloc returned
+	Areas   []Addr     // the address of every block of every reserved area
+	Reads   [][]uint64 // every ReadOp payload
+	Refused []bool     // whether each guarded call returned an error
+	Dirty   [][]Addr   // every TakeDirty result
+	Exports [][]uint64 // every ExportTrack payload (nil = blank)
+	Stats   []Stats
+	States  []StoreState
+}
+
+// replay wraps a store so a script reads like plain store calls while
+// the transcript fills in.
+type replay struct {
+	t        *testing.T
+	s        Backend
+	payloads *prng.Rand // source of written payloads
+	transcript
+}
+
+func (r *replay) alloc(d int) int {
+	tr := r.s.Alloc(d)
+	r.Tracks = append(r.Tracks, tr)
+	return tr
+}
+
+func (r *replay) reserve(n, rot int) Area {
+	ar := r.s.ReserveRot(n, rot)
+	for i := 0; i < n; i++ {
+		r.Areas = append(r.Areas, ar.Addr(i))
+	}
+	return ar
+}
+
+// write stores a fresh pseudo-random payload.
+func (r *replay) write(addrs ...Addr) {
+	reqs := make([]WriteReq, len(addrs))
+	for i, a := range addrs {
+		src := make([]uint64, confB)
+		for j := range src {
+			src[j] = r.payloads.Uint64() | 1 // never all-zero: blank is distinguishable
+		}
+		reqs[i] = WriteReq{Disk: a.Disk, Track: a.Track, Src: src}
+	}
+	if err := r.s.WriteOp(reqs); err != nil {
+		r.t.Fatalf("WriteOp(%v): %v", addrs, err)
+	}
+}
+
+func (r *replay) read(addrs ...Addr) [][]uint64 {
+	reqs := make([]ReadReq, len(addrs))
+	for i, a := range addrs {
+		reqs[i] = ReadReq{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, confB)}
+	}
+	if err := r.s.ReadOp(reqs); err != nil {
+		r.t.Fatalf("ReadOp(%v): %v", addrs, err)
+	}
+	out := make([][]uint64, len(reqs))
+	for i := range reqs {
+		out[i] = reqs[i].Dst
+	}
+	r.Reads = append(r.Reads, out...)
+	return out
+}
+
+func (r *replay) release(d, t int) {
+	if err := r.s.Release(d, t); err != nil {
+		r.t.Fatalf("Release(%d,%d): %v", d, t, err)
+	}
+}
+
+// refused records whether a call the model must guard returned an error.
+func (r *replay) refused(err error) bool {
+	r.Refused = append(r.Refused, err != nil)
+	return err != nil
+}
+
+// observe snapshots the model: Stats and StoreState.
+func (r *replay) observe() StoreState {
+	st := r.s.State()
+	r.Stats = append(r.Stats, r.s.Stats())
+	r.States = append(r.States, st)
+	return st
+}
+
+func (r *replay) takeDirty() []Addr {
+	d := r.s.TakeDirty()
+	r.Dirty = append(r.Dirty, d)
+	return d
+}
+
+// export quiesces the store (queued writes are invisible to the raw
+// read) and exports one track.
+func (r *replay) export(d, t int) []uint64 {
+	if err := r.s.Sync(); err != nil {
+		r.t.Fatal(err)
+	}
+	p, err := r.s.ExportTrack(d, t)
+	if err != nil {
+		r.t.Fatalf("ExportTrack(%d,%d): %v", d, t, err)
+	}
+	r.Exports = append(r.Exports, p)
+	return p
+}
+
+func isBlank(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+var confCases = []struct {
+	name   string
+	script func(r *replay)
+}{
+	// Freed tracks are reused LIFO, newest first, before the drive grows.
+	{"alloc-reuse-order", func(r *replay) {
+		t0, t1, t2 := r.alloc(0), r.alloc(0), r.alloc(0)
+		for _, tr := range []int{t0, t1, t2} {
+			r.release(0, tr)
+		}
+		for i, want := range []int{t2, t1, t0, 3} {
+			if got := r.alloc(0); got != want {
+				r.t.Errorf("reuse #%d = %d, want %d", i, got, want)
+			}
+		}
+		r.observe()
+	}},
+
+	// Double frees and frees outside the allocated range are refused and
+	// leave the allocator untouched.
+	{"release-guards", func(r *replay) {
+		t0 := r.alloc(0)
+		r.release(0, t0)
+		before := r.observe()
+		for _, bad := range []struct {
+			what string
+			d, t int
+		}{
+			{"double release", 0, t0},
+			{"never-allocated track", 0, 99},
+			{"negative drive", -1, 0},
+			{"out-of-range drive", confD, 0},
+			{"negative track", 0, -1},
+			{"track on an untouched drive", 1, 0},
+		} {
+			if !r.refused(r.s.Release(bad.d, bad.t)) {
+				r.t.Errorf("%s accepted", bad.what)
+			}
+		}
+		if after := r.observe(); !reflect.DeepEqual(before, after) {
+			r.t.Errorf("refused releases changed the state:\nbefore %+v\nafter  %+v", before, after)
+		}
+	}},
+
+	// Malformed operations are refused before any accounting.
+	{"op-guards", func(r *replay) {
+		buf, short := make([]uint64, confB), make([]uint64, confB-1)
+		ar := r.reserve(confD, 0)
+		r.write(ar.Addr(0))
+		before := r.observe()
+		r.refused(r.s.ReadOp([]ReadReq{{Disk: 0, Track: 0, Dst: buf}, {Disk: 0, Track: 1, Dst: buf}}))
+		r.refused(r.s.WriteOp([]WriteReq{{Disk: 1, Track: 0, Src: buf}, {Disk: 1, Track: 1, Src: buf}}))
+		r.refused(r.s.ReadOp([]ReadReq{{Disk: confD, Track: 0, Dst: buf}}))
+		r.refused(r.s.ReadOp([]ReadReq{{Disk: 0, Track: -1, Dst: buf}}))
+		r.refused(r.s.ReadOp([]ReadReq{{Disk: 0, Track: 0, Dst: buf}, {Disk: 1, Track: 0, Dst: short}}))
+		r.refused(r.s.WriteOp([]WriteReq{{Disk: 0, Track: 0, Src: buf}, {Disk: 1, Track: 0, Src: short}}))
+		for i, ref := range r.Refused {
+			if !ref {
+				r.t.Errorf("malformed op #%d accepted", i)
+			}
+		}
+		if err := r.s.ReadOp(nil); err != nil {
+			r.t.Errorf("empty ReadOp: %v", err)
+		}
+		if err := r.s.WriteOp(nil); err != nil {
+			r.t.Errorf("empty WriteOp: %v", err)
+		}
+		if after := r.observe(); !reflect.DeepEqual(before, after) {
+			r.t.Errorf("refused and empty ops were accounted:\nbefore %+v\nafter  %+v", before, after)
+		}
+	}},
+
+	// Areas in standard consecutive format, full-width and ragged ops,
+	// blank (never-written, beyond-the-mark, released) and recycled
+	// tracks.
+	{"areas-blank-recycled", func(r *replay) {
+		ar := r.reserve(2*confD+1, 1) // ragged: one drive gets a third track
+		for i := 0; i < 2*confD; i += confD {
+			r.write(ar.Addr(i), ar.Addr(i+1), ar.Addr(i+2))
+		}
+		r.read(ar.Addr(3), ar.Addr(4), ar.Addr(5))
+		r.read(ar.Addr(1))
+		if got := r.read(ar.Addr(2 * confD))[0]; !isBlank(got) {
+			r.t.Errorf("reserved, never-written slot read %v, want zeros", got)
+		}
+		if got := r.read(Addr{Disk: 0, Track: 1000})[0]; !isBlank(got) {
+			r.t.Errorf("track beyond the bump mark read %v, want zeros", got)
+		}
+		tr := r.alloc(0)
+		r.write(Addr{0, tr})
+		if got := r.read(Addr{0, tr})[0]; isBlank(got) {
+			r.t.Errorf("written track read back blank")
+		}
+		r.release(0, tr)
+		if got := r.read(Addr{0, tr})[0]; !isBlank(got) {
+			r.t.Errorf("released track read %v, want zeros", got)
+		}
+		if again := r.alloc(0); again != tr {
+			r.t.Errorf("Alloc after Release = %d, want recycled %d", again, tr)
+		}
+		if got := r.read(Addr{0, tr})[0]; !isBlank(got) {
+			r.t.Errorf("recycled track retained data: %v", got)
+		}
+		if err := FreeArea(r.s, ar); err != nil {
+			r.t.Fatal(err)
+		}
+		r.observe()
+	}},
+
+	// AllocSnapshot → an aborted attempt's allocations and writes →
+	// AllocRestore: committed data survives, the attempt's tracks are
+	// retracted, wiped and handed out again in the same order.
+	{"snapshot-restore", func(r *replay) {
+		committed := r.alloc(0)
+		r.write(Addr{0, committed})
+		want := r.read(Addr{0, committed})[0]
+		freed := r.alloc(1)
+		r.release(1, freed)
+		mark := r.s.AllocSnapshot()
+
+		fresh, reused := r.alloc(0), r.alloc(1)
+		if reused != freed {
+			r.t.Fatalf("Alloc after Release = %d, want %d", reused, freed)
+		}
+		r.write(Addr{0, fresh}, Addr{1, reused})
+		r.s.AllocRestore(mark)
+
+		if got := r.read(Addr{0, committed})[0]; !reflect.DeepEqual(got, want) {
+			r.t.Errorf("committed track damaged by rollback: %v, want %v", got, want)
+		}
+		for _, got := range r.read(Addr{0, fresh}, Addr{1, freed}) {
+			if !isBlank(got) {
+				r.t.Errorf("aborted attempt's data leaked through rollback: %v", got)
+			}
+		}
+		if got := r.alloc(0); got != fresh {
+			r.t.Errorf("Alloc after rollback = %d, want %d again", got, fresh)
+		}
+		if got := r.alloc(1); got != freed {
+			r.t.Errorf("free list not restored: Alloc = %d, want %d", got, freed)
+		}
+		for _, got := range r.read(Addr{0, fresh}, Addr{1, freed}) {
+			if !isBlank(got) {
+				r.t.Errorf("re-allocated track after rollback holds data: %v", got)
+			}
+		}
+		r.observe()
+	}},
+
+	// State → further mutation → AdoptState: the metadata returns to the
+	// capture exactly (tracks written since read blank again).
+	{"state-adopt", func(r *replay) {
+		a, b := r.alloc(0), r.alloc(2)
+		r.write(Addr{0, a}, Addr{2, b})
+		r.release(2, b)
+		st := r.observe()
+		later := r.alloc(1)
+		r.write(Addr{1, later})
+		r.read(Addr{0, a})
+		if err := r.s.AdoptState(st); err != nil {
+			r.t.Fatalf("AdoptState of a captured state: %v", err)
+		}
+		if got := r.observe(); !reflect.DeepEqual(got, st) {
+			r.t.Errorf("State after AdoptState:\n got %+v\nwant %+v", got, st)
+		}
+		if got := r.read(Addr{1, later})[0]; !isBlank(got) {
+			r.t.Errorf("track allocated after the adopted state read %v, want zeros", got)
+		}
+		if got := r.alloc(2); got != b {
+			r.t.Errorf("adopted free list: Alloc = %d, want %d", got, b)
+		}
+		r.observe()
+	}},
+
+	// TakeDirty reports every logically mutated track once, sorted, and
+	// resets; Export/ImportTrack move payloads without accounting.
+	{"dirty-export-import", func(r *replay) {
+		r.takeDirty()
+		a, b := r.alloc(0), r.alloc(1)
+		r.write(Addr{0, a}, Addr{1, b})
+		r.write(Addr{0, a})
+		if got, want := r.takeDirty(), []Addr{{0, a}, {1, b}}; !reflect.DeepEqual(got, want) {
+			r.t.Errorf("TakeDirty = %v, want %v", got, want)
+		}
+		if got := r.takeDirty(); len(got) != 0 {
+			r.t.Errorf("second TakeDirty = %v, want empty", got)
+		}
+		before := r.observe()
+		payload := r.export(0, a)
+		if payload == nil {
+			r.t.Fatal("export of a written track = nil")
+		}
+		if got := r.export(1, b+5); got != nil {
+			r.t.Errorf("export beyond the bump mark = %v, want nil", got)
+		}
+		c := r.alloc(2)
+		if got := r.export(2, c); got != nil {
+			r.t.Errorf("export of an allocated, never-written track = %v, want nil", got)
+		}
+		if err := r.s.ImportTrack(2, c, payload); err != nil {
+			r.t.Fatal(err)
+		}
+		if got := r.export(2, c); !reflect.DeepEqual(got, payload) {
+			r.t.Errorf("export after import = %v, want %v", got, payload)
+		}
+		if err := r.s.ImportTrack(2, c, nil); err != nil {
+			r.t.Fatal(err)
+		}
+		if got := r.export(2, c); got != nil {
+			r.t.Errorf("export after wiping import = %v, want nil", got)
+		}
+		r.refused(r.s.ImportTrack(confD, 0, payload))
+		r.refused(r.s.ImportTrack(0, 0, payload[:confB-1]))
+		_, err := r.s.ExportTrack(0, -1)
+		r.refused(err)
+		after := r.observe()
+		after.Next[2]-- // the Alloc above is the only model change
+		if !reflect.DeepEqual(before, after) {
+			r.t.Errorf("raw export/import touched the model:\nbefore %+v\nafter  %+v", before, after)
+		}
+		if got := r.read(Addr{0, a})[0]; !reflect.DeepEqual(got, payload) {
+			r.t.Errorf("ReadOp = %v, exported %v", got, payload)
+		}
+		r.takeDirty()
+	}},
+
+	// A long seeded mix of every model operation.
+	{"seeded-mix", func(r *replay) {
+		rnd := prng.New(0x5eed)
+		var live [confD][]int
+		for op := 0; op < 400; op++ {
+			d := rnd.Intn(confD)
+			switch k := rnd.Intn(10); {
+			case k < 3:
+				live[d] = append(live[d], r.alloc(d))
+			case k < 4 && len(live[d]) > 0:
+				i := rnd.Intn(len(live[d]))
+				r.release(d, live[d][i])
+				live[d] = append(live[d][:i], live[d][i+1:]...)
+			case k < 7:
+				var addrs []Addr
+				for dd := range live {
+					if n := len(live[dd]); n > 0 && rnd.Bool() {
+						addrs = append(addrs, Addr{dd, live[dd][rnd.Intn(n)]})
+					}
+				}
+				if len(addrs) > 0 {
+					r.write(addrs...)
+				}
+			case k < 9:
+				var addrs []Addr
+				for dd := range live {
+					if rnd.Bool() {
+						addrs = append(addrs, Addr{dd, rnd.Intn(40)}) // live, freed or beyond the mark
+					}
+				}
+				if len(addrs) > 0 {
+					r.read(addrs...)
+				}
+			default:
+				ar := r.reserve(rnd.Intn(2*confD)+1, rnd.Intn(confD))
+				for i := 0; i < ar.Blocks(); i++ {
+					live[ar.Addr(i).Disk] = append(live[ar.Addr(i).Disk], ar.Addr(i).Track)
+				}
+			}
+			if op%100 == 99 {
+				r.observe()
+				r.takeDirty()
+			}
+		}
+	}},
+}
+
+// TestStoreConformance replays every case against every store kind
+// and requires each transcript to equal the in-memory Array's.
+func TestStoreConformance(t *testing.T) {
+	for _, c := range confCases {
+		t.Run(c.name, func(t *testing.T) {
+			var ref *transcript
+			for _, st := range confStores() {
+				t.Run(st.name, func(t *testing.T) {
+					s := st.open(t)
+					defer s.Close()
+					r := &replay{t: t, s: s, payloads: prng.New(0xC0FFEE)}
+					c.script(r)
+					if ref == nil {
+						ref = &r.transcript
+						return
+					}
+					got, want := reflect.ValueOf(r.transcript), reflect.ValueOf(*ref)
+					for i := 0; i < got.NumField(); i++ {
+						if g, w := got.Field(i).Interface(), want.Field(i).Interface(); !reflect.DeepEqual(g, w) {
+							t.Errorf("%s differs from the array's:\n got %s\nwant %s", got.Type().Field(i).Name, short(g), short(w))
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// short renders a transcript field for a failure message, clipped.
+func short(v any) string {
+	s := fmt.Sprintf("%+v", v)
+	if len(s) > 600 {
+		s = s[:600] + " …"
+	}
+	return s
+}

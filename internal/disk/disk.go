@@ -11,18 +11,20 @@
 // what the paper's layout formats (standard consecutive format,
 // standard linked format) achieve.
 //
-// The Array type enforces the one-track-per-drive rule and counts
+// Every store enforces the one-track-per-drive rule and counts
 // parallel I/O operations, block transfers, per-drive load, and
-// physically sequential vs. non-sequential track accesses. All counts
-// are exact; the quantities proved about in the paper's lemmas
-// (numbers of parallel I/O operations, per-drive block balance) are
-// read directly off these statistics.
+// physically sequential vs. non-sequential track accesses, through the
+// one EM-model core of model.go. All counts are exact; the quantities
+// proved about in the paper's lemmas (numbers of parallel I/O
+// operations, per-drive block balance) are read directly off these
+// statistics. The stores differ only in where a track's words live:
+// in memory (Array), in pread/pwrite drive files (File), in mapped
+// drive files (Mapped), or staged above another store (Tier).
 package disk
 
 import (
-	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"embsp/internal/obs"
 )
@@ -80,7 +82,7 @@ type DriveStats struct {
 	RandAccesses int64
 }
 
-// Stats aggregates I/O accounting for an Array. Ops is the number of
+// Stats aggregates I/O accounting for a store. Ops is the number of
 // parallel I/O operations: the model time spent on I/O is G·Ops.
 type Stats struct {
 	Ops           int64
@@ -179,9 +181,22 @@ func (o OverlapStats) Publish(r *obs.Registry) {
 	r.Counter("overlap_concurrent_peak").Max(o.ConcurrentPeak)
 }
 
+// inflight counts the physical transfers executing right now and keeps
+// their high-water mark, OverlapStats.ConcurrentPeak.
+type inflight struct{ running, peak atomic.Int64 }
+
+// begin enters one transfer; the caller defers end.
+func (g *inflight) begin() {
+	n := g.running.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+}
+
+func (g *inflight) end() { g.running.Add(-1) }
+
 // Prefetcher is implemented by stores that can pull blocks toward
 // memory ahead of the logical read that will consume them (*File with
-// workers). Purely physical: no model accounting results.
+// workers, *Tier). Purely physical: no model accounting results.
 type Prefetcher interface {
 	Prefetch(addrs []Addr)
 	Overlap() OverlapStats
@@ -203,11 +218,12 @@ func Checksum(ws []uint64) uint64 {
 
 // Disk is the device-level contract of the simulated disk subsystem:
 // parallel track transfers, dynamic track allocation, and I/O
-// accounting. *Array is the perfect-hardware implementation; the
-// fault-injection layer (internal/fault) wraps any Disk with
-// checksums, retries and failure simulation. The layout helpers
-// (Reserve, ReadRange, WriteRange, FreeArea) are package functions
-// over this interface, so engines work identically on either.
+// accounting. *Array, *File, *Mapped and *Tier are the perfect-hardware
+// implementations; the parity layer (internal/redundancy) and the
+// fault-injection layer (internal/fault) wrap any of them with
+// redundancy, checksums, retries and failure simulation. The layout
+// helpers (Reserve, ReadRange, WriteRange, FreeArea) are package
+// functions over this interface, so engines work identically on all.
 type Disk interface {
 	// Config returns the drive-count/block-size configuration.
 	Config() Config
@@ -217,25 +233,26 @@ type Disk interface {
 	WriteOp(reqs []WriteReq) error
 	// Alloc returns a free track on drive d.
 	Alloc(d int) int
-	// Release returns a track to drive d's free list, clearing it.
+	// Release returns a track to drive d's free list; it reads as zeros
+	// from then on.
 	Release(d, t int) error
 	// ReserveRot allocates a standard-consecutive-format area with the
 	// given drive rotation.
 	ReserveRot(nBlocks, rot int) Area
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
-	// ResetStats zeroes the model statistics. Implementations that also
-	// track wall-clock observability counters (e.g. *File's
-	// OverlapStats) must leave those untouched: they are outside the
-	// model contract and mid-run model resets must not discard them.
+	// ResetStats zeroes the model statistics. Wall-clock observability
+	// counters (OverlapStats, TierStats) stay untouched: they are outside
+	// the model contract and mid-run model resets must not discard them.
 	ResetStats()
 }
 
 // Store is the contract of a disk backend the engines can checkpoint:
 // a Disk plus allocator snapshot/rollback (the fault layer's superstep
 // replay) and whole-state capture/adoption (the durable engines'
-// journal commit and resume). *Array and *File both implement it; the
-// fault layer wraps any Store.
+// journal commit and resume). *Array, *File, *Mapped and *Tier
+// implement it (and the richer Backend); the parity and fault layers
+// wrap any Store.
 type Store interface {
 	Disk
 	// AllocSnapshot captures the allocator for a later AllocRestore.
@@ -245,16 +262,19 @@ type Store interface {
 	AllocRestore(m AllocMark)
 	// State captures the store's complete persistent metadata: I/O
 	// statistics plus per-drive allocator state. Together with the
-	// track contents (which a *File keeps on real disk) it defines the
-	// store exactly; the engines journal it at every barrier commit.
+	// track contents (which the durable stores keep on real disk) it
+	// defines the store exactly; the engines journal it at every
+	// barrier commit.
 	State() StoreState
 	// AdoptState replaces the store's metadata with a previously
-	// captured State — the resume path's inverse of State.
+	// captured State — the resume path's inverse of State. The state
+	// comes from a journal or over the wire, so it is validated in full
+	// and a malformed one is an error that leaves the store unchanged.
 	AdoptState(s StoreState) error
 	// Sync makes all written track contents durable (fsync for *File,
-	// a no-op for the in-memory *Array). The engines call it before
-	// appending a commit record to the journal, so a journal record
-	// never refers to data that could still be lost.
+	// msync+fsync for *Mapped, a no-op for the in-memory *Array). The
+	// engines call it before appending a commit record to the journal,
+	// so a journal record never refers to data that could still be lost.
 	Sync() error
 	// Close releases the store's resources. The store must not be used
 	// afterwards.
@@ -278,24 +298,12 @@ type StoreState struct {
 	Free [][]int
 }
 
-type drive struct {
-	tracks    [][]uint64
-	freeList  []int
-	freeSet   map[int]struct{} // mirrors freeList for O(1) double-free checks
-	next      int              // bump allocator high-water mark
-	lastTrack int              // previously accessed track, -1 initially
-}
-
-// Array simulates the D drives of one processor. All methods are safe
-// for concurrent use (the same contract as the file-backed File):
-// operations serialize on an internal mutex, and racing operations on
-// the same drive are ordered by whatever the race decides.
+// Array simulates the D drives of one processor in memory: the shared
+// EM model over tracks held as slices. All methods are safe for
+// concurrent use (the model's contract).
 type Array struct {
-	cfg    Config
-	mu     sync.Mutex // guards drives, stats and repl
-	drives []drive
-	stats  Stats
-	repl   map[Addr]struct{} // tracks logically mutated since TakeDirty
+	model
+	tracks [][][]uint64 // [drive][track] payload, nil when blank; guarded by mu
 }
 
 // NewArray returns a blank disk subsystem.
@@ -303,11 +311,8 @@ func NewArray(cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{cfg: cfg, drives: make([]drive, cfg.D), repl: make(map[Addr]struct{})}
-	for i := range a.drives {
-		a.drives[i].lastTrack = -1
-	}
-	a.stats.PerDrive = make([]DriveStats, cfg.D)
+	a := &Array{tracks: make([][][]uint64, cfg.D)}
+	a.model.init(cfg, a)
 	return a, nil
 }
 
@@ -320,288 +325,46 @@ func MustNewArray(cfg Config) *Array {
 	return a
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() Config { return a.cfg }
+// The Array's physical half: tracks are slices, blank ones nil.
 
-// Stats returns a copy of the accumulated I/O statistics.
-func (a *Array) Stats() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := a.stats
-	s.PerDrive = append([]DriveStats(nil), a.stats.PerDrive...)
-	return s
-}
-
-// ResetStats zeroes the statistics, e.g. to exclude input staging from
-// a measured experiment. Allocated data is untouched.
-func (a *Array) ResetStats() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.stats = Stats{PerDrive: make([]DriveStats, a.cfg.D)}
-}
-
-var errDriveConflict = errors.New("disk: parallel I/O op addresses one drive twice")
-
-func checkAddr(cfg Config, d, t int) error {
-	if d < 0 || d >= cfg.D {
-		return fmt.Errorf("disk: drive %d out of range [0,%d)", d, cfg.D)
-	}
-	if t < 0 {
-		return fmt.Errorf("disk: negative track %d", t)
-	}
-	return nil
-}
-
-func (a *Array) touch(d, t int) {
-	dr := &a.drives[d]
-	if t == dr.lastTrack+1 {
-		a.stats.PerDrive[d].SeqAccesses++
+func (a *Array) readSlot(d, t int, dst []uint64) error {
+	if tr := a.tracks[d]; t < len(tr) && tr[t] != nil {
+		copy(dst, tr[t])
 	} else {
-		a.stats.PerDrive[d].RandAccesses++
-	}
-	dr.lastTrack = t
-}
-
-// ReadOp performs one parallel I/O operation reading len(reqs) tracks,
-// at most one per drive. It costs one operation regardless of how many
-// drives participate (the model's flat cost G). An empty request list
-// is a no-op and costs nothing.
-func (a *Array) ReadOp(reqs []ReadReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if err := validateDistinct(a.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Dst) != a.cfg.B {
-			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), a.cfg.B)
-		}
-		dr := &a.drives[r.Disk]
-		if r.Track < len(dr.tracks) && dr.tracks[r.Track] != nil {
-			copy(r.Dst, dr.tracks[r.Track])
-		} else {
-			clear(r.Dst)
-		}
-		a.touch(r.Disk, r.Track)
-		a.stats.PerDrive[r.Disk].BlocksRead++
-	}
-	a.stats.Ops++
-	a.stats.ReadOps++
-	a.stats.BlocksRead += int64(len(reqs))
-	return nil
-}
-
-// WriteOp performs one parallel I/O operation writing len(reqs) tracks,
-// at most one per drive.
-func (a *Array) WriteOp(reqs []WriteReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if err := validateDistinct(a.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Src) != a.cfg.B {
-			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), a.cfg.B)
-		}
-		dr := &a.drives[r.Disk]
-		for r.Track >= len(dr.tracks) {
-			dr.tracks = append(dr.tracks, nil)
-		}
-		if dr.tracks[r.Track] == nil {
-			dr.tracks[r.Track] = make([]uint64, a.cfg.B)
-		}
-		copy(dr.tracks[r.Track], r.Src)
-		a.repl[Addr{Disk: r.Disk, Track: r.Track}] = struct{}{}
-		a.touch(r.Disk, r.Track)
-		a.stats.PerDrive[r.Disk].BlocksWritten++
-	}
-	a.stats.Ops++
-	a.stats.WriteOps++
-	a.stats.BlocksWritten += int64(len(reqs))
-	return nil
-}
-
-func validateDistinct(cfg Config, n int, at func(int) (disk, track int)) error {
-	var seenLow uint64 // bitmask fast path for D <= 64
-	var seen map[int]bool
-	for i := 0; i < n; i++ {
-		d, t := at(i)
-		if err := checkAddr(cfg, d, t); err != nil {
-			return err
-		}
-		if d < 64 {
-			bit := uint64(1) << uint(d)
-			if seenLow&bit != 0 {
-				return errDriveConflict
-			}
-			seenLow |= bit
-			continue
-		}
-		if seen == nil {
-			seen = make(map[int]bool)
-		}
-		if seen[d] {
-			return errDriveConflict
-		}
-		seen[d] = true
+		clear(dst)
 	}
 	return nil
 }
 
-// Alloc returns a free track on the given drive, reusing freed tracks
-// before extending the drive. Used for standard-linked-format bucket
-// blocks, whose placement is dynamic.
-func (a *Array) Alloc(d int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	dr := &a.drives[d]
-	if n := len(dr.freeList); n > 0 {
-		t := dr.freeList[n-1]
-		dr.freeList = dr.freeList[:n-1]
-		delete(dr.freeSet, t)
-		return t
+func (a *Array) writeSlot(d, t int, src []uint64) error {
+	for t >= len(a.tracks[d]) {
+		a.tracks[d] = append(a.tracks[d], nil)
 	}
-	t := dr.next
-	dr.next++
-	return t
+	if a.tracks[d][t] == nil {
+		a.tracks[d][t] = make([]uint64, a.cfg.B)
+	}
+	copy(a.tracks[d][t], src)
+	return nil
 }
 
-// Release returns a track to the drive's free list. The track contents
-// are cleared so stale data cannot leak into later reads. Releasing a
-// track that was never allocated, or releasing the same track twice,
-// is an error: a double free would hand the same track to two
-// allocations and silently corrupt the bucket structures built on it.
+func (a *Array) wipeSlot(d, t int) {
+	if t < len(a.tracks[d]) {
+		a.tracks[d][t] = nil
+	}
+}
+
+// Release returns a track to the drive's free list, with the model's
+// guards against double and out-of-range frees. The in-memory array
+// has nothing to keep for a crash, so it also gives the track's words
+// back right away.
 func (a *Array) Release(d, t int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if d < 0 || d >= a.cfg.D {
-		return fmt.Errorf("disk: Release drive %d out of range [0,%d)", d, a.cfg.D)
+	err := a.release(d, t)
+	if err == nil {
+		a.wipeSlot(d, t)
 	}
-	dr := &a.drives[d]
-	if t < 0 || t >= dr.next {
-		return fmt.Errorf("disk: Release track %d on drive %d outside allocated range [0,%d)", t, d, dr.next)
-	}
-	if _, free := dr.freeSet[t]; free {
-		return fmt.Errorf("disk: double release of track %d on drive %d", t, d)
-	}
-	if t < len(dr.tracks) {
-		dr.tracks[t] = nil
-	}
-	a.repl[Addr{Disk: d, Track: t}] = struct{}{}
-	if dr.freeSet == nil {
-		dr.freeSet = make(map[int]struct{})
-	}
-	dr.freeSet[t] = struct{}{}
-	dr.freeList = append(dr.freeList, t)
-	return nil
-}
-
-// AllocMark is a snapshot of the array's track allocator, captured by
-// AllocSnapshot and restored by AllocRestore. It backs the engines'
-// superstep checkpoint manifests: rolling the allocator back to the
-// last compound-superstep barrier discards every track allocated by an
-// aborted attempt.
-type AllocMark struct {
-	next []int
-	free [][]int
-}
-
-// AllocSnapshot captures the allocator state (per-drive high-water
-// marks and free lists) for a later AllocRestore.
-func (a *Array) AllocSnapshot() AllocMark {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := AllocMark{next: make([]int, a.cfg.D), free: make([][]int, a.cfg.D)}
-	for d := range a.drives {
-		m.next[d] = a.drives[d].next
-		m.free[d] = append([]int(nil), a.drives[d].freeList...)
-	}
-	return m
-}
-
-// AllocRestore rolls the allocator back to a snapshot and clears the
-// contents of every track that becomes unallocated by the rollback, so
-// data written by an aborted attempt cannot leak into later reads. The
-// caller must guarantee that no track that was allocated at snapshot
-// time has been released since (the engines' checkpoint discipline:
-// committed barrier state is only freed after the next barrier).
-func (a *Array) AllocRestore(m AllocMark) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for d := range a.drives {
-		dr := &a.drives[d]
-		// Tracks allocated after the snapshot: wipe and retract.
-		for t := m.next[d]; t < dr.next; t++ {
-			if t < len(dr.tracks) {
-				dr.tracks[t] = nil
-			}
-			a.repl[Addr{Disk: d, Track: t}] = struct{}{}
-		}
-		dr.next = m.next[d]
-		dr.freeList = append(dr.freeList[:0], m.free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			// Tracks the attempt popped off the free list and wrote:
-			// wipe on their way back to free.
-			if t < len(dr.tracks) {
-				dr.tracks[t] = nil
-			}
-			a.repl[Addr{Disk: d, Track: t}] = struct{}{}
-			dr.freeSet[t] = struct{}{}
-		}
-	}
-}
-
-// State captures the array's persistent metadata (statistics and
-// per-drive allocator state).
-func (a *Array) State() StoreState {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := StoreState{
-		Stats: a.stats,
-		Next:  make([]int, a.cfg.D),
-		Last:  make([]int, a.cfg.D),
-		Free:  make([][]int, a.cfg.D),
-	}
-	for d := range a.drives {
-		s.Next[d] = a.drives[d].next
-		s.Last[d] = a.drives[d].lastTrack
-		s.Free[d] = append([]int(nil), a.drives[d].freeList...)
-	}
-	return s
-}
-
-// AdoptState replaces the array's metadata with a captured State. Track
-// contents are untouched; the in-memory array cannot survive a process
-// restart, so engine-level resume always pairs AdoptState with a *File
-// — the Array implementation exists for interface completeness and
-// tests.
-func (a *Array) AdoptState(s StoreState) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(s.Next) != a.cfg.D || len(s.Last) != a.cfg.D || len(s.Free) != a.cfg.D {
-		return fmt.Errorf("disk: AdoptState of %d/%d/%d-drive state into %d-drive array", len(s.Next), len(s.Last), len(s.Free), a.cfg.D)
-	}
-	st := s.Stats
-	st.PerDrive = append([]DriveStats(nil), s.Stats.PerDrive...)
-	a.stats = st
-	for d := range a.drives {
-		dr := &a.drives[d]
-		dr.next = s.Next[d]
-		dr.lastTrack = s.Last[d]
-		dr.freeList = append([]int(nil), s.Free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			dr.freeSet[t] = struct{}{}
-		}
-	}
-	return nil
+	return err
 }
 
 // Sync is a no-op: the in-memory array has nothing to make durable.
@@ -625,9 +388,6 @@ func (a *Array) PeekTrack(d, t int) []uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]uint64, a.cfg.B)
-	dr := &a.drives[d]
-	if t < len(dr.tracks) && dr.tracks[t] != nil {
-		copy(out, dr.tracks[t])
-	}
+	a.readSlot(d, t, out) //nolint:errcheck // the in-memory read cannot fail
 	return out
 }

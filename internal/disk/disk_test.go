@@ -38,6 +38,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	a := newTest(t, 2, 4)
+	a.Reserve(8) // tracks 0..3 of both drives: unallocated tracks read blank
 	src := []uint64{1, 2, 3, 4}
 	if err := a.WriteOp([]WriteReq{{Disk: 1, Track: 3, Src: src}}); err != nil {
 		t.Fatal(err)
@@ -222,6 +223,7 @@ func TestReadWriteRoundTripProperty(t *testing.T) {
 		d := r.Intn(4) + 1
 		b := r.Intn(8) + 1
 		a := MustNewArray(Config{D: d, B: b})
+		a.Reserve(20 * d) // every track the script touches is allocated
 		oracle := make(map[Addr][]uint64)
 		for op := 0; op < 50; op++ {
 			disk := r.Intn(d)
@@ -259,52 +261,6 @@ func TestReadWriteRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestReleaseGuards(t *testing.T) {
-	a := newTest(t, 2, 2)
-	t0 := a.Alloc(0)
-	if err := a.Release(0, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Release(0, t0); err == nil {
-		t.Error("double release accepted")
-	}
-	if err := a.Release(0, 99); err == nil {
-		t.Error("release of never-allocated track accepted")
-	}
-	if err := a.Release(-1, 0); err == nil {
-		t.Error("release on negative drive accepted")
-	}
-	if err := a.Release(2, 0); err == nil {
-		t.Error("release on out-of-range drive accepted")
-	}
-	if err := a.Release(0, -1); err == nil {
-		t.Error("release of negative track accepted")
-	}
-}
-
-func TestAllocReuseOrder(t *testing.T) {
-	// Freed tracks are reused LIFO, newest first, before the drive grows.
-	a := newTest(t, 1, 1)
-	t0, t1, t2 := a.Alloc(0), a.Alloc(0), a.Alloc(0)
-	for _, tr := range []int{t0, t1, t2} {
-		if err := a.Release(0, tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Alloc(0); got != t2 {
-		t.Errorf("first reuse = %d, want %d", got, t2)
-	}
-	if got := a.Alloc(0); got != t1 {
-		t.Errorf("second reuse = %d, want %d", got, t1)
-	}
-	if got := a.Alloc(0); got != t0 {
-		t.Errorf("third reuse = %d, want %d", got, t0)
-	}
-	if got := a.Alloc(0); got != 3 {
-		t.Errorf("post-reuse Alloc = %d, want fresh track 3", got)
-	}
-}
-
 func TestUtilizationEmptyIsZero(t *testing.T) {
 	var s Stats
 	if got := s.Utilization(); got != 0 {
@@ -326,58 +282,4 @@ func TestStatsAddMismatchPanics(t *testing.T) {
 	}()
 	s := a2.Stats()
 	s.Add(a3.Stats())
-}
-
-func TestAllocSnapshotRestore(t *testing.T) {
-	a := newTest(t, 2, 2)
-	committed := a.Alloc(0)
-	if err := a.WriteOp([]WriteReq{{Disk: 0, Track: committed, Src: []uint64{5, 6}}}); err != nil {
-		t.Fatal(err)
-	}
-	freed := a.Alloc(1)
-	if err := a.Release(1, freed); err != nil {
-		t.Fatal(err)
-	}
-	m := a.AllocSnapshot()
-
-	// An "aborted attempt": allocate fresh tracks and pop the free list,
-	// write to all of them.
-	fresh := a.Alloc(0)
-	reused := a.Alloc(1)
-	if reused != freed {
-		t.Fatalf("Alloc after Release = %d, want %d", reused, freed)
-	}
-	for _, w := range []WriteReq{
-		{Disk: 0, Track: fresh, Src: []uint64{7, 8}},
-		{Disk: 1, Track: reused, Src: []uint64{9, 10}},
-	} {
-		if err := a.WriteOp([]WriteReq{w}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	a.AllocRestore(m)
-	// The committed track survives; the attempt's tracks are wiped and
-	// available again.
-	dst := make([]uint64, 2)
-	if err := a.ReadOp([]ReadReq{{Disk: 0, Track: committed, Dst: dst}}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 5 || dst[1] != 6 {
-		t.Errorf("committed track lost by rollback: %v", dst)
-	}
-	if got := a.Alloc(0); got != fresh {
-		t.Errorf("Alloc after rollback = %d, want %d again", got, fresh)
-	}
-	if got := a.Alloc(1); got != freed {
-		t.Errorf("free list not restored: Alloc = %d, want %d", got, freed)
-	}
-	for _, ad := range []Addr{{0, fresh}, {1, freed}} {
-		if err := a.ReadOp([]ReadReq{{Disk: ad.Disk, Track: ad.Track, Dst: dst}}); err != nil {
-			t.Fatal(err)
-		}
-		if dst[0] != 0 || dst[1] != 0 {
-			t.Errorf("aborted attempt's data leaked through rollback at %v: %v", ad, dst)
-		}
-	}
 }

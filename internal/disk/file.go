@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"embsp/internal/mem"
@@ -23,25 +22,20 @@ import (
 // in-memory one.
 //
 // On-disk layout: drive d is the sparse file drive-NNN.dat, whose
-// track t occupies the fixed-size slot [t·slot, (t+1)·slot) with
-//
-//	word 0: track magic (marks the slot as ever written)
-//	word 1: Checksum of the payload
-//	words 2..B+1: the payload (B words)
-//
-// all little-endian. The per-track checksum detects torn writes: a
-// slot whose payload does not match its checksum (e.g. after a crash
-// mid-pwrite) reads back as a typed *CorruptTrackError instead of
-// silently delivering garbage. A small geometry file pins (D, B) so a
-// resume with a mismatched machine configuration fails up front.
+// track t occupies one fixed-size checksummed slot (see codec.go). The
+// per-track checksum detects torn writes: a slot whose payload does
+// not match its checksum (e.g. after a crash mid-pwrite) reads back as
+// a typed *CorruptTrackError instead of silently delivering garbage. A
+// small geometry file pins (D, B) so a resume with a mismatched
+// machine configuration fails up front.
 //
 // Allocator metadata (free lists, bump marks, access statistics) lives
-// in memory and is persisted by the engines' commit journal, not by
-// the store itself: reads of free or never-allocated tracks return
-// zeros based on that metadata, so releasing a track needs no physical
-// wipe — which keeps Release crash-safe (the freed track's bytes stay
-// intact on disk until a commit record that no longer references the
-// track is durable).
+// in memory — the shared EM-model core of model.go — and is persisted
+// by the engines' commit journal, not by the store itself: reads of
+// free or never-allocated tracks return zeros based on that metadata,
+// so releasing a track needs no physical wipe — which keeps Release
+// crash-safe (the freed track's bytes stay intact on disk until a
+// commit record that no longer references the track is durable).
 //
 // # Physical concurrency
 //
@@ -79,14 +73,11 @@ import (
 // counter, so the durability contract is exactly as before: when Sync
 // returns, every byte landed before the call is on disk.
 //
-// Two deliberate deviations exist on error paths, both documented
-// here: (1) a physical write error (e.g. a full disk) surfaces at the
-// next Sync or Close rather than from the WriteOp that issued it
-// (inline fast-path writes included), with accounting as if the write
-// succeeded; (2) with workers on, malformed request lists are
-// rejected before any accounting, whereas the synchronous path (like
-// Array) accounts requests preceding the malformed one. Neither is
-// reachable from a correct engine.
+// One deliberate deviation exists on an error path: with workers on, a
+// physical write error (e.g. a full disk) surfaces at the next Sync or
+// Close rather than from the WriteOp that issued it (inline fast-path
+// writes included), with accounting as if the write succeeded. It is
+// not reachable from a correct engine on a healthy disk.
 //
 // All methods are safe for concurrent use. Operations that race on the
 // same drive serialize in lock order (their relative order, and hence
@@ -94,18 +85,10 @@ import (
 // indeterminacy the caller asked for); operations on distinct drives
 // are independent.
 type File struct {
-	cfg    Config
-	dir    string
-	files  []*os.File
-	slotB  int64         // slot size in bytes: (2+B)*8
-	nworks int           // I/O worker goroutines (0 = fully synchronous)
-	lat    time.Duration // emulated per-access latency (FileOptions.AccessLatency)
-	tr     *obs.Tracer   // physical-transfer spans; nil = no tracing
-	tpid   int           // trace pid label (owning processor)
+	model          // the EM-model half; its mu also guards cache, acct, ov, werr
+	driveFiles     // the drive files and their physical options
+	nworks     int // I/O worker goroutines (0 = fully synchronous)
 
-	mu       sync.Mutex // guards drives, stats, cache, acct, ov, werr
-	drives   []drive    // tracks field unused; metadata only
-	stats    Stats
 	buf      []byte // scratch for one slot (synchronous + inline-write paths, under mu)
 	cache    map[Addr]*centry
 	acct     *mem.Accountant // cache budget in words, used under mu
@@ -115,7 +98,6 @@ type File struct {
 	needSync []bool       // drives with bytes landed since their last completed fsync
 	wepoch   []int64      // bumped per byte-landing; guards needSync against racing fsyncs
 	pend     map[Addr]int // queued-but-unlanded physical writes + wipes per address
-	repl     map[Addr]struct{} // tracks logically mutated since TakeDirty (replication deltas)
 	werr     error        // first deferred write error, surfaced at Sync/Close
 	pool     *blockPool   // recycled payload buffers for the worker path
 	scr      *bytePool    // recycled slot scratch for inline reads (outside mu)
@@ -123,8 +105,7 @@ type File struct {
 	queues  []*ioQueue
 	wg      sync.WaitGroup
 	flushWG sync.WaitGroup // in-flight background flushes
-	running atomic.Int64   // physical transfers executing right now
-	peak    atomic.Int64   // high-water mark of running
+	xfer    inflight       // physical transfers executing right now
 }
 
 // FileOptions tunes the physical I/O engine of a file-backed store.
@@ -160,10 +141,7 @@ type FileOptions struct {
 	TracePID int
 }
 
-const (
-	trackMagic = 0x454d425354524b31 // "EMBSTRK1"
-	geomMagic  = 0x454d424747454f4d // "EMBGGEOM"
-)
+const geomMagic = 0x454d424747454f4d // "EMBGGEOM"
 
 // CorruptTrackError reports a track whose stored payload does not
 // match its per-track checksum — a torn or corrupted write detected by
@@ -257,48 +235,17 @@ func OpenFile(dir string, cfg Config, resume bool) (*File, error) {
 
 // OpenFileOpts is OpenFile with physical-concurrency options.
 func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, err
-	}
-	geomPath := filepath.Join(dir, "geometry")
-	if resume {
-		if err := checkGeometry(geomPath, cfg); err != nil {
-			return nil, err
-		}
-	} else if err := writeGeometry(geomPath, cfg); err != nil {
+	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
+	if err != nil {
 		return nil, err
 	}
 	f := &File{
-		cfg:    cfg,
-		dir:    dir,
-		files:  make([]*os.File, cfg.D),
-		drives: make([]drive, cfg.D),
-		slotB:  int64(2+cfg.B) * 8,
-		lat:    opt.AccessLatency,
-		tr:     opt.Tracer,
-		tpid:   opt.TracePID,
-		buf:    make([]byte, int64(2+cfg.B)*8),
-		repl:   make(map[Addr]struct{}),
+		driveFiles: df,
+		buf:        make([]byte, df.slotB),
+		needSync:   make([]bool, cfg.D),
+		wepoch:     make([]int64, cfg.D),
 	}
-	f.stats.PerDrive = make([]DriveStats, cfg.D)
-	f.needSync = make([]bool, cfg.D)
-	f.wepoch = make([]int64, cfg.D)
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	for d := 0; d < cfg.D; d++ {
-		fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", d)), flags, 0o666)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.files[d] = fh
-		f.drives[d].lastTrack = -1
-	}
+	f.model.init(cfg, f)
 	if opt.Workers > 0 {
 		f.nworks = min(opt.Workers, cfg.D)
 		budget := opt.CacheWords
@@ -327,6 +274,88 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		}
 	}
 	return f, nil
+}
+
+// driveFiles is the physical side the two durable stores, File and
+// Mapped, share: one drive-NNN.dat per simulated drive in one layout,
+// plus the options of a physical access.
+type driveFiles struct {
+	files []*os.File
+	slotB int64         // slot size in bytes
+	lat   time.Duration // emulated per-access latency (AccessLatency)
+	tr    *obs.Tracer   // physical-transfer spans; nil = no tracing
+	tpid  int           // trace pid label (owning processor)
+}
+
+// openDrives prepares a state directory and opens its D drive files. A
+// fresh open records the geometry and truncates previous drive files;
+// a resuming open requires a matching geometry and leaves every byte
+// in place.
+func openDrives(dir string, cfg Config, resume bool, lat time.Duration, tr *obs.Tracer, tpid int) (driveFiles, error) {
+	df := driveFiles{slotB: slotBytes(cfg.B), lat: lat, tr: tr, tpid: tpid}
+	if err := cfg.Validate(); err != nil {
+		return df, err
+	}
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		return df, err
+	}
+	geomPath := filepath.Join(dir, "geometry")
+	flags := os.O_RDWR | os.O_CREATE
+	if resume {
+		if err := checkGeometry(geomPath, cfg); err != nil {
+			return df, err
+		}
+	} else {
+		if err := writeGeometry(geomPath, cfg); err != nil {
+			return df, err
+		}
+		flags |= os.O_TRUNC
+	}
+	df.files = make([]*os.File, cfg.D)
+	for d := range df.files {
+		fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", d)), flags, 0o666)
+		if err != nil {
+			df.closeFiles() //nolint:errcheck // the open error wins
+			return df, err
+		}
+		df.files[d] = fh
+	}
+	return df, nil
+}
+
+// closeFiles closes every open drive file, returning the first error.
+func (df *driveFiles) closeFiles() error {
+	var first error
+	for d, fh := range df.files {
+		if fh == nil {
+			continue
+		}
+		if err := fh.Close(); err != nil && first == nil {
+			first = err
+		}
+		df.files[d] = nil
+	}
+	return first
+}
+
+// access starts one physical track access on drive d: it opens the
+// access's trace span (the caller defers End) and, when AccessLatency
+// is set, sleeps first, exactly as a drive head would spend its access
+// time. The sleep happens on whichever goroutine moves the bytes, so
+// the synchronous stores pay D sequential access times per parallel op
+// while the worker store pays them concurrently — the schedule
+// difference the option exists to expose.
+func (df *driveFiles) access(name string, d int) obs.Span {
+	sp := df.tr.Begin(obs.CatIO, name, df.tpid, 1+d)
+	if df.lat > 0 {
+		time.Sleep(df.lat)
+	}
+	return sp
+}
+
+// corrupt is the typed error for a slot that decoded as slotCorrupt.
+func (df *driveFiles) corrupt(d, t int) error {
+	return &CorruptTrackError{Path: df.files[d].Name(), Disk: d, Track: t}
 }
 
 func writeGeometry(path string, cfg Config) error {
@@ -389,33 +418,9 @@ func checkGeometry(path string, cfg Config) error {
 	return nil
 }
 
-// Config returns the store configuration.
-func (f *File) Config() Config { return f.cfg }
-
 // Workers returns the number of I/O worker goroutines (0 when the
 // store is synchronous).
 func (f *File) Workers() int { return f.nworks }
-
-// Stats returns a copy of the accumulated I/O statistics.
-func (f *File) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.stats
-	s.PerDrive = append([]DriveStats(nil), f.stats.PerDrive...)
-	return s
-}
-
-// ResetStats zeroes the model statistics. Stored data is untouched,
-// and so are the wall-clock OverlapStats: overlap counters are
-// observability, explicitly outside the model contract, so a mid-run
-// model reset (the engines reset after the setup phase to split setup
-// from run accounting) must not discard the overlap history
-// accumulated so far. Use ResetOverlap to clear them explicitly.
-func (f *File) ResetStats() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats = Stats{PerDrive: make([]DriveStats, f.cfg.D)}
-}
 
 // ResetOverlap zeroes the wall-clock overlap counters (including the
 // concurrency peak), leaving the model statistics alone — the
@@ -424,7 +429,7 @@ func (f *File) ResetOverlap() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ov = OverlapStats{}
-	f.peak.Store(0)
+	f.xfer.peak.Store(0)
 }
 
 // Overlap returns a copy of the accumulated physical-overlap counters.
@@ -434,89 +439,70 @@ func (f *File) Overlap() OverlapStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	o := f.ov
-	o.ConcurrentPeak = f.peak.Load()
+	o.ConcurrentPeak = f.xfer.peak.Load()
 	return o
 }
 
-func (f *File) touch(d, t int) {
-	dr := &f.drives[d]
-	if t == dr.lastTrack+1 {
-		f.stats.PerDrive[d].SeqAccesses++
-	} else {
-		f.stats.PerDrive[d].RandAccesses++
-	}
-	dr.lastTrack = t
-}
-
-// blank reports whether the track currently reads as zeros by
-// allocator metadata alone: released, or beyond the bump mark (which
-// covers tracks dirtied by a crashed attempt and later rolled back).
-func (f *File) blank(d, t int) bool {
-	dr := &f.drives[d]
-	if t >= dr.next {
-		return true
-	}
-	_, free := dr.freeSet[t]
-	return free
-}
-
-// delay emulates one physical track access when AccessLatency is set:
-// the goroutine performing the transfer sleeps first, exactly as a
-// drive head would spend its access time. The sleep happens on
-// whichever goroutine moves the bytes, so the synchronous store pays
-// D sequential access times per parallel op while the worker store
-// pays them concurrently — the schedule difference the option exists
-// to expose.
-func (f *File) delay() {
-	if f.lat > 0 {
-		time.Sleep(f.lat)
-	}
-}
-
-// readSlotBuf reads and decodes one slot through the given scratch
-// buffer (one per worker, plus f.buf for the synchronous path).
-func (f *File) readSlotBuf(buf []byte, d, t int, dst []uint64) error {
-	sp := f.tr.Begin(obs.CatIO, "phys-read", f.tpid, 1+d)
-	defer sp.End()
-	f.delay()
+// pread reads and decodes one slot raw — no span, no emulated latency
+// — through the given scratch buffer. A slot never physically written
+// (or wiped by a rollback) decodes as slotBlank with dst zeroed; a torn
+// one is a *CorruptTrackError.
+func (f *File) pread(buf []byte, d, t int, dst []uint64) (slotState, error) {
 	n, err := f.files[d].ReadAt(buf, int64(t)*f.slotB)
 	if err != nil && err != io.EOF {
-		return err
+		return slotBlank, err
 	}
-	if n < 8 || binary.LittleEndian.Uint64(buf[0:]) != trackMagic {
-		// Never physically written (or wiped by a rollback): blank.
-		clear(dst)
-		return nil
+	st := decodeSlot(buf[:n], dst)
+	if st == slotCorrupt {
+		return st, f.corrupt(d, t)
 	}
-	if n < int(f.slotB) {
-		return &CorruptTrackError{Path: f.files[d].Name(), Disk: d, Track: t}
-	}
-	getWords(dst, buf[16:])
-	if Checksum(dst) != binary.LittleEndian.Uint64(buf[8:]) {
-		return &CorruptTrackError{Path: f.files[d].Name(), Disk: d, Track: t}
-	}
-	return nil
+	return st, nil
 }
 
-func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {
-	sp := f.tr.Begin(obs.CatIO, "phys-write", f.tpid, 1+d)
-	defer sp.End()
-	f.delay()
-	binary.LittleEndian.PutUint64(buf[0:], trackMagic)
-	binary.LittleEndian.PutUint64(buf[8:], Checksum(src))
-	putWords(buf[16:], src)
+// pwrite encodes and writes one slot raw through the scratch buffer.
+func (f *File) pwrite(buf []byte, d, t int, src []uint64) error {
+	encodeSlot(buf, src)
 	_, err := f.files[d].WriteAt(buf, int64(t)*f.slotB)
 	return err
 }
 
-// wipeSlot clears a slot's magic word so the track reads as blank
-// again (used by AllocRestore to discard an aborted attempt's writes).
-func (f *File) wipeSlot(d, t int) error {
-	sp := f.tr.Begin(obs.CatIO, "phys-wipe", f.tpid, 1+d)
-	defer sp.End()
-	f.delay()
+// pwipe clears a slot's magic word raw, so the track decodes as blank
+// again.
+func (f *File) pwipe(d, t int) error {
 	var zero [8]byte
 	_, err := f.files[d].WriteAt(zero[:], int64(t)*f.slotB)
+	return err
+}
+
+// readSlotBuf is one physical track read: span, emulated access time,
+// pread (one scratch buffer per worker, plus f.buf for the synchronous
+// path).
+func (f *File) readSlotBuf(buf []byte, d, t int, dst []uint64) error {
+	defer f.access("phys-read", d).End()
+	_, err := f.pread(buf, d, t, dst)
+	return err
+}
+
+func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {
+	defer f.access("phys-write", d).End()
+	return f.pwrite(buf, d, t, src)
+}
+
+// physWipe is one physical wipe (used by AllocRestore to discard an
+// aborted attempt's writes, and by Alloc/ReserveRot on stale slots).
+func (f *File) physWipe(d, t int) error {
+	defer f.access("phys-wipe", d).End()
+	return f.pwipe(d, t)
+}
+
+// readSlot and writeSlot are the synchronous store's slotIO: one
+// transfer inside the call, under f.mu, through the store's scratch
+// slot. (wipeSlot, queue-aware, is below with the allocator.)
+func (f *File) readSlot(d, t int, dst []uint64) error { return f.readSlotBuf(f.buf, d, t, dst) }
+
+func (f *File) writeSlot(d, t int, src []uint64) error {
+	err := f.writeSlotBuf(f.buf, d, t, src)
+	f.markWritten(d) // even on error: bytes may have partially landed
 	return err
 }
 
@@ -544,10 +530,8 @@ func (f *File) runTask(t ioTask, scratch []byte) {
 		t.wg.Done()
 		return
 	}
-	n := f.running.Add(1)
-	for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
-	}
-	defer f.running.Add(-1)
+	f.xfer.begin()
+	defer f.xfer.end()
 	switch t.kind {
 	case taskFill:
 		data := f.pool.get()
@@ -588,7 +572,7 @@ func (f *File) runTask(t ioTask, scratch []byte) {
 		f.mu.Unlock()
 	case taskWipe:
 		// Best-effort, exactly like the synchronous path's wipes.
-		_ = f.wipeSlot(t.d, t.t)
+		_ = f.physWipe(t.d, t.t)
 		f.mu.Lock()
 		a := Addr{Disk: t.d, Track: t.t}
 		if f.pend[a]--; f.pend[a] == 0 {
@@ -754,22 +738,19 @@ func (f *File) bgFlush(d int) {
 }
 
 // ReadOp performs one parallel read, at most one track per drive, with
-// the same validation, accounting and blank-track semantics as
-// Array.ReadOp.
+// the validation, accounting and blank-track semantics of the shared
+// model. Without workers it is the model's synchronous ReadOp; with
+// them the physical schedule below applies, charging through the same
+// account.
 func (f *File) ReadOp(reqs []ReadReq) error {
+	if f.nworks == 0 {
+		return f.model.ReadOp(reqs)
+	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := validateDistinct(f.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+	if err := checkReads(f.cfg, reqs); err != nil {
 		return err
-	}
-	if f.nworks == 0 {
-		return f.readSync(reqs)
-	}
-	for _, r := range reqs {
-		if len(r.Dst) != f.cfg.B {
-			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), f.cfg.B)
-		}
 	}
 
 	// Phase 1, under the lock: apply all model accounting in request
@@ -794,9 +775,7 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 	prev := make([]int, len(reqs))
 	f.mu.Lock()
 	for i, r := range reqs {
-		prev[i] = f.drives[r.Disk].lastTrack
-		f.touch(r.Disk, r.Track)
-		f.stats.PerDrive[r.Disk].BlocksRead++
+		prev[i] = f.chargeRead(r.Disk, r.Track)
 		if f.blank(r.Disk, r.Track) {
 			clear(r.Dst)
 			continue
@@ -890,37 +869,11 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 	f.ov.StallNanos += stall.Nanoseconds()
 	if failErr != nil {
 		for i := failIdx; i < len(reqs); i++ {
-			f.drives[reqs[i].Disk].lastTrack = prev[i]
-			f.stats.PerDrive[reqs[i].Disk].BlocksRead--
+			f.refundRead(reqs[i].Disk, prev[i])
 		}
 		return failErr
 	}
-	f.stats.Ops++
-	f.stats.ReadOps++
-	f.stats.BlocksRead += int64(len(reqs))
-	return nil
-}
-
-// readSync is the workerless read path, identical to the pre-worker
-// store (and to Array.ReadOp's semantics).
-func (f *File) readSync(reqs []ReadReq) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Dst) != f.cfg.B {
-			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), f.cfg.B)
-		}
-		if f.blank(r.Disk, r.Track) {
-			clear(r.Dst)
-		} else if err := f.readSlotBuf(f.buf, r.Disk, r.Track, r.Dst); err != nil {
-			return err
-		}
-		f.touch(r.Disk, r.Track)
-		f.stats.PerDrive[r.Disk].BlocksRead++
-	}
-	f.stats.Ops++
-	f.stats.ReadOps++
-	f.stats.BlocksRead += int64(len(reqs))
+	f.chargeReadOp(len(reqs))
 	return nil
 }
 
@@ -929,19 +882,14 @@ func (f *File) readSync(reqs []ReadReq) error {
 // and the physical write completes asynchronously (read-your-writes is
 // preserved via the cache; durability is established by Sync).
 func (f *File) WriteOp(reqs []WriteReq) error {
+	if f.nworks == 0 {
+		return f.model.WriteOp(reqs)
+	}
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := validateDistinct(f.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+	if err := checkWrites(f.cfg, reqs); err != nil {
 		return err
-	}
-	if f.nworks == 0 {
-		return f.writeSync(reqs)
-	}
-	for _, r := range reqs {
-		if len(r.Src) != f.cfg.B {
-			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), f.cfg.B)
-		}
 	}
 	var mine []*centry
 	stalled := false
@@ -949,15 +897,14 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	f.mu.Lock()
 	for _, r := range reqs {
 		a := Addr{Disk: r.Disk, Track: r.Track}
-		f.touch(r.Disk, r.Track)
-		f.stats.PerDrive[r.Disk].BlocksWritten++
+		f.chargeWrite(r.Disk, r.Track)
+		f.markDirty(r.Disk, r.Track)
 		f.dirty[r.Disk] = true
-		f.repl[a] = struct{}{}
 		if f.lat == 0 && f.pend[a] == 0 {
 			// Page-cache-fast write with no queued physical work on the
 			// track: pwrite inline, skipping the capture copy and the
 			// worker round-trip. A failure is deferred to Sync/Close
-			// exactly like a queued write's (deviation (1) above).
+			// exactly like a queued write's (the deviation above).
 			f.dropEntry(a)
 			if err := f.writeSlotBuf(f.buf, r.Disk, r.Track, r.Src); err != nil && f.werr == nil {
 				f.werr = fmt.Errorf("disk: write of track %d on drive %d failed: %w", r.Track, r.Disk, err)
@@ -983,9 +930,7 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 		queued++
 		mine = append(mine, e)
 	}
-	f.stats.Ops++
-	f.stats.WriteOps++
-	f.stats.BlocksWritten += int64(len(reqs))
+	f.chargeWriteOp(len(reqs))
 	if !stalled {
 		f.ov.AsyncWrites += queued
 	}
@@ -1003,222 +948,56 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	return nil
 }
 
-// writeSync is the workerless write path, identical to the pre-worker
-// store.
-func (f *File) writeSync(reqs []WriteReq) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Src) != f.cfg.B {
-			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), f.cfg.B)
-		}
-		err := f.writeSlotBuf(f.buf, r.Disk, r.Track, r.Src)
-		f.markWritten(r.Disk) // even on error: bytes may have partially landed
-		if err != nil {
-			return err
-		}
-		f.touch(r.Disk, r.Track)
-		f.stats.PerDrive[r.Disk].BlocksWritten++
-		f.repl[Addr{Disk: r.Disk, Track: r.Track}] = struct{}{}
-	}
-	f.stats.Ops++
-	f.stats.WriteOps++
-	f.stats.BlocksWritten += int64(len(reqs))
-	return nil
-}
-
-// Alloc returns a free track on drive d, reusing freed tracks before
-// extending the drive — identical allocation order to Array.Alloc, so
-// durable and in-memory runs lay data out identically.
-func (f *File) Alloc(d int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	dr := &f.drives[d]
-	var t int
-	if n := len(dr.freeList); n > 0 {
-		t = dr.freeList[n-1]
-		dr.freeList = dr.freeList[:n-1]
-		delete(dr.freeSet, t)
-	} else {
-		t = dr.next
-		dr.next++
-	}
-	// Array clears a track at Release; File defers the clear to here so
-	// releases stay metadata-only (crash safety). A track being handed
-	// out is free in the last durable commit record, so wiping its magic
-	// word destroys no committed data — and makes recycled tracks (and
-	// slots holding stale bytes from a crashed run) read blank, exactly
-	// like Array. Best-effort, like AllocRestore's wipes.
-	f.wipeTrack(d, t)
-	return t
-}
-
-// wipeTrack invalidates any cache entry for (d, t) and clears the
+// wipeSlot invalidates any cache entry for (d, t) and clears the
 // slot's magic word — through the drive queue when workers are on and
 // the track has queued physical work (the wipe must keep its place in
-// the drive's FIFO order behind it); otherwise inline, which at zero
+// the drive's FIFO order behind it, e.g. behind an aborted attempt's
+// still-queued writes, so AllocRestore's rollback is correct even
+// mid-pipeline); otherwise inline, which at zero
 // latency is both cheaper than a worker round-trip and what keeps the
-// queues idle on the fast path. Called under f.mu.
-func (f *File) wipeTrack(d, t int) {
+// queues idle on the fast path. Best-effort: a failed wipe only leaves
+// stale bytes that metadata already reads as blank. Called under f.mu.
+func (f *File) wipeSlot(d, t int) {
 	a := Addr{Disk: d, Track: t}
-	f.repl[a] = struct{}{}
-	if f.nworks == 0 {
-		f.wipeSlot(d, t) //nolint:errcheck
-		f.markWritten(d)
-		return
+	if f.nworks > 0 {
+		f.dropEntry(a)
+		if f.lat > 0 || f.pend[a] > 0 {
+			f.pend[a]++
+			f.enqueue(ioTask{kind: taskWipe, d: d, t: t})
+			return
+		}
 	}
-	f.dropEntry(a)
-	if f.lat == 0 && f.pend[a] == 0 {
-		f.wipeSlot(d, t) //nolint:errcheck
-		f.markWritten(d)
-		return
-	}
-	f.pend[a]++
-	f.enqueue(ioTask{kind: taskWipe, d: d, t: t})
+	f.physWipe(d, t) //nolint:errcheck
+	f.markWritten(d)
 }
 
-// Release returns a track to the drive's free list. The release is
-// metadata-only (reads of free tracks return zeros by the allocator,
-// not by a physical wipe), which is what makes the engines' commit
-// ordering crash-safe: data referenced by the last durable commit
-// record is never physically destroyed before the next record lands.
+// Release returns a track to the drive's free list, metadata-only (see
+// the model's Release), and drops any cached copy of it.
 func (f *File) Release(d, t int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if d < 0 || d >= f.cfg.D {
-		return fmt.Errorf("disk: Release drive %d out of range [0,%d)", d, f.cfg.D)
-	}
-	dr := &f.drives[d]
-	if t < 0 || t >= dr.next {
-		return fmt.Errorf("disk: Release track %d on drive %d outside allocated range [0,%d)", t, d, dr.next)
-	}
-	if _, free := dr.freeSet[t]; free {
-		return fmt.Errorf("disk: double release of track %d on drive %d", t, d)
-	}
-	if dr.freeSet == nil {
-		dr.freeSet = make(map[int]struct{})
-	}
-	dr.freeSet[t] = struct{}{}
-	dr.freeList = append(dr.freeList, t)
-	// A freed track reads as zeros from here on; drop any cached copy
-	// so the budget is returned (the physical bytes may stay).
-	if f.nworks > 0 {
+	err := f.release(d, t)
+	if err == nil && f.nworks > 0 {
+		// A freed track reads as zeros from here on; drop any cached copy
+		// so the budget is returned (the physical bytes may stay).
 		f.dropEntry(Addr{Disk: d, Track: t})
 	}
-	return nil
-}
-
-// ReserveRot allocates a standard-consecutive-format area with the
-// given drive rotation, exactly as Array.ReserveRot does.
-func (f *File) ReserveRot(nBlocks, rot int) Area {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if nBlocks < 0 {
-		panic("disk: Reserve with negative size")
-	}
-	per := (nBlocks + f.cfg.D - 1) / f.cfg.D
-	ar := Area{d: f.cfg.D, n: nBlocks, rot: ((rot % f.cfg.D) + f.cfg.D) % f.cfg.D, base: make([]int, f.cfg.D)}
-	for d := range f.drives {
-		dr := &f.drives[d]
-		ar.base[d] = dr.next
-		dr.next += per
-		// Reserved slots sit beyond the last committed high-water mark,
-		// so they may hold stale (even torn) bytes from a crashed
-		// attempt; wipe their magic words so ragged never-written slots
-		// read blank, as on Array. See Alloc.
-		for t := ar.base[d]; t < dr.next; t++ {
-			f.wipeTrack(d, t)
-		}
-	}
-	return ar
-}
-
-// AllocSnapshot captures the allocator state for a later AllocRestore.
-func (f *File) AllocSnapshot() AllocMark {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := AllocMark{next: make([]int, f.cfg.D), free: make([][]int, f.cfg.D)}
-	for d := range f.drives {
-		m.next[d] = f.drives[d].next
-		m.free[d] = append([]int(nil), f.drives[d].freeList...)
-	}
-	return m
-}
-
-// AllocRestore rolls the allocator back to a snapshot and wipes the
-// magic word of every track the rollback unallocates, mirroring
-// Array.AllocRestore's clearing semantics. The wiped tracks are, by
-// the engines' checkpoint discipline, never referenced by committed
-// state, so the wipe is safe at any crash point. The wipes keep their
-// FIFO position behind any of the aborted attempt's still-queued
-// writes, so the rollback is correct even mid-pipeline.
-func (f *File) AllocRestore(m AllocMark) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for d := range f.drives {
-		dr := &f.drives[d]
-		for t := m.next[d]; t < dr.next; t++ {
-			// Best-effort wipe: a failed wipe only leaves stale bytes
-			// that metadata already reads as blank.
-			f.wipeTrack(d, t)
-		}
-		dr.next = m.next[d]
-		dr.freeList = append(dr.freeList[:0], m.free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			f.wipeTrack(d, t)
-			dr.freeSet[t] = struct{}{}
-		}
-	}
-}
-
-// State captures the store's persistent metadata.
-func (f *File) State() StoreState {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := StoreState{
-		Stats: f.stats,
-		Next:  make([]int, f.cfg.D),
-		Last:  make([]int, f.cfg.D),
-		Free:  make([][]int, f.cfg.D),
-	}
-	s.Stats.PerDrive = append([]DriveStats(nil), f.stats.PerDrive...)
-	for d := range f.drives {
-		s.Next[d] = f.drives[d].next
-		s.Last[d] = f.drives[d].lastTrack
-		s.Free[d] = append([]int(nil), f.drives[d].freeList...)
-	}
-	return s
+	return err
 }
 
 // AdoptState replaces the store's metadata with a captured State — the
-// resume path. Track contents stay as the drive files hold them; any
-// bytes written after the adopted state was captured are unreachable
-// (free or beyond the bump mark) and read as zeros. Queued physical
-// work is drained and the cache cleared first: adopted metadata must
-// describe quiesced drives.
+// resume path, validated by the model. Queued physical work is drained
+// first and the cache cleared: adopted metadata must describe quiesced
+// drives.
 func (f *File) AdoptState(s StoreState) error {
 	f.drain()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(s.Next) != f.cfg.D || len(s.Last) != f.cfg.D || len(s.Free) != f.cfg.D {
-		return fmt.Errorf("disk: AdoptState of %d/%d/%d-drive state into %d-drive store", len(s.Next), len(s.Last), len(s.Free), f.cfg.D)
+	if err := f.adoptState(s); err != nil {
+		return err
 	}
 	for a := range f.cache {
 		f.dropEntry(a)
-	}
-	st := s.Stats
-	st.PerDrive = append([]DriveStats(nil), s.Stats.PerDrive...)
-	f.stats = st
-	for d := range f.drives {
-		dr := &f.drives[d]
-		dr.next = s.Next[d]
-		dr.lastTrack = s.Last[d]
-		dr.freeList = append([]int(nil), s.Free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			dr.freeSet[t] = struct{}{}
-		}
 	}
 	return nil
 }
@@ -1273,10 +1052,8 @@ func (f *File) Sync() error {
 			wg.Add(1)
 			go func(d int) {
 				defer wg.Done()
-				n := f.running.Add(1)
-				for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
-				}
-				defer f.running.Add(-1)
+				f.xfer.begin()
+				defer f.xfer.end()
 				sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
 				errs[d] = f.files[d].Sync()
 				sp.End()
@@ -1330,14 +1107,8 @@ func (f *File) Close() error {
 		first = f.werr
 		f.mu.Unlock()
 	}
-	for i, fh := range f.files {
-		if fh == nil {
-			continue
-		}
-		if err := fh.Close(); err != nil && first == nil {
-			first = err
-		}
-		f.files[i] = nil
+	if err := f.closeFiles(); first == nil {
+		first = err
 	}
 	return first
 }

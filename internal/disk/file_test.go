@@ -223,43 +223,6 @@ func TestFileCorruptTrack(t *testing.T) {
 	}
 }
 
-// TestFileAllocRestore: rolling the allocator back invalidates the
-// tracks allocated since the snapshot — they must read as blank even
-// though their bytes were physically written.
-func TestFileAllocRestore(t *testing.T) {
-	const B = 8
-	f := newFileTest(t, 1, B)
-	keep := f.Alloc(0)
-	if err := f.WriteOp([]WriteReq{{Disk: 0, Track: keep, Src: track(B, 1)}}); err != nil {
-		t.Fatal(err)
-	}
-	mark := f.AllocSnapshot()
-	scratch := f.Alloc(0)
-	if err := f.WriteOp([]WriteReq{{Disk: 0, Track: scratch, Src: track(B, 2)}}); err != nil {
-		t.Fatal(err)
-	}
-	f.AllocRestore(mark)
-
-	got := make([]uint64, B)
-	if err := f.ReadOp([]ReadReq{{Disk: 0, Track: keep, Dst: got}}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, track(B, 1)) {
-		t.Errorf("kept track damaged by rollback: %v", got)
-	}
-	if again := f.Alloc(0); again != scratch {
-		t.Fatalf("rollback did not retract track %d (got %d)", scratch, again)
-	}
-	if err := f.ReadOp([]ReadReq{{Disk: 0, Track: scratch, Dst: got}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range got {
-		if w != 0 {
-			t.Fatalf("rolled-back track still holds data: %v", got)
-		}
-	}
-}
-
 // TestFileCloseIdempotent: Close must be callable any number of times
 // (the engines close on both success and error unwind paths), and the
 // store must stay usable up to the first Close.

@@ -33,29 +33,6 @@ func (a *Array) Reserve(nBlocks int) Area { return a.ReserveRot(nBlocks, 0) }
 // Reserve allocates an area of nBlocks blocks on any Disk.
 func Reserve(dsk Disk, nBlocks int) Area { return dsk.ReserveRot(nBlocks, 0) }
 
-// ReserveRot allocates an area whose block-to-drive mapping is rotated
-// by rot: block i lives on drive (rot + i) mod D. Algorithm
-// SimulateRouting (Step 2) writes D bucket areas concurrently, one
-// block of each per parallel I/O operation; giving bucket d's area
-// rotation d makes the D concurrent writes of operation j land on the
-// D distinct drives (d + j) mod D, exactly as the paper's track
-// formula d·⌈vγ/D²B⌉ + ⌊j/D⌋ on disk (d+j) mod D prescribes.
-func (a *Array) ReserveRot(nBlocks, rot int) Area {
-	if nBlocks < 0 {
-		panic("disk: Reserve with negative size")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	per := (nBlocks + a.cfg.D - 1) / a.cfg.D
-	ar := Area{d: a.cfg.D, n: nBlocks, rot: ((rot % a.cfg.D) + a.cfg.D) % a.cfg.D, base: make([]int, a.cfg.D)}
-	for d := range a.drives {
-		dr := &a.drives[d]
-		ar.base[d] = dr.next
-		dr.next += per
-	}
-	return ar
-}
-
 // Blocks returns the area's capacity in blocks.
 func (ar Area) Blocks() int { return ar.n }
 

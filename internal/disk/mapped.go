@@ -3,11 +3,7 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"embsp/internal/mem"
@@ -15,8 +11,8 @@ import (
 )
 
 // Mapped is an mmap-backed Store: the same on-disk layout as File —
-// one drive-NNN.dat per simulated drive, fixed (2+B)-word checksummed
-// slots, the same geometry file — but the drive files are mapped into
+// one drive-NNN.dat per simulated drive, the checksummed slots of
+// codec.go, the same geometry file — but the drive files are mapped into
 // memory instead of accessed with pread/pwrite. A read decodes the
 // mapped slot straight into the caller's buffer (one copy, no syscall,
 // no scratch encode/decode round-trip) and a write encodes straight
@@ -40,30 +36,21 @@ import (
 // no physical queue to overlap, which is the point — on page-cache
 // fast storage the zero-copy path *is* the fast path, and the group
 // pipeline degrades gracefully to the serial schedule exactly as on
-// the in-memory Array. Model accounting is identical to Array and
-// File, so runs are bitwise identical across all three.
+// the in-memory Array. Model accounting is the shared core of
+// model.go, so runs are bitwise identical across all three.
 //
 // The words of mapped capacity are tracked in a mem.Accountant
 // (MappedWords/MappedHigh) for observability: mapped pages are backed
 // by the page cache, not the engine's internal memory M, so they are
 // accounted separately and never charged against the engine budget.
 type Mapped struct {
-	cfg   Config
-	dir   string
-	slotB int64
-	lat   time.Duration
-	tr    *obs.Tracer
-	tpid  int
+	model      // the EM-model half; its mu also guards everything below
+	driveFiles // the drive files and their physical options
 
-	mu       sync.Mutex
-	files    []*os.File
-	maps     [][]byte // drive d's file, mapped; len = capT[d]*slotB
-	capT     []int    // mapped capacity of drive d, in tracks
-	needSync []bool   // drives with writes (or growth) since their last Sync
-	drives   []drive  // allocator metadata (tracks field unused)
-	stats    Stats
-	repl     map[Addr]struct{} // tracks logically mutated since TakeDirty
-	acct     *mem.Accountant   // mapped words, observability only
+	maps     [][]byte        // drive d's file, mapped; len = capT[d]*slotB
+	capT     []int           // mapped capacity of drive d, in tracks
+	needSync []bool          // drives with writes (or growth) since their last Sync
+	acct     *mem.Accountant // mapped words, observability only
 }
 
 // MappedOptions tunes an mmap-backed store.
@@ -100,48 +87,19 @@ func OpenMapped(dir string, cfg Config, resume bool, opt MappedOptions) (*Mapped
 	if !mmapSupported {
 		return nil, errNoMmap()
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, err
-	}
-	geomPath := filepath.Join(dir, "geometry")
-	if resume {
-		if err := checkGeometry(geomPath, cfg); err != nil {
-			return nil, err
-		}
-	} else if err := writeGeometry(geomPath, cfg); err != nil {
+	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
+	if err != nil {
 		return nil, err
 	}
 	m := &Mapped{
-		cfg:      cfg,
-		dir:      dir,
-		slotB:    int64(2+cfg.B) * 8,
-		lat:      opt.AccessLatency,
-		tr:       opt.Tracer,
-		tpid:     opt.TracePID,
-		files:    make([]*os.File, cfg.D),
-		maps:     make([][]byte, cfg.D),
-		capT:     make([]int, cfg.D),
-		needSync: make([]bool, cfg.D),
-		drives:   make([]drive, cfg.D),
-		repl:     make(map[Addr]struct{}),
-		acct:     mem.NewAccountant(0), // non-positive limit: track, never block
+		driveFiles: df,
+		maps:       make([][]byte, cfg.D),
+		capT:       make([]int, cfg.D),
+		needSync:   make([]bool, cfg.D),
+		acct:       mem.NewAccountant(0), // non-positive limit: track, never block
 	}
-	m.stats.PerDrive = make([]DriveStats, cfg.D)
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	for d := 0; d < cfg.D; d++ {
-		fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", d)), flags, 0o666)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.files[d] = fh
-		m.drives[d].lastTrack = -1
+	m.model.init(cfg, m)
+	for d, fh := range m.files {
 		// Map at least the existing contents (a resume may adopt a
 		// store a File run grew track by track), rounded up to whole
 		// slots and the minimum capacity.
@@ -206,25 +164,6 @@ func (m *Mapped) slot(d, t int) []byte {
 	return m.maps[d][off : off+m.slotB]
 }
 
-// Config returns the store configuration.
-func (m *Mapped) Config() Config { return m.cfg }
-
-// Stats returns a copy of the accumulated I/O statistics.
-func (m *Mapped) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.PerDrive = append([]DriveStats(nil), m.stats.PerDrive...)
-	return s
-}
-
-// ResetStats zeroes the model statistics, leaving stored data alone.
-func (m *Mapped) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{PerDrive: make([]DriveStats, m.cfg.D)}
-}
-
 // Overlap returns zeroes: the mapped store is fully synchronous, so
 // there is no physical overlap to observe. It exists so the engines
 // can treat File and Mapped uniformly.
@@ -241,63 +180,24 @@ func (m *Mapped) MappedWords() int64 { return m.acct.Used() }
 // MappedHigh returns the high-water mark of MappedWords.
 func (m *Mapped) MappedHigh() int64 { return m.acct.High() }
 
-func (m *Mapped) touch(d, t int) {
-	dr := &m.drives[d]
-	if t == dr.lastTrack+1 {
-		m.stats.PerDrive[d].SeqAccesses++
-	} else {
-		m.stats.PerDrive[d].RandAccesses++
-	}
-	dr.lastTrack = t
-}
-
-// blank reports whether the track reads as zeros by allocator
-// metadata alone — same rule as Array and File.
-func (m *Mapped) blank(d, t int) bool {
-	dr := &m.drives[d]
-	if t >= dr.next {
-		return true
-	}
-	_, free := dr.freeSet[t]
-	return free
-}
-
-func (m *Mapped) delay() {
-	if m.lat > 0 {
-		time.Sleep(m.lat)
-	}
-}
-
-// readTrack decodes the mapped slot (d, t) into dst. Caller holds
-// m.mu; the track is not blank by metadata.
-func (m *Mapped) readTrack(d, t int, dst []uint64) error {
-	sp := m.tr.Begin(obs.CatIO, "map-read", m.tpid, 1+d)
-	defer sp.End()
-	m.delay()
+// get decodes the mapped slot (d, t) into dst raw — no span, no
+// emulated latency. A track beyond the mapped (= physical) capacity
+// was never written and is blank. Caller holds m.mu.
+func (m *Mapped) get(d, t int, dst []uint64) (slotState, error) {
 	if t >= m.capT[d] {
-		// Beyond the mapped (= physical) capacity: never written.
 		clear(dst)
-		return nil
+		return slotBlank, nil
 	}
-	s := m.slot(d, t)
-	if binary.LittleEndian.Uint64(s[0:]) != trackMagic {
-		// Never physically written, or wiped by a rollback: blank.
-		clear(dst)
-		return nil
+	st := decodeSlot(m.slot(d, t), dst)
+	if st == slotCorrupt {
+		return st, m.corrupt(d, t)
 	}
-	getWords(dst, s[16:])
-	if Checksum(dst) != binary.LittleEndian.Uint64(s[8:]) {
-		return &CorruptTrackError{Path: m.files[d].Name(), Disk: d, Track: t}
-	}
-	return nil
+	return st, nil
 }
 
-// writeTrack encodes src into the mapped slot (d, t), growing the
-// mapping as needed. Caller holds m.mu.
-func (m *Mapped) writeTrack(d, t int, src []uint64) error {
-	sp := m.tr.Begin(obs.CatIO, "map-write", m.tpid, 1+d)
-	defer sp.End()
-	m.delay()
+// put encodes src into the mapped slot (d, t) raw, growing the mapping
+// as needed. Caller holds m.mu.
+func (m *Mapped) put(d, t int, src []uint64) error {
 	if t >= m.capT[d] {
 		newCap := m.capT[d] * 2
 		if newCap <= t {
@@ -307,226 +207,34 @@ func (m *Mapped) writeTrack(d, t int, src []uint64) error {
 			return err
 		}
 	}
-	s := m.slot(d, t)
-	binary.LittleEndian.PutUint64(s[0:], trackMagic)
-	binary.LittleEndian.PutUint64(s[8:], Checksum(src))
-	putWords(s[16:], src)
+	encodeSlot(m.slot(d, t), src)
 	m.needSync[d] = true
 	return nil
 }
 
-// wipeTrack clears the slot's magic word so the track reads as blank
+// readSlot, writeSlot and wipeSlot are the store's slotIO: one mapped
+// transfer inside the call, under m.mu.
+
+func (m *Mapped) readSlot(d, t int, dst []uint64) error {
+	defer m.access("map-read", d).End()
+	_, err := m.get(d, t, dst)
+	return err
+}
+
+func (m *Mapped) writeSlot(d, t int, src []uint64) error {
+	defer m.access("map-write", d).End()
+	return m.put(d, t, src)
+}
+
+// wipeSlot clears the slot's magic word so the track reads as blank
 // again. A track beyond the mapped capacity has no bytes at all and
-// needs no wipe. Caller holds m.mu.
-func (m *Mapped) wipeTrack(d, t int) {
-	m.repl[Addr{Disk: d, Track: t}] = struct{}{}
+// needs no wipe.
+func (m *Mapped) wipeSlot(d, t int) {
 	if t >= m.capT[d] {
 		return
 	}
 	binary.LittleEndian.PutUint64(m.slot(d, t)[0:], 0)
 	m.needSync[d] = true
-}
-
-// ReadOp performs one parallel read, at most one track per drive, with
-// the same validation, accounting and blank-track semantics as
-// Array.ReadOp and File.ReadOp.
-func (m *Mapped) ReadOp(reqs []ReadReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if err := validateDistinct(m.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Dst) != m.cfg.B {
-			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), m.cfg.B)
-		}
-		if m.blank(r.Disk, r.Track) {
-			clear(r.Dst)
-		} else if err := m.readTrack(r.Disk, r.Track, r.Dst); err != nil {
-			return err
-		}
-		m.touch(r.Disk, r.Track)
-		m.stats.PerDrive[r.Disk].BlocksRead++
-	}
-	m.stats.Ops++
-	m.stats.ReadOps++
-	m.stats.BlocksRead += int64(len(reqs))
-	return nil
-}
-
-// WriteOp performs one parallel write, at most one track per drive.
-// Fully synchronous: when it returns, the mapping holds the new
-// payload (durability still requires Sync).
-func (m *Mapped) WriteOp(reqs []WriteReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if err := validateDistinct(m.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range reqs {
-		if len(r.Src) != m.cfg.B {
-			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), m.cfg.B)
-		}
-		if err := m.writeTrack(r.Disk, r.Track, r.Src); err != nil {
-			return err
-		}
-		m.touch(r.Disk, r.Track)
-		m.stats.PerDrive[r.Disk].BlocksWritten++
-		m.repl[Addr{Disk: r.Disk, Track: r.Track}] = struct{}{}
-	}
-	m.stats.Ops++
-	m.stats.WriteOps++
-	m.stats.BlocksWritten += int64(len(reqs))
-	return nil
-}
-
-// Alloc returns a free track on drive d — identical allocation order
-// to Array and File, and like File it wipes the slot's stale magic
-// word so recycled tracks (and slots left by a crashed run) read
-// blank.
-func (m *Mapped) Alloc(d int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	dr := &m.drives[d]
-	var t int
-	if n := len(dr.freeList); n > 0 {
-		t = dr.freeList[n-1]
-		dr.freeList = dr.freeList[:n-1]
-		delete(dr.freeSet, t)
-	} else {
-		t = dr.next
-		dr.next++
-	}
-	m.wipeTrack(d, t)
-	return t
-}
-
-// Release returns a track to the drive's free list, metadata-only —
-// the same crash-safety property as File.Release.
-func (m *Mapped) Release(d, t int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d < 0 || d >= m.cfg.D {
-		return fmt.Errorf("disk: Release drive %d out of range [0,%d)", d, m.cfg.D)
-	}
-	dr := &m.drives[d]
-	if t < 0 || t >= dr.next {
-		return fmt.Errorf("disk: Release track %d on drive %d outside allocated range [0,%d)", t, d, dr.next)
-	}
-	if _, free := dr.freeSet[t]; free {
-		return fmt.Errorf("disk: double release of track %d on drive %d", t, d)
-	}
-	if dr.freeSet == nil {
-		dr.freeSet = make(map[int]struct{})
-	}
-	dr.freeSet[t] = struct{}{}
-	dr.freeList = append(dr.freeList, t)
-	return nil
-}
-
-// ReserveRot allocates a standard-consecutive-format area with the
-// given drive rotation, exactly as Array.ReserveRot does, wiping the
-// reserved slots' stale magic words like File.ReserveRot.
-func (m *Mapped) ReserveRot(nBlocks, rot int) Area {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if nBlocks < 0 {
-		panic("disk: Reserve with negative size")
-	}
-	per := (nBlocks + m.cfg.D - 1) / m.cfg.D
-	ar := Area{d: m.cfg.D, n: nBlocks, rot: ((rot % m.cfg.D) + m.cfg.D) % m.cfg.D, base: make([]int, m.cfg.D)}
-	for d := range m.drives {
-		dr := &m.drives[d]
-		ar.base[d] = dr.next
-		dr.next += per
-		for t := ar.base[d]; t < dr.next; t++ {
-			m.wipeTrack(d, t)
-		}
-	}
-	return ar
-}
-
-// AllocSnapshot captures the allocator state for a later AllocRestore.
-func (m *Mapped) AllocSnapshot() AllocMark {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mk := AllocMark{next: make([]int, m.cfg.D), free: make([][]int, m.cfg.D)}
-	for d := range m.drives {
-		mk.next[d] = m.drives[d].next
-		mk.free[d] = append([]int(nil), m.drives[d].freeList...)
-	}
-	return mk
-}
-
-// AllocRestore rolls the allocator back to a snapshot, wiping the
-// magic word of every track the rollback unallocates — the same
-// clearing semantics as Array and File.
-func (m *Mapped) AllocRestore(mk AllocMark) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for d := range m.drives {
-		dr := &m.drives[d]
-		for t := mk.next[d]; t < dr.next; t++ {
-			m.wipeTrack(d, t)
-		}
-		dr.next = mk.next[d]
-		dr.freeList = append(dr.freeList[:0], mk.free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			m.wipeTrack(d, t)
-			dr.freeSet[t] = struct{}{}
-		}
-	}
-}
-
-// State captures the store's persistent metadata.
-func (m *Mapped) State() StoreState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := StoreState{
-		Stats: m.stats,
-		Next:  make([]int, m.cfg.D),
-		Last:  make([]int, m.cfg.D),
-		Free:  make([][]int, m.cfg.D),
-	}
-	s.Stats.PerDrive = append([]DriveStats(nil), m.stats.PerDrive...)
-	for d := range m.drives {
-		s.Next[d] = m.drives[d].next
-		s.Last[d] = m.drives[d].lastTrack
-		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
-	}
-	return s
-}
-
-// AdoptState replaces the store's metadata with a captured State — the
-// resume path, identical to File.AdoptState (there is no queued
-// physical work to drain: the mapped store is synchronous).
-func (m *Mapped) AdoptState(s StoreState) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(s.Next) != m.cfg.D || len(s.Last) != m.cfg.D || len(s.Free) != m.cfg.D {
-		return fmt.Errorf("disk: AdoptState of %d/%d/%d-drive state into %d-drive store", len(s.Next), len(s.Last), len(s.Free), m.cfg.D)
-	}
-	st := s.Stats
-	st.PerDrive = append([]DriveStats(nil), s.Stats.PerDrive...)
-	m.stats = st
-	for d := range m.drives {
-		dr := &m.drives[d]
-		dr.next = s.Next[d]
-		dr.lastTrack = s.Last[d]
-		dr.freeList = append([]int(nil), s.Free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			dr.freeSet[t] = struct{}{}
-		}
-	}
-	return nil
 }
 
 // Sync makes all stored track contents durable: kick writeback of the
@@ -572,34 +280,11 @@ func (m *Mapped) Close() error {
 			m.maps[d] = nil
 			m.capT[d] = 0
 		}
-		if m.files[d] != nil {
-			if err := m.files[d].Close(); err != nil && first == nil {
-				first = err
-			}
-			m.files[d] = nil
-		}
+	}
+	if err := m.closeFiles(); first == nil {
+		first = err
 	}
 	return first
-}
-
-// TakeDirty returns the addresses of every track logically mutated
-// since the previous TakeDirty and resets the set — the replication
-// delta surface, identical in contract to File.TakeDirty.
-func (m *Mapped) TakeDirty() []Addr {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Addr, 0, len(m.repl))
-	for a := range m.repl {
-		out = append(out, a)
-	}
-	clear(m.repl)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Disk != out[j].Disk {
-			return out[i].Disk < out[j].Disk
-		}
-		return out[i].Track < out[j].Track
-	})
-	return out
 }
 
 // ExportTrack reads the committed payload of one track, bypassing all
@@ -609,20 +294,15 @@ func (m *Mapped) TakeDirty() []Addr {
 func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d < 0 || d >= m.cfg.D || t < 0 {
-		return nil, fmt.Errorf("disk: ExportTrack (%d,%d) out of range", d, t)
+	if err := m.checkRaw("ExportTrack", d, t, nil); err != nil {
+		return nil, err
 	}
-	if m.blank(d, t) || t >= m.capT[d] {
+	if m.blank(d, t) {
 		return nil, nil
 	}
-	s := m.slot(d, t)
-	if binary.LittleEndian.Uint64(s[0:]) != trackMagic {
-		return nil, nil // never physically written (or wiped): blank
-	}
 	dst := make([]uint64, m.cfg.B)
-	getWords(dst, s[16:])
-	if Checksum(dst) != binary.LittleEndian.Uint64(s[8:]) {
-		return nil, &CorruptTrackError{Path: m.files[d].Name(), Disk: d, Track: t}
+	if st, err := m.get(d, t, dst); err != nil || st == slotBlank {
+		return nil, err
 	}
 	return dst, nil
 }
@@ -632,32 +312,12 @@ func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
 func (m *Mapped) ImportTrack(d, t int, payload []uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d < 0 || d >= m.cfg.D || t < 0 {
-		return fmt.Errorf("disk: ImportTrack (%d,%d) out of range", d, t)
+	if err := m.checkRaw("ImportTrack", d, t, payload); err != nil {
+		return err
 	}
 	if payload == nil {
-		if t < m.capT[d] {
-			binary.LittleEndian.PutUint64(m.slot(d, t)[0:], 0)
-			m.needSync[d] = true
-		}
+		m.wipeSlot(d, t)
 		return nil
 	}
-	if len(payload) != m.cfg.B {
-		return fmt.Errorf("disk: ImportTrack payload has %d words, want B=%d", len(payload), m.cfg.B)
-	}
-	if t >= m.capT[d] {
-		newCap := m.capT[d] * 2
-		if newCap <= t {
-			newCap = t + 1
-		}
-		if err := m.remap(d, newCap); err != nil {
-			return err
-		}
-	}
-	s := m.slot(d, t)
-	binary.LittleEndian.PutUint64(s[0:], trackMagic)
-	binary.LittleEndian.PutUint64(s[8:], Checksum(payload))
-	putWords(s[16:], payload)
-	m.needSync[d] = true
-	return nil
+	return m.put(d, t, payload)
 }

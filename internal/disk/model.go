@@ -1,0 +1,551 @@
+package disk
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+)
+
+// The EM-model half of a store, written once. Everything the paper's
+// disk model defines — D drives of B-word tracks, one parallel I/O
+// operation touching at most one track per drive, the bump-plus-free-
+// list track allocator behind the standard consecutive and linked
+// formats, and the exact accounting the lemmas are read off — lives in
+// this file. Array, File and Mapped embed a model by value, which
+// gives them its exported methods and its mutex, and supply only the
+// physical side (slotIO); Tier, which forwards the allocator to its
+// backend, holds just the account.
+
+// slotIO is the physical half of a store: move one track's payload,
+// or make one track read blank again. Array implements it over
+// in-memory slices, File over pread/pwrite (queue-aware wipes), Mapped
+// over the mapping. The model calls it with its mutex held; none of
+// the implementations touches model state.
+type slotIO interface {
+	readSlot(d, t int, dst []uint64) error
+	writeSlot(d, t int, src []uint64) error
+	// wipeSlot is best-effort: a failed wipe only leaves stale bytes
+	// that metadata already reads as blank.
+	wipeSlot(d, t int)
+}
+
+// account is the accounting half of the model: the Stats and the
+// per-drive access chain behind the sequential/random split.
+type account struct {
+	stats     Stats
+	lastTrack []int // per drive: previously accessed track, -1 initially
+}
+
+func newAccount(D int) account {
+	a := account{stats: Stats{PerDrive: make([]DriveStats, D)}, lastTrack: make([]int, D)}
+	for d := range a.lastTrack {
+		a.lastTrack[d] = -1
+	}
+	return a
+}
+
+func (a *account) touch(d, t int) {
+	if t == a.lastTrack[d]+1 {
+		a.stats.PerDrive[d].SeqAccesses++
+	} else {
+		a.stats.PerDrive[d].RandAccesses++
+	}
+	a.lastTrack[d] = t
+}
+
+// chargeRead accounts one block read and returns the drive's previous
+// chain position, which refundRead needs to take the charge back (the
+// drives of one operation are pairwise distinct, so per-request
+// rollback is exact).
+func (a *account) chargeRead(d, t int) (prev int) {
+	prev = a.lastTrack[d]
+	a.touch(d, t)
+	a.stats.PerDrive[d].BlocksRead++
+	return prev
+}
+
+// refundRead undoes chargeRead for the requests at and after a failed
+// one, leaving what the synchronous path leaves behind: requests before
+// the failure accounted, the rest untouched.
+func (a *account) refundRead(d, prev int) {
+	a.lastTrack[d] = prev
+	a.stats.PerDrive[d].BlocksRead--
+}
+
+// chargeReadOp commits one parallel read of n blocks.
+func (a *account) chargeReadOp(n int) {
+	a.stats.Ops++
+	a.stats.ReadOps++
+	a.stats.BlocksRead += int64(n)
+}
+
+// chargeWrite accounts one block write.
+func (a *account) chargeWrite(d, t int) {
+	a.touch(d, t)
+	a.stats.PerDrive[d].BlocksWritten++
+}
+
+// chargeWriteOp commits one parallel write of n blocks.
+func (a *account) chargeWriteOp(n int) {
+	a.stats.Ops++
+	a.stats.WriteOps++
+	a.stats.BlocksWritten += int64(n)
+}
+
+func (a *account) snapshot() Stats {
+	s := a.stats
+	s.PerDrive = append([]DriveStats(nil), a.stats.PerDrive...)
+	return s
+}
+
+// chain returns a copy of the per-drive access chain.
+func (a *account) chain() []int { return append([]int(nil), a.lastTrack...) }
+
+// reset zeroes the statistics; the access chain is position, not
+// statistics, and stays.
+func (a *account) reset() {
+	a.stats = Stats{PerDrive: make([]DriveStats, len(a.lastTrack))}
+}
+
+// adopt replaces the account with a validated captured state's.
+func (a *account) adopt(s StoreState) {
+	a.stats = s.Stats
+	a.stats.PerDrive = append([]DriveStats(nil), s.Stats.PerDrive...)
+	copy(a.lastTrack, s.Last)
+}
+
+// drive is one drive's track allocator.
+type drive struct {
+	next     int // bump allocator high-water mark
+	freeList []int
+	freeSet  map[int]struct{} // mirrors freeList for O(1) double-free checks
+}
+
+// model is the EM-model half of a store: the account, the per-drive
+// allocator and the set of logically mutated tracks behind TakeDirty,
+// behind one mutex that also guards the embedding store's physical
+// state. All exported methods are safe for concurrent use: operations
+// serialize on the mutex, and racing operations on the same drive are
+// ordered by whatever the race decides.
+type model struct {
+	mu sync.Mutex
+	account
+	cfg     Config
+	drives  []drive
+	mutated map[Addr]struct{} // tracks logically mutated since TakeDirty
+	phys    slotIO            // the embedding store
+}
+
+func (m *model) init(cfg Config, phys slotIO) {
+	m.account = newAccount(cfg.D)
+	m.cfg = cfg
+	m.drives = make([]drive, cfg.D)
+	m.mutated = make(map[Addr]struct{})
+	m.phys = phys
+}
+
+// Config returns the store's drive configuration.
+func (m *model) Config() Config { return m.cfg }
+
+// Stats returns a copy of the accumulated I/O statistics.
+func (m *model) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.snapshot()
+}
+
+// ResetStats zeroes the model statistics, e.g. to exclude input
+// staging from a measured experiment. Stored data is untouched, and so
+// are wall-clock observability counters such as File's OverlapStats:
+// they are outside the model contract, so a mid-run model reset (the
+// engines reset after the setup phase to split setup from run
+// accounting) must not discard them.
+func (m *model) ResetStats() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reset()
+}
+
+var errDriveConflict = errors.New("disk: parallel I/O op addresses one drive twice")
+
+// validateDistinct enforces the one-track-per-drive rule on a request
+// list.
+func validateDistinct(cfg Config, n int, at func(int) (disk, track int)) error {
+	var seenLow uint64 // bitmask fast path for D <= 64
+	var seen map[int]bool
+	for i := 0; i < n; i++ {
+		d, t := at(i)
+		if d < 0 || d >= cfg.D {
+			return fmt.Errorf("disk: drive %d out of range [0,%d)", d, cfg.D)
+		}
+		if t < 0 {
+			return fmt.Errorf("disk: negative track %d", t)
+		}
+		if d < 64 {
+			bit := uint64(1) << uint(d)
+			if seenLow&bit != 0 {
+				return errDriveConflict
+			}
+			seenLow |= bit
+			continue
+		}
+		if seen == nil {
+			seen = make(map[int]bool)
+		}
+		if seen[d] {
+			return errDriveConflict
+		}
+		seen[d] = true
+	}
+	return nil
+}
+
+// checkReads validates one parallel read's request list before any
+// accounting: drives in range and pairwise distinct, tracks
+// non-negative, every buffer B words.
+func checkReads(cfg Config, reqs []ReadReq) error {
+	if err := validateDistinct(cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+		return err
+	}
+	for _, r := range reqs {
+		if len(r.Dst) != cfg.B {
+			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), cfg.B)
+		}
+	}
+	return nil
+}
+
+// checkWrites is checkReads for a parallel write.
+func checkWrites(cfg Config, reqs []WriteReq) error {
+	if err := validateDistinct(cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+		return err
+	}
+	for _, r := range reqs {
+		if len(r.Src) != cfg.B {
+			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), cfg.B)
+		}
+	}
+	return nil
+}
+
+// ReadOp performs one parallel I/O operation reading len(reqs) tracks,
+// at most one per drive, synchronously. It costs one operation
+// regardless of how many drives participate (the model's flat cost G).
+// An empty request list is a no-op and costs nothing. Tracks that are
+// free or beyond the drive's bump mark read as zeros by metadata,
+// whatever bytes the medium holds.
+func (m *model) ReadOp(reqs []ReadReq) error {
+	if len(reqs) == 0 {
+		return nil
+	}
+	if err := checkReads(m.cfg, reqs); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, r := range reqs {
+		if m.blank(r.Disk, r.Track) {
+			clear(r.Dst)
+		} else if err := m.phys.readSlot(r.Disk, r.Track, r.Dst); err != nil {
+			return err
+		}
+		m.chargeRead(r.Disk, r.Track)
+	}
+	m.chargeReadOp(len(reqs))
+	return nil
+}
+
+// WriteOp performs one parallel I/O operation writing len(reqs) tracks,
+// at most one per drive, synchronously.
+func (m *model) WriteOp(reqs []WriteReq) error {
+	if len(reqs) == 0 {
+		return nil
+	}
+	if err := checkWrites(m.cfg, reqs); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, r := range reqs {
+		if err := m.phys.writeSlot(r.Disk, r.Track, r.Src); err != nil {
+			return err
+		}
+		m.chargeWrite(r.Disk, r.Track)
+		m.markDirty(r.Disk, r.Track)
+	}
+	m.chargeWriteOp(len(reqs))
+	return nil
+}
+
+func (m *model) markDirty(d, t int) { m.mutated[Addr{Disk: d, Track: t}] = struct{}{} }
+
+// wipe returns a track to blank: a logical mutation (so it joins the
+// dirty set) carried out by the store's physical hook.
+func (m *model) wipe(d, t int) {
+	m.markDirty(d, t)
+	m.phys.wipeSlot(d, t)
+}
+
+// blank reports whether the track reads as zeros by allocator
+// metadata alone: released, or beyond the bump mark (which covers
+// tracks dirtied by a crashed attempt and later rolled back). This is
+// what lets Release stay metadata-only on the durable stores.
+func (m *model) blank(d, t int) bool {
+	dr := &m.drives[d]
+	if t >= dr.next {
+		return true
+	}
+	_, free := dr.freeSet[t]
+	return free
+}
+
+// checkRaw range-checks a raw (accounting-free) track export or
+// import; an import that is not a wipe (nil payload) needs B words.
+func (m *model) checkRaw(op string, d, t int, payload []uint64) error {
+	if d < 0 || d >= m.cfg.D || t < 0 {
+		return fmt.Errorf("disk: %s (%d,%d) out of range", op, d, t)
+	}
+	if payload != nil && len(payload) != m.cfg.B {
+		return fmt.Errorf("disk: %s payload has %d words, want B=%d", op, len(payload), m.cfg.B)
+	}
+	return nil
+}
+
+// Alloc returns a free track on drive d, reusing freed tracks (newest
+// first) before extending the drive — one allocation order for every
+// store, so durable and in-memory runs lay data out identically. Used
+// for standard-linked-format bucket blocks, whose placement is dynamic.
+// Releases are metadata-only, so the track is wiped here: a track being
+// handed out is free in the last durable commit record, so clearing it
+// destroys no committed data — and makes recycled tracks (and slots
+// holding stale bytes from a crashed run) read blank.
+func (m *model) Alloc(d int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	dr := &m.drives[d]
+	var t int
+	if n := len(dr.freeList); n > 0 {
+		t = dr.freeList[n-1]
+		dr.freeList = dr.freeList[:n-1]
+		delete(dr.freeSet, t)
+	} else {
+		t = dr.next
+		dr.next++
+	}
+	m.wipe(d, t)
+	return t
+}
+
+// Release returns a track to the drive's free list; it reads as zeros
+// from then on. The release is metadata-only, which is what makes the
+// engines' commit ordering crash-safe: data referenced by the last
+// durable commit record is never physically destroyed before the next
+// record lands. Releasing a track that was never allocated, or the same
+// track twice, is an error: a double free would hand one track to two
+// allocations and silently corrupt the bucket structures built on it.
+func (m *model) Release(d, t int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.release(d, t)
+}
+
+func (m *model) release(d, t int) error {
+	if d < 0 || d >= m.cfg.D {
+		return fmt.Errorf("disk: Release drive %d out of range [0,%d)", d, m.cfg.D)
+	}
+	dr := &m.drives[d]
+	if t < 0 || t >= dr.next {
+		return fmt.Errorf("disk: Release track %d on drive %d outside allocated range [0,%d)", t, d, dr.next)
+	}
+	if _, free := dr.freeSet[t]; free {
+		return fmt.Errorf("disk: double release of track %d on drive %d", t, d)
+	}
+	if dr.freeSet == nil {
+		dr.freeSet = make(map[int]struct{})
+	}
+	dr.freeSet[t] = struct{}{}
+	dr.freeList = append(dr.freeList, t)
+	return nil
+}
+
+// ReserveRot allocates an area whose block-to-drive mapping is rotated
+// by rot: block i lives on drive (rot + i) mod D, each drive
+// contributing ⌈nBlocks/D⌉ consecutive fresh tracks. Algorithm
+// SimulateRouting (Step 2) writes D bucket areas concurrently, one
+// block of each per parallel I/O operation; giving bucket d's area
+// rotation d makes the D concurrent writes of operation j land on the
+// D distinct drives (d + j) mod D, exactly as the paper's track
+// formula d·⌈vγ/D²B⌉ + ⌊j/D⌋ on disk (d+j) mod D prescribes.
+//
+// Reserved slots sit beyond the last committed high-water mark, so
+// they may hold stale (even torn) bytes from a crashed attempt; they
+// are wiped so ragged never-written slots read blank. See Alloc.
+func (m *model) ReserveRot(nBlocks, rot int) Area {
+	if nBlocks < 0 {
+		panic("disk: Reserve with negative size")
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	D := m.cfg.D
+	per := (nBlocks + D - 1) / D
+	ar := Area{d: D, n: nBlocks, rot: ((rot % D) + D) % D, base: make([]int, D)}
+	for d := range m.drives {
+		dr := &m.drives[d]
+		ar.base[d] = dr.next
+		dr.next += per
+		for t := ar.base[d]; t < dr.next; t++ {
+			m.wipe(d, t)
+		}
+	}
+	return ar
+}
+
+// AllocMark is a snapshot of a store's track allocator, captured by
+// AllocSnapshot and restored by AllocRestore. It backs the engines'
+// superstep checkpoint manifests: rolling the allocator back to the
+// last compound-superstep barrier discards every track allocated by an
+// aborted attempt.
+type AllocMark struct {
+	next []int
+	free [][]int
+}
+
+// AllocSnapshot captures the allocator state (per-drive high-water
+// marks and free lists) for a later AllocRestore.
+func (m *model) AllocSnapshot() AllocMark {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mk := AllocMark{next: make([]int, m.cfg.D), free: make([][]int, m.cfg.D)}
+	for d := range m.drives {
+		mk.next[d] = m.drives[d].next
+		mk.free[d] = append([]int(nil), m.drives[d].freeList...)
+	}
+	return mk
+}
+
+// AllocRestore rolls the allocator back to a snapshot and wipes every
+// track that becomes unallocated by the rollback, so data written by
+// an aborted attempt cannot leak into later reads. The caller must
+// guarantee that no track that was allocated at snapshot time has been
+// released since (the engines' checkpoint discipline: committed barrier
+// state is only freed after the next barrier) — so the wiped tracks are
+// never referenced by committed state and the wipe is safe at any crash
+// point.
+func (m *model) AllocRestore(mk AllocMark) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for d := range m.drives {
+		dr := &m.drives[d]
+		// Tracks allocated after the snapshot: wipe and retract.
+		for t := mk.next[d]; t < dr.next; t++ {
+			m.wipe(d, t)
+		}
+		dr.next = mk.next[d]
+		dr.freeList = append(dr.freeList[:0], mk.free[d]...)
+		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
+		for _, t := range dr.freeList {
+			// Tracks the attempt popped off the free list and wrote:
+			// wipe on their way back to free.
+			m.wipe(d, t)
+			dr.freeSet[t] = struct{}{}
+		}
+	}
+}
+
+// State captures the store's persistent metadata: statistics, access
+// chains and per-drive allocator state.
+func (m *model) State() StoreState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := StoreState{
+		Stats: m.snapshot(),
+		Next:  make([]int, m.cfg.D),
+		Last:  m.chain(),
+		Free:  make([][]int, m.cfg.D),
+	}
+	for d := range m.drives {
+		s.Next[d] = m.drives[d].next
+		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
+	}
+	return s
+}
+
+// stateError reports a StoreState that AdoptState refused.
+type stateError struct{ reason string }
+
+func (e *stateError) Error() string { return "disk: AdoptState: " + e.reason }
+
+// AdoptState replaces the store's metadata with a captured State — the
+// resume path. Track contents stay as the medium holds them; any bytes
+// written after the adopted state was captured are unreachable (free or
+// beyond the bump mark) and read as zeros.
+//
+// States come from outside the process — decoded from a journal, or
+// from a NodeSnapshot that arrived over the wire — so everything the
+// allocator and the accounting later index by is checked first: the
+// drive counts of all four tables, non-negative bump marks, chain
+// positions >= -1, and free lists that are duplicate-free and below
+// their drive's bump mark. A malformed state is a typed error and
+// leaves the store unchanged.
+func (m *model) AdoptState(s StoreState) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.adoptState(s)
+}
+
+func (m *model) adoptState(s StoreState) error {
+	D := m.cfg.D
+	if len(s.Next) != D || len(s.Last) != D || len(s.Free) != D || len(s.Stats.PerDrive) != D {
+		return &stateError{fmt.Sprintf("%d/%d/%d/%d-drive state (next/last/free/stats) into a %d-drive store",
+			len(s.Next), len(s.Last), len(s.Free), len(s.Stats.PerDrive), D)}
+	}
+	sets := make([]map[int]struct{}, D)
+	for d := 0; d < D; d++ {
+		if s.Next[d] < 0 {
+			return &stateError{fmt.Sprintf("drive %d has negative bump mark %d", d, s.Next[d])}
+		}
+		if s.Last[d] < -1 {
+			return &stateError{fmt.Sprintf("drive %d has last-track %d, want >= -1", d, s.Last[d])}
+		}
+		sets[d] = make(map[int]struct{}, len(s.Free[d]))
+		for _, t := range s.Free[d] {
+			if t < 0 || t >= s.Next[d] {
+				return &stateError{fmt.Sprintf("drive %d frees track %d outside its allocated range [0,%d)", d, t, s.Next[d])}
+			}
+			if _, dup := sets[d][t]; dup {
+				return &stateError{fmt.Sprintf("drive %d frees track %d twice", d, t)}
+			}
+			sets[d][t] = struct{}{}
+		}
+	}
+	m.adopt(s)
+	for d := range m.drives {
+		m.drives[d] = drive{next: s.Next[d], freeList: append([]int(nil), s.Free[d]...), freeSet: sets[d]}
+	}
+	return nil
+}
+
+// TakeDirty returns the addresses of every track logically mutated
+// (written, wiped on alloc/reserve, or rolled back) since the previous
+// TakeDirty, sorted by drive then track, and resets the set. The set is
+// a superset of the tracks whose content differs from the last capture
+// — wipes of already-blank tracks and writes later rolled back are
+// included; that is harmless for replication, which re-reads the
+// current content per address.
+func (m *model) TakeDirty() []Addr {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]Addr, 0, len(m.mutated))
+	for a := range m.mutated {
+		out = append(out, a)
+	}
+	clear(m.mutated)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Disk != out[j].Disk {
+			return out[i].Disk < out[j].Disk
+		}
+		return out[i].Track < out[j].Track
+	})
+	return out
+}

@@ -17,74 +17,51 @@ var poolCanary atomic.Uint64
 // effect on correctness, just makes use-after-release loud.
 func SetPoolCanary(w uint64) { poolCanary.Store(w) }
 
-// blockPool recycles the B-word payload buffers that flow through the
-// worker path (prefetch fills, private fills, write-behind captures).
-// Fills and retires happen once per physically-touched track, so
-// without recycling the worker store allocates (and the collector
-// chases) one B-word slice per track per pass — measurable garbage at
-// zero drive latency. A bounded free list under its own mutex keeps
-// the hot path allocation-free without sync.Pool's per-Put boxing.
-type blockPool struct {
+// bufPool is a bounded free list of equal-length buffers under its own
+// mutex, which keeps the hot path allocation-free without sync.Pool's
+// per-Put boxing. Two instances serve the worker path:
+//
+// blockPool recycles the B-word payload buffers that flow through it
+// (prefetch fills, private fills, write-behind captures). Fills and
+// retires happen once per physically-touched track, so without
+// recycling the worker store allocates (and the collector chases) one
+// B-word slice per track per pass — measurable garbage at zero drive
+// latency. bytePool recycles the slot-sized scratch buffers of inline
+// reads (which run outside File.mu and so cannot share the store's
+// single scratch slot).
+type bufPool[T any] struct {
 	mu    sync.Mutex
-	words int // buffer length (B)
+	size  int // buffer length
 	cap   int // max buffers kept
-	free  [][]uint64
+	free  [][]T
+	stamp func([]T) // run on every buffer on its way back; nil = none
 }
+
+type (
+	blockPool = bufPool[uint64]
+	bytePool  = bufPool[byte]
+)
 
 func newBlockPool(words, capacity int) *blockPool {
-	return &blockPool{words: words, cap: capacity}
+	return &blockPool{size: words, cap: capacity, stamp: stampCanary}
 }
 
-// get returns a payload buffer of the pool's word count. The contents
-// are unspecified (possibly a canary fill); every consumer overwrites
-// the buffer in full before attaching it to a cache entry.
-func (p *blockPool) get() []uint64 {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return b
-	}
-	p.mu.Unlock()
-	return make([]uint64, p.words)
+func newBytePool(bytes, capacity int) *bytePool {
+	return &bytePool{size: bytes, cap: capacity}
 }
 
-// put recycles a buffer. Callers must guarantee no reader still holds
-// a reference (File.retire enforces this with a per-entry refcount).
-func (p *blockPool) put(b []uint64) {
-	if cap(b) < p.words {
-		return
-	}
-	b = b[:p.words]
+func stampCanary(b []uint64) {
 	if c := poolCanary.Load(); c != 0 {
 		for i := range b {
 			b[i] = c
 		}
 	}
-	p.mu.Lock()
-	if len(p.free) < p.cap {
-		p.free = append(p.free, b)
-	}
-	p.mu.Unlock()
 }
 
-// bytePool is the blockPool's byte-slice sibling, recycling the
-// slot-sized scratch buffers of inline reads (which run outside
-// File.mu and so cannot share the store's single scratch slot).
-type bytePool struct {
-	mu    sync.Mutex
-	bytes int
-	cap   int
-	free  [][]byte
-}
-
-func newBytePool(bytes, capacity int) *bytePool {
-	return &bytePool{bytes: bytes, cap: capacity}
-}
-
-func (p *bytePool) get() []byte {
+// get returns a buffer of the pool's length. The contents are
+// unspecified (possibly a canary fill); every consumer overwrites the
+// buffer in full before using it.
+func (p *bufPool[T]) get() []T {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
@@ -94,16 +71,22 @@ func (p *bytePool) get() []byte {
 		return b
 	}
 	p.mu.Unlock()
-	return make([]byte, p.bytes)
+	return make([]T, p.size)
 }
 
-func (p *bytePool) put(b []byte) {
-	if cap(b) < p.bytes {
+// put recycles a buffer. Callers must guarantee no reader still holds
+// a reference (File.retire enforces this with a per-entry refcount).
+func (p *bufPool[T]) put(b []T) {
+	if cap(b) < p.size {
 		return
+	}
+	b = b[:p.size]
+	if p.stamp != nil {
+		p.stamp(b)
 	}
 	p.mu.Lock()
 	if len(p.free) < p.cap {
-		p.free = append(p.free, b[:p.bytes])
+		p.free = append(p.free, b)
 	}
 	p.mu.Unlock()
 }

@@ -1,12 +1,5 @@
 package disk
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Replication support. The cluster runtime ships a node's state to the
 // coordinator's replica store at every committed barrier; what it
 // needs from the store is (a) the set of tracks whose logical content
@@ -15,29 +8,6 @@ import (
 // the model-accounting surface: none of these methods touch Stats, the
 // fault clock, emulated latency or the cache, so a run that exports
 // its tracks stays bitwise identical to one that does not.
-
-// TakeDirty returns the addresses of every track logically mutated
-// (written, wiped on alloc/reserve, or rolled back) since the previous
-// TakeDirty, and resets the set. The set is a superset of the tracks
-// whose content differs from the last capture — wipes of already-blank
-// tracks and writes later rolled back are included; that is harmless
-// for replication, which re-reads the current content per address.
-func (f *File) TakeDirty() []Addr {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Addr, 0, len(f.repl))
-	for a := range f.repl {
-		out = append(out, a)
-	}
-	clear(f.repl)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Disk != out[j].Disk {
-			return out[i].Disk < out[j].Disk
-		}
-		return out[i].Track < out[j].Track
-	})
-	return out
-}
 
 // ExportTrack reads the committed payload of one track, bypassing all
 // model accounting, emulated latency and the write-behind cache. It
@@ -48,27 +18,15 @@ func (f *File) TakeDirty() []Addr {
 func (f *File) ExportTrack(d, t int) ([]uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if d < 0 || d >= f.cfg.D || t < 0 {
-		return nil, fmt.Errorf("disk: ExportTrack (%d,%d) out of range", d, t)
+	if err := f.checkRaw("ExportTrack", d, t, nil); err != nil {
+		return nil, err
 	}
 	if f.blank(d, t) {
 		return nil, nil
 	}
-	buf := make([]byte, f.slotB)
-	n, err := f.files[d].ReadAt(buf, int64(t)*f.slotB)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if n < 8 || binary.LittleEndian.Uint64(buf[0:]) != trackMagic {
-		return nil, nil // never physically written (or wiped): blank
-	}
-	if n < int(f.slotB) {
-		return nil, &CorruptTrackError{Path: f.files[d].Name(), Disk: d, Track: t}
-	}
 	dst := make([]uint64, f.cfg.B)
-	getWords(dst, buf[16:])
-	if Checksum(dst) != binary.LittleEndian.Uint64(buf[8:]) {
-		return nil, &CorruptTrackError{Path: f.files[d].Name(), Disk: d, Track: t}
+	if st, err := f.pread(f.buf, d, t, dst); err != nil || st == slotBlank {
+		return nil, err
 	}
 	return dst, nil
 }
@@ -81,23 +39,15 @@ func (f *File) ExportTrack(d, t int) ([]uint64, error) {
 func (f *File) ImportTrack(d, t int, payload []uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if d < 0 || d >= f.cfg.D || t < 0 {
-		return fmt.Errorf("disk: ImportTrack (%d,%d) out of range", d, t)
-	}
-	if payload == nil {
-		var zero [8]byte
-		_, err := f.files[d].WriteAt(zero[:], int64(t)*f.slotB)
-		f.markWritten(d)
+	if err := f.checkRaw("ImportTrack", d, t, payload); err != nil {
 		return err
 	}
-	if len(payload) != f.cfg.B {
-		return fmt.Errorf("disk: ImportTrack payload has %d words, want B=%d", len(payload), f.cfg.B)
+	var err error
+	if payload == nil {
+		err = f.pwipe(d, t)
+	} else {
+		err = f.pwrite(f.buf, d, t, payload)
 	}
-	buf := make([]byte, f.slotB)
-	binary.LittleEndian.PutUint64(buf[0:], trackMagic)
-	binary.LittleEndian.PutUint64(buf[8:], Checksum(payload))
-	putWords(buf[16:], payload)
-	_, err := f.files[d].WriteAt(buf, int64(t)*f.slotB)
 	f.markWritten(d)
 	return err
 }

@@ -3,7 +3,6 @@ package disk
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"embsp/internal/mem"
@@ -119,14 +118,14 @@ type tentry struct {
 //
 // The tier owns the model: all Stats — parallel I/O operation counts
 // and the per-drive sequential/random access chains — are applied by
-// the tier itself, synchronously at call time in request order, with
-// exactly Array's semantics. The backend's Stats are a physical
-// by-product (fills and forwarded traffic) and carry no model meaning
-// under a tier; State() therefore composes the tier's Stats and access
-// chains with the backend's allocator. The allocator itself is
-// forwarded 1:1 (Alloc, Release, ReserveRot, AllocSnapshot/Restore go
-// straight through), so layout decisions are byte-identical to a flat
-// store's.
+// the tier itself, synchronously at call time in request order,
+// through the same account every flat store charges (model.go). The
+// backend's Stats are a physical by-product (fills and forwarded
+// traffic) and carry no model meaning under a tier; State() therefore
+// composes the tier's Stats and access chains with the backend's
+// allocator. The allocator itself is forwarded 1:1 (Alloc, Release,
+// ReserveRot, AllocSnapshot/Restore go straight through), so layout
+// decisions are byte-identical to a flat store's.
 //
 // Tier contents are cache, never durable state: every write goes
 // through to the backend inside the WriteOp call, so the tier holds
@@ -136,9 +135,8 @@ type tentry struct {
 // flat store records. Sync and durability are entirely the backend's.
 //
 // Error-path contract: a backend write failure surfaces at the next
-// Sync or Close with accounting as if the write succeeded, and
-// malformed request lists are rejected before any accounting — the
-// same two documented deviations as the worker-backed File.
+// Sync or Close with accounting as if the write succeeded — the same
+// documented deviation as the worker-backed File.
 //
 // All methods are safe for concurrent use, with File's contract:
 // racing operations on the same track are ordered by whatever the
@@ -152,9 +150,8 @@ type Tier struct {
 	level int
 	nfill int
 
-	mu     sync.Mutex // guards last, stats, cache, counters, werr
-	last   []int      // per-drive previously accessed track (-1 initially)
-	stats  Stats
+	mu     sync.Mutex // guards acc, cache, counters, werr
+	acc    account    // the accounting half of the model; the allocator is the backend's
 	cache  map[Addr]*tentry
 	acct   *mem.Accountant
 	ov     OverlapStats
@@ -169,9 +166,8 @@ type Tier struct {
 	fq    []fillReq
 	fstop bool
 
-	wg      sync.WaitGroup
-	running atomic.Int64
-	peak    atomic.Int64
+	wg   sync.WaitGroup
+	xfer inflight // fills executing right now
 }
 
 type fillReq struct {
@@ -198,14 +194,10 @@ func NewTier(be Backend, opt TierOptions) *Tier {
 		tr:    opt.Tracer,
 		tpid:  opt.TracePID,
 		level: opt.Level,
-		last:  make([]int, cfg.D),
+		acc:   newAccount(cfg.D),
 		cache: make(map[Addr]*tentry),
 		acct:  mem.NewAccountant(budget),
 	}
-	for d := range t.last {
-		t.last[d] = -1
-	}
-	t.stats.PerDrive = make([]DriveStats, cfg.D)
 	if opt.FillWorkers > 0 {
 		t.nfill = min(opt.FillWorkers, cfg.D)
 		t.fcond = sync.NewCond(&t.fmu)
@@ -225,15 +217,6 @@ func (t *Tier) Config() Config { return t.cfg }
 
 // Level returns the tier's chain position label.
 func (t *Tier) Level() int { return t.level }
-
-func (t *Tier) touch(d, tr int) {
-	if tr == t.last[d]+1 {
-		t.stats.PerDrive[d].SeqAccesses++
-	} else {
-		t.stats.PerDrive[d].RandAccesses++
-	}
-	t.last[d] = tr
-}
 
 // retire releases e's budget once it is completed, unreachable from
 // the cache map and unreferenced. Called under t.mu; idempotent.
@@ -274,22 +257,17 @@ func (t *Tier) delayHits(n int) {
 	}
 }
 
-// ReadOp performs one parallel read with Array's validation,
-// accounting and blank-track semantics, applied by the tier itself in
-// request order. Blocks staged in the tier cache are served (and
+// ReadOp performs one parallel read with the shared model's
+// validation and accounting, applied by the tier itself in request
+// order. Blocks staged in the tier cache are served (and
 // consumed) from it; the rest are forwarded to the backend as one
 // batched read straight into the caller's buffers.
 func (t *Tier) ReadOp(reqs []ReadReq) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := validateDistinct(t.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+	if err := checkReads(t.cfg, reqs); err != nil {
 		return err
-	}
-	for _, r := range reqs {
-		if len(r.Dst) != t.cfg.B {
-			return fmt.Errorf("disk: read buffer has %d words, want B=%d", len(r.Dst), t.cfg.B)
-		}
 	}
 
 	prev := make([]int, len(reqs))
@@ -302,39 +280,16 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 		// accounting shim), and what keeps the tier within a few percent
 		// of the flat store there (TestTierNoRegression).
 		for i, r := range reqs {
-			prev[i] = t.last[r.Disk]
-			t.touch(r.Disk, r.Track)
-			t.stats.PerDrive[r.Disk].BlocksRead++
+			prev[i] = t.acc.chargeRead(r.Disk, r.Track)
 		}
 		t.misses += int64(len(reqs))
 		t.ov.PrefetchMisses += int64(len(reqs))
 		t.mu.Unlock()
 
-		failIdx, failErr := len(reqs), error(nil)
-		if err := t.be.ReadOp(reqs); err != nil {
-			// Localize the failure as the slow path does, so the
-			// rollback matches a flat store's partial accounting.
-			failIdx, failErr = 0, err
-			for j := range reqs {
-				if e2 := t.be.ReadOp(reqs[j : j+1]); e2 != nil {
-					failIdx, failErr = j, e2
-					break
-				}
-			}
-		}
+		failIdx, failErr := t.forward(reqs)
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		if failErr != nil {
-			for i := failIdx; i < len(reqs); i++ {
-				t.last[reqs[i].Disk] = prev[i]
-				t.stats.PerDrive[reqs[i].Disk].BlocksRead--
-			}
-			return failErr
-		}
-		t.stats.Ops++
-		t.stats.ReadOps++
-		t.stats.BlocksRead += int64(len(reqs))
-		return nil
+		return t.settleRead(reqs, prev, failIdx, failErr)
 	}
 
 	// Phase 1, under the lock: apply all model accounting in request
@@ -350,9 +305,7 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 	var missIdx []int
 	served := 0
 	for i, r := range reqs {
-		prev[i] = t.last[r.Disk]
-		t.touch(r.Disk, r.Track)
-		t.stats.PerDrive[r.Disk].BlocksRead++
+		prev[i] = t.acc.chargeRead(r.Disk, r.Track)
 		a := Addr{Disk: r.Disk, Track: r.Track}
 		if e, ok := t.cache[a]; ok {
 			t.hits++
@@ -382,20 +335,8 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 	// copy), and wait out in-flight fills.
 	t.delayHits(served)
 	failIdx, failErr := len(reqs), error(nil)
-	if len(misses) > 0 {
-		if err := t.be.ReadOp(misses); err != nil {
-			// The batched error does not say which request failed;
-			// replay the misses one by one to localize it, so the
-			// rollback below matches what a flat store would have left
-			// (requests before the failure accounted, the rest not).
-			failIdx, failErr = missIdx[0], err
-			for j, r := range misses {
-				if e2 := t.be.ReadOp([]ReadReq{r}); e2 != nil {
-					failIdx, failErr = missIdx[j], e2
-					break
-				}
-			}
-		}
+	if at, err := t.forward(misses); err != nil {
+		failIdx, failErr = missIdx[at], err
 	}
 	var stall time.Duration
 	nwaited := 0
@@ -434,16 +375,39 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 		t.retire(w.e)
 	}
 	t.ov.StallNanos += stall.Nanoseconds()
+	return t.settleRead(reqs, prev, failIdx, failErr)
+}
+
+// forward reads the given requests from the backend in one parallel
+// op, straight into the caller's buffers. The batched error does not
+// say which request failed; on failure the requests are replayed one by
+// one to localize it, so the rollback in settleRead matches what a flat
+// store would have left. Returns len(reqs), nil on success. Called
+// without t.mu held.
+func (t *Tier) forward(reqs []ReadReq) (failAt int, err error) {
+	if err = t.be.ReadOp(reqs); err == nil {
+		return len(reqs), nil
+	}
+	for j := range reqs {
+		if e2 := t.be.ReadOp(reqs[j : j+1]); e2 != nil {
+			return j, e2
+		}
+	}
+	return 0, err
+}
+
+// settleRead ends a ReadOp whose blocks were all charged up front:
+// commit the operation, or — from the first failing request on — take
+// the charges back, leaving what a flat store would have (requests
+// before the failure accounted, the rest untouched). Called under t.mu.
+func (t *Tier) settleRead(reqs []ReadReq, prev []int, failIdx int, failErr error) error {
 	if failErr != nil {
 		for i := failIdx; i < len(reqs); i++ {
-			t.last[reqs[i].Disk] = prev[i]
-			t.stats.PerDrive[reqs[i].Disk].BlocksRead--
+			t.acc.refundRead(reqs[i].Disk, prev[i])
 		}
 		return failErr
 	}
-	t.stats.Ops++
-	t.stats.ReadOps++
-	t.stats.BlocksRead += int64(len(reqs))
+	t.acc.chargeReadOp(len(reqs))
 	return nil
 }
 
@@ -453,28 +417,20 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 // see the type comment). Stale staged copies of the written tracks
 // are invalidated first. A backend write error is deferred to the
 // next Sync or Close, with accounting as if the write succeeded
-// (File's documented deviation (1)).
+// (File's documented deviation).
 func (t *Tier) WriteOp(reqs []WriteReq) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	if err := validateDistinct(t.cfg, len(reqs), func(i int) (int, int) { return reqs[i].Disk, reqs[i].Track }); err != nil {
+	if err := checkWrites(t.cfg, reqs); err != nil {
 		return err
-	}
-	for _, r := range reqs {
-		if len(r.Src) != t.cfg.B {
-			return fmt.Errorf("disk: write buffer has %d words, want B=%d", len(r.Src), t.cfg.B)
-		}
 	}
 	t.mu.Lock()
 	for _, r := range reqs {
-		t.touch(r.Disk, r.Track)
-		t.stats.PerDrive[r.Disk].BlocksWritten++
+		t.acc.chargeWrite(r.Disk, r.Track)
 		t.dropEntry(Addr{Disk: r.Disk, Track: r.Track})
 	}
-	t.stats.Ops++
-	t.stats.WriteOps++
-	t.stats.BlocksWritten += int64(len(reqs))
+	t.acc.chargeWriteOp(len(reqs))
 	t.drains += int64(len(reqs))
 	t.mu.Unlock()
 	if err := t.be.WriteOp(reqs); err != nil {
@@ -545,9 +501,7 @@ func (t *Tier) AllocRestore(m AllocMark) {
 func (t *Tier) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.stats
-	s.PerDrive = append([]DriveStats(nil), t.stats.PerDrive...)
-	return s
+	return t.acc.snapshot()
 }
 
 // ResetStats zeroes the tier's model statistics and forwards to the
@@ -555,7 +509,7 @@ func (t *Tier) Stats() Stats {
 // measured window. Overlap and tier counters are untouched.
 func (t *Tier) ResetStats() {
 	t.mu.Lock()
-	t.stats = Stats{PerDrive: make([]DriveStats, t.cfg.D)}
+	t.acc.reset()
 	t.mu.Unlock()
 	t.be.ResetStats()
 }
@@ -565,38 +519,26 @@ func (t *Tier) ResetStats() {
 // a flat store's State would hold for the same logical history, so
 // journals written by tiered and flat runs are interchangeable.
 func (t *Tier) State() StoreState {
-	bs := t.be.State()
+	s := t.be.State()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := StoreState{
-		Stats: t.stats,
-		Next:  bs.Next,
-		Last:  make([]int, t.cfg.D),
-		Free:  bs.Free,
-	}
-	s.Stats.PerDrive = append([]DriveStats(nil), t.stats.PerDrive...)
-	copy(s.Last, t.last)
+	s.Stats, s.Last = t.acc.snapshot(), t.acc.chain()
 	return s
 }
 
-// AdoptState adopts a checkpoint into the chain: model statistics and
-// access chains into the tier, the full state (allocator included)
-// into the backend, and an emptied cache — adopted metadata must
-// describe a tier with nothing staged.
+// AdoptState adopts a checkpoint into the chain: the full state
+// (allocator included) into the backend, whose model validates it;
+// then model statistics and access chains into the tier, and an
+// emptied cache — adopted metadata must describe a tier with nothing
+// staged.
 func (t *Tier) AdoptState(s StoreState) error {
-	if len(s.Next) != t.cfg.D || len(s.Last) != t.cfg.D || len(s.Free) != t.cfg.D {
-		return fmt.Errorf("disk: AdoptState of %d/%d/%d-drive state into %d-drive tier", len(s.Next), len(s.Last), len(s.Free), t.cfg.D)
-	}
 	if err := t.be.AdoptState(s); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dropAll()
-	st := s.Stats
-	st.PerDrive = append([]DriveStats(nil), s.Stats.PerDrive...)
-	t.stats = st
-	copy(t.last, s.Last)
+	t.acc.adopt(s)
 	return nil
 }
 
@@ -657,7 +599,7 @@ func (t *Tier) Overlap() OverlapStats {
 	t.mu.Lock()
 	o := t.ov
 	t.mu.Unlock()
-	o.ConcurrentPeak = t.peak.Load()
+	o.ConcurrentPeak = t.xfer.peak.Load()
 	o.Add(t.be.Overlap())
 	return o
 }
@@ -667,7 +609,7 @@ func (t *Tier) ResetOverlap() {
 	t.mu.Lock()
 	t.ov = OverlapStats{}
 	t.mu.Unlock()
-	t.peak.Store(0)
+	t.xfer.peak.Store(0)
 	t.be.ResetOverlap()
 }
 
@@ -781,10 +723,8 @@ func (t *Tier) fillWorker() {
 }
 
 func (t *Tier) runFill(fr fillReq) {
-	n := t.running.Add(1)
-	for p := t.peak.Load(); n > p && !t.peak.CompareAndSwap(p, n); p = t.peak.Load() {
-	}
-	defer t.running.Add(-1)
+	t.xfer.begin()
+	defer t.xfer.end()
 	sp := t.tr.Begin(obs.CatIO, "tier-fill", t.tpid, 1+fr.a.Disk)
 	data := make([]uint64, t.cfg.B)
 	err := t.be.ReadOp([]ReadReq{{Disk: fr.a.Disk, Track: fr.a.Track, Dst: data}})
