@@ -148,3 +148,70 @@ func Checksums(res *bsp.Result) []uint64 {
 	}
 	return out
 }
+
+// StaticProgram is a ring of fan-out Fan whose virtual processors
+// allocate nothing: NewVP hands out VPs made once by NewStaticProgram,
+// and a Step only reads its inbox and sends one-word messages from a
+// field. What a run of it allocates is therefore the engine's own,
+// which is what allocation gates want to count. VP id starts at value
+// id; each round it sends its value to the next Fan VPs of the ring and
+// adds up what it received. Contexts claim CtxWords words but hold two.
+type StaticProgram struct {
+	V, Rounds, Fan, CtxWords int
+	vps                      []staticVP
+}
+
+func NewStaticProgram(v, rounds, fan, ctxWords int) *StaticProgram {
+	p := &StaticProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords, vps: make([]staticVP, v)}
+	for id := range p.vps {
+		p.vps[id] = staticVP{p: p, id: id}
+	}
+	return p
+}
+
+func (p *StaticProgram) NumVPs() int          { return p.V }
+func (p *StaticProgram) MaxContextWords() int { return p.CtxWords }
+func (p *StaticProgram) MaxCommWords() int    { return 2 * p.Fan }
+
+// NewVP resets and returns the preallocated VP. Engines Load a context
+// into a VP before stepping it, and own disjoint VPs when they run in
+// parallel, so sharing the storage across calls is safe.
+func (p *StaticProgram) NewVP(id int) bsp.VP {
+	v := &p.vps[id]
+	v.val[0], v.acc = uint64(id), 0
+	return v
+}
+
+type staticVP struct {
+	p   *StaticProgram
+	id  int
+	val [1]uint64
+	acc uint64
+}
+
+func (v *staticVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	for _, m := range in {
+		v.acc += m.Payload[0]
+	}
+	if env.Superstep() == v.p.Rounds {
+		return true, nil
+	}
+	for f := 1; f <= v.p.Fan; f++ {
+		env.Send((v.id+f)%v.p.V, v.val[:])
+	}
+	return false, nil
+}
+
+func (v *staticVP) Save(enc *words.Encoder) {
+	enc.PutUint(v.val[0])
+	enc.PutUint(v.acc)
+}
+
+func (v *staticVP) Load(dec *words.Decoder) {
+	v.val[0] = dec.Uint()
+	v.acc = dec.Uint()
+}
+
+// StaticAcc returns the accumulator of VP id after a completed run:
+// Rounds times the sum of the values of the Fan VPs before it.
+func StaticAcc(vp bsp.VP) uint64 { return vp.(*staticVP).acc }

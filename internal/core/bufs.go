@@ -1,0 +1,61 @@
+package core
+
+import "embsp/internal/disk"
+
+// stepBufs is the internal memory one real processor owns for the
+// superstep loop. The accountant says how many words may be live at
+// once; these slices are those words, allocated once and overwritten
+// by every group, batch and superstep (DESIGN.md §19). A buffer grows
+// exact-fit when a request exceeds it, so each allocation replaces an
+// identical one the loop would otherwise have made at that point.
+//
+// Lifetime rule: a slice cut from one of these buffers is valid until
+// the same phase next runs on this processor. Phases are separated by
+// barriers (in process) or by the coordinator's lockstep (cluster), so
+// whoever receives such a slice has consumed it by then.
+type stepBufs struct {
+	ctx     []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words
+	region  []uint64 // message blocks read for the current group or batch
+	inbox   []uint64 // P>1: the batch's received blocks, gathered for reassembly
+	slab    []uint64 // P>1: the block images the batch scatters
+	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks, then routing's transfers
+	scratch []uint64 // the block image being cut, B words
+
+	metas  []blockMeta
+	reads  []disk.ReadReq
+	writes []disk.WriteReq
+	rel    []disk.Addr // tracks to release after the current operation
+
+	// P>1: the rows this processor owns of the block exchange.
+	fetched [][]wireBlock // fetching phase output, per destination
+	nwords  []int64
+	recv    [][]wireBlock // the current phase's input, per source
+	out     batchOut      // computing phase output
+}
+
+// bufCanary, when non-zero, is stamped over every word buffer fit hands
+// out. Tests set it (TestMain) so that a result which still aliases a
+// buffer past its lifetime, or relies on a fresh buffer being zero,
+// shows the canary instead of passing by luck.
+var bufCanary uint64
+
+// grow returns *s cut to n elements, reallocating exact-fit when it is
+// too small. The contents are unspecified.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
+}
+
+// fit is grow for word buffers, poisoned under bufCanary. Every
+// consumer overwrites the words it goes on to read.
+func fit(s *[]uint64, n int) []uint64 {
+	b := grow(s, n)
+	if bufCanary != 0 {
+		for i := range b {
+			b[i] = bufCanary
+		}
+	}
+	return b
+}

@@ -64,7 +64,11 @@ func nodeFingerprint(cfg MachineConfig, opts Options, v, mu, gamma, nodeID int) 
 }
 
 // BlockBatch is an opaque sequence of message blocks in flight between
-// real processors. Encode/DecodeBlockBatch are its wire form.
+// real processors. Encode/DecodeBlockBatch are its wire form. A batch
+// returned by NodeEngine.Fetch or Compute aliases that node's buffers
+// and is valid until the node's next call of the same phase: encode it,
+// or hand it to Compute or Write, before then. A decoded batch owns its
+// images.
 type BlockBatch struct {
 	blocks []wireBlock
 }
@@ -341,6 +345,7 @@ func (n *NodeEngine) BeginStep() { n.sh.beginStep(n.ps) }
 // from the local disks and group them by destination processor. A nil
 // out means the batch had no input. nwords[o] counts words addressed
 // to processor o; the coordinator charges the off-diagonal entries.
+// out and nwords are valid until the next Fetch (see BlockBatch).
 func (n *NodeEngine) Fetch(j, step int) (out []BlockBatch, nwords []int64, err error) {
 	sp := n.sh.tr.BeginStep(obs.CatEngine, phFetchMsg, n.ps.id, 0, step, j)
 	defer sp.End()
@@ -357,7 +362,8 @@ func (n *NodeEngine) Fetch(j, step int) (out []BlockBatch, nwords []int64, err e
 
 // Compute runs the computing phase of batch j over the inbox (one
 // batch per source processor, self included; a zero-value BlockBatch
-// is an empty slot).
+// is an empty slot). The BatchOut's batches, tallies and traffic records
+// are valid until the next Compute (see BlockBatch).
 func (n *NodeEngine) Compute(j, step int, in []BlockBatch) (*BatchOut, error) {
 	raw := make([][]wireBlock, n.sh.cfg.P)
 	for src := range raw {

@@ -34,9 +34,10 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 	acct := mem.NewAccountant(0)
 	dir := newOutDirectory(d, d)
 	rng := prng.New(seed)
+	var bufs stepBufs
 	writer := newBlockWriter(arr, dir,
 		func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-		rng, false, nil, make([]uint64, d*b))
+		rng, false, nil, &bufs)
 
 	// Writing phase: every VP sends blocksPerVP single-block messages
 	// to every... one block per (src, dst) round-robin pattern.
@@ -80,7 +81,7 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 	before := arr.Stats()
 	groups := (v + k - 1) / k
 	spRoute := tr.Begin(obs.CatEngine, phRoute, 0, 0)
-	route, err := simulateRouting(arr, acct, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
+	route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
 	spRoute.End()
 	if err != nil {
 		return err

@@ -148,7 +148,7 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 		return err
 	}
 	defer ps.acct.Release(int64(bufWords))
-	buf := make([]uint64, bufWords)
+	buf := fit(&ps.ctx, bufWords)
 	enc := words.NewEncoder(nil)
 	for j := 0; j < sh.batches; j++ {
 		lo, hi := sh.batchBounds(ps, j)
@@ -184,7 +184,7 @@ func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uin
 		return err
 	}
 	defer ps.acct.Release(int64(bufWords))
-	buf := make([]uint64, bufWords)
+	buf := fit(&ps.ctx, bufWords)
 	for j := 0; j < sh.batches; j++ {
 		lo, hi := sh.batchBounds(ps, j)
 		if lo == hi {
@@ -205,18 +205,16 @@ func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uin
 
 // beginStep resets the processor's superstep-scoped scratch: halt/send
 // tallies, the outgoing bucket directory, the ops watermark, and the
-// block writer with its flush buffer.
+// block writer over the processor's operation buffer.
 func (sh *simShape) beginStep(ps *procState) {
 	ps.halts, ps.sends = 0, 0
 	ps.dir = newOutDirectory(sh.cfg.D, sh.cfg.D)
 	ps.opsMark = ps.dsk.Stats().Ops
-	flushBuf := make([]uint64, sh.cfg.D*sh.cfg.B)
 	var down func(int) bool
 	if ps.fd != nil {
 		down = ps.fd.Down
 	}
-	ps.writer = newBlockWriter(ps.dsk, ps.dir, sh.bucketKey, ps.rng, sh.opts.Deterministic, down, flushBuf)
-	ps.scratch = make([]uint64, sh.cfg.B)
+	ps.writer = newBlockWriter(ps.dsk, ps.dir, sh.bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
 }
 
 // fetchPkts is the packet count for w words combined into size-b
@@ -229,31 +227,28 @@ func (sh *simShape) fetchPkts(w int64) int64 {
 // groups each under the processor simulating its destination VP. out
 // is indexed by destination processor (self included); nwords counts
 // the words per destination. A nil out means the batch had no input.
+// The images alias the processor's region buffer and out and nwords are
+// its own rows: all are valid until its next fetching phase.
 func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nwords []int64, err error) {
 	var regions []groupRegion
 	if j < len(ps.inRegions) {
 		regions = ps.inRegions[j]
 	}
-	buf, metas, grabbed, err := readRegions(ps.dsk, ps.acct, regions)
-	if err != nil {
+	buf, metas, grabbed, err := readRegions(ps.dsk, ps.acct, &ps.stepBufs, regions)
+	if err != nil || metas == nil {
 		return nil, nil, err
 	}
-	if metas == nil {
-		return nil, nil, nil
-	}
 	B := sh.cfg.B
-	out = make([][]wireBlock, sh.cfg.P)
-	nwords = make([]int64, sh.cfg.P)
+	out, nwords = grow(&ps.fetched, sh.cfg.P), grow(&ps.nwords, sh.cfg.P)
+	for o := range out {
+		out[o], nwords[o] = out[o][:0], 0
+	}
 	for i, m := range metas {
 		o := sh.owner(m.dst)
-		img := make([]uint64, B)
-		copy(img, buf[i*B:(i+1)*B])
-		out[o] = append(out[o], wireBlock{meta: m, img: img})
+		out[o] = append(out[o], wireBlock{meta: m, img: buf[i*B : (i+1)*B]})
 		nwords[o] += int64(B)
 	}
-	if grabbed > 0 {
-		ps.acct.Release(grabbed)
-	}
+	ps.acct.Release(grabbed)
 	return out, nwords, nil
 }
 
@@ -268,26 +263,34 @@ type batchOut struct {
 	traffic []bsp.VPTraffic
 }
 
+// reset empties the output for the next batch of a P-processor machine.
+func (bo *batchOut) reset(P int) {
+	grow(&bo.scatter, P)
+	grow(&bo.pkts, P)
+	grow(&bo.wrds, P)
+	for t := range bo.scatter {
+		bo.scatter[t], bo.pkts[t], bo.wrds[t] = bo.scatter[t][:0], 0, 0
+	}
+	bo.traffic = bo.traffic[:0]
+}
+
 // computeBatch reassembles the batch's messages from the inbox (one
 // slice per source processor, self included), simulates the k current
 // VPs, and scatters the generated messages — as packets of ⌊b/B⌋
 // blocks — to randomly chosen processors. Halt and send tallies
 // accumulate on ps; everything addressed to other processors is
-// returned in the batchOut.
+// returned in the batchOut, which is the processor's own (its images
+// alias the scatter slab) and valid until its next computing phase.
 func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (*batchOut, error) {
 	lo, hi := sh.batchBounds(ps, j)
 	n := hi - lo
 	B := sh.cfg.B
 	P := sh.cfg.P
 
-	bo := &batchOut{
-		scatter: make([][]wireBlock, P),
-		pkts:    make([]int64, P),
-		wrds:    make([]int64, P),
-	}
+	bo := &ps.out
+	bo.reset(P)
 
 	// Gather the wire blocks addressed to this processor.
-	var metas []blockMeta
 	var total int
 	for src := 0; src < P; src++ {
 		total += len(in[src])
@@ -303,13 +306,12 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 	if err := ps.acct.Grab(inGrab); err != nil {
 		return nil, err
 	}
-	buf := make([]uint64, total*B)
-	idx := 0
+	buf := fit(&ps.inbox, total*B)
+	metas := grow(&ps.metas, total)[:0]
 	for src := 0; src < P; src++ {
 		for _, wb := range in[src] {
-			copy(buf[idx*B:(idx+1)*B], wb.img)
+			copy(buf[len(metas)*B:], wb.img)
 			metas = append(metas, wb.meta)
-			idx++
 		}
 	}
 	var inbox [][]bsp.Message
@@ -330,7 +332,7 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 	if err := ps.acct.Grab(int64(ctxWords)); err != nil {
 		return nil, err
 	}
-	ctxBuf := make([]uint64, ctxWords)
+	ctxBuf := fit(&ps.ctx, ctxWords)
 	cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
 	if err := disk.ReadRange(ps.dsk, ps.ctxRead(), cl, ch, ctxBuf); err != nil {
 		return nil, err
@@ -356,6 +358,7 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 	// Simulate the computation supersteps.
 	var outs []outMsg
 	var outWords int64
+	outBlocks := 0
 	for i := 0; i < n; i++ {
 		id := lo + i
 		recvWords, recvPkts := 0, 0
@@ -374,6 +377,7 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 			seq++
 			sendPkts += sh.rec.MsgPkts(len(payload) + 1)
 			outWords += int64(len(payload) + 1)
+			outBlocks += numChunks(len(payload), B)
 		})
 		halt, err := bsp.SafeStep(vps[i], env, inbox[i])
 		if err != nil {
@@ -423,11 +427,12 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 		return nil, err
 	}
 	rng := prng.New(prng.Derive(sh.opts.Seed, 0x5CA7, uint64(ps.id), uint64(step)))
+	slab, scratch := fit(&ps.slab, outBlocks*B), fit(&ps.scratch, B)
 	for _, m := range outs {
 		pktLeft := 0
 		target := 0
 		npkt := 0
-		err := cutMessage(m, B, ps.scratch, func(meta blockMeta, img []uint64) error {
+		err := cutMessage(m, B, scratch, func(meta blockMeta, img []uint64) error {
 			if pktLeft == 0 {
 				if sh.opts.Deterministic {
 					target = (meta.dst + meta.src + npkt) % P
@@ -441,7 +446,8 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 				}
 			}
 			pktLeft--
-			cp := make([]uint64, B)
+			cp := slab[:B:B]
+			slab = slab[B:]
 			copy(cp, img)
 			bo.scatter[target] = append(bo.scatter[target], wireBlock{meta: meta, img: cp})
 			if target != ps.id {
@@ -490,7 +496,7 @@ func (sh *simShape) routeLocal(ps *procState) error {
 		}
 	}
 	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
-	route, err := simulateRouting(ps.dsk, ps.acct, ps.dir, func(m blockMeta) int { return sh.batchOf(m.dst) }, sh.batches)
+	route, err := simulateRouting(ps.dsk, ps.acct, &ps.stepBufs, ps.dir, func(m blockMeta) int { return sh.batchOf(m.dst) }, sh.batches)
 	if err != nil {
 		return err
 	}

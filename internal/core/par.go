@@ -61,7 +61,11 @@ import (
 // and after a permanent drive loss the block writer remaps its packet
 // scatter onto the surviving drives.
 
-// wireBlock is a message block in flight between real processors.
+// wireBlock is a message block in flight between real processors. Its
+// image aliases a buffer of the processor that produced it (stepBufs):
+// a block from the fetching or computing phase is valid until that
+// processor next runs the same phase, by which time the receiver has
+// copied it — into its inbox buffer or its pending parallel write.
 type wireBlock struct {
 	meta blockMeta
 	img  []uint64
@@ -73,6 +77,7 @@ type procState struct {
 	hi int // one past last owned VP
 
 	storeStack      // the store chain: store, bfile, pf, red, fd, dsk
+	stepBufs        // the superstep loop's internal memory
 	ckptOn     bool // barrier checkpoint discipline active
 	acct       *mem.Accountant
 	rng        *prng.Rand
@@ -88,7 +93,6 @@ type procState struct {
 	sends        int
 	dir          *outDirectory
 	writer       *blockWriter
-	scratch      []uint64
 	pendingRoute *routeResult // fault mode: routing result awaiting commit
 
 	// Accounting.
@@ -135,8 +139,9 @@ type parEngine struct {
 
 	recMu sync.Mutex
 
-	// Exchange matrices, reallocated each phase; cell [src][dst] is
-	// written only by src's goroutine and read only after the barrier.
+	// Exchange matrices; row [src] is set only by src's goroutine, to a
+	// row that processor owns (nil: nothing sent), and read only after
+	// the barrier.
 	fetchX   [][][]wireBlock
 	scatterX [][][]wireBlock
 	pktX     [][]int64 // packets per channel this superstep
@@ -167,7 +172,10 @@ func runPar(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options)
 	}
 	e.fpr = configFingerprint(manifestParKind, cfg, opts, e.v, e.mu, e.gamma)
 	e.procs = make([]*procState, cfg.P)
+	e.fetchX, e.scatterX = make([][][]wireBlock, cfg.P), make([][][]wireBlock, cfg.P)
+	e.pktX, e.wordX = make([][]int64, cfg.P), make([][]int64, cfg.P)
 	for i := range e.procs {
+		e.pktX[i], e.wordX[i] = make([]int64, cfg.P), make([]int64, cfg.P)
 		var dir string
 		if opts.StateDir != "" {
 			// Each real processor's drives live in their own
@@ -603,25 +611,20 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 	P := e.cfg.P
 	e.rec.BeginStep()
 
-	e.pktX = make([][]int64, P)
-	e.wordX = make([][]int64, P)
-	for i := 0; i < P; i++ {
-		e.pktX[i] = make([]int64, P)
-		e.wordX[i] = make([]int64, P)
-	}
-	for _, ps := range e.procs {
+	for i, ps := range e.procs {
+		clear(e.pktX[i])
+		clear(e.wordX[i])
 		e.beginStep(ps)
 	}
 
 	for j := 0; j < e.batches; j++ {
 		// Fetching phase: read batch-j blocks and route them to the
 		// simulating processors.
-		e.fetchX = freshMatrix(P)
 		if err := e.parallel(func(ps *procState) error {
 			sp := e.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
 			defer sp.End()
 			out, nwords, err := e.fetchForward(ps, j)
-			if err != nil || out == nil {
+			if err != nil {
 				return err
 			}
 			e.fetchX[ps.id] = out
@@ -638,13 +641,8 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 		}
 		// Computing phase (and cutting generated messages into packets
 		// scattered to random processors).
-		e.scatterX = freshMatrix(P)
 		if err := e.parallel(func(ps *procState) error {
-			in := make([][]wireBlock, P)
-			for src := 0; src < P; src++ {
-				in[src] = e.fetchX[src][ps.id]
-			}
-			bo, err := e.computeBatch(ps, j, step, in)
+			bo, err := e.computeBatch(ps, j, step, e.received(ps, e.fetchX))
 			if err != nil {
 				return err
 			}
@@ -667,11 +665,7 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 		if err := e.parallel(func(ps *procState) error {
 			sp := e.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 			defer sp.End()
-			in := make([][]wireBlock, P)
-			for src := 0; src < P; src++ {
-				in[src] = e.scatterX[src][ps.id]
-			}
-			return e.receiveWrite(ps, in)
+			return e.receiveWrite(ps, e.received(ps, e.scatterX))
 		}); err != nil {
 			return 0, 0, err
 		}
@@ -710,10 +704,15 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 	return halts, sends, nil
 }
 
-func freshMatrix(p int) [][][]wireBlock {
-	m := make([][][]wireBlock, p)
-	for i := range m {
-		m[i] = make([][]wireBlock, p)
+// received gathers column ps.id of an exchange matrix: what every
+// processor, ps included, addressed to ps in the phase just finished.
+func (e *parEngine) received(ps *procState, x [][][]wireBlock) [][]wireBlock {
+	in := grow(&ps.recv, e.cfg.P)
+	for src := range in {
+		in[src] = nil
+		if x[src] != nil {
+			in[src] = x[src][ps.id]
+		}
 	}
-	return m
+	return in
 }

@@ -27,16 +27,20 @@ type blockWriter struct {
 	rr        int
 
 	buf     []uint64 // D·B words
+	reqs    []disk.WriteReq
 	metas   []blockMeta
 	perm    []int
 	pending int
 }
 
-func newBlockWriter(dsk disk.Disk, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, buf []uint64) *blockWriter {
-	D := dsk.Config().D
+// newBlockWriter returns a writer over the processor's operation buffer
+// and request list, which it owns until the superstep's last flush.
+func newBlockWriter(dsk disk.Disk, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
+	D, B := dsk.Config().D, dsk.Config().B
 	return &blockWriter{
 		dsk: dsk, dir: dir, bucketKey: bucketKey, rng: rng, det: det, down: down,
-		buf: buf, metas: make([]blockMeta, D), perm: make([]int, D),
+		buf: fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
+		metas: make([]blockMeta, D), perm: make([]int, D),
 	}
 }
 
@@ -88,7 +92,7 @@ func (w *blockWriter) flush() error {
 		} else {
 			w.rng.PermInto(w.perm[:L])
 		}
-		reqs := make([]disk.WriteReq, 0, n)
+		reqs := w.reqs[:0]
 		for i := 0; i < n; i++ {
 			d := live[w.perm[i]]
 			t := w.dsk.Alloc(d)
@@ -144,7 +148,7 @@ type routeResult struct {
 // Under the fault layer a dead drive's tracks are served transparently
 // from their mirror copies; the extra operations the redirection costs
 // are charged by the layer and surfaced as RecoveryOps.
-func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, groupKey func(blockMeta) int, numGroups int) (*routeResult, error) {
+func simulateRouting(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory, groupKey func(blockMeta) int, numGroups int) (*routeResult, error) {
 	D, B := dsk.Config().D, dsk.Config().B
 	res := &routeResult{total: dir.total}
 
@@ -170,9 +174,10 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 		return nil, err
 	}
 	defer acct.Release(int64(bufWords))
-	buf := make([]uint64, bufWords)
-
-	type rel struct{ d, t int }
+	buf := fit(&bufs.op, bufWords)
+	grow(&bufs.reads, D)
+	grow(&bufs.writes, D)
+	grow(&bufs.rel, D)
 
 	// Step 1: gather bucket b onto drive b.
 	staged := make([][]blockRef, D)
@@ -182,9 +187,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 	}
 	remaining := dir.total
 	for j := 0; remaining > 0; j++ {
-		reads := make([]disk.ReadReq, 0, D)
-		writes := make([]disk.WriteReq, 0, D)
-		var toRelease []rel
+		reads, writes, toRelease := bufs.reads[:0], bufs.writes[:0], bufs.rel[:0]
 		for b := 0; b < D; b++ {
 			s := (b + j) % D
 			q := dir.q[b][s]
@@ -199,7 +202,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 			t := dsk.Alloc(b)
 			writes = append(writes, disk.WriteReq{Disk: b, Track: t, Src: seg})
 			staged[b] = append(staged[b], blockRef{track: t, meta: ref.meta})
-			toRelease = append(toRelease, rel{s, ref.track})
+			toRelease = append(toRelease, disk.Addr{Disk: s, Track: ref.track})
 			remaining--
 		}
 		if len(reads) == 0 {
@@ -214,7 +217,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 		}
 		res.stats.ops += 2
 		for _, r := range toRelease {
-			if err := dsk.Release(r.d, r.t); err != nil {
+			if err := dsk.Release(r.Disk, r.Track); err != nil {
 				return nil, err
 			}
 		}
@@ -238,9 +241,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 		}
 	}
 	for j := 0; j < maxLen; j++ {
-		reads := make([]disk.ReadReq, 0, D)
-		writes := make([]disk.WriteReq, 0, D)
-		var toRelease []rel
+		reads, writes, toRelease := bufs.reads[:0], bufs.writes[:0], bufs.rel[:0]
 		for b := 0; b < D; b++ {
 			if j >= len(staged[b]) {
 				continue
@@ -250,7 +251,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 			reads = append(reads, disk.ReadReq{Disk: b, Track: ref.track, Dst: seg})
 			addr := res.areas[b].Addr(j)
 			writes = append(writes, disk.WriteReq{Disk: addr.Disk, Track: addr.Track, Src: seg})
-			toRelease = append(toRelease, rel{b, ref.track})
+			toRelease = append(toRelease, disk.Addr{Disk: b, Track: ref.track})
 		}
 		res.stats.ragged += int64(D - len(reads))
 		if err := dsk.ReadOp(reads); err != nil {
@@ -261,7 +262,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 		}
 		res.stats.ops += 2
 		for _, r := range toRelease {
-			if err := dsk.Release(r.d, r.t); err != nil {
+			if err := dsk.Release(r.Disk, r.Track); err != nil {
 				return nil, err
 			}
 		}
@@ -290,7 +291,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, dir *outDirectory, gro
 // count equals the maximum per-drive share — exactly the quantity
 // Lemma 2 bounds. Source tracks are released after reading. Returns
 // like readRegions; the caller releases the grab.
-func readScattered(dsk disk.Disk, acct *mem.Accountant, perDrive [][]blockRef) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
+func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
 	B := dsk.Config().B
 	total := 0
 	for _, refs := range perDrive {
@@ -303,14 +304,14 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, perDrive [][]blockRef) (
 	if err := acct.Grab(grabbed); err != nil {
 		return nil, nil, 0, err
 	}
-	buf = make([]uint64, total*B)
-	metas = make([]blockMeta, 0, total)
+	buf = fit(&bufs.region, total*B)
+	metas = grow(&bufs.metas, total)[:0]
+	grow(&bufs.reads, len(perDrive))
+	grow(&bufs.rel, len(perDrive))
 	cursors := make([]int, len(perDrive))
 	idx := 0
 	for idx < total {
-		reqs := make([]disk.ReadReq, 0, len(perDrive))
-		type rel struct{ d, t int }
-		var toRelease []rel
+		reqs, toRelease := bufs.reads[:0], bufs.rel[:0]
 		for d, refs := range perDrive {
 			if cursors[d] >= len(refs) {
 				continue
@@ -319,7 +320,7 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, perDrive [][]blockRef) (
 			cursors[d]++
 			reqs = append(reqs, disk.ReadReq{Disk: d, Track: ref.track, Dst: buf[idx*B : (idx+1)*B]})
 			metas = append(metas, ref.meta)
-			toRelease = append(toRelease, rel{d, ref.track})
+			toRelease = append(toRelease, disk.Addr{Disk: d, Track: ref.track})
 			idx++
 		}
 		if err := dsk.ReadOp(reqs); err != nil {
@@ -327,7 +328,7 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, perDrive [][]blockRef) (
 			return nil, nil, 0, err
 		}
 		for _, r := range toRelease {
-			if err := dsk.Release(r.d, r.t); err != nil {
+			if err := dsk.Release(r.Disk, r.Track); err != nil {
 				acct.Release(grabbed)
 				return nil, nil, 0, err
 			}
@@ -336,10 +337,11 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, perDrive [][]blockRef) (
 	return buf, metas, grabbed, nil
 }
 
-// readRegions reads all blocks of the given regions into a freshly
-// grabbed buffer and parses their directory entries. The caller
-// releases the returned grab.
-func readRegions(dsk disk.Disk, acct *mem.Accountant, regions []groupRegion) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
+// readRegions reads all blocks of the given regions into the
+// processor's region buffer, grabbing their words, and parses their
+// directory entries. The caller releases the returned grab; buf and
+// metas stay valid until the next read into the region buffer.
+func readRegions(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
 	B := dsk.Config().B
 	total := 0
 	for _, r := range regions {
@@ -352,7 +354,7 @@ func readRegions(dsk disk.Disk, acct *mem.Accountant, regions []groupRegion) (bu
 	if err := acct.Grab(grabbed); err != nil {
 		return nil, nil, 0, err
 	}
-	buf = make([]uint64, total*B)
+	buf = fit(&bufs.region, total*B)
 	off := 0
 	for _, r := range regions {
 		nb := r.hi - r.lo
@@ -362,7 +364,7 @@ func readRegions(dsk disk.Disk, acct *mem.Accountant, regions []groupRegion) (bu
 		}
 		off += nb
 	}
-	metas = make([]blockMeta, total)
+	metas = grow(&bufs.metas, total)
 	for i := 0; i < total; i++ {
 		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
 	}

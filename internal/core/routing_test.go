@@ -25,9 +25,10 @@ func TestRoutingInvariants(t *testing.T) {
 		arr := disk.MustNewArray(disk.Config{D: d, B: b})
 		acct := mem.NewAccountant(0)
 		dir := newOutDirectory(d, d)
+		var bufs stepBufs
 		writer := newBlockWriter(arr, dir,
 			func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-			r, false, nil, make([]uint64, d*b))
+			r, false, nil, &bufs)
 
 		// Random blocks with a payload checksum derived from their
 		// identity, so reads can be validated.
@@ -48,7 +49,7 @@ func TestRoutingInvariants(t *testing.T) {
 		}
 
 		groups := (v + k - 1) / k
-		route, err := simulateRouting(arr, acct, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
+		route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
 		if err != nil {
 			return false
 		}
@@ -99,9 +100,10 @@ func TestRoutingParallelism(t *testing.T) {
 	acct := mem.NewAccountant(0)
 	dir := newOutDirectory(d, d)
 	r := prng.New(7)
+	var bufs stepBufs
 	writer := newBlockWriter(arr, dir,
 		func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-		r, false, nil, make([]uint64, d*b))
+		r, false, nil, &bufs)
 	img := make([]uint64, b)
 	for c := 0; c < perVP; c++ {
 		for dst := 0; dst < v; dst++ {
@@ -115,7 +117,7 @@ func TestRoutingParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.ResetStats()
-	route, err := simulateRouting(arr, acct, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, v/k)
+	route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, v/k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,7 @@ type seqEngine struct {
 	muBlocks int
 
 	storeStack                  // the store chain: store, bfile, pf, red, fd, dsk
+	stepBufs                    // the superstep loop's internal memory
 	jrn        *journal.Journal // nil without a StateDir
 	tr         *obs.Tracer      // nil = tracing off (no-op fast path)
 	goctx      context.Context
@@ -520,7 +521,7 @@ func (e *seqEngine) stepOnce(step int) (halts, sends int, err error) {
 	}
 	e.noteLive(e.inBlocks + dir.total)
 	spRoute := e.tr.BeginStep(obs.CatEngine, phRoute, 0, 0, step, -1)
-	route, err := simulateRouting(e.dsk, e.acct, dir, func(m blockMeta) int { return groupOf(m.dst, e.k) }, e.groups)
+	route, err := simulateRouting(e.dsk, e.acct, &e.stepBufs, dir, func(m blockMeta) int { return groupOf(m.dst, e.k) }, e.groups)
 	spRoute.End()
 	if err != nil {
 		return 0, 0, err
@@ -572,7 +573,7 @@ func (e *seqEngine) writeInitialContexts() error {
 		return err
 	}
 	defer e.acct.Release(int64(bufWords))
-	buf := make([]uint64, bufWords)
+	buf := fit(&e.ctx, bufWords)
 	enc := words.NewEncoder(nil)
 	for g := 0; g < e.groups; g++ {
 		lo, hi := e.groupBounds(g)
@@ -600,7 +601,7 @@ func (e *seqEngine) readFinalContexts() ([]bsp.VP, error) {
 		return nil, err
 	}
 	defer e.acct.Release(int64(bufWords))
-	buf := make([]uint64, bufWords)
+	buf := fit(&e.ctx, bufWords)
 	for g := 0; g < e.groups; g++ {
 		lo, hi := e.groupBounds(g)
 		if err := disk.ReadRange(e.dsk, e.ctxRead(), lo*e.muBlocks, hi*e.muBlocks, buf[:(hi-lo)*e.muBlocks*e.cfg.B]); err != nil {
@@ -639,7 +640,7 @@ func (e *seqEngine) compoundSuperstep(step int) (halts, sends int, dir *outDirec
 		return 0, 0, nil, err
 	}
 	defer e.acct.Release(int64(ctxWords))
-	ctxBuf := make([]uint64, ctxWords)
+	ctxBuf := fit(&e.ctx, ctxWords)
 
 	// Scratch for one pending parallel write (D block images).
 	flushWords := e.cfg.D * e.cfg.B
@@ -651,10 +652,10 @@ func (e *seqEngine) compoundSuperstep(step int) (halts, sends int, dir *outDirec
 	if e.fd != nil {
 		down = e.fd.Down
 	}
-	writer := newBlockWriter(e.dsk, dir, bucketKey, e.rng, e.opts.Deterministic, down, make([]uint64, flushWords))
+	writer := newBlockWriter(e.dsk, dir, bucketKey, e.rng, e.opts.Deterministic, down, &e.stepBufs)
 
 	enc := words.NewEncoder(nil)
-	scratch := make([]uint64, e.cfg.B)
+	scratch := fit(&e.scratch, e.cfg.B)
 	for g := 0; g < e.groups; g++ {
 		lo, hi := e.groupBounds(g)
 		n := hi - lo
@@ -679,14 +680,14 @@ func (e *seqEngine) compoundSuperstep(step int) (halts, sends int, dir *outDirec
 		var err error
 		if e.opts.NoRouting {
 			if e.inDir != nil {
-				buf, metas, grabbed, err = readScattered(e.dsk, e.acct, e.inDir.q[g])
+				buf, metas, grabbed, err = readScattered(e.dsk, e.acct, &e.stepBufs, e.inDir.q[g])
 			}
 		} else {
 			var regions []groupRegion
 			if g < len(e.inRegions) {
 				regions = e.inRegions[g]
 			}
-			buf, metas, grabbed, err = readRegions(e.dsk, e.acct, regions)
+			buf, metas, grabbed, err = readRegions(e.dsk, e.acct, &e.stepBufs, regions)
 		}
 		if err != nil {
 			return 0, 0, nil, err

@@ -398,6 +398,53 @@ var confCases = []struct {
 		r.takeDirty()
 	}},
 
+	// A wiped track's buffer may serve a later write (the Array's spare
+	// list), but never shows: a released and re-allocated track reads
+	// zeros before its first write, also when the allocation is rolled
+	// back and made again, and the tracks written meanwhile — which take
+	// the recycled buffers — each keep their own payload. The pool canary
+	// is on, so a stale buffer would read as the canary, not as zeros.
+	{"recycled-stay-blank", func(r *replay) {
+		SetPoolCanary(0xDEADBEEFCAFEF00D)
+		defer SetPoolCanary(0)
+		blank := func(what string, d, t int) {
+			if got := r.read(Addr{d, t})[0]; !isBlank(got) {
+				r.t.Errorf("%s read %v, want zeros", what, got)
+			}
+			if a, ok := r.s.(*Array); ok && !isBlank(a.PeekTrack(d, t)) {
+				r.t.Errorf("PeekTrack of %s = %v, want zeros", what, a.PeekTrack(d, t))
+			}
+		}
+		t0 := r.alloc(0)
+		r.write(Addr{0, t0})
+		r.release(0, t0)
+		if again := r.alloc(0); again != t0 {
+			r.t.Fatalf("Alloc after Release = %d, want recycled %d", again, t0)
+		}
+		blank("recycled track", 0, t0)
+
+		mark := r.s.AllocSnapshot()
+		other := r.alloc(0)
+		r.write(Addr{0, t0}, Addr{1, r.alloc(1)})
+		r.write(Addr{0, other})
+		r.s.AllocRestore(mark)
+		blank("rolled-back track", 0, other)
+		if again := r.alloc(0); again != other {
+			r.t.Fatalf("Alloc after rollback = %d, want %d again", again, other)
+		}
+		blank("track re-allocated after rollback", 0, other)
+
+		// Two writes that take recycled buffers must not share one.
+		r.release(0, t0)
+		t0 = r.alloc(0)
+		r.write(Addr{0, t0})
+		r.write(Addr{0, other})
+		if got := r.read(Addr{0, t0}); reflect.DeepEqual(got, r.read(Addr{0, other})) || isBlank(got[0]) {
+			r.t.Errorf("tracks written from recycled buffers read alike or blank: %v", got)
+		}
+		r.observe()
+	}},
+
 	// A long seeded mix of every model operation.
 	{"seeded-mix", func(r *replay) {
 		rnd := prng.New(0x5eed)

@@ -24,6 +24,7 @@ package disk
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"embsp/internal/obs"
@@ -304,6 +305,7 @@ type StoreState struct {
 type Array struct {
 	model
 	tracks [][][]uint64 // [drive][track] payload, nil when blank; guarded by mu
+	spare  *blockPool   // buffers of wiped tracks, for the next writes; used under mu
 }
 
 // NewArray returns a blank disk subsystem.
@@ -311,7 +313,7 @@ func NewArray(cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{tracks: make([][][]uint64, cfg.D)}
+	a := &Array{tracks: make([][][]uint64, cfg.D), spare: newBlockPool(cfg.B, math.MaxInt)}
 	a.model.init(cfg, a)
 	return a, nil
 }
@@ -325,7 +327,11 @@ func MustNewArray(cfg Config) *Array {
 	return a
 }
 
-// The Array's physical half: tracks are slices, blank ones nil.
+// The Array's physical half: tracks are slices, blank ones nil. A wiped
+// track's buffer goes to the spare list, where the next write of a
+// blank track takes it, so the drives allocate their peak number of
+// live blocks once. Reads copy and a write covers all B words, so a
+// recycled buffer cannot show through.
 
 func (a *Array) readSlot(d, t int, dst []uint64) error {
 	if tr := a.tracks[d]; t < len(tr) && tr[t] != nil {
@@ -341,14 +347,15 @@ func (a *Array) writeSlot(d, t int, src []uint64) error {
 		a.tracks[d] = append(a.tracks[d], nil)
 	}
 	if a.tracks[d][t] == nil {
-		a.tracks[d][t] = make([]uint64, a.cfg.B)
+		a.tracks[d][t] = a.spare.get()
 	}
 	copy(a.tracks[d][t], src)
 	return nil
 }
 
 func (a *Array) wipeSlot(d, t int) {
-	if t < len(a.tracks[d]) {
+	if t < len(a.tracks[d]) && a.tracks[d][t] != nil {
+		a.spare.put(a.tracks[d][t])
 		a.tracks[d][t] = nil
 	}
 }

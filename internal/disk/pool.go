@@ -19,7 +19,8 @@ func SetPoolCanary(w uint64) { poolCanary.Store(w) }
 
 // bufPool is a bounded free list of equal-length buffers under its own
 // mutex, which keeps the hot path allocation-free without sync.Pool's
-// per-Put boxing. Two instances serve the worker path:
+// per-Put boxing. The Array keeps the buffers of its wiped tracks in an
+// unbounded one (its spare list). Two instances serve the worker path:
 //
 // blockPool recycles the B-word payload buffers that flow through it
 // (prefetch fills, private fills, write-behind captures). Fills and
