@@ -169,9 +169,9 @@ func DefaultCostParams() CostParams { return bsp.DefaultCostParams() }
 // fallback, never to gate correctness.
 func MmapSupported() bool { return disk.MmapSupported() }
 
-// Run executes the program on the configured external-memory machine,
-// using the sequential engine for P == 1 and the parallel engine
-// otherwise.
+// Run executes the program on the configured external-memory machine:
+// one engine for every P >= 1 (Algorithm 3, which at P == 1 is
+// Algorithm 1).
 func Run(p Program, cfg MachineConfig, opts Options) (*Result, error) {
 	return core.Run(p, cfg, opts)
 }

@@ -1,4 +1,4 @@
-// Package cluster runs the parallel engine across real processes: p
+// Package cluster runs the step machine across real processes: p
 // workers, each owning one core.NodeEngine over its own state
 // directory, driven in lockstep by a coordinator over TCP. All
 // exchange is relayed through the coordinator (a star), packets

@@ -1,11 +1,14 @@
 package core
 
-import "embsp/internal/disk"
+import (
+	"embsp/internal/disk"
+	"embsp/internal/words"
+)
 
 // stepBufs is the internal memory one real processor owns for the
 // superstep loop. The accountant says how many words may be live at
 // once; these slices are those words, allocated once and overwritten
-// by every group, batch and superstep (DESIGN.md §19). A buffer grows
+// by every batch and superstep (DESIGN.md §19). A buffer grows
 // exact-fit when a request exceeds it, so each allocation replaces an
 // identical one the loop would otherwise have made at that point.
 //
@@ -15,18 +18,22 @@ import "embsp/internal/disk"
 // whoever receives such a slice has consumed it by then.
 type stepBufs struct {
 	ctx     []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words
-	region  []uint64 // message blocks read for the current group or batch
-	inbox   []uint64 // P>1: the batch's received blocks, gathered for reassembly
-	slab    []uint64 // P>1: the block images the batch scatters
+	region  []uint64 // message blocks read for the current batch
+	inbox   []uint64 // exchange: the batch's received blocks, gathered for reassembly
+	slab    []uint64 // exchange: the block images the batch scatters
 	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks, then routing's transfers
 	scratch []uint64 // the block image being cut, B words
 
-	metas  []blockMeta
-	reads  []disk.ReadReq
-	writes []disk.WriteReq
-	rel    []disk.Addr // tracks to release after the current operation
+	enc     words.Encoder // the context being saved
+	metas   []blockMeta   // the fetched blocks' directory entries
+	pending []blockMeta   // the block writer's pending blocks, D entries
+	perm    []int         // the block writer's drive permutation, D entries
+	reads   []disk.ReadReq
+	writes  []disk.WriteReq
+	rel     []disk.Addr // tracks to release after the current operation
 
-	// P>1: the rows this processor owns of the block exchange.
+	// The rows this processor owns of the block exchange (of out, a
+	// machine without one fills only the traffic records).
 	fetched [][]wireBlock // fetching phase output, per destination
 	nwords  []int64
 	recv    [][]wireBlock // the current phase's input, per source

@@ -15,8 +15,8 @@ import (
 // This file is the cluster runtime's view of the engine: a NodeEngine
 // wraps exactly one real processor (one worker process) and a
 // CoordCore holds the coordinator's global accounting. Both reuse the
-// simShape phase bodies and manifest encoders the in-process parallel
-// engine runs, so a cluster run is bitwise-identical to core.Run with
+// simShape phase bodies and manifest encoders the in-process engine
+// runs, so a cluster run is bitwise-identical to core.Run with
 // the same (program, machine config, options) tuple — the in-process
 // engine stays the p-node reference oracle.
 //
@@ -51,7 +51,7 @@ func ClusterCheck(cfg MachineConfig, opts Options) error {
 		return fmt.Errorf("core: redundancy layers are not supported in cluster mode")
 	}
 	if opts.NoRouting {
-		return fmt.Errorf("core: NoRouting is a sequential-engine ablation; cluster mode requires routing")
+		return fmt.Errorf("core: NoRouting is a one-processor ablation; cluster mode requires routing")
 	}
 	return nil
 }
@@ -398,7 +398,7 @@ func (n *NodeEngine) Write(j, step int, in []BlockBatch) error {
 			raw[src] = in[src].blocks
 		}
 	}
-	return n.sh.receiveWrite(n.ps, raw)
+	return n.sh.receiveWrite(n.ps, j, raw)
 }
 
 // StepTotals returns the superstep's halt votes and messages sent by
@@ -558,7 +558,7 @@ func (n *NodeEngine) decodeManifest(payload []uint64) error {
 // --- CoordCore ---------------------------------------------------------
 
 // CoordCore is the coordinator's share of a cluster run: the global
-// cost accounting the in-process engine keeps on parEngine, the halt
+// cost accounting the in-process driver keeps on its engine, the halt
 // logic, the 2PC decision journal, and the final Result assembly. The
 // cluster coordinator feeds it the per-node phase outputs in node
 // order, which reproduces the in-process arithmetic exactly.

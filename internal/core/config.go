@@ -2,14 +2,13 @@
 // simulation of BSP* / CGM algorithms as external-memory algorithms
 // (Dehne–Dittrich–Hutchinson, Section 5).
 //
-// The sequential engine (p = 1) implements Algorithm 1
-// (SeqCompoundSuperstep) and Algorithm 2 (SimulateRouting); the
-// parallel engine (p > 1) implements Algorithm 3
-// (ParCompoundSuperstep). Both execute any bsp.Program with contexts
-// held on a simulated multi-disk subsystem, materializing only
-// k = ⌊M/µ⌋ virtual processors at a time, and both are required to
-// produce results bitwise identical to the in-memory reference runner
-// bsp.Run.
+// One engine implements Algorithm 3 (ParCompoundSuperstep) with
+// Algorithm 2 (SimulateRouting) for every p ≥ 1; at p = 1 it is
+// Algorithm 1 (SeqCompoundSuperstep). It executes any bsp.Program with
+// contexts held on a simulated multi-disk subsystem, materializing only
+// k = ⌊M/µ⌋ virtual processors per processor at a time, and is required
+// to produce results bitwise identical to the in-memory reference
+// runner bsp.Run.
 package core
 
 import (
@@ -110,7 +109,7 @@ type Options struct {
 	// (CGM): blocks are assigned to disks round-robin instead of by
 	// random permutation.
 	Deterministic bool
-	// NoRouting is an ablation of Algorithm 2 (sequential engine
+	// NoRouting is an ablation of Algorithm 2 (one-processor machines
 	// only): generated blocks are left where the randomized writing
 	// phase put them, and the next fetch phase reads each group's
 	// blocks from their scattered tracks with greedy per-drive
@@ -504,8 +503,7 @@ type Result struct {
 // runner's result type (same VPs and costs, no EM statistics).
 func (r *Result) ToBSPResult() *bsp.Result { return &bsp.Result{VPs: r.VPs, Costs: r.Costs} }
 
-// Run executes the program on the configured machine, dispatching to
-// the sequential (P = 1) or parallel (P > 1) engine.
+// Run executes the program on the configured machine.
 func Run(p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
 	return RunContext(context.Background(), p, cfg, opts)
 }
@@ -525,8 +523,5 @@ func RunContext(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Opti
 	if err := bsp.CheckProgram(p); err != nil {
 		return nil, err
 	}
-	if cfg.P == 1 {
-		return runSeq(ctx, p, cfg, opts)
-	}
-	return runPar(ctx, p, cfg, opts)
+	return runProgram(ctx, p, cfg, opts)
 }

@@ -10,15 +10,16 @@ import (
 	"embsp/internal/disk"
 	"embsp/internal/fault"
 	"embsp/internal/journal"
-	"embsp/internal/mem"
 	"embsp/internal/obs"
-	"embsp/internal/prng"
 	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
-// The parallel engine implements Algorithm 3 (ParCompoundSuperstep):
-// a v-processor BSP* program on a p-processor EM-BSP* machine.
+// The in-process engine runs Algorithm 3 (ParCompoundSuperstep): a
+// v-processor BSP* program on a p-processor EM-BSP* machine, for every
+// p ≥ 1. At p = 1 it is Algorithm 1 (SeqCompoundSuperstep) with
+// Algorithm 2 (SimulateRouting): the same step machine with the
+// exchange between processors left out.
 //
 // Virtual processors are assigned in blocks: real processor i owns
 // VPs [i·⌈v/p⌉, (i+1)·⌈v/p⌉). A compound superstep runs in
@@ -35,7 +36,7 @@ import (
 //     paper's disk-load balancing step), and every receiver cuts its
 //     packets into blocks and writes them to its local disks under a
 //     random drive permutation, maintaining D buckets keyed by
-//     destination batch.
+//     destination VP range (simShape.bucketKey).
 //
 // At the end of the superstep each processor reorganizes its received
 // blocks with the local SimulateRouting (Algorithm 2), so that the
@@ -48,83 +49,29 @@ import (
 // deterministic and identical to the in-memory reference runner.
 //
 // The per-processor phase bodies live on simShape (node.go); this file
-// is the in-process driver that exchanges blocks through in-memory
-// matrices. The cluster runtime (cluster.go, internal/cluster) drives
-// the identical phases over the wire.
+// is the in-process driver: it exchanges blocks through in-memory
+// matrices, or not at all on a one-processor machine. The cluster
+// runtime (cluster.go, internal/cluster) drives the identical phases
+// over the wire.
 //
 // With a fault plan configured, each processor's disk array is wrapped
 // in its own fault layer (fault schedules keyed per processor); the
 // whole compound superstep is one recovery unit: a recoverable fault
-// on any processor rolls all of them back to the barrier and replays
-// the superstep. Contexts are double-buffered and input-area frees
-// deferred to the barrier commit, exactly as in the sequential engine,
-// and after a permanent drive loss the block writer remaps its packet
-// scatter onto the surviving drives.
+// on any processor rolls all of them — allocator, checksum directory,
+// PRNG, cost recorder and memory accountant — back to the barrier and
+// replays the superstep. After a permanent drive loss the block writer
+// remaps its packet scatter onto the surviving drives.
 
-// wireBlock is a message block in flight between real processors. Its
-// image aliases a buffer of the processor that produced it (stepBufs):
-// a block from the fetching or computing phase is valid until that
-// processor next runs the same phase, by which time the receiver has
-// copied it — into its inbox buffer or its pending parallel write.
-type wireBlock struct {
-	meta blockMeta
-	img  []uint64
-}
+// maxReplays bounds how many times one compound superstep may be
+// rolled back and replayed before the engine gives up. Each replay
+// draws a fresh fault schedule, so the replay count is geometric in
+// the probability of one clean attempt; the bound is a runaway
+// backstop set far above anything a survivable plan produces (with
+// retries disabled entirely, a large superstep can legitimately need
+// dozens of attempts).
+const maxReplays = 1000
 
-type procState struct {
-	id int
-	lo int // first owned VP
-	hi int // one past last owned VP
-
-	storeStack      // the store chain: store, bfile, pf, red, fd, dsk
-	stepBufs        // the superstep loop's internal memory
-	ckptOn     bool // barrier checkpoint discipline active
-	acct       *mem.Accountant
-	rng        *prng.Rand
-
-	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
-	ctxCur    int
-	inRegions [][]groupRegion // per batch
-	inAreas   []disk.Area
-	inBlocks  int
-
-	// Superstep-scoped scratch.
-	halts        int
-	sends        int
-	dir          *outDirectory
-	writer       *blockWriter
-	pendingRoute *routeResult // fault mode: routing result awaiting commit
-
-	// Accounting.
-	opsMark  int64
-	routeOps int64
-	ragged   int64
-	maxSkew  float64
-	peakLive int64
-}
-
-func (ps *procState) ownCount() int { return ps.hi - ps.lo }
-
-func (ps *procState) noteLive(muBlocks, extraBlocks int) {
-	live := int64(ps.ownCount()*muBlocks + extraBlocks)
-	per := live / int64(ps.dsk.Config().D)
-	if per > ps.peakLive {
-		ps.peakLive = per
-	}
-}
-
-// ctxRead returns the area holding the committed contexts; ctxWrite
-// the area the running superstep writes to. They coincide unless
-// checkpoint double-buffering is on.
-func (ps *procState) ctxRead() disk.Area { return ps.ctxAreas[ps.ctxCur] }
-func (ps *procState) ctxWrite() disk.Area {
-	if ps.ckptOn {
-		return ps.ctxAreas[ps.ctxCur^1]
-	}
-	return ps.ctxAreas[ps.ctxCur]
-}
-
-type parEngine struct {
+type engine struct {
 	simShape
 
 	procs []*procState
@@ -157,57 +104,22 @@ type parEngine struct {
 }
 
 // faulty reports whether the engine runs under a fault plan.
-func (e *parEngine) faulty() bool { return e.procs[0].fd != nil }
+func (e *engine) faulty() bool { return e.procs[0].fd != nil }
 
 // ckpt reports whether the barrier checkpoint discipline is active:
 // under a fault plan (replays need a rollback source) or a StateDir
-// (the journal needs the committed barrier state kept intact).
-func (e *parEngine) ckpt() bool { return e.faulty() || e.jrn != nil }
+// (the state the last journal record references must not be overwritten
+// before the next record is committed).
+func (e *engine) ckpt() bool { return e.faulty() || e.jrn != nil }
 
-func runPar(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
+func runProgram(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
 	opts.defaults()
-	e := &parEngine{
+	e := &engine{
 		simShape: newSimShape(p, cfg, opts),
 		goctx:    ctx,
 	}
-	e.fpr = configFingerprint(manifestParKind, cfg, opts, e.v, e.mu, e.gamma)
-	e.procs = make([]*procState, cfg.P)
-	e.fetchX, e.scatterX = make([][][]wireBlock, cfg.P), make([][][]wireBlock, cfg.P)
-	e.pktX, e.wordX = make([][]int64, cfg.P), make([][]int64, cfg.P)
-	for i := range e.procs {
-		e.pktX[i], e.wordX[i] = make([]int64, cfg.P), make([]int64, cfg.P)
-		var dir string
-		if opts.StateDir != "" {
-			// Each real processor's drives live in their own
-			// subdirectory; the journal is shared and lives at the root.
-			dir = procDir(opts.StateDir, i)
-		}
-		ps, err := e.newProcState(i, dir, opts.Resume)
-		if err != nil {
-			e.closeState()
-			return nil, err
-		}
-		e.procs[i] = ps
-	}
-	if opts.StateDir != "" {
-		var err error
-		if opts.Resume {
-			e.jrn, err = journal.Open(opts.StateDir)
-		} else {
-			e.jrn, err = journal.Create(opts.StateDir)
-		}
-		if err != nil {
-			e.closeState()
-			return nil, err
-		}
-		// The shared journal's append spans are attributed to a
-		// synthetic coordinator lane, one past the last processor.
-		e.jrn.SetTracer(e.tr, cfg.P)
-	}
-	for _, ps := range e.procs {
-		ps.ckptOn = e.ckpt()
-	}
-	res, err := e.run()
+	e.fpr = configFingerprint(manifestRunKind, cfg, opts, e.v, e.mu, e.gamma)
+	res, err := e.openAndRun()
 	if cerr := e.closeState(); err == nil {
 		err = cerr
 	}
@@ -217,7 +129,54 @@ func runPar(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options)
 	return res, nil
 }
 
-func (e *parEngine) closeState() error {
+// openAndRun opens the journal, then every processor's store chain,
+// and runs. A resumed run checks its manifest's header before it opens
+// a single drive, so a state directory this engine cannot continue —
+// another program, machine or options, or one journaled under earlier
+// model rules — is refused untouched.
+func (e *engine) openAndRun() (*Result, error) {
+	P, root := e.cfg.P, e.opts.StateDir
+	var manifest *words.Decoder
+	if root != "" {
+		var err error
+		if e.opts.Resume {
+			if e.jrn, err = journal.Open(root); err == nil {
+				manifest, err = e.committedManifest()
+			}
+		} else {
+			e.jrn, err = journal.Create(root)
+		}
+		if err != nil {
+			return nil, err
+		}
+		// The shared journal's append spans are attributed to a
+		// synthetic coordinator lane, one past the last processor.
+		e.jrn.SetTracer(e.tr, P)
+	}
+	e.procs = make([]*procState, P)
+	e.fetchX, e.scatterX = make([][][]wireBlock, P), make([][][]wireBlock, P)
+	e.pktX, e.wordX = make([][]int64, P), make([][]int64, P)
+	for i := range e.procs {
+		e.pktX[i], e.wordX[i] = make([]int64, P), make([]int64, P)
+		var dir string
+		if root != "" {
+			// Each real processor's drives live in their own
+			// subdirectory; the journal is shared and lives at the root.
+			dir = procDir(root, i)
+		}
+		ps, err := e.newProcState(i, dir, e.opts.Resume)
+		if err != nil {
+			return nil, err
+		}
+		e.procs[i] = ps
+	}
+	for _, ps := range e.procs {
+		ps.ckptOn = e.ckpt()
+	}
+	return e.run(manifest)
+}
+
+func (e *engine) closeState() error {
 	var errs []error
 	if e.jrn != nil {
 		errs = append(errs, e.jrn.Close())
@@ -231,7 +190,7 @@ func (e *parEngine) closeState() error {
 }
 
 // checkCtx implements cooperative cancellation at barriers.
-func (e *parEngine) checkCtx() error {
+func (e *engine) checkCtx() error {
 	if err := e.goctx.Err(); err != nil {
 		return fmt.Errorf("core: run cancelled at superstep barrier %d: %w", e.stepsDone, err)
 	}
@@ -240,7 +199,7 @@ func (e *parEngine) checkCtx() error {
 
 // commitJournal makes the barrier durable: every processor's data
 // first (fsync), then the commit record (write-ahead journal append).
-func (e *parEngine) commitJournal(step int) error {
+func (e *engine) commitJournal(step int) error {
 	if e.jrn == nil {
 		return nil
 	}
@@ -266,22 +225,19 @@ func (e *parEngine) commitJournal(step int) error {
 	return nil
 }
 
-// resume restores the engine from the last committed journal record.
-func (e *parEngine) resume() error {
+// committedManifest returns the last committed journal record of a
+// resumed run, positioned past its verified header.
+func (e *engine) committedManifest() (*words.Decoder, error) {
 	recs := e.jrn.Records()
 	if len(recs) == 0 {
-		return &journal.Error{Path: e.opts.StateDir, Record: -1,
+		return nil, &journal.Error{Path: e.opts.StateDir, Record: -1,
 			Reason: "no committed checkpoint to resume from (the run crashed before its first barrier; start it fresh)"}
 	}
-	if err := e.decodeManifest(recs[len(recs)-1]); err != nil {
-		return err
+	dec := words.NewDecoder(recs[len(recs)-1])
+	if err := checkManifestHeader(dec, manifestRunKind, e.fpr); err != nil {
+		return nil, err
 	}
-	for _, ps := range e.procs {
-		if err := ps.reconcile(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dec, nil
 }
 
 func maxInt(a, b int) int {
@@ -292,8 +248,11 @@ func maxInt(a, b int) int {
 }
 
 // parallel runs f once per real processor, concurrently, and joins
-// errors.
-func (e *parEngine) parallel(f func(ps *procState) error) error {
+// errors. A one-processor machine runs it on the calling goroutine.
+func (e *engine) parallel(f func(ps *procState) error) error {
+	if len(e.procs) == 1 {
+		return f(e.procs[0])
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(e.procs))
 	for i := range e.procs {
@@ -311,7 +270,7 @@ func (e *parEngine) parallel(f func(ps *procState) error) error {
 // processors, re-running it when a recoverable fault escapes the fault
 // layer's retries (the phases neither allocate tracks nor leave
 // partial state).
-func (e *parEngine) replayPhase(phase func(ps *procState) error) error {
+func (e *engine) replayPhase(phase func(ps *procState) error) error {
 	err := e.parallel(phase)
 	r := 0
 	for ; err != nil && e.faulty() && fault.Replayable(err) && r < maxReplays; r++ {
@@ -324,10 +283,17 @@ func (e *parEngine) replayPhase(phase func(ps *procState) error) error {
 	return err
 }
 
-func (e *parEngine) run() (*Result, error) {
-	if e.opts.Resume {
-		if err := e.resume(); err != nil {
+// run drives the program from setup — or from the barrier a resumed
+// run's manifest records — to its final contexts.
+func (e *engine) run(manifest *words.Decoder) (*Result, error) {
+	if manifest != nil {
+		if err := e.decodeManifest(manifest); err != nil {
 			return nil, err
+		}
+		for _, ps := range e.procs {
+			if err := ps.reconcile(); err != nil {
+				return nil, err
+			}
 		}
 	} else {
 		// Setup: every processor reserves its context area(s) and writes
@@ -342,7 +308,9 @@ func (e *parEngine) run() (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		if err := e.redBarrier(); err != nil {
+		// The setup barrier's parity I/O is in Setup's counts, not in
+		// IOTime, which is the simulation proper's.
+		if _, err := e.redBarrier(); err != nil {
 			return nil, err
 		}
 		for _, ps := range e.procs {
@@ -374,9 +342,11 @@ func (e *parEngine) run() (*Result, error) {
 		case halts != 0:
 			return nil, fmt.Errorf("core: split halt vote in superstep %d: %d of %d VPs halted", step, halts, e.v)
 		}
-		if err := e.redBarrier(); err != nil {
+		parityOps, err := e.redBarrier()
+		if err != nil {
 			return nil, err
 		}
+		e.ioTime += e.cfg.G * float64(parityOps)
 		e.stepsDone = step + 1
 		if err := e.commitJournal(step); err != nil {
 			return nil, err
@@ -454,9 +424,9 @@ func (e *parEngine) run() (*Result, error) {
 	return res, nil
 }
 
-// parSnapshot is the superstep checkpoint manifest across all
+// engineSnapshot is the superstep checkpoint manifest across all
 // processors plus the engine's shared accounting.
-type parSnapshot struct {
+type engineSnapshot struct {
 	procs     []procSnapshot
 	recMark   int
 	commTime  float64
@@ -477,8 +447,8 @@ type procSnapshot struct {
 	peakLive int64
 }
 
-func (e *parEngine) snapshot() parSnapshot {
-	s := parSnapshot{
+func (e *engine) snapshot() engineSnapshot {
+	s := engineSnapshot{
 		procs:     make([]procSnapshot, len(e.procs)),
 		recMark:   e.rec.Mark(),
 		commTime:  e.commTime,
@@ -504,7 +474,7 @@ func (e *parEngine) snapshot() parSnapshot {
 	return s
 }
 
-func (e *parEngine) restore(s parSnapshot) {
+func (e *engine) restore(s engineSnapshot) {
 	// The rolled-back attempt's charged operations were real work; the
 	// model pays its wall-clock as the slowest processor's share.
 	var maxAborted int64
@@ -538,7 +508,7 @@ func (e *parEngine) restore(s parSnapshot) {
 // superstep — all processors, all batches, the routing phase — is one
 // recovery unit: a recoverable fault anywhere rolls every processor
 // back to the barrier and replays.
-func (e *parEngine) runStep(step int) (halts, sends int, err error) {
+func (e *engine) runStep(step int) (halts, sends int, err error) {
 	if !e.faulty() {
 		halts, sends, err = e.compoundSuperstep(step)
 		if err == nil && e.ckpt() {
@@ -570,31 +540,24 @@ func (e *parEngine) runStep(step int) (halts, sends int, err error) {
 }
 
 // redBarrier is the parity-aware commit point, run on every processor
-// after the superstep committed. The extra parallel I/O is charged to
-// the model at cost G as the slowest processor's share.
-func (e *parEngine) redBarrier() error {
-	if e.procs[0].red == nil {
-		return nil
-	}
-	var maxOps int64
+// after the superstep committed. It returns the slowest processor's
+// share of the extra parallel I/O, which the model charges at cost G.
+func (e *engine) redBarrier() (maxOps int64, err error) {
 	for _, ps := range e.procs {
 		d, err := ps.parityBarrier(e.tr, ps.id, e.opts.Scrub)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if d > maxOps {
-			maxOps = d
-		}
+		maxOps = max(maxOps, d)
 	}
-	e.ioTime += e.cfg.G * float64(maxOps)
-	return nil
+	return maxOps, nil
 }
 
 // commitSuperstep is the barrier commit in fault mode: free the
 // consumed input areas, install the routing results, and flip the
 // context double buffers. Single-threaded; runs only after every
 // processor finished the superstep.
-func (e *parEngine) commitSuperstep() error {
+func (e *engine) commitSuperstep() error {
 	for _, ps := range e.procs {
 		if err := e.commitProc(ps); err != nil {
 			return err
@@ -607,8 +570,7 @@ func (e *parEngine) commitSuperstep() error {
 // error the cost recorder's current step stays open and superstep
 // buffers stay grabbed; either the run aborts, or fault-mode restore
 // rewinds both to the barrier.
-func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
-	P := e.cfg.P
+func (e *engine) compoundSuperstep(step int) (halts, sends int, err error) {
 	e.rec.BeginStep()
 
 	for i, ps := range e.procs {
@@ -617,56 +579,12 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 		e.beginStep(ps)
 	}
 
+	round := e.exchangeRound
+	if len(e.procs) == 1 {
+		round = e.localRound
+	}
 	for j := 0; j < e.batches; j++ {
-		// Fetching phase: read batch-j blocks and route them to the
-		// simulating processors.
-		if err := e.parallel(func(ps *procState) error {
-			sp := e.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
-			defer sp.End()
-			out, nwords, err := e.fetchForward(ps, j)
-			if err != nil {
-				return err
-			}
-			e.fetchX[ps.id] = out
-			for o, w := range nwords {
-				if o == ps.id || w == 0 {
-					continue
-				}
-				e.wordX[ps.id][o] += w
-				e.pktX[ps.id][o] += e.fetchPkts(w)
-			}
-			return nil
-		}); err != nil {
-			return 0, 0, err
-		}
-		// Computing phase (and cutting generated messages into packets
-		// scattered to random processors).
-		if err := e.parallel(func(ps *procState) error {
-			bo, err := e.computeBatch(ps, j, step, e.received(ps, e.fetchX))
-			if err != nil {
-				return err
-			}
-			e.scatterX[ps.id] = bo.scatter
-			for t := 0; t < P; t++ {
-				e.pktX[ps.id][t] += bo.pkts[t]
-				e.wordX[ps.id][t] += bo.wrds[t]
-			}
-			e.recMu.Lock()
-			for _, tr := range bo.traffic {
-				e.rec.RecordVP(tr)
-			}
-			e.recMu.Unlock()
-			return nil
-		}); err != nil {
-			return 0, 0, err
-		}
-		// Writing phase: every processor writes the packets it
-		// received to its local disks, maintaining the D buckets.
-		if err := e.parallel(func(ps *procState) error {
-			sp := e.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
-			defer sp.End()
-			return e.receiveWrite(ps, e.received(ps, e.scatterX))
-		}); err != nil {
+		if err := round(j, step); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -692,9 +610,7 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 	// communication is max(L, g·max_i(sent+received packets)).
 	var maxOps int64
 	for _, ps := range e.procs {
-		if d := ps.dsk.Stats().Ops - ps.opsMark; d > maxOps {
-			maxOps = d
-		}
+		maxOps = max(maxOps, ps.dsk.Stats().Ops-ps.opsMark)
 	}
 	e.ioTime += e.cfg.G * float64(maxOps)
 	ct, pkts, wrds := superstepCommCosts(e.cfg, e.pktX, e.wordX)
@@ -704,9 +620,80 @@ func (e *parEngine) compoundSuperstep(step int) (halts, sends int, err error) {
 	return halts, sends, nil
 }
 
+// localRound is round j of a one-processor machine: no exchange, so the
+// fetching, computing and writing phases are one call into the machine.
+func (e *engine) localRound(j, step int) error {
+	ps := e.procs[0]
+	if err := e.computeLocal(ps, j, step); err != nil {
+		return err
+	}
+	e.record(ps.out.traffic)
+	return nil
+}
+
+// exchangeRound is round j of a multiprocessor machine: three phases,
+// each run on every processor, with the blocks a phase addressed to
+// other processors handed over at the barrier between them.
+func (e *engine) exchangeRound(j, step int) error {
+	// Fetching phase: read batch-j blocks and route them to the
+	// simulating processors.
+	if err := e.parallel(func(ps *procState) error {
+		sp := e.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
+		defer sp.End()
+		out, nwords, err := e.fetchForward(ps, j)
+		if err != nil {
+			return err
+		}
+		e.fetchX[ps.id] = out
+		for o, w := range nwords {
+			if o == ps.id || w == 0 {
+				continue
+			}
+			e.wordX[ps.id][o] += w
+			e.pktX[ps.id][o] += e.fetchPkts(w)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Computing phase (and cutting generated messages into packets
+	// scattered to random processors).
+	if err := e.parallel(func(ps *procState) error {
+		bo, err := e.computeBatch(ps, j, step, e.received(ps, e.fetchX))
+		if err != nil {
+			return err
+		}
+		e.scatterX[ps.id] = bo.scatter
+		for t := range bo.pkts {
+			e.pktX[ps.id][t] += bo.pkts[t]
+			e.wordX[ps.id][t] += bo.wrds[t]
+		}
+		e.record(bo.traffic)
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Writing phase: every processor writes the packets it received to
+	// its local disks, maintaining the D buckets.
+	return e.parallel(func(ps *procState) error {
+		sp := e.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
+		defer sp.End()
+		return e.receiveWrite(ps, j, e.received(ps, e.scatterX))
+	})
+}
+
+// record folds a batch's per-VP traffic into the shared cost recorder.
+func (e *engine) record(traffic []bsp.VPTraffic) {
+	e.recMu.Lock()
+	defer e.recMu.Unlock()
+	for _, tr := range traffic {
+		e.rec.RecordVP(tr)
+	}
+}
+
 // received gathers column ps.id of an exchange matrix: what every
 // processor, ps included, addressed to ps in the phase just finished.
-func (e *parEngine) received(ps *procState, x [][][]wireBlock) [][]wireBlock {
+func (e *engine) received(ps *procState, x [][][]wireBlock) [][]wireBlock {
 	in := grow(&ps.recv, e.cfg.P)
 	for src := range in {
 		in[src] = nil

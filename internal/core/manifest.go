@@ -18,24 +18,30 @@ import (
 // cost is independent of run length.
 //
 // A manifest begins with an engine-kind tag and a fingerprint of the
-// (machine configuration, options, program shape) tuple. A resumed run
-// must present the identical tuple — the simulation is deterministic
-// in it — and the engines refuse to continue from a manifest whose
-// fingerprint disagrees, which catches resuming with a different
-// program, seed, fault plan or machine.
+// (machine configuration, options, program shape, model rules) tuple.
+// A resumed run must present the identical tuple — the simulation is
+// deterministic in it — and the engines refuse to continue from a
+// manifest whose fingerprint disagrees, which catches resuming with a
+// different program, seed, fault plan or machine.
 
 const (
-	manifestSeqKind   = 0x5345513  // "SEQ" tag
-	manifestParKind   = 0x5041523  // "PAR" tag
+	manifestRunKind   = 0x52554e   // "RUN" tag — the in-process engine, every P
 	manifestNodeKind  = 0x4e4f4445 // "NODE" tag — one cluster worker's processor state
 	manifestCoordKind = 0x434f5244 // "CORD" tag — the cluster coordinator's global state
 )
+
+// modelRules versions the policies that decide a run's I/O counts
+// without changing its results (today: the bucket rule, DESIGN.md §20).
+// It is folded into every fingerprint, so a directory journaled under
+// other rules is refused rather than resumed into hybrid counts.
+const modelRules = 2
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
 func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamma int) uint64 {
 	enc := words.NewEncoder(nil)
 	enc.PutUint(kind)
+	enc.PutUint(modelRules)
 	enc.PutInts([]int64{int64(cfg.P), int64(cfg.M), int64(cfg.D), int64(cfg.B), int64(cfg.MemSlack)})
 	enc.PutFloat(cfg.G)
 	enc.PutFloat(cfg.Cost.GUnit)
@@ -199,70 +205,18 @@ func decodeRecSteps(dec *words.Decoder) []bsp.SuperstepCost {
 func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 	gotKind := dec.Uint()
 	if gotKind != kind {
-		return fmt.Errorf("core: journal was written by a different engine (kind %#x, want %#x); resume with the original P", gotKind, kind)
+		return fmt.Errorf("core: journal was written by a different engine, or by this one before its manifest changed (kind %#x, want %#x); it cannot be resumed", gotKind, kind)
 	}
 	if got := dec.Uint(); got != fpr {
-		return fmt.Errorf("core: journal fingerprint mismatch: the state directory was written under a different program, machine configuration or options")
+		return fmt.Errorf("core: journal fingerprint mismatch: the state directory was written under a different program, machine configuration, options or model rules")
 	}
 	return nil
 }
 
-// --- sequential engine -------------------------------------------------
+// --- in-process engine ---------------------------------------------
 
-func (e *seqEngine) encodeManifest(enc *words.Encoder) {
-	enc.PutUint(manifestSeqKind)
-	enc.PutUint(e.fpr)
-	enc.PutInt(int64(e.stepsDone))
-	enc.PutBool(e.halted)
-	encodeStats(enc, e.setup)
-	st := e.rng.State()
-	for _, w := range st[:] {
-		enc.PutUint(w)
-	}
-	enc.PutInt(int64(e.ctxCur))
-	e.ctxAreas[0].Encode(enc)
-	e.ctxAreas[1].Encode(enc)
-	enc.PutInt(int64(e.inBlocks))
-	encodeRegions(enc, e.inRegions)
-	encodeAreas(enc, e.inAreas)
-	enc.PutInts([]int64{e.routeOps, e.ragged, e.peakLive, e.replays, e.recoveryOps})
-	enc.PutFloat(e.maxSkew)
-	enc.PutInt(e.acct.High())
-	encodeRecSteps(enc, e.rec.Steps())
-	e.encodeState(enc)
-}
-
-func (e *seqEngine) decodeManifest(payload []uint64) error {
-	dec := words.NewDecoder(payload)
-	if err := checkManifestHeader(dec, manifestSeqKind, e.fpr); err != nil {
-		return err
-	}
-	e.stepsDone = int(dec.Int())
-	e.halted = dec.Bool()
-	e.setup = decodeStats(dec)
-	var st [4]uint64
-	for i := range st {
-		st[i] = dec.Uint()
-	}
-	e.rng.SetState(st)
-	e.ctxCur = int(dec.Int())
-	e.ctxAreas[0] = disk.DecodeArea(dec)
-	e.ctxAreas[1] = disk.DecodeArea(dec)
-	e.inBlocks = int(dec.Int())
-	e.inRegions = decodeRegions(dec)
-	e.inAreas = decodeAreas(dec)
-	t := dec.Ints()
-	e.routeOps, e.ragged, e.peakLive, e.replays, e.recoveryOps = t[0], t[1], t[2], t[3], t[4]
-	e.maxSkew = dec.Float()
-	e.acct.AdoptHigh(dec.Int())
-	e.rec.Restore(decodeRecSteps(dec))
-	return e.decodeState(dec)
-}
-
-// --- parallel engine ---------------------------------------------------
-
-func (e *parEngine) encodeManifest(enc *words.Encoder) {
-	enc.PutUint(manifestParKind)
+func (e *engine) encodeManifest(enc *words.Encoder) {
+	enc.PutUint(manifestRunKind)
 	enc.PutUint(e.fpr)
 	enc.PutInt(int64(e.stepsDone))
 	enc.PutBool(e.halted)
@@ -278,7 +232,7 @@ func (e *parEngine) encodeManifest(enc *words.Encoder) {
 }
 
 // encodeProcManifest writes one processor's complete barrier state —
-// the per-processor section of the parallel manifest, and the whole
+// the per-processor section of the in-process manifest, and the whole
 // body of a cluster node's manifest.
 func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	st := ps.rng.State()
@@ -316,11 +270,9 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	return ps.decodeState(dec)
 }
 
-func (e *parEngine) decodeManifest(payload []uint64) error {
-	dec := words.NewDecoder(payload)
-	if err := checkManifestHeader(dec, manifestParKind, e.fpr); err != nil {
-		return err
-	}
+// decodeManifest adopts a manifest whose header committedManifest has
+// already consumed.
+func (e *engine) decodeManifest(dec *words.Decoder) error {
 	e.stepsDone = int(dec.Int())
 	e.halted = dec.Bool()
 	e.setup = decodeStats(dec)

@@ -12,22 +12,98 @@ import (
 	"embsp/internal/words"
 )
 
-// This file is the per-node extraction of the parallel engine: every
-// phase of Algorithm 3 that touches exactly one real processor's state
-// lives here as a method on simShape, taking the processor's procState
-// plus explicit inbox/outbox slices instead of the engine's shared
-// exchange matrices. Two drivers run these phases:
+// This file is the step machine: every phase of the compound superstep
+// (Algorithm 3, of which Algorithm 1 is the p = 1 case) that touches
+// exactly one real processor's state, as a method on simShape taking
+// the processor's procState. The machine owns the superstep's I/O,
+// accounting and checks; what it does not own is how blocks travel
+// between processors. A driver supplies that:
 //
-//   - parEngine (par.go) keeps all p processors in one address space
-//     and exchanges blocks through in-memory matrices — the reference
-//     oracle;
+//   - the in-process engine (engine.go) keeps all p processors in one
+//     address space. With p > 1 it exchanges blocks through in-memory
+//     matrices; with p = 1 there is nobody to exchange with, so the
+//     batch is reassembled from the region buffer its fetch filled and
+//     its messages are cut straight into the block writer;
 //   - NodeEngine (cluster.go) wraps a single processor for the
 //     multi-process cluster runtime, which exchanges the same blocks
 //     over the wire.
 //
-// The phase bodies are shared verbatim, so the two runtimes are
+// The phase bodies are shared verbatim, so the runtimes are
 // bitwise-identical by construction wherever the same (config,
 // options, program) tuple is presented.
+
+// wireBlock is a message block in flight between real processors. Its
+// image aliases a buffer of the processor that produced it (stepBufs):
+// a block from the fetching or computing phase is valid until that
+// processor next runs the same phase, by which time the receiver has
+// copied it — into its inbox buffer or its pending parallel write.
+type wireBlock struct {
+	meta blockMeta
+	img  []uint64
+}
+
+// procState is one real processor of the machine: its VP range, store
+// chain, internal memory, and the barrier state the manifest journals.
+//
+// Under the checkpoint discipline (ckptOn: a fault plan or a journal)
+// the contexts of the previous superstep and the routed input regions
+// stay on disk untouched while the next superstep runs — contexts are
+// double-buffered between two areas and input-area frees wait for the
+// barrier commit — so a recoverable fault, or a crash, rolls back to
+// the barrier and replays the superstep from identical inputs.
+type procState struct {
+	id int
+	lo int // first owned VP
+	hi int // one past last owned VP
+
+	storeStack      // the store chain: store, bfile, pf, red, fd, dsk
+	stepBufs        // the superstep loop's internal memory
+	ckptOn     bool // barrier checkpoint discipline active
+	acct       *mem.Accountant
+	rng        *prng.Rand
+
+	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
+	ctxCur    int
+	inRegions [][]groupRegion // per batch
+	inAreas   []disk.Area
+	inBlocks  int
+	inDir     *outDirectory // NoRouting ablation: the scattered blocks, per batch
+
+	// Superstep-scoped scratch.
+	halts        int
+	sends        int
+	dir          *outDirectory
+	writer       *blockWriter
+	pendingRoute *routeResult // checkpoint mode: routing result awaiting commit
+
+	// Accounting.
+	opsMark  int64
+	routeOps int64
+	ragged   int64
+	maxSkew  float64
+	peakLive int64
+}
+
+func (ps *procState) ownCount() int { return ps.hi - ps.lo }
+
+func (ps *procState) noteLive(muBlocks, extraBlocks int) {
+	live := int64(ps.ownCount()*muBlocks + extraBlocks)
+	per := live / int64(ps.dsk.Config().D)
+	if per > ps.peakLive {
+		ps.peakLive = per
+	}
+}
+
+// ctxRead returns the area holding the committed contexts; ctxWrite
+// the area the running superstep writes to. They coincide unless
+// checkpoint double-buffering is on.
+func (ps *procState) ctxRead() disk.Area { return ps.ctxAreas[ps.ctxCur] }
+func (ps *procState) ctxWrite() disk.Area {
+	if ps.ckptOn {
+		return ps.ctxAreas[ps.ctxCur^1]
+	}
+	return ps.ctxAreas[ps.ctxCur]
+}
 
 // simShape is the derived shape of a run — everything that follows
 // deterministically from (program, machine config, options) — plus the
@@ -78,14 +154,27 @@ func newSimShape(p bsp.Program, cfg MachineConfig, opts Options) simShape {
 // owner returns the real processor owning VP id.
 func (sh *simShape) owner(id int) int { return id / sh.vpp }
 
-// batchOf returns the batch (round index) in which VP id is simulated.
-func (sh *simShape) batchOf(id int) int { return (id % sh.vpp) / sh.k }
+// batchOf returns the batch (round index) in which VP id is simulated:
+// its group of k within its owner's VPs.
+func (sh *simShape) batchOf(id int) int { return groupOf(id%sh.vpp, sh.k) }
 
-// bucketKey maps a block to its bucket: each bucket covers
-// ⌈batches/D⌉ consecutive batches, as Algorithm 3 prescribes.
-func (sh *simShape) bucketKey(m blockMeta) int {
-	per := (sh.batches + sh.cfg.D - 1) / sh.cfg.D
-	return sh.batchOf(m.dst) / per
+// bucketKey maps a block to its bucket by Algorithm 1's Step 1(d) rule,
+// applied to the VPs of the destination's owner: bucket i holds the
+// blocks for the i-th range of ⌈(v/p)/D⌉ consecutive VPs of a
+// processor. All D buckets fill whenever a processor owns at least D
+// VPs, however few batches they form, so SimulateRouting's operations
+// run full.
+func (sh *simShape) bucketKey(m blockMeta) int { return bucketOf(m.dst%sh.vpp, sh.vpp, sh.cfg.D) }
+
+// buckets returns the shape of a superstep's output directory: D
+// buckets under bucketKey — or, in the NoRouting ablation, one bucket
+// per batch, so that the directory the writing phase leaves is itself
+// the next superstep's input (routeLocal keeps it, fetchBatch reads it).
+func (sh *simShape) buckets() (int, func(blockMeta) int) {
+	if sh.opts.NoRouting {
+		return sh.batches, func(m blockMeta) int { return sh.batchOf(m.dst) }
+	}
+	return sh.cfg.D, sh.bucketKey
 }
 
 // batchBounds returns the VP range [lo, hi) of processor ps in round j.
@@ -101,9 +190,24 @@ func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
 	return lo, hi
 }
 
-// newProcState builds processor i's state: VP range, accountant,
-// per-processor RNG, and the store chain (file-backed under dir, or
-// in-memory when dir is empty).
+// engineMemLimit computes the internal-memory budget for one
+// processor simulating groups of k VPs. The theorems assume γ = O(µ) (a
+// VP's messages fit in its local memory), so the footprint is Θ(k·µ) =
+// Θ(M); the budget makes that concrete — M plus the group's contexts
+// and physically encoded messages (≤ 3γ words per VP each way) and one
+// block per drive — scaled by the configured slack constant. Programs
+// honouring γ = O(µ) stay within O(M); others are still tracked and
+// bounded.
+func engineMemLimit(cfg MachineConfig, k, mu, gamma int) int64 {
+	return int64(cfg.memSlack()) * (int64(cfg.M) + int64(k)*int64(mu+6*gamma) + int64(cfg.D*cfg.B))
+}
+
+// newProcState builds processor i's state: VP range, accountant, the
+// block writer's RNG, and the store chain (file-backed under dir, or
+// in-memory when dir is empty). The RNG stream is keyed per processor
+// exactly when there is more than one (the same rule as the fault seed
+// in openStack), which keeps a one-processor machine on Algorithm 1's
+// stream.
 func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, error) {
 	lo := i * sh.vpp
 	hi := lo + sh.vpp
@@ -113,10 +217,14 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	if hi > sh.v {
 		hi = sh.v
 	}
+	stream := prng.Derive(sh.opts.Seed, 0xE19)
+	if sh.cfg.P > 1 {
+		stream = prng.Derive(sh.opts.Seed, 0xFA12, uint64(i))
+	}
 	ps := &procState{
 		id: i, lo: lo, hi: hi,
 		acct: mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
-		rng:  prng.New(prng.Derive(sh.opts.Seed, 0xFA12, uint64(i))),
+		rng:  prng.New(stream),
 	}
 	var err error
 	if ps.storeStack, err = openStack(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i); err != nil {
@@ -130,7 +238,10 @@ func procDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("proc-%02d", i))
 }
 
-// setupReserve reserves the processor's context area(s).
+// setupReserve reserves the processor's context area: ⌈µ/B⌉ blocks per
+// owned VP in standard consecutive format, VP j's i-th context block at
+// block index i + j·⌈µ/B⌉ (the paper's Step 1(a)/1(e)). Under the
+// checkpoint discipline a second area double-buffers it.
 func (sh *simShape) setupReserve(ps *procState) {
 	ps.ctxAreas[0] = disk.Reserve(ps.dsk, ps.ownCount()*sh.muBlocks)
 	if ps.ckptOn {
@@ -149,7 +260,7 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 	}
 	defer ps.acct.Release(int64(bufWords))
 	buf := fit(&ps.ctx, bufWords)
-	enc := words.NewEncoder(nil)
+	enc := &ps.enc
 	for j := 0; j < sh.batches; j++ {
 		lo, hi := sh.batchBounds(ps, j)
 		if lo == hi {
@@ -208,13 +319,14 @@ func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uin
 // block writer over the processor's operation buffer.
 func (sh *simShape) beginStep(ps *procState) {
 	ps.halts, ps.sends = 0, 0
-	ps.dir = newOutDirectory(sh.cfg.D, sh.cfg.D)
+	nbuckets, bucketKey := sh.buckets()
+	ps.dir = newOutDirectory(nbuckets, sh.cfg.D)
 	ps.opsMark = ps.dsk.Stats().Ops
 	var down func(int) bool
 	if ps.fd != nil {
 		down = ps.fd.Down
 	}
-	ps.writer = newBlockWriter(ps.dsk, ps.dir, sh.bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
+	ps.writer = newBlockWriter(ps.dsk, ps.dir, bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
 }
 
 // fetchPkts is the packet count for w words combined into size-b
@@ -223,19 +335,53 @@ func (sh *simShape) fetchPkts(w int64) int64 {
 	return (w + int64(sh.rec.PktSize()) - 1) / int64(sh.rec.PktSize())
 }
 
-// fetchForward reads the blocks of batch j from the local disks and
-// groups each under the processor simulating its destination VP. out
-// is indexed by destination processor (self included); nwords counts
-// the words per destination. A nil out means the batch had no input.
-// The images alias the processor's region buffer and out and nwords are
-// its own rows: all are valid until its next fetching phase.
-func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nwords []int64, err error) {
+// batchIn is one batch's incoming message blocks: the block images
+// concatenated in buf, their directory entries in metas, and the words
+// held for them, which computeBatch releases when the batch is done.
+type batchIn struct {
+	buf   []uint64
+	metas []blockMeta
+	grab  int64
+}
+
+// opWords is one parallel operation's worth of blocks: the block
+// writer's pending buffer, which a processor holds from its first fetch
+// of a superstep (fetchBatch) to its last flush (flushBatch).
+func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
+
+// fetchBatch reads the blocks of batch j from the local disks into the
+// processor's region buffer: the regions SimulateRouting laid out, or —
+// in the NoRouting ablation — the directory the last writing phase
+// left, block by scattered block.
+func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
+	if j == 0 {
+		if err := ps.acct.Grab(sh.opWords()); err != nil {
+			return batchIn{}, err
+		}
+	}
+	if sh.opts.NoRouting {
+		if ps.inDir == nil {
+			return batchIn{}, nil
+		}
+		return readScattered(ps.dsk, ps.acct, &ps.stepBufs, ps.inDir.q[j])
+	}
 	var regions []groupRegion
 	if j < len(ps.inRegions) {
 		regions = ps.inRegions[j]
 	}
-	buf, metas, grabbed, err := readRegions(ps.dsk, ps.acct, &ps.stepBufs, regions)
-	if err != nil || metas == nil {
+	return readRegions(ps.dsk, ps.acct, &ps.stepBufs, regions)
+}
+
+// fetchForward is the fetching phase of a machine with an exchange:
+// fetchBatch, then each block grouped under the processor simulating
+// its destination VP. out is indexed by destination processor (self
+// included); nwords counts the words per destination. A nil out means
+// the batch had no input. The images alias the processor's region
+// buffer and out and nwords are its own rows: all are valid until its
+// next fetching phase.
+func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nwords []int64, err error) {
+	in, err := sh.fetchBatch(ps, j)
+	if err != nil || in.metas == nil {
 		return nil, nil, err
 	}
 	B := sh.cfg.B
@@ -243,19 +389,43 @@ func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nword
 	for o := range out {
 		out[o], nwords[o] = out[o][:0], 0
 	}
-	for i, m := range metas {
+	for i, m := range in.metas {
 		o := sh.owner(m.dst)
-		out[o] = append(out[o], wireBlock{meta: m, img: buf[i*B : (i+1)*B]})
+		out[o] = append(out[o], wireBlock{meta: m, img: in.buf[i*B : (i+1)*B]})
 		nwords[o] += int64(B)
 	}
-	ps.acct.Release(grabbed)
+	ps.acct.Release(in.grab)
 	return out, nwords, nil
 }
 
-// batchOut is one processor's output from a computing phase: the
-// scattered packet blocks per destination processor, the off-processor
-// packet/word tallies the communication model charges, and the per-VP
-// traffic records for the cost recorder (in VP order).
+// gather copies the blocks a processor received for its batch (one
+// slice per source processor, self included) into its inbox buffer.
+func (sh *simShape) gather(ps *procState, in [][]wireBlock) (batchIn, error) {
+	B := sh.cfg.B
+	total := 0
+	for _, blocks := range in {
+		total += len(blocks)
+	}
+	grab := int64(total * B)
+	if err := ps.acct.Grab(grab); err != nil {
+		return batchIn{}, err
+	}
+	buf := fit(&ps.inbox, total*B)
+	metas := grow(&ps.metas, total)[:0]
+	for _, blocks := range in {
+		for _, wb := range blocks {
+			copy(buf[len(metas)*B:], wb.img)
+			metas = append(metas, wb.meta)
+		}
+	}
+	return batchIn{buf: buf, metas: metas, grab: grab}, nil
+}
+
+// batchOut is one processor's output from a computing phase: the per-VP
+// traffic records for the cost recorder (in VP order) and, on a machine
+// with an exchange, the scattered packet blocks per destination
+// processor with the off-processor packet/word tallies the
+// communication model charges.
 type batchOut struct {
 	scatter [][]wireBlock
 	pkts    []int64
@@ -274,55 +444,63 @@ func (bo *batchOut) reset(P int) {
 	bo.traffic = bo.traffic[:0]
 }
 
-// computeBatch reassembles the batch's messages from the inbox (one
-// slice per source processor, self included), simulates the k current
-// VPs, and scatters the generated messages — as packets of ⌊b/B⌋
-// blocks — to randomly chosen processors. Halt and send tallies
-// accumulate on ps; everything addressed to other processors is
+// computeBatch is the computing phase of a machine with an exchange:
+// batch j is reassembled from the inbox (one slice per source processor,
+// self included) and its generated messages are scattered to randomly
+// chosen processors. Everything addressed to other processors is
 // returned in the batchOut, which is the processor's own (its images
 // alias the scatter slab) and valid until its next computing phase.
 func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (*batchOut, error) {
-	lo, hi := sh.batchBounds(ps, j)
-	n := hi - lo
-	B := sh.cfg.B
-	P := sh.cfg.P
-
 	bo := &ps.out
-	bo.reset(P)
-
-	// Gather the wire blocks addressed to this processor.
-	var total int
-	for src := 0; src < P; src++ {
-		total += len(in[src])
-	}
-	if n == 0 {
+	bo.reset(sh.cfg.P)
+	if lo, hi := sh.batchBounds(ps, j); lo == hi {
+		total := 0
+		for _, blocks := range in {
+			total += len(blocks)
+		}
 		if total != 0 {
 			return nil, fmt.Errorf("core: processor %d received %d blocks for an empty batch %d", ps.id, total, j)
 		}
 		return bo, nil
 	}
+	err := sh.simulateBatch(ps, j, step,
+		func() (batchIn, error) { return sh.gather(ps, in) },
+		func(outs []outMsg, outBlocks int) error { return sh.scatter(ps, j, step, outs, outBlocks) })
+	return bo, err
+}
+
+// computeLocal is the whole round of a one-processor machine. With no
+// other processor there is no exchange (Algorithm 1): batch j is
+// reassembled straight from the region buffer its fetch filled, and its
+// generated messages are cut straight into the block writer.
+func (sh *simShape) computeLocal(ps *procState, j, step int) error {
+	ps.out.reset(sh.cfg.P)
+	return sh.simulateBatch(ps, j, step,
+		func() (batchIn, error) { return sh.fetchBatch(ps, j) },
+		func(outs []outMsg, _ int) error { return sh.writeLocal(ps, j, step, outs) })
+}
+
+// simulateBatch simulates the (non-empty) batch j of processor ps:
+// reassemble the messages the driver's source delivers, load the k
+// current VPs, run their computation supersteps, write their contexts
+// back, and hand the generated messages (outBlocks blocks once cut) to
+// the driver's sink. Halt and send tallies accumulate on ps and the
+// per-VP traffic records on ps.out.
+func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (batchIn, error), sink func(outs []outMsg, outBlocks int) error) error {
+	lo, hi := sh.batchBounds(ps, j)
+	n := hi - lo
+	B := sh.cfg.B
+
 	spMsg := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
-	inGrab := int64(total * B)
-	if err := ps.acct.Grab(inGrab); err != nil {
-		return nil, err
-	}
-	buf := fit(&ps.inbox, total*B)
-	metas := grow(&ps.metas, total)[:0]
-	for src := 0; src < P; src++ {
-		for _, wb := range in[src] {
-			copy(buf[len(metas)*B:], wb.img)
-			metas = append(metas, wb.meta)
-		}
+	in, err := source()
+	if err != nil {
+		return err
 	}
 	var inbox [][]bsp.Message
-	var err error
-	if total == 0 {
+	if len(in.metas) == 0 {
 		inbox = make([][]bsp.Message, n)
-	} else {
-		inbox, err = reassemble(buf, metas, B, lo, hi)
-		if err != nil {
-			return nil, err
-		}
+	} else if inbox, err = reassemble(in.buf, in.metas, B, lo, hi); err != nil {
+		return err
 	}
 	spMsg.End()
 
@@ -330,12 +508,12 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
 	ctxWords := n * sh.muBlocks * B
 	if err := ps.acct.Grab(int64(ctxWords)); err != nil {
-		return nil, err
+		return err
 	}
 	ctxBuf := fit(&ps.ctx, ctxWords)
 	cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
 	if err := disk.ReadRange(ps.dsk, ps.ctxRead(), cl, ch, ctxBuf); err != nil {
-		return nil, err
+		return err
 	}
 	vps := make([]bsp.VP, n)
 	for i := 0; i < n; i++ {
@@ -355,7 +533,8 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 		ps.pf.Prefetch(sh.prefetchBatch(ps, j+1))
 	}
 
-	// Simulate the computation supersteps.
+	// Simulate the computation supersteps, collecting the generated
+	// messages in internal memory, as the paper prescribes.
 	var outs []outMsg
 	var outWords int64
 	outBlocks := 0
@@ -368,7 +547,7 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 			recvPkts += sh.rec.MsgPkts(w)
 		}
 		if recvWords > sh.gamma {
-			return nil, fmt.Errorf("core: VP %d received %d words in superstep %d, exceeding γ=%d", id, recvWords, step, sh.gamma)
+			return fmt.Errorf("core: VP %d received %d words in superstep %d, exceeding γ=%d", id, recvWords, step, sh.gamma)
 		}
 		seq := 0
 		sendPkts := 0
@@ -381,17 +560,17 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 		})
 		halt, err := bsp.SafeStep(vps[i], env, inbox[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: VP %d superstep %d: %w", id, step, err)
+			return fmt.Errorf("core: VP %d superstep %d: %w", id, step, err)
 		}
 		sw, msgs, charge := env.SendTotals()
 		if sw > sh.gamma {
-			return nil, fmt.Errorf("core: VP %d sent %d words in superstep %d, exceeding γ=%d", id, sw, step, sh.gamma)
+			return fmt.Errorf("core: VP %d sent %d words in superstep %d, exceeding γ=%d", id, sw, step, sh.gamma)
 		}
 		if halt {
 			ps.halts++
 		}
 		ps.sends += msgs
-		bo.traffic = append(bo.traffic, bsp.VPTraffic{
+		ps.out.traffic = append(ps.out.traffic, bsp.VPTraffic{
 			SendWords: sw, RecvWords: recvWords,
 			SendPkts: sendPkts, RecvPkts: recvPkts,
 			Messages: msgs, Charge: charge,
@@ -402,30 +581,43 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
 	clear(ctxBuf)
-	enc := words.NewEncoder(nil)
+	enc := &ps.enc
 	for i := 0; i < n; i++ {
 		enc.Reset()
 		vps[i].Save(enc)
 		if enc.Len() > sh.mu {
-			return nil, fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", lo+i, enc.Len(), step, sh.mu)
+			return fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", lo+i, enc.Len(), step, sh.mu)
 		}
 		copy(ctxBuf[i*sh.muBlocks*B:], enc.Words())
 	}
 	if err := disk.WriteRange(ps.dsk, ps.ctxWrite(), cl, ch, ctxBuf); err != nil {
-		return nil, err
+		return err
 	}
 	ps.acct.Release(int64(ctxWords))
 	spCtx.End()
 
-	spScatter := sh.tr.BeginStep(obs.CatEngine, phScatter, ps.id, 0, step, j)
-	// Scatter: cut each message into blocks, group ⌊b/B⌋ consecutive
-	// blocks of one message into a packet, and send every packet to a
-	// uniformly random processor. In deterministic (CGM) mode the
-	// packet goes straight to a rotation determined by its message
-	// identity, which is balanced for predetermined communication.
 	if err := ps.acct.Grab(outWords); err != nil {
-		return nil, err
+		return err
 	}
+	if err := sink(outs, outBlocks); err != nil {
+		return err
+	}
+	ps.acct.Release(outWords)
+	ps.acct.Release(in.grab)
+	return nil
+}
+
+// scatter is the exchange's sink: cut each message into blocks, group
+// ⌊b/B⌋ consecutive blocks of one message into a packet, and send every
+// packet to a uniformly random processor (the paper's disk-load
+// balancing step). In deterministic (CGM) mode the packet goes straight
+// to a rotation determined by its message identity, which is balanced
+// for predetermined communication.
+func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg, outBlocks int) error {
+	sp := sh.tr.BeginStep(obs.CatEngine, phScatter, ps.id, 0, step, j)
+	defer sp.End()
+	B, P := sh.cfg.B, sh.cfg.P
+	bo := &ps.out
 	rng := prng.New(prng.Derive(sh.opts.Seed, 0x5CA7, uint64(ps.id), uint64(step)))
 	slab, scratch := fit(&ps.slab, outBlocks*B), fit(&ps.scratch, B)
 	for _, m := range outs {
@@ -456,43 +648,77 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	ps.acct.Release(outWords)
-	ps.acct.Release(inGrab)
-	spScatter.End()
-	return bo, nil
+	return nil
 }
 
-// receiveWrite writes the scattered packets this processor received
-// (one slice per source processor, self included) to its local disks,
-// D blocks per parallel operation under a random drive permutation,
-// maintaining the bucket directory.
-func (sh *simShape) receiveWrite(ps *procState, in [][]wireBlock) error {
-	for src := 0; src < sh.cfg.P; src++ {
-		for _, wb := range in[src] {
+// writeLocal is the one-processor sink, Step 1(d) of Algorithm 1: cut
+// the batch's messages straight into the block writer.
+func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error {
+	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
+	defer sp.End()
+	scratch := fit(&ps.scratch, sh.cfg.B)
+	for _, m := range outs {
+		if err := cutMessage(m, sh.cfg.B, scratch, ps.writer.add); err != nil {
+			return err
+		}
+	}
+	return sh.flushBatch(ps, j)
+}
+
+// receiveWrite is the writing phase of a machine with an exchange: the
+// scattered packets this processor received for batch j (one slice per
+// source processor, self included) go to its local disks, D blocks per
+// parallel operation under a random drive permutation, maintaining the
+// bucket directory.
+func (sh *simShape) receiveWrite(ps *procState, j int, in [][]wireBlock) error {
+	for _, blocks := range in {
+		for _, wb := range blocks {
 			if err := ps.writer.add(wb.meta, wb.img); err != nil {
 				return err
 			}
 		}
 	}
-	return ps.writer.flush()
+	return sh.flushBatch(ps, j)
+}
+
+// flushBatch ends batch j's writing phase with the writer's last,
+// partial parallel write; after the superstep's last batch the writer
+// gives up its operation buffer (routing takes it next).
+func (sh *simShape) flushBatch(ps *procState, j int) error {
+	if err := ps.writer.flush(); err != nil {
+		return err
+	}
+	if j == sh.batches-1 {
+		ps.acct.Release(sh.opWords())
+	}
+	return nil
 }
 
 // routeLocal is Step 2 of Algorithm 3: reorganize this processor's
 // received blocks so each batch is evenly distributed over the local
 // disks in standard consecutive format. In normal operation the result
-// is installed immediately; under the checkpoint discipline it is
-// parked until the engine-level barrier commit, because a fault on
-// another processor (or a crash before the journal record lands) can
-// still roll this superstep back.
+// is installed immediately, and the consumed input areas — dead weight —
+// are freed before routing; under the checkpoint discipline they are
+// the replay/resume source, so the result is parked and the frees wait
+// until the engine-level barrier commit, because a fault on another
+// processor (or a crash before the journal record lands) can still roll
+// this superstep back.
 func (sh *simShape) routeLocal(ps *procState) error {
+	if sh.opts.NoRouting {
+		// Ablation of Algorithm 2: leave the blocks where the writing
+		// phase put them; the next fetch reads them scattered and pays
+		// the per-drive maximum Lemma 2 bounds, observed here.
+		ps.noteLive(sh.muBlocks, ps.dir.total)
+		ps.inDir = ps.dir
+		ps.maxSkew = max(ps.maxSkew, ps.dir.maxSkew())
+		return nil
+	}
 	if !ps.ckptOn {
-		for _, ar := range ps.inAreas {
-			if err := disk.FreeArea(ps.dsk, ar); err != nil {
-				return err
-			}
+		if err := sh.freeInput(ps); err != nil {
+			return err
 		}
 	}
 	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
@@ -502,37 +728,41 @@ func (sh *simShape) routeLocal(ps *procState) error {
 	}
 	if ps.ckptOn {
 		ps.pendingRoute = route
-		return nil
+	} else {
+		sh.install(ps, route)
 	}
-	ps.routeOps += route.stats.ops
-	ps.ragged += route.stats.ragged
-	if route.stats.maxSkew > ps.maxSkew {
-		ps.maxSkew = route.stats.maxSkew
-	}
-	ps.inRegions, ps.inAreas, ps.inBlocks = route.regions, route.areas, route.total
-	ps.noteLive(sh.muBlocks, route.total)
 	return nil
 }
 
-// commitProc is the processor's share of the barrier commit: free the
-// consumed input areas, install the parked routing result, and flip
-// the context double buffer.
+// freeInput releases the input areas the superstep consumed.
+func (sh *simShape) freeInput(ps *procState) error {
+	for _, ar := range ps.inAreas {
+		if err := disk.FreeArea(ps.dsk, ar); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// install makes a routing result the next superstep's input.
+func (sh *simShape) install(ps *procState, route *routeResult) {
+	ps.routeOps += route.stats.ops
+	ps.ragged += route.stats.ragged
+	ps.maxSkew = max(ps.maxSkew, route.stats.maxSkew)
+	ps.inRegions, ps.inAreas, ps.inBlocks = route.regions, route.areas, route.total
+	ps.noteLive(sh.muBlocks, route.total)
+}
+
+// commitProc is the processor's share of the barrier commit under the
+// checkpoint discipline: free the consumed input areas, install the
+// parked routing result, and flip the context double buffer.
 func (sh *simShape) commitProc(ps *procState) error {
-	if ps.pendingRoute != nil {
-		for _, ar := range ps.inAreas {
-			if err := disk.FreeArea(ps.dsk, ar); err != nil {
-				return err
-			}
+	if route := ps.pendingRoute; route != nil {
+		if err := sh.freeInput(ps); err != nil {
+			return err
 		}
-		route := ps.pendingRoute
 		ps.pendingRoute = nil
-		ps.routeOps += route.stats.ops
-		ps.ragged += route.stats.ragged
-		if route.stats.maxSkew > ps.maxSkew {
-			ps.maxSkew = route.stats.maxSkew
-		}
-		ps.inRegions, ps.inAreas, ps.inBlocks = route.regions, route.areas, route.total
-		ps.noteLive(sh.muBlocks, route.total)
+		sh.install(ps, route)
 	}
 	ps.ctxCur ^= 1
 	return nil
@@ -542,9 +772,13 @@ func (sh *simShape) commitProc(ps *procState) error {
 // model's communication charges: the off-diagonal packet and word
 // totals, and the superstep communication time max(L, g·max_i(sent_i +
 // received_i packets)). Shared by the in-process driver and the
-// cluster coordinator so both charge bitwise-identical costs.
+// cluster coordinator so both charge bitwise-identical costs. A machine
+// with no other processor has no communication superstep to charge.
 func superstepCommCosts(cfg MachineConfig, pktX, wordX [][]int64) (ct float64, pkts, wrds int64) {
 	P := cfg.P
+	if P == 1 {
+		return 0, 0, 0
+	}
 	var maxPkts int64
 	for i := 0; i < P; i++ {
 		var sent, recv int64

@@ -213,34 +213,10 @@ func areaAddrs(addrs []disk.Addr, ar disk.Area, lo, hi int) []disk.Addr {
 	return addrs
 }
 
-// prefetchAddrs collects the blocks group g's fetching phase will
-// read: its slice of the committed context area plus its incoming
-// message blocks (routed regions, or the scattered directory in the
-// NoRouting ablation).
-func (e *seqEngine) prefetchAddrs(g int) []disk.Addr {
-	lo, hi := e.groupBounds(g)
-	addrs := areaAddrs(nil, e.ctxRead(), lo*e.muBlocks, hi*e.muBlocks)
-	if e.opts.NoRouting {
-		if e.inDir != nil {
-			for d, refs := range e.inDir.q[g] {
-				for _, ref := range refs {
-					addrs = append(addrs, disk.Addr{Disk: d, Track: ref.track})
-				}
-			}
-		}
-		return addrs
-	}
-	if g < len(e.inRegions) {
-		for _, r := range e.inRegions[g] {
-			addrs = areaAddrs(addrs, r.area, r.lo, r.hi)
-		}
-	}
-	return addrs
-}
-
 // prefetchBatch collects the blocks processor ps will read for batch
 // j: its slice of the committed context area plus the routed regions
-// of the batch.
+// of the batch. (The NoRouting ablation cannot run durably, so it never
+// has a store to prefetch into.)
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"embsp/internal/bsp"
@@ -317,7 +318,7 @@ func TestResumeCorruptJournal(t *testing.T) {
 func TestResumeNoCheckpoint(t *testing.T) {
 	cfg := parMachine(1, 4, 8, 256)
 	dir := t.TempDir()
-	f, err := disk.OpenFile(dir, disk.Config{D: cfg.D, B: cfg.B}, false)
+	f, err := disk.OpenFile(filepath.Join(dir, "proc-00"), disk.Config{D: cfg.D, B: cfg.B}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +334,77 @@ func TestResumeNoCheckpoint(t *testing.T) {
 	if !errors.As(err, &je) {
 		t.Fatalf("got %v, want *journal.Error", err)
 	}
+}
+
+// TestResumeRefusesOlderManifest: state directories journaled by the
+// engines before they were merged (the P=1 "SEQ" manifest with its
+// drives at the root, the P>1 "PAR" manifest) followed other model
+// rules; continuing one would blend two rules' I/O counts into one
+// run's statistics. They are refused by the manifest kind, before a
+// single drive is opened: the directory is left byte for byte as found.
+func TestResumeRefusesOlderManifest(t *testing.T) {
+	const seqKind, parKind = 0x5345513, 0x5041523
+	for _, tc := range []struct {
+		name   string
+		kind   uint64
+		p      int
+		drives []string
+	}{
+		{"SEQ", seqKind, 1, []string{"."}},
+		{"PAR", parKind, 2, []string{"proc-00", "proc-01"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := parMachine(tc.p, 4, 8, 256)
+			dir := t.TempDir()
+			for _, sub := range tc.drives {
+				f, err := disk.OpenFile(filepath.Join(dir, sub), disk.Config{D: cfg.D, B: cfg.B}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			j, err := journal.Create(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append([]uint64{tc.kind, 0xfeed, 1, 0}); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+
+			before := dirBytes(t, dir)
+			_, err = core.Run(testProgram(), cfg, core.Options{Seed: 3, StateDir: dir, Resume: true})
+			if err == nil || !strings.Contains(err.Error(), "different engine") {
+				t.Fatalf("got %v, want the manifest-kind refusal", err)
+			}
+			if !reflect.DeepEqual(before, dirBytes(t, dir)) {
+				t.Error("the refused resume changed the directory")
+			}
+		})
+	}
+}
+
+// dirBytes reads every file under root, keyed by relative path
+// (directories map to nil).
+func dirBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			files[rel] = nil
+			return nil
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestResumeConfigMismatch: a journal records a fingerprint of the

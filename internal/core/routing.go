@@ -6,6 +6,55 @@ import (
 	"embsp/internal/prng"
 )
 
+// blockRef locates one staged message block together with its
+// directory entry.
+type blockRef struct {
+	track int
+	meta  blockMeta
+}
+
+// outDirectory holds the standard-linked-format state of Step 1(d):
+// for every (bucket, drive) pair, the ordered list of tracks on that
+// drive holding blocks of that bucket. Algorithm 2 uses D buckets; the
+// NoRouting ablation buckets directly by destination batch.
+type outDirectory struct {
+	q     [][][]blockRef // [bucket][drive]
+	total int
+}
+
+func newOutDirectory(buckets, D int) *outDirectory {
+	d := &outDirectory{q: make([][][]blockRef, buckets)}
+	for b := range d.q {
+		d.q[b] = make([][]blockRef, D)
+	}
+	return d
+}
+
+// maxSkew is the Lemma 2 observation: the largest ratio, over buckets,
+// of the maximum per-drive share to the even share R/D.
+func (d *outDirectory) maxSkew() float64 {
+	var worst float64
+	for _, perDrive := range d.q {
+		R, maxPer := 0, 0
+		for _, refs := range perDrive {
+			R += len(refs)
+			maxPer = max(maxPer, len(refs))
+		}
+		if R > 0 {
+			worst = max(worst, float64(maxPer)*float64(len(perDrive))/float64(R))
+		}
+	}
+	return worst
+}
+
+// groupRegion is a slice [lo, hi) of an area holding one group's
+// incoming message blocks.
+type groupRegion struct {
+	area disk.Area
+	lo   int
+	hi   int
+}
+
 // blockWriter implements Step 1(d) of Algorithm 1 (and the disk-write
 // part of Step 1(c) of Algorithm 3): it accepts block images, buffers
 // up to D of them, and flushes each full buffer in one parallel write
@@ -33,14 +82,15 @@ type blockWriter struct {
 	pending int
 }
 
-// newBlockWriter returns a writer over the processor's operation buffer
-// and request list, which it owns until the superstep's last flush.
+// newBlockWriter returns a writer over the processor's operation
+// buffer, request list and pending-block tables, which it owns until
+// the superstep's last flush.
 func newBlockWriter(dsk disk.Disk, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
 	D, B := dsk.Config().D, dsk.Config().B
 	return &blockWriter{
 		dsk: dsk, dir: dir, bucketKey: bucketKey, rng: rng, det: det, down: down,
 		buf: fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
-		metas: make([]blockMeta, D), perm: make([]int, D),
+		metas: grow(&bufs.pending, D), perm: grow(&bufs.perm, D),
 	}
 }
 
@@ -152,22 +202,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, dir *o
 	D, B := dsk.Config().D, dsk.Config().B
 	res := &routeResult{total: dir.total}
 
-	// Lemma 2 observation: per-drive share of each bucket.
-	for b := 0; b < D; b++ {
-		R, maxPer := 0, 0
-		for s := 0; s < D; s++ {
-			n := len(dir.q[b][s])
-			R += n
-			if n > maxPer {
-				maxPer = n
-			}
-		}
-		if R > 0 {
-			if skew := float64(maxPer) * float64(D) / float64(R); skew > res.stats.maxSkew {
-				res.stats.maxSkew = skew
-			}
-		}
-	}
+	res.stats.maxSkew = dir.maxSkew()
 
 	bufWords := D * B
 	if err := acct.Grab(int64(bufWords)); err != nil {
@@ -290,22 +325,22 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, dir *o
 // operation takes the next pending block of each drive, so the op
 // count equals the maximum per-drive share — exactly the quantity
 // Lemma 2 bounds. Source tracks are released after reading. Returns
-// like readRegions; the caller releases the grab.
-func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
+// like readRegions.
+func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, refs := range perDrive {
 		total += len(refs)
 	}
 	if total == 0 {
-		return nil, nil, 0, nil
+		return batchIn{}, nil
 	}
-	grabbed = int64(total * B)
+	grabbed := int64(total * B)
 	if err := acct.Grab(grabbed); err != nil {
-		return nil, nil, 0, err
+		return batchIn{}, err
 	}
-	buf = fit(&bufs.region, total*B)
-	metas = grow(&bufs.metas, total)[:0]
+	buf := fit(&bufs.region, total*B)
+	metas := grow(&bufs.metas, total)[:0]
 	grow(&bufs.reads, len(perDrive))
 	grow(&bufs.rel, len(perDrive))
 	cursors := make([]int, len(perDrive))
@@ -325,48 +360,48 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive
 		}
 		if err := dsk.ReadOp(reqs); err != nil {
 			acct.Release(grabbed)
-			return nil, nil, 0, err
+			return batchIn{}, err
 		}
 		for _, r := range toRelease {
 			if err := dsk.Release(r.Disk, r.Track); err != nil {
 				acct.Release(grabbed)
-				return nil, nil, 0, err
+				return batchIn{}, err
 			}
 		}
 	}
-	return buf, metas, grabbed, nil
+	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
 }
 
 // readRegions reads all blocks of the given regions into the
 // processor's region buffer, grabbing their words, and parses their
-// directory entries. The caller releases the returned grab; buf and
-// metas stay valid until the next read into the region buffer.
-func readRegions(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (buf []uint64, metas []blockMeta, grabbed int64, err error) {
+// directory entries. The caller releases the returned grab; the
+// batchIn stays valid until the next read into the region buffer.
+func readRegions(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, r := range regions {
 		total += r.hi - r.lo
 	}
 	if total == 0 {
-		return nil, nil, 0, nil
+		return batchIn{}, nil
 	}
-	grabbed = int64(total * B)
+	grabbed := int64(total * B)
 	if err := acct.Grab(grabbed); err != nil {
-		return nil, nil, 0, err
+		return batchIn{}, err
 	}
-	buf = fit(&bufs.region, total*B)
+	buf := fit(&bufs.region, total*B)
 	off := 0
 	for _, r := range regions {
 		nb := r.hi - r.lo
 		if err := disk.ReadRange(dsk, r.area, r.lo, r.hi, buf[off*B:(off+nb)*B]); err != nil {
 			acct.Release(grabbed)
-			return nil, nil, 0, err
+			return batchIn{}, err
 		}
 		off += nb
 	}
-	metas = grow(&bufs.metas, total)
+	metas := grow(&bufs.metas, total)
 	for i := 0; i < total; i++ {
 		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
 	}
-	return buf, metas, grabbed, nil
+	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
 }

@@ -81,6 +81,12 @@ func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, 
 // close releases the whole chain.
 func (s *storeStack) close() error { return s.store.Close() }
 
+// redBudget returns the per-barrier track budget for background
+// redundancy maintenance (rebuild and scrub): a deterministic slice of
+// work per committed superstep, proportional to the drive count so the
+// maintenance rate scales with the machine.
+func redBudget(D int) int { return 4 * D }
+
 // parityBarrier is the parity-aware commit point: at every barrier the
 // superstep's fresh tracks are striped into parity groups, then a
 // budgeted slice of background maintenance runs — online rebuild of a
