@@ -91,6 +91,9 @@ func fatal(err error) bool {
 	return errors.As(err, &we)
 }
 
+// coordinator is the cluster's core.Transport: the driver in CoordCore
+// decides what runs when, and every phase is one lockstep fan-out of
+// requests to the workers.
 type coordinator struct {
 	cc      Config
 	core    *core.CoordCore
@@ -109,7 +112,10 @@ type coordinator struct {
 	pmu     sync.Mutex
 	pending map[*Link]struct{}
 
-	stepOpen bool
+	// staged holds the snapshots the open barrier's phase-one replies
+	// carried, until its decision lands; barrier is when that phase began.
+	staged  []*core.NodeSnapshot
+	barrier time.Time
 
 	// replApply tracks the (at most one) background replica-apply
 	// batch; see applySnapshots / replWait.
@@ -174,34 +180,13 @@ func Run(cc Config) (*core.Result, error) {
 		c.replica = rs
 	}
 	defer c.shutdown()
-	if c.core.Committed() > 0 {
-		if err := c.core.LoadCommitted(); err != nil {
-			return nil, err
-		}
-	}
 	c.acceptWG.Add(1)
 	go c.acceptLoop()
 
 	if err := c.gatherAll(); err != nil {
 		return nil, err
 	}
-	if c.core.Committed() == 0 {
-		if err := c.runSetup(); err != nil {
-			return nil, err
-		}
-	}
-	halted := c.core.Halted()
-	for step := c.core.StepsDone(); !halted; step++ {
-		if step >= c.core.MaxSupersteps() {
-			return nil, fmt.Errorf("core: no convergence after %d supersteps", c.core.MaxSupersteps())
-		}
-		h, err := c.runStep(step)
-		if err != nil {
-			return nil, err
-		}
-		halted = h
-	}
-	return c.assemble()
+	return c.core.Run(c)
 }
 
 func (c *coordinator) probe(phase string, step int) {
@@ -564,45 +549,34 @@ func (c *coordinator) fanout(respKind uint64, req func(i int) []uint64) ([]*word
 	return decs, errors.Join(errs...)
 }
 
-// runSetup drives the setup barrier (decision record 0). No barrier
-// has committed yet, so recovery from any failure here is a full
-// reset-and-retry of the setup on every worker.
-func (c *coordinator) runSetup() error {
-	for attempt := 0; ; attempt++ {
-		err := c.trySetup()
-		if err == nil {
-			return nil
-		}
-		if fatal(err) || attempt >= c.cc.StepRetries {
-			return err
-		}
-		add(c.replays, 1)
-		c.probe("recover", -1)
-		if err := c.resetAll(); err != nil {
-			return err
-		}
+// collect is fanout with every response decoded.
+func collect[T any](c *coordinator, respKind uint64, req func(i int) []uint64, decode func(*words.Decoder) T) ([]T, error) {
+	decs, err := c.fanout(respKind, req)
+	if err != nil {
+		return nil, err
 	}
+	out := make([]T, len(decs))
+	for i, dec := range decs {
+		out[i] = decode(dec)
+	}
+	return out, nil
 }
 
-func (c *coordinator) trySetup() error {
+// Setup is phase one of the setup barrier (decision record 0).
+func (c *coordinator) Setup() ([]disk.Stats, error) {
 	c.replWait()
 	decs, err := c.fanout(msgSetupOut, func(i int) []uint64 { return encodeSetup(c.replReq(i)) })
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stats := make([]disk.Stats, len(decs))
-	snaps := make([]*core.NodeSnapshot, len(decs))
+	c.staged = make([]*core.NodeSnapshot, len(decs))
 	for i, dec := range decs {
 		stats[i] = core.DecodeDiskStats(dec)
-		snaps[i] = c.stageSnapshot(i, dec)
+		c.staged[i] = c.stageSnapshot(i, dec)
 	}
 	c.probe("prepare", -1)
-	if err := c.core.CommitSetup(stats); err != nil {
-		return err
-	}
-	c.applySnapshots(snaps)
-	c.probe("decided", -1)
-	return c.broadcastCommit()
+	return stats, nil
 }
 
 // replReq builds worker i's replication piggyback for this barrier's
@@ -630,33 +604,43 @@ func (c *coordinator) stageSnapshot(i int, dec *words.Decoder) *core.NodeSnapsho
 	return snap
 }
 
-// resetAll wipes every worker fresh (live ones via RESET, dead ones
-// at rejoin, where the C == 0 handshake resets them).
-func (c *coordinator) resetAll() error {
+// Rollback is abort-and-replay: any transport failure before the
+// decision record lands rolls every participant back to the last
+// committed barrier. Live workers reload their journals — or, while no
+// barrier has committed yet, are wiped fresh — and dead workers rejoin,
+// where the handshake does the same (their prepared tails are presumed
+// aborted). The driver rewinds its accounting; no operations are
+// charged, so a replay leaves no trace in the Result.
+func (c *coordinator) Rollback(step, attempt int, cause error) (int64, error) {
+	if fatal(cause) || attempt >= c.cc.StepRetries {
+		return 0, cause
+	}
+	add(c.replays, 1)
+	c.probe("recover", step)
+	req, resp := encodeKind(msgAbort), msgAborted
+	if step < 0 {
+		req, resp = welcome{Reset: true}.encode(), msgWelcomeOut
+	}
 	for i, l := range c.links {
 		if l == nil {
 			continue
 		}
-		ok := l.Send(welcome{Reset: true}.encode()) == nil
-		if ok {
-			msg, err := l.Recv(c.cc.RecvTimeout)
-			if err == nil {
-				if _, err := expect(msg, msgWelcomeOut); err != nil {
-					if fatal(err) {
-						return err
-					}
-					ok = false
-				}
-			} else {
-				ok = false
+		err := l.Send(req)
+		if err == nil {
+			var msg []uint64
+			if msg, err = l.Recv(c.cc.RecvTimeout); err == nil {
+				_, err = expect(msg, resp)
 			}
 		}
-		if !ok {
+		if fatal(err) {
+			return 0, err
+		}
+		if err != nil {
 			l.Close()
 			c.links[i] = nil
 		}
 	}
-	return c.reacquire()
+	return 0, c.reacquire()
 }
 
 // reacquire restores every empty worker slot: trigger the respawn
@@ -674,184 +658,92 @@ func (c *coordinator) reacquire() error {
 	return c.gatherAll()
 }
 
-// runStep drives one compound superstep with abort-and-replay
-// recovery: any transport failure before the decision record lands
-// aborts the attempt everywhere and replays it; failures after the
-// decision only delay the commit broadcast, never the outcome.
-func (c *coordinator) runStep(step int) (halted bool, err error) {
-	for attempt := 0; ; attempt++ {
-		halted, err = c.tryStep(step)
-		if err == nil {
-			return halted, nil
-		}
-		if fatal(err) || attempt >= c.cc.StepRetries {
-			return false, err
-		}
-		add(c.replays, 1)
-		c.probe("recover", step)
-		if err := c.abortStep(); err != nil {
-			return false, err
-		}
-	}
+func (c *coordinator) Begin(step int) error {
+	_, err := c.fanout(msgOK, func(int) []uint64 { return encodeKindStep(msgStepBegin, int64(step)) })
+	return err
 }
 
-// abortStep rolls every participant back to the last committed
-// barrier: the coordinator rewinds its accounting, live workers
-// reload their journals, dead workers rejoin (their prepared tails
-// are presumed aborted by the handshake).
-func (c *coordinator) abortStep() error {
-	if c.stepOpen {
-		c.core.AbortStep()
-		c.stepOpen = false
-	}
-	for i, l := range c.links {
-		if l == nil {
-			continue
-		}
-		ok := l.Send(encodeKind(msgAbort)) == nil
-		if ok {
-			msg, err := l.Recv(c.cc.RecvTimeout)
-			if err == nil {
-				if _, err := expect(msg, msgAborted); err != nil {
-					if fatal(err) {
-						return err
-					}
-					ok = false
-				}
-			} else {
-				ok = false
-			}
-		}
-		if !ok {
-			l.Close()
-			c.links[i] = nil
-		}
-	}
-	return c.reacquire()
-}
-
-func (c *coordinator) tryStep(step int) (halted bool, err error) {
-	P := len(c.links)
-	c.core.BeginStep()
-	c.stepOpen = true
-	if _, err := c.fanout(msgOK, func(int) []uint64 {
-		return encodeKindStep(msgStepBegin, int64(step))
-	}); err != nil {
-		return false, err
-	}
-	for j := 0; j < c.core.Batches(); j++ {
-		// Fetching phase.
-		decs, err := c.fanout(msgFetchOut, func(int) []uint64 {
-			return encodeKindStep(msgFetch, int64(j), int64(step))
-		})
-		if err != nil {
-			return false, err
-		}
-		outs := make([]fetchOut, P)
-		for i, dec := range decs {
-			outs[i] = decodeFetchOut(dec)
-			if outs[i].Has {
-				c.core.AddFetch(i, outs[i].NWords)
-			}
-		}
-		// Computing phase: relay each worker its inbox column.
-		decs, err = c.fanout(msgComputeOut, func(dst int) []uint64 {
-			in := make([]core.BlockBatch, P)
-			for src := 0; src < P; src++ {
-				if outs[src].Has {
-					in[src] = outs[src].Out[dst]
-				}
-			}
-			return encodeCompute(j, step, in)
-		})
-		if err != nil {
-			return false, err
-		}
-		bos := make([]*core.BatchOut, P)
-		for i, dec := range decs {
-			bos[i] = decodeComputeOut(dec)
-			c.core.AddBatch(i, bos[i])
-			c.core.RecordTraffic(bos[i].Traffic)
-		}
-		// Writing phase: relay the scattered packets.
-		if _, err = c.fanout(msgOK, func(dst int) []uint64 {
-			in := make([]core.BlockBatch, P)
-			for src := 0; src < P; src++ {
-				in[src] = bos[src].Scatter[dst]
-			}
-			return encodeWrite(j, step, in)
-		}); err != nil {
-			return false, err
-		}
-	}
-	// Vote.
-	decs, err := c.fanout(msgSumOut, func(int) []uint64 { return encodeKind(msgSum) })
-	if err != nil {
-		return false, err
-	}
-	var halts, sends int
-	var maxOps int64
-	for _, dec := range decs {
-		s := decodeSumOut(dec)
-		halts += s.Halts
-		sends += s.Sends
-		if s.Ops > maxOps {
-			maxOps = s.Ops
-		}
-	}
-	halted, err = c.core.Vote(step, halts, sends)
-	if err != nil {
-		return false, err // a program bug, not a fault: fatal
-	}
-	if !halted {
-		// Step 2 of Algorithm 3 on every node.
-		decs, err := c.fanout(msgRouteOut, func(int) []uint64 {
-			return encodeKindStep(msgRoute, int64(step))
-		})
-		if err != nil {
-			return false, err
-		}
-		maxOps = 0
-		for _, dec := range decs {
-			if ops := dec.Ints()[0]; ops > maxOps {
-				maxOps = ops
-			}
-		}
-	}
-	c.core.FinishStep(maxOps)
-
-	// Two-phase commit: PREPARE everywhere, then the decision record,
-	// then COMMIT everywhere.
-	haltWord := int64(0)
-	if halted {
-		haltWord = 1
-	}
-	c.probe("prepare", step)
-	barrier := time.Now()
-	c.replWait() // the previous barrier's apply had the whole superstep to land
-	decs, err = c.fanout(msgPrepared, func(i int) []uint64 {
-		return encodePrepare(step, haltWord != 0, c.replReq(i))
+func (c *coordinator) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
+	decs, err := c.fanout(msgFetchOut, func(int) []uint64 {
+		return encodeKindStep(msgFetch, int64(j), int64(step))
 	})
 	if err != nil {
-		return false, err
+		return nil, nil, err
 	}
-	snaps := make([]*core.NodeSnapshot, len(decs))
+	rows, nwords := make([][]core.BlockBatch, len(decs)), make([][]int64, len(decs))
 	for i, dec := range decs {
-		snaps[i] = c.stageSnapshot(i, dec)
+		rows[i], nwords[i] = decodeFetchOut(dec)
 	}
-	if err := c.core.CommitStep(step, halted); err != nil {
-		return false, err
+	return rows, nwords, nil
+}
+
+// column is what every worker addressed to dst in the phase just
+// finished, relayed in the next request to dst.
+func column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
+	in := make([]core.BlockBatch, len(rows))
+	for src, row := range rows {
+		if row != nil {
+			in[src] = row[dst]
+		}
 	}
-	c.stepOpen = false
-	c.applySnapshots(snaps)
+	return in
+}
+
+func (c *coordinator) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
+	return collect(c, msgComputeOut, func(dst int) []uint64 {
+		return encodeBatchReq(msgCompute, j, step, column(dst, rows))
+	}, decodeComputeOut)
+}
+
+func (c *coordinator) Write(j, step int, outs []*core.BatchOut) error {
+	rows := make([][]core.BlockBatch, len(outs))
+	for src, bo := range outs {
+		rows[src] = bo.Scatter
+	}
+	_, err := c.fanout(msgOK, func(dst int) []uint64 {
+		return encodeBatchReq(msgWrite, j, step, column(dst, rows))
+	})
+	return err
+}
+
+func (c *coordinator) Totals() ([]core.StepTotals, error) {
+	return collect(c, msgSumOut, func(int) []uint64 { return encodeKind(msgSum) }, decodeSumOut)
+}
+
+func (c *coordinator) Route(step int) ([]int64, error) {
+	return collect(c, msgRouteOut, func(int) []uint64 { return encodeKindStep(msgRoute, int64(step)) },
+		func(dec *words.Decoder) int64 { return dec.Ints()[0] })
+}
+
+// Prepare is 2PC phase one: every worker journals its prepared barrier
+// record (and, with replication on, ships its snapshot).
+func (c *coordinator) Prepare(step int, halted bool) ([]int64, error) {
+	c.probe("prepare", step)
+	c.barrier = time.Now()
+	c.replWait() // the previous barrier's apply had the whole superstep to land
+	decs, err := c.fanout(msgPrepared, func(i int) []uint64 { return encodePrepare(step, halted, c.replReq(i)) })
+	if err != nil {
+		return nil, err
+	}
+	c.staged = make([]*core.NodeSnapshot, len(decs))
+	for i, dec := range decs {
+		c.staged[i] = c.stageSnapshot(i, dec)
+	}
+	return nil, nil
+}
+
+// Commit runs once the decision record landed: the staged snapshots
+// become the replica's, then 2PC phase two.
+func (c *coordinator) Commit(step int) error {
+	c.applySnapshots(c.staged)
 	c.probe("decided", step)
 	if err := c.broadcastCommit(); err != nil {
-		return false, err
+		return err
 	}
-	if c.barrierWait != nil {
-		c.barrierWait.Observe(time.Since(barrier).Nanoseconds())
+	if step >= 0 && c.barrierWait != nil {
+		c.barrierWait.Observe(time.Since(c.barrier).Nanoseconds())
 	}
-	return halted, nil
+	return nil
 }
 
 // broadcastCommit is 2PC phase two: tell every worker the decision
@@ -871,19 +763,7 @@ func (c *coordinator) broadcastCommit() error {
 		}
 		// Drop dead links; rejoining workers reconcile to the
 		// committed record, which doubles as their COMMIT.
-		for i, l := range c.links {
-			if l != nil && l.Err() != nil {
-				l.Close()
-				c.links[i] = nil
-			}
-		}
-		live := 0
-		for _, l := range c.links {
-			if l != nil {
-				live++
-			}
-		}
-		if live == len(c.links) {
+		if c.dropDead() == 0 {
 			// Everyone is connected yet the broadcast failed — a
 			// protocol error rather than a death; surface it.
 			return err
@@ -935,32 +815,35 @@ func (c *coordinator) replWait() {
 	}
 }
 
-func (c *coordinator) assemble() (*core.Result, error) {
-	decs, err := c.fanout(msgFinalOut, func(int) []uint64 { return encodeKind(msgFinal) })
-	if err != nil {
+// dropDead closes and forgets every link that has failed, and returns
+// how many worker slots are now empty.
+func (c *coordinator) dropDead() (empty int) {
+	for i, l := range c.links {
+		if l != nil && l.Err() != nil {
+			l.Close()
+			c.links[i] = nil
+		}
+		if c.links[i] == nil {
+			empty++
+		}
+	}
+	return empty
+}
+
+func (c *coordinator) Final() ([]*core.NodeReport, error) {
+	final := func() ([]*core.NodeReport, error) {
+		return collect(c, msgFinalOut, func(int) []uint64 { return encodeKind(msgFinal) }, core.DecodeNodeReport)
+	}
+	reports, err := final()
+	if err != nil && !fatal(err) {
 		// The run is fully committed; losing a worker while reading
 		// final contexts is recoverable by rejoin and retry.
-		if fatal(err) {
-			return nil, err
-		}
-		for i, l := range c.links {
-			if l != nil && l.Err() != nil {
-				l.Close()
-				c.links[i] = nil
-			}
-		}
-		if err := c.reacquire(); err != nil {
-			return nil, err
-		}
-		if decs, err = c.fanout(msgFinalOut, func(int) []uint64 { return encodeKind(msgFinal) }); err != nil {
-			return nil, err
+		c.dropDead()
+		if err = c.reacquire(); err == nil {
+			reports, err = final()
 		}
 	}
-	reports := make([]*core.NodeReport, len(decs))
-	for i, dec := range decs {
-		reports[i] = core.DecodeNodeReport(dec)
-	}
-	return c.core.Assemble(reports)
+	return reports, err
 }
 
 // shutdown releases every resource; workers (parked spares included)

@@ -360,39 +360,32 @@ func decodeBatches(dec *words.Decoder) []core.BlockBatch {
 	return bs
 }
 
-// fetchOut carries one worker's fetching-phase output: the batch's
-// blocks grouped by destination (absent when the batch had no input)
-// and the per-destination word counts for the cost model.
-type fetchOut struct {
-	Has    bool
-	Out    []core.BlockBatch
-	NWords []int64
-}
-
-func (f fetchOut) encode() []uint64 {
+// encodeFetchOut carries one worker's fetching-phase output: the
+// batch's blocks grouped by destination (a nil out: the batch had no
+// input) and the per-destination word counts for the cost model.
+func encodeFetchOut(out []core.BlockBatch, nwords []int64) []uint64 {
 	enc := words.NewEncoder(nil)
 	enc.PutUint(msgFetchOut)
-	enc.PutBool(f.Has)
-	if f.Has {
-		encodeBatches(enc, f.Out)
-		enc.PutInts(f.NWords)
+	enc.PutBool(out != nil)
+	if out != nil {
+		encodeBatches(enc, out)
+		enc.PutInts(nwords)
 	}
 	return enc.Words()
 }
 
-func decodeFetchOut(dec *words.Decoder) fetchOut {
-	var f fetchOut
-	f.Has = dec.Bool()
-	if f.Has {
-		f.Out = decodeBatches(dec)
-		f.NWords = dec.Ints()
+func decodeFetchOut(dec *words.Decoder) (out []core.BlockBatch, nwords []int64) {
+	if dec.Bool() {
+		out, nwords = decodeBatches(dec), dec.Ints()
 	}
-	return f
+	return out, nwords
 }
 
-func encodeCompute(j, step int, in []core.BlockBatch) []uint64 {
+// encodeBatchReq is a COMPUTE or WRITE request: round j of superstep
+// step, with the batches the worker received, one per source.
+func encodeBatchReq(kind uint64, j, step int, in []core.BlockBatch) []uint64 {
 	enc := words.NewEncoder(nil)
-	enc.PutUint(msgCompute)
+	enc.PutUint(kind)
 	enc.PutInts([]int64{int64(j), int64(step)})
 	encodeBatches(enc, in)
 	return enc.Words()
@@ -417,27 +410,14 @@ func decodeComputeOut(dec *words.Decoder) *core.BatchOut {
 	}
 }
 
-func encodeWrite(j, step int, in []core.BlockBatch) []uint64 {
-	enc := words.NewEncoder(nil)
-	enc.PutUint(msgWrite)
-	enc.PutInts([]int64{int64(j), int64(step)})
-	encodeBatches(enc, in)
-	return enc.Words()
-}
-
-// sumOut carries the worker's superstep totals at the vote point.
-type sumOut struct {
-	Halts, Sends int
-	Ops          int64
-}
-
-func (s sumOut) encode() []uint64 {
+// encodeSumOut carries the worker's superstep totals at the vote point.
+func encodeSumOut(s core.StepTotals) []uint64 {
 	return encodeKindStep(msgSumOut, int64(s.Halts), int64(s.Sends), s.Ops)
 }
 
-func decodeSumOut(dec *words.Decoder) sumOut {
+func decodeSumOut(dec *words.Decoder) core.StepTotals {
 	f := dec.Ints()
-	return sumOut{Halts: int(f[0]), Sends: int(f[1]), Ops: f[2]}
+	return core.StepTotals{Halts: int(f[0]), Sends: int(f[1]), Ops: f[2]}
 }
 
 func encodeFinalOut(r *core.NodeReport) []uint64 {

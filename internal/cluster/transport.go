@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"embsp/internal/fault"
-	"embsp/internal/jobs"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
 )
@@ -337,7 +336,7 @@ func (l *Link) ack(seq uint64) error {
 }
 
 // Send delivers msg to the peer, retransmitting on ACK timeout with
-// jobs.BackoffDelay between attempts, up to the retry bound. Stale
+// prng.BackoffDelay between attempts, up to the retry bound. Stale
 // duplicate data arriving while the ACK is awaited is re-ACKed (the
 // peer is retransmitting because our ACK was lost).
 func (l *Link) Send(msg []uint64) error {
@@ -345,7 +344,7 @@ func (l *Link) Send(msg []uint64) error {
 	for attempt := 0; attempt <= l.retries; attempt++ {
 		if attempt > 0 {
 			add(l.retriesC, 1)
-			time.Sleep(jobs.BackoffDelay(l.seed^seq, attempt))
+			time.Sleep(prng.BackoffDelay(l.seed^seq, attempt))
 		}
 		if err := l.writeFrame(frameData, seq, msg, attempt); err != nil {
 			return err

@@ -239,10 +239,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		return w.welcomeOut(), false
 	case msgSetup:
 		req := decodeReplReq(dec)
-		if err := w.engine.Setup(); err != nil {
-			return fail(err)
-		}
-		stats, err := w.engine.PrepareSetup()
+		stats, err := w.engine.Setup()
 		if err != nil {
 			return fail(err)
 		}
@@ -262,7 +259,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		if err != nil {
 			return fail(err)
 		}
-		return fetchOut{Has: out != nil, Out: out, NWords: nwords}.encode(), false
+		return encodeFetchOut(out, nwords), false
 	case msgCompute:
 		f := dec.Ints()
 		in := decodeBatches(dec)
@@ -280,14 +277,13 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		}
 		return encodeKind(msgOK), false
 	case msgSum:
-		halts, sends := w.engine.StepTotals()
-		return sumOut{Halts: halts, Sends: sends, Ops: w.engine.StepOps()}.encode(), false
+		return encodeSumOut(w.engine.StepTotals()), false
 	case msgRoute:
-		step := int(dec.Ints()[0])
-		if err := w.engine.Route(step); err != nil {
+		ops, err := w.engine.Route(int(dec.Ints()[0]))
+		if err != nil {
 			return fail(err)
 		}
-		return encodeKindStep(msgRouteOut, w.engine.StepOps()), false
+		return encodeKindStep(msgRouteOut, ops), false
 	case msgPrepare:
 		f := dec.Ints()
 		req := decodeReplReq(dec)

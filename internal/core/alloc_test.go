@@ -1,13 +1,17 @@
 package core_test
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
+	"embsp/internal/disk"
+	"embsp/internal/obs"
 )
 
 // TestSteadyStateAllocs is the countable allocation gate (ROADMAP 1(a)):
@@ -64,6 +68,102 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Logf("P=%d: %d bytes and %d objects per superstep", P, perStep, objs)
 		if perStep > ceiling {
 			t.Errorf("P=%d: %d bytes allocated per steady-state superstep, want at most %d", P, perStep, ceiling)
+		}
+	}
+}
+
+// recorder logs the driver's calls on their way to a Transport.
+type recorder struct {
+	t     core.Transport
+	calls []string
+}
+
+func (r *recorder) log(format string, args ...any) {
+	r.calls = append(r.calls, fmt.Sprintf(format, args...))
+}
+
+func (r *recorder) Setup() ([]disk.Stats, error) { r.log("setup"); return r.t.Setup() }
+func (r *recorder) Begin(step int) error         { r.log("begin %d", step); return r.t.Begin(step) }
+func (r *recorder) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
+	r.log("fetch %d/%d", step, j)
+	return r.t.Fetch(j, step)
+}
+func (r *recorder) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
+	r.log("compute %d/%d", step, j)
+	return r.t.Compute(j, step, rows)
+}
+func (r *recorder) Write(j, step int, outs []*core.BatchOut) error {
+	r.log("write %d/%d", step, j)
+	return r.t.Write(j, step, outs)
+}
+func (r *recorder) Totals() ([]core.StepTotals, error) { r.log("totals"); return r.t.Totals() }
+func (r *recorder) Route(step int) ([]int64, error)    { r.log("route %d", step); return r.t.Route(step) }
+func (r *recorder) Prepare(step int, halted bool) ([]int64, error) {
+	r.log("prepare %d %v", step, halted)
+	return r.t.Prepare(step, halted)
+}
+func (r *recorder) Commit(step int) error { r.log("commit %d", step); return r.t.Commit(step) }
+func (r *recorder) Rollback(step, attempt int, cause error) (int64, error) {
+	r.log("rollback %d", step)
+	return r.t.Rollback(step, attempt, cause)
+}
+func (r *recorder) Final() ([]*core.NodeReport, error) { r.log("final"); return r.t.Final() }
+
+// TestBarrierSequenceAndCounts is the first slice of the exact-count
+// gates (ROADMAP 1(d)). One driver means one call sequence: the
+// in-memory transport and the NodeEngine-backed rig must see the very
+// same calls for the same run. And a barrier costs exactly what the
+// design says: one Sync per processor's store and one decision record
+// appended — plus, for nodes with journals of their own, one PREPARE and
+// one COMMIT each.
+func TestBarrierSequenceAndCounts(t *testing.T) {
+	prog := &bsptest.RandomProgram{V: 16, Steps: 2, MsgsPerStep: 4, MaxLen: 12}
+	const supersteps, barriers = 3, 4 // the setup barrier, then one per superstep
+	spans := func(tr *obs.Tracer, name string) (n int64) {
+		for _, ph := range tr.Phases() {
+			if ph.Name == name {
+				n += ph.Count
+			}
+		}
+		return n
+	}
+	for _, P := range []int{1, 2} {
+		cfg := parMachine(P, 2, 8, 256)
+		tr, mem := obs.New(), &recorder{}
+		res, err := core.RunOver(func(e core.Transport) core.Transport { mem.t = e; return mem },
+			prog, cfg, core.Options{Seed: 7, StateDir: t.TempDir(), Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Costs.Supersteps != supersteps {
+			t.Fatalf("P=%d: %d supersteps, the test wants %d", P, res.Costs.Supersteps, supersteps)
+		}
+		if got := spans(tr, "barrier-sync"); got != int64(P*barriers) {
+			t.Errorf("P=%d in process: %d store syncs over %d barriers, want %d", P, got, barriers, P*barriers)
+		}
+		if got := spans(tr, "journal-append"); got != barriers {
+			t.Errorf("P=%d in process: %d journal appends over %d barriers", P, got, barriers)
+		}
+		if P == 1 {
+			continue // a cluster has at least two nodes
+		}
+		tr = obs.New()
+		rig := openRig(t, prog, cfg, core.Options{Seed: 7, Trace: tr}, t.TempDir(), false)
+		wire := &recorder{t: rig}
+		if _, err := rig.coord.Run(wire); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(mem.calls, wire.calls) {
+			t.Errorf("the two transports saw different call sequences:\nin memory: %q\nnodes:     %q", mem.calls, wire.calls)
+		}
+		if got := spans(tr, "barrier-sync"); got != int64(P*barriers) {
+			t.Errorf("nodes: %d store syncs over %d barriers, want %d", got, barriers, P*barriers)
+		}
+		if got := spans(tr, "journal-append"); got != barriers {
+			t.Errorf("nodes: %d decision records over %d barriers", got, barriers)
+		}
+		if rig.prepares != P*barriers || rig.commits != P*barriers {
+			t.Errorf("nodes: %d prepares and %d commits over %d barriers, want %d each", rig.prepares, rig.commits, barriers, P*barriers)
 		}
 	}
 }

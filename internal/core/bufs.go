@@ -34,10 +34,10 @@ type stepBufs struct {
 
 	// The rows this processor owns of the block exchange (of out, a
 	// machine without one fills only the traffic records).
-	fetched [][]wireBlock // fetching phase output, per destination
+	fetched []BlockBatch // fetching phase output, per destination
 	nwords  []int64
-	recv    [][]wireBlock // the current phase's input, per source
-	out     batchOut      // computing phase output
+	recv    []BlockBatch // the current phase's input, per source
+	out     BatchOut     // computing phase output
 }
 
 // bufCanary, when non-zero, is stamped over every word buffer fit hands

@@ -1,24 +1,24 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/journal"
-	"embsp/internal/obs"
 	"embsp/internal/prng"
 	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
 // This file is the cluster runtime's view of the engine: a NodeEngine
-// wraps exactly one real processor (one worker process) and a
-// CoordCore holds the coordinator's global accounting. Both reuse the
-// simShape phase bodies and manifest encoders the in-process engine
-// runs, so a cluster run is bitwise-identical to core.Run with
-// the same (program, machine config, options) tuple — the in-process
-// engine stays the p-node reference oracle.
+// is one real processor of the step machine (node.go) with a journal of
+// its own, for one worker process, and a CoordCore is the superstep
+// driver (driver.go) with a journal of its own, for the coordinator,
+// whose Transport carries the phases over the wire. The in-process
+// engine runs the same driver over the same machine, which is what
+// makes it the p-node reference oracle.
 //
 // Durability is per process: every node journals its own barrier
 // state, and the coordinator's journal holds the 2PC decision record.
@@ -102,17 +102,6 @@ func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
 	return BlockBatch{blocks: blocks}
 }
 
-// BatchOut is one processor's computing-phase output: scattered packet
-// blocks per destination processor, the off-processor packet/word
-// tallies for the communication model, and per-VP traffic records for
-// the coordinator's cost recorder.
-type BatchOut struct {
-	Scatter []BlockBatch
-	Pkts    []int64
-	Wrds    []int64
-	Traffic []bsp.VPTraffic
-}
-
 // EncodeTraffic / DecodeTraffic are the wire form of VP traffic
 // records.
 func EncodeTraffic(enc *words.Encoder, ts []bsp.VPTraffic) {
@@ -139,15 +128,16 @@ func DecodeTraffic(dec *words.Decoder) []bsp.VPTraffic {
 	return ts
 }
 
-// NodeReport is a node's final accounting, shipped to the coordinator
-// after the run halts.
+// NodeReport is a node's final accounting, handed to the driver after
+// the run halts.
 type NodeReport struct {
 	Lo, Hi           int
 	RunStats         disk.Stats
 	FinishOps        int64
 	FinishReadOps    int64
 	FinishBlocksRead int64
-	Ctx              [][]uint64 // final contexts of VPs Lo..Hi, in order
+	Ctx              [][]uint64 // final contexts of VPs Lo..Hi, in order — or
+	vps              []bsp.VP   // the VPs themselves, when the report never leaves the process
 	RouteOps         int64
 	Ragged           int64
 	MaxSkew          float64
@@ -319,18 +309,14 @@ func (n *NodeEngine) LoadCommitted() error {
 }
 
 // Setup reserves the node's context areas and writes its VPs' initial
-// contexts.
-func (n *NodeEngine) Setup() error {
+// contexts, then collects the setup-phase statistics (resetting the
+// running counters, at the boundary the in-process engine resets them)
+// and prepares the setup barrier record.
+func (n *NodeEngine) Setup() (disk.Stats, error) {
 	n.sh.setupReserve(n.ps)
-	sp := n.sh.tr.Begin(obs.CatEngine, phSetup, n.ps.id, 0)
-	defer sp.End()
-	return n.sh.writeInitialContexts(n.ps)
-}
-
-// PrepareSetup collects the setup-phase statistics (resetting the
-// running counters, exactly at the boundary the in-process engine
-// resets them), then prepares the setup barrier record.
-func (n *NodeEngine) PrepareSetup() (disk.Stats, error) {
+	if err := n.sh.writeInitialContexts(n.ps); err != nil {
+		return disk.Stats{}, err
+	}
 	stats := n.ps.dsk.Stats()
 	n.ps.dsk.ResetStats()
 	n.stepsDone = 0
@@ -344,20 +330,10 @@ func (n *NodeEngine) BeginStep() { n.sh.beginStep(n.ps) }
 // Fetch runs the fetching phase of batch j: read the batch's blocks
 // from the local disks and group them by destination processor. A nil
 // out means the batch had no input. nwords[o] counts words addressed
-// to processor o; the coordinator charges the off-diagonal entries.
-// out and nwords are valid until the next Fetch (see BlockBatch).
+// to processor o. out and nwords are valid until the next Fetch (see
+// BlockBatch).
 func (n *NodeEngine) Fetch(j, step int) (out []BlockBatch, nwords []int64, err error) {
-	sp := n.sh.tr.BeginStep(obs.CatEngine, phFetchMsg, n.ps.id, 0, step, j)
-	defer sp.End()
-	raw, nwords, err := n.sh.fetchForward(n.ps, j)
-	if err != nil || raw == nil {
-		return nil, nil, err
-	}
-	out = make([]BlockBatch, len(raw))
-	for o := range raw {
-		out[o] = BlockBatch{blocks: raw[o]}
-	}
-	return out, nwords, nil
+	return n.sh.fetchForward(n.ps, j, step)
 }
 
 // Compute runs the computing phase of batch j over the inbox (one
@@ -365,57 +341,29 @@ func (n *NodeEngine) Fetch(j, step int) (out []BlockBatch, nwords []int64, err e
 // is an empty slot). The BatchOut's batches, tallies and traffic records
 // are valid until the next Compute (see BlockBatch).
 func (n *NodeEngine) Compute(j, step int, in []BlockBatch) (*BatchOut, error) {
-	raw := make([][]wireBlock, n.sh.cfg.P)
-	for src := range raw {
-		if src < len(in) {
-			raw[src] = in[src].blocks
-		}
-	}
-	bo, err := n.sh.computeBatch(n.ps, j, step, raw)
-	if err != nil {
-		return nil, err
-	}
-	out := &BatchOut{
-		Scatter: make([]BlockBatch, len(bo.scatter)),
-		Pkts:    bo.pkts,
-		Wrds:    bo.wrds,
-		Traffic: bo.traffic,
-	}
-	for t := range bo.scatter {
-		out.Scatter[t] = BlockBatch{blocks: bo.scatter[t]}
-	}
-	return out, nil
+	return &n.ps.out, n.sh.computeBatch(n.ps, j, step, in)
 }
 
 // Write runs the writing phase: store the scattered packets this node
 // received (one batch per source processor, self included).
 func (n *NodeEngine) Write(j, step int, in []BlockBatch) error {
-	sp := n.sh.tr.BeginStep(obs.CatEngine, phWriteMsg, n.ps.id, 0, step, j)
-	defer sp.End()
-	raw := make([][]wireBlock, n.sh.cfg.P)
-	for src := range raw {
-		if src < len(in) {
-			raw[src] = in[src].blocks
-		}
-	}
-	return n.sh.receiveWrite(n.ps, j, raw)
+	return n.sh.receiveWrite(n.ps, j, step, in)
 }
 
 // StepTotals returns the superstep's halt votes and messages sent by
-// this node's VPs.
-func (n *NodeEngine) StepTotals() (halts, sends int) { return n.ps.halts, n.ps.sends }
-
-// Route runs Step 2 of Algorithm 3 on the node's received blocks; the
-// result is parked until Prepare installs it.
-func (n *NodeEngine) Route(step int) error {
-	sp := n.sh.tr.BeginStep(obs.CatEngine, phRoute, n.ps.id, 0, step, -1)
-	defer sp.End()
-	return n.sh.routeLocal(n.ps)
+// this node's VPs, and the parallel I/O operations it consumed since
+// BeginStep.
+func (n *NodeEngine) StepTotals() StepTotals {
+	return StepTotals{Halts: n.ps.halts, Sends: n.ps.sends, Ops: n.ps.stepOps()}
 }
 
-// StepOps returns the parallel I/O operations this node consumed since
-// BeginStep; the coordinator charges the slowest node's share.
-func (n *NodeEngine) StepOps() int64 { return n.ps.dsk.Stats().Ops - n.ps.opsMark }
+// Route runs Step 2 of Algorithm 3 on the node's received blocks and
+// returns the node's operations since BeginStep; the result is parked
+// until Prepare installs it.
+func (n *NodeEngine) Route(step int) (int64, error) {
+	err := n.sh.routeLocal(n.ps, step)
+	return n.ps.stepOps(), err
+}
 
 // Prepare is the node's PREPARE phase for superstep step: install the
 // parked routing result and flip the context buffers (the local
@@ -431,10 +379,7 @@ func (n *NodeEngine) Prepare(step int, halted bool) error {
 }
 
 func (n *NodeEngine) prepare(step int) error {
-	sp := n.sh.tr.BeginStep(obs.CatEngine, phBarrier, n.ps.id, 0, step, -1)
-	err := n.ps.store.Sync()
-	sp.End()
-	if err != nil {
+	if err := n.sh.syncStore(n.ps, step); err != nil {
 		return err
 	}
 	enc := words.NewEncoder(nil)
@@ -461,14 +406,7 @@ func (n *NodeEngine) Reload() error {
 	// subset-rewrite of them, and earlier uncommitted-to-replica
 	// barriers may still be in the accumulator.
 	n.mergeDirty()
-	var errs []error
-	if err := n.jrn.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := n.ps.store.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := joinErrs(errs); err != nil {
+	if err := errors.Join(n.jrn.Close(), n.ps.store.Close()); err != nil {
 		return err
 	}
 	ps, err := n.sh.newProcState(n.ps.id, procDir(n.dir, n.ps.id), true)
@@ -493,36 +431,11 @@ func (n *NodeEngine) Reload() error {
 // accounting report. It is idempotent: repeated calls (the
 // coordinator retries collection after losing a peer) return the
 // first report rather than re-charging the finish-phase reads.
-func (n *NodeEngine) Final() (*NodeReport, error) {
-	if n.report != nil {
-		return n.report, nil
+func (n *NodeEngine) Final() (r *NodeReport, err error) {
+	if n.report == nil {
+		n.report, err = n.sh.finalReport(n.ps, false)
 	}
-	r := &NodeReport{
-		Lo: n.ps.lo, Hi: n.ps.hi,
-		RunStats: n.ps.dsk.Stats(),
-		RouteOps: n.ps.routeOps,
-		Ragged:   n.ps.ragged,
-		MaxSkew:  n.ps.maxSkew,
-		MemHigh:  n.ps.acct.High(),
-		PeakLive: n.ps.peakLive,
-	}
-	sp := n.sh.tr.Begin(obs.CatEngine, phFinish, n.ps.id, 0)
-	err := n.sh.readFinalContexts(n.ps, func(id int, ctx []uint64) error {
-		cp := make([]uint64, len(ctx))
-		copy(cp, ctx)
-		r.Ctx = append(r.Ctx, cp)
-		return nil
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	s := n.ps.dsk.Stats()
-	r.FinishOps = s.Ops - r.RunStats.Ops
-	r.FinishReadOps = s.ReadOps - r.RunStats.ReadOps
-	r.FinishBlocksRead = s.BlocksRead - r.RunStats.BlocksRead
-	n.report = r
-	return r, nil
+	return n.report, err
 }
 
 // Close releases the node's journal and store.
@@ -534,7 +447,7 @@ func (n *NodeEngine) Close() error {
 	if n.ps != nil && n.ps.store != nil {
 		errs = append(errs, n.ps.store.Close())
 	}
-	return joinErrs(errs)
+	return errors.Join(errs...)
 }
 
 func (n *NodeEngine) encodeManifest(enc *words.Encoder) {
@@ -557,41 +470,15 @@ func (n *NodeEngine) decodeManifest(payload []uint64) error {
 
 // --- CoordCore ---------------------------------------------------------
 
-// CoordCore is the coordinator's share of a cluster run: the global
-// cost accounting the in-process driver keeps on its engine, the halt
-// logic, the 2PC decision journal, and the final Result assembly. The
-// cluster coordinator feeds it the per-node phase outputs in node
-// order, which reproduces the in-process arithmetic exactly.
-type CoordCore struct {
-	sh  simShape
-	jrn *journal.Journal
-	dir string
-	fpr uint64
-
-	setup     disk.Stats
-	stepsDone int
-	halted    bool
-
-	pktX  [][]int64
-	wordX [][]int64
-
-	commTime  float64
-	commPkts  int64
-	commWords int64
-	ioTime    float64
-
-	// Abort rollback marks, taken at BeginStep.
-	recMark   int
-	mkComm    float64
-	mkPkts    int64
-	mkWords   int64
-	mkIO      float64
-	stepState bool // a step is open (BeginStep without FinishStep/AbortStep)
-}
+// CoordCore is the coordinator's share of a cluster run: the superstep
+// driver with its ledger of global accounting, whose journal holds the
+// 2PC decision records. The cluster coordinator hands Run the Transport
+// that reaches its workers.
+type CoordCore struct{ driver }
 
 // OpenCoord opens the coordinator core rooted at dir. With resume
-// true, the existing decision journal is opened; the caller inspects
-// Committed and calls LoadCommitted when it is nonzero.
+// true, the existing decision journal is opened and its last record, if
+// it has one, adopted.
 func OpenCoord(p bsp.Program, cfg MachineConfig, opts Options, dir string, resume bool) (*CoordCore, error) {
 	opts.defaults()
 	if err := ClusterCheck(cfg, opts); err != nil {
@@ -603,283 +490,35 @@ func OpenCoord(p bsp.Program, cfg MachineConfig, opts Options, dir string, resum
 	if dir == "" {
 		return nil, fmt.Errorf("core: the coordinator needs a state directory (its journal holds the 2PC decisions)")
 	}
-	c := &CoordCore{
-		sh:  newSimShape(p, cfg, opts),
-		dir: dir,
-	}
-	c.fpr = configFingerprint(manifestCoordKind, cfg, opts, c.sh.v, c.sh.mu, c.sh.gamma)
-	var err error
-	if resume {
-		c.jrn, err = journal.Open(dir)
-	} else {
-		c.jrn, err = journal.Create(dir)
+	sh := newSimShape(p, cfg, opts)
+	c := &CoordCore{}
+	c.ledger = newLedger(&sh, manifestCoordKind, configFingerprint(manifestCoordKind, cfg, opts, sh.v, sh.mu, sh.gamma), dir)
+	err := c.openJournal(resume)
+	if err == nil && c.Committed() > 0 {
+		if _, err = c.load(); err != nil {
+			c.Close()
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	c.jrn.SetTracer(c.sh.tr, cfg.P)
 	return c, nil
 }
 
-// P returns the machine's real processor count.
-func (c *CoordCore) P() int { return c.sh.cfg.P }
-
-// V returns the program's virtual processor count.
-func (c *CoordCore) V() int { return c.sh.v }
-
-// Batches returns the rounds per compound superstep.
-func (c *CoordCore) Batches() int { return c.sh.batches }
-
-// MaxSupersteps returns the run's superstep bound.
-func (c *CoordCore) MaxSupersteps() int { return c.sh.opts.MaxSupersteps }
-
-// StepsDone returns the committed superstep count.
-func (c *CoordCore) StepsDone() int { return c.stepsDone }
-
-// Halted reports whether the committed state has all VPs halted.
-func (c *CoordCore) Halted() bool { return c.halted }
-
-// Committed returns the number of committed decision records.
-func (c *CoordCore) Committed() int { return len(c.jrn.Records()) }
+// Run drives the run over t — from setup, or from the barrier the
+// adopted decision record commits — to its Result, which is bitwise
+// identical to the in-process engine's. Overlap stays zero: it is
+// wall-clock observability, outside the bitwise-identity contract, and
+// is not shipped over the wire.
+func (c *CoordCore) Run(t Transport) (*Result, error) {
+	c.t = t
+	return c.run()
+}
 
 // NodeFpr derives the manifest fingerprint node id must present.
 func (c *CoordCore) NodeFpr(id int) uint64 {
 	return nodeFingerprint(c.sh.cfg, c.sh.opts, c.sh.v, c.sh.mu, c.sh.gamma, id)
 }
 
-// LoadCommitted restores the coordinator state from the last committed
-// decision record.
-func (c *CoordCore) LoadCommitted() error {
-	recs := c.jrn.Records()
-	if len(recs) == 0 {
-		return &journal.Error{Path: c.dir, Record: -1,
-			Reason: "no committed checkpoint to resume from (the run crashed before its first barrier; start it fresh)"}
-	}
-	dec := words.NewDecoder(recs[len(recs)-1])
-	if err := checkManifestHeader(dec, manifestCoordKind, c.fpr); err != nil {
-		return err
-	}
-	c.stepsDone = int(dec.Int())
-	c.halted = dec.Bool()
-	c.setup = decodeStats(dec)
-	c.ioTime = dec.Float()
-	c.commTime = dec.Float()
-	t := dec.Ints()
-	c.commPkts, c.commWords = t[0], t[1]
-	c.sh.rec.Restore(decodeRecSteps(dec))
-	return nil
-}
-
-func (c *CoordCore) encodeManifest(enc *words.Encoder) {
-	enc.PutUint(manifestCoordKind)
-	enc.PutUint(c.fpr)
-	enc.PutInt(int64(c.stepsDone))
-	enc.PutBool(c.halted)
-	encodeStats(enc, c.setup)
-	enc.PutFloat(c.ioTime)
-	enc.PutFloat(c.commTime)
-	enc.PutInts([]int64{c.commPkts, c.commWords})
-	encodeRecSteps(enc, c.sh.rec.Steps())
-}
-
-func (c *CoordCore) appendDecision(step int) error {
-	enc := words.NewEncoder(nil)
-	c.encodeManifest(enc)
-	if err := c.jrn.Append(enc.Words()); err != nil {
-		return err
-	}
-	c.sh.tr.Flush() //nolint:errcheck
-	if c.sh.opts.OnCommit != nil {
-		c.sh.opts.OnCommit(step)
-	}
-	return nil
-}
-
-// CommitSetup folds the nodes' setup statistics (in node order) and
-// appends the setup decision record.
-func (c *CoordCore) CommitSetup(nodeStats []disk.Stats) error {
-	for _, s := range nodeStats {
-		c.setup.Add(s)
-	}
-	c.stepsDone = 0
-	c.halted = false
-	return c.appendDecision(-1)
-}
-
-// BeginStep opens superstep accounting: fresh exchange matrices and a
-// rollback mark for AbortStep.
-func (c *CoordCore) BeginStep() {
-	P := c.sh.cfg.P
-	c.recMark = c.sh.rec.Mark()
-	c.mkComm, c.mkPkts, c.mkWords, c.mkIO = c.commTime, c.commPkts, c.commWords, c.ioTime
-	c.sh.rec.BeginStep()
-	c.pktX = make([][]int64, P)
-	c.wordX = make([][]int64, P)
-	for i := 0; i < P; i++ {
-		c.pktX[i] = make([]int64, P)
-		c.wordX[i] = make([]int64, P)
-	}
-	c.stepState = true
-}
-
-// AddFetch folds node src's fetching-phase word counts into the
-// exchange matrices — the identical arithmetic the in-process driver
-// applies to fetchForward's output.
-func (c *CoordCore) AddFetch(src int, nwords []int64) {
-	for o, w := range nwords {
-		if o == src || w == 0 {
-			continue
-		}
-		c.wordX[src][o] += w
-		c.pktX[src][o] += c.sh.fetchPkts(w)
-	}
-}
-
-// AddBatch folds node src's computing-phase packet/word tallies into
-// the exchange matrices.
-func (c *CoordCore) AddBatch(src int, bo *BatchOut) {
-	for t := range bo.Pkts {
-		c.pktX[src][t] += bo.Pkts[t]
-		c.wordX[src][t] += bo.Wrds[t]
-	}
-}
-
-// RecordTraffic folds VP traffic records into the cost recorder. The
-// coordinator calls it per node in node order; the recorder's folds
-// are commutative, so this reproduces the in-process totals.
-func (c *CoordCore) RecordTraffic(ts []bsp.VPTraffic) {
-	for _, t := range ts {
-		c.sh.rec.RecordVP(t)
-	}
-}
-
-// Vote applies the halt logic to the nodes' summed votes. The
-// coordinator calls it before deciding whether to run the routing
-// phase: a halting superstep skips reorganization.
-func (c *CoordCore) Vote(step, halts, sends int) (halted bool, err error) {
-	switch {
-	case halts == c.sh.v:
-		if sends > 0 {
-			return false, fmt.Errorf("core: %d messages sent while halting in superstep %d", sends, step)
-		}
-		return true, nil
-	case halts != 0:
-		return false, fmt.Errorf("core: split halt vote in superstep %d: %d of %d VPs halted", step, halts, c.sh.v)
-	}
-	return false, nil
-}
-
-// FinishStep closes the superstep's cost accounting: the I/O time
-// charge (maxOps is the slowest node's operations) and the
-// communication charges from the exchange matrices.
-func (c *CoordCore) FinishStep(maxOps int64) {
-	c.sh.rec.EndStep()
-	c.stepState = false
-	c.ioTime += c.sh.cfg.G * float64(maxOps)
-	ct, pkts, wrds := superstepCommCosts(c.sh.cfg, c.pktX, c.wordX)
-	c.commTime += ct
-	c.commPkts += pkts
-	c.commWords += wrds
-}
-
-// AbortStep rewinds the coordinator's accounting to the BeginStep
-// mark, leaving no trace of the aborted attempt — the cluster's
-// replays stay invisible in Results and EMStats, like a clean run.
-func (c *CoordCore) AbortStep() {
-	c.sh.rec.Rewind(c.recMark)
-	c.commTime, c.commPkts, c.commWords, c.ioTime = c.mkComm, c.mkPkts, c.mkWords, c.mkIO
-	c.stepState = false
-}
-
-// CommitStep appends the superstep's decision record — the 2PC commit
-// point. Every node must have PREPAREd before this is called.
-func (c *CoordCore) CommitStep(step int, halted bool) error {
-	c.stepsDone = step + 1
-	c.halted = halted
-	return c.appendDecision(step)
-}
-
-// Assemble builds the run Result from the nodes' final reports (in
-// node order), reproducing the in-process engine's aggregation
-// exactly. Overlap stays zero: it is wall-clock observability, outside
-// the bitwise-identity contract, and is not shipped over the wire.
-func (c *CoordCore) Assemble(reports []*NodeReport) (*Result, error) {
-	if len(reports) != c.sh.cfg.P {
-		return nil, fmt.Errorf("core: %d node reports for P = %d", len(reports), c.sh.cfg.P)
-	}
-	vps := make([]bsp.VP, c.sh.v)
-	var runStats disk.Stats
-	perProc := make([]disk.Stats, len(reports))
-	var finish disk.Stats
-	for i, r := range reports {
-		perProc[i] = r.RunStats
-		runStats.Add(r.RunStats)
-		finish.Ops += r.FinishOps
-		finish.ReadOps += r.FinishReadOps
-		finish.BlocksRead += r.FinishBlocksRead
-	}
-	for _, r := range reports {
-		if len(r.Ctx) != r.Hi-r.Lo {
-			return nil, fmt.Errorf("core: node report covers %d contexts for VPs [%d, %d)", len(r.Ctx), r.Lo, r.Hi)
-		}
-		for idx, ctx := range r.Ctx {
-			id := r.Lo + idx
-			vp := c.sh.p.NewVP(id)
-			vp.Load(words.NewDecoder(ctx))
-			vps[id] = vp
-		}
-	}
-	for _, vp := range vps {
-		if vp == nil {
-			return nil, fmt.Errorf("core: node reports leave VPs uncovered")
-		}
-	}
-	res := &Result{VPs: vps, Costs: c.sh.rec.Costs()}
-	em := EMStats{
-		K:              c.sh.k,
-		Groups:         c.sh.batches,
-		CtxBlocksPerVP: c.sh.muBlocks,
-		Setup:          c.setup,
-		Run:            runStats,
-		Finish:         finish,
-		PerProc:        perProc,
-		IOTime:         c.ioTime,
-		CommTime:       c.commTime,
-		CommPkts:       c.commPkts,
-		CommWords:      c.commWords,
-	}
-	for _, r := range reports {
-		em.RouteOps += r.RouteOps
-		em.RaggedSlots += r.Ragged
-		if r.MaxSkew > em.MaxBucketSkew {
-			em.MaxBucketSkew = r.MaxSkew
-		}
-		if r.MemHigh > em.MemHigh {
-			em.MemHigh = r.MemHigh
-		}
-		if r.PeakLive > em.LiveBlocksPerDrive {
-			em.LiveBlocksPerDrive = r.PeakLive
-		}
-	}
-	res.EM = em
-	publishEMStats(c.sh.opts.Metrics, &res.EM)
-	return res, nil
-}
-
 // Close releases the decision journal.
-func (c *CoordCore) Close() error {
-	if c.jrn != nil {
-		return c.jrn.Close()
-	}
-	return nil
-}
-
-func joinErrs(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (c *CoordCore) Close() error { return c.close() }

@@ -1,42 +1,74 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
 	"embsp/internal/disk"
+	"embsp/internal/words"
 )
 
-// These tests drive NodeEngine + CoordCore through the cluster
-// protocol choreography in one process — the same phase sequence the
-// networked coordinator runs, minus the wire — and hold the results
-// bitwise identical to core.Run. The cluster package's own tests add
-// real processes, TCP, faults, and SIGKILL on top; this layer pins the
-// engine-side contract first.
+// These tests run CoordCore's driver over a Transport made of
+// NodeEngines in one process — what the networked coordinator does,
+// minus the wire — and hold the results bitwise identical to core.Run.
+// The cluster package's own tests add real processes, TCP, faults, and
+// SIGKILL on top; this layer pins the engine-side contract first.
 
+// clusterRig is that Transport. fail, when set, is asked at the named
+// points of every barrier ("batches": rounds done; "routed": voted and
+// routed; "prepared": every node PREPAREd, no decision; "decided": the
+// decision landed, no node told) whether to fail there, and how.
 type clusterRig struct {
-	root  string
 	coord *core.CoordCore
 	nodes []*core.NodeEngine
+	fail  func(point string, step int) error
+	// wire sends every BlockBatch through its wire form between phases.
+	wire bool
+	// prepares and commits count the nodes' 2PC calls.
+	prepares, commits int
 }
 
-func openRig(t *testing.T, prog *bsptest.RandomProgram, cfg core.MachineConfig, opts core.Options, root string) *clusterRig {
+// errAbort is the failure a live cluster recovers from: every node
+// reloads its last barrier and the driver replays the step.
+var errAbort = errors.New("injected abort")
+
+func openRig(t *testing.T, prog bsp.Program, cfg core.MachineConfig, opts core.Options, root string, resume bool) *clusterRig {
 	t.Helper()
-	coord, err := core.OpenCoord(prog, cfg, opts, filepath.Join(root, "coord"), false)
+	coord, err := core.OpenCoord(prog, cfg, opts, filepath.Join(root, "coord"), resume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &clusterRig{root: root, coord: coord, nodes: make([]*core.NodeEngine, cfg.P)}
-	for i := 0; i < cfg.P; i++ {
-		rig.nodes[i], err = core.OpenNode(prog, cfg, opts, i, filepath.Join(root, fmt.Sprintf("node-%d", i)), false)
+	rig := &clusterRig{coord: coord, nodes: make([]*core.NodeEngine, cfg.P)}
+	t.Cleanup(rig.close)
+	for i := range rig.nodes {
+		n, err := core.OpenNode(prog, cfg, opts, i, filepath.Join(root, fmt.Sprintf("node-%d", i)), resume)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rig.nodes[i] = n
+		if !resume {
+			continue
+		}
+		// The restart path after a SIGKILL: a node with a prepared tail
+		// commits it exactly when the coordinator's decision journal
+		// covers it (presumed abort otherwise).
+		if n.HasPending() {
+			if err := n.ResolvePending(coord.Committed() > n.Committed()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.LoadCommitted(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := n.Fingerprint(), coord.NodeFpr(i); got != want {
+			t.Fatalf("node %d fingerprint %x, coordinator derives %x", i, got, want)
+		}
 	}
-	t.Cleanup(func() { rig.close() })
 	return rig
 }
 
@@ -53,173 +85,164 @@ func (r *clusterRig) close() {
 	}
 }
 
-func (r *clusterRig) setup(t *testing.T) {
-	t.Helper()
-	stats := make([]disk.Stats, len(r.nodes))
-	for i, n := range r.nodes {
-		if err := n.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if stats[i], err = n.PrepareSetup(); err != nil {
-			t.Fatal(err)
-		}
+func (r *clusterRig) failAt(point string, step int) error {
+	if r.fail == nil {
+		return nil
 	}
-	if err := r.coord.CommitSetup(stats); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range r.nodes {
-		if err := n.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return r.fail(point, step)
 }
 
-// runBatches runs the fetch/compute/write rounds of one superstep and
-// returns the summed halt votes and sends.
-func (r *clusterRig) runBatches(t *testing.T, step int) (halts, sends int) {
-	t.Helper()
-	P := len(r.nodes)
-	r.coord.BeginStep()
+// column is what every node addressed to dst, through the wire form
+// when the rig is asked to.
+func (r *clusterRig) column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
+	in := make([]core.BlockBatch, len(rows))
+	for src, row := range rows {
+		if row == nil {
+			continue
+		}
+		in[src] = row[dst]
+		if r.wire {
+			enc := words.NewEncoder(nil)
+			in[src].Encode(enc)
+			in[src] = core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
+		}
+	}
+	return in
+}
+
+func (r *clusterRig) Setup() (stats []disk.Stats, err error) {
+	stats = make([]disk.Stats, len(r.nodes))
+	for i, n := range r.nodes {
+		if stats[i], err = n.Setup(); err != nil {
+			return nil, err
+		}
+	}
+	r.prepares += len(r.nodes)
+	return stats, r.failAt("prepared", -1)
+}
+
+func (r *clusterRig) Begin(int) error {
 	for _, n := range r.nodes {
 		n.BeginStep()
 	}
-	for j := 0; j < r.coord.Batches(); j++ {
-		outs := make([][]core.BlockBatch, P)
-		for i, n := range r.nodes {
-			out, nwords, err := n.Fetch(j, step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs[i] = out
-			r.coord.AddFetch(i, nwords)
-		}
-		bos := make([]*core.BatchOut, P)
-		for i, n := range r.nodes {
-			in := make([]core.BlockBatch, P)
-			for src := 0; src < P; src++ {
-				if outs[src] != nil {
-					in[src] = outs[src][i]
-				}
-			}
-			bo, err := n.Compute(j, step, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bos[i] = bo
-			r.coord.AddBatch(i, bo)
-			r.coord.RecordTraffic(bo.Traffic)
-		}
-		for i, n := range r.nodes {
-			in := make([]core.BlockBatch, P)
-			for src := 0; src < P; src++ {
-				in[src] = bos[src].Scatter[i]
-			}
-			if err := n.Write(j, step, in); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, n := range r.nodes {
-		h, s := n.StepTotals()
-		halts += h
-		sends += s
-	}
-	return halts, sends
+	return nil
 }
 
-// finishStep completes a superstep from the vote on: route, costs,
-// PREPARE on every node, the coordinator's decision, COMMIT.
-func (r *clusterRig) finishStep(t *testing.T, step, halts, sends int) (halted bool) {
-	t.Helper()
-	halted, err := r.coord.Vote(step, halts, sends)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !halted {
-		for _, n := range r.nodes {
-			if err := n.Route(step); err != nil {
-				t.Fatal(err)
-			}
+func (r *clusterRig) Fetch(j, step int) (rows [][]core.BlockBatch, nwords [][]int64, err error) {
+	rows, nwords = make([][]core.BlockBatch, len(r.nodes)), make([][]int64, len(r.nodes))
+	for i, n := range r.nodes {
+		if rows[i], nwords[i], err = n.Fetch(j, step); err != nil {
+			return nil, nil, err
 		}
 	}
-	var maxOps int64
-	for _, n := range r.nodes {
-		if d := n.StepOps(); d > maxOps {
-			maxOps = d
+	return rows, nwords, nil
+}
+
+func (r *clusterRig) Compute(j, step int, rows [][]core.BlockBatch) (outs []*core.BatchOut, err error) {
+	outs = make([]*core.BatchOut, len(r.nodes))
+	for i, n := range r.nodes {
+		if outs[i], err = n.Compute(j, step, r.column(i, rows)); err != nil {
+			return nil, err
 		}
 	}
-	r.coord.FinishStep(maxOps)
+	return outs, nil
+}
+
+func (r *clusterRig) Write(j, step int, outs []*core.BatchOut) error {
+	rows := make([][]core.BlockBatch, len(outs))
+	for src, bo := range outs {
+		rows[src] = bo.Scatter
+	}
+	for i, n := range r.nodes {
+		if err := n.Write(j, step, r.column(i, rows)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *clusterRig) Totals() ([]core.StepTotals, error) {
+	totals := make([]core.StepTotals, len(r.nodes))
+	for i, n := range r.nodes {
+		totals[i] = n.StepTotals()
+	}
+	return totals, r.failAt("batches", r.coord.StepsDone())
+}
+
+func (r *clusterRig) Route(step int) (ops []int64, err error) {
+	ops = make([]int64, len(r.nodes))
+	for i, n := range r.nodes {
+		if ops[i], err = n.Route(step); err != nil {
+			return nil, err
+		}
+	}
+	return ops, nil
+}
+
+func (r *clusterRig) Prepare(step int, halted bool) ([]int64, error) {
+	if err := r.failAt("routed", step); err != nil {
+		return nil, err
+	}
 	for _, n := range r.nodes {
 		if err := n.Prepare(step, halted); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	if err := r.coord.CommitStep(step, halted); err != nil {
-		t.Fatal(err)
+	r.prepares += len(r.nodes)
+	return nil, r.failAt("prepared", step)
+}
+
+func (r *clusterRig) Commit(step int) error {
+	if err := r.failAt("decided", step); err != nil {
+		return err
 	}
 	for _, n := range r.nodes {
 		if err := n.Commit(); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
-	return halted
+	r.commits += len(r.nodes)
+	return nil
 }
 
-func (r *clusterRig) step(t *testing.T, step int) (halted bool) {
-	t.Helper()
-	halts, sends := r.runBatches(t, step)
-	return r.finishStep(t, step, halts, sends)
-}
-
-// abortStep rolls a live rig back to the last barrier: every node
-// reloads its committed state and the coordinator rewinds its
-// accounting — the path a worker failure mid-superstep takes.
-func (r *clusterRig) abortStep(t *testing.T) {
-	t.Helper()
+// Rollback is the path a worker failure mid-superstep takes: every
+// node reloads its committed state. Anything but errAbort ends the run.
+func (r *clusterRig) Rollback(_, _ int, cause error) (int64, error) {
+	if !errors.Is(cause, errAbort) {
+		return 0, cause
+	}
 	for _, n := range r.nodes {
 		if err := n.Reload(); err != nil {
-			t.Fatal(err)
+			return 0, err
 		}
 	}
-	r.coord.AbortStep()
+	return 0, nil
 }
 
-func (r *clusterRig) assemble(t *testing.T) *core.Result {
-	t.Helper()
-	reports := make([]*core.NodeReport, len(r.nodes))
+func (r *clusterRig) Final() (reports []*core.NodeReport, err error) {
+	reports = make([]*core.NodeReport, len(r.nodes))
 	for i, n := range r.nodes {
-		var err error
 		if reports[i], err = n.Final(); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	res, err := r.coord.Assemble(reports)
+	return reports, nil
+}
+
+func (r *clusterRig) run(t *testing.T) *core.Result {
+	t.Helper()
+	res, err := r.coord.Run(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func (r *clusterRig) run(t *testing.T) *core.Result {
-	t.Helper()
-	r.setup(t)
-	for step := 0; ; step++ {
-		if step >= r.coord.MaxSupersteps() {
-			t.Fatalf("no convergence after %d supersteps", step)
-		}
-		if r.step(t, step) {
-			break
-		}
-	}
-	return r.assemble(t)
-}
-
 func clusterProgram() *bsptest.RandomProgram {
 	return &bsptest.RandomProgram{V: 16, Steps: 5, MsgsPerStep: 4, MaxLen: 12}
 }
 
-// TestClusterCoreMatchesInProcess: the protocol choreography is
+// TestClusterCoreMatchesInProcess: the driver over NodeEngines is
 // bitwise identical to the in-process parallel engine — VP states,
 // model costs, and EM statistics — across processor counts, including
 // P > V (empty nodes).
@@ -233,9 +256,8 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rig := openRig(t, prog, cfg, opts, t.TempDir())
-		res := rig.run(t)
-		resultsIdentical(t, res, oracle, fmt.Sprintf("cluster p=%d v=%d", tc.p, tc.v))
+		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+		resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("cluster p=%d v=%d", tc.p, tc.v))
 	}
 }
 
@@ -251,80 +273,22 @@ func TestClusterCoreAbortReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := oracle.Costs.Supersteps
-	for abortAt := 0; abortAt < steps; abortAt++ {
+	for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
 		for _, phase := range []string{"batches", "routed", "prepared"} {
-			rig := openRig(t, prog, cfg, opts, t.TempDir())
-			rig.setup(t)
+			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
 			aborted := false
-			for step := 0; ; step++ {
-				if step == abortAt && !aborted {
-					halts, sends := rig.runBatches(t, step)
-					if phase != "batches" {
-						halted, err := rig.coord.Vote(step, halts, sends)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !halted {
-							for _, n := range rig.nodes {
-								if err := n.Route(step); err != nil {
-									t.Fatal(err)
-								}
-							}
-						}
-						if phase == "prepared" {
-							for _, n := range rig.nodes {
-								if err := n.Prepare(step, halted); err != nil {
-									t.Fatal(err)
-								}
-							}
-						}
-					}
-					rig.abortStep(t)
-					aborted = true
+			rig.fail = func(point string, step int) error {
+				if aborted || step != abortAt || point != phase {
+					return nil
 				}
-				if rig.step(t, step) {
-					break
-				}
+				aborted = true
+				return errAbort
 			}
-			res := rig.assemble(t)
-			resultsIdentical(t, res, oracle, fmt.Sprintf("abort@%d/%s", abortAt, phase))
+			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("abort@%d/%s", abortAt, phase))
+			if !aborted {
+				t.Errorf("abort@%d/%s never fired", abortAt, phase)
+			}
 			rig.close()
-		}
-	}
-}
-
-// reopen closes every engine and reopens them from their journals,
-// then reconciles: each node with a prepared tail commits it exactly
-// when the coordinator's decision journal covers it (presumed abort
-// otherwise) — the restart path after a SIGKILL.
-func (r *clusterRig) reopen(t *testing.T, prog *bsptest.RandomProgram, cfg core.MachineConfig, opts core.Options) {
-	t.Helper()
-	r.close()
-	coord, err := core.OpenCoord(prog, cfg, opts, filepath.Join(r.root, "coord"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.coord = coord
-	if err := r.coord.LoadCommitted(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range r.nodes {
-		n, err := core.OpenNode(prog, cfg, opts, i, filepath.Join(r.root, fmt.Sprintf("node-%d", i)), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.nodes[i] = n
-		if n.HasPending() {
-			if err := n.ResolvePending(r.coord.Committed() > n.Committed()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := n.LoadCommitted(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := n.Fingerprint(), r.coord.NodeFpr(i); got != want {
-			t.Fatalf("node %d fingerprint %x, coordinator derives %x", i, got, want)
 		}
 	}
 }
@@ -341,62 +305,28 @@ func TestClusterCoreCrashReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := oracle.Costs.Supersteps
-	for crashAt := 0; crashAt < steps; crashAt++ {
-		for _, window := range []string{"prepared-undecided", "decided-untold"} {
-			rig := openRig(t, prog, cfg, opts, t.TempDir())
-			rig.setup(t)
-			crashed := false
-			for step := 0; ; step++ {
-				if step == crashAt && !crashed {
-					halts, sends := rig.runBatches(t, step)
-					halted, err := rig.coord.Vote(step, halts, sends)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !halted {
-						for _, n := range rig.nodes {
-							if err := n.Route(step); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					var maxOps int64
-					for _, n := range rig.nodes {
-						if d := n.StepOps(); d > maxOps {
-							maxOps = d
-						}
-					}
-					rig.coord.FinishStep(maxOps)
-					for _, n := range rig.nodes {
-						if err := n.Prepare(step, halted); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if window == "decided-untold" {
-						if err := rig.coord.CommitStep(step, halted); err != nil {
-							t.Fatal(err)
-						}
-					}
-					rig.reopen(t, prog, cfg, opts)
-					crashed = true
-					// After an undecided crash the step replays; after
-					// a decided one it is already committed.
-					if rig.coord.StepsDone() == step+1 {
-						if rig.coord.Halted() {
-							break
-						}
-						continue
-					}
-					step--
-					continue
+	errCrash := errors.New("injected crash")
+	for crashAt := 0; crashAt < oracle.Costs.Supersteps; crashAt++ {
+		for _, window := range []string{"prepared", "decided"} {
+			root := t.TempDir()
+			rig := openRig(t, prog, cfg, opts, root, false)
+			rig.fail = func(point string, step int) error {
+				if step == crashAt && point == window {
+					return errCrash
 				}
-				if rig.step(t, step) {
-					break
-				}
+				return nil
 			}
-			res := rig.assemble(t)
-			resultsIdentical(t, res, oracle, fmt.Sprintf("crash@%d/%s", crashAt, window))
+			if _, err := rig.coord.Run(rig); !errors.Is(err, errCrash) {
+				t.Fatalf("crash@%d/%s: run ended with %v", crashAt, window, err)
+			}
+			rig.close()
+			// After an undecided crash the step replays; after a decided
+			// one it is already committed.
+			rig = openRig(t, prog, cfg, opts, root, true)
+			if got, want := rig.coord.StepsDone(), crashAt+map[string]int{"prepared": 0, "decided": 1}[window]; got != want {
+				t.Errorf("crash@%d/%s: reopened at superstep %d, want %d", crashAt, window, got, want)
+			}
+			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("crash@%d/%s", crashAt, window))
 			rig.close()
 		}
 	}

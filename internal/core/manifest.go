@@ -8,8 +8,9 @@ import (
 	"embsp/internal/words"
 )
 
-// This file implements the engines' commit-journal manifests: the
-// payload of one journal record is one manifest — a complete,
+// This file implements the commit-journal manifests (their global
+// accounting fields are the ledger's to encode, driver.go): the payload
+// of one journal record is one manifest — a complete,
 // self-contained checkpoint of everything the engine needs to continue
 // from a compound-superstep barrier. Record 0 checkpoints the setup
 // phase (initial contexts written, no superstep run); record i+1
@@ -213,18 +214,9 @@ func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 	return nil
 }
 
-// --- in-process engine ---------------------------------------------
-
-func (e *engine) encodeManifest(enc *words.Encoder) {
-	enc.PutUint(manifestRunKind)
-	enc.PutUint(e.fpr)
-	enc.PutInt(int64(e.stepsDone))
-	enc.PutBool(e.halted)
-	encodeStats(enc, e.setup)
-	enc.PutFloat(e.ioTime)
-	enc.PutFloat(e.commTime)
-	enc.PutInts([]int64{e.commPkts, e.commWords, e.replays, e.recoveryOps})
-	encodeRecSteps(enc, e.rec.Steps())
+// encodeProcs appends every processor's barrier state to the decision
+// record of an in-process run.
+func (e *engine) encodeProcs(enc *words.Encoder) {
 	enc.PutInt(int64(len(e.procs)))
 	for _, ps := range e.procs {
 		encodeProcManifest(enc, ps)
@@ -270,22 +262,20 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	return ps.decodeState(dec)
 }
 
-// decodeManifest adopts a manifest whose header committedManifest has
-// already consumed.
-func (e *engine) decodeManifest(dec *words.Decoder) error {
-	e.stepsDone = int(dec.Int())
-	e.halted = dec.Bool()
-	e.setup = decodeStats(dec)
-	e.ioTime = dec.Float()
-	e.commTime = dec.Float()
-	t := dec.Ints()
-	e.commPkts, e.commWords, e.replays, e.recoveryOps = t[0], t[1], t[2], t[3]
-	e.rec.Restore(decodeRecSteps(dec))
+// decodeProcs adopts what encodeProcs wrote. The crashed attempt may
+// have left writes the record's parity does not encode; each chain
+// reconciles them before the replay trusts the disk.
+func (e *engine) decodeProcs(dec *words.Decoder) error {
 	if n := int(dec.Int()); n != len(e.procs) {
 		return fmt.Errorf("core: journal records %d processors, machine has %d", n, len(e.procs))
 	}
 	for _, ps := range e.procs {
 		if err := decodeProcManifest(dec, ps); err != nil {
+			return err
+		}
+	}
+	for _, ps := range e.procs {
+		if err := ps.reconcile(); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -16,21 +17,18 @@ import (
 // (Algorithm 3, of which Algorithm 1 is the p = 1 case) that touches
 // exactly one real processor's state, as a method on simShape taking
 // the processor's procState. The machine owns the superstep's I/O,
-// accounting and checks; what it does not own is how blocks travel
-// between processors. A driver supplies that:
+// accounting, checks and trace spans; what it does not own is the order
+// of the phases (the driver, driver.go) or how blocks travel between
+// processors. A Transport supplies that:
 //
 //   - the in-process engine (engine.go) keeps all p processors in one
-//     address space. With p > 1 it exchanges blocks through in-memory
-//     matrices; with p = 1 there is nobody to exchange with, so the
+//     address space. With p > 1 it hands rows of blocks across by
+//     reference; with p = 1 there is nobody to exchange with, so the
 //     batch is reassembled from the region buffer its fetch filled and
 //     its messages are cut straight into the block writer;
 //   - NodeEngine (cluster.go) wraps a single processor for the
-//     multi-process cluster runtime, which exchanges the same blocks
-//     over the wire.
-//
-// The phase bodies are shared verbatim, so the runtimes are
-// bitwise-identical by construction wherever the same (config,
-// options, program) tuple is presented.
+//     multi-process cluster runtime, which carries the same rows over
+//     the wire.
 
 // wireBlock is a message block in flight between real processors. Its
 // image aliases a buffer of the processor that produced it (stepBufs):
@@ -75,6 +73,7 @@ type procState struct {
 	dir          *outDirectory
 	writer       *blockWriter
 	pendingRoute *routeResult // checkpoint mode: routing result awaiting commit
+	final        *NodeReport  // the finish phase's report, begun at its first attempt
 
 	// Accounting.
 	opsMark  int64
@@ -85,6 +84,9 @@ type procState struct {
 }
 
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
+
+// stepOps returns the parallel I/O operations consumed since beginStep.
+func (ps *procState) stepOps() int64 { return ps.dsk.Stats().Ops - ps.opsMark }
 
 func (ps *procState) noteLive(muBlocks, extraBlocks int) {
 	live := int64(ps.ownCount()*muBlocks + extraBlocks)
@@ -145,7 +147,7 @@ func newSimShape(p bsp.Program, cfg MachineConfig, opts Options) simShape {
 		v: v, mu: mu, gamma: gamma, k: k, vpp: vpp,
 		batches:  (vpp + k - 1) / k,
 		muBlocks: (mu + cfg.B - 1) / cfg.B,
-		pktBlk:   maxInt(1, cfg.Cost.Pkt/cfg.B),
+		pktBlk:   max(1, cfg.Cost.Pkt/cfg.B),
 		rec:      bsp.NewCostRecorder(cfg.Cost.Pkt),
 		tr:       opts.Trace,
 	}
@@ -251,6 +253,8 @@ func (sh *simShape) setupReserve(ps *procState) {
 }
 
 func (sh *simShape) writeInitialContexts(ps *procState) error {
+	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
+	defer sp.End()
 	if ps.ownCount() == 0 {
 		return nil
 	}
@@ -314,6 +318,57 @@ func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uin
 	return nil
 }
 
+// finalReport is the finish phase: it reads processor ps's final
+// contexts — loading the VPs from them where they are (load, in
+// process), or copying them out for the wire — and completes the
+// processor's report. The run-phase statistics are taken once, before
+// the first read: a replayed finish phase (faults) charges its re-reads
+// to Finish.
+func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
+	sp := sh.tr.Begin(obs.CatEngine, phFinish, ps.id, 0)
+	defer sp.End()
+	if ps.final == nil {
+		ps.final = &NodeReport{Lo: ps.lo, Hi: ps.hi, RunStats: ps.dsk.Stats()}
+	}
+	r := ps.final
+	if load {
+		r.vps = make([]bsp.VP, 0, ps.ownCount())
+	} else {
+		r.Ctx = make([][]uint64, 0, ps.ownCount())
+	}
+	err := sh.readFinalContexts(ps, func(id int, ctx []uint64) error {
+		if load {
+			vp := sh.p.NewVP(id)
+			vp.Load(words.NewDecoder(ctx))
+			r.vps = append(r.vps, vp)
+		} else {
+			r.Ctx = append(r.Ctx, slices.Clone(ctx))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := ps.dsk.Stats()
+	r.FinishOps = s.Ops - r.RunStats.Ops
+	r.FinishReadOps = s.ReadOps - r.RunStats.ReadOps
+	r.FinishBlocksRead = s.BlocksRead - r.RunStats.BlocksRead
+	r.RouteOps, r.Ragged, r.MaxSkew = ps.routeOps, ps.ragged, ps.maxSkew
+	r.MemHigh, r.PeakLive = ps.acct.High(), ps.peakLive
+	return r, nil
+}
+
+// syncStore makes the processor's data durable, ahead of the barrier
+// record that will reference it. An in-memory chain has no such record.
+func (sh *simShape) syncStore(ps *procState, step int) error {
+	if ps.bfile == nil {
+		return nil
+	}
+	sp := sh.tr.BeginStep(obs.CatEngine, phBarrier, ps.id, 0, step, -1)
+	defer sp.End()
+	return ps.store.Sync()
+}
+
 // beginStep resets the processor's superstep-scoped scratch: halt/send
 // tallies, the outgoing bucket directory, the ops watermark, and the
 // block writer over the processor's operation buffer.
@@ -375,11 +430,14 @@ func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 // fetchForward is the fetching phase of a machine with an exchange:
 // fetchBatch, then each block grouped under the processor simulating
 // its destination VP. out is indexed by destination processor (self
-// included); nwords counts the words per destination. A nil out means
-// the batch had no input. The images alias the processor's region
-// buffer and out and nwords are its own rows: all are valid until its
-// next fetching phase.
-func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nwords []int64, err error) {
+// included); nwords counts the words per destination, of which the
+// model charges those addressed to others. A nil out means the batch
+// had no input. The images alias the processor's region buffer and out
+// and nwords are its own rows: all are valid until its next fetching
+// phase.
+func (sh *simShape) fetchForward(ps *procState, j, step int) (out []BlockBatch, nwords []int64, err error) {
+	sp := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
+	defer sp.End()
 	in, err := sh.fetchBatch(ps, j)
 	if err != nil || in.metas == nil {
 		return nil, nil, err
@@ -387,11 +445,11 @@ func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nword
 	B := sh.cfg.B
 	out, nwords = grow(&ps.fetched, sh.cfg.P), grow(&ps.nwords, sh.cfg.P)
 	for o := range out {
-		out[o], nwords[o] = out[o][:0], 0
+		out[o].blocks, nwords[o] = out[o].blocks[:0], 0
 	}
 	for i, m := range in.metas {
 		o := sh.owner(m.dst)
-		out[o] = append(out[o], wireBlock{meta: m, img: in.buf[i*B : (i+1)*B]})
+		out[o].blocks = append(out[o].blocks, wireBlock{meta: m, img: in.buf[i*B : (i+1)*B]})
 		nwords[o] += int64(B)
 	}
 	ps.acct.Release(in.grab)
@@ -399,12 +457,12 @@ func (sh *simShape) fetchForward(ps *procState, j int) (out [][]wireBlock, nword
 }
 
 // gather copies the blocks a processor received for its batch (one
-// slice per source processor, self included) into its inbox buffer.
-func (sh *simShape) gather(ps *procState, in [][]wireBlock) (batchIn, error) {
+// batch per source processor, self included) into its inbox buffer.
+func (sh *simShape) gather(ps *procState, in []BlockBatch) (batchIn, error) {
 	B := sh.cfg.B
 	total := 0
-	for _, blocks := range in {
-		total += len(blocks)
+	for _, b := range in {
+		total += len(b.blocks)
 	}
 	grab := int64(total * B)
 	if err := ps.acct.Grab(grab); err != nil {
@@ -412,8 +470,8 @@ func (sh *simShape) gather(ps *procState, in [][]wireBlock) (batchIn, error) {
 	}
 	buf := fit(&ps.inbox, total*B)
 	metas := grow(&ps.metas, total)[:0]
-	for _, blocks := range in {
-		for _, wb := range blocks {
+	for _, b := range in {
+		for _, wb := range b.blocks {
 			copy(buf[len(metas)*B:], wb.img)
 			metas = append(metas, wb.meta)
 		}
@@ -421,52 +479,50 @@ func (sh *simShape) gather(ps *procState, in [][]wireBlock) (batchIn, error) {
 	return batchIn{buf: buf, metas: metas, grab: grab}, nil
 }
 
-// batchOut is one processor's output from a computing phase: the per-VP
+// BatchOut is one processor's output from a computing phase: the per-VP
 // traffic records for the cost recorder (in VP order) and, on a machine
 // with an exchange, the scattered packet blocks per destination
 // processor with the off-processor packet/word tallies the
 // communication model charges.
-type batchOut struct {
-	scatter [][]wireBlock
-	pkts    []int64
-	wrds    []int64
-	traffic []bsp.VPTraffic
+type BatchOut struct {
+	Scatter []BlockBatch
+	Pkts    []int64
+	Wrds    []int64
+	Traffic []bsp.VPTraffic
 }
 
 // reset empties the output for the next batch of a P-processor machine.
-func (bo *batchOut) reset(P int) {
-	grow(&bo.scatter, P)
-	grow(&bo.pkts, P)
-	grow(&bo.wrds, P)
-	for t := range bo.scatter {
-		bo.scatter[t], bo.pkts[t], bo.wrds[t] = bo.scatter[t][:0], 0, 0
+func (bo *BatchOut) reset(P int) {
+	grow(&bo.Scatter, P)
+	grow(&bo.Pkts, P)
+	grow(&bo.Wrds, P)
+	for t := range bo.Scatter {
+		bo.Scatter[t].blocks, bo.Pkts[t], bo.Wrds[t] = bo.Scatter[t].blocks[:0], 0, 0
 	}
-	bo.traffic = bo.traffic[:0]
+	bo.Traffic = bo.Traffic[:0]
 }
 
 // computeBatch is the computing phase of a machine with an exchange:
-// batch j is reassembled from the inbox (one slice per source processor,
+// batch j is reassembled from the inbox (one batch per source processor,
 // self included) and its generated messages are scattered to randomly
-// chosen processors. Everything addressed to other processors is
-// returned in the batchOut, which is the processor's own (its images
-// alias the scatter slab) and valid until its next computing phase.
-func (sh *simShape) computeBatch(ps *procState, j, step int, in [][]wireBlock) (*batchOut, error) {
-	bo := &ps.out
-	bo.reset(sh.cfg.P)
+// chosen processors. Everything addressed to other processors is left
+// in ps.out, which is the processor's own (its images alias the scatter
+// slab) and valid until its next computing phase.
+func (sh *simShape) computeBatch(ps *procState, j, step int, in []BlockBatch) error {
+	ps.out.reset(sh.cfg.P)
 	if lo, hi := sh.batchBounds(ps, j); lo == hi {
 		total := 0
-		for _, blocks := range in {
-			total += len(blocks)
+		for _, b := range in {
+			total += len(b.blocks)
 		}
 		if total != 0 {
-			return nil, fmt.Errorf("core: processor %d received %d blocks for an empty batch %d", ps.id, total, j)
+			return fmt.Errorf("core: processor %d received %d blocks for an empty batch %d", ps.id, total, j)
 		}
-		return bo, nil
+		return nil
 	}
-	err := sh.simulateBatch(ps, j, step,
+	return sh.simulateBatch(ps, j, step,
 		func() (batchIn, error) { return sh.gather(ps, in) },
 		func(outs []outMsg, outBlocks int) error { return sh.scatter(ps, j, step, outs, outBlocks) })
-	return bo, err
 }
 
 // computeLocal is the whole round of a one-processor machine. With no
@@ -570,7 +626,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 			ps.halts++
 		}
 		ps.sends += msgs
-		ps.out.traffic = append(ps.out.traffic, bsp.VPTraffic{
+		ps.out.Traffic = append(ps.out.Traffic, bsp.VPTraffic{
 			SendWords: sw, RecvWords: recvWords,
 			SendPkts: sendPkts, RecvPkts: recvPkts,
 			Messages: msgs, Charge: charge,
@@ -634,16 +690,16 @@ func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg, outBlocks
 				npkt++
 				pktLeft = sh.pktBlk
 				if target != ps.id {
-					bo.pkts[target]++
+					bo.Pkts[target]++
 				}
 			}
 			pktLeft--
 			cp := slab[:B:B]
 			slab = slab[B:]
 			copy(cp, img)
-			bo.scatter[target] = append(bo.scatter[target], wireBlock{meta: meta, img: cp})
+			bo.Scatter[target].blocks = append(bo.Scatter[target].blocks, wireBlock{meta: meta, img: cp})
 			if target != ps.id {
-				bo.wrds[target] += int64(B)
+				bo.Wrds[target] += int64(B)
 			}
 			return nil
 		})
@@ -669,13 +725,15 @@ func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error 
 }
 
 // receiveWrite is the writing phase of a machine with an exchange: the
-// scattered packets this processor received for batch j (one slice per
+// scattered packets this processor received for batch j (one batch per
 // source processor, self included) go to its local disks, D blocks per
 // parallel operation under a random drive permutation, maintaining the
 // bucket directory.
-func (sh *simShape) receiveWrite(ps *procState, j int, in [][]wireBlock) error {
-	for _, blocks := range in {
-		for _, wb := range blocks {
+func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) error {
+	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
+	defer sp.End()
+	for _, b := range in {
+		for _, wb := range b.blocks {
 			if err := ps.writer.add(wb.meta, wb.img); err != nil {
 				return err
 			}
@@ -706,7 +764,9 @@ func (sh *simShape) flushBatch(ps *procState, j int) error {
 // until the engine-level barrier commit, because a fault on another
 // processor (or a crash before the journal record lands) can still roll
 // this superstep back.
-func (sh *simShape) routeLocal(ps *procState) error {
+func (sh *simShape) routeLocal(ps *procState, step int) error {
+	sp := sh.tr.BeginStep(obs.CatEngine, phRoute, ps.id, 0, step, -1)
+	defer sp.End()
 	if sh.opts.NoRouting {
 		// Ablation of Algorithm 2: leave the blocks where the writing
 		// phase put them; the next fetch reads them scattered and pays
@@ -754,9 +814,13 @@ func (sh *simShape) install(ps *procState, route *routeResult) {
 }
 
 // commitProc is the processor's share of the barrier commit under the
-// checkpoint discipline: free the consumed input areas, install the
-// parked routing result, and flip the context double buffer.
+// checkpoint discipline (without it, routeLocal already did all of
+// this): free the consumed input areas, install the parked routing
+// result, and flip the context double buffer.
 func (sh *simShape) commitProc(ps *procState) error {
+	if !ps.ckptOn {
+		return nil
+	}
 	if route := ps.pendingRoute; route != nil {
 		if err := sh.freeInput(ps); err != nil {
 			return err
@@ -766,37 +830,4 @@ func (sh *simShape) commitProc(ps *procState) error {
 	}
 	ps.ctxCur ^= 1
 	return nil
-}
-
-// superstepCommCosts folds one superstep's exchange matrices into the
-// model's communication charges: the off-diagonal packet and word
-// totals, and the superstep communication time max(L, g·max_i(sent_i +
-// received_i packets)). Shared by the in-process driver and the
-// cluster coordinator so both charge bitwise-identical costs. A machine
-// with no other processor has no communication superstep to charge.
-func superstepCommCosts(cfg MachineConfig, pktX, wordX [][]int64) (ct float64, pkts, wrds int64) {
-	P := cfg.P
-	if P == 1 {
-		return 0, 0, 0
-	}
-	var maxPkts int64
-	for i := 0; i < P; i++ {
-		var sent, recv int64
-		for o := 0; o < P; o++ {
-			if o != i {
-				sent += pktX[i][o]
-				recv += pktX[o][i]
-				wrds += wordX[i][o]
-				pkts += pktX[i][o]
-			}
-		}
-		if sent+recv > maxPkts {
-			maxPkts = sent + recv
-		}
-	}
-	ct = cfg.Cost.GPkt * float64(maxPkts)
-	if ct < cfg.Cost.L {
-		ct = cfg.Cost.L
-	}
-	return ct, pkts, wrds
 }

@@ -783,7 +783,7 @@ func (s *Supervisor) runJob(id string) {
 		}
 		if embsp.Retriable(err) && j.Attempts < j.Request.MaxAttempts {
 			s.cfg.Metrics.Counter("jobs_retried").Add(1)
-			d := BackoffDelay(j.Request.Workload.Seed, j.Attempts)
+			d := prng.BackoffDelay(j.Request.Workload.Seed, j.Attempts)
 			s.mu.Lock()
 			j.State = StateBackoff
 			j.Error = fmt.Sprintf("attempt %d: %v (retrying in %v)", j.Attempts, err, d)
@@ -905,27 +905,4 @@ func (s *Supervisor) gaugesLocked() {
 	}
 	s.cfg.Metrics.Counter("jobs_queue_depth").Set(queued)
 	s.cfg.Metrics.Counter("jobs_running").Set(running)
-}
-
-// BackoffDelay is the wait before retry attempt+1: exponential from
-// 50ms, capped at 2s, with ±25% jitter drawn deterministically from
-// the seed and attempt number. It is shared by the job supervisor and
-// the cluster transport's resend loop. The exponent is clamped before
-// shifting: 50ms<<6 already exceeds the 2s cap, and an unclamped shift
-// wraps int64 around attempt 40, producing a bogus small-or-negative
-// base before the cap could catch it.
-func BackoffDelay(seed uint64, attempt int) time.Duration {
-	k := attempt - 1
-	switch {
-	case k < 0:
-		k = 0
-	case k > 6:
-		k = 6
-	}
-	base := 50 * time.Millisecond << k
-	if base > 2*time.Second {
-		base = 2 * time.Second
-	}
-	r := prng.New(seed ^ (uint64(attempt) * 0x9e3779b97f4a7c15))
-	return time.Duration((0.75 + 0.5*r.Float64()) * float64(base))
 }

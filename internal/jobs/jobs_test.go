@@ -16,6 +16,7 @@ import (
 
 	"embsp/internal/journal"
 	"embsp/internal/obs"
+	"embsp/internal/prng"
 	"embsp/internal/workload"
 )
 
@@ -587,15 +588,15 @@ func TestHTTPAPI(t *testing.T) {
 
 func TestBackoffDeterministicJitter(t *testing.T) {
 	for attempt := 1; attempt <= 8; attempt++ {
-		a := BackoffDelay(42, attempt)
-		if b := BackoffDelay(42, attempt); a != b {
+		a := prng.BackoffDelay(42, attempt)
+		if b := prng.BackoffDelay(42, attempt); a != b {
 			t.Fatalf("attempt %d: %v vs %v — jitter not deterministic", attempt, a, b)
 		}
 		if a < 37*time.Millisecond || a > 2500*time.Millisecond {
 			t.Errorf("attempt %d delay %v outside [37ms, 2.5s]", attempt, a)
 		}
 	}
-	if BackoffDelay(1, 1) == BackoffDelay(2, 1) {
+	if prng.BackoffDelay(1, 1) == prng.BackoffDelay(2, 1) {
 		t.Error("different seeds produced identical jitter")
 	}
 }
@@ -620,9 +621,9 @@ func TestBackoffOverflowClamped(t *testing.T) {
 		{1 << 20, 1500 * time.Millisecond, 2500 * time.Millisecond},
 	} {
 		for seed := uint64(0); seed < 16; seed++ {
-			d := BackoffDelay(seed, tc.attempt)
+			d := prng.BackoffDelay(seed, tc.attempt)
 			if d < tc.min || d > tc.max {
-				t.Errorf("BackoffDelay(%d, %d) = %v, want within [%v, %v]",
+				t.Errorf("prng.BackoffDelay(%d, %d) = %v, want within [%v, %v]",
 					seed, tc.attempt, d, tc.min, tc.max)
 			}
 		}

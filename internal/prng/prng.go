@@ -12,7 +12,10 @@
 // Blackman & Vigna. It is not cryptographic.
 package prng
 
-import "math/bits"
+import (
+	"math/bits"
+	"time"
+)
 
 // SplitMix64 advances the SplitMix64 state and returns the next value.
 // It is used for seeding and for key derivation.
@@ -135,4 +138,28 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
+}
+
+// BackoffDelay is the wait before retry attempt+1: exponential from
+// 50ms, capped at 2s, with ±25% jitter drawn deterministically from
+// the seed and attempt number. It is the schedule of the job
+// supervisor's retries and of the cluster transport's retransmissions.
+// The exponent is clamped before shifting: 50ms<<6 already exceeds the
+// 2s cap, and an unclamped shift wraps int64 around attempt 40,
+// producing a bogus small-or-negative base before the cap could catch
+// it.
+func BackoffDelay(seed uint64, attempt int) time.Duration {
+	k := attempt - 1
+	switch {
+	case k < 0:
+		k = 0
+	case k > 6:
+		k = 6
+	}
+	base := 50 * time.Millisecond << k
+	if base > 2*time.Second {
+		base = 2 * time.Second
+	}
+	r := New(seed ^ (uint64(attempt) * 0x9e3779b97f4a7c15))
+	return time.Duration((0.75 + 0.5*r.Float64()) * float64(base))
 }

@@ -3,6 +3,7 @@ package prng
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -130,4 +131,21 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// TestBackoffDelaySchedule pins the first eight delays for two seeds:
+// the cluster transport's retransmissions and the job supervisor's
+// retries both run on this schedule, and a run replayed from a seed
+// must wait exactly as long as the first time.
+func TestBackoffDelaySchedule(t *testing.T) {
+	for seed, want := range map[uint64][8]time.Duration{
+		1:  {42902656, 100454512, 158693806, 354339482, 783519272, 1893564753, 1881564491, 1920448614},
+		42: {56062756, 106856817, 191505996, 498744181, 991964659, 1594078619, 1633874883, 2304477184},
+	} {
+		for i, w := range want {
+			if got := BackoffDelay(seed, i+1); got != w {
+				t.Errorf("BackoffDelay(%d, %d) = %d, want %d", seed, i+1, got, w)
+			}
+		}
+	}
 }
