@@ -245,7 +245,7 @@ func OpenNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir st
 		n.jrn, err = journal.Create(dir)
 	}
 	if err != nil {
-		ps.store.Close()
+		ps.chain.Close()
 		return nil, err
 	}
 	n.jrn.SetTracer(n.sh.tr, nodeID)
@@ -317,8 +317,8 @@ func (n *NodeEngine) Setup() (disk.Stats, error) {
 	if err := n.sh.writeInitialContexts(n.ps); err != nil {
 		return disk.Stats{}, err
 	}
-	stats := n.ps.dsk.Stats()
-	n.ps.dsk.ResetStats()
+	stats := n.ps.chain.Stats()
+	n.ps.chain.ResetStats()
 	n.stepsDone = 0
 	n.halted = false
 	return stats, n.prepare(-1)
@@ -406,7 +406,7 @@ func (n *NodeEngine) Reload() error {
 	// subset-rewrite of them, and earlier uncommitted-to-replica
 	// barriers may still be in the accumulator.
 	n.mergeDirty()
-	if err := errors.Join(n.jrn.Close(), n.ps.store.Close()); err != nil {
+	if err := errors.Join(n.jrn.Close(), n.ps.chain.Close()); err != nil {
 		return err
 	}
 	ps, err := n.sh.newProcState(n.ps.id, procDir(n.dir, n.ps.id), true)
@@ -444,8 +444,8 @@ func (n *NodeEngine) Close() error {
 	if n.jrn != nil {
 		errs = append(errs, n.jrn.Close())
 	}
-	if n.ps != nil && n.ps.store != nil {
-		errs = append(errs, n.ps.store.Close())
+	if n.ps != nil {
+		errs = append(errs, n.ps.chain.Close())
 	}
 	return errors.Join(errs...)
 }

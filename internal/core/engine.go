@@ -92,7 +92,7 @@ type engine struct {
 }
 
 // faulty reports whether the engine runs under a fault plan.
-func (e *engine) faulty() bool { return e.procs[0].fd != nil }
+func (e *engine) faulty() bool { return disk.Find[*fault.Disk](e.procs[0].chain) != nil }
 
 func runProgram(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
 	e, d := newEngine(ctx, p, cfg, opts)
@@ -115,7 +115,7 @@ func (e *engine) run(d *driver) (*Result, error) {
 	cerrs := []error{d.close()}
 	for _, ps := range e.procs {
 		if ps != nil {
-			cerrs = append(cerrs, ps.close())
+			cerrs = append(cerrs, ps.chain.Close())
 		}
 	}
 	if err == nil {
@@ -177,10 +177,7 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	}
 	// The store layers' counters, which no report carries.
 	for _, ps := range e.procs {
-		ps.report(&res.EM, e.opts.Metrics)
-		if ps.bfile != nil {
-			res.EM.Tiers = addTierStats(res.EM.Tiers, collectTierStats(ps.bfile))
-		}
+		ps.report(&res.EM, e.opts.Metrics, e.opts.MappedStore)
 	}
 	publishTierStats(e.opts.Metrics, res.EM.Tiers)
 	return res, nil
@@ -238,8 +235,8 @@ func (e *engine) Setup() ([]disk.Stats, error) {
 		if _, err := ps.parityBarrier(e.tr, ps.id, e.opts.Scrub); err != nil {
 			return nil, err
 		}
-		stats[i] = ps.dsk.Stats()
-		ps.dsk.ResetStats()
+		stats[i] = ps.chain.Stats()
+		ps.chain.ResetStats()
 		if err := e.syncStore(ps, -1); err != nil {
 			return nil, err
 		}
@@ -379,8 +376,8 @@ func (e *engine) Final() ([]*NodeReport, error) {
 
 // procSnapshot is one processor's superstep checkpoint.
 type procSnapshot struct {
-	fd       *fault.Snapshot
-	red      *redundancy.Snapshot
+	faults   *fault.Snapshot
+	parity   *redundancy.Snapshot // nil without a parity layer
 	rng      [4]uint64
 	acctMark int64
 	opsMark  int64
@@ -394,17 +391,17 @@ func (e *engine) snapshot() []procSnapshot {
 	s := make([]procSnapshot, len(e.procs))
 	for i, ps := range e.procs {
 		s[i] = procSnapshot{
-			fd:       ps.fd.Snapshot(),
+			faults:   disk.Find[*fault.Disk](ps.chain).Snapshot(),
 			rng:      ps.rng.State(),
 			acctMark: ps.acct.Mark(),
-			opsMark:  ps.dsk.Stats().Ops,
+			opsMark:  ps.chain.Stats().Ops,
 			routeOps: ps.routeOps,
 			ragged:   ps.ragged,
 			maxSkew:  ps.maxSkew,
 			peakLive: ps.peakLive,
 		}
-		if ps.red != nil {
-			s[i].red = ps.red.Snapshot()
+		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
+			s[i].parity = red.Snapshot()
 		}
 	}
 	return s
@@ -416,12 +413,12 @@ func (e *engine) snapshot() []procSnapshot {
 func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 	for i, ps := range e.procs {
 		p := s[i]
-		aborted := ps.dsk.Stats().Ops - p.opsMark
+		aborted := ps.chain.Stats().Ops - p.opsMark
 		e.led.recoveryOps += aborted
 		maxAborted = max(maxAborted, aborted)
-		ps.fd.Restore(p.fd) // rolls the shared allocator back first
-		if ps.red != nil {
-			ps.red.Restore(p.red)
+		disk.Find[*fault.Disk](ps.chain).Restore(p.faults) // rolls the shared allocator back first
+		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
+			red.Restore(p.parity)
 		}
 		ps.rng.SetState(p.rng)
 		ps.acct.Rewind(p.acctMark)

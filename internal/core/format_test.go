@@ -7,7 +7,9 @@ import (
 
 	"embsp/internal/core"
 	"embsp/internal/disk"
+	"embsp/internal/fault"
 	"embsp/internal/journal"
+	"embsp/internal/redundancy"
 	"embsp/internal/workload"
 )
 
@@ -43,6 +45,37 @@ func TestManifestFormatsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("RUN", o.StateDir, want)
+	}
+	// Layered chains, whose records carry the optional fault and parity
+	// sections after the store state; computed at the commit before the
+	// layers became links of one chain (PR 17).
+	for _, row := range []struct {
+		name string
+		p    int
+		with func(*core.Options)
+		want [2]uint64
+	}{
+		{"file+parity+faults", 1, func(o *core.Options) {
+			o.Redundancy = redundancy.Parity
+			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
+		}, [2]uint64{0x376f77a8c456e68d, 0xbc4f603828c84c0f}},
+		{"file+mirror+drive death", 1, func(o *core.Options) {
+			o.Redundancy = redundancy.Mirror
+			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
+		}, [2]uint64{0x9740fad1edef9622, 0xfc6446c35ad3eeb7}},
+		{"mapped+tier+parity", 2, func(o *core.Options) {
+			o.MappedStore = true
+			o.Tiers = []core.TierSpec{{}}
+			o.Redundancy = redundancy.Parity
+		}, [2]uint64{0x26dce0e7add5263e, 0xe4028ee6681a554a}},
+	} {
+		o := opts
+		o.StateDir = t.TempDir()
+		row.with(&o)
+		if _, err := core.Run(prog, parMachine(row.p, 2, 8, 256), o); err != nil {
+			t.Fatal(err)
+		}
+		check("RUN "+row.name, o.StateDir, row.want)
 	}
 	root := t.TempDir()
 	rig := openRig(t, prog, parMachine(2, 2, 8, 256), opts, root, false)

@@ -7,6 +7,7 @@ import (
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
+	"embsp/internal/fault"
 	"embsp/internal/mem"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
@@ -54,7 +55,7 @@ type procState struct {
 	lo int // first owned VP
 	hi int // one past last owned VP
 
-	storeStack      // the store chain: store, bfile, pf, red, fd, dsk
+	storeStack      // the store chain
 	stepBufs        // the superstep loop's internal memory
 	ckptOn     bool // barrier checkpoint discipline active
 	acct       *mem.Accountant
@@ -86,11 +87,11 @@ type procState struct {
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
 
 // stepOps returns the parallel I/O operations consumed since beginStep.
-func (ps *procState) stepOps() int64 { return ps.dsk.Stats().Ops - ps.opsMark }
+func (ps *procState) stepOps() int64 { return ps.chain.Stats().Ops - ps.opsMark }
 
 func (ps *procState) noteLive(muBlocks, extraBlocks int) {
 	live := int64(ps.ownCount()*muBlocks + extraBlocks)
-	per := live / int64(ps.dsk.Config().D)
+	per := live / int64(ps.chain.Config().D)
 	if per > ps.peakLive {
 		ps.peakLive = per
 	}
@@ -245,9 +246,9 @@ func procDir(root string, i int) string {
 // block index i + j·⌈µ/B⌉ (the paper's Step 1(a)/1(e)). Under the
 // checkpoint discipline a second area double-buffers it.
 func (sh *simShape) setupReserve(ps *procState) {
-	ps.ctxAreas[0] = disk.Reserve(ps.dsk, ps.ownCount()*sh.muBlocks)
+	ps.ctxAreas[0] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
 	if ps.ckptOn {
-		ps.ctxAreas[1] = disk.Reserve(ps.dsk, ps.ownCount()*sh.muBlocks)
+		ps.ctxAreas[1] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
 	}
 	ps.noteLive(sh.muBlocks, 0)
 }
@@ -280,7 +281,7 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 			copy(buf[(id-lo)*sh.muBlocks*sh.cfg.B:], enc.Words())
 		}
 		cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-		if err := disk.WriteRange(ps.dsk, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
+		if err := disk.WriteRange(ps.chain, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
 			return err
 		}
 	}
@@ -306,7 +307,7 @@ func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uin
 			continue
 		}
 		cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-		if err := disk.ReadRange(ps.dsk, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
+		if err := disk.ReadRange(ps.chain, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
 			return err
 		}
 		for id := lo; id < hi; id++ {
@@ -328,7 +329,7 @@ func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
 	sp := sh.tr.Begin(obs.CatEngine, phFinish, ps.id, 0)
 	defer sp.End()
 	if ps.final == nil {
-		ps.final = &NodeReport{Lo: ps.lo, Hi: ps.hi, RunStats: ps.dsk.Stats()}
+		ps.final = &NodeReport{Lo: ps.lo, Hi: ps.hi, RunStats: ps.chain.Stats()}
 	}
 	r := ps.final
 	if load {
@@ -349,7 +350,7 @@ func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := ps.dsk.Stats()
+	s := ps.chain.Stats()
 	r.FinishOps = s.Ops - r.RunStats.Ops
 	r.FinishReadOps = s.ReadOps - r.RunStats.ReadOps
 	r.FinishBlocksRead = s.BlocksRead - r.RunStats.BlocksRead
@@ -361,12 +362,12 @@ func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
 // syncStore makes the processor's data durable, ahead of the barrier
 // record that will reference it. An in-memory chain has no such record.
 func (sh *simShape) syncStore(ps *procState, step int) error {
-	if ps.bfile == nil {
+	if !ps.durable() {
 		return nil
 	}
 	sp := sh.tr.BeginStep(obs.CatEngine, phBarrier, ps.id, 0, step, -1)
 	defer sp.End()
-	return ps.store.Sync()
+	return ps.chain.Sync()
 }
 
 // beginStep resets the processor's superstep-scoped scratch: halt/send
@@ -376,12 +377,12 @@ func (sh *simShape) beginStep(ps *procState) {
 	ps.halts, ps.sends = 0, 0
 	nbuckets, bucketKey := sh.buckets()
 	ps.dir = newOutDirectory(nbuckets, sh.cfg.D)
-	ps.opsMark = ps.dsk.Stats().Ops
+	ps.opsMark = ps.chain.Stats().Ops
 	var down func(int) bool
-	if ps.fd != nil {
-		down = ps.fd.Down
+	if fd := disk.Find[*fault.Disk](ps.chain); fd != nil {
+		down = fd.Down
 	}
-	ps.writer = newBlockWriter(ps.dsk, ps.dir, bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
+	ps.writer = newBlockWriter(ps.chain, ps.dir, bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
 }
 
 // fetchPkts is the packet count for w words combined into size-b
@@ -418,13 +419,13 @@ func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 		if ps.inDir == nil {
 			return batchIn{}, nil
 		}
-		return readScattered(ps.dsk, ps.acct, &ps.stepBufs, ps.inDir.q[j])
+		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
 	}
 	var regions []groupRegion
 	if j < len(ps.inRegions) {
 		regions = ps.inRegions[j]
 	}
-	return readRegions(ps.dsk, ps.acct, &ps.stepBufs, regions)
+	return readRegions(ps.chain, ps.acct, &ps.stepBufs, regions)
 }
 
 // fetchForward is the fetching phase of a machine with an exchange:
@@ -568,7 +569,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	}
 	ctxBuf := fit(&ps.ctx, ctxWords)
 	cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-	if err := disk.ReadRange(ps.dsk, ps.ctxRead(), cl, ch, ctxBuf); err != nil {
+	if err := disk.ReadRange(ps.chain, ps.ctxRead(), cl, ch, ctxBuf); err != nil {
 		return err
 	}
 	vps := make([]bsp.VP, n)
@@ -585,8 +586,10 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	// Group pipeline: stage batch j+1's context and message blocks
 	// into the local store's physical cache while this batch computes
 	// (purely physical, no accounting — see pipeline.go).
-	if ps.pf != nil && j+1 < sh.batches {
-		ps.pf.Prefetch(sh.prefetchBatch(ps, j+1))
+	if j+1 < sh.batches {
+		if pf := ps.prefetcher(sh.opts.Pipeline); pf != nil {
+			pf.Prefetch(sh.prefetchBatch(ps, j+1))
+		}
 	}
 
 	// Simulate the computation supersteps, collecting the generated
@@ -646,7 +649,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		}
 		copy(ctxBuf[i*sh.muBlocks*B:], enc.Words())
 	}
-	if err := disk.WriteRange(ps.dsk, ps.ctxWrite(), cl, ch, ctxBuf); err != nil {
+	if err := disk.WriteRange(ps.chain, ps.ctxWrite(), cl, ch, ctxBuf); err != nil {
 		return err
 	}
 	ps.acct.Release(int64(ctxWords))
@@ -782,7 +785,7 @@ func (sh *simShape) routeLocal(ps *procState, step int) error {
 		}
 	}
 	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
-	route, err := simulateRouting(ps.dsk, ps.acct, &ps.stepBufs, ps.dir, func(m blockMeta) int { return sh.batchOf(m.dst) }, sh.batches)
+	route, err := simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir, func(m blockMeta) int { return sh.batchOf(m.dst) }, sh.batches)
 	if err != nil {
 		return err
 	}
@@ -797,7 +800,7 @@ func (sh *simShape) routeLocal(ps *procState, step int) error {
 // freeInput releases the input areas the superstep consumed.
 func (sh *simShape) freeInput(ps *procState) error {
 	for _, ar := range ps.inAreas {
-		if err := disk.FreeArea(ps.dsk, ar); err != nil {
+		if err := disk.FreeArea(ps.chain, ar); err != nil {
 			return err
 		}
 	}

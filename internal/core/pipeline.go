@@ -2,7 +2,6 @@ package core
 
 import (
 	"embsp/internal/disk"
-	"embsp/internal/obs"
 )
 
 // The group pipeline overlaps physical I/O with compute without
@@ -23,14 +22,6 @@ import (
 // wrong byte) — prefetching is pure cache priming with zero model
 // accounting either way.
 
-// fileStore is the surface the engines need from a durable store
-// beyond disk.Store: wall-clock overlap observability and the raw
-// track import/export hooks the cluster runtime replicates through.
-// It is exactly disk.Backend — the pread/pwrite *disk.File, the
-// mmap-backed *disk.Mapped, and any *disk.Tier chain stacked above
-// either all implement it; in-memory runs leave the field nil.
-type fileStore = disk.Backend
-
 // Store backend names reported in EMStats.StoreBackend.
 const (
 	backendFile   = "file"
@@ -41,43 +32,33 @@ const (
 	backendMappedFallback = "mapped→file"
 )
 
-// openRunStore opens the durable store chain for one processor: the
-// mmap-backed backend when Options.MappedStore is set and the
-// platform supports it (falling back to the file store otherwise, so
-// mapped runs degrade gracefully on foreign platforms — the two
-// stores share one on-disk format, so the fallback is invisible to
-// results and resume; the returned backend name and the
-// store_mapped_fallbacks metric make it visible to observability),
-// else the file store with the run's I/O-worker options — then any
-// Options.Tiers stacked above it, innermost last. The second result
-// is the group pipeline's prefetch target: the outermost tier when
-// tiers are configured (which is how a mapped backend, synchronous on
-// its own, gains a pipeline), else the file store, else nil.
-func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (fileStore, disk.Prefetcher, string, error) {
+// openRunStore opens the durable links of one processor's chain: the
+// mmap-backed store when Options.MappedStore is set and the platform
+// supports it (falling back to the file store otherwise, so mapped runs
+// degrade gracefully on foreign platforms — the two stores share one
+// on-disk format, so the fallback is invisible to results and resume;
+// EMStats.StoreBackend and the store_mapped_fallbacks metric make it
+// visible to observability), else the file store with the run's
+// I/O-worker options — then any Options.Tiers stacked above it,
+// innermost last.
+func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (disk.Store, error) {
 	dcfg := disk.Config{D: cfg.D, B: cfg.B}
-	var base fileStore
-	var pf disk.Prefetcher
-	backend := backendFile
+	var chain disk.Store
+	var err error
 	if opts.MappedStore && disk.MmapSupported() {
-		m, err := disk.OpenMapped(dir, dcfg, resume, disk.MappedOptions{
+		chain, err = disk.OpenMapped(dir, dcfg, resume, disk.MappedOptions{
 			AccessLatency: opts.DriveLatency,
 			Tracer:        opts.Trace,
 			TracePID:      pid,
 		})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		base, backend = m, backendMapped
 	} else {
 		if opts.MappedStore {
-			backend = backendMappedFallback
 			opts.Metrics.Counter("store_mapped_fallbacks").Add(1)
 		}
-		f, err := disk.OpenFileOpts(dir, dcfg, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid))
-		if err != nil {
-			return nil, nil, "", err
-		}
-		base, pf = f, pipelineFor(opts, f)
+		chain, err = disk.OpenFileOpts(dir, dcfg, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid))
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Stack the tier chain, innermost (last spec) first. A tier's
 	// fill workers only run when the pipeline is on and there is
@@ -95,7 +76,7 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 		if opts.Pipeline >= 0 && latBelow > 0 {
 			fill = cfg.D
 		}
-		t := disk.NewTier(base, disk.TierOptions{
+		chain = disk.NewTier(chain, disk.TierOptions{
 			CacheWords:    words,
 			AccessLatency: spec.Latency,
 			FillWorkers:   fill,
@@ -103,48 +84,9 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 			TracePID:      pid,
 			Level:         i,
 		})
-		base = t
 		latBelow += spec.Latency
-		if opts.Pipeline >= 0 {
-			pf = t
-		}
 	}
-	return base, pf, backend, nil
-}
-
-// publishMappedWords surfaces the mmap-backed store's page-cache
-// footprint (high-water mapped words) as a metric. Mapped pages are
-// deliberately outside the engine's internal-memory budget M — they
-// are kernel page cache, the EM model's "disk" — so the accounting
-// lives in its own gauge rather than the engine accountant. The
-// backend is found under any tier chain.
-func publishMappedWords(r *obs.Registry, s fileStore) {
-	if r == nil {
-		return
-	}
-	if m, ok := baseBackend(s).(*disk.Mapped); ok {
-		r.Counter("store_mapped_high_words").Max(m.MappedHigh())
-	}
-}
-
-// baseBackend unwraps a tier chain down to the durable backend.
-func baseBackend(s fileStore) fileStore {
-	for {
-		t, ok := s.(*disk.Tier)
-		if !ok {
-			return s
-		}
-		s = t.Backend()
-	}
-}
-
-// collectTierStats reports the tier chain's cache-traffic counters
-// (outermost first), or nil for an unstacked store.
-func collectTierStats(s fileStore) []disk.TierStats {
-	if t, ok := s.(*disk.Tier); ok {
-		return t.Tiers()
-	}
-	return nil
+	return chain, nil
 }
 
 // addTierStats folds one processor's tier counters into a run
@@ -191,18 +133,6 @@ func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.
 		Tracer:        opts.Trace,
 		TracePID:      pid,
 	}
-}
-
-// pipelineFor resolves Options.Pipeline against the store actually in
-// use: the pipeline runs exactly when there is a file-backed store
-// under the run (f non-nil) and the option does not force it off.
-// With workers disabled the store's Prefetch is a no-op, so "auto"
-// degrades gracefully to the serial schedule.
-func pipelineFor(opts Options, f *disk.File) disk.Prefetcher {
-	if f == nil || opts.Pipeline < 0 {
-		return nil
-	}
-	return f
 }
 
 // areaAddrs appends the addresses of blocks [lo, hi) of an area.

@@ -67,7 +67,7 @@ type groupRegion struct {
 // into as many parallel operations as needed — the engine's graceful
 // degradation after a permanent drive loss.
 type blockWriter struct {
-	dsk       disk.Disk
+	dsk       disk.Store
 	dir       *outDirectory
 	bucketKey func(blockMeta) int
 	rng       *prng.Rand
@@ -85,7 +85,7 @@ type blockWriter struct {
 // newBlockWriter returns a writer over the processor's operation
 // buffer, request list and pending-block tables, which it owns until
 // the superstep's last flush.
-func newBlockWriter(dsk disk.Disk, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
+func newBlockWriter(dsk disk.Store, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
 	D, B := dsk.Config().D, dsk.Config().B
 	return &blockWriter{
 		dsk: dsk, dir: dir, bucketKey: bucketKey, rng: rng, det: det, down: down,
@@ -198,7 +198,7 @@ type routeResult struct {
 // Under the fault layer a dead drive's tracks are served transparently
 // from their mirror copies; the extra operations the redirection costs
 // are charged by the layer and surfaced as RecoveryOps.
-func simulateRouting(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory, groupKey func(blockMeta) int, numGroups int) (*routeResult, error) {
+func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory, groupKey func(blockMeta) int, numGroups int) (*routeResult, error) {
 	D, B := dsk.Config().D, dsk.Config().B
 	res := &routeResult{total: dir.total}
 
@@ -326,7 +326,7 @@ func simulateRouting(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, dir *o
 // count equals the maximum per-drive share — exactly the quantity
 // Lemma 2 bounds. Source tracks are released after reading. Returns
 // like readRegions.
-func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
+func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, refs := range perDrive {
@@ -376,7 +376,7 @@ func readScattered(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, perDrive
 // processor's region buffer, grabbing their words, and parses their
 // directory entries. The caller releases the returned grab; the
 // batchIn stays valid until the next read into the region buffer.
-func readRegions(dsk disk.Disk, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
+func readRegions(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, r := range regions {

@@ -63,11 +63,11 @@ func TestSnapshotCodecRejectsCorruptTrack(t *testing.T) {
 
 func TestSnapshotCodecRejectsBogusTrackCount(t *testing.T) {
 	enc := words.NewEncoder(nil)
-	enc.PutInt(1)          // Version
-	enc.PutBool(true)      // Full
-	enc.PutInt(-1)         // Base
-	enc.PutUints(nil)      // Manifest
-	enc.PutInt(1 << 40)    // absurd track count
+	enc.PutInt(1)       // Version
+	enc.PutBool(true)   // Full
+	enc.PutInt(-1)      // Base
+	enc.PutUints(nil)   // Manifest
+	enc.PutInt(1 << 40) // absurd track count
 	if _, err := DecodeSnapshot(words.NewDecoder(enc.Words())); err == nil {
 		t.Fatal("snapshot claiming 2^40 tracks decoded")
 	}

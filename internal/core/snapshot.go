@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -108,10 +107,10 @@ func DecodeSnapshot(dec *words.Decoder) (*NodeSnapshot, error) {
 // store instance, and with it the store-level set), preserving the
 // invariant that dirty ⊇ every track changed since barrier exportBase.
 func (n *NodeEngine) mergeDirty() {
-	if n.ps == nil || n.ps.bfile == nil {
+	if n.ps == nil {
 		return
 	}
-	for _, a := range n.ps.bfile.TakeDirty() {
+	for _, a := range n.ps.chain.TakeDirty() {
 		n.dirty[a] = struct{}{}
 	}
 }
@@ -142,25 +141,12 @@ func (n *NodeEngine) ExportSnapshot(base int) (*NodeSnapshot, error) {
 	} else {
 		return nil, fmt.Errorf("core: nothing committed or prepared to export")
 	}
-	if n.ps.bfile == nil {
-		return nil, fmt.Errorf("core: snapshot export needs a file-backed store")
-	}
 	snap := &NodeSnapshot{Version: version, Manifest: append([]uint64(nil), manifest...)}
 	n.mergeDirty()
 	if base >= 0 && base == n.exportBase {
 		snap.Full, snap.Base = false, base
-		addrs := make([]disk.Addr, 0, len(n.dirty))
-		for a := range n.dirty {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool {
-			if addrs[i].Disk != addrs[j].Disk {
-				return addrs[i].Disk < addrs[j].Disk
-			}
-			return addrs[i].Track < addrs[j].Track
-		})
-		for _, a := range addrs {
-			img, err := n.ps.bfile.ExportTrack(a.Disk, a.Track)
+		for _, a := range disk.SortedAddrs(n.dirty) {
+			img, err := n.ps.chain.ExportTrack(a.Disk, a.Track)
 			if err != nil {
 				return nil, err
 			}
@@ -168,10 +154,10 @@ func (n *NodeEngine) ExportSnapshot(base int) (*NodeSnapshot, error) {
 		}
 	} else {
 		snap.Full, snap.Base = true, -1
-		st := n.ps.store.State()
+		st := n.ps.chain.State()
 		for d := range st.Next {
 			for t := 0; t < st.Next[d]; t++ {
-				img, err := n.ps.bfile.ExportTrack(d, t)
+				img, err := n.ps.chain.ExportTrack(d, t)
 				if err != nil {
 					return nil, err
 				}
@@ -238,21 +224,21 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 		if t.Payload == nil {
 			continue // a fresh store is blank everywhere
 		}
-		if err := ps.bfile.ImportTrack(t.Disk, t.Track, t.Payload); err != nil {
-			ps.store.Close()
+		if err := ps.chain.ImportTrack(t.Disk, t.Track, t.Payload); err != nil {
+			ps.chain.Close()
 			return nil, err
 		}
 	}
 	// Track data must be durable before the seeded journal claims the
 	// barrier committed — the same write-ahead discipline as Prepare.
-	if err := ps.bfile.Sync(); err != nil {
-		ps.store.Close()
+	if err := ps.chain.Sync(); err != nil {
+		ps.chain.Close()
 		return nil, err
 	}
-	ps.bfile.TakeDirty()
+	ps.chain.TakeDirty()
 	jrn, err := journal.Seed(dir, snap.Version, snap.Manifest)
 	if err != nil {
-		ps.store.Close()
+		ps.chain.Close()
 		return nil, err
 	}
 	jrn.SetTracer(n.sh.tr, nodeID)

@@ -12,18 +12,15 @@ import (
 )
 
 // storeStack is one processor's store chain, built in one place
-// (openStack) for every engine: the in-memory array, or the durable
-// backend under any tier chain; then the parity layer when Redundancy
-// is parity; then the fault layer when the run has a fault plan. The
-// engines embed it and address the chain through dsk.
+// (openStack) for every engine, outermost link first: the fault layer
+// when the run has a fault plan; the parity layer when Redundancy is
+// parity; any tiers; then the in-memory array, or the durable file or
+// mapped store. The engines address the one value for I/O, state,
+// durability and the raw track hooks alike, and find a layer's own
+// surface by walking it (disk.Find) — per superstep, barrier or batch,
+// never per block.
 type storeStack struct {
-	store   disk.Store        // outermost store: raw array/file/mapped, or the parity layer over it
-	bfile   fileStore         // the durable store chain (tiers over file/mapped), nil for in-memory runs
-	backend string            // name of the durable backend actually opened ("" in-memory)
-	pf      disk.Prefetcher   // group-pipeline prefetch target, nil when off
-	red     *redundancy.Store // nil unless Redundancy is parity
-	fd      *fault.Disk       // nil without a fault plan
-	dsk     disk.Disk         // store, or fd wrapping it
+	chain disk.Store
 }
 
 // openStack builds processor pid's chain: file-backed under dir, or
@@ -33,29 +30,27 @@ type storeStack struct {
 // mode is explicit: the fault layer mirrors exactly when the run asked
 // for mirror redundancy (parity protection lives in the layer below
 // it). The wrap decision must be uniform across processors — the
-// engines treat fd as all-or-nothing — so it depends on the original
-// plan, not the per-processor pruned copy.
+// engines treat the fault layer as all-or-nothing — so it depends on
+// the original plan, not the per-processor pruned copy.
 func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (storeStack, error) {
-	var s storeStack
-	if dir != "" {
-		f, pf, backend, err := openRunStore(dir, cfg, opts, resume, k, mu, gamma, pid)
-		if err != nil {
-			return s, err
-		}
-		s.store, s.bfile, s.pf, s.backend = f, f, pf, backend
+	var chain disk.Store
+	if dir == "" {
+		chain = disk.MustNewArray(disk.Config{D: cfg.D, B: cfg.B})
 	} else {
-		s.store = disk.MustNewArray(disk.Config{D: cfg.D, B: cfg.B})
+		var err error
+		if chain, err = openRunStore(dir, cfg, opts, resume, k, mu, gamma, pid); err != nil {
+			return storeStack{}, err
+		}
 	}
 	mode := opts.effectiveRedundancy()
 	if mode == redundancy.Parity {
-		red, err := redundancy.Wrap(s.store)
+		red, err := redundancy.Wrap(chain)
 		if err != nil {
-			s.store.Close()
-			return s, err
+			chain.Close()
+			return storeStack{}, err
 		}
-		s.red, s.store = red, red
+		chain = red
 	}
-	s.dsk = s.store
 	var plan fault.Plan
 	if opts.FaultPlan != nil {
 		plan = *opts.FaultPlan
@@ -68,18 +63,35 @@ func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, 
 	}
 	plan.Mirror = mode == redundancy.Mirror
 	if (opts.FaultPlan != nil && opts.FaultPlan.Enabled()) || plan.Mirror {
-		fd, err := fault.Wrap(s.store, plan, opts.MaxRetries)
+		fd, err := fault.Wrap(chain, plan, opts.MaxRetries)
 		if err != nil {
-			s.store.Close()
-			return s, err
+			chain.Close()
+			return storeStack{}, err
 		}
-		s.fd, s.dsk = fd, fd
+		chain = fd
 	}
-	return s, nil
+	return storeStack{chain}, nil
 }
 
-// close releases the whole chain.
-func (s *storeStack) close() error { return s.store.Close() }
+// durable reports whether the chain ends in drive files rather than in
+// the in-memory array.
+func (s storeStack) durable() bool {
+	return disk.Find[*disk.Array](s.chain) == nil
+}
+
+// prefetcher resolves Options.Pipeline against the chain: the group
+// pipeline's prefetch target is the outermost link that can prefetch —
+// the outermost tier (which is how a mapped store, synchronous on its
+// own, gains a pipeline), else the file store — or nil: the option
+// forces the pipeline off, or nothing in the chain prefetches. With its
+// workers disabled the file store's Prefetch is a no-op, so "auto"
+// degrades gracefully to the serial schedule.
+func (s storeStack) prefetcher(pipeline int) disk.Prefetcher {
+	if pipeline < 0 {
+		return nil
+	}
+	return disk.Find[disk.Prefetcher](s.chain)
+}
 
 // redBudget returns the per-barrier track budget for background
 // redundancy maintenance (rebuild and scrub): a deterministic slice of
@@ -94,21 +106,22 @@ func redBudget(D int) int { return 4 * D }
 // before the journal commit, so the manifest always captures a
 // parity-consistent state. Returns the I/O operations consumed, so a
 // multiprocessor driver can charge the slowest processor's share.
-func (s *storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, error) {
-	if s.red == nil {
+func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, error) {
+	red := disk.Find[*redundancy.Store](s.chain)
+	if red == nil {
 		return 0, nil
 	}
-	budget := redBudget(s.store.Config().D)
-	before := s.dsk.Stats().Ops
+	budget := redBudget(s.chain.Config().D)
+	before := s.chain.Stats().Ops
 	sp := tr.Begin(obs.CatEngine, phParity, pid, 0)
-	err := s.red.FlushParity()
+	err := red.FlushParity()
 	sp.End()
 	if err != nil {
 		return 0, err
 	}
-	if s.red.Rebuilding() {
+	if red.Rebuilding() {
 		sp := tr.Begin(obs.CatEngine, phRebuild, pid, 0)
-		err := s.red.RebuildStep(budget)
+		err := red.RebuildStep(budget)
 		sp.End()
 		if err != nil {
 			return 0, err
@@ -116,62 +129,64 @@ func (s *storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, 
 	}
 	if scrub {
 		sp := tr.Begin(obs.CatEngine, phScrub, pid, 0)
-		_, err := s.red.Scrub(budget)
+		_, err := red.Scrub(budget)
 		sp.End()
 		if err != nil {
 			return 0, err
 		}
 	}
-	return s.dsk.Stats().Ops - before, nil
+	return s.chain.Stats().Ops - before, nil
 }
 
 // reconcile runs after a resume adopted the manifest: the crashed
 // attempt may have left in-place rewrites (or torn writes) the
 // manifest's parity does not encode; repair or adopt them before the
 // replay's parity arithmetic trusts the disk.
-func (s *storeStack) reconcile() error {
-	if s.red == nil {
-		return nil
+func (s storeStack) reconcile() error {
+	if red := disk.Find[*redundancy.Store](s.chain); red != nil {
+		return red.Reconcile()
 	}
-	return s.red.Reconcile()
+	return nil
 }
 
 // encodeState appends the chain's journaled state: the store's
 // StoreState, then each optional layer behind a presence flag.
-func (s *storeStack) encodeState(enc *words.Encoder) {
-	encodeStoreState(enc, s.store.State())
-	enc.PutBool(s.fd != nil)
-	if s.fd != nil {
-		s.fd.EncodeState(enc)
+func (s storeStack) encodeState(enc *words.Encoder) {
+	encodeStoreState(enc, s.chain.State())
+	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)
+	enc.PutBool(fd != nil)
+	if fd != nil {
+		fd.EncodeState(enc)
 	}
-	enc.PutBool(s.red != nil)
-	if s.red != nil {
-		s.red.EncodeState(enc)
+	enc.PutBool(red != nil)
+	if red != nil {
+		red.EncodeState(enc)
 	}
 }
 
 // decodeState adopts what encodeState wrote into a freshly opened
 // chain, refusing a journal whose layers disagree with the resuming
 // options.
-func (s *storeStack) decodeState(dec *words.Decoder) error {
-	if err := s.store.AdoptState(decodeStoreState(dec)); err != nil {
+func (s storeStack) decodeState(dec *words.Decoder) error {
+	if err := s.chain.AdoptState(decodeStoreState(dec)); err != nil {
 		return err
 	}
+	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)
 	hadFault := dec.Bool()
-	if hadFault != (s.fd != nil) {
-		return fmt.Errorf("core: journal fault-layer presence (%v) disagrees with the resuming options (%v)", hadFault, s.fd != nil)
+	if hadFault != (fd != nil) {
+		return fmt.Errorf("core: journal fault-layer presence (%v) disagrees with the resuming options (%v)", hadFault, fd != nil)
 	}
-	if s.fd != nil {
-		if err := s.fd.DecodeState(dec); err != nil {
+	if fd != nil {
+		if err := fd.DecodeState(dec); err != nil {
 			return err
 		}
 	}
 	hadRed := dec.Bool()
-	if hadRed != (s.red != nil) {
-		return fmt.Errorf("core: journal parity-layer presence (%v) disagrees with the resuming options (%v)", hadRed, s.red != nil)
+	if hadRed != (red != nil) {
+		return fmt.Errorf("core: journal parity-layer presence (%v) disagrees with the resuming options (%v)", hadRed, red != nil)
 	}
-	if s.red != nil {
-		return s.red.DecodeState(dec)
+	if red != nil {
+		return red.DecodeState(dec)
 	}
 	return nil
 }
@@ -179,9 +194,11 @@ func (s *storeStack) decodeState(dec *words.Decoder) error {
 // report folds the chain's layer counters into a run's EMStats and
 // metrics registry; called once per processor (every field it touches
 // accumulates, so the multiprocessor fold is the same call repeated).
-func (s *storeStack) report(em *EMStats, reg *obs.Registry) {
-	if s.fd != nil {
-		c := s.fd.Counters()
+// askedMapped is Options.MappedStore, which names a file store opened
+// in the mapped store's place.
+func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
+	if fd := disk.Find[*fault.Disk](s.chain); fd != nil {
+		c := fd.Counters()
 		em.FaultsInjected += c.Injected()
 		em.ChecksumFailures += c.ChecksumFailures
 		em.DriveFailures += c.DriveFailures
@@ -191,8 +208,8 @@ func (s *storeStack) report(em *EMStats, reg *obs.Registry) {
 		em.RecoveryOps += c.RecoveryOps
 		c.Publish(reg)
 	}
-	if s.red != nil {
-		c := s.red.Counters()
+	if red := disk.Find[*redundancy.Store](s.chain); red != nil {
+		c := red.Counters()
 		em.ChecksumFailures += c.ChecksumFailures
 		em.ParityOps += c.ParityOps
 		em.ParityBlocks += c.ParityBlocks
@@ -205,11 +222,25 @@ func (s *storeStack) report(em *EMStats, reg *obs.Registry) {
 		em.RebuiltBlocks += c.RebuiltBlocks
 		c.Publish(reg)
 	}
-	if s.bfile != nil {
-		ov := s.bfile.Overlap()
-		em.Overlap.Add(ov)
-		ov.Publish(reg)
-		publishMappedWords(reg, s.bfile)
-		em.StoreBackend = s.backend
+	if !s.durable() {
+		return
 	}
+	ov := s.chain.Overlap()
+	em.Overlap.Add(ov)
+	ov.Publish(reg)
+	em.StoreBackend = backendFile
+	if m := disk.Find[*disk.Mapped](s.chain); m != nil {
+		em.StoreBackend = backendMapped
+		// Mapped pages are deliberately outside the engine's
+		// internal-memory budget M — they are kernel page cache, the EM
+		// model's "disk" — so their high-water mark is a gauge of its own.
+		reg.Counter("store_mapped_high_words").Max(m.MappedHigh())
+	} else if askedMapped {
+		em.StoreBackend = backendMappedFallback
+	}
+	var tiers []disk.TierStats
+	for t := disk.Find[*disk.Tier](s.chain); t != nil; t = disk.Find[*disk.Tier](t.Inner()) {
+		tiers = append(tiers, t.TierStats())
+	}
+	em.Tiers = addTierStats(em.Tiers, tiers)
 }

@@ -1,17 +1,9 @@
 package disk
 
-// The in-memory Array's side of the Backend contract: the Array moves
-// no physical bytes, so the overlap counters are identically zero,
-// and the replication hooks operate directly on the in-memory tracks.
-// They exist so a Tier (and tests, and the cluster runtime's replica
-// machinery) can treat every store uniformly; none of them touch model
-// accounting.
-
-// Overlap reports zeros: the in-memory array overlaps nothing.
-func (a *Array) Overlap() OverlapStats { return OverlapStats{} }
-
-// ResetOverlap is a no-op: there are no overlap counters to reset.
-func (a *Array) ResetOverlap() {}
+// The in-memory Array's replication hooks operate directly on the
+// in-memory tracks. They exist so a Tier (and tests, and the cluster
+// runtime's replica machinery) can treat every store uniformly; neither
+// touches model accounting.
 
 // ExportTrack returns a copy of one track's payload without model
 // accounting, or nil when the track reads as blank (free, beyond the

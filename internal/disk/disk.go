@@ -19,7 +19,9 @@
 // operations, per-drive block balance) are read directly off these
 // statistics. The stores differ only in where a track's words live:
 // in memory (Array), in pread/pwrite drive files (File), in mapped
-// drive files (Mapped), or staged above another store (Tier).
+// drive files (Mapped), or staged above another store (Tier). All of
+// them, and the layers other packages stack on them, are one interface,
+// Store; a processor's stack of them is a chain that Find walks.
 package disk
 
 import (
@@ -195,12 +197,12 @@ func (g *inflight) begin() {
 
 func (g *inflight) end() { g.running.Add(-1) }
 
-// Prefetcher is implemented by stores that can pull blocks toward
-// memory ahead of the logical read that will consume them (*File with
-// workers, *Tier). Purely physical: no model accounting results.
+// Prefetcher is the one optional capability of a chain link: pulling
+// blocks toward memory ahead of the logical read that will consume them
+// (*File with workers, *Tier). Purely physical: no model accounting
+// results.
 type Prefetcher interface {
 	Prefetch(addrs []Addr)
-	Overlap() OverlapStats
 }
 
 // Checksum is an FNV-1a-style fold over a block's words; any single
@@ -217,15 +219,20 @@ func Checksum(ws []uint64) uint64 {
 	return h
 }
 
-// Disk is the device-level contract of the simulated disk subsystem:
-// parallel track transfers, dynamic track allocation, and I/O
-// accounting. *Array, *File, *Mapped and *Tier are the perfect-hardware
-// implementations; the parity layer (internal/redundancy) and the
-// fault-injection layer (internal/fault) wrap any of them with
-// redundancy, checksums, retries and failure simulation. The layout
-// helpers (Reserve, ReadRange, WriteRange, FreeArea) are package
-// functions over this interface, so engines work identically on all.
-type Disk interface {
+// Store is the one contract of the simulated disk subsystem, which
+// every link of a processor's store chain implements: parallel track
+// transfers, dynamic track allocation and I/O accounting; allocator
+// snapshot/rollback (the superstep replay) and whole-state
+// capture/adoption (the journal commit and resume); durability; and the
+// raw track hooks replication ships state through. *Array, *File and
+// *Mapped are the physical stores a chain ends in; *Tier, the parity
+// layer (internal/redundancy) and the fault layer (internal/fault) are
+// links that embed the Store beneath them, override what they change
+// and expose it as Inner() Store — everything else reaches the base by
+// promotion. The layout helpers (Reserve, ReadRange, WriteRange,
+// FreeArea) are package functions over this interface, so engines work
+// identically on every chain.
+type Store interface {
 	// Config returns the drive-count/block-size configuration.
 	Config() Config
 	// ReadOp performs one parallel read of at most one track per drive.
@@ -246,16 +253,6 @@ type Disk interface {
 	// counters (OverlapStats, TierStats) stay untouched: they are outside
 	// the model contract and mid-run model resets must not discard them.
 	ResetStats()
-}
-
-// Store is the contract of a disk backend the engines can checkpoint:
-// a Disk plus allocator snapshot/rollback (the fault layer's superstep
-// replay) and whole-state capture/adoption (the durable engines'
-// journal commit and resume). *Array, *File, *Mapped and *Tier
-// implement it (and the richer Backend); the parity and fault layers
-// wrap any Store.
-type Store interface {
-	Disk
 	// AllocSnapshot captures the allocator for a later AllocRestore.
 	AllocSnapshot() AllocMark
 	// AllocRestore rolls the allocator back to a snapshot, discarding
@@ -280,6 +277,74 @@ type Store interface {
 	// Close releases the store's resources. The store must not be used
 	// afterwards.
 	Close() error
+	// Overlap returns the store's wall-clock overlap counters. Pure
+	// observability: model statistics are independent of them.
+	Overlap() OverlapStats
+	// TakeDirty returns (and resets) the set of tracks logically
+	// mutated since the previous TakeDirty, sorted by drive then track.
+	TakeDirty() []Addr
+	// ExportTrack reads one track's committed payload raw — no model
+	// accounting, no emulated latency. nil payload means blank.
+	ExportTrack(d, t int) ([]uint64, error)
+	// ImportTrack writes one track payload raw (nil payload wipes).
+	ImportTrack(d, t int, payload []uint64) error
+}
+
+// Backend is the name Store had while it was one of three nested
+// interfaces.
+type Backend = Store
+
+var (
+	_ Store = (*Array)(nil)
+	_ Store = (*File)(nil)
+	_ Store = (*Mapped)(nil)
+	_ Store = (*Tier)(nil)
+)
+
+// Find walks a store chain from s inward — each link's Inner() — and
+// returns the outermost link that is a T, or T's zero value (nil for
+// the pointer and interface types links are looked up by) when there is
+// none: how a caller holding only the chain reaches a capability
+// (Prefetcher) or one layer's own state (*Tier, *Mapped, the parity and
+// fault layers).
+func Find[T any](s Store) (found T) {
+	for s != nil {
+		if t, ok := s.(T); ok {
+			return t
+		}
+		link, ok := s.(interface{ Inner() Store })
+		if !ok {
+			break
+		}
+		s = link.Inner()
+	}
+	return found
+}
+
+// GroupsOf partitions n requests (physical drive given by driveAt)
+// into maximal runs with pairwise-distinct drives, preserving order.
+// While logical and physical drives coincide this yields a single
+// group; after a drive loss, redirected requests can collide with
+// survivors and force extra operations — the degradation the model
+// charges for in the fault and parity layers.
+func GroupsOf(n int, driveAt func(int) int) [][]int {
+	var groups [][]int
+	var cur []int
+	seen := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		d := driveAt(i)
+		if seen[d] {
+			groups = append(groups, cur)
+			cur = nil
+			seen = make(map[int]bool)
+		}
+		seen[d] = true
+		cur = append(cur, i)
+	}
+	if len(cur) > 0 {
+		groups = append(groups, cur)
+	}
+	return groups
 }
 
 // StoreState is the persistent metadata of a Store: everything except

@@ -30,8 +30,8 @@ type Area struct {
 // requires).
 func (a *Array) Reserve(nBlocks int) Area { return a.ReserveRot(nBlocks, 0) }
 
-// Reserve allocates an area of nBlocks blocks on any Disk.
-func Reserve(dsk Disk, nBlocks int) Area { return dsk.ReserveRot(nBlocks, 0) }
+// Reserve allocates an area of nBlocks blocks on any Store.
+func Reserve(dsk Store, nBlocks int) Area { return dsk.ReserveRot(nBlocks, 0) }
 
 // Blocks returns the area's capacity in blocks.
 func (ar Area) Blocks() int { return ar.n }
@@ -95,8 +95,8 @@ func Slice(ar Area, off, n int) Area {
 // lists (contents cleared). The Area must not be used afterwards.
 func (a *Array) FreeArea(ar Area) error { return FreeArea(a, ar) }
 
-// FreeArea releases every track of the area on any Disk.
-func FreeArea(dsk Disk, ar Area) error {
+// FreeArea releases every track of the area on any Store.
+func FreeArea(dsk Store, ar Area) error {
 	for i := 0; i < ar.n; i++ {
 		ad := ar.Addr(i)
 		if err := dsk.Release(ad.Disk, ad.Track); err != nil {
@@ -114,8 +114,8 @@ func (a *Array) ReadRange(ar Area, lo, hi int, dst []uint64) error {
 	return ReadRange(a, ar, lo, hi, dst)
 }
 
-// ReadRange reads blocks [lo, hi) of the area on any Disk.
-func ReadRange(dsk Disk, ar Area, lo, hi int, dst []uint64) error {
+// ReadRange reads blocks [lo, hi) of the area on any Store.
+func ReadRange(dsk Store, ar Area, lo, hi int, dst []uint64) error {
 	cfg := dsk.Config()
 	if hi < lo || lo < 0 || hi > ar.n {
 		return fmt.Errorf("disk: ReadRange [%d,%d) out of area range [0,%d)", lo, hi, ar.n)
@@ -144,8 +144,8 @@ func (a *Array) WriteRange(ar Area, lo, hi int, src []uint64) error {
 	return WriteRange(a, ar, lo, hi, src)
 }
 
-// WriteRange writes src to blocks [lo, hi) of the area on any Disk.
-func WriteRange(dsk Disk, ar Area, lo, hi int, src []uint64) error {
+// WriteRange writes src to blocks [lo, hi) of the area on any Store.
+func WriteRange(dsk Store, ar Area, lo, hi int, src []uint64) error {
 	cfg := dsk.Config()
 	if hi < lo || lo < 0 || hi > ar.n {
 		return fmt.Errorf("disk: WriteRange [%d,%d) out of area range [0,%d)", lo, hi, ar.n)

@@ -164,14 +164,6 @@ func (m *Mapped) slot(d, t int) []byte {
 	return m.maps[d][off : off+m.slotB]
 }
 
-// Overlap returns zeroes: the mapped store is fully synchronous, so
-// there is no physical overlap to observe. It exists so the engines
-// can treat File and Mapped uniformly.
-func (m *Mapped) Overlap() OverlapStats { return OverlapStats{} }
-
-// ResetOverlap is a no-op for the synchronous mapped store.
-func (m *Mapped) ResetOverlap() {}
-
 // MappedWords returns the current mapped capacity across all drives,
 // in words. Page-cache memory, not engine memory: reported for
 // observability, never charged against the engine's M budget.

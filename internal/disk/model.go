@@ -148,6 +148,10 @@ func (m *model) init(cfg Config, phys slotIO) {
 // Config returns the store's drive configuration.
 func (m *model) Config() Config { return m.cfg }
 
+// Overlap reports zeros: a store that moves its bytes inside the call
+// (Array, Mapped) overlaps nothing. File has counters of its own.
+func (m *model) Overlap() OverlapStats { return OverlapStats{} }
+
 // Stats returns a copy of the accumulated I/O statistics.
 func (m *model) Stats() Stats {
 	m.mu.Lock()
@@ -536,11 +540,19 @@ func (m *model) adoptState(s StoreState) error {
 func (m *model) TakeDirty() []Addr {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Addr, 0, len(m.mutated))
-	for a := range m.mutated {
+	out := SortedAddrs(m.mutated)
+	clear(m.mutated)
+	return out
+}
+
+// SortedAddrs returns the keys of an address-keyed map by drive, then
+// track — the order every map iteration that causes I/O, or enters an
+// encoded state or a snapshot, must take to stay deterministic.
+func SortedAddrs[V any](m map[Addr]V) []Addr {
+	out := make([]Addr, 0, len(m))
+	for a := range m {
 		out = append(out, a)
 	}
-	clear(m.mutated)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Disk != out[j].Disk {
 			return out[i].Disk < out[j].Disk

@@ -9,39 +9,7 @@ import (
 	"embsp/internal/obs"
 )
 
-// Backend is the full store surface the engines (and the cluster
-// runtime) need from a durable backend: a checkpointable Store plus
-// wall-clock overlap observability and the raw track import/export
-// hooks replication ships state through. *Array, *File, *Mapped and
-// *Tier all implement it, which is what makes stores stackable: a
-// Tier wraps any Backend — including another Tier — and is itself a
-// Backend.
-type Backend interface {
-	Store
-	// Overlap returns the store's wall-clock overlap counters. Pure
-	// observability: model statistics are independent of them.
-	Overlap() OverlapStats
-	// ResetOverlap zeroes the overlap counters, leaving model
-	// statistics alone.
-	ResetOverlap()
-	// TakeDirty returns (and resets) the set of tracks logically
-	// mutated since the previous TakeDirty, sorted by drive then track.
-	TakeDirty() []Addr
-	// ExportTrack reads one track's committed payload raw — no model
-	// accounting, no emulated latency. nil payload means blank.
-	ExportTrack(d, t int) ([]uint64, error)
-	// ImportTrack writes one track payload raw (nil payload wipes).
-	ImportTrack(d, t int, payload []uint64) error
-}
-
-var (
-	_ Backend = (*Array)(nil)
-	_ Backend = (*File)(nil)
-	_ Backend = (*Mapped)(nil)
-	_ Backend = (*Tier)(nil)
-)
-
-// TierOptions configures one cache tier above a Backend.
+// TierOptions configures one cache tier above a Store.
 type TierOptions struct {
 	// CacheWords bounds the tier's staging cache in words (payload
 	// words; one track costs B). 0 picks a small default of 4·D
@@ -106,7 +74,12 @@ type tentry struct {
 	words int64
 }
 
-// Tier is a bounded intermediate store tier above any Backend: a
+// inner is the Store a chain link is stacked on, embedded under this
+// name so every method the link does not override reaches it by
+// promotion.
+type inner = Store
+
+// Tier is a bounded intermediate store tier above any Store: a
 // track-granular, mem.Accountant-charged staging cache that streams
 // group-sized working sets between the engine and a slower backend.
 // It is the generalized memory hierarchy of ROADMAP item 5 (scratch →
@@ -125,7 +98,9 @@ type tentry struct {
 // composes the tier's Stats and access chains with the backend's
 // allocator. The allocator itself is forwarded 1:1 (Alloc, Release,
 // ReserveRot, AllocSnapshot/Restore go straight through), so layout
-// decisions are byte-identical to a flat store's.
+// decisions are byte-identical to a flat store's; with TakeDirty (the
+// backend sees every logical mutation) and ExportTrack (the tier holds
+// only clean copies), AllocSnapshot is the embedded backend's, promoted.
 //
 // Tier contents are cache, never durable state: every write goes
 // through to the backend inside the WriteOp call, so the tier holds
@@ -142,7 +117,8 @@ type tentry struct {
 // racing operations on the same track are ordered by whatever the
 // race decides.
 type Tier struct {
-	be    Backend
+	inner
+	below Prefetcher // the next prefetcher down the chain, nil when none
 	cfg   Config
 	lat   time.Duration
 	tr    *obs.Tracer
@@ -178,7 +154,7 @@ type fillReq struct {
 // NewTier wraps a backend with one cache tier. The backend must be
 // otherwise unused: all traffic has to flow through the tier, or its
 // cache could serve stale data.
-func NewTier(be Backend, opt TierOptions) *Tier {
+func NewTier(be Store, opt TierOptions) *Tier {
 	cfg := be.Config()
 	budget := opt.CacheWords
 	if budget == 0 {
@@ -188,7 +164,7 @@ func NewTier(be Backend, opt TierOptions) *Tier {
 		budget = 0 // mem: non-positive limit = unlimited
 	}
 	t := &Tier{
-		be:    be,
+		inner: be,
 		cfg:   cfg,
 		lat:   opt.AccessLatency,
 		tr:    opt.Tracer,
@@ -206,17 +182,12 @@ func NewTier(be Backend, opt TierOptions) *Tier {
 			go t.fillWorker()
 		}
 	}
+	t.below = Find[Prefetcher](be)
 	return t
 }
 
-// Backend returns the store the tier is stacked on.
-func (t *Tier) Backend() Backend { return t.be }
-
-// Config returns the (shared) drive configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
-// Level returns the tier's chain position label.
-func (t *Tier) Level() int { return t.level }
+// Inner returns the store the tier is stacked on.
+func (t *Tier) Inner() Store { return t.inner }
 
 // retire releases e's budget once it is completed, unreachable from
 // the cache map and unreferenced. Called under t.mu; idempotent.
@@ -385,11 +356,11 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 // store would have left. Returns len(reqs), nil on success. Called
 // without t.mu held.
 func (t *Tier) forward(reqs []ReadReq) (failAt int, err error) {
-	if err = t.be.ReadOp(reqs); err == nil {
+	if err = t.inner.ReadOp(reqs); err == nil {
 		return len(reqs), nil
 	}
 	for j := range reqs {
-		if e2 := t.be.ReadOp(reqs[j : j+1]); e2 != nil {
+		if e2 := t.inner.ReadOp(reqs[j : j+1]); e2 != nil {
 			return j, e2
 		}
 	}
@@ -433,7 +404,7 @@ func (t *Tier) WriteOp(reqs []WriteReq) error {
 	t.acc.chargeWriteOp(len(reqs))
 	t.drains += int64(len(reqs))
 	t.mu.Unlock()
-	if err := t.be.WriteOp(reqs); err != nil {
+	if err := t.inner.WriteOp(reqs); err != nil {
 		t.mu.Lock()
 		if t.werr == nil {
 			t.werr = fmt.Errorf("disk: tier write-through failed: %w", err)
@@ -447,7 +418,7 @@ func (t *Tier) WriteOp(reqs []WriteReq) error {
 // of the chain) and invalidates any staged copy of the recycled
 // track.
 func (t *Tier) Alloc(d int) int {
-	tr := t.be.Alloc(d)
+	tr := t.inner.Alloc(d)
 	t.mu.Lock()
 	t.dropEntry(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
@@ -457,7 +428,7 @@ func (t *Tier) Alloc(d int) int {
 // Release forwards to the backend and, on success, invalidates any
 // staged copy of the freed track.
 func (t *Tier) Release(d, tr int) error {
-	if err := t.be.Release(d, tr); err != nil {
+	if err := t.inner.Release(d, tr); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -470,7 +441,7 @@ func (t *Tier) Release(d, tr int) error {
 // copies in the reserved range (none can exist under the engines'
 // allocation discipline; the sweep is defensive).
 func (t *Tier) ReserveRot(nBlocks, rot int) Area {
-	ar := t.be.ReserveRot(nBlocks, rot)
+	ar := t.inner.ReserveRot(nBlocks, rot)
 	per := (nBlocks + t.cfg.D - 1) / t.cfg.D
 	t.mu.Lock()
 	for a := range t.cache {
@@ -482,15 +453,12 @@ func (t *Tier) ReserveRot(nBlocks, rot int) Area {
 	return ar
 }
 
-// AllocSnapshot captures the backend's allocator state.
-func (t *Tier) AllocSnapshot() AllocMark { return t.be.AllocSnapshot() }
-
 // AllocRestore rolls the backend's allocator back and empties the
 // tier cache: staged copies of rolled-back tracks (including fills
 // still in flight) must not survive the rollback, and a wholesale
 // drop is exact for a cache whose every entry is clean.
 func (t *Tier) AllocRestore(m AllocMark) {
-	t.be.AllocRestore(m)
+	t.inner.AllocRestore(m)
 	t.mu.Lock()
 	t.dropAll()
 	t.mu.Unlock()
@@ -511,7 +479,7 @@ func (t *Tier) ResetStats() {
 	t.mu.Lock()
 	t.acc.reset()
 	t.mu.Unlock()
-	t.be.ResetStats()
+	t.inner.ResetStats()
 }
 
 // State composes the chain's checkpoint: the tier's model statistics
@@ -519,7 +487,7 @@ func (t *Tier) ResetStats() {
 // a flat store's State would hold for the same logical history, so
 // journals written by tiered and flat runs are interchangeable.
 func (t *Tier) State() StoreState {
-	s := t.be.State()
+	s := t.inner.State()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s.Stats, s.Last = t.acc.snapshot(), t.acc.chain()
@@ -532,7 +500,7 @@ func (t *Tier) State() StoreState {
 // emptied cache — adopted metadata must describe a tier with nothing
 // staged.
 func (t *Tier) AdoptState(s StoreState) error {
-	if err := t.be.AdoptState(s); err != nil {
+	if err := t.inner.AdoptState(s); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -552,7 +520,7 @@ func (t *Tier) Sync() error {
 	if werr != nil {
 		return werr
 	}
-	return t.be.Sync()
+	return t.inner.Sync()
 }
 
 // Close stops the fill workers, fails any still-queued fills, and
@@ -585,7 +553,7 @@ func (t *Tier) Close() error {
 	t.dropAll() // staged blocks die with the tier; return their budget
 	werr := t.werr
 	t.mu.Unlock()
-	err := t.be.Close()
+	err := t.inner.Close()
 	if werr != nil {
 		return werr
 	}
@@ -600,17 +568,8 @@ func (t *Tier) Overlap() OverlapStats {
 	o := t.ov
 	t.mu.Unlock()
 	o.ConcurrentPeak = t.xfer.peak.Load()
-	o.Add(t.be.Overlap())
+	o.Add(t.inner.Overlap())
 	return o
-}
-
-// ResetOverlap zeroes the chain's overlap counters.
-func (t *Tier) ResetOverlap() {
-	t.mu.Lock()
-	t.ov = OverlapStats{}
-	t.mu.Unlock()
-	t.xfer.peak.Store(0)
-	t.be.ResetOverlap()
 }
 
 // TierStats returns the tier's cache-traffic counters.
@@ -628,31 +587,13 @@ func (t *Tier) TierStats() TierStats {
 	}
 }
 
-// Tiers returns the cache-traffic counters of the whole chain,
-// outermost first.
-func (t *Tier) Tiers() []TierStats {
-	out := []TierStats{t.TierStats()}
-	if inner, ok := t.be.(*Tier); ok {
-		out = append(out, inner.Tiers()...)
-	}
-	return out
-}
-
-// TakeDirty forwards to the backend: write-through means the backend
-// sees every logical mutation, so its dirty set is the chain's.
-func (t *Tier) TakeDirty() []Addr { return t.be.TakeDirty() }
-
-// ExportTrack forwards to the backend (the tier holds only clean
-// copies of backend data, so the backend's view is authoritative).
-func (t *Tier) ExportTrack(d, tr int) ([]uint64, error) { return t.be.ExportTrack(d, tr) }
-
 // ImportTrack invalidates any staged copy and forwards to the
 // backend.
 func (t *Tier) ImportTrack(d, tr int, payload []uint64) error {
 	t.mu.Lock()
 	t.dropEntry(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
-	return t.be.ImportTrack(d, tr, payload)
+	return t.inner.ImportTrack(d, tr, payload)
 }
 
 // Prefetch stages the given blocks into the tier cache on the fill
@@ -667,13 +608,13 @@ func (t *Tier) ImportTrack(d, tr int, payload []uint64) error {
 // the same bytes).
 func (t *Tier) Prefetch(addrs []Addr) {
 	if t.nfill == 0 {
-		if p, ok := t.be.(Prefetcher); ok {
-			p.Prefetch(addrs)
+		if t.below != nil {
+			t.below.Prefetch(addrs)
 		}
 		return
 	}
-	if p, ok := t.be.(Prefetcher); ok {
-		p.Prefetch(nil)
+	if t.below != nil {
+		t.below.Prefetch(nil)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -727,7 +668,7 @@ func (t *Tier) runFill(fr fillReq) {
 	defer t.xfer.end()
 	sp := t.tr.Begin(obs.CatIO, "tier-fill", t.tpid, 1+fr.a.Disk)
 	data := make([]uint64, t.cfg.B)
-	err := t.be.ReadOp([]ReadReq{{Disk: fr.a.Disk, Track: fr.a.Track, Dst: data}})
+	err := t.inner.ReadOp([]ReadReq{{Disk: fr.a.Disk, Track: fr.a.Track, Dst: data}})
 	sp.End()
 	t.mu.Lock()
 	e := fr.e

@@ -207,7 +207,7 @@ func TestTierAllocRestoreDropsCache(t *testing.T) {
 }
 
 // TestTierStacked: a two-tier chain is itself a Backend; ops account
-// identically to flat, and Tiers() reports both levels outermost
+// identically to flat, and the chain walk finds both levels outermost
 // first.
 func TestTierStacked(t *testing.T) {
 	const d, b = 2, 4
@@ -227,9 +227,12 @@ func TestTierStacked(t *testing.T) {
 	if fs.Ops != cs.Ops || fs.BlocksRead != cs.BlocksRead || fs.BlocksWritten != cs.BlocksWritten {
 		t.Fatalf("op stats differ:\nflat:  %+v\nchain: %+v", fs, cs)
 	}
-	tiers := outer.Tiers()
+	var tiers []TierStats
+	for tr := outer; tr != nil; tr = Find[*Tier](tr.Inner()) {
+		tiers = append(tiers, tr.TierStats())
+	}
 	if len(tiers) != 2 || tiers[0].Level != 0 || tiers[1].Level != 1 {
-		t.Fatalf("Tiers() = %+v, want levels [0 1]", tiers)
+		t.Fatalf("the chain's tiers = %+v, want levels [0 1]", tiers)
 	}
 }
 

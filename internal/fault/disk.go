@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"embsp/internal/disk"
@@ -18,14 +17,18 @@ import (
 // occur when retries are disabled deliberately.
 const DefaultMaxRetries = 8
 
-type addr struct{ d, t int }
+// inner is the store chain beneath the layer, embedded under this name
+// so every disk.Store method the layer does not override is the chain's.
+type inner = disk.Store
 
-// Disk wraps an underlying disk.Store with the fault layer: injection
+// Disk is the fault layer, a link of a store chain: injection
 // according to a Plan, per-track checksums, bounded charged retries,
-// optional mirroring, and dead-drive redirection. It implements
-// disk.Disk, so the engines and the layout helpers run on it
-// unchanged, whether the store underneath is the in-memory Array or
-// the durable file-backed File.
+// optional mirroring, and dead-drive redirection. It overrides ReadOp,
+// WriteOp and Release; the rest is the embedded chain's, promoted —
+// allocation (directory metadata, not I/O, so it never faults), Stats
+// (retries, mirror writes and redirect splits are real charged
+// operations), state, durability and the raw track hooks — so engines
+// and layout helpers run on a faulted chain unchanged.
 //
 // The fault schedule is per drive: each drive has its own attempt
 // clock and its own injection PRNG stream (derived from the plan seed
@@ -39,7 +42,7 @@ type addr struct{ d, t int }
 // and racing operations on overlapping drives are ordered by whatever
 // the race decides, exactly as at the store level.
 type Disk struct {
-	inner      disk.Store
+	inner
 	plan       Plan
 	maxRetries int
 	below      driveDier // parity layer underneath, if any
@@ -48,13 +51,14 @@ type Disk struct {
 	rngs     []*prng.Rand // per-drive injection streams
 	attempts []int64      // per-drive operation-attempt clocks
 	dead     []bool
-	sums     map[addr]uint64    // checksum per written physical track
-	mirrors  map[addr]disk.Addr // primary -> mirror copy location
+	sums     map[disk.Addr]uint64    // checksum per written physical track
+	mirrors  map[disk.Addr]disk.Addr // primary -> mirror copy location
 	ctr      Counters
 }
 
-// driveDier is implemented by a redundancy layer beneath the fault
-// wrapper (detected structurally to avoid an import cycle). When
+// driveDier is implemented by a redundancy layer somewhere beneath the
+// fault layer (found by walking the chain; structural, to avoid an
+// import cycle). When
 // present, the fault layer does not mirror or redirect: dead-drive
 // I/O passes straight through and the layer below reconstructs reads
 // from parity and remaps writes onto surviving drives.
@@ -75,7 +79,7 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 	if plan.FailDriveOp > 0 && plan.FailDrive >= cfg.D {
 		return nil, fmt.Errorf("fault: FailDrive = %d, machine has %d drives", plan.FailDrive, cfg.D)
 	}
-	below, _ := a.(driveDier)
+	below := disk.Find[driveDier](a)
 	if plan.Mirrored() {
 		if cfg.D < 2 {
 			return nil, fmt.Errorf("fault: mirroring requires D >= 2, have D = %d", cfg.D)
@@ -98,8 +102,8 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 		rngs:       make([]*prng.Rand, cfg.D),
 		attempts:   make([]int64, cfg.D),
 		dead:       make([]bool, cfg.D),
-		sums:       make(map[addr]uint64),
-		mirrors:    make(map[addr]disk.Addr),
+		sums:       make(map[disk.Addr]uint64),
+		mirrors:    make(map[disk.Addr]disk.Addr),
 	}
 	for d := range f.rngs {
 		f.rngs[d] = prng.New(prng.Derive(plan.Seed, 0xFA01, uint64(d)))
@@ -116,16 +120,8 @@ func MustWrap(a disk.Store, plan Plan, maxRetries int) *Disk {
 	return f
 }
 
-// Config returns the underlying configuration.
-func (f *Disk) Config() disk.Config { return f.inner.Config() }
-
-// Stats returns the underlying I/O statistics (retries, mirror writes
-// and redirect splits are all real charged operations and appear
-// here).
-func (f *Disk) Stats() disk.Stats { return f.inner.Stats() }
-
-// ResetStats resets the underlying statistics.
-func (f *Disk) ResetStats() { f.inner.ResetStats() }
+// Inner returns the chain beneath the fault layer.
+func (f *Disk) Inner() disk.Store { return f.inner }
 
 // Counters returns the fault and recovery accounting.
 func (f *Disk) Counters() Counters {
@@ -154,22 +150,14 @@ func (f *Disk) LiveDrives() int {
 	return n
 }
 
-// Alloc allocates a track. Allocation is directory metadata, not an
-// I/O operation, so it never faults; I/O on a track whose drive has
-// died is redirected at operation time.
-func (f *Disk) Alloc(d int) int { return f.inner.Alloc(d) }
-
-// ReserveRot reserves a standard-consecutive-format area.
-func (f *Disk) ReserveRot(nBlocks, rot int) disk.Area { return f.inner.ReserveRot(nBlocks, rot) }
-
 // Release frees a track, its checksum, and its mirror copy (if any).
 func (f *Disk) Release(d, t int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := addr{d, t}
+	key := disk.Addr{Disk: d, Track: t}
 	if m, ok := f.mirrors[key]; ok {
 		delete(f.mirrors, key)
-		delete(f.sums, addr{m.Disk, m.Track})
+		delete(f.sums, m)
 		if err := f.inner.Release(m.Disk, m.Track); err != nil {
 			return err
 		}
@@ -236,35 +224,10 @@ func (f *Disk) resolve(d, t int) (disk.Addr, bool) {
 	if !f.dead[d] || f.below != nil {
 		return disk.Addr{Disk: d, Track: t}, true
 	}
-	if m, ok := f.mirrors[addr{d, t}]; ok {
+	if m, ok := f.mirrors[disk.Addr{Disk: d, Track: t}]; ok {
 		return m, true
 	}
 	return disk.Addr{}, false
-}
-
-// groupsOf partitions n requests (physical drive given by driveAt)
-// into maximal runs with pairwise-distinct drives, preserving order.
-// With no drive dead this yields a single group; after a drive loss,
-// redirected requests can collide with survivors and force extra
-// operations — the degradation the model charges for.
-func groupsOf(n int, driveAt func(int) int) [][]int {
-	var groups [][]int
-	var cur []int
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		d := driveAt(i)
-		if seen[d] {
-			groups = append(groups, cur)
-			cur = nil
-			seen = make(map[int]bool)
-		}
-		seen[d] = true
-		cur = append(cur, i)
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
 }
 
 // ReadOp performs one parallel read with fault injection, checksum
@@ -349,7 +312,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 
 	// Issue, splitting into extra operations where redirection causes
 	// drive collisions.
-	groups := groupsOf(len(reqs), func(i int) int { return phys[i].Disk })
+	groups := disk.GroupsOf(len(reqs), func(i int) int { return phys[i].Disk })
 	for _, g := range groups {
 		sub := make([]disk.ReadReq, 0, len(g))
 		for _, i := range g {
@@ -372,7 +335,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 	// In-flight corruption: flip one deterministic bit of the
 	// delivered block (only meaningful for checksummed tracks).
 	for _, c := range corrupt {
-		if _, ok := f.sums[addr{phys[c.i].Disk, phys[c.i].Track}]; !ok {
+		if _, ok := f.sums[phys[c.i]]; !ok {
 			continue
 		}
 		reqs[c.i].Dst[c.w] ^= 1 << c.bit
@@ -381,7 +344,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 
 	// Verify checksums of everything delivered.
 	for i, r := range reqs {
-		want, ok := f.sums[addr{phys[i].Disk, phys[i].Track}]
+		want, ok := f.sums[phys[i]]
 		if !ok {
 			continue
 		}
@@ -451,7 +414,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 	phys := make([]disk.Addr, len(reqs))
 	mirrored := make([]bool, len(reqs)) // true when phys is already the mirror
 	for i, r := range reqs {
-		key := addr{r.Disk, r.Track}
+		key := disk.Addr{Disk: r.Disk, Track: r.Track}
 		if !f.dead[r.Disk] || f.below != nil {
 			phys[i] = disk.Addr{Disk: r.Disk, Track: r.Track}
 			continue
@@ -469,7 +432,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 		mirrored[i] = true
 	}
 
-	groups := groupsOf(len(reqs), func(i int) int { return phys[i].Disk })
+	groups := disk.GroupsOf(len(reqs), func(i int) int { return phys[i].Disk })
 	for _, g := range groups {
 		sub := make([]disk.WriteReq, 0, len(g))
 		for _, i := range g {
@@ -483,7 +446,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 
 	// Record checksums for the physical locations written.
 	for i, r := range reqs {
-		f.sums[addr{phys[i].Disk, phys[i].Track}] = disk.Checksum(r.Src)
+		f.sums[phys[i]] = disk.Checksum(r.Src)
 	}
 
 	if failIdx >= 0 {
@@ -503,7 +466,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 			if mirrored[i] {
 				continue // the primary is gone; its mirror was just written
 			}
-			key := addr{r.Disk, r.Track}
+			key := disk.Addr{Disk: r.Disk, Track: r.Track}
 			m, ok := f.mirrors[key]
 			if !ok {
 				md, live := f.mirrorDrive(r.Disk)
@@ -515,7 +478,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 			}
 			ms = append(ms, mreq{i, m})
 		}
-		mgroups := groupsOf(len(ms), func(j int) int { return ms[j].m.Disk })
+		mgroups := disk.GroupsOf(len(ms), func(j int) int { return ms[j].m.Disk })
 		for _, g := range mgroups {
 			sub := make([]disk.WriteReq, 0, len(g))
 			for _, j := range g {
@@ -527,7 +490,7 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 			f.ctr.MirrorOps++
 		}
 		for _, mr := range ms {
-			f.sums[addr{mr.m.Disk, mr.m.Track}] = disk.Checksum(reqs[mr.i].Src)
+			f.sums[mr.m] = disk.Checksum(reqs[mr.i].Src)
 		}
 	}
 	return nil
@@ -541,8 +504,8 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 // replay is new work under new draws, not a rewind of history.
 type Snapshot struct {
 	alloc   disk.AllocMark
-	sums    map[addr]uint64
-	mirrors map[addr]disk.Addr
+	sums    map[disk.Addr]uint64
+	mirrors map[disk.Addr]disk.Addr
 }
 
 // Snapshot captures rollback state at a compound-superstep barrier.
@@ -551,8 +514,8 @@ func (f *Disk) Snapshot() *Snapshot {
 	defer f.mu.Unlock()
 	s := &Snapshot{
 		alloc:   f.inner.AllocSnapshot(),
-		sums:    make(map[addr]uint64, len(f.sums)),
-		mirrors: make(map[addr]disk.Addr, len(f.mirrors)),
+		sums:    make(map[disk.Addr]uint64, len(f.sums)),
+		mirrors: make(map[disk.Addr]disk.Addr, len(f.mirrors)),
 	}
 	for k, v := range f.sums {
 		s.sums[k] = v
@@ -570,11 +533,11 @@ func (f *Disk) Restore(s *Snapshot) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inner.AllocRestore(s.alloc)
-	f.sums = make(map[addr]uint64, len(s.sums))
+	f.sums = make(map[disk.Addr]uint64, len(s.sums))
 	for k, v := range s.sums {
 		f.sums[k] = v
 	}
-	f.mirrors = make(map[addr]disk.Addr, len(s.mirrors))
+	f.mirrors = make(map[disk.Addr]disk.Addr, len(s.mirrors))
 	for k, v := range s.mirrors {
 		f.mirrors[k] = v
 	}
@@ -621,38 +584,20 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 		c.RecoveryOps, c.MirrorOps,
 	})
 
-	sumKeys := make([]addr, 0, len(f.sums))
-	for k := range f.sums {
-		sumKeys = append(sumKeys, k)
-	}
-	sort.Slice(sumKeys, func(i, j int) bool {
-		if sumKeys[i].d != sumKeys[j].d {
-			return sumKeys[i].d < sumKeys[j].d
-		}
-		return sumKeys[i].t < sumKeys[j].t
-	})
+	sumKeys := disk.SortedAddrs(f.sums)
 	enc.PutInt(int64(len(sumKeys)))
 	for _, k := range sumKeys {
-		enc.PutInt(int64(k.d))
-		enc.PutInt(int64(k.t))
+		enc.PutInt(int64(k.Disk))
+		enc.PutInt(int64(k.Track))
 		enc.PutUint(f.sums[k])
 	}
 
-	mirKeys := make([]addr, 0, len(f.mirrors))
-	for k := range f.mirrors {
-		mirKeys = append(mirKeys, k)
-	}
-	sort.Slice(mirKeys, func(i, j int) bool {
-		if mirKeys[i].d != mirKeys[j].d {
-			return mirKeys[i].d < mirKeys[j].d
-		}
-		return mirKeys[i].t < mirKeys[j].t
-	})
+	mirKeys := disk.SortedAddrs(f.mirrors)
 	enc.PutInt(int64(len(mirKeys)))
 	for _, k := range mirKeys {
 		m := f.mirrors[k]
-		enc.PutInt(int64(k.d))
-		enc.PutInt(int64(k.t))
+		enc.PutInt(int64(k.Disk))
+		enc.PutInt(int64(k.Track))
 		enc.PutInt(int64(m.Disk))
 		enc.PutInt(int64(m.Track))
 	}
@@ -693,19 +638,19 @@ func (f *Disk) DecodeState(dec *words.Decoder) error {
 		RecoveryOps: cs[7], MirrorOps: cs[8],
 	}
 
-	f.sums = make(map[addr]uint64)
+	f.sums = make(map[disk.Addr]uint64)
 	for n := dec.Int(); n > 0; n-- {
 		d := int(dec.Int())
 		t := int(dec.Int())
-		f.sums[addr{d, t}] = dec.Uint()
+		f.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
 	}
-	f.mirrors = make(map[addr]disk.Addr)
+	f.mirrors = make(map[disk.Addr]disk.Addr)
 	for n := dec.Int(); n > 0; n-- {
 		d := int(dec.Int())
 		t := int(dec.Int())
 		md := int(dec.Int())
 		mt := int(dec.Int())
-		f.mirrors[addr{d, t}] = disk.Addr{Disk: md, Track: mt}
+		f.mirrors[disk.Addr{Disk: d, Track: t}] = disk.Addr{Disk: md, Track: mt}
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // consecutive and standard linked formats — is exactly the natural
 // recovery point the engines need to survive without them.
 //
-// The package wraps any disk.Disk with a deterministic, seed-driven
+// The package wraps any disk.Store with a deterministic, seed-driven
 // fault Plan:
 //
 //   - transient read and write errors: the operation is charged but

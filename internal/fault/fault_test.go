@@ -264,7 +264,7 @@ func TestLostDataIsFatal(t *testing.T) {
 		t.Fatalf("death op error = %v, want recoverable DriveLoss", err)
 	}
 	// Simulate the mirror copy also being gone.
-	delete(f.mirrors, addr{0, tr})
+	delete(f.mirrors, disk.Addr{Disk: 0, Track: tr})
 	err = f.ReadOp([]disk.ReadReq{{Disk: 0, Track: tr, Dst: dst}})
 	if !errors.As(err, &fe) || fe.Kind != DriveLoss || fe.Recoverable {
 		t.Fatalf("read of lost data = %v, want unrecoverable DriveLoss", err)
@@ -320,7 +320,7 @@ func TestReplayable(t *testing.T) {
 
 func TestGroupsOf(t *testing.T) {
 	drives := []int{0, 1, 2, 0, 1, 0}
-	got := groupsOf(len(drives), func(i int) int { return drives[i] })
+	got := disk.GroupsOf(len(drives), func(i int) int { return drives[i] })
 	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
 	if len(got) != len(want) {
 		t.Fatalf("groupsOf = %v, want %v", got, want)
@@ -335,7 +335,7 @@ func TestGroupsOf(t *testing.T) {
 			}
 		}
 	}
-	if g := groupsOf(0, nil); len(g) != 0 {
+	if g := disk.GroupsOf(0, nil); len(g) != 0 {
 		t.Errorf("groupsOf(0) = %v, want empty", g)
 	}
 }

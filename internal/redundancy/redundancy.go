@@ -4,10 +4,11 @@
 // tolerance at a storage overhead of one parity track per D-1 data
 // tracks instead of the 2× of full mirroring.
 //
-// The layer slots between the fault-injection layer (internal/fault)
-// and a disk.Store. Data tracks keep their identity mapping — Alloc,
-// Release and ReserveRot forward unchanged, so the engines' layout
-// (standard consecutive and standard linked formats) is untouched —
+// The layer is a link of a processor's store chain, between the
+// fault-injection layer (internal/fault) and the disk.Store beneath.
+// Data tracks keep their identity mapping — Alloc and ReserveRot are
+// the inner store's own, so the engines' layout (standard consecutive
+// and standard linked formats) is untouched —
 // while parity tracks are allocated from the same store, interleaved
 // with client allocations exactly as the fault layer's mirror copies
 // are.
@@ -97,15 +98,6 @@ func ParseMode(s string) (Mode, error) {
 	return None, fmt.Errorf("redundancy: unknown mode %q (want none, mirror or parity)", s)
 }
 
-type addr struct{ d, t int }
-
-func addrLess(a, b addr) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.t < b.t
-}
-
 // stripe is one parity group: at most one member track per data drive
 // (never on the parity drive), so any single member is the XOR of the
 // parity track and the other members.
@@ -188,32 +180,42 @@ func (c Counters) Publish(r *obs.Registry) {
 	r.Counter("parity_rebuilt_blocks").Add(c.RebuiltBlocks)
 }
 
-// Store implements disk.Store over an inner store, adding rotated XOR
-// parity. All methods are safe for concurrent use: the parity
-// directories and RMW arithmetic serialize on an internal mutex
-// (physical D-parallelism lives below, inside one inner-store
-// operation), so concurrent operations see the same deterministic
-// stripe state in whatever order they land, and pure pass-throughs
-// (Alloc, Stats, Sync, ...) rely on the inner store's own safety.
+// inner is the store chain beneath the layer, embedded under this name
+// so every disk.Store method the layer does not override is the chain's.
+type inner = disk.Store
+
+// Store is the parity layer, a link of a store chain: it overrides
+// ReadOp, WriteOp and Release; everything else is the embedded inner
+// store's, promoted — allocation (directory metadata that never faults;
+// I/O on a dead drive's tracks is remapped at operation time), Stats
+// (parity, reconstruction and rebuild traffic are real charged
+// operations), AllocSnapshot/AllocRestore (the layer's own rollback
+// state is Snapshot's) and Sync (the engines call FlushParity first, so
+// a commit record's parity is durable before the record lands). All
+// methods are safe for concurrent use: the parity directories and RMW
+// arithmetic serialize on an internal mutex (physical D-parallelism
+// lives below, inside one inner-store operation), so concurrent
+// operations see the same deterministic stripe state in whatever order
+// they land; the promoted methods rely on the inner store's own safety.
 type Store struct {
-	inner disk.Store
-	D, B  int
+	inner
+	D, B int
 
 	mu sync.Mutex // guards all stripe/parity/remap state below
 
-	stripeOf map[addr]int // logical data track -> stripe id
+	stripeOf map[disk.Addr]int // logical data track -> stripe id
 	stripes  map[int]*stripe
-	parityAt map[addr]int // physical parity track -> stripe id
-	open     []int        // non-full stripe ids, ascending
-	next     int          // next stripe id; also the parity rotation counter
+	parityAt map[disk.Addr]int // physical parity track -> stripe id
+	open     []int             // non-full stripe ids, ascending
+	next     int               // next stripe id; also the parity rotation counter
 
 	pval   map[int][]uint64 // cached current parity value (authoritative)
 	pdirty map[int]bool     // stripes whose cached parity needs write-back
 
-	fresh map[addr]bool      // written but not yet striped data tracks
-	sums  map[addr]uint64    // physical track -> checksum of last write
-	remap map[addr]disk.Addr // dead-drive logical track -> live physical
-	rrmap map[addr]addr      // inverse of remap (physical -> logical)
+	fresh map[disk.Addr]bool      // written but not yet striped data tracks
+	sums  map[disk.Addr]uint64    // physical track -> checksum of last write
+	remap map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
+	rrmap map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
 	dead  []bool
 
 	// rmwOld caches the barrier-committed content of striped members
@@ -224,10 +226,10 @@ type Store struct {
 	// current attempt has not rewritten yet. Dropped at FlushParity;
 	// deliberately NOT part of Snapshot/Restore (it must survive the
 	// rollback that makes it necessary).
-	rmwOld map[addr][]uint64
+	rmwOld map[disk.Addr][]uint64
 	// wrote marks physical tracks written by the current attempt;
 	// Restore clears it (a rollback starts a new attempt).
-	wrote map[addr]bool
+	wrote map[disk.Addr]bool
 	// recompute marks stripes whose stored parity is known stale after
 	// a crash-resume (Reconcile found residue it could not repair or
 	// recompute immediately: a torn member, or one on a dead drive not
@@ -250,43 +252,34 @@ type Store struct {
 
 // Wrap layers parity redundancy over a store. Parity requires at least
 // two drives (one data drive plus a rotated parity drive).
-func Wrap(inner disk.Store) (*Store, error) {
-	cfg := inner.Config()
+func Wrap(below disk.Store) (*Store, error) {
+	cfg := below.Config()
 	if cfg.D < 2 {
 		return nil, fmt.Errorf("redundancy: parity requires D >= 2, have D = %d", cfg.D)
 	}
 	return &Store{
-		inner:     inner,
+		inner:     below,
 		D:         cfg.D,
 		B:         cfg.B,
-		stripeOf:  make(map[addr]int),
+		stripeOf:  make(map[disk.Addr]int),
 		stripes:   make(map[int]*stripe),
-		parityAt:  make(map[addr]int),
+		parityAt:  make(map[disk.Addr]int),
 		pval:      make(map[int][]uint64),
 		pdirty:    make(map[int]bool),
-		fresh:     make(map[addr]bool),
-		sums:      make(map[addr]uint64),
-		remap:     make(map[addr]disk.Addr),
-		rrmap:     make(map[addr]addr),
+		fresh:     make(map[disk.Addr]bool),
+		sums:      make(map[disk.Addr]uint64),
+		remap:     make(map[disk.Addr]disk.Addr),
+		rrmap:     make(map[disk.Addr]disk.Addr),
 		dead:      make([]bool, cfg.D),
-		rmwOld:    make(map[addr][]uint64),
-		wrote:     make(map[addr]bool),
+		rmwOld:    make(map[disk.Addr][]uint64),
+		wrote:     make(map[disk.Addr]bool),
 		recompute: make(map[int]bool),
 		rebDrive:  -1,
 	}, nil
 }
 
-// Config returns the underlying configuration.
-func (s *Store) Config() disk.Config { return s.inner.Config() }
-
-// Stats returns the underlying I/O statistics (parity maintenance,
-// reconstruction and rebuild traffic are all real charged operations
-// and appear here).
-func (s *Store) Stats() disk.Stats { return s.inner.Stats() }
-
-// ResetStats resets the underlying statistics. Redundancy counters are
-// untouched (they are run-wide, not per-phase).
-func (s *Store) ResetStats() { s.inner.ResetStats() }
+// Inner returns the chain beneath the parity layer.
+func (s *Store) Inner() disk.Store { return s.inner }
 
 // Counters returns the redundancy accounting.
 func (s *Store) Counters() Counters {
@@ -321,35 +314,6 @@ func (s *Store) DriveDied(d int) {
 	}
 }
 
-// Alloc forwards to the inner allocator: allocation is directory
-// metadata and never faults; I/O on a dead drive's tracks is remapped
-// at operation time.
-func (s *Store) Alloc(d int) int { return s.inner.Alloc(d) }
-
-// ReserveRot forwards to the inner allocator.
-func (s *Store) ReserveRot(nBlocks, rot int) disk.Area { return s.inner.ReserveRot(nBlocks, rot) }
-
-// AllocSnapshot forwards to the inner allocator (the Store's own
-// rollback state is captured separately via Snapshot).
-func (s *Store) AllocSnapshot() disk.AllocMark { return s.inner.AllocSnapshot() }
-
-// AllocRestore forwards to the inner allocator.
-func (s *Store) AllocRestore(m disk.AllocMark) { s.inner.AllocRestore(m) }
-
-// State forwards to the inner store.
-func (s *Store) State() disk.StoreState { return s.inner.State() }
-
-// AdoptState forwards to the inner store.
-func (s *Store) AdoptState(st disk.StoreState) error { return s.inner.AdoptState(st) }
-
-// Sync forwards to the inner store. The engines call FlushParity
-// first, so everything a commit record references — parity included —
-// is durable before the record lands.
-func (s *Store) Sync() error { return s.inner.Sync() }
-
-// Close forwards to the inner store.
-func (s *Store) Close() error { return s.inner.Close() }
-
 // parityUsable reports whether the stripe's parity track is readable.
 func (s *Store) parityUsable(st *stripe) bool { return !s.dead[st.parity.Disk] }
 
@@ -372,35 +336,12 @@ func (s *Store) chooseSpare(d, salt int) (int, bool) {
 	return 0, false
 }
 
-// groupsOf partitions n requests (physical drive given by driveAt)
-// into maximal runs with pairwise-distinct drives, preserving order —
-// the extra groups are the degradation the model charges for.
-func groupsOf(n int, driveAt func(int) int) [][]int {
-	var groups [][]int
-	var cur []int
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		d := driveAt(i)
-		if seen[d] {
-			groups = append(groups, cur)
-			cur = nil
-			seen = make(map[int]bool)
-		}
-		seen[d] = true
-		cur = append(cur, i)
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
-}
-
 // readPhys issues physical reads grouped into valid parallel
 // operations, transparently repairing tracks the inner store reports
 // as corrupt (File's torn-write detection). It returns the number of
 // operations issued.
 func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
-	groups := groupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
+	groups := disk.GroupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
 	ops := 0
 	for _, g := range groups {
 		sub := make([]disk.ReadReq, 0, len(g))
@@ -418,7 +359,7 @@ func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
 				return ops, err
 			}
 			s.ctr.ChecksumFailures++
-			rops, rerr := s.repairTrack(addr{cte.Disk, cte.Track})
+			rops, rerr := s.repairTrack(disk.Addr{Disk: cte.Disk, Track: cte.Track})
 			ops += rops
 			if rerr != nil {
 				return ops, rerr
@@ -432,7 +373,7 @@ func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
 // operations and records their checksums. It returns the number of
 // operations issued.
 func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
-	groups := groupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
+	groups := disk.GroupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
 	ops := 0
 	for _, g := range groups {
 		sub := make([]disk.WriteReq, 0, len(g))
@@ -445,7 +386,7 @@ func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
 		ops++
 	}
 	for _, r := range reqs {
-		s.sums[addr{r.Disk, r.Track}] = disk.Checksum(r.Src)
+		s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}] = disk.Checksum(r.Src)
 	}
 	return ops, nil
 }
@@ -454,14 +395,14 @@ func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
 // holding its bytes. The second result is false when no physical copy
 // exists (dead drive, not remapped) and the data must be
 // reconstructed.
-func (s *Store) physOf(k addr) (disk.Addr, bool) {
+func (s *Store) physOf(k disk.Addr) (disk.Addr, bool) {
 	if m, ok := s.remap[k]; ok {
 		return m, true
 	}
-	if s.dead[k.d] {
+	if s.dead[k.Disk] {
 		return disk.Addr{}, false
 	}
-	return disk.Addr{Disk: k.d, Track: k.t}, true
+	return k, true
 }
 
 // loadParity ensures the stripe's current parity value is cached,
@@ -489,8 +430,8 @@ func (s *Store) loadParity(sid int) error {
 // stored copy is corrupt.
 func (s *Store) readParityTrack(sid int, dst []uint64) (int, error) {
 	st := s.stripes[sid]
-	p := addr{st.parity.Disk, st.parity.Track}
-	ops, err := s.readPhys([]disk.ReadReq{{Disk: p.d, Track: p.t, Dst: dst}})
+	p := st.parity
+	ops, err := s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: dst}})
 	if err != nil {
 		return ops, err
 	}
@@ -501,7 +442,7 @@ func (s *Store) readParityTrack(sid int, dst []uint64) (int, error) {
 		if err != nil {
 			return ops, err
 		}
-		n, err = s.readPhys([]disk.ReadReq{{Disk: p.d, Track: p.t, Dst: dst}})
+		n, err = s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: dst}})
 		ops += n
 		if err != nil {
 			return ops, err
@@ -515,20 +456,20 @@ func (s *Store) readParityTrack(sid int, dst []uint64) (int, error) {
 // stripe never has two members on one logical drive, and only one
 // drive can be dead). The charged operations are counted as
 // DegradedOps by the caller via the returned op count.
-func (s *Store) reconstruct(sid int, skip addr, dst []uint64) (int, error) {
+func (s *Store) reconstruct(sid int, skip disk.Addr, dst []uint64) (int, error) {
 	st := s.stripes[sid]
 	if s.recompute[sid] {
 		// The stored parity is known stale (crash residue Reconcile
 		// could not absorb) and will only be recomputed at the next
 		// barrier; reconstructing from it would return silent garbage.
-		return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is stale after a crash and awaits recomputation", skip.d, skip.t, sid)
+		return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is stale after a crash and awaits recomputation", skip.Disk, skip.Track, sid)
 	}
 	ops := 0
 	if pv, ok := s.pval[sid]; ok {
 		copy(dst, pv)
 	} else {
 		if !s.parityUsable(st) {
-			return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is on dead drive %d", skip.d, skip.t, sid, st.parity.Disk)
+			return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is on dead drive %d", skip.Disk, skip.Track, sid, st.parity.Disk)
 		}
 		n, err := s.readParityTrack(sid, dst)
 		ops += n
@@ -540,15 +481,14 @@ func (s *Store) reconstruct(sid int, skip addr, dst []uint64) (int, error) {
 	var bufs [][]uint64
 	for d := 0; d < s.D; d++ {
 		t := st.members[d]
-		if t < 0 || (d == skip.d && t == skip.t) {
+		if t < 0 || (d == skip.Disk && t == skip.Track) {
 			continue
 		}
-		p, ok := s.physOf(addr{d, t})
+		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
-			return ops, fmt.Errorf("redundancy: two lost members in stripe %d (drive %d track %d and drive %d track %d)", sid, skip.d, skip.t, d, t)
+			return ops, fmt.Errorf("redundancy: two lost members in stripe %d (drive %d track %d and drive %d track %d)", sid, skip.Disk, skip.Track, d, t)
 		}
-		pk := addr{p.Disk, p.Track}
-		if old, ok := s.rmwOld[pk]; ok && !s.wrote[pk] {
+		if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
 			// Rewritten in place this superstep but not yet by the
 			// current attempt: the parity state still encodes the
 			// barrier value, which only the cache holds.
@@ -581,7 +521,7 @@ func (s *Store) reconstruct(sid int, skip addr, dst []uint64) (int, error) {
 // tracks (recomputed from the members). The recorded checksum is the
 // repair target, so a successful repair restores exactly the
 // last-written content.
-func (s *Store) repairTrack(p addr) (int, error) {
+func (s *Store) repairTrack(p disk.Addr) (int, error) {
 	buf := make([]uint64, s.B)
 	if sid, ok := s.parityAt[p]; ok {
 		// A parity track: the cached value, when present, is
@@ -598,7 +538,7 @@ func (s *Store) repairTrack(p addr) (int, error) {
 				return ops, err
 			}
 		}
-		n, err := s.writePhys([]disk.WriteReq{{Disk: p.d, Track: p.t, Src: buf}})
+		n, err := s.writePhys([]disk.WriteReq{{Disk: p.Disk, Track: p.Track, Src: buf}})
 		ops += n
 		if err != nil {
 			return ops, err
@@ -613,16 +553,16 @@ func (s *Store) repairTrack(p addr) (int, error) {
 	}
 	sid, ok := s.stripeOf[logical]
 	if !ok {
-		return 0, fmt.Errorf("redundancy: cannot repair unprotected track (drive %d track %d)", p.d, p.t)
+		return 0, fmt.Errorf("redundancy: cannot repair unprotected track (drive %d track %d)", p.Disk, p.Track)
 	}
 	ops, err := s.reconstruct(sid, logical, buf)
 	if err != nil {
 		return ops, err
 	}
 	if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
-		return ops, fmt.Errorf("redundancy: reconstruction of drive %d track %d does not match its recorded checksum", p.d, p.t)
+		return ops, fmt.Errorf("redundancy: reconstruction of drive %d track %d does not match its recorded checksum", p.Disk, p.Track)
 	}
-	n, err := s.writePhys([]disk.WriteReq{{Disk: p.d, Track: p.t, Src: buf}})
+	n, err := s.writePhys([]disk.WriteReq{{Disk: p.Disk, Track: p.Track, Src: buf}})
 	ops += n
 	if err != nil {
 		return ops, err
@@ -643,11 +583,11 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 		if t < 0 {
 			continue
 		}
-		p, ok := s.physOf(addr{d, t})
+		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
 			return 0, fmt.Errorf("redundancy: recomputing parity of stripe %d: member on dead drive %d not yet rebuilt", sid, d)
 		}
-		if old, ok := s.rmwOld[addr{p.Disk, p.Track}]; ok {
+		if old, ok := s.rmwOld[p]; ok {
 			// The stored parity being recomputed encodes the barrier
 			// state; a member rewritten in place this superstep
 			// contributes its barrier-committed value (already verified
@@ -669,7 +609,7 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 	// from a corrupt member would launder the corruption into parity
 	// that then "verifies".
 	for i, r := range reqs {
-		if want, ok := s.sums[addr{r.Disk, r.Track}]; ok && disk.Checksum(bufs[i]) != want {
+		if want, ok := s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]; ok && disk.Checksum(bufs[i]) != want {
 			return ops, fmt.Errorf("redundancy: recomputing parity of stripe %d: member drive %d track %d fails its checksum", sid, r.Disk, r.Track)
 		}
 	}
@@ -693,11 +633,11 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 		return nil
 	}
 	var direct []disk.ReadReq
-	directPhys := make([]addr, 0, len(reqs))
+	directPhys := make([]disk.Addr, 0, len(reqs))
 	var recon []int
 	degraded := false
 	for i, r := range reqs {
-		k := addr{r.Disk, r.Track}
+		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		p, ok := s.physOf(k)
 		switch {
 		case ok:
@@ -705,7 +645,7 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 				degraded = true
 			}
 			direct = append(direct, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: r.Dst})
-			directPhys = append(directPhys, addr{p.Disk, p.Track})
+			directPhys = append(directPhys, p)
 		default:
 			if _, striped := s.stripeOf[k]; striped {
 				recon = append(recon, i)
@@ -746,19 +686,19 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 				return err
 			}
 			if disk.Checksum(r.Dst) != want {
-				return &disk.CorruptTrackError{Disk: p.d, Track: p.t}
+				return &disk.CorruptTrackError{Disk: p.Disk, Track: p.Track}
 			}
 		}
 	}
 	for _, i := range recon {
-		k := addr{reqs[i].Disk, reqs[i].Track}
+		k := disk.Addr{Disk: reqs[i].Disk, Track: reqs[i].Track}
 		n, err := s.reconstruct(s.stripeOf[k], k, reqs[i].Dst)
 		ops += n
 		if err != nil {
 			return err
 		}
 		if want, ok := s.sums[k]; ok && disk.Checksum(reqs[i].Dst) != want {
-			return &disk.CorruptTrackError{Disk: k.d, Track: k.t}
+			return &disk.CorruptTrackError{Disk: k.Disk, Track: k.Track}
 		}
 	}
 	if degraded && ops > 1 {
@@ -787,29 +727,28 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	var olds []oldRead
 	var oldReqs []disk.ReadReq
 	type oldCap struct {
-		pk  addr
+		pk  disk.Addr
 		buf []uint64
 	}
 	var oldCapture []oldCap // first-touched members to cache after the read
 	var oldRecon []oldRead
 	for _, r := range reqs {
-		k := addr{r.Disk, r.Track}
+		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		sid, ok := s.stripeOf[k]
 		if !ok || !s.parityActive(sid) {
 			continue
 		}
 		buf := make([]uint64, s.B)
 		if p, live := s.physOf(k); live {
-			pk := addr{p.Disk, p.Track}
-			if old, ok := s.rmwOld[pk]; ok && !s.wrote[pk] {
+			if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
 				// First rewrite by a replaying attempt: the track already
 				// holds the aborted attempt's data, the parity encodes
 				// the cached barrier value.
 				copy(buf, old)
 				olds = append(olds, oldRead{sid, buf})
 			} else {
-				if !s.wrote[pk] {
-					oldCapture = append(oldCapture, oldCap{pk, buf})
+				if !s.wrote[p] {
+					oldCapture = append(oldCapture, oldCap{p, buf})
 				}
 				olds = append(olds, oldRead{sid, buf})
 				oldReqs = append(oldReqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
@@ -837,7 +776,7 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 		// leave parity encoding the corrupt bytes; reconstruct the real
 		// content from parity first, exactly as the read path does.
 		for i, r := range oldReqs {
-			pk := addr{r.Disk, r.Track}
+			pk := disk.Addr{Disk: r.Disk, Track: r.Track}
 			want, ok := s.sums[pk]
 			if !ok || disk.Checksum(r.Dst) == want {
 				continue
@@ -854,7 +793,7 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 				return err
 			}
 			if disk.Checksum(r.Dst) != want {
-				return &disk.CorruptTrackError{Disk: pk.d, Track: pk.t}
+				return &disk.CorruptTrackError{Disk: pk.Disk, Track: pk.Track}
 			}
 		}
 		for _, c := range oldCapture {
@@ -873,7 +812,7 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 		}
 		s.pdirty[o.sid] = true
 	}
-	xorNew := func(k addr, src []uint64) error {
+	xorNew := func(k disk.Addr, src []uint64) error {
 		sid, ok := s.stripeOf[k]
 		if !ok || !s.parityActive(sid) {
 			return nil
@@ -892,26 +831,26 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	phys := make([]disk.WriteReq, len(reqs))
 	degraded := false
 	for i, r := range reqs {
-		k := addr{r.Disk, r.Track}
+		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		if err := xorNew(k, r.Src); err != nil {
 			return err
 		}
 		p, live := s.physOf(k)
 		if !live {
-			sd, ok := s.chooseSpare(k.d, k.t)
+			sd, ok := s.chooseSpare(k.Disk, k.Track)
 			if !ok {
-				return fmt.Errorf("redundancy: no live drive to remap drive %d track %d onto", k.d, k.t)
+				return fmt.Errorf("redundancy: no live drive to remap drive %d track %d onto", k.Disk, k.Track)
 			}
 			p = disk.Addr{Disk: sd, Track: s.inner.Alloc(sd)}
 			s.remap[k] = p
-			s.rrmap[addr{p.Disk, p.Track}] = k
+			s.rrmap[p] = k
 			delete(s.sums, k) // the historical location is dead
 		}
 		if p.Disk != r.Disk {
 			degraded = true
 		}
 		phys[i] = disk.WriteReq{Disk: p.Disk, Track: p.Track, Src: r.Src}
-		s.wrote[addr{p.Disk, p.Track}] = true
+		s.wrote[p] = true
 		if _, striped := s.stripeOf[k]; !striped {
 			s.fresh[k] = true
 		}
@@ -937,14 +876,13 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 func (s *Store) Release(d, t int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := addr{d, t}
+	k := disk.Addr{Disk: d, Track: t}
 	if sid, ok := s.stripeOf[k]; ok {
 		st := s.stripes[sid]
 		if s.parityActive(sid) {
 			buf := make([]uint64, s.B)
 			if p, live := s.physOf(k); live {
-				pk := addr{p.Disk, p.Track}
-				if old, ok := s.rmwOld[pk]; ok && !s.wrote[pk] {
+				if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
 					// The parity state still encodes the barrier value
 					// of this rolled-back member; fold that out.
 					copy(buf, old)
@@ -956,9 +894,9 @@ func (s *Store) Release(d, t int) error {
 					}
 					// Same verification as the write path: never fold
 					// unverified bytes out of parity.
-					if want, ok := s.sums[pk]; ok && disk.Checksum(buf) != want {
+					if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
 						s.ctr.ChecksumFailures++
-						n, err := s.repairTrack(pk)
+						n, err := s.repairTrack(p)
 						s.ctr.DegradedOps += int64(n)
 						if err != nil {
 							return err
@@ -969,7 +907,7 @@ func (s *Store) Release(d, t int) error {
 							return err
 						}
 						if disk.Checksum(buf) != want {
-							return &disk.CorruptTrackError{Disk: pk.d, Track: pk.t}
+							return &disk.CorruptTrackError{Disk: p.Disk, Track: p.Track}
 						}
 					}
 				}
@@ -1003,8 +941,8 @@ func (s *Store) Release(d, t int) error {
 	}
 	if m, ok := s.remap[k]; ok {
 		delete(s.remap, k)
-		delete(s.rrmap, addr{m.Disk, m.Track})
-		delete(s.sums, addr{m.Disk, m.Track})
+		delete(s.rrmap, m)
+		delete(s.sums, m)
 		if err := s.inner.Release(m.Disk, m.Track); err != nil {
 			return err
 		}
@@ -1018,8 +956,8 @@ func (s *Store) Release(d, t int) error {
 // dropStripe frees an empty stripe and its parity track.
 func (s *Store) dropStripe(sid int) {
 	st := s.stripes[sid]
-	delete(s.parityAt, addr{st.parity.Disk, st.parity.Track})
-	delete(s.sums, addr{st.parity.Disk, st.parity.Track})
+	delete(s.parityAt, st.parity)
+	delete(s.sums, st.parity)
 	delete(s.pval, sid)
 	delete(s.pdirty, sid)
 	delete(s.recompute, sid)
@@ -1056,11 +994,11 @@ func (s *Store) removeOpen(sid int) {
 // drive continues the rotation. When no live drive can hold parity
 // (D = 2 with the survivor writing), the track is left unprotected
 // and assign reports ok = false.
-func (s *Store) assign(k addr) (sid int, ok bool) {
+func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	for _, sid := range s.open {
 		st := s.stripes[sid]
-		if st.members[k.d] < 0 && st.parity.Disk != k.d && s.parityActive(sid) && !st.full(s.D) {
-			st.members[k.d] = k.t
+		if st.members[k.Disk] < 0 && st.parity.Disk != k.Disk && s.parityActive(sid) && !st.full(s.D) {
+			st.members[k.Disk] = k.Track
 			st.count++
 			s.stripeOf[k] = sid
 			s.ctr.StripedBlocks++
@@ -1073,7 +1011,7 @@ func (s *Store) assign(k addr) (sid int, ok bool) {
 	pd := -1
 	for i := 0; i < s.D; i++ {
 		c := (s.next + i) % s.D
-		if c != k.d && !s.dead[c] {
+		if c != k.Disk && !s.dead[c] {
 			pd = c
 			break
 		}
@@ -1087,10 +1025,10 @@ func (s *Store) assign(k addr) (sid int, ok bool) {
 	for d := range st.members {
 		st.members[d] = -1
 	}
-	st.members[k.d] = k.t
+	st.members[k.Disk] = k.Track
 	st.count = 1
 	s.stripes[sid] = st
-	s.parityAt[addr{pd, st.parity.Track}] = sid
+	s.parityAt[disk.Addr{Disk: pd, Track: st.parity.Track}] = sid
 	s.stripeOf[k] = sid
 	s.pval[sid] = make([]uint64, s.B)
 	s.pdirty[sid] = true
@@ -1112,11 +1050,7 @@ func (s *Store) FlushParity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fresh) > 0 {
-		keys := make([]addr, 0, len(s.fresh))
-		for k := range s.fresh {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return addrLess(keys[i], keys[j]) })
+		keys := disk.SortedAddrs(s.fresh)
 		protected := keys[:0]
 		sids := make([]int, 0, len(keys))
 		for _, k := range keys {
@@ -1136,7 +1070,7 @@ func (s *Store) FlushParity() error {
 		for i, k := range protected {
 			p, live := s.physOf(k)
 			if !live {
-				return fmt.Errorf("redundancy: fresh track on dead drive %d was never remapped", k.d)
+				return fmt.Errorf("redundancy: fresh track on dead drive %d was never remapped", k.Disk)
 			}
 			bufs[i] = make([]uint64, s.B)
 			reqs[i] = disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: bufs[i]}
@@ -1153,7 +1087,7 @@ func (s *Store) FlushParity() error {
 			}
 			s.pdirty[sids[i]] = true
 		}
-		s.fresh = make(map[addr]bool)
+		s.fresh = make(map[disk.Addr]bool)
 	}
 	if len(s.pdirty) > 0 {
 		sids := make([]int, 0, len(s.pdirty))
@@ -1178,8 +1112,8 @@ func (s *Store) FlushParity() error {
 	// physical state authoritative again, so the rewrite history of the
 	// finished superstep is no longer needed.
 	s.pval = make(map[int][]uint64)
-	s.rmwOld = make(map[addr][]uint64)
-	s.wrote = make(map[addr]bool)
+	s.rmwOld = make(map[disk.Addr][]uint64)
+	s.wrote = make(map[disk.Addr]bool)
 	// Stripes whose parity went stale across a crash (Reconcile could
 	// not recompute them at resume time) are recomputed here, once the
 	// replay has rewritten their unreadable members.
@@ -1221,7 +1155,7 @@ func (s *Store) recomputeStaleParity(sid int) (done bool, err error) {
 		if t < 0 {
 			continue
 		}
-		p, ok := s.physOf(addr{d, t})
+		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
 			return false, nil
 		}
@@ -1233,9 +1167,8 @@ func (s *Store) recomputeStaleParity(sid int) (done bool, err error) {
 		if rerr != nil {
 			return false, rerr
 		}
-		pk := addr{p.Disk, p.Track}
-		if want, ok := s.sums[pk]; ok && disk.Checksum(buf) != want {
-			return false, fmt.Errorf("redundancy: recomputing stale parity of stripe %d: member drive %d track %d fails its checksum", sid, pk.d, pk.t)
+		if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
+			return false, fmt.Errorf("redundancy: recomputing stale parity of stripe %d: member drive %d track %d fails its checksum", sid, p.Disk, p.Track)
 		}
 		for i := range dst {
 			dst[i] ^= buf[i]
@@ -1272,13 +1205,13 @@ func (s *Store) Scrub(budget int) (wrapped bool, err error) {
 			s.scrubD, s.scrubT = 0, 0
 			return true, nil
 		}
-		p := addr{s.scrubD, s.scrubT}
+		p := disk.Addr{Disk: s.scrubD, Track: s.scrubT}
 		s.scrubT++
 		want, ok := s.sums[p]
 		if !ok {
 			continue
 		}
-		if _, err := s.readPhys([]disk.ReadReq{{Disk: p.d, Track: p.t, Dst: buf}}); err != nil {
+		if _, err := s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}}); err != nil {
 			return false, err
 		}
 		s.ctr.ScrubbedBlocks++
@@ -1315,7 +1248,7 @@ func (s *Store) RebuildStep(budget int) error {
 	for budget > 0 && s.rebTrack < limit {
 		t := s.rebTrack
 		s.rebTrack++
-		k := addr{d, t}
+		k := disk.Addr{Disk: d, Track: t}
 		if _, remapped := s.remap[k]; remapped {
 			continue
 		}
@@ -1337,7 +1270,7 @@ func (s *Store) RebuildStep(budget int) error {
 			return err
 		}
 		s.remap[k] = p
-		s.rrmap[addr{p.Disk, p.Track}] = k
+		s.rrmap[p] = k
 		delete(s.sums, k)
 		s.ctr.RebuiltBlocks++
 		budget--
@@ -1367,7 +1300,7 @@ func (s *Store) RebuildStep(budget int) error {
 			if !ok {
 				return fmt.Errorf("redundancy: no live drive for the parity of stripe %d", sid)
 			}
-			old := addr{st.parity.Disk, st.parity.Track}
+			old := st.parity
 			np := disk.Addr{Disk: pd, Track: s.inner.Alloc(pd)}
 			if _, err := s.writePhys([]disk.WriteReq{{Disk: np.Disk, Track: np.Track, Src: buf}}); err != nil {
 				return err
@@ -1375,7 +1308,7 @@ func (s *Store) RebuildStep(budget int) error {
 			delete(s.parityAt, old)
 			delete(s.sums, old)
 			st.parity = np
-			s.parityAt[addr{np.Disk, np.Track}] = sid
+			s.parityAt[np] = sid
 			// Re-homing recomputed the parity from the current members,
 			// which is exactly what a crash-stale stripe was waiting for.
 			delete(s.recompute, sid)
@@ -1398,17 +1331,17 @@ func (s *Store) RebuildStep(budget int) error {
 // degraded) hardware, and work already spent really happened. This
 // mirrors the fault layer's Snapshot philosophy.
 type Snapshot struct {
-	stripeOf map[addr]int
+	stripeOf map[disk.Addr]int
 	stripes  map[int]*stripe
-	parityAt map[addr]int
+	parityAt map[disk.Addr]int
 	open     []int
 	next     int
 	pval     map[int][]uint64
 	pdirty   map[int]bool
-	fresh    map[addr]bool
-	sums     map[addr]uint64
-	remap    map[addr]disk.Addr
-	rrmap    map[addr]addr
+	fresh    map[disk.Addr]bool
+	sums     map[disk.Addr]uint64
+	remap    map[disk.Addr]disk.Addr
+	rrmap    map[disk.Addr]disk.Addr
 	striped  int64
 	parityBl int64
 }
@@ -1418,17 +1351,17 @@ func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := &Snapshot{
-		stripeOf: make(map[addr]int, len(s.stripeOf)),
+		stripeOf: make(map[disk.Addr]int, len(s.stripeOf)),
 		stripes:  make(map[int]*stripe, len(s.stripes)),
-		parityAt: make(map[addr]int, len(s.parityAt)),
+		parityAt: make(map[disk.Addr]int, len(s.parityAt)),
 		open:     append([]int(nil), s.open...),
 		next:     s.next,
 		pval:     make(map[int][]uint64, len(s.pval)),
 		pdirty:   make(map[int]bool, len(s.pdirty)),
-		fresh:    make(map[addr]bool, len(s.fresh)),
-		sums:     make(map[addr]uint64, len(s.sums)),
-		remap:    make(map[addr]disk.Addr, len(s.remap)),
-		rrmap:    make(map[addr]addr, len(s.rrmap)),
+		fresh:    make(map[disk.Addr]bool, len(s.fresh)),
+		sums:     make(map[disk.Addr]uint64, len(s.sums)),
+		remap:    make(map[disk.Addr]disk.Addr, len(s.remap)),
+		rrmap:    make(map[disk.Addr]disk.Addr, len(s.rrmap)),
 		striped:  s.ctr.StripedBlocks,
 		parityBl: s.ctr.ParityBlocks,
 	}
@@ -1468,7 +1401,7 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) Restore(sn *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stripeOf = make(map[addr]int, len(sn.stripeOf))
+	s.stripeOf = make(map[disk.Addr]int, len(sn.stripeOf))
 	for k, v := range sn.stripeOf {
 		s.stripeOf[k] = v
 	}
@@ -1476,7 +1409,7 @@ func (s *Store) Restore(sn *Snapshot) {
 	for sid, st := range sn.stripes {
 		s.stripes[sid] = &stripe{parity: st.parity, members: append([]int(nil), st.members...), count: st.count}
 	}
-	s.parityAt = make(map[addr]int, len(sn.parityAt))
+	s.parityAt = make(map[disk.Addr]int, len(sn.parityAt))
 	for k, v := range sn.parityAt {
 		s.parityAt[k] = v
 	}
@@ -1490,19 +1423,19 @@ func (s *Store) Restore(sn *Snapshot) {
 	for sid := range sn.pdirty {
 		s.pdirty[sid] = true
 	}
-	s.fresh = make(map[addr]bool, len(sn.fresh))
+	s.fresh = make(map[disk.Addr]bool, len(sn.fresh))
 	for k := range sn.fresh {
 		s.fresh[k] = true
 	}
-	s.sums = make(map[addr]uint64, len(sn.sums))
+	s.sums = make(map[disk.Addr]uint64, len(sn.sums))
 	for k, v := range sn.sums {
 		s.sums[k] = v
 	}
-	s.remap = make(map[addr]disk.Addr, len(sn.remap))
+	s.remap = make(map[disk.Addr]disk.Addr, len(sn.remap))
 	for k, v := range sn.remap {
 		s.remap[k] = v
 	}
-	s.rrmap = make(map[addr]addr, len(sn.rrmap))
+	s.rrmap = make(map[disk.Addr]disk.Addr, len(sn.rrmap))
 	for k, v := range sn.rrmap {
 		s.rrmap[k] = v
 	}
@@ -1512,7 +1445,7 @@ func (s *Store) Restore(sn *Snapshot) {
 	// deliberately survives — it holds the barrier-committed content of
 	// members the aborted attempt already overwrote in place, which the
 	// replay needs for its parity arithmetic.
-	s.wrote = make(map[addr]bool)
+	s.wrote = make(map[disk.Addr]bool)
 }
 
 // EncodeState appends the layer's complete persistent state to enc in
@@ -1555,28 +1488,20 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		}
 	}
 
-	sumKeys := make([]addr, 0, len(s.sums))
-	for k := range s.sums {
-		sumKeys = append(sumKeys, k)
-	}
-	sort.Slice(sumKeys, func(i, j int) bool { return addrLess(sumKeys[i], sumKeys[j]) })
+	sumKeys := disk.SortedAddrs(s.sums)
 	enc.PutInt(int64(len(sumKeys)))
 	for _, k := range sumKeys {
-		enc.PutInt(int64(k.d))
-		enc.PutInt(int64(k.t))
+		enc.PutInt(int64(k.Disk))
+		enc.PutInt(int64(k.Track))
 		enc.PutUint(s.sums[k])
 	}
 
-	remapKeys := make([]addr, 0, len(s.remap))
-	for k := range s.remap {
-		remapKeys = append(remapKeys, k)
-	}
-	sort.Slice(remapKeys, func(i, j int) bool { return addrLess(remapKeys[i], remapKeys[j]) })
+	remapKeys := disk.SortedAddrs(s.remap)
 	enc.PutInt(int64(len(remapKeys)))
 	for _, k := range remapKeys {
 		m := s.remap[k]
-		enc.PutInt(int64(k.d))
-		enc.PutInt(int64(k.t))
+		enc.PutInt(int64(k.Disk))
+		enc.PutInt(int64(k.Track))
 		enc.PutInt(int64(m.Disk))
 		enc.PutInt(int64(m.Track))
 	}
@@ -1613,8 +1538,8 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 	}
 
 	s.stripes = make(map[int]*stripe)
-	s.stripeOf = make(map[addr]int)
-	s.parityAt = make(map[addr]int)
+	s.stripeOf = make(map[disk.Addr]int)
+	s.parityAt = make(map[disk.Addr]int)
 	s.open = nil
 	for n := dec.Int(); n > 0; n-- {
 		sid := int(dec.Int())
@@ -1624,34 +1549,34 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 			st.members[d] = int(dec.Int())
 			if st.members[d] >= 0 {
 				st.count++
-				s.stripeOf[addr{d, st.members[d]}] = sid
+				s.stripeOf[disk.Addr{Disk: d, Track: st.members[d]}] = sid
 			}
 		}
 		s.stripes[sid] = st
-		s.parityAt[addr{st.parity.Disk, st.parity.Track}] = sid
+		s.parityAt[st.parity] = sid
 		if !st.full(s.D) {
 			s.open = append(s.open, sid)
 		}
 	}
 	sort.Ints(s.open)
 
-	s.sums = make(map[addr]uint64)
+	s.sums = make(map[disk.Addr]uint64)
 	for n := dec.Int(); n > 0; n-- {
 		d := int(dec.Int())
 		t := int(dec.Int())
-		s.sums[addr{d, t}] = dec.Uint()
+		s.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
 	}
-	s.remap = make(map[addr]disk.Addr)
-	s.rrmap = make(map[addr]addr)
+	s.remap = make(map[disk.Addr]disk.Addr)
+	s.rrmap = make(map[disk.Addr]disk.Addr)
 	for n := dec.Int(); n > 0; n-- {
-		k := addr{int(dec.Int()), int(dec.Int())}
+		k := disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}
 		m := disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}
 		s.remap[k] = m
-		s.rrmap[addr{m.Disk, m.Track}] = k
+		s.rrmap[m] = k
 	}
 	s.pval = make(map[int][]uint64)
 	s.pdirty = make(map[int]bool)
-	s.fresh = make(map[addr]bool)
+	s.fresh = make(map[disk.Addr]bool)
 	return nil
 }
 
@@ -1707,19 +1632,15 @@ func (s *Store) Reconcile() error {
 }
 
 func (s *Store) reconcile() error {
-	keys := make([]addr, 0, len(s.sums))
-	for k := range s.sums {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return addrLess(keys[i], keys[j]) })
-	stale := make(map[addr]uint64) // readable, content != recorded sum -> current checksum
-	torn := make(map[addr]bool)    // the inner store reports the track torn
+	keys := disk.SortedAddrs(s.sums)
+	stale := make(map[disk.Addr]uint64) // readable, content != recorded sum -> current checksum
+	torn := make(map[disk.Addr]bool)    // the inner store reports the track torn
 	buf := make([]uint64, s.B)
 	for _, k := range keys {
-		if s.dead[k.d] {
+		if s.dead[k.Disk] {
 			continue
 		}
-		err := s.inner.ReadOp([]disk.ReadReq{{Disk: k.d, Track: k.t, Dst: buf}})
+		err := s.inner.ReadOp([]disk.ReadReq{{Disk: k.Disk, Track: k.Track, Dst: buf}})
 		var cte *disk.CorruptTrackError
 		switch {
 		case errors.As(err, &cte):
@@ -1735,9 +1656,9 @@ func (s *Store) reconcile() error {
 	}
 	// Group the residue by stripe (keys is sorted, so bySid's slices
 	// and sids are deterministic).
-	bySid := make(map[int][]addr)
+	bySid := make(map[int][]disk.Addr)
 	var sids []int
-	var orphans []addr
+	var orphans []disk.Addr
 	for _, k := range keys {
 		if _, isStale := stale[k]; !isStale && !torn[k] {
 			continue
@@ -1793,7 +1714,7 @@ func (s *Store) reconcile() error {
 
 // sidOfPhys maps a physical track to its stripe via the parity
 // directory, the reverse remap, or the identity mapping.
-func (s *Store) sidOfPhys(k addr) (int, bool) {
+func (s *Store) sidOfPhys(k disk.Addr) (int, bool) {
 	if sid, ok := s.parityAt[k]; ok {
 		return sid, true
 	}
@@ -1809,7 +1730,7 @@ func (s *Store) sidOfPhys(k addr) (int, bool) {
 // from the rest of its stripe: every member has a readable physical
 // copy and, unless p is the parity track itself, the parity track is
 // on a live drive.
-func (s *Store) stripeIntactExcept(sid int, p addr) bool {
+func (s *Store) stripeIntactExcept(sid int, p disk.Addr) bool {
 	st := s.stripes[sid]
 	if _, isParity := s.parityAt[p]; !isParity && !s.parityUsable(st) {
 		return false
@@ -1818,7 +1739,7 @@ func (s *Store) stripeIntactExcept(sid int, p addr) bool {
 		if t < 0 {
 			continue
 		}
-		if _, ok := s.physOf(addr{d, t}); !ok {
+		if _, ok := s.physOf(disk.Addr{Disk: d, Track: t}); !ok {
 			return false
 		}
 	}

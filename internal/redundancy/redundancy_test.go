@@ -243,7 +243,7 @@ func (s *Store) summedTracks() []disk.Addr {
 	next := s.inner.State().Next
 	for d := 0; d < s.D; d++ {
 		for t := 0; t < next[d]; t++ {
-			if _, ok := s.sums[addr{d, t}]; ok {
+			if _, ok := s.sums[disk.Addr{Disk: d, Track: t}]; ok {
 				out = append(out, disk.Addr{Disk: d, Track: t})
 			}
 		}
@@ -253,7 +253,7 @@ func (s *Store) summedTracks() []disk.Addr {
 
 // stripeID maps a physical track to its parity group (test helper).
 func (s *Store) stripeID(a disk.Addr) (int, bool) {
-	k := addr{a.Disk, a.Track}
+	k := a
 	if sid, ok := s.parityAt[k]; ok {
 		return sid, true
 	}
