@@ -2,27 +2,35 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"embsp/internal/bsp"
 )
 
-// Message blocks. Step 1(d) of Algorithm SeqCompoundSuperstep cuts
-// every generated message into blocks of size B; each block inherits
-// the destination address of its message. A block image is laid out
-// as
+// Message blocks: packed streams. Step 1(d) of Algorithm
+// SeqCompoundSuperstep cuts the generated messages into blocks of size
+// B, and Theorem 1 counts those blocks full. So the messages a batch
+// generates are not cut one by one: they are sorted stably by
+// destination cell — the VPs of one owner that share a batch and a
+// Step 1(d) bucket, named by the cell's first VP — and each cell's
+// messages are laid end to end as records
 //
-//	word 0: destination VP
-//	word 1: source VP
-//	word 2: per-source sequence number of the message
-//	word 3: chunk index within the message
-//	word 4: total payload length of the message, in words
-//	words 5..B-1: payload chunk (zero padded)
+//	destination VP, source VP, per-source sequence number, payload length, payload…
 //
-// so a block is self-describing: the fetch phase reconstructs
-// messages from block contents alone. Chunk i carries payload words
-// [i·C, min((i+1)·C, len)) with C = B - 5; a message of payload
-// length len occupies max(1, ⌈len/C⌉) blocks.
+// to form one stream, which is cut every C = B - 5 words. A block image is
+//
+//	word 0: first VP of the destination cell
+//	word 1: first VP of the sending batch
+//	word 2: 0
+//	word 3: chunk index within the stream
+//	word 4: total length of the stream, in words
+//	words 5..B-1: stream words [chunk·C, min((chunk+1)·C, total)) (zero padded)
+//
+// so a block is self-describing and every block of a stream but its
+// last is full. Records straddle block edges freely; a message longer
+// than a block is just a long record. DESIGN.md §21 argues the cell rule
+// and the delivery order.
 
 // blockMeta is the engine's directory entry for one message block.
 type blockMeta struct {
@@ -32,52 +40,97 @@ type blockMeta struct {
 	chunk int
 }
 
-// chunkCap returns C, the payload capacity of one message block.
+// recordWords is the per-message header of a stream record.
+const recordWords = 4
+
+// chunkCap returns C, the stream words one message block carries.
 func chunkCap(B int) int { return B - headerWords }
 
-// numChunks returns the number of blocks a payload of length n cuts
-// into.
-func numChunks(n, B int) int {
-	c := chunkCap(B)
-	if n <= 0 {
-		return 1
-	}
-	return (n + c - 1) / c
-}
-
 // outMsg is a message collected during the computation phase, before
-// the writing phase cuts it into blocks.
+// the writing phase packs it into its cell's stream.
 type outMsg struct {
 	dst     int
 	src     int
 	seq     int
+	cell    int // first VP of dst's cell, set by sortByCell
 	payload []uint64
 }
 
-// cutMessage appends the block images of m to the pending writer via
-// emit. img is valid only for the duration of the call.
-func cutMessage(m outMsg, B int, scratch []uint64, emit func(meta blockMeta, img []uint64) error) error {
-	c := chunkCap(B)
-	n := len(m.payload)
-	chunks := numChunks(n, B)
-	for i := 0; i < chunks; i++ {
-		img := scratch[:B]
-		img[0] = uint64(m.dst)
-		img[1] = uint64(m.src)
-		img[2] = uint64(m.seq)
-		img[3] = uint64(i)
-		img[4] = uint64(n)
-		lo := i * c
-		hi := lo + c
-		if hi > n {
-			hi = n
+// cellOf returns the first VP of the cell of VP dst: the intersection
+// of its batch with its bucket range among its owner's VPs. Every block
+// of a stream therefore has one owner, one batch and one bucket, which
+// is all the writer, the exchange and SimulateRouting ask of a block.
+func (sh *simShape) cellOf(dst int) int {
+	l := dst % sh.vpp
+	per := (sh.vpp + sh.cfg.D - 1) / sh.cfg.D
+	return dst - l + max(l/sh.k*sh.k, l/per*per)
+}
+
+// sortByCell puts a batch's messages in packing order — stably by
+// destination cell, so a cell's messages keep the (source, sequence)
+// order they were generated in — and returns the number of blocks their
+// streams cut into.
+func (sh *simShape) sortByCell(outs []outMsg) (blocks int) {
+	for i := range outs {
+		outs[i].cell = sh.cellOf(outs[i].dst)
+	}
+	slices.SortStableFunc(outs, func(a, b outMsg) int { return a.cell - b.cell })
+	c, total := chunkCap(sh.cfg.B), 0
+	for i := range outs {
+		total += recordWords + len(outs[i].payload)
+		if i+1 == len(outs) || outs[i+1].cell != outs[i].cell {
+			blocks += (total + c - 1) / c
+			total = 0
 		}
-		copy(img[headerWords:], m.payload[lo:hi])
-		for j := headerWords + (hi - lo); j < B; j++ {
-			img[j] = 0
+	}
+	return blocks
+}
+
+// packStreams cuts the streams of outs, sorted by sortByCell and sent
+// by the batch whose first VP is src, into block images, handing each
+// to emit. img is the B-word image being filled; emit must copy it.
+func packStreams(outs []outMsg, src int, img []uint64, emit func(meta blockMeta, img []uint64) error) error {
+	var meta blockMeta
+	total, fill := 0, headerWords
+	flush := func() error {
+		clear(img[fill:])
+		img[0], img[1], img[2], img[3], img[4] = uint64(meta.dst), uint64(meta.src), 0, uint64(meta.chunk), uint64(total)
+		err := emit(meta, img)
+		meta.chunk, fill = meta.chunk+1, headerWords
+		return err
+	}
+	write := func(ws []uint64) error {
+		for len(ws) > 0 {
+			n := copy(img[fill:], ws)
+			if fill, ws = fill+n, ws[n:]; fill == len(img) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
 		}
-		if err := emit(blockMeta{dst: m.dst, src: m.src, seq: m.seq, chunk: i}, img); err != nil {
-			return err
+		return nil
+	}
+	var rec [recordWords]uint64
+	for i := 0; i < len(outs); {
+		meta, total = blockMeta{dst: outs[i].cell, src: src}, 0
+		end := i
+		for ; end < len(outs) && outs[end].cell == meta.dst; end++ {
+			total += recordWords + len(outs[end].payload)
+		}
+		for ; i < end; i++ {
+			m := outs[i]
+			rec[0], rec[1], rec[2], rec[3] = uint64(m.dst), uint64(m.src), uint64(m.seq), uint64(len(m.payload))
+			if err := write(rec[:]); err != nil {
+				return err
+			}
+			if err := write(m.payload); err != nil {
+				return err
+			}
+		}
+		if fill > headerWords {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -93,9 +146,11 @@ func parseBlock(img []uint64) (meta blockMeta, totalLen int) {
 	}, int(img[4])
 }
 
-// metaLess is the canonical block order: by destination VP, then
-// source, sequence, chunk. Blocks sorted this way concatenate directly
-// into the canonical (Src, Seq) message delivery order.
+// metaLess is the canonical block order: by destination cell, then
+// sending batch, (sequence,) chunk. Blocks sorted this way concatenate
+// into their streams, and the streams of a cell — whose sending batches
+// hold ascending, disjoint ranges of source VPs — into the canonical
+// (Src, Seq) message delivery order.
 func metaLess(a, b blockMeta) bool {
 	if a.dst != b.dst {
 		return a.dst < b.dst
@@ -109,11 +164,12 @@ func metaLess(a, b blockMeta) bool {
 	return a.chunk < b.chunk
 }
 
-// reassemble turns the sorted block images of one group's incoming
-// traffic into per-VP message lists. blocks[i] is the i-th block image
-// (length B each, concatenated in buf); metas[i] its parsed header.
-// The result maps local VP offsets (dst - loVP) to messages in
-// canonical delivery order.
+// reassemble turns the block images of one group's incoming traffic
+// into per-VP message lists. blocks[i] is the i-th block image (length
+// B each, concatenated in buf); metas[i] its directory entry. Every
+// stream is checked against the total in each of its headers. The
+// result maps local VP offsets (dst - loVP) to messages in canonical
+// delivery order; a stream's payloads share one allocation.
 func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Message, error) {
 	order := make([]int, len(metas))
 	for i := range order {
@@ -123,37 +179,50 @@ func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Mes
 
 	out := make([][]bsp.Message, hiVP-loVP)
 	c := chunkCap(B)
-	i := 0
-	for i < len(order) {
-		idx := order[i]
-		m := metas[idx]
+	for i := 0; i < len(order); {
+		m := metas[order[i]]
+		_, total := parseBlock(buf[order[i]*B:])
+		bad := func(format string, a ...any) error {
+			return fmt.Errorf("core: stream (cell %d, from batch %d, %d words) %s", m.dst, m.src, total, fmt.Sprintf(format, a...))
+		}
 		if m.dst < loVP || m.dst >= hiVP {
-			return nil, fmt.Errorf("core: block for VP %d routed to group [%d,%d)", m.dst, loVP, hiVP)
+			return nil, bad("routed to group [%d,%d)", loVP, hiVP)
 		}
-		if m.chunk != 0 {
-			return nil, fmt.Errorf("core: message (dst %d, src %d, seq %d) starts at chunk %d", m.dst, m.src, m.seq, m.chunk)
+		chunks := (total + c - 1) / c
+		if total < recordWords {
+			return nil, bad("is shorter than a record")
 		}
-		totalLen := int(buf[idx*B+4])
-		chunks := numChunks(totalLen, B)
-		payload := make([]uint64, 0, totalLen)
-		for j := 0; j < chunks; j++ {
-			if i+j >= len(order) {
-				return nil, fmt.Errorf("core: message (dst %d, src %d, seq %d) truncated at chunk %d of %d", m.dst, m.src, m.seq, j, chunks)
+		stream := make([]uint64, 0, min(total, (len(order)-i)*c))
+		j := 0
+		for ; i+j < len(order) && metas[order[i+j]].dst == m.dst && metas[order[i+j]].src == m.src; j++ {
+			entry, img := metas[order[i+j]], buf[order[i+j]*B:(order[i+j]+1)*B]
+			switch hdr, n := parseBlock(img); {
+			case hdr != entry:
+				return nil, bad("has a block whose header %v is not its directory entry %v", hdr, entry)
+			case hdr.chunk != j:
+				return nil, bad("is missing chunk %d", j)
+			case n != total:
+				return nil, bad("has a block that gives its length as %d", n)
+			case j >= chunks:
+				return nil, bad("has a block past its end, chunk %d of %d", j, chunks)
 			}
-			bidx := order[i+j]
-			bm := metas[bidx]
-			if bm.dst != m.dst || bm.src != m.src || bm.seq != m.seq || bm.chunk != j {
-				return nil, fmt.Errorf("core: message (dst %d, src %d, seq %d) missing chunk %d", m.dst, m.src, m.seq, j)
-			}
-			lo := j * c
-			hi := lo + c
-			if hi > totalLen {
-				hi = totalLen
-			}
-			payload = append(payload, buf[bidx*B+headerWords:bidx*B+headerWords+(hi-lo)]...)
+			stream = append(stream, img[headerWords:headerWords+min(c, total-j*c)]...)
 		}
-		i += chunks
-		out[m.dst-loVP] = append(out[m.dst-loVP], bsp.Message{Src: m.src, Dst: m.dst, Seq: m.seq, Payload: payload})
+		if j < chunks {
+			return nil, bad("truncated at chunk %d of %d", j, chunks)
+		}
+		i += j
+		for p := 0; p < total; {
+			if p+recordWords > total || stream[p+3] > uint64(total-p-recordWords) {
+				return nil, bad("has a record at word %d running past its end", p)
+			}
+			dst, src, seq, n := int(stream[p]), int(stream[p+1]), int(stream[p+2]), int(stream[p+3])
+			if dst < loVP || dst >= hiVP {
+				return nil, bad("carries a message for VP %d into group [%d,%d)", dst, loVP, hiVP)
+			}
+			p += recordWords + n
+			out[dst-loVP] = append(out[dst-loVP], bsp.Message{Src: src, Dst: dst, Seq: seq, Payload: stream[p-n : p : p]})
+		}
 	}
 	return out, nil
 }

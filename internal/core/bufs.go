@@ -22,15 +22,17 @@ type stepBufs struct {
 	inbox   []uint64 // exchange: the batch's received blocks, gathered for reassembly
 	slab    []uint64 // exchange: the block images the batch scatters
 	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks, then routing's transfers
-	scratch []uint64 // the block image being cut, B words
+	scratch []uint64 // the block image being packed, B words
 
 	enc     words.Encoder // the context being saved
+	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell
 	metas   []blockMeta   // the fetched blocks' directory entries
 	pending []blockMeta   // the block writer's pending blocks, D entries
 	perm    []int         // the block writer's drive permutation, D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
-	rel     []disk.Addr // tracks to release after the current operation
+	rel     []disk.Addr  // tracks to release after the current operation
+	queue   [][]blockRef // the current batch's region blocks, per drive
 
 	// The rows this processor owns of the block exchange (of out, a
 	// machine without one fills only the traffic records).

@@ -13,3 +13,22 @@ func RunOver(wrap func(Transport) Transport, p bsp.Program, cfg MachineConfig, o
 	d.t = wrap(e)
 	return e.run(d)
 }
+
+// MessageBlocks counts, on the engine RunOver hands to wrap, the message
+// blocks the open superstep's writing phases have left in the
+// processors' directories, and the streams they form.
+func MessageBlocks(t Transport) (blocks, streams int) {
+	for _, ps := range t.(*engine).procs {
+		for _, perDrive := range ps.dir.q {
+			for _, refs := range perDrive {
+				for _, ref := range refs {
+					blocks++
+					if ref.meta.chunk == 0 {
+						streams++
+					}
+				}
+			}
+		}
+	}
+	return blocks, streams
+}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"embsp/internal/core"
@@ -19,6 +20,11 @@ import (
 // 0's) of one tiny fixed run, per manifest kind, were computed at the
 // commit before the superstep driver was written once (PR 16); a change
 // that moves one must bump modelRules or the kind tag and say why.
+//
+// modelRules 2 → 3 (PR 18, packed message blocks) moved all of them: the
+// layout of every record is unchanged, but each carries the fingerprint,
+// which folds modelRules in, and superstep 0's carries the allocator and
+// operation counts of a superstep that now writes fewer message blocks.
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -36,8 +42,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		}
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0x5d56bd4f7a452835, 0x989cae2f696698e8},
-		2: {0x49ea2a0232e7d2d0, 0xdbe3885586add73f},
+		1: {0xe7a6804a6a87202c, 0x3e44e32dec64742f},
+		2: {0x55b4b4b61be67915, 0x92c648ebc1847d84},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -47,8 +53,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check("RUN", o.StateDir, want)
 	}
 	// Layered chains, whose records carry the optional fault and parity
-	// sections after the store state; computed at the commit before the
-	// layers became links of one chain (PR 17).
+	// sections after the store state; first computed at the commit before
+	// the layers became links of one chain (PR 17).
 	for _, row := range []struct {
 		name string
 		p    int
@@ -58,16 +64,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x376f77a8c456e68d, 0xbc4f603828c84c0f}},
+		}, [2]uint64{0xed984c264bc36ad0, 0x1f8adfc416b0406}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x9740fad1edef9622, 0xfc6446c35ad3eeb7}},
+		}, [2]uint64{0x33334529dca495ef, 0x2310d38d2ef3d0d6}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x26dce0e7add5263e, 0xe4028ee6681a554a}},
+		}, [2]uint64{0xa8f8ea26e1aea00b, 0x32962edba36f1f0f}},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -81,9 +87,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	rig := openRig(t, prog, parMachine(2, 2, 8, 256), opts, root, false)
 	rig.run(t)
 	rig.close()
-	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0x7182c17933df40e5, 0xf4a04cbaee4638bc})
-	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0x22cdf21b8f79cdfd, 0x7a45ae73628977d3})
-	check("CORD", filepath.Join(root, "coord"), [2]uint64{0x1afb7357e81ef52c, 0xef37d4d763f8abee})
+	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0x240a767a5ece33dd, 0x4a45e897507db0eb})
+	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0x7d2d0cbd7847ff98, 0xbc151e59de8101ed})
+	check("CORD", filepath.Join(root, "coord"), [2]uint64{0xc0a4367bdb83c633, 0x5699a7df09c1525})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root
@@ -102,10 +108,10 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		p                                      int
 		runOps, setupOps, routeOps, memHighWds int64
 	}{
-		{sort, 2, 2404, 200, 568, 29568},
-		{listrank, 2, 31753, 570, 3934, 93760},
-		{sort, 3, 2619, 200, 782, 29824},
-		{listrank, 3, 33277, 571, 5404, 70080},
+		{sort, 2, 2231, 200, 454, 27008},
+		{listrank, 2, 28107, 570, 1382, 76992},
+		{sort, 3, 2347, 200, 572, 26944},
+		{listrank, 3, 28754, 571, 1928, 57984},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
@@ -127,6 +133,82 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		}
 		if got, want := workload.Fingerprint(res), workload.Fingerprint(oracle); got != want {
 			t.Errorf("%s: fingerprint %#x over the wire, %#x in process", label, got, want)
+		}
+	}
+}
+
+// fillMeter watches a run's supersteps on their way to the engine: the
+// words its messages encode to (a record is the counted words of a
+// message, payload + 1, and 3 more) and the message blocks written.
+type fillMeter struct {
+	core.Transport
+	encoded                int
+	words, blocks, streams []int // per superstep
+}
+
+func (m *fillMeter) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
+	outs, err := m.Transport.Compute(j, step, rows)
+	for _, bo := range outs {
+		for _, t := range bo.Traffic {
+			m.encoded += t.SendWords + 3*t.Messages
+		}
+	}
+	return outs, err
+}
+
+func (m *fillMeter) Totals() ([]core.StepTotals, error) {
+	blocks, streams := core.MessageBlocks(m.Transport)
+	m.words, m.blocks, m.streams = append(m.words, m.encoded), append(m.blocks, blocks), append(m.streams, streams)
+	m.encoded = 0
+	return m.Transport.Totals()
+}
+
+// TestMessageBlockFill: Theorem 1 counts full blocks, so a superstep
+// writes no more message blocks than its encoded words fill, plus one
+// partial last block per stream. The counts are pinned: before streams
+// were packed every message had a block of its own — the last row wrote
+// 4,224 blocks in its all-to-all superstep for 4,096 messages of 32
+// words — and a change that pads blocks again must show here.
+func TestMessageBlockFill(t *testing.T) {
+	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
+	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
+	for _, row := range []struct {
+		spec   workload.Spec
+		p, b   int
+		blocks []int // per superstep
+	}{
+		// The golden sort's all-to-all sends 256 messages of 64 words,
+		// which at B = 64 took two blocks each (512; now 303).
+		{sort, 1, 64, []int{11, 13, 303, 0}},
+		{sort, 2, 64, []int{12, 16, 314, 0}},
+		{listrank, 1, 64, []int{113, 105, 79, 65, 50, 40, 32, 23, 20, 19, 10, 11, 61, 79, 59, 36, 16, 6, 6, 6, 5, 5, 0}},
+		{listrank, 2, 64, []int{117, 109, 84, 70, 52, 43, 38, 29, 25, 23, 10, 12, 64, 81, 62, 38, 19, 12, 11, 10, 9, 9, 0}},
+		// The benchmark's sort_mem instance: 147,456 encoded words in
+		// 143 streams (11 sending batches × 13 cells).
+		{workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, []int{22, 24, 345, 0}},
+	} {
+		inst, err := row.spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m *fillMeter
+		_, err = core.RunOver(func(inner core.Transport) core.Transport {
+			m = &fillMeter{Transport: inner}
+			return m
+		}, inst.Program, workload.Machine(inst.Program, row.p, 4, row.b, 6, 1000), core.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%s n=%d v=%d B=%d P=%d", row.spec.Alg, row.spec.N, row.spec.V, row.b, row.p)
+		c := row.b - 5
+		for step, blocks := range m.blocks {
+			if bound := (m.words[step]+c-1)/c + m.streams[step]; blocks > bound {
+				t.Errorf("%s superstep %d: %d message blocks for %d encoded words in %d streams, want <= %d",
+					label, step, blocks, m.words[step], m.streams[step], bound)
+			}
+		}
+		if !slices.Equal(m.blocks, row.blocks) {
+			t.Errorf("%s: message blocks per superstep are %v (for %v encoded words in %v streams), want %v", label, m.blocks, m.words, m.streams, row.blocks)
 		}
 	}
 }

@@ -32,10 +32,13 @@ const (
 )
 
 // modelRules versions the policies that decide a run's I/O counts
-// without changing its results (today: the bucket rule, DESIGN.md §20).
-// It is folded into every fingerprint, so a directory journaled under
-// other rules is refused rather than resumed into hybrid counts.
-const modelRules = 2
+// without changing its results (2: the bucket rule, DESIGN.md §20; 3:
+// the packed message-block format, §21, which is also what a routed
+// region on disk and a block on the wire hold). It is folded into every
+// fingerprint, so a directory journaled under other rules, or a cluster
+// peer built with them, is refused rather than resumed into hybrid
+// counts or fed blocks it cannot parse.
+const modelRules = 3
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

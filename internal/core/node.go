@@ -26,7 +26,7 @@ import (
 //     address space. With p > 1 it hands rows of blocks across by
 //     reference; with p = 1 there is nobody to exchange with, so the
 //     batch is reassembled from the region buffer its fetch filled and
-//     its messages are cut straight into the block writer;
+//     its messages are packed straight into the block writer;
 //   - NodeEngine (cluster.go) wraps a single processor for the
 //     multi-process cluster runtime, which carries the same rows over
 //     the wire.
@@ -197,10 +197,12 @@ func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
 // processor simulating groups of k VPs. The theorems assume γ = O(µ) (a
 // VP's messages fit in its local memory), so the footprint is Θ(k·µ) =
 // Θ(M); the budget makes that concrete — M plus the group's contexts
-// and physically encoded messages (≤ 3γ words per VP each way) and one
-// block per drive — scaled by the configured slack constant. Programs
-// honouring γ = O(µ) stay within O(M); others are still tracked and
-// bounded.
+// and physically encoded messages (6γ words per VP for both ways: a
+// message of w ≥ 1 counted words is a record of w + 3, so a VP's
+// records are ≤ 4γ words each way, and a batch's streams end in one
+// partial block per cell) and one block per drive — scaled by the
+// configured slack constant. Programs honouring γ = O(µ) stay within
+// O(M); others are still tracked and bounded.
 func engineMemLimit(cfg MachineConfig, k, mu, gamma int) int64 {
 	return int64(cfg.memSlack()) * (int64(cfg.M) + int64(k)*int64(mu+6*gamma) + int64(cfg.D*cfg.B))
 }
@@ -419,7 +421,7 @@ func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 		if ps.inDir == nil {
 			return batchIn{}, nil
 		}
-		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
+		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j], true)
 	}
 	var regions []groupRegion
 	if j < len(ps.inRegions) {
@@ -523,27 +525,27 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in []BlockBatch) er
 	}
 	return sh.simulateBatch(ps, j, step,
 		func() (batchIn, error) { return sh.gather(ps, in) },
-		func(outs []outMsg, outBlocks int) error { return sh.scatter(ps, j, step, outs, outBlocks) })
+		func(outs []outMsg) error { return sh.scatter(ps, j, step, outs) })
 }
 
 // computeLocal is the whole round of a one-processor machine. With no
 // other processor there is no exchange (Algorithm 1): batch j is
 // reassembled straight from the region buffer its fetch filled, and its
-// generated messages are cut straight into the block writer.
+// generated messages are packed straight into the block writer.
 func (sh *simShape) computeLocal(ps *procState, j, step int) error {
 	ps.out.reset(sh.cfg.P)
 	return sh.simulateBatch(ps, j, step,
 		func() (batchIn, error) { return sh.fetchBatch(ps, j) },
-		func(outs []outMsg, _ int) error { return sh.writeLocal(ps, j, step, outs) })
+		func(outs []outMsg) error { return sh.writeLocal(ps, j, step, outs) })
 }
 
 // simulateBatch simulates the (non-empty) batch j of processor ps:
 // reassemble the messages the driver's source delivers, load the k
 // current VPs, run their computation supersteps, write their contexts
-// back, and hand the generated messages (outBlocks blocks once cut) to
-// the driver's sink. Halt and send tallies accumulate on ps and the
-// per-VP traffic records on ps.out.
-func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (batchIn, error), sink func(outs []outMsg, outBlocks int) error) error {
+// back, and hand the generated messages to the driver's sink, which
+// packs them into their cells' streams. Halt and send tallies accumulate
+// on ps and the per-VP traffic records on ps.out.
+func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (batchIn, error), sink func(outs []outMsg) error) error {
 	lo, hi := sh.batchBounds(ps, j)
 	n := hi - lo
 	B := sh.cfg.B
@@ -594,9 +596,8 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 
 	// Simulate the computation supersteps, collecting the generated
 	// messages in internal memory, as the paper prescribes.
-	var outs []outMsg
+	outs := ps.msgs[:0]
 	var outWords int64
-	outBlocks := 0
 	for i := 0; i < n; i++ {
 		id := lo + i
 		recvWords, recvPkts := 0, 0
@@ -615,7 +616,6 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 			seq++
 			sendPkts += sh.rec.MsgPkts(len(payload) + 1)
 			outWords += int64(len(payload) + 1)
-			outBlocks += numChunks(len(payload), B)
 		})
 		halt, err := bsp.SafeStep(vps[i], env, inbox[i])
 		if err != nil {
@@ -658,71 +658,67 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	if err := ps.acct.Grab(outWords); err != nil {
 		return err
 	}
-	if err := sink(outs, outBlocks); err != nil {
+	if err := sink(outs); err != nil {
 		return err
 	}
+	ps.msgs = outs
 	ps.acct.Release(outWords)
 	ps.acct.Release(in.grab)
 	return nil
 }
 
-// scatter is the exchange's sink: cut each message into blocks, group
-// ⌊b/B⌋ consecutive blocks of one message into a packet, and send every
-// packet to a uniformly random processor (the paper's disk-load
-// balancing step). In deterministic (CGM) mode the packet goes straight
-// to a rotation determined by its message identity, which is balanced
-// for predetermined communication.
-func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg, outBlocks int) error {
+// scatter is the exchange's sink: pack the batch's messages into their
+// cells' streams, group ⌊b/B⌋ consecutive blocks of one stream into a
+// packet, and send every packet to a uniformly random processor (the
+// paper's disk-load balancing step). In deterministic (CGM) mode the
+// packet goes straight to a rotation determined by its stream's
+// identity, which is balanced for predetermined communication.
+func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phScatter, ps.id, 0, step, j)
 	defer sp.End()
 	B, P := sh.cfg.B, sh.cfg.P
 	bo := &ps.out
 	rng := prng.New(prng.Derive(sh.opts.Seed, 0x5CA7, uint64(ps.id), uint64(step)))
-	slab, scratch := fit(&ps.slab, outBlocks*B), fit(&ps.scratch, B)
-	for _, m := range outs {
-		pktLeft := 0
-		target := 0
-		npkt := 0
-		err := cutMessage(m, B, scratch, func(meta blockMeta, img []uint64) error {
-			if pktLeft == 0 {
-				if sh.opts.Deterministic {
-					target = (meta.dst + meta.src + npkt) % P
-				} else {
-					target = rng.Intn(P)
-				}
-				npkt++
-				pktLeft = sh.pktBlk
-				if target != ps.id {
-					bo.Pkts[target]++
-				}
-			}
-			pktLeft--
-			cp := slab[:B:B]
-			slab = slab[B:]
-			copy(cp, img)
-			bo.Scatter[target].blocks = append(bo.Scatter[target].blocks, wireBlock{meta: meta, img: cp})
-			if target != ps.id {
-				bo.Wrds[target] += int64(B)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+	slab := fit(&ps.slab, sh.sortByCell(outs)*B)
+	lo, _ := sh.batchBounds(ps, j)
+	pktLeft, target, npkt := 0, 0, 0
+	return packStreams(outs, lo, fit(&ps.scratch, B), func(meta blockMeta, img []uint64) error {
+		if meta.chunk == 0 {
+			pktLeft, npkt = 0, 0
 		}
-	}
-	return nil
+		if pktLeft == 0 {
+			if sh.opts.Deterministic {
+				target = (meta.dst + meta.src + npkt) % P
+			} else {
+				target = rng.Intn(P)
+			}
+			npkt++
+			pktLeft = sh.pktBlk
+			if target != ps.id {
+				bo.Pkts[target]++
+			}
+		}
+		pktLeft--
+		cp := slab[:B:B]
+		slab = slab[B:]
+		copy(cp, img)
+		bo.Scatter[target].blocks = append(bo.Scatter[target].blocks, wireBlock{meta: meta, img: cp})
+		if target != ps.id {
+			bo.Wrds[target] += int64(B)
+		}
+		return nil
+	})
 }
 
-// writeLocal is the one-processor sink, Step 1(d) of Algorithm 1: cut
+// writeLocal is the one-processor sink, Step 1(d) of Algorithm 1: pack
 // the batch's messages straight into the block writer.
 func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 	defer sp.End()
-	scratch := fit(&ps.scratch, sh.cfg.B)
-	for _, m := range outs {
-		if err := cutMessage(m, sh.cfg.B, scratch, ps.writer.add); err != nil {
-			return err
-		}
+	sh.sortByCell(outs)
+	lo, _ := sh.batchBounds(ps, j)
+	if err := packStreams(outs, lo, fit(&ps.scratch, sh.cfg.B), ps.writer.add); err != nil {
+		return err
 	}
 	return sh.flushBatch(ps, j)
 }

@@ -384,6 +384,52 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOlderModelRules: a state directory journaled at
+// modelRules = 2 holds one-message-per-block regions, which this engine
+// can neither parse nor continue into honest counts. The directory is a
+// crashed run of this commit whose records are rewritten to carry the
+// fingerprint the parent commit (PR 17, modelRules = 2) stamps on the
+// same program, machine and options; it is refused by the fingerprint
+// and left byte for byte as found.
+func TestResumeRefusesOlderModelRules(t *testing.T) {
+	const rules2Fingerprint = 0x694602f950d5dc1f
+	p, cfg := testProgram(), parMachine(1, 4, 8, 256)
+	dir := t.TempDir()
+	_, err := core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
+	var pe *bsp.ProgramError
+	if !errors.As(err, &pe) {
+		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
+	}
+	j, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := j.Records()
+	j.Close()
+	if len(records) == 0 || records[0][1] == rules2Fingerprint {
+		t.Fatalf("%d records, the first stamped %#x: modelRules is not folded into the fingerprint", len(records), rules2Fingerprint)
+	}
+	if j, err = journal.Create(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		rec[1] = rules2Fingerprint
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	before := dirBytes(t, dir)
+	_, err = core.Run(p, cfg, core.Options{Seed: 3, StateDir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("got %v, want the fingerprint refusal", err)
+	}
+	if !reflect.DeepEqual(before, dirBytes(t, dir)) {
+		t.Error("the refused resume changed the directory")
+	}
+}
+
 // dirBytes reads every file under root, keyed by relative path
 // (directories map to nil).
 func dirBytes(t *testing.T, root string) map[string][]byte {

@@ -320,13 +320,16 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 	return res, nil
 }
 
-// readScattered reads the blocks listed per drive (the NoRouting
-// ablation's fetch path) with greedy batching: every parallel read
-// operation takes the next pending block of each drive, so the op
-// count equals the maximum per-drive share — exactly the quantity
-// Lemma 2 bounds. Source tracks are released after reading. Returns
-// like readRegions.
-func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
+// readScattered reads the blocks listed per drive into the processor's
+// region buffer with greedy batching: every parallel read operation
+// takes the next pending block of each drive, so the op count equals
+// the maximum per-drive share — exactly the quantity Lemma 2 bounds —
+// and at most one track per drive is in flight. It grabs the blocks'
+// words and parses their directory entries from the images; the caller
+// releases the returned grab, and the batchIn stays valid until the
+// next read into the region buffer. With release (the NoRouting
+// ablation's fetch path) the source tracks are freed after reading.
+func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef, release bool) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, refs := range perDrive {
@@ -340,68 +343,49 @@ func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDriv
 		return batchIn{}, err
 	}
 	buf := fit(&bufs.region, total*B)
-	metas := grow(&bufs.metas, total)[:0]
 	grow(&bufs.reads, len(perDrive))
-	grow(&bufs.rel, len(perDrive))
-	cursors := make([]int, len(perDrive))
-	idx := 0
-	for idx < total {
-		reqs, toRelease := bufs.reads[:0], bufs.rel[:0]
+	for idx, round := 0, 0; idx < total; round++ {
+		reqs := bufs.reads[:0]
 		for d, refs := range perDrive {
-			if cursors[d] >= len(refs) {
-				continue
+			if round < len(refs) {
+				reqs = append(reqs, disk.ReadReq{Disk: d, Track: refs[round].track, Dst: buf[idx*B : (idx+1)*B]})
+				idx++
 			}
-			ref := refs[cursors[d]]
-			cursors[d]++
-			reqs = append(reqs, disk.ReadReq{Disk: d, Track: ref.track, Dst: buf[idx*B : (idx+1)*B]})
-			metas = append(metas, ref.meta)
-			toRelease = append(toRelease, disk.Addr{Disk: d, Track: ref.track})
-			idx++
 		}
 		if err := dsk.ReadOp(reqs); err != nil {
 			acct.Release(grabbed)
 			return batchIn{}, err
 		}
-		for _, r := range toRelease {
+		if !release {
+			continue
+		}
+		for _, r := range reqs {
 			if err := dsk.Release(r.Disk, r.Track); err != nil {
 				acct.Release(grabbed)
 				return batchIn{}, err
 			}
 		}
 	}
-	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
-}
-
-// readRegions reads all blocks of the given regions into the
-// processor's region buffer, grabbing their words, and parses their
-// directory entries. The caller releases the returned grab; the
-// batchIn stays valid until the next read into the region buffer.
-func readRegions(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
-	B := dsk.Config().B
-	total := 0
-	for _, r := range regions {
-		total += r.hi - r.lo
-	}
-	if total == 0 {
-		return batchIn{}, nil
-	}
-	grabbed := int64(total * B)
-	if err := acct.Grab(grabbed); err != nil {
-		return batchIn{}, err
-	}
-	buf := fit(&bufs.region, total*B)
-	off := 0
-	for _, r := range regions {
-		nb := r.hi - r.lo
-		if err := disk.ReadRange(dsk, r.area, r.lo, r.hi, buf[off*B:(off+nb)*B]); err != nil {
-			acct.Release(grabbed)
-			return batchIn{}, err
-		}
-		off += nb
-	}
 	metas := grow(&bufs.metas, total)
-	for i := 0; i < total; i++ {
+	for i := range metas {
 		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
 	}
 	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
+}
+
+// readRegions reads all blocks of a batch's regions as one such
+// schedule: a batch whose cells span two buckets has two regions, and
+// read one by one each would end in a partial operation of its own.
+func readRegions(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
+	perDrive := grow(&bufs.queue, dsk.Config().D)
+	for d := range perDrive {
+		perDrive[d] = perDrive[d][:0]
+	}
+	for _, r := range regions {
+		for i := r.lo; i < r.hi; i++ {
+			addr := r.area.Addr(i)
+			perDrive[addr.Disk] = append(perDrive[addr.Disk], blockRef{track: addr.Track})
+		}
+	}
+	return readScattered(dsk, acct, bufs, perDrive, false)
 }

@@ -301,12 +301,16 @@ func TestTerminalChaosNotRetried(t *testing.T) {
 	}
 }
 
+// TestDeadlineFailsJob: the deadline (1 ms from submission) is shorter
+// than one emulated drive access (3 ms), and the setup phase alone waits
+// for at least one, so the job has missed it by its first barrier
+// however few I/O operations the engine issues.
 func TestDeadlineFailsJob(t *testing.T) {
 	s := startSupervisor(t, Config{})
 	j, err := s.Submit(Request{
 		Workload:       workload.Spec{Alg: "sort", N: 96, V: 6, Seed: 5},
 		DriveLatencyUS: 3000,
-		DeadlineMS:     250,
+		DeadlineMS:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
