@@ -28,8 +28,6 @@ func main() {
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium or large")
 	redundancyFlag := flag.String("redundancy", "", "drive redundancy for every run: none, mirror or parity")
 	scrub := flag.Bool("scrub", false, "background scrub between supersteps (requires -redundancy parity)")
-	pipelineBaseline := flag.String("pipeline-baseline", "", "measure the group pipeline and write the JSON baseline (BENCH_pipeline.json) to this path")
-	clusterBaseline := flag.String("cluster-baseline", "", "measure the multi-process cluster runtime and write the JSON baseline (BENCH_cluster.json) to this path")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /metrics on this address while experiments run (medium/large sweeps take minutes; profile them live)")
 	flag.Parse()
 
@@ -61,18 +59,6 @@ func main() {
 	}
 
 	switch {
-	case *pipelineBaseline != "":
-		if err := bench.WritePipelineBaseline(*pipelineBaseline, scale); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("pipeline baseline written to %s\n", *pipelineBaseline)
-	case *clusterBaseline != "":
-		if err := bench.WriteClusterBaseline(*clusterBaseline, scale); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("cluster baseline written to %s\n", *clusterBaseline)
 	case *list:
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)

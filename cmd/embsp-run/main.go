@@ -199,10 +199,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stateDir := fs.String("state-dir", "", "directory for durable on-disk state and the superstep journal")
 	resume := fs.Bool("resume", false, "resume an interrupted run from the journal in -state-dir")
 	killStep := fs.Int("kill-step", -1, "crash-test hook: SIGKILL the process mid-computation of this superstep")
-	pipeline := fs.String("pipeline", "auto", "group pipeline (file-backed runs): auto, on or off")
 	storeKind := fs.String("store", "file", "durable store backend for -state-dir runs: file (pread/pwrite) or mapped (mmap, zero-copy; falls back to file where unsupported)")
 	tiersFlag := fs.String("tiers", "", "stack intermediate store tiers over the backend: comma-separated words[:latency] per tier, outermost first (e.g. 65536:50us; 0 words = engine default capacity; requires -state-dir)")
-	ioWorkers := fs.Int("io-workers", 0, "per-drive I/O worker goroutines (0 = one per drive, -1 = synchronous)")
+	ioWorkers := fs.Int("io-workers", 0, "per-drive I/O worker goroutines of file-backed runs (0 = one per drive, pipelined; -1 = the serial schedule: synchronous, no prefetch)")
 	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none)")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
 	scrub := fs.Bool("scrub", false, "background scrub between supersteps (requires -redundancy parity)")
@@ -231,16 +230,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed: *seed, Deterministic: *det, MaxRetries: *maxRetries,
 		StateDir: *stateDir, Resume: *resume, Scrub: *scrub,
 		IOWorkers: *ioWorkers, DriveLatency: *driveLatency,
-	}
-	switch *pipeline {
-	case "auto":
-	case "on":
-		opts.Pipeline = 1
-	case "off":
-		opts.Pipeline = -1
-	default:
-		fmt.Fprintf(stderr, "bad -pipeline %q: want auto, on or off\n", *pipeline)
-		return 2
 	}
 	switch *storeKind {
 	case "file":

@@ -44,7 +44,7 @@ func TestStdoutStaysDiffableAndOverlapGating(t *testing.T) {
 	// queues: at zero latency the store's inline fast path generates
 	// no overlap activity, and the all-zero line is suppressed.
 	dir := t.TempDir()
-	fileOut, fileErr, rc := runCLI(t, append(base, "-state-dir", dir, "-pipeline", "on", "-drive-latency", "2ms")...)
+	fileOut, fileErr, rc := runCLI(t, append(base, "-state-dir", dir, "-drive-latency", "2ms")...)
 	if rc != 0 {
 		t.Fatalf("file-backed run failed (rc=%d): %s", rc, fileErr)
 	}

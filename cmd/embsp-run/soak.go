@@ -33,19 +33,18 @@ type soakCase struct {
 	plan      *embsp.FaultPlan
 	killStep  int // superstep after whose commit the run is cancelled and resumed; -1 = none
 	crashStep int // superstep during which one VP panics mid-superstep; -1 = none
-	// Physical-schedule knobs, drawn independently for the first
-	// attempt and the resume: the pipeline is outside the config
+	// The physical-schedule knob, drawn independently for the first
+	// attempt and the resume: the schedule is outside the config
 	// fingerprint, so a run may legally die under one schedule and
 	// resume under another — the soak crosses them on purpose.
-	pipeline, ioWorkers             int
-	resumePipeline, resumeIOWorkers int
+	ioWorkers, resumeIOWorkers int
 }
 
 func (c soakCase) String() string {
-	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v scrub=%v pipeline=%d io-workers=%d",
-		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.scrub, c.pipeline, c.ioWorkers)
+	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v scrub=%v io-workers=%d",
+		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.scrub, c.ioWorkers)
 	if c.killStep >= 0 || c.crashStep >= 0 {
-		s += fmt.Sprintf(" resume-pipeline=%d resume-io-workers=%d", c.resumePipeline, c.resumeIOWorkers)
+		s += fmt.Sprintf(" resume-io-workers=%d", c.resumeIOWorkers)
 	}
 	if c.plan != nil {
 		s += fmt.Sprintf(" faults={seed=%d read=%g write=%g corrupt=%g faildrive=%d@%d failproc=%d}",
@@ -104,10 +103,8 @@ func drawCase(r *prng.Rand, table []string) soakCase {
 		killStep:  -1,
 		crashStep: -1,
 	}
-	c.pipeline = r.Intn(3) - 1       // off, auto, on
-	c.ioWorkers = r.Intn(4) - 1      // synchronous, default, 1, 2
-	c.resumePipeline = r.Intn(3) - 1 // the resume may switch schedules
-	c.resumeIOWorkers = r.Intn(4) - 1
+	c.ioWorkers = r.Intn(4) - 1       // serial, default, 1, 2
+	c.resumeIOWorkers = r.Intn(4) - 1 // the resume may switch schedules
 	if r.Bool() {
 		c.mode = embsp.RedundancyParity
 		c.scrub = r.Bool()
@@ -164,7 +161,6 @@ func runCase(c soakCase) error {
 		FaultPlan:  c.plan,
 		Redundancy: c.mode,
 		Scrub:      c.scrub,
-		Pipeline:   c.pipeline,
 		IOWorkers:  c.ioWorkers,
 	}
 	var res *embsp.Result
@@ -208,7 +204,7 @@ func runCase(c soakCase) error {
 			}
 		}
 		opts.Resume = true
-		opts.Pipeline, opts.IOWorkers = c.resumePipeline, c.resumeIOWorkers
+		opts.IOWorkers = c.resumeIOWorkers
 		res, err = embsp.Run(prog, cfg, opts)
 		if err != nil {
 			return fmt.Errorf("resume: %w", err)

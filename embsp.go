@@ -7,16 +7,18 @@
 // with block size B, where one parallel I/O operation moves up to D
 // blocks at cost G.
 //
-// Three engines run the same Program with bitwise identical results:
+// One engine runs a Program at every P, and one reference checks it,
+// with bitwise identical results:
 //
-//   - Run with P == 1 — Algorithm 1 (SeqCompoundSuperstep) plus
-//     Algorithm 2 (SimulateRouting): contexts and messages live on the
-//     simulated disks in the paper's standard consecutive and standard
-//     linked formats, only k = ⌊M/µ⌋ virtual processors are in memory
-//     at a time, and all I/O is fully blocked and D-parallel.
-//   - Run with P > 1 — Algorithm 3 (ParCompoundSuperstep): messages
-//     are scattered in packets to random processors to balance the
-//     disk load, then routed locally.
+//   - Run — Algorithm 3 (ParCompoundSuperstep) with Algorithm 2
+//     (SimulateRouting): contexts and messages live on the simulated
+//     disks in the paper's standard consecutive and standard linked
+//     formats, only k = ⌊M/µ⌋ virtual processors per processor are in
+//     memory at a time, all I/O is fully blocked and D-parallel, and
+//     messages are scattered in packets to random processors to
+//     balance the disk load, then routed locally. At P == 1 there is
+//     nothing to scatter and this is Algorithm 1
+//     (SeqCompoundSuperstep).
 //   - RunReference — the in-memory BSP reference semantics.
 //
 // The package also provides the Table 1 workloads (sorting,
@@ -24,9 +26,10 @@
 // rectangle union, convex hull, lower envelope, next-element search,
 // all nearest neighbors; list ranking, Euler tour, connected
 // components) as ready-made Programs, and the previously-known
-// sequential EM baselines they are compared against. The bench
-// harness under cmd/embsp-bench regenerates every row of the paper's
-// Table 1 and its figure/lemma-level claims; see EXPERIMENTS.md.
+// sequential EM baselines they are compared against. cmd/embsp-bench
+// runs the paper's reproduction experiments (Table 1, Figure 2, the
+// lemmas; counts only, see EXPERIMENTS.md); the benchmark/ module
+// measures performance.
 package embsp
 
 import (

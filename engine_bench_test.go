@@ -69,39 +69,6 @@ func BenchmarkEngineSeqTraced(b *testing.B) {
 	}
 }
 
-// benchEngineFile measures the sequential engine on a file-backed
-// store with the group pipeline forced to the given setting — the
-// host-throughput companion to internal/bench's perf/pipeline
-// experiment (which guards the speedup ratio under emulated latency;
-// these rows show the raw page-cache cost of each physical schedule).
-func benchEngineFile(b *testing.B, pipeline int) {
-	prog := sortWorkload(1<<13, 32)
-	cfg := embsp.MachineConfig{
-		P: 1, M: 6 * prog.MaxContextWords(), D: 4, B: 256, G: 1000,
-		Cost: embsp.CostParams{GUnit: 1, GPkt: 256, Pkt: 256, L: 100},
-	}
-	b.ReportAllocs()
-	b.SetBytes(8 << 13)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir()
-		b.StartTimer()
-		opts := embsp.Options{Seed: uint64(i), StateDir: dir, Pipeline: pipeline}
-		if pipeline < 0 {
-			opts.IOWorkers = -1
-		}
-		res, err := embsp.Run(prog, cfg, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.EM.Run.Ops), "io_ops")
-	}
-}
-
-func BenchmarkEngineFileSerial(b *testing.B)    { benchEngineFile(b, -1) }
-func BenchmarkEngineFilePipelined(b *testing.B) { benchEngineFile(b, 1) }
-
 func BenchmarkEngineReference(b *testing.B) {
 	prog := sortWorkload(1<<15, 32)
 	b.ReportAllocs()

@@ -61,8 +61,8 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 		}{name: "randomized", cfg: cfg, opts: core.Options{Seed: seed}})
 	}
 	// The deterministic (CGM) placement variant, the NoRouting
-	// ablation, and a durable file-backed run with the group pipeline
-	// forced on (I/O workers, prefetch, write-behind) — the physical
+	// ablation, and a durable file-backed run on the default, pipelined
+	// schedule (I/O workers, prefetch, write-behind) — the physical
 	// schedule must be invisible in every output word.
 	seqCfg := Machines(p)[0]
 	variants = append(variants,
@@ -80,7 +80,7 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 			name string
 			cfg  core.MachineConfig
 			opts core.Options
-		}{name: "pipelined", cfg: seqCfg, opts: core.Options{Seed: seed, StateDir: t.TempDir(), Pipeline: 1}},
+		}{name: "pipelined", cfg: seqCfg, opts: core.Options{Seed: seed, StateDir: t.TempDir()}},
 	)
 	for _, vr := range variants {
 		res, err := core.Run(p, vr.cfg, vr.opts)

@@ -1,13 +1,16 @@
-// Package bench is the experiment harness reproducing the paper's
+// Package bench holds the experiments that reproduce the paper's
 // evaluation: every row of Table 1 (the EM algorithms obtained by
 // simulating CGM algorithms, against the previously known sequential
 // EM algorithms), Figure 2 (the SimulateRouting block reorganization),
-// and the paper's probabilistic and scaling claims (Lemma 2, Lemma
-// 10, the "factor of D" and blocking-factor arguments of Section 1,
-// Observation 1/2). Each experiment is registered under a stable id
-// and prints a self-contained table; cmd/embsp-bench runs them and
-// bench_test.go wraps them as Go benchmarks. EXPERIMENTS.md records
-// paper-vs-measured for each.
+// and the paper's probabilistic and scaling claims (Lemma 2, Lemma 10,
+// the "factor of D" and blocking-factor arguments of Section 1,
+// Observation 1/2). Every experiment reports model counts, verified
+// against the in-memory reference, and none reads a clock: performance
+// is measured by the benchmark/ module, the one perf harness. Each
+// experiment is registered under a stable id and prints a
+// self-contained table; cmd/embsp-bench runs them and bench_test.go
+// wraps them as Go benchmarks. EXPERIMENTS.md records paper-vs-measured
+// for each.
 package bench
 
 import (

@@ -166,37 +166,32 @@ type Options struct {
 	// checksum-verified per barrier and latent corruption is repaired
 	// from parity, with the cursor carried in the superstep manifest.
 	Scrub bool
-	// IOWorkers controls the per-drive I/O worker goroutines of the
-	// file-backed store (StateDir runs): 0 selects the default of one
-	// worker per drive, -1 disables them (synchronous physical I/O),
-	// and n > 0 asks for n workers (clamped to D). In-memory arrays
-	// have no physical transfers to overlap, so the knob is ignored
-	// there. The setting changes wall-clock behaviour only — results
-	// and every model-visible statistic are bitwise identical either
-	// way — so a durable run may be resumed with a different value
-	// (the knob is deliberately left out of the config fingerprint).
+	// IOWorkers selects the physical schedule of a durable (StateDir)
+	// run. 0 is the default, pipelined one: one I/O worker goroutine
+	// per drive of the file-backed store, and the group pipeline —
+	// while group g computes, group g+1's context and message blocks
+	// are prefetched into the store's (or the outermost tier's)
+	// physical cache and group g-1's writes drain in the background
+	// through the write-behind. n > 0 asks for n workers (clamped to
+	// D). -1 is the serial schedule: no workers, no prefetch, no tier
+	// fill workers — synchronous physical I/O in program order.
+	// In-memory arrays have no physical transfers to overlap, so the
+	// knob is ignored there. The setting changes wall-clock behaviour
+	// only: all accounting happens at the logical operation in program
+	// order, so results and every model-visible statistic are bitwise
+	// identical either way, and a durable run may be resumed with a
+	// different value (the knob is deliberately left out of the config
+	// fingerprint).
 	IOWorkers int
-	// Pipeline controls the engines' group pipeline: while group g
-	// computes, group g+1's context and message blocks are prefetched
-	// into the store's physical cache, and group g-1's writes drain in
-	// the background through the store's write-behind. 0 (auto) turns
-	// the pipeline on exactly when the store is file-backed with I/O
-	// workers enabled; 1 forces it on (a no-op over in-memory arrays,
-	// which have nothing to prefetch into); -1 forces it off.
-	// Like IOWorkers, the pipeline is invisible to the model: all
-	// accounting happens at the logical operation in program order, so
-	// results and cost statistics are bitwise identical on and off.
-	Pipeline int
 	// DriveLatency emulates the access time of one physical track
 	// transfer on the file-backed store: every slot read, write or wipe
 	// sleeps this long on the goroutine moving the bytes. It models the
 	// EM machine's independent drives on hosts whose page cache hides
 	// real device latency, making schedule quality (D-parallel access,
-	// I/O–compute overlap) measurable; embsp-bench's perf/pipeline
-	// experiment uses it. Purely wall-clock: results and every model
-	// statistic are unchanged, and like IOWorkers the knob stays out of
-	// the config fingerprint. Zero emulates nothing; ignored by
-	// in-memory arrays.
+	// I/O–compute overlap) measurable. Purely wall-clock: results and
+	// every model statistic are unchanged, and like IOWorkers the knob
+	// stays out of the config fingerprint. Zero emulates nothing;
+	// ignored by in-memory arrays.
 	DriveLatency time.Duration
 	// MappedStore selects the mmap-backed store variant for durable
 	// runs: checksummed track slots are mapped into memory instead of
@@ -204,8 +199,8 @@ type Options struct {
 	// mapping into the engine's group buffer and a write is one copy
 	// back — the zero-copy fast path for page-cache-fast storage. The
 	// on-disk layout is identical to the default file store, so the
-	// knob stays out of the config fingerprint like IOWorkers and
-	// Pipeline do: a crashed run may resume with either store kind.
+	// knob stays out of the config fingerprint like IOWorkers
+	// does: a crashed run may resume with either store kind.
 	// Mapped pages are page-cache memory, not engine memory, and are
 	// accounted separately (store_mapped_high_words metric), never
 	// against M. On platforms without mmap support the engines fall
@@ -224,10 +219,10 @@ type Options struct {
 	// item 5 (scratch → M → D disks). Tier contents are cache, never
 	// durable state: a resumed run re-fills empty tiers from the
 	// backend, so the chain may change freely across a resume and the
-	// spec stays out of the config fingerprint. Like IOWorkers and
-	// Pipeline the tiers are invisible to the model — results and
-	// every model statistic are bitwise identical with any chain,
-	// including none. Requires StateDir.
+	// spec stays out of the config fingerprint. Like IOWorkers the
+	// tiers are invisible to the model — results and every model
+	// statistic are bitwise identical with any chain, including none.
+	// Requires StateDir.
 	Tiers []TierSpec
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
@@ -256,6 +251,11 @@ func (o *Options) defaults() {
 		o.MaxSupersteps = 1 << 20
 	}
 }
+
+// serial reports whether the run asked for the serial physical
+// schedule (IOWorkers: -1): no I/O workers, no prefetch hint, no tier
+// fill workers. Everything else is the pipelined schedule.
+func (o Options) serial() bool { return o.IOWorkers < 0 }
 
 // effectiveRedundancy resolves the run's redundancy mode: the explicit
 // Options.Redundancy if set, else RedundancyMirror when the fault plan
@@ -296,9 +296,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	}
 	if o.IOWorkers < -1 {
 		return fmt.Errorf("core: IOWorkers = %d, want >= -1 (-1 disables workers, 0 selects the default)", o.IOWorkers)
-	}
-	if o.Pipeline < -1 || o.Pipeline > 1 {
-		return fmt.Errorf("core: Pipeline = %d, want -1 (off), 0 (auto) or 1 (on)", o.Pipeline)
 	}
 	if o.DriveLatency < 0 {
 		return fmt.Errorf("core: DriveLatency = %v, want >= 0", o.DriveLatency)

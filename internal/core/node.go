@@ -589,7 +589,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	// into the local store's physical cache while this batch computes
 	// (purely physical, no accounting — see pipeline.go).
 	if j+1 < sh.batches {
-		if pf := ps.prefetcher(sh.opts.Pipeline); pf != nil {
+		if pf := ps.prefetcher(sh.opts); pf != nil {
 			pf.Prefetch(sh.prefetchBatch(ps, j+1))
 		}
 	}

@@ -61,7 +61,7 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 		return nil, err
 	}
 	// Stack the tier chain, innermost (last spec) first. A tier's
-	// fill workers only run when the pipeline is on and there is
+	// fill workers only run on the pipelined schedule and when there is
 	// emulated latency below it to hide — at page-cache speed a
 	// staging copy costs more than the read it saves, mirroring the
 	// file store's own zero-latency fill skip.
@@ -73,7 +73,7 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 			words = engineMemLimit(cfg, k, mu, gamma) / 4
 		}
 		fill := 0
-		if opts.Pipeline >= 0 && latBelow > 0 {
+		if !opts.serial() && latBelow > 0 {
 			fill = cfg.D
 		}
 		chain = disk.NewTier(chain, disk.TierOptions{

@@ -181,7 +181,7 @@ func TestTieredCrashAndResumeBitwise(t *testing.T) {
 			dir = t.TempDir()
 			crash(dir, false)
 			res, err = core.Run(p, cfg, core.Options{
-				Seed: 3, StateDir: dir, Resume: true, FaultPlan: plan, Tiers: tiers, Pipeline: 1,
+				Seed: 3, StateDir: dir, Resume: true, FaultPlan: plan, Tiers: tiers,
 			})
 			if err != nil {
 				t.Fatalf("%s flat→tiered resume: %v", label, err)

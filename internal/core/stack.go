@@ -79,15 +79,13 @@ func (s storeStack) durable() bool {
 	return disk.Find[*disk.Array](s.chain) == nil
 }
 
-// prefetcher resolves Options.Pipeline against the chain: the group
-// pipeline's prefetch target is the outermost link that can prefetch —
-// the outermost tier (which is how a mapped store, synchronous on its
-// own, gains a pipeline), else the file store — or nil: the option
-// forces the pipeline off, or nothing in the chain prefetches. With its
-// workers disabled the file store's Prefetch is a no-op, so "auto"
-// degrades gracefully to the serial schedule.
-func (s storeStack) prefetcher(pipeline int) disk.Prefetcher {
-	if pipeline < 0 {
+// prefetcher returns the group pipeline's prefetch target: the
+// outermost link that can prefetch — the outermost tier (which is how a
+// mapped store, synchronous on its own, gains a pipeline), else the
+// file store — or nil: the run is on the serial schedule, or nothing in
+// the chain prefetches.
+func (s storeStack) prefetcher(opts Options) disk.Prefetcher {
+	if opts.serial() {
 		return nil
 	}
 	return disk.Find[disk.Prefetcher](s.chain)

@@ -13,7 +13,7 @@ import (
 
 // TestStoreChain: the chain openStack builds is what DESIGN.md §18 says
 // it is, for every combination of base store, tier count, redundancy
-// mode, fault plan and pipeline switch — the links outermost first,
+// mode, fault plan and schedule (IOWorkers 0 or -1) — the links outermost first,
 // what disk.Find returns for each thing the engines look up, the
 // methods no link overrides reaching the base through the whole stack,
 // and Close on the chain releasing the base.
@@ -25,18 +25,18 @@ func TestStoreChain(t *testing.T) {
 		for tiers := 0; tiers <= 2; tiers++ {
 			for _, mode := range []redundancy.Mode{redundancy.None, redundancy.Mirror, redundancy.Parity} {
 				for _, faults := range []bool{false, true} {
-					for _, pipeline := range []int{0, -1} {
+					for _, ioWorkers := range []int{0, -1} { // pipelined, serial
 						if base == "array" && tiers > 0 {
 							continue // tiers stack above a durable store only
 						}
 						if base == "mapped" && !disk.MmapSupported() {
 							continue
 						}
-						opts := Options{Redundancy: mode, Pipeline: pipeline, MappedStore: base == "mapped", Tiers: make([]TierSpec, tiers)}
+						opts := Options{Redundancy: mode, IOWorkers: ioWorkers, MappedStore: base == "mapped", Tiers: make([]TierSpec, tiers)}
 						if faults {
 							opts.FaultPlan = plan
 						}
-						name := fmt.Sprintf("%s/tiers=%d/%v/faults=%v/pipeline=%d", base, tiers, mode, faults, pipeline)
+						name := fmt.Sprintf("%s/tiers=%d/%v/faults=%v/pipeline=%d", base, tiers, mode, faults, ioWorkers)
 						t.Run(name, func(t *testing.T) {
 							dir := ""
 							if base != "array" {
@@ -46,7 +46,7 @@ func TestStoreChain(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							checkChain(t, s, base, tiers, mode, faults || mode == redundancy.Mirror, pipeline)
+							checkChain(t, s, base, tiers, mode, faults || mode == redundancy.Mirror, opts)
 							if err := s.chain.Close(); err != nil {
 								t.Fatal(err)
 							}
@@ -66,7 +66,7 @@ func TestStoreChain(t *testing.T) {
 	}
 }
 
-func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redundancy.Mode, faulty bool, pipeline int) {
+func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redundancy.Mode, faulty bool, opts Options) {
 	t.Helper()
 	// The links, outermost first.
 	var want []string
@@ -126,10 +126,10 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 		t.Errorf("durable() = %v over a %s base", s.durable(), base)
 	}
 	var wantPF disk.Prefetcher
-	if pf, ok := outer.(disk.Prefetcher); ok && pipeline >= 0 {
+	if pf, ok := outer.(disk.Prefetcher); ok && opts.IOWorkers >= 0 {
 		wantPF = pf // the outermost tier, else *File; array and mapped have none
 	}
-	if pf := s.prefetcher(pipeline); pf != wantPF {
+	if pf := s.prefetcher(opts); pf != wantPF {
 		t.Errorf("prefetch target is %T, want %T", pf, wantPF)
 	}
 

@@ -43,7 +43,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 			Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
 		}
 		plain, err := embsp.Run(prog, cfg, embsp.Options{
-			Seed: 0x0B5, StateDir: t.TempDir(), Pipeline: -1, IOWorkers: -1,
+			Seed: 0x0B5, StateDir: t.TempDir(), IOWorkers: -1,
 		})
 		if err != nil {
 			t.Fatalf("P=%d plain: %v", procs, err)
@@ -58,7 +58,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		tr.AttachRegistry(reg)
 		start := time.Now()
 		traced, err := embsp.Run(prog, cfg, embsp.Options{
-			Seed: 0x0B5, StateDir: t.TempDir(), Pipeline: 1,
+			Seed: 0x0B5, StateDir: t.TempDir(),
 			Trace: tr, Metrics: reg,
 		})
 		wall := time.Since(start)
@@ -145,7 +145,7 @@ func TestSeqPhaseTotalsCoverWallClock(t *testing.T) {
 	tr := embsp.NewTracer()
 	start := time.Now()
 	if _, err := embsp.Run(prog, cfg, embsp.Options{
-		Seed: 0x0B5, StateDir: t.TempDir(), Pipeline: -1, IOWorkers: -1,
+		Seed: 0x0B5, StateDir: t.TempDir(), IOWorkers: -1,
 		DriveLatency: 2 * time.Millisecond, Trace: tr,
 	}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package embsp_test
 
-// The pipeline determinism battery: every Table 1 workload runs with
-// the group pipeline off (fully synchronous file store) and on
-// (per-drive I/O workers, prefetch, write-behind, flush-behind), and
+// The pipeline determinism battery: every Table 1 workload runs on the
+// serial schedule (IOWorkers: -1 — fully synchronous file store, no
+// prefetch) and the pipelined one, the default (per-drive I/O workers,
+// prefetch, write-behind, flush-behind), and
 // on the mmap-backed store (zero-copy, fully synchronous), on
 // sequential and parallel machines, under clean and faulty schedules —
 // and every word of the Result and every model-visible EM statistic
@@ -186,13 +187,13 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d array: %v", procs, err)
 				}
 				serial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: -1, IOWorkers: -1,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), IOWorkers: -1,
 				})
 				if err != nil {
 					t.Fatalf("P=%d serial file: %v", procs, err)
 				}
 				piped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: 1,
+					Seed: 0xBA77E7, StateDir: t.TempDir(),
 				})
 				if err != nil {
 					t.Fatalf("P=%d pipelined file: %v", procs, err)
@@ -200,49 +201,42 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				mustAgree(t, fmt.Sprintf("P=%d clean", procs), serial, piped)
 				// The mmap-backed store shares the file store's on-disk
 				// format and its exact accounting (wipe-on-alloc track
-				// clearing included), so the mapped runs must match the
+				// clearing included), so the mapped run must match the
 				// serial file run in the FULL EM statistics, not just
-				// outputs and costs. Pipeline "on" degrades to the serial
-				// schedule on the mapped store (it has no physical queue to
-				// stage into) but must still be bitwise identical.
-				mSerial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: -1, MappedStore: true,
+				// outputs and costs. On its own the mapped store has one
+				// schedule (no physical queue to stage into); under a
+				// tier it gains the pipelined one, below.
+				mapped, err := embsp.Run(prog, cfg, embsp.Options{
+					Seed: 0xBA77E7, StateDir: t.TempDir(), MappedStore: true,
 				})
 				if err != nil {
-					t.Fatalf("P=%d mapped serial: %v", procs, err)
+					t.Fatalf("P=%d mapped: %v", procs, err)
 				}
-				mustAgree(t, fmt.Sprintf("P=%d mapped", procs), serial, mSerial)
-				mPiped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: 1, MappedStore: true,
-				})
-				if err != nil {
-					t.Fatalf("P=%d mapped pipelined: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d mapped+pipeline", procs), serial, mPiped)
+				mustAgree(t, fmt.Sprintf("P=%d mapped", procs), serial, mapped)
 				// Tiered store chains: a bounded staging tier above the
 				// file store and above the mapped store. Tier contents
 				// are cache, never durable state, so every tiered run
 				// must be bitwise identical to the flat serial run in
-				// the FULL EM statistics — with the pipeline off (the
-				// tier is a pure accounting shim) and on (prefetch
-				// staging routes through the tier).
+				// the FULL EM statistics — on the serial schedule (the
+				// tier is a pure accounting shim) and the pipelined one
+				// (prefetch staging routes through the tier).
 				tiers := []embsp.TierSpec{{}}
 				tSerial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: -1, IOWorkers: -1, Tiers: tiers,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), IOWorkers: -1, Tiers: tiers,
 				})
 				if err != nil {
 					t.Fatalf("P=%d tiered serial: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d tiered", procs), serial, tSerial)
 				tPiped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: 1, Tiers: tiers,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers,
 				})
 				if err != nil {
 					t.Fatalf("P=%d tiered pipelined: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d tiered+pipeline", procs), serial, tPiped)
 				tMapped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Pipeline: 1, MappedStore: true, Tiers: tiers,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), MappedStore: true, Tiers: tiers,
 				})
 				if err != nil {
 					t.Fatalf("P=%d tiered mapped: %v", procs, err)
@@ -272,13 +266,13 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				}
 				fOpts := embsp.Options{
 					Seed: 0xBA77E7, FaultPlan: plan, Redundancy: embsp.RedundancyParity,
-					StateDir: t.TempDir(), Pipeline: -1, IOWorkers: -1,
+					StateDir: t.TempDir(), IOWorkers: -1,
 				}
 				fSerial, err := embsp.Run(prog, cfg, fOpts)
 				if err != nil {
 					t.Fatalf("P=%d faulty serial: %v", procs, err)
 				}
-				fOpts.StateDir, fOpts.Pipeline, fOpts.IOWorkers = t.TempDir(), 1, 0
+				fOpts.StateDir, fOpts.IOWorkers = t.TempDir(), 0
 				fPiped, err := embsp.Run(prog, cfg, fOpts)
 				if err != nil {
 					t.Fatalf("P=%d faulty pipelined: %v", procs, err)

@@ -24,11 +24,10 @@ import (
 )
 
 const (
-	helperEnv   = "EMBSP_CRASH_HELPER_DIR"
-	killEnv     = "EMBSP_CRASH_KILL_STEP"
-	pipelineEnv = "EMBSP_CRASH_PIPELINE" // "1" forces the group pipeline on in the helper
-	storeEnv    = "EMBSP_CRASH_STORE"    // "mapped" runs the helper on the mmap-backed store
-	tiersEnv    = "EMBSP_CRASH_TIERS"    // "1" stacks a staging tier (with emulated drive latency, so its fill workers are live at the kill)
+	helperEnv = "EMBSP_CRASH_HELPER_DIR"
+	killEnv   = "EMBSP_CRASH_KILL_STEP"
+	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
+	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier (with emulated drive latency, so its fill workers are live at the kill)
 )
 
 // crashSort builds the workload deterministically so the parent, the
@@ -95,9 +94,6 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	prog := &sigkillProgram{Program: crashSort(t), killStep: killStep}
 	opts := embsp.Options{Seed: 7, StateDir: dir}
-	if os.Getenv(pipelineEnv) == "1" {
-		opts.Pipeline = 1
-	}
 	if os.Getenv(storeEnv) == "mapped" {
 		opts.MappedStore = true
 	}
@@ -153,10 +149,10 @@ func TestKillAndResumeSort(t *testing.T) {
 }
 
 // TestKillMidPipelineAndResumeSerial is the tentpole's crash-safety
-// property: SIGKILL a run whose group pipeline is forced on — dying
+// property: SIGKILL a run on the default, pipelined schedule — dying
 // with prefetched blocks in the cache, write-behind queues in flight
-// and possibly a background flush mid-fsync — then resume it with the
-// pipeline forced OFF on a fully synchronous store. Crossing the
+// and possibly a background flush mid-fsync — then resume it on the
+// serial schedule, a fully synchronous store. Crossing the
 // physical schedule over the crash boundary proves the journal's
 // durable state is schedule-independent: the resumed serial run must
 // be bitwise identical to an uninterrupted run.
@@ -170,7 +166,7 @@ func TestKillMidPipelineAndResumeSerial(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "state")
 	cmd := exec.Command(os.Args[0], "-test.run", "TestCrashHelperProcess")
-	cmd.Env = append(os.Environ(), helperEnv+"="+dir, killEnv+"=2", pipelineEnv+"=1")
+	cmd.Env = append(os.Environ(), helperEnv+"="+dir, killEnv+"=2")
 	out, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
@@ -178,7 +174,7 @@ func TestKillMidPipelineAndResumeSerial(t *testing.T) {
 	}
 
 	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, Pipeline: -1, IOWorkers: -1,
+		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
 	})
 	if err != nil {
 		t.Fatalf("resume after SIGKILL mid-pipeline: %v", err)
@@ -244,7 +240,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "state")
 	killHelper(t, helperEnv+"="+dir, killEnv+"=3", storeEnv+"=mapped")
 	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, Pipeline: -1, IOWorkers: -1,
+		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
 	})
 	if err != nil {
 		t.Fatalf("file resume of a mapped crash: %v", err)
@@ -253,7 +249,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 
 	// Die on the pipelined file store, resume on the mapped store.
 	dir = filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=2", pipelineEnv+"=1")
+	killHelper(t, helperEnv+"="+dir, killEnv+"=2")
 	res, err = embsp.Run(p, cfg, embsp.Options{
 		Seed: 7, StateDir: dir, Resume: true, MappedStore: true,
 	})
@@ -295,9 +291,9 @@ func TestKillAndResumeTiered(t *testing.T) {
 
 	// Die tiered mid-pipeline, resume flat and fully synchronous.
 	dir := filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=2", pipelineEnv+"=1", tiersEnv+"=1")
+	killHelper(t, helperEnv+"="+dir, killEnv+"=2", tiersEnv+"=1")
 	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, Pipeline: -1, IOWorkers: -1,
+		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
 	})
 	if err != nil {
 		t.Fatalf("flat resume of a tiered crash: %v", err)
@@ -308,7 +304,7 @@ func TestKillAndResumeTiered(t *testing.T) {
 	dir = filepath.Join(t.TempDir(), "state")
 	killHelper(t, helperEnv+"="+dir, killEnv+"=3")
 	res, err = embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, Pipeline: 1,
+		Seed: 7, StateDir: dir, Resume: true,
 		Tiers: []embsp.TierSpec{{}},
 	})
 	if err != nil {
