@@ -9,7 +9,7 @@
 //	embsp-run -alg cc -n 65536 -p 4 -d 8 -v 128
 //	embsp-run -alg lca -n 32768 -deterministic
 //	embsp-run -alg sort -n 65536 -faults 0.01
-//	embsp-run -alg permute -p 4 -faults read=0.02,corrupt=0.01,faildrive=2@500 -fault-seed 7
+//	embsp-run -alg permute -p 4 -faults read=0.02,corrupt=0.01,faildrive=2@100,mirror -fault-seed 7
 package main
 
 import (

@@ -98,9 +98,11 @@ type (
 	// FaultError is the typed error the fault layer reports when
 	// recovery is impossible (e.g. an unmirrored drive loss).
 	FaultError = fault.Error
-	// ProgramError is the typed error returned when a Program's Step
-	// panics: the panic is recovered in every engine and reported with
-	// the VP id, superstep and stack instead of crashing the process.
+	// ProgramError is the typed error returned when a Program's Step,
+	// Load or Save panics: the panic is recovered in every engine and
+	// reported with the VP id, superstep, phase and stack instead of
+	// crashing the process. A Load is handed exactly the words its VP's
+	// last Save wrote; reading past them is such a panic.
 	ProgramError = bsp.ProgramError
 	// JournalError is the typed error reported when the write-ahead
 	// superstep journal in Options.StateDir is damaged (truncated HEAD,

@@ -215,3 +215,91 @@ func (v *staticVP) Load(dec *words.Decoder) {
 // StaticAcc returns the accumulator of VP id after a completed run:
 // Rounds times the sum of the values of the Fan VPs before it.
 func StaticAcc(vp bsp.VP) uint64 { return vp.(*staticVP).acc }
+
+// BreathingProgram is a ring whose contexts change size at every
+// barrier, between nothing and the full Mu words: what a VP saves after
+// superstep s (and initially, t = 0) is ContextLen(id, s+1) words —
+// every VP at exactly Mu when t ≡ 0 (mod 4), every context empty when
+// t ≡ 1, VP 0 at Mu and the rest empty when t ≡ 2, and a length drawn
+// from (id, t) otherwise. A VP's whole state is those words — Load reads
+// as many as the decoder holds — so an engine that hands Load one word
+// too many or too few, or another VP's, ends with other contexts than
+// the reference. Each superstep a VP folds its words and the one message
+// it received into a checksum, refills its context from it at the next
+// length, and sends the checksum on around the ring.
+type BreathingProgram struct {
+	V, Mu, Steps int
+}
+
+func (p *BreathingProgram) NumVPs() int          { return p.V }
+func (p *BreathingProgram) MaxContextWords() int { return p.Mu }
+func (p *BreathingProgram) MaxCommWords() int    { return 2 }
+
+// ContextLen is the number of words VP id holds at barrier t.
+func (p *BreathingProgram) ContextLen(id, t int) int {
+	switch t % 4 {
+	case 0:
+		return p.Mu
+	case 1:
+		return 0
+	case 2:
+		if id == 0 {
+			return p.Mu
+		}
+		return 0
+	}
+	return int(mix(uint64(id), uint64(t)) % uint64(p.Mu+1))
+}
+
+func (p *BreathingProgram) NewVP(id int) bsp.VP {
+	vp := &breathingVP{p: p, id: id}
+	vp.refill(uint64(id), 0)
+	return vp
+}
+
+type breathingVP struct {
+	p     *BreathingProgram
+	id    int
+	words []uint64
+}
+
+// refill replaces the context by ContextLen(id, t) words drawn from sum.
+func (v *breathingVP) refill(sum uint64, t int) {
+	v.words = make([]uint64, v.p.ContextLen(v.id, t))
+	for i := range v.words {
+		v.words[i] = mix(sum, uint64(i))
+	}
+}
+
+func (v *breathingVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	sum := uint64(len(v.words))
+	for _, w := range v.words {
+		sum = mix(sum, w)
+	}
+	for _, m := range in {
+		sum = mix(sum, m.Payload[0])
+	}
+	v.refill(sum, env.Superstep()+1)
+	if env.Superstep() == v.p.Steps {
+		return true, nil
+	}
+	env.Send((v.id+1)%v.p.V, []uint64{sum})
+	return false, nil
+}
+
+func (v *breathingVP) Save(enc *words.Encoder) {
+	for _, w := range v.words {
+		enc.PutUint(w)
+	}
+}
+
+func (v *breathingVP) Load(dec *words.Decoder) {
+	v.words = make([]uint64, dec.Remaining())
+	for i := range v.words {
+		v.words[i] = dec.Uint()
+	}
+}
+
+// BreathingWords returns the context words VP vp of a BreathingProgram
+// holds.
+func BreathingWords(vp bsp.VP) []uint64 { return vp.(*breathingVP).words }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"embsp/internal/bsp"
 )
@@ -12,9 +12,8 @@ import (
 // SeqCompoundSuperstep cuts the generated messages into blocks of size
 // B, and Theorem 1 counts those blocks full. So the messages a batch
 // generates are not cut one by one: they are sorted stably by
-// destination cell — the VPs of one owner that share a batch and a
-// Step 1(d) bucket, named by the cell's first VP — and each cell's
-// messages are laid end to end as records
+// destination cell — a batch of one owner's VPs, named by its first VP —
+// and each cell's messages are laid end to end as records
 //
 //	destination VP, source VP, per-source sequence number, payload length, payload…
 //
@@ -56,14 +55,13 @@ type outMsg struct {
 	payload []uint64
 }
 
-// cellOf returns the first VP of the cell of VP dst: the intersection
-// of its batch with its bucket range among its owner's VPs. Every block
-// of a stream therefore has one owner, one batch and one bucket, which
-// is all the writer, the exchange and SimulateRouting ask of a block.
+// cellOf returns the first VP of the cell of VP dst: its batch among
+// its owner's VPs. Every block of a stream therefore has one owner and
+// one batch, which is all the writer, the exchange and SimulateRouting
+// ask of a block.
 func (sh *simShape) cellOf(dst int) int {
 	l := dst % sh.vpp
-	per := (sh.vpp + sh.cfg.D - 1) / sh.cfg.D
-	return dst - l + max(l/sh.k*sh.k, l/per*per)
+	return dst - l + l/sh.k*sh.k
 }
 
 // sortByCell puts a batch's messages in packing order — stably by
@@ -146,22 +144,13 @@ func parseBlock(img []uint64) (meta blockMeta, totalLen int) {
 	}, int(img[4])
 }
 
-// metaLess is the canonical block order: by destination cell, then
+// metaCmp is the canonical block order: by destination cell, then
 // sending batch, (sequence,) chunk. Blocks sorted this way concatenate
 // into their streams, and the streams of a cell — whose sending batches
 // hold ascending, disjoint ranges of source VPs — into the canonical
 // (Src, Seq) message delivery order.
-func metaLess(a, b blockMeta) bool {
-	if a.dst != b.dst {
-		return a.dst < b.dst
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.chunk < b.chunk
+func metaCmp(a, b blockMeta) int {
+	return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq), cmp.Compare(a.chunk, b.chunk))
 }
 
 // reassemble turns the block images of one group's incoming traffic
@@ -175,7 +164,7 @@ func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Mes
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool { return metaLess(metas[order[i]], metas[order[j]]) })
+	slices.SortFunc(order, func(i, j int) int { return metaCmp(metas[i], metas[j]) })
 
 	out := make([][]bsp.Message, hiVP-loVP)
 	c := chunkCap(B)
@@ -225,18 +214,6 @@ func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Mes
 		}
 	}
 	return out, nil
-}
-
-// sortSlice sorts s by less.
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-}
-
-// bucketOf maps a destination VP to its bucket: bucket i contains the
-// blocks destined for the i-th range of ⌈v/D⌉ consecutive VPs.
-func bucketOf(dst, v, D int) int {
-	per := (v + D - 1) / D
-	return dst / per
 }
 
 // groupOf maps a destination VP to its simulation group of k

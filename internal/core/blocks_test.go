@@ -58,11 +58,11 @@ func TestPackedStreamsRoundTrip(t *testing.T) {
 		sh.k = 1 + r.Intn(sh.vpp)
 		hot := r.Intn(sh.v)
 
-		// A cell is named by its first VP and lies inside one owner, one
-		// batch and one bucket, so a stream's blocks travel together.
+		// A cell is named by its first VP and is one batch of one owner,
+		// so a stream's blocks travel together and a batch's arrive whole.
 		for id := 0; id < sh.v; id++ {
-			c, m := sh.cellOf(id), blockMeta{dst: id}
-			if c > id || sh.cellOf(c) != c || sh.owner(c) != sh.owner(id) || sh.batchOf(c) != sh.batchOf(id) || sh.bucketKey(blockMeta{dst: c}) != sh.bucketKey(m) {
+			c := sh.cellOf(id)
+			if c != sh.owner(id)*sh.vpp+sh.batchOf(id)*sh.k || sh.cellOf(c) != c || sh.owner(c) != sh.owner(id) {
 				t.Logf("seed %d: VP %d is in cell %d (vpp %d, k %d, D %d)", seed, id, c, sh.vpp, sh.k, sh.cfg.D)
 				return false
 			}
@@ -140,7 +140,8 @@ func TestPackedStreamsRoundTrip(t *testing.T) {
 // with their streams' headers is an error that names the stream.
 func TestReassembleRejectsDamage(t *testing.T) {
 	const B, lo, hi = 8, 4, 8 // C = 3 words per block
-	sh := streamShape(1, 8, 4, 4, B)
+	// Cells are batches: {4,5} and {6,7}, both routed to the group.
+	sh := streamShape(1, 8, 2, 4, B)
 	pack := func() ([]uint64, []blockMeta) {
 		outs := []outMsg{
 			{dst: 5, src: 0, seq: 0, payload: []uint64{1, 2, 3, 4, 5, 6}}, // cell 4: 10 + 4 words, 5 blocks

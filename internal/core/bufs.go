@@ -31,8 +31,10 @@ type stepBufs struct {
 	perm    []int         // the block writer's drive permutation, D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
-	rel     []disk.Addr  // tracks to release after the current operation
 	queue   [][]blockRef // the current batch's region blocks, per drive
+	flat    []blockRef   // routing: the superstep's directory in its final order
+	link    []int        // routing: flat's blocks chained per (bucket, drive)
+	cells   []int        // routing: the chains' heads and counts, the buckets' gather order
 
 	// The rows this processor owns of the block exchange (of out, a
 	// machine without one fills only the traffic records).

@@ -433,7 +433,7 @@ func (n *NodeEngine) Reload() error {
 // first report rather than re-charging the finish-phase reads.
 func (n *NodeEngine) Final() (r *NodeReport, err error) {
 	if n.report == nil {
-		n.report, err = n.sh.finalReport(n.ps, false)
+		n.report, err = n.sh.finalReport(n.ps, n.stepsDone, false)
 	}
 	return n.report, err
 }

@@ -365,7 +365,7 @@ type EMStats struct {
 	K int
 	// Groups is ⌈v/k⌉, the number of rounds per compound superstep.
 	Groups int
-	// CtxBlocksPerVP is ⌈µ/B⌉.
+	// CtxBlocksPerVP is ⌈(µ+1)/B⌉, the blocks reserved per context.
 	CtxBlocksPerVP int
 	// Setup / Run / Finish are disk statistics for writing the initial
 	// contexts, the simulation proper, and reading back the final
@@ -381,9 +381,9 @@ type EMStats struct {
 	// RouteOps counts the parallel I/O operations spent inside
 	// SimulateRouting (a subset of Run.Ops).
 	RouteOps int64
-	// RaggedSlots counts read slots skipped because a bucket had no
-	// block on the scheduled disk — positions the paper's analysis
-	// fills with dummy blocks.
+	// RaggedSlots counts the slots SimulateRouting's operations left
+	// empty — a bucket with no block left, or none on a free drive —
+	// positions the paper's analysis fills with dummy blocks.
 	RaggedSlots int64
 	// MaxBucketSkew is the largest observed ratio between the maximum
 	// per-drive share of a bucket and the even share R/D (Lemma 2's l).

@@ -381,7 +381,9 @@ func (l *ledger) assemble(reports []*NodeReport) (*Result, error) {
 		copy(vps[r.Lo:], r.vps)
 		for idx, ctx := range r.Ctx {
 			vp := sh.p.NewVP(r.Lo + idx)
-			vp.Load(words.NewDecoder(ctx))
+			if err := bsp.SafeLoad(vp, words.NewDecoder(ctx), r.Lo+idx, l.stepsDone); err != nil {
+				return nil, err
+			}
 			vps[r.Lo+idx] = vp
 		}
 	}

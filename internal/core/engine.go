@@ -33,8 +33,8 @@ import (
 //     size b, each packet is sent to a RANDOMLY chosen processor (the
 //     paper's disk-load balancing step), and every receiver cuts its
 //     packets into blocks and writes them to its local disks under a
-//     random drive permutation, maintaining D buckets keyed by
-//     destination VP range (simShape.bucketKey).
+//     random drive permutation, maintaining a directory keyed by
+//     destination batch.
 //
 // At the end of the superstep each processor reorganizes its received
 // blocks with the local SimulateRouting (Algorithm 2), so that the
@@ -295,7 +295,7 @@ func (e *engine) Compute(j, step int, rows [][]BlockBatch) ([]*BatchOut, error) 
 }
 
 // Write: every processor writes the packets it received to its local
-// disks, maintaining the D buckets.
+// disks, maintaining the directory.
 func (e *engine) Write(j, step int, outs []*BatchOut) error {
 	if len(e.procs) == 1 {
 		return nil
@@ -368,7 +368,7 @@ func (e *engine) Rollback(step, attempt int, cause error) (int64, error) {
 func (e *engine) Final() ([]*NodeReport, error) {
 	reports := make([]*NodeReport, len(e.procs))
 	err := e.replayPhase(func(ps *procState) (err error) {
-		reports[ps.id], err = e.finalReport(ps, true)
+		reports[ps.id], err = e.finalReport(ps, e.led.stepsDone, true)
 		return err
 	})
 	return reports, err

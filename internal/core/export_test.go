@@ -32,3 +32,17 @@ func MessageBlocks(t Transport) (blocks, streams int) {
 	}
 	return blocks, streams
 }
+
+// ContextOps is the number of parallel operations it takes to write —
+// or to read back — the contexts the open superstep has saved so far:
+// over processors and batches, ⌈used/D⌉ for the blocks the batch's
+// packed records fill in the area being written.
+func ContextOps(t Transport) (ops int) {
+	e := t.(*engine)
+	for _, ps := range e.procs {
+		for _, used := range ps.ctxUsed[ps.ctxNext()] {
+			ops += (used + e.cfg.D - 1) / e.cfg.D
+		}
+	}
+	return ops
+}

@@ -25,6 +25,15 @@ import (
 // layout of every record is unchanged, but each carries the fingerprint,
 // which folds modelRules in, and superstep 0's carries the allocator and
 // operation counts of a superstep that now writes fewer message blocks.
+//
+// modelRules 3 → 4 (PR 20, packed contexts and load-cut buckets) moved
+// all of them again, and changed the layout: every processor section
+// carries, after each of its two context areas, that area's table of
+// blocks in use per batch (encodeProcManifest). Record 0 differs by the
+// fingerprint, the tables and the setup's allocator state (an area now
+// takes only the tracks its blocks occupy); record 1 also by the counts
+// of a superstep that moves the context blocks in use and routes through
+// D equal buckets.
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -42,8 +51,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		}
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xe7a6804a6a87202c, 0x3e44e32dec64742f},
-		2: {0x55b4b4b61be67915, 0x92c648ebc1847d84},
+		1: {0x5d9850c1055cbfe7, 0x3c95a1c446eb2c98},
+		2: {0xe9e901ef726b23c6, 0x19f4d2b0b048c69f},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -64,16 +73,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0xed984c264bc36ad0, 0x1f8adfc416b0406}},
+		}, [2]uint64{0xde6caf549bbe80b6, 0x504b9924c269c854}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x33334529dca495ef, 0x2310d38d2ef3d0d6}},
+		}, [2]uint64{0xa1ce0fddb1b0f64e, 0xcf0f91517c4711de}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0xa8f8ea26e1aea00b, 0x32962edba36f1f0f}},
+		}, [2]uint64{0xf31123ae187533ac, 0x1c519678b9f724c8}},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -87,9 +96,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	rig := openRig(t, prog, parMachine(2, 2, 8, 256), opts, root, false)
 	rig.run(t)
 	rig.close()
-	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0x240a767a5ece33dd, 0x4a45e897507db0eb})
-	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0x7d2d0cbd7847ff98, 0xbc151e59de8101ed})
-	check("CORD", filepath.Join(root, "coord"), [2]uint64{0xc0a4367bdb83c633, 0x5699a7df09c1525})
+	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0xa15426776e941c2d, 0x7a5a21c994184612})
+	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0xe6c133afdad7abe7, 0xc52a08d6af588ea5})
+	check("CORD", filepath.Join(root, "coord"), [2]uint64{0xc78c1c7aaf1f31f6, 0x84106495cc888a06})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root
@@ -108,10 +117,10 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		p                                      int
 		runOps, setupOps, routeOps, memHighWds int64
 	}{
-		{sort, 2, 2231, 200, 454, 27008},
-		{listrank, 2, 28107, 570, 1382, 76992},
-		{sort, 3, 2347, 200, 572, 26944},
-		{listrank, 3, 28754, 571, 1928, 57984},
+		{sort, 2, 936, 68, 346, 26688},
+		{listrank, 2, 4224, 18, 908, 76864},
+		{sort, 3, 917, 67, 340, 26688},
+		{listrank, 3, 4376, 19, 990, 57728},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
@@ -168,7 +177,10 @@ func (m *fillMeter) Totals() ([]core.StepTotals, error) {
 // partial last block per stream. The counts are pinned: before streams
 // were packed every message had a block of its own — the last row wrote
 // 4,224 blocks in its all-to-all superstep for 4,096 messages of 32
-// words — and a change that pads blocks again must show here.
+// words — and a change that pads blocks again must show here. Re-pinned
+// when cells became whole batches (PR 20): a batch's messages for one
+// destination batch are one stream where they were one per Step 1(d)
+// bucket range, so there are fewer partial last blocks.
 func TestMessageBlockFill(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -178,14 +190,15 @@ func TestMessageBlockFill(t *testing.T) {
 		blocks []int // per superstep
 	}{
 		// The golden sort's all-to-all sends 256 messages of 64 words,
-		// which at B = 64 took two blocks each (512; now 303).
-		{sort, 1, 64, []int{11, 13, 303, 0}},
-		{sort, 2, 64, []int{12, 16, 314, 0}},
-		{listrank, 1, 64, []int{113, 105, 79, 65, 50, 40, 32, 23, 20, 19, 10, 11, 61, 79, 59, 36, 16, 6, 6, 6, 5, 5, 0}},
-		{listrank, 2, 64, []int{117, 109, 84, 70, 52, 43, 38, 29, 25, 23, 10, 12, 64, 81, 62, 38, 19, 12, 11, 10, 9, 9, 0}},
+		// which at B = 64 took two blocks each (512; 303 with cells cut
+		// by bucket range; now 298 in 9 streams where there were 15).
+		{sort, 1, 64, []int{11, 11, 298, 0}},
+		{sort, 2, 64, []int{12, 12, 304, 0}},
+		{listrank, 1, 64, []int{111, 103, 78, 64, 49, 38, 31, 22, 20, 18, 10, 10, 59, 75, 56, 32, 13, 5, 4, 4, 4, 4, 0}},
+		{listrank, 2, 64, []int{113, 103, 78, 63, 47, 38, 31, 23, 21, 17, 10, 10, 59, 76, 57, 33, 13, 4, 4, 3, 3, 3, 0}},
 		// The benchmark's sort_mem instance: 147,456 encoded words in
-		// 143 streams (11 sending batches × 13 cells).
-		{workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, []int{22, 24, 345, 0}},
+		// 121 streams (11 sending batches × 11 cells; 143 before).
+		{workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, []int{22, 22, 343, 0}},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {

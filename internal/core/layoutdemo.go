@@ -32,12 +32,11 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 	}
 	arr := disk.MustNewArray(cfg)
 	acct := mem.NewAccountant(0)
-	dir := newOutDirectory(d, d)
+	groups := (v + k - 1) / k
+	dir := newOutDirectory(groups, d)
 	rng := prng.New(seed)
 	var bufs stepBufs
-	writer := newBlockWriter(arr, dir,
-		func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-		rng, false, nil, &bufs)
+	writer := newBlockWriter(arr, dir, func(dst int) int { return groupOf(dst, k) }, rng, false, nil, &bufs)
 
 	// Writing phase: every VP sends blocksPerVP single-block messages
 	// to every... one block per (src, dst) round-robin pattern.
@@ -62,15 +61,15 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 
 	fmt.Fprintf(w, "Figure 2 demo: v=%d VPs, D=%d drives, B=%d words, %d blocks per VP, groups of k=%d\n\n", v, d, b, blocksPerVP, k)
 	fmt.Fprintln(w, "Standard linked format after the randomized writing phase")
-	fmt.Fprintln(w, "(bucket lists per drive; entry = dst VP of the block):")
+	fmt.Fprintln(w, "(group lists per drive; entry = dst VP of the block):")
 	for drive := 0; drive < d; drive++ {
 		fmt.Fprintf(w, "  drive %d:", drive)
-		for bucket := 0; bucket < d; bucket++ {
-			refs := dir.q[bucket][drive]
+		for g := range dir.q {
+			refs := dir.q[g][drive]
 			if len(refs) == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "  bucket %d ->", bucket)
+			fmt.Fprintf(w, "  group %d ->", g)
 			for _, ref := range refs {
 				fmt.Fprintf(w, " %d", ref.meta.dst)
 			}
@@ -79,9 +78,8 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 	}
 
 	before := arr.Stats()
-	groups := (v + k - 1) / k
 	spRoute := tr.Begin(obs.CatEngine, phRoute, 0, 0)
-	route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
+	route, err := simulateRouting(arr, acct, &bufs, dir)
 	spRoute.End()
 	if err != nil {
 		return err

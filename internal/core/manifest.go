@@ -34,11 +34,12 @@ const (
 // modelRules versions the policies that decide a run's I/O counts
 // without changing its results (2: the bucket rule, DESIGN.md §20; 3:
 // the packed message-block format, §21, which is also what a routed
-// region on disk and a block on the wire hold). It is folded into every
+// region on disk and a block on the wire hold; 4: packed contexts, §22,
+// and routing buckets cut by load, §20.2). It is folded into every
 // fingerprint, so a directory journaled under other rules, or a cluster
 // peer built with them, is refused rather than resumed into hybrid
 // counts or fed blocks it cannot parse.
-const modelRules = 3
+const modelRules = 4
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -235,8 +236,13 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 		enc.PutUint(w)
 	}
 	enc.PutInt(int64(ps.ctxCur))
-	ps.ctxAreas[0].Encode(enc)
-	ps.ctxAreas[1].Encode(enc)
+	for a, ar := range ps.ctxAreas {
+		ar.Encode(enc)
+		enc.PutInt(int64(len(ps.ctxUsed[a])))
+		for _, used := range ps.ctxUsed[a] {
+			enc.PutInt(int64(used))
+		}
+	}
 	enc.PutInt(int64(ps.inBlocks))
 	encodeRegions(enc, ps.inRegions)
 	encodeAreas(enc, ps.inAreas)
@@ -253,8 +259,13 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	}
 	ps.rng.SetState(st)
 	ps.ctxCur = int(dec.Int())
-	ps.ctxAreas[0] = disk.DecodeArea(dec)
-	ps.ctxAreas[1] = disk.DecodeArea(dec)
+	for a := range ps.ctxAreas {
+		ps.ctxAreas[a] = disk.DecodeArea(dec)
+		ps.ctxUsed[a] = make([]int, dec.Int())
+		for j := range ps.ctxUsed[a] {
+			ps.ctxUsed[a][j] = int(dec.Int())
+		}
+	}
 	ps.inBlocks = int(dec.Int())
 	ps.inRegions = decodeRegions(dec)
 	ps.inAreas = decodeAreas(dec)

@@ -62,6 +62,7 @@ type procState struct {
 	rng        *prng.Rand
 
 	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
+	ctxUsed   [2][]int     // per area and batch: the blocks the batch's packed contexts fill
 	ctxCur    int
 	inRegions [][]groupRegion // per batch
 	inAreas   []disk.Area
@@ -97,15 +98,14 @@ func (ps *procState) noteLive(muBlocks, extraBlocks int) {
 	}
 }
 
-// ctxRead returns the area holding the committed contexts; ctxWrite
-// the area the running superstep writes to. They coincide unless
-// checkpoint double-buffering is on.
-func (ps *procState) ctxRead() disk.Area { return ps.ctxAreas[ps.ctxCur] }
-func (ps *procState) ctxWrite() disk.Area {
+// ctxNext is the context area the running superstep writes to; ctxCur
+// holds the committed contexts. They coincide unless checkpoint
+// double-buffering is on.
+func (ps *procState) ctxNext() int {
 	if ps.ckptOn {
-		return ps.ctxAreas[ps.ctxCur^1]
+		return ps.ctxCur ^ 1
 	}
-	return ps.ctxAreas[ps.ctxCur]
+	return ps.ctxCur
 }
 
 // simShape is the derived shape of a run — everything that follows
@@ -124,7 +124,7 @@ type simShape struct {
 	k        int
 	vpp      int // VPs per real processor (ceiling)
 	batches  int // rounds per compound superstep
-	muBlocks int
+	muBlocks int // blocks reserved per context: ⌈(µ+1)/B⌉, a record's length word included
 	pktBlk   int // blocks per packet: max(1, ⌊b/B⌋)
 
 	rec *bsp.CostRecorder
@@ -147,7 +147,7 @@ func newSimShape(p bsp.Program, cfg MachineConfig, opts Options) simShape {
 		p: p, cfg: cfg, opts: opts,
 		v: v, mu: mu, gamma: gamma, k: k, vpp: vpp,
 		batches:  (vpp + k - 1) / k,
-		muBlocks: (mu + cfg.B - 1) / cfg.B,
+		muBlocks: mu/cfg.B + 1,
 		pktBlk:   max(1, cfg.Cost.Pkt/cfg.B),
 		rec:      bsp.NewCostRecorder(cfg.Cost.Pkt),
 		tr:       opts.Trace,
@@ -160,25 +160,6 @@ func (sh *simShape) owner(id int) int { return id / sh.vpp }
 // batchOf returns the batch (round index) in which VP id is simulated:
 // its group of k within its owner's VPs.
 func (sh *simShape) batchOf(id int) int { return groupOf(id%sh.vpp, sh.k) }
-
-// bucketKey maps a block to its bucket by Algorithm 1's Step 1(d) rule,
-// applied to the VPs of the destination's owner: bucket i holds the
-// blocks for the i-th range of ⌈(v/p)/D⌉ consecutive VPs of a
-// processor. All D buckets fill whenever a processor owns at least D
-// VPs, however few batches they form, so SimulateRouting's operations
-// run full.
-func (sh *simShape) bucketKey(m blockMeta) int { return bucketOf(m.dst%sh.vpp, sh.vpp, sh.cfg.D) }
-
-// buckets returns the shape of a superstep's output directory: D
-// buckets under bucketKey — or, in the NoRouting ablation, one bucket
-// per batch, so that the directory the writing phase leaves is itself
-// the next superstep's input (routeLocal keeps it, fetchBatch reads it).
-func (sh *simShape) buckets() (int, func(blockMeta) int) {
-	if sh.opts.NoRouting {
-		return sh.batches, func(m blockMeta) int { return sh.batchOf(m.dst) }
-	}
-	return sh.cfg.D, sh.bucketKey
-}
 
 // batchBounds returns the VP range [lo, hi) of processor ps in round j.
 func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
@@ -243,91 +224,104 @@ func procDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("proc-%02d", i))
 }
 
-// setupReserve reserves the processor's context area: ⌈µ/B⌉ blocks per
-// owned VP in standard consecutive format, VP j's i-th context block at
-// block index i + j·⌈µ/B⌉ (the paper's Step 1(a)/1(e)). Under the
-// checkpoint discipline a second area double-buffers it.
+// setupReserve reserves the processor's context area: ⌈(µ+1)/B⌉ blocks
+// per owned VP in standard consecutive format, batch j's slice starting
+// at block j·k·⌈(µ+1)/B⌉ (the paper's Step 1(a)/1(e), with room for
+// every record's length word). Under the checkpoint discipline a second
+// area double-buffers it; each area has its table of blocks in use.
 func (sh *simShape) setupReserve(ps *procState) {
-	ps.ctxAreas[0] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
-	if ps.ckptOn {
-		ps.ctxAreas[1] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
+	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
+	defer sp.End()
+	for a := range ps.ctxAreas {
+		if a == 0 || ps.ckptOn {
+			ps.ctxAreas[a] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
+		}
+		ps.ctxUsed[a] = make([]int, sh.batches)
 	}
 	ps.noteLive(sh.muBlocks, 0)
+}
+
+// grabCtx holds the words of n VPs' contexts at the µ bound — what they
+// may be, whatever they are — and returns the buffer for them.
+func (sh *simShape) grabCtx(ps *procState, n int) ([]uint64, int64, error) {
+	w := n * sh.muBlocks * sh.cfg.B
+	return fit(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w))
+}
+
+// saveContexts is Step 1(e): the contexts of batch j's VPs are packed
+// end to end as records [length, words…] from the start of the batch's
+// slice of context area to, and only the blocks they fill are written;
+// the count is barrier state (ctxUsed). A record may not exceed µ + 1
+// words, so the k of them fit the slice.
+func (sh *simShape) saveContexts(ps *procState, j, step, to int, buf []uint64, vp func(id int) bsp.VP) error {
+	lo, hi := sh.batchBounds(ps, j)
+	B, pos := sh.cfg.B, 0
+	for id := lo; id < hi; id++ {
+		ps.enc.Reset()
+		if err := bsp.SafeSave(vp(id), &ps.enc, id, step); err != nil {
+			return err
+		}
+		n := ps.enc.Len()
+		if n > sh.mu {
+			return fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", id, n, step, sh.mu)
+		}
+		buf[pos] = uint64(n)
+		pos += 1 + copy(buf[pos+1:], ps.enc.Words())
+	}
+	used := (pos + B - 1) / B
+	clear(buf[pos : used*B])
+	ps.ctxUsed[to][j] = used
+	base := (lo - ps.lo) * sh.muBlocks
+	return disk.WriteRange(ps.chain, ps.ctxAreas[to], base, base+used, buf[:used*B])
+}
+
+// loadContexts is Step 1(a): read the blocks batch j's committed
+// contexts fill and hand each VP's words to emit, in VP order. The
+// slices alias buf.
+func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(id int, ctx []uint64) error) error {
+	lo, hi := sh.batchBounds(ps, j)
+	used, base := ps.ctxUsed[ps.ctxCur][j], (lo-ps.lo)*sh.muBlocks
+	if used > (hi-lo)*sh.muBlocks {
+		return &engineError{msg: fmt.Sprintf("batch %d records %d context blocks in a slice of %d", j, used, (hi-lo)*sh.muBlocks)}
+	}
+	buf = buf[:used*sh.cfg.B]
+	if err := disk.ReadRange(ps.chain, ps.ctxAreas[ps.ctxCur], base, base+used, buf); err != nil {
+		return err
+	}
+	for id, pos := lo, 0; id < hi; id++ {
+		if pos >= len(buf) || buf[pos] > uint64(len(buf)-pos-1) {
+			return &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d blocks batch %d wrote", id, used, j)}
+		}
+		n := int(buf[pos])
+		if err := emit(id, buf[pos+1:pos+1+n]); err != nil {
+			return err
+		}
+		pos += 1 + n
+	}
+	return nil
 }
 
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()
-	if ps.ownCount() == 0 {
-		return nil
-	}
-	bufWords := sh.k * sh.muBlocks * sh.cfg.B
-	if err := ps.acct.Grab(int64(bufWords)); err != nil {
+	buf, grab, err := sh.grabCtx(ps, sh.k)
+	if err != nil {
 		return err
 	}
-	defer ps.acct.Release(int64(bufWords))
-	buf := fit(&ps.ctx, bufWords)
-	enc := &ps.enc
-	for j := 0; j < sh.batches; j++ {
-		lo, hi := sh.batchBounds(ps, j)
-		if lo == hi {
-			continue
-		}
-		clear(buf[:(hi-lo)*sh.muBlocks*sh.cfg.B])
-		for id := lo; id < hi; id++ {
-			enc.Reset()
-			sh.p.NewVP(id).Save(enc)
-			if enc.Len() > sh.mu {
-				return fmt.Errorf("core: VP %d initial context is %d words, exceeding µ=%d", id, enc.Len(), sh.mu)
-			}
-			copy(buf[(id-lo)*sh.muBlocks*sh.cfg.B:], enc.Words())
-		}
-		cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-		if err := disk.WriteRange(ps.chain, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
-			return err
-		}
+	defer ps.acct.Release(grab)
+	for j := 0; j < sh.batches && err == nil; j++ {
+		err = sh.saveContexts(ps, j, -1, ps.ctxCur, buf, sh.p.NewVP)
 	}
-	return nil
+	return err
 }
 
-// readFinalContexts streams the committed context words of every owned
-// VP to emit in VP order. The slice passed to emit aliases an internal
-// buffer; emit must consume or copy it before returning.
-func (sh *simShape) readFinalContexts(ps *procState, emit func(id int, ctx []uint64) error) error {
-	if ps.ownCount() == 0 {
-		return nil
-	}
-	bufWords := sh.k * sh.muBlocks * sh.cfg.B
-	if err := ps.acct.Grab(int64(bufWords)); err != nil {
-		return err
-	}
-	defer ps.acct.Release(int64(bufWords))
-	buf := fit(&ps.ctx, bufWords)
-	for j := 0; j < sh.batches; j++ {
-		lo, hi := sh.batchBounds(ps, j)
-		if lo == hi {
-			continue
-		}
-		cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-		if err := disk.ReadRange(ps.chain, ps.ctxRead(), cl, ch, buf[:(hi-lo)*sh.muBlocks*sh.cfg.B]); err != nil {
-			return err
-		}
-		for id := lo; id < hi; id++ {
-			if err := emit(id, buf[(id-lo)*sh.muBlocks*sh.cfg.B:(id-lo+1)*sh.muBlocks*sh.cfg.B]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// finalReport is the finish phase: it reads processor ps's final
-// contexts — loading the VPs from them where they are (load, in
-// process), or copying them out for the wire — and completes the
-// processor's report. The run-phase statistics are taken once, before
-// the first read: a replayed finish phase (faults) charges its re-reads
-// to Finish.
-func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
+// finalReport is the finish phase, after step supersteps: it reads
+// processor ps's final contexts — loading the VPs from them where they
+// are (load, in process), or copying them out for the wire — and
+// completes the processor's report. The run-phase statistics are taken
+// once, before the first read: a replayed finish phase (faults) charges
+// its re-reads to Finish.
+func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport, error) {
 	sp := sh.tr.Begin(obs.CatEngine, phFinish, ps.id, 0)
 	defer sp.End()
 	if ps.final == nil {
@@ -339,18 +333,24 @@ func (sh *simShape) finalReport(ps *procState, load bool) (*NodeReport, error) {
 	} else {
 		r.Ctx = make([][]uint64, 0, ps.ownCount())
 	}
-	err := sh.readFinalContexts(ps, func(id int, ctx []uint64) error {
-		if load {
-			vp := sh.p.NewVP(id)
-			vp.Load(words.NewDecoder(ctx))
-			r.vps = append(r.vps, vp)
-		} else {
-			r.Ctx = append(r.Ctx, slices.Clone(ctx))
-		}
-		return nil
-	})
+	buf, grab, err := sh.grabCtx(ps, sh.k)
 	if err != nil {
 		return nil, err
+	}
+	defer ps.acct.Release(grab)
+	for j := 0; j < sh.batches; j++ {
+		err := sh.loadContexts(ps, j, buf, func(id int, ctx []uint64) error {
+			if !load {
+				r.Ctx = append(r.Ctx, slices.Clone(ctx))
+				return nil
+			}
+			vp := sh.p.NewVP(id)
+			r.vps = append(r.vps, vp)
+			return bsp.SafeLoad(vp, words.NewDecoder(ctx), id, step)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	s := ps.chain.Stats()
 	r.FinishOps = s.Ops - r.RunStats.Ops
@@ -373,18 +373,17 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 }
 
 // beginStep resets the processor's superstep-scoped scratch: halt/send
-// tallies, the outgoing bucket directory, the ops watermark, and the
-// block writer over the processor's operation buffer.
+// tallies, the outgoing directory (keyed by destination batch), the ops
+// watermark, and the block writer over the processor's operation buffer.
 func (sh *simShape) beginStep(ps *procState) {
 	ps.halts, ps.sends = 0, 0
-	nbuckets, bucketKey := sh.buckets()
-	ps.dir = newOutDirectory(nbuckets, sh.cfg.D)
+	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
 	ps.opsMark = ps.chain.Stats().Ops
 	var down func(int) bool
 	if fd := disk.Find[*fault.Disk](ps.chain); fd != nil {
 		down = fd.Down
 	}
-	ps.writer = newBlockWriter(ps.chain, ps.dir, bucketKey, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
+	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
 }
 
 // fetchPkts is the packet count for w words combined into size-b
@@ -565,19 +564,17 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 
 	// Contexts of the current k VPs.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
-	ctxWords := n * sh.muBlocks * B
-	if err := ps.acct.Grab(int64(ctxWords)); err != nil {
-		return err
-	}
-	ctxBuf := fit(&ps.ctx, ctxWords)
-	cl, ch := (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks
-	if err := disk.ReadRange(ps.chain, ps.ctxRead(), cl, ch, ctxBuf); err != nil {
+	ctxBuf, ctxGrab, err := sh.grabCtx(ps, n)
+	if err != nil {
 		return err
 	}
 	vps := make([]bsp.VP, n)
-	for i := 0; i < n; i++ {
-		vps[i] = sh.p.NewVP(lo + i)
-		vps[i].Load(words.NewDecoder(ctxBuf[i*sh.muBlocks*B : (i+1)*sh.muBlocks*B]))
+	err = sh.loadContexts(ps, j, ctxBuf, func(id int, ctx []uint64) error {
+		vps[id-lo] = sh.p.NewVP(id)
+		return bsp.SafeLoad(vps[id-lo], words.NewDecoder(ctx), id, step)
+	})
+	if err != nil {
+		return err
 	}
 	spFetch.End()
 
@@ -639,20 +636,10 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
-	clear(ctxBuf)
-	enc := &ps.enc
-	for i := 0; i < n; i++ {
-		enc.Reset()
-		vps[i].Save(enc)
-		if enc.Len() > sh.mu {
-			return fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", lo+i, enc.Len(), step, sh.mu)
-		}
-		copy(ctxBuf[i*sh.muBlocks*B:], enc.Words())
-	}
-	if err := disk.WriteRange(ps.chain, ps.ctxWrite(), cl, ch, ctxBuf); err != nil {
+	if err := sh.saveContexts(ps, j, step, ps.ctxNext(), ctxBuf, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
 		return err
 	}
-	ps.acct.Release(int64(ctxWords))
+	ps.acct.Release(ctxGrab)
 	spCtx.End()
 
 	if err := ps.acct.Grab(outWords); err != nil {
@@ -727,7 +714,7 @@ func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error 
 // scattered packets this processor received for batch j (one batch per
 // source processor, self included) go to its local disks, D blocks per
 // parallel operation under a random drive permutation, maintaining the
-// bucket directory.
+// directory.
 func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 	defer sp.End()
@@ -781,7 +768,7 @@ func (sh *simShape) routeLocal(ps *procState, step int) error {
 		}
 	}
 	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
-	route, err := simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir, func(m blockMeta) int { return sh.batchOf(m.dst) }, sh.batches)
+	route, err := simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir)
 	if err != nil {
 		return err
 	}

@@ -144,15 +144,16 @@ func areaAddrs(addrs []disk.Addr, ar disk.Area, lo, hi int) []disk.Addr {
 }
 
 // prefetchBatch collects the blocks processor ps will read for batch
-// j: its slice of the committed context area plus the routed regions
-// of the batch. (The NoRouting ablation cannot run durably, so it never
-// has a store to prefetch into.)
+// j: the blocks its packed contexts fill in the committed context area
+// plus the routed regions of the batch. (The NoRouting ablation cannot
+// run durably, so it never has a store to prefetch into.)
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {
 		return nil
 	}
-	addrs := areaAddrs(nil, ps.ctxRead(), (lo-ps.lo)*sh.muBlocks, (hi-ps.lo)*sh.muBlocks)
+	base := (lo - ps.lo) * sh.muBlocks
+	addrs := areaAddrs(nil, ps.ctxAreas[ps.ctxCur], base, base+ps.ctxUsed[ps.ctxCur][j])
 	if j < len(ps.inRegions) {
 		for _, r := range ps.inRegions[j] {
 			addrs = areaAddrs(addrs, r.area, r.lo, r.hi)

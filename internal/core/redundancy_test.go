@@ -21,9 +21,14 @@ import (
 )
 
 // deathPlan schedules a permanent, unmirrored drive death early enough
-// that most of the run executes in degraded or rebuilt state.
+// that most of the run executes in degraded or rebuilt state. The drive
+// is one that holds context blocks at every P the tests run: what is
+// left on a dead drive at a barrier — what the online rebuild finds — is
+// the older context area, and since contexts are packed (DESIGN.md §22)
+// the 6 VPs of a P = 3 processor fill two blocks, on drives 0 and 1,
+// where one block per VP had reached drive 2.
 func deathPlan() *fault.Plan {
-	return &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 2}
+	return &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 1}
 }
 
 // TestParityDriveLossBitwise is the issue's acceptance property: with
@@ -274,8 +279,8 @@ func TestRedundancyValidation(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("unprotected death plan: got %v, want *core.UnprotectedDriveLossError", err)
 	}
-	if ue.FailDrive != 2 || ue.FailOp != 40 {
-		t.Errorf("error carries drive %d op %d, want drive 2 op 40", ue.FailDrive, ue.FailOp)
+	if want := deathPlan(); ue.FailDrive != want.FailDrive || ue.FailOp != want.FailDriveOp {
+		t.Errorf("error carries drive %d op %d, want drive %d op %d", ue.FailDrive, ue.FailOp, want.FailDrive, want.FailDriveOp)
 	}
 
 	cases := []struct {
@@ -316,14 +321,15 @@ func TestRedundancyValidation(t *testing.T) {
 // the uninterrupted run. The death op indices were measured so the
 // death lands in superstep 3, strictly after the superstep-2 crash.
 // FailDriveOp counts drive 2's own attempt clock (fault schedules are
-// per drive); the measured per-barrier clock of drive 2 is 672/900 at
-// the superstep-2/3 barriers for P=1, and 123/167 on proc 0 for P=3.
+// per drive); the measured per-barrier clock of drive 2 is 891/1197 at
+// the superstep-2/3 barriers for P=1, and 271/363 on proc 0 for P=3
+// (re-measured when contexts were packed and buckets cut by load).
 func TestParityCrashThenDriveLoss(t *testing.T) {
 	p := testProgram()
 	for _, tc := range []struct {
 		procs   int
 		deathOp int64
-	}{{1, 800}, {3, 145}} {
+	}{{1, 1000}, {3, 310}} {
 		label := fmt.Sprintf("P=%d", tc.procs)
 		cfg := parMachine(tc.procs, 4, 8, 256)
 		opts := func(dir string) core.Options {

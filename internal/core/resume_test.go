@@ -16,6 +16,7 @@ import (
 	"embsp/internal/disk"
 	"embsp/internal/fault"
 	"embsp/internal/journal"
+	"embsp/internal/words"
 )
 
 // panicProgram wraps a Program so one VP panics when it starts
@@ -385,14 +386,21 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 }
 
 // TestResumeRefusesOlderModelRules: a state directory journaled at
-// modelRules = 2 holds one-message-per-block regions, which this engine
-// can neither parse nor continue into honest counts. The directory is a
-// crashed run of this commit whose records are rewritten to carry the
-// fingerprint the parent commit (PR 17, modelRules = 2) stamps on the
-// same program, machine and options; it is refused by the fingerprint
-// and left byte for byte as found.
+// modelRules = 2 holds one-message-per-block regions, and one journaled
+// at modelRules = 3 holds padded context slots with no used-block table
+// in its manifest; this engine can neither parse them nor continue them
+// into honest counts. The directory is a crashed run of this commit
+// whose records are rewritten to carry the fingerprint an older commit
+// (PR 17, modelRules = 2; PR 19, modelRules = 3) stamps on the same
+// program, machine and options; it is refused by the fingerprint and
+// left byte for byte as found.
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	const rules2Fingerprint = 0x694602f950d5dc1f
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0} {
+		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
+	}
+}
+
+func refusesFingerprint(t *testing.T, olderFpr uint64) {
 	p, cfg := testProgram(), parMachine(1, 4, 8, 256)
 	dir := t.TempDir()
 	_, err := core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
@@ -406,14 +414,14 @@ func TestResumeRefusesOlderModelRules(t *testing.T) {
 	}
 	records := j.Records()
 	j.Close()
-	if len(records) == 0 || records[0][1] == rules2Fingerprint {
-		t.Fatalf("%d records, the first stamped %#x: modelRules is not folded into the fingerprint", len(records), rules2Fingerprint)
+	if len(records) == 0 || records[0][1] == olderFpr {
+		t.Fatalf("%d records, the first stamped %#x: modelRules is not folded into the fingerprint", len(records), olderFpr)
 	}
 	if j, err = journal.Create(dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range records {
-		rec[1] = rules2Fingerprint
+		rec[1] = olderFpr
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -481,6 +489,86 @@ func TestResumeConfigMismatch(t *testing.T) {
 	// A different engine (P) is caught by the manifest kind.
 	if _, err := core.Run(p, parMachine(3, 4, 8, 256), core.Options{Seed: 3, StateDir: dir, Resume: true}); err == nil {
 		t.Error("resume with a different P: want error, got nil")
+	}
+}
+
+// brokenCodec is a program whose VP id 1 panics in Save (from superstep
+// `save` on; -1: already in the setup's initial Save) or reads one word
+// more than was saved in every Load.
+type brokenCodec struct {
+	bsp.Program
+	save     int
+	overread bool
+}
+
+func (p *brokenCodec) NewVP(id int) bsp.VP {
+	if id != 1 {
+		return p.Program.NewVP(id)
+	}
+	return &brokenCodecVP{VP: p.Program.NewVP(id), p: p, step: -1}
+}
+
+type brokenCodecVP struct {
+	bsp.VP
+	p    *brokenCodec
+	step int // the superstep last stepped; -1 before any
+}
+
+func (v *brokenCodecVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	v.step = env.Superstep()
+	return v.VP.Step(env, in)
+}
+
+func (v *brokenCodecVP) Save(enc *words.Encoder) {
+	if !v.p.overread && v.step >= v.p.save {
+		panic("injected Save panic")
+	}
+	v.VP.Save(enc)
+}
+
+func (v *brokenCodecVP) Load(dec *words.Decoder) {
+	v.VP.Load(dec)
+	if v.p.overread {
+		dec.Uint() // a context is exactly the words Save wrote: no padding to read
+	}
+}
+
+// TestCodecPanicIsolation: a Save or Load that panics is the program's
+// error as a Step's is — a *bsp.ProgramError naming the VP, the superstep
+// and the phase — from the setup, the superstep loop and the cluster
+// transport alike, with the process alive.
+func TestCodecPanicIsolation(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		prog  *brokenCodec
+		step  int
+		phase string
+	}{
+		{"initial save", &brokenCodec{Program: testProgram(), save: -1}, -1, "save"},
+		{"save", &brokenCodec{Program: testProgram(), save: 2}, 2, "save"},
+		{"load", &brokenCodec{Program: testProgram(), overread: true}, 0, "load"},
+	} {
+		check := func(label string, err error) {
+			t.Helper()
+			var pe *bsp.ProgramError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s %s: got %v, want *bsp.ProgramError", tc.name, label, err)
+			}
+			if pe.VP != 1 || pe.Superstep != tc.step || pe.Phase != tc.phase || len(pe.Stack) == 0 {
+				t.Errorf("%s %s: VP %d superstep %d phase %q (%d bytes of stack), want VP 1 superstep %d phase %q", tc.name, label, pe.VP, pe.Superstep, pe.Phase, len(pe.Stack), tc.step, tc.phase)
+			}
+			if core.Retriable(err) {
+				t.Errorf("%s %s: classified retriable", tc.name, label)
+			}
+		}
+		for _, procs := range []int{1, 3} {
+			_, err := core.Run(tc.prog, parMachine(procs, 4, 8, 256), core.Options{Seed: 3})
+			check(fmt.Sprintf("P=%d", procs), err)
+		}
+		rig := openRig(t, tc.prog, parMachine(2, 4, 8, 256), core.Options{Seed: 3}, t.TempDir(), false)
+		_, err := rig.coord.Run(rig)
+		rig.close()
+		check("cluster", err)
 	}
 }
 

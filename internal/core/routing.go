@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"embsp/internal/disk"
 	"embsp/internal/mem"
 	"embsp/internal/prng"
@@ -9,40 +12,51 @@ import (
 // blockRef locates one staged message block together with its
 // directory entry.
 type blockRef struct {
+	disk  int
 	track int
 	meta  blockMeta
 }
 
 // outDirectory holds the standard-linked-format state of Step 1(d):
-// for every (bucket, drive) pair, the ordered list of tracks on that
-// drive holding blocks of that bucket. Algorithm 2 uses D buckets; the
-// NoRouting ablation buckets directly by destination batch.
+// for every (group, drive) pair, the ordered list of tracks on that
+// drive holding blocks for that group — a destination batch. Algorithm 2
+// flattens it and cuts its D buckets by load (simulateRouting); the
+// NoRouting ablation reads a batch's lists as they are.
 type outDirectory struct {
-	q     [][][]blockRef // [bucket][drive]
+	q     [][][]blockRef // [group][drive]
 	total int
 }
 
-func newOutDirectory(buckets, D int) *outDirectory {
-	d := &outDirectory{q: make([][][]blockRef, buckets)}
-	for b := range d.q {
-		d.q[b] = make([][]blockRef, D)
+func newOutDirectory(groups, D int) *outDirectory {
+	d := &outDirectory{q: make([][][]blockRef, groups)}
+	for g := range d.q {
+		d.q[g] = make([][]blockRef, D)
 	}
 	return d
 }
 
-// maxSkew is the Lemma 2 observation: the largest ratio, over buckets,
-// of the maximum per-drive share to the even share R/D.
-func (d *outDirectory) maxSkew() float64 {
-	var worst float64
+// skewOf is the Lemma 2 observation for one bucket: the ratio of its
+// fullest drive's share to the even share R/D.
+func skewOf(perDrive []int) float64 {
+	R := 0
+	for _, n := range perDrive {
+		R += n
+	}
+	if R == 0 {
+		return 0
+	}
+	return float64(slices.Max(perDrive)) * float64(len(perDrive)) / float64(R)
+}
+
+// maxSkew is that observation over the directory's groups, which are
+// what the NoRouting ablation reads drive by drive.
+func (d *outDirectory) maxSkew() (worst float64) {
+	counts := make([]int, len(d.q[0]))
 	for _, perDrive := range d.q {
-		R, maxPer := 0, 0
-		for _, refs := range perDrive {
-			R += len(refs)
-			maxPer = max(maxPer, len(refs))
+		for s, refs := range perDrive {
+			counts[s] = len(refs)
 		}
-		if R > 0 {
-			worst = max(worst, float64(maxPer)*float64(len(perDrive))/float64(R))
-		}
+		worst = max(worst, skewOf(counts))
 	}
 	return worst
 }
@@ -60,20 +74,20 @@ type groupRegion struct {
 // up to D of them, and flushes each full buffer in one parallel write
 // operation, assigning blocks to drives by a fresh random permutation
 // (or round-robin rotation in deterministic mode). Every written block
-// is appended to its bucket's standard-linked-format list.
+// is appended to its destination group's standard-linked-format list.
 //
 // When the fault layer reports a dead drive (down != nil), the writer
 // scatters only over the surviving drives, splitting a full buffer
 // into as many parallel operations as needed — the engine's graceful
 // degradation after a permanent drive loss.
 type blockWriter struct {
-	dsk       disk.Store
-	dir       *outDirectory
-	bucketKey func(blockMeta) int
-	rng       *prng.Rand
-	det       bool
-	down      func(d int) bool // nil when no fault layer is present
-	rr        int
+	dsk     disk.Store
+	dir     *outDirectory
+	groupOf func(dst int) int // the directory's key: a block's destination batch
+	rng     *prng.Rand
+	det     bool
+	down    func(d int) bool // nil when no fault layer is present
+	rr      int
 
 	buf     []uint64 // D·B words
 	reqs    []disk.WriteReq
@@ -85,10 +99,10 @@ type blockWriter struct {
 // newBlockWriter returns a writer over the processor's operation
 // buffer, request list and pending-block tables, which it owns until
 // the superstep's last flush.
-func newBlockWriter(dsk disk.Store, dir *outDirectory, bucketKey func(blockMeta) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
+func newBlockWriter(dsk disk.Store, dir *outDirectory, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
 	D, B := dsk.Config().D, dsk.Config().B
 	return &blockWriter{
-		dsk: dsk, dir: dir, bucketKey: bucketKey, rng: rng, det: det, down: down,
+		dsk: dsk, dir: dir, groupOf: groupOf, rng: rng, det: det, down: down,
 		buf: fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
 		metas: grow(&bufs.pending, D), perm: grow(&bufs.perm, D),
 	}
@@ -147,8 +161,8 @@ func (w *blockWriter) flush() error {
 			d := live[w.perm[i]]
 			t := w.dsk.Alloc(d)
 			reqs = append(reqs, disk.WriteReq{Disk: d, Track: t, Src: w.buf[(base+i)*B : (base+i+1)*B]})
-			b := w.bucketKey(w.metas[base+i])
-			w.dir.q[b][d] = append(w.dir.q[b][d], blockRef{track: t, meta: w.metas[base+i]})
+			g := w.groupOf(w.metas[base+i].dst)
+			w.dir.q[g][d] = append(w.dir.q[g][d], blockRef{disk: d, track: t, meta: w.metas[base+i]})
 			w.dir.total++
 		}
 		if err := w.dsk.WriteOp(reqs); err != nil {
@@ -173,9 +187,9 @@ type routeStats struct {
 	maxSkew float64 // max over buckets of (max per-drive share)·D/R — Lemma 2's l
 }
 
-// routeResult is the reorganized layout: for every group (keyed by
-// groupKey), the list of consecutive-format regions holding its
-// blocks, plus the areas backing them.
+// routeResult is the reorganized layout: for every group, the list of
+// consecutive-format regions holding its blocks, plus the areas backing
+// them.
 type routeResult struct {
 	regions [][]groupRegion
 	areas   []disk.Area
@@ -183,26 +197,36 @@ type routeResult struct {
 	stats   routeStats
 }
 
-// simulateRouting implements Algorithm 2 on one disk array:
-// reorganize the blocks of dir from standard linked format into
-// standard consecutive format per group, where a block's group is
-// groupKey(meta) ∈ [0, numGroups).
+// simulateRouting implements Algorithm 2 on one disk array: reorganize
+// the R blocks of dir from standard linked format into standard
+// consecutive format per group.
 //
-// Step 1 gathers bucket b onto drive b: parallel operation j reads one
-// block of bucket b from drive (b+j) mod D for all b simultaneously.
-// Step 2 stripes each gathered bucket — sorted by (group, destination,
-// source, sequence, chunk) — across the drives into a rotated
-// consecutive area: operation j writes bucket b's j-th block to drive
-// (b+j) mod D, the paper's track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋.
+// The directory is in memory (DESIGN.md §5), so the blocks' final order
+// — by group, then destination cell, sending batch, chunk — is known
+// before one is moved, and the buckets are cut from it by load: bucket b
+// is the b-th of D runs of that order, equal to within one block
+// whatever the traffic (§20.2).
+//
+// Step 1 gathers bucket b onto drive b, each parallel operation moving
+// at most one block per bucket and per drive: the buckets, in order of
+// most blocks left, each take the not-yet-used drive holding most of
+// their remaining blocks. Every operation is a maximal matching of
+// buckets to drives, so there are at most 2Δ − 1 of them, Δ the larger
+// of a bucket's size and the fullest drive's load. Step 2 stripes each
+// gathered bucket across the drives into a rotated consecutive area:
+// operation j writes bucket b's j-th block to drive (b+j) mod D, the
+// paper's track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋.
 //
 // Under the fault layer a dead drive's tracks are served transparently
 // from their mirror copies; the extra operations the redirection costs
 // are charged by the layer and surfaced as RecoveryOps.
-func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory, groupKey func(blockMeta) int, numGroups int) (*routeResult, error) {
-	D, B := dsk.Config().D, dsk.Config().B
-	res := &routeResult{total: dir.total}
-
-	res.stats.maxSkew = dir.maxSkew()
+func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory) (*routeResult, error) {
+	D, B, R := dsk.Config().D, dsk.Config().B, dir.total
+	res := &routeResult{total: R, regions: make([][]groupRegion, len(dir.q)), areas: make([]disk.Area, D)}
+	start := func(b int) int { return b*(R/D) + min(b, R%D) } // bucket b is flat[start(b):start(b+1)]
+	for b := range res.areas {
+		res.areas[b] = dsk.ReserveRot(start(b+1)-start(b), b)
+	}
 
 	bufWords := D * B
 	if err := acct.Grab(int64(bufWords)); err != nil {
@@ -210,111 +234,107 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 	}
 	defer acct.Release(int64(bufWords))
 	buf := fit(&bufs.op, bufWords)
-	grow(&bufs.reads, D)
-	grow(&bufs.writes, D)
-	grow(&bufs.rel, D)
+	reads, writes := grow(&bufs.reads, D)[:0], grow(&bufs.writes, D)[:0]
+	// add schedules one block's transfer in the current parallel
+	// operation; move performs it — a read, a write — and frees what it read.
+	add := func(from, to disk.Addr) {
+		seg := buf[len(reads)*B : (len(reads)+1)*B]
+		reads = append(reads, disk.ReadReq{Disk: from.Disk, Track: from.Track, Dst: seg})
+		writes = append(writes, disk.WriteReq{Disk: to.Disk, Track: to.Track, Src: seg})
+	}
+	move := func() error {
+		res.stats.ragged += int64(D - len(reads))
+		res.stats.ops += 2
+		if err := dsk.ReadOp(reads); err != nil {
+			return err
+		}
+		if err := dsk.WriteOp(writes); err != nil {
+			return err
+		}
+		for _, r := range reads {
+			if err := dsk.Release(r.Disk, r.Track); err != nil {
+				return err
+			}
+		}
+		reads, writes = reads[:0], writes[:0]
+		return nil
+	}
+
+	// The final order, and every group's regions in it.
+	flat := grow(&bufs.flat, R)[:0]
+	b := 0
+	for g, perDrive := range dir.q {
+		lo := len(flat)
+		for _, refs := range perDrive {
+			flat = append(flat, refs...)
+		}
+		slices.SortFunc(flat[lo:], func(x, y blockRef) int { return metaCmp(x.meta, y.meta) })
+		for lo < len(flat) {
+			if lo >= start(b+1) {
+				b++
+				continue
+			}
+			hi := min(len(flat), start(b+1))
+			res.regions[g] = append(res.regions[g], groupRegion{area: res.areas[b], lo: lo - start(b), hi: hi - start(b)})
+			lo = hi
+		}
+	}
+
+	// The blocks of each (bucket, drive) cell, chained through link from
+	// head (both 1-based, 0 ends a chain), and Lemma 2's skew per bucket.
+	cells, link := grow(&bufs.cells, (2*D+3)*D), grow(&bufs.link, R)
+	clear(cells)
+	cnt, head, perBucket := cells[:D*D], cells[D*D:2*D*D], cells[2*D*D:]
+	left, order, busy := perBucket[:D], perBucket[D:2*D], perBucket[2*D:] // busy is per drive
+	for i, b := R-1, D-1; i >= 0; i-- {
+		for i < start(b) {
+			b--
+		}
+		c := b*D + flat[i].disk
+		link[i], head[c] = head[c], i+1
+		cnt[c]++
+		left[b]++
+	}
+	for b := range order {
+		order[b] = b
+		res.stats.maxSkew = max(res.stats.maxSkew, skewOf(cnt[b*D:(b+1)*D]))
+	}
 
 	// Step 1: gather bucket b onto drive b.
-	staged := make([][]blockRef, D)
-	cursors := make([][]int, D)
-	for b := 0; b < D; b++ {
-		cursors[b] = make([]int, D)
-	}
-	remaining := dir.total
-	for j := 0; remaining > 0; j++ {
-		reads, writes, toRelease := bufs.reads[:0], bufs.writes[:0], bufs.rel[:0]
-		for b := 0; b < D; b++ {
-			s := (b + j) % D
-			q := dir.q[b][s]
-			cur := cursors[b][s]
-			if cur >= len(q) {
+	for op, remaining := 1, R; remaining > 0; op++ {
+		slices.SortFunc(order, func(x, y int) int { return cmp.Or(left[y]-left[x], x-y) })
+		for _, b := range order {
+			best := -1
+			for s := 0; s < D; s++ {
+				if busy[s] != op && cnt[b*D+s] > 0 && (best < 0 || cnt[b*D+s] > cnt[b*D+best]) {
+					best = s
+				}
+			}
+			if best < 0 {
 				continue
 			}
-			ref := q[cur]
-			cursors[b][s]++
-			seg := buf[len(reads)*B : (len(reads)+1)*B]
-			reads = append(reads, disk.ReadReq{Disk: s, Track: ref.track, Dst: seg})
-			t := dsk.Alloc(b)
-			writes = append(writes, disk.WriteReq{Disk: b, Track: t, Src: seg})
-			staged[b] = append(staged[b], blockRef{track: t, meta: ref.meta})
-			toRelease = append(toRelease, disk.Addr{Disk: s, Track: ref.track})
+			c := b*D + best
+			ref := &flat[head[c]-1]
+			head[c], busy[best] = link[head[c]-1], op
+			cnt[c]--
+			left[b]--
 			remaining--
+			to := disk.Addr{Disk: b, Track: dsk.Alloc(b)}
+			add(disk.Addr{Disk: ref.disk, Track: ref.track}, to)
+			ref.disk, ref.track = to.Disk, to.Track
 		}
-		if len(reads) == 0 {
-			continue
-		}
-		res.stats.ragged += int64(D - len(reads))
-		if err := dsk.ReadOp(reads); err != nil {
+		if err := move(); err != nil {
 			return nil, err
-		}
-		if err := dsk.WriteOp(writes); err != nil {
-			return nil, err
-		}
-		res.stats.ops += 2
-		for _, r := range toRelease {
-			if err := dsk.Release(r.Disk, r.Track); err != nil {
-				return nil, err
-			}
 		}
 	}
 
-	// Step 2: stripe each bucket into a rotated consecutive area in
-	// (group, destination, source, sequence, chunk) order.
-	res.areas = make([]disk.Area, D)
-	maxLen := 0
-	for b := 0; b < D; b++ {
-		sortSlice(staged[b], func(x, y blockRef) bool {
-			gx, gy := groupKey(x.meta), groupKey(y.meta)
-			if gx != gy {
-				return gx < gy
-			}
-			return metaLess(x.meta, y.meta)
-		})
-		res.areas[b] = dsk.ReserveRot(len(staged[b]), b)
-		if len(staged[b]) > maxLen {
-			maxLen = len(staged[b])
+	// Step 2: stripe each bucket into its rotated consecutive area.
+	for j := 0; j < (R+D-1)/D; j++ {
+		for b := 0; b < D && start(b)+j < start(b+1); b++ {
+			add(disk.Addr{Disk: b, Track: flat[start(b)+j].track}, res.areas[b].Addr(j))
 		}
-	}
-	for j := 0; j < maxLen; j++ {
-		reads, writes, toRelease := bufs.reads[:0], bufs.writes[:0], bufs.rel[:0]
-		for b := 0; b < D; b++ {
-			if j >= len(staged[b]) {
-				continue
-			}
-			ref := staged[b][j]
-			seg := buf[len(reads)*B : (len(reads)+1)*B]
-			reads = append(reads, disk.ReadReq{Disk: b, Track: ref.track, Dst: seg})
-			addr := res.areas[b].Addr(j)
-			writes = append(writes, disk.WriteReq{Disk: addr.Disk, Track: addr.Track, Src: seg})
-			toRelease = append(toRelease, disk.Addr{Disk: b, Track: ref.track})
-		}
-		res.stats.ragged += int64(D - len(reads))
-		if err := dsk.ReadOp(reads); err != nil {
+		if err := move(); err != nil {
 			return nil, err
-		}
-		if err := dsk.WriteOp(writes); err != nil {
-			return nil, err
-		}
-		res.stats.ops += 2
-		for _, r := range toRelease {
-			if err := dsk.Release(r.Disk, r.Track); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Record every group's contiguous slices.
-	res.regions = make([][]groupRegion, numGroups)
-	for b := 0; b < D; b++ {
-		i := 0
-		for i < len(staged[b]) {
-			g := groupKey(staged[b][i].meta)
-			j := i + 1
-			for j < len(staged[b]) && groupKey(staged[b][j].meta) == g {
-				j++
-			}
-			res.regions[g] = append(res.regions[g], groupRegion{area: res.areas[b], lo: i, hi: j})
-			i = j
 		}
 	}
 	return res, nil

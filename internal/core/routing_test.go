@@ -1,94 +1,200 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"embsp/internal/disk"
+	"embsp/internal/fault"
 	"embsp/internal/mem"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
 )
 
-// TestRoutingInvariants checks Definition 2 (standard consecutive
-// format) and data conservation on the output of simulateRouting, for
-// random traffic patterns and machine shapes.
+// routeCase is one directory for simulateRouting: nBlocks blocks for
+// random VPs of dsts, grouped k to a batch, written to dsk by the block
+// writer as the writing phase does (a dead drive avoided when dsk says
+// one is down).
+type routeCase struct {
+	seed       uint64
+	v, k       int
+	dsts       []int
+	nBlocks    int
+	dsk        disk.Store
+	down       func(int) bool
+	dir        *outDirectory
+	bufs       stepBufs
+	fullestSrc int // most blocks of the directory on one drive
+}
+
+func (c *routeCase) write(t testing.TB, r *prng.Rand) {
+	t.Helper()
+	D, B := c.dsk.Config().D, c.dsk.Config().B
+	c.dir = newOutDirectory((c.v+c.k-1)/c.k, D)
+	writer := newBlockWriter(c.dsk, c.dir, func(dst int) int { return groupOf(dst, c.k) }, r, false, c.down, &c.bufs)
+	img := make([]uint64, B)
+	for i := 0; i < c.nBlocks; i++ {
+		// A payload word derived from the block's identity, so a read can
+		// be told from any other block's.
+		m := blockMeta{dst: c.dsts[r.Intn(len(c.dsts))], src: r.Intn(c.v), seq: i}
+		img[0], img[1], img[2], img[3], img[4] = uint64(m.dst), uint64(m.src), uint64(m.seq), 0, 1
+		img[5] = prng.Derive(c.seed, uint64(m.dst), uint64(m.seq))
+		if err := writer.add(m, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writer.flush(); err != nil {
+		t.Fatal(err)
+	}
+	perDrive := make([]int, D)
+	for _, q := range c.dir.q {
+		for s, refs := range q {
+			perDrive[s] += len(refs)
+		}
+	}
+	c.fullestSrc = slices.Max(perDrive)
+}
+
+// check holds the routed layout to Algorithm 2's postcondition and its
+// cost to the bounds of DESIGN.md §20.2, and returns how many operations
+// Step 1 took above its lower bound 2Δ.
+func (c *routeCase) check(t testing.TB, route *routeResult) (excess int) {
+	t.Helper()
+	D, B, R := c.dsk.Config().D, c.dsk.Config().B, c.nBlocks
+	if route.total != R || len(route.areas) != D {
+		t.Fatalf("routed %d blocks into %d areas, want %d into %d", route.total, len(route.areas), R, D)
+	}
+	// Buckets are cut by load: equal to within one block.
+	sizes := make([]int, D)
+	for b, ar := range route.areas {
+		sizes[b] = ar.Blocks()
+	}
+	if slices.Max(sizes)-slices.Min(sizes) > 1 || slices.Max(sizes) != (R+D-1)/D {
+		t.Errorf("bucket sizes %v for %d blocks on %d drives", sizes, R, D)
+	}
+	// Every group's blocks: contiguous over consecutive buckets, each
+	// region in standard consecutive format (Definition 2), in canonical
+	// order, intact.
+	total, buf := 0, make([]uint64, B)
+	for g, regions := range route.regions {
+		var prev *blockMeta
+		for i, reg := range regions {
+			if i > 0 && (reg.lo != 0 || regions[i-1].hi != regions[i-1].area.Blocks()) {
+				t.Errorf("group %d: region %d starts at block %d after one ending at %d of %d", g, i, reg.lo, regions[i-1].hi, regions[i-1].area.Blocks())
+			}
+			lastTrack := make(map[int]int)
+			for j := reg.lo; j < reg.hi; j++ {
+				ad := reg.area.Addr(j)
+				if want := reg.area.Addr(reg.lo).Disk + (j - reg.lo); ad.Disk != want%D {
+					t.Errorf("group %d: block %d of a region is on drive %d, want %d", g, j-reg.lo, ad.Disk, want%D)
+				}
+				if p, ok := lastTrack[ad.Disk]; ok && ad.Track != p+1 {
+					t.Errorf("group %d: drive %d holds tracks %d then %d of one region", g, ad.Disk, p, ad.Track)
+				}
+				lastTrack[ad.Disk] = ad.Track
+				if err := c.dsk.ReadOp([]disk.ReadReq{{Disk: ad.Disk, Track: ad.Track, Dst: buf}}); err != nil {
+					t.Fatal(err)
+				}
+				meta, _ := parseBlock(buf)
+				if groupOf(meta.dst, c.k) != g || buf[5] != prng.Derive(c.seed, uint64(meta.dst), uint64(meta.seq)) {
+					t.Errorf("group %d holds block %+v with payload %#x", g, meta, buf[5])
+				}
+				if prev != nil && metaCmp(*prev, meta) >= 0 {
+					t.Errorf("group %d: block %+v follows %+v", g, meta, *prev)
+				}
+				prev = &meta
+				total++
+			}
+		}
+	}
+	if total != R {
+		t.Errorf("regions hold %d blocks, want %d", total, R)
+	}
+	// Step 2 is ⌈R/D⌉ read-write pairs; Step 1 at least Δ and, every
+	// operation being a maximal matching, at most 2Δ − 1.
+	delta := max((R+D-1)/D, c.fullestSrc)
+	step1 := int(route.stats.ops) - 2*((R+D-1)/D)
+	if R > 0 && (step1 < 2*delta || step1 > 2*(2*delta-1)) {
+		t.Errorf("Step 1 took %d operations for %d blocks on %d drives (Δ = %d), want within [%d, %d]", step1, R, D, delta, 2*delta, 2*(2*delta-1))
+	}
+	if R == 0 && route.stats.ops != 0 {
+		t.Errorf("%d operations to route nothing", route.stats.ops)
+	}
+	return step1 - 2*delta
+}
+
+// TestRoutingInvariants checks the postcondition and the operation
+// bounds of simulateRouting on random directories, among them the shapes
+// fixed buckets served badly: nothing to route, fewer blocks than drives,
+// one destination, one group, one drive, a dead drive.
 func TestRoutingInvariants(t *testing.T) {
+	worst := 0
 	f := func(seed uint64) bool {
 		r := prng.New(seed)
+		c := &routeCase{seed: seed, v: r.Intn(20) + 1}
+		c.k = r.Intn(c.v) + 1
 		d := r.Intn(6) + 1
-		b := 8 + r.Intn(8)
-		v := r.Intn(20) + 1
-		k := r.Intn(v) + 1
-		nBlocks := r.Intn(100)
-
-		arr := disk.MustNewArray(disk.Config{D: d, B: b})
-		acct := mem.NewAccountant(0)
-		dir := newOutDirectory(d, d)
-		var bufs stepBufs
-		writer := newBlockWriter(arr, dir,
-			func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-			r, false, nil, &bufs)
-
-		// Random blocks with a payload checksum derived from their
-		// identity, so reads can be validated.
-		img := make([]uint64, b)
-		type key struct{ dst, src, seq int }
-		expected := make(map[key]bool)
-		for i := 0; i < nBlocks; i++ {
-			m := blockMeta{dst: r.Intn(v), src: r.Intn(v), seq: i}
-			img[0], img[1], img[2], img[3], img[4] = uint64(m.dst), uint64(m.src), uint64(m.seq), 0, 1
-			img[5] = prng.Derive(seed, uint64(m.dst), uint64(m.seq))
-			if err := writer.add(m, img); err != nil {
-				return false
+		c.nBlocks = r.Intn(100)
+		for dst := 0; dst < c.v; dst++ {
+			c.dsts = append(c.dsts, dst)
+		}
+		switch seed % 6 {
+		case 0:
+			c.nBlocks = 0
+		case 1:
+			c.nBlocks = r.Intn(d)
+		case 2:
+			c.dsts = c.dsts[:1]
+		case 3:
+			c.k = c.v
+		case 4:
+			d = 1
+		}
+		arr := disk.MustNewArray(disk.Config{D: d, B: 8 + r.Intn(8)})
+		c.dsk = arr
+		if seed%6 == 5 && d > 1 {
+			// Drive `dead` dies at its first operation; its tracks are
+			// served from mirror copies from then on.
+			dead := r.Intn(d)
+			fd := fault.MustWrap(arr, fault.Plan{Seed: seed, FailDriveOp: 1, FailDrive: dead, Mirror: true}, 0)
+			for !fd.Down(dead) {
+				fd.WriteOp([]disk.WriteReq{{Disk: dead, Track: fd.Alloc(dead), Src: make([]uint64, arr.Config().B)}}) //nolint:errcheck
 			}
-			expected[key{m.dst, m.src, m.seq}] = true
+			c.dsk, c.down = fd, fd.Down
 		}
-		if err := writer.flush(); err != nil {
-			return false
-		}
-
-		groups := (v + k - 1) / k
-		route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, groups)
+		c.write(t, r)
+		route, err := simulateRouting(c.dsk, mem.NewAccountant(0), &c.bufs, c.dir)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-		total := 0
-		buf := make([]uint64, b)
-		for g, regions := range route.regions {
-			for _, reg := range regions {
-				// Definition 2 within the region: any D consecutive
-				// slots hit D distinct drives with per-drive
-				// consecutive tracks.
-				lastTrack := make(map[int]int)
-				for i := reg.lo; i < reg.hi; i++ {
-					ad := reg.area.Addr(i)
-					if prev, ok := lastTrack[ad.Disk]; ok && ad.Track != prev+1 {
-						return false
-					}
-					lastTrack[ad.Disk] = ad.Track
-					// Block contents: right group, identity checksum.
-					if err := arr.ReadOp([]disk.ReadReq{{Disk: ad.Disk, Track: ad.Track, Dst: buf}}); err != nil {
-						return false
-					}
-					meta, _ := parseBlock(buf)
-					if groupOf(meta.dst, k) != g {
-						return false
-					}
-					if buf[5] != prng.Derive(seed, uint64(meta.dst), uint64(meta.seq)) {
-						return false
-					}
-					if !expected[key{meta.dst, meta.src, meta.seq}] {
-						return false
-					}
-					total++
-				}
-			}
-		}
-		return total == nBlocks && route.total == nBlocks
+		worst = max(worst, c.check(t, route))
+		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	t.Logf("Step 1 took at most %d operations above its lower bound 2Δ", worst)
+}
+
+// TestRoutingLoneDestination pins ROADMAP item 4(ii)'s case: sort's
+// sample gather sends 22 blocks to one VP. Under the fixed Step 1(d)
+// rule they were one bucket of four and Algorithm 2 moved them one block
+// per operation, 88 operations; cut by load they are four buckets of 6,
+// 6, 5 and 5.
+func TestRoutingLoneDestination(t *testing.T) {
+	c := &routeCase{seed: 7, v: 64, k: 9, dsts: []int{0}, nBlocks: 22, dsk: disk.MustNewArray(disk.Config{D: 4, B: 16})}
+	c.write(t, prng.New(7))
+	route, err := simulateRouting(c.dsk, mem.NewAccountant(0), &c.bufs, c.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.check(t, route)
+	// The writer left 6 of them on one drive, so Step 1 cannot take fewer
+	// than 6 read-write pairs, nor Step 2 fewer than ⌈22/4⌉: 24 is optimal.
+	if route.stats.ops != 24 || c.fullestSrc != 6 {
+		t.Errorf("routing 22 blocks for one VP took %d operations with %d blocks on the fullest drive, want 24 with 6", route.stats.ops, c.fullestSrc)
 	}
 }
 
@@ -98,12 +204,10 @@ func TestRoutingParallelism(t *testing.T) {
 	const d, b, v, k, perVP = 4, 16, 32, 8, 8
 	arr := disk.MustNewArray(disk.Config{D: d, B: b})
 	acct := mem.NewAccountant(0)
-	dir := newOutDirectory(d, d)
+	dir := newOutDirectory(v/k, d)
 	r := prng.New(7)
 	var bufs stepBufs
-	writer := newBlockWriter(arr, dir,
-		func(m blockMeta) int { return bucketOf(m.dst, v, d) },
-		r, false, nil, &bufs)
+	writer := newBlockWriter(arr, dir, func(dst int) int { return groupOf(dst, k) }, r, false, nil, &bufs)
 	img := make([]uint64, b)
 	for c := 0; c < perVP; c++ {
 		for dst := 0; dst < v; dst++ {
@@ -117,7 +221,7 @@ func TestRoutingParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.ResetStats()
-	route, err := simulateRouting(arr, acct, &bufs, dir, func(m blockMeta) int { return groupOf(m.dst, k) }, v/k)
+	route, err := simulateRouting(arr, acct, &bufs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,6 +281,36 @@ var confCases = []struct {
 		r.observe()
 	}},
 
+	// An area takes the tracks its blocks occupy and no others: one
+	// shorter than D, or empty, leaves the drives it does not reach where
+	// they were, whatever its rotation.
+	{"short-areas", func(r *replay) {
+		before := r.observe()
+		r.reserve(0, 1)
+		if after := r.observe(); !reflect.DeepEqual(before, after) {
+			r.t.Errorf("an empty area moved the allocator:\nbefore %+v\nafter  %+v", before, after)
+		}
+		ar := r.reserve(confD-1, 1) // drives 1 and 2; drive 0 is at offset D−1
+		r.write(ar.Addr(0), ar.Addr(1))
+		r.read(Slice(ar, 1, 1).Addr(0))
+		if got, want := r.observe().Next, []int{0, 1, 1}; !reflect.DeepEqual(got, want) {
+			r.t.Errorf("tracks in use after a %d-block area at rotation 1: %v, want %v", confD-1, got, want)
+		}
+		long := r.reserve(confD+1, 2) // drive 2 holds blocks 0 and D
+		if got, want := r.observe().Next, []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
+			r.t.Errorf("tracks in use after a further %d-block area at rotation 2: %v, want %v", confD+1, got, want)
+		}
+		if got := r.alloc(0); got != 1 {
+			r.t.Errorf("Alloc on the drive both areas left short = %d, want 1", got)
+		}
+		for _, a := range []Area{ar, long} {
+			if err := FreeArea(r.s, a); err != nil {
+				r.t.Fatal(err)
+			}
+		}
+		r.observe()
+	}},
+
 	// AllocSnapshot → an aborted attempt's allocations and writes →
 	// AllocRestore: committed data survives, the attempt's tracks are
 	// retracted, wiped and handed out again in the same order.

@@ -25,9 +25,9 @@ type Area struct {
 }
 
 // Reserve allocates an area of nBlocks blocks in standard consecutive
-// format. Each drive contributes ⌈nBlocks/D⌉ consecutive fresh tracks
-// (per-drive block counts thus differ by at most one, as Definition 2
-// requires).
+// format. Each drive contributes the consecutive fresh tracks its
+// blocks occupy (per-drive block counts differ by at most one, as
+// Definition 2 requires).
 func (a *Array) Reserve(nBlocks int) Area { return a.ReserveRot(nBlocks, 0) }
 
 // Reserve allocates an area of nBlocks blocks on any Store.

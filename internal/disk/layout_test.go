@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,62 @@ func TestAreaStriping(t *testing.T) {
 	}
 	if maxC-minC > 1 {
 		t.Errorf("per-drive block counts differ by %d > 1", maxC-minC)
+	}
+}
+
+// TestReserveTakesOccupiedTracksOnly: the drive at offset a = (d − rot)
+// mod D of an n-block area holds blocks a, a+D, …, so ⌈(n − a)/D⌉ tracks
+// and none when a ≥ n. Areas shorter than D, empty areas and their
+// slices address only tracks that were reserved, and the next area or
+// Alloc starts right behind them.
+func TestReserveTakesOccupiedTracksOnly(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := prng.New(seed)
+		D := r.Intn(6) + 1
+		a := MustNewArray(Config{D: D, B: 4})
+		for round := 0; round < 4; round++ {
+			n, rot := r.Intn(2*D+2), r.Intn(D)
+			if round == 0 {
+				n = r.Intn(D) // n < D, n = 0 included
+			}
+			before := a.State().Next
+			ar := a.ReserveRot(n, rot)
+			after := a.State().Next
+			held := make([]int, D)
+			for i := 0; i < n; i++ {
+				ad := ar.Addr(i)
+				if ad.Disk != (rot+i)%D || ad.Track != before[ad.Disk]+i/D {
+					t.Logf("seed %d: block %d of a %d-block area at rotation %d (D=%d) is at %v", seed, i, n, rot, D, ad)
+					return false
+				}
+				held[ad.Disk]++
+			}
+			for d := range held {
+				if off := (d - rot + D) % D; after[d]-before[d] != held[d] || held[d] != max(0, n-off+D-1)/D {
+					t.Logf("seed %d: drive %d gave %d tracks to %d blocks of a %d-block area at rotation %d (D=%d)", seed, d, after[d]-before[d], held[d], n, rot, D)
+					return false
+				}
+			}
+			if n > 0 {
+				off := r.Intn(n)
+				sl := Slice(ar, off, r.Intn(n-off)+1)
+				for i := 0; i < sl.Blocks(); i++ {
+					if sl.Addr(i) != ar.Addr(off+i) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	// Three blocks on eight drives took a track on all eight.
+	a := MustNewArray(Config{D: 8, B: 4})
+	a.ReserveRot(3, 6)
+	if got, want := a.State().Next, []int{1, 0, 0, 0, 0, 0, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("tracks in use after 3 blocks at rotation 6 on 8 drives: %v, want %v", got, want)
 	}
 }
 

@@ -375,7 +375,10 @@ func (m *model) release(d, t int) error {
 
 // ReserveRot allocates an area whose block-to-drive mapping is rotated
 // by rot: block i lives on drive (rot + i) mod D, each drive
-// contributing ⌈nBlocks/D⌉ consecutive fresh tracks. Algorithm
+// contributing as many consecutive fresh tracks as it holds blocks —
+// ⌈(nBlocks − a)/D⌉ for the drive at offset a = (d − rot) mod D, none
+// once a ≥ nBlocks, so an area shorter than D leaves the other drives
+// alone. Algorithm
 // SimulateRouting (Step 2) writes D bucket areas concurrently, one
 // block of each per parallel I/O operation; giving bucket d's area
 // rotation d makes the D concurrent writes of operation j land on the
@@ -392,12 +395,11 @@ func (m *model) ReserveRot(nBlocks, rot int) Area {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	D := m.cfg.D
-	per := (nBlocks + D - 1) / D
 	ar := Area{d: D, n: nBlocks, rot: ((rot % D) + D) % D, base: make([]int, D)}
 	for d := range m.drives {
 		dr := &m.drives[d]
 		ar.base[d] = dr.next
-		dr.next += per
+		dr.next += max(0, nBlocks-(d-ar.rot+D)%D+D-1) / D
 		for t := ar.base[d]; t < dr.next; t++ {
 			m.wipe(d, t)
 		}

@@ -803,6 +803,10 @@ func (s *Supervisor) runJob(id string) {
 	}
 }
 
+// buildWorkload builds the program an attempt runs. Tests substitute
+// programs no Spec names (one whose Load over-reads, say).
+var buildWorkload = workload.Spec.Build
+
 // attempt executes one run of the job, resuming from the journal when
 // a previous attempt committed at least one barrier.
 func (s *Supervisor) attempt(ctx context.Context, j *Job) error {
@@ -816,7 +820,7 @@ func (s *Supervisor) attempt(ctx context.Context, j *Job) error {
 				&fault.Error{Kind: fault.TransientRead, Op: "read", Recoverable: true})
 		}
 	}
-	inst, err := j.Request.Workload.Build()
+	inst, err := buildWorkload(j.Request.Workload)
 	if err != nil {
 		return err
 	}

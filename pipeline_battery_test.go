@@ -258,11 +258,13 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				// Faulty schedule: transient read/write/corrupt faults plus a
 				// permanent drive death under parity redundancy. The fault
 				// sequence is a pure function of the op order, which the
-				// pipeline must not perturb.
+				// pipeline must not perturb. The death is early enough to
+				// fire in all 26 runs (at op 40 the shortest workloads'
+				// last processor finished first once contexts were packed).
 				plan := &embsp.FaultPlan{
 					Seed:          0xFA17,
 					ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01,
-					FailDrive: 2, FailDriveOp: 40, FailProc: procs - 1,
+					FailDrive: 2, FailDriveOp: 10, FailProc: procs - 1,
 				}
 				fOpts := embsp.Options{
 					Seed: 0xBA77E7, FaultPlan: plan, Redundancy: embsp.RedundancyParity,
