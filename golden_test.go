@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"embsp"
+	"embsp/internal/core"
 	"embsp/internal/workload"
 )
 
@@ -17,8 +18,9 @@ import (
 // Recorded before the stores were folded onto one EM-model core
 // (PR 13); re-recorded when P=1 became a driver of the one step machine
 // (PR 15), when a batch's messages were packed into shared blocks
-// (PR 18) and when its contexts were, and buckets cut by load (PR 20),
-// each moved column for the reason beside its rows.
+// (PR 18), when its contexts were, and buckets cut by load (PR 20), and
+// when blocks came to be read where their writer put them (PR 21), each
+// moved column for the reason beside its rows.
 type goldenRow struct {
 	alg, store          string
 	p                   int
@@ -27,44 +29,43 @@ type goldenRow struct {
 	routeOps, memHighWd int64
 }
 
-// PR 20 moved every row: a batch's contexts are packed end to end and
-// only the blocks they fill are moved (DESIGN.md §22), routing's buckets
-// are cut by load and gathered greedily (§20.2), and a cell is a whole
-// batch (§21.2). Per row, PR 18 → PR 20; setupOps is context writes only,
-// and runOps falls mostly by the context blocks no longer moved. The
-// fingerprints move with the EMStats they hash; final contexts and BSP
-// costs are as before. MemHigh falls by the partial last blocks whole-
-// batch cells no longer cut (the context buffer is grabbed at the µ
-// bound as before).
+// PR 21 moved every row: a superstep's message blocks are read where
+// the writer put them unless routing would be cheaper (DESIGN.md §7) —
+// on these four-drive machines it never is, so routeOps is 0 and runOps
+// falls by Algorithm 2's operations and a little more: the writer places
+// a batch's blocks by the directory's counts, so its scattered read is
+// within one operation of ⌈R_g/D⌉, and makes one partial write a
+// superstep where it made one a batch. Per row, PR 20 → PR 21; setupOps
+// and MemHigh are as they were except under parity, whose flush now
+// costs its fullest drive's share of reads where it cost one operation a
+// track. The fingerprints move with the EMStats they hash; final
+// contexts and BSP costs are as before. An instance's array and durable
+// rows hash alike now: with no routing between an input's release and
+// the barrier, the allocator hands out the same tracks with and without
+// the checkpoint discipline.
 var goldenTable = []goldenRow{
-	// Clean P=1. sort (a live context is a fifth of µ until the last
-	// superstep): runOps 2162 → 903, setupOps 200 → 67, routeOps 392 →
-	// 328, MemHigh 26880 → 26688.
-	{"sort", "array", 1, 0x693ea50b517ddf1c, 903, 67, 328, 26688},
-	{"sort", "file", 1, 0x846e811d463fa3da, 903, 67, 328, 26688},
-	// listrank (µ is a worst-case subscription bound, a seventh of it
-	// live): runOps 27758 → 4193, setupOps 571 → 18, routeOps 1028 → 866,
-	// MemHigh 115136 → 115008.
-	{"listrank", "array", 1, 0xe5df7a674f08c53a, 4193, 18, 866, 115008},
-	{"listrank", "file", 1, 0xd8b540451da5e51e, 4193, 18, 866, 115008},
-	// Faulted P=1: runOps 5898 → 2241 and 80400 → 12630, setupOps 1154 →
-	// 376 and 3295 → 95; the rest as the clean rows (the fault plan draws
-	// per operation).
-	{"sort", "mapped+parity+faults", 1, 0x2167643eb91db37c, 2241, 376, 328, 26688},
-	{"listrank", "mapped+parity+faults", 1, 0xc78b629628ba5923, 12630, 95, 866, 115008},
-	// P=2. sort runOps 2231 → 936, setupOps 200 → 68, routeOps 454 → 346,
-	// MemHigh 27008 → 26688; listrank 28107 → 4224, 570 → 18, 1382 → 908,
-	// 76992 → 76864.
-	{"sort", "array", 2, 0x363137832a64930, 936, 68, 346, 26688},
-	{"sort", "file+tier", 2, 0x44ca0460e6251df0, 936, 68, 346, 26688},
-	{"listrank", "array", 2, 0xa81049f362dd7d5b, 4224, 18, 908, 76864},
-	{"listrank", "file+tier", 2, 0x1467c7ef353bb5ec, 4224, 18, 908, 76864},
+	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0.
+	{"sort", "array", 1, 0x7e8218636efd1eb4, 572, 67, 0, 26688},
+	{"sort", "file", 1, 0x7e8218636efd1eb4, 572, 67, 0, 26688},
+	// listrank: runOps 4193 → 3306, routeOps 866 → 0.
+	{"listrank", "array", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
+	{"listrank", "file", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
+	// Faulted P=1: runOps 2241 → 1385 and 12630 → 10248, setupOps 376 →
+	// 172 and 95 → 44 (the parity flush's read-back and write-back in
+	// full operations, redundancy.rounds); routeOps as the clean rows.
+	{"sort", "mapped+parity+faults", 1, 0x74f2d972b3f6df9d, 1385, 172, 0, 26688},
+	{"listrank", "mapped+parity+faults", 1, 0x60b65b77adf429b7, 10248, 44, 0, 115008},
+	// P=2, every processor deciding for its own directory. sort runOps
+	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0.
+	{"sort", "array", 2, 0xa46c021f6eb2f79e, 586, 68, 0, 26688},
+	{"sort", "file+tier", 2, 0xa46c021f6eb2f79e, 586, 68, 0, 26688},
+	{"listrank", "array", 2, 0x96ccd40720fcf6cf, 3316, 18, 0, 76864},
+	{"listrank", "file+tier", 2, 0x96ccd40720fcf6cf, 3316, 18, 0, 76864},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
-	// 2347 → 917, routeOps 572 → 340, MemHigh 26944 → 26688; listrank
-	// 28754 → 4376, setupOps 571 → 19, 1928 → 990, 57984 → 57728.
-	{"sort", "array", 3, 0x4e886e2904d77da0, 917, 67, 340, 26688},
-	{"listrank", "array", 3, 0x4ea2d6cabf72df68, 4376, 19, 990, 57728},
+	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0.
+	{"sort", "array", 3, 0xc11355caaa277a75, 577, 67, 0, 26688},
+	{"listrank", "array", 3, 0xc9fc27f6a1c6c797, 3386, 19, 0, 57728},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.
@@ -121,7 +122,8 @@ func TestGoldenModelNumbers(t *testing.T) {
 }
 
 // TestRouteOpsDoNotGrowWithP: splitting the same VPs over more real
-// processors must not multiply the machine's total routing work. The
+// processors must not multiply the machine's total routing work — with
+// routing forced, since the rule routes no superstep of these runs. The
 // ceilings are the counts of the commit before buckets were cut by load
 // (PR 19); the ratio to P=1 is reported against ROADMAP item 4's target
 // of 1.25×, which the fixed Step 1(d) buckets missed at every P > 1
@@ -140,7 +142,8 @@ func TestRouteOpsDoNotGrowWithP(t *testing.T) {
 		var one int64
 		for p, ceiling := range ceilings[alg] {
 			p++
-			res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000), embsp.Options{Seed: 7})
+			res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000),
+				core.ForceRouting(embsp.Options{Seed: 7}, core.RouteAlways))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,9 +50,6 @@ func ClusterCheck(cfg MachineConfig, opts Options) error {
 	if opts.effectiveRedundancy() != redundancy.None {
 		return fmt.Errorf("core: redundancy layers are not supported in cluster mode")
 	}
-	if opts.NoRouting {
-		return fmt.Errorf("core: NoRouting is a one-processor ablation; cluster mode requires routing")
-	}
 	return nil
 }
 

@@ -264,30 +264,106 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 // TestClusterCoreAbortReplay: aborting the attempt at every superstep
 // in turn — batches done, routing done, or every node already PREPARED
 // but no decision — then replaying leaves no trace: the final result
-// is still bitwise identical to an undisturbed run.
+// is still bitwise identical to an undisturbed run. Every node reloads
+// its input from its journal: the directory of the blocks it left
+// scattered (what the rule decides on two drives) or, with routing
+// forced, the regions of a routing result that was parked, installed at
+// PREPARE and rolled back.
 func TestClusterCoreAbortReplay(t *testing.T) {
 	prog := clusterProgram()
 	cfg := parMachine(3, 2, 8, 256)
-	opts := core.Options{Seed: 11}
-	oracle, err := core.Run(prog, cfg, core.Options{Seed: 11, StateDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
-		for _, phase := range []string{"batches", "routed", "prepared"} {
-			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-			aborted := false
-			rig.fail = func(point string, step int) error {
-				if aborted || step != abortAt || point != phase {
-					return nil
+	for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
+		opts := core.ForceRouting(core.Options{Seed: 11}, mode)
+		durable := opts
+		durable.StateDir = t.TempDir()
+		oracle, err := core.Run(prog, cfg, durable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (oracle.EM.RouteOps > 0) != (mode == core.RouteAlways) {
+			t.Fatalf("mode %d: %d routing ops", mode, oracle.EM.RouteOps)
+		}
+		for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
+			for _, phase := range []string{"batches", "routed", "prepared"} {
+				rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+				aborted := false
+				rig.fail = func(point string, step int) error {
+					if aborted || step != abortAt || point != phase {
+						return nil
+					}
+					aborted = true
+					return errAbort
 				}
-				aborted = true
-				return errAbort
+				resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("mode %d abort@%d/%s", mode, abortAt, phase))
+				if !aborted {
+					t.Errorf("mode %d abort@%d/%s never fired", mode, abortAt, phase)
+				}
+				rig.close()
 			}
-			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("abort@%d/%s", abortAt, phase))
-			if !aborted {
-				t.Errorf("abort@%d/%s never fired", abortAt, phase)
+		}
+	}
+}
+
+// adoptingRig replaces node `node` before superstep `at` begins by one
+// re-materialized elsewhere from its own full snapshot, sent through the
+// wire form: what the coordinator does for a worker whose state is gone.
+type adoptingRig struct {
+	*clusterRig
+	t        *testing.T
+	at, node int
+	adopt    func(snap *core.NodeSnapshot) *core.NodeEngine
+}
+
+func (a *adoptingRig) Begin(step int) error {
+	if step == a.at {
+		old := a.nodes[a.node]
+		snap, err := old.ExportSnapshot(-1)
+		if err != nil {
+			a.t.Fatal(err)
+		}
+		enc := words.NewEncoder(nil)
+		snap.Encode(enc)
+		if snap, err = core.DecodeSnapshot(words.NewDecoder(enc.Words())); err != nil {
+			a.t.Fatal(err)
+		}
+		old.Close()
+		a.nodes[a.node] = a.adopt(snap)
+	}
+	return a.clusterRig.Begin(step)
+}
+
+// TestClusterCoreAdoptScatteredInput: a node's unrouted input is barrier
+// state like any other — its directory travels in the snapshot's
+// manifest, its blocks among the snapshot's tracks — so a node adopted
+// from a replica snapshot between two supersteps carries on bitwise, at
+// every barrier of the run, and so does one whose input was routed.
+func TestClusterCoreAdoptScatteredInput(t *testing.T) {
+	prog := clusterProgram()
+	cfg := parMachine(2, 2, 8, 256)
+	for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
+		opts := core.ForceRouting(core.Options{Seed: 17}, mode)
+		durable := opts
+		durable.StateDir = t.TempDir()
+		oracle, err := core.Run(prog, cfg, durable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := 1; at < oracle.Costs.Supersteps; at++ {
+			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+			elsewhere := t.TempDir()
+			a := &adoptingRig{clusterRig: rig, t: t, at: at, node: 1}
+			a.adopt = func(snap *core.NodeSnapshot) *core.NodeEngine {
+				n, err := core.AdoptNode(prog, cfg, opts, 1, elsewhere, snap)
+				if err != nil {
+					t.Fatalf("mode %d adopt@%d: %v", mode, at, err)
+				}
+				return n
 			}
+			res, err := rig.coord.Run(a)
+			if err != nil {
+				t.Fatalf("mode %d adopt@%d: %v", mode, at, err)
+			}
+			resultsIdentical(t, res, oracle, fmt.Sprintf("mode %d adopt@%d", mode, at))
 			rig.close()
 		}
 	}

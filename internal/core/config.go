@@ -106,27 +106,16 @@ type Options struct {
 	MaxSupersteps int
 	// Deterministic selects the deterministic placement variant the
 	// paper notes is possible for communication of predetermined size
-	// (CGM): blocks are assigned to disks round-robin instead of by
-	// random permutation.
+	// (CGM): where the block writer's placement by count leaves a choice
+	// of drives, a round-robin rotation makes it instead of a random
+	// permutation.
 	Deterministic bool
-	// NoRouting is an ablation of Algorithm 2 (one-processor machines
-	// only): generated blocks are left where the randomized writing
-	// phase put them, and the next fetch phase reads each group's
-	// blocks from their scattered tracks with greedy per-drive
-	// batching. Lemma 2 says the random placement is already balanced
-	// whp, so this mode usually performs well — the paper's two-pass
-	// reorganization buys the worst-case guarantee and physically
-	// consecutive tracks. The ablate/routing bench quantifies the
-	// trade.
-	NoRouting bool
 	// FaultPlan, when non-nil and enabled, wraps every processor's disk
 	// array in the fault-injection layer and turns on the engines'
 	// superstep checkpoint/replay machinery (contexts double-buffered,
 	// input-area frees deferred to the barrier commit). The simulation
 	// result remains bitwise identical to the fault-free run; the extra
 	// work appears in EMStats as RecoveryOps/Replays/MirrorOps.
-	// Incompatible with NoRouting (the ablation releases its scattered
-	// blocks while reading them, destroying the replay source).
 	FaultPlan *fault.Plan
 	// MaxRetries bounds the fault layer's transparent charged retries
 	// per operation: 0 means fault.DefaultMaxRetries, -1 disables
@@ -138,9 +127,6 @@ type Options struct {
 	// drive is backed by a real file under this directory and every
 	// compound-superstep barrier is committed to a write-ahead journal
 	// there, so a crashed or killed run can be continued with Resume.
-	// Incompatible with NoRouting (the ablation releases its scattered
-	// blocks while reading them, leaving nothing durable to resume
-	// from).
 	StateDir string
 	// Resume continues the run recorded in StateDir from its last
 	// committed barrier instead of starting fresh. The program, machine
@@ -244,6 +230,30 @@ type Options struct {
 	// as Trace: out of the fingerprint, out of the identity contract,
 	// nil costs nothing.
 	Metrics *obs.Registry
+
+	// routing overrides the rule that decides, per processor and
+	// superstep, whether Algorithm 2 runs (routeLocal). Only ForceRouting
+	// sets it; it is folded into the config fingerprint.
+	routing RouteMode
+}
+
+// RouteMode says when a superstep's message blocks are reorganized by
+// Algorithm 2 before the next superstep fetches them.
+type RouteMode int
+
+const (
+	RouteDecided RouteMode = iota // when the directory says it pays (outDirectory.routeCosts)
+	RouteAlways                   // every superstep, as the paper states Algorithm 1
+	RouteNever                    // never: every fetch is scattered
+)
+
+// ForceRouting returns opts with the routing rule replaced by m. It is
+// how tests and the ablation experiment reach Algorithm 2, which no
+// default run of a machine with few drives takes; there is no option,
+// flag or environment variable for it.
+func ForceRouting(opts Options, m RouteMode) Options {
+	opts.routing = m
+	return opts
 }
 
 func (o *Options) defaults() {
@@ -300,12 +310,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	if o.DriveLatency < 0 {
 		return fmt.Errorf("core: DriveLatency = %v, want >= 0", o.DriveLatency)
 	}
-	if o.NoRouting && cfg.P != 1 {
-		return fmt.Errorf("core: the NoRouting ablation is implemented for P = 1 only")
-	}
-	if o.NoRouting && o.StateDir != "" {
-		return fmt.Errorf("core: the NoRouting ablation cannot run durably (scattered blocks are released as they are read, leaving nothing to resume from)")
-	}
 	if o.Resume && o.StateDir == "" {
 		return fmt.Errorf("core: Resume requires a StateDir")
 	}
@@ -340,9 +344,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	if o.FaultPlan != nil {
 		if err := o.FaultPlan.Validate(); err != nil {
 			return err
-		}
-		if o.NoRouting && o.FaultPlan.Enabled() {
-			return fmt.Errorf("core: the NoRouting ablation cannot run under a fault plan (scattered blocks are released as they are read, leaving nothing to replay from)")
 		}
 		if o.FaultPlan.FailProc >= cfg.P {
 			return fmt.Errorf("core: FaultPlan.FailProc = %d, machine has %d processors", o.FaultPlan.FailProc, cfg.P)
@@ -379,14 +380,16 @@ type EMStats struct {
 	// G · Σ_steps max_proc (ops in step). For P = 1 it is G·Run.Ops.
 	IOTime float64
 	// RouteOps counts the parallel I/O operations spent inside
-	// SimulateRouting (a subset of Run.Ops).
+	// SimulateRouting (a subset of Run.Ops): zero unless some superstep's
+	// directory was skewed enough for routing to pay.
 	RouteOps int64
 	// RaggedSlots counts the slots SimulateRouting's operations left
 	// empty — a bucket with no block left, or none on a free drive —
 	// positions the paper's analysis fills with dummy blocks.
 	RaggedSlots int64
 	// MaxBucketSkew is the largest observed ratio between the maximum
-	// per-drive share of a bucket and the even share R/D (Lemma 2's l).
+	// per-drive share of a bucket — of a destination batch, in a superstep
+	// left unrouted — and the even share R/D (Lemma 2's l).
 	MaxBucketSkew float64
 	// MemHigh is the engine's internal-memory high-water mark in words
 	// (max over processors).

@@ -34,12 +34,14 @@ import (
 //     paper's disk-load balancing step), and every receiver cuts its
 //     packets into blocks and writes them to its local disks under a
 //     random drive permutation, maintaining a directory keyed by
-//     destination batch.
+//     destination batch — whose counts place each block on the free
+//     drive where its batch holds fewest, the permutation breaking ties.
 //
-// At the end of the superstep each processor reorganizes its received
-// blocks with the local SimulateRouting (Algorithm 2), so that the
-// next superstep's fetch phase reads every batch fully blocked and
-// D-parallel.
+// At the end of the superstep each processor settles where the next one
+// reads its received blocks (routeLocal): where they lie, a batch's
+// scattered read being within an operation of fully D-parallel, or —
+// when its directory says that is cheaper — reorganized by the local
+// SimulateRouting (Algorithm 2) into standard consecutive format.
 //
 // Real processors run as goroutines separated by phase barriers. All
 // communication cells are owned by a single writer per phase and all

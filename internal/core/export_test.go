@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"embsp/internal/bsp"
+	"embsp/internal/disk"
+	"embsp/internal/fault"
 )
 
 // RunOver is Run with the engine's in-memory Transport wrapped by wrap,
@@ -45,4 +48,58 @@ func ContextOps(t Transport) (ops int) {
 		}
 	}
 	return ops
+}
+
+// DriveClock is, on the engine RunOver hands to wrap, the fault layer's
+// attempt clock of one drive of one processor: what a plan's FailDriveOp
+// is measured on, so a test can aim a drive death at a superstep of the
+// run as it is, whatever the engine's counts have become.
+func DriveClock(t Transport, proc, drive int) int64 {
+	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain).Clock(drive)
+}
+
+// ForgeInputTrack rewrites one track of processor 0's unrouted input to
+// lie beyond every allocator's mark, as a damaged or forged journal
+// record might name it; it reports whether there was a block to forge.
+func ForgeInputTrack(t Transport) bool {
+	ps := t.(*engine).procs[0]
+	if ps.inDir == nil {
+		return false
+	}
+	for _, perDrive := range ps.inDir.q {
+		for _, refs := range perDrive {
+			if len(refs) > 0 {
+				refs[0].track = 1 << 40
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// IsEngineError reports whether err is the engine's typed refusal.
+func IsEngineError(err error) bool {
+	var ee *engineError
+	return errors.As(err, &ee)
+}
+
+// PlacementCosts reports what the routing rule sees in the open
+// superstep's directories, per processor: the scattered sum, its ideal
+// Σ_g⌈R_g/D⌉, and over all of them the worst batch's distance from its
+// own ideal.
+func PlacementCosts(t Transport) (scattered, ideal []int, worst int) {
+	for _, ps := range t.(*engine).procs {
+		s, _, _ := ps.dir.routeCosts()
+		sum := 0
+		for _, perDrive := range ps.dir.q {
+			fullest, Rg, D := 0, 0, len(perDrive)
+			for _, refs := range perDrive {
+				fullest, Rg = max(fullest, len(refs)), Rg+len(refs)
+			}
+			sum += (Rg + D - 1) / D
+			worst = max(worst, fullest-(Rg+D-1)/D)
+		}
+		scattered, ideal = append(scattered, s), append(ideal, sum)
+	}
+	return scattered, ideal, worst
 }

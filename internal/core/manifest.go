@@ -35,11 +35,13 @@ const (
 // without changing its results (2: the bucket rule, DESIGN.md §20; 3:
 // the packed message-block format, §21, which is also what a routed
 // region on disk and a block on the wire hold; 4: packed contexts, §22,
-// and routing buckets cut by load, §20.2). It is folded into every
-// fingerprint, so a directory journaled under other rules, or a cluster
-// peer built with them, is refused rather than resumed into hybrid
-// counts or fed blocks it cannot parse.
-const modelRules = 4
+// and routing buckets cut by load, §20.2; 5: blocks placed by the
+// directory's counts and read where they lie unless routing pays, §7,
+// with the unrouted directory in every processor's record). It is
+// folded into every fingerprint, so a directory journaled under other
+// rules, or a cluster peer built with them, is refused rather than
+// resumed into hybrid counts or fed blocks it cannot parse.
+const modelRules = 5
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -56,6 +58,7 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 	enc.PutUint(opts.Seed)
 	enc.PutInt(int64(opts.MaxSupersteps))
 	enc.PutBool(opts.Deterministic)
+	enc.PutInt(int64(opts.routing))
 	enc.PutInt(int64(opts.MaxRetries))
 	plan := opts.FaultPlan
 	enc.PutBool(plan != nil && plan.Enabled())
@@ -161,6 +164,51 @@ func decodeRegions(dec *words.Decoder) [][]groupRegion {
 	return regions
 }
 
+// encodeDirectory writes an unrouted input: per batch and drive, the
+// tracks in the order the writer filled them — R words and a length per
+// list. The entries are not written; like a routed region's, they are
+// parsed from the block headers when the batch is read.
+func encodeDirectory(enc *words.Encoder, dir *outDirectory) {
+	if dir == nil {
+		enc.PutInt(0)
+		return
+	}
+	enc.PutInt(int64(len(dir.q)))
+	var tracks []int64
+	for _, perDrive := range dir.q {
+		for _, refs := range perDrive {
+			tracks = tracks[:0]
+			for _, ref := range refs {
+				tracks = append(tracks, int64(ref.track))
+			}
+			enc.PutInts(tracks)
+		}
+	}
+}
+
+// decodeDirectory reads it back against the adopted allocator's bump
+// marks: the directory is read from and freed through, and a track the
+// allocator never handed out is neither.
+func decodeDirectory(dec *words.Decoder, next []int) (*outDirectory, error) {
+	n := int(dec.Int())
+	if n == 0 {
+		return nil, nil
+	}
+	dir := newOutDirectory(n, len(next))
+	for g, perDrive := range dir.q {
+		for d := range perDrive {
+			for _, t := range dec.Ints() {
+				if t < 0 || t >= int64(next[d]) {
+					return nil, &engineError{msg: fmt.Sprintf("journal names track %d of drive %d as input of batch %d, beyond the allocator's mark %d", t, d, g, next[d])}
+				}
+				perDrive[d] = append(perDrive[d], blockRef{disk: d, track: int(t)})
+				dir.total++
+			}
+		}
+	}
+	return dir, nil
+}
+
 func encodeAreas(enc *words.Encoder, areas []disk.Area) {
 	enc.PutInt(int64(len(areas)))
 	for _, ar := range areas {
@@ -250,6 +298,7 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	enc.PutFloat(ps.maxSkew)
 	enc.PutInt(ps.acct.High())
 	ps.encodeState(enc)
+	encodeDirectory(enc, ps.inDir)
 }
 
 func decodeProcManifest(dec *words.Decoder, ps *procState) error {
@@ -273,7 +322,11 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	ps.routeOps, ps.ragged, ps.peakLive = pt[0], pt[1], pt[2]
 	ps.maxSkew = dec.Float()
 	ps.acct.AdoptHigh(dec.Int())
-	return ps.decodeState(dec)
+	err := ps.decodeState(dec)
+	if err == nil {
+		ps.inDir, err = decodeDirectory(dec, ps.chain.State().Next)
+	}
+	return err
 }
 
 // decodeProcs adopts what encodeProcs wrote. The crashed attempt may

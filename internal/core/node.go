@@ -45,9 +45,9 @@ type wireBlock struct {
 // chain, internal memory, and the barrier state the manifest journals.
 //
 // Under the checkpoint discipline (ckptOn: a fault plan or a journal)
-// the contexts of the previous superstep and the routed input regions
-// stay on disk untouched while the next superstep runs — contexts are
-// double-buffered between two areas and input-area frees wait for the
+// the contexts of the previous superstep and its input blocks stay on
+// disk untouched while the next superstep runs — contexts are
+// double-buffered between two areas and input frees wait for the
 // barrier commit — so a recoverable fault, or a crash, rolls back to
 // the barrier and replays the superstep from identical inputs.
 type procState struct {
@@ -64,17 +64,17 @@ type procState struct {
 	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
 	ctxUsed   [2][]int     // per area and batch: the blocks the batch's packed contexts fill
 	ctxCur    int
-	inRegions [][]groupRegion // per batch
+	inDir     *outDirectory   // the input's blocks where their writer left them, per batch; or
+	inRegions [][]groupRegion // per batch, the regions of inAreas that Algorithm 2 moved them to
 	inAreas   []disk.Area
 	inBlocks  int
-	inDir     *outDirectory // NoRouting ablation: the scattered blocks, per batch
 
 	// Superstep-scoped scratch.
 	halts        int
 	sends        int
 	dir          *outDirectory
 	writer       *blockWriter
-	pendingRoute *routeResult // checkpoint mode: routing result awaiting commit
+	pendingRoute *routeResult // checkpoint mode: the next input awaiting commit
 	final        *NodeReport  // the finish phase's report, begun at its first attempt
 
 	// Accounting.
@@ -407,20 +407,16 @@ type batchIn struct {
 func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
 
 // fetchBatch reads the blocks of batch j from the local disks into the
-// processor's region buffer: the regions SimulateRouting laid out, or —
-// in the NoRouting ablation — the directory the last writing phase
-// left, block by scattered block.
+// processor's region buffer: from where the last writing phase left
+// them, or from the regions SimulateRouting laid out.
 func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 	if j == 0 {
 		if err := ps.acct.Grab(sh.opWords()); err != nil {
 			return batchIn{}, err
 		}
 	}
-	if sh.opts.NoRouting {
-		if ps.inDir == nil {
-			return batchIn{}, nil
-		}
-		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j], true)
+	if ps.inDir != nil {
+		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
 	}
 	var regions []groupRegion
 	if j < len(ps.inRegions) {
@@ -728,49 +724,49 @@ func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) er
 	return sh.flushBatch(ps, j)
 }
 
-// flushBatch ends batch j's writing phase with the writer's last,
-// partial parallel write; after the superstep's last batch the writer
-// gives up its operation buffer (routing takes it next).
+// flushBatch ends batch j's writing phase. Blocks short of a full
+// operation stay pending for the next batch's to fill it; after the
+// superstep's last batch the writer makes its one partial parallel
+// write and gives up its operation buffer (routing takes it next).
 func (sh *simShape) flushBatch(ps *procState, j int) error {
+	if j < sh.batches-1 {
+		return nil
+	}
 	if err := ps.writer.flush(); err != nil {
 		return err
 	}
-	if j == sh.batches-1 {
-		ps.acct.Release(sh.opWords())
-	}
+	ps.acct.Release(sh.opWords())
 	return nil
 }
 
-// routeLocal is Step 2 of Algorithm 3: reorganize this processor's
-// received blocks so each batch is evenly distributed over the local
-// disks in standard consecutive format. In normal operation the result
-// is installed immediately, and the consumed input areas — dead weight —
-// are freed before routing; under the checkpoint discipline they are
-// the replay/resume source, so the result is parked and the frees wait
-// until the engine-level barrier commit, because a fault on another
+// routeLocal is Step 2 of Algorithm 3: settle where the next superstep
+// reads this processor's received blocks. The writer placed every batch
+// evenly over the drives by the directory's counts, so as a rule they
+// stay where they are and the directory is the next input; only when
+// reading it scattered would cost more than routing's floor (routeCosts)
+// does Algorithm 2 reorganize them into standard consecutive format. In
+// normal operation the result is installed immediately, and the consumed
+// input — dead weight — is freed first; under the checkpoint discipline
+// it is the replay/resume source, so the result is parked and the frees
+// wait until the engine-level barrier commit, because a fault on another
 // processor (or a crash before the journal record lands) can still roll
 // this superstep back.
 func (sh *simShape) routeLocal(ps *procState, step int) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phRoute, ps.id, 0, step, -1)
 	defer sp.End()
-	if sh.opts.NoRouting {
-		// Ablation of Algorithm 2: leave the blocks where the writing
-		// phase put them; the next fetch reads them scattered and pays
-		// the per-drive maximum Lemma 2 bounds, observed here.
-		ps.noteLive(sh.muBlocks, ps.dir.total)
-		ps.inDir = ps.dir
-		ps.maxSkew = max(ps.maxSkew, ps.dir.maxSkew())
-		return nil
-	}
 	if !ps.ckptOn {
 		if err := sh.freeInput(ps); err != nil {
 			return err
 		}
 	}
 	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
-	route, err := simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir)
-	if err != nil {
-		return err
+	scattered, floor, skew := ps.dir.routeCosts()
+	route := &routeResult{dir: ps.dir, total: ps.dir.total, stats: routeStats{maxSkew: skew}}
+	if mode := sh.opts.routing; mode == RouteAlways || mode == RouteDecided && scattered > floor {
+		var err error
+		if route, err = simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir); err != nil {
+			return err
+		}
 	}
 	if ps.ckptOn {
 		ps.pendingRoute = route
@@ -780,29 +776,42 @@ func (sh *simShape) routeLocal(ps *procState, step int) error {
 	return nil
 }
 
-// freeInput releases the input areas the superstep consumed.
+// freeInput releases the input the superstep consumed: its routed areas,
+// or the scattered tracks of its directory.
 func (sh *simShape) freeInput(ps *procState) error {
 	for _, ar := range ps.inAreas {
 		if err := disk.FreeArea(ps.chain, ar); err != nil {
 			return err
 		}
 	}
+	if ps.inDir == nil {
+		return nil
+	}
+	for _, perDrive := range ps.inDir.q {
+		for d, refs := range perDrive {
+			for _, ref := range refs {
+				if err := ps.chain.Release(d, ref.track); err != nil {
+					return err
+				}
+			}
+		}
+	}
 	return nil
 }
 
-// install makes a routing result the next superstep's input.
+// install makes routeLocal's result the next superstep's input.
 func (sh *simShape) install(ps *procState, route *routeResult) {
 	ps.routeOps += route.stats.ops
 	ps.ragged += route.stats.ragged
 	ps.maxSkew = max(ps.maxSkew, route.stats.maxSkew)
-	ps.inRegions, ps.inAreas, ps.inBlocks = route.regions, route.areas, route.total
+	ps.inDir, ps.inRegions, ps.inAreas, ps.inBlocks = route.dir, route.regions, route.areas, route.total
 	ps.noteLive(sh.muBlocks, route.total)
 }
 
 // commitProc is the processor's share of the barrier commit under the
 // checkpoint discipline (without it, routeLocal already did all of
-// this): free the consumed input areas, install the parked routing
-// result, and flip the context double buffer.
+// this): free the consumed input, install the parked next one, and flip
+// the context double buffer.
 func (sh *simShape) commitProc(ps *procState) error {
 	if !ps.ckptOn {
 		return nil

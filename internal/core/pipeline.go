@@ -145,8 +145,7 @@ func areaAddrs(addrs []disk.Addr, ar disk.Area, lo, hi int) []disk.Addr {
 
 // prefetchBatch collects the blocks processor ps will read for batch
 // j: the blocks its packed contexts fill in the committed context area
-// plus the routed regions of the batch. (The NoRouting ablation cannot
-// run durably, so it never has a store to prefetch into.)
+// plus the batch's message blocks, scattered or in routed regions.
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {
@@ -154,6 +153,13 @@ func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	}
 	base := (lo - ps.lo) * sh.muBlocks
 	addrs := areaAddrs(nil, ps.ctxAreas[ps.ctxCur], base, base+ps.ctxUsed[ps.ctxCur][j])
+	if ps.inDir != nil {
+		for d, refs := range ps.inDir.q[j] {
+			for _, ref := range refs {
+				addrs = append(addrs, disk.Addr{Disk: d, Track: ref.track})
+			}
+		}
+	}
 	if j < len(ps.inRegions) {
 		for _, r := range ps.inRegions[j] {
 			addrs = areaAddrs(addrs, r.area, r.lo, r.hi)

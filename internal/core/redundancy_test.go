@@ -318,35 +318,45 @@ func TestRedundancyValidation(t *testing.T) {
 // cache lost), resumes, and only THEN loses a drive — so the
 // reconstruction runs over state the resume-time reconciliation had to
 // repair or adopt. The resumed Result must stay bitwise identical to
-// the uninterrupted run. The death op indices were measured so the
-// death lands in superstep 3, strictly after the superstep-2 crash.
-// FailDriveOp counts drive 2's own attempt clock (fault schedules are
-// per drive); the measured per-barrier clock of drive 2 is 891/1197 at
-// the superstep-2/3 barriers for P=1, and 271/363 on proc 0 for P=3
-// (re-measured when contexts were packed and buckets cut by load).
+// the uninterrupted run. The death is aimed at the middle of superstep
+// 3, strictly after the superstep-2 crash, on the run as it is:
+// FailDriveOp counts drive 2's own attempt clock on processor 0 (fault
+// schedules are per drive), which a probing run — the same plan with a
+// death that never comes — reads at superstep 3's begin and vote, so an
+// engine change that moves the counts moves the death with them.
 func TestParityCrashThenDriveLoss(t *testing.T) {
 	p := testProgram()
-	for _, tc := range []struct {
-		procs   int
-		deathOp int64
-	}{{1, 1000}, {3, 310}} {
-		label := fmt.Sprintf("P=%d", tc.procs)
-		cfg := parMachine(tc.procs, 4, 8, 256)
+	for _, procs := range []int{1, 3} {
+		label := fmt.Sprintf("P=%d", procs)
+		cfg := parMachine(procs, 4, 8, 256)
+		deathOp := int64(1) << 40
 		opts := func(dir string) core.Options {
 			return core.Options{
 				Seed:       3,
 				StateDir:   dir,
-				FaultPlan:  &fault.Plan{Seed: 13, FailDriveOp: tc.deathOp, FailDrive: 2},
+				FaultPlan:  &fault.Plan{Seed: 13, FailDriveOp: deathOp, FailDrive: 2},
 				Redundancy: redundancy.Parity,
 				Scrub:      true,
 			}
 		}
+		var probe *clockProbe
+		_, err := core.RunOver(func(e core.Transport) core.Transport {
+			probe = &clockProbe{Transport: e, step: 3, drive: 2}
+			return probe
+		}, p, cfg, opts(t.TempDir()))
+		if err != nil {
+			t.Fatalf("%s probe: %v", label, err)
+		}
+		if probe.end-probe.begin < 2 {
+			t.Fatalf("%s: drive 2's clock reads %d and %d around superstep 3: no room for a death inside it", label, probe.begin, probe.end)
+		}
+		deathOp = (probe.begin + probe.end) / 2
 		clean, err := core.Run(p, cfg, opts(t.TempDir()))
 		if err != nil {
 			t.Fatalf("%s clean: %v", label, err)
 		}
 		if clean.EM.DriveFailures != 1 {
-			t.Fatalf("%s: DriveFailures=%d, want 1 — death op %d never fired", label, clean.EM.DriveFailures, tc.deathOp)
+			t.Fatalf("%s: DriveFailures=%d, want 1 — death op %d never fired", label, clean.EM.DriveFailures, deathOp)
 		}
 		if clean.EM.ReconstructedBlocks == 0 {
 			t.Fatalf("%s: no reconstruction — the death landed too late to matter", label)
@@ -368,4 +378,27 @@ func TestParityCrashThenDriveLoss(t *testing.T) {
 		}
 		resultsIdentical(t, clean, res, label+" crash before drive loss")
 	}
+}
+
+// clockProbe reads processor 0's fault clock of one drive when a
+// superstep begins and when its batches are done.
+type clockProbe struct {
+	core.Transport
+	step, drive int
+	cur         int
+	begin, end  int64
+}
+
+func (c *clockProbe) Begin(step int) error {
+	if c.cur = step; step == c.step {
+		c.begin = core.DriveClock(c.Transport, 0, c.drive)
+	}
+	return c.Transport.Begin(step)
+}
+
+func (c *clockProbe) Totals() ([]core.StepTotals, error) {
+	if c.cur == c.step {
+		c.end = core.DriveClock(c.Transport, 0, c.drive)
+	}
+	return c.Transport.Totals()
 }

@@ -106,31 +106,43 @@ func TestCrashAndResumeBitwise(t *testing.T) {
 	p := testProgram()
 	for _, procs := range []int{1, 3} {
 		for _, plan := range []*fault.Plan{nil, transientPlan(41)} {
-			label := fmt.Sprintf("P=%d faults=%v", procs, plan != nil)
-			cfg := parMachine(procs, 4, 8, 256)
+			// The rule leaves every superstep's blocks scattered on four
+			// drives, so the default run resumes from a journaled directory;
+			// the forced one from routed regions.
+			for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
+				label := fmt.Sprintf("P=%d faults=%v mode=%d", procs, plan != nil, mode)
+				cfg := parMachine(procs, 4, 8, 256)
+				opts := func(o core.Options) core.Options {
+					o.Seed, o.FaultPlan = 3, plan
+					return core.ForceRouting(o, mode)
+				}
 
-			clean, err := core.Run(p, cfg, core.Options{Seed: 3, StateDir: t.TempDir(), FaultPlan: plan})
-			if err != nil {
-				t.Fatalf("%s clean: %v", label, err)
-			}
+				clean, err := core.Run(p, cfg, opts(core.Options{StateDir: t.TempDir()}))
+				if err != nil {
+					t.Fatalf("%s clean: %v", label, err)
+				}
+				if (clean.EM.RouteOps > 0) != (mode == core.RouteAlways) {
+					t.Errorf("%s: %d routing ops", label, clean.EM.RouteOps)
+				}
 
-			dir := t.TempDir()
-			crashed := &panicProgram{Program: p, panicStep: 2}
-			_, err = core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir, FaultPlan: plan})
-			var pe *bsp.ProgramError
-			if !errors.As(err, &pe) {
-				t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-			}
-			if pe.Superstep != 2 || pe.VP != p.V/2 {
-				t.Errorf("%s: panic attributed to VP %d superstep %d, want VP %d superstep 2",
-					label, pe.VP, pe.Superstep, p.V/2)
-			}
+				dir := t.TempDir()
+				crashed := &panicProgram{Program: p, panicStep: 2}
+				_, err = core.Run(crashed, cfg, opts(core.Options{StateDir: dir}))
+				var pe *bsp.ProgramError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
+				}
+				if pe.Superstep != 2 || pe.VP != p.V/2 {
+					t.Errorf("%s: panic attributed to VP %d superstep %d, want VP %d superstep 2",
+						label, pe.VP, pe.Superstep, p.V/2)
+				}
 
-			res, err := core.Run(p, cfg, core.Options{Seed: 3, StateDir: dir, Resume: true, FaultPlan: plan})
-			if err != nil {
-				t.Fatalf("%s resume: %v", label, err)
+				res, err := core.Run(p, cfg, opts(core.Options{StateDir: dir, Resume: true}))
+				if err != nil {
+					t.Fatalf("%s resume: %v", label, err)
+				}
+				resultsIdentical(t, clean, res, label)
 			}
-			resultsIdentical(t, clean, res, label)
 		}
 	}
 }
@@ -388,14 +400,16 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // TestResumeRefusesOlderModelRules: a state directory journaled at
 // modelRules = 2 holds one-message-per-block regions, and one journaled
 // at modelRules = 3 holds padded context slots with no used-block table
-// in its manifest; this engine can neither parse them nor continue them
-// into honest counts. The directory is a crashed run of this commit
-// whose records are rewritten to carry the fingerprint an older commit
-// (PR 17, modelRules = 2; PR 19, modelRules = 3) stamps on the same
-// program, machine and options; it is refused by the fingerprint and
-// left byte for byte as found.
+// in its manifest; one journaled at modelRules = 4 has no directory in
+// its processor sections and counts supersteps that were all routed;
+// this engine can neither parse them nor continue them into honest
+// counts. The directory is a crashed run of this commit whose records
+// are rewritten to carry the fingerprint an older commit (PR 17,
+// modelRules = 2; PR 19, modelRules = 3; PR 20, modelRules = 4) stamps
+// on the same program, machine and options; it is refused by the
+// fingerprint and left byte for byte as found.
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }
@@ -435,6 +449,60 @@ func refusesFingerprint(t *testing.T, olderFpr uint64) {
 	}
 	if !reflect.DeepEqual(before, dirBytes(t, dir)) {
 		t.Error("the refused resume changed the directory")
+	}
+}
+
+// forger lets a run reach superstep `at`'s barrier, rewrites a track of
+// the unrouted input the barrier is about to journal, and crashes the
+// run when the next superstep begins.
+type forger struct {
+	core.Transport
+	at     int
+	forged bool
+}
+
+var errForgedCrash = errors.New("injected crash after the forged record")
+
+func (f *forger) Prepare(step int, halted bool) ([]int64, error) {
+	ops, err := f.Transport.Prepare(step, halted)
+	if err == nil && step == f.at {
+		f.forged = core.ForgeInputTrack(f.Transport)
+	}
+	return ops, err
+}
+
+func (f *forger) Begin(step int) error {
+	if step > f.at {
+		return errForgedCrash
+	}
+	return f.Transport.Begin(step)
+}
+
+// TestResumeRefusesForgedDirectory: the journaled directory of an
+// unrouted input is read from and freed through, so a record naming a
+// track the adopted allocator never handed out — damage the record's
+// checksum does not see, because it was there when the record was
+// written — is refused with the engine's typed error, at P = 1 and per
+// processor section at P = 2, every time it is tried.
+func TestResumeRefusesForgedDirectory(t *testing.T) {
+	p := testProgram()
+	for _, procs := range []int{1, 2} {
+		cfg := parMachine(procs, 4, 8, 256)
+		dir := t.TempDir()
+		var f *forger
+		_, err := core.RunOver(func(e core.Transport) core.Transport {
+			f = &forger{Transport: e, at: 1}
+			return f
+		}, p, cfg, core.Options{Seed: 3, StateDir: dir})
+		if !errors.Is(err, errForgedCrash) || !f.forged {
+			t.Fatalf("P=%d: run ended with %v (forged: %v), want the injected crash after a forged record", procs, err, f.forged)
+		}
+		for try := 0; try < 2; try++ {
+			_, err = core.Run(p, cfg, core.Options{Seed: 3, StateDir: dir, Resume: true})
+			if !core.IsEngineError(err) || !strings.Contains(err.Error(), "beyond the allocator's mark") {
+				t.Fatalf("P=%d try %d: resume returned %v, want the typed refusal of the forged track", procs, try, err)
+			}
+		}
 	}
 }
 
@@ -609,10 +677,7 @@ func TestValidation(t *testing.T) {
 	}{
 		{"negative MaxSupersteps", good, core.Options{MaxSupersteps: -1}},
 		{"MaxRetries below -1", good, core.Options{MaxRetries: -2}},
-		{"NoRouting P>1", parMachine(2, 4, 8, 256), core.Options{NoRouting: true}},
-		{"NoRouting durable", good, core.Options{NoRouting: true, StateDir: "x"}},
 		{"Resume without StateDir", good, core.Options{Resume: true}},
-		{"NoRouting with faults", good, core.Options{NoRouting: true, FaultPlan: transientPlan(1)}},
 		{"FailProc out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, ReadErrorRate: 0.1, FailProc: 3}}},
 		{"FailDrive out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, FailDriveOp: 5, FailDrive: 9}}},
 		{"fault rate out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, ReadErrorRate: 1.5}}},
@@ -626,5 +691,32 @@ func TestValidation(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+	// Three combinations were refused while a scattered input was an
+	// ablation that freed its blocks as it read them. It is freed at the
+	// barrier commit now, and each of them is a run like any other.
+	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 3, PktSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  core.MachineConfig
+		opts core.Options
+	}{
+		{"scattered input P>1", parMachine(2, 4, 8, 256), core.Options{}},
+		{"scattered input durable", good, core.Options{StateDir: t.TempDir()}},
+		{"scattered input with faults", good, core.Options{FaultPlan: transientPlan(1)}},
+	} {
+		tc.opts.Seed = 3
+		res, err := core.Run(p, tc.cfg, core.ForceRouting(tc.opts, core.RouteNever))
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		checksumsEqual(t, ref, res, tc.name)
+		if res.EM.RouteOps != 0 {
+			t.Errorf("%s: %d routing ops", tc.name, res.EM.RouteOps)
+		}
 	}
 }

@@ -19,9 +19,10 @@ type blockRef struct {
 
 // outDirectory holds the standard-linked-format state of Step 1(d):
 // for every (group, drive) pair, the ordered list of tracks on that
-// drive holding blocks for that group — a destination batch. Algorithm 2
-// flattens it and cuts its D buckets by load (simulateRouting); the
-// NoRouting ablation reads a batch's lists as they are.
+// drive holding blocks for that group — a destination batch. The next
+// fetch reads a batch's lists as they are (readScattered) unless the
+// rule says Algorithm 2 pays (routeCosts), which flattens the directory
+// and cuts its D buckets by load (simulateRouting).
 type outDirectory struct {
 	q     [][][]blockRef // [group][drive]
 	total int
@@ -48,17 +49,32 @@ func skewOf(perDrive []int) float64 {
 	return float64(slices.Max(perDrive)) * float64(len(perDrive)) / float64(R)
 }
 
-// maxSkew is that observation over the directory's groups, which are
-// what the NoRouting ablation reads drive by drive.
-func (d *outDirectory) maxSkew() (worst float64) {
-	counts := make([]int, len(d.q[0]))
+// routeCosts is the two sides of the rule that decides whether a
+// superstep's blocks are routed, both exact from the directory. scattered
+// is what readScattered's schedule takes to fetch every batch from where
+// the writer left it: per batch, its fullest drive's share. floor is the
+// least Algorithm 2 can cost before the same batches are fetched from
+// their regions: Step 1 moves every block, one per source drive and per
+// bucket at a time, so it is at least the fullest drive's load and at
+// least ⌈R/D⌉ moves; Step 2 is exactly ⌈R/D⌉; a move is two operations;
+// then ⌈R_g/D⌉ reads a batch. Leaving the blocks when scattered ≤ floor,
+// a superstep never costs more than routing it would have (DESIGN.md §7).
+// skew is the Lemma 2 observation over the batches, which are what a
+// scattered fetch reads drive by drive.
+func (d *outDirectory) routeCosts() (scattered, floor int, skew float64) {
+	D := len(d.q[0])
+	load, counts := make([]int, D), make([]int, D)
 	for _, perDrive := range d.q {
+		Rg := 0
 		for s, refs := range perDrive {
-			counts[s] = len(refs)
+			counts[s], Rg, load[s] = len(refs), Rg+len(refs), load[s]+len(refs)
 		}
-		worst = max(worst, skewOf(counts))
+		scattered += slices.Max(counts)
+		floor += (Rg + D - 1) / D
+		skew = max(skew, skewOf(counts))
 	}
-	return worst
+	even := (d.total + D - 1) / D
+	return scattered, floor + 2*max(even, slices.Max(load)) + 2*even, skew
 }
 
 // groupRegion is a slice [lo, hi) of an area holding one group's
@@ -72,9 +88,12 @@ type groupRegion struct {
 // blockWriter implements Step 1(d) of Algorithm 1 (and the disk-write
 // part of Step 1(c) of Algorithm 3): it accepts block images, buffers
 // up to D of them, and flushes each full buffer in one parallel write
-// operation, assigning blocks to drives by a fresh random permutation
-// (or round-robin rotation in deterministic mode). Every written block
-// is appended to its destination group's standard-linked-format list.
+// operation. A block goes to the free drive on which its destination
+// group holds fewest blocks so far, so a group's scattered read takes
+// ⌈R_g/D⌉ operations or one more whatever the traffic; a fresh random
+// permutation (a round-robin rotation in deterministic mode) orders the
+// drives and so breaks the ties. Every written block is appended to its
+// destination group's standard-linked-format list.
 //
 // When the fault layer reports a dead drive (down != nil), the writer
 // scatters only over the surviving drives, splitting a full buffer
@@ -158,11 +177,18 @@ func (w *blockWriter) flush() error {
 		}
 		reqs := w.reqs[:0]
 		for i := 0; i < n; i++ {
-			d := live[w.perm[i]]
+			q := w.dir.q[w.groupOf(w.metas[base+i].dst)]
+			best := -1 // the pick's position in perm, whose taken entries are -1
+			for at, s := range w.perm[:L] {
+				if s >= 0 && (best < 0 || len(q[live[s]]) < len(q[live[w.perm[best]]])) {
+					best = at
+				}
+			}
+			d := live[w.perm[best]]
+			w.perm[best] = -1
 			t := w.dsk.Alloc(d)
 			reqs = append(reqs, disk.WriteReq{Disk: d, Track: t, Src: w.buf[(base+i)*B : (base+i+1)*B]})
-			g := w.groupOf(w.metas[base+i].dst)
-			w.dir.q[g][d] = append(w.dir.q[g][d], blockRef{disk: d, track: t, meta: w.metas[base+i]})
+			q[d] = append(q[d], blockRef{disk: d, track: t, meta: w.metas[base+i]})
 			w.dir.total++
 		}
 		if err := w.dsk.WriteOp(reqs); err != nil {
@@ -187,12 +213,14 @@ type routeStats struct {
 	maxSkew float64 // max over buckets of (max per-drive share)·D/R — Lemma 2's l
 }
 
-// routeResult is the reorganized layout: for every group, the list of
-// consecutive-format regions holding its blocks, plus the areas backing
-// them.
+// routeResult is the next superstep's input: the reorganized layout —
+// for every group, the list of consecutive-format regions holding its
+// blocks, plus the areas backing them — or, when the rule left the
+// blocks where the writer put them, the directory itself.
 type routeResult struct {
 	regions [][]groupRegion
 	areas   []disk.Area
+	dir     *outDirectory
 	total   int
 	stats   routeStats
 }
@@ -347,9 +375,9 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 // and at most one track per drive is in flight. It grabs the blocks'
 // words and parses their directory entries from the images; the caller
 // releases the returned grab, and the batchIn stays valid until the
-// next read into the region buffer. With release (the NoRouting
-// ablation's fetch path) the source tracks are freed after reading.
-func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef, release bool) (batchIn, error) {
+// next read into the region buffer. The tracks stay allocated: they are
+// the superstep's replay source until its barrier commits (freeInput).
+func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
 	B := dsk.Config().B
 	total := 0
 	for _, refs := range perDrive {
@@ -376,15 +404,6 @@ func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDriv
 			acct.Release(grabbed)
 			return batchIn{}, err
 		}
-		if !release {
-			continue
-		}
-		for _, r := range reqs {
-			if err := dsk.Release(r.Disk, r.Track); err != nil {
-				acct.Release(grabbed)
-				return batchIn{}, err
-			}
-		}
 	}
 	metas := grow(&bufs.metas, total)
 	for i := range metas {
@@ -407,5 +426,5 @@ func readRegions(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, regions [
 			perDrive[addr.Disk] = append(perDrive[addr.Disk], blockRef{track: addr.Track})
 		}
 	}
-	return readScattered(dsk, acct, bufs, perDrive, false)
+	return readScattered(dsk, acct, bufs, perDrive)
 }

@@ -149,10 +149,12 @@ func TestSeqGroupSizing(t *testing.T) {
 	}
 }
 
+// TestSeqStatsSanity runs with routing forced: on four drives the rule
+// leaves every superstep scattered and RouteOps is 0 by design.
 func TestSeqStatsSanity(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
 	cfg := tinyMachine(4, 8, 256)
-	res, err := core.Run(p, cfg, core.Options{Seed: 9})
+	res, err := core.Run(p, cfg, core.ForceRouting(core.Options{Seed: 9}, core.RouteAlways))
 	if err != nil {
 		t.Fatal(err)
 	}

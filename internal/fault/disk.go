@@ -210,6 +210,14 @@ func (f *Disk) tickDrives(n int, driveAt func(int) int) (inject []bool, dying in
 	return inject, dying
 }
 
+// Clock returns drive d's operation-attempt clock, the index
+// Plan.FirstOp and Plan.FailDriveOp are measured on.
+func (f *Disk) Clock(d int) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.attempts[d]
+}
+
 // survivable reports whether a permanent drive loss leaves the data
 // reachable: either mirror copies exist or a parity layer underneath
 // can reconstruct.

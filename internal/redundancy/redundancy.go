@@ -336,18 +336,32 @@ func (s *Store) chooseSpare(d, salt int) (int, bool) {
 	return 0, false
 }
 
+// rounds cuts a list of physical requests into parallel operations by
+// its per-drive queues: operation r takes the r-th request of every
+// drive, so a list costs its fullest drive's count in whatever order it
+// arrives (sorted by drive and track, by stripe), and requests for one
+// drive keep their order.
+func rounds[R any](reqs []R, drive func(R) int) [][]R {
+	var ops [][]R
+	queued := make(map[int]int) // requests scheduled so far, per drive
+	for _, r := range reqs {
+		d := drive(r)
+		if queued[d] == len(ops) {
+			ops = append(ops, nil)
+		}
+		ops[queued[d]] = append(ops[queued[d]], r)
+		queued[d]++
+	}
+	return ops
+}
+
 // readPhys issues physical reads grouped into valid parallel
 // operations, transparently repairing tracks the inner store reports
 // as corrupt (File's torn-write detection). It returns the number of
 // operations issued.
 func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
-	groups := disk.GroupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
 	ops := 0
-	for _, g := range groups {
-		sub := make([]disk.ReadReq, 0, len(g))
-		for _, i := range g {
-			sub = append(sub, reqs[i])
-		}
+	for _, sub := range rounds(reqs, func(r disk.ReadReq) int { return r.Disk }) {
 		for try := 0; ; try++ {
 			err := s.inner.ReadOp(sub)
 			ops++
@@ -373,13 +387,8 @@ func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
 // operations and records their checksums. It returns the number of
 // operations issued.
 func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
-	groups := disk.GroupsOf(len(reqs), func(i int) int { return reqs[i].Disk })
 	ops := 0
-	for _, g := range groups {
-		sub := make([]disk.WriteReq, 0, len(g))
-		for _, i := range g {
-			sub = append(sub, reqs[i])
-		}
+	for _, sub := range rounds(reqs, func(r disk.WriteReq) int { return r.Disk }) {
 		if err := s.inner.WriteOp(sub); err != nil {
 			return ops, err
 		}

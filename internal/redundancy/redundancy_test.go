@@ -539,3 +539,80 @@ func TestReconcilePostFlushCrash(t *testing.T) {
 		}
 	}
 }
+
+// TestPhysOpsFollowFullestDrive: readPhys and writePhys schedule a list
+// by its per-drive queues, so n requests sorted by (drive, track) — the
+// order FlushParity's read-back arrives in, which cut at every repeated
+// drive cost one operation a request — cost their fullest drive's count;
+// also once a dead drive's tracks share a survivor with that drive's own.
+func TestPhysOpsFollowFullestDrive(t *testing.T) {
+	const D, B, rows = 4, 8, 6
+	s, raw := mkStore(t, D, B)
+	sorted := func(addrs []disk.Addr) (reads []disk.ReadReq, fullest int) {
+		set := make(map[disk.Addr]struct{})
+		for _, a := range addrs {
+			set[a] = struct{}{}
+		}
+		perDrive := make(map[int]int)
+		for _, a := range disk.SortedAddrs(set) {
+			p, live := s.physOf(a)
+			if !live {
+				t.Fatalf("track %v has no physical copy", a)
+			}
+			reads = append(reads, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: make([]uint64, B)})
+			perDrive[p.Disk]++
+			fullest = max(fullest, perDrive[p.Disk])
+		}
+		return reads, fullest
+	}
+	check := func(label string, addrs []disk.Addr, want int) {
+		t.Helper()
+		reads, fullest := sorted(addrs)
+		before := raw.Stats().Ops
+		n, err := s.readPhys(reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || fullest != want || raw.Stats().Ops-before != int64(want) {
+			t.Errorf("%s: %d reads sorted by (drive, track) took %d operations (%d on the array) with %d on the fullest drive, want %d",
+				label, len(reads), n, raw.Stats().Ops-before, fullest, want)
+		}
+		writes := make([]disk.WriteReq, len(reads))
+		for i, r := range reads {
+			writes[i] = disk.WriteReq{Disk: r.Disk, Track: r.Track, Src: r.Dst}
+		}
+		if n, err = s.writePhys(writes); err != nil || n != want {
+			t.Errorf("%s: writing them back took %d operations (%v), want %d", label, n, err, want)
+		}
+		for _, a := range addrs {
+			checkTrack(t, s, a, B)
+		}
+	}
+	addrs := writeTracks(t, s, D, B, rows)
+	if err := s.FlushParity(); err != nil {
+		t.Fatal(err)
+	}
+	check("all drives live", addrs, rows)
+	// A partial row more on drive 2 alone makes it the fullest.
+	tr := s.Alloc(2)
+	buf := make([]uint64, B)
+	pattern(buf, 2, tr)
+	if err := s.WriteOp([]disk.WriteReq{{Disk: 2, Track: tr, Src: buf}}); err != nil {
+		t.Fatal(err)
+	}
+	addrs = append(addrs, disk.Addr{Disk: 2, Track: tr})
+	check("one drive fuller", addrs, rows+1)
+
+	// Drive 1 dies; what is written to it from now on lands on spares,
+	// beside those drives' own tracks.
+	s.DriveDied(1)
+	after := writeTracks(t, s, D, B, rows)
+	if err := s.FlushParity(); err != nil {
+		t.Fatal(err)
+	}
+	_, fullest := sorted(after)
+	if fullest <= rows {
+		t.Fatalf("the remap put at most %d of %d tracks on one drive; the case wants two logical drives sharing one", fullest, len(after))
+	}
+	check("two logical drives on one physical", after, fullest)
+}

@@ -30,10 +30,20 @@ func TestParityPropertyTable1(t *testing.T) {
 					P: p, M: 4 * prog.MaxContextWords(), D: 3, B: 32, G: 100,
 					Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
 				}
-				// Drive 0: with packed contexts the shortest runs (permute,
-				// transpose at P = 3) touch any other drive fewer than ten
-				// times, and a death that never fires tests nothing.
-				plan := &embsp.FaultPlan{Seed: 23, FailDriveOp: 10, FailDrive: 0}
+				// A death that never fires tests nothing, and the shortest
+				// runs (permute, transpose at P = 3) touch a drive a handful
+				// of times, fewer with every engine change that saves I/O. So
+				// the death is aimed by the run itself: a clean run counts the
+				// blocks processor 0 moves on drive 0 — one a fault-clock tick,
+				// an operation touching a drive once — and the drive dies half
+				// way through them (the clock also ticks through the setup,
+				// so that index is always reached).
+				clean, err := embsp.Run(prog, cfg, embsp.Options{Seed: seed})
+				if err != nil {
+					t.Fatalf("P=%d clean: %v", p, err)
+				}
+				drive0 := clean.EM.PerProc[0].PerDrive[0]
+				plan := &embsp.FaultPlan{Seed: 23, FailDriveOp: max(1, (drive0.BlocksRead+drive0.BlocksWritten)/2), FailDrive: 0}
 				res, err := embsp.Run(prog, cfg, embsp.Options{
 					Seed:       seed,
 					FaultPlan:  plan,

@@ -28,6 +28,7 @@ const (
 	killEnv   = "EMBSP_CRASH_KILL_STEP"
 	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
 	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier (with emulated drive latency, so its fill workers are live at the kill)
+	procsEnv  = "EMBSP_CRASH_PROCS" // the helper's P, when not crashMachine's 1
 )
 
 // crashSort builds the workload deterministically so the parent, the
@@ -101,7 +102,13 @@ func TestCrashHelperProcess(t *testing.T) {
 		opts.Tiers = []embsp.TierSpec{{}}
 		opts.DriveLatency = 200 * time.Microsecond
 	}
-	_, err = embsp.Run(prog, crashMachine(), opts)
+	cfg := crashMachine()
+	if procs := os.Getenv(procsEnv); procs != "" {
+		if cfg.P, err = strconv.Atoi(procs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = embsp.Run(prog, cfg, opts)
 	t.Fatalf("run survived its own SIGKILL: err=%v", err)
 }
 
@@ -206,6 +213,25 @@ func killHelper(t *testing.T, env ...string) {
 	}
 }
 
+// sameAsClean holds a resumed run to the uninterrupted one: same sorted
+// output, same model costs, same EM statistics (Overlap, the backend
+// name and the tier counters are wall-clock or configuration
+// observability outside the bitwise-identity contract, and equalized).
+func sameAsClean(t *testing.T, label string, p *embsp.SortProgram, clean, res *embsp.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(p.Output(clean.VPs), p.Output(res.VPs)) {
+		t.Errorf("%s: resumed run sorted differently from the uninterrupted run", label)
+	}
+	if !reflect.DeepEqual(clean.Costs, res.Costs) {
+		t.Errorf("%s: model costs differ:\nclean:   %+v\nresumed: %+v", label, clean.Costs, res.Costs)
+	}
+	res.EM.Overlap = clean.EM.Overlap
+	res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
+	if !reflect.DeepEqual(clean.EM, res.EM) {
+		t.Errorf("%s: EM statistics differ:\nclean:   %+v\nresumed: %+v", label, clean.EM, res.EM)
+	}
+}
+
 // TestKillAndResumeAcrossStores crosses the STORE BACKEND over the
 // crash boundary, in both directions: SIGKILL a run on the mmap-backed
 // store and resume it on the fully synchronous pread/pwrite file
@@ -223,17 +249,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 	}
 	check := func(label string, res *embsp.Result) {
 		t.Helper()
-		if !reflect.DeepEqual(p.Output(clean.VPs), p.Output(res.VPs)) {
-			t.Errorf("%s: resumed run sorted differently from the uninterrupted run", label)
-		}
-		if !reflect.DeepEqual(clean.Costs, res.Costs) {
-			t.Errorf("%s: model costs differ:\nclean:   %+v\nresumed: %+v", label, clean.Costs, res.Costs)
-		}
-		res.EM.Overlap = clean.EM.Overlap
-		res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
-		if !reflect.DeepEqual(clean.EM, res.EM) {
-			t.Errorf("%s: EM statistics differ:\nclean:   %+v\nresumed: %+v", label, clean.EM, res.EM)
-		}
+		sameAsClean(t, label, p, clean, res)
 	}
 
 	// Die on the mapped store, resume on the synchronous file store.
@@ -259,6 +275,38 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 	check("file->mapped", res)
 }
 
+// TestKillAndResumeScatteredInput: the input of the superstep a kill
+// interrupts is, as a rule, not routed any more — it lies where its
+// writer put it, under a directory the last barrier journaled per
+// processor. SIGKILL the sort in superstep 3, whose input is the
+// all-to-all's, at P = 1 and P = 2 on the file and the mapped store, and
+// the resumed run reads that input again from the journaled directory,
+// bitwise as an uninterrupted run.
+func TestKillAndResumeScatteredInput(t *testing.T) {
+	p := crashSort(t)
+	for _, procs := range []int{1, 2} {
+		cfg := crashMachine()
+		cfg.P = procs
+		clean, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clean.EM.RouteOps != 0 {
+			t.Fatalf("P=%d: %d routing ops — the input the kill interrupts is not the scattered one", procs, clean.EM.RouteOps)
+		}
+		for _, store := range []string{"file", "mapped"} {
+			label := "P=" + strconv.Itoa(procs) + " " + store
+			dir := filepath.Join(t.TempDir(), "state")
+			killHelper(t, helperEnv+"="+dir, killEnv+"=3", procsEnv+"="+strconv.Itoa(procs), storeEnv+"="+store)
+			res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true, MappedStore: store == "mapped"})
+			if err != nil {
+				t.Fatalf("%s: resume after SIGKILL: %v", label, err)
+			}
+			sameAsClean(t, label, p, clean, res)
+		}
+	}
+}
+
 // TestKillAndResumeTiered crosses a STORE TIER over the crash
 // boundary: SIGKILL a pipelined run with a staging tier above a
 // latency-emulating file store — dying with tier fill workers live and
@@ -276,17 +324,7 @@ func TestKillAndResumeTiered(t *testing.T) {
 	}
 	check := func(label string, res *embsp.Result) {
 		t.Helper()
-		if !reflect.DeepEqual(p.Output(clean.VPs), p.Output(res.VPs)) {
-			t.Errorf("%s: resumed run sorted differently from the uninterrupted run", label)
-		}
-		if !reflect.DeepEqual(clean.Costs, res.Costs) {
-			t.Errorf("%s: model costs differ:\nclean:   %+v\nresumed: %+v", label, clean.Costs, res.Costs)
-		}
-		res.EM.Overlap = clean.EM.Overlap
-		res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
-		if !reflect.DeepEqual(clean.EM, res.EM) {
-			t.Errorf("%s: EM statistics differ:\nclean:   %+v\nresumed: %+v", label, clean.EM, res.EM)
-		}
+		sameAsClean(t, label, p, clean, res)
 	}
 
 	// Die tiered mid-pipeline, resume flat and fully synchronous.
