@@ -6,6 +6,7 @@ import (
 
 	"embsp"
 	"embsp/internal/core"
+	"embsp/internal/disk"
 	"embsp/internal/workload"
 )
 
@@ -20,7 +21,8 @@ import (
 // (PR 15), when a batch's messages were packed into shared blocks
 // (PR 18), when its contexts were, and buckets cut by load (PR 20), and
 // when blocks came to be read where their writer put them (PR 21), each
-// moved column for the reason beside its rows.
+// moved column for the reason beside its rows; the two parity rows again
+// when parity came to be folded at write (PR 22).
 type goldenRow struct {
 	alg, store          string
 	p                   int
@@ -50,11 +52,18 @@ var goldenTable = []goldenRow{
 	// listrank: runOps 4193 → 3306, routeOps 866 → 0.
 	{"listrank", "array", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
 	{"listrank", "file", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
-	// Faulted P=1: runOps 2241 → 1385 and 12630 → 10248, setupOps 376 →
-	// 172 and 95 → 44 (the parity flush's read-back and write-back in
-	// full operations, redundancy.rounds); routeOps as the clean rows.
-	{"sort", "mapped+parity+faults", 1, 0x74f2d972b3f6df9d, 1385, 172, 0, 26688},
-	{"listrank", "mapped+parity+faults", 1, 0x60b65b77adf429b7, 10248, 44, 0, 115008},
+	// Faulted P=1, the only rows PR 22 moved (PR 21 → PR 22). sort:
+	// runOps 1385 → 737, setupOps 172 → 102; listrank: 10248 → 4248,
+	// 44 → 25. Parity is folded from the data a write holds in memory and
+	// every stripe leaves with its superstep (DESIGN.md §10), so what a
+	// run pays for parity is the parity blocks' writes — the flush's
+	// read-back, the old-data and parity reads of contexts rewritten over
+	// dead ones, and the reads at release are gone
+	// (TestParityReadsNothingBack) — and the setup, which only writes,
+	// pays ⌈parity blocks/D⌉. The fingerprints move with the EMStats they
+	// hash; final contexts and BSP costs are as before.
+	{"sort", "mapped+parity+faults", 1, 0x22336b53c022d83, 737, 102, 0, 26688},
+	{"listrank", "mapped+parity+faults", 1, 0x41cf198ce56b3c2, 4248, 25, 0, 115008},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0.
 	{"sort", "array", 2, 0xa46c021f6eb2f79e, 586, 68, 0, 26688},
@@ -118,6 +127,71 @@ func TestGoldenModelNumbers(t *testing.T) {
 					want.alg, want.store, want.p, want.fingerprint, want.runOps, want.setupOps, want.routeOps, want.memHighWd)
 			}
 		})
+	}
+}
+
+// TestParityReadsNothingBack is PR 22's claim as a model count. A
+// checkpointed run with parity and no fault reads exactly what the same
+// run reads without parity: the parity layer folds what a write holds in
+// memory, and every stripe leaves whole at the commit that frees its
+// superstep's blocks, so nothing is read back — not at the flush, not
+// before a context is overwritten, not at a release. What parity adds is
+// its blocks' writes: ⌈parity blocks/D⌉ operations if every one were
+// full, one more per barrier for the stripes the flush closes short, and
+// the share of the cache bound — D full stripes go to disk as soon as
+// there are D, and split in two operations where their parity drives
+// collide (measured: one early write in seven; allowed: one in four).
+// That bound on the cache is pinned too: the parity blocks the layer
+// holds outside M never exceed 3·D.
+func TestParityReadsNothingBack(t *testing.T) {
+	for alg, spec := range goldenSpec {
+		for _, p := range []int{1, 2} {
+			run := func(mode embsp.Redundancy) (*embsp.Result, *embsp.MetricsRegistry) {
+				inst, err := spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := embsp.NewMetricsRegistry()
+				res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000),
+					embsp.Options{Seed: 7, StateDir: t.TempDir(), Redundancy: mode, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, reg
+			}
+			bare, _ := run(embsp.RedundancyNone)
+			res, reg := run(embsp.RedundancyParity)
+			label := fmt.Sprintf("%s P=%d", alg, p)
+			const D = 4
+			for _, ph := range []struct {
+				name       string
+				with, bare disk.Stats
+				barriers   int64
+			}{
+				{"setup", res.EM.Setup, bare.EM.Setup, int64(p)},
+				{"run", res.EM.Run, bare.EM.Run, int64(p * res.Costs.Supersteps)},
+			} {
+				if ph.with.ReadOps != ph.bare.ReadOps || ph.with.BlocksRead != ph.bare.BlocksRead {
+					t.Errorf("%s %s: %d read operations (%d blocks) with parity, %d (%d) without: parity reads something back",
+						label, ph.name, ph.with.ReadOps, ph.with.BlocksRead, ph.bare.ReadOps, ph.bare.BlocksRead)
+				}
+				blocks, ops := ph.with.BlocksWritten-ph.bare.BlocksWritten, ph.with.WriteOps-ph.bare.WriteOps
+				full := (blocks + D - 1) / D
+				if bound := full + ph.barriers + full/4; blocks <= 0 || ops > bound {
+					t.Errorf("%s %s: parity wrote %d blocks in %d operations, want <= %d (%d full, %d barriers, %d for early writes that split)",
+						label, ph.name, blocks, ops, bound, full, ph.barriers, full/4)
+				}
+			}
+			if got := reg.Counter("parity_read_ops").Value(); got != 0 {
+				t.Errorf("%s: parity_read_ops = %d, want 0", label, got)
+			}
+			if got := reg.Counter("parity_ops").Value(); got != res.EM.ParityOps || got == 0 {
+				t.Errorf("%s: parity_ops = %d, EMStats.ParityOps = %d", label, got, res.EM.ParityOps)
+			}
+			if peak := reg.Counter("parity_cache_peak_blocks").Value(); peak <= 0 || peak > 3*D {
+				t.Errorf("%s: the parity cache peaked at %d blocks, want within (0, 3·D = %d]", label, peak, 3*D)
+			}
+		}
 	}
 }
 

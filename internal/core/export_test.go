@@ -7,6 +7,8 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/fault"
+	"embsp/internal/redundancy"
+	"embsp/internal/words"
 )
 
 // RunOver is Run with the engine's in-memory Transport wrapped by wrap,
@@ -56,6 +58,54 @@ func ContextOps(t Transport) (ops int) {
 // run as it is, whatever the engine's counts have become.
 func DriveClock(t Transport, proc, drive int) int64 {
 	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain).Clock(drive)
+}
+
+// DeadDriveLoad reads, from the journaled form of one processor's parity
+// layer, what a dead drive still holds at a barrier: striped members with
+// no copy on a survivor, and parity tracks; whether the online rebuild is
+// still scanning; and whether the fault layer has killed the drive at all.
+func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, rebuilding, down bool) {
+	chain := t.(*engine).procs[proc].chain
+	red := disk.Find[*redundancy.Store](chain)
+	enc := words.NewEncoder(nil)
+	red.EncodeState(enc)
+	dec := words.NewDecoder(enc.Words())
+	D := int(dec.Int())
+	for d := 0; d < D; d++ {
+		dec.Bool()
+	}
+	dec.Int()
+	dec.Ints()
+	dec.Ints()
+	var lost []disk.Addr
+	for n := dec.Int(); n > 0; n-- {
+		dec.Int()
+		if pd := int(dec.Int()); dec.Int() >= 0 && pd == drive {
+			parity++
+		}
+		for d := 0; d < D; d++ {
+			if tr := int(dec.Int()); tr >= 0 && d == drive {
+				lost = append(lost, disk.Addr{Disk: d, Track: tr})
+			}
+		}
+	}
+	for n := dec.Int(); n > 0; n-- {
+		dec.Int()
+		dec.Int()
+		dec.Uint()
+	}
+	remapped := make(map[disk.Addr]bool)
+	for n := dec.Int(); n > 0; n-- {
+		remapped[disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}] = true
+		dec.Int()
+		dec.Int()
+	}
+	for _, k := range lost {
+		if !remapped[k] {
+			members++
+		}
+	}
+	return members, parity, red.Rebuilding(), disk.Find[*fault.Disk](chain).Down(drive)
 }
 
 // ForgeInputTrack rewrites one track of processor 0's unrouted input to

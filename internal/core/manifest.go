@@ -37,11 +37,12 @@ const (
 // region on disk and a block on the wire hold; 4: packed contexts, §22,
 // and routing buckets cut by load, §20.2; 5: blocks placed by the
 // directory's counts and read where they lie unless routing pays, §7,
-// with the unrouted directory in every processor's record). It is
+// with the unrouted directory in every processor's record; 6: parity
+// folded at write, stripes that leave with their superstep, §10). It is
 // folded into every fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 5
+const modelRules = 6
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

@@ -11,6 +11,7 @@ import (
 	"embsp/internal/mem"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
+	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
@@ -811,12 +812,18 @@ func (sh *simShape) install(ps *procState, route *routeResult) {
 // commitProc is the processor's share of the barrier commit under the
 // checkpoint discipline (without it, routeLocal already did all of
 // this): free the consumed input, install the parked next one, and flip
-// the context double buffer.
+// the context double buffer. The flip makes the other area's contexts —
+// written a superstep before the input just freed — dead, and a parity
+// layer is told so (Discard): with them the stripes of that superstep
+// leave whole, and the next superstep's context writes are fresh. A
+// halting superstep frees no input and is followed by no write, so it
+// discards nothing either.
 func (sh *simShape) commitProc(ps *procState) error {
 	if !ps.ckptOn {
 		return nil
 	}
-	if route := ps.pendingRoute; route != nil {
+	route := ps.pendingRoute
+	if route != nil {
 		if err := sh.freeInput(ps); err != nil {
 			return err
 		}
@@ -824,5 +831,14 @@ func (sh *simShape) commitProc(ps *procState) error {
 		sh.install(ps, route)
 	}
 	ps.ctxCur ^= 1
+	if red := disk.Find[*redundancy.Store](ps.chain); red != nil && route != nil {
+		stale := ps.ctxNext()
+		for j, used := range ps.ctxUsed[stale] {
+			for i := range used {
+				ad := ps.ctxAreas[stale].Addr(j*sh.k*sh.muBlocks + i)
+				red.Discard(ad.Disk, ad.Track)
+			}
+		}
+	}
 	return nil
 }

@@ -3,9 +3,9 @@ package core_test
 // Engine-level acceptance tests for the parity redundancy layer: a
 // permanent single-drive failure mid-run, with Redundancy == parity,
 // must yield a Result bitwise identical to the fault-free reference —
-// degraded reads, online rebuild and all — on both engines; a crash
-// during the rebuild must resume and still match; and the parity
-// storage overhead must stay near 1/(D-1) instead of mirroring's 2x.
+// degraded reads and all — on both engines; a crash at the barrier after
+// the death must resume and still match; and the parity storage overhead
+// must stay near 1/(D-1) instead of mirroring's 2x.
 
 import (
 	"context"
@@ -21,12 +21,11 @@ import (
 )
 
 // deathPlan schedules a permanent, unmirrored drive death early enough
-// that most of the run executes in degraded or rebuilt state. The drive
-// is one that holds context blocks at every P the tests run: what is
-// left on a dead drive at a barrier — what the online rebuild finds — is
-// the older context area, and since contexts are packed (DESIGN.md §22)
-// the 6 VPs of a P = 3 processor fill two blocks, on drives 0 and 1,
-// where one block per VP had reached drive 2.
+// that most of the run executes in degraded state. The drive is one that
+// holds context blocks at every P the tests run: since contexts are
+// packed (DESIGN.md §22) the 6 VPs of a P = 3 processor fill two blocks,
+// on drives 0 and 1, so the replay of the superstep the death aborts
+// reads a context back through the stripe's survivors.
 func deathPlan() *fault.Plan {
 	return &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 1}
 }
@@ -34,8 +33,11 @@ func deathPlan() *fault.Plan {
 // TestParityDriveLossBitwise is the issue's acceptance property: with
 // Redundancy == parity a permanent single-drive failure mid-run, at
 // P = 1 and P = 3, yields a Result bitwise identical to the fault-free
-// reference run, with the degraded reads and the rebuild visible in
-// EMStats.
+// reference run, with the degraded reads visible in EMStats. There is no
+// rebuild to see: every stripe lives and dies with its superstep (§10),
+// so one commit after the replay the dead drive holds nothing live — no
+// striped member without a copy on a survivor, no parity track — and the
+// online rebuild's scan is over without having found work.
 func TestParityDriveLossBitwise(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
 	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 21, PktSize: 8})
@@ -44,13 +46,20 @@ func TestParityDriveLossBitwise(t *testing.T) {
 	}
 	for _, procs := range []int{1, 3} {
 		cfg := parMachine(procs, 4, 8, 256)
-		res, err := core.Run(p, cfg, core.Options{
+		var watch *deadDriveWatch
+		res, err := core.RunOver(func(e core.Transport) core.Transport {
+			watch = &deadDriveWatch{Transport: e, t: t, drive: deathPlan().FailDrive}
+			return watch
+		}, p, cfg, core.Options{
 			Seed:       21,
 			FaultPlan:  deathPlan(),
 			Redundancy: redundancy.Parity,
 		})
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
+		}
+		if watch.barriers == 0 {
+			t.Errorf("P=%d: no barrier committed after the death", procs)
 		}
 		checksumsEqual(t, ref, res, "parity drive loss")
 		em := res.EM
@@ -69,10 +78,26 @@ func TestParityDriveLossBitwise(t *testing.T) {
 		if em.DegradedOps == 0 {
 			t.Errorf("P=%d: drive died but DegradedOps=0", procs)
 		}
-		if em.RebuiltBlocks == 0 {
-			t.Errorf("P=%d: drive died but RebuiltBlocks=0 — online rebuild never ran", procs)
+	}
+}
+
+// deadDriveWatch checks, at every barrier committed after processor 0's
+// drive died, what the drive still holds.
+type deadDriveWatch struct {
+	core.Transport
+	t        *testing.T
+	drive    int
+	barriers int
+}
+
+func (w *deadDriveWatch) Commit(step int) error {
+	if members, parity, rebuilding, down := core.DeadDriveLoad(w.Transport, 0, w.drive); down {
+		w.barriers++
+		if members != 0 || parity != 0 || rebuilding {
+			w.t.Errorf("barrier %d: the dead drive holds %d striped members without a copy and %d parity tracks (rebuilding: %v), want nothing", step, members, parity, rebuilding)
 		}
 	}
+	return w.Transport.Commit(step)
 }
 
 // TestParityOverhead: the storage cost of parity protection stays near
@@ -94,10 +119,12 @@ func TestParityOverhead(t *testing.T) {
 				procs, em.StripedBlocks, em.ParityBlocks)
 		}
 		// Gauges are summed over processors. Each processor's steady
-		// state is ceil(striped/(D-1)) parity tracks, but every barrier
-		// flush can finalize partially filled stripes and the release
-		// of input areas shrinks stripes without freeing their parity
-		// track, so allow a few partial stripes of slack per processor.
+		// state is ceil(striped/(D-1)) parity tracks, but a stripe takes
+		// one superstep's tracks in the order they are written, so every
+		// barrier closes the few still open — at most one per drive —
+		// short of full. (A stripe no longer shrinks: its members leave
+		// together, and its parity track with them.) Allow those partial
+		// stripes of slack per processor.
 		maxParity := (em.StripedBlocks+int64(d-2))/int64(d-1) + int64(procs*3*d)
 		if em.ParityBlocks > maxParity {
 			t.Errorf("P=%d: ParityBlocks=%d, want <= %d (striped=%d)",
@@ -175,9 +202,13 @@ func TestParityTransientFaults(t *testing.T) {
 }
 
 // TestParityKillDuringRebuildResume is the crash-consistency half of
-// the acceptance property: a run hard-stopped while the online rebuild
-// is still in progress, then resumed from its journal, produces a
-// Result bitwise identical to the uninterrupted run.
+// the acceptance property: a run hard-stopped at the first barrier after
+// the drive death — where the online rebuild used to be in progress, and
+// the journaled state is still a dead drive, remapped tracks and
+// degraded counts — then resumed from its journal, produces a Result
+// bitwise identical to the uninterrupted run. (RebuildStep itself stays
+// covered at the layer: redundancy's TestOnlineRebuild and
+// TestEncodeDecodeResume.)
 func TestParityKillDuringRebuildResume(t *testing.T) {
 	p := testProgram()
 	for _, procs := range []int{1, 3} {
@@ -196,13 +227,12 @@ func TestParityKillDuringRebuildResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s clean: %v", label, err)
 		}
-		if clean.EM.RebuiltBlocks == 0 {
-			t.Fatalf("%s: shape produced no rebuild work; the kill would not land mid-rebuild", label)
+		if clean.EM.DriveFailures != 1 || clean.EM.DegradedOps == 0 {
+			t.Fatalf("%s: DriveFailures=%d DegradedOps=%d: the shape produced no degraded work for the kill to follow", label, clean.EM.DriveFailures, clean.EM.DegradedOps)
 		}
 
 		// Stop at the first barrier after the drive death (the death at
-		// op 40 lands in superstep 0, and the rebuild budget spreads the
-		// rebuild over several barriers), then resume to completion.
+		// op 40 lands in superstep 0), then resume to completion.
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		killed := opts(dir)
@@ -222,7 +252,7 @@ func TestParityKillDuringRebuildResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s resume: %v", label, err)
 		}
-		resultsIdentical(t, clean, res, label+" kill during rebuild")
+		resultsIdentical(t, clean, res, label+" kill after the death")
 	}
 }
 
@@ -264,6 +294,71 @@ func TestParityCrashAndResume(t *testing.T) {
 			t.Fatalf("%s resume: %v", label, err)
 		}
 		resultsIdentical(t, clean, res, label+" parity crash")
+	}
+}
+
+// crashAfterPrepare fails the run once barrier step is prepared — input
+// freed, contexts flipped, parity flushed, drives synced — and before its
+// decision record is written: the in-process stand-in for a SIGKILL
+// there. (Prepare clears the rollback source, so the driver's Rollback
+// returns the error and the run ends.)
+type crashAfterPrepare struct {
+	core.Transport
+	step int
+}
+
+var errCrashed = errors.New("crashed after Prepare")
+
+func (c *crashAfterPrepare) Prepare(step int, halted bool) ([]int64, error) {
+	ops, err := c.Transport.Prepare(step, halted)
+	if err == nil && step == c.step {
+		err = errCrashed
+	}
+	return ops, err
+}
+
+// TestParityCrashAfterPrepareResumes holds the allocation-order
+// invariant (DESIGN.md §9) end to end: nothing a barrier releases is
+// allocated — wiped, written over — before that barrier's decision
+// record lands. The run dies between Prepare and the record at every
+// superstep in turn; the resume starts from the previous record, whose
+// input blocks and contexts the dead barrier had already released and
+// flushed parity past, and must reproduce the uninterrupted run. (When
+// the flush allocated its parity tracks at the barrier, they came off the
+// free list the commit had just filled: the resume found its input
+// wiped, "stream … truncated at chunk 1 of 2".)
+func TestParityCrashAfterPrepareResumes(t *testing.T) {
+	p := testProgram()
+	for _, mapped := range []bool{false, true} {
+		for _, procs := range []int{1, 2} {
+			for _, plan := range []*fault.Plan{nil, transientPlan(77)} {
+				label := fmt.Sprintf("mapped=%v P=%d faults=%v", mapped, procs, plan != nil)
+				cfg := parMachine(procs, 4, 8, 256)
+				opts := func(dir string) core.Options {
+					return core.Options{Seed: 3, StateDir: dir, MappedStore: mapped, FaultPlan: plan, Redundancy: redundancy.Parity}
+				}
+				clean, err := core.Run(p, cfg, opts(t.TempDir()))
+				if err != nil {
+					t.Fatalf("%s clean: %v", label, err)
+				}
+				for step := 0; step < clean.Costs.Supersteps; step++ {
+					dir := t.TempDir()
+					_, err := core.RunOver(func(e core.Transport) core.Transport {
+						return &crashAfterPrepare{Transport: e, step: step}
+					}, p, cfg, opts(dir))
+					if !errors.Is(err, errCrashed) {
+						t.Fatalf("%s step %d: crashed run returned %v", label, step, err)
+					}
+					resumed := opts(dir)
+					resumed.Resume = true
+					res, err := core.Run(p, cfg, resumed)
+					if err != nil {
+						t.Fatalf("%s: resume after a crash past superstep %d's Prepare: %v", label, step, err)
+					}
+					resultsIdentical(t, clean, res, fmt.Sprintf("%s crash after Prepare(%d)", label, step))
+				}
+			}
+		}
 	}
 }
 

@@ -402,14 +402,17 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // at modelRules = 3 holds padded context slots with no used-block table
 // in its manifest; one journaled at modelRules = 4 has no directory in
 // its processor sections and counts supersteps that were all routed;
-// this engine can neither parse them nor continue them into honest
-// counts. The directory is a crashed run of this commit whose records
-// are rewritten to carry the fingerprint an older commit (PR 17,
-// modelRules = 2; PR 19, modelRules = 3; PR 20, modelRules = 4) stamps
-// on the same program, machine and options; it is refused by the
-// fingerprint and left byte for byte as found.
+// one journaled at modelRules = 5 counts, under parity, the read-backs
+// of stripes that mixed three supersteps' tracks, and its parity layer's
+// record has one counter fewer; this engine can neither parse them nor
+// continue them into honest counts. The directory is a crashed run of
+// this commit whose records are rewritten to carry the fingerprint an
+// older commit (PR 17, modelRules = 2; PR 19, modelRules = 3; PR 20,
+// modelRules = 4; PR 21, modelRules = 5) stamps on the same program,
+// machine and options; it is refused by the fingerprint and left byte
+// for byte as found.
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }

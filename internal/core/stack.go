@@ -219,6 +219,8 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
 		em.ScrubRepairs += c.ScrubRepairs
 		em.RebuiltBlocks += c.RebuiltBlocks
 		c.Publish(reg)
+		// Like mapped pages, the parity cache is outside the budget M.
+		reg.Counter("parity_cache_peak_blocks").Max(int64(red.CachePeak()))
 	}
 	if !s.durable() {
 		return

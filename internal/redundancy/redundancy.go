@@ -13,17 +13,22 @@
 // with client allocations exactly as the fault layer's mirror copies
 // are.
 //
-// Parity is maintained at compound-superstep granularity, which is the
-// natural RAID-5 variant for a BSP-style engine: tracks written during
-// a superstep are grouped into stripes and their parity written at the
-// barrier (FlushParity — one full-stripe write per D-1 fresh tracks),
-// while rewrites and releases of already-striped tracks update parity
-// incrementally with the classic read-modify-write small-write penalty
-// (the old data is read back, charged as a real parallel I/O, before
-// it is overwritten). The parity value of a touched stripe is cached
-// in memory between the touch and the barrier, so one stripe costs at
-// most one parity read and one parity write per superstep no matter
-// how often its members change.
+// Parity follows the engine's lifetimes, which is the natural RAID-5
+// variant for a BSP-style engine that rewrites its live state every
+// compound superstep. A track joins a stripe when it is first written:
+// WriteOp folds the data it has in memory into the stripe's cached
+// parity, a full stripe's parity goes to disk while the superstep still
+// writes, and the barrier (FlushParity) writes the rest and closes every
+// stripe — so a stripe holds one superstep's tracks, which die together.
+// A track leaves its stripe without I/O (Release, or Discard for a track
+// that stays allocated): the next barrier drops a stripe all of whose
+// members have left, and folds the leavers out of any other in one
+// batched read. Only a rewrite of a striped member in place pays the
+// classic read-modify-write small-write penalty (the old data is read
+// back, charged as a real parallel I/O, before it is overwritten); the
+// parity value of a stripe so touched is cached between the touch and
+// the barrier, so it costs at most one parity read and one parity write
+// per superstep no matter how often its members change.
 //
 // On top of the parity groups the layer provides:
 //
@@ -49,6 +54,8 @@ package redundancy
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -100,7 +107,9 @@ func ParseMode(s string) (Mode, error) {
 
 // stripe is one parity group: at most one member track per data drive
 // (never on the parity drive), so any single member is the XOR of the
-// parity track and the other members.
+// parity track and the other members. A member that has left (Store.left)
+// keeps its slot, and parity keeps encoding it, until the next
+// FlushParity; count is the members that have not.
 type stripe struct {
 	parity  disk.Addr // parity track location
 	members []int     // member track per logical drive, -1 = none
@@ -128,9 +137,11 @@ type Counters struct {
 	// reads, collision splits of remapped tracks, repair rewrites).
 	DegradedOps int64
 	// ParityOps counts the charged parallel I/O operations spent
-	// maintaining parity: barrier flushes, read-old-data small writes,
-	// and parity track loads.
-	ParityOps int64
+	// maintaining parity: parity writes, read-old-data small writes,
+	// parity track loads and the barrier's fold of leavers; ParityReadOps
+	// is the reads among them.
+	ParityOps     int64
+	ParityReadOps int64
 	// ParityBlocks is the number of parity tracks currently allocated
 	// (a gauge: the storage overhead of the scheme).
 	ParityBlocks int64
@@ -153,6 +164,7 @@ func (c *Counters) Add(other Counters) {
 	c.ReconstructedBlocks += other.ReconstructedBlocks
 	c.DegradedOps += other.DegradedOps
 	c.ParityOps += other.ParityOps
+	c.ParityReadOps += other.ParityReadOps
 	c.ParityBlocks += other.ParityBlocks
 	c.StripedBlocks += other.StripedBlocks
 	c.ScrubbedBlocks += other.ScrubbedBlocks
@@ -173,6 +185,7 @@ func (c Counters) Publish(r *obs.Registry) {
 	r.Counter("parity_reconstructed_blocks").Add(c.ReconstructedBlocks)
 	r.Counter("parity_degraded_ops").Add(c.DegradedOps)
 	r.Counter("parity_ops").Add(c.ParityOps)
+	r.Counter("parity_read_ops").Add(c.ParityReadOps)
 	r.Counter("parity_blocks").Add(c.ParityBlocks)
 	r.Counter("parity_striped_blocks").Add(c.StripedBlocks)
 	r.Counter("parity_scrubbed_blocks").Add(c.ScrubbedBlocks)
@@ -185,8 +198,9 @@ func (c Counters) Publish(r *obs.Registry) {
 type inner = disk.Store
 
 // Store is the parity layer, a link of a store chain: it overrides
-// ReadOp, WriteOp and Release; everything else is the embedded inner
-// store's, promoted — allocation (directory metadata that never faults;
+// ReadOp, WriteOp and Release (and adds Discard, found with disk.Find
+// like FlushParity); everything else is the embedded inner store's,
+// promoted — allocation (directory metadata that never faults;
 // I/O on a dead drive's tracks is remapped at operation time), Stats
 // (parity, reconstruction and rebuild traffic are real charged
 // operations), AllocSnapshot/AllocRestore (the layer's own rollback
@@ -201,21 +215,8 @@ type Store struct {
 	inner
 	D, B int
 
-	mu sync.Mutex // guards all stripe/parity/remap state below
-
-	stripeOf map[disk.Addr]int // logical data track -> stripe id
-	stripes  map[int]*stripe
-	parityAt map[disk.Addr]int // physical parity track -> stripe id
-	open     []int             // non-full stripe ids, ascending
-	next     int               // next stripe id; also the parity rotation counter
-
-	pval   map[int][]uint64 // cached current parity value (authoritative)
-	pdirty map[int]bool     // stripes whose cached parity needs write-back
-
-	fresh map[disk.Addr]bool      // written but not yet striped data tracks
-	sums  map[disk.Addr]uint64    // physical track -> checksum of last write
-	remap map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
-	rrmap map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
+	mu    sync.Mutex // guards all stripe/parity/remap state below
+	state            // what a superstep replay rolls back
 	dead  []bool
 
 	// rmwOld caches the barrier-committed content of striped members
@@ -247,7 +248,50 @@ type Store struct {
 	rebTrack       int // next dead-drive track to examine
 	rebParity      int // next stripe id to check for a lost parity track
 
-	ctr Counters
+	ctr       Counters
+	cachePeak int // most parity blocks cached at once (CachePeak)
+}
+
+// state is the layer's rollback state (Snapshot, Restore).
+type state struct {
+	stripeOf map[disk.Addr]int // logical data track -> stripe id
+	stripes  map[int]*stripe
+	parityAt map[disk.Addr]int // physical parity track -> stripe id
+	open     []int             // stripes of this superstep with room, ascending
+	filled   []int             // stripes of this superstep now full, parity not yet written
+	next     int               // next stripe id; also the parity rotation counter
+
+	pval   map[int][]uint64 // cached current parity value (authoritative)
+	pdirty map[int]bool     // stripes whose cached parity needs write-back
+
+	// left is the leaver list: members released or discarded since the
+	// last flush. Their stripes' parity still encodes them, and their
+	// bytes stay where they are, until FlushParity folds them out; held
+	// is the released tracks whose inner Release waits for that.
+	left map[disk.Addr]bool
+	held []disk.Addr
+
+	sums  map[disk.Addr]uint64    // physical track -> checksum of last write
+	remap map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
+	rrmap map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
+}
+
+// clone returns a deep copy.
+func (st *state) clone() state {
+	c := *st
+	c.stripeOf, c.parityAt = maps.Clone(st.stripeOf), maps.Clone(st.parityAt)
+	c.open, c.filled, c.held = slices.Clone(st.open), slices.Clone(st.filled), slices.Clone(st.held)
+	c.pdirty, c.left, c.sums = maps.Clone(st.pdirty), maps.Clone(st.left), maps.Clone(st.sums)
+	c.remap, c.rrmap = maps.Clone(st.remap), maps.Clone(st.rrmap)
+	c.stripes = make(map[int]*stripe, len(st.stripes))
+	for sid, x := range st.stripes {
+		c.stripes[sid] = &stripe{parity: x.parity, members: slices.Clone(x.members), count: x.count}
+	}
+	c.pval = make(map[int][]uint64, len(st.pval))
+	for sid, pv := range st.pval {
+		c.pval[sid] = slices.Clone(pv)
+	}
+	return c
 }
 
 // Wrap layers parity redundancy over a store. Parity requires at least
@@ -258,18 +302,20 @@ func Wrap(below disk.Store) (*Store, error) {
 		return nil, fmt.Errorf("redundancy: parity requires D >= 2, have D = %d", cfg.D)
 	}
 	return &Store{
-		inner:     below,
-		D:         cfg.D,
-		B:         cfg.B,
-		stripeOf:  make(map[disk.Addr]int),
-		stripes:   make(map[int]*stripe),
-		parityAt:  make(map[disk.Addr]int),
-		pval:      make(map[int][]uint64),
-		pdirty:    make(map[int]bool),
-		fresh:     make(map[disk.Addr]bool),
-		sums:      make(map[disk.Addr]uint64),
-		remap:     make(map[disk.Addr]disk.Addr),
-		rrmap:     make(map[disk.Addr]disk.Addr),
+		inner: below,
+		D:     cfg.D,
+		B:     cfg.B,
+		state: state{
+			stripeOf: make(map[disk.Addr]int),
+			stripes:  make(map[int]*stripe),
+			parityAt: make(map[disk.Addr]int),
+			pval:     make(map[int][]uint64),
+			pdirty:   make(map[int]bool),
+			left:     make(map[disk.Addr]bool),
+			sums:     make(map[disk.Addr]uint64),
+			remap:    make(map[disk.Addr]disk.Addr),
+			rrmap:    make(map[disk.Addr]disk.Addr),
+		},
 		dead:      make([]bool, cfg.D),
 		rmwOld:    make(map[disk.Addr][]uint64),
 		wrote:     make(map[disk.Addr]bool),
@@ -286,6 +332,15 @@ func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ctr
+}
+
+// CachePeak returns the most parity blocks the cache has held at once:
+// with the operation buffers, what the layer holds outside the engine's
+// accounted memory.
+func (s *Store) CachePeak() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cachePeak
 }
 
 // Rebuilding reports whether an online rebuild is still in progress.
@@ -426,12 +481,18 @@ func (s *Store) loadParity(sid int) error {
 	}
 	buf := make([]uint64, s.B)
 	ops, err := s.readParityTrack(sid, buf)
-	s.ctr.ParityOps += int64(ops)
+	s.parityReads(ops)
 	if err != nil {
 		return err
 	}
 	s.pval[sid] = buf
 	return nil
+}
+
+// parityReads charges n parity-maintenance operations that read.
+func (s *Store) parityReads(n int) {
+	s.ctr.ParityOps += int64(n)
+	s.ctr.ParityReadOps += int64(n)
 }
 
 // readParityTrack reads the stripe's stored parity into dst, verifying
@@ -581,15 +642,22 @@ func (s *Store) repairTrack(p disk.Addr) (int, error) {
 }
 
 // recomputeParity XORs the current data of every member of the stripe
-// into dst (reading members from their physical locations).
+// into dst (reading members from their physical locations). Its callers
+// write dst over the stored parity, so the stripe's leavers are not
+// folded in and, on success, forgotten.
 func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 	st := s.stripes[sid]
 	clear(dst)
 	var reqs []disk.ReadReq
 	var bufs [][]uint64
+	var left []disk.Addr
 	for d := 0; d < s.D; d++ {
 		t := st.members[d]
 		if t < 0 {
+			continue
+		}
+		if k := (disk.Addr{Disk: d, Track: t}); s.left[k] {
+			left = append(left, k)
 			continue
 		}
 		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
@@ -626,6 +694,9 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 		for i := range dst {
 			dst[i] ^= b[i]
 		}
+	}
+	for _, k := range left {
+		s.forget(k)
 	}
 	return ops, nil
 }
@@ -716,12 +787,15 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 	return nil
 }
 
-// WriteOp performs one parallel write. Writes to striped tracks update
-// the stripe's cached parity with the classic read-modify-write small
-// write (the old data is read back first, a charged operation); writes
-// to unstriped tracks are recorded for stripe assignment at the next
-// FlushParity. Writes to dead-drive tracks land on spare capacity of
-// the survivors and are remapped from then on.
+// WriteOp performs one parallel write. An unstriped track joins a stripe
+// of this superstep then and there — the only way in — and its data is
+// folded into that stripe's cached parity from memory; once D stripes
+// have filled, their parity is written and leaves the cache, so what the
+// layer holds outside the engine's M stays a few blocks per drive. A
+// write to a striped track updates the cached parity with the classic
+// read-modify-write small write (the old data is read back first, a
+// charged operation). Writes to dead-drive tracks land on spare capacity
+// of the survivors and are remapped from then on.
 func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -744,6 +818,13 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	for _, r := range reqs {
 		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		sid, ok := s.stripeOf[k]
+		if ok && s.left[k] {
+			// Discarded and written again before the flush folded it
+			// out: it never left.
+			delete(s.left, k)
+			s.stripes[sid].count++
+			s.ctr.StripedBlocks++
+		}
 		if !ok || !s.parityActive(sid) {
 			continue
 		}
@@ -775,7 +856,7 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	}
 	if len(oldReqs) > 0 {
 		n, err := s.readPhys(oldReqs)
-		s.ctr.ParityOps += int64(n)
+		s.parityReads(n)
 		if err != nil {
 			return err
 		}
@@ -823,8 +904,11 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	}
 	xorNew := func(k disk.Addr, src []uint64) error {
 		sid, ok := s.stripeOf[k]
+		if !ok {
+			sid, ok = s.assign(k)
+		}
 		if !ok || !s.parityActive(sid) {
-			return nil
+			return nil // unprotected, or protected again once recomputed
 		}
 		if err := s.loadParity(sid); err != nil {
 			return err
@@ -860,9 +944,6 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 		}
 		phys[i] = disk.WriteReq{Disk: p.Disk, Track: p.Track, Src: r.Src}
 		s.wrote[p] = true
-		if _, striped := s.stripeOf[k]; !striped {
-			s.fresh[k] = true
-		}
 	}
 	ops, err := s.writePhys(phys)
 	if err != nil {
@@ -875,91 +956,181 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 			s.ctr.ParityOps += int64(ops - 1)
 		}
 	}
-	return nil
+	s.cachePeak = max(s.cachePeak, len(s.pval))
+	if len(s.filled) < s.D {
+		return nil
+	}
+	// Bound the cache: a stripe of this superstep that is full takes no
+	// more members, and is in no barrier state a rollback returns to, so
+	// its parity can go to disk now, D stripes to a write. A later rewrite
+	// of a member loads it back (loadParity).
+	err = s.writeParity(s.filled)
+	for _, sid := range s.filled {
+		delete(s.pval, sid)
+	}
+	s.filled = s.filled[:0]
+	return err
 }
 
-// Release frees a logical track. A striped member is first XOR-ed out
-// of its stripe's parity (reading its current data back — the release
-// side of the small-write penalty); the last member's release frees
-// the parity track too.
+// writeParity writes the cached parity of those of sids that are dirty,
+// except a stripe whose parity drive has died (the rebuild re-homes it).
+func (s *Store) writeParity(sids []int) error {
+	reqs := make([]disk.WriteReq, 0, len(sids))
+	for _, sid := range sids {
+		if st := s.stripes[sid]; s.pdirty[sid] && s.parityUsable(st) {
+			reqs = append(reqs, disk.WriteReq{Disk: st.parity.Disk, Track: st.parity.Track, Src: s.pval[sid]})
+		}
+		delete(s.pdirty, sid)
+	}
+	n, err := s.writePhys(reqs)
+	s.ctr.ParityOps += int64(n)
+	return err
+}
+
+// Release frees a logical track without I/O. A striped member leaves its
+// stripe at once (the leaver list); the inner Release — and with it any
+// reuse of the track — is held until the next FlushParity has folded the
+// leavers out, so until then the bytes stay where parity encodes them.
 func (s *Store) Release(d, t int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := disk.Addr{Disk: d, Track: t}
+	s.leave(k)
+	s.held = append(s.held, k)
+	return nil
+}
+
+// Discard declares the content of a track dead while the track stays
+// allocated: a striped member leaves its stripe as a released one does,
+// so the next write to it is a fresh write. The engines discard the
+// context area a barrier commit has made stale. Discarding an unstriped
+// or already discarded track is a no-op.
+func (s *Store) Discard(d, t int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.leave(disk.Addr{Disk: d, Track: t})
+}
+
+// leave is the only way out of a stripe: the member joins the leaver
+// list, and its stripe, a member short, takes no more.
+func (s *Store) leave(k disk.Addr) {
+	sid, ok := s.stripeOf[k]
+	if !ok || s.left[k] {
+		return
+	}
+	s.left[k] = true
+	s.stripes[sid].count--
+	s.ctr.StripedBlocks--
+	s.removeOpen(sid)
+}
+
+// foldLeavers settles the leaver list at the barrier. A stripe all of
+// whose members have left is dropped with no I/O, and a stripe whose
+// parity is not being maintained just loses the leavers. For the stripes
+// with survivors the stored parity (unless cached) and the leavers' bytes
+// are read in one scheduled batch and every block is verified against its
+// recorded checksum before it is folded; a stripe with a failing or lost
+// block is left to the recomputation from its verified members at the end
+// of the flush, never folded from unverified bytes.
+func (s *Store) foldLeavers() error {
+	type fold struct {
+		sid  int
+		k    disk.Addr      // one of its leavers
+		idle bool           // nothing to fold: no survivor, or parity not maintained
+		read []disk.ReadReq // the parity track unless cached, then the leavers
+		olds [][]uint64     // leavers parity encodes by their barrier value
+		lost bool           // a leaver has no physical copy
+	}
+	var folds []*fold
+	var reqs []disk.ReadReq
+	bySid := make(map[int]*fold)
+	keys := disk.SortedAddrs(s.left)
+	for _, k := range keys {
+		sid := s.stripeOf[k]
+		f := bySid[sid]
+		if f == nil {
+			st := s.stripes[sid]
+			f = &fold{sid: sid, k: k, idle: st.count == 0 || !s.parityActive(sid)}
+			bySid[sid], folds = f, append(folds, f)
+			if _, cached := s.pval[sid]; !cached && !f.idle {
+				f.read = append(f.read, disk.ReadReq{Disk: st.parity.Disk, Track: st.parity.Track, Dst: make([]uint64, s.B)})
+			}
+		}
+		if f.idle {
+			continue
+		}
+		p, live := s.physOf(k)
+		switch old, ok := s.rmwOld[p]; {
+		case !live:
+			f.lost = true
+		case ok && !s.wrote[p]:
+			f.olds = append(f.olds, old)
+		default:
+			f.read = append(f.read, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: make([]uint64, s.B)})
+		}
+	}
+	for _, f := range folds {
+		reqs = append(reqs, f.read...)
+	}
+	n, err := s.readPhys(reqs)
+	s.parityReads(n)
+	if err != nil {
+		return err
+	}
+	for _, f := range folds {
+		if f.idle || !s.left[f.k] {
+			continue // or a repair under the read recomputed this stripe's parity
+		}
+		bad := f.lost
+		for _, r := range f.read {
+			if want, ok := s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]; ok && disk.Checksum(r.Dst) != want {
+				s.ctr.ChecksumFailures++
+				bad = true
+			}
+		}
+		if bad {
+			s.recompute[f.sid] = true
+			delete(s.pdirty, f.sid)
+			continue
+		}
+		pv, cached := s.pval[f.sid]
+		if !cached {
+			pv, f.read = f.read[0].Dst, f.read[1:]
+			s.pval[f.sid] = pv
+		}
+		for _, r := range f.read {
+			f.olds = append(f.olds, r.Dst)
+		}
+		for _, b := range f.olds {
+			for w := range pv {
+				pv[w] ^= b[w]
+			}
+		}
+		s.pdirty[f.sid] = true
+	}
+	for _, k := range keys {
+		s.forget(k)
+	}
+	for _, f := range folds {
+		if s.stripes[f.sid].count == 0 {
+			s.dropStripe(f.sid)
+		}
+	}
+	return nil
+}
+
+// forget ends a leaver's membership, once its stripe's parity no longer
+// encodes it or is about to be replaced by one that does not. Its bytes
+// are dead from here on: there is no checksum to hold them to.
+func (s *Store) forget(k disk.Addr) {
 	if sid, ok := s.stripeOf[k]; ok {
-		st := s.stripes[sid]
-		if s.parityActive(sid) {
-			buf := make([]uint64, s.B)
-			if p, live := s.physOf(k); live {
-				if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
-					// The parity state still encodes the barrier value
-					// of this rolled-back member; fold that out.
-					copy(buf, old)
-				} else {
-					n, err := s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}})
-					s.ctr.ParityOps += int64(n)
-					if err != nil {
-						return err
-					}
-					// Same verification as the write path: never fold
-					// unverified bytes out of parity.
-					if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
-						s.ctr.ChecksumFailures++
-						n, err := s.repairTrack(p)
-						s.ctr.DegradedOps += int64(n)
-						if err != nil {
-							return err
-						}
-						n, err = s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}})
-						s.ctr.DegradedOps += int64(n)
-						if err != nil {
-							return err
-						}
-						if disk.Checksum(buf) != want {
-							return &disk.CorruptTrackError{Disk: p.Disk, Track: p.Track}
-						}
-					}
-				}
-			} else {
-				n, err := s.reconstruct(sid, k, buf)
-				s.ctr.DegradedOps += int64(n)
-				if err != nil {
-					return err
-				}
-			}
-			if st.count > 1 {
-				if err := s.loadParity(sid); err != nil {
-					return err
-				}
-				pv := s.pval[sid]
-				for i := range pv {
-					pv[i] ^= buf[i]
-				}
-				s.pdirty[sid] = true
-			}
-		}
-		st.members[d] = -1
-		st.count--
+		s.stripes[sid].members[k.Disk] = -1
 		delete(s.stripeOf, k)
-		s.ctr.StripedBlocks--
-		if st.count == 0 {
-			s.dropStripe(sid)
-		} else if !s.inOpen(sid) {
-			s.insertOpen(sid)
+		if p, live := s.physOf(k); live {
+			delete(s.sums, p)
 		}
 	}
-	if m, ok := s.remap[k]; ok {
-		delete(s.remap, k)
-		delete(s.rrmap, m)
-		delete(s.sums, m)
-		if err := s.inner.Release(m.Disk, m.Track); err != nil {
-			return err
-		}
-	} else {
-		delete(s.sums, k)
-	}
-	delete(s.fresh, k)
-	return s.inner.Release(d, t)
+	delete(s.left, k)
 }
 
 // dropStripe frees an empty stripe and its parity track.
@@ -971,23 +1142,10 @@ func (s *Store) dropStripe(sid int) {
 	delete(s.pdirty, sid)
 	delete(s.recompute, sid)
 	delete(s.stripes, sid)
-	s.removeOpen(sid)
 	if !s.dead[st.parity.Disk] {
 		s.inner.Release(st.parity.Disk, st.parity.Track) //nolint:errcheck
 	}
 	s.ctr.ParityBlocks--
-}
-
-func (s *Store) inOpen(sid int) bool {
-	i := sort.SearchInts(s.open, sid)
-	return i < len(s.open) && s.open[i] == sid
-}
-
-func (s *Store) insertOpen(sid int) {
-	i := sort.SearchInts(s.open, sid)
-	s.open = append(s.open, 0)
-	copy(s.open[i+1:], s.open[i:])
-	s.open[i] = sid
 }
 
 func (s *Store) removeOpen(sid int) {
@@ -997,12 +1155,13 @@ func (s *Store) removeOpen(sid int) {
 	}
 }
 
-// assign places a fresh track into a stripe: the first open stripe
-// with a usable parity track, a free slot on the track's drive and a
-// parity drive other than it; otherwise a new stripe whose parity
-// drive continues the rotation. When no live drive can hold parity
-// (D = 2 with the survivor writing), the track is left unprotected
-// and assign reports ok = false.
+// assign places a track being written for the first time into a stripe
+// of this superstep: the first open one with a usable parity track, a
+// free slot on the track's drive and a parity drive other than it;
+// otherwise a new stripe whose parity drive continues the rotation and
+// whose parity track is allocated now. When no live drive can hold
+// parity (D = 2 with the survivor writing), the track is left
+// unprotected and assign reports ok = false.
 func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	for _, sid := range s.open {
 		st := s.stripes[sid]
@@ -1013,6 +1172,7 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 			s.ctr.StripedBlocks++
 			if st.full(s.D) {
 				s.removeOpen(sid)
+				s.filled = append(s.filled, sid)
 			}
 			return sid, true
 		}
@@ -1043,78 +1203,44 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	s.pdirty[sid] = true
 	s.ctr.ParityBlocks++
 	s.ctr.StripedBlocks++
-	if !st.full(s.D) {
-		s.insertOpen(sid)
+	if st.full(s.D) {
+		s.filled = append(s.filled, sid)
+	} else {
+		s.open = append(s.open, sid) // ids only grow: still ascending
 	}
 	return sid, true
 }
 
-// FlushParity is the barrier commit point of the parity scheme: every
-// track written since the last flush is assigned to a stripe, the
-// touched stripes' parity values are brought up to date and written
-// back, and the in-memory parity cache is dropped. The engines call it
-// at every compound-superstep barrier (and before every journal
-// commit), so committed state always carries consistent parity.
+// FlushParity is the barrier commit point of the parity scheme: the
+// leavers are folded out of their stripes (foldLeavers), every stripe
+// whose cached parity is newer than its track is written back, the
+// in-memory parity cache is dropped and every open stripe is closed — a
+// stripe holds one superstep's tracks. It reads no data track written
+// since the last flush. The engines call it at every compound-superstep
+// barrier (and before every journal commit), so committed state always
+// carries consistent parity.
+//
+// Only then are the tracks released since the last flush handed to the
+// allocator, which is the layer's share of the commit ordering: nothing
+// released since the last decision record is allocated — wiped,
+// overwritten — before the next one, so a crash between this barrier's
+// flush and its record resumes from the last record with every track it
+// names intact. (Parity tracks are allocated while the superstep writes,
+// never here.)
 func (s *Store) FlushParity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.fresh) > 0 {
-		keys := disk.SortedAddrs(s.fresh)
-		protected := keys[:0]
-		sids := make([]int, 0, len(keys))
-		for _, k := range keys {
-			sid, ok := s.assign(k)
-			if !ok {
-				continue // no live parity drive left: track stays unprotected
-			}
-			if err := s.loadParity(sid); err != nil {
-				return err
-			}
-			protected = append(protected, k)
-			sids = append(sids, sid)
-		}
-		// Read the fresh tracks' data back and fold it into the parity.
-		reqs := make([]disk.ReadReq, len(protected))
-		bufs := make([][]uint64, len(protected))
-		for i, k := range protected {
-			p, live := s.physOf(k)
-			if !live {
-				return fmt.Errorf("redundancy: fresh track on dead drive %d was never remapped", k.Disk)
-			}
-			bufs[i] = make([]uint64, s.B)
-			reqs[i] = disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: bufs[i]}
-		}
-		n, err := s.readPhys(reqs)
-		s.ctr.ParityOps += int64(n)
-		if err != nil {
-			return err
-		}
-		for i := range protected {
-			pv := s.pval[sids[i]]
-			for w := range pv {
-				pv[w] ^= bufs[i][w]
-			}
-			s.pdirty[sids[i]] = true
-		}
-		s.fresh = make(map[disk.Addr]bool)
+	if err := s.foldLeavers(); err != nil {
+		return err
 	}
-	if len(s.pdirty) > 0 {
-		sids := make([]int, 0, len(s.pdirty))
-		for sid := range s.pdirty {
-			sids = append(sids, sid)
-		}
-		sort.Ints(sids)
-		reqs := make([]disk.WriteReq, 0, len(sids))
-		for _, sid := range sids {
-			st := s.stripes[sid]
-			reqs = append(reqs, disk.WriteReq{Disk: st.parity.Disk, Track: st.parity.Track, Src: s.pval[sid]})
-		}
-		n, err := s.writePhys(reqs)
-		s.ctr.ParityOps += int64(n)
-		if err != nil {
-			return err
-		}
-		s.pdirty = make(map[int]bool)
+	s.cachePeak = max(s.cachePeak, len(s.pval))
+	sids := make([]int, 0, len(s.pdirty))
+	for sid := range s.pdirty {
+		sids = append(sids, sid)
+	}
+	sort.Ints(sids)
+	if err := s.writeParity(sids); err != nil {
+		return err
 	}
 	// Drop the caches: memory stays bounded by the stripes and members
 	// touched in one superstep, not by the run. The barrier makes the
@@ -1123,9 +1249,11 @@ func (s *Store) FlushParity() error {
 	s.pval = make(map[int][]uint64)
 	s.rmwOld = make(map[disk.Addr][]uint64)
 	s.wrote = make(map[disk.Addr]bool)
-	// Stripes whose parity went stale across a crash (Reconcile could
-	// not recompute them at resume time) are recomputed here, once the
-	// replay has rewritten their unreadable members.
+	s.open, s.filled = s.open[:0], s.filled[:0]
+	// Stripes whose parity went stale — across a crash (Reconcile could
+	// not recompute them at resume time), or by a leaver that could not be
+	// folded out — are recomputed here from their members, once those are
+	// readable.
 	if len(s.recompute) > 0 {
 		sids := make([]int, 0, len(s.recompute))
 		for sid := range s.recompute {
@@ -1138,6 +1266,21 @@ func (s *Store) FlushParity() error {
 			}
 		}
 	}
+	for _, k := range s.held {
+		if m, ok := s.remap[k]; ok {
+			delete(s.remap, k)
+			delete(s.rrmap, m)
+			delete(s.sums, m)
+			if err := s.inner.Release(m.Disk, m.Track); err != nil {
+				return err
+			}
+		}
+		delete(s.sums, k)
+		if err := s.inner.Release(k.Disk, k.Track); err != nil {
+			return err
+		}
+	}
+	s.held = s.held[:0]
 	return nil
 }
 
@@ -1334,75 +1477,22 @@ func (s *Store) RebuildStep(budget int) error {
 }
 
 // Snapshot captures the layer's rollback state for a superstep replay:
-// the stripe directory, checksums, remaps and parity cache. Dead
+// the stripe directory, the leaver and held-release lists, checksums,
+// remaps and parity cache. Dead
 // drives, the scrub/rebuild cursors and the counters are deliberately
 // not part of it — a replay is new work on the same (possibly
 // degraded) hardware, and work already spent really happened. This
 // mirrors the fault layer's Snapshot philosophy.
 type Snapshot struct {
-	stripeOf map[disk.Addr]int
-	stripes  map[int]*stripe
-	parityAt map[disk.Addr]int
-	open     []int
-	next     int
-	pval     map[int][]uint64
-	pdirty   map[int]bool
-	fresh    map[disk.Addr]bool
-	sums     map[disk.Addr]uint64
-	remap    map[disk.Addr]disk.Addr
-	rrmap    map[disk.Addr]disk.Addr
-	striped  int64
-	parityBl int64
+	state
+	striped, parityBl int64
 }
 
 // Snapshot captures rollback state at a compound-superstep barrier.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sn := &Snapshot{
-		stripeOf: make(map[disk.Addr]int, len(s.stripeOf)),
-		stripes:  make(map[int]*stripe, len(s.stripes)),
-		parityAt: make(map[disk.Addr]int, len(s.parityAt)),
-		open:     append([]int(nil), s.open...),
-		next:     s.next,
-		pval:     make(map[int][]uint64, len(s.pval)),
-		pdirty:   make(map[int]bool, len(s.pdirty)),
-		fresh:    make(map[disk.Addr]bool, len(s.fresh)),
-		sums:     make(map[disk.Addr]uint64, len(s.sums)),
-		remap:    make(map[disk.Addr]disk.Addr, len(s.remap)),
-		rrmap:    make(map[disk.Addr]disk.Addr, len(s.rrmap)),
-		striped:  s.ctr.StripedBlocks,
-		parityBl: s.ctr.ParityBlocks,
-	}
-	for k, v := range s.stripeOf {
-		sn.stripeOf[k] = v
-	}
-	for sid, st := range s.stripes {
-		cp := &stripe{parity: st.parity, members: append([]int(nil), st.members...), count: st.count}
-		sn.stripes[sid] = cp
-	}
-	for k, v := range s.parityAt {
-		sn.parityAt[k] = v
-	}
-	for sid, pv := range s.pval {
-		sn.pval[sid] = append([]uint64(nil), pv...)
-	}
-	for sid := range s.pdirty {
-		sn.pdirty[sid] = true
-	}
-	for k := range s.fresh {
-		sn.fresh[k] = true
-	}
-	for k, v := range s.sums {
-		sn.sums[k] = v
-	}
-	for k, v := range s.remap {
-		sn.remap[k] = v
-	}
-	for k, v := range s.rrmap {
-		sn.rrmap[k] = v
-	}
-	return sn
+	return &Snapshot{s.state.clone(), s.ctr.StripedBlocks, s.ctr.ParityBlocks}
 }
 
 // Restore rolls the layer back to a snapshot. The snapshot remains
@@ -1410,44 +1500,7 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) Restore(sn *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stripeOf = make(map[disk.Addr]int, len(sn.stripeOf))
-	for k, v := range sn.stripeOf {
-		s.stripeOf[k] = v
-	}
-	s.stripes = make(map[int]*stripe, len(sn.stripes))
-	for sid, st := range sn.stripes {
-		s.stripes[sid] = &stripe{parity: st.parity, members: append([]int(nil), st.members...), count: st.count}
-	}
-	s.parityAt = make(map[disk.Addr]int, len(sn.parityAt))
-	for k, v := range sn.parityAt {
-		s.parityAt[k] = v
-	}
-	s.open = append([]int(nil), sn.open...)
-	s.next = sn.next
-	s.pval = make(map[int][]uint64, len(sn.pval))
-	for sid, pv := range sn.pval {
-		s.pval[sid] = append([]uint64(nil), pv...)
-	}
-	s.pdirty = make(map[int]bool, len(sn.pdirty))
-	for sid := range sn.pdirty {
-		s.pdirty[sid] = true
-	}
-	s.fresh = make(map[disk.Addr]bool, len(sn.fresh))
-	for k := range sn.fresh {
-		s.fresh[k] = true
-	}
-	s.sums = make(map[disk.Addr]uint64, len(sn.sums))
-	for k, v := range sn.sums {
-		s.sums[k] = v
-	}
-	s.remap = make(map[disk.Addr]disk.Addr, len(sn.remap))
-	for k, v := range sn.remap {
-		s.remap[k] = v
-	}
-	s.rrmap = make(map[disk.Addr]disk.Addr, len(sn.rrmap))
-	for k, v := range sn.rrmap {
-		s.rrmap[k] = v
-	}
+	s.state = sn.state.clone()
 	s.ctr.StripedBlocks = sn.striped
 	s.ctr.ParityBlocks = sn.parityBl
 	// A restore starts a fresh attempt: nothing is written yet. rmwOld
@@ -1463,8 +1516,8 @@ func (s *Store) Restore(sn *Snapshot) {
 // commit must capture everything — a resumed process replaces the
 // crashed one entirely, so the scrub continues at its cursor and an
 // interrupted rebuild picks up exactly where it stopped. It must be
-// called at a barrier, after FlushParity (the parity cache and fresh
-// set are empty there and are not encoded).
+// called at a barrier, after FlushParity (the parity cache and the
+// leaver and held-release lists are empty there and are not encoded).
 func (s *Store) EncodeState(enc *words.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1478,7 +1531,7 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 	enc.PutInts([]int64{
 		c.ChecksumFailures, c.RepairedBlocks, c.ReconstructedBlocks, c.DegradedOps,
 		c.ParityOps, c.ParityBlocks, c.StripedBlocks, c.ScrubbedBlocks, c.ScrubRepairs,
-		c.RebuiltBlocks,
+		c.RebuiltBlocks, c.ParityReadOps,
 	})
 
 	sids := make([]int, 0, len(s.stripes))
@@ -1518,7 +1571,7 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 
 // DecodeState restores state previously written by EncodeState,
 // rebuilding the derived directories (stripe membership, parity
-// locations, open list, reverse remap).
+// locations, reverse remap). No stripe is open at a barrier.
 func (s *Store) DecodeState(dec *words.Decoder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1537,13 +1590,13 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 	s.scrubD, s.scrubT = int(cur[0]), int(cur[1])
 	s.rebDrive, s.rebTrack, s.rebParity = int(cur[2]), int(cur[3]), int(cur[4])
 	cs := dec.Ints()
-	if len(cs) != 10 {
-		return fmt.Errorf("redundancy: counter state has %d fields, want 10", len(cs))
+	if len(cs) != 11 {
+		return fmt.Errorf("redundancy: counter state has %d fields, want 11", len(cs))
 	}
 	s.ctr = Counters{
 		ChecksumFailures: cs[0], RepairedBlocks: cs[1], ReconstructedBlocks: cs[2],
 		DegradedOps: cs[3], ParityOps: cs[4], ParityBlocks: cs[5], StripedBlocks: cs[6],
-		ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], RebuiltBlocks: cs[9],
+		ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], RebuiltBlocks: cs[9], ParityReadOps: cs[10],
 	}
 
 	s.stripes = make(map[int]*stripe)
@@ -1563,11 +1616,7 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 		}
 		s.stripes[sid] = st
 		s.parityAt[st.parity] = sid
-		if !st.full(s.D) {
-			s.open = append(s.open, sid)
-		}
 	}
-	sort.Ints(s.open)
 
 	s.sums = make(map[disk.Addr]uint64)
 	for n := dec.Int(); n > 0; n-- {
@@ -1585,7 +1634,8 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 	}
 	s.pval = make(map[int][]uint64)
 	s.pdirty = make(map[int]bool)
-	s.fresh = make(map[disk.Addr]bool)
+	s.left = make(map[disk.Addr]bool)
+	s.filled, s.held = nil, nil
 	return nil
 }
 
@@ -1593,11 +1643,16 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 // the engines call it once, right after DecodeState and before the
 // replay starts.
 //
-// Under the checkpoint discipline a superstep rewrites committed
-// striped tracks in place (the context double-buffer areas), and the
-// in-memory rmwOld cache that lets a same-process replay fold the
-// barrier content out of parity dies with the process. A resumed
-// process therefore faces physical tracks that may hold the crashed
+// A client that rewrites committed striped tracks in place leaves, when
+// it is killed mid-superstep, tracks the manifest's parity does not
+// encode, and the in-memory rmwOld cache that lets a same-process replay
+// fold the barrier content out of parity dies with the process. (The
+// engines' journaled runs no longer do: the only committed tracks a
+// superstep overwrites are contexts the last commit discarded, which
+// belong to no stripe and have no checksum, and a barrier's flush writes
+// parity only to tracks allocated since the last record. There the scan
+// below finds a track that rotted at rest, or nothing.) A resumed
+// process of such a client therefore faces physical tracks that may hold the crashed
 // attempt's bytes (checksum mismatch against the manifest) or a torn
 // write (the inner store's own per-track checksum fails), with stored
 // parity encoding either the barrier state (crash before FlushParity)

@@ -66,9 +66,7 @@ func TestParityRoundTrip(t *testing.T) {
 	const D, B = 4, 16
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 5)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	for _, a := range addrs {
 		checkTrack(t, s, a, B)
 	}
@@ -91,9 +89,7 @@ func TestDegradedRead(t *testing.T) {
 	const D, B = 4, 16
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 4)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	const dead = 2
 	s.DriveDied(dead)
 	for _, a := range addrs {
@@ -179,9 +175,7 @@ func TestScrubCompleteness(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		s, raw := mkStore(t, D, B)
 		addrs := writeTracks(t, s, D, B, 6)
-		if err := s.FlushParity(); err != nil {
-			t.Fatalf("FlushParity: %v", err)
-		}
+		flushChecked(t, s)
 		// Corrupt random committed tracks (data and parity alike)
 		// directly on the raw store, beneath the layer — at most one
 		// per stripe, since single XOR parity by construction cannot
@@ -268,9 +262,7 @@ func TestOnlineRebuild(t *testing.T) {
 	const D, B = 4, 8
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 5)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	const dead = 1
 	s.DriveDied(dead)
 	if !s.Rebuilding() {
@@ -306,9 +298,7 @@ func TestOnlineRebuild(t *testing.T) {
 	if err := s.WriteOp([]disk.WriteReq{{Disk: dead, Track: tr, Src: append([]uint64(nil), buf...)}}); err != nil {
 		t.Fatalf("post-death write: %v", err)
 	}
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	checkTrack(t, s, disk.Addr{Disk: dead, Track: tr}, B)
 }
 
@@ -316,9 +306,7 @@ func TestSnapshotRestore(t *testing.T) {
 	const D, B = 3, 8
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 3)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	mark := s.AllocSnapshot()
 	sn := s.Snapshot()
 	// Mutate under the engines' checkpoint discipline: committed tracks
@@ -329,9 +317,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := s.Release(fresh[0].Disk, fresh[0].Track); err != nil {
 		t.Fatalf("release: %v", err)
 	}
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	// Roll back (the engine's replay path: allocator first, then layer).
 	s.AllocRestore(mark)
 	s.Restore(sn)
@@ -344,9 +330,7 @@ func TestEncodeDecodeResume(t *testing.T) {
 	const D, B = 4, 8
 	s, raw := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 5)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	s.DriveDied(2)
 	if err := s.RebuildStep(3); err != nil { // partial rebuild
 		t.Fatalf("RebuildStep: %v", err)
