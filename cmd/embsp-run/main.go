@@ -357,8 +357,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "communication: %d packets (%d words), T_comm=%.4g\n",
 			res.EM.CommPkts, res.EM.CommWords, res.EM.CommTime)
 	}
-	fmt.Fprintf(stdout, "memory high-water: %d words; peak disk blocks/drive: %d\n",
-		res.EM.MemHigh, res.EM.LiveBlocksPerDrive)
+	fmt.Fprintf(stdout, "memory high-water: %d words\n", res.EM.MemHigh)
+	// What a run holds on disk at once is a count of allocated tracks, and
+	// a run that can roll back (a StateDir or a fault plan) holds the
+	// context generation it would roll back to beside the one it writes: the
+	// figure follows the store options, so like the store lines below it
+	// goes to stderr and stdout stays diffable across them.
+	fmt.Fprintf(stderr, "disk: peak %d blocks/drive\n", res.EM.LiveBlocksPerDrive)
 	// The overlap counters are wall-clock observability, not model
 	// output: they go to stderr so two runs of the same workload stay
 	// diffable on stdout (the crash-recovery CI check relies on this).

@@ -145,8 +145,12 @@ func vpImage(vp embsp.VP) []uint64 {
 
 func TestFaultPropertyTable1(t *testing.T) {
 	const seed = 17
+	// The shortest rows (permute, transpose at P = 1) take a few dozen
+	// operations, so whether 2% rates strike them at all is the plan
+	// seed's luck, and the draws follow which drive a block goes to: 23
+	// served until contexts moved to allocated tracks (PR 23).
 	plan := &embsp.FaultPlan{
-		Seed:           23,
+		Seed:           24,
 		ReadErrorRate:  0.02,
 		WriteErrorRate: 0.02,
 		CorruptRate:    0.02,

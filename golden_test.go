@@ -13,8 +13,9 @@ import (
 // goldenRow pins the seed-deterministic model numbers of one run: the
 // result fingerprint (final contexts, BSP costs, full EMStats), the
 // parallel I/O operation counts of the run and setup phases, the
-// routing share, and the engine memory high-water mark. A change that
-// moves one must update the table and say why.
+// routing share, the engine memory high-water mark, and the most tracks
+// any drive had allocated at once. A change that moves one must update
+// the table and say why.
 //
 // Recorded before the stores were folded onto one EM-model core
 // (PR 13); re-recorded when P=1 became a driver of the one step machine
@@ -22,59 +23,67 @@ import (
 // (PR 18), when its contexts were, and buckets cut by load (PR 20), and
 // when blocks came to be read where their writer put them (PR 21), each
 // moved column for the reason beside its rows; the two parity rows again
-// when parity came to be folded at write (PR 22).
+// when parity came to be folded at write (PR 22); the liveBlocks column
+// added, and every fingerprint moved with it, when contexts went to
+// allocated tracks (PR 23).
 type goldenRow struct {
 	alg, store          string
 	p                   int
 	fingerprint         uint64
 	runOps, setupOps    int64
 	routeOps, memHighWd int64
+	liveBlocks          int64 // EMStats.LiveBlocksPerDrive
 }
 
 // PR 21 moved every row: a superstep's message blocks are read where
 // the writer put them unless routing would be cheaper (DESIGN.md §7) —
 // on these four-drive machines it never is, so routeOps is 0 and runOps
-// falls by Algorithm 2's operations and a little more: the writer places
-// a batch's blocks by the directory's counts, so its scattered read is
-// within one operation of ⌈R_g/D⌉, and makes one partial write a
-// superstep where it made one a batch. Per row, PR 20 → PR 21; setupOps
-// and MemHigh are as they were except under parity, whose flush now
-// costs its fullest drive's share of reads where it cost one operation a
-// track. The fingerprints move with the EMStats they hash; final
-// contexts and BSP costs are as before. An instance's array and durable
-// rows hash alike now: with no routing between an input's release and
-// the barrier, the allocator hands out the same tracks with and without
-// the checkpoint discipline.
+// fell by Algorithm 2's operations and a little more (per row, below).
+//
+// PR 23 (contexts on allocated tracks, DESIGN.md §22) moved no operation,
+// block, packet or skew count of a row without faults: runOps, setupOps,
+// routeOps and MemHigh are PR 21's. What moved is liveBlocks — the column
+// is new; the figure had been a formula, v/p·⌈(µ+1)/B⌉ + message blocks
+// over D, whatever the contexts held and with the checkpoint discipline's
+// second area left out, and is now the largest bump mark — and with it
+// every fingerprint, which hashes LiveBlocksPerDrive and how each drive's
+// accesses split into sequential and random (tracks have other addresses).
+// An instance's array and durable rows no longer hash alike, and should
+// not: a run that can roll back holds the context generation it would
+// roll back to beside the one it writes. The two faulted rows also moved
+// in their counts, PR 22 → PR 23: their fault draws follow the drive a
+// block goes to, and their stripes the order tracks are first written in.
 var goldenTable = []goldenRow{
-	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0.
-	{"sort", "array", 1, 0x7e8218636efd1eb4, 572, 67, 0, 26688},
-	{"sort", "file", 1, 0x7e8218636efd1eb4, 572, 67, 0, 26688},
-	// listrank: runOps 4193 → 3306, routeOps 866 → 0.
-	{"listrank", "array", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
-	{"listrank", "file", 1, 0x668c853f51915d73, 3306, 18, 0, 115008},
-	// Faulted P=1, the only rows PR 22 moved (PR 21 → PR 22). sort:
-	// runOps 1385 → 737, setupOps 172 → 102; listrank: 10248 → 4248,
-	// 44 → 25. Parity is folded from the data a write holds in memory and
-	// every stripe leaves with its superstep (DESIGN.md §10), so what a
-	// run pays for parity is the parity blocks' writes — the flush's
-	// read-back, the old-data and parity reads of contexts rewritten over
-	// dead ones, and the reads at release are gone
-	// (TestParityReadsNothingBack) — and the setup, which only writes,
-	// pays ⌈parity blocks/D⌉. The fingerprints move with the EMStats they
-	// hash; final contexts and BSP costs are as before.
-	{"sort", "mapped+parity+faults", 1, 0x22336b53c022d83, 737, 102, 0, 26688},
-	{"listrank", "mapped+parity+faults", 1, 0x41cf198ce56b3c2, 4248, 25, 0, 115008},
+	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
+	// liveBlocks 277 → 141 in place, 146 checkpointed.
+	{"sort", "array", 1, 0xfcd64d8a3172686c, 572, 67, 0, 26688, 141},
+	{"sort", "file", 1, 0x473c0400177fd3fb, 572, 67, 0, 26688, 146},
+	// listrank: runOps 4193 → 3306, routeOps 866 → 0 (PR 21); liveBlocks
+	// 623 → 111 and 168: its µ is sized for a worst-case subscription
+	// table a seventh of which is ever filled.
+	{"listrank", "array", 1, 0xdebcbcf181f45461, 3306, 18, 0, 115008, 111},
+	{"listrank", "file", 1, 0xdf0e3dbbfa308aa5, 3306, 18, 0, 115008, 168},
+	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
+	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
+	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
+	// listrank 4248 → 4237 — other draws, and a set-up whose replays start
+	// from the allocator it found; liveBlocks 277 → 194 and 623 → 223,
+	// parity tracks and held releases included.
+	{"sort", "mapped+parity+faults", 1, 0x21939b2dbf7171b5, 720, 98, 0, 26688, 194},
+	{"listrank", "mapped+parity+faults", 1, 0x675c300d7038b3af, 4237, 25, 0, 115008, 223},
 	// P=2, every processor deciding for its own directory. sort runOps
-	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0.
-	{"sort", "array", 2, 0xa46c021f6eb2f79e, 586, 68, 0, 26688},
-	{"sort", "file+tier", 2, 0xa46c021f6eb2f79e, 586, 68, 0, 26688},
-	{"listrank", "array", 2, 0x96ccd40720fcf6cf, 3316, 18, 0, 76864},
-	{"listrank", "file+tier", 2, 0x96ccd40720fcf6cf, 3316, 18, 0, 76864},
+	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
+	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90.
+	{"sort", "array", 2, 0xd31168a1ba034ba2, 586, 68, 0, 26688, 76},
+	{"sort", "file+tier", 2, 0x5465c2868a6288bb, 586, 68, 0, 26688, 78},
+	{"listrank", "array", 2, 0xb5ce562aba085569, 3316, 18, 0, 76864, 61},
+	{"listrank", "file+tier", 2, 0xc87da755fbb21c92, 3316, 18, 0, 76864, 90},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
-	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0.
-	{"sort", "array", 3, 0xc11355caaa277a75, 577, 67, 0, 26688},
-	{"listrank", "array", 3, 0xc9fc27f6a1c6c797, 3386, 19, 0, 57728},
+	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
+	// liveBlocks 102 → 52 and 236 → 44.
+	{"sort", "array", 3, 0x1343c08aa0be842, 577, 67, 0, 26688, 52},
+	{"listrank", "array", 3, 0x5382bbfc7f86a109, 3386, 19, 0, 57728, 44},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.
@@ -120,21 +129,24 @@ func TestGoldenModelNumbers(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := goldenRow{want.alg, want.store, want.p, workload.Fingerprint(res),
-				res.EM.Run.Ops, res.EM.Setup.Ops, res.EM.RouteOps, res.EM.MemHigh}
+				res.EM.Run.Ops, res.EM.Setup.Ops, res.EM.RouteOps, res.EM.MemHigh, res.EM.LiveBlocksPerDrive}
 			if got != want {
-				t.Errorf("model numbers moved:\n got {%q, %q, %d, %#x, %d, %d, %d, %d},\nwant {%q, %q, %d, %#x, %d, %d, %d, %d},",
-					got.alg, got.store, got.p, got.fingerprint, got.runOps, got.setupOps, got.routeOps, got.memHighWd,
-					want.alg, want.store, want.p, want.fingerprint, want.runOps, want.setupOps, want.routeOps, want.memHighWd)
+				t.Errorf("model numbers moved:\n got {%q, %q, %d, %#x, %d, %d, %d, %d, %d},\nwant {%q, %q, %d, %#x, %d, %d, %d, %d, %d},",
+					got.alg, got.store, got.p, got.fingerprint, got.runOps, got.setupOps, got.routeOps, got.memHighWd, got.liveBlocks,
+					want.alg, want.store, want.p, want.fingerprint, want.runOps, want.setupOps, want.routeOps, want.memHighWd, want.liveBlocks)
 			}
 		})
 	}
 }
 
-// TestParityReadsNothingBack is PR 22's claim as a model count. A
-// checkpointed run with parity and no fault reads exactly what the same
-// run reads without parity: the parity layer folds what a write holds in
-// memory, and every stripe leaves whole at the commit that frees its
-// superstep's blocks, so nothing is read back — not at the flush, not
+// TestParityReadsNothingBack is PR 22's claim as a model count. A run
+// with parity and no fault reads exactly what the same run reads without
+// parity: the parity layer folds what a write holds in memory, and every
+// stripe leaves whole — at the commit that frees its superstep's blocks
+// under the checkpoint discipline, and in place (no StateDir: since PR 23
+// a context is saved to fresh tracks there too, never rewritten over a
+// striped one) by the barrier after the superstep whose loads and last
+// flush release them — so nothing is read back: not at the flush, not
 // before a context is overwritten, not at a release. What parity adds is
 // its blocks' writes: ⌈parity blocks/D⌉ operations if every one were
 // full, one more per barrier for the stripes the flush closes short, and
@@ -146,50 +158,54 @@ func TestGoldenModelNumbers(t *testing.T) {
 func TestParityReadsNothingBack(t *testing.T) {
 	for alg, spec := range goldenSpec {
 		for _, p := range []int{1, 2} {
-			run := func(mode embsp.Redundancy) (*embsp.Result, *embsp.MetricsRegistry) {
-				inst, err := spec.Build()
-				if err != nil {
-					t.Fatal(err)
+			for _, durable := range []bool{true, false} {
+				run := func(mode embsp.Redundancy) (*embsp.Result, *embsp.MetricsRegistry) {
+					inst, err := spec.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := embsp.Options{Seed: 7, Redundancy: mode, Metrics: embsp.NewMetricsRegistry()}
+					if durable {
+						opts.StateDir = t.TempDir()
+					}
+					res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, opts.Metrics
 				}
-				reg := embsp.NewMetricsRegistry()
-				res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000),
-					embsp.Options{Seed: 7, StateDir: t.TempDir(), Redundancy: mode, Metrics: reg})
-				if err != nil {
-					t.Fatal(err)
+				bare, _ := run(embsp.RedundancyNone)
+				res, reg := run(embsp.RedundancyParity)
+				label := fmt.Sprintf("%s P=%d durable=%v", alg, p, durable)
+				const D = 4
+				for _, ph := range []struct {
+					name       string
+					with, bare disk.Stats
+					barriers   int64
+				}{
+					{"setup", res.EM.Setup, bare.EM.Setup, int64(p)},
+					{"run", res.EM.Run, bare.EM.Run, int64(p * res.Costs.Supersteps)},
+				} {
+					if ph.with.ReadOps != ph.bare.ReadOps || ph.with.BlocksRead != ph.bare.BlocksRead {
+						t.Errorf("%s %s: %d read operations (%d blocks) with parity, %d (%d) without: parity reads something back",
+							label, ph.name, ph.with.ReadOps, ph.with.BlocksRead, ph.bare.ReadOps, ph.bare.BlocksRead)
+					}
+					blocks, ops := ph.with.BlocksWritten-ph.bare.BlocksWritten, ph.with.WriteOps-ph.bare.WriteOps
+					full := (blocks + D - 1) / D
+					if bound := full + ph.barriers + full/4; blocks <= 0 || ops > bound {
+						t.Errorf("%s %s: parity wrote %d blocks in %d operations, want <= %d (%d full, %d barriers, %d for early writes that split)",
+							label, ph.name, blocks, ops, bound, full, ph.barriers, full/4)
+					}
 				}
-				return res, reg
-			}
-			bare, _ := run(embsp.RedundancyNone)
-			res, reg := run(embsp.RedundancyParity)
-			label := fmt.Sprintf("%s P=%d", alg, p)
-			const D = 4
-			for _, ph := range []struct {
-				name       string
-				with, bare disk.Stats
-				barriers   int64
-			}{
-				{"setup", res.EM.Setup, bare.EM.Setup, int64(p)},
-				{"run", res.EM.Run, bare.EM.Run, int64(p * res.Costs.Supersteps)},
-			} {
-				if ph.with.ReadOps != ph.bare.ReadOps || ph.with.BlocksRead != ph.bare.BlocksRead {
-					t.Errorf("%s %s: %d read operations (%d blocks) with parity, %d (%d) without: parity reads something back",
-						label, ph.name, ph.with.ReadOps, ph.with.BlocksRead, ph.bare.ReadOps, ph.bare.BlocksRead)
+				if got := reg.Counter("parity_read_ops").Value(); got != 0 {
+					t.Errorf("%s: parity_read_ops = %d, want 0", label, got)
 				}
-				blocks, ops := ph.with.BlocksWritten-ph.bare.BlocksWritten, ph.with.WriteOps-ph.bare.WriteOps
-				full := (blocks + D - 1) / D
-				if bound := full + ph.barriers + full/4; blocks <= 0 || ops > bound {
-					t.Errorf("%s %s: parity wrote %d blocks in %d operations, want <= %d (%d full, %d barriers, %d for early writes that split)",
-						label, ph.name, blocks, ops, bound, full, ph.barriers, full/4)
+				if got := reg.Counter("parity_ops").Value(); got != res.EM.ParityOps || got == 0 {
+					t.Errorf("%s: parity_ops = %d, EMStats.ParityOps = %d", label, got, res.EM.ParityOps)
 				}
-			}
-			if got := reg.Counter("parity_read_ops").Value(); got != 0 {
-				t.Errorf("%s: parity_read_ops = %d, want 0", label, got)
-			}
-			if got := reg.Counter("parity_ops").Value(); got != res.EM.ParityOps || got == 0 {
-				t.Errorf("%s: parity_ops = %d, EMStats.ParityOps = %d", label, got, res.EM.ParityOps)
-			}
-			if peak := reg.Counter("parity_cache_peak_blocks").Value(); peak <= 0 || peak > 3*D {
-				t.Errorf("%s: the parity cache peaked at %d blocks, want within (0, 3·D = %d]", label, peak, 3*D)
+				if peak := reg.Counter("parity_cache_peak_blocks").Value(); peak <= 0 || peak > 3*D {
+					t.Errorf("%s: the parity cache peaked at %d blocks, want within (0, 3·D = %d]", label, peak, 3*D)
+				}
 			}
 		}
 	}

@@ -85,10 +85,11 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 	tw.Flush()
 	fmt.Fprintf(w, "mirror doubles every write; parity on D=%d drives adds ≈ 1/(D-1) = %.0f%% capacity\n",
 		d, 100.0/float64(d-1))
-	fmt.Fprintf(w, "The drive-death row runs under the checkpoint discipline (it has a fault plan):\n"+
-		"its stripes leave whole, so parity costs its blocks' writes and no read-back, and\n"+
-		"the online rebuild finds nothing to do. The two clean parity rows rewrite their\n"+
-		"live contexts in place and pay the read-modify-write for it (DESIGN.md §10).\n\n")
+	fmt.Fprintf(w, "Every context is saved to tracks allocated for it and every stripe leaves whole,\n"+
+		"in place (the clean rows) as under the checkpoint discipline (the drive-death row,\n"+
+		"which has a fault plan): parity costs its blocks' writes and no read-back, and the\n"+
+		"online rebuild finds nothing to do. The death row's extra is the replayed superstep\n"+
+		"and the degraded reads of the generation the dead drive held (DESIGN.md §10).\n\n")
 	return nil
 }
 

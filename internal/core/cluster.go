@@ -305,12 +305,10 @@ func (n *NodeEngine) LoadCommitted() error {
 	return n.decodeManifest(recs[len(recs)-1])
 }
 
-// Setup reserves the node's context areas and writes its VPs' initial
-// contexts, then collects the setup-phase statistics (resetting the
-// running counters, at the boundary the in-process engine resets them)
-// and prepares the setup barrier record.
+// Setup writes the node's VPs' initial contexts, then collects the
+// setup-phase statistics (resetting the running counters, at the boundary
+// the in-process engine resets them) and prepares the setup barrier record.
 func (n *NodeEngine) Setup() (disk.Stats, error) {
-	n.sh.setupReserve(n.ps)
 	if err := n.sh.writeInitialContexts(n.ps); err != nil {
 		return disk.Stats{}, err
 	}
@@ -363,7 +361,7 @@ func (n *NodeEngine) Route(step int) (int64, error) {
 }
 
 // Prepare is the node's PREPARE phase for superstep step: install the
-// parked routing result and flip the context buffers (the local
+// parked routing result and the contexts written (the local
 // barrier commit), fsync the node's data, and journal the prepared —
 // not yet committed — barrier record.
 func (n *NodeEngine) Prepare(step int, halted bool) error {

@@ -37,7 +37,7 @@ type clusterRig struct {
 // reloads its last barrier and the driver replays the step.
 var errAbort = errors.New("injected abort")
 
-func openRig(t *testing.T, prog bsp.Program, cfg core.MachineConfig, opts core.Options, root string, resume bool) *clusterRig {
+func openRig(t testing.TB, prog bsp.Program, cfg core.MachineConfig, opts core.Options, root string, resume bool) *clusterRig {
 	t.Helper()
 	coord, err := core.OpenCoord(prog, cfg, opts, filepath.Join(root, "coord"), resume)
 	if err != nil {
@@ -229,7 +229,7 @@ func (r *clusterRig) Final() (reports []*core.NodeReport, err error) {
 	return reports, nil
 }
 
-func (r *clusterRig) run(t *testing.T) *core.Result {
+func (r *clusterRig) run(t testing.TB) *core.Result {
 	t.Helper()
 	res, err := r.coord.Run(r)
 	if err != nil {

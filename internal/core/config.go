@@ -112,8 +112,8 @@ type Options struct {
 	Deterministic bool
 	// FaultPlan, when non-nil and enabled, wraps every processor's disk
 	// array in the fault-injection layer and turns on the engines'
-	// superstep checkpoint/replay machinery (contexts double-buffered,
-	// input-area frees deferred to the barrier commit). The simulation
+	// superstep checkpoint/replay machinery (contexts written to tracks
+	// of their own, every release deferred to the barrier commit). The simulation
 	// result remains bitwise identical to the fault-free run; the extra
 	// work appears in EMStats as RecoveryOps/Replays/MirrorOps.
 	FaultPlan *fault.Plan
@@ -394,9 +394,10 @@ type EMStats struct {
 	// MemHigh is the engine's internal-memory high-water mark in words
 	// (max over processors).
 	MemHigh int64
-	// LiveBlocksPerDrive is the peak number of simultaneously live
-	// blocks per drive (contexts + staged and delivered messages),
-	// the paper's O(vµ/DB) disk-space quantity. Max over processors.
+	// LiveBlocksPerDrive is the most tracks any drive had allocated at
+	// once (contexts, staged and delivered messages, and whatever the
+	// run's layers keep beside them), counted by the allocator: the
+	// paper's O(vµ/DB) disk-space quantity. Max over drives and processors.
 	LiveBlocksPerDrive int64
 	// CommWords / CommPkts / CommTime describe real inter-processor
 	// traffic (P > 1 only): total words and packets exchanged between

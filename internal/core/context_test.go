@@ -137,20 +137,76 @@ func TestBreathingContexts(t *testing.T) {
 	}
 }
 
-// TestContextSlotHoldsFullBatch: k contexts of exactly µ words with µ a
-// multiple of B fit the batch's slice, length words included, and one
-// word more than µ is the error it always was — never a write into the
-// next batch's slice.
-func TestContextSlotHoldsFullBatch(t *testing.T) {
+// holdingsMeter records what every barrier leaves a processor holding.
+type holdingsMeter struct {
+	core.Transport
+	at []core.Holdings // processor 0's, per committed superstep
+}
+
+func (m *holdingsMeter) Commit(step int) error {
+	if step >= 0 {
+		m.at = append(m.at, core.HoldingsOf(m.Transport)[0])
+	}
+	return m.Transport.Commit(step)
+}
+
+// TestContextTracksFollowUse (TestContextSlotHoldsFullBatch until the slot
+// went, PR 23): a batch holds on disk the tracks its packed records fill
+// and no other. When every VP is at exactly µ words, µ a multiple of B,
+// that is ⌈k·(µ+1)/B⌉ — within the k·⌈(µ+1)/B⌉ a batch may read — and a
+// barrier later, every context empty, one block of k length words; what
+// the allocator has handed out at a barrier is those tracks and the next
+// input's blocks, nothing kept for a size that may come back. One word
+// more than µ is the error it always was.
+func TestContextTracksFollowUse(t *testing.T) {
 	prog, cfg := breathing(1)
-	res, err := core.Run(prog, cfg, core.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	for _, durable := range []bool{false, true} {
+		opts := core.Options{Seed: 5}
+		if durable {
+			opts.StateDir = t.TempDir()
+		}
+		var m *holdingsMeter
+		res, err := core.RunOver(func(inner core.Transport) core.Transport {
+			m = &holdingsMeter{Transport: inner}
+			return m
+		}, prog, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.EM.CtxBlocksPerVP, prog.Mu/cfg.B+1; got != want {
+			t.Errorf("CtxBlocksPerVP = %d, want %d: a batch may not read its length words", got, want)
+		}
+		k, full, grew := res.EM.K, false, false
+		for step, h := range m.at {
+			held := 0
+			for j, tracks := range h.Contexts {
+				words := 0
+				for id := j * k; id < min((j+1)*k, prog.V); id++ {
+					words += 1 + prog.ContextLen(id, step+1)
+				}
+				if want := (words + cfg.B - 1) / cfg.B; tracks != want {
+					t.Errorf("durable=%v barrier %d: batch %d holds %d tracks for %d words, want %d", durable, step, j, tracks, words, want)
+				}
+				full = full || tracks == (k*(prog.Mu+1)+cfg.B-1)/cfg.B
+				held += tracks
+			}
+			grew = grew || step > 0 && held > 3*len(h.Contexts) && m.at[step-1].Allocated < h.Allocated
+			// The halting superstep leaves no next input: in place its own
+			// went with the last flush, and under the checkpoint discipline
+			// it releases nothing (DESIGN.md §22.3).
+			want := held + h.Input
+			if step == len(m.at)-1 {
+				want = held
+			}
+			if !(durable && step == len(m.at)-1) && h.Allocated != want {
+				t.Errorf("durable=%v barrier %d: %d tracks allocated, want %d: %d of contexts and the input's", durable, step, h.Allocated, want, held)
+			}
+		}
+		if !full || !grew {
+			t.Errorf("durable=%v: the run never held a batch at k·(µ+1) words (%v) or never grew back from less (%v)", durable, full, grew)
+		}
 	}
-	if got, want := res.EM.CtxBlocksPerVP, prog.Mu/cfg.B+1; got != want {
-		t.Errorf("CtxBlocksPerVP = %d, want %d: the slot has no room for the length word", got, want)
-	}
-	_, err = core.Run(&overfull{prog}, cfg, core.Options{Seed: 5})
+	_, err := core.Run(&overfull{prog}, cfg, core.Options{Seed: 5})
 	if err == nil || !strings.Contains(err.Error(), "exceeding µ=23") {
 		t.Fatalf("a context of µ+1 words: got %v, want the µ violation", err)
 	}

@@ -1,0 +1,313 @@
+package core_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"embsp/internal/core"
+	"embsp/internal/disk"
+	"embsp/internal/fault"
+	"embsp/internal/redundancy"
+	"embsp/internal/words"
+	"embsp/internal/workload"
+)
+
+// Contexts live on allocated tracks (DESIGN.md §22): a batch's save takes
+// exactly the tracks its packed records fill and the context directory —
+// barrier state, one list a batch — says where they are. These tests hold
+// what that buys (a disk footprint that is a count of tracks in use) and
+// what it needs (a directory every restore of a barrier restores, and a
+// record that is checked before it is believed).
+
+// marksAtFinal records the allocators' bump marks when the run is over.
+type marksAtFinal struct {
+	core.Transport
+	marks [][]int
+}
+
+func (m *marksAtFinal) Final() ([]*core.NodeReport, error) {
+	m.marks = core.AllocatorMarks(m.Transport)
+	return m.Transport.Final()
+}
+
+// TestLiveBlocksAreDriveFiles: LiveBlocksPerDrive is the most tracks any
+// drive had allocated at once — the allocator reuses a released track
+// before it extends a drive, so that is the largest bump mark — and a
+// durable run's drive files are exactly that long: bump mark × slot bytes
+// on the file store, the mapping that holds it on the mapped one. For a
+// program that declares
+// µ = 10 blocks and saves a word it is the handful of tracks three
+// one-block batches need, not the 120/D the declaration would reserve.
+func TestLiveBlocksAreDriveFiles(t *testing.T) {
+	for _, spec := range []workload.Spec{{Alg: "sort", N: 8192, V: 16, Seed: 7}, {Alg: "listrank", N: 2048, V: 8, Seed: 7}} {
+		for _, p := range []int{1, 2} {
+			for _, mapped := range []bool{false, true} {
+				inst, err := spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := workload.Machine(inst.Program, p, 4, 64, 6, 1000)
+				dir := t.TempDir()
+				var m *marksAtFinal
+				res, err := core.RunOver(func(inner core.Transport) core.Transport {
+					m = &marksAtFinal{Transport: inner}
+					return m
+				}, inst.Program, cfg, core.Options{Seed: 7, StateDir: dir, MappedStore: mapped})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s P=%d mapped=%v", spec.Alg, p, mapped)
+				largest := 0
+				for proc, marks := range m.marks {
+					for d, mark := range marks {
+						largest = max(largest, mark)
+						fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("proc-%02d", proc), fmt.Sprintf("drive-%03d.dat", d)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						// The mapped store maps whole tracks in powers of two
+						// from 64: its file is the mapping, the first that
+						// holds the mark.
+						tracks := mark
+						if mapped {
+							for tracks = 64; tracks < mark; tracks *= 2 {
+							}
+						}
+						if want := int64(tracks * (cfg.B + 2) * 8); fi.Size() != want {
+							t.Errorf("%s: drive %d of processor %d is %d bytes, want %d: %d tracks of [magic, checksum, B words] for a bump mark of %d", label, d, proc, fi.Size(), want, tracks, mark)
+						}
+					}
+				}
+				if res.EM.LiveBlocksPerDrive != int64(largest) || largest == 0 {
+					t.Errorf("%s: LiveBlocksPerDrive = %d, the largest bump mark is %d", label, res.EM.LiveBlocksPerDrive, largest)
+				}
+			}
+		}
+	}
+
+	// Three batches of one block each, on drives 0, 1 and 2: in place each
+	// save gets back the track its load released; a checkpointed run holds
+	// the generation it would roll back to beside the one it writes.
+	prog := &oneWord{v: 12, mu: 160, steps: 3}
+	cfg := parMachine(1, 4, 16, 640)
+	for _, row := range []struct {
+		durable bool
+		want    int64
+	}{{false, 1}, {true, 2}} {
+		opts := core.Options{Seed: 1}
+		if row.durable {
+			opts.StateDir = t.TempDir()
+		}
+		res, err := core.Run(prog, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EM.CtxBlocksPerVP != 11 || res.EM.LiveBlocksPerDrive != row.want {
+			t.Errorf("durable=%v: a VP may hold %d blocks and LiveBlocksPerDrive = %d, want 11 and %d", row.durable, res.EM.CtxBlocksPerVP, res.EM.LiveBlocksPerDrive, row.want)
+		}
+	}
+}
+
+// savedContexts is what every VP of a result saves.
+func savedContexts(res *core.Result) [][]uint64 {
+	var all [][]uint64
+	for _, vp := range res.VPs {
+		enc := words.NewEncoder(nil)
+		vp.Save(enc)
+		all = append(all, enc.Words())
+	}
+	return all
+}
+
+// setupMeter also reads the replay count as the set-up returns.
+type setupMeter struct {
+	marksAtFinal
+	setupReplays int64
+}
+
+func (m *setupMeter) Setup() ([]disk.Stats, error) {
+	stats, err := m.Transport.Setup()
+	m.setupReplays = core.SetupReplays(m.Transport)
+	return stats, err
+}
+
+// TestSetupReplayLeaksNoTracks: the set-up allocates the tracks it
+// writes, so a replay of it starts from the allocator the set-up found —
+// and the parity and fault layers' directories with it. With retries off
+// and a write-error rate that fails the first attempts, the run ends with
+// the bump marks of the run no fault touched, and the same result.
+func TestSetupReplayLeaksNoTracks(t *testing.T) {
+	inst, err := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		for _, mode := range []redundancy.Mode{redundancy.None, redundancy.Parity} {
+			cfg := workload.Machine(inst.Program, p, 4, 64, 6, 1000)
+			run := func(plan *fault.Plan) (*core.Result, *setupMeter) {
+				var m *setupMeter
+				res, err := core.RunOver(func(inner core.Transport) core.Transport {
+					m = &setupMeter{marksAtFinal: marksAtFinal{Transport: inner}}
+					return m
+				}, inst.Program, cfg, core.Options{Seed: 7, StateDir: t.TempDir(), Redundancy: mode, FaultPlan: plan, MaxRetries: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, m
+			}
+			clean, cm := run(nil)
+			faulty, fm := run(&fault.Plan{Seed: 1, WriteErrorRate: 0.003})
+			label := fmt.Sprintf("P=%d %v", p, mode)
+			if fm.setupReplays == 0 {
+				t.Fatalf("%s: the set-up was not replayed (%d replays in all); pick another plan seed", label, faulty.EM.Replays)
+			}
+			if !reflect.DeepEqual(cm.marks, fm.marks) {
+				t.Errorf("%s: bump marks %v after %d set-up replays, %v in the clean run: a replay leaked tracks", label, fm.marks, fm.setupReplays, cm.marks)
+			}
+			if !reflect.DeepEqual(savedContexts(clean), savedContexts(faulty)) || !reflect.DeepEqual(clean.Costs, faulty.Costs) {
+				t.Errorf("%s: the replayed run's result differs from the clean run's", label)
+			}
+		}
+	}
+}
+
+// recordAt takes the processors' records as barrier `at` is committed.
+type recordAt struct {
+	core.Transport
+	at   int
+	recs []core.ProcRecord
+}
+
+func (m *recordAt) Commit(step int) error {
+	if step == m.at {
+		m.recs = core.ProcRecords(m.Transport)
+	}
+	return m.Transport.Commit(step)
+}
+
+// procRecordSeeds are real processor records of a barrier that holds an
+// input and contexts and has just released the ones before them: of a
+// file run, of a file run under parity and faults, and of a cluster node.
+func procRecordSeeds(t testing.TB) []core.ProcRecord {
+	t.Helper()
+	prog, cfg := testProgram(), parMachine(1, 4, 8, 256)
+	var seeds []core.ProcRecord
+	for _, opts := range []core.Options{
+		{Seed: 3},
+		{Seed: 3, Redundancy: redundancy.Parity, FaultPlan: &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}},
+	} {
+		opts.StateDir = t.TempDir()
+		var m *recordAt
+		_, err := core.RunOver(func(inner core.Transport) core.Transport {
+			m = &recordAt{Transport: inner, at: 1}
+			return m
+		}, prog, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, m.recs[0])
+	}
+	rig := openRig(t, prog, parMachine(2, 4, 8, 256), core.Options{Seed: 3}, t.TempDir(), false)
+	rig.fail = func(point string, step int) error {
+		if point == "decided" && step == 1 {
+			seeds = append(seeds, rig.nodes[0].ProcRecord())
+		}
+		return nil
+	}
+	rig.run(t)
+	rig.close()
+	for i, rec := range seeds {
+		if len(rec.Input) == 0 || len(rec.Contexts) < 2 {
+			t.Fatalf("seed record %d names %d input and %d context tracks", i, len(rec.Input), len(rec.Contexts))
+		}
+	}
+	return seeds
+}
+
+// TestResumeRefusesForgedContextDirectory: the context directory a record
+// carries is read from and freed through, like the input's, so a record
+// that names as contexts a track the allocator state beside it never
+// handed out, holds free, or that is named already — as contexts or as
+// input — is refused with the engine's typed error before the store has
+// adopted anything; damage a record's checksum does not see, because it
+// was there when the record was written.
+func TestResumeRefusesForgedContextDirectory(t *testing.T) {
+	for i, rec := range procRecordSeeds(t) {
+		err, _, named, st := rec.Decode(rec.Words)
+		if err != nil || len(named) != len(rec.Input)+len(rec.Contexts) {
+			t.Fatalf("seed %d: the record as written decodes to %v, naming %d tracks of %d", i, err, len(named), len(rec.Input)+len(rec.Contexts))
+		}
+		D := len(st.Next)
+		input, contexts := named[:len(rec.Input)], named[len(rec.Input):]
+		free := slices.IndexFunc(st.Free, func(f []int) bool { return len(f) > 0 })
+		if free < 0 {
+			t.Fatalf("seed %d: the barrier left no free track", i)
+		}
+		word := func(d, tr int) uint64 { return uint64(tr*D + d) }
+		for _, forge := range []struct {
+			at   int
+			with uint64
+			want string
+		}{
+			{rec.Contexts[0], word(contexts[0].Disk, st.Next[contexts[0].Disk]), "beyond the allocator's mark"},
+			{rec.Contexts[0], word(free, st.Free[free][0]), "on the free list"},
+			{rec.Contexts[0], rec.Words[rec.Contexts[1]], "already named as contexts"},
+			{rec.Contexts[0], word(input[0].Disk, input[0].Track), "already named as input"},
+			{rec.Input[0], uint64(st.Next[input[0].Disk]), "beyond the allocator's mark"},
+			{rec.Input[0], ^uint64(0), "beyond the allocator's mark"},
+		} {
+			forged := slices.Clone(rec.Words)
+			forged[forge.at] = forge.with
+			err, untouched, _, _ := rec.Decode(forged)
+			if !core.IsEngineError(err) || !strings.Contains(err.Error(), forge.want) || !untouched {
+				t.Errorf("seed %d, word %d forged to %d: got %v (store untouched: %v), want the typed refusal of a track %s", i, forge.at, forge.with, err, untouched, forge.want)
+			}
+		}
+	}
+}
+
+// FuzzProcManifest forges the track words of real processor records —
+// nudged, or copied from one another across the two directories — and
+// holds the decoder to this: it refuses with the engine's typed error and
+// the store untouched, or it accepts and every track the directories name
+// is then allocated in the adopted state and named once, so the releases
+// a commit makes through them cannot free a track twice or one it never
+// had.
+func FuzzProcManifest(f *testing.F) {
+	seeds := procRecordSeeds(f)
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(1), []byte{0, 0, 67})
+	f.Add(uint8(2), []byte{0, 1, 200, 1, 0, 3, 0, 9, 129})
+	f.Fuzz(func(t *testing.T, kind uint8, edits []byte) {
+		rec := seeds[int(kind)%len(seeds)]
+		ws := slices.Clone(rec.Words)
+		at := append(slices.Clone(rec.Input), rec.Contexts...)
+		for ; len(edits) >= 3; edits = edits[3:] {
+			i := at[(int(edits[0])<<8|int(edits[1]))%len(at)]
+			if b := int(edits[2]); b < 128 {
+				ws[i] += uint64(int64(b - 64))
+			} else {
+				ws[i] = ws[at[(b-128)%len(at)]]
+			}
+		}
+		err, untouched, named, st := rec.Decode(ws)
+		if err != nil {
+			if !core.IsEngineError(err) || !untouched {
+				t.Fatalf("refused with %v (store untouched: %v), want the typed error and an untouched store", err, untouched)
+			}
+			return
+		}
+		seen := make(map[disk.Addr]bool)
+		for _, a := range named {
+			if a.Disk < 0 || a.Disk >= len(st.Next) || a.Track < 0 || a.Track >= st.Next[a.Disk] || slices.Contains(st.Free[a.Disk], a.Track) || seen[a] {
+				t.Fatalf("accepted a record naming %v: out of range, free or named twice", a)
+			}
+			seen[a] = true
+		}
+	})
+}

@@ -204,15 +204,19 @@ func (e *engine) parallel(f func(ps *procState) error) error {
 	return errors.Join(errs...)
 }
 
-// replayPhase runs an idempotent whole-area phase across all
-// processors, re-running it when a recoverable fault escapes the fault
-// layer's retries (the phases neither allocate tracks nor leave
-// partial state).
-func (e *engine) replayPhase(phase func(ps *procState) error) error {
+// replayPhase runs a whole-directory phase across all processors,
+// re-running it when a recoverable fault escapes the fault layer's
+// retries. The finish phase only reads; the set-up allocates the tracks
+// it writes and hands in snap, which every replay first returns the
+// processors to — allocator, layers and all, so no attempt leaks a track.
+func (e *engine) replayPhase(phase func(ps *procState) error, snap []procSnapshot) error {
 	err := e.parallel(phase)
 	r := 0
 	for ; err != nil && e.faulty() && fault.Replayable(err) && r < maxReplays; r++ {
 		e.led.replays++
+		if snap != nil {
+			e.restore(snap)
+		}
 		err = e.parallel(phase)
 	}
 	if err != nil && r >= maxReplays {
@@ -221,13 +225,14 @@ func (e *engine) replayPhase(phase func(ps *procState) error) error {
 	return err
 }
 
-// Setup: every processor reserves its context area(s), writes its VPs'
-// initial contexts and makes them durable.
+// Setup: every processor writes its VPs' initial contexts and makes them
+// durable.
 func (e *engine) Setup() ([]disk.Stats, error) {
-	for _, ps := range e.procs {
-		e.setupReserve(ps)
+	var snap []procSnapshot
+	if e.faulty() {
+		snap = e.snapshot()
 	}
-	if err := e.replayPhase(e.writeInitialContexts); err != nil {
+	if err := e.replayPhase(e.writeInitialContexts, snap); err != nil {
 		return nil, err
 	}
 	stats := make([]disk.Stats, len(e.procs))
@@ -328,8 +333,8 @@ func (e *engine) Route(step int) ([]int64, error) {
 }
 
 // Prepare is the barrier commit, run only after every processor
-// finished the superstep: free the consumed input areas, install the
-// routing results and flip the context double buffers (commitProc);
+// finished the superstep: free the consumed input and contexts, install
+// the routing results and the contexts written (commitProc);
 // then the parity-aware commit point; then every processor's data is
 // made durable before the decision record is.
 func (e *engine) Prepare(step int, _ bool) ([]int64, error) {
@@ -372,7 +377,7 @@ func (e *engine) Final() ([]*NodeReport, error) {
 	err := e.replayPhase(func(ps *procState) (err error) {
 		reports[ps.id], err = e.finalReport(ps, e.led.stepsDone, true)
 		return err
-	})
+	}, nil)
 	return reports, err
 }
 
@@ -386,7 +391,6 @@ type procSnapshot struct {
 	routeOps int64
 	ragged   int64
 	maxSkew  float64
-	peakLive int64
 }
 
 func (e *engine) snapshot() []procSnapshot {
@@ -400,7 +404,6 @@ func (e *engine) snapshot() []procSnapshot {
 			routeOps: ps.routeOps,
 			ragged:   ps.ragged,
 			maxSkew:  ps.maxSkew,
-			peakLive: ps.peakLive,
 		}
 		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
 			s[i].parity = red.Snapshot()
@@ -427,7 +430,6 @@ func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 		ps.routeOps = p.routeOps
 		ps.ragged = p.ragged
 		ps.maxSkew = p.maxSkew
-		ps.peakLive = p.peakLive
 		ps.pendingRoute = nil
 	}
 	return maxAborted

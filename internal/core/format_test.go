@@ -57,6 +57,22 @@ import (
 // with no read. mapped+tier+parity: the same two moves on each of two
 // processors. The mirror row, and the RUN, NODE and CORD rows without a
 // layer, hold what they held.
+//
+// modelRules 6 → 7 (PR 23, contexts on allocated tracks) moved all of
+// them by the fingerprint word, and — as they would have with modelRules
+// held at 6 — every RUN and NODE row by the layout of the processor
+// section too; the two CORD rows, which have none, by the fingerprint
+// alone. A section no longer carries the area cursor, two context areas
+// with their used-block tables, or the peak-live count; it carries the
+// context directory (per batch one list, a word a block, encodeContexts)
+// and, so that both directories can be checked against the allocator
+// state before the store adopts it (claimTracks), the input directory and
+// the context directory now come before the store chain's state instead
+// of after it. Record 0 also holds an allocator that handed out only the
+// tracks the initial contexts fill, record 1 one whose free lists hold the
+// generation superstep 0 read; the parity and mirror rows in addition the
+// stripes, checksums and mirror copies of other tracks, and the faulted
+// row other fault draws (they follow the drive a block goes to).
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -74,8 +90,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		}
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xc97fbff719fec6df, 0xc8412f7c8a5be57d},
-		2: {0x450986e876aaad88, 0x3a61073036bc8b34},
+		1: {0xc734d26d8f1a46e7, 0x3817f1f47c688dc2},
+		2: {0x33328a9a5d46449, 0x9a8a92ce7c1c77cf},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -96,16 +112,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x83470711e432ebb7, 0xd3d2f4a543d93f6e}},
+		}, [2]uint64{0x9522b7f74858b623, 0x3162420baaf73a31}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x4e3e1fb86d76c598, 0x206f6fbef2776298}},
+		}, [2]uint64{0x5a53cb734eaceb1a, 0x2c63316168783cc5}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x9558edb978be0644, 0xce7398cd92fd314a}},
+		}, [2]uint64{0x39f9134dcfcbcb9f, 0x5cbd8067857a311b}},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -119,9 +135,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	rig := openRig(t, prog, parMachine(2, 2, 8, 256), opts, root, false)
 	rig.run(t)
 	rig.close()
-	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0xf90c7c2375850a4f, 0x6a28a26dabb397a8})
-	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0xa353ca3ac1e50af8, 0x87a34ee1553150a1})
-	check("CORD", filepath.Join(root, "coord"), [2]uint64{0x8842a0a3fafc4952, 0xc2e2d31b5562b5ca})
+	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0xc742ddb291e09c90, 0xd8700666418ac5e7})
+	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0x568485225c7f466e, 0x7e2f10af7c5d4097})
+	check("CORD", filepath.Join(root, "coord"), [2]uint64{0x187bfcb98f919bbf, 0x621534ea0ce81371})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

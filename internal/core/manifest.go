@@ -38,11 +38,13 @@ const (
 // and routing buckets cut by load, §20.2; 5: blocks placed by the
 // directory's counts and read where they lie unless routing pays, §7,
 // with the unrouted directory in every processor's record; 6: parity
-// folded at write, stripes that leave with their superstep, §10). It is
-// folded into every fingerprint, so a directory journaled under other
-// rules, or a cluster peer built with them, is refused rather than
-// resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 6
+// folded at write, stripes that leave with their superstep, §10; 7:
+// contexts on allocated tracks, listed by the context directory in every
+// processor's record, §22). It is folded into every fingerprint, so a
+// directory journaled under other rules, or a cluster peer built with
+// them, is refused rather than resumed into hybrid counts or fed blocks
+// it cannot parse.
+const modelRules = 7
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -187,27 +189,82 @@ func encodeDirectory(enc *words.Encoder, dir *outDirectory) {
 	}
 }
 
-// decodeDirectory reads it back against the adopted allocator's bump
-// marks: the directory is read from and freed through, and a track the
-// allocator never handed out is neither.
-func decodeDirectory(dec *words.Decoder, next []int) (*outDirectory, error) {
+// decodeDirectory reads it back; claimTracks checks what it names.
+func decodeDirectory(dec *words.Decoder, D int) *outDirectory {
 	n := int(dec.Int())
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	dir := newOutDirectory(n, len(next))
-	for g, perDrive := range dir.q {
+	dir := newOutDirectory(n, D)
+	for _, perDrive := range dir.q {
 		for d := range perDrive {
 			for _, t := range dec.Ints() {
-				if t < 0 || t >= int64(next[d]) {
-					return nil, &engineError{msg: fmt.Sprintf("journal names track %d of drive %d as input of batch %d, beyond the allocator's mark %d", t, d, g, next[d])}
-				}
 				perDrive[d] = append(perDrive[d], blockRef{disk: d, track: int(t)})
 				dir.total++
 			}
 		}
 	}
-	return dir, nil
+	return dir
+}
+
+// encodeContexts writes the context directory: per batch one list (the
+// form of PutInts), a word a block in block order, track·D + drive.
+func encodeContexts(enc *words.Encoder, ctxDir [][]disk.Addr, D int) {
+	for _, tracks := range ctxDir {
+		enc.PutInt(int64(len(tracks)))
+		for _, a := range tracks {
+			enc.PutInt(int64(a.Track*D + a.Disk))
+		}
+	}
+}
+
+func decodeContexts(dec *words.Decoder, ctxDir [][]disk.Addr, D int) {
+	for j := range ctxDir {
+		ws := dec.Ints()
+		ctxDir[j] = make([]disk.Addr, len(ws))
+		for i, w := range ws {
+			ctxDir[j][i] = disk.Addr{Disk: int(w % int64(D)), Track: int(w / int64(D))}
+		}
+	}
+}
+
+// claimTracks checks the tracks a processor's record names, as input and
+// as contexts, against the allocator state the record carries: both
+// directories are read from and freed through, so a track that state
+// never handed out, holds free, or that is named twice is refused — before
+// the store adopts anything.
+func claimTracks(st disk.StoreState, dir *outDirectory, ctxDir [][]disk.Addr) error {
+	held := make(map[disk.Addr]string)
+	for d, free := range st.Free {
+		for _, t := range free {
+			held[disk.Addr{Disk: d, Track: t}] = "on the free list"
+		}
+	}
+	claim := func(a disk.Addr, as string, batch int) error {
+		is := held[a]
+		if a.Disk < 0 || a.Disk >= len(st.Next) || a.Track < 0 || a.Track >= st.Next[a.Disk] {
+			is = "beyond the allocator's mark"
+		}
+		if is != "" {
+			return &engineError{msg: fmt.Sprintf("journal names track %d of drive %d as %s of batch %d: it is %s", a.Track, a.Disk, as, batch, is)}
+		}
+		held[a] = "already named as " + as
+		return nil
+	}
+	if dir != nil {
+		err := dir.each(func(g int, ref blockRef) error { return claim(disk.Addr{Disk: ref.disk, Track: ref.track}, "input", g) })
+		if err != nil {
+			return err
+		}
+	}
+	for j, tracks := range ctxDir {
+		for _, a := range tracks {
+			if err := claim(a, "contexts", j); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func encodeAreas(enc *words.Encoder, areas []disk.Area) {
@@ -284,22 +341,15 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	for _, w := range st[:] {
 		enc.PutUint(w)
 	}
-	enc.PutInt(int64(ps.ctxCur))
-	for a, ar := range ps.ctxAreas {
-		ar.Encode(enc)
-		enc.PutInt(int64(len(ps.ctxUsed[a])))
-		for _, used := range ps.ctxUsed[a] {
-			enc.PutInt(int64(used))
-		}
-	}
 	enc.PutInt(int64(ps.inBlocks))
 	encodeRegions(enc, ps.inRegions)
 	encodeAreas(enc, ps.inAreas)
-	enc.PutInts([]int64{ps.routeOps, ps.ragged, ps.peakLive})
+	enc.PutInts([]int64{ps.routeOps, ps.ragged})
 	enc.PutFloat(ps.maxSkew)
 	enc.PutInt(ps.acct.High())
-	ps.encodeState(enc)
 	encodeDirectory(enc, ps.inDir)
+	encodeContexts(enc, ps.ctxDir, ps.chain.Config().D)
+	ps.encodeState(enc)
 }
 
 func decodeProcManifest(dec *words.Decoder, ps *procState) error {
@@ -308,26 +358,21 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 		st[i] = dec.Uint()
 	}
 	ps.rng.SetState(st)
-	ps.ctxCur = int(dec.Int())
-	for a := range ps.ctxAreas {
-		ps.ctxAreas[a] = disk.DecodeArea(dec)
-		ps.ctxUsed[a] = make([]int, dec.Int())
-		for j := range ps.ctxUsed[a] {
-			ps.ctxUsed[a][j] = int(dec.Int())
-		}
-	}
 	ps.inBlocks = int(dec.Int())
 	ps.inRegions = decodeRegions(dec)
 	ps.inAreas = decodeAreas(dec)
 	pt := dec.Ints()
-	ps.routeOps, ps.ragged, ps.peakLive = pt[0], pt[1], pt[2]
+	ps.routeOps, ps.ragged = pt[0], pt[1]
 	ps.maxSkew = dec.Float()
 	ps.acct.AdoptHigh(dec.Int())
-	err := ps.decodeState(dec)
-	if err == nil {
-		ps.inDir, err = decodeDirectory(dec, ps.chain.State().Next)
+	D := ps.chain.Config().D
+	ps.inDir = decodeDirectory(dec, D)
+	decodeContexts(dec, ps.ctxDir, D)
+	alloc := decodeStoreState(dec)
+	if err := claimTracks(alloc, ps.inDir, ps.ctxDir); err != nil {
+		return err
 	}
-	return err
+	return ps.decodeState(alloc, dec)
 }
 
 // decodeProcs adopts what encodeProcs wrote. The crashed attempt may

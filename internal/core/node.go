@@ -11,7 +11,6 @@ import (
 	"embsp/internal/mem"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
-	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
@@ -47,10 +46,10 @@ type wireBlock struct {
 //
 // Under the checkpoint discipline (ckptOn: a fault plan or a journal)
 // the contexts of the previous superstep and its input blocks stay on
-// disk untouched while the next superstep runs — contexts are
-// double-buffered between two areas and input frees wait for the
-// barrier commit — so a recoverable fault, or a crash, rolls back to
-// the barrier and replays the superstep from identical inputs.
+// disk untouched while the next superstep runs — its contexts go to
+// tracks of their own, the generation ctxWrite, and every release waits
+// for the barrier commit — so a recoverable fault, or a crash, rolls back
+// to the barrier and replays the superstep from identical inputs.
 type procState struct {
 	id int
 	lo int // first owned VP
@@ -62,11 +61,12 @@ type procState struct {
 	acct       *mem.Accountant
 	rng        *prng.Rand
 
-	ctxAreas  [2]disk.Area // checkpoint mode double-buffers; [1] unused otherwise
-	ctxUsed   [2][]int     // per area and batch: the blocks the batch's packed contexts fill
-	ctxCur    int
-	inDir     *outDirectory   // the input's blocks where their writer left them, per batch; or
-	inRegions [][]groupRegion // per batch, the regions of inAreas that Algorithm 2 moved them to
+	down      func(d int) bool // the fault layer's dead drives; nil without one
+	ctxDir    [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
+	ctxWrite  [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
+	ctxAt     int              // the drive the next batch's context tracks start at
+	inDir     *outDirectory    // the input's blocks where their writer left them, per batch; or
+	inRegions [][]groupRegion  // per batch, the regions of inAreas that Algorithm 2 moved them to
 	inAreas   []disk.Area
 	inBlocks  int
 
@@ -83,31 +83,12 @@ type procState struct {
 	routeOps int64
 	ragged   int64
 	maxSkew  float64
-	peakLive int64
 }
 
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
 
 // stepOps returns the parallel I/O operations consumed since beginStep.
 func (ps *procState) stepOps() int64 { return ps.chain.Stats().Ops - ps.opsMark }
-
-func (ps *procState) noteLive(muBlocks, extraBlocks int) {
-	live := int64(ps.ownCount()*muBlocks + extraBlocks)
-	per := live / int64(ps.chain.Config().D)
-	if per > ps.peakLive {
-		ps.peakLive = per
-	}
-}
-
-// ctxNext is the context area the running superstep writes to; ctxCur
-// holds the committed contexts. They coincide unless checkpoint
-// double-buffering is on.
-func (ps *procState) ctxNext() int {
-	if ps.ckptOn {
-		return ps.ctxCur ^ 1
-	}
-	return ps.ctxCur
-}
 
 // simShape is the derived shape of a run — everything that follows
 // deterministically from (program, machine config, options) — plus the
@@ -210,36 +191,24 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	}
 	ps := &procState{
 		id: i, lo: lo, hi: hi,
-		acct: mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
-		rng:  prng.New(stream),
+		acct:   mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
+		rng:    prng.New(stream),
+		ctxDir: make([][]disk.Addr, sh.batches),
 	}
 	var err error
 	if ps.storeStack, err = openStack(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i); err != nil {
 		return nil, err
 	}
+	if fd := disk.Find[*fault.Disk](ps.chain); fd != nil {
+		ps.down = fd.Down
+	}
+	ps.ctxWrite = ps.ctxDir
 	return ps, nil
 }
 
 // procDir is the per-processor drive directory under a state root.
 func procDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("proc-%02d", i))
-}
-
-// setupReserve reserves the processor's context area: ⌈(µ+1)/B⌉ blocks
-// per owned VP in standard consecutive format, batch j's slice starting
-// at block j·k·⌈(µ+1)/B⌉ (the paper's Step 1(a)/1(e), with room for
-// every record's length word). Under the checkpoint discipline a second
-// area double-buffers it; each area has its table of blocks in use.
-func (sh *simShape) setupReserve(ps *procState) {
-	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
-	defer sp.End()
-	for a := range ps.ctxAreas {
-		if a == 0 || ps.ckptOn {
-			ps.ctxAreas[a] = disk.Reserve(ps.chain, ps.ownCount()*sh.muBlocks)
-		}
-		ps.ctxUsed[a] = make([]int, sh.batches)
-	}
-	ps.noteLive(sh.muBlocks, 0)
 }
 
 // grabCtx holds the words of n VPs' contexts at the µ bound — what they
@@ -249,14 +218,42 @@ func (sh *simShape) grabCtx(ps *procState, n int) ([]uint64, int64, error) {
 	return fit(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w))
 }
 
+// moveContexts writes (or reads) the blocks of buf to (from) tracks,
+// block i at tracks[i]: one parallel operation for every run of tracks on
+// distinct drives, which is a stripe's period — D while every drive lives.
+func (ps *procState) moveContexts(tracks []disk.Addr, buf []uint64, write bool) error {
+	D, B := ps.chain.Config().D, ps.chain.Config().B
+	for lo, hi := 0, 0; lo < len(tracks); lo = hi {
+		reads, writes := grow(&ps.reads, D)[:0], grow(&ps.writes, D)[:0]
+		for hi = lo; hi < len(tracks) && (hi == lo || tracks[hi].Disk != tracks[lo].Disk); hi++ {
+			a, blk := tracks[hi], buf[hi*B:(hi+1)*B]
+			if write {
+				writes = append(writes, disk.WriteReq{Disk: a.Disk, Track: a.Track, Src: blk})
+			} else {
+				reads = append(reads, disk.ReadReq{Disk: a.Disk, Track: a.Track, Dst: blk})
+			}
+		}
+		// One of the lists is empty, and an empty operation is none.
+		err := ps.chain.ReadOp(reads)
+		if err == nil {
+			err = ps.chain.WriteOp(writes)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // saveContexts is Step 1(e): the contexts of batch j's VPs are packed
-// end to end as records [length, words…] from the start of the batch's
-// slice of context area to, and only the blocks they fill are written;
-// the count is barrier state (ctxUsed). A record may not exceed µ + 1
-// words, so the k of them fit the slice.
-func (sh *simShape) saveContexts(ps *procState, j, step, to int, buf []uint64, vp func(id int) bsp.VP) error {
+// end to end as records [length, words…] and written to exactly the
+// tracks they fill, allocated here — striped over the live drives from
+// where the superstep's previous batch stopped, no draw from the block
+// writer's PRNG — and entered in the generation being written. A record
+// may not exceed µ + 1 words, so the k of them fit grabCtx's buffer.
+func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp func(id int) bsp.VP) error {
 	lo, hi := sh.batchBounds(ps, j)
-	B, pos := sh.cfg.B, 0
+	D, B, pos := sh.cfg.D, sh.cfg.B, 0
 	for id := lo; id < hi; id++ {
 		ps.enc.Reset()
 		if err := bsp.SafeSave(vp(id), &ps.enc, id, step); err != nil {
@@ -269,24 +266,30 @@ func (sh *simShape) saveContexts(ps *procState, j, step, to int, buf []uint64, v
 		buf[pos] = uint64(n)
 		pos += 1 + copy(buf[pos+1:], ps.enc.Words())
 	}
-	used := (pos + B - 1) / B
-	clear(buf[pos : used*B])
-	ps.ctxUsed[to][j] = used
-	base := (lo - ps.lo) * sh.muBlocks
-	return disk.WriteRange(ps.chain, ps.ctxAreas[to], base, base+used, buf[:used*B])
+	tracks := make([]disk.Addr, (pos+B-1)/B)
+	clear(buf[pos : len(tracks)*B])
+	for i := range tracks {
+		for n := 0; n < D && ps.down != nil && ps.down(ps.ctxAt); n++ {
+			ps.ctxAt = (ps.ctxAt + 1) % D
+		}
+		tracks[i] = disk.Addr{Disk: ps.ctxAt, Track: ps.chain.Alloc(ps.ctxAt)}
+		ps.ctxAt = (ps.ctxAt + 1) % D
+	}
+	ps.ctxWrite[j] = tracks
+	return ps.moveContexts(tracks, buf, true)
 }
 
 // loadContexts is Step 1(a): read the blocks batch j's committed
-// contexts fill and hand each VP's words to emit, in VP order. The
-// slices alias buf.
+// contexts fill, by the context directory, and hand each VP's words to
+// emit, in VP order. The slices alias buf.
 func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(id int, ctx []uint64) error) error {
 	lo, hi := sh.batchBounds(ps, j)
-	used, base := ps.ctxUsed[ps.ctxCur][j], (lo-ps.lo)*sh.muBlocks
+	used := len(ps.ctxDir[j])
 	if used > (hi-lo)*sh.muBlocks {
-		return &engineError{msg: fmt.Sprintf("batch %d records %d context blocks in a slice of %d", j, used, (hi-lo)*sh.muBlocks)}
+		return &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
 	}
 	buf = buf[:used*sh.cfg.B]
-	if err := disk.ReadRange(ps.chain, ps.ctxAreas[ps.ctxCur], base, base+used, buf); err != nil {
+	if err := ps.moveContexts(ps.ctxDir[j], buf, false); err != nil {
 		return err
 	}
 	for id, pos := lo, 0; id < hi; id++ {
@@ -302,6 +305,18 @@ func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(i
 	return nil
 }
 
+// releaseContexts gives back the tracks of batch j's committed contexts,
+// last first, so the allocator hands them out again in block order.
+func (ps *procState) releaseContexts(j int) (err error) {
+	for i := len(ps.ctxDir[j]) - 1; i >= 0 && err == nil; i-- {
+		err = ps.chain.Release(ps.ctxDir[j][i].Disk, ps.ctxDir[j][i].Track)
+	}
+	ps.ctxDir[j] = nil
+	return err
+}
+
+// writeInitialContexts is the set-up. A replay of it (engine.Setup) starts
+// from the allocator it found and rewrites every entry of the directory.
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()
@@ -310,8 +325,9 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 		return err
 	}
 	defer ps.acct.Release(grab)
+	ps.ctxAt = 0
 	for j := 0; j < sh.batches && err == nil; j++ {
-		err = sh.saveContexts(ps, j, -1, ps.ctxCur, buf, sh.p.NewVP)
+		err = sh.saveContexts(ps, j, -1, buf, sh.p.NewVP)
 	}
 	return err
 }
@@ -358,7 +374,7 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 	r.FinishReadOps = s.ReadOps - r.RunStats.ReadOps
 	r.FinishBlocksRead = s.BlocksRead - r.RunStats.BlocksRead
 	r.RouteOps, r.Ragged, r.MaxSkew = ps.routeOps, ps.ragged, ps.maxSkew
-	r.MemHigh, r.PeakLive = ps.acct.High(), ps.peakLive
+	r.MemHigh, r.PeakLive = ps.acct.High(), int64(slices.Max(ps.chain.State().Next))
 	return r, nil
 }
 
@@ -375,16 +391,16 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 
 // beginStep resets the processor's superstep-scoped scratch: halt/send
 // tallies, the outgoing directory (keyed by destination batch), the ops
-// watermark, and the block writer over the processor's operation buffer.
+// watermark, the block writer over the processor's operation buffer, and
+// under the checkpoint discipline the context generation to write.
 func (sh *simShape) beginStep(ps *procState) {
-	ps.halts, ps.sends = 0, 0
+	ps.halts, ps.sends, ps.ctxAt = 0, 0, 0
 	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
 	ps.opsMark = ps.chain.Stats().Ops
-	var down func(int) bool
-	if fd := disk.Find[*fault.Disk](ps.chain); fd != nil {
-		down = fd.Down
+	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
+	if ps.ckptOn {
+		ps.ctxWrite = make([][]disk.Addr, sh.batches)
 	}
-	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, down, &ps.stepBufs)
 }
 
 // fetchPkts is the packet count for w words combined into size-b
@@ -570,6 +586,10 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		vps[id-lo] = sh.p.NewVP(id)
 		return bsp.SafeLoad(vps[id-lo], words.NewDecoder(ctx), id, step)
 	})
+	if err == nil && !ps.ckptOn {
+		// Nothing rolls back to them: the batch's save gets them back.
+		err = ps.releaseContexts(j)
+	}
 	if err != nil {
 		return err
 	}
@@ -633,7 +653,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
-	if err := sh.saveContexts(ps, j, step, ps.ctxNext(), ctxBuf, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
+	if err := sh.saveContexts(ps, j, step, ctxBuf, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
 		return err
 	}
 	ps.acct.Release(ctxGrab)
@@ -728,7 +748,10 @@ func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) er
 // flushBatch ends batch j's writing phase. Blocks short of a full
 // operation stay pending for the next batch's to fill it; after the
 // superstep's last batch the writer makes its one partial parallel
-// write and gives up its operation buffer (routing takes it next).
+// write and gives up its operation buffer (routing takes it next). By
+// then every batch has read its input, and without the checkpoint
+// discipline nothing returns to it: it is freed, in a halting superstep
+// too, as the contexts written with it were (their stripes leave whole).
 func (sh *simShape) flushBatch(ps *procState, j int) error {
 	if j < sh.batches-1 {
 		return nil
@@ -737,7 +760,10 @@ func (sh *simShape) flushBatch(ps *procState, j int) error {
 		return err
 	}
 	ps.acct.Release(sh.opWords())
-	return nil
+	if ps.ckptOn {
+		return nil
+	}
+	return sh.freeInput(ps)
 }
 
 // routeLocal is Step 2 of Algorithm 3: settle where the next superstep
@@ -746,21 +772,15 @@ func (sh *simShape) flushBatch(ps *procState, j int) error {
 // stay where they are and the directory is the next input; only when
 // reading it scattered would cost more than routing's floor (routeCosts)
 // does Algorithm 2 reorganize them into standard consecutive format. In
-// normal operation the result is installed immediately, and the consumed
-// input — dead weight — is freed first; under the checkpoint discipline
-// it is the replay/resume source, so the result is parked and the frees
-// wait until the engine-level barrier commit, because a fault on another
-// processor (or a crash before the journal record lands) can still roll
-// this superstep back.
+// normal operation the result is installed immediately (the consumed
+// input went with the last flush); under the checkpoint discipline that
+// input is the replay/resume source, so the result is parked and the
+// frees wait until the engine-level barrier commit, because a fault on
+// another processor (or a crash before the journal record lands) can
+// still roll this superstep back.
 func (sh *simShape) routeLocal(ps *procState, step int) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phRoute, ps.id, 0, step, -1)
 	defer sp.End()
-	if !ps.ckptOn {
-		if err := sh.freeInput(ps); err != nil {
-			return err
-		}
-	}
-	ps.noteLive(sh.muBlocks, ps.inBlocks+ps.dir.total)
 	scattered, floor, skew := ps.dir.routeCosts()
 	route := &routeResult{dir: ps.dir, total: ps.dir.total, stats: routeStats{maxSkew: skew}}
 	if mode := sh.opts.routing; mode == RouteAlways || mode == RouteDecided && scattered > floor {
@@ -788,16 +808,7 @@ func (sh *simShape) freeInput(ps *procState) error {
 	if ps.inDir == nil {
 		return nil
 	}
-	for _, perDrive := range ps.inDir.q {
-		for d, refs := range perDrive {
-			for _, ref := range refs {
-				if err := ps.chain.Release(d, ref.track); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return ps.inDir.each(func(_ int, ref blockRef) error { return ps.chain.Release(ref.disk, ref.track) })
 }
 
 // install makes routeLocal's result the next superstep's input.
@@ -806,39 +817,31 @@ func (sh *simShape) install(ps *procState, route *routeResult) {
 	ps.ragged += route.stats.ragged
 	ps.maxSkew = max(ps.maxSkew, route.stats.maxSkew)
 	ps.inDir, ps.inRegions, ps.inAreas, ps.inBlocks = route.dir, route.regions, route.areas, route.total
-	ps.noteLive(sh.muBlocks, route.total)
 }
 
 // commitProc is the processor's share of the barrier commit under the
-// checkpoint discipline (without it, routeLocal already did all of
-// this): free the consumed input, install the parked next one, and flip
-// the context double buffer. The flip makes the other area's contexts —
-// written a superstep before the input just freed — dead, and a parity
-// layer is told so (Discard): with them the stripes of that superstep
-// leave whole, and the next superstep's context writes are fresh. A
-// halting superstep frees no input and is followed by no write, so it
-// discards nothing either.
+// checkpoint discipline (without it, routeLocal and each batch's load
+// already did all of this): release the consumed input and the context
+// generation the superstep read, install the parked next input, and make
+// the generation it wrote current. The released tracks were written a
+// superstep apart at most, so under parity their stripes leave whole. A
+// halting superstep has no next input, frees nothing and is followed by
+// no write: its stale contexts keep their tracks beside that input.
 func (sh *simShape) commitProc(ps *procState) error {
 	if !ps.ckptOn {
 		return nil
 	}
-	route := ps.pendingRoute
-	if route != nil {
-		if err := sh.freeInput(ps); err != nil {
+	if route := ps.pendingRoute; route != nil {
+		err := sh.freeInput(ps)
+		for j := 0; j < len(ps.ctxDir) && err == nil; j++ {
+			err = ps.releaseContexts(j)
+		}
+		if err != nil {
 			return err
 		}
 		ps.pendingRoute = nil
 		sh.install(ps, route)
 	}
-	ps.ctxCur ^= 1
-	if red := disk.Find[*redundancy.Store](ps.chain); red != nil && route != nil {
-		stale := ps.ctxNext()
-		for j, used := range ps.ctxUsed[stale] {
-			for i := range used {
-				ad := ps.ctxAreas[stale].Addr(j*sh.k*sh.muBlocks + i)
-				red.Discard(ad.Disk, ad.Track)
-			}
-		}
-	}
+	ps.ctxDir = ps.ctxWrite
 	return nil
 }

@@ -144,15 +144,14 @@ func areaAddrs(addrs []disk.Addr, ar disk.Area, lo, hi int) []disk.Addr {
 }
 
 // prefetchBatch collects the blocks processor ps will read for batch
-// j: the blocks its packed contexts fill in the committed context area
+// j: the tracks the context directory lists for its committed contexts
 // plus the batch's message blocks, scattered or in routed regions.
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {
 		return nil
 	}
-	base := (lo - ps.lo) * sh.muBlocks
-	addrs := areaAddrs(nil, ps.ctxAreas[ps.ctxCur], base, base+ps.ctxUsed[ps.ctxCur][j])
+	addrs := append([]disk.Addr(nil), ps.ctxDir[j]...)
 	if ps.inDir != nil {
 		for d, refs := range ps.inDir.q[j] {
 			for _, ref := range refs {

@@ -109,7 +109,11 @@ func TestParityOverhead(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		const d = 4
 		cfg := parMachine(procs, d, 8, 256)
-		res, err := core.Run(p, cfg, core.Options{Seed: 21, Redundancy: redundancy.Parity})
+		// Checkpointed, so that the gauges at the end of the run hold
+		// what a barrier holds — the last superstep's contexts and input
+		// beside the ones it wrote. An in-place run has released all but
+		// its final contexts by then, a block or two a processor.
+		res, err := core.Run(p, cfg, core.Options{Seed: 21, Redundancy: redundancy.Parity, StateDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}

@@ -404,15 +404,18 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // its processor sections and counts supersteps that were all routed;
 // one journaled at modelRules = 5 counts, under parity, the read-backs
 // of stripes that mixed three supersteps' tracks, and its parity layer's
-// record has one counter fewer; this engine can neither parse them nor
-// continue them into honest counts. The directory is a crashed run of
-// this commit whose records are rewritten to carry the fingerprint an
-// older commit (PR 17, modelRules = 2; PR 19, modelRules = 3; PR 20,
-// modelRules = 4; PR 21, modelRules = 5) stamps on the same program,
+// record has one counter fewer; one journaled at modelRules = 6 keeps its
+// contexts in two reserved areas its drive files are sized for, and names
+// them by area and used-block table where this engine reads a context
+// directory; this engine can neither parse them nor continue them into
+// honest counts. The directory is a crashed run of this commit whose
+// records are rewritten to carry the fingerprint an older commit (PR 17,
+// modelRules = 2; PR 19, modelRules = 3; PR 20, modelRules = 4; PR 21,
+// modelRules = 5; PR 22, modelRules = 6) stamps on the same program,
 // machine and options; it is refused by the fingerprint and left byte
 // for byte as found.
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }

@@ -36,6 +36,21 @@ func newOutDirectory(groups, D int) *outDirectory {
 	return d
 }
 
+// each calls f for every block of the directory with its batch, and
+// stops at f's first error.
+func (d *outDirectory) each(f func(g int, ref blockRef) error) error {
+	for g, perDrive := range d.q {
+		for _, refs := range perDrive {
+			for _, ref := range refs {
+				if err := f(g, ref); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // skewOf is the Lemma 2 observation for one bucket: the ratio of its
 // fullest drive's share to the even share R/D.
 func skewOf(perDrive []int) float64 {

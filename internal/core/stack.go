@@ -162,11 +162,11 @@ func (s storeStack) encodeState(enc *words.Encoder) {
 	}
 }
 
-// decodeState adopts what encodeState wrote into a freshly opened
-// chain, refusing a journal whose layers disagree with the resuming
-// options.
-func (s storeStack) decodeState(dec *words.Decoder) error {
-	if err := s.chain.AdoptState(decodeStoreState(dec)); err != nil {
+// decodeState adopts what encodeState wrote — the store's state st,
+// already decoded, then the layers' — into a freshly opened chain,
+// refusing a journal whose layers disagree with the resuming options.
+func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
+	if err := s.chain.AdoptState(st); err != nil {
 		return err
 	}
 	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)

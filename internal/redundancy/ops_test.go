@@ -135,7 +135,6 @@ type opModel struct {
 	D, B int
 	pick func(n int) int // a choice in [0, n)
 	live map[disk.Addr][]uint64
-	gone map[disk.Addr]bool // allocated, content discarded
 	died bool
 	// inPlace collects, during an attempt that will be rolled back, the
 	// tracks it overwrote: a replay must write them again.
@@ -152,12 +151,8 @@ func (m *opModel) content() []uint64 {
 	return buf
 }
 
-// tracks returns the allocated tracks, live and discarded, in order.
-func (m *opModel) tracks() []disk.Addr {
-	all := disk.SortedAddrs(m.live)
-	all = append(all, disk.SortedAddrs(m.gone)...)
-	return all
-}
+// tracks returns the allocated tracks in order.
+func (m *opModel) tracks() []disk.Addr { return disk.SortedAddrs(m.live) }
 
 func (m *opModel) write(addrs []disk.Addr) {
 	reqs := make([]disk.WriteReq, len(addrs))
@@ -170,7 +165,6 @@ func (m *opModel) write(addrs []disk.Addr) {
 	}
 	for i, a := range addrs {
 		m.live[a] = reqs[i].Src
-		delete(m.gone, a)
 		if m.inPlace != nil {
 			m.inPlace[a] = true
 		}
@@ -217,23 +211,6 @@ func (m *opModel) releaseTrack(a disk.Addr) {
 		m.t.Fatalf("Release %v issued %d operations", a, got-before)
 	}
 	delete(m.live, a)
-	delete(m.gone, a)
-}
-
-func (m *opModel) discard() {
-	all := disk.SortedAddrs(m.live)
-	if len(all) == 0 {
-		return
-	}
-	a := all[m.pick(len(all))]
-	m.t.Logf("  discard %v", a)
-	before := m.s.inner.Stats().Ops
-	m.s.Discard(a.Disk, a.Track)
-	if got := m.s.inner.Stats().Ops; got != before {
-		m.t.Fatalf("Discard %v issued %d operations", a, got-before)
-	}
-	delete(m.live, a)
-	m.gone[a] = true
 }
 
 // read checks one live track, wherever the superstep is.
@@ -282,7 +259,7 @@ func (m *opModel) flush() {
 func (m *opModel) rollback() {
 	m.flush()
 	mark, sn := m.s.AllocSnapshot(), m.s.Snapshot()
-	live, gone := maps.Clone(m.live), maps.Clone(m.gone)
+	live := maps.Clone(m.live)
 	m.inPlace = make(map[disk.Addr]bool)
 	for n := 1 + m.pick(6); n > 0; n-- {
 		m.step(m.pick(5))
@@ -291,9 +268,9 @@ func (m *opModel) rollback() {
 	m.inPlace = nil
 	m.s.AllocRestore(mark)
 	m.s.Restore(sn)
-	m.live, m.gone = live, gone
+	m.live = live
 	for _, a := range disk.SortedAddrs(again) {
-		if _, ok := m.live[a]; !ok && !m.gone[a] {
+		if _, ok := m.live[a]; !ok {
 			continue
 		}
 		if m.pick(4) == 0 {
@@ -305,16 +282,14 @@ func (m *opModel) rollback() {
 }
 
 func (m *opModel) step(op int) {
-	m.t.Logf("op %d (%d live, %d discarded)", op, len(m.live), len(m.gone))
+	m.t.Logf("op %d (%d live)", op, len(m.live))
 	switch op {
 	case 0:
 		m.writeFresh()
 	case 1:
 		m.rewrite()
-	case 2:
+	case 2, 3: // 3 was Discard, a leaver that kept its track, until PR 23
 		m.release()
-	case 3:
-		m.discard()
 	case 4:
 		m.read()
 	case 5:
@@ -336,7 +311,7 @@ func (m *opModel) step(op int) {
 func runOps(t *testing.T, D int, steps func() bool, pick func(n int) int) {
 	const B = 4
 	s, _ := mkStore(t, D, B)
-	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64), gone: make(map[disk.Addr]bool)}
+	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64)}
 	for steps() {
 		// Writes are the common operation, a death the rare one.
 		m.step([]int{0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7}[pick(15)])
@@ -347,7 +322,7 @@ func runOps(t *testing.T, D int, steps func() bool, pick func(n int) int) {
 			t.Fatalf("Release %v: %v", a, err)
 		}
 	}
-	m.live, m.gone = nil, nil
+	m.live = nil
 	m.flush()
 	if c := s.Counters(); len(s.stripes) != 0 || c.StripedBlocks != 0 || c.ParityBlocks != 0 || len(s.remap) != 0 {
 		t.Fatalf("everything released, yet %d stripes, StripedBlocks %d, ParityBlocks %d, %d remaps remain", len(s.stripes), c.StripedBlocks, c.ParityBlocks, len(s.remap))
@@ -355,8 +330,8 @@ func runOps(t *testing.T, D int, steps func() bool, pick func(n int) int) {
 }
 
 // TestRandomOps: 2,000 seeded sequences of fresh writes, rewrites,
-// releases, discards, reads, flushes, rolled-back attempts and one drive
-// death, the invariants checked at every flush.
+// releases, reads, flushes, rolled-back attempts and one drive death, the
+// invariants checked at every flush.
 func TestRandomOps(t *testing.T) {
 	for _, D := range []int{2, 3, 4, 8} {
 		for seed := uint64(0); seed < 500; seed++ {
@@ -399,11 +374,14 @@ func FuzzParityOps(f *testing.F) {
 	})
 }
 
-// TestDiscard pins what leaving a stripe costs. A stripe discarded whole
+// TestReleaseLeavesStripe pins what leaving a stripe costs (TestDiscard
+// until PR 23, when the engine's stale contexts became released tracks and
+// Discard, the leaver that kept its track, went). A stripe released whole
 // is dropped at the flush with no operation and gives its parity track
 // back; part of a stripe costs one batched fold, whatever the number of
-// stripes; a discarded track written after the flush is a fresh write.
-func TestDiscard(t *testing.T) {
+// stripes; a released track allocated and written after the flush is a
+// fresh write.
+func TestReleaseLeavesStripe(t *testing.T) {
 	const D, B, rows = 4, 8, 6
 	s, raw := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, rows)
@@ -415,14 +393,16 @@ func TestDiscard(t *testing.T) {
 	if ideal := rows * D / (D - 1); len(bySid) > ideal+D {
 		t.Fatalf("%d tracks form %d stripes, want about %d", len(addrs), len(bySid), ideal)
 	}
-	discard := func(as ...disk.Addr) {
+	release := func(as ...disk.Addr) {
 		t.Helper()
 		before := raw.Stats().Ops
 		for _, a := range as {
-			s.Discard(a.Disk, a.Track)
+			if err := s.Release(a.Disk, a.Track); err != nil {
+				t.Fatalf("Release %v: %v", a, err)
+			}
 		}
 		if got := raw.Stats().Ops - before; got != 0 {
-			t.Fatalf("Discard issued %d operations", got)
+			t.Fatalf("Release issued %d operations", got)
 		}
 	}
 	flushOps := func() (ops, reads int64) {
@@ -432,15 +412,17 @@ func TestDiscard(t *testing.T) {
 		a := raw.Stats()
 		return a.Ops - b.Ops, a.ReadOps - b.ReadOps
 	}
+	freed := func(a disk.Addr) bool { return slices.Contains(raw.State().Free[a.Disk], a.Track) }
 
-	// An unstriped track, and the same track twice: no-ops.
-	blank := s.Alloc(0)
+	// An unstriped track leaves no stripe; a member leaves at once, and
+	// neither goes back to the allocator before the flush.
+	blank := disk.Addr{Disk: 0, Track: s.Alloc(0)}
 	c0 := s.Counters()
-	discard(disk.Addr{Disk: 0, Track: blank})
 	whole := bySid[s.stripeOf[addrs[0]]]
-	discard(whole[0], whole[0])
-	if c := s.Counters(); c.StripedBlocks != c0.StripedBlocks-1 || len(s.left) != 1 {
-		t.Fatalf("one member discarded twice and one unstriped track: StripedBlocks %d → %d, %d leavers", c0.StripedBlocks, c.StripedBlocks, len(s.left))
+	release(blank, whole[0])
+	if c := s.Counters(); c.StripedBlocks != c0.StripedBlocks-1 || len(s.left) != 1 || freed(blank) || freed(whole[0]) {
+		t.Fatalf("one member and one unstriped track released: StripedBlocks %d → %d, %d leavers, handed over early: %v, %v",
+			c0.StripedBlocks, c.StripedBlocks, len(s.left), freed(blank), freed(whole[0]))
 	}
 
 	// A survivor of a stripe with a pending leaver still reconstructs.
@@ -449,21 +431,24 @@ func TestDiscard(t *testing.T) {
 		t.Fatalf("reconstruct beside a leaver: %v", err)
 	}
 	if pattern(want, whole[1].Disk, whole[1].Track); !slices.Equal(got, want) {
-		t.Fatalf("survivor %v reconstructs wrongly between Discard and the flush", whole[1])
+		t.Fatalf("survivor %v reconstructs wrongly between Release and the flush", whole[1])
 	}
 
-	// The whole stripe: no operation, and the parity track comes back.
-	discard(whole[1:]...)
+	// The whole stripe: no operation, and the parity track comes back with
+	// the members'.
+	release(whole[1:]...)
 	parity := s.stripes[s.stripeOf[whole[0]]].parity
 	pb := s.Counters().ParityBlocks
 	if ops, _ := flushOps(); ops != 0 {
-		t.Errorf("flush after a whole stripe was discarded took %d operations, want 0", ops)
+		t.Errorf("flush after a whole stripe was released took %d operations, want 0", ops)
 	}
 	if c := s.Counters(); c.ParityBlocks != pb-1 {
 		t.Errorf("ParityBlocks %d → %d, want one fewer", pb, c.ParityBlocks)
 	}
-	if tr := s.Alloc(parity.Disk); tr != parity.Track {
-		t.Errorf("the dropped stripe's parity track %v was not freed: the drive's next allocation is track %d", parity, tr)
+	for _, a := range append([]disk.Addr{parity, blank}, whole...) {
+		if !freed(a) {
+			t.Errorf("track %v of the dropped stripe (or beside it) was not freed at the flush", a)
+		}
 	}
 
 	// One member each of three stripes: one batched fold — parity and
@@ -481,7 +466,7 @@ func TestDiscard(t *testing.T) {
 		readsOn[parity.Disk]++
 		writesOn[parity.Disk]++
 	}
-	discard(part...)
+	release(part...)
 	c1 := s.Counters()
 	ops, reads := flushOps()
 	if wantR, wantW := slices.Max(readsOn), slices.Max(writesOn); reads != wantR || ops != wantR+wantW {
@@ -491,30 +476,31 @@ func TestDiscard(t *testing.T) {
 		t.Errorf("the fold's %d operations (%d reads) are counted as ParityOps +%d, ParityReadOps +%d", ops, reads, c.ParityOps-c1.ParityOps, c.ParityReadOps-c1.ParityReadOps)
 	}
 
-	// Discard, flush, write: a fresh write, nothing read.
+	// Release, flush, allocate, write: a fresh write, nothing read.
 	b := raw.Stats()
+	again := disk.Addr{Disk: part[0].Disk, Track: s.Alloc(part[0].Disk)}
 	buf := make([]uint64, B)
-	pattern(buf, part[0].Disk, part[0].Track)
-	if err := s.WriteOp([]disk.WriteReq{{Disk: part[0].Disk, Track: part[0].Track, Src: buf}}); err != nil {
+	pattern(buf, again.Disk, again.Track)
+	if err := s.WriteOp([]disk.WriteReq{{Disk: again.Disk, Track: again.Track, Src: buf}}); err != nil {
 		t.Fatal(err)
 	}
-	if a := raw.Stats(); a.ReadOps != b.ReadOps || a.WriteOps != b.WriteOps+1 {
-		t.Errorf("writing a discarded track took %d reads and %d writes, want 0 and 1", a.ReadOps-b.ReadOps, a.WriteOps-b.WriteOps)
+	if a := raw.Stats(); !slices.Contains(part, again) || a.ReadOps != b.ReadOps || a.WriteOps != b.WriteOps+1 {
+		t.Errorf("the drive's next allocation is %v (released: %v); writing it took %d reads and %d writes, want 0 and 1", again, part, a.ReadOps-b.ReadOps, a.WriteOps-b.WriteOps)
 	}
 	flushChecked(t, s)
-	checkTrack(t, s, part[0], B)
+	checkTrack(t, s, again, B)
 
-	// Restore after a discard brings the member back.
+	// Restore after a release brings the member back, and the release is
+	// no longer held for the flush.
 	sn := s.Snapshot()
-	victim := part[0]
-	discard(victim)
+	release(again)
 	s.Restore(sn)
-	if _, ok := s.stripeOf[victim]; !ok || len(s.left) != 0 {
-		t.Fatalf("Restore left %v out of its stripe (%d leavers)", victim, len(s.left))
+	if _, ok := s.stripeOf[again]; !ok || len(s.left)+len(s.held) != 0 {
+		t.Fatalf("Restore left %v out of its stripe (%d leavers, %d held releases)", again, len(s.left), len(s.held))
 	}
 	flushChecked(t, s)
-	s.DriveDied(victim.Disk)
-	checkTrack(t, s, victim, B)
+	s.DriveDied(again.Disk)
+	checkTrack(t, s, again, B)
 }
 
 // TestFoldVerifiesLeavers: the barrier folds no unverified bytes out of
@@ -530,7 +516,9 @@ func TestFoldVerifiesLeavers(t *testing.T) {
 			flushChecked(t, s)
 			victim := addrs[0]
 			sid := s.stripeOf[victim]
-			s.Discard(victim.Disk, victim.Track)
+			if err := s.Release(victim.Disk, victim.Track); err != nil {
+				t.Fatal(err)
+			}
 			bad := victim
 			if rot == "parity" {
 				bad = s.stripes[sid].parity

@@ -20,12 +20,12 @@
 // parity, a full stripe's parity goes to disk while the superstep still
 // writes, and the barrier (FlushParity) writes the rest and closes every
 // stripe — so a stripe holds one superstep's tracks, which die together.
-// A track leaves its stripe without I/O (Release, or Discard for a track
-// that stays allocated): the next barrier drops a stripe all of whose
-// members have left, and folds the leavers out of any other in one
-// batched read. Only a rewrite of a striped member in place pays the
-// classic read-modify-write small-write penalty (the old data is read
-// back, charged as a real parallel I/O, before it is overwritten); the
+// A track leaves its stripe without I/O (Release): the next barrier drops
+// a stripe all of whose members have left, and folds the leavers out of
+// any other in one batched read. Only a rewrite of a striped member in
+// place pays the classic read-modify-write small-write penalty (the old
+// data is read back, charged as a real parallel I/O, before it is
+// overwritten); the
 // parity value of a stripe so touched is cached between the touch and
 // the barrier, so it costs at most one parity read and one parity write
 // per superstep no matter how often its members change.
@@ -198,9 +198,8 @@ func (c Counters) Publish(r *obs.Registry) {
 type inner = disk.Store
 
 // Store is the parity layer, a link of a store chain: it overrides
-// ReadOp, WriteOp and Release (and adds Discard, found with disk.Find
-// like FlushParity); everything else is the embedded inner store's,
-// promoted — allocation (directory metadata that never faults;
+// ReadOp, WriteOp and Release; everything else is the embedded inner
+// store's, promoted — allocation (directory metadata that never faults;
 // I/O on a dead drive's tracks is remapped at operation time), Stats
 // (parity, reconstruction and rebuild traffic are real charged
 // operations), AllocSnapshot/AllocRestore (the layer's own rollback
@@ -264,10 +263,10 @@ type state struct {
 	pval   map[int][]uint64 // cached current parity value (authoritative)
 	pdirty map[int]bool     // stripes whose cached parity needs write-back
 
-	// left is the leaver list: members released or discarded since the
-	// last flush. Their stripes' parity still encodes them, and their
-	// bytes stay where they are, until FlushParity folds them out; held
-	// is the released tracks whose inner Release waits for that.
+	// left is the leaver list: members released since the last flush.
+	// Their stripes' parity still encodes them, and their bytes stay where
+	// they are, until FlushParity folds them out; held is the released
+	// tracks whose inner Release waits for that.
 	left map[disk.Addr]bool
 	held []disk.Addr
 
@@ -818,13 +817,6 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	for _, r := range reqs {
 		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		sid, ok := s.stripeOf[k]
-		if ok && s.left[k] {
-			// Discarded and written again before the flush folded it
-			// out: it never left.
-			delete(s.left, k)
-			s.stripes[sid].count++
-			s.ctr.StripedBlocks++
-		}
 		if !ok || !s.parityActive(sid) {
 			continue
 		}
@@ -987,41 +979,23 @@ func (s *Store) writeParity(sids []int) error {
 	return err
 }
 
-// Release frees a logical track without I/O. A striped member leaves its
-// stripe at once (the leaver list); the inner Release — and with it any
-// reuse of the track — is held until the next FlushParity has folded the
-// leavers out, so until then the bytes stay where parity encodes them.
+// Release frees a logical track without I/O, and is the only way out of a
+// stripe: a striped member joins the leaver list at once, and its stripe, a
+// member short, takes no more; the inner Release — and with it any reuse of
+// the track — is held until the next FlushParity has folded the leavers
+// out, so until then the bytes stay where parity encodes them.
 func (s *Store) Release(d, t int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := disk.Addr{Disk: d, Track: t}
-	s.leave(k)
+	if sid, ok := s.stripeOf[k]; ok && !s.left[k] {
+		s.left[k] = true
+		s.stripes[sid].count--
+		s.ctr.StripedBlocks--
+		s.removeOpen(sid)
+	}
 	s.held = append(s.held, k)
 	return nil
-}
-
-// Discard declares the content of a track dead while the track stays
-// allocated: a striped member leaves its stripe as a released one does,
-// so the next write to it is a fresh write. The engines discard the
-// context area a barrier commit has made stale. Discarding an unstriped
-// or already discarded track is a no-op.
-func (s *Store) Discard(d, t int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.leave(disk.Addr{Disk: d, Track: t})
-}
-
-// leave is the only way out of a stripe: the member joins the leaver
-// list, and its stripe, a member short, takes no more.
-func (s *Store) leave(k disk.Addr) {
-	sid, ok := s.stripeOf[k]
-	if !ok || s.left[k] {
-		return
-	}
-	s.left[k] = true
-	s.stripes[sid].count--
-	s.ctr.StripedBlocks--
-	s.removeOpen(sid)
 }
 
 // foldLeavers settles the leaver list at the barrier. A stripe all of
@@ -1647,14 +1621,13 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 // it is killed mid-superstep, tracks the manifest's parity does not
 // encode, and the in-memory rmwOld cache that lets a same-process replay
 // fold the barrier content out of parity dies with the process. (The
-// engines' journaled runs no longer do: the only committed tracks a
-// superstep overwrites are contexts the last commit discarded, which
-// belong to no stripe and have no checksum, and a barrier's flush writes
-// parity only to tracks allocated since the last record. There the scan
-// below finds a track that rotted at rest, or nothing.) A resumed
-// process of such a client therefore faces physical tracks that may hold the crashed
-// attempt's bytes (checksum mismatch against the manifest) or a torn
-// write (the inner store's own per-track checksum fails), with stored
+// engines' runs no longer do: a superstep writes only tracks it
+// allocated, and a barrier's flush writes parity only to tracks allocated
+// since the last record. There the scan below finds a track that rotted
+// at rest, or nothing.) A resumed process of such a client therefore
+// faces physical tracks that may hold the crashed attempt's bytes
+// (checksum mismatch against the manifest) or a torn write (the inner
+// store's own per-track checksum fails), with stored
 // parity encoding either the barrier state (crash before FlushParity)
 // or the aborted barrier's state (crash between FlushParity and the
 // journal commit). Left alone, the replay's read-modify-write would
