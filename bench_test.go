@@ -66,6 +66,5 @@ func BenchmarkScaleProcs(b *testing.B)    { benchExperiment(b, "scale/procs") }
 func BenchmarkScaleBlocking(b *testing.B) { benchExperiment(b, "scale/blocking") }
 func BenchmarkScaleMemory(b *testing.B)   { benchExperiment(b, "scale/memory") }
 func BenchmarkScaleSlack(b *testing.B)    { benchExperiment(b, "scale/slack") }
-func BenchmarkAblateRouting(b *testing.B) { benchExperiment(b, "ablate/routing") }
 func BenchmarkCOptimality(b *testing.B)   { benchExperiment(b, "copt/ratio") }
 func BenchmarkObs1(b *testing.B)          { benchExperiment(b, "obs1/cgm") }

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -16,28 +17,35 @@ import (
 	"embsp/internal/obs"
 )
 
-func main() {
-	v := flag.Int("v", 8, "virtual processors")
-	d := flag.Int("d", 4, "disk drives")
-	b := flag.Int("b", 8, "block (track) size in words")
-	per := flag.Int("blocks", 2, "message blocks per virtual processor")
-	k := flag.Int("k", 2, "group size (VPs simulated together)")
-	seed := flag.Uint64("seed", 0xF162, "random seed")
-	report := flag.Bool("report", false, "print a per-phase wall-clock breakdown of the demo to stderr")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("embsp-layout", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	v := fs.Int("v", 8, "virtual processors")
+	d := fs.Int("d", 4, "disk drives")
+	b := fs.Int("b", 8, "block (track) size in words")
+	per := fs.Int("blocks", 2, "message blocks per virtual processor")
+	k := fs.Int("k", 2, "group size (VPs simulated together)")
+	seed := fs.Uint64("seed", 0xF162, "random seed")
+	report := fs.Bool("report", false, "print a per-phase wall-clock breakdown of the demo to stderr")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var tr *obs.Tracer
 	if *report {
 		tr = obs.New()
 	}
-	fmt.Printf("EM-BSP machine (Figure 1): 1 processor, D=%d drives, B=%d words/track;\n", *d, *b)
-	fmt.Printf("one parallel I/O operation moves up to %d words (one track per drive).\n\n", *d**b)
+	fmt.Fprintf(stdout, "EM-BSP machine (Figure 1): 1 processor, D=%d drives, B=%d words/track;\n", *d, *b)
+	fmt.Fprintf(stdout, "one parallel I/O operation moves up to %d words (one track per drive).\n\n", *d**b)
 	start := time.Now()
-	if err := core.DemoRouting(os.Stdout, tr, *v, *d, *b, *per, *k, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := core.DemoRouting(stdout, tr, *v, *d, *b, *per, *k, *seed); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *report {
-		obs.WriteReport(os.Stderr, tr.Phases(), time.Since(start))
+		obs.WriteReport(stderr, tr.Phases(), time.Since(start))
 	}
+	return 0
 }

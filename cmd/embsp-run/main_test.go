@@ -94,7 +94,7 @@ func TestTraceAndReportFlags(t *testing.T) {
 	for _, ev := range evs {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"compute", "fetch-ctx", "write-ctx", "route", "barrier-sync", "journal-append", "phys-write"} {
+	for _, want := range []string{"compute", "fetch-ctx", "write-ctx", "barrier-sync", "journal-append", "phys-write"} {
 		if !names[want] {
 			t.Errorf("trace has no %q events; phases seen: %v", want, names)
 		}

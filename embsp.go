@@ -10,14 +10,15 @@
 // One engine runs a Program at every P, and one reference checks it,
 // with bitwise identical results:
 //
-//   - Run — Algorithm 3 (ParCompoundSuperstep) with Algorithm 2
-//     (SimulateRouting): contexts and messages live on the simulated
-//     disks in the paper's standard consecutive and standard linked
-//     formats, only k = ⌊M/µ⌋ virtual processors per processor are in
-//     memory at a time, all I/O is fully blocked and D-parallel, and
-//     messages are scattered in packets to random processors to
-//     balance the disk load, then routed locally. At P == 1 there is
-//     nothing to scatter and this is Algorithm 1
+//   - Run — Algorithm 3 (ParCompoundSuperstep): contexts and messages
+//     live on the simulated disks, the messages in the paper's standard
+//     linked format, only k = ⌊M/µ⌋ virtual processors per processor
+//     are in memory at a time, all I/O is fully blocked and D-parallel,
+//     and messages are scattered in packets to random processors to
+//     balance the disk load, then placed evenly over the receiver's
+//     drives and read where they lie (Algorithm 2, SimulateRouting, is
+//     reproduced by cmd/embsp-layout and runs in no superstep). At
+//     P == 1 there is nothing to scatter and this is Algorithm 1
 //     (SeqCompoundSuperstep).
 //   - RunReference — the in-memory BSP reference semantics.
 //

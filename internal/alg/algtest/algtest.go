@@ -60,11 +60,10 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 			opts core.Options
 		}{name: "randomized", cfg: cfg, opts: core.Options{Seed: seed}})
 	}
-	// The deterministic (CGM) placement variant, a run forced through
-	// Algorithm 2 (which the routing rule no longer takes on machines
-	// this small), and a durable file-backed run on the default, pipelined
-	// schedule (I/O workers, prefetch, write-behind) — the physical
-	// schedule must be invisible in every output word.
+	// The deterministic (CGM) placement variant, and a durable
+	// file-backed run on the default, pipelined schedule (I/O workers,
+	// prefetch, write-behind) — the physical schedule must be invisible
+	// in every output word.
 	seqCfg := Machines(p)[0]
 	variants = append(variants,
 		struct {
@@ -72,11 +71,6 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 			cfg  core.MachineConfig
 			opts core.Options
 		}{name: "deterministic", cfg: seqCfg, opts: core.Options{Seed: seed, Deterministic: true}},
-		struct {
-			name string
-			cfg  core.MachineConfig
-			opts core.Options
-		}{name: "routed", cfg: seqCfg, opts: core.ForceRouting(core.Options{Seed: seed}, core.RouteAlways)},
 		struct {
 			name string
 			cfg  core.MachineConfig

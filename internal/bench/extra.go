@@ -95,13 +95,6 @@ func init() {
 	})
 
 	register(Experiment{
-		ID:         "ablate/routing",
-		Title:      "Is SimulateRouting needed? Scattered-fetch ablation",
-		Reproduces: "design choice called out in DESIGN.md (Algorithm 2 vs. direct fetch)",
-		Run:        runAblateRouting,
-	})
-
-	register(Experiment{
 		ID:         "copt/ratio",
 		Title:      "c-optimality preservation: I/O and communication vanish against computation",
 		Reproduces: "Observation 2 (Section 5.4)",
@@ -556,57 +549,6 @@ func runEarDecomp(w io.Writer, s Scale) error {
 	fmt.Fprintln(w, "EM labels verified identical to the in-memory reference composition.")
 	fmt.Fprintln(w)
 	return nil
-}
-
-func runAblateRouting(w io.Writer, s Scale) error {
-	b := pick(s, 64, 128, 256)
-	prog, err := sortProgram(s, 0xAB1A)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Ablating Algorithm 2: 'routed' reorganizes every superstep's blocks into")
-	fmt.Fprintln(w, "standard consecutive format; 'scattered' always fetches them from where the")
-	fmt.Fprintln(w, "writing phase put them (greedy per-drive batching); 'decided' is the engine's")
-	fmt.Fprintln(w, "rule: route a superstep only when its directory says the scattered fetch")
-	fmt.Fprintln(w, "would cost more than routing's floor.")
-	tw := newTable(w)
-	fmt.Fprintf(tw, "D\trouted ops (util, seq%%)\tscattered ops (util, seq%%)\tdecided ops (util, seq%%)\trouted in decided\n")
-	for _, d := range []int{2, 4, 8} {
-		cfg := machineFor(prog, 1, d, b, 8)
-		fmt.Fprintf(tw, "%d", d)
-		var decided *core.Result
-		for _, mode := range []core.RouteMode{core.RouteAlways, core.RouteNever, core.RouteDecided} {
-			if decided, err = core.Run(prog, cfg, core.ForceRouting(core.Options{Seed: 0xAB1A}, mode)); err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "\t%d (%.2f, %d%%)", decided.EM.Run.Ops, decided.EM.Run.Utilization(), seqPct(decided))
-		}
-		fmt.Fprintf(tw, "\t%d ops\n", decided.EM.RouteOps)
-	}
-	tw.Flush()
-	fmt.Fprintln(w, "Measured: the writer places a batch's blocks by the directory's counts, so a")
-	fmt.Fprintln(w, "scattered fetch takes ⌈R_g/D⌉ operations a batch or one more and the double")
-	fmt.Fprintln(w, "move buys nothing (~1.5x the operations). The rule agrees in every superstep")
-	fmt.Fprintln(w, "here: a block read where it lies costs at most one operation, routing it 4/D")
-	fmt.Fprintln(w, "before it is read at all. What Algorithm 2 still buys is the paper's layout")
-	fmt.Fprintln(w, "(fixed track ranges per group, Figure 2) and the worst case: a directory")
-	fmt.Fprintln(w, "skewed by batch on six drives or more, which the writer no longer produces.")
-	fmt.Fprintln(w)
-	return nil
-}
-
-// seqPct returns the percentage of physically sequential track
-// accesses of a run.
-func seqPct(res *core.Result) int {
-	var seq, rnd int64
-	for _, pd := range res.EM.Run.PerDrive {
-		seq += pd.SeqAccesses
-		rnd += pd.RandAccesses
-	}
-	if seq+rnd == 0 {
-		return 0
-	}
-	return int(100 * seq / (seq + rnd))
 }
 
 func runCOpt(w io.Writer, s Scale) error {

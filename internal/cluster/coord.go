@@ -710,11 +710,6 @@ func (c *coordinator) Totals() ([]core.StepTotals, error) {
 	return collect(c, msgSumOut, func(int) []uint64 { return encodeKind(msgSum) }, decodeSumOut)
 }
 
-func (c *coordinator) Route(step int) ([]int64, error) {
-	return collect(c, msgRouteOut, func(int) []uint64 { return encodeKindStep(msgRoute, int64(step)) },
-		func(dec *words.Decoder) int64 { return dec.Ints()[0] })
-}
-
 // Prepare is 2PC phase one: every worker journals its prepared barrier
 // record (and, with replication on, ships its snapshot).
 func (c *coordinator) Prepare(step int, halted bool) ([]int64, error) {

@@ -25,7 +25,6 @@ import (
 //	              COMPUTE → COMPUTE_OUT  (scattered packets + traffic)
 //	              WRITE → OK
 //	SUM → SUM_OUT                        (halt votes, sends, I/O ops)
-//	if not halting:  ROUTE → ROUTE_OUT   (ops after reorganization)
 //	PREPARE → PREPARED                   (2PC phase one: journal fsynced;
 //	                                      with replication on, PREPARED
 //	                                      carries the barrier snapshot)
@@ -50,8 +49,8 @@ const (
 	msgWrite
 	msgSum
 	msgSumOut
-	msgRoute
-	msgRouteOut
+	_ // 15 and 16 were ROUTE and ROUTE_OUT: the kinds after them keep
+	_ // their values (see the note on appending below)
 	msgPrepare
 	msgPrepared
 	msgCommit
@@ -77,7 +76,7 @@ func msgName(k uint64) string {
 		msgReset: "RESET", msgSetup: "SETUP", msgSetupOut: "SETUP_OUT",
 		msgStepBegin: "STEP_BEGIN", msgFetch: "FETCH", msgFetchOut: "FETCH_OUT",
 		msgCompute: "COMPUTE", msgComputeOut: "COMPUTE_OUT", msgWrite: "WRITE",
-		msgSum: "SUM", msgSumOut: "SUM_OUT", msgRoute: "ROUTE", msgRouteOut: "ROUTE_OUT",
+		msgSum: "SUM", msgSumOut: "SUM_OUT",
 		msgPrepare: "PREPARE", msgPrepared: "PREPARED", msgCommit: "COMMIT",
 		msgCommitted: "COMMITTED", msgAbort: "ABORT", msgAborted: "ABORTED",
 		msgFinal: "FINAL", msgFinalOut: "FINAL_OUT", msgShutdown: "SHUTDOWN",

@@ -278,12 +278,6 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		return encodeKind(msgOK), false
 	case msgSum:
 		return encodeSumOut(w.engine.StepTotals()), false
-	case msgRoute:
-		ops, err := w.engine.Route(int(dec.Ints()[0]))
-		if err != nil {
-			return fail(err)
-		}
-		return encodeKindStep(msgRouteOut, ops), false
 	case msgPrepare:
 		f := dec.Ints()
 		req := decodeReplReq(dec)

@@ -97,7 +97,6 @@ func (r *recorder) Write(j, step int, outs []*core.BatchOut) error {
 	return r.t.Write(j, step, outs)
 }
 func (r *recorder) Totals() ([]core.StepTotals, error) { r.log("totals"); return r.t.Totals() }
-func (r *recorder) Route(step int) ([]int64, error)    { r.log("route %d", step); return r.t.Route(step) }
 func (r *recorder) Prepare(step int, halted bool) ([]int64, error) {
 	r.log("prepare %d %v", step, halted)
 	return r.t.Prepare(step, halted)
@@ -112,10 +111,13 @@ func (r *recorder) Final() ([]*core.NodeReport, error) { r.log("final"); return 
 // TestBarrierSequenceAndCounts is the first slice of the exact-count
 // gates (ROADMAP 1(d)). One driver means one call sequence: the
 // in-memory transport and the NodeEngine-backed rig must see the very
-// same calls for the same run. And a barrier costs exactly what the
-// design says: one Sync per processor's store and one decision record
-// appended — plus, for nodes with journals of their own, one PREPARE and
-// one COMMIT each.
+// same calls for the same run — per superstep begin, three a round,
+// totals, prepare and commit, each a fan-out over the processors in
+// memory and a round trip per worker on the wire, and nothing between
+// the vote and the barrier. And a barrier costs exactly what the design
+// says: one Sync per processor's store and one decision record appended
+// — plus, for nodes with journals of their own, one PREPARE and one
+// COMMIT each.
 func TestBarrierSequenceAndCounts(t *testing.T) {
 	prog := &bsptest.RandomProgram{V: 16, Steps: 2, MsgsPerStep: 4, MaxLen: 12}
 	const supersteps, barriers = 3, 4 // the setup barrier, then one per superstep
@@ -137,6 +139,10 @@ func TestBarrierSequenceAndCounts(t *testing.T) {
 		}
 		if res.Costs.Supersteps != supersteps {
 			t.Fatalf("P=%d: %d supersteps, the test wants %d", P, res.Costs.Supersteps, supersteps)
+		}
+		// The set-up and its commit, the supersteps, the final reports.
+		if want := 2 + supersteps*(4+3*res.EM.Groups) + 1; len(mem.calls) != want {
+			t.Errorf("P=%d: the driver made %d calls, want %d: 4 and 3 a round per superstep\n%q", P, len(mem.calls), want, mem.calls)
 		}
 		if got := spans(tr, "barrier-sync"); got != int64(P*barriers) {
 			t.Errorf("P=%d in process: %d store syncs over %d barriers, want %d", P, got, barriers, P*barriers)

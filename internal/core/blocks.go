@@ -57,8 +57,8 @@ type outMsg struct {
 
 // cellOf returns the first VP of the cell of VP dst: its batch among
 // its owner's VPs. Every block of a stream therefore has one owner and
-// one batch, which is all the writer, the exchange and SimulateRouting
-// ask of a block.
+// one batch, which is all the writer, the exchange and the fetch ask
+// of a block.
 func (sh *simShape) cellOf(dst int) int {
 	l := dst % sh.vpp
 	return dst - l + l/sh.k*sh.k

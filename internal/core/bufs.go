@@ -21,7 +21,7 @@ type stepBufs struct {
 	region  []uint64 // message blocks read for the current batch
 	inbox   []uint64 // exchange: the batch's received blocks, gathered for reassembly
 	slab    []uint64 // exchange: the block images the batch scatters
-	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks, then routing's transfers
+	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks
 	scratch []uint64 // the block image being packed, B words
 
 	enc     words.Encoder // the context being saved
@@ -31,10 +31,6 @@ type stepBufs struct {
 	perm    []int         // the block writer's drive permutation, D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
-	queue   [][]blockRef // the current batch's region blocks, per drive
-	flat    []blockRef   // routing: the superstep's directory in its final order
-	link    []int        // routing: flat's blocks chained per (bucket, drive)
-	cells   []int        // routing: the chains' heads and counts, the buckets' gather order
 
 	// The rows this processor owns of the block exchange (of out, a
 	// machine without one fills only the traffic records).

@@ -135,8 +135,6 @@ type NodeReport struct {
 	FinishBlocksRead int64
 	Ctx              [][]uint64 // final contexts of VPs Lo..Hi, in order — or
 	vps              []bsp.VP   // the VPs themselves, when the report never leaves the process
-	RouteOps         int64
-	Ragged           int64
 	MaxSkew          float64
 	MemHigh          int64
 	PeakLive         int64
@@ -151,7 +149,7 @@ func EncodeNodeReport(enc *words.Encoder, r *NodeReport) {
 	for _, c := range r.Ctx {
 		enc.PutUints(c)
 	}
-	enc.PutInts([]int64{r.RouteOps, r.Ragged, r.MemHigh, r.PeakLive})
+	enc.PutInts([]int64{r.MemHigh, r.PeakLive})
 	enc.PutFloat(r.MaxSkew)
 }
 
@@ -168,7 +166,7 @@ func DecodeNodeReport(dec *words.Decoder) *NodeReport {
 		r.Ctx[i] = dec.Uints()
 	}
 	t := dec.Ints()
-	r.RouteOps, r.Ragged, r.MemHigh, r.PeakLive = t[0], t[1], t[2], t[3]
+	r.MemHigh, r.PeakLive = t[0], t[1]
 	r.MaxSkew = dec.Float()
 	return r
 }
@@ -352,20 +350,12 @@ func (n *NodeEngine) StepTotals() StepTotals {
 	return StepTotals{Halts: n.ps.halts, Sends: n.ps.sends, Ops: n.ps.stepOps()}
 }
 
-// Route runs Step 2 of Algorithm 3 on the node's received blocks and
-// returns the node's operations since BeginStep; the result is parked
-// until Prepare installs it.
-func (n *NodeEngine) Route(step int) (int64, error) {
-	err := n.sh.routeLocal(n.ps, step)
-	return n.ps.stepOps(), err
-}
-
-// Prepare is the node's PREPARE phase for superstep step: install the
-// parked routing result and the contexts written (the local
-// barrier commit), fsync the node's data, and journal the prepared —
-// not yet committed — barrier record.
+// Prepare is the node's PREPARE phase for superstep step: make the
+// directory and the contexts written current (the local barrier
+// commit), fsync the node's data, and journal the prepared — not yet
+// committed — barrier record.
 func (n *NodeEngine) Prepare(step int, halted bool) error {
-	if err := n.sh.commitProc(n.ps); err != nil {
+	if err := n.sh.commitProc(n.ps, halted); err != nil {
 		return err
 	}
 	n.stepsDone = step + 1

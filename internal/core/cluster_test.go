@@ -20,9 +20,10 @@ import (
 // SIGKILL on top; this layer pins the engine-side contract first.
 
 // clusterRig is that Transport. fail, when set, is asked at the named
-// points of every barrier ("batches": rounds done; "routed": voted and
-// routed; "prepared": every node PREPAREd, no decision; "decided": the
-// decision landed, no node told) whether to fail there, and how.
+// points of every barrier ("batches": rounds done; "voted": the vote
+// taken and the superstep's costs closed; "prepared": every node
+// PREPAREd, no decision; "decided": the decision landed, no node told)
+// whether to fail there, and how.
 type clusterRig struct {
 	coord *core.CoordCore
 	nodes []*core.NodeEngine
@@ -169,18 +170,8 @@ func (r *clusterRig) Totals() ([]core.StepTotals, error) {
 	return totals, r.failAt("batches", r.coord.StepsDone())
 }
 
-func (r *clusterRig) Route(step int) (ops []int64, err error) {
-	ops = make([]int64, len(r.nodes))
-	for i, n := range r.nodes {
-		if ops[i], err = n.Route(step); err != nil {
-			return nil, err
-		}
-	}
-	return ops, nil
-}
-
 func (r *clusterRig) Prepare(step int, halted bool) ([]int64, error) {
-	if err := r.failAt("routed", step); err != nil {
+	if err := r.failAt("voted", step); err != nil {
 		return nil, err
 	}
 	for _, n := range r.nodes {
@@ -262,44 +253,37 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 }
 
 // TestClusterCoreAbortReplay: aborting the attempt at every superstep
-// in turn — batches done, routing done, or every node already PREPARED
+// in turn — batches done, the vote taken, or every node already PREPARED
 // but no decision — then replaying leaves no trace: the final result
 // is still bitwise identical to an undisturbed run. Every node reloads
-// its input from its journal: the directory of the blocks it left
-// scattered (what the rule decides on two drives) or, with routing
-// forced, the regions of a routing result that was parked, installed at
-// PREPARE and rolled back.
+// its input from its journal: the directory of the blocks its writer
+// placed, made the input at PREPARE and rolled back.
 func TestClusterCoreAbortReplay(t *testing.T) {
 	prog := clusterProgram()
 	cfg := parMachine(3, 2, 8, 256)
-	for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
-		opts := core.ForceRouting(core.Options{Seed: 11}, mode)
-		durable := opts
-		durable.StateDir = t.TempDir()
-		oracle, err := core.Run(prog, cfg, durable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (oracle.EM.RouteOps > 0) != (mode == core.RouteAlways) {
-			t.Fatalf("mode %d: %d routing ops", mode, oracle.EM.RouteOps)
-		}
-		for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
-			for _, phase := range []string{"batches", "routed", "prepared"} {
-				rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-				aborted := false
-				rig.fail = func(point string, step int) error {
-					if aborted || step != abortAt || point != phase {
-						return nil
-					}
-					aborted = true
-					return errAbort
+	opts := core.Options{Seed: 11}
+	durable := opts
+	durable.StateDir = t.TempDir()
+	oracle, err := core.Run(prog, cfg, durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
+		for _, phase := range []string{"batches", "voted", "prepared"} {
+			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+			aborted := false
+			rig.fail = func(point string, step int) error {
+				if aborted || step != abortAt || point != phase {
+					return nil
 				}
-				resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("mode %d abort@%d/%s", mode, abortAt, phase))
-				if !aborted {
-					t.Errorf("mode %d abort@%d/%s never fired", mode, abortAt, phase)
-				}
-				rig.close()
+				aborted = true
+				return errAbort
 			}
+			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("abort@%d/%s", abortAt, phase))
+			if !aborted {
+				t.Errorf("abort@%d/%s never fired", abortAt, phase)
+			}
+			rig.close()
 		}
 	}
 }
@@ -332,40 +316,38 @@ func (a *adoptingRig) Begin(step int) error {
 	return a.clusterRig.Begin(step)
 }
 
-// TestClusterCoreAdoptScatteredInput: a node's unrouted input is barrier
-// state like any other — its directory travels in the snapshot's
-// manifest, its blocks among the snapshot's tracks — so a node adopted
-// from a replica snapshot between two supersteps carries on bitwise, at
-// every barrier of the run, and so does one whose input was routed.
+// TestClusterCoreAdoptScatteredInput: a node's input is barrier state
+// like any other — its directory travels in the snapshot's manifest, its
+// blocks among the snapshot's tracks — so a node adopted from a replica
+// snapshot between two supersteps carries on bitwise, at every barrier of
+// the run.
 func TestClusterCoreAdoptScatteredInput(t *testing.T) {
 	prog := clusterProgram()
 	cfg := parMachine(2, 2, 8, 256)
-	for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
-		opts := core.ForceRouting(core.Options{Seed: 17}, mode)
-		durable := opts
-		durable.StateDir = t.TempDir()
-		oracle, err := core.Run(prog, cfg, durable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := 1; at < oracle.Costs.Supersteps; at++ {
-			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-			elsewhere := t.TempDir()
-			a := &adoptingRig{clusterRig: rig, t: t, at: at, node: 1}
-			a.adopt = func(snap *core.NodeSnapshot) *core.NodeEngine {
-				n, err := core.AdoptNode(prog, cfg, opts, 1, elsewhere, snap)
-				if err != nil {
-					t.Fatalf("mode %d adopt@%d: %v", mode, at, err)
-				}
-				return n
-			}
-			res, err := rig.coord.Run(a)
+	opts := core.Options{Seed: 17}
+	durable := opts
+	durable.StateDir = t.TempDir()
+	oracle, err := core.Run(prog, cfg, durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 1; at < oracle.Costs.Supersteps; at++ {
+		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+		elsewhere := t.TempDir()
+		a := &adoptingRig{clusterRig: rig, t: t, at: at, node: 1}
+		a.adopt = func(snap *core.NodeSnapshot) *core.NodeEngine {
+			n, err := core.AdoptNode(prog, cfg, opts, 1, elsewhere, snap)
 			if err != nil {
-				t.Fatalf("mode %d adopt@%d: %v", mode, at, err)
+				t.Fatalf("adopt@%d: %v", at, err)
 			}
-			resultsIdentical(t, res, oracle, fmt.Sprintf("mode %d adopt@%d", mode, at))
-			rig.close()
+			return n
 		}
+		res, err := rig.coord.Run(a)
+		if err != nil {
+			t.Fatalf("adopt@%d: %v", at, err)
+		}
+		resultsIdentical(t, res, oracle, fmt.Sprintf("adopt@%d", at))
+		rig.close()
 	}
 }
 

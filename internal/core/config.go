@@ -2,13 +2,14 @@
 // simulation of BSP* / CGM algorithms as external-memory algorithms
 // (Dehne–Dittrich–Hutchinson, Section 5).
 //
-// One engine implements Algorithm 3 (ParCompoundSuperstep) with
-// Algorithm 2 (SimulateRouting) for every p ≥ 1; at p = 1 it is
-// Algorithm 1 (SeqCompoundSuperstep). It executes any bsp.Program with
-// contexts held on a simulated multi-disk subsystem, materializing only
-// k = ⌊M/µ⌋ virtual processors per processor at a time, and is required
-// to produce results bitwise identical to the in-memory reference
-// runner bsp.Run.
+// One engine implements Algorithm 3 (ParCompoundSuperstep) for every
+// p ≥ 1; at p = 1 it is Algorithm 1 (SeqCompoundSuperstep). Algorithm 2
+// (SimulateRouting) is reproduced by DemoRouting and runs in no
+// superstep: the block writer's placement makes it unnecessary
+// (DESIGN.md §7). The engine executes any bsp.Program with contexts held
+// on a simulated multi-disk subsystem, materializing only k = ⌊M/µ⌋
+// virtual processors per processor at a time, and is required to produce
+// results bitwise identical to the in-memory reference runner bsp.Run.
 package core
 
 import (
@@ -212,9 +213,8 @@ type Options struct {
 	Tiers []TierSpec
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
-	// message read/write, compute, SimulateRouting, parity
-	// flush/scrub/rebuild, barrier fsync, journal commit) on every
-	// engine, plus the file-backed store's worker-level physical
+	// message read/write, compute, parity flush/scrub/rebuild, barrier
+	// fsync, journal commit) on every engine, plus the file-backed store's worker-level physical
 	// transfers, exportable as Chrome trace_event JSON. Tracing is pure
 	// observability: it is deliberately left out of the config
 	// fingerprint and of the bitwise-identity contract (the same
@@ -230,30 +230,6 @@ type Options struct {
 	// as Trace: out of the fingerprint, out of the identity contract,
 	// nil costs nothing.
 	Metrics *obs.Registry
-
-	// routing overrides the rule that decides, per processor and
-	// superstep, whether Algorithm 2 runs (routeLocal). Only ForceRouting
-	// sets it; it is folded into the config fingerprint.
-	routing RouteMode
-}
-
-// RouteMode says when a superstep's message blocks are reorganized by
-// Algorithm 2 before the next superstep fetches them.
-type RouteMode int
-
-const (
-	RouteDecided RouteMode = iota // when the directory says it pays (outDirectory.routeCosts)
-	RouteAlways                   // every superstep, as the paper states Algorithm 1
-	RouteNever                    // never: every fetch is scattered
-)
-
-// ForceRouting returns opts with the routing rule replaced by m. It is
-// how tests and the ablation experiment reach Algorithm 2, which no
-// default run of a machine with few drives takes; there is no option,
-// flag or environment variable for it.
-func ForceRouting(opts Options, m RouteMode) Options {
-	opts.routing = m
-	return opts
 }
 
 func (o *Options) defaults() {
@@ -379,17 +355,15 @@ type EMStats struct {
 	// IOTime is the model I/O time of the simulation proper:
 	// G · Σ_steps max_proc (ops in step). For P = 1 it is G·Run.Ops.
 	IOTime float64
-	// RouteOps counts the parallel I/O operations spent inside
-	// SimulateRouting (a subset of Run.Ops): zero unless some superstep's
-	// directory was skewed enough for routing to pay.
-	RouteOps int64
-	// RaggedSlots counts the slots SimulateRouting's operations left
-	// empty — a bucket with no block left, or none on a free drive —
-	// positions the paper's analysis fills with dummy blocks.
+	// RouteOps and RaggedSlots are always zero: they counted
+	// SimulateRouting's operations and the slots they left empty, and no
+	// superstep runs it. The frozen benchmark module reads the two
+	// fields; they go when it stops (ROADMAP item 1(d)).
+	RouteOps    int64
 	RaggedSlots int64
 	// MaxBucketSkew is the largest observed ratio between the maximum
-	// per-drive share of a bucket — of a destination batch, in a superstep
-	// left unrouted — and the even share R/D (Lemma 2's l).
+	// per-drive share of a destination batch's blocks and the even share
+	// R/D (Lemma 2's l).
 	MaxBucketSkew float64
 	// MemHigh is the engine's internal-memory high-water mark in words
 	// (max over processors).

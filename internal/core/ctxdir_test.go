@@ -271,13 +271,58 @@ func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 	}
 }
 
-// FuzzProcManifest forges the track words of real processor records —
-// nudged, or copied from one another across the two directories — and
-// holds the decoder to this: it refuses with the engine's typed error and
-// the store untouched, or it accepts and every track the directories name
-// is then allocated in the adopted state and named once, so the releases
-// a commit makes through them cannot free a track twice or one it never
-// had.
+// TestResumeRefusesMalformedRecord: a record's lengths are checked
+// before they are trusted. Every case below was a panic — an index past a
+// short list, a read past the record's end — or an allocation sized by a
+// forged count at the commit before (PR 23); each is refused now with the
+// engine's typed error and the store untouched, and so is every record
+// that ends before its allocator state does.
+func TestResumeRefusesMalformedRecord(t *testing.T) {
+	const huge = 1 << 40
+	for i, rec := range procRecordSeeds(t) {
+		_, _, _, st := rec.Decode(rec.Words)
+		D := len(st.Next)
+		// The allocator state opens with the statistics: a list of five
+		// totals, a drive count, a list of four counts a drive; then a drive
+		// count again and per drive two marks and the free list.
+		perDrive, alloc := rec.Store+6, rec.Store+7+5*D
+		for _, forge := range []struct {
+			name string
+			at   int
+			with uint64
+			want string
+		}{
+			{"two totals", rec.Store, 2, "holds 2 totals, want 5"},
+			{"forged drive count of the statistics", perDrive, huge, "drives' statistics"},
+			{"one count of a drive", perDrive + 1, 1, "holds 1 counts of a drive, want 4"},
+			{"forged drive count of the allocator", alloc, huge, "drives' allocators"},
+			{"forged free list length", alloc + 3, huge, "free tracks"},
+			{"forged batch count of the input", rec.Dir, 1 << 30, "batches of input"},
+			{"forged input list length", rec.Dir + 1, huge, "input tracks"},
+			{"forged context list length", rec.Contexts[0] - 1, ^uint64(0), "context tracks"},
+		} {
+			forged := slices.Clone(rec.Words)
+			forged[forge.at] = forge.with
+			err, untouched, _, _ := rec.Decode(forged)
+			if !core.IsEngineError(err) || !strings.Contains(err.Error(), forge.want) || !untouched {
+				t.Errorf("seed %d, %s: got %v (store untouched: %v), want the typed refusal naming the %s", i, forge.name, err, untouched, forge.want)
+			}
+		}
+		for n := 0; n < rec.Layers; n++ {
+			if err, untouched, _, _ := rec.Decode(rec.Words[:n:n]); !core.IsEngineError(err) || !untouched {
+				t.Fatalf("seed %d cut to %d of its %d words: got %v (store untouched: %v), want the typed refusal", i, n, len(rec.Words), err, untouched)
+			}
+		}
+	}
+}
+
+// FuzzProcManifest forges real processor records, in any word up to and
+// including the allocator state (the layers' own sections are theirs to
+// check) — nudged, or copied from one another — and holds the decoder to
+// this: it refuses with the engine's typed error and the store untouched,
+// or the store adopts the record's allocator state and every track the
+// directories name is allocated in it and named once, so the releases a
+// commit makes through them cannot free a track twice or one it never had.
 func FuzzProcManifest(f *testing.F) {
 	seeds := procRecordSeeds(f)
 	f.Add(uint8(0), []byte{})
@@ -286,22 +331,24 @@ func FuzzProcManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, edits []byte) {
 		rec := seeds[int(kind)%len(seeds)]
 		ws := slices.Clone(rec.Words)
-		at := append(slices.Clone(rec.Input), rec.Contexts...)
 		for ; len(edits) >= 3; edits = edits[3:] {
-			i := at[(int(edits[0])<<8|int(edits[1]))%len(at)]
+			i := (int(edits[0])<<8 | int(edits[1])) % rec.Layers
 			if b := int(edits[2]); b < 128 {
 				ws[i] += uint64(int64(b - 64))
 			} else {
-				ws[i] = ws[at[(b-128)%len(at)]]
+				ws[i] = ws[(i+b-128)%rec.Layers]
 			}
 		}
 		err, untouched, named, st := rec.Decode(ws)
-		if err != nil {
-			if !core.IsEngineError(err) || !untouched {
-				t.Fatalf("refused with %v (store untouched: %v), want the typed error and an untouched store", err, untouched)
+		if untouched {
+			if !core.IsEngineError(err) {
+				t.Fatalf("refused with %v, want the typed error", err)
 			}
 			return
 		}
+		// Accepted — if not by a layer, whose section a forged length
+		// moved: the store adopted the state the directories were checked
+		// against either way.
 		seen := make(map[disk.Addr]bool)
 		for _, a := range named {
 			if a.Disk < 0 || a.Disk >= len(st.Next) || a.Track < 0 || a.Track >= st.Next[a.Disk] || slices.Contains(st.Free[a.Disk], a.Track) || seen[a] {

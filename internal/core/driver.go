@@ -14,8 +14,8 @@ import (
 // of a run —
 //
 //	setup → [begin → rounds (fetch, compute, write) → totals → vote →
-//	route unless halted → finish → prepare → decision record → commit]
-//	→ final reports → assemble
+//	finish → prepare → decision record → commit] → final reports →
+//	assemble
 //
 // — with the abort-and-replay loop around everything that precedes a
 // barrier's decision record, and the ledger of global accounting the
@@ -47,12 +47,11 @@ type Transport interface {
 	Write(j, step int, outs []*BatchOut) error
 	// Totals returns every node's halt votes, sends and operations.
 	Totals() ([]StepTotals, error)
-	// Route runs Step 2 of Algorithm 3 and returns every node's
-	// operations since Begin.
-	Route(step int) ([]int64, error)
-	// Prepare makes every node's barrier state durable, short of the
-	// decision; it returns the extra parallel I/O the barrier itself cost
-	// each node (parity maintenance), which the model charges.
+	// Prepare makes every node's barrier state — with the directory the
+	// superstep wrote as the next one's input, unless it halted —
+	// durable, short of the decision; it returns the extra parallel I/O
+	// the barrier itself cost each node (parity maintenance), which the
+	// model charges.
 	Prepare(step int, halted bool) ([]int64, error)
 	// Commit tells the nodes that barrier step's decision record landed.
 	Commit(step int) error
@@ -191,9 +190,8 @@ func (l *ledger) addBatch(src int, bo *BatchOut) {
 	}
 }
 
-// vote sums the nodes' totals: whether every VP voted to halt — a
-// halting superstep skips reorganization — and the slowest node's
-// operations.
+// vote sums the nodes' totals: whether every VP voted to halt, and the
+// slowest node's operations.
 func (l *ledger) vote(step int, totals []StepTotals) (halted bool, maxOps int64, err error) {
 	var halts, sends int
 	for _, t := range totals {
@@ -370,8 +368,6 @@ func (l *ledger) assemble(reports []*NodeReport) (*Result, error) {
 		em.Finish.Ops += r.FinishOps
 		em.Finish.ReadOps += r.FinishReadOps
 		em.Finish.BlocksRead += r.FinishBlocksRead
-		em.RouteOps += r.RouteOps
-		em.RaggedSlots += r.Ragged
 		em.MaxBucketSkew = max(em.MaxBucketSkew, r.MaxSkew)
 		em.MemHigh = max(em.MemHigh, r.MemHigh)
 		em.LiveBlocksPerDrive = max(em.LiveBlocksPerDrive, r.PeakLive)
@@ -490,13 +486,6 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 	halted, maxOps, err := d.vote(step, totals)
 	if err != nil {
 		return false, err
-	}
-	if !halted {
-		ops, err := d.t.Route(step)
-		if err != nil {
-			return false, err
-		}
-		maxOps = slices.Max(ops)
 	}
 	d.finish(maxOps)
 	barrierOps, err := d.t.Prepare(step, halted)

@@ -15,9 +15,8 @@ import (
 
 // The in-process engine runs Algorithm 3 (ParCompoundSuperstep): a
 // v-processor BSP* program on a p-processor EM-BSP* machine, for every
-// p ≥ 1. At p = 1 it is Algorithm 1 (SeqCompoundSuperstep) with
-// Algorithm 2 (SimulateRouting): the same step machine with the
-// exchange between processors left out.
+// p ≥ 1. At p = 1 it is Algorithm 1 (SeqCompoundSuperstep): the same
+// step machine with the exchange between processors left out.
 //
 // Virtual processors are assigned in blocks: real processor i owns
 // VPs [i·⌈v/p⌉, (i+1)·⌈v/p⌉). A compound superstep runs in
@@ -37,11 +36,11 @@ import (
 //     destination batch — whose counts place each block on the free
 //     drive where its batch holds fewest, the permutation breaking ties.
 //
-// At the end of the superstep each processor settles where the next one
-// reads its received blocks (routeLocal): where they lie, a batch's
-// scattered read being within an operation of fully D-parallel, or —
-// when its directory says that is cheaper — reorganized by the local
-// SimulateRouting (Algorithm 2) into standard consecutive format.
+// The next superstep reads a processor's received blocks where they
+// lie, by that directory: a batch's scattered read is within an
+// operation of fully D-parallel, so the local SimulateRouting (Algorithm
+// 2) the paper runs here is shown by DemoRouting and run by nobody
+// (DESIGN.md §7).
 //
 // Real processors run as goroutines separated by phase barriers. All
 // communication cells are owned by a single writer per phase and all
@@ -323,24 +322,15 @@ func (e *engine) Totals() ([]StepTotals, error) {
 	return e.totals, nil
 }
 
-func (e *engine) Route(step int) ([]int64, error) {
-	err := e.parallel(func(ps *procState) error {
-		err := e.routeLocal(ps, step)
-		e.ops[ps.id] = ps.stepOps()
-		return err
-	})
-	return e.ops, err
-}
-
 // Prepare is the barrier commit, run only after every processor
-// finished the superstep: free the consumed input and contexts, install
-// the routing results and the contexts written (commitProc);
+// finished the superstep: free the consumed input and contexts, make
+// the directory and the contexts written current (commitProc);
 // then the parity-aware commit point; then every processor's data is
 // made durable before the decision record is.
-func (e *engine) Prepare(step int, _ bool) ([]int64, error) {
+func (e *engine) Prepare(step int, halted bool) ([]int64, error) {
 	e.snap = nil
 	for i, ps := range e.procs {
-		err := e.commitProc(ps)
+		err := e.commitProc(ps, halted)
 		if err == nil {
 			e.ops[i], err = ps.parityBarrier(e.tr, ps.id, e.opts.Scrub)
 		}
@@ -359,8 +349,8 @@ func (e *engine) Prepare(step int, _ bool) ([]int64, error) {
 func (e *engine) Commit(int) error { return nil }
 
 // Rollback makes the whole compound superstep — all processors, all
-// batches, the routing phase — one recovery unit under a fault plan: a
-// recoverable fault anywhere rolls every processor back to the barrier.
+// batches — one recovery unit under a fault plan: a recoverable fault
+// anywhere rolls every processor back to the barrier.
 func (e *engine) Rollback(step, attempt int, cause error) (int64, error) {
 	switch {
 	case e.snap == nil || !fault.Replayable(cause):
@@ -388,9 +378,6 @@ type procSnapshot struct {
 	rng      [4]uint64
 	acctMark int64
 	opsMark  int64
-	routeOps int64
-	ragged   int64
-	maxSkew  float64
 }
 
 func (e *engine) snapshot() []procSnapshot {
@@ -401,9 +388,6 @@ func (e *engine) snapshot() []procSnapshot {
 			rng:      ps.rng.State(),
 			acctMark: ps.acct.Mark(),
 			opsMark:  ps.chain.Stats().Ops,
-			routeOps: ps.routeOps,
-			ragged:   ps.ragged,
-			maxSkew:  ps.maxSkew,
 		}
 		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
 			s[i].parity = red.Snapshot()
@@ -427,10 +411,6 @@ func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 		}
 		ps.rng.SetState(p.rng)
 		ps.acct.Rewind(p.acctMark)
-		ps.routeOps = p.routeOps
-		ps.ragged = p.ragged
-		ps.maxSkew = p.maxSkew
-		ps.pendingRoute = nil
 	}
 	return maxAborted
 }

@@ -135,25 +135,44 @@ func IsEngineError(err error) bool {
 	return errors.As(err, &ee)
 }
 
-// PlacementCosts reports what the routing rule sees in the open
-// superstep's directories, per processor: the scattered sum, its ideal
-// Σ_g⌈R_g/D⌉, and over all of them the worst batch's distance from its
-// own ideal.
-func PlacementCosts(t Transport) (scattered, ideal []int, worst int) {
-	for _, ps := range t.(*engine).procs {
-		s, _, _ := ps.dir.routeCosts()
-		sum := 0
-		for _, perDrive := range ps.dir.q {
-			fullest, Rg, D := 0, 0, len(perDrive)
-			for _, refs := range perDrive {
-				fullest, Rg = max(fullest, len(refs)), Rg+len(refs)
+// Placement is what one processor's block writer left the next fetch to
+// pay in the open superstep's directory: Scattered, the sum over batches
+// of the fullest drive's share; Ideal, Σ_g⌈R_g/L⌉ over the L live drives;
+// Multi, the batches holding two blocks or more; Worst, the furthest a
+// batch lies above its own ideal; and Floor, the least Algorithm 2 could
+// have cost before the same batches were read from its regions.
+type Placement struct{ Scattered, Ideal, Multi, Worst, Floor int }
+
+// PlacementCosts reads every processor's Placement.
+func PlacementCosts(t Transport) (ps []Placement) {
+	for _, proc := range t.(*engine).procs {
+		D := len(proc.dir.q[0])
+		L, load, p := D, make([]int, D), Placement{}
+		for d := 0; d < D; d++ {
+			if proc.down != nil && proc.down(d) {
+				L--
 			}
-			sum += (Rg + D - 1) / D
-			worst = max(worst, fullest-(Rg+D-1)/D)
 		}
-		scattered, ideal = append(scattered, s), append(ideal, sum)
+		for _, perDrive := range proc.dir.q {
+			fullest, Rg := 0, 0
+			for d, refs := range perDrive {
+				fullest, Rg, load[d] = max(fullest, len(refs)), Rg+len(refs), load[d]+len(refs)
+			}
+			p.Scattered, p.Ideal, p.Worst = p.Scattered+fullest, p.Ideal+(Rg+L-1)/L, max(p.Worst, fullest-(Rg+L-1)/L)
+			if Rg >= 2 {
+				p.Multi++
+			}
+			// Routed, the batch is read in ⌈R_g/D⌉ operations, after
+			// Step 1 moved every block (at least the fullest drive's
+			// load, at least ⌈R/D⌉ moves) and Step 2's ⌈R/D⌉ moves, two
+			// operations a move.
+			p.Floor += (Rg + D - 1) / D
+		}
+		even := (proc.dir.total + D - 1) / D
+		p.Floor += 2*max(even, slices.Max(load)) + 2*even
+		ps = append(ps, p)
 	}
-	return scattered, ideal, worst
+	return ps
 }
 
 // AllocatorMarks returns, per processor of the engine RunOver hands to
@@ -178,7 +197,10 @@ type Holdings struct {
 func HoldingsOf(t Transport) []Holdings {
 	var hs []Holdings
 	for _, ps := range t.(*engine).procs {
-		h := Holdings{Input: ps.inBlocks}
+		var h Holdings
+		if ps.inDir != nil {
+			h.Input = ps.inDir.total
+		}
 		for _, tracks := range ps.ctxDir {
 			h.Contexts = append(h.Contexts, len(tracks))
 		}
@@ -196,24 +218,31 @@ func SetupReplays(t Transport) int64 { return t.(*engine).led.replays }
 
 // ProcRecord is one processor's barrier record as encodeProcManifest
 // wrote it, with the positions of the track words of its two directories
-// — the input's, then the contexts' — so a test can forge exactly those.
+// — the input's, then the contexts' — so a test can forge exactly those,
+// and of the sections the decoder checks before the store adopts anything:
+// Dir is the input directory's first word, Store the allocator state's
+// (the statistics' totals), Layers the first word after it.
 type ProcRecord struct {
-	Words    []uint64
-	Input    []int // indexes into Words: one per block of the input directory
-	Contexts []int // one per block of the context directory
-	sh       simShape
-	id       int
+	Words              []uint64
+	Input              []int // indexes into Words: one per block of the input directory
+	Contexts           []int // one per block of the context directory
+	Dir, Store, Layers int
+	sh                 simShape
+	id                 int
 }
 
 func procRecord(sh simShape, ps *procState) ProcRecord {
-	enc, tail := words.NewEncoder(nil), words.NewEncoder(nil)
+	enc, tail, store := words.NewEncoder(nil), words.NewEncoder(nil), words.NewEncoder(nil)
 	encodeProcManifest(enc, ps)
 	encodeDirectory(tail, ps.inDir)
 	encodeContexts(tail, ps.ctxDir, sh.cfg.D)
+	dirs := tail.Len()
 	ps.encodeState(tail)
+	encodeStoreState(store, ps.chain.State())
 	r := ProcRecord{Words: slices.Clone(enc.Words()), sh: sh, id: ps.id}
-	dec := words.NewDecoder(r.Words[len(r.Words)-tail.Len():])
 	base := len(r.Words) - tail.Len()
+	r.Dir, r.Store, r.Layers = base, base+dirs, base+dirs+store.Len()
+	dec := words.NewDecoder(r.Words[base:])
 	list := func(into *[]int) {
 		for n := dec.Int(); n > 0; n-- {
 			*into = append(*into, base+dec.Offset())
@@ -245,9 +274,11 @@ func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(n.sh, n.ps) }
 
 // Decode decodes ws, the record or a forgery of it, into a fresh processor
 // of the same shape over an in-memory chain with the same layers. It
-// returns the decoder's verdict, whether the store's state is what it was
-// before the attempt, and after a success the tracks both directories name
-// with the allocator state they were checked against.
+// returns the decoder's verdict and whether it refused with the store's
+// state what it was before the attempt; otherwise — the record accepted,
+// or its own sections accepted and adopted and a layer's section refused
+// after them — the tracks both directories name with the allocator state
+// they were checked against.
 func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk.Addr, st disk.StoreState) {
 	opts := r.sh.opts
 	opts.StateDir, opts.Tiers, opts.MappedStore = "", nil, false
@@ -261,8 +292,8 @@ func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk
 	before := ps.chain.State()
 	err = decodeProcManifest(words.NewDecoder(ws), ps)
 	st = ps.chain.State()
-	if err != nil {
-		return err, reflect.DeepEqual(before, st), nil, st
+	if err != nil && reflect.DeepEqual(before, st) {
+		return err, true, nil, st
 	}
 	if ps.inDir != nil {
 		ps.inDir.each(func(_ int, ref blockRef) error { //nolint:errcheck // f returns none
@@ -273,5 +304,5 @@ func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk
 	for _, tracks := range ps.ctxDir {
 		named = append(named, tracks...)
 	}
-	return nil, true, named, st
+	return err, false, named, st
 }

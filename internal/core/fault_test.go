@@ -85,27 +85,22 @@ func TestFaultReplayPath(t *testing.T) {
 	// superstep in the tens while making replay exhaustion vanishingly
 	// unlikely.
 	plan := &fault.Plan{Seed: 5, ReadErrorRate: 0.005, WriteErrorRate: 0.005, CorruptRate: 0.005}
-	for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
-		for _, procs := range []int{1, 3} {
-			cfg := parMachine(procs, 4, 8, 256)
-			res, err := core.Run(p, cfg, core.ForceRouting(core.Options{Seed: 4, FaultPlan: plan, MaxRetries: -1}, mode))
-			if err != nil {
-				t.Fatalf("P=%d mode %d: %v", procs, mode, err)
-			}
-			checksumsEqual(t, ref, res, "replay")
-			em := res.EM
-			if (em.RouteOps > 0) != (mode == core.RouteAlways) {
-				t.Errorf("P=%d: %d routing ops in mode %d", procs, em.RouteOps, mode)
-			}
-			if em.Replays == 0 {
-				t.Errorf("P=%d: retries disabled and faults injected, but no superstep was replayed", procs)
-			}
-			if em.Retries != 0 {
-				t.Errorf("P=%d: retries disabled but Retries=%d", procs, em.Retries)
-			}
-			if em.RecoveryOps == 0 {
-				t.Errorf("P=%d: replays happened but RecoveryOps=0", procs)
-			}
+	for _, procs := range []int{1, 3} {
+		cfg := parMachine(procs, 4, 8, 256)
+		res, err := core.Run(p, cfg, core.Options{Seed: 4, FaultPlan: plan, MaxRetries: -1})
+		if err != nil {
+			t.Fatalf("P=%d: %v", procs, err)
+		}
+		checksumsEqual(t, ref, res, "replay")
+		em := res.EM
+		if em.Replays == 0 {
+			t.Errorf("P=%d: retries disabled and faults injected, but no superstep was replayed", procs)
+		}
+		if em.Retries != 0 {
+			t.Errorf("P=%d: retries disabled but Retries=%d", procs, em.Retries)
+		}
+		if em.RecoveryOps == 0 {
+			t.Errorf("P=%d: replays happened but RecoveryOps=0", procs)
 		}
 	}
 }
@@ -234,11 +229,10 @@ func TestFaultRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-// TestFaultScatteredInputReplays: a superstep's unrouted input is freed
-// at the barrier commit, never while it is read (the ablation that did
-// was refused under a fault plan), so it is a replay source like routed
-// regions are: at 2% per block with retries disabled every superstep is
-// replayed many times over from the same scattered blocks.
+// TestFaultScatteredInputReplays: a superstep's input is freed at the
+// barrier commit, never while it is read, so it is a replay source: at
+// 2% per block with retries disabled every superstep is replayed many
+// times over from the same scattered blocks.
 func TestFaultScatteredInputReplays(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 8, Steps: 3, MsgsPerStep: 2, MaxLen: 8}
 	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 6, PktSize: 8})
@@ -247,13 +241,13 @@ func TestFaultScatteredInputReplays(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2} {
 		cfg := parMachine(procs, 4, 8, 64)
-		res, err := core.Run(p, cfg, core.ForceRouting(core.Options{Seed: 6, FaultPlan: transientPlan(1), MaxRetries: -1}, core.RouteNever))
+		res, err := core.Run(p, cfg, core.Options{Seed: 6, FaultPlan: transientPlan(1), MaxRetries: -1})
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}
 		checksumsEqual(t, ref, res, "scattered replay")
-		if em := res.EM; em.Replays == 0 || em.RouteOps != 0 || em.Retries != 0 {
-			t.Errorf("P=%d: Replays=%d RouteOps=%d Retries=%d, want replays and neither of the others", procs, em.Replays, em.RouteOps, em.Retries)
+		if em := res.EM; em.Replays == 0 || em.Retries != 0 {
+			t.Errorf("P=%d: Replays=%d Retries=%d, want replays and no retries", procs, em.Replays, em.Retries)
 		}
 		t.Logf("P=%d: %d replays", procs, res.EM.Replays)
 	}

@@ -73,6 +73,17 @@ import (
 // generation superstep 0 read; the parity and mirror rows in addition the
 // stripes, checksums and mirror copies of other tracks, and the faulted
 // row other fault draws (they follow the drive a block goes to).
+//
+// modelRules 7 → 8 (PR 24, every input is the directory its writer
+// filled) moved all of them by the fingerprint word — modelRules, and the
+// routing override no longer folded in — and the two CORD rows by that
+// word alone. Every RUN and NODE row also moved by the layout of the
+// processor section, which lost the six words that described a routed
+// input and its cost: the input's block count (the directory's lists say
+// it), the region count and the area count (0 and 0 in every record a
+// default run ever wrote) and the two-word list of routing and ragged-slot totals
+// (0, 0). Nothing else in a record moved: the allocator states, the
+// directories, the layers' sections and every count are the parent's.
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -90,8 +101,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		}
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xc734d26d8f1a46e7, 0x3817f1f47c688dc2},
-		2: {0x33328a9a5d46449, 0x9a8a92ce7c1c77cf},
+		1: {0xcae558c761689738, 0x13cd65bcb11a6643},
+		2: {0x70fe2c2bf03f8aa6, 0x5a1fdddd7d159753},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -112,16 +123,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x9522b7f74858b623, 0x3162420baaf73a31}},
+		}, [2]uint64{0xbc0dcb111c3d5ae2, 0xcff655c3adca469a}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x5a53cb734eaceb1a, 0x2c63316168783cc5}},
+		}, [2]uint64{0x74b2d40dbd34b379, 0x3c173855e34617f0}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x39f9134dcfcbcb9f, 0x5cbd8067857a311b}},
+		}, [2]uint64{0xd6f350750571998, 0x8d51834bc5a808eb}},
 	} {
 		o := opts
 		o.StateDir = t.TempDir()
@@ -135,9 +146,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	rig := openRig(t, prog, parMachine(2, 2, 8, 256), opts, root, false)
 	rig.run(t)
 	rig.close()
-	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0xc742ddb291e09c90, 0xd8700666418ac5e7})
-	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0x568485225c7f466e, 0x7e2f10af7c5d4097})
-	check("CORD", filepath.Join(root, "coord"), [2]uint64{0x187bfcb98f919bbf, 0x621534ea0ce81371})
+	check("NODE", filepath.Join(root, "node-0"), [2]uint64{0x5b3b1d8d225faea3, 0xda0fcca0cc118f57})
+	check("NODE", filepath.Join(root, "node-1"), [2]uint64{0xc8f2ccd947f15597, 0x98efc141344d27a4})
+	check("CORD", filepath.Join(root, "coord"), [2]uint64{0xe5de614bc87e0a3a, 0x310127a09f71f1e2})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

@@ -79,7 +79,7 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 
 	before := arr.Stats()
 	spRoute := tr.Begin(obs.CatEngine, phRoute, 0, 0)
-	route, err := simulateRouting(arr, acct, &bufs, dir)
+	route, err := simulateRouting(arr, acct, dir)
 	spRoute.End()
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -40,11 +41,13 @@ const (
 // with the unrouted directory in every processor's record; 6: parity
 // folded at write, stripes that leave with their superstep, §10; 7:
 // contexts on allocated tracks, listed by the context directory in every
-// processor's record, §22). It is folded into every fingerprint, so a
-// directory journaled under other rules, or a cluster peer built with
-// them, is refused rather than resumed into hybrid counts or fed blocks
-// it cannot parse.
-const modelRules = 7
+// processor's record, §22; 8: every input is the directory its writer
+// filled, §7 — a processor's record and a node's report carry no routed
+// regions, areas or routing counts, and the wire no routing round). It is
+// folded into every fingerprint, so a directory journaled under other
+// rules, or a cluster peer built with them, is refused rather than
+// resumed into hybrid counts or fed blocks it cannot parse.
+const modelRules = 8
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -61,7 +64,6 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 	enc.PutUint(opts.Seed)
 	enc.PutInt(int64(opts.MaxSupersteps))
 	enc.PutBool(opts.Deterministic)
-	enc.PutInt(int64(opts.routing))
 	enc.PutInt(int64(opts.MaxRetries))
 	plan := opts.FaultPlan
 	enc.PutBool(plan != nil && plan.Enabled())
@@ -87,14 +89,80 @@ func encodeStats(enc *words.Encoder, s disk.Stats) {
 	}
 }
 
+// decodeStats reads what encodeStats wrote for any number of drives, in
+// the decision record's global section and the wire's reports; like the
+// words.Decoder reads around it there, it panics on an encoding it cannot
+// follow.
 func decodeStats(dec *words.Decoder) disk.Stats {
-	t := dec.Ints()
+	r := recordReader{dec: dec}
+	s := r.stats(-1)
+	if r.err != nil {
+		panic(r.err)
+	}
+	return s
+}
+
+// recordReader reads a processor's record, which comes from a journal
+// file or, inside a NodeSnapshot, from a peer: every length is checked
+// against what the machine fixes, or against the words the record still
+// holds, before anything is indexed or allocated by it. The first
+// violation — a record that ends early included — is kept in err, where
+// words.Decoder would panic, and every read after it returns zeros.
+type recordReader struct {
+	dec *words.Decoder
+	err error
+}
+
+func (r *recordReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = &engineError{msg: "processor record " + fmt.Sprintf(format, args...)}
+	}
+}
+
+func (r *recordReader) word() uint64 {
+	if r.err == nil && r.dec.Remaining() == 0 {
+		r.fail("ends after %d words", r.dec.Offset())
+	}
+	if r.err != nil {
+		return 0
+	}
+	return r.dec.Uint()
+}
+
+// count reads a number of entries that follow, a word or more each:
+// exactly want of them, or — when want is negative — as many as the
+// record still has words for.
+func (r *recordReader) count(want int, what string) int {
+	n := r.word()
+	if r.err == nil && want >= 0 && n != uint64(want) {
+		r.fail("holds %d %s, want %d", n, what, want)
+	}
+	if r.err == nil && n > uint64(r.dec.Remaining()) {
+		r.fail("holds %d %s in its last %d words", n, what, r.dec.Remaining())
+	}
+	if r.err != nil {
+		return max(want, 0)
+	}
+	return int(n)
+}
+
+// list reads a length-prefixed list, the form of PutInts.
+func (r *recordReader) list(want int, what string) []int64 {
+	s := make([]int64, r.count(want, what))
+	for i := range s {
+		s[i] = int64(r.word())
+	}
+	return s
+}
+
+// stats reads what encodeStats wrote for D drives.
+func (r *recordReader) stats(D int) disk.Stats {
+	t := r.list(5, "totals")
 	s := disk.Stats{Ops: t[0], ReadOps: t[1], WriteOps: t[2], BlocksRead: t[3], BlocksWritten: t[4]}
-	n := int(dec.Int())
-	if n > 0 {
+	if n := r.count(D, "drives' statistics"); n > 0 {
 		s.PerDrive = make([]disk.DriveStats, n)
 		for i := range s.PerDrive {
-			d := dec.Ints()
+			d := r.list(4, "counts of a drive")
 			s.PerDrive[i] = disk.DriveStats{BlocksRead: d[0], BlocksWritten: d[1], SeqAccesses: d[2], RandAccesses: d[3]}
 		}
 	}
@@ -115,16 +183,15 @@ func encodeStoreState(enc *words.Encoder, s disk.StoreState) {
 	}
 }
 
-func decodeStoreState(dec *words.Decoder) disk.StoreState {
-	s := disk.StoreState{Stats: decodeStats(dec)}
-	n := int(dec.Int())
-	s.Next = make([]int, n)
-	s.Last = make([]int, n)
-	s.Free = make([][]int, n)
+// storeState reads the allocator state of a D-drive store; AdoptState
+// checks its marks and free lists.
+func (r *recordReader) storeState(D int) disk.StoreState {
+	s := disk.StoreState{Stats: r.stats(D)}
+	n := r.count(D, "drives' allocators")
+	s.Next, s.Last, s.Free = make([]int, n), make([]int, n), make([][]int, n)
 	for d := 0; d < n; d++ {
-		s.Next[d] = int(dec.Int())
-		s.Last[d] = int(dec.Int())
-		free := dec.Ints()
+		s.Next[d], s.Last[d] = int(r.word()), int(r.word())
+		free := r.list(-1, "free tracks")
 		s.Free[d] = make([]int, len(free))
 		for i, t := range free {
 			s.Free[d][i] = int(t)
@@ -133,44 +200,10 @@ func decodeStoreState(dec *words.Decoder) disk.StoreState {
 	return s
 }
 
-// encodeRegions writes the per-group (per-batch) input regions. Each
-// region is encoded as its full area plus the [lo, hi) block window —
-// regions may reference sliced or derived areas, so no indirection
-// through the owning area list is possible.
-func encodeRegions(enc *words.Encoder, regions [][]groupRegion) {
-	enc.PutInt(int64(len(regions)))
-	for _, rs := range regions {
-		enc.PutInt(int64(len(rs)))
-		for _, r := range rs {
-			r.area.Encode(enc)
-			enc.PutInt(int64(r.lo))
-			enc.PutInt(int64(r.hi))
-		}
-	}
-}
-
-func decodeRegions(dec *words.Decoder) [][]groupRegion {
-	n := int(dec.Int())
-	if n == 0 {
-		return nil
-	}
-	regions := make([][]groupRegion, n)
-	for g := range regions {
-		m := int(dec.Int())
-		for i := 0; i < m; i++ {
-			ar := disk.DecodeArea(dec)
-			lo := int(dec.Int())
-			hi := int(dec.Int())
-			regions[g] = append(regions[g], groupRegion{area: ar, lo: lo, hi: hi})
-		}
-	}
-	return regions
-}
-
-// encodeDirectory writes an unrouted input: per batch and drive, the
+// encodeDirectory writes a superstep's input: per batch and drive, the
 // tracks in the order the writer filled them — R words and a length per
-// list. The entries are not written; like a routed region's, they are
-// parsed from the block headers when the batch is read.
+// list. The entries are not written; they are parsed from the block
+// headers when the batch is read.
 func encodeDirectory(enc *words.Encoder, dir *outDirectory) {
 	if dir == nil {
 		enc.PutInt(0)
@@ -189,16 +222,21 @@ func encodeDirectory(enc *words.Encoder, dir *outDirectory) {
 	}
 }
 
-// decodeDirectory reads it back; claimTracks checks what it names.
-func decodeDirectory(dec *words.Decoder, D int) *outDirectory {
-	n := int(dec.Int())
+// directory reads it back — no batches (the set-up's record) or the
+// machine's — and claimTracks checks what it names.
+func (r *recordReader) directory(batches, D int) *outDirectory {
+	n := r.word()
 	if n == 0 {
 		return nil
 	}
-	dir := newOutDirectory(n, D)
+	if n != uint64(batches) {
+		r.fail("holds %d batches of input, want %d", n, batches)
+		return nil
+	}
+	dir := newOutDirectory(batches, D)
 	for _, perDrive := range dir.q {
 		for d := range perDrive {
-			for _, t := range dec.Ints() {
+			for _, t := range r.list(-1, "input tracks") {
 				perDrive[d] = append(perDrive[d], blockRef{disk: d, track: int(t)})
 				dir.total++
 			}
@@ -218,14 +256,16 @@ func encodeContexts(enc *words.Encoder, ctxDir [][]disk.Addr, D int) {
 	}
 }
 
-func decodeContexts(dec *words.Decoder, ctxDir [][]disk.Addr, D int) {
+func (r *recordReader) contexts(batches, D int) [][]disk.Addr {
+	ctxDir := make([][]disk.Addr, batches)
 	for j := range ctxDir {
-		ws := dec.Ints()
+		ws := r.list(-1, "context tracks")
 		ctxDir[j] = make([]disk.Addr, len(ws))
 		for i, w := range ws {
 			ctxDir[j][i] = disk.Addr{Disk: int(w % int64(D)), Track: int(w / int64(D))}
 		}
 	}
+	return ctxDir
 }
 
 // claimTracks checks the tracks a processor's record names, as input and
@@ -265,25 +305,6 @@ func claimTracks(st disk.StoreState, dir *outDirectory, ctxDir [][]disk.Addr) er
 		}
 	}
 	return nil
-}
-
-func encodeAreas(enc *words.Encoder, areas []disk.Area) {
-	enc.PutInt(int64(len(areas)))
-	for _, ar := range areas {
-		ar.Encode(enc)
-	}
-}
-
-func decodeAreas(dec *words.Decoder) []disk.Area {
-	n := int(dec.Int())
-	if n == 0 {
-		return nil
-	}
-	areas := make([]disk.Area, n)
-	for i := range areas {
-		areas[i] = disk.DecodeArea(dec)
-	}
-	return areas
 }
 
 func encodeRecSteps(enc *words.Encoder, steps []bsp.SuperstepCost) {
@@ -341,10 +362,6 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	for _, w := range st[:] {
 		enc.PutUint(w)
 	}
-	enc.PutInt(int64(ps.inBlocks))
-	encodeRegions(enc, ps.inRegions)
-	encodeAreas(enc, ps.inAreas)
-	enc.PutInts([]int64{ps.routeOps, ps.ragged})
 	enc.PutFloat(ps.maxSkew)
 	enc.PutInt(ps.acct.High())
 	encodeDirectory(enc, ps.inDir)
@@ -352,26 +369,32 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	ps.encodeState(enc)
 }
 
+// decodeProcManifest adopts it. Everything up to and including the
+// allocator state is read and checked — lengths by the reader, the
+// tracks the two directories name by claimTracks — before the processor
+// or its store is touched; a record that fails is refused with the
+// engine's typed error.
 func decodeProcManifest(dec *words.Decoder, ps *procState) error {
-	var st [4]uint64
-	for i := range st {
-		st[i] = dec.Uint()
+	r := recordReader{dec: dec}
+	var rng [4]uint64
+	for i := range rng {
+		rng[i] = r.word()
 	}
-	ps.rng.SetState(st)
-	ps.inBlocks = int(dec.Int())
-	ps.inRegions = decodeRegions(dec)
-	ps.inAreas = decodeAreas(dec)
-	pt := dec.Ints()
-	ps.routeOps, ps.ragged = pt[0], pt[1]
-	ps.maxSkew = dec.Float()
-	ps.acct.AdoptHigh(dec.Int())
-	D := ps.chain.Config().D
-	ps.inDir = decodeDirectory(dec, D)
-	decodeContexts(dec, ps.ctxDir, D)
-	alloc := decodeStoreState(dec)
-	if err := claimTracks(alloc, ps.inDir, ps.ctxDir); err != nil {
-		return err
+	maxSkew, memHigh := math.Float64frombits(r.word()), int64(r.word())
+	D, batches := ps.chain.Config().D, len(ps.ctxDir)
+	inDir, ctxDir := r.directory(batches, D), r.contexts(batches, D)
+	alloc := r.storeState(D)
+	if r.err == nil {
+		r.err = claimTracks(alloc, inDir, ctxDir)
 	}
+	if r.err != nil {
+		return r.err
+	}
+	ps.rng.SetState(rng)
+	ps.maxSkew = maxSkew
+	ps.acct.AdoptHigh(memHigh)
+	ps.inDir = inDir
+	copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
 	return ps.decodeState(alloc, dec)
 }
 

@@ -61,28 +61,22 @@ type procState struct {
 	acct       *mem.Accountant
 	rng        *prng.Rand
 
-	down      func(d int) bool // the fault layer's dead drives; nil without one
-	ctxDir    [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
-	ctxWrite  [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
-	ctxAt     int              // the drive the next batch's context tracks start at
-	inDir     *outDirectory    // the input's blocks where their writer left them, per batch; or
-	inRegions [][]groupRegion  // per batch, the regions of inAreas that Algorithm 2 moved them to
-	inAreas   []disk.Area
-	inBlocks  int
+	down     func(d int) bool // the fault layer's dead drives; nil without one
+	ctxDir   [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
+	ctxWrite [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
+	ctxAt    int              // the drive the next batch's context tracks start at
+	inDir    *outDirectory    // the input's blocks where their writer left them, per batch; nil before the first superstep
 
 	// Superstep-scoped scratch.
-	halts        int
-	sends        int
-	dir          *outDirectory
-	writer       *blockWriter
-	pendingRoute *routeResult // checkpoint mode: the next input awaiting commit
-	final        *NodeReport  // the finish phase's report, begun at its first attempt
+	halts  int
+	sends  int
+	dir    *outDirectory // the directory being written: the next input from the commit on
+	writer *blockWriter
+	final  *NodeReport // the finish phase's report, begun at its first attempt
 
 	// Accounting.
-	opsMark  int64
-	routeOps int64
-	ragged   int64
-	maxSkew  float64
+	opsMark int64
+	maxSkew float64
 }
 
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
@@ -373,8 +367,7 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 	r.FinishOps = s.Ops - r.RunStats.Ops
 	r.FinishReadOps = s.ReadOps - r.RunStats.ReadOps
 	r.FinishBlocksRead = s.BlocksRead - r.RunStats.BlocksRead
-	r.RouteOps, r.Ragged, r.MaxSkew = ps.routeOps, ps.ragged, ps.maxSkew
-	r.MemHigh, r.PeakLive = ps.acct.High(), int64(slices.Max(ps.chain.State().Next))
+	r.MaxSkew, r.MemHigh, r.PeakLive = ps.maxSkew, ps.acct.High(), int64(slices.Max(ps.chain.State().Next))
 	return r, nil
 }
 
@@ -424,22 +417,18 @@ type batchIn struct {
 func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
 
 // fetchBatch reads the blocks of batch j from the local disks into the
-// processor's region buffer: from where the last writing phase left
-// them, or from the regions SimulateRouting laid out.
+// processor's region buffer, from where the last writing phase left
+// them.
 func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 	if j == 0 {
 		if err := ps.acct.Grab(sh.opWords()); err != nil {
 			return batchIn{}, err
 		}
 	}
-	if ps.inDir != nil {
-		return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
+	if ps.inDir == nil {
+		return batchIn{}, nil
 	}
-	var regions []groupRegion
-	if j < len(ps.inRegions) {
-		regions = ps.inRegions[j]
-	}
-	return readRegions(ps.chain, ps.acct, &ps.stepBufs, regions)
+	return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
 }
 
 // fetchForward is the fetching phase of a machine with an exchange:
@@ -748,10 +737,10 @@ func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) er
 // flushBatch ends batch j's writing phase. Blocks short of a full
 // operation stay pending for the next batch's to fill it; after the
 // superstep's last batch the writer makes its one partial parallel
-// write and gives up its operation buffer (routing takes it next). By
-// then every batch has read its input, and without the checkpoint
-// discipline nothing returns to it: it is freed, in a halting superstep
-// too, as the contexts written with it were (their stripes leave whole).
+// write and gives up its operation buffer. By then every batch has read
+// its input, and without the checkpoint discipline nothing returns to
+// it: it is freed, in a halting superstep too, as the contexts written
+// with it were (their stripes leave whole).
 func (sh *simShape) flushBatch(ps *procState, j int) error {
 	if j < sh.batches-1 {
 		return nil
@@ -766,81 +755,40 @@ func (sh *simShape) flushBatch(ps *procState, j int) error {
 	return sh.freeInput(ps)
 }
 
-// routeLocal is Step 2 of Algorithm 3: settle where the next superstep
-// reads this processor's received blocks. The writer placed every batch
-// evenly over the drives by the directory's counts, so as a rule they
-// stay where they are and the directory is the next input; only when
-// reading it scattered would cost more than routing's floor (routeCosts)
-// does Algorithm 2 reorganize them into standard consecutive format. In
-// normal operation the result is installed immediately (the consumed
-// input went with the last flush); under the checkpoint discipline that
-// input is the replay/resume source, so the result is parked and the
-// frees wait until the engine-level barrier commit, because a fault on
-// another processor (or a crash before the journal record lands) can
-// still roll this superstep back.
-func (sh *simShape) routeLocal(ps *procState, step int) error {
-	sp := sh.tr.BeginStep(obs.CatEngine, phRoute, ps.id, 0, step, -1)
-	defer sp.End()
-	scattered, floor, skew := ps.dir.routeCosts()
-	route := &routeResult{dir: ps.dir, total: ps.dir.total, stats: routeStats{maxSkew: skew}}
-	if mode := sh.opts.routing; mode == RouteAlways || mode == RouteDecided && scattered > floor {
-		var err error
-		if route, err = simulateRouting(ps.chain, ps.acct, &ps.stepBufs, ps.dir); err != nil {
-			return err
-		}
-	}
-	if ps.ckptOn {
-		ps.pendingRoute = route
-	} else {
-		sh.install(ps, route)
-	}
-	return nil
-}
-
-// freeInput releases the input the superstep consumed: its routed areas,
-// or the scattered tracks of its directory.
+// freeInput releases the input the superstep consumed: the scattered
+// tracks of its directory.
 func (sh *simShape) freeInput(ps *procState) error {
-	for _, ar := range ps.inAreas {
-		if err := disk.FreeArea(ps.chain, ar); err != nil {
-			return err
-		}
-	}
 	if ps.inDir == nil {
 		return nil
 	}
 	return ps.inDir.each(func(_ int, ref blockRef) error { return ps.chain.Release(ref.disk, ref.track) })
 }
 
-// install makes routeLocal's result the next superstep's input.
-func (sh *simShape) install(ps *procState, route *routeResult) {
-	ps.routeOps += route.stats.ops
-	ps.ragged += route.stats.ragged
-	ps.maxSkew = max(ps.maxSkew, route.stats.maxSkew)
-	ps.inDir, ps.inRegions, ps.inAreas, ps.inBlocks = route.dir, route.regions, route.areas, route.total
-}
-
-// commitProc is the processor's share of the barrier commit under the
-// checkpoint discipline (without it, routeLocal and each batch's load
-// already did all of this): release the consumed input and the context
-// generation the superstep read, install the parked next input, and make
-// the generation it wrote current. The released tracks were written a
-// superstep apart at most, so under parity their stripes leave whole. A
-// halting superstep has no next input, frees nothing and is followed by
-// no write: its stale contexts keep their tracks beside that input.
-func (sh *simShape) commitProc(ps *procState) error {
-	if !ps.ckptOn {
-		return nil
-	}
-	if route := ps.pendingRoute; route != nil {
-		err := sh.freeInput(ps)
-		for j := 0; j < len(ps.ctxDir) && err == nil; j++ {
-			err = ps.releaseContexts(j)
+// commitProc is the processor's share of the barrier commit. The
+// directory the superstep wrote is the next one's input from here on —
+// the blocks stay where the writer placed them (DESIGN.md §7) — unless
+// the superstep halted, which has no next. Under the checkpoint
+// discipline everything before this point could still be rolled back, so
+// it is also where the consumed input and the context generation the
+// superstep read are released (in place, the last flush and each batch's
+// load already did) and the generation it wrote becomes current. The
+// released tracks were written a superstep apart at most, so under parity
+// their stripes leave whole. A halting superstep frees nothing and is
+// followed by no write: its stale contexts keep their tracks beside its
+// input.
+func (sh *simShape) commitProc(ps *procState, halted bool) error {
+	if !halted {
+		if ps.ckptOn {
+			err := sh.freeInput(ps)
+			for j := 0; j < len(ps.ctxDir) && err == nil; j++ {
+				err = ps.releaseContexts(j)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
-		ps.pendingRoute = nil
-		sh.install(ps, route)
+		ps.inDir = ps.dir
+		ps.maxSkew = max(ps.maxSkew, ps.dir.skew())
 	}
 	ps.ctxDir = ps.ctxWrite
 	return nil

@@ -21,7 +21,7 @@ const (
 	phScatter  = "scatter"      // cut messages into blocks (par engine CPU phase)
 	phWriteMsg = "write-msg"    // write generated message blocks
 	phWriteCtx = "write-ctx"    // write back a group's contexts
-	phRoute    = "route"        // SimulateRouting / local delivery
+	phRoute    = "route"        // SimulateRouting, in DemoRouting alone
 	phParity   = "parity-flush" // redundancy.FlushParity at the barrier
 	phRebuild  = "rebuild"      // online rebuild slice at the barrier
 	phScrub    = "scrub"        // background scrub slice at the barrier
@@ -47,8 +47,6 @@ func publishEMStats(r *obs.Registry, em *EMStats) {
 	set("em_run_blocks_read", em.Run.BlocksRead)
 	set("em_run_blocks_written", em.Run.BlocksWritten)
 	set("em_finish_ops", em.Finish.Ops)
-	set("em_route_ops", em.RouteOps)
-	set("em_ragged_slots", em.RaggedSlots)
 	set("em_mem_high_words", em.MemHigh)
 	set("em_live_blocks_per_drive", em.LiveBlocksPerDrive)
 	set("em_comm_words", em.CommWords)

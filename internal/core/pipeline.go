@@ -135,17 +135,9 @@ func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.
 	}
 }
 
-// areaAddrs appends the addresses of blocks [lo, hi) of an area.
-func areaAddrs(addrs []disk.Addr, ar disk.Area, lo, hi int) []disk.Addr {
-	for i := lo; i < hi; i++ {
-		addrs = append(addrs, ar.Addr(i))
-	}
-	return addrs
-}
-
 // prefetchBatch collects the blocks processor ps will read for batch
 // j: the tracks the context directory lists for its committed contexts
-// plus the batch's message blocks, scattered or in routed regions.
+// plus the batch's message blocks.
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {
@@ -157,11 +149,6 @@ func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 			for _, ref := range refs {
 				addrs = append(addrs, disk.Addr{Disk: d, Track: ref.track})
 			}
-		}
-	}
-	if j < len(ps.inRegions) {
-		for _, r := range ps.inRegions[j] {
-			addrs = areaAddrs(addrs, r.area, r.lo, r.hi)
 		}
 	}
 	return addrs

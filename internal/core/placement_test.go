@@ -4,23 +4,40 @@ import (
 	"slices"
 	"testing"
 
+	"embsp/internal/bsp"
 	"embsp/internal/core"
+	"embsp/internal/fault"
 	"embsp/internal/workload"
 )
 
-// placementMeter collects, per superstep and processor, what the rule
-// saw: the scattered sum, its ideal Σ_g⌈R_g/L⌉ over the L live drives,
-// and the worst batch's distance from its own ideal.
+// placementMeter collects, per superstep that has a next one and per
+// processor, what the block writer's placement leaves the next fetch to
+// pay: it reads the directories as the barrier is about to make them the
+// input.
 type placementMeter struct {
 	core.Transport
-	scattered, ideal []int
-	worst            int
+	at []core.Placement
 }
 
-func (m *placementMeter) Route(step int) ([]int64, error) {
-	scattered, ideal, worst := core.PlacementCosts(m.Transport)
-	m.scattered, m.ideal, m.worst = append(m.scattered, scattered...), append(m.ideal, ideal...), max(m.worst, worst)
-	return m.Transport.Route(step)
+func (m *placementMeter) Prepare(step int, halted bool) ([]int64, error) {
+	if !halted {
+		m.at = append(m.at, core.PlacementCosts(m.Transport)...)
+	}
+	return m.Transport.Prepare(step, halted)
+}
+
+// measurePlacement runs prog under the meter.
+func measurePlacement(t *testing.T, prog bsp.Program, cfg core.MachineConfig, opts core.Options) (*placementMeter, *core.Result) {
+	t.Helper()
+	var m *placementMeter
+	res, err := core.RunOver(func(inner core.Transport) core.Transport {
+		m = &placementMeter{Transport: inner}
+		return m
+	}, prog, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, res
 }
 
 // TestPlacementByCount pins what the block writer's placement leaves the
@@ -53,35 +70,72 @@ func TestPlacementByCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() *placementMeter {
-			var m *placementMeter
-			_, err = core.RunOver(func(inner core.Transport) core.Transport {
-				m = &placementMeter{Transport: inner}
-				return m
-			}, inst.Program, workload.Machine(inst.Program, row.p, 4, row.b, 6, 1000), core.Options{Seed: row.seed})
+		run := func() (scattered, ideal []int, got, want, worst int) {
+			m, _ := measurePlacement(t, inst.Program, workload.Machine(inst.Program, row.p, 4, row.b, 6, 1000), core.Options{Seed: row.seed})
+			for _, p := range m.at {
+				scattered, ideal = append(scattered, p.Scattered), append(ideal, p.Ideal)
+				got, want, worst = got+p.Scattered, want+p.Ideal, max(worst, p.Worst)
+			}
+			return scattered, ideal, got, want, worst
+		}
+		scattered, ideal, got, want, worst := run()
+		if !slices.Equal(scattered, row.scattered) || !slices.Equal(ideal, row.ideal) {
+			t.Errorf("%s: scattered sums %v beside ideals %v, want %v beside %v", row.name, scattered, ideal, row.scattered, row.ideal)
+		}
+		if 10*got > 11*want {
+			t.Errorf("%s: the run's scattered reads take %d operations, more than 10%% above the ideal %d", row.name, got, want)
+		}
+		if worst > 1 {
+			t.Errorf("%s: a batch lies %d operations above its ideal", row.name, worst)
+		}
+		if again, _, _, _, _ := run(); !slices.Equal(again, scattered) {
+			t.Errorf("%s: the same seed placed differently: %v then %v", row.name, scattered, again)
+		}
+	}
+}
+
+// TestPlacementPropertyTable1 is what every run relies on now that no
+// superstep is reorganized before it is read (DESIGN.md §7), on the 13
+// Table 1 workloads, few drives and many, one processor and three, every
+// drive alive and one dying half way under mirroring: per superstep and
+// processor, no batch lies more than one operation above its own ideal
+// ⌈R_g/L⌉ over the L live drives, so the scattered fetch takes at most
+// Σ_g⌈R_g/L⌉ and one more for every batch of two blocks or more; and it
+// never takes more than routing the superstep by Algorithm 2 would have
+// at the least — the inequality that keeps Theorem 1's bound standing
+// without it.
+func TestPlacementPropertyTable1(t *testing.T) {
+	const seed = 17
+	for _, name := range workload.Table1Names() {
+		t.Run(name, func(t *testing.T) {
+			inst, err := workload.Spec{Alg: name, N: 512, V: 16, Seed: seed}.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m
-		}
-		m := run()
-		if !slices.Equal(m.scattered, row.scattered) || !slices.Equal(m.ideal, row.ideal) {
-			t.Errorf("%s: scattered sums %v beside ideals %v, want %v beside %v", row.name, m.scattered, m.ideal, row.scattered, row.ideal)
-		}
-		sum := func(xs []int) (s int) {
-			for _, x := range xs {
-				s += x
+			for _, d := range []int{3, 8, 32} {
+				for _, p := range []int{1, 3} {
+					cfg := workload.Machine(inst.Program, p, d, 16, 4, 100)
+					cfg.M = max(cfg.M, d*cfg.B)
+					clean, res := measurePlacement(t, inst.Program, cfg, core.Options{Seed: seed})
+					// The death is aimed by the run itself, as in the root
+					// package's TestParityPropertyTable1: half way through
+					// the blocks processor 0 moves on drive 1.
+					drive := res.EM.PerProc[0].PerDrive[1]
+					plan := &fault.Plan{Seed: 23, FailDriveOp: max(1, (drive.BlocksRead+drive.BlocksWritten)/2), FailDrive: 1, Mirror: true}
+					dead, res := measurePlacement(t, inst.Program, cfg, core.Options{Seed: seed, FaultPlan: plan})
+					if res.EM.DriveFailures != 1 {
+						t.Errorf("D=%d P=%d: %d drives died, want 1", d, p, res.EM.DriveFailures)
+					}
+					for label, m := range map[string]*placementMeter{"clean": clean, "drive death": dead} {
+						for i, pl := range m.at {
+							if pl.Worst > 1 || pl.Scattered > pl.Ideal+pl.Multi || pl.Scattered > pl.Floor {
+								t.Errorf("D=%d P=%d %s, superstep %d processor %d: the scattered fetch takes %d operations (a batch %d above its own ideal), want at most %d + %d and at most Algorithm 2's floor %d",
+									d, p, label, i/p, i%p, pl.Scattered, pl.Worst, pl.Ideal, pl.Multi, pl.Floor)
+							}
+						}
+					}
+				}
 			}
-			return s
-		}
-		if got, ideal := sum(m.scattered), sum(m.ideal); 10*got > 11*ideal {
-			t.Errorf("%s: the run's scattered reads take %d operations, more than 10%% above the ideal %d", row.name, got, ideal)
-		}
-		if m.worst > 1 {
-			t.Errorf("%s: a batch lies %d operations above its ideal", row.name, m.worst)
-		}
-		if again := run(); !slices.Equal(again.scattered, m.scattered) {
-			t.Errorf("%s: the same seed placed differently: %v then %v", row.name, m.scattered, again.scattered)
-		}
+		})
 	}
 }

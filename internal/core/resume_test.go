@@ -106,43 +106,35 @@ func TestCrashAndResumeBitwise(t *testing.T) {
 	p := testProgram()
 	for _, procs := range []int{1, 3} {
 		for _, plan := range []*fault.Plan{nil, transientPlan(41)} {
-			// The rule leaves every superstep's blocks scattered on four
-			// drives, so the default run resumes from a journaled directory;
-			// the forced one from routed regions.
-			for _, mode := range []core.RouteMode{core.RouteDecided, core.RouteAlways} {
-				label := fmt.Sprintf("P=%d faults=%v mode=%d", procs, plan != nil, mode)
-				cfg := parMachine(procs, 4, 8, 256)
-				opts := func(o core.Options) core.Options {
-					o.Seed, o.FaultPlan = 3, plan
-					return core.ForceRouting(o, mode)
-				}
-
-				clean, err := core.Run(p, cfg, opts(core.Options{StateDir: t.TempDir()}))
-				if err != nil {
-					t.Fatalf("%s clean: %v", label, err)
-				}
-				if (clean.EM.RouteOps > 0) != (mode == core.RouteAlways) {
-					t.Errorf("%s: %d routing ops", label, clean.EM.RouteOps)
-				}
-
-				dir := t.TempDir()
-				crashed := &panicProgram{Program: p, panicStep: 2}
-				_, err = core.Run(crashed, cfg, opts(core.Options{StateDir: dir}))
-				var pe *bsp.ProgramError
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-				}
-				if pe.Superstep != 2 || pe.VP != p.V/2 {
-					t.Errorf("%s: panic attributed to VP %d superstep %d, want VP %d superstep 2",
-						label, pe.VP, pe.Superstep, p.V/2)
-				}
-
-				res, err := core.Run(p, cfg, opts(core.Options{StateDir: dir, Resume: true}))
-				if err != nil {
-					t.Fatalf("%s resume: %v", label, err)
-				}
-				resultsIdentical(t, clean, res, label)
+			label := fmt.Sprintf("P=%d faults=%v", procs, plan != nil)
+			cfg := parMachine(procs, 4, 8, 256)
+			opts := func(o core.Options) core.Options {
+				o.Seed, o.FaultPlan = 3, plan
+				return o
 			}
+
+			clean, err := core.Run(p, cfg, opts(core.Options{StateDir: t.TempDir()}))
+			if err != nil {
+				t.Fatalf("%s clean: %v", label, err)
+			}
+
+			dir := t.TempDir()
+			crashed := &panicProgram{Program: p, panicStep: 2}
+			_, err = core.Run(crashed, cfg, opts(core.Options{StateDir: dir}))
+			var pe *bsp.ProgramError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
+			}
+			if pe.Superstep != 2 || pe.VP != p.V/2 {
+				t.Errorf("%s: panic attributed to VP %d superstep %d, want VP %d superstep 2",
+					label, pe.VP, pe.Superstep, p.V/2)
+			}
+
+			res, err := core.Run(p, cfg, opts(core.Options{StateDir: dir, Resume: true}))
+			if err != nil {
+				t.Fatalf("%s resume: %v", label, err)
+			}
+			resultsIdentical(t, clean, res, label)
 		}
 	}
 }
@@ -407,15 +399,18 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // record has one counter fewer; one journaled at modelRules = 6 keeps its
 // contexts in two reserved areas its drive files are sized for, and names
 // them by area and used-block table where this engine reads a context
-// directory; this engine can neither parse them nor continue them into
-// honest counts. The directory is a crashed run of this commit whose
-// records are rewritten to carry the fingerprint an older commit (PR 17,
-// modelRules = 2; PR 19, modelRules = 3; PR 20, modelRules = 4; PR 21,
-// modelRules = 5; PR 22, modelRules = 6) stamps on the same program,
-// machine and options; it is refused by the fingerprint and left byte
-// for byte as found.
+// directory; one journaled at modelRules = 7 carries in every processor
+// section the six words of a routed input this engine's reader would take
+// for the skew and the directory; this engine can neither parse them nor
+// continue them into honest counts. The directory is a crashed run of
+// this commit whose records are rewritten to carry the fingerprint an
+// older commit (PR 17, modelRules = 2; PR 19, modelRules = 3; PR 20,
+// modelRules = 4; PR 21, modelRules = 5; PR 22, modelRules = 6; PR 23,
+// modelRules = 7, read off a journal its binary wrote) stamps on the same
+// program, machine and options; it is refused by the fingerprint and left
+// byte for byte as found.
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }
@@ -715,14 +710,11 @@ func TestValidation(t *testing.T) {
 		{"scattered input with faults", good, core.Options{FaultPlan: transientPlan(1)}},
 	} {
 		tc.opts.Seed = 3
-		res, err := core.Run(p, tc.cfg, core.ForceRouting(tc.opts, core.RouteNever))
+		res, err := core.Run(p, tc.cfg, tc.opts)
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
 		checksumsEqual(t, ref, res, tc.name)
-		if res.EM.RouteOps != 0 {
-			t.Errorf("%s: %d routing ops", tc.name, res.EM.RouteOps)
-		}
 	}
 }

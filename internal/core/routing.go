@@ -20,9 +20,7 @@ type blockRef struct {
 // outDirectory holds the standard-linked-format state of Step 1(d):
 // for every (group, drive) pair, the ordered list of tracks on that
 // drive holding blocks for that group — a destination batch. The next
-// fetch reads a batch's lists as they are (readScattered) unless the
-// rule says Algorithm 2 pays (routeCosts), which flattens the directory
-// and cuts its D buckets by load (simulateRouting).
+// fetch reads a batch's lists as they are (readScattered).
 type outDirectory struct {
 	q     [][][]blockRef // [group][drive]
 	total int
@@ -64,40 +62,17 @@ func skewOf(perDrive []int) float64 {
 	return float64(slices.Max(perDrive)) * float64(len(perDrive)) / float64(R)
 }
 
-// routeCosts is the two sides of the rule that decides whether a
-// superstep's blocks are routed, both exact from the directory. scattered
-// is what readScattered's schedule takes to fetch every batch from where
-// the writer left it: per batch, its fullest drive's share. floor is the
-// least Algorithm 2 can cost before the same batches are fetched from
-// their regions: Step 1 moves every block, one per source drive and per
-// bucket at a time, so it is at least the fullest drive's load and at
-// least ⌈R/D⌉ moves; Step 2 is exactly ⌈R/D⌉; a move is two operations;
-// then ⌈R_g/D⌉ reads a batch. Leaving the blocks when scattered ≤ floor,
-// a superstep never costs more than routing it would have (DESIGN.md §7).
-// skew is the Lemma 2 observation over the batches, which are what a
-// scattered fetch reads drive by drive.
-func (d *outDirectory) routeCosts() (scattered, floor int, skew float64) {
-	D := len(d.q[0])
-	load, counts := make([]int, D), make([]int, D)
+// skew is the Lemma 2 observation over the directory's batches, which
+// are what a fetch reads drive by drive.
+func (d *outDirectory) skew() (skew float64) {
+	counts := make([]int, len(d.q[0]))
 	for _, perDrive := range d.q {
-		Rg := 0
 		for s, refs := range perDrive {
-			counts[s], Rg, load[s] = len(refs), Rg+len(refs), load[s]+len(refs)
+			counts[s] = len(refs)
 		}
-		scattered += slices.Max(counts)
-		floor += (Rg + D - 1) / D
 		skew = max(skew, skewOf(counts))
 	}
-	even := (d.total + D - 1) / D
-	return scattered, floor + 2*max(even, slices.Max(load)) + 2*even, skew
-}
-
-// groupRegion is a slice [lo, hi) of an area holding one group's
-// incoming message blocks.
-type groupRegion struct {
-	area disk.Area
-	lo   int
-	hi   int
+	return skew
 }
 
 // blockWriter implements Step 1(d) of Algorithm 1 (and the disk-write
@@ -221,6 +196,64 @@ type engineError struct{ msg string }
 
 func (e *engineError) Error() string { return "core: " + e.msg }
 
+// readScattered reads the blocks listed per drive into the processor's
+// region buffer with greedy batching: every parallel read operation
+// takes the next pending block of each drive, so the op count equals
+// the maximum per-drive share — exactly the quantity Lemma 2 bounds —
+// and at most one track per drive is in flight. It grabs the blocks'
+// words and parses their directory entries from the images; the caller
+// releases the returned grab, and the batchIn stays valid until the
+// next read into the region buffer. The tracks stay allocated: they are
+// the superstep's replay source until its barrier commits (freeInput).
+func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
+	B := dsk.Config().B
+	total := 0
+	for _, refs := range perDrive {
+		total += len(refs)
+	}
+	if total == 0 {
+		return batchIn{}, nil
+	}
+	grabbed := int64(total * B)
+	if err := acct.Grab(grabbed); err != nil {
+		return batchIn{}, err
+	}
+	buf := fit(&bufs.region, total*B)
+	grow(&bufs.reads, len(perDrive))
+	for idx, round := 0, 0; idx < total; round++ {
+		reqs := bufs.reads[:0]
+		for d, refs := range perDrive {
+			if round < len(refs) {
+				reqs = append(reqs, disk.ReadReq{Disk: d, Track: refs[round].track, Dst: buf[idx*B : (idx+1)*B]})
+				idx++
+			}
+		}
+		if err := dsk.ReadOp(reqs); err != nil {
+			acct.Release(grabbed)
+			return batchIn{}, err
+		}
+	}
+	metas := grow(&bufs.metas, total)
+	for i := range metas {
+		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
+	}
+	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
+}
+
+// What follows is Algorithm 2 as the paper states it. No run takes it —
+// the writer's placement leaves every batch within an operation of a
+// fully parallel read where it lies (DESIGN.md §7) — so it is kept for
+// the Figure 2 demo (DemoRouting), with the postcondition and the bounds
+// its tests hold.
+
+// groupRegion is a slice [lo, hi) of an area holding one group's
+// routed message blocks.
+type groupRegion struct {
+	area disk.Area
+	lo   int
+	hi   int
+}
+
 // routeStats reports the behaviour of one SimulateRouting invocation.
 type routeStats struct {
 	ops     int64   // parallel I/O operations performed
@@ -228,14 +261,12 @@ type routeStats struct {
 	maxSkew float64 // max over buckets of (max per-drive share)·D/R — Lemma 2's l
 }
 
-// routeResult is the next superstep's input: the reorganized layout —
-// for every group, the list of consecutive-format regions holding its
-// blocks, plus the areas backing them — or, when the rule left the
-// blocks where the writer put them, the directory itself.
+// routeResult is the reorganized layout: for every group, the list of
+// consecutive-format regions holding its blocks, plus the areas backing
+// them.
 type routeResult struct {
 	regions [][]groupRegion
 	areas   []disk.Area
-	dir     *outDirectory
 	total   int
 	stats   routeStats
 }
@@ -263,7 +294,7 @@ type routeResult struct {
 // Under the fault layer a dead drive's tracks are served transparently
 // from their mirror copies; the extra operations the redirection costs
 // are charged by the layer and surfaced as RecoveryOps.
-func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *outDirectory) (*routeResult, error) {
+func simulateRouting(dsk disk.Store, acct *mem.Accountant, dir *outDirectory) (*routeResult, error) {
 	D, B, R := dsk.Config().D, dsk.Config().B, dir.total
 	res := &routeResult{total: R, regions: make([][]groupRegion, len(dir.q)), areas: make([]disk.Area, D)}
 	start := func(b int) int { return b*(R/D) + min(b, R%D) } // bucket b is flat[start(b):start(b+1)]
@@ -276,8 +307,8 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 		return nil, err
 	}
 	defer acct.Release(int64(bufWords))
-	buf := fit(&bufs.op, bufWords)
-	reads, writes := grow(&bufs.reads, D)[:0], grow(&bufs.writes, D)[:0]
+	buf := make([]uint64, bufWords)
+	reads, writes := make([]disk.ReadReq, 0, D), make([]disk.WriteReq, 0, D)
 	// add schedules one block's transfer in the current parallel
 	// operation; move performs it — a read, a write — and frees what it read.
 	add := func(from, to disk.Addr) {
@@ -304,7 +335,7 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 	}
 
 	// The final order, and every group's regions in it.
-	flat := grow(&bufs.flat, R)[:0]
+	flat := make([]blockRef, 0, R)
 	b := 0
 	for g, perDrive := range dir.q {
 		lo := len(flat)
@@ -325,8 +356,7 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 
 	// The blocks of each (bucket, drive) cell, chained through link from
 	// head (both 1-based, 0 ends a chain), and Lemma 2's skew per bucket.
-	cells, link := grow(&bufs.cells, (2*D+3)*D), grow(&bufs.link, R)
-	clear(cells)
+	cells, link := make([]int, (2*D+3)*D), make([]int, R)
 	cnt, head, perBucket := cells[:D*D], cells[D*D:2*D*D], cells[2*D*D:]
 	left, order, busy := perBucket[:D], perBucket[D:2*D], perBucket[2*D:] // busy is per drive
 	for i, b := R-1, D-1; i >= 0; i-- {
@@ -381,65 +411,4 @@ func simulateRouting(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, dir *
 		}
 	}
 	return res, nil
-}
-
-// readScattered reads the blocks listed per drive into the processor's
-// region buffer with greedy batching: every parallel read operation
-// takes the next pending block of each drive, so the op count equals
-// the maximum per-drive share — exactly the quantity Lemma 2 bounds —
-// and at most one track per drive is in flight. It grabs the blocks'
-// words and parses their directory entries from the images; the caller
-// releases the returned grab, and the batchIn stays valid until the
-// next read into the region buffer. The tracks stay allocated: they are
-// the superstep's replay source until its barrier commits (freeInput).
-func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
-	B := dsk.Config().B
-	total := 0
-	for _, refs := range perDrive {
-		total += len(refs)
-	}
-	if total == 0 {
-		return batchIn{}, nil
-	}
-	grabbed := int64(total * B)
-	if err := acct.Grab(grabbed); err != nil {
-		return batchIn{}, err
-	}
-	buf := fit(&bufs.region, total*B)
-	grow(&bufs.reads, len(perDrive))
-	for idx, round := 0, 0; idx < total; round++ {
-		reqs := bufs.reads[:0]
-		for d, refs := range perDrive {
-			if round < len(refs) {
-				reqs = append(reqs, disk.ReadReq{Disk: d, Track: refs[round].track, Dst: buf[idx*B : (idx+1)*B]})
-				idx++
-			}
-		}
-		if err := dsk.ReadOp(reqs); err != nil {
-			acct.Release(grabbed)
-			return batchIn{}, err
-		}
-	}
-	metas := grow(&bufs.metas, total)
-	for i := range metas {
-		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
-	}
-	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
-}
-
-// readRegions reads all blocks of a batch's regions as one such
-// schedule: a batch whose cells span two buckets has two regions, and
-// read one by one each would end in a partial operation of its own.
-func readRegions(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, regions []groupRegion) (batchIn, error) {
-	perDrive := grow(&bufs.queue, dsk.Config().D)
-	for d := range perDrive {
-		perDrive[d] = perDrive[d][:0]
-	}
-	for _, r := range regions {
-		for i := r.lo; i < r.hi; i++ {
-			addr := r.area.Addr(i)
-			perDrive[addr.Disk] = append(perDrive[addr.Disk], blockRef{track: addr.Track})
-		}
-	}
-	return readScattered(dsk, acct, bufs, perDrive)
 }

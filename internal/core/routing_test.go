@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -164,7 +166,7 @@ func TestRoutingInvariants(t *testing.T) {
 			c.dsk, c.down = fd, fd.Down
 		}
 		c.write(t, r)
-		route, err := simulateRouting(c.dsk, mem.NewAccountant(0), &c.bufs, c.dir)
+		route, err := simulateRouting(c.dsk, mem.NewAccountant(0), c.dir)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -186,7 +188,7 @@ func TestRoutingInvariants(t *testing.T) {
 func TestRoutingLoneDestination(t *testing.T) {
 	c := &routeCase{seed: 7, v: 64, k: 9, dsts: []int{0}, nBlocks: 22, dsk: disk.MustNewArray(disk.Config{D: 4, B: 16})}
 	c.write(t, prng.New(7))
-	route, err := simulateRouting(c.dsk, mem.NewAccountant(0), &c.bufs, c.dir)
+	route, err := simulateRouting(c.dsk, mem.NewAccountant(0), c.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestRoutingParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr.ResetStats()
-	route, err := simulateRouting(arr, acct, &bufs, dir)
+	route, err := simulateRouting(arr, acct, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,23 +237,24 @@ func TestRoutingParallelism(t *testing.T) {
 	}
 }
 
+// TestDemoRoutingRuns pins the demo's whole text — the linked lists the
+// writer left, the consecutive addresses Algorithm 2 moved them to, its
+// operation count, skew and ragged slots — so the paper's Figure 2 layout
+// cannot move silently now that no engine test crosses simulateRouting.
 func TestDemoRoutingRuns(t *testing.T) {
-	var sink nopWriter
+	var out bytes.Buffer
 	tr := obs.New()
-	if err := DemoRouting(&sink, tr, 8, 4, 8, 2, 2, 1); err != nil {
+	if err := DemoRouting(&out, tr, 8, 4, 8, 2, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ph := tr.Phases(); len(ph) != 2 {
 		t.Errorf("demo recorded %d phases, want write-msg and route: %+v", len(ph), ph)
 	}
-	if sink.n == 0 {
-		t.Error("demo produced no output")
+	want, err := os.ReadFile("testdata/demo_routing.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-type nopWriter struct{ n int }
-
-func (w *nopWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
+	if out.String() != string(want) {
+		t.Errorf("the demo printed\n%s\nwant\n%s", out.String(), want)
+	}
 }

@@ -165,9 +165,10 @@ func (s storeStack) encodeState(enc *words.Encoder) {
 // decodeState adopts what encodeState wrote — the store's state st,
 // already decoded, then the layers' — into a freshly opened chain,
 // refusing a journal whose layers disagree with the resuming options.
+// The store checks the state before it adopts any of it.
 func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
 	if err := s.chain.AdoptState(st); err != nil {
-		return err
+		return &engineError{msg: "journal's allocator state refused: " + err.Error()}
 	}
 	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)
 	hadFault := dec.Bool()

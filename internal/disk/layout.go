@@ -1,10 +1,6 @@
 package disk
 
-import (
-	"fmt"
-
-	"embsp/internal/words"
-)
+import "fmt"
 
 // Area is a reserved region of the array holding a collection of
 // blocks in standard consecutive format (Definition 2 of the paper):
@@ -35,35 +31,6 @@ func Reserve(dsk Store, nBlocks int) Area { return dsk.ReserveRot(nBlocks, 0) }
 
 // Blocks returns the area's capacity in blocks.
 func (ar Area) Blocks() int { return ar.n }
-
-// Encode appends the area's full description (drive count, size,
-// rotation, per-drive bases) to enc. The engines use it to journal
-// their context and input areas at every barrier commit.
-func (ar Area) Encode(enc *words.Encoder) {
-	enc.PutInt(int64(ar.d))
-	enc.PutInt(int64(ar.n))
-	enc.PutInt(int64(ar.rot))
-	base := make([]int64, len(ar.base))
-	for i, b := range ar.base {
-		base[i] = int64(b)
-	}
-	enc.PutInts(base)
-}
-
-// DecodeArea reads an area previously written by Encode.
-func DecodeArea(dec *words.Decoder) Area {
-	ar := Area{
-		d:   int(dec.Int()),
-		n:   int(dec.Int()),
-		rot: int(dec.Int()),
-	}
-	base := dec.Ints()
-	ar.base = make([]int, len(base))
-	for i, b := range base {
-		ar.base[i] = int(b)
-	}
-	return ar
-}
 
 // Addr returns the address of block index i of the area.
 func (ar Area) Addr(i int) Addr {

@@ -109,7 +109,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 				engineNanos += int64(ev.Dur * 1000)
 			}
 		}
-		want := []string{"setup", "fetch-ctx", "compute", "write-ctx", "route", "barrier-sync", "finish", "journal-append", "phys-write", "phys-fsync"}
+		want := []string{"setup", "fetch-ctx", "compute", "write-ctx", "barrier-sync", "finish", "journal-append", "phys-write", "phys-fsync"}
 		if procs > 1 {
 			want = append(want, "fetch-msg", "write-msg", "scatter")
 		}

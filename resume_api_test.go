@@ -276,12 +276,11 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 }
 
 // TestKillAndResumeScatteredInput: the input of the superstep a kill
-// interrupts is, as a rule, not routed any more — it lies where its
-// writer put it, under a directory the last barrier journaled per
-// processor. SIGKILL the sort in superstep 3, whose input is the
-// all-to-all's, at P = 1 and P = 2 on the file and the mapped store, and
-// the resumed run reads that input again from the journaled directory,
-// bitwise as an uninterrupted run.
+// interrupts lies where its writer put it, under a directory the last
+// barrier journaled per processor. SIGKILL the sort in superstep 3, whose
+// input is the all-to-all's, at P = 1 and P = 2 on the file and the
+// mapped store, and the resumed run reads that input again from the
+// journaled directory, bitwise as an uninterrupted run.
 func TestKillAndResumeScatteredInput(t *testing.T) {
 	p := crashSort(t)
 	for _, procs := range []int{1, 2} {
@@ -290,9 +289,6 @@ func TestKillAndResumeScatteredInput(t *testing.T) {
 		clean, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if clean.EM.RouteOps != 0 {
-			t.Fatalf("P=%d: %d routing ops — the input the kill interrupts is not the scattered one", procs, clean.EM.RouteOps)
 		}
 		for _, store := range []string{"file", "mapped"} {
 			label := "P=" + strconv.Itoa(procs) + " " + store
