@@ -55,10 +55,12 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 // for the barrier — the process exits immediately with 130.
 func TestSecondSignalForcesImmediateExit(t *testing.T) {
 	state := t.TempDir()
-	// 20ms per track keeps the next barrier minutes away, so only the
-	// forced exit can finish this test quickly.
+	// 20ms per track keeps the next barrier a superstep of message blocks
+	// away — tens of operations, most of a second — so only the forced
+	// exit can finish this test quickly. (The set-up moves nothing: with
+	// one batch, its contexts stay in memory.)
 	args := []string{
-		"-alg", "sort", "-n", "96", "-v", "6", "-seed", "3", "-b", "64",
+		"-alg", "sort", "-n", "4096", "-v", "6", "-seed", "3", "-b", "64",
 		"-state-dir", state, "-drive-latency", "20ms",
 	}
 	cmd := exec.Command(os.Args[0], "-test.run", "TestRunHelper$")
@@ -78,10 +80,11 @@ func TestSecondSignalForcesImmediateExit(t *testing.T) {
 		}
 	})
 
-	// The journal HEAD appears once the run is underway.
+	// The journal holds a record once the set-up's barrier has
+	// committed: the run is in superstep 0.
 	waitFor(t, "the run to start", 30*time.Second, func() bool {
-		_, err := os.Stat(filepath.Join(state, "HEAD"))
-		return err == nil
+		fi, err := os.Stat(filepath.Join(state, "journal.wal"))
+		return err == nil && fi.Size() > 0
 	})
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)

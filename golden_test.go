@@ -24,7 +24,8 @@ import (
 // moved column for the reason beside its rows; the two parity rows again
 // when parity came to be folded at write (PR 22); the liveBlocks column
 // added, and every fingerprint moved with it, when contexts went to
-// allocated tracks (PR 23).
+// allocated tracks (PR 23); and every row when the turnaround batch came
+// to stay in internal memory (PR 25).
 type goldenRow struct {
 	alg, store          string
 	p                   int
@@ -52,37 +53,60 @@ type goldenRow struct {
 // roll back to beside the one it writes. The two faulted rows also moved
 // in their counts, PR 22 → PR 23: their fault draws follow the drive a
 // block goes to, and their stripes the order tracks are first written in.
+//
+// PR 25 (the turnaround batch, DESIGN.md §22.7) moved every row. The
+// rounds of a superstep run in snake order and the last batch of every
+// barrier keeps its contexts in internal memory for the next superstep's
+// first round, or the finish phase: the set-up writes all batches but its
+// last, and a superstep saves and loads all but one. runOps and setupOps
+// fell by those operations (and by a few more or less where the block
+// writer's PRNG, drawn in round order, breaks ties otherwise); MemHigh did
+// not move — the held words are the ones the grab of the next round 0
+// would have taken. liveBlocks fell by the held batch's tracks. Where a
+// processor owns one batch (k ≥ v/p: sort at P = 3, listrank at P = 2 and
+// 3) no context moves at all: setupOps is 0, runOps is message blocks
+// alone, and listrank's array and durable rows hash alike again — with no
+// context on disk there is no generation to hold beside the other.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
-	// liveBlocks 277 → 141 in place, 146 checkpointed.
-	{"sort", "array", 1, 0xfcd64d8a3172686c, 572, 67, 0, 26688, 141},
-	{"sort", "file", 1, 0x473c0400177fd3fb, 572, 67, 0, 26688, 146},
+	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
+	// 450, setupOps 67 → 50, liveBlocks 141 → 124 and 146 → 129.
+	{"sort", "array", 1, 0x4faec5fa80633a5, 450, 50, 0, 26688, 124},
+	{"sort", "file", 1, 0x771fe25263328196, 450, 50, 0, 26688, 129},
 	// listrank: runOps 4193 → 3306, routeOps 866 → 0 (PR 21); liveBlocks
 	// 623 → 111 and 168: its µ is sized for a worst-case subscription
-	// table a seventh of which is ever filled.
-	{"listrank", "array", 1, 0xdebcbcf181f45461, 3306, 18, 0, 115008, 111},
-	{"listrank", "file", 1, 0xdf0e3dbbfa308aa5, 3306, 18, 0, 115008, 168},
+	// table a seventh of which is ever filled. PR 25: two batches, one held
+	// — runOps 3306 → 1856, setupOps 18 → 13, liveBlocks 111 → 105 and
+	// 168 → 112.
+	{"listrank", "array", 1, 0x99f9522afe855d37, 1856, 13, 0, 115008, 105},
+	{"listrank", "file", 1, 0x5f20e04f2af759b1, 1856, 13, 0, 115008, 112},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
 	// listrank 4248 → 4237 — other draws, and a set-up whose replays start
 	// from the allocator it found; liveBlocks 277 → 194 and 623 → 223,
-	// parity tracks and held releases included.
-	{"sort", "mapped+parity+faults", 1, 0x21939b2dbf7171b5, 720, 98, 0, 26688, 194},
-	{"listrank", "mapped+parity+faults", 1, 0x675c300d7038b3af, 4237, 25, 0, 115008, 223},
+	// parity tracks and held releases included. PR 25: sort 720 → 567 and
+	// 98 → 69, listrank 4237 → 2361 and 25 → 18, liveBlocks 194 → 172 and
+	// 223 → 148 — fewer blocks, fewer stripes, other draws.
+	{"sort", "mapped+parity+faults", 1, 0x587e67fde96bda69, 567, 69, 0, 26688, 172},
+	{"listrank", "mapped+parity+faults", 1, 0x9245ae4629698a4e, 2361, 18, 0, 115008, 148},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
-	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90.
-	{"sort", "array", 2, 0xd31168a1ba034ba2, 586, 68, 0, 26688, 76},
-	{"sort", "file+tier", 2, 0x5465c2868a6288bb, 586, 68, 0, 26688, 78},
-	{"listrank", "array", 2, 0xb5ce562aba085569, 3316, 18, 0, 76864, 61},
-	{"listrank", "file+tier", 2, 0xc87da755fbb21c92, 3316, 18, 0, 76864, 90},
+	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
+	// sort 586 → 409, 68 → 50, liveBlocks 76 → 67 and 78 → 68; listrank,
+	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
+	{"sort", "array", 2, 0x358c0a9f1d2c589e, 409, 50, 0, 26688, 67},
+	{"sort", "file+tier", 2, 0x3aeb8d74ef9daf44, 409, 50, 0, 26688, 68},
+	{"listrank", "array", 2, 0x827243c7848a2df2, 438, 0, 0, 76864, 32},
+	{"listrank", "file+tier", 2, 0x827243c7848a2df2, 438, 0, 0, 76864, 32},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
-	// liveBlocks 102 → 52 and 236 → 44.
-	{"sort", "array", 3, 0x1343c08aa0be842, 577, 67, 0, 26688, 52},
-	{"listrank", "array", 3, 0x5382bbfc7f86a109, 3386, 19, 0, 57728, 44},
+	// liveBlocks 102 → 52 and 236 → 44. PR 25, one batch a processor:
+	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
+	// 19 → 0, 44 → 23.
+	{"sort", "array", 3, 0xb5e2432b78658fc, 168, 0, 0, 26688, 28},
+	{"listrank", "array", 3, 0x6698e206c51a82c8, 474, 0, 0, 57728, 23},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.
@@ -189,9 +213,12 @@ func TestParityReadsNothingBack(t *testing.T) {
 						t.Errorf("%s %s: %d read operations (%d blocks) with parity, %d (%d) without: parity reads something back",
 							label, ph.name, ph.with.ReadOps, ph.with.BlocksRead, ph.bare.ReadOps, ph.bare.BlocksRead)
 					}
+					// A phase that writes nothing has nothing to protect: the
+					// set-up of a machine whose processors own one batch each,
+					// which stays in memory (PR 25).
 					blocks, ops := ph.with.BlocksWritten-ph.bare.BlocksWritten, ph.with.WriteOps-ph.bare.WriteOps
 					full := (blocks + D - 1) / D
-					if bound := full + ph.barriers + full/4; blocks <= 0 || ops > bound {
+					if bound := full + ph.barriers + full/4; (blocks <= 0) != (ph.bare.BlocksWritten == 0) || ops > bound {
 						t.Errorf("%s %s: parity wrote %d blocks in %d operations, want <= %d (%d full, %d barriers, %d for early writes that split)",
 							label, ph.name, blocks, ops, bound, full, ph.barriers, full/4)
 					}

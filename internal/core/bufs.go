@@ -17,12 +17,13 @@ import (
 // barriers (in process) or by the coordinator's lockstep (cluster), so
 // whoever receives such a slice has consumed it by then.
 type stepBufs struct {
-	ctx     []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words
-	region  []uint64 // message blocks read for the current batch
-	inbox   []uint64 // exchange: the batch's received blocks, gathered for reassembly
-	slab    []uint64 // exchange: the block images the batch scatters
-	op      []uint64 // one parallel operation, D·B words: the block writer's pending blocks
-	scratch []uint64 // the block image being packed, B words
+	ctx      []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words, the held batch's records in front across a barrier
+	heldCopy []uint64 // the held records a fault snapshot keeps for a replay
+	region   []uint64 // message blocks read for the current batch
+	inbox    []uint64 // exchange: the batch's received blocks, gathered for reassembly
+	slab     []uint64 // exchange: the block images the batch scatters
+	op       []uint64 // one parallel operation, D·B words: the block writer's pending blocks
+	scratch  []uint64 // the block image being packed, B words
 
 	enc     words.Encoder // the context being saved
 	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell

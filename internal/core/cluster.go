@@ -22,12 +22,12 @@ import (
 //
 // Durability is per process: every node journals its own barrier
 // state, and the coordinator's journal holds the 2PC decision record.
-// A node's record r is PREPAREd (fsynced, HEAD untouched) before the
-// coordinator appends its own record r; the coordinator's append IS
-// the commit decision, after which nodes advance HEAD. Recovery
-// reconciles by count: a node holding c committed records and an
-// optional prepared tail commits the tail iff the coordinator's
-// journal covers record c (presumed abort otherwise).
+// A node's record r is PREPAREd (fsynced beside its committed record)
+// before the coordinator appends its own record r; the coordinator's
+// append IS the commit decision, after which nodes commit theirs.
+// Recovery reconciles by count: a node holding c committed records and
+// an optional prepared record commits it iff the coordinator's journal
+// covers record c (presumed abort otherwise).
 
 // ClusterCheck rejects option combinations the cluster runtime does
 // not support. The in-process engine remains the only runtime for
@@ -189,6 +189,7 @@ type NodeEngine struct {
 	sh  simShape
 	ps  *procState
 	jrn *journal.Journal
+	enc words.Encoder // the record being prepared, reused
 	dir string
 	fpr uint64
 
@@ -263,7 +264,10 @@ func (n *NodeEngine) Batches() int { return n.sh.batches }
 func (n *NodeEngine) Fingerprint() uint64 { return n.fpr }
 
 // Committed returns the number of committed journal records.
-func (n *NodeEngine) Committed() int { return len(n.jrn.Records()) }
+func (n *NodeEngine) Committed() int {
+	_, c := n.jrn.Records()
+	return c
+}
 
 // HasPending reports whether the journal holds a prepared,
 // undecided record.
@@ -276,7 +280,7 @@ func (n *NodeEngine) StepsDone() int { return n.stepsDone }
 func (n *NodeEngine) Halted() bool { return n.halted }
 
 // ResolvePending applies the coordinator's 2PC decision to a prepared
-// tail: commit advances HEAD over it, abort truncates it.
+// record: commit renames it over the committed one, abort removes it.
 func (n *NodeEngine) ResolvePending(commit bool) error {
 	if !n.jrn.HasPending() {
 		return nil
@@ -295,12 +299,12 @@ func (n *NodeEngine) ResolvePending(commit bool) error {
 // LoadCommitted restores the node's processor state from the last
 // committed journal record.
 func (n *NodeEngine) LoadCommitted() error {
-	recs := n.jrn.Records()
-	if len(recs) == 0 {
+	last, c := n.jrn.Records()
+	if c == 0 {
 		return &journal.Error{Path: n.dir, Record: -1,
 			Reason: "no committed checkpoint to load (the node crashed before its first barrier; reset it fresh)"}
 	}
-	return n.decodeManifest(recs[len(recs)-1])
+	return n.decodeManifest(last)
 }
 
 // Setup writes the node's VPs' initial contexts, then collects the
@@ -367,17 +371,17 @@ func (n *NodeEngine) prepare(step int) error {
 	if err := n.sh.syncStore(n.ps, step); err != nil {
 		return err
 	}
-	enc := words.NewEncoder(nil)
-	n.encodeManifest(enc)
-	if err := n.jrn.Prepare(enc.Words()); err != nil {
+	n.enc.Reset()
+	n.encodeManifest(&n.enc)
+	if err := n.jrn.Prepare(n.enc.Words()); err != nil {
 		return err
 	}
 	n.sh.tr.Flush() //nolint:errcheck
 	return nil
 }
 
-// Commit applies the coordinator's COMMIT decision: advance the
-// journal HEAD over the prepared record.
+// Commit applies the coordinator's COMMIT decision: the prepared record
+// becomes the journal's committed one.
 func (n *NodeEngine) Commit() error { return n.jrn.CommitPending() }
 
 // Reload is the node's ABORT path: discard every in-memory and
@@ -440,7 +444,7 @@ func (n *NodeEngine) encodeManifest(enc *words.Encoder) {
 	enc.PutUint(n.fpr)
 	enc.PutInt(int64(n.stepsDone))
 	enc.PutBool(n.halted)
-	encodeProcManifest(enc, n.ps)
+	n.sh.encodeProcManifest(enc, n.ps)
 }
 
 func (n *NodeEngine) decodeManifest(payload []uint64) error {
@@ -450,7 +454,7 @@ func (n *NodeEngine) decodeManifest(payload []uint64) error {
 	}
 	n.stepsDone = int(dec.Int())
 	n.halted = dec.Bool()
-	return decodeProcManifest(dec, n.ps)
+	return n.sh.decodeProcManifest(dec, n.ps, n.stepsDone)
 }
 
 // --- CoordCore ---------------------------------------------------------

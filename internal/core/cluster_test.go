@@ -257,33 +257,41 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 // but no decision — then replaying leaves no trace: the final result
 // is still bitwise identical to an undisturbed run. Every node reloads
 // its input from its journal: the directory of the blocks its writer
-// placed, made the input at PREPARE and rolled back.
+// placed, made the input at PREPARE and rolled back; and the held records
+// of its turnaround batch, which the aborted attempt's first round had
+// consumed and its last replaced — on a machine where that batch is all
+// a node owns (M = 256 words), and on one where it is one of two (M = 16).
 func TestClusterCoreAbortReplay(t *testing.T) {
 	prog := clusterProgram()
-	cfg := parMachine(3, 2, 8, 256)
-	opts := core.Options{Seed: 11}
-	durable := opts
-	durable.StateDir = t.TempDir()
-	oracle, err := core.Run(prog, cfg, durable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
-		for _, phase := range []string{"batches", "voted", "prepared"} {
-			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-			aborted := false
-			rig.fail = func(point string, step int) error {
-				if aborted || step != abortAt || point != phase {
-					return nil
+	for _, m := range []int{256, 16} {
+		cfg := parMachine(3, 2, 8, m)
+		opts := core.Options{Seed: 11}
+		durable := opts
+		durable.StateDir = t.TempDir()
+		oracle, err := core.Run(prog, cfg, durable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches := map[int]int{256: 1, 16: 2}[m]; oracle.EM.Groups != batches {
+			t.Fatalf("M=%d: %d batches a node, want %d", m, oracle.EM.Groups, batches)
+		}
+		for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
+			for _, phase := range []string{"batches", "voted", "prepared"} {
+				rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+				aborted := false
+				rig.fail = func(point string, step int) error {
+					if aborted || step != abortAt || point != phase {
+						return nil
+					}
+					aborted = true
+					return errAbort
 				}
-				aborted = true
-				return errAbort
+				resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("M=%d abort@%d/%s", m, abortAt, phase))
+				if !aborted {
+					t.Errorf("M=%d abort@%d/%s never fired", m, abortAt, phase)
+				}
+				rig.close()
 			}
-			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("abort@%d/%s", abortAt, phase))
-			if !aborted {
-				t.Errorf("abort@%d/%s never fired", abortAt, phase)
-			}
-			rig.close()
 		}
 	}
 }

@@ -156,9 +156,9 @@ type Options struct {
 	// IOWorkers selects the physical schedule of a durable (StateDir)
 	// run. 0 is the default, pipelined one: one I/O worker goroutine
 	// per drive of the file-backed store, and the group pipeline —
-	// while group g computes, group g+1's context and message blocks
-	// are prefetched into the store's (or the outermost tier's)
-	// physical cache and group g-1's writes drain in the background
+	// while a group computes, the next round's context and message
+	// blocks are prefetched into the store's (or the outermost tier's)
+	// physical cache and the last round's writes drain in the background
 	// through the write-behind. n > 0 asks for n workers (clamped to
 	// D). -1 is the serial schedule: no workers, no prefetch, no tier
 	// fill workers — synchronous physical I/O in program order.

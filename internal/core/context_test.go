@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
+	"embsp/internal/disk"
 	"embsp/internal/fault"
+	"embsp/internal/redundancy"
 	"embsp/internal/words"
 	"embsp/internal/workload"
 )
@@ -43,10 +46,15 @@ func sameContexts(t *testing.T, label string, want, got []bsp.VP) {
 }
 
 // TestBreathingContexts: contexts that go from µ words to none and back
-// survive every way a context reaches a Load — the next superstep, a
-// replay after a fault, a resume from the journal on either store, a
-// cluster node's reload after an aborted step, and the final report, in
-// process and over the wire.
+// survive every way a context reaches a Load — the next superstep, from
+// disk or from the turnaround batch held in memory; a replay after a
+// fault of the set-up, a superstep or the finish phase, with and without
+// parity; a resume from every barrier — the set-up's, whose held batch is
+// superstep 0's first, and the halting one, whose held batch the finish
+// phase decodes — across the two stores; a cluster node's reload after
+// an aborted step at every barrier, or its re-materialization from a
+// replica snapshot; and the final report, in process and over the wire.
+// Each of them reports the uninterrupted run's statistics.
 func TestBreathingContexts(t *testing.T) {
 	prog, _ := breathing(1)
 	ref, err := bsp.Run(prog, bsp.RunOptions{Seed: 5, PktSize: 16})
@@ -69,11 +77,16 @@ func TestBreathingContexts(t *testing.T) {
 		if res.Costs.Supersteps != ref.Costs.Supersteps {
 			t.Errorf("%s: %d supersteps, reference %d", label, res.Costs.Supersteps, ref.Costs.Supersteps)
 		}
+		clean, err := core.Run(prog, cfg, core.Options{Seed: 5, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("%s durable: %v", label, err)
+		}
+		sameStats(t, label+" durable", res, clean)
 
 		// 2% faults; then retries off (at a rate a superstep can still
 		// get through clean, see TestFaultReplayPath), so that every fault
-		// replays its superstep from the committed context area and its
-		// used-block table.
+		// replays its superstep from the committed context directory and
+		// the held records.
 		for _, f := range []struct {
 			rate    float64
 			retries int
@@ -89,16 +102,25 @@ func TestBreathingContexts(t *testing.T) {
 				t.Errorf("%s: %d recovery operations, %d replays", label, faulty.EM.RecoveryOps, faulty.EM.Replays)
 			}
 		}
+		for _, mode := range []redundancy.Mode{redundancy.None, redundancy.Parity} {
+			phaseReplays(t, fmt.Sprintf("%s %v", label, mode), prog, cfg, mode, ref.VPs)
+		}
 
-		// Kill in each phase of the length schedule, resume on either store.
+		// Kill in every superstep, which resumes from the barrier before it
+		// (kill@0: the set-up's), and after the halting barrier, on either
+		// store; resume on the other.
 		for _, mapped := range []bool{false, true} {
-			for kill := 1; kill <= 4; kill++ {
+			for kill := 0; kill <= ref.Costs.Supersteps; kill++ {
 				label := fmt.Sprintf("%s mapped=%v kill@%d", label, mapped, kill)
 				opts := core.Options{Seed: 5, StateDir: t.TempDir(), MappedStore: mapped}
-				_, err := core.Run(&panicProgram{Program: prog, panicStep: kill}, cfg, opts)
-				var pe *bsp.ProgramError
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
+				if kill < ref.Costs.Supersteps {
+					_, err := core.Run(&panicProgram{Program: prog, panicStep: kill}, cfg, opts)
+					var pe *bsp.ProgramError
+					if !errors.As(err, &pe) {
+						t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
+					}
+				} else if _, err := core.RunOver(func(inner core.Transport) core.Transport { return &finalCrash{inner} }, prog, cfg, opts); !errors.Is(err, errFinalCrash) {
+					t.Fatalf("%s: crashed run returned %v, want the crash before the finish phase", label, err)
 				}
 				opts.Resume, opts.MappedStore = true, !mapped // and across stores
 				resumed, err := core.Run(prog, cfg, opts)
@@ -106,17 +128,19 @@ func TestBreathingContexts(t *testing.T) {
 					t.Fatalf("%s resume: %v", label, err)
 				}
 				sameContexts(t, label, ref.VPs, resumed.VPs)
-				if resumed.EM.Run.Ops != res.EM.Run.Ops {
-					t.Errorf("%s: resumed run took %d operations, a clean one %d", label, resumed.EM.Run.Ops, res.EM.Run.Ops)
-				}
+				statsIdentical(t, clean, resumed, label)
 			}
 		}
 		if p == 1 {
 			continue
 		}
 		// Over the cluster transport and the wire, with one step aborted
-		// after every node had PREPAREd: the reload restores the table.
-		for abortAt := 0; abortAt < 4; abortAt++ {
+		// after every node had PREPAREd, or one node re-materialized from
+		// its replica snapshot before a superstep begins — at every barrier
+		// but the set-up's, which a cluster resets rather than reloads: the
+		// reload, or the adoption, restores the context directory and the
+		// held records.
+		for abortAt := 0; abortAt < ref.Costs.Supersteps; abortAt++ {
 			rig := openRig(t, prog, cfg, core.Options{Seed: 5}, t.TempDir(), false)
 			rig.wire = true
 			aborted := false
@@ -129,12 +153,108 @@ func TestBreathingContexts(t *testing.T) {
 			}
 			over := rig.run(t)
 			rig.close()
-			sameContexts(t, fmt.Sprintf("%s cluster abort@%d", label, abortAt), ref.VPs, over.VPs)
-			if !aborted || over.EM.Run.Ops != res.EM.Run.Ops {
-				t.Errorf("%s cluster abort@%d: fired=%v, %d operations, in process %d", label, abortAt, aborted, over.EM.Run.Ops, res.EM.Run.Ops)
+			label := fmt.Sprintf("%s cluster abort@%d", label, abortAt)
+			sameContexts(t, label, ref.VPs, over.VPs)
+			if !aborted {
+				t.Errorf("%s: never fired", label)
 			}
+			statsIdentical(t, clean, over, label)
+		}
+		for at := 0; at < ref.Costs.Supersteps; at++ {
+			rig := openRig(t, prog, cfg, core.Options{Seed: 5}, t.TempDir(), false)
+			elsewhere := t.TempDir()
+			a := &adoptingRig{clusterRig: rig, t: t, at: at, node: p - 1}
+			a.adopt = func(snap *core.NodeSnapshot) *core.NodeEngine {
+				n, err := core.AdoptNode(prog, cfg, core.Options{Seed: 5}, p-1, elsewhere, snap)
+				if err != nil {
+					t.Fatalf("%s adopt@%d: %v", label, at, err)
+				}
+				return n
+			}
+			over, err := rig.coord.Run(a)
+			if err != nil {
+				t.Fatalf("%s adopt@%d: %v", label, at, err)
+			}
+			rig.close()
+			label := fmt.Sprintf("%s cluster adopt@%d", label, at)
+			sameContexts(t, label, ref.VPs, over.VPs)
+			statsIdentical(t, clean, over, label)
 		}
 	}
+}
+
+// sameStats holds two runs of one machine to the same statistics: an
+// in-place run and a checkpointed one differ in what their drives hold at
+// the peak, LiveBlocksPerDrive, and in nothing else — but for the access
+// chains of their phases (phaseStats) and what is outside the identity
+// contract.
+func sameStats(t *testing.T, label string, a, b *core.Result) {
+	t.Helper()
+	ea, eb := a.EM, b.EM
+	for _, e := range []*core.EMStats{&ea, &eb} {
+		ph := phaseStats(*e, false)
+		e.Setup, e.Run, e.Finish, e.PerProc = ph[0], ph[1], ph[2], nil
+		e.LiveBlocksPerDrive, e.StoreBackend, e.Overlap, e.Tiers = 0, "", disk.OverlapStats{}, nil
+	}
+	if !reflect.DeepEqual(ea, eb) {
+		t.Errorf("%s: statistics differ:\na: %+v\nb: %+v", label, ea, eb)
+	}
+}
+
+// finalCrash dies between the halting barrier's commit and the finish
+// phase: the journal holds the halting record, whose held batch the
+// resumed finish phase decodes.
+type finalCrash struct{ core.Transport }
+
+var errFinalCrash = errors.New("injected crash before the finish phase")
+
+func (finalCrash) Final() ([]*core.NodeReport, error) { return nil, errFinalCrash }
+
+// replayMeter counts the replays of the set-up and the finish phase.
+type replayMeter struct {
+	core.Transport
+	setup, finish int64
+}
+
+func (m *replayMeter) Setup() ([]disk.Stats, error) {
+	before := core.Replays(m.Transport)
+	stats, err := m.Transport.Setup()
+	m.setup = core.Replays(m.Transport) - before
+	return stats, err
+}
+
+func (m *replayMeter) Final() ([]*core.NodeReport, error) {
+	before := core.Replays(m.Transport)
+	reports, err := m.Transport.Final()
+	m.finish = core.Replays(m.Transport) - before
+	return reports, err
+}
+
+// phaseReplays runs prog with retries off under read, write and corrupt
+// faults, trying plan seeds until one replays the set-up, a superstep and
+// the finish phase, and requires the result of every attempt to be the
+// reference's. A replay of the set-up or a superstep restores the held
+// records from the snapshot; the finish phase decodes the held batch
+// first, from memory, before any read can fail, and its replays read the
+// batches left.
+func phaseReplays(t *testing.T, label string, prog bsp.Program, cfg core.MachineConfig, mode redundancy.Mode, want []bsp.VP) {
+	t.Helper()
+	for seed := uint64(1); seed <= 256; seed++ {
+		var m *replayMeter
+		res, err := core.RunOver(func(inner core.Transport) core.Transport {
+			m = &replayMeter{Transport: inner}
+			return m
+		}, prog, cfg, core.Options{Seed: 5, MaxRetries: -1, Redundancy: mode,
+			FaultPlan: &fault.Plan{Seed: seed, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.005}})
+		if err != nil {
+			t.Fatalf("%s plan seed %d: %v", label, seed, err)
+		}
+		sameContexts(t, fmt.Sprintf("%s plan seed %d", label, seed), want, res.VPs)
+		if m.setup > 0 && m.finish > 0 && res.EM.Replays > m.setup+m.finish {
+			return
+		}
+	}
+	t.Errorf("%s: no plan seed up to 256 replays the set-up, a superstep and the finish phase", label)
 }
 
 // holdingsMeter records what every barrier leaves a processor holding.
@@ -152,12 +272,15 @@ func (m *holdingsMeter) Commit(step int) error {
 
 // TestContextTracksFollowUse (TestContextSlotHoldsFullBatch until the slot
 // went, PR 23): a batch holds on disk the tracks its packed records fill
-// and no other. When every VP is at exactly µ words, µ a multiple of B,
-// that is ⌈k·(µ+1)/B⌉ — within the k·⌈(µ+1)/B⌉ a batch may read — and a
-// barrier later, every context empty, one block of k length words; what
-// the allocator has handed out at a barrier is those tracks and the next
-// input's blocks, nothing kept for a size that may come back. One word
-// more than µ is the error it always was.
+// and no other — and the turnaround batch, the last of the superstep and
+// the first of the next (0 after an even superstep, the last after an odd
+// one), none: its records stay in internal memory (PR 25). When every VP
+// is at exactly µ words, µ a multiple of B, that is ⌈k·(µ+1)/B⌉ — within
+// the k·⌈(µ+1)/B⌉ a batch may read — and a barrier later, every context
+// empty, one block of k length words; what the allocator has handed out
+// at a barrier is those tracks and the next input's blocks, nothing kept
+// for a size that may come back. One word more than µ is the error it
+// always was.
 func TestContextTracksFollowUse(t *testing.T) {
 	prog, cfg := breathing(1)
 	for _, durable := range []bool{false, true} {
@@ -178,28 +301,37 @@ func TestContextTracksFollowUse(t *testing.T) {
 		}
 		k, full, grew := res.EM.K, false, false
 		for step, h := range m.at {
-			held := 0
+			if turnaround := (step % 2) * (len(h.Contexts) - 1); h.Held != turnaround {
+				t.Errorf("durable=%v barrier %d: batch %d is held, want the turnaround batch %d", durable, step, h.Held, turnaround)
+			}
+			onDisk := 0
 			for j, tracks := range h.Contexts {
 				words := 0
 				for id := j * k; id < min((j+1)*k, prog.V); id++ {
 					words += 1 + prog.ContextLen(id, step+1)
 				}
-				if want := (words + cfg.B - 1) / cfg.B; tracks != want {
+				want := (words + cfg.B - 1) / cfg.B
+				full = full || want == (k*(prog.Mu+1)+cfg.B-1)/cfg.B
+				if j == h.Held {
+					if want = 0; h.HeldWords != words {
+						t.Errorf("durable=%v barrier %d: batch %d holds %d words in memory, want %d", durable, step, j, h.HeldWords, words)
+					}
+				}
+				if tracks != want {
 					t.Errorf("durable=%v barrier %d: batch %d holds %d tracks for %d words, want %d", durable, step, j, tracks, words, want)
 				}
-				full = full || tracks == (k*(prog.Mu+1)+cfg.B-1)/cfg.B
-				held += tracks
+				onDisk += tracks
 			}
-			grew = grew || step > 0 && held > 3*len(h.Contexts) && m.at[step-1].Allocated < h.Allocated
+			grew = grew || step > 0 && onDisk > 3*len(h.Contexts) && m.at[step-1].Allocated < h.Allocated
 			// The halting superstep leaves no next input: in place its own
 			// went with the last flush, and under the checkpoint discipline
 			// it releases nothing (DESIGN.md §22.3).
-			want := held + h.Input
+			want := onDisk + h.Input
 			if step == len(m.at)-1 {
-				want = held
+				want = onDisk
 			}
 			if !(durable && step == len(m.at)-1) && h.Allocated != want {
-				t.Errorf("durable=%v barrier %d: %d tracks allocated, want %d: %d of contexts and the input's", durable, step, h.Allocated, want, held)
+				t.Errorf("durable=%v barrier %d: %d tracks allocated, want %d: %d of contexts and the input's", durable, step, h.Allocated, want, onDisk)
 			}
 		}
 		if !full || !grew {
@@ -252,10 +384,15 @@ func (m *contextMeter) Totals() ([]core.StepTotals, error) {
 
 // TestContextOpsFollowUse: a superstep's context operations are, each
 // way, Σ over batches of ⌈used_j/D⌉ for the blocks batch j's records
-// fill — not ⌈k·µ/B/D⌉ per batch. For a program that declares µ = 10
-// blocks and saves a word that is one read and one write per batch (the
-// k records share a block) where padded slots took ⌈10k/D⌉ = 10 of each;
-// on the golden sort and listrank instances the sums are pinned.
+// fill — not ⌈k·µ/B/D⌉ per batch — over every batch but the turnaround
+// batch, whose records stay in internal memory across the barrier (PR 25).
+// For a program that declares µ = 10 blocks and saves a word that is one
+// read and one write per batch but that one (the k records share a block)
+// where padded slots took ⌈10k/D⌉ = 10 of each; on the golden sort and
+// listrank instances the sums are pinned. They fell from {67, [67 67 3
+// 68]}, {68, [68 68 4 67]}, {18, [58 58 62 …]} and {18, [58 58 62 …]}
+// when the hold came in: listrank at P = 2 is one batch a processor
+// (k ≥ v/P), whose contexts never move at all.
 func TestContextOpsFollowUse(t *testing.T) {
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640) // k = 4: three batches
@@ -268,8 +405,8 @@ func TestContextOpsFollowUse(t *testing.T) {
 		t.Fatalf("shape: k=%d, %d batches, %d supersteps", res.EM.K, res.EM.Groups, res.Costs.Supersteps)
 	}
 	got := [3]int64{res.EM.Setup.Ops, res.EM.Run.Ops, res.EM.Finish.Ops}
-	if want := [3]int64{batches, 2 * batches * supersteps, batches}; got != want {
-		t.Errorf("setup, run and finish operations are %v, want %v: one write and one read per batch and superstep", got, want)
+	if want := [3]int64{batches - 1, 2 * (batches - 1) * supersteps, batches - 1}; got != want {
+		t.Errorf("setup, run and finish operations are %v, want %v: one write and one read per batch and superstep but the held one", got, want)
 	}
 
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
@@ -281,13 +418,13 @@ func TestContextOpsFollowUse(t *testing.T) {
 		ops   []int // per superstep
 	}{
 		// sort's contexts hold n/v keys until the splitters are known
-		// (superstep 2 saves 3 blocks' worth), then the sorted run.
-		{sort, 1, 67, []int{67, 67, 3, 68}},
-		{sort, 2, 68, []int{68, 68, 4, 67}},
+		// (superstep 2 saves 2 blocks' worth), then the sorted run.
+		{sort, 1, 50, []int{42, 50, 2, 49}},
+		{sort, 2, 50, []int{18, 50, 2, 48}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.
-		{listrank, 1, 18, []int{58, 58, 62, 64, 67, 68, 70, 71, 71, 71, 72, 72, 68, 64, 60, 58, 58, 58, 58, 58, 58, 58, 58}},
-		{listrank, 2, 18, []int{58, 58, 62, 64, 66, 68, 70, 70, 71, 72, 72, 72, 68, 64, 60, 58, 58, 58, 58, 58, 58, 58, 58}},
+		{listrank, 1, 13, []int{15, 43, 16, 48, 17, 51, 18, 53, 18, 53, 18, 54, 17, 48, 15, 43, 15, 43, 15, 43, 15, 43, 15}},
+		{listrank, 2, 0, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
@@ -320,5 +457,204 @@ func TestContextOpsFollowUse(t *testing.T) {
 		if int64(total) > res.EM.Run.Ops {
 			t.Errorf("%s: %d context operations in a run of %d", label, total, res.EM.Run.Ops)
 		}
+	}
+}
+
+// roundMeter records the batch of every round the driver runs, and what
+// every processor holds in internal memory at each barrier and when the
+// finish phase begins.
+type roundMeter struct {
+	core.Transport
+	rounds [][]int // per superstep
+	held   [][]int // per barrier, the set-up's first, per processor
+	final  []int   // per processor
+}
+
+func heldBatches(t core.Transport) (held []int) {
+	for _, h := range core.HoldingsOf(t) {
+		held = append(held, h.Held)
+	}
+	return held
+}
+
+func (m *roundMeter) Begin(step int) error {
+	m.rounds = append(m.rounds, nil)
+	return m.Transport.Begin(step)
+}
+
+func (m *roundMeter) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
+	m.rounds[step] = append(m.rounds[step], j)
+	return m.Transport.Fetch(j, step)
+}
+
+func (m *roundMeter) Commit(step int) error {
+	m.held = append(m.held, heldBatches(m.Transport))
+	return m.Transport.Commit(step)
+}
+
+func (m *roundMeter) Final() ([]*core.NodeReport, error) {
+	m.final = heldBatches(m.Transport)
+	return m.Transport.Final()
+}
+
+// TestTurnaroundBatch: the rounds of a superstep visit the batches up when
+// it is odd and down when it is even, after a set-up that writes them up,
+// so the last batch of every barrier — the turnaround batch — is the first
+// of the next superstep and of the finish phase. Every processor holds
+// that batch's records in internal memory across the barrier, unless the
+// batch has no VPs of the processor's (the last processor's ragged tail at
+// P = 3), and nothing else. One batch (listrank at P = 2, k ≥ v/P) is the
+// turnaround batch of every barrier.
+func TestTurnaroundBatch(t *testing.T) {
+	breathe, _ := breathing(1)
+	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
+	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
+	type run struct {
+		label string
+		prog  bsp.Program
+		cfg   core.MachineConfig
+	}
+	var runs []run
+	for _, p := range []int{1, 2, 3} {
+		_, cfg := breathing(p)
+		runs = append(runs, run{fmt.Sprintf("breathing P=%d", p), breathe, cfg})
+	}
+	for _, spec := range []workload.Spec{sort, listrank} {
+		inst, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2} {
+			runs = append(runs, run{fmt.Sprintf("%s P=%d", spec.Alg, p), inst.Program, workload.Machine(inst.Program, p, 4, 64, 6, 1000)})
+		}
+	}
+	for _, r := range runs {
+		for _, durable := range []bool{false, true} {
+			label := fmt.Sprintf("%s durable=%v", r.label, durable)
+			opts := core.Options{Seed: 5}
+			if durable {
+				opts.StateDir = t.TempDir()
+			}
+			var m *roundMeter
+			res, err := core.RunOver(func(inner core.Transport) core.Transport {
+				m = &roundMeter{Transport: inner}
+				return m
+			}, r.prog, r.cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, k, v := res.EM.Groups, res.EM.K, r.prog.NumVPs()
+			vpp := (v + r.cfg.P - 1) / r.cfg.P
+			if r.label == "listrank P=2" && b != 1 {
+				t.Fatalf("%s: %d batches, want one", label, b)
+			}
+			// want is what every processor holds at the barrier whose last
+			// batch is j.
+			want := func(j int) []int {
+				held := make([]int, r.cfg.P)
+				for p := range held {
+					held[p] = -1
+					if p*vpp+j*k < min((p+1)*vpp, v) {
+						held[p] = j
+					}
+				}
+				return held
+			}
+			last := b - 1 // the set-up's
+			if !slices.Equal(m.held[0], want(last)) {
+				t.Errorf("%s: the set-up holds %v, want %v", label, m.held[0], want(last))
+			}
+			for s, rounds := range m.rounds {
+				if len(rounds) != b || rounds[0] != last {
+					t.Errorf("%s: superstep %d runs batches %v, first the barrier's last %d", label, s, rounds, last)
+					continue
+				}
+				for i, j := range rounds {
+					if up := s%2 == 1; (up && j != i) || (!up && j != b-1-i) {
+						t.Errorf("%s: superstep %d runs batches %v, want them in snake order", label, s, rounds)
+						break
+					}
+				}
+				last = rounds[b-1]
+				if !slices.Equal(m.held[s+1], want(last)) {
+					t.Errorf("%s: barrier %d holds %v, want %v", label, s, m.held[s+1], want(last))
+				}
+			}
+			if !slices.Equal(m.final, want(last)) {
+				t.Errorf("%s: the finish phase begins holding %v, want %v", label, m.final, want(last))
+			}
+		}
+	}
+}
+
+// phaseStats are a run's Setup, Run and Finish statistics; without
+// access chains when chains is false (the in-memory array clears a track
+// at its release, the file stores at its allocation, so the two see
+// different sequential and random runs in the same operations).
+func phaseStats(em core.EMStats, chains bool) [3]disk.Stats {
+	ph := [3]disk.Stats{em.Setup, em.Run, em.Finish}
+	for i := range ph {
+		drives := ph[i].PerDrive
+		ph[i].PerDrive = nil
+		for _, d := range drives {
+			if !chains {
+				d.SeqAccesses, d.RandAccesses = 0, 0
+			}
+			ph[i].PerDrive = append(ph[i].PerDrive, d)
+		}
+	}
+	return ph
+}
+
+// TestPhaseStatsAcrossRuntimes: the turnaround batch is held the same way
+// under both disciplines and on every transport, so on the 13 Table 1
+// workloads at P = 1 and P = 3 an in-place run, a file run, a mapped run,
+// a tiered run and — at P = 3 — a cluster run over the wire report the
+// same Setup, Run and Finish statistics: every operation, block and drive
+// (the array's access chains aside).
+func TestPhaseStatsAcrossRuntimes(t *testing.T) {
+	const seed = 17
+	for _, name := range workload.Table1Names() {
+		t.Run(name, func(t *testing.T) {
+			inst, err := workload.Spec{Alg: name, N: 512, V: 16, Seed: seed}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []int{1, 3} {
+				cfg := workload.Machine(inst.Program, p, 4, 16, 4, 100)
+				run := func(opts core.Options) *core.Result {
+					t.Helper()
+					opts.Seed = seed
+					res, err := core.Run(inst.Program, cfg, opts)
+					if err != nil {
+						t.Fatalf("P=%d: %v", p, err)
+					}
+					return res
+				}
+				file := run(core.Options{StateDir: t.TempDir()})
+				want := phaseStats(file.EM, true)
+				if p == 1 && file.EM.Groups < 2 {
+					t.Fatalf("P=1: %d batches, want a turnaround batch and others", file.EM.Groups)
+				}
+				got := map[string][3]disk.Stats{
+					"mapped": phaseStats(run(core.Options{StateDir: t.TempDir(), MappedStore: true}).EM, true),
+					"tiered": phaseStats(run(core.Options{StateDir: t.TempDir(), Tiers: []core.TierSpec{{}}}).EM, true),
+				}
+				if p > 1 {
+					rig := openRig(t, inst.Program, cfg, core.Options{Seed: seed}, t.TempDir(), false)
+					rig.wire = true
+					got["cluster"] = phaseStats(rig.run(t).EM, true)
+					rig.close()
+				}
+				for label, ph := range got {
+					if !reflect.DeepEqual(ph, want) {
+						t.Errorf("P=%d %s: setup, run and finish statistics %+v, the file run's %+v", p, label, ph, want)
+					}
+				}
+				if ph := phaseStats(run(core.Options{}).EM, false); !reflect.DeepEqual(ph, phaseStats(file.EM, false)) {
+					t.Errorf("P=%d in place: setup, run and finish statistics %+v, the file run's %+v", p, ph, phaseStats(file.EM, false))
+				}
+			}
+		})
 	}
 }

@@ -90,15 +90,20 @@ func TestLiveBlocksAreDriveFiles(t *testing.T) {
 		}
 	}
 
-	// Three batches of one block each, on drives 0, 1 and 2: in place each
-	// save gets back the track its load released; a checkpointed run holds
-	// the generation it would roll back to beside the one it writes.
+	// Three batches of one block each, two of them on drives 0 and 1 and
+	// the turnaround batch in memory: in place each save gets back the
+	// track its load released, but for the first of a superstep's, the
+	// batch held across the barrier, which is saved before any load has
+	// released a track and takes one beside the batch on its stripe's
+	// first drive (1 until PR 25, when every batch had a track to give
+	// back); a checkpointed run holds the generation it would roll back to
+	// beside the one it writes.
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640)
 	for _, row := range []struct {
 		durable bool
 		want    int64
-	}{{false, 1}, {true, 2}} {
+	}{{false, 2}, {true, 2}} {
 		opts := core.Options{Seed: 1}
 		if row.durable {
 			opts.StateDir = t.TempDir()
@@ -132,7 +137,7 @@ type setupMeter struct {
 
 func (m *setupMeter) Setup() ([]disk.Stats, error) {
 	stats, err := m.Transport.Setup()
-	m.setupReplays = core.SetupReplays(m.Transport)
+	m.setupReplays = core.Replays(m.Transport)
 	return stats, err
 }
 
@@ -191,11 +196,13 @@ func (m *recordAt) Commit(step int) error {
 }
 
 // procRecordSeeds are real processor records of a barrier that holds an
-// input and contexts and has just released the ones before them: of a
-// file run, of a file run under parity and faults, and of a cluster node.
+// input, contexts on tracks and the turnaround batch's in memory, and has
+// just released the ones before them: of a file run, of a file run under
+// parity and faults, and of a cluster node. M = 24 words is k = 6 of the
+// program's µ = 4: three batches a processor at P = 1, two at P = 2.
 func procRecordSeeds(t testing.TB) []core.ProcRecord {
 	t.Helper()
-	prog, cfg := testProgram(), parMachine(1, 4, 8, 256)
+	prog, cfg := testProgram(), parMachine(1, 3, 8, 24)
 	var seeds []core.ProcRecord
 	for _, opts := range []core.Options{
 		{Seed: 3},
@@ -212,7 +219,7 @@ func procRecordSeeds(t testing.TB) []core.ProcRecord {
 		}
 		seeds = append(seeds, m.recs[0])
 	}
-	rig := openRig(t, prog, parMachine(2, 4, 8, 256), core.Options{Seed: 3}, t.TempDir(), false)
+	rig := openRig(t, prog, parMachine(2, 3, 8, 24), core.Options{Seed: 3}, t.TempDir(), false)
 	rig.fail = func(point string, step int) error {
 		if point == "decided" && step == 1 {
 			seeds = append(seeds, rig.nodes[0].ProcRecord())
@@ -222,8 +229,8 @@ func procRecordSeeds(t testing.TB) []core.ProcRecord {
 	rig.run(t)
 	rig.close()
 	for i, rec := range seeds {
-		if len(rec.Input) == 0 || len(rec.Contexts) < 2 {
-			t.Fatalf("seed record %d names %d input and %d context tracks", i, len(rec.Input), len(rec.Contexts))
+		if len(rec.Input) == 0 || len(rec.Contexts) < 2 || rec.HeldVPs == 0 {
+			t.Fatalf("seed record %d names %d input and %d context tracks and holds %d VPs' records", i, len(rec.Input), len(rec.Contexts), rec.HeldVPs)
 		}
 	}
 	return seeds
@@ -238,7 +245,7 @@ func procRecordSeeds(t testing.TB) []core.ProcRecord {
 // was there when the record was written.
 func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 	for i, rec := range procRecordSeeds(t) {
-		err, _, named, st := rec.Decode(rec.Words)
+		err, _, named, st, _ := rec.Decode(rec.Words)
 		if err != nil || len(named) != len(rec.Input)+len(rec.Contexts) {
 			t.Fatalf("seed %d: the record as written decodes to %v, naming %d tracks of %d", i, err, len(named), len(rec.Input)+len(rec.Contexts))
 		}
@@ -263,7 +270,7 @@ func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 		} {
 			forged := slices.Clone(rec.Words)
 			forged[forge.at] = forge.with
-			err, untouched, _, _ := rec.Decode(forged)
+			err, untouched, _, _, _ := rec.Decode(forged)
 			if !core.IsEngineError(err) || !strings.Contains(err.Error(), forge.want) || !untouched {
 				t.Errorf("seed %d, word %d forged to %d: got %v (store untouched: %v), want the typed refusal of a track %s", i, forge.at, forge.with, err, untouched, forge.want)
 			}
@@ -276,11 +283,14 @@ func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 // short list, a read past the record's end — or an allocation sized by a
 // forged count at the commit before (PR 23); each is refused now with the
 // engine's typed error and the store untouched, and so is every record
-// that ends before its allocator state does.
+// that ends before its allocator state does. So is a held section (PR 25)
+// whose batch is not the one the next round 0 simulates, whether past the
+// batches or not, whose record count is not that batch's VP count, or one
+// of whose records is longer than µ + 1 words.
 func TestResumeRefusesMalformedRecord(t *testing.T) {
 	const huge = 1 << 40
 	for i, rec := range procRecordSeeds(t) {
-		_, _, _, st := rec.Decode(rec.Words)
+		_, _, _, st, _ := rec.Decode(rec.Words)
 		D := len(st.Next)
 		// The allocator state opens with the statistics: a list of five
 		// totals, a drive count, a list of four counts a drive; then a drive
@@ -300,16 +310,23 @@ func TestResumeRefusesMalformedRecord(t *testing.T) {
 			{"forged batch count of the input", rec.Dir, 1 << 30, "batches of input"},
 			{"forged input list length", rec.Dir + 1, huge, "input tracks"},
 			{"forged context list length", rec.Contexts[0] - 1, ^uint64(0), "context tracks"},
+			{"held batch past the batches", rec.Held, 1 << 20, "holds the contexts of batch 1048576 in memory"},
+			{"held batch not the next round 0's", rec.Held, rec.Words[rec.Held] ^ 1, "in memory, want"},
+			{"no held batch", rec.Held, ^uint64(0), "holds the contexts of batch -1 in memory"},
+			{"held records a VP short", rec.Held + 1, uint64(rec.HeldVPs - 1), "held contexts, want"},
+			{"held records a VP over", rec.Held + 1, uint64(rec.HeldVPs + 1), "held contexts, want"},
+			{"held record over µ + 1 words", rec.Held + 2, uint64(rec.Mu + 1), "over µ + 1"},
+			{"held record past the record", rec.Held + 2, huge, "context record of"},
 		} {
 			forged := slices.Clone(rec.Words)
 			forged[forge.at] = forge.with
-			err, untouched, _, _ := rec.Decode(forged)
+			err, untouched, _, _, _ := rec.Decode(forged)
 			if !core.IsEngineError(err) || !strings.Contains(err.Error(), forge.want) || !untouched {
 				t.Errorf("seed %d, %s: got %v (store untouched: %v), want the typed refusal naming the %s", i, forge.name, err, untouched, forge.want)
 			}
 		}
 		for n := 0; n < rec.Layers; n++ {
-			if err, untouched, _, _ := rec.Decode(rec.Words[:n:n]); !core.IsEngineError(err) || !untouched {
+			if err, untouched, _, _, _ := rec.Decode(rec.Words[:n:n]); !core.IsEngineError(err) || !untouched {
 				t.Fatalf("seed %d cut to %d of its %d words: got %v (store untouched: %v), want the typed refusal", i, n, len(rec.Words), err, untouched)
 			}
 		}
@@ -339,7 +356,7 @@ func FuzzProcManifest(f *testing.F) {
 				ws[i] = ws[(i+b-128)%rec.Layers]
 			}
 		}
-		err, untouched, named, st := rec.Decode(ws)
+		err, untouched, named, st, held := rec.Decode(ws)
 		if untouched {
 			if !core.IsEngineError(err) {
 				t.Fatalf("refused with %v, want the typed error", err)
@@ -355,6 +372,16 @@ func FuzzProcManifest(f *testing.F) {
 				t.Fatalf("accepted a record naming %v: out of range, free or named twice", a)
 			}
 			seen[a] = true
+		}
+		// And the held records it adopted are the next round 0's batch: one
+		// a VP, none over µ + 1 words.
+		if len(held) != 0 && len(held) != rec.HeldVPs {
+			t.Fatalf("accepted %d held records for a batch of %d VPs", len(held), rec.HeldVPs)
+		}
+		for _, n := range held {
+			if n > rec.Mu+1 {
+				t.Fatalf("accepted a held record of %d words, over µ + 1 = %d", n, rec.Mu+1)
+			}
 		}
 	})
 }

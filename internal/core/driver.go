@@ -19,12 +19,15 @@ import (
 //
 // — with the abort-and-replay loop around everything that precedes a
 // barrier's decision record, and the ledger of global accounting the
-// order feeds. It reaches the machine's real processors through a
-// Transport, of which there are two: the in-process engine (engine.go:
-// goroutines over procState, rows handed across by reference) and the
-// cluster coordinator (internal/cluster: the same rows over the wire).
-// Both present the step machine's outputs (node.go) in node order, so
-// the runtimes agree bit for bit by construction.
+// order feeds. The rounds visit the batches in snake order (batchAt), so
+// the batch a barrier ends with is the one the next superstep, or the
+// finish phase, begins with (DESIGN.md §22.7). It reaches the machine's
+// real processors through a Transport, of which there are two: the
+// in-process engine (engine.go: goroutines over procState, rows handed
+// across by reference) and the cluster coordinator (internal/cluster:
+// the same rows over the wire). Both present the step machine's outputs
+// (node.go) in node order, so the runtimes agree bit for bit by
+// construction.
 
 // Transport is how the driver reaches the P real processors. Every
 // method acts on all of them and returns their outputs in node order;
@@ -35,15 +38,15 @@ type Transport interface {
 	Setup() ([]disk.Stats, error)
 	// Begin opens superstep step on every node.
 	Begin(step int) error
-	// Fetch runs round j's fetching phase: rows[src][dst] are the blocks
+	// Fetch runs batch j's fetching phase: rows[src][dst] are the blocks
 	// src read for the VPs dst simulates (a nil row: no input), nwords
 	// their word counts.
 	Fetch(j, step int) (rows [][]BlockBatch, nwords [][]int64, err error)
-	// Compute hands node dst column dst of rows and runs round j's
+	// Compute hands node dst column dst of rows and runs batch j's
 	// computing phase.
 	Compute(j, step int, rows [][]BlockBatch) ([]*BatchOut, error)
 	// Write hands node dst the packets outs[src].Scatter[dst] and runs
-	// round j's writing phase.
+	// batch j's writing phase.
 	Write(j, step int, outs []*BatchOut) error
 	// Totals returns every node's halt votes, sends and operations.
 	Totals() ([]StepTotals, error)
@@ -81,6 +84,7 @@ type ledger struct {
 	fpr  uint64
 	dir  string
 	jrn  *journal.Journal // nil: an in-process run without a StateDir
+	enc  words.Encoder    // the decision record being written, reused
 	// procs, when set, appends the processors' barrier state to the
 	// decision record (in process they have no journals of their own).
 	procs func(*words.Encoder)
@@ -147,7 +151,8 @@ func (l *ledger) Committed() int {
 	if l.jrn == nil {
 		return 0
 	}
-	return len(l.jrn.Records())
+	_, n := l.jrn.Records()
+	return n
 }
 
 // StepsDone returns the committed superstep count.
@@ -275,9 +280,9 @@ func (l *ledger) decide(step int, halted bool) error {
 	if l.jrn == nil {
 		return nil
 	}
-	enc := words.NewEncoder(nil)
-	l.encode(enc)
-	if err := l.jrn.Append(enc.Words()); err != nil {
+	l.enc.Reset()
+	l.encode(&l.enc)
+	if err := l.jrn.Append(l.enc.Words()); err != nil {
 		return err
 	}
 	// Align trace durability with journal durability: a killed run's
@@ -316,12 +321,12 @@ func (l *ledger) encode(enc *words.Encoder) {
 // continue — another program, machine or options, or one journaled
 // under earlier model rules — is refused before a drive is opened.
 func (l *ledger) load() (*words.Decoder, error) {
-	recs := l.jrn.Records()
-	if len(recs) == 0 {
+	last, n := l.jrn.Records()
+	if n == 0 {
 		return nil, &journal.Error{Path: l.dir, Record: -1,
 			Reason: "no committed checkpoint to resume from (the run crashed before its first barrier; start it fresh)"}
 	}
-	dec := words.NewDecoder(recs[len(recs)-1])
+	dec := words.NewDecoder(last)
 	if err := checkManifestHeader(dec, l.kind, l.fpr); err != nil {
 		return nil, err
 	}
@@ -460,7 +465,8 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 	if err := d.t.Begin(step); err != nil {
 		return false, err
 	}
-	for j := 0; j < d.sh.batches; j++ {
+	for r := 0; r < d.sh.batches; r++ {
+		j := d.sh.batchAt(step, r)
 		rows, nwords, err := d.t.Fetch(j, step)
 		if err != nil {
 			return false, err

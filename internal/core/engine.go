@@ -20,8 +20,11 @@ import (
 //
 // Virtual processors are assigned in blocks: real processor i owns
 // VPs [i·⌈v/p⌉, (i+1)·⌈v/p⌉). A compound superstep runs in
-// ⌈(v/p)/k⌉ rounds; in round j, batch j — the j-th group of k VPs of
-// every real processor, kp VPs in total — is simulated.
+// ⌈(v/p)/k⌉ rounds; in each, one batch j — the j-th group of k VPs of
+// every real processor, kp VPs in total — is simulated, the batches in
+// ascending order in odd supersteps and descending order in even ones
+// (snake order, batchAt), so the batch that ends a barrier begins the
+// next superstep and its contexts never leave internal memory.
 //
 //   - Fetching phase: each processor reads the blocks pertaining to
 //     batch j from its local disks, combines the blocks destined for a
@@ -168,7 +171,7 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 		ps.ckptOn = e.faulty() || root != ""
 	}
 	if manifest != nil {
-		if err := e.decodeProcs(manifest); err != nil {
+		if err := e.decodeProcs(manifest, d.stepsDone); err != nil {
 			return nil, err
 		}
 	}
@@ -378,6 +381,8 @@ type procSnapshot struct {
 	rng      [4]uint64
 	acctMark int64
 	opsMark  int64
+	held     int      // the held batch, -1: none
+	heldCtx  []uint64 // its records, in the processor's reused heldCopy
 }
 
 func (e *engine) snapshot() []procSnapshot {
@@ -388,6 +393,11 @@ func (e *engine) snapshot() []procSnapshot {
 			rng:      ps.rng.State(),
 			acctMark: ps.acct.Mark(),
 			opsMark:  ps.chain.Stats().Ops,
+			held:     ps.held,
+		}
+		if ps.held >= 0 {
+			ps.heldCopy = append(ps.heldCopy[:0], ps.ctx[:ps.heldLen]...)
+			s[i].heldCtx = ps.heldCopy
 		}
 		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
 			s[i].parity = red.Snapshot()
@@ -396,9 +406,9 @@ func (e *engine) snapshot() []procSnapshot {
 	return s
 }
 
-// restore rolls every processor — allocator, checksum directory, PRNG
-// and memory accountant — back to s and returns the slowest processor's
-// share of the rolled-back attempt's operations.
+// restore rolls every processor — allocator, checksum directory, PRNG,
+// memory accountant and held records — back to s and returns the slowest
+// processor's share of the rolled-back attempt's operations.
 func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 	for i, ps := range e.procs {
 		p := s[i]
@@ -411,6 +421,8 @@ func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 		}
 		ps.rng.SetState(p.rng)
 		ps.acct.Rewind(p.acctMark)
+		ps.held, ps.heldLen = p.held, len(p.heldCtx)
+		ps.ctx = append(ps.ctx[:0], p.heldCtx...)
 	}
 	return maxAborted
 }

@@ -185,19 +185,21 @@ func AllocatorMarks(t Transport) [][]int {
 	return marks
 }
 
-// Holdings is what one processor holds on disk at a barrier: the tracks
+// Holdings is what one processor holds at a barrier: on disk, the tracks
 // of its current contexts per batch, the blocks of its next input, and the
-// tracks its allocator has handed out and not got back.
+// tracks its allocator has handed out and not got back; in internal
+// memory, the batch whose records it holds (-1: none) and their words.
 type Holdings struct {
 	Contexts         []int
 	Input, Allocated int
+	Held, HeldWords  int
 }
 
 // HoldingsOf reports every processor's holdings.
 func HoldingsOf(t Transport) []Holdings {
 	var hs []Holdings
 	for _, ps := range t.(*engine).procs {
-		var h Holdings
+		h := Holdings{Held: ps.held, HeldWords: ps.heldLen}
 		if ps.inDir != nil {
 			h.Input = ps.inDir.total
 		}
@@ -213,35 +215,44 @@ func HoldingsOf(t Transport) []Holdings {
 	return hs
 }
 
-// SetupReplays is the replay count of the run the engine is in.
-func SetupReplays(t Transport) int64 { return t.(*engine).led.replays }
+// Replays is the replay count of the run the engine is in, so far.
+func Replays(t Transport) int64 { return t.(*engine).led.replays }
 
 // ProcRecord is one processor's barrier record as encodeProcManifest
 // wrote it, with the positions of the track words of its two directories
 // — the input's, then the contexts' — so a test can forge exactly those,
 // and of the sections the decoder checks before the store adopts anything:
-// Dir is the input directory's first word, Store the allocator state's
-// (the statistics' totals), Layers the first word after it.
+// Dir is the input directory's first word, Held the held section's (the
+// batch), Store the allocator state's (the statistics' totals), Layers the
+// first word after it. HeldVPs is the count of the VPs whose records the
+// held section carries, Mu the bound on each.
 type ProcRecord struct {
-	Words              []uint64
-	Input              []int // indexes into Words: one per block of the input directory
-	Contexts           []int // one per block of the context directory
-	Dir, Store, Layers int
-	sh                 simShape
-	id                 int
+	Words                    []uint64
+	Input                    []int // indexes into Words: one per block of the input directory
+	Contexts                 []int // one per block of the context directory
+	Dir, Held, Store, Layers int
+	HeldVPs, Mu              int
+	sh                       simShape
+	id, step                 int
 }
 
-func procRecord(sh simShape, ps *procState) ProcRecord {
+func procRecord(sh simShape, ps *procState, step int) ProcRecord {
 	enc, tail, store := words.NewEncoder(nil), words.NewEncoder(nil), words.NewEncoder(nil)
-	encodeProcManifest(enc, ps)
+	sh.encodeProcManifest(enc, ps)
 	encodeDirectory(tail, ps.inDir)
 	encodeContexts(tail, ps.ctxDir, sh.cfg.D)
 	dirs := tail.Len()
+	sh.encodeHeld(tail, ps)
+	held := tail.Len()
 	ps.encodeState(tail)
 	encodeStoreState(store, ps.chain.State())
-	r := ProcRecord{Words: slices.Clone(enc.Words()), sh: sh, id: ps.id}
+	r := ProcRecord{Words: slices.Clone(enc.Words()), Mu: sh.mu, sh: sh, id: ps.id, step: step}
+	if ps.held >= 0 {
+		lo, hi := sh.batchBounds(ps, ps.held)
+		r.HeldVPs = hi - lo
+	}
 	base := len(r.Words) - tail.Len()
-	r.Dir, r.Store, r.Layers = base, base+dirs, base+dirs+store.Len()
+	r.Dir, r.Held, r.Store, r.Layers = base, base+dirs, base+held, base+held+store.Len()
 	dec := words.NewDecoder(r.Words[base:])
 	list := func(into *[]int) {
 		for n := dec.Int(); n > 0; n-- {
@@ -264,13 +275,13 @@ func ProcRecords(t Transport) []ProcRecord {
 	e := t.(*engine)
 	var rs []ProcRecord
 	for _, ps := range e.procs {
-		rs = append(rs, procRecord(e.simShape, ps))
+		rs = append(rs, procRecord(e.simShape, ps, e.led.stepsDone))
 	}
 	return rs
 }
 
 // ProcRecord is the node's record, the body of its NODE manifest.
-func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(n.sh, n.ps) }
+func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(n.sh, n.ps, n.stepsDone) }
 
 // Decode decodes ws, the record or a forgery of it, into a fresh processor
 // of the same shape over an in-memory chain with the same layers. It
@@ -278,22 +289,26 @@ func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(n.sh, n.ps) }
 // state what it was before the attempt; otherwise — the record accepted,
 // or its own sections accepted and adopted and a layer's section refused
 // after them — the tracks both directories name with the allocator state
-// they were checked against.
-func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk.Addr, st disk.StoreState) {
+// they were checked against, and the lengths in words of the held
+// records adopted.
+func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk.Addr, st disk.StoreState, held []int) {
 	opts := r.sh.opts
 	opts.StateDir, opts.Tiers, opts.MappedStore = "", nil, false
 	sh := r.sh
 	sh.opts = opts
 	ps, err := sh.newProcState(r.id, "", false)
 	if err != nil {
-		return err, false, nil, st
+		return err, false, nil, st, nil
 	}
 	defer ps.chain.Close()
 	before := ps.chain.State()
-	err = decodeProcManifest(words.NewDecoder(ws), ps)
+	err = sh.decodeProcManifest(words.NewDecoder(ws), ps, r.step)
 	st = ps.chain.State()
 	if err != nil && reflect.DeepEqual(before, st) {
-		return err, true, nil, st
+		return err, true, nil, st, nil
+	}
+	for pos := 0; pos < ps.heldLen; pos += 1 + int(ps.ctx[pos]) {
+		held = append(held, 1+int(ps.ctx[pos]))
 	}
 	if ps.inDir != nil {
 		ps.inDir.each(func(_ int, ref blockRef) error { //nolint:errcheck // f returns none
@@ -304,5 +319,5 @@ func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk
 	for _, tracks := range ps.ctxDir {
 		named = append(named, tracks...)
 	}
-	return err, false, named, st
+	return err, false, named, st, held
 }

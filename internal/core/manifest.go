@@ -43,11 +43,13 @@ const (
 // contexts on allocated tracks, listed by the context directory in every
 // processor's record, §22; 8: every input is the directory its writer
 // filled, §7 — a processor's record and a node's report carry no routed
-// regions, areas or routing counts, and the wire no routing round). It is
-// folded into every fingerprint, so a directory journaled under other
+// regions, areas or routing counts, and the wire no routing round; 9: snake
+// batch order and the turnaround batch held in internal memory across the
+// barrier, §22.7 — its records in the processor's record, no tracks). It
+// is folded into every fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 8
+const modelRules = 9
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -268,6 +270,53 @@ func (r *recordReader) contexts(batches, D int) [][]disk.Addr {
 	return ctxDir
 }
 
+// encodeHeld writes the turnaround batch's records: the batch (-1: none)
+// and, for a batch, the count of its VPs and each VP's record [length,
+// words…] — the packed form ctx holds them in.
+func (sh *simShape) encodeHeld(enc *words.Encoder, ps *procState) {
+	enc.PutInt(int64(ps.held))
+	if ps.held < 0 {
+		return
+	}
+	lo, hi := sh.batchBounds(ps, ps.held)
+	enc.PutInt(int64(hi - lo))
+	enc.PutWords(ps.ctx[:ps.heldLen])
+}
+
+// held reads them back. The batch is the one the next round 0 simulates
+// after step supersteps (none when it has no VPs), and its count the
+// batch's VPs, each with a record of at most µ + 1 words.
+func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs []uint64) {
+	want := sh.batchAt(step, 0)
+	lo, hi := sh.batchBounds(ps, want)
+	if lo == hi {
+		want = -1
+	}
+	if w := r.word(); r.err == nil && w != uint64(want) {
+		r.fail("holds the contexts of batch %d in memory, want %d of %d batches", int64(w), want, sh.batches)
+	}
+	if r.err != nil || want < 0 {
+		return -1, nil
+	}
+	n := r.count(hi-lo, "held contexts")
+	for ; n > 0 && r.err == nil; n-- {
+		w := r.word()
+		switch {
+		case r.err != nil:
+		case w > uint64(sh.mu):
+			r.fail("holds a context record of %d words, over µ + 1 = %d", w+1, sh.mu+1)
+		case w > uint64(r.dec.Remaining()):
+			r.fail("holds a context record of %d words in its last %d", w+1, r.dec.Remaining()+1)
+		default:
+			recs = append(recs, w)
+			for ; w > 0; w-- {
+				recs = append(recs, r.word())
+			}
+		}
+	}
+	return want, recs
+}
+
 // claimTracks checks the tracks a processor's record names, as input and
 // as contexts, against the allocator state the record carries: both
 // directories are read from and freed through, so a track that state
@@ -350,14 +399,14 @@ func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 func (e *engine) encodeProcs(enc *words.Encoder) {
 	enc.PutInt(int64(len(e.procs)))
 	for _, ps := range e.procs {
-		encodeProcManifest(enc, ps)
+		e.encodeProcManifest(enc, ps)
 	}
 }
 
 // encodeProcManifest writes one processor's complete barrier state —
 // the per-processor section of the in-process manifest, and the whole
 // body of a cluster node's manifest.
-func encodeProcManifest(enc *words.Encoder, ps *procState) {
+func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 	st := ps.rng.State()
 	for _, w := range st[:] {
 		enc.PutUint(w)
@@ -366,15 +415,18 @@ func encodeProcManifest(enc *words.Encoder, ps *procState) {
 	enc.PutInt(ps.acct.High())
 	encodeDirectory(enc, ps.inDir)
 	encodeContexts(enc, ps.ctxDir, ps.chain.Config().D)
+	sh.encodeHeld(enc, ps)
 	ps.encodeState(enc)
 }
 
-// decodeProcManifest adopts it. Everything up to and including the
-// allocator state is read and checked — lengths by the reader, the
-// tracks the two directories name by claimTracks — before the processor
-// or its store is touched; a record that fails is refused with the
-// engine's typed error.
-func decodeProcManifest(dec *words.Decoder, ps *procState) error {
+// decodeProcManifest adopts the record of the barrier after step
+// supersteps. Everything up to and including the allocator state is read
+// and checked — lengths by the reader, the tracks the two directories
+// name by claimTracks — before the processor or its store is touched; a
+// record that fails is refused with the engine's typed error. The held
+// records are adopted without model I/O, into internal memory the
+// accountant holds for them again.
+func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step int) error {
 	r := recordReader{dec: dec}
 	var rng [4]uint64
 	for i := range rng {
@@ -383,6 +435,7 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	maxSkew, memHigh := math.Float64frombits(r.word()), int64(r.word())
 	D, batches := ps.chain.Config().D, len(ps.ctxDir)
 	inDir, ctxDir := r.directory(batches, D), r.contexts(batches, D)
+	held, recs := r.held(sh, ps, step)
 	alloc := r.storeState(D)
 	if r.err == nil {
 		r.err = claimTracks(alloc, inDir, ctxDir)
@@ -395,18 +448,25 @@ func decodeProcManifest(dec *words.Decoder, ps *procState) error {
 	ps.acct.AdoptHigh(memHigh)
 	ps.inDir = inDir
 	copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
+	ps.acct.Release(ps.heldGrab())
+	ps.held, ps.heldLen = held, len(recs)
+	ps.ctx = append(grow(&ps.ctx, sh.k*sh.muBlocks*sh.cfg.B)[:0], recs...)
+	if err := ps.acct.Grab(ps.heldGrab()); err != nil {
+		return err
+	}
 	return ps.decodeState(alloc, dec)
 }
 
-// decodeProcs adopts what encodeProcs wrote. The crashed attempt may
-// have left writes the record's parity does not encode; each chain
-// reconciles them before the replay trusts the disk.
-func (e *engine) decodeProcs(dec *words.Decoder) error {
+// decodeProcs adopts what encodeProcs wrote at the barrier after step
+// supersteps. The crashed attempt may have left writes the record's
+// parity does not encode; each chain reconciles them before the replay
+// trusts the disk.
+func (e *engine) decodeProcs(dec *words.Decoder, step int) error {
 	if n := int(dec.Int()); n != len(e.procs) {
 		return fmt.Errorf("core: journal records %d processors, machine has %d", n, len(e.procs))
 	}
 	for _, ps := range e.procs {
-		if err := decodeProcManifest(dec, ps); err != nil {
+		if err := e.decodeProcManifest(dec, ps, step); err != nil {
 			return err
 		}
 	}

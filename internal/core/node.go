@@ -49,7 +49,10 @@ type wireBlock struct {
 // disk untouched while the next superstep runs — its contexts go to
 // tracks of their own, the generation ctxWrite, and every release waits
 // for the barrier commit — so a recoverable fault, or a crash, rolls back
-// to the barrier and replays the superstep from identical inputs.
+// to the barrier and replays the superstep from identical inputs. The
+// contexts of the turnaround batch never go to disk under either
+// discipline: they are held in ctx across the barrier, which journals
+// them in the processor's record and snapshots them for a replay.
 type procState struct {
 	id int
 	lo int // first owned VP
@@ -66,6 +69,8 @@ type procState struct {
 	ctxWrite [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
 	ctxAt    int              // the drive the next batch's context tracks start at
 	inDir    *outDirectory    // the input's blocks where their writer left them, per batch; nil before the first superstep
+	held     int              // the turnaround batch, whose packed records ctx holds until the next round 0 loads them; -1: none
+	heldLen  int              // the words of those records
 
 	// Superstep-scoped scratch.
 	halts  int
@@ -80,6 +85,16 @@ type procState struct {
 }
 
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
+
+// heldGrab is what the accountant keeps across a barrier for the held
+// batch: the blocks its records fill.
+func (ps *procState) heldGrab() int64 {
+	if ps.held < 0 {
+		return 0
+	}
+	B := ps.chain.Config().B
+	return int64((ps.heldLen + B - 1) / B * B)
+}
 
 // stepOps returns the parallel I/O operations consumed since beginStep.
 func (ps *procState) stepOps() int64 { return ps.chain.Stats().Ops - ps.opsMark }
@@ -137,7 +152,20 @@ func (sh *simShape) owner(id int) int { return id / sh.vpp }
 // its group of k within its owner's VPs.
 func (sh *simShape) batchOf(id int) int { return groupOf(id%sh.vpp, sh.k) }
 
-// batchBounds returns the VP range [lo, hi) of processor ps in round j.
+// batchAt returns the batch simulated in round r of superstep step: odd
+// supersteps and the set-up (step -1) visit the batches in ascending
+// order, even supersteps in descending order, so the last batch of every
+// barrier — the turnaround batch — is the first batch of the next
+// superstep and of the finish phase. The order is its own inverse:
+// batchAt(step, j) is also the round in which batch j is simulated.
+func (sh *simShape) batchAt(step, r int) int {
+	if step%2 == 0 {
+		return sh.batches - 1 - r
+	}
+	return r
+}
+
+// batchBounds returns the VP range [lo, hi) of processor ps's batch j.
 func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
 	lo = ps.lo + j*sh.k
 	hi = lo + sh.k
@@ -184,7 +212,7 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 		stream = prng.Derive(sh.opts.Seed, 0xFA12, uint64(i))
 	}
 	ps := &procState{
-		id: i, lo: lo, hi: hi,
+		id: i, lo: lo, hi: hi, held: -1,
 		acct:   mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
 		rng:    prng.New(stream),
 		ctxDir: make([][]disk.Addr, sh.batches),
@@ -206,10 +234,17 @@ func procDir(root string, i int) string {
 }
 
 // grabCtx holds the words of n VPs' contexts at the µ bound — what they
-// may be, whatever they are — and returns the buffer for them.
+// may be, whatever they are — and returns the buffer for them. With a
+// batch held, the grab tops up what the accountant kept for it and the
+// buffer keeps its records in front (grow, not fit, whose canary would
+// poison them; the buffer already has room for k contexts, so grow does
+// not move them).
 func (sh *simShape) grabCtx(ps *procState, n int) ([]uint64, int64, error) {
 	w := n * sh.muBlocks * sh.cfg.B
-	return fit(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w))
+	if ps.held < 0 {
+		return fit(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w))
+	}
+	return grow(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w) - ps.heldGrab())
 }
 
 // moveContexts writes (or reads) the blocks of buf to (from) tracks,
@@ -245,6 +280,9 @@ func (ps *procState) moveContexts(tracks []disk.Addr, buf []uint64, write bool) 
 // where the superstep's previous batch stopped, no draw from the block
 // writer's PRNG — and entered in the generation being written. A record
 // may not exceed µ + 1 words, so the k of them fit grabCtx's buffer.
+// The records of the turnaround batch, the superstep's last, stay where
+// they are packed: the next round 0 loads them from buf, so they get no
+// track and the batch's entry in the generation is empty.
 func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp func(id int) bsp.VP) error {
 	lo, hi := sh.batchBounds(ps, j)
 	D, B, pos := sh.cfg.D, sh.cfg.B, 0
@@ -259,6 +297,13 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 		}
 		buf[pos] = uint64(n)
 		pos += 1 + copy(buf[pos+1:], ps.enc.Words())
+	}
+	if sh.batchAt(step, j) == sh.batches-1 {
+		ps.ctxWrite[j] = nil
+		if pos > 0 { // an empty batch holds nothing
+			ps.held, ps.heldLen = j, pos
+		}
+		return nil
 	}
 	tracks := make([]disk.Addr, (pos+B-1)/B)
 	clear(buf[pos : len(tracks)*B])
@@ -275,20 +320,26 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 
 // loadContexts is Step 1(a): read the blocks batch j's committed
 // contexts fill, by the context directory, and hand each VP's words to
-// emit, in VP order. The slices alias buf.
+// emit, in VP order. The slices alias buf. The held batch is read from
+// nowhere: its records are buf's first words, which grabCtx kept.
 func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(id int, ctx []uint64) error) error {
 	lo, hi := sh.batchBounds(ps, j)
-	used := len(ps.ctxDir[j])
-	if used > (hi-lo)*sh.muBlocks {
+	switch used := len(ps.ctxDir[j]); {
+	case ps.held == j:
+		buf, ps.held = buf[:ps.heldLen], -1
+	case ps.held >= 0:
+		return &engineError{msg: fmt.Sprintf("batch %d is read over the held contexts of batch %d", j, ps.held)}
+	case used > (hi-lo)*sh.muBlocks:
 		return &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
-	}
-	buf = buf[:used*sh.cfg.B]
-	if err := ps.moveContexts(ps.ctxDir[j], buf, false); err != nil {
-		return err
+	default:
+		buf = buf[:used*sh.cfg.B]
+		if err := ps.moveContexts(ps.ctxDir[j], buf, false); err != nil {
+			return err
+		}
 	}
 	for id, pos := lo, 0; id < hi; id++ {
 		if pos >= len(buf) || buf[pos] > uint64(len(buf)-pos-1) {
-			return &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d blocks batch %d wrote", id, used, j)}
+			return &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d words of batch %d", id, len(buf), j)}
 		}
 		n := int(buf[pos])
 		if err := emit(id, buf[pos+1:pos+1+n]); err != nil {
@@ -309,8 +360,10 @@ func (ps *procState) releaseContexts(j int) (err error) {
 	return err
 }
 
-// writeInitialContexts is the set-up. A replay of it (engine.Setup) starts
-// from the allocator it found and rewrites every entry of the directory.
+// writeInitialContexts is the set-up, in ascending batch order: its last
+// batch is held for superstep 0's first round. A replay of it
+// (engine.Setup) starts from the allocator it found and rewrites every
+// entry of the directory.
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()
@@ -318,45 +371,57 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 	if err != nil {
 		return err
 	}
-	defer ps.acct.Release(grab)
 	ps.ctxAt = 0
-	for j := 0; j < sh.batches && err == nil; j++ {
-		err = sh.saveContexts(ps, j, -1, buf, sh.p.NewVP)
+	for r := 0; r < sh.batches && err == nil; r++ {
+		err = sh.saveContexts(ps, sh.batchAt(-1, r), -1, buf, sh.p.NewVP)
 	}
+	ps.acct.Release(grab - ps.heldGrab())
 	return err
 }
 
 // finalReport is the finish phase, after step supersteps: it reads
-// processor ps's final contexts — loading the VPs from them where they
-// are (load, in process), or copying them out for the wire — and
+// processor ps's final contexts in the order of a next superstep's rounds
+// — the held batch first, from memory — loading the VPs from them where
+// they are (load, in process), or copying them out for the wire, and
 // completes the processor's report. The run-phase statistics are taken
-// once, before the first read: a replayed finish phase (faults) charges
-// its re-reads to Finish.
+// once, before the first read, and the report keeps what an attempt
+// loaded: a replayed finish phase (faults) reads the batches left, the
+// held one never again, and charges its re-reads to Finish.
 func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport, error) {
 	sp := sh.tr.Begin(obs.CatEngine, phFinish, ps.id, 0)
 	defer sp.End()
 	if ps.final == nil {
 		ps.final = &NodeReport{Lo: ps.lo, Hi: ps.hi, RunStats: ps.chain.Stats()}
+		if load {
+			ps.final.vps = make([]bsp.VP, ps.ownCount())
+		} else {
+			ps.final.Ctx = make([][]uint64, ps.ownCount())
+		}
 	}
 	r := ps.final
-	if load {
-		r.vps = make([]bsp.VP, 0, ps.ownCount())
-	} else {
-		r.Ctx = make([][]uint64, 0, ps.ownCount())
-	}
 	buf, grab, err := sh.grabCtx(ps, sh.k)
 	if err != nil {
 		return nil, err
 	}
 	defer ps.acct.Release(grab)
-	for j := 0; j < sh.batches; j++ {
+	loaded := func(id int) bool {
+		if load {
+			return r.vps[id-ps.lo] != nil
+		}
+		return r.Ctx[id-ps.lo] != nil
+	}
+	for i := 0; i < sh.batches; i++ {
+		j := sh.batchAt(step, i)
+		if lo, hi := sh.batchBounds(ps, j); lo == hi || loaded(lo) {
+			continue
+		}
 		err := sh.loadContexts(ps, j, buf, func(id int, ctx []uint64) error {
 			if !load {
-				r.Ctx = append(r.Ctx, slices.Clone(ctx))
+				r.Ctx[id-ps.lo] = slices.Clone(ctx)
 				return nil
 			}
 			vp := sh.p.NewVP(id)
-			r.vps = append(r.vps, vp)
+			r.vps[id-ps.lo] = vp
 			return bsp.SafeLoad(vp, words.NewDecoder(ctx), id, step)
 		})
 		if err != nil {
@@ -419,8 +484,8 @@ func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
 // fetchBatch reads the blocks of batch j from the local disks into the
 // processor's region buffer, from where the last writing phase left
 // them.
-func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
-	if j == 0 {
+func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
+	if sh.batchAt(step, j) == 0 {
 		if err := ps.acct.Grab(sh.opWords()); err != nil {
 			return batchIn{}, err
 		}
@@ -442,7 +507,7 @@ func (sh *simShape) fetchBatch(ps *procState, j int) (batchIn, error) {
 func (sh *simShape) fetchForward(ps *procState, j, step int) (out []BlockBatch, nwords []int64, err error) {
 	sp := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
 	defer sp.End()
-	in, err := sh.fetchBatch(ps, j)
+	in, err := sh.fetchBatch(ps, j, step)
 	if err != nil || in.metas == nil {
 		return nil, nil, err
 	}
@@ -536,7 +601,7 @@ func (sh *simShape) computeBatch(ps *procState, j, step int, in []BlockBatch) er
 func (sh *simShape) computeLocal(ps *procState, j, step int) error {
 	ps.out.reset(sh.cfg.P)
 	return sh.simulateBatch(ps, j, step,
-		func() (batchIn, error) { return sh.fetchBatch(ps, j) },
+		func() (batchIn, error) { return sh.fetchBatch(ps, j, step) },
 		func(outs []outMsg) error { return sh.writeLocal(ps, j, step, outs) })
 }
 
@@ -588,12 +653,12 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	// the engine phases tile this processor's lane with no gap.
 	spComp := sh.tr.BeginStep(obs.CatEngine, phCompute, ps.id, 0, step, j)
 
-	// Group pipeline: stage batch j+1's context and message blocks
+	// Group pipeline: stage the next round's context and message blocks
 	// into the local store's physical cache while this batch computes
 	// (purely physical, no accounting — see pipeline.go).
-	if j+1 < sh.batches {
+	if r := sh.batchAt(step, j) + 1; r < sh.batches {
 		if pf := ps.prefetcher(sh.opts); pf != nil {
-			pf.Prefetch(sh.prefetchBatch(ps, j+1))
+			pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, r)))
 		}
 	}
 
@@ -645,7 +710,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	if err := sh.saveContexts(ps, j, step, ctxBuf, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
 		return err
 	}
-	ps.acct.Release(ctxGrab)
+	ps.acct.Release(ctxGrab - ps.heldGrab())
 	spCtx.End()
 
 	if err := ps.acct.Grab(outWords); err != nil {
@@ -713,7 +778,7 @@ func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error 
 	if err := packStreams(outs, lo, fit(&ps.scratch, sh.cfg.B), ps.writer.add); err != nil {
 		return err
 	}
-	return sh.flushBatch(ps, j)
+	return sh.flushBatch(ps, j, step)
 }
 
 // receiveWrite is the writing phase of a machine with an exchange: the
@@ -731,18 +796,18 @@ func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) er
 			}
 		}
 	}
-	return sh.flushBatch(ps, j)
+	return sh.flushBatch(ps, j, step)
 }
 
 // flushBatch ends batch j's writing phase. Blocks short of a full
-// operation stay pending for the next batch's to fill it; after the
-// superstep's last batch the writer makes its one partial parallel
+// operation stay pending for the next round's to fill it; after the
+// superstep's last round the writer makes its one partial parallel
 // write and gives up its operation buffer. By then every batch has read
 // its input, and without the checkpoint discipline nothing returns to
 // it: it is freed, in a halting superstep too, as the contexts written
 // with it were (their stripes leave whole).
-func (sh *simShape) flushBatch(ps *procState, j int) error {
-	if j < sh.batches-1 {
+func (sh *simShape) flushBatch(ps *procState, j, step int) error {
+	if sh.batchAt(step, j) < sh.batches-1 {
 		return nil
 	}
 	if err := ps.writer.flush(); err != nil {

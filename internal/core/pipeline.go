@@ -5,10 +5,10 @@ import (
 )
 
 // The group pipeline overlaps physical I/O with compute without
-// touching the model: while group g runs its computation phase, the
-// engine stages group g+1's context and incoming-message blocks into
-// the file store's physical cache (disk.File.Prefetch), and group
-// g-1's context and message writes drain through the store's
+// touching the model: while one round's group runs its computation
+// phase, the engine stages the next round's context and incoming-message
+// blocks into the file store's physical cache (disk.File.Prefetch), and
+// the last round's context and message writes drain through the store's
 // write-behind queues. Every logical ReadOp/WriteOp still happens in
 // exact serial order with its accounting applied at call time, so
 // results and every cost statistic are bitwise identical with the
@@ -137,7 +137,7 @@ func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.
 
 // prefetchBatch collects the blocks processor ps will read for batch
 // j: the tracks the context directory lists for its committed contexts
-// plus the batch's message blocks.
+// (none for a held batch) plus the batch's message blocks.
 func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi {

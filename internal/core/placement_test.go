@@ -47,8 +47,9 @@ func measurePlacement(t *testing.T, prog bsp.Program, cfg core.MachineConfig, op
 // is never more than one operation from its own ideal here, and a run's
 // total within 10% of the ideal's; the golden instances sit on it, and
 // the bare random permutation read sort_mem's large superstep in 107
-// operations where this reads it in 90 against an ideal of 86. Same
-// seed, same placement, twice.
+// operations where this reads it in 88 against an ideal of 86 (90 until
+// PR 25: the batches are written in snake order, so the writer's PRNG
+// breaks other ties). Same seed, same placement, twice.
 func TestPlacementByCount(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -64,7 +65,7 @@ func TestPlacementByCount(t *testing.T) {
 		{"listrank", listrank, 1, 64, 7,
 			[]int{28, 27, 20, 16, 13, 10, 9, 6, 6, 5, 3, 3, 15, 19, 15, 8, 4, 2, 2, 2, 2, 2},
 			[]int{28, 27, 20, 16, 13, 10, 9, 6, 6, 5, 3, 3, 15, 19, 15, 8, 4, 2, 2, 2, 2, 2}},
-		{"sort_mem", workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 1, []int{6, 11, 90}, []int{6, 11, 86}},
+		{"sort_mem", workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 1, []int{6, 11, 88}, []int{6, 11, 86}},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {

@@ -21,13 +21,15 @@ import (
 )
 
 // deathPlan schedules a permanent, unmirrored drive death early enough
-// that most of the run executes in degraded state. The drive is one that
-// holds context blocks at every P the tests run: since contexts are
-// packed (DESIGN.md §22) the 6 VPs of a P = 3 processor fill two blocks,
-// on drives 0 and 1, so the replay of the superstep the death aborts
-// reads a context back through the stripe's survivors.
+// that most of the run executes in degraded state. At every P the tests
+// run a processor's VPs are one batch (k ≥ v/P), whose contexts never
+// leave internal memory (DESIGN.md §22.7), so what the dead drive holds
+// is message blocks: the death lands after a superstep wrote some on it
+// and before the next read them back — through the stripe's survivors.
+// (At op 40, the drive's clock before PR 25, it lands where no block it
+// holds is read again.)
 func deathPlan() *fault.Plan {
-	return &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 1}
+	return &fault.Plan{Seed: 13, FailDriveOp: 54, FailDrive: 1}
 }
 
 // TestParityDriveLossBitwise is the issue's acceptance property: with
@@ -235,13 +237,14 @@ func TestParityKillDuringRebuildResume(t *testing.T) {
 			t.Fatalf("%s: DriveFailures=%d DegradedOps=%d: the shape produced no degraded work for the kill to follow", label, clean.EM.DriveFailures, clean.EM.DegradedOps)
 		}
 
-		// Stop at the first barrier after the drive death (the death at
-		// op 40 lands in superstep 0), then resume to completion.
+		// Stop at the first barrier after the drive death (the death at op
+		// 54 lands in superstep 1 at P = 1, in superstep 2 at P = 3), then
+		// resume to completion.
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		killed := opts(dir)
 		killed.OnCommit = func(step int) {
-			if step == 1 {
+			if step == procs/2+1 {
 				cancel()
 			}
 		}

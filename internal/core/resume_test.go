@@ -58,6 +58,13 @@ func resultsIdentical(t *testing.T, a, b *core.Result, label string) {
 	if !reflect.DeepEqual(ca, cb) {
 		t.Errorf("%s: VP states differ", label)
 	}
+	statsIdentical(t, a, b, label)
+}
+
+// statsIdentical holds two runs to the same model costs and EM
+// statistics.
+func statsIdentical(t *testing.T, a, b *core.Result, label string) {
+	t.Helper()
 	if !reflect.DeepEqual(a.Costs, b.Costs) {
 		t.Errorf("%s: model costs differ:\na: %+v\nb: %+v", label, a.Costs, b.Costs)
 	}
@@ -255,9 +262,10 @@ func TestResumeCompletedRun(t *testing.T) {
 	resultsIdentical(t, clean, res, "completed")
 }
 
-// TestResumeTornJournal: a crash between a record's fsync and its HEAD
-// advance leaves a durable but uncommitted tail. Resume must roll it
-// back and still produce the uninterrupted run's exact Result.
+// TestResumeTornJournal: a crash while the next record is prepared —
+// written beside the committed one, not yet renamed over it — leaves a
+// prepared file, whole or torn. Resume must roll it back and still
+// produce the uninterrupted run's exact Result.
 func TestResumeTornJournal(t *testing.T) {
 	p := testProgram()
 	cfg := parMachine(1, 4, 8, 256)
@@ -272,15 +280,10 @@ func TestResumeTornJournal(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
 	}
-	// Simulate the torn append of the never-committed record.
-	wal, err := os.OpenFile(filepath.Join(dir, "journal.wal"), os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
+	// Simulate the torn prepared file of the never-committed record.
+	if err := os.WriteFile(filepath.Join(dir, "journal.prep"), make([]byte, 57), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.Write(make([]byte, 57)); err != nil {
-		t.Fatal(err)
-	}
-	wal.Close()
 
 	res, err := core.Run(p, cfg, core.Options{Seed: 3, StateDir: dir, Resume: true})
 	if err != nil {
@@ -401,16 +404,20 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // them by area and used-block table where this engine reads a context
 // directory; one journaled at modelRules = 7 carries in every processor
 // section the six words of a routed input this engine's reader would take
-// for the skew and the directory; this engine can neither parse them nor
-// continue them into honest counts. The directory is a crashed run of
-// this commit whose records are rewritten to carry the fingerprint an
-// older commit (PR 17, modelRules = 2; PR 19, modelRules = 3; PR 20,
-// modelRules = 4; PR 21, modelRules = 5; PR 22, modelRules = 6; PR 23,
-// modelRules = 7, read off a journal its binary wrote) stamps on the same
-// program, machine and options; it is refused by the fingerprint and left
-// byte for byte as found.
+// for the skew and the directory; one journaled at modelRules = 8 keeps
+// every batch's contexts on tracks and its records have no held section,
+// where this engine reads the turnaround batch's records from the record;
+// this engine can neither parse them nor continue them into honest
+// counts. The directory is a crashed run of this commit whose record is
+// rewritten to carry the fingerprint an older commit (PR 17, modelRules =
+// 2; PR 19, modelRules = 3; PR 20, modelRules = 4; PR 21, modelRules = 5;
+// PR 22, modelRules = 6; PR 23, modelRules = 7; PR 24, modelRules = 8,
+// read off a journal its binary wrote) stamps on the same program,
+// machine and options; it is refused by the fingerprint and left byte for
+// byte as found. (A directory PR 24 wrote past its first barrier is
+// refused before that, by the journal: TestJournalRefusesManyRecords.)
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }
@@ -423,21 +430,20 @@ func refusesFingerprint(t *testing.T, olderFpr uint64) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
 	}
-	j, err := journal.Open(dir)
+	last, n, err := journal.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := j.Records()
-	j.Close()
-	if len(records) == 0 || records[0][1] == olderFpr {
-		t.Fatalf("%d records, the first stamped %#x: modelRules is not folded into the fingerprint", len(records), olderFpr)
+	if n == 0 || last[1] == olderFpr {
+		t.Fatalf("%d records, the last stamped %#x: modelRules is not folded into the fingerprint", n, olderFpr)
 	}
-	if j, err = journal.Create(dir); err != nil {
+	j, err := journal.Create(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range records {
-		rec[1] = olderFpr
-		if err := j.Append(rec); err != nil {
+	last[1] = olderFpr
+	for i := 0; i < n; i++ {
+		if err := j.Append(last); err != nil {
 			t.Fatal(err)
 		}
 	}

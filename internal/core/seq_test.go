@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,7 +153,11 @@ func TestSeqGroupSizing(t *testing.T) {
 func TestSeqStatsSanity(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
 	cfg := tinyMachine(4, 8, 256)
-	res, err := core.Run(p, cfg, core.Options{Seed: 9})
+	var m *contextMeter
+	res, err := core.RunOver(func(inner core.Transport) core.Transport {
+		m = &contextMeter{Transport: inner}
+		return m
+	}, p, cfg, core.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +168,14 @@ func TestSeqStatsSanity(t *testing.T) {
 	if em.IOTime != cfg.G*float64(em.Run.Ops) {
 		t.Errorf("IOTime = %v, want G*Ops = %v", em.IOTime, cfg.G*float64(em.Run.Ops))
 	}
-	if em.Setup.Ops <= 0 || em.Finish.Ops <= 0 {
-		t.Errorf("Setup.Ops = %d, Finish.Ops = %d, want > 0", em.Setup.Ops, em.Finish.Ops)
+	// M = 256 words is k = 64 VPs of µ = 4, more than the 16 there are:
+	// one batch, the turnaround batch of every barrier, whose contexts
+	// never leave internal memory (DESIGN.md §22.7). The set-up writes
+	// nothing, the finish phase reads nothing, and every operation of the
+	// run moves message blocks — until PR 25 each way took a context
+	// operation a superstep.
+	if em.Groups != 1 || em.Setup.Ops != 0 || em.Finish.Ops != 0 || slices.Max(m.ops) != 0 {
+		t.Errorf("%d batches, Setup.Ops = %d, Finish.Ops = %d, context operations %v a superstep, want one batch and no context operation", em.Groups, em.Setup.Ops, em.Finish.Ops, m.ops)
 	}
 	if em.MemHigh <= 0 {
 		t.Error("memory accounting recorded nothing")

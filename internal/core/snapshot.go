@@ -117,7 +117,7 @@ func (n *NodeEngine) mergeDirty() {
 
 // ExportSnapshot captures the node's state at its latest barrier —
 // the prepared one when a 2PC record is pending (its track data is
-// already durable; only HEAD lags), the committed one otherwise — for
+// already durable; only the commit lags), the committed one otherwise — for
 // shipment to the coordinator's replica store. Exporting at PREPARE is
 // what makes post-decision losses survivable: the coordinator folds
 // the snapshot into the replica the moment the decision record lands,
@@ -130,15 +130,11 @@ func (n *NodeEngine) mergeDirty() {
 // next superstep's first write, which is when the cluster worker
 // calls it.
 func (n *NodeEngine) ExportSnapshot(base int) (*NodeSnapshot, error) {
-	version := n.Committed()
-	recs := n.jrn.Records()
-	var manifest []uint64
+	manifest, version := n.jrn.Records()
 	if n.jrn.HasPending() {
 		version++
 		manifest = n.jrn.Pending()
-	} else if version > 0 {
-		manifest = recs[version-1]
-	} else {
+	} else if version == 0 {
 		return nil, fmt.Errorf("core: nothing committed or prepared to export")
 	}
 	snap := &NodeSnapshot{Version: version, Manifest: append([]uint64(nil), manifest...)}

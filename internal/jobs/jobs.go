@@ -3,7 +3,7 @@
 // seed, machine shape) — everything needed to rebuild the Program
 // deterministically — so the queue survives restarts: the supervisor
 // persists a fsynced job manifest (same atomic-rename discipline as
-// the superstep journal's HEAD) and on startup re-adopts every
+// the superstep journal's commit) and on startup re-adopts every
 // unfinished job, resuming runs from their journals.
 //
 // Robustness properties:

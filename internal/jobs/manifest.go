@@ -10,8 +10,8 @@ import (
 
 // manifest is the persisted queue state: every job ever submitted plus
 // the ID counter. It follows the same durability discipline as the
-// superstep journal's HEAD: written to a temp file, fsynced, renamed
-// over the old one, directory fsynced — a crash at any point leaves
+// superstep journal's commit: written to a file of its own, fsynced,
+// renamed over the old one, directory fsynced — a crash at any point leaves
 // either the old manifest or the new one, never a torn mix.
 type manifest struct {
 	Version int    `json:"version"`

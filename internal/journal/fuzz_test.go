@@ -1,13 +1,15 @@
 package journal
 
 // Fuzzing the journal decode path: Open reads two files an adversary
-// (or a crashed kernel) may have scribbled over, so for arbitrary
-// journal.wal and HEAD bytes it must either load the journal or refuse
-// with a typed *Error — never panic, and never accept bytes it cannot
-// then replay consistently. The seed corpus includes a genuine
-// committed journal, its torn/flipped/truncated mutants, and a HEAD
-// whose checksummed length word overflows int64 (the crafted input
-// that pins the negative-slice-bound guard in Open).
+// (or a crashed kernel) may have scribbled over — the committed record,
+// journal.wal, and a prepared one beside it, journal.prep — so for
+// arbitrary bytes of both it must either load the journal or refuse with
+// a typed *Error — never panic, and never accept bytes it cannot then
+// continue consistently. The seed corpus includes a genuine committed
+// record with a prepared one beside it, their torn/flipped/truncated
+// mutants, the log of a journal that kept every record, and a record
+// whose checksummed sequence word overflows int (the crafted input that
+// pins the implausible-sequence guard).
 
 import (
 	"bytes"
@@ -18,9 +20,9 @@ import (
 	"embsp/internal/disk"
 )
 
-// seedJournal builds a real two-record journal and returns its raw
-// wal and HEAD bytes.
-func seedJournal(f *testing.F) (wal, head []byte) {
+// seedJournal builds a real journal with a committed and a prepared
+// record and returns the raw bytes of both files.
+func seedJournal(f *testing.F) (wal, prep []byte) {
 	f.Helper()
 	dir := f.TempDir()
 	j, err := Create(dir)
@@ -30,63 +32,59 @@ func seedJournal(f *testing.F) (wal, head []byte) {
 	if err := j.Append([]uint64{1, 2, 3, 0xDEADBEEF}); err != nil {
 		f.Fatal(err)
 	}
-	if err := j.Append(make([]uint64, 40)); err != nil {
+	if err := j.Prepare(make([]uint64, 40)); err != nil {
 		f.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	if wal, err = os.ReadFile(walPath(dir)); err != nil {
 		f.Fatal(err)
 	}
-	wal, err = os.ReadFile(walPath(dir))
-	if err != nil {
+	if prep, err = os.ReadFile(prepPath(dir)); err != nil {
 		f.Fatal(err)
 	}
-	head, err = os.ReadFile(headPath(dir))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return wal, head
+	return wal, prep
 }
 
-// craftedHead builds a structurally valid, correctly checksummed HEAD
-// claiming the given record count and wal byte length — the only way
-// to reach Open's post-checksum validation with hostile numbers.
-func craftedHead(count, length uint64) []byte {
-	buf := make([]byte, headBytes)
-	binary.LittleEndian.PutUint64(buf[0:], headMagic)
-	binary.LittleEndian.PutUint64(buf[8:], count)
-	binary.LittleEndian.PutUint64(buf[16:], length)
-	binary.LittleEndian.PutUint64(buf[24:], disk.Checksum([]uint64{count, length}))
-	return buf
+// craftedRecord builds a structurally valid, correctly checksummed frame
+// claiming the given sequence number and payload length with no payload
+// — the only way to reach the post-checksum validation with hostile
+// numbers.
+func craftedRecord(seq, n uint64) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, recMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint64(buf, n)
+	return binary.LittleEndian.AppendUint64(buf, disk.Checksum([]uint64{seq, n}))
 }
 
 func FuzzJournalDecode(f *testing.F) {
-	wal, head := seedJournal(f)
-	f.Add(wal, head)
-	f.Add(wal[:len(wal)-5], head)                              // log shorter than HEAD promises
-	f.Add(append(bytes.Clone(wal), make([]byte, 64)...), head) // uncommitted tail
+	wal, prep := seedJournal(f)
+	f.Add(wal, prep)
+	f.Add(wal[:len(wal)-5], prep)                              // committed record cut short
+	f.Add(wal, append(bytes.Clone(prep), make([]byte, 64)...)) // prepared record with a tail
 	f.Add([]byte{}, []byte{})
 	flip := bytes.Clone(wal)
-	flip[9] ^= 0xFF // sequence word of record 0
-	f.Add(flip, head)
+	flip[9] ^= 0xFF // sequence word of the committed record
+	f.Add(flip, prep)
 	flip = bytes.Clone(wal)
-	flip[len(flip)-1] ^= 0x01 // checksum of the last record
-	f.Add(flip, head)
-	// Checksummed HEAD words that overflow int64/int: historically a
-	// negative slice bound panic, now a typed error.
-	f.Add(wal, craftedHead(1, 1<<63))
-	f.Add(wal, craftedHead(1<<63, uint64(len(wal))))
+	flip[len(flip)-1] ^= 0x01 // its checksum
+	f.Add(flip, prep)
+	// A checksummed sequence number that overflows int: its count would
+	// be negative.
+	f.Add(craftedRecord(1<<63, 0), prep)
+	f.Add(append(bytes.Clone(wal), prep...), []byte{}) // a log of every record
 
-	f.Fuzz(func(t *testing.T, wal, head []byte) {
-		// parseRecord is the frame decoder Open loops over; it must be
-		// total on arbitrary bytes.
-		_, _, _ = parseRecord(wal, 0)
+	f.Fuzz(func(t *testing.T, wal, prep []byte) {
+		// parseRecord is the frame decoder both opens use; it must be total
+		// on arbitrary bytes.
+		_, _, _ = parseRecord(wal)
 
 		dir := t.TempDir()
 		if err := os.WriteFile(walPath(dir), wal, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(headPath(dir), head, 0o666); err != nil {
-			t.Fatal(err)
+		if len(prep) > 0 {
+			if err := os.WriteFile(prepPath(dir), prep, 0o666); err != nil {
+				t.Fatal(err)
+			}
 		}
 		j, err := Open(dir)
 		if err != nil {
@@ -95,31 +93,29 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 			return
 		}
-		// Open accepted the bytes: the journal must now behave — the
-		// committed records append and reopen cleanly, with no torn tail
-		// left behind.
-		n := len(j.Records())
-		if err := j.Append([]uint64{42, 43}); err != nil {
-			j.Close()
-			t.Fatalf("Append to accepted journal: %v", err)
+		// Open accepted the bytes: the prepared file is gone and the
+		// journal must now behave — the committed record is replaced by an
+		// append that reopens cleanly.
+		if _, err := os.Stat(prepPath(dir)); !os.IsNotExist(err) {
+			t.Fatalf("Open left the prepared file behind: %v", err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
+		_, n := j.Records()
+		if err := j.Append([]uint64{42, 43}); err != nil {
+			t.Fatalf("Append to accepted journal: %v", err)
 		}
 		j2, err := Open(dir)
 		if err != nil {
 			t.Fatalf("reopen of accepted journal: %v", err)
 		}
-		defer j2.Close()
 		if j2.Torn() {
 			t.Error("reopen after a clean Append reports a torn tail")
 		}
-		recs := j2.Records()
-		if len(recs) != n+1 {
-			t.Fatalf("reopen sees %d records, want %d", len(recs), n+1)
+		last, n2 := j2.Records()
+		if n2 != n+1 {
+			t.Fatalf("reopen sees %d records, want %d", n2, n+1)
 		}
-		if !bytes.Equal(u64bytes(recs[n]), u64bytes([]uint64{42, 43})) {
-			t.Errorf("appended record read back as %v", recs[n])
+		if !bytes.Equal(u64bytes(last), u64bytes([]uint64{42, 43})) {
+			t.Errorf("appended record read back as %v", last)
 		}
 	})
 }

@@ -1,30 +1,33 @@
 // Package journal implements the write-ahead commit journal behind
-// Options.StateDir. The engines append one record per committed
-// compound-superstep barrier (the encoded checkpoint manifest:
-// superstep index, PRNG state, allocator and fault-layer state,
-// context directory, statistics); on resume the journal replays to the
-// last committed barrier and the run continues from there.
+// Options.StateDir. The engines commit one record per compound-superstep
+// barrier (the encoded checkpoint manifest: superstep index, PRNG state,
+// allocator and fault-layer state, context directory, held contexts,
+// statistics). A record is a complete checkpoint, not a delta, so the
+// journal keeps one: the last committed record, from which a resumed run
+// continues.
 //
-// On disk a journal is two files in the state directory:
+// On disk a journal is one file in the state directory, and a second
+// while a record awaits its decision:
 //
-//	journal.wal — the record log, a flat sequence of framed records:
+//	journal.wal  — the last committed record, one frame (empty: nothing
+//	    committed yet):
 //	    word 0: record magic
-//	    word 1: sequence number (0, 1, 2, ...)
+//	    word 1: sequence number (the records committed before it)
 //	    word 2: payload length in words
 //	    words 3..3+n: the payload
 //	    last word: checksum over words 1..3+n
-//	HEAD — the commit pointer: [magic, record count, byte length,
-//	    checksum], 32 bytes, replaced atomically.
+//	journal.prep — the prepared record, the same frame with the next
+//	    sequence number.
 //
-// Append follows write-ahead discipline: the record is written and
-// fsynced to journal.wal first, then HEAD is replaced via
-// write-to-temp + fsync + rename + directory fsync. A crash between
-// the two leaves a durable record that HEAD does not cover; Open
-// treats everything beyond HEAD as an uncommitted tail and truncates
-// it (a clean rollback to the last commit — the engines deterministically
-// redo the lost superstep). A record that HEAD covers but that is
-// truncated or fails its checksum is corruption, reported as a typed
-// *Error and never silently replayed.
+// There is one commit point: a record is written and fsynced to
+// journal.prep, then renamed over journal.wal and the directory fsynced.
+// A crash before the rename leaves the old record committed and a
+// prepared file beside it, which Open removes (a clean rollback to the
+// last commit — the engines deterministically redo the lost superstep)
+// and OpenPrepared keeps for a two-phase-commit decision; a crash after
+// it leaves the new record alone. A committed record that is truncated
+// or fails its checksum is corruption, reported as a typed *Error and
+// never silently replayed.
 package journal
 
 import (
@@ -38,17 +41,13 @@ import (
 	"embsp/internal/obs"
 )
 
-const (
-	recMagic  = 0x454d424a524e4c31 // "EMBJRNL1"
-	headMagic = 0x454d424a48454144 // "EMBJHEAD"
-	headBytes = 32
-)
+const recMagic = 0x454d424a524e4c31 // "EMBJRNL1"
 
-// Error reports a structurally damaged journal: a record that the HEAD
-// pointer covers but that cannot be read back intact.
+// Error reports a structurally damaged journal: a committed record that
+// cannot be read back intact.
 type Error struct {
 	Path   string
-	Record int // sequence number of the damaged record, -1 for HEAD itself
+	Record int // sequence number the damaged record claims, -1 when it claims none
 	Reason string
 }
 
@@ -59,371 +58,295 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("journal: %s: record %d: %s", e.Path, e.Record, e.Reason)
 }
 
-// Journal is an append-only commit log. It is not safe for concurrent
+// Journal is a one-checkpoint commit log. It is not safe for concurrent
 // use.
 type Journal struct {
-	dir        string
-	wal        *os.File
-	off        int64      // committed byte length of the wal
-	records    [][]uint64 // committed payloads, in sequence order
-	torn       bool       // Open truncated an uncommitted tail
-	pending    []uint64   // prepared-but-undecided tail record payload
-	hasPending bool       // a prepared record awaits its commit/abort decision
-	pendLen    int64      // frame length of the pending record in bytes
-	tr         *obs.Tracer
-	tpid       int
+	dir   string
+	count int // committed records
+	torn  bool
+
+	// last and pending are a pair of reused buffers, each a record's
+	// checksummed words [seq, n, payload…]: the committed record, and the
+	// prepared one, which a commit swaps in.
+	last, pending []uint64
+	hasPending    bool
+	chunk         [4096]byte // the frame is written through it
+
+	tr   *obs.Tracer
+	tpid int
 }
 
 // SetTracer attaches an observability tracer: every Append records a
-// "journal-append" span covering the record write+fsync and the
-// atomic HEAD replacement, labelled with pid as the trace process id.
+// "journal-append" span covering the prepared file's write and fsync and
+// the rename that commits it, labelled with pid as the trace process id.
 // Pure wall-clock observability; nil detaches.
 func (j *Journal) SetTracer(tr *obs.Tracer, pid int) {
 	j.tr, j.tpid = tr, pid
 }
 
 func walPath(dir string) string  { return filepath.Join(dir, "journal.wal") }
-func headPath(dir string) string { return filepath.Join(dir, "HEAD") }
+func prepPath(dir string) string { return filepath.Join(dir, "journal.prep") }
 
 // Create starts a fresh journal in dir, discarding any previous one.
 func Create(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	wal, err := os.OpenFile(walPath(dir), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
+	j := &Journal{dir: dir}
+	if err := j.writeFile(walPath(dir), nil); err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir, wal: wal}
-	if err := j.writeHead(0); err != nil {
-		wal.Close()
+	if err := os.Remove(prepPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	return j, nil
+	return j, syncDir(dir)
 }
 
-// readHead loads and verifies the HEAD commit pointer of dir,
-// returning the committed record count and byte length.
-func readHead(dir string) (count int, length int64, err error) {
-	head, err := os.ReadFile(headPath(dir))
+// Read returns the last committed payload of the journal in dir and the
+// number of records committed, without opening it for appending or
+// touching a prepared record. A directory with no journal at all reports
+// 0 with a nil error.
+func Read(dir string) (last []uint64, count int, err error) {
+	if _, err := os.Stat(walPath(dir)); errors.Is(err, os.ErrNotExist) {
+		return nil, 0, nil
+	}
+	j, err := load(dir)
 	if err != nil {
-		return 0, 0, &Error{Path: headPath(dir), Record: -1, Reason: fmt.Sprintf("unreadable commit pointer: %v", err)}
+		return nil, 0, err
 	}
-	if len(head) != headBytes || binary.LittleEndian.Uint64(head[0:]) != headMagic {
-		return 0, 0, &Error{Path: headPath(dir), Record: -1, Reason: "not a journal HEAD"}
-	}
-	hw := []uint64{
-		binary.LittleEndian.Uint64(head[8:]),
-		binary.LittleEndian.Uint64(head[16:]),
-	}
-	if disk.Checksum(hw) != binary.LittleEndian.Uint64(head[24:]) {
-		return 0, 0, &Error{Path: headPath(dir), Record: -1, Reason: "commit pointer fails its checksum"}
-	}
-	count, length = int(hw[0]), int64(hw[1])
-	// A checksummed HEAD can still carry implausible words (it is only
-	// 16 bytes of entropy away from a collision, and fuzzing finds
-	// them): a count or length that overflows int must be rejected here,
-	// or a negative slice bound downstream would panic instead of
-	// erroring.
-	if count < 0 || length < 0 {
-		return 0, 0, &Error{Path: headPath(dir), Record: -1, Reason: "commit pointer is implausible"}
-	}
-	return count, length, nil
+	last, count = j.Records()
+	return last, count, nil
 }
 
-// Committed reports how many committed records the journal in dir
-// holds, without opening it for appending or truncating its tail. A
-// directory with no journal HEAD at all reports 0 with a nil error.
+// Committed reports how many committed records the journal in dir holds.
 // Callers use it to decide between a fresh run and Options.Resume: a
 // state directory whose run died before its first barrier commit has
 // nothing to resume from and must be started fresh.
 func Committed(dir string) (int, error) {
-	if _, err := os.Stat(headPath(dir)); errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	count, length, err := readHead(dir)
-	if err != nil {
-		return 0, err
-	}
-	// A HEAD that covers more bytes than the log holds promises records
-	// that cannot exist — the same corruption Open would report, caught
-	// here so callers don't treat the directory as resumable.
-	st, err := os.Stat(walPath(dir))
-	if err != nil {
-		return 0, &Error{Path: walPath(dir), Record: -1, Reason: fmt.Sprintf("unreadable log: %v", err)}
-	}
-	if st.Size() < length {
-		return 0, &Error{Path: walPath(dir), Record: -1,
-			Reason: fmt.Sprintf("log is %d bytes, commit pointer covers %d", st.Size(), length)}
-	}
-	return count, nil
+	_, count, err := Read(dir)
+	return count, err
 }
 
-// Open loads an existing journal for resumption. It verifies HEAD,
-// reads back exactly the committed records (verifying each frame), and
-// truncates any uncommitted tail beyond HEAD. Fewer intact records
-// than HEAD promises is corruption and yields a typed *Error.
-func Open(dir string) (*Journal, error) {
-	count, length, err := readHead(dir)
-	if err != nil {
-		return nil, err
+// parseJournal decodes the contents of journal.wal: nothing committed, or
+// exactly one intact record — its checksummed words and the count it
+// makes.
+func parseJournal(buf []byte) ([]uint64, int, *Error) {
+	if len(buf) == 0 {
+		return nil, 0, nil
 	}
-
-	wal, err := os.OpenFile(walPath(dir), os.O_RDWR, 0o666)
+	ws, n, err := parseRecord(buf)
 	if err != nil {
-		return nil, &Error{Path: walPath(dir), Record: -1, Reason: fmt.Sprintf("unreadable log: %v", err)}
+		return nil, 0, err
 	}
-	j := &Journal{dir: dir, wal: wal, off: length}
+	if n != int64(len(buf)) {
+		return nil, 0, &Error{Record: int(ws[0]), Reason: fmt.Sprintf("holds %d bytes after its record: a journal that kept every record, written before the journal held one checkpoint", int64(len(buf))-n)}
+	}
+	return ws, int(ws[0]) + 1, nil
+}
 
+// load reads dir's committed record.
+func load(dir string) (*Journal, error) {
 	buf, err := os.ReadFile(walPath(dir))
 	if err != nil {
-		wal.Close()
+		return nil, &Error{Path: walPath(dir), Record: -1, Reason: fmt.Sprintf("unreadable journal: %v", err)}
+	}
+	ws, count, jerr := parseJournal(buf)
+	if jerr != nil {
+		jerr.Path = walPath(dir)
+		return nil, jerr
+	}
+	return &Journal{dir: dir, count: count, last: ws}, nil
+}
+
+// Open loads an existing journal for resumption: the committed record,
+// verified. A prepared record beside it is an uncommitted tail (a crash
+// before its rename); Open removes it and reports Torn.
+func Open(dir string) (*Journal, error) {
+	j, err := load(dir)
+	if err != nil {
 		return nil, err
 	}
-	if int64(len(buf)) < length {
-		wal.Close()
-		return nil, &Error{Path: walPath(dir), Record: -1,
-			Reason: fmt.Sprintf("log is %d bytes, commit pointer covers %d", len(buf), length)}
-	}
-	off := int64(0)
-	for seq := 0; seq < count; seq++ {
-		payload, n, rerr := parseRecord(buf[off:length], seq)
-		if rerr != nil {
-			wal.Close()
-			rerr.Path = walPath(dir)
-			return nil, rerr
-		}
-		j.records = append(j.records, payload)
-		off += n
-	}
-	if off != length {
-		wal.Close()
-		return nil, &Error{Path: walPath(dir), Record: -1,
-			Reason: fmt.Sprintf("committed records end at byte %d, commit pointer says %d", off, length)}
-	}
-	// Anything beyond HEAD is a durable but uncommitted tail (crash
-	// between record fsync and HEAD rename): truncate it and let the
-	// engine redo that superstep deterministically.
-	if int64(len(buf)) > length {
-		j.torn = true
-		if err := wal.Truncate(length); err != nil {
-			wal.Close()
-			return nil, err
-		}
-		if err := wal.Sync(); err != nil {
-			wal.Close()
-			return nil, err
-		}
+	if err := j.dropPrepared(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
 
 // OpenPrepared is Open for two-phase-commit participants: when the
-// bytes beyond HEAD form exactly one intact record with the next
-// sequence number — the signature of a crash between PREPARE and the
-// coordinator's decision — the record is retained as Pending instead of
-// being truncated, so the caller can re-apply the coordinator's
-// decision via CommitPending or AbortPending. Any other tail (a torn
-// frame, trailing garbage) is truncated exactly as Open does.
+// prepared file is one intact record with the next sequence number — the
+// signature of a crash between PREPARE and the coordinator's decision —
+// it is retained as Pending instead of being removed, so the caller can
+// re-apply the coordinator's decision via CommitPending or AbortPending.
+// Any other prepared file (a torn frame, another sequence) is removed
+// exactly as Open does.
 func OpenPrepared(dir string) (*Journal, error) {
-	count, length, err := readHead(dir)
+	j, err := load(dir)
 	if err != nil {
 		return nil, err
 	}
-	wal, err := os.OpenFile(walPath(dir), os.O_RDWR, 0o666)
-	if err != nil {
-		return nil, &Error{Path: walPath(dir), Record: -1, Reason: fmt.Sprintf("unreadable log: %v", err)}
+	buf, err := os.ReadFile(prepPath(dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return j, nil
 	}
-	j := &Journal{dir: dir, wal: wal, off: length}
-	buf, err := os.ReadFile(walPath(dir))
-	if err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if int64(len(buf)) < length {
-		wal.Close()
-		return nil, &Error{Path: walPath(dir), Record: -1,
-			Reason: fmt.Sprintf("log is %d bytes, commit pointer covers %d", len(buf), length)}
-	}
-	off := int64(0)
-	for seq := 0; seq < count; seq++ {
-		payload, n, rerr := parseRecord(buf[off:length], seq)
-		if rerr != nil {
-			wal.Close()
-			rerr.Path = walPath(dir)
-			return nil, rerr
+	if err == nil {
+		if ws, n, rerr := parseRecord(buf); rerr == nil && n == int64(len(buf)) && ws[0] == uint64(j.count) {
+			j.pending, j.hasPending = ws, true
+			return j, nil
 		}
-		j.records = append(j.records, payload)
-		off += n
 	}
-	if off != length {
-		wal.Close()
-		return nil, &Error{Path: walPath(dir), Record: -1,
-			Reason: fmt.Sprintf("committed records end at byte %d, commit pointer says %d", off, length)}
-	}
-	tail := buf[length:]
-	if len(tail) == 0 {
-		return j, nil
-	}
-	if payload, n, rerr := parseRecord(tail, count); rerr == nil && n == int64(len(tail)) {
-		j.pending = payload
-		j.hasPending = true
-		j.pendLen = n
-		return j, nil
-	}
-	// Not a clean prepared record: fall back to Open's rollback.
-	j.torn = true
-	if err := wal.Truncate(length); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	if err := wal.Sync(); err != nil {
-		wal.Close()
+	if err := j.dropPrepared(); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
-// parseRecord decodes one framed record expecting sequence seq,
-// returning the payload and the frame length in bytes.
-func parseRecord(buf []byte, seq int) ([]uint64, int64, *Error) {
+// dropPrepared removes an undecided prepared file, if there is one.
+func (j *Journal) dropPrepared() error {
+	err := os.Remove(prepPath(j.dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	j.torn = true
+	return syncDir(j.dir)
+}
+
+// parseRecord decodes one framed record, returning its checksummed words
+// [seq, n, payload…] and the frame length in bytes.
+func parseRecord(buf []byte) ([]uint64, int64, *Error) {
 	if len(buf) < 32 {
-		return nil, 0, &Error{Record: seq, Reason: "record truncated before its header"}
+		return nil, 0, &Error{Record: -1, Reason: "record truncated before its header"}
 	}
 	if binary.LittleEndian.Uint64(buf[0:]) != recMagic {
-		return nil, 0, &Error{Record: seq, Reason: "bad record magic"}
+		return nil, 0, &Error{Record: -1, Reason: "bad record magic"}
 	}
-	gotSeq := binary.LittleEndian.Uint64(buf[8:])
-	if gotSeq != uint64(seq) {
-		return nil, 0, &Error{Record: seq, Reason: fmt.Sprintf("record claims sequence %d", gotSeq)}
+	seq := binary.LittleEndian.Uint64(buf[8:])
+	// A sequence number that overflows int names no record a journal
+	// could have committed (and would make a negative count).
+	if seq >= 1<<62 {
+		return nil, 0, &Error{Record: -1, Reason: "record claims an implausible sequence number"}
 	}
 	nwords := binary.LittleEndian.Uint64(buf[16:])
-	frame := 8 * (4 + int64(nwords))
-	if nwords > uint64(len(buf))/8 || int64(len(buf)) < frame {
-		return nil, 0, &Error{Record: seq, Reason: "record truncated mid-payload"}
+	if nwords > uint64(len(buf))/8 || int64(len(buf)) < 8*(4+int64(nwords)) {
+		return nil, 0, &Error{Record: int(seq), Reason: "record truncated mid-payload"}
 	}
-	ws := make([]uint64, 2+nwords) // seq, nwords, payload — the checksummed words
+	frame := 8 * (4 + int64(nwords))
+	ws := make([]uint64, 2+nwords)
 	for i := range ws {
 		ws[i] = binary.LittleEndian.Uint64(buf[8+8*i:])
 	}
 	if disk.Checksum(ws) != binary.LittleEndian.Uint64(buf[frame-8:]) {
-		return nil, 0, &Error{Record: seq, Reason: "record fails its checksum"}
+		return nil, 0, &Error{Record: int(seq), Reason: "record fails its checksum"}
 	}
-	return ws[2:], frame, nil
+	return ws, frame, nil
 }
 
-func (j *Journal) writeHead(count int) error {
-	hw := []uint64{uint64(count), uint64(j.off)}
-	buf := make([]byte, headBytes)
-	binary.LittleEndian.PutUint64(buf[0:], headMagic)
-	binary.LittleEndian.PutUint64(buf[8:], hw[0])
-	binary.LittleEndian.PutUint64(buf[16:], hw[1])
-	binary.LittleEndian.PutUint64(buf[24:], disk.Checksum(hw))
-	tmp := headPath(j.dir) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+// writeFile replaces path's contents with the frame of ws (no frame:
+// nil) and fsyncs it. The frame goes out a chunk at a time, through a
+// buffer the journal owns.
+func (j *Journal) writeFile(path string, ws []uint64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	if ws != nil {
+		buf := binary.LittleEndian.AppendUint64(j.chunk[:0], recMagic)
+		for i, sum := 0, disk.Checksum(ws); i <= len(ws) && err == nil; i++ {
+			w := sum
+			if i < len(ws) {
+				w = ws[i]
+			}
+			if buf = binary.LittleEndian.AppendUint64(buf, w); len(buf) == len(j.chunk) || i == len(ws) {
+				_, err = f.Write(buf)
+				buf = j.chunk[:0]
+			}
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, headPath(j.dir)); err != nil {
-		return err
-	}
-	// Fsync the directory so the rename itself is durable.
-	d, err := os.Open(j.dir)
+	return errors.Join(err, f.Close())
+}
+
+// syncDir makes dir's entries — a created, renamed or removed file —
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	return errors.Join(d.Sync(), d.Close())
 }
 
-// Append commits one record: the framed payload is written and fsynced
-// to the log, then the HEAD pointer is atomically advanced over it.
-// The payload is only considered committed once Append returns nil.
+// stage writes and fsyncs the next record's prepared file.
+func (j *Journal) stage(payload []uint64) error {
+	if j.hasPending {
+		return &Error{Path: prepPath(j.dir), Record: j.count, Reason: "prepare with a record already pending"}
+	}
+	j.pending = append(append(j.pending[:0], uint64(j.count), uint64(len(payload))), payload...)
+	return j.writeFile(prepPath(j.dir), j.pending)
+}
+
+// Append commits one record: its prepared file is written and fsynced,
+// then renamed over the committed one. The payload is only considered
+// committed once Append returns nil.
 func (j *Journal) Append(payload []uint64) error {
 	sp := j.tr.Begin(obs.CatEngine, "journal-append", j.tpid, 0)
 	defer sp.End()
-	if err := j.Prepare(payload); err != nil {
+	if err := j.stage(payload); err != nil {
 		return err
 	}
+	j.hasPending = true
 	return j.CommitPending()
 }
 
-// Prepare durably writes the next record's frame without advancing
-// HEAD: the PREPARE half of a two-phase commit. After Prepare returns
-// nil the record survives any crash, but Open still treats it as an
-// uncommitted tail (rollback) unless the coordinator's decision is
-// re-applied via OpenPrepared + CommitPending. At most one record may
-// be pending at a time.
+// Prepare durably writes the next record without committing it: the
+// PREPARE half of a two-phase commit. After Prepare returns nil the
+// record survives any crash, but Open still removes it as an uncommitted
+// tail (rollback) unless the coordinator's decision is re-applied via
+// OpenPrepared + CommitPending. At most one record may be pending at a
+// time.
 func (j *Journal) Prepare(payload []uint64) error {
-	if j.hasPending {
-		return &Error{Path: walPath(j.dir), Record: len(j.records), Reason: "prepare with a record already pending"}
-	}
-	seq := len(j.records)
-	ws := make([]uint64, 2+len(payload))
-	ws[0] = uint64(seq)
-	ws[1] = uint64(len(payload))
-	copy(ws[2:], payload)
-	frame := make([]byte, 8*(4+len(payload)))
-	binary.LittleEndian.PutUint64(frame[0:], recMagic)
-	for i, w := range ws {
-		binary.LittleEndian.PutUint64(frame[8+8*i:], w)
-	}
-	binary.LittleEndian.PutUint64(frame[len(frame)-8:], disk.Checksum(ws))
-	if _, err := j.wal.WriteAt(frame, j.off); err != nil {
+	if err := j.stage(payload); err != nil {
 		return err
 	}
-	if err := j.wal.Sync(); err != nil {
+	if err := syncDir(j.dir); err != nil {
 		return err
 	}
-	j.pending = append([]uint64{}, payload...)
 	j.hasPending = true
-	j.pendLen = int64(len(frame))
 	return nil
 }
 
-// CommitPending atomically advances HEAD over the pending record — the
-// COMMIT half of a two-phase commit. The record is only considered
-// committed once CommitPending returns nil.
+// CommitPending commits the pending record — the COMMIT half of a
+// two-phase commit: one rename over the committed record, made durable
+// by the directory's fsync. The record is only considered committed once
+// CommitPending returns nil.
 func (j *Journal) CommitPending() error {
 	if !j.hasPending {
-		return &Error{Path: walPath(j.dir), Record: len(j.records), Reason: "commit with no record pending"}
+		return &Error{Path: walPath(j.dir), Record: j.count, Reason: "commit with no record pending"}
 	}
-	j.off += j.pendLen
-	if err := j.writeHead(len(j.records) + 1); err != nil {
-		j.off -= j.pendLen
+	if err := os.Rename(prepPath(j.dir), walPath(j.dir)); err != nil {
 		return err
 	}
-	j.records = append(j.records, j.pending)
-	j.pending, j.hasPending, j.pendLen = nil, false, 0
-	return nil
+	j.count++
+	j.last, j.pending, j.hasPending = j.pending, j.last, false
+	return syncDir(j.dir)
 }
 
-// AbortPending discards the pending record, truncating the log back to
-// the last committed byte — the ABORT decision of a two-phase commit.
-// A no-op when nothing is pending.
+// AbortPending discards the pending record, removing its prepared file —
+// the ABORT decision of a two-phase commit. A no-op when nothing is
+// pending.
 func (j *Journal) AbortPending() error {
 	if !j.hasPending {
 		return nil
 	}
-	if err := j.wal.Truncate(j.off); err != nil {
+	j.hasPending = false
+	if err := os.Remove(prepPath(j.dir)); err != nil {
 		return err
 	}
-	if err := j.wal.Sync(); err != nil {
-		return err
-	}
-	j.pending, j.hasPending, j.pendLen = nil, false, 0
-	return nil
+	return syncDir(j.dir)
 }
 
 // HasPending reports whether a prepared record awaits its decision.
@@ -431,33 +354,29 @@ func (j *Journal) HasPending() bool { return j.hasPending }
 
 // Pending returns the prepared-but-undecided record payload (empty for
 // an empty payload), or nil when nothing is pending. The caller must
-// not modify it.
+// not modify it, and it is valid until the journal's next Prepare.
 func (j *Journal) Pending() []uint64 {
 	if !j.hasPending {
 		return nil
 	}
-	if j.pending == nil {
-		return []uint64{}
-	}
-	return j.pending
+	return j.pending[2:]
 }
 
-// Records returns the committed payloads in sequence order. The caller
-// must not modify them.
-func (j *Journal) Records() [][]uint64 { return j.records }
+// Records returns the last committed payload (nil when there is none)
+// and the number of records committed. The caller must not modify the
+// payload, which is valid until the journal's next commit.
+func (j *Journal) Records() (last []uint64, count int) {
+	if j.count == 0 {
+		return nil, 0
+	}
+	return j.last[2:], j.count
+}
 
-// Torn reports whether Open found and truncated a durable but
-// uncommitted tail after the last committed record — the signature of
-// a crash between a record write and its HEAD advance.
+// Torn reports whether opening the journal found and removed a prepared
+// record no decision committed — the signature of a crash before its
+// rename.
 func (j *Journal) Torn() bool { return j.torn }
 
-// Close closes the log file. The journal must not be appended to
-// afterwards.
-func (j *Journal) Close() error {
-	if j.wal == nil {
-		return nil
-	}
-	err := j.wal.Close()
-	j.wal = nil
-	return err
-}
+// Close releases the journal. Every record it committed is durable
+// already; it must not be appended to afterwards.
+func (j *Journal) Close() error { return nil }

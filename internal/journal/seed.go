@@ -1,21 +1,13 @@
 package journal
 
-import (
-	"encoding/binary"
-	"os"
-
-	"embsp/internal/disk"
-)
-
-// Seed creates a journal in dir holding count committed records, of
-// which only the last carries a payload; records 0..count-2 are valid
-// zero-length stubs. It exists for node migration in the cluster
-// runtime: a restored node's durable state is entirely described by
-// its latest checkpoint manifest, but the rejoin handshake reconciles
-// on the committed record *count*, so the seeded journal must agree
-// with the coordinator's. Everything is fsynced before Seed returns;
-// reopening with Open or OpenPrepared yields exactly count committed
-// records and no tail.
+// Seed creates a journal in dir whose last committed record, the
+// count-th, carries last. It exists for node migration in the cluster
+// runtime: a restored node's durable state is entirely described by its
+// latest checkpoint manifest, but the rejoin handshake reconciles on the
+// committed record *count*, so the seeded journal must agree with the
+// coordinator's. Everything is fsynced before Seed returns; reopening
+// with Open or OpenPrepared yields exactly count committed records and
+// no pending record.
 func Seed(dir string, count int, last []uint64) (*Journal, error) {
 	if count < 1 {
 		return nil, &Error{Path: walPath(dir), Record: -1, Reason: "seed with no records"}
@@ -24,37 +16,8 @@ func Seed(dir string, count int, last []uint64) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf []byte
-	for seq := 0; seq < count; seq++ {
-		payload := []uint64{}
-		if seq == count-1 {
-			payload = last
-		}
-		ws := make([]uint64, 2+len(payload))
-		ws[0] = uint64(seq)
-		ws[1] = uint64(len(payload))
-		copy(ws[2:], payload)
-		frame := make([]byte, 8*(4+len(payload)))
-		binary.LittleEndian.PutUint64(frame[0:], recMagic)
-		for i, w := range ws {
-			binary.LittleEndian.PutUint64(frame[8+8*i:], w)
-		}
-		binary.LittleEndian.PutUint64(frame[len(frame)-8:], disk.Checksum(ws))
-		buf = append(buf, frame...)
-		j.records = append(j.records, append([]uint64{}, payload...))
-	}
-	if _, err := j.wal.WriteAt(buf, 0); err != nil {
-		j.Close()
-		os.Remove(walPath(dir))
-		return nil, err
-	}
-	if err := j.wal.Sync(); err != nil {
-		j.Close()
-		return nil, err
-	}
-	j.off = int64(len(buf))
-	if err := j.writeHead(count); err != nil {
-		j.Close()
+	j.count = count - 1
+	if err := j.Append(last); err != nil {
 		return nil, err
 	}
 	return j, nil

@@ -6,8 +6,8 @@ import (
 )
 
 // TestSeedRoundtrip pins the migration contract: a seeded journal must
-// reopen as exactly count committed records — stubs for all but the
-// last, which carries the checkpoint manifest — with no pending tail.
+// reopen as exactly count committed records — the last carrying the
+// checkpoint manifest — with no pending record.
 func TestSeedRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	last := []uint64{5, 6, 7, 8}
@@ -23,20 +23,15 @@ func TestSeedRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	recs := r.Records()
-	if len(recs) != 3 {
-		t.Fatalf("seeded journal reopened with %d records, want 3", len(recs))
+	got, n := r.Records()
+	if n != 3 {
+		t.Fatalf("seeded journal reopened with %d records, want 3", n)
 	}
-	for i := 0; i < 2; i++ {
-		if len(recs[i]) != 0 {
-			t.Fatalf("stub record %d has payload %v, want empty", i, recs[i])
-		}
-	}
-	if !reflect.DeepEqual(recs[2], last) {
-		t.Fatalf("last record %v, want %v", recs[2], last)
+	if !reflect.DeepEqual(got, last) {
+		t.Fatalf("last record %v, want %v", got, last)
 	}
 	if r.HasPending() {
-		t.Fatal("seeded journal reopened with a pending tail")
+		t.Fatal("seeded journal reopened with a pending record")
 	}
 	if r.Torn() {
 		t.Fatal("seeded journal reopened torn")
@@ -68,11 +63,12 @@ func TestSeedThenTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if len(r.Records()) != 3 {
-		t.Fatalf("journal has %d records after seed+commit, want 3", len(r.Records()))
+	last, n := r.Records()
+	if n != 3 {
+		t.Fatalf("journal has %d records after seed+commit, want 3", n)
 	}
-	if !reflect.DeepEqual(r.Records()[2], []uint64{2, 3}) {
-		t.Fatalf("committed record %v, want [2 3]", r.Records()[2])
+	if !reflect.DeepEqual(last, []uint64{2, 3}) {
+		t.Fatalf("committed record %v, want [2 3]", last)
 	}
 }
 

@@ -175,12 +175,14 @@ func (a *Accountant) Mark() int64 { return a.Used() }
 // waiters. The EM engines use it when a fault aborts a superstep
 // attempt partway: buffers grabbed by the aborted attempt are dropped
 // wholesale rather than released one by one along the unwound error
-// path.
+// path, and words held at the mark that the attempt released — the
+// contexts a barrier kept in memory, which its first round consumed —
+// are held again. A mark was a usage the limit allowed, so it still is.
 func (a *Accountant) Rewind(used int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if used < 0 || used > a.used {
-		panic(fmt.Sprintf("mem: rewind to %d with %d held", used, a.used))
+	if used < 0 || used > a.high {
+		panic(fmt.Sprintf("mem: rewind to %d, above the high-water mark %d", used, a.high))
 	}
 	a.used = used
 	a.wakeLocked()

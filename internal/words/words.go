@@ -57,6 +57,10 @@ func (e *Encoder) PutBool(b bool) {
 	e.buf = append(e.buf, u)
 }
 
+// PutWords appends the slice elements as they are, with no length
+// prefix: words the reader knows how to delimit.
+func (e *Encoder) PutWords(s []uint64) { e.buf = append(e.buf, s...) }
+
 // PutUints appends a length prefix followed by the slice elements
 // (len(s)+1 words).
 func (e *Encoder) PutUints(s []uint64) {

@@ -29,6 +29,10 @@ const (
 	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
 	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier (with emulated drive latency, so its fill workers are live at the kill)
 	procsEnv  = "EMBSP_CRASH_PROCS" // the helper's P, when not crashMachine's 1
+	// commitEnv, set to a barrier b, has the helper die right after b's
+	// decision record lands rather than mid-superstep — for the halting
+	// barrier, which no superstep follows.
+	commitEnv = "EMBSP_CRASH_AFTER_COMMIT"
 )
 
 // crashSort builds the workload deterministically so the parent, the
@@ -89,9 +93,11 @@ func TestCrashHelperProcess(t *testing.T) {
 	if dir == "" {
 		t.Skip("helper: only runs re-executed with " + helperEnv)
 	}
-	killStep, err := strconv.Atoi(os.Getenv(killEnv))
-	if err != nil {
-		t.Fatal(err)
+	killStep, err := -1, error(nil)
+	if k := os.Getenv(killEnv); k != "" {
+		if killStep, err = strconv.Atoi(k); err != nil {
+			t.Fatal(err)
+		}
 	}
 	prog := &sigkillProgram{Program: crashSort(t), killStep: killStep}
 	opts := embsp.Options{Seed: 7, StateDir: dir}
@@ -106,6 +112,17 @@ func TestCrashHelperProcess(t *testing.T) {
 	if procs := os.Getenv(procsEnv); procs != "" {
 		if cfg.P, err = strconv.Atoi(procs); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if b := os.Getenv(commitEnv); b != "" {
+		barrier, err := strconv.Atoi(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.OnCommit = func(step int) {
+			if step == barrier {
+				syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}
 		}
 	}
 	_, err = embsp.Run(prog, cfg, opts)
@@ -239,40 +256,52 @@ func sameAsClean(t *testing.T, label string, p *embsp.SortProgram, clean, res *e
 // mapped store. The two stores share one on-disk slot format and one
 // journal, so each resumed run must be bitwise identical to an
 // uninterrupted one — the durable state carries no trace of which
-// backend (or physical schedule) wrote it.
+// backend (or physical schedule) wrote it. The kill comes in every
+// superstep, so the resume starts from every barrier — the set-up's,
+// whose held batch is superstep 0's first, included — and after the
+// halting barrier, whose held batch the resumed finish phase decodes
+// from the journal; at P = 1 and at P = 2, where the batch's records are
+// in every processor's section of the record.
 func TestKillAndResumeAcrossStores(t *testing.T) {
 	p := crashSort(t)
-	cfg := crashMachine()
-	clean, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, res *embsp.Result) {
-		t.Helper()
-		sameAsClean(t, label, p, clean, res)
-	}
+	for _, procs := range []int{1, 2} {
+		cfg := crashMachine()
+		cfg.P = procs
+		clean, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := clean.Costs.Supersteps - 1
+		for kill := 0; kill <= last+1; kill++ {
+			at := killEnv + "=" + strconv.Itoa(kill)
+			if kill > last {
+				at = commitEnv + "=" + strconv.Itoa(last)
+			}
+			label := "P=" + strconv.Itoa(procs) + " " + at
 
-	// Die on the mapped store, resume on the synchronous file store.
-	dir := filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=3", storeEnv+"=mapped")
-	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
-	})
-	if err != nil {
-		t.Fatalf("file resume of a mapped crash: %v", err)
-	}
-	check("mapped->file", res)
+			// Die on the mapped store, resume on the synchronous file store.
+			dir := filepath.Join(t.TempDir(), "state")
+			killHelper(t, helperEnv+"="+dir, at, storeEnv+"=mapped", procsEnv+"="+strconv.Itoa(procs))
+			res, err := embsp.Run(p, cfg, embsp.Options{
+				Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
+			})
+			if err != nil {
+				t.Fatalf("%s: file resume of a mapped crash: %v", label, err)
+			}
+			sameAsClean(t, label+" mapped->file", p, clean, res)
 
-	// Die on the pipelined file store, resume on the mapped store.
-	dir = filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=2")
-	res, err = embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, MappedStore: true,
-	})
-	if err != nil {
-		t.Fatalf("mapped resume of a pipelined file crash: %v", err)
+			// Die on the pipelined file store, resume on the mapped store.
+			dir = filepath.Join(t.TempDir(), "state")
+			killHelper(t, helperEnv+"="+dir, at, procsEnv+"="+strconv.Itoa(procs))
+			res, err = embsp.Run(p, cfg, embsp.Options{
+				Seed: 7, StateDir: dir, Resume: true, MappedStore: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: mapped resume of a pipelined file crash: %v", label, err)
+			}
+			sameAsClean(t, label+" file->mapped", p, clean, res)
+		}
 	}
-	check("file->mapped", res)
 }
 
 // TestKillAndResumeScatteredInput: the input of the superstep a kill
