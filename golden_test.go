@@ -26,6 +26,8 @@ import (
 // added, and every fingerprint moved with it, when contexts went to
 // allocated tracks (PR 23); and every row when the turnaround batch came
 // to stay in internal memory (PR 25).
+// The listrank rows were re-recorded when the Ranker came to splice
+// local maxima (DESIGN.md §23).
 type goldenRow struct {
 	alg, store          string
 	p                   int
@@ -67,6 +69,16 @@ type goldenRow struct {
 // 3) no context moves at all: setupOps is 0, runOps is message blocks
 // alone, and listrank's array and durable rows hash alike again — with no
 // context on disk there is no generation to hold beside the other.
+//
+// The Ranker's local-maximum rule and its R + 1 expansion steps
+// (DESIGN.md §23) moved every listrank row and no sort row. The rule
+// splices about a third of the active nodes a round where the coin rule
+// spliced a quarter, so n = 2048 at v = 8 is ranked in 18 supersteps
+// instead of 23, and runOps fell by the context sweeps and message blocks
+// of the five supersteps gone. A splice sends 8 words where it sent 11.
+// setupOps, routeOps and MemHigh did not move (µ, γ and k are unchanged),
+// and neither did liveBlocks but at P = 1 in place (105 → 104). Every
+// listrank fingerprint moved with the costs it hashes.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
 	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
@@ -77,9 +89,9 @@ var goldenTable = []goldenRow{
 	// 623 → 111 and 168: its µ is sized for a worst-case subscription
 	// table a seventh of which is ever filled. PR 25: two batches, one held
 	// — runOps 3306 → 1856, setupOps 18 → 13, liveBlocks 111 → 105 and
-	// 168 → 112.
-	{"listrank", "array", 1, 0x99f9522afe855d37, 1856, 13, 0, 115008, 105},
-	{"listrank", "file", 1, 0x5f20e04f2af759b1, 1856, 13, 0, 115008, 112},
+	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
+	{"listrank", "array", 1, 0xef03c9a16593e8f7, 1482, 13, 0, 115008, 104},
+	{"listrank", "file", 1, 0x153c3804f7c8722, 1482, 13, 0, 115008, 112},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -87,26 +99,28 @@ var goldenTable = []goldenRow{
 	// from the allocator it found; liveBlocks 277 → 194 and 623 → 223,
 	// parity tracks and held releases included. PR 25: sort 720 → 567 and
 	// 98 → 69, listrank 4237 → 2361 and 25 → 18, liveBlocks 194 → 172 and
-	// 223 → 148 — fewer blocks, fewer stripes, other draws.
+	// 223 → 148 — fewer blocks, fewer stripes, other draws. Local maxima:
+	// listrank 2361 → 1883.
 	{"sort", "mapped+parity+faults", 1, 0x587e67fde96bda69, 567, 69, 0, 26688, 172},
-	{"listrank", "mapped+parity+faults", 1, 0x9245ae4629698a4e, 2361, 18, 0, 115008, 148},
+	{"listrank", "mapped+parity+faults", 1, 0xa02396dda0db7426, 1883, 18, 0, 115008, 148},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
 	// sort 586 → 409, 68 → 50, liveBlocks 76 → 67 and 78 → 68; listrank,
 	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
+	// Local maxima: listrank 438 → 368.
 	{"sort", "array", 2, 0x358c0a9f1d2c589e, 409, 50, 0, 26688, 67},
 	{"sort", "file+tier", 2, 0x3aeb8d74ef9daf44, 409, 50, 0, 26688, 68},
-	{"listrank", "array", 2, 0x827243c7848a2df2, 438, 0, 0, 76864, 32},
-	{"listrank", "file+tier", 2, 0x827243c7848a2df2, 438, 0, 0, 76864, 32},
+	{"listrank", "array", 2, 0x59acc77005749256, 368, 0, 0, 76864, 32},
+	{"listrank", "file+tier", 2, 0x59acc77005749256, 368, 0, 0, 76864, 32},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
 	// liveBlocks 102 → 52 and 236 → 44. PR 25, one batch a processor:
 	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
-	// 19 → 0, 44 → 23.
+	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400.
 	{"sort", "array", 3, 0xb5e2432b78658fc, 168, 0, 0, 26688, 28},
-	{"listrank", "array", 3, 0x6698e206c51a82c8, 474, 0, 0, 57728, 23},
+	{"listrank", "array", 3, 0x6194bda2b4bdf57, 400, 0, 0, 57728, 23},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

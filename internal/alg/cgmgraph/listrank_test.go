@@ -1,13 +1,21 @@
 package cgmgraph_test
 
 import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"embsp/internal/alg/algtest"
 	"embsp/internal/alg/cgmgraph"
 	"embsp/internal/bsp"
+	"embsp/internal/core"
 	"embsp/internal/prng"
+	"embsp/internal/words"
 )
 
 // randomChains builds a successor array of nLists random disjoint
@@ -190,4 +198,275 @@ func TestListRankRejectsBadInput(t *testing.T) {
 	if _, err := cgmgraph.NewListRank([]int{-1}, nil, 0); err == nil {
 		t.Error("v=0 accepted")
 	}
+}
+
+// links returns the predecessor and successor of every node of succ,
+// cgmgraph.None at the ends of a chain.
+func links(succ []int) (pred, next []uint64) {
+	pred, next = make([]uint64, len(succ)), make([]uint64, len(succ))
+	for i := range succ {
+		pred[i], next[i] = cgmgraph.None, cgmgraph.None
+	}
+	for i, s := range succ {
+		if s >= 0 {
+			next[i], pred[s] = uint64(s), uint64(i)
+		}
+	}
+	return pred, next
+}
+
+// TestSpliceRuleIndependentNoTail contracts random chains round by round
+// with the Ranker's rule, sequentially: every round's spliced set is
+// independent (no two spliced nodes are neighbours) and holds no tail,
+// and the rounds go on until every chain is down to its tail.
+func TestSpliceRuleIndependentNoTail(t *testing.T) {
+	r := prng.New(11)
+	const n = 3000
+	for _, lists := range []int{1, 7, 300} {
+		pred, next := links(randomChains(r, n, lists))
+		active, left := make([]bool, n), n
+		for i := range active {
+			active[i] = true
+		}
+		spliced := make([]bool, n)
+		round := uint64(1)
+		for ; left > lists; round++ {
+			if round > 200 {
+				t.Fatalf("lists=%d: %d nodes left after 200 rounds, want %d tails", lists, left, lists)
+			}
+			var out []int
+			for u := range active {
+				spliced[u] = active[u] && cgmgraph.Splices(round, uint64(u), pred[u], next[u])
+				if spliced[u] {
+					out = append(out, u)
+				}
+			}
+			for _, u := range out {
+				if next[u] == cgmgraph.None {
+					t.Fatalf("lists=%d round %d: tail %d spliced", lists, round, u)
+				}
+				if spliced[next[u]] || pred[u] != cgmgraph.None && spliced[pred[u]] {
+					t.Fatalf("lists=%d round %d: %d spliced beside a spliced neighbour", lists, round, u)
+				}
+			}
+			for _, u := range out {
+				p, s := pred[u], next[u]
+				if p != cgmgraph.None {
+					next[p] = s
+				}
+				pred[s] = p
+				active[u], spliced[u] = false, false
+				left--
+			}
+		}
+	}
+}
+
+// TestSpliceRuleRemovesAThird: an interior node is spliced when it beats
+// both neighbours, one chance in three, where the coin rule spliced one
+// in four. On one chain of 2¹⁶ nodes, round 1 splices between 0.30 and
+// 0.37 of the interior nodes.
+func TestSpliceRuleRemovesAThird(t *testing.T) {
+	const n = 1 << 16
+	pred, next := links(randomChains(prng.New(5), n, 1))
+	interior, spliced := 0, 0
+	for u := range pred {
+		if pred[u] == cgmgraph.None || next[u] == cgmgraph.None {
+			continue
+		}
+		interior++
+		if cgmgraph.Splices(1, uint64(u), pred[u], next[u]) {
+			spliced++
+		}
+	}
+	if f := float64(spliced) / float64(interior); f < 0.30 || f > 0.37 {
+		t.Errorf("round 1 spliced %d of %d interior nodes (%.3f), want 0.30–0.37", spliced, interior, f)
+	}
+}
+
+// rankerSupersteps is λ of a ListRank run as a function of its R
+// contraction rounds: the set-up, R splice rounds, the gather, VP 0's
+// solve and R + 1 expansion steps. The Ranker has no done protocol: a
+// node spliced in round r is ranked by expansion step R − r + 2, so
+// every VP, holding the same R, stops after step R + 1.
+func rankerSupersteps(rounds int) int { return 1 + rounds + 1 + 1 + rounds + 1 }
+
+// TestRankerRanksByStepRoundsPlusOne: every node is ranked by expansion
+// step R + 1 (a node still unranked there fails the run, naming it), on
+// the shapes that bend the induction — one chain, n singleton chains,
+// chains of length 2, n ≤ rankerThreshold (R = 1), n = 1 and wrapping
+// signed weights — through the reference runner and both EM machines,
+// and λ is exactly rankerSupersteps(R).
+func TestRankerRanksByStepRoundsPlusOne(t *testing.T) {
+	r := prng.New(17)
+	pairs := make([]int, 200)
+	for i := range pairs {
+		pairs[i] = -1
+		if i%2 == 0 {
+			pairs[i] = i + 1
+		}
+	}
+	wrapping := make([]uint64, 300)
+	for i := range wrapping {
+		wrapping[i] = r.Uint64()
+	}
+	for _, tc := range []struct {
+		name   string
+		succ   []int
+		weight []uint64
+		v      int
+		oneR   bool // n ≤ rankerThreshold: VP 0 gathers after round 1
+	}{
+		{"one chain", randomChains(r, 500, 1), nil, 4, false},
+		{"singletons", randomChains(r, 200, 200), nil, 4, false},
+		{"pairs", pairs, nil, 4, false},
+		{"under threshold", randomChains(r, 16, 2), nil, 4, true},
+		{"n=1", []int{-1}, nil, 3, true},
+		{"wrapping weights", randomChains(r, 300, 3), wrapping, 5, false},
+	} {
+		p, err := cgmgraph.NewListRank(tc.succ, tc.weight, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if under := len(tc.succ) <= cgmgraph.RankerThreshold(len(tc.succ), tc.v); under != tc.oneR {
+			t.Fatalf("%s: n ≤ threshold is %v", tc.name, under)
+		}
+		res := algtest.RunAll(t, p, 61, func(vps []bsp.VP) []uint64 { return p.Output(vps) })
+		got, want := p.Output(res.VPs), seqRank(tc.succ, tc.weight)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ranks %v, want %v", tc.name, got, want)
+		}
+		rounds := p.Rounds(res.VPs)
+		if tc.oneR && rounds != 1 {
+			t.Errorf("%s: %d rounds, want 1", tc.name, rounds)
+		}
+		if lambda := res.Costs.Supersteps; lambda != rankerSupersteps(rounds) {
+			t.Errorf("%s: λ = %d with R = %d, want %d", tc.name, lambda, rounds, rankerSupersteps(rounds))
+		}
+	}
+}
+
+// TestRankerRoundsAtScale: n = 2¹⁴ on v = 32 contracts to the gather
+// threshold max(n/v, 4v) = 512 in at most 11 rounds (log₁.₅ 32 ≈ 8.5,
+// plus the round VP 0's gather command lags by), where the coin rule
+// took about 13.
+func TestRankerRoundsAtScale(t *testing.T) {
+	succ := randomChains(prng.New(23), 1<<14, 1)
+	p, err := cgmgraph.NewListRank(succ, nil, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := bsp.Run(p, bsp.RunOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Output(res.VPs), seqRank(succ, nil)) {
+		t.Fatal("ranks differ from the sequential reference")
+	}
+	rounds := p.Rounds(res.VPs)
+	if rounds > 11 {
+		t.Errorf("%d contraction rounds, want ≤ 11", rounds)
+	}
+	if res.Costs.Supersteps != rankerSupersteps(rounds) {
+		t.Errorf("λ = %d with R = %d, want %d", res.Costs.Supersteps, rounds, rankerSupersteps(rounds))
+	}
+}
+
+// olderVP saves the state its Ranker holds at the barrier of superstep
+// at in the layout the Ranker used before its format word: phase,
+// rounds, a done flag where the expansion counter is, the six node
+// arrays, then one length-prefixed list holding every node's
+// length-prefixed subscription list.
+type olderVP struct {
+	bsp.VP
+	at, step int
+}
+
+func (v *olderVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	v.step = env.Superstep()
+	return v.VP.Step(env, in)
+}
+
+func (v *olderVP) Save(enc *words.Encoder) {
+	var cur words.Encoder
+	v.VP.Save(&cur)
+	w := cur.Words()
+	if v.step != v.at {
+		enc.PutWords(w)
+		return
+	}
+	dec := words.NewDecoder(w[1:]) // past the format word
+	enc.PutUint(dec.Uint())        // phase
+	enc.PutUint(dec.Uint())        // rounds
+	dec.Uint()
+	enc.PutBool(false)
+	for range 6 {
+		enc.PutUints(dec.Uints())
+	}
+	enc.PutUints(w[len(w)-dec.Remaining():])
+}
+
+type olderProgram struct {
+	*cgmgraph.ListRank
+	at int
+}
+
+func (p olderProgram) NewVP(id int) bsp.VP {
+	return &olderVP{VP: p.ListRank.NewVP(id), at: p.at, step: -1}
+}
+
+// TestRankerRefusesOlderState: a state directory stopped in contraction
+// whose contexts are in the Ranker's older layout — the one whose Splice
+// tag an older Ranker used for a 4-word subscription — passes the
+// journal's fingerprint, which names µ and γ but no program. Its resume
+// fails with a typed load error naming the format, and leaves every file
+// byte for byte as found.
+func TestRankerRefusesOlderState(t *testing.T) {
+	succ := randomChains(prng.New(29), 2048, 1)
+	p, err := cgmgraph.NewListRank(succ, nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := algtest.Machines(p)[0]
+	const at = 4 // a contraction round
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := core.Options{Seed: 7, StateDir: dir}
+	opts.OnCommit = func(step int) {
+		if step == at {
+			cancel()
+		}
+	}
+	if _, err := core.RunContext(ctx, olderProgram{p, at}, cfg, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run returned %v, want context.Canceled", err)
+	}
+
+	before := dirBytes(t, dir)
+	_, err = core.Run(p, cfg, core.Options{Seed: 7, StateDir: dir, Resume: true})
+	var pe *bsp.ProgramError
+	if !errors.As(err, &pe) || pe.Phase != "load" || !strings.Contains(pe.Error(), "ranker state format") {
+		t.Fatalf("resume returned %v, want a *bsp.ProgramError in load naming the format", err)
+	}
+	if !reflect.DeepEqual(before, dirBytes(t, dir)) {
+		t.Error("the refused resume changed the directory")
+	}
+}
+
+// dirBytes reads every file under root, keyed by relative path.
+func dirBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -28,15 +28,19 @@ import (
 //
 // The machine proceeds in three stages:
 //
-//  1. Contraction rounds: each round, an independent set of nodes
-//     (selected by per-node coin flips computable from ids alone) is
-//     spliced out; a spliced node remembers its successor and weight
-//     at splice time and subscribes to that successor's rank. Every
-//     round ends with an active-node count at VP 0.
-//  2. When the active count drops below a threshold, VP 0 gathers the
-//     remaining chains and ranks them sequentially.
+//  1. Contraction rounds: each round splices out the local maxima of a
+//     per-round node priority computable from ids alone (an independent
+//     set that holds no tail); a spliced node remembers its successor
+//     and weight at splice time and subscribes to that successor's
+//     rank. Every round ends with a count at VP 0 of the active nodes
+//     that are no tail.
+//  2. When that count drops below a threshold, VP 0 gathers the
+//     remaining chains but their tails, and ranks them sequentially. A
+//     tail is ranked 0 by its owner, so inputs of more chains than the
+//     threshold gather too.
 //  3. Expansion: ranks propagate back through the subscription lists,
-//     one splice level per superstep, until every node is ranked.
+//     one splice level per superstep. After R contraction rounds every
+//     node is ranked by expansion step R + 1, so every VP stops there.
 //
 // The host VP embeds a Ranker, fills Succ/Weight for its block of
 // nodes (block distribution of n nodes over v VPs), and forwards
@@ -56,16 +60,21 @@ type Ranker struct {
 	// Rounds counts the contraction rounds used (observable λ).
 	Rounds int
 
-	phase   uint64
-	doneCmd bool
-	pred    []uint64
-	state   []uint64   // 0 active, 1 spliced
-	known   []uint64   // rank known flag
-	subs    [][]uint64 // per owned node: subscriber (node, addW) pairs
+	phase  uint64
+	expand uint64     // expansion steps taken
+	pred   []uint64   // current predecessor per owned node
+	state  []uint64   // 0 active, 1 spliced
+	known  []uint64   // rank known flag
+	subs   [][]uint64 // per owned node: subscriber (node, addW) pairs
 }
 
 // The MaxUint64 value marks "none" for node references.
 const none = ^uint64(0)
+
+// rankerFormat leads every saved Ranker state. It is above every phase
+// value, so a state saved in a layout that began with its phase is
+// refused by Load rather than misread.
+const rankerFormat = 0x524b4c4d02
 
 // Ranker phases.
 const (
@@ -79,31 +88,35 @@ const (
 
 // Message tags (first payload word).
 const (
-	rkTagSetPred = iota
-	rkTagSetSucc
+	rkTagSetPred = iota // (s, pred): the set-up's predecessor notice
+	rkTagSetSucc        // (p, succ, w): p's successor was spliced out
 	rkTagCount
 	rkTagCmd
 	rkTagChain
 	rkTagRank
-	rkTagSub
-	rkTagUnknown
+	rkTagSplice // (s, newPred, w): s's predecessor was spliced out
 )
 
 // Commands broadcast by VP 0.
 const (
 	rkCmdContinue = iota
 	rkCmdGather
-	rkCmdDone
 )
+
+// rankSeed keys the splice priorities. Env.Rand streams are
+// (id, superstep)-specific, but priorities must be globally evaluable,
+// so they are keyed off a constant; determinism across engines holds
+// because the round counter advances identically everywhere.
+const rankSeed = 0x9E3779B97F4A7C15
 
 // sortUints sorts a uint64 slice ascending.
 func sortUints(s []uint64) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
-// rankerThreshold is the active-node count below which VP 0 gathers
-// the remaining chains (scaled by v so the gather is an O(n/v + v)
-// h-relation).
+// rankerThreshold is the count of active nodes other than tails below
+// which VP 0 gathers the remaining chains (scaled by v so the gather is
+// an O(n/v + v) h-relation).
 func rankerThreshold(n, v int) int {
 	t := cgm.MaxPart(n, v)
 	if t < 4*v {
@@ -120,11 +133,23 @@ func (r *Ranker) lo(env *bsp.Env) int {
 // Active reports whether the Ranker still needs Step calls.
 func (r *Ranker) Active() bool { return r.phase != rkDone }
 
-// coin returns the selection coin of a node in a contraction round;
-// it is a pure function of (run seed, round, node), so any VP can
-// evaluate any node's coin locally without communication.
-func coin(seed uint64, round, node uint64) bool {
-	return prng.Derive(seed, 0xC01, round, node)&1 == 1
+// splices reports whether active node u, with predecessor pred and
+// successor succ (none at either end of its chain), is spliced out in a
+// contraction round: u is no tail, and beats each neighbour it has on
+// the round's priority, ties broken by the larger id. Two adjacent nodes
+// cannot both beat each other, so the spliced set is independent.
+// Priorities are a pure function of (round, node), so any VP can
+// evaluate the rule for its nodes without communication.
+func splices(round, u, pred, succ uint64) bool {
+	if succ == none {
+		return false
+	}
+	pu := prng.Derive(rankSeed, 0xC01, round, u)
+	beats := func(b uint64) bool {
+		pb := prng.Derive(rankSeed, 0xC01, round, b)
+		return pu > pb || pu == pb && u > b
+	}
+	return beats(succ) && (pred == none || beats(pred))
 }
 
 // Step advances the ranking by one superstep, returning true when all
@@ -164,7 +189,13 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				env.Send(d, []uint64{rkTagCmd, rkCmdContinue})
 			}
 		}
-		env.Send(0, []uint64{rkTagCount, uint64(own)})
+		var links uint64
+		for _, s := range r.Succ {
+			if s != none {
+				links++
+			}
+		}
+		env.Send(0, []uint64{rkTagCount, links})
 		env.Charge(int64(own))
 		r.phase = rkContract
 		return false, nil
@@ -175,10 +206,11 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if cmd == rkCmdGather {
-			// Ship remaining active nodes to VP 0.
+			// Ship the remaining active nodes to VP 0, but the tails: a
+			// tail's rank is 0, and its owner ranks it at expansion step 1.
 			var chain []uint64
 			for i := range r.state {
-				if r.state[i] == 0 {
+				if r.state[i] == 0 && r.Succ[i] != none {
 					chain = append(chain, uint64(lo+i), r.Succ[i], r.Weight[i])
 				}
 			}
@@ -197,40 +229,40 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				env.Send(d, []uint64{rkTagCmd, uint64(next)})
 			}
 		}
-		// Contraction round: splice out an independent set.
+		// Contraction round: splice out the round's local maxima.
 		r.Rounds++
 		round := uint64(r.Rounds)
-		seed := rankerSeed(env)
 		parts := make([][]uint64, v)
-		var active uint64
+		var links uint64
 		for i := range r.state {
 			if r.state[i] != 0 {
 				continue
 			}
 			u := uint64(lo + i)
-			if r.Succ[i] != none && coin(seed, round, u) &&
-				(r.pred[i] == none || !coin(seed, round, r.pred[i])) {
-				// Splice u out: pred.succ = succ(u) (+w), succ.pred =
-				// pred(u); subscribe u to succ(u)'s rank.
-				s, w := r.Succ[i], r.Weight[i]
-				if r.pred[i] != none {
-					d := cgm.Owner(r.N, v, int(r.pred[i]))
-					parts[d] = append(parts[d], rkTagSetSucc, r.pred[i], s, w)
+			if !splices(round, u, r.pred[i], r.Succ[i]) {
+				if r.Succ[i] != none {
+					links++
 				}
-				ds := cgm.Owner(r.N, v, int(s))
-				parts[ds] = append(parts[ds], rkTagSetPred, s, r.pred[i])
-				parts[ds] = append(parts[ds], rkTagSub, s, u, w)
-				r.state[i] = 1
 				continue
 			}
-			active++
+			// Splice u out: pred.succ = succ(u) (+w), succ.pred =
+			// pred(u), and u subscribes to succ(u)'s rank. The successor
+			// learns u as its current predecessor, so one record does.
+			s, w := r.Succ[i], r.Weight[i]
+			if r.pred[i] != none {
+				d := cgm.Owner(r.N, v, int(r.pred[i]))
+				parts[d] = append(parts[d], rkTagSetSucc, r.pred[i], s, w)
+			}
+			ds := cgm.Owner(r.N, v, int(s))
+			parts[ds] = append(parts[ds], rkTagSplice, s, r.pred[i], w)
+			r.state[i] = 1
 		}
 		for d, part := range parts {
 			if len(part) > 0 {
 				env.Send(d, part)
 			}
 		}
-		env.Send(0, []uint64{rkTagCount, active})
+		env.Send(0, []uint64{rkTagCount, links})
 		env.Charge(int64(own))
 		return false, nil
 
@@ -252,13 +284,12 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				for i := 0; i+3 <= len(p); i += 3 {
 					succ[p[i]] = p[i+1]
 					weight[p[i]] = p[i+2]
-					if p[i+1] != none {
-						hasPred[p[i+1]] = true
-					}
+					hasPred[p[i+1]] = true
 				}
 			}
-			// Walk every chain from its head, computing ranks from
-			// the tail backwards via a stack.
+			// Walk every chain from its head, computing ranks from the
+			// tail backwards. A gathered node's successor is gathered too,
+			// or is the chain's tail, which stayed with its owner.
 			heads := make([]uint64, 0, len(succ))
 			for u := range succ {
 				if !hasPred[u] {
@@ -269,19 +300,17 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			ranks := make(map[uint64]uint64)
 			for _, u := range heads {
 				var path []uint64
-				for x := u; x != none; {
-					if _, ok := succ[x]; !ok {
-						return false, fmt.Errorf("cgmgraph: chain reaches unknown node %d", x)
-					}
+				for x, ok := u, true; ok; x = succ[x] {
 					path = append(path, x)
 					if len(path) > len(succ) {
 						return false, fmt.Errorf("cgmgraph: chain longer than node count (cycle?)")
 					}
-					x = succ[x]
+					_, ok = succ[succ[x]]
 				}
-				ranks[path[len(path)-1]] = 0
-				for i := len(path) - 2; i >= 0; i-- {
-					ranks[path[i]] = weight[path[i]] + ranks[path[i+1]]
+				var rank uint64
+				for i := len(path) - 1; i >= 0; i-- {
+					rank += weight[path[i]]
+					ranks[path[i]] = rank
 				}
 			}
 			if len(ranks) != len(succ) {
@@ -308,44 +337,45 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		return false, nil
 
 	case rkExpand:
+		// Gathered nodes and tails are ranked at expansion step 1. A
+		// node spliced in round r is ranked by step R − r + 2: its
+		// successor at splice time was gathered or a tail, or was spliced
+		// in a later round and so ranked by step R − r + 1, and passes its
+		// rank on one step later. Every VP holds the same R, so every VP
+		// stops after step R + 1.
 		if _, _, err := r.applyUpdates(env, in, lo); err != nil {
 			return false, err
 		}
-		if r.doneCmd {
-			r.phase = rkDone
-			return true, nil
-		}
-		var unknown uint64
-		for i := range r.known {
-			if r.known[i] == 0 {
-				unknown++
+		r.expand++
+		if r.expand == 1 {
+			for i := range r.state {
+				if r.state[i] == 0 && r.Succ[i] == none {
+					r.ranked(env, i, 0)
+				}
 			}
 		}
-		// VP 0 watches the unknown counts inside applyUpdates and
-		// broadcasts DONE once they hit zero; here we only report.
-		env.Send(0, []uint64{rkTagUnknown, unknown})
-		env.Charge(int64(len(r.known)))
-		return false, nil
+		env.Charge(int64(own))
+		if r.expand <= uint64(r.Rounds) {
+			return false, nil
+		}
+		for i, k := range r.known {
+			if k == 0 {
+				return false, fmt.Errorf("cgmgraph: node %d unranked after %d expansion steps", lo+i, r.expand)
+			}
+		}
+		r.phase = rkDone
+		return true, nil
 
 	default:
 		return false, fmt.Errorf("cgmgraph: ranker stepped after completion")
 	}
 }
 
-// rankerSeed derives the coin seed. Env.Rand streams are
-// (id, superstep)-specific, but coins must be globally evaluable, so
-// we key purely off a constant; determinism across engines holds
-// because the round counter advances identically everywhere.
-func rankerSeed(env *bsp.Env) uint64 { return 0x9E3779B97F4A7C15 }
-
 // applyUpdates processes pointer/rank/subscription messages. It
 // returns the command broadcast by VP 0 (or rkCmdContinue) and, at
 // VP 0, the summed counter values.
 func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, counts uint64, err error) {
-	v := env.NumVPs()
 	cmd = rkCmdContinue
-	var unknownTotal uint64
-	sawUnknown := false
 	for _, m := range in {
 		p := m.Payload
 		i := 0
@@ -359,37 +389,25 @@ func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, 
 				r.Succ[j] = p[i+2]
 				r.Weight[j] += p[i+3]
 				i += 4
-			case rkTagSub:
+			case rkTagSplice:
+				// s's predecessor u was spliced out, and no other node
+				// next to s was (the set is independent), so pred[s]
+				// still names u: u subscribes to s's rank with its weight,
+				// and s takes u's predecessor.
 				j := int(p[i+1]) - lo
-				r.subs[j] = append(r.subs[j], p[i+2], p[i+3])
+				r.subs[j] = append(r.subs[j], r.pred[j], p[i+3])
+				r.pred[j] = p[i+2]
 				i += 4
 			case rkTagRank:
-				j := int(p[i+1]) - lo
-				if r.known[j] == 0 {
-					r.known[j] = 1
-					r.Rank[j] = p[i+2]
-					// Notify subscribers: their rank is ours plus
-					// their splice weight.
-					for s := 0; s+2 <= len(r.subs[j]); s += 2 {
-						u, w := r.subs[j][s], r.subs[j][s+1]
-						d := cgm.Owner(r.N, v, int(u))
-						env.Send(d, []uint64{rkTagRank, u, r.Rank[j] + w})
-					}
-					r.subs[j] = nil
+				if j := int(p[i+1]) - lo; r.known[j] == 0 {
+					r.ranked(env, j, p[i+2])
 				}
 				i += 3
 			case rkTagCount:
 				counts += p[i+1]
 				i += 2
-			case rkTagUnknown:
-				unknownTotal += p[i+1]
-				sawUnknown = true
-				i += 2
 			case rkTagCmd:
 				cmd = int(p[i+1])
-				if cmd == rkCmdDone {
-					r.doneCmd = true
-				}
 				i += 2
 			case rkTagChain:
 				i = len(p) // consumed by the solve phase
@@ -398,64 +416,64 @@ func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, 
 			}
 		}
 	}
-	if env.ID() == 0 && sawUnknown && r.phase == rkExpand && !r.doneCmd {
-		next := rkCmdContinue
-		if unknownTotal == 0 {
-			next = rkCmdDone
-		}
-		for d := 0; d < v; d++ {
-			env.Send(d, []uint64{rkTagCmd, uint64(next)})
-		}
-	}
 	return cmd, counts, nil
 }
 
+// ranked records owned node j's rank and notifies its subscribers: each
+// one's rank is j's plus the weight it had when it was spliced.
+func (r *Ranker) ranked(env *bsp.Env, j int, rank uint64) {
+	r.known[j] = 1
+	r.Rank[j] = rank
+	for s := 0; s+2 <= len(r.subs[j]); s += 2 {
+		u, w := r.subs[j][s], r.subs[j][s+1]
+		env.Send(cgm.Owner(r.N, env.NumVPs(), int(u)), []uint64{rkTagRank, u, rank + w})
+	}
+	r.subs[j] = nil
+}
+
 // Save marshals the Ranker state (N is static host configuration).
+// The subscription lists follow the per-node arrays, one per node once
+// the first Step has allocated them (none before).
 func (r *Ranker) Save(enc *words.Encoder) {
+	enc.PutUint(rankerFormat)
 	enc.PutUint(r.phase)
 	enc.PutUint(uint64(r.Rounds))
-	enc.PutBool(r.doneCmd)
+	enc.PutUint(r.expand)
 	enc.PutUints(r.Succ)
 	enc.PutUints(r.Weight)
 	enc.PutUints(r.Rank)
 	enc.PutUints(r.pred)
 	enc.PutUints(r.state)
 	enc.PutUints(r.known)
-	var flat []uint64
-	for _, s := range r.subs {
-		flat = append(flat, uint64(len(s)))
-		flat = append(flat, s...)
+	for i := range r.pred {
+		enc.PutUints(r.subs[i])
 	}
-	enc.PutUints(flat)
 }
 
-// Load restores the Ranker; N must already be set by the host.
+// Load restores the Ranker; N must already be set by the host. A state
+// that does not begin with rankerFormat panics, which the engines
+// report as a typed program error.
 func (r *Ranker) Load(dec *words.Decoder) {
+	if f := dec.Uint(); f != rankerFormat {
+		panic(fmt.Sprintf("cgmgraph: ranker state format %#x, want %#x", f, rankerFormat))
+	}
 	r.phase = dec.Uint()
 	r.Rounds = int(dec.Uint())
-	r.doneCmd = dec.Bool()
+	r.expand = dec.Uint()
 	r.Succ = dec.Uints()
 	r.Weight = dec.Uints()
 	r.Rank = dec.Uints()
 	r.pred = dec.Uints()
 	r.state = dec.Uints()
 	r.known = dec.Uints()
-	flat := dec.Uints()
 	r.subs = make([][]uint64, len(r.Succ))
-	if len(flat) == 0 {
-		return // saved before the first Step: no subscriptions yet
-	}
-	j := 0
-	for i := range r.subs {
-		n := int(flat[j])
-		j++
-		r.subs[i] = append([]uint64(nil), flat[j:j+n]...)
-		j += n
+	for i := range r.pred {
+		r.subs[i] = dec.Uints()
 	}
 }
 
 // SaveSize bounds Save's output for maxOwn owned nodes and maxSubs
 // total subscription entries.
 func (r *Ranker) SaveSize(maxOwn, maxSubs int) int {
-	return 3 + 6*words.SizeUints(maxOwn) + words.SizeUints(maxOwn+2*maxSubs)
+	return 4 + 6*words.SizeUints(maxOwn) + maxOwn + 2*maxSubs
 }

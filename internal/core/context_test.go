@@ -392,7 +392,11 @@ func (m *contextMeter) Totals() ([]core.StepTotals, error) {
 // listrank instances the sums are pinned. They fell from {67, [67 67 3
 // 68]}, {68, [68 68 4 67]}, {18, [58 58 62 …]} and {18, [58 58 62 …]}
 // when the hold came in: listrank at P = 2 is one batch a processor
-// (k ≥ v/P), whose contexts never move at all.
+// (k ≥ v/P), whose contexts never move at all. listrank's list is 18
+// supersteps long, not 23, since the Ranker splices local maxima and
+// stops expanding after R + 1 steps (DESIGN.md §23); its subscription
+// lists fill in fewer rounds, so a middle superstep moves up to two
+// blocks more.
 func TestContextOpsFollowUse(t *testing.T) {
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640) // k = 4: three batches
@@ -423,8 +427,8 @@ func TestContextOpsFollowUse(t *testing.T) {
 		{sort, 2, 50, []int{18, 50, 2, 48}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.
-		{listrank, 1, 13, []int{15, 43, 16, 48, 17, 51, 18, 53, 18, 53, 18, 54, 17, 48, 15, 43, 15, 43, 15, 43, 15, 43, 15}},
-		{listrank, 2, 0, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{listrank, 1, 13, []int{15, 43, 16, 50, 17, 53, 18, 54, 18, 54, 17, 48, 15, 43, 15, 43, 15, 43}},
+		{listrank, 2, 0, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
