@@ -27,7 +27,7 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium or large")
 	redundancyFlag := flag.String("redundancy", "", "drive redundancy for every run: none, mirror or parity")
-	scrub := flag.Bool("scrub", false, "background scrub between supersteps (requires -redundancy parity)")
+	scrub := flag.Bool("scrub", false, "background scrub between supersteps (requires -redundancy mirror or parity)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /metrics on this address while experiments run (medium/large sweeps take minutes; profile them live)")
 	flag.Parse()
 
@@ -51,8 +51,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if *scrub && mode != embsp.RedundancyParity {
-			fmt.Fprintln(os.Stderr, "-scrub requires -redundancy parity")
+		if *scrub && mode == embsp.RedundancyNone {
+			fmt.Fprintln(os.Stderr, "-scrub requires -redundancy mirror or parity")
 			os.Exit(2)
 		}
 		bench.SetRedundancy(mode, *scrub)

@@ -9,7 +9,7 @@
 //	embsp-run -alg cc -n 65536 -p 4 -d 8 -v 128
 //	embsp-run -alg lca -n 32768 -deterministic
 //	embsp-run -alg sort -n 65536 -faults 0.01
-//	embsp-run -alg permute -p 4 -faults read=0.02,corrupt=0.01,faildrive=2@100,mirror -fault-seed 7
+//	embsp-run -alg permute -p 4 -faults read=0.02,corrupt=0.01,faildrive=2@100 -redundancy mirror -fault-seed 7
 package main
 
 import (
@@ -68,7 +68,9 @@ func (k *killVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
 //	firstop=N                  first operation index eligible for faults
 //	faildrive=D@OP             drive D dies permanently at operation OP
 //	failproc=P                 processor hit by the drive death (P>1 runs)
-//	mirror                     write mirror copies even with no drive death
+//
+// What survives a drive death is -redundancy mirror or parity; the fault
+// plan only injects.
 func parseFaultPlan(spec string, seed uint64) (*embsp.FaultPlan, error) {
 	plan := &embsp.FaultPlan{Seed: seed}
 	if r, err := strconv.ParseFloat(spec, 64); err == nil {
@@ -81,8 +83,7 @@ func parseFaultPlan(spec string, seed uint64) (*embsp.FaultPlan, error) {
 			continue
 		}
 		if field == "mirror" {
-			plan.Mirror = true
-			continue
+			return nil, fmt.Errorf("bad -faults field %q: a fault plan only injects faults; mirror the drives with -redundancy mirror", field)
 		}
 		key, val, ok := strings.Cut(field, "=")
 		if !ok {
@@ -193,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g := fs.Float64("g", 1000, "I/O cost G per parallel operation")
 	seed := fs.Uint64("seed", 1, "random seed")
 	det := fs.Bool("deterministic", false, "deterministic (CGM) block placement")
-	faults := fs.String("faults", "", "fault plan: a rate (e.g. 0.01) or read=R,write=R,corrupt=R,firstop=N,faildrive=D@OP,failproc=P,mirror")
+	faults := fs.String("faults", "", "fault plan: a rate (e.g. 0.01) or read=R,write=R,corrupt=R,firstop=N,faildrive=D@OP,failproc=P (a drive death needs -redundancy)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the fault schedule")
 	maxRetries := fs.Int("max-retries", 0, "transient-fault retry budget per op (0 = default, -1 disables retries)")
 	stateDir := fs.String("state-dir", "", "directory for durable on-disk state and the superstep journal")
@@ -204,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ioWorkers := fs.Int("io-workers", 0, "per-drive I/O worker goroutines of file-backed runs (0 = one per drive, pipelined; -1 = the serial schedule: synchronous, no prefetch)")
 	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none)")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
-	scrub := fs.Bool("scrub", false, "background scrub between supersteps (requires -redundancy parity)")
+	scrub := fs.Bool("scrub", false, "background scrub between supersteps (requires -redundancy mirror or parity)")
 	soak := fs.Bool("soak", false, "chaos-soak mode: randomized fault/kill/resume schedules over the Table 1 workloads, checked bitwise against the reference")
 	soakDuration := fs.Duration("duration", 30*time.Second, "how long to keep soaking (-soak)")
 	soakAlgs := fs.String("soak-algs", "", "comma-separated workload filter for -soak (default: all 13)")
@@ -390,13 +391,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		em := res.EM
 		fmt.Fprintf(stdout, "faults: %d injected (%d checksum failures, %d drive losses)\n",
 			em.FaultsInjected, em.ChecksumFailures, em.DriveFailures)
-		fmt.Fprintf(stdout, "recovery: %d retries (%d blocks), %d superstep replays, %d extra ops, %d mirror ops\n",
-			em.Retries, em.RetriedBlocks, em.Replays, em.RecoveryOps, em.MirrorOps)
+		fmt.Fprintf(stdout, "recovery: %d retries (%d blocks), %d superstep replays, %d extra ops\n",
+			em.Retries, em.RetriedBlocks, em.Replays, em.RecoveryOps)
 	}
-	if opts.Redundancy == embsp.RedundancyParity {
+	if opts.Redundancy != embsp.RedundancyNone {
 		em := res.EM
-		fmt.Fprintf(stdout, "parity: %d ops, %d parity blocks over %d striped, %d degraded ops, %d reconstructed, %d rebuilt\n",
-			em.ParityOps, em.ParityBlocks, em.StripedBlocks, em.DegradedOps, em.ReconstructedBlocks, em.RebuiltBlocks)
+		fmt.Fprintf(stdout, "redundancy: %v, %d ops, %d parity blocks over %d striped, %d degraded ops, %d reconstructed\n",
+			opts.Redundancy, em.ParityOps, em.ParityBlocks, em.StripedBlocks, em.DegradedOps, em.ReconstructedBlocks)
 		if opts.Scrub {
 			fmt.Fprintf(stdout, "scrub: %d blocks verified, %d repaired\n", em.ScrubbedBlocks, em.ScrubRepairs)
 		}

@@ -126,3 +126,23 @@ func TestMetricsAddrFlag(t *testing.T) {
 		t.Errorf("scrape missing embsp_smoke counter:\n%s", body.String())
 	}
 }
+
+// TestMirrorIsRedundancy: a mirror is a redundancy mode, not a fault: the
+// -faults field that used to switch it on is refused with the flag that
+// does, and a mirror run prints the redundancy line a parity run does.
+func TestMirrorIsRedundancy(t *testing.T) {
+	base := []string{"-alg", "sort", "-n", "2048", "-v", "8", "-seed", "3"}
+	_, errb, rc := runCLI(t, append(base, "-faults", "faildrive=1@40,mirror")...)
+	if rc != 2 || !strings.Contains(errb, "-redundancy mirror") {
+		t.Errorf("-faults …,mirror: exit %d, stderr %q; want exit 2 naming -redundancy mirror", rc, errb)
+	}
+	for _, mode := range []string{"mirror", "parity"} {
+		out, errb, rc := runCLI(t, append(base, "-redundancy", mode, "-faults", "faildrive=1@4")...)
+		if rc != 0 {
+			t.Fatalf("-redundancy %s with a drive death: exit %d: %s", mode, rc, errb)
+		}
+		if !strings.Contains(out, "redundancy: "+mode+", ") || !strings.Contains(out, "1 drive losses") {
+			t.Errorf("-redundancy %s with a drive death printed:\n%s", mode, out)
+		}
+	}
+}

@@ -105,12 +105,8 @@ func drawCase(r *prng.Rand, table []string) soakCase {
 	}
 	c.ioWorkers = r.Intn(4) - 1       // serial, default, 1, 2
 	c.resumeIOWorkers = r.Intn(4) - 1 // the resume may switch schedules
-	if r.Bool() {
-		c.mode = embsp.RedundancyParity
-		c.scrub = r.Bool()
-	} else {
-		c.mode = embsp.RedundancyMirror
-	}
+	c.mode = []embsp.Redundancy{embsp.RedundancyMirror, embsp.RedundancyParity}[r.Intn(2)]
+	c.scrub = r.Bool()
 	plan := &embsp.FaultPlan{
 		Seed:           r.Uint64(),
 		ReadErrorRate:  r.Float64() * 0.02,

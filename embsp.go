@@ -97,7 +97,7 @@ type (
 	// is reported in EMStats.
 	FaultPlan = fault.Plan
 	// FaultError is the typed error the fault layer reports when
-	// recovery is impossible (e.g. an unmirrored drive loss).
+	// recovery is impossible (e.g. a drive loss with no redundancy).
 	FaultError = fault.Error
 	// ProgramError is the typed error returned when a Program's Step,
 	// Load or Save panics: the panic is recovered in every engine and
@@ -145,14 +145,14 @@ const (
 	// loss is unrecoverable, and fault plans scheduling one are
 	// rejected up front.
 	RedundancyNone = redundancy.None
-	// RedundancyMirror keeps a full copy of every written track on a
-	// partner drive (2× capacity, survives one drive loss).
+	// RedundancyMirror keeps a copy of every written track on the next
+	// live drive — parity stripes of one member (2× capacity, survives
+	// one drive loss).
 	RedundancyMirror = redundancy.Mirror
 	// RedundancyParity protects the D drives with rotated XOR parity
 	// groups (RAID-5-style): ~1/(D-1) capacity overhead, one drive
-	// loss survived via degraded reads, background scrub of latent
-	// corruption, and online rebuild onto the survivors' spare
-	// capacity.
+	// loss survived via degraded reads. Under either mode Options.Scrub
+	// adds a background scrub of latent corruption.
 	RedundancyParity = redundancy.Parity
 )
 

@@ -79,19 +79,25 @@ type goldenRow struct {
 // setupOps, routeOps and MemHigh did not move (µ, γ and k are unchanged),
 // and neither did liveBlocks but at P = 1 in place (105 → 104). Every
 // listrank fingerprint moved with the costs it hashes.
+//
+// One redundancy layer (a mirror is a stripe of one member, DESIGN.md
+// §10) moved every fingerprint and nothing else: EMStats lost MirrorOps
+// and RebuiltBlocks, whose names and zeros the fingerprint hashed.
+// Hashing the commit before's runs with those two fields cut from the
+// text gives this table's fingerprints, row for row.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
 	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
 	// 450, setupOps 67 → 50, liveBlocks 141 → 124 and 146 → 129.
-	{"sort", "array", 1, 0x4faec5fa80633a5, 450, 50, 0, 26688, 124},
-	{"sort", "file", 1, 0x771fe25263328196, 450, 50, 0, 26688, 129},
+	{"sort", "array", 1, 0xb26e8c59a3651895, 450, 50, 0, 26688, 124},
+	{"sort", "file", 1, 0x6465cf28c457b86a, 450, 50, 0, 26688, 129},
 	// listrank: runOps 4193 → 3306, routeOps 866 → 0 (PR 21); liveBlocks
 	// 623 → 111 and 168: its µ is sized for a worst-case subscription
 	// table a seventh of which is ever filled. PR 25: two batches, one held
 	// — runOps 3306 → 1856, setupOps 18 → 13, liveBlocks 111 → 105 and
 	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
-	{"listrank", "array", 1, 0xef03c9a16593e8f7, 1482, 13, 0, 115008, 104},
-	{"listrank", "file", 1, 0x153c3804f7c8722, 1482, 13, 0, 115008, 112},
+	{"listrank", "array", 1, 0x80c5765b5d928313, 1482, 13, 0, 115008, 104},
+	{"listrank", "file", 1, 0x5726cc689aa2b7ae, 1482, 13, 0, 115008, 112},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -101,26 +107,26 @@ var goldenTable = []goldenRow{
 	// 98 → 69, listrank 4237 → 2361 and 25 → 18, liveBlocks 194 → 172 and
 	// 223 → 148 — fewer blocks, fewer stripes, other draws. Local maxima:
 	// listrank 2361 → 1883.
-	{"sort", "mapped+parity+faults", 1, 0x587e67fde96bda69, 567, 69, 0, 26688, 172},
-	{"listrank", "mapped+parity+faults", 1, 0xa02396dda0db7426, 1883, 18, 0, 115008, 148},
+	{"sort", "mapped+parity+faults", 1, 0xf08c6b5e7e0c80d1, 567, 69, 0, 26688, 172},
+	{"listrank", "mapped+parity+faults", 1, 0x401a64277bdb70b8, 1883, 18, 0, 115008, 148},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
 	// sort 586 → 409, 68 → 50, liveBlocks 76 → 67 and 78 → 68; listrank,
 	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
 	// Local maxima: listrank 438 → 368.
-	{"sort", "array", 2, 0x358c0a9f1d2c589e, 409, 50, 0, 26688, 67},
-	{"sort", "file+tier", 2, 0x3aeb8d74ef9daf44, 409, 50, 0, 26688, 68},
-	{"listrank", "array", 2, 0x59acc77005749256, 368, 0, 0, 76864, 32},
-	{"listrank", "file+tier", 2, 0x59acc77005749256, 368, 0, 0, 76864, 32},
+	{"sort", "array", 2, 0x318762a4122d3962, 409, 50, 0, 26688, 67},
+	{"sort", "file+tier", 2, 0xc814fd3c48811994, 409, 50, 0, 26688, 68},
+	{"listrank", "array", 2, 0xaa6d69954fa5af2a, 368, 0, 0, 76864, 32},
+	{"listrank", "file+tier", 2, 0xaa6d69954fa5af2a, 368, 0, 0, 76864, 32},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
 	// liveBlocks 102 → 52 and 236 → 44. PR 25, one batch a processor:
 	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
 	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400.
-	{"sort", "array", 3, 0xb5e2432b78658fc, 168, 0, 0, 26688, 28},
-	{"listrank", "array", 3, 0x6194bda2b4bdf57, 400, 0, 0, 57728, 23},
+	{"sort", "array", 3, 0x1c85204b1b73273c, 168, 0, 0, 26688, 28},
+	{"listrank", "array", 3, 0xbcc3cf8ce8042673, 400, 0, 0, 57728, 23},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

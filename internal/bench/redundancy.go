@@ -56,7 +56,7 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 
 	cfg := machineFor(prog, 1, d, bFor(s), 8)
 	tw := newTable(w)
-	fmt.Fprintf(tw, "mode\tI/O ops\tblocks\tparity blocks\toverhead\tdegraded\trebuilt\tscrubbed\n")
+	fmt.Fprintf(tw, "mode\tI/O ops\tblocks\tparity blocks\toverhead\tdegraded\tscrubbed\n")
 	var base int64
 	for _, v := range variants {
 		res, err := core.Run(prog, cfg, v.opts)
@@ -78,18 +78,18 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 		if base > 0 && blocks > base {
 			over = fmt.Sprintf("%.0f%%", 100*float64(blocks-base)/float64(base))
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%d\t%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%d\t%d\n",
 			v.label, em.Run.Ops, blocks, em.ParityBlocks, over,
-			em.DegradedOps, em.RebuiltBlocks, em.ScrubbedBlocks)
+			em.DegradedOps, em.ScrubbedBlocks)
 	}
 	tw.Flush()
-	fmt.Fprintf(w, "mirror doubles every write; parity on D=%d drives adds ≈ 1/(D-1) = %.0f%% capacity\n",
-		d, 100.0/float64(d-1))
+	fmt.Fprintf(w, "mirror doubles every write (a stripe of one member: its copy is its parity block);\n"+
+		"parity on D=%d drives adds ≈ 1/(D-1) = %.0f%% capacity\n", d, 100.0/float64(d-1))
 	fmt.Fprintf(w, "Every context is saved to tracks allocated for it and every stripe leaves whole,\n"+
 		"in place (the clean rows) as under the checkpoint discipline (the drive-death row,\n"+
-		"which has a fault plan): parity costs its blocks' writes and no read-back, and the\n"+
-		"online rebuild finds nothing to do. The death row's extra is the replayed superstep\n"+
-		"and the degraded reads of the generation the dead drive held (DESIGN.md §10).\n\n")
+		"which has a fault plan): parity costs its blocks' writes and no read-back. The death\n"+
+		"row's extra is the replayed superstep and the degraded reads of the generation the\n"+
+		"dead drive held; nothing is rebuilt (DESIGN.md §10).\n\n")
 	return nil
 }
 

@@ -47,7 +47,7 @@ func ClusterCheck(cfg MachineConfig, opts Options) error {
 	if opts.FaultPlan != nil && opts.FaultPlan.Enabled() {
 		return fmt.Errorf("core: disk fault plans are not supported in cluster mode (use a network fault plan on the transport)")
 	}
-	if opts.effectiveRedundancy() != redundancy.None {
+	if opts.Redundancy != redundancy.None {
 		return fmt.Errorf("core: redundancy layers are not supported in cluster mode")
 	}
 	return nil

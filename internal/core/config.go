@@ -116,7 +116,7 @@ type Options struct {
 	// superstep checkpoint/replay machinery (contexts written to tracks
 	// of their own, every release deferred to the barrier commit). The simulation
 	// result remains bitwise identical to the fault-free run; the extra
-	// work appears in EMStats as RecoveryOps/Replays/MirrorOps.
+	// work appears in EMStats as RecoveryOps/Replays.
 	FaultPlan *fault.Plan
 	// MaxRetries bounds the fault layer's transparent charged retries
 	// per operation: 0 means fault.DefaultMaxRetries, -1 disables
@@ -141,17 +141,18 @@ type Options struct {
 	OnCommit func(step int)
 	// Redundancy selects how each processor's disk array survives a
 	// permanent drive loss: RedundancyNone (no protection — a scheduled
-	// FailDriveOp is rejected by Validate), RedundancyMirror (the fault
-	// layer keeps a full copy of every written track, 2× capacity), or
+	// FailDriveOp is rejected by Validate), RedundancyMirror (a copy of
+	// every written track on the next live drive, 2× capacity), or
 	// RedundancyParity (rotated XOR parity groups across the D drives,
-	// ~1/(D-1) overhead, with degraded reads, background scrub and
-	// online rebuild). For backwards compatibility, a zero Redundancy
-	// with FaultPlan.Mirror set behaves as RedundancyMirror.
+	// ~1/(D-1) overhead, with background scrub). Both are one layer,
+	// internal/redundancy, whose stripes are one member wide under mirror;
+	// a dead drive's tracks are reconstructed when read.
 	Redundancy redundancy.Mode
 	// Scrub enables the background scrub pass between compound
-	// supersteps (RedundancyParity only): a budgeted slice of tracks is
-	// checksum-verified per barrier and latent corruption is repaired
-	// from parity, with the cursor carried in the superstep manifest.
+	// supersteps (RedundancyMirror or RedundancyParity): a budgeted slice
+	// of tracks is checksum-verified per barrier and latent corruption is
+	// repaired from the track's stripe, with the cursor carried in the
+	// superstep manifest.
 	Scrub bool
 	// IOWorkers selects the physical schedule of a durable (StateDir)
 	// run. 0 is the default, pipelined one: one I/O worker goroutine
@@ -213,7 +214,7 @@ type Options struct {
 	Tiers []TierSpec
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
-	// message read/write, compute, parity flush/scrub/rebuild, barrier
+	// message read/write, compute, parity flush/scrub, barrier
 	// fsync, journal commit) on every engine, plus the file-backed store's worker-level physical
 	// transfers, exportable as Chrome trace_event JSON. Tracing is pure
 	// observability: it is deliberately left out of the config
@@ -242,19 +243,6 @@ func (o *Options) defaults() {
 // schedule (IOWorkers: -1): no I/O workers, no prefetch hint, no tier
 // fill workers. Everything else is the pipelined schedule.
 func (o Options) serial() bool { return o.IOWorkers < 0 }
-
-// effectiveRedundancy resolves the run's redundancy mode: the explicit
-// Options.Redundancy if set, else RedundancyMirror when the fault plan
-// asks for mirror copies.
-func (o Options) effectiveRedundancy() redundancy.Mode {
-	if o.Redundancy != redundancy.None {
-		return o.Redundancy
-	}
-	if o.FaultPlan != nil && o.FaultPlan.Mirror {
-		return redundancy.Mirror
-	}
-	return redundancy.None
-}
 
 // UnprotectedDriveLossError reports a fault plan that schedules a
 // permanent drive death while the run has no redundancy to survive it.
@@ -308,14 +296,11 @@ func (o Options) Validate(cfg MachineConfig) error {
 	default:
 		return fmt.Errorf("core: Redundancy = %d, want none, mirror or parity", int(o.Redundancy))
 	}
-	if o.effectiveRedundancy() != redundancy.None && cfg.D < 2 {
-		return fmt.Errorf("core: Redundancy = %s requires D >= 2, have D = %d", o.effectiveRedundancy(), cfg.D)
+	if o.Redundancy != redundancy.None && cfg.D < 2 {
+		return fmt.Errorf("core: Redundancy = %s requires D >= 2, have D = %d", o.Redundancy, cfg.D)
 	}
-	if o.Redundancy == redundancy.Parity && o.FaultPlan != nil && o.FaultPlan.Mirror {
-		return fmt.Errorf("core: Redundancy = parity is incompatible with FaultPlan.Mirror")
-	}
-	if o.Scrub && o.effectiveRedundancy() != redundancy.Parity {
-		return fmt.Errorf("core: Scrub requires Redundancy = parity (scrub repairs from parity groups)")
+	if o.Scrub && o.Redundancy == redundancy.None {
+		return fmt.Errorf("core: Scrub requires Redundancy = mirror or parity (scrub repairs from a track's stripe)")
 	}
 	if o.FaultPlan != nil {
 		if err := o.FaultPlan.Validate(); err != nil {
@@ -328,7 +313,7 @@ func (o Options) Validate(cfg MachineConfig) error {
 			if o.FaultPlan.FailDrive >= cfg.D {
 				return fmt.Errorf("core: FaultPlan.FailDrive = %d, machine has %d drives", o.FaultPlan.FailDrive, cfg.D)
 			}
-			if o.effectiveRedundancy() == redundancy.None {
+			if o.Redundancy == redundancy.None {
 				return &UnprotectedDriveLossError{FailDrive: o.FaultPlan.FailDrive, FailOp: o.FaultPlan.FailDriveOp}
 			}
 		}
@@ -396,20 +381,18 @@ type EMStats struct {
 	RetriedBlocks int64
 	Replays       int64
 	// RecoveryOps is the total charged parallel I/O spent on recovery:
-	// retry re-issues, redirect splits after a drive loss, and every
-	// operation consumed by rolled-back superstep attempts. MirrorOps
-	// counts the extra writes maintaining mirror copies.
+	// retry re-issues, and every operation consumed by rolled-back
+	// superstep attempts.
 	RecoveryOps int64
-	MirrorOps   int64
-	// Parity-redundancy accounting (all zero unless Redundancy is
+	// Redundancy accounting (all zero unless Redundancy is mirror or
 	// parity; aggregated over processors for P > 1).
 	//
 	// ParityOps counts the extra charged parallel I/O spent maintaining
-	// parity groups (striping fresh tracks, read-modify-write parity
-	// updates); ParityBlocks and StripedBlocks are gauges of the
-	// current parity tracks held and data tracks protected — their
-	// ratio is the storage overhead, ≤ ⌈tracks/(D-1)⌉ versus the 2× of
-	// mirroring.
+	// parity groups (striping fresh tracks — under mirror, writing their
+	// copies — and read-modify-write parity updates); ParityBlocks and
+	// StripedBlocks are gauges of the current parity tracks (or copies)
+	// held and data tracks protected — their ratio is the storage
+	// overhead, ≤ ⌈tracks/(D-1)⌉ under parity, 1 under mirror.
 	ParityOps     int64
 	ParityBlocks  int64
 	StripedBlocks int64
@@ -422,12 +405,9 @@ type EMStats struct {
 	ReconstructedBlocks int64
 	RepairedBlocks      int64
 	// ScrubbedBlocks / ScrubRepairs count the background scrub's
-	// verified tracks and the latent-corruption repairs it made;
-	// RebuiltBlocks counts dead-drive tracks reconstructed onto spare
-	// capacity by the online rebuild.
+	// verified tracks and the latent-corruption repairs it made.
 	ScrubbedBlocks int64
 	ScrubRepairs   int64
-	RebuiltBlocks  int64
 	// Overlap reports the file-backed store's I/O–compute overlap
 	// observability counters (prefetch hits, async writes, stall time,
 	// concurrent-transfer high-water mark), aggregated over processors

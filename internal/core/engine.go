@@ -377,7 +377,7 @@ func (e *engine) Final() ([]*NodeReport, error) {
 // procSnapshot is one processor's superstep checkpoint.
 type procSnapshot struct {
 	faults   *fault.Snapshot
-	parity   *redundancy.Snapshot // nil without a parity layer
+	parity   *redundancy.Snapshot // nil without a redundancy layer
 	rng      [4]uint64
 	acctMark int64
 	opsMark  int64

@@ -62,11 +62,11 @@ func DriveClock(t Transport, proc, drive int) int64 {
 	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain).Clock(drive)
 }
 
-// DeadDriveLoad reads, from the journaled form of one processor's parity
-// layer, what a dead drive still holds at a barrier: striped members with
-// no copy on a survivor, and parity tracks; whether the online rebuild is
-// still scanning; and whether the fault layer has killed the drive at all.
-func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, rebuilding, down bool) {
+// DeadDriveLoad reads, from the journaled form of one processor's
+// redundancy layer, what a dead drive still holds at a barrier: striped
+// members with no copy on a survivor, and parity tracks (or copies); and
+// whether the fault layer has killed the drive at all.
+func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool) {
 	chain := t.(*engine).procs[proc].chain
 	red := disk.Find[*redundancy.Store](chain)
 	enc := words.NewEncoder(nil)
@@ -107,7 +107,7 @@ func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, rebuildin
 			members++
 		}
 	}
-	return members, parity, red.Rebuilding(), disk.Find[*fault.Disk](chain).Down(drive)
+	return members, parity, disk.Find[*fault.Disk](chain).Down(drive)
 }
 
 // ForgeInputTrack rewrites one track of processor 0's unrouted input to

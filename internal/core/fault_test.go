@@ -9,6 +9,7 @@ import (
 	"embsp/internal/core"
 	"embsp/internal/fault"
 	"embsp/internal/prng"
+	"embsp/internal/redundancy"
 )
 
 // transientPlan injects all three transient fault kinds at rates high
@@ -105,10 +106,11 @@ func TestFaultReplayPath(t *testing.T) {
 	}
 }
 
-// TestFaultDriveLoss kills one drive mid-run and checks the engines
-// degrade gracefully: the run completes bitwise identical on the
-// surviving drives, with the mirroring and redirection overhead
-// reported.
+// TestFaultDriveLoss kills one drive mid-run under mirror redundancy and
+// checks the engines degrade gracefully: the run completes bitwise
+// identical on the surviving drives, its copies counted as the
+// redundancy layer's operations and blocks — one copy a striped track —
+// and the death's rollback as recovery.
 func TestFaultDriveLoss(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
 	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 21, PktSize: 8})
@@ -117,8 +119,8 @@ func TestFaultDriveLoss(t *testing.T) {
 	}
 	for _, procs := range []int{1, 3} {
 		cfg := parMachine(procs, 4, 8, 256)
-		plan := &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 2, Mirror: true}
-		res, err := core.Run(p, cfg, core.Options{Seed: 21, FaultPlan: plan})
+		plan := &fault.Plan{Seed: 13, FailDriveOp: 40, FailDrive: 2}
+		res, err := core.Run(p, cfg, core.Options{Seed: 21, FaultPlan: plan, Redundancy: redundancy.Mirror})
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}
@@ -127,18 +129,17 @@ func TestFaultDriveLoss(t *testing.T) {
 		if em.DriveFailures != 1 {
 			t.Errorf("P=%d: DriveFailures=%d, want 1", procs, em.DriveFailures)
 		}
-		if em.MirrorOps == 0 {
-			t.Errorf("P=%d: mirroring enabled but MirrorOps=0", procs)
+		if em.ParityOps == 0 || em.ParityBlocks != em.StripedBlocks {
+			t.Errorf("P=%d: mirroring enabled but ParityOps=%d, and %d copies of %d striped tracks", procs, em.ParityOps, em.ParityBlocks, em.StripedBlocks)
 		}
-		// A death whose op touches the dying drive forces a replay;
-		// either way the post-death redirection must charge extra ops.
-		if em.RecoveryOps == 0 {
-			t.Errorf("P=%d: degraded operation should charge recovery ops", procs)
+		// The death aborts the attempt it strikes, and the superstep
+		// replays with the drive dead.
+		if em.RecoveryOps == 0 || em.Replays == 0 {
+			t.Errorf("P=%d: the death charged %d recovery ops in %d replays", procs, em.RecoveryOps, em.Replays)
 		}
-		// Compare against the same plan without the drive death: the
+		// Compare against the same redundancy without the drive death: the
 		// degradation overhead must be measurable, not free.
-		mirrorOnly := &fault.Plan{Seed: 13, Mirror: true}
-		base, err := core.Run(p, cfg, core.Options{Seed: 21, FaultPlan: mirrorOnly})
+		base, err := core.Run(p, cfg, core.Options{Seed: 21, Redundancy: redundancy.Mirror})
 		if err != nil {
 			t.Fatalf("P=%d baseline: %v", procs, err)
 		}
@@ -209,9 +210,12 @@ func TestFaultRandomizedEquivalence(t *testing.T) {
 			plan.FailDriveOp = int64(r.Intn(100) + 1)
 			plan.FailDrive = r.Intn(d)
 			plan.FailProc = r.Intn(procs)
-			plan.Mirror = true // a scheduled death needs explicit redundancy
 		}
-		res, err := core.Run(p, cfg, core.Options{Seed: seed, FaultPlan: plan})
+		opts := core.Options{Seed: seed, FaultPlan: plan}
+		if plan.FailDriveOp > 0 {
+			opts.Redundancy = redundancy.Mirror // a scheduled death needs explicit redundancy
+		}
+		res, err := core.Run(p, cfg, opts)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -262,7 +266,7 @@ func TestFaultStatsCleanWithoutPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := res.EM
-	if em.FaultsInjected != 0 || em.RecoveryOps != 0 || em.Replays != 0 || em.MirrorOps != 0 {
+	if em.FaultsInjected != 0 || em.RecoveryOps != 0 || em.Replays != 0 || em.ParityOps != 0 {
 		t.Errorf("fault stats nonzero without a plan: %+v", em)
 	}
 }

@@ -99,6 +99,19 @@ import (
 // CORD rows moved by the
 // fingerprint and the counts of those barriers. The journal no longer
 // keeps record 0 beside record 1: the test reads each as it is committed.
+//
+// modelRules 9 → 10 (a mirror is a one-member stripe of the redundancy
+// layer, and the fault layer only injects) moved all of them by the
+// fingerprint word — modelRules, and no FaultPlan.Mirror word — and the
+// RUN, NODE and CORD rows without a layer by that word alone (checked
+// against the commit before with only that word changed). The two parity rows also
+// moved by their layer sections, and by nothing else: the fault section
+// lost the MirrorOps counter and the empty mirror directory's count, the
+// parity section the three rebuild cursors and the RebuiltBlocks counter.
+// The mirror row moved by its new chain besides: the copies are the
+// redundancy layer's stripes of one member, allocated beside the tracks
+// they copy and listed in a parity section of their own, and the fault
+// section holds no mirror directory.
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -132,8 +145,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0x45946fbdecddcd51, 0xd87a90211494c9b2},
-		2: {0x3a5d53165e06ebfb, 0x75523581e8b957a6},
+		1: {0xd970555f999e8c8e, 0x5093fa8cf97b8eb3},
+		2: {0x2b943784de11b804, 0xe3393b5b06206679},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -149,16 +162,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x2b9412a03d00812f, 0xf243037a18e2e86c}},
+		}, [2]uint64{0xedadf8d307d74638, 0x4f8cba82e7e391af}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x64cca5c13b141f6, 0x57ab63faa1634131}},
+		}, [2]uint64{0x85b6e0100cf0bf5f, 0xa18e4081fa4bd57c}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0xa76657dc38800a51, 0xc4b706653bf23d4a}},
+		}, [2]uint64{0xf41c25e976cf0c50, 0x32c0626082414d79}},
 	} {
 		o := opts
 		row.with(&o)
@@ -177,9 +190,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0xe11cfef6811911db, 0x9c1f14a8c73de4d5})
-	check("NODE 1", node1, [2]uint64{0x233b374965ffbdc1, 0xe7d228a138448226})
-	check("CORD", coord, [2]uint64{0x2ba49ff9f0ae05c5, 0xb4bf6088e6b5795b})
+	check("NODE 0", node0, [2]uint64{0xbc4fe2c96f28869c, 0x7120cc07d606086c})
+	check("NODE 1", node1, [2]uint64{0xb53c348f7664d8c5, 0xa6c3e2561ff0f8da})
+	check("CORD", coord, [2]uint64{0x4d8f5cfd49a92544, 0xd080fad8b792a910})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

@@ -45,11 +45,14 @@ const (
 // filled, §7 — a processor's record and a node's report carry no routed
 // regions, areas or routing counts, and the wire no routing round; 9: snake
 // batch order and the turnaround batch held in internal memory across the
-// barrier, §22.7 — its records in the processor's record, no tracks). It
-// is folded into every fingerprint, so a directory journaled under other
+// barrier, §22.7 — its records in the processor's record, no tracks; 10: a
+// mirror is a one-member stripe of the redundancy layer, §10, and the
+// fault layer, which no longer mirrors, and the redundancy layer, which no
+// longer rebuilds, journal fewer words). It is folded into every
+// fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 9
+const modelRules = 10
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -75,9 +78,8 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 		enc.PutFloat(plan.WriteErrorRate)
 		enc.PutFloat(plan.CorruptRate)
 		enc.PutInts([]int64{plan.FirstOp, plan.FailDriveOp, int64(plan.FailDrive), int64(plan.FailProc)})
-		enc.PutBool(plan.Mirror)
 	}
-	enc.PutInt(int64(opts.effectiveRedundancy()))
+	enc.PutInt(int64(opts.Redundancy))
 	enc.PutBool(opts.Scrub)
 	enc.PutInts([]int64{int64(v), int64(mu), int64(gamma)})
 	return disk.Checksum(enc.Words())

@@ -23,7 +23,6 @@ const (
 	phWriteCtx = "write-ctx"    // write back a group's contexts
 	phRoute    = "route"        // SimulateRouting, in DemoRouting alone
 	phParity   = "parity-flush" // redundancy.FlushParity at the barrier
-	phRebuild  = "rebuild"      // online rebuild slice at the barrier
 	phScrub    = "scrub"        // background scrub slice at the barrier
 	phBarrier  = "barrier-sync" // store.Sync before the journal append
 	// The journal itself emits "journal-append" (see journal.SetTracer).

@@ -17,7 +17,7 @@ import (
 //
 // Prefetch addresses are logical. While every drive lives, logical
 // and physical coincide and the staged blocks are direct hits; after
-// a drive death the fault or parity layer redirects reads elsewhere
+// a drive death the redundancy layer redirects reads elsewhere
 // and the staged entries simply go unused (a later miss, never a
 // wrong byte) — prefetching is pure cache priming with zero model
 // accounting either way.

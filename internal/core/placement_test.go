@@ -7,6 +7,7 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/core"
 	"embsp/internal/fault"
+	"embsp/internal/redundancy"
 	"embsp/internal/workload"
 )
 
@@ -124,8 +125,8 @@ func TestPlacementPropertyTable1(t *testing.T) {
 					// package's TestParityPropertyTable1: half way through
 					// the blocks processor 0 moves on drive 1.
 					drive := res.EM.PerProc[0].PerDrive[1]
-					plan := &fault.Plan{Seed: 23, FailDriveOp: max(1, (drive.BlocksRead+drive.BlocksWritten)/2), FailDrive: 1, Mirror: true}
-					dead, res := measurePlacement(t, inst.Program, cfg, core.Options{Seed: seed, FaultPlan: plan})
+					plan := &fault.Plan{Seed: 23, FailDriveOp: max(1, (drive.BlocksRead+drive.BlocksWritten)/2), FailDrive: 1}
+					dead, res := measurePlacement(t, inst.Program, cfg, core.Options{Seed: seed, FaultPlan: plan, Redundancy: redundancy.Mirror})
 					if res.EM.DriveFailures != 1 {
 						t.Errorf("D=%d P=%d: %d drives died, want 1", d, p, res.EM.DriveFailures)
 					}

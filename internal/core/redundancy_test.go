@@ -1,11 +1,12 @@
 package core_test
 
-// Engine-level acceptance tests for the parity redundancy layer: a
-// permanent single-drive failure mid-run, with Redundancy == parity,
-// must yield a Result bitwise identical to the fault-free reference —
-// degraded reads and all — on both engines; a crash at the barrier after
-// the death must resume and still match; and the parity storage overhead
-// must stay near 1/(D-1) instead of mirroring's 2x.
+// Engine-level acceptance tests for the redundancy layer: a permanent
+// single-drive failure mid-run, with Redundancy == parity, must yield a
+// Result bitwise identical to the fault-free reference — degraded reads
+// and all — at P = 1 and P = 3; a crash at the barrier after the death
+// must resume and still match, under mirror and parity alike; and the
+// parity storage overhead must stay near 1/(D-1) instead of mirroring's
+// 2x.
 
 import (
 	"context"
@@ -35,11 +36,11 @@ func deathPlan() *fault.Plan {
 // TestParityDriveLossBitwise is the issue's acceptance property: with
 // Redundancy == parity a permanent single-drive failure mid-run, at
 // P = 1 and P = 3, yields a Result bitwise identical to the fault-free
-// reference run, with the degraded reads visible in EMStats. There is no
-// rebuild to see: every stripe lives and dies with its superstep (§10),
-// so one commit after the replay the dead drive holds nothing live — no
-// striped member without a copy on a survivor, no parity track — and the
-// online rebuild's scan is over without having found work.
+// reference run, with the degraded reads visible in EMStats. Nothing is
+// rebuilt, and nothing needs to be: every stripe lives and dies with its
+// superstep (§10), so one commit after the replay the dead drive holds
+// nothing live — no striped member without a copy on a survivor, no
+// parity track.
 func TestParityDriveLossBitwise(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
 	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 21, PktSize: 8})
@@ -68,9 +69,6 @@ func TestParityDriveLossBitwise(t *testing.T) {
 		if em.DriveFailures != 1 {
 			t.Errorf("P=%d: DriveFailures=%d, want 1", procs, em.DriveFailures)
 		}
-		if em.MirrorOps != 0 {
-			t.Errorf("P=%d: parity mode charged MirrorOps=%d", procs, em.MirrorOps)
-		}
 		if em.ParityOps == 0 {
 			t.Errorf("P=%d: parity enabled but ParityOps=0", procs)
 		}
@@ -93,10 +91,10 @@ type deadDriveWatch struct {
 }
 
 func (w *deadDriveWatch) Commit(step int) error {
-	if members, parity, rebuilding, down := core.DeadDriveLoad(w.Transport, 0, w.drive); down {
+	if members, parity, down := core.DeadDriveLoad(w.Transport, 0, w.drive); down {
 		w.barriers++
-		if members != 0 || parity != 0 || rebuilding {
-			w.t.Errorf("barrier %d: the dead drive holds %d striped members without a copy and %d parity tracks (rebuilding: %v), want nothing", step, members, parity, rebuilding)
+		if members != 0 || parity != 0 {
+			w.t.Errorf("barrier %d: the dead drive holds %d striped members without a copy and %d parity tracks, want nothing", step, members, parity)
 		}
 	}
 	return w.Transport.Commit(step)
@@ -207,59 +205,58 @@ func TestParityTransientFaults(t *testing.T) {
 	}
 }
 
-// TestParityKillDuringRebuildResume is the crash-consistency half of
-// the acceptance property: a run hard-stopped at the first barrier after
-// the drive death — where the online rebuild used to be in progress, and
-// the journaled state is still a dead drive, remapped tracks and
-// degraded counts — then resumed from its journal, produces a Result
-// bitwise identical to the uninterrupted run. (RebuildStep itself stays
-// covered at the layer: redundancy's TestOnlineRebuild and
-// TestEncodeDecodeResume.)
-func TestParityKillDuringRebuildResume(t *testing.T) {
+// TestKillAfterDriveDeathResume is the crash-consistency half of the
+// acceptance property, under mirror and parity: a run hard-stopped at the
+// first barrier after the drive death — where the journaled state is a
+// dead drive, remapped tracks and degraded counts — then resumed from its
+// journal, produces a Result bitwise identical to the uninterrupted run.
+func TestKillAfterDriveDeathResume(t *testing.T) {
 	p := testProgram()
-	for _, procs := range []int{1, 3} {
-		label := fmt.Sprintf("P=%d", procs)
-		cfg := parMachine(procs, 4, 8, 256)
-		opts := func(dir string) core.Options {
-			return core.Options{
-				Seed:       3,
-				StateDir:   dir,
-				FaultPlan:  deathPlan(),
-				Redundancy: redundancy.Parity,
-				Scrub:      true,
+	for _, mode := range []redundancy.Mode{redundancy.Mirror, redundancy.Parity} {
+		for _, procs := range []int{1, 3} {
+			label := fmt.Sprintf("%v P=%d", mode, procs)
+			cfg := parMachine(procs, 4, 8, 256)
+			opts := func(dir string) core.Options {
+				return core.Options{
+					Seed:       3,
+					StateDir:   dir,
+					FaultPlan:  deathPlan(),
+					Redundancy: mode,
+					Scrub:      true,
+				}
 			}
-		}
-		clean, err := core.Run(p, cfg, opts(t.TempDir()))
-		if err != nil {
-			t.Fatalf("%s clean: %v", label, err)
-		}
-		if clean.EM.DriveFailures != 1 || clean.EM.DegradedOps == 0 {
-			t.Fatalf("%s: DriveFailures=%d DegradedOps=%d: the shape produced no degraded work for the kill to follow", label, clean.EM.DriveFailures, clean.EM.DegradedOps)
-		}
-
-		// Stop at the first barrier after the drive death (the death at op
-		// 54 lands in superstep 1 at P = 1, in superstep 2 at P = 3), then
-		// resume to completion.
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		killed := opts(dir)
-		killed.OnCommit = func(step int) {
-			if step == procs/2+1 {
-				cancel()
+			clean, err := core.Run(p, cfg, opts(t.TempDir()))
+			if err != nil {
+				t.Fatalf("%s clean: %v", label, err)
 			}
-		}
-		_, err = core.RunContext(ctx, p, cfg, killed)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: killed run returned %v, want context.Canceled", label, err)
-		}
+			if clean.EM.DriveFailures != 1 || clean.EM.DegradedOps == 0 {
+				t.Fatalf("%s: DriveFailures=%d DegradedOps=%d: the shape produced no degraded work for the kill to follow", label, clean.EM.DriveFailures, clean.EM.DegradedOps)
+			}
 
-		resumed := opts(dir)
-		resumed.Resume = true
-		res, err := core.Run(p, cfg, resumed)
-		if err != nil {
-			t.Fatalf("%s resume: %v", label, err)
+			// Stop at the first barrier after the drive death (the death at op
+			// 54 lands in superstep 1 at P = 1, in superstep 2 at P = 3), then
+			// resume to completion.
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			killed := opts(dir)
+			killed.OnCommit = func(step int) {
+				if step == procs/2+1 {
+					cancel()
+				}
+			}
+			_, err = core.RunContext(ctx, p, cfg, killed)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: killed run returned %v, want context.Canceled", label, err)
+			}
+
+			resumed := opts(dir)
+			resumed.Resume = true
+			res, err := core.Run(p, cfg, resumed)
+			if err != nil {
+				t.Fatalf("%s resume: %v", label, err)
+			}
+			resultsIdentical(t, clean, res, label+" kill after the death")
 		}
-		resultsIdentical(t, clean, res, label+" kill after the death")
 	}
 }
 
@@ -392,12 +389,8 @@ func TestRedundancyValidation(t *testing.T) {
 	}{
 		{"invalid mode", good, core.Options{Redundancy: redundancy.Mode(99)}},
 		{"parity on one drive", parMachine(1, 1, 8, 64), core.Options{Redundancy: redundancy.Parity}},
-		{"scrub without parity", good, core.Options{Scrub: true}},
-		{"scrub with mirror", good, core.Options{Scrub: true, Redundancy: redundancy.Mirror}},
-		{"parity plus mirror plan", good, core.Options{
-			Redundancy: redundancy.Parity,
-			FaultPlan:  &fault.Plan{Seed: 1, Mirror: true},
-		}},
+		{"scrub without redundancy", good, core.Options{Scrub: true}},
+		{"mirror on one drive", parMachine(1, 1, 8, 64), core.Options{Redundancy: redundancy.Mirror}},
 	}
 	for _, tc := range cases {
 		if _, err := core.Run(p, tc.cfg, tc.opts); err == nil {
@@ -405,8 +398,7 @@ func TestRedundancyValidation(t *testing.T) {
 		}
 	}
 
-	// Mirror via the explicit option (no plan flag) still protects a
-	// death plan.
+	// Mirror protects a death plan.
 	if _, err := core.Run(p, good, core.Options{
 		Seed: 3, FaultPlan: deathPlan(), Redundancy: redundancy.Mirror,
 	}); err != nil {

@@ -289,12 +289,9 @@ type routeResult struct {
 // of a bucket's size and the fullest drive's load. Step 2 stripes each
 // gathered bucket across the drives into a rotated consecutive area:
 // operation j writes bucket b's j-th block to drive (b+j) mod D, the
-// paper's track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋.
-//
-// Under the fault layer a dead drive's tracks are served transparently
-// from their mirror copies; the extra operations the redirection costs
-// are charged by the layer and surfaced as RecoveryOps.
-func simulateRouting(dsk disk.Store, acct *mem.Accountant, dir *outDirectory) (*routeResult, error) {
+// paper's track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋. The areas are the in-memory
+// Array's: the demo runs on one.
+func simulateRouting(dsk *disk.Array, acct *mem.Accountant, dir *outDirectory) (*routeResult, error) {
 	D, B, R := dsk.Config().D, dsk.Config().B, dir.total
 	res := &routeResult{total: R, regions: make([][]groupRegion, len(dir.q)), areas: make([]disk.Area, D)}
 	start := func(b int) int { return b*(R/D) + min(b, R%D) } // bucket b is flat[start(b):start(b+1)]

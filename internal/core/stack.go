@@ -13,8 +13,8 @@ import (
 
 // storeStack is one processor's store chain, built in one place
 // (openStack) for every engine, outermost link first: the fault layer
-// when the run has a fault plan; the parity layer when Redundancy is
-// parity; any tiers; then the in-memory array, or the durable file or
+// when the run has a fault plan; the redundancy layer when Redundancy is
+// mirror or parity; any tiers; then the in-memory array, or the durable file or
 // mapped store. The engines address the one value for I/O, state,
 // durability and the raw track hooks alike, and find a layer's own
 // surface by walking it (disk.Find) — per superstep, barrier or batch,
@@ -26,11 +26,10 @@ type storeStack struct {
 // openStack builds processor pid's chain: file-backed under dir, or
 // in-memory when dir is empty. Each processor's fault layer gets its
 // own schedule — on a multiprocessor machine keyed per processor — and
-// the planned drive death strikes only processor FailProc. Redundancy
-// mode is explicit: the fault layer mirrors exactly when the run asked
-// for mirror redundancy (parity protection lives in the layer below
-// it). The wrap decision must be uniform across processors — the
-// engines treat the fault layer as all-or-nothing — so it depends on
+// the planned drive death strikes only processor FailProc. The fault
+// layer only injects; what survives a drive death is the redundancy
+// layer below it. The wrap decision must be uniform across processors —
+// the engines treat the fault layer as all-or-nothing — so it depends on
 // the original plan, not the per-processor pruned copy.
 func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (storeStack, error) {
 	var chain disk.Store
@@ -42,27 +41,26 @@ func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, 
 			return storeStack{}, err
 		}
 	}
-	mode := opts.effectiveRedundancy()
-	if mode == redundancy.Parity {
-		red, err := redundancy.Wrap(chain)
+	if opts.Redundancy != redundancy.None {
+		wrap := redundancy.Wrap
+		if opts.Redundancy == redundancy.Mirror {
+			wrap = redundancy.WrapMirror
+		}
+		red, err := wrap(chain)
 		if err != nil {
 			chain.Close()
 			return storeStack{}, err
 		}
 		chain = red
 	}
-	var plan fault.Plan
-	if opts.FaultPlan != nil {
-		plan = *opts.FaultPlan
+	if opts.FaultPlan != nil && opts.FaultPlan.Enabled() {
+		plan := *opts.FaultPlan
 		if cfg.P > 1 {
 			plan.Seed = prng.Derive(plan.Seed, 0xFA17, uint64(pid))
 		}
 		if plan.FailProc != pid {
 			plan.FailDriveOp = 0
 		}
-	}
-	plan.Mirror = mode == redundancy.Mirror
-	if (opts.FaultPlan != nil && opts.FaultPlan.Enabled()) || plan.Mirror {
 		fd, err := fault.Wrap(chain, plan, opts.MaxRetries)
 		if err != nil {
 			chain.Close()
@@ -91,25 +89,23 @@ func (s storeStack) prefetcher(opts Options) disk.Prefetcher {
 	return disk.Find[disk.Prefetcher](s.chain)
 }
 
-// redBudget returns the per-barrier track budget for background
-// redundancy maintenance (rebuild and scrub): a deterministic slice of
-// work per committed superstep, proportional to the drive count so the
-// maintenance rate scales with the machine.
-func redBudget(D int) int { return 4 * D }
+// scrubBudget returns the per-barrier track budget of the background
+// scrub: a deterministic slice of work per committed superstep,
+// proportional to the drive count so the scrub rate scales with the
+// machine.
+func scrubBudget(D int) int { return 4 * D }
 
-// parityBarrier is the parity-aware commit point: at every barrier the
-// superstep's fresh tracks are striped into parity groups, then a
-// budgeted slice of background maintenance runs — online rebuild of a
-// dead drive, and (when enabled) the latent-corruption scrub. All
-// before the journal commit, so the manifest always captures a
-// parity-consistent state. Returns the I/O operations consumed, so a
-// multiprocessor driver can charge the slowest processor's share.
+// parityBarrier is the redundancy-aware commit point: at every barrier
+// the superstep's parity and copies are flushed, then (when enabled) a
+// budgeted slice of the latent-corruption scrub runs. All before the
+// journal commit, so the manifest always captures a parity-consistent
+// state. Returns the I/O operations consumed, so a multiprocessor driver
+// can charge the slowest processor's share.
 func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, error) {
 	red := disk.Find[*redundancy.Store](s.chain)
 	if red == nil {
 		return 0, nil
 	}
-	budget := redBudget(s.chain.Config().D)
 	before := s.chain.Stats().Ops
 	sp := tr.Begin(obs.CatEngine, phParity, pid, 0)
 	err := red.FlushParity()
@@ -117,17 +113,9 @@ func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, e
 	if err != nil {
 		return 0, err
 	}
-	if red.Rebuilding() {
-		sp := tr.Begin(obs.CatEngine, phRebuild, pid, 0)
-		err := red.RebuildStep(budget)
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-	}
 	if scrub {
 		sp := tr.Begin(obs.CatEngine, phScrub, pid, 0)
-		_, err := red.Scrub(budget)
+		_, err := red.Scrub(scrubBudget(s.chain.Config().D))
 		sp.End()
 		if err != nil {
 			return 0, err
@@ -182,7 +170,7 @@ func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
 	}
 	hadRed := dec.Bool()
 	if hadRed != (red != nil) {
-		return fmt.Errorf("core: journal parity-layer presence (%v) disagrees with the resuming options (%v)", hadRed, red != nil)
+		return fmt.Errorf("core: journal redundancy-layer presence (%v) disagrees with the resuming options (%v)", hadRed, red != nil)
 	}
 	if red != nil {
 		return red.DecodeState(dec)
@@ -203,7 +191,6 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
 		em.DriveFailures += c.DriveFailures
 		em.Retries += c.Retries
 		em.RetriedBlocks += c.RetriedBlocks
-		em.MirrorOps += c.MirrorOps
 		em.RecoveryOps += c.RecoveryOps
 		c.Publish(reg)
 	}
@@ -218,7 +205,6 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
 		em.RepairedBlocks += c.RepairedBlocks
 		em.ScrubbedBlocks += c.ScrubbedBlocks
 		em.ScrubRepairs += c.ScrubRepairs
-		em.RebuiltBlocks += c.RebuiltBlocks
 		c.Publish(reg)
 		// Like mapped pages, the parity cache is outside the budget M.
 		reg.Counter("parity_cache_peak_blocks").Max(int64(red.CachePeak()))

@@ -46,7 +46,7 @@ func TestStoreChain(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							checkChain(t, s, base, tiers, mode, faults || mode == redundancy.Mirror, opts)
+							checkChain(t, s, base, tiers, mode, faults, opts)
 							if err := s.chain.Close(); err != nil {
 								t.Fatal(err)
 							}
@@ -73,7 +73,7 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 	if faulty {
 		want = append(want, "*fault.Disk")
 	}
-	if mode == redundancy.Parity {
+	if mode != redundancy.None {
 		want = append(want, "*redundancy.Store")
 	}
 	for i := 0; i < tiers; i++ {
@@ -99,7 +99,7 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 	if fd := disk.Find[*fault.Disk](s.chain); (fd != nil) != faulty || (faulty && fd != links[0]) {
 		t.Errorf("Find[*fault.Disk] = %v, want present: %v", fd, faulty)
 	}
-	if red := disk.Find[*redundancy.Store](s.chain); (red != nil) != (mode == redundancy.Parity) {
+	if red := disk.Find[*redundancy.Store](s.chain); (red != nil) != (mode != redundancy.None) {
 		t.Errorf("Find[*redundancy.Store] = %v under redundancy %v", red, mode)
 	}
 	var outer disk.Store // the outermost tier, else the base
@@ -137,12 +137,12 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 	// A fault-free write lands at its logical address, so the raw hooks
 	// can be compared track by track.
 	payload := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	ar := disk.Reserve(s.chain, 2)
+	a, b := disk.Addr{Disk: 0, Track: s.chain.Alloc(0)}, disk.Addr{Disk: 1, Track: s.chain.Alloc(1)}
 	clean := s.chain
 	if faulty {
 		clean = links[1] // keep the comparison free of injected faults
 	}
-	if err := disk.WriteRange(clean, ar, 0, 2, append(slices.Clone(payload), payload...)); err != nil {
+	if err := clean.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: payload}, {Disk: b.Disk, Track: b.Track, Src: payload}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.chain.Sync(); err != nil {
@@ -151,7 +151,6 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 	if got, want := s.chain.State(), bottom.State(); !reflect.DeepEqual(got, want) {
 		t.Errorf("State through the chain is %+v, the base's own %+v", got, want)
 	}
-	a := ar.Addr(0)
 	dirty := s.chain.TakeDirty()
 	if !slices.Contains(dirty, a) {
 		t.Errorf("TakeDirty through the chain = %v, missing the written %v", dirty, a)
@@ -170,7 +169,6 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 	if !slices.Equal(through, payload) || !slices.Equal(direct, payload) {
 		t.Errorf("ExportTrack %v through the chain, %v on the base, want %v", through, direct, payload)
 	}
-	b := ar.Addr(1)
 	image := []uint64{8, 7, 6, 5, 4, 3, 2, 1}
 	if err := s.chain.ImportTrack(b.Disk, b.Track, image); err != nil {
 		t.Fatal(err)

@@ -178,7 +178,9 @@ func FuzzAdoptState(f *testing.F) {
 					t.Fatalf("%s: release %v: %v", name, a, err)
 				}
 			}
-			s.ReserveRot(3, 1)
+			for d := 0; d < cfg.D; d++ {
+				s.Alloc(d)
+			}
 			s.Stats()
 		}
 	})

@@ -60,7 +60,6 @@ func confStores() []struct {
 // transcript is everything one replay observed, in script order.
 type transcript struct {
 	Tracks  []int      // every track Alloc returned
-	Areas   []Addr     // the address of every block of every reserved area
 	Reads   [][]uint64 // every ReadOp payload
 	Refused []bool     // whether each guarded call returned an error
 	Dirty   [][]Addr   // every TakeDirty result
@@ -82,14 +81,6 @@ func (r *replay) alloc(d int) int {
 	tr := r.s.Alloc(d)
 	r.Tracks = append(r.Tracks, tr)
 	return tr
-}
-
-func (r *replay) reserve(n, rot int) Area {
-	ar := r.s.ReserveRot(n, rot)
-	for i := 0; i < n; i++ {
-		r.Areas = append(r.Areas, ar.Addr(i))
-	}
-	return ar
 }
 
 // write stores a fresh pseudo-random payload.
@@ -219,8 +210,10 @@ var confCases = []struct {
 	// Malformed operations are refused before any accounting.
 	{"op-guards", func(r *replay) {
 		buf, short := make([]uint64, confB), make([]uint64, confB-1)
-		ar := r.reserve(confD, 0)
-		r.write(ar.Addr(0))
+		for d := 0; d < confD; d++ {
+			r.alloc(d)
+		}
+		r.write(Addr{0, 0})
 		before := r.observe()
 		r.refused(r.s.ReadOp([]ReadReq{{Disk: 0, Track: 0, Dst: buf}, {Disk: 0, Track: 1, Dst: buf}}))
 		r.refused(r.s.WriteOp([]WriteReq{{Disk: 1, Track: 0, Src: buf}, {Disk: 1, Track: 1, Src: buf}}))
@@ -242,73 +235,6 @@ var confCases = []struct {
 		if after := r.observe(); !reflect.DeepEqual(before, after) {
 			r.t.Errorf("refused and empty ops were accounted:\nbefore %+v\nafter  %+v", before, after)
 		}
-	}},
-
-	// Areas in standard consecutive format, full-width and ragged ops,
-	// blank (never-written, beyond-the-mark, released) and recycled
-	// tracks.
-	{"areas-blank-recycled", func(r *replay) {
-		ar := r.reserve(2*confD+1, 1) // ragged: one drive gets a third track
-		for i := 0; i < 2*confD; i += confD {
-			r.write(ar.Addr(i), ar.Addr(i+1), ar.Addr(i+2))
-		}
-		r.read(ar.Addr(3), ar.Addr(4), ar.Addr(5))
-		r.read(ar.Addr(1))
-		if got := r.read(ar.Addr(2 * confD))[0]; !isBlank(got) {
-			r.t.Errorf("reserved, never-written slot read %v, want zeros", got)
-		}
-		if got := r.read(Addr{Disk: 0, Track: 1000})[0]; !isBlank(got) {
-			r.t.Errorf("track beyond the bump mark read %v, want zeros", got)
-		}
-		tr := r.alloc(0)
-		r.write(Addr{0, tr})
-		if got := r.read(Addr{0, tr})[0]; isBlank(got) {
-			r.t.Errorf("written track read back blank")
-		}
-		r.release(0, tr)
-		if got := r.read(Addr{0, tr})[0]; !isBlank(got) {
-			r.t.Errorf("released track read %v, want zeros", got)
-		}
-		if again := r.alloc(0); again != tr {
-			r.t.Errorf("Alloc after Release = %d, want recycled %d", again, tr)
-		}
-		if got := r.read(Addr{0, tr})[0]; !isBlank(got) {
-			r.t.Errorf("recycled track retained data: %v", got)
-		}
-		if err := FreeArea(r.s, ar); err != nil {
-			r.t.Fatal(err)
-		}
-		r.observe()
-	}},
-
-	// An area takes the tracks its blocks occupy and no others: one
-	// shorter than D, or empty, leaves the drives it does not reach where
-	// they were, whatever its rotation.
-	{"short-areas", func(r *replay) {
-		before := r.observe()
-		r.reserve(0, 1)
-		if after := r.observe(); !reflect.DeepEqual(before, after) {
-			r.t.Errorf("an empty area moved the allocator:\nbefore %+v\nafter  %+v", before, after)
-		}
-		ar := r.reserve(confD-1, 1) // drives 1 and 2; drive 0 is at offset D−1
-		r.write(ar.Addr(0), ar.Addr(1))
-		r.read(Slice(ar, 1, 1).Addr(0))
-		if got, want := r.observe().Next, []int{0, 1, 1}; !reflect.DeepEqual(got, want) {
-			r.t.Errorf("tracks in use after a %d-block area at rotation 1: %v, want %v", confD-1, got, want)
-		}
-		long := r.reserve(confD+1, 2) // drive 2 holds blocks 0 and D
-		if got, want := r.observe().Next, []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
-			r.t.Errorf("tracks in use after a further %d-block area at rotation 2: %v, want %v", confD+1, got, want)
-		}
-		if got := r.alloc(0); got != 1 {
-			r.t.Errorf("Alloc on the drive both areas left short = %d, want 1", got)
-		}
-		for _, a := range []Area{ar, long} {
-			if err := FreeArea(r.s, a); err != nil {
-				r.t.Fatal(err)
-			}
-		}
-		r.observe()
 	}},
 
 	// AllocSnapshot → an aborted attempt's allocations and writes →
@@ -428,12 +354,14 @@ var confCases = []struct {
 		r.takeDirty()
 	}},
 
-	// A wiped track's buffer may serve a later write (the Array's spare
-	// list), but never shows: a released and re-allocated track reads
-	// zeros before its first write, also when the allocation is rolled
-	// back and made again, and the tracks written meanwhile — which take
-	// the recycled buffers — each keep their own payload. The pool canary
-	// is on, so a stale buffer would read as the canary, not as zeros.
+	// Blank tracks read zeros: allocated and never written, beyond the
+	// bump mark, released. A wiped track's buffer may serve a later write
+	// (the Array's spare list), but never shows: a released and
+	// re-allocated track reads zeros before its first write, also when the
+	// allocation is rolled back and made again, and the tracks written
+	// meanwhile — which take the recycled buffers — each keep their own
+	// payload. The pool canary is on, so a stale buffer would read as the
+	// canary, not as zeros.
 	{"recycled-stay-blank", func(r *replay) {
 		SetPoolCanary(0xDEADBEEFCAFEF00D)
 		defer SetPoolCanary(0)
@@ -446,8 +374,11 @@ var confCases = []struct {
 			}
 		}
 		t0 := r.alloc(0)
+		blank("allocated, never-written track", 0, t0)
+		blank("track beyond the bump mark", 0, 1000)
 		r.write(Addr{0, t0})
 		r.release(0, t0)
+		blank("released track", 0, t0)
 		if again := r.alloc(0); again != t0 {
 			r.t.Fatalf("Alloc after Release = %d, want recycled %d", again, t0)
 		}
@@ -508,10 +439,11 @@ var confCases = []struct {
 				if len(addrs) > 0 {
 					r.read(addrs...)
 				}
-			default:
-				ar := r.reserve(rnd.Intn(2*confD)+1, rnd.Intn(confD))
-				for i := 0; i < ar.Blocks(); i++ {
-					live[ar.Addr(i).Disk] = append(live[ar.Addr(i).Disk], ar.Addr(i).Track)
+			default: // a run of allocations over consecutive drives
+				n, first := rnd.Intn(2*confD)+1, rnd.Intn(confD)
+				for i := 0; i < n; i++ {
+					dd := (first + i) % confD
+					live[dd] = append(live[dd], r.alloc(dd))
 				}
 			}
 			if op%100 == 99 {

@@ -225,13 +225,14 @@ func Checksum(ws []uint64) uint64 {
 // snapshot/rollback (the superstep replay) and whole-state
 // capture/adoption (the journal commit and resume); durability; and the
 // raw track hooks replication ships state through. *Array, *File and
-// *Mapped are the physical stores a chain ends in; *Tier, the parity
-// layer (internal/redundancy) and the fault layer (internal/fault) are
+// *Mapped are the physical stores a chain ends in; *Tier, the
+// redundancy layer (internal/redundancy) and the fault layer
+// (internal/fault) are
 // links that embed the Store beneath them, override what they change
 // and expose it as Inner() Store — everything else reaches the base by
-// promotion. The layout helpers (Reserve, ReadRange, WriteRange,
-// FreeArea) are package functions over this interface, so engines work
-// identically on every chain.
+// promotion. The standard-consecutive-format areas (Reserve, ReadRange,
+// WriteRange, FreeArea) are the in-memory Array's alone: the Figure 2
+// demo and the PDM baselines lay files out on one, and no engine does.
 type Store interface {
 	// Config returns the drive-count/block-size configuration.
 	Config() Config
@@ -244,9 +245,6 @@ type Store interface {
 	// Release returns a track to drive d's free list; it reads as zeros
 	// from then on.
 	Release(d, t int) error
-	// ReserveRot allocates a standard-consecutive-format area with the
-	// given drive rotation.
-	ReserveRot(nBlocks, rot int) Area
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
 	// ResetStats zeroes the model statistics. Wall-clock observability
@@ -319,32 +317,6 @@ func Find[T any](s Store) (found T) {
 		s = link.Inner()
 	}
 	return found
-}
-
-// GroupsOf partitions n requests (physical drive given by driveAt)
-// into maximal runs with pairwise-distinct drives, preserving order.
-// While logical and physical drives coincide this yields a single
-// group; after a drive loss, redirected requests can collide with
-// survivors and force extra operations — the degradation the model
-// charges for in the fault and parity layers.
-func GroupsOf(n int, driveAt func(int) int) [][]int {
-	var groups [][]int
-	var cur []int
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		d := driveAt(i)
-		if seen[d] {
-			groups = append(groups, cur)
-			cur = nil
-			seen = make(map[int]bool)
-		}
-		seen[d] = true
-		cur = append(cur, i)
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
 }
 
 // StoreState is the persistent metadata of a Store: everything except

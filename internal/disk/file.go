@@ -489,7 +489,7 @@ func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {
 }
 
 // physWipe is one physical wipe (used by AllocRestore to discard an
-// aborted attempt's writes, and by Alloc/ReserveRot on stale slots).
+// aborted attempt's writes, and by Alloc on stale slots).
 func (f *File) physWipe(d, t int) error {
 	defer f.access("phys-wipe", d).End()
 	return f.pwipe(d, t)

@@ -26,8 +26,37 @@ type Area struct {
 // Definition 2 requires).
 func (a *Array) Reserve(nBlocks int) Area { return a.ReserveRot(nBlocks, 0) }
 
-// Reserve allocates an area of nBlocks blocks on any Store.
-func Reserve(dsk Store, nBlocks int) Area { return dsk.ReserveRot(nBlocks, 0) }
+// ReserveRot allocates an area whose block-to-drive mapping is rotated
+// by rot: block i lives on drive (rot + i) mod D, each drive
+// contributing as many consecutive fresh tracks as it holds blocks —
+// ⌈(nBlocks − a)/D⌉ for the drive at offset a = (d − rot) mod D, none
+// once a ≥ nBlocks, so an area shorter than D leaves the other drives
+// alone. Algorithm SimulateRouting (Step 2) writes D bucket areas
+// concurrently, one block of each per parallel I/O operation; giving
+// bucket d's area rotation d makes the D concurrent writes of operation
+// j land on the D distinct drives (d + j) mod D, exactly as the paper's
+// track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋ on disk (d+j) mod D prescribes.
+//
+// Like Alloc's, the tracks are wiped, so ragged never-written slots
+// read blank.
+func (a *Array) ReserveRot(nBlocks, rot int) Area {
+	if nBlocks < 0 {
+		panic("disk: Reserve with negative size")
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	D := a.cfg.D
+	ar := Area{d: D, n: nBlocks, rot: ((rot % D) + D) % D, base: make([]int, D)}
+	for d := range a.drives {
+		dr := &a.drives[d]
+		ar.base[d] = dr.next
+		dr.next += max(0, nBlocks-(d-ar.rot+D)%D+D-1) / D
+		for t := ar.base[d]; t < dr.next; t++ {
+			a.wipe(d, t)
+		}
+	}
+	return ar
+}
 
 // Blocks returns the area's capacity in blocks.
 func (ar Area) Blocks() int { return ar.n }
@@ -60,13 +89,10 @@ func Slice(ar Area, off, n int) Area {
 
 // FreeArea releases every track of the area back to the drives' free
 // lists (contents cleared). The Area must not be used afterwards.
-func (a *Array) FreeArea(ar Area) error { return FreeArea(a, ar) }
-
-// FreeArea releases every track of the area on any Store.
-func FreeArea(dsk Store, ar Area) error {
+func (a *Array) FreeArea(ar Area) error {
 	for i := 0; i < ar.n; i++ {
 		ad := ar.Addr(i)
-		if err := dsk.Release(ad.Disk, ad.Track); err != nil {
+		if err := a.Release(ad.Disk, ad.Track); err != nil {
 			return err
 		}
 	}
@@ -78,12 +104,7 @@ func FreeArea(dsk Store, ar Area) error {
 // operations (each group of D consecutive block indices addresses D
 // distinct drives).
 func (a *Array) ReadRange(ar Area, lo, hi int, dst []uint64) error {
-	return ReadRange(a, ar, lo, hi, dst)
-}
-
-// ReadRange reads blocks [lo, hi) of the area on any Store.
-func ReadRange(dsk Store, ar Area, lo, hi int, dst []uint64) error {
-	cfg := dsk.Config()
+	cfg := a.cfg
 	if hi < lo || lo < 0 || hi > ar.n {
 		return fmt.Errorf("disk: ReadRange [%d,%d) out of area range [0,%d)", lo, hi, ar.n)
 	}
@@ -98,7 +119,7 @@ func ReadRange(dsk Store, ar Area, lo, hi int, dst []uint64) error {
 			off := (j - lo) * cfg.B
 			reqs = append(reqs, ReadReq{Disk: addr.Disk, Track: addr.Track, Dst: dst[off : off+cfg.B]})
 		}
-		if err := dsk.ReadOp(reqs); err != nil {
+		if err := a.ReadOp(reqs); err != nil {
 			return err
 		}
 	}
@@ -108,12 +129,7 @@ func ReadRange(dsk Store, ar Area, lo, hi int, dst []uint64) error {
 // WriteRange writes src to blocks [lo, hi) of the area with maximally
 // parallel I/O operations.
 func (a *Array) WriteRange(ar Area, lo, hi int, src []uint64) error {
-	return WriteRange(a, ar, lo, hi, src)
-}
-
-// WriteRange writes src to blocks [lo, hi) of the area on any Store.
-func WriteRange(dsk Store, ar Area, lo, hi int, src []uint64) error {
-	cfg := dsk.Config()
+	cfg := a.cfg
 	if hi < lo || lo < 0 || hi > ar.n {
 		return fmt.Errorf("disk: WriteRange [%d,%d) out of area range [0,%d)", lo, hi, ar.n)
 	}
@@ -128,7 +144,7 @@ func WriteRange(dsk Store, ar Area, lo, hi int, src []uint64) error {
 			off := (j - lo) * cfg.B
 			reqs = append(reqs, WriteReq{Disk: addr.Disk, Track: addr.Track, Src: src[off : off+cfg.B]})
 		}
-		if err := dsk.WriteOp(reqs); err != nil {
+		if err := a.WriteOp(reqs); err != nil {
 			return err
 		}
 	}

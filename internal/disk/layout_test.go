@@ -314,3 +314,81 @@ func TestTracksHighWaterMark(t *testing.T) {
 		t.Errorf("Tracks(1) = %d, want 3", got)
 	}
 }
+
+// TestArrayAreas: areas in standard consecutive format are the Array's
+// alone (the Figure 2 demo and the PDM baselines lay files out on one).
+// Full-width and ragged operations over an area, its reserved and
+// never-written slots blank, and an area shorter than D, or empty, taking
+// the tracks its blocks occupy and no others, whatever its rotation.
+func TestArrayAreas(t *testing.T) {
+	const D, B = 3, 8
+	blank := func(a *Array, ad Addr) bool {
+		buf := make([]uint64, B)
+		if err := a.ReadOp([]ReadReq{{Disk: ad.Disk, Track: ad.Track, Dst: buf}}); err != nil {
+			t.Fatal(err)
+		}
+		return !slices.ContainsFunc(buf, func(w uint64) bool { return w != 0 })
+	}
+	t.Run("areas-blank-recycled", func(t *testing.T) {
+		a := MustNewArray(Config{D: D, B: B})
+		ar := a.ReserveRot(2*D+1, 1) // ragged: one drive gets a third track
+		src := make([]uint64, 2*D*B)
+		for i := range src {
+			src[i] = uint64(i) | 1
+		}
+		if err := a.WriteRange(ar, 0, 2*D, src); err != nil {
+			t.Fatal(err)
+		}
+		if s := a.Stats(); s.WriteOps != 2 || s.BlocksWritten != 2*D {
+			t.Errorf("writing %d blocks of a %d-drive area took %d operations for %d blocks, want 2 full-width ones", 2*D, D, s.WriteOps, s.BlocksWritten)
+		}
+		got := make([]uint64, 2*B)
+		if err := a.ReadRange(ar, D-1, D+1, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, src[(D-1)*B:(D+1)*B]) {
+			t.Errorf("ragged read of blocks %d and %d: %v", D-1, D, got)
+		}
+		if !blank(a, ar.Addr(2*D)) {
+			t.Error("reserved, never-written slot does not read zeros")
+		}
+		if err := a.FreeArea(ar); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ar.Blocks(); i++ {
+			if !blank(a, ar.Addr(i)) {
+				t.Errorf("block %d of a freed area does not read zeros", i)
+			}
+		}
+		if tr := a.Alloc(ar.Addr(0).Disk); !blank(a, Addr{ar.Addr(0).Disk, tr}) {
+			t.Errorf("a track of the freed area, allocated again, does not read zeros")
+		}
+	})
+	t.Run("short-areas", func(t *testing.T) {
+		a := MustNewArray(Config{D: D, B: B})
+		before := a.State()
+		a.ReserveRot(0, 1)
+		if after := a.State(); !slices.Equal(after.Next, before.Next) {
+			t.Errorf("an empty area moved the allocator: %v → %v", before.Next, after.Next)
+		}
+		ar := a.ReserveRot(D-1, 1) // drives 1 and 2; drive 0 is at offset D−1
+		if got, want := a.State().Next, []int{0, 1, 1}; !slices.Equal(got, want) {
+			t.Errorf("tracks in use after a %d-block area at rotation 1: %v, want %v", D-1, got, want)
+		}
+		long := a.ReserveRot(D+1, 2) // drive 2 holds blocks 0 and D
+		if got, want := a.State().Next, []int{1, 2, 3}; !slices.Equal(got, want) {
+			t.Errorf("tracks in use after a further %d-block area at rotation 2: %v, want %v", D+1, got, want)
+		}
+		if got := a.Alloc(0); got != 1 {
+			t.Errorf("Alloc on the drive both areas left short = %d, want 1", got)
+		}
+		for _, x := range []Area{ar, long} {
+			if err := a.FreeArea(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := a.State().Free, [][]int{{0}, {0, 1}, {0, 1, 2}}; !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("free lists after freeing both areas: %v, want %v", got, want)
+		}
+	})
+}

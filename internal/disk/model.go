@@ -373,40 +373,6 @@ func (m *model) release(d, t int) error {
 	return nil
 }
 
-// ReserveRot allocates an area whose block-to-drive mapping is rotated
-// by rot: block i lives on drive (rot + i) mod D, each drive
-// contributing as many consecutive fresh tracks as it holds blocks —
-// ⌈(nBlocks − a)/D⌉ for the drive at offset a = (d − rot) mod D, none
-// once a ≥ nBlocks, so an area shorter than D leaves the other drives
-// alone. Algorithm
-// SimulateRouting (Step 2) writes D bucket areas concurrently, one
-// block of each per parallel I/O operation; giving bucket d's area
-// rotation d makes the D concurrent writes of operation j land on the
-// D distinct drives (d + j) mod D, exactly as the paper's track
-// formula d·⌈vγ/D²B⌉ + ⌊j/D⌋ on disk (d+j) mod D prescribes.
-//
-// Reserved slots sit beyond the last committed high-water mark, so
-// they may hold stale (even torn) bytes from a crashed attempt; they
-// are wiped so ragged never-written slots read blank. See Alloc.
-func (m *model) ReserveRot(nBlocks, rot int) Area {
-	if nBlocks < 0 {
-		panic("disk: Reserve with negative size")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	D := m.cfg.D
-	ar := Area{d: D, n: nBlocks, rot: ((rot % D) + D) % D, base: make([]int, D)}
-	for d := range m.drives {
-		dr := &m.drives[d]
-		ar.base[d] = dr.next
-		dr.next += max(0, nBlocks-(d-ar.rot+D)%D+D-1) / D
-		for t := ar.base[d]; t < dr.next; t++ {
-			m.wipe(d, t)
-		}
-	}
-	return ar
-}
-
 // AllocMark is a snapshot of a store's track allocator, captured by
 // AllocSnapshot and restored by AllocRestore. It backs the engines'
 // superstep checkpoint manifests: rolling the allocator back to the

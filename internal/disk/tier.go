@@ -97,7 +97,7 @@ type inner = Store
 // traffic) and carry no model meaning under a tier; State() therefore
 // composes the tier's Stats and access chains with the backend's
 // allocator. The allocator itself is forwarded 1:1 (Alloc, Release,
-// ReserveRot, AllocSnapshot/Restore go straight through), so layout
+// AllocSnapshot/Restore go straight through), so layout
 // decisions are byte-identical to a flat store's; with TakeDirty (the
 // backend sees every logical mutation) and ExportTrack (the tier holds
 // only clean copies), AllocSnapshot is the embedded backend's, promoted.
@@ -435,22 +435,6 @@ func (t *Tier) Release(d, tr int) error {
 	t.dropEntry(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
 	return nil
-}
-
-// ReserveRot forwards to the backend and invalidates any staged
-// copies in the reserved range (none can exist under the engines'
-// allocation discipline; the sweep is defensive).
-func (t *Tier) ReserveRot(nBlocks, rot int) Area {
-	ar := t.inner.ReserveRot(nBlocks, rot)
-	per := (nBlocks + t.cfg.D - 1) / t.cfg.D
-	t.mu.Lock()
-	for a := range t.cache {
-		if a.Track >= ar.base[a.Disk] && a.Track < ar.base[a.Disk]+per {
-			t.dropEntry(a)
-		}
-	}
-	t.mu.Unlock()
-	return ar
 }
 
 // AllocRestore rolls the backend's allocator back and empties the

@@ -38,12 +38,15 @@ func driveScript(t *testing.T, s Store, d, b int) []uint64 {
 		}
 		got = append(got, append([]uint64(nil), buf...)...)
 	}
-	ar := s.ReserveRot(2*d, 1)
+	var addrs []Addr
 	for i := 0; i < 2*d; i++ {
-		write(ar.Addr(i).Disk, ar.Addr(i).Track)
+		a := Addr{Disk: (1 + i) % d}
+		a.Track = s.Alloc(a.Disk)
+		write(a.Disk, a.Track)
+		addrs = append(addrs, a)
 	}
-	for i := 2*d - 1; i >= 0; i-- {
-		read(ar.Addr(i).Disk, ar.Addr(i).Track)
+	for i := len(addrs) - 1; i >= 0; i-- {
+		read(addrs[i].Disk, addrs[i].Track)
 	}
 	tr0 := s.Alloc(0)
 	write(0, tr0)
@@ -59,6 +62,15 @@ func driveScript(t *testing.T, s Store, d, b int) []uint64 {
 	s.AllocRestore(mark)
 	read(d-1, tr1) // rolled back: blank
 	return got
+}
+
+// allocAll allocates n tracks on every drive of s.
+func allocAll(s Store, n int) {
+	for d := 0; d < s.Config().D; d++ {
+		for i := 0; i < n; i++ {
+			s.Alloc(d)
+		}
+	}
 }
 
 // waitStaged spins until the tier has n completed staged entries (fill
@@ -92,7 +104,7 @@ func waitStaged(t *testing.T, tr *Tier, n int64) {
 func TestTierPrefetchHitAndConsume(t *testing.T) {
 	const d, b = 2, 4
 	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d})
-	tr.ReserveRot(6*d, 0) // tracks 0..5: unallocated tracks read blank
+	allocAll(tr, 6) // tracks 0..5: unallocated tracks read blank
 	src := []uint64{9, 8, 7, 6}
 	if err := tr.WriteOp([]WriteReq{{Disk: 1, Track: 5, Src: src}}); err != nil {
 		t.Fatal(err)
@@ -154,7 +166,7 @@ func TestTierBudgetBoundsFills(t *testing.T) {
 func TestTierWriteInvalidatesStaged(t *testing.T) {
 	const d, b = 2, 4
 	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d})
-	tr.ReserveRot(4*d, 0) // tracks 0..3: unallocated tracks read blank
+	allocAll(tr, 4) // tracks 0..3: unallocated tracks read blank
 	old := []uint64{1, 1, 1, 1}
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 3, Src: old}}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"embsp/internal/disk"
@@ -22,13 +23,13 @@ const DefaultMaxRetries = 8
 type inner = disk.Store
 
 // Disk is the fault layer, a link of a store chain: injection
-// according to a Plan, per-track checksums, bounded charged retries,
-// optional mirroring, and dead-drive redirection. It overrides ReadOp,
-// WriteOp and Release; the rest is the embedded chain's, promoted —
-// allocation (directory metadata, not I/O, so it never faults), Stats
-// (retries, mirror writes and redirect splits are real charged
-// operations), state, durability and the raw track hooks — so engines
-// and layout helpers run on a faulted chain unchanged.
+// according to a Plan, per-track checksums and bounded charged retries.
+// It protects nothing: a dead drive's tracks are the redundancy layer's
+// to serve, beneath it. It overrides ReadOp, WriteOp and Release; the
+// rest is the embedded chain's, promoted — allocation (directory
+// metadata, not I/O, so it never faults), Stats (retries are real
+// charged operations), state, durability and the raw track hooks — so
+// engines run on a faulted chain unchanged.
 //
 // The fault schedule is per drive: each drive has its own attempt
 // clock and its own injection PRNG stream (derived from the plan seed
@@ -45,23 +46,22 @@ type Disk struct {
 	inner
 	plan       Plan
 	maxRetries int
-	below      driveDier // parity layer underneath, if any
+	below      driveDier // redundancy layer underneath, if any
 
 	mu       sync.Mutex   // guards everything below
 	rngs     []*prng.Rand // per-drive injection streams
 	attempts []int64      // per-drive operation-attempt clocks
 	dead     []bool
-	sums     map[disk.Addr]uint64    // checksum per written physical track
-	mirrors  map[disk.Addr]disk.Addr // primary -> mirror copy location
+	sums     map[disk.Addr]uint64 // checksum per written track
 	ctr      Counters
 }
 
 // driveDier is implemented by a redundancy layer somewhere beneath the
 // fault layer (found by walking the chain; structural, to avoid an
-// import cycle). When
-// present, the fault layer does not mirror or redirect: dead-drive
-// I/O passes straight through and the layer below reconstructs reads
-// from parity and remaps writes onto surviving drives.
+// import cycle). When present, dead-drive I/O passes straight through
+// and the layer below reconstructs reads from a stripe's survivors and
+// remaps writes onto surviving drives; without one, a drive death is
+// unrecoverable.
 type driveDier interface {
 	DriveDied(d int)
 }
@@ -69,8 +69,7 @@ type driveDier interface {
 // Wrap layers the fault model over a store. maxRetries bounds the
 // transparent retry policy: 0 means DefaultMaxRetries, negative
 // disables retries entirely (every transient fault escapes to the
-// caller as a recoverable error). Mirroring requires at least two
-// drives.
+// caller as a recoverable error).
 func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -78,15 +77,6 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 	cfg := a.Config()
 	if plan.FailDriveOp > 0 && plan.FailDrive >= cfg.D {
 		return nil, fmt.Errorf("fault: FailDrive = %d, machine has %d drives", plan.FailDrive, cfg.D)
-	}
-	below := disk.Find[driveDier](a)
-	if plan.Mirrored() {
-		if cfg.D < 2 {
-			return nil, fmt.Errorf("fault: mirroring requires D >= 2, have D = %d", cfg.D)
-		}
-		if below != nil {
-			return nil, fmt.Errorf("fault: mirroring and a parity layer are mutually exclusive")
-		}
 	}
 	if maxRetries == 0 {
 		maxRetries = DefaultMaxRetries
@@ -98,12 +88,11 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 		inner:      a,
 		plan:       plan,
 		maxRetries: maxRetries,
-		below:      below,
+		below:      disk.Find[driveDier](a),
 		rngs:       make([]*prng.Rand, cfg.D),
 		attempts:   make([]int64, cfg.D),
 		dead:       make([]bool, cfg.D),
 		sums:       make(map[disk.Addr]uint64),
-		mirrors:    make(map[disk.Addr]disk.Addr),
 	}
 	for d := range f.rngs {
 		f.rngs[d] = prng.New(prng.Derive(plan.Seed, 0xFA01, uint64(d)))
@@ -150,48 +139,39 @@ func (f *Disk) LiveDrives() int {
 	return n
 }
 
-// Release frees a track, its checksum, and its mirror copy (if any).
+// Release frees a track and its checksum.
 func (f *Disk) Release(d, t int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := disk.Addr{Disk: d, Track: t}
-	if m, ok := f.mirrors[key]; ok {
-		delete(f.mirrors, key)
-		delete(f.sums, m)
-		if err := f.inner.Release(m.Disk, m.Track); err != nil {
-			return err
-		}
-	}
-	delete(f.sums, key)
+	delete(f.sums, disk.Addr{Disk: d, Track: t})
 	return f.inner.Release(d, t)
 }
 
-// mirrorDrive returns the live partner drive for d, preferring the
-// next drive in cyclic order.
-func (f *Disk) mirrorDrive(d int) (int, bool) {
-	D := len(f.dead)
-	for i := 1; i < D; i++ {
-		md := (d + i) % D
-		if !f.dead[md] {
-			return md, true
-		}
-	}
-	return 0, false
-}
-
 // tickDrives advances the attempt clock of each drive the request
-// list touches by one and reports, per request, whether injection is
-// active for it (its drive's clock has reached FirstOp). It also
-// handles the scheduled drive death: the failing drive dies when its
-// own clock reaches FailDriveOp, so only an operation that touches
-// that drive can trigger the death — which is what makes the schedule
-// independent of how operations on other drives interleave.
-func (f *Disk) tickDrives(n int, driveAt func(int) int) (inject []bool, dying int) {
+// list touches by one (at(i) is request i's address) and reports, per
+// request, whether injection is active for it (its drive's clock has
+// reached FirstOp). It also handles the scheduled drive death: the
+// failing drive dies when its own clock reaches FailDriveOp, so only an
+// operation that touches that drive can trigger the death — which is
+// what makes the schedule independent of how operations on other drives
+// interleave.
+//
+// The error is the drive loss the attempt of op meets, before any I/O.
+// The death always aborts the attempt: tracks written since the barrier
+// may sit on the dying drive with their stripe's parity or copy not yet
+// on disk, so the superstep replays with the drive dead, and the
+// redundancy layer below remaps its writes onto survivors. Without that
+// layer the loss is unrecoverable, at the death and at every later touch
+// of the drive.
+func (f *Disk) tickDrives(op string, n int, at func(int) disk.Addr) (inject []bool, err error) {
 	inject = make([]bool, n)
-	dying = -1
 	ticked := make([]bool, len(f.attempts))
 	for i := 0; i < n; i++ {
-		d := driveAt(i)
+		a := at(i)
+		d := a.Disk
+		if f.dead[d] && f.below == nil {
+			err = &Error{Kind: DriveLoss, Disk: d, Track: a.Track, Op: op}
+		}
 		if !ticked[d] {
 			ticked[d] = true
 			f.attempts[d]++
@@ -201,13 +181,13 @@ func (f *Disk) tickDrives(n int, driveAt func(int) int) (inject []bool, dying in
 		if f.plan.FailDriveOp > 0 && d == f.plan.FailDrive && idx >= f.plan.FailDriveOp && !f.dead[d] {
 			f.dead[d] = true
 			f.ctr.DriveFailures++
-			dying = d
 			if f.below != nil {
-				f.below.DriveDied(dying)
+				f.below.DriveDied(d)
 			}
+			err = &Error{Kind: DriveLoss, Disk: d, Op: op, Recoverable: f.below != nil}
 		}
 	}
-	return inject, dying
+	return inject, err
 }
 
 // Clock returns drive d's operation-attempt clock, the index
@@ -218,31 +198,11 @@ func (f *Disk) Clock(d int) int64 {
 	return f.attempts[d]
 }
 
-// survivable reports whether a permanent drive loss leaves the data
-// reachable: either mirror copies exist or a parity layer underneath
-// can reconstruct.
-func (f *Disk) survivable() bool { return f.plan.Mirrored() || f.below != nil }
-
-// resolve maps a logical track address to its current physical
-// location: the track itself while its drive lives, the mirror copy
-// after the drive died. With a parity layer below, dead-drive
-// addresses pass through unchanged — reconstruction happens there.
-// The second result is false if the data is gone for good.
-func (f *Disk) resolve(d, t int) (disk.Addr, bool) {
-	if !f.dead[d] || f.below != nil {
-		return disk.Addr{Disk: d, Track: t}, true
-	}
-	if m, ok := f.mirrors[disk.Addr{Disk: d, Track: t}]; ok {
-		return m, true
-	}
-	return disk.Addr{}, false
-}
-
 // ReadOp performs one parallel read with fault injection, checksum
-// verification, dead-drive redirection and bounded retries. Every
-// attempt — including failed ones — is charged against the underlying
-// array, so recovery is visible in the model's I/O cost exactly as the
-// issue's retry-with-backoff policy prescribes.
+// verification and bounded retries. Every attempt — including failed
+// ones — is charged against the underlying array, so recovery is visible
+// in the model's I/O cost exactly as the retry-with-backoff policy
+// prescribes.
 func (f *Disk) ReadOp(reqs []disk.ReadReq) error {
 	if len(reqs) == 0 {
 		return nil
@@ -264,22 +224,9 @@ func (f *Disk) ReadOp(reqs []disk.ReadReq) error {
 }
 
 func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
-	inject, dying := f.tickDrives(len(reqs), func(i int) int { return reqs[i].Disk })
-	if dying >= 0 {
-		// With a parity layer below, the death itself forces a superstep
-		// rollback: tracks written since the barrier are not yet striped
-		// (parity is flushed at barriers), so any of them on the dead
-		// drive are unprotected and must be regenerated by a replay that
-		// remaps them onto survivors. Mirroring protects at write time,
-		// so there only an operation touching the dying drive aborts.
-		if f.below != nil {
-			return &Error{Kind: DriveLoss, Disk: dying, Op: "read", Recoverable: f.survivable()}
-		}
-		for _, r := range reqs {
-			if r.Disk == dying {
-				return &Error{Kind: DriveLoss, Disk: dying, Track: r.Track, Op: "read", Recoverable: f.survivable()}
-			}
-		}
+	inject, err := f.tickDrives("read", len(reqs), func(i int) disk.Addr { return disk.Addr{Disk: reqs[i].Disk, Track: reqs[i].Track} })
+	if err != nil {
+		return err
 	}
 
 	// Draw the fault schedule for this attempt before doing any I/O,
@@ -308,29 +255,9 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 		}
 	}
 
-	// Resolve physical locations (mirror redirect for dead drives).
-	phys := make([]disk.Addr, len(reqs))
-	for i, r := range reqs {
-		p, ok := f.resolve(r.Disk, r.Track)
-		if !ok {
-			return &Error{Kind: DriveLoss, Disk: r.Disk, Track: r.Track, Op: "read", Recoverable: false}
-		}
-		phys[i] = p
+	if err := f.inner.ReadOp(reqs); err != nil {
+		return err
 	}
-
-	// Issue, splitting into extra operations where redirection causes
-	// drive collisions.
-	groups := disk.GroupsOf(len(reqs), func(i int) int { return phys[i].Disk })
-	for _, g := range groups {
-		sub := make([]disk.ReadReq, 0, len(g))
-		for _, i := range g {
-			sub = append(sub, disk.ReadReq{Disk: phys[i].Disk, Track: phys[i].Track, Dst: reqs[i].Dst})
-		}
-		if err := f.inner.ReadOp(sub); err != nil {
-			return err
-		}
-	}
-	f.ctr.RecoveryOps += int64(len(groups) - 1)
 
 	// The transient failure is reported after the transfer was
 	// attempted: the operation is charged, its completion is lost.
@@ -343,7 +270,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 	// In-flight corruption: flip one deterministic bit of the
 	// delivered block (only meaningful for checksummed tracks).
 	for _, c := range corrupt {
-		if _, ok := f.sums[phys[c.i]]; !ok {
+		if _, ok := f.sums[disk.Addr{Disk: reqs[c.i].Disk, Track: reqs[c.i].Track}]; !ok {
 			continue
 		}
 		reqs[c.i].Dst[c.w] ^= 1 << c.bit
@@ -351,8 +278,8 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 	}
 
 	// Verify checksums of everything delivered.
-	for i, r := range reqs {
-		want, ok := f.sums[phys[i]]
+	for _, r := range reqs {
+		want, ok := f.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]
 		if !ok {
 			continue
 		}
@@ -366,7 +293,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 }
 
 // WriteOp performs one parallel write with fault injection, checksum
-// recording, mirroring and bounded retries.
+// recording and bounded retries.
 func (f *Disk) WriteOp(reqs []disk.WriteReq) error {
 	if len(reqs) == 0 {
 		return nil
@@ -388,18 +315,9 @@ func (f *Disk) WriteOp(reqs []disk.WriteReq) error {
 }
 
 func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
-	inject, dying := f.tickDrives(len(reqs), func(i int) int { return reqs[i].Disk })
-	if dying >= 0 {
-		// See readAttempt: a death over a parity layer always aborts the
-		// attempt so the superstep replays with the drive already dead.
-		if f.below != nil {
-			return &Error{Kind: DriveLoss, Disk: dying, Op: "write", Recoverable: f.survivable()}
-		}
-		for _, r := range reqs {
-			if r.Disk == dying {
-				return &Error{Kind: DriveLoss, Disk: dying, Track: r.Track, Op: "write", Recoverable: f.survivable()}
-			}
-		}
+	inject, err := f.tickDrives("write", len(reqs), func(i int) disk.Addr { return disk.Addr{Disk: reqs[i].Disk, Track: reqs[i].Track} })
+	if err != nil {
+		return err
 	}
 
 	failIdx := -1
@@ -414,47 +332,11 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 		}
 	}
 
-	// Resolve primaries: a write whose home drive died lands on its
-	// mirror location (allocated on a surviving partner on first use),
-	// which from then on is the block's single, degraded copy. With a
-	// parity layer below, dead-drive writes pass through — remapping
-	// onto spare capacity happens there.
-	phys := make([]disk.Addr, len(reqs))
-	mirrored := make([]bool, len(reqs)) // true when phys is already the mirror
-	for i, r := range reqs {
-		key := disk.Addr{Disk: r.Disk, Track: r.Track}
-		if !f.dead[r.Disk] || f.below != nil {
-			phys[i] = disk.Addr{Disk: r.Disk, Track: r.Track}
-			continue
-		}
-		m, ok := f.mirrors[key]
-		if !ok {
-			md, live := f.mirrorDrive(r.Disk)
-			if !live {
-				return &Error{Kind: DriveLoss, Disk: r.Disk, Track: r.Track, Op: "write", Recoverable: false}
-			}
-			m = disk.Addr{Disk: md, Track: f.inner.Alloc(md)}
-			f.mirrors[key] = m
-		}
-		phys[i] = m
-		mirrored[i] = true
+	if err := f.inner.WriteOp(reqs); err != nil {
+		return err
 	}
-
-	groups := disk.GroupsOf(len(reqs), func(i int) int { return phys[i].Disk })
-	for _, g := range groups {
-		sub := make([]disk.WriteReq, 0, len(g))
-		for _, i := range g {
-			sub = append(sub, disk.WriteReq{Disk: phys[i].Disk, Track: phys[i].Track, Src: reqs[i].Src})
-		}
-		if err := f.inner.WriteOp(sub); err != nil {
-			return err
-		}
-	}
-	f.ctr.RecoveryOps += int64(len(groups) - 1)
-
-	// Record checksums for the physical locations written.
-	for i, r := range reqs {
-		f.sums[phys[i]] = disk.Checksum(r.Src)
+	for _, r := range reqs {
+		f.sums[disk.Addr{Disk: r.Disk, Track: r.Track}] = disk.Checksum(r.Src)
 	}
 
 	if failIdx >= 0 {
@@ -462,76 +344,25 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 		f.ctr.RecoveryOps++ // the re-issue this failure forces
 		return &Error{Kind: TransientWrite, Disk: reqs[failIdx].Disk, Track: reqs[failIdx].Track, Op: "write", Recoverable: true}
 	}
-
-	// Mirror copies on live partner drives.
-	if f.plan.Mirrored() {
-		type mreq struct {
-			i int
-			m disk.Addr
-		}
-		var ms []mreq
-		for i, r := range reqs {
-			if mirrored[i] {
-				continue // the primary is gone; its mirror was just written
-			}
-			key := disk.Addr{Disk: r.Disk, Track: r.Track}
-			m, ok := f.mirrors[key]
-			if !ok {
-				md, live := f.mirrorDrive(r.Disk)
-				if !live {
-					continue
-				}
-				m = disk.Addr{Disk: md, Track: f.inner.Alloc(md)}
-				f.mirrors[key] = m
-			}
-			ms = append(ms, mreq{i, m})
-		}
-		mgroups := disk.GroupsOf(len(ms), func(j int) int { return ms[j].m.Disk })
-		for _, g := range mgroups {
-			sub := make([]disk.WriteReq, 0, len(g))
-			for _, j := range g {
-				sub = append(sub, disk.WriteReq{Disk: ms[j].m.Disk, Track: ms[j].m.Track, Src: reqs[ms[j].i].Src})
-			}
-			if err := f.inner.WriteOp(sub); err != nil {
-				return err
-			}
-			f.ctr.MirrorOps++
-		}
-		for _, mr := range ms {
-			f.sums[mr.m] = disk.Checksum(reqs[mr.i].Src)
-		}
-	}
 	return nil
 }
 
 // Snapshot captures the fault layer's rollback state: the underlying
-// allocator and the checksum and mirror directories. Together with the
+// allocator and the checksum directory. Together with the
 // engine-side manifest (superstep index, context-area cursor, PRNG
 // state) it forms the superstep checkpoint. Fault counters, the fault
 // schedule clock and dead drives are deliberately not part of it: a
 // replay is new work under new draws, not a rewind of history.
 type Snapshot struct {
-	alloc   disk.AllocMark
-	sums    map[disk.Addr]uint64
-	mirrors map[disk.Addr]disk.Addr
+	alloc disk.AllocMark
+	sums  map[disk.Addr]uint64
 }
 
 // Snapshot captures rollback state at a compound-superstep barrier.
 func (f *Disk) Snapshot() *Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := &Snapshot{
-		alloc:   f.inner.AllocSnapshot(),
-		sums:    make(map[disk.Addr]uint64, len(f.sums)),
-		mirrors: make(map[disk.Addr]disk.Addr, len(f.mirrors)),
-	}
-	for k, v := range f.sums {
-		s.sums[k] = v
-	}
-	for k, v := range f.mirrors {
-		s.mirrors[k] = v
-	}
-	return s
+	return &Snapshot{alloc: f.inner.AllocSnapshot(), sums: maps.Clone(f.sums)}
 }
 
 // Restore rolls the fault layer and the underlying allocator back to a
@@ -541,14 +372,7 @@ func (f *Disk) Restore(s *Snapshot) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inner.AllocRestore(s.alloc)
-	f.sums = make(map[disk.Addr]uint64, len(s.sums))
-	for k, v := range s.sums {
-		f.sums[k] = v
-	}
-	f.mirrors = make(map[disk.Addr]disk.Addr, len(s.mirrors))
-	for k, v := range s.mirrors {
-		f.mirrors[k] = v
-	}
+	f.sums = maps.Clone(s.sums)
 }
 
 // Replayable reports whether err contains a fault the engines can
@@ -561,8 +385,8 @@ func Replayable(err error) bool {
 
 // EncodeState appends the fault layer's complete persistent state to
 // enc: the per-drive fault-schedule clocks, the per-drive injection
-// PRNGs, dead drives, the accumulated counters, and the checksum and
-// mirror directories (in sorted address order, so the encoding is
+// PRNGs, dead drives, the accumulated counters, and the checksum
+// directory (in sorted address order, so the encoding is
 // deterministic). Unlike Snapshot — which deliberately omits the
 // clocks and counters because an in-process replay is new work under
 // new draws — a journal commit must capture everything: a resumed
@@ -589,7 +413,7 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 	enc.PutInts([]int64{
 		c.InjectedReadFaults, c.InjectedWriteFaults, c.InjectedCorruptions,
 		c.ChecksumFailures, c.DriveFailures, c.Retries, c.RetriedBlocks,
-		c.RecoveryOps, c.MirrorOps,
+		c.RecoveryOps,
 	})
 
 	sumKeys := disk.SortedAddrs(f.sums)
@@ -598,16 +422,6 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 		enc.PutInt(int64(k.Disk))
 		enc.PutInt(int64(k.Track))
 		enc.PutUint(f.sums[k])
-	}
-
-	mirKeys := disk.SortedAddrs(f.mirrors)
-	enc.PutInt(int64(len(mirKeys)))
-	for _, k := range mirKeys {
-		m := f.mirrors[k]
-		enc.PutInt(int64(k.Disk))
-		enc.PutInt(int64(k.Track))
-		enc.PutInt(int64(m.Disk))
-		enc.PutInt(int64(m.Track))
 	}
 }
 
@@ -637,13 +451,13 @@ func (f *Disk) DecodeState(dec *words.Decoder) error {
 		f.dead[d] = dec.Bool()
 	}
 	cs := dec.Ints()
-	if len(cs) != 9 {
-		return fmt.Errorf("fault: counter state has %d fields, want 9", len(cs))
+	if len(cs) != 8 {
+		return fmt.Errorf("fault: counter state has %d fields, want 8", len(cs))
 	}
 	f.ctr = Counters{
 		InjectedReadFaults: cs[0], InjectedWriteFaults: cs[1], InjectedCorruptions: cs[2],
 		ChecksumFailures: cs[3], DriveFailures: cs[4], Retries: cs[5], RetriedBlocks: cs[6],
-		RecoveryOps: cs[7], MirrorOps: cs[8],
+		RecoveryOps: cs[7],
 	}
 
 	f.sums = make(map[disk.Addr]uint64)
@@ -651,14 +465,6 @@ func (f *Disk) DecodeState(dec *words.Decoder) error {
 		d := int(dec.Int())
 		t := int(dec.Int())
 		f.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
-	}
-	f.mirrors = make(map[disk.Addr]disk.Addr)
-	for n := dec.Int(); n > 0; n-- {
-		d := int(dec.Int())
-		t := int(dec.Int())
-		md := int(dec.Int())
-		mt := int(dec.Int())
-		f.mirrors[disk.Addr{Disk: d, Track: t}] = disk.Addr{Disk: md, Track: mt}
 	}
 	return nil
 }

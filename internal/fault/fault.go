@@ -20,11 +20,10 @@
 // model-costed policy: every retry re-issues the parallel operation
 // against the underlying disk and is therefore a charged I/O op — the
 // simulation's version of retry-with-backoff, surfaced to callers as
-// Counters.Retries / RetriedBlocks / RecoveryOps. When mirroring is
-// enabled, every written track also gets a copy on a partner drive, so
-// a dead drive's blocks remain readable (at the cost of the doubled
-// write ops counted in MirrorOps) and parallel operations that would
-// have touched the dead drive are split across the survivors.
+// Counters.Retries / RetriedBlocks / RecoveryOps. It protects nothing
+// against a drive loss: that is the redundancy layer's (mirror or
+// parity, internal/redundancy), beneath it, which serves a dead drive's
+// tracks from the survivors.
 //
 // What the wrapper cannot recover (retries exhausted; the moment of a
 // drive death) escapes as a typed *Error whose Recoverable flag tells
@@ -84,7 +83,7 @@ func (k Kind) String() string {
 // identifying what failed and where. Recoverable reports whether
 // rolling back to the last compound-superstep barrier and replaying
 // can succeed: true for transient kinds (a replay draws a fresh fault
-// schedule) and for a drive loss covered by mirroring; false for a
+// schedule) and for a drive loss over a redundancy layer; false for a
 // drive loss whose data has no second copy.
 type Error struct {
 	Kind        Kind
@@ -144,25 +143,16 @@ type Plan struct {
 	FailDrive int
 	// FailProc selects which real processor's drive dies (engines with
 	// P > 1 give each processor its own disk array; only this
-	// processor's plan keeps the drive failure).
+	// processor's plan keeps the drive failure). A death survives only
+	// over a redundancy layer (Options.Redundancy); Options.Validate
+	// rejects a plan that schedules one without.
 	FailProc int
-	// Mirror maintains a copy of every written track on a partner
-	// drive so a single drive loss is survivable. Redundancy is
-	// explicit: a plan with FailDriveOp > 0 and no Mirror (and no
-	// parity layer beneath the wrapper) injects an unrecoverable
-	// drive loss — Options.Validate rejects that combination up
-	// front with a typed error.
-	Mirror bool
 }
 
-// Enabled reports whether the plan injects anything or mirrors.
+// Enabled reports whether the plan injects anything.
 func (p Plan) Enabled() bool {
-	return p.ReadErrorRate > 0 || p.WriteErrorRate > 0 || p.CorruptRate > 0 ||
-		p.FailDriveOp > 0 || p.Mirror
+	return p.ReadErrorRate > 0 || p.WriteErrorRate > 0 || p.CorruptRate > 0 || p.FailDriveOp > 0
 }
-
-// Mirrored reports whether the plan requires mirror copies.
-func (p Plan) Mirrored() bool { return p.Mirror }
 
 // Validate reports whether the plan is usable.
 func (p Plan) Validate() error {
@@ -206,14 +196,8 @@ type Counters struct {
 	Retries       int64
 	RetriedBlocks int64
 	// RecoveryOps counts the extra charged parallel I/O operations the
-	// layer spent on recovery: one per retry re-issue, plus the extra
-	// operations needed when a request set had to be split across
-	// surviving drives after a drive loss.
+	// layer spent on recovery: one per retry re-issue.
 	RecoveryOps int64
-	// MirrorOps counts the extra parallel write operations spent
-	// maintaining mirror copies (the overhead of drive-loss
-	// protection).
-	MirrorOps int64
 }
 
 // Injected returns the total number of injected faults.
@@ -231,7 +215,6 @@ func (c *Counters) Add(other Counters) {
 	c.Retries += other.Retries
 	c.RetriedBlocks += other.RetriedBlocks
 	c.RecoveryOps += other.RecoveryOps
-	c.MirrorOps += other.MirrorOps
 }
 
 // Publish folds the counters into the metrics registry under fault_*
@@ -249,5 +232,4 @@ func (c Counters) Publish(r *obs.Registry) {
 	r.Counter("fault_retries").Add(c.Retries)
 	r.Counter("fault_retried_blocks").Add(c.RetriedBlocks)
 	r.Counter("fault_recovery_ops").Add(c.RecoveryOps)
-	r.Counter("fault_mirror_ops").Add(c.MirrorOps)
 }

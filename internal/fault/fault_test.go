@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"embsp/internal/disk"
+	"embsp/internal/redundancy"
 )
 
 func testArray(t *testing.T, d, b int) *disk.Array {
@@ -41,9 +42,6 @@ func TestWrapRejectsImpossiblePlans(t *testing.T) {
 		t.Error("FailDrive beyond D accepted")
 	}
 	one := testArray(t, 1, 4)
-	if _, err := Wrap(one, Plan{Mirror: true}, 0); err == nil {
-		t.Error("mirroring on a single drive accepted")
-	}
 	// Redundancy is explicit policy, enforced by Options.Validate:
 	// the wrapper itself accepts an unprotected death plan (the loss
 	// is simply unrecoverable when it strikes).
@@ -198,12 +196,17 @@ func TestFirstOpDelaysInjection(t *testing.T) {
 	}
 }
 
-// TestDriveDeathRedirection: after the scheduled death, reads of
-// mirrored tracks are served from the mirror copies and writes land on
-// survivors.
+// TestDriveDeathRedirection: a death over a redundancy layer aborts the
+// attempt that meets it, recoverably; from then on I/O addressed to the
+// dead drive passes through the fault layer, and the layer below serves
+// it from the survivors — reads from the tracks' copies, writes remapped.
 func TestDriveDeathRedirection(t *testing.T) {
-	f := MustWrap(testArray(t, 3, 2), Plan{Seed: 7, FailDriveOp: 10, FailDrive: 1, Mirror: true}, 0)
-	// Ten mirrored writes before the death.
+	red, err := redundancy.WrapMirror(testArray(t, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := MustWrap(red, Plan{Seed: 7, FailDriveOp: 10, FailDrive: 1}, 0)
+	// Ten writes before the death, their copies on disk by the barrier.
 	tracks := make([]int, 10)
 	for i := range tracks {
 		tracks[i] = f.Alloc(1)
@@ -212,10 +215,13 @@ func TestDriveDeathRedirection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := red.FlushParity(); err != nil {
+		t.Fatal(err)
+	}
 	// The next op trips the death; the error names the drive and is
-	// recoverable because copies exist.
+	// recoverable because the layer below holds copies.
 	dst := make([]uint64, 2)
-	err := f.ReadOp([]disk.ReadReq{{Disk: 1, Track: tracks[0], Dst: dst}})
+	err = f.ReadOp([]disk.ReadReq{{Disk: 1, Track: tracks[0], Dst: dst}})
 	var fe *Error
 	if !errors.As(err, &fe) || fe.Kind != DriveLoss || fe.Disk != 1 || !fe.Recoverable {
 		t.Fatalf("death op error = %v, want recoverable DriveLoss on drive 1", err)
@@ -223,7 +229,7 @@ func TestDriveDeathRedirection(t *testing.T) {
 	if !f.Down(1) || f.LiveDrives() != 2 {
 		t.Fatalf("drive 1 not marked dead: down=%v live=%d", f.Down(1), f.LiveDrives())
 	}
-	// Replay of the read: served from the mirror, data intact.
+	// Replay of the read: served from the copies, data intact.
 	for i, tr := range tracks {
 		if err := f.ReadOp([]disk.ReadReq{{Disk: 1, Track: tr, Dst: dst}}); err != nil {
 			t.Fatal(err)
@@ -243,34 +249,34 @@ func TestDriveDeathRedirection(t *testing.T) {
 	if dst[0] != 42 || dst[1] != 43 {
 		t.Fatalf("post-death write round trip: %v", dst)
 	}
-	if c := f.Counters(); c.DriveFailures != 1 || c.MirrorOps == 0 {
-		t.Errorf("counters after death: %+v", c)
+	if c, rc := f.Counters(), red.Counters(); c.DriveFailures != 1 || rc.ParityOps == 0 || rc.ReconstructedBlocks == 0 {
+		t.Errorf("counters after death: fault %+v, redundancy %+v", c, rc)
 	}
 }
 
-// TestLostDataIsFatal: a read of a dead drive's track with no
-// surviving copy is an unrecoverable DriveLoss. The mirror copy is
-// removed white-box to reach the data-gone path.
+// TestLostDataIsFatal: with no redundancy layer beneath, a drive death is
+// an unrecoverable DriveLoss, at the death and at every later touch of
+// the drive; the survivors keep serving I/O.
 func TestLostDataIsFatal(t *testing.T) {
-	f := MustWrap(testArray(t, 2, 2), Plan{Seed: 7, FailDriveOp: 1, FailDrive: 0, Mirror: true}, 0)
+	f := MustWrap(testArray(t, 2, 2), Plan{Seed: 7, FailDriveOp: 1, FailDrive: 0}, 0)
 	tr := f.Alloc(0)
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: tr, Src: []uint64{1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]uint64, 2)
-	err := f.ReadOp([]disk.ReadReq{{Disk: 0, Track: tr, Dst: dst}}) // trips the death
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != DriveLoss || !fe.Recoverable {
-		t.Fatalf("death op error = %v, want recoverable DriveLoss", err)
+	for _, what := range []string{"death op", "read of lost data"} {
+		err := f.ReadOp([]disk.ReadReq{{Disk: 0, Track: tr, Dst: dst}})
+		var fe *Error
+		if !errors.As(err, &fe) || fe.Kind != DriveLoss || fe.Disk != 0 || fe.Recoverable {
+			t.Fatalf("%s error = %v, want unrecoverable DriveLoss on drive 0", what, err)
+		}
+		if Replayable(err) {
+			t.Errorf("%s: unrecoverable loss reported as replayable", what)
+		}
 	}
-	// Simulate the mirror copy also being gone.
-	delete(f.mirrors, disk.Addr{Disk: 0, Track: tr})
-	err = f.ReadOp([]disk.ReadReq{{Disk: 0, Track: tr, Dst: dst}})
-	if !errors.As(err, &fe) || fe.Kind != DriveLoss || fe.Recoverable {
-		t.Fatalf("read of lost data = %v, want unrecoverable DriveLoss", err)
-	}
-	if Replayable(err) {
-		t.Error("unrecoverable loss reported as replayable")
+	other := f.Alloc(1)
+	if err := f.WriteOp([]disk.WriteReq{{Disk: 1, Track: other, Src: []uint64{3, 4}}}); err != nil {
+		t.Errorf("a survivor refused a write: %v", err)
 	}
 }
 
@@ -315,27 +321,5 @@ func TestReplayable(t *testing.T) {
 	}
 	if Replayable(errors.New("plain")) || Replayable(nil) {
 		t.Error("non-fault errors replayable")
-	}
-}
-
-func TestGroupsOf(t *testing.T) {
-	drives := []int{0, 1, 2, 0, 1, 0}
-	got := disk.GroupsOf(len(drives), func(i int) int { return drives[i] })
-	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
-	if len(got) != len(want) {
-		t.Fatalf("groupsOf = %v, want %v", got, want)
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("groupsOf = %v, want %v", got, want)
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("groupsOf = %v, want %v", got, want)
-			}
-		}
-	}
-	if g := disk.GroupsOf(0, nil); len(g) != 0 {
-		t.Errorf("groupsOf(0) = %v, want empty", g)
 	}
 }

@@ -17,12 +17,13 @@ import (
 // after a FlushParity: no stripe is open, no leaver or held release is
 // pending and nothing is cached; every stripe's stored parity is the XOR
 // of its members' current content, so each member is what the degraded
-// path reconstructs from the rest — one drive at a time, whichever dies;
-// and every checksummed track reads back through the layer. A stripe
-// whose parity drive is dead (awaiting the rebuild) or that awaits a
-// post-crash recomputation is exempt from the parity clauses. The
-// checker's own I/O and counts are taken back, so a test can count
-// around it.
+// path reconstructs from the rest — one drive at a time, whichever dies,
+// and after a death the member on the dead drive (nothing rebuilds it:
+// its stripe stays one failure short until its members leave); and every
+// checksummed track reads back through the layer. A stripe whose parity
+// drive is dead or that awaits a post-crash recomputation is exempt from
+// the parity clauses. The checker's own I/O and counts are taken back, so
+// a test can count around it.
 func checkInvariants(t *testing.T, s *Store) {
 	t.Helper()
 	ctr, st := s.ctr, s.inner.State()
@@ -65,8 +66,8 @@ func checkInvariants(t *testing.T, s *Store) {
 			}
 		}
 		striped += len(members)
-		if len(members) != st.count || st.count == 0 || st.count > s.D-1 {
-			t.Fatalf("stripe %d: %d members, count %d, D = %d", sid, len(members), st.count, s.D)
+		if len(members) != st.count || st.count == 0 || st.count > s.width {
+			t.Fatalf("stripe %d: %d members, count %d, width %d", sid, len(members), st.count, s.width)
 		}
 		if !s.parityActive(sid) {
 			continue
@@ -90,11 +91,15 @@ func checkInvariants(t *testing.T, s *Store) {
 			t.Fatalf("stripe %d (parity %v, members %v): stored parity is not the XOR of its members", sid, st.parity, members)
 		}
 		for _, k := range members {
+			p, live := s.physOf(k)
+			if live && lost > 0 {
+				continue
+			}
 			got := make([]uint64, s.B)
 			if _, err := s.reconstruct(sid, k, got); err != nil {
 				t.Fatalf("stripe %d: reconstructing %v: %v", sid, k, err)
 			}
-			if p, live := s.physOf(k); live && !slices.Equal(got, raw(p)) {
+			if live && !slices.Equal(got, raw(p)) {
 				t.Fatalf("stripe %d: %v reconstructs to other bytes than it holds", sid, k)
 			}
 		}
@@ -229,14 +234,11 @@ func (m *opModel) read() {
 	}
 }
 
-// flush is the barrier: flush, rebuild what a dead drive left, check the
-// invariants and every live track's content.
+// flush is the barrier: flush, check the invariants and every live
+// track's content.
 func (m *opModel) flush() {
 	if err := m.s.FlushParity(); err != nil {
 		m.t.Fatalf("FlushParity: %v", err)
-	}
-	if err := m.s.RebuildStep(1 << 20); err != nil {
-		m.t.Fatalf("RebuildStep: %v", err)
 	}
 	checkInvariants(m.t, m.s)
 	got := make([]uint64, m.B)
@@ -308,9 +310,9 @@ func (m *opModel) step(op int) {
 
 // runOps runs one sequence to its end: everything released, and nothing
 // left behind.
-func runOps(t *testing.T, D int, steps func() bool, pick func(n int) int) {
+func runOps(t *testing.T, mode Mode, D int, steps func() bool, pick func(n int) int) {
 	const B = 4
-	s, _ := mkStore(t, D, B)
+	s, _ := mkMode(t, mode, D, B)
 	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64)}
 	for steps() {
 		// Writes are the common operation, a death the rare one.
@@ -331,33 +333,45 @@ func runOps(t *testing.T, D int, steps func() bool, pick func(n int) int) {
 
 // TestRandomOps: 2,000 seeded sequences of fresh writes, rewrites,
 // releases, reads, flushes, rolled-back attempts and one drive death, the
-// invariants checked at every flush.
+// invariants checked at every flush; and 600 more under mirror, whose
+// stripes are one member wide.
 func TestRandomOps(t *testing.T) {
-	for _, D := range []int{2, 3, 4, 8} {
-		for seed := uint64(0); seed < 500; seed++ {
-			rng := prng.New(prng.Derive(seed, 0x0b5, uint64(D)))
-			n := 10 + rng.Intn(60)
-			ok := t.Run(fmt.Sprintf("D%d/seed%d", D, seed), func(t *testing.T) {
-				runOps(t, D, func() bool { n--; return n >= 0 }, rng.Intn)
-			})
-			if !ok {
-				return
+	for _, mode := range []Mode{Parity, Mirror} {
+		for _, D := range []int{2, 3, 4, 8} {
+			seeds, prefix := uint64(500), ""
+			if mode == Mirror {
+				if D == 2 {
+					continue // parity's stripes are one member wide there too
+				}
+				seeds, prefix = 200, "mirror/"
+			}
+			for seed := uint64(0); seed < seeds; seed++ {
+				rng := prng.New(prng.Derive(seed, 0x0b5, uint64(D)))
+				n := 10 + rng.Intn(60)
+				ok := t.Run(fmt.Sprintf("%sD%d/seed%d", prefix, D, seed), func(t *testing.T) {
+					runOps(t, mode, D, func() bool { n--; return n >= 0 }, rng.Intn)
+				})
+				if !ok {
+					return
+				}
 			}
 		}
 	}
 }
 
 // FuzzParityOps is TestRandomOps with the choices read from the input:
-// the first byte picks D, every later one a choice.
+// the first byte picks D and the width — one member under mirror, D-1
+// under parity — every later one a choice.
 func FuzzParityOps(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 5, 3, 0, 5, 2, 0, 5})
 	f.Add([]byte{1, 0, 0, 0, 11, 14, 0, 0, 1, 0, 13, 2, 0, 1, 11})
 	f.Add(bytes.Repeat([]byte{3, 0, 7, 12, 1}, 20))
+	f.Add([]byte{6, 0, 0, 1, 4, 5, 0, 14, 0, 2, 5, 0, 13, 1, 0, 5})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
 		}
-		D := []int{2, 3, 4, 8}[int(in[0])%4]
+		D, mode := []int{2, 3, 4, 8}[int(in[0])%4], []Mode{Parity, Mirror}[int(in[0])/4%2]
 		in = in[1:]
 		if len(in) > 400 {
 			in = in[:400]
@@ -370,7 +384,7 @@ func FuzzParityOps(f *testing.F) {
 			in = in[1:]
 			return b % n
 		}
-		runOps(t, D, func() bool { return len(in) > 0 }, pick)
+		runOps(t, mode, D, func() bool { return len(in) > 0 }, pick)
 	})
 }
 

@@ -1,17 +1,18 @@
-// Package redundancy adds erasure-coded drive redundancy to the
-// simulated disk subsystem: rotated XOR parity groups across the D
-// drives of one processor (RAID-5 style), giving single-drive-failure
-// tolerance at a storage overhead of one parity track per D-1 data
-// tracks instead of the 2× of full mirroring.
+// Package redundancy adds drive redundancy to the simulated disk
+// subsystem, in one scheme with two widths: XOR parity groups (stripes)
+// across the D drives of one processor. Under parity a stripe holds up
+// to D-1 data tracks and its parity track rotates over the drives
+// (RAID-5 style), single-drive-failure tolerance at one parity track per
+// D-1 data tracks. Under mirror a stripe holds one data track, and the
+// "parity" of one member is its copy, on the next live drive after the
+// member's (2× capacity). Everything below — degraded reads, remaps,
+// the barrier flush, the scrub and Reconcile — serves both unchanged.
 //
 // The layer is a link of a processor's store chain, between the
 // fault-injection layer (internal/fault) and the disk.Store beneath.
-// Data tracks keep their identity mapping — Alloc and ReserveRot are
-// the inner store's own, so the engines' layout (standard consecutive
-// and standard linked formats) is untouched —
-// while parity tracks are allocated from the same store, interleaved
-// with client allocations exactly as the fault layer's mirror copies
-// are.
+// Data tracks keep their identity mapping — Alloc is the inner store's
+// own, so the engines' layout is untouched — while parity tracks are
+// allocated from the same store, interleaved with client allocations.
 //
 // Parity follows the engine's lifetimes, which is the natural RAID-5
 // variant for a BSP-style engine that rewrites its live state every
@@ -30,21 +31,21 @@
 // the barrier, so it costs at most one parity read and one parity write
 // per superstep no matter how often its members change.
 //
-// On top of the parity groups the layer provides:
+// On top of the stripes the layer provides:
 //
 //   - degraded-mode reads: a read of a track whose drive has died, or
 //     whose content fails its recorded checksum, is served by XOR-ing
-//     the stripe's surviving D-1 members. Every extra parallel I/O
-//     this costs is a real charged operation, surfaced in the
-//     ReconstructedBlocks / DegradedOps counters;
+//     the stripe's survivors. Every extra parallel I/O this costs is a
+//     real charged operation, surfaced in the ReconstructedBlocks /
+//     DegradedOps counters;
 //   - a background scrub: a cursor walks the physical tracks between
 //     supersteps, re-reads checksummed tracks, and repairs latent
 //     corruption from parity. The cursor is part of EncodeState, so a
-//     crash-resumed run continues scrubbing where it left off;
-//   - online rebuild: after a permanent drive death the dead drive's
-//     striped tracks are reconstructed onto spare capacity of the
-//     survivors while the program keeps running, a bounded number of
-//     tracks per barrier; progress is journaled and resumable.
+//     crash-resumed run continues scrubbing where it left off.
+//
+// A dead drive is not rebuilt: a stripe lives with its superstep, so the
+// dead drive's members leave with theirs, and until then a read of one is
+// reconstructed (DESIGN.md §10).
 //
 // All map iterations that cause I/O or enter encoded state are sorted,
 // so the layer preserves the repository's bitwise-determinism
@@ -70,8 +71,9 @@ type Mode int
 const (
 	// None runs without redundancy: a permanent drive loss is fatal.
 	None Mode = iota
-	// Mirror keeps a full copy of every written track on a partner
-	// drive (2× storage, one extra write op per write op).
+	// Mirror keeps a copy of every written track on the next live
+	// drive: stripes of one member (2× storage, one extra write op per
+	// write op).
 	Mirror
 	// Parity keeps one rotated XOR parity track per stripe of D-1 data
 	// tracks (1/(D-1) storage overhead, superstep-batched parity
@@ -107,16 +109,17 @@ func ParseMode(s string) (Mode, error) {
 
 // stripe is one parity group: at most one member track per data drive
 // (never on the parity drive), so any single member is the XOR of the
-// parity track and the other members. A member that has left (Store.left)
-// keeps its slot, and parity keeps encoding it, until the next
-// FlushParity; count is the members that have not.
+// parity track and the other members — under mirror, of the parity track
+// alone, its copy. A member that has left (Store.left) keeps its slot,
+// and parity keeps encoding it, until the next FlushParity; count is the
+// members that have not.
 type stripe struct {
 	parity  disk.Addr // parity track location
 	members []int     // member track per logical drive, -1 = none
 	count   int
 }
 
-func (st *stripe) full(D int) bool { return st.count >= D-1 }
+func (st *stripe) full(width int) bool { return st.count >= width }
 
 // Counters reports the layer's redundancy accounting. All figures
 // except the two gauges are monotone over the run; Restore does not
@@ -152,9 +155,6 @@ type Counters struct {
 	// ScrubRepairs counts the corrupt ones it repaired from parity.
 	ScrubbedBlocks int64
 	ScrubRepairs   int64
-	// RebuiltBlocks counts dead-drive tracks reconstructed onto spare
-	// capacity of the surviving drives by the online rebuild.
-	RebuiltBlocks int64
 }
 
 // Add accumulates other into c (for multi-processor aggregation).
@@ -169,7 +169,6 @@ func (c *Counters) Add(other Counters) {
 	c.StripedBlocks += other.StripedBlocks
 	c.ScrubbedBlocks += other.ScrubbedBlocks
 	c.ScrubRepairs += other.ScrubRepairs
-	c.RebuiltBlocks += other.RebuiltBlocks
 }
 
 // Publish folds the counters into the metrics registry under parity_*
@@ -190,20 +189,19 @@ func (c Counters) Publish(r *obs.Registry) {
 	r.Counter("parity_striped_blocks").Add(c.StripedBlocks)
 	r.Counter("parity_scrubbed_blocks").Add(c.ScrubbedBlocks)
 	r.Counter("parity_scrub_repairs").Add(c.ScrubRepairs)
-	r.Counter("parity_rebuilt_blocks").Add(c.RebuiltBlocks)
 }
 
 // inner is the store chain beneath the layer, embedded under this name
 // so every disk.Store method the layer does not override is the chain's.
 type inner = disk.Store
 
-// Store is the parity layer, a link of a store chain: it overrides
+// Store is the redundancy layer, a link of a store chain: it overrides
 // ReadOp, WriteOp and Release; everything else is the embedded inner
 // store's, promoted — allocation (directory metadata that never faults;
 // I/O on a dead drive's tracks is remapped at operation time), Stats
-// (parity, reconstruction and rebuild traffic are real charged
-// operations), AllocSnapshot/AllocRestore (the layer's own rollback
-// state is Snapshot's) and Sync (the engines call FlushParity first, so
+// (parity and reconstruction traffic are real charged operations),
+// AllocSnapshot/AllocRestore (the layer's own rollback state is
+// Snapshot's) and Sync (the engines call FlushParity first, so
 // a commit record's parity is durable before the record lands). All
 // methods are safe for concurrent use: the parity directories and RMW
 // arithmetic serialize on an internal mutex (physical D-parallelism
@@ -212,7 +210,8 @@ type inner = disk.Store
 // they land; the promoted methods rely on the inner store's own safety.
 type Store struct {
 	inner
-	D, B int
+	D, B  int
+	width int // data members a stripe holds: D-1 under parity, 1 under mirror
 
 	mu    sync.Mutex // guards all stripe/parity/remap state below
 	state            // what a superstep replay rolls back
@@ -232,9 +231,9 @@ type Store struct {
 	wrote map[disk.Addr]bool
 	// recompute marks stripes whose stored parity is known stale after
 	// a crash-resume (Reconcile found residue it could not repair or
-	// recompute immediately: a torn member, or one on a dead drive not
-	// yet rebuilt). Incremental parity maintenance is suspended for
-	// these stripes and reads needing their parity fail loudly;
+	// recompute immediately: a torn member, or one on a dead drive).
+	// Incremental parity maintenance is suspended for these stripes and
+	// reads needing their parity fail loudly;
 	// FlushParity recomputes each one from its members as soon as every
 	// member is readable again. Like rmwOld it describes physical state
 	// rather than superstep state, so it survives Restore and is not
@@ -243,9 +242,6 @@ type Store struct {
 	recompute map[int]bool
 
 	scrubD, scrubT int // scrub cursor (physical walk)
-	rebDrive       int // drive being rebuilt, -1 when none
-	rebTrack       int // next dead-drive track to examine
-	rebParity      int // next stripe id to check for a lost parity track
 
 	ctr       Counters
 	cachePeak int // most parity blocks cached at once (CachePeak)
@@ -295,15 +291,27 @@ func (st *state) clone() state {
 
 // Wrap layers parity redundancy over a store. Parity requires at least
 // two drives (one data drive plus a rotated parity drive).
-func Wrap(below disk.Store) (*Store, error) {
+func Wrap(below disk.Store) (*Store, error) { return wrap(below, Parity) }
+
+// WrapMirror layers mirror redundancy over a store: stripes of one
+// member, whose copy goes on the next live drive after the member's.
+// Mirroring requires at least two drives.
+func WrapMirror(below disk.Store) (*Store, error) { return wrap(below, Mirror) }
+
+func wrap(below disk.Store, mode Mode) (*Store, error) {
 	cfg := below.Config()
 	if cfg.D < 2 {
-		return nil, fmt.Errorf("redundancy: parity requires D >= 2, have D = %d", cfg.D)
+		return nil, fmt.Errorf("redundancy: %s requires D >= 2, have D = %d", mode, cfg.D)
+	}
+	width := cfg.D - 1
+	if mode == Mirror {
+		width = 1
 	}
 	return &Store{
 		inner: below,
 		D:     cfg.D,
 		B:     cfg.B,
+		width: width,
 		state: state{
 			stripeOf: make(map[disk.Addr]int),
 			stripes:  make(map[int]*stripe),
@@ -319,11 +327,10 @@ func Wrap(below disk.Store) (*Store, error) {
 		rmwOld:    make(map[disk.Addr][]uint64),
 		wrote:     make(map[disk.Addr]bool),
 		recompute: make(map[int]bool),
-		rebDrive:  -1,
 	}, nil
 }
 
-// Inner returns the chain beneath the parity layer.
+// Inner returns the chain beneath the redundancy layer.
 func (s *Store) Inner() disk.Store { return s.inner }
 
 // Counters returns the redundancy accounting.
@@ -342,29 +349,15 @@ func (s *Store) CachePeak() int {
 	return s.cachePeak
 }
 
-// Rebuilding reports whether an online rebuild is still in progress.
-func (s *Store) Rebuilding() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rebDrive >= 0
-}
-
-// DriveDied marks drive d permanently dead and schedules the online
-// rebuild. The fault layer calls it at the moment of a scheduled drive
-// death; from then on the Store never issues inner I/O against d —
-// reads are reconstructed from parity or served from rebuilt copies,
-// writes land on spare capacity of the survivors.
+// DriveDied marks drive d permanently dead. The fault layer calls it at
+// the moment of a scheduled drive death; from then on the Store never
+// issues inner I/O against d — reads are reconstructed from the stripe's
+// survivors, writes land on spare capacity of the survivors.
 func (s *Store) DriveDied(d int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d < 0 || d >= s.D || s.dead[d] {
-		return
-	}
-	s.dead[d] = true
-	if s.rebDrive < 0 {
-		s.rebDrive = d
-		s.rebTrack = 0
-		s.rebParity = 0
+	if d >= 0 && d < s.D {
+		s.dead[d] = true
 	}
 }
 
@@ -379,7 +372,7 @@ func (s *Store) parityActive(sid int) bool {
 }
 
 // chooseSpare returns a live drive other than d, rotated by salt so
-// remapped and rebuilt tracks spread over the survivors.
+// remapped tracks spread over the survivors.
 func (s *Store) chooseSpare(d, salt int) (int, bool) {
 	for i := 0; i < s.D; i++ {
 		c := (d + 1 + salt + i) % s.D
@@ -661,7 +654,7 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 		}
 		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
-			return 0, fmt.Errorf("redundancy: recomputing parity of stripe %d: member on dead drive %d not yet rebuilt", sid, d)
+			return 0, fmt.Errorf("redundancy: recomputing parity of stripe %d: member on dead drive %d", sid, d)
 		}
 		if old, ok := s.rmwOld[p]; ok {
 			// The stored parity being recomputed encodes the barrier
@@ -702,9 +695,9 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 
 // ReadOp performs one parallel read. Live tracks are read directly
 // (verifying recorded checksums and repairing latent corruption from
-// parity); dead-drive tracks are served from their rebuilt copy or
-// reconstructed from the stripe's surviving members; blank tracks read
-// as zeros, exactly as on the raw store.
+// parity); dead-drive tracks are served from their remapped location or
+// reconstructed from the stripe's survivors; blank tracks read as zeros,
+// exactly as on the raw store.
 func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -730,9 +723,9 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 				recon = append(recon, i)
 				degraded = true
 			} else {
-				// Dead, never striped, never rebuilt: the track was blank
-				// at the death (fresh writes since then are remapped), so
-				// it still reads as zeros.
+				// Dead and never striped: the track was blank at the death
+				// (fresh writes since then are remapped), so it still reads
+				// as zeros.
 				clear(r.Dst)
 			}
 		}
@@ -836,8 +829,8 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 				oldReqs = append(oldReqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
 			}
 		} else {
-			// Rewrite of a dead, not-yet-rebuilt member: its old value
-			// must be reconstructed before parity can drop it.
+			// Rewrite of a dead member: its old value must be
+			// reconstructed before parity can drop it.
 			n, err := s.reconstruct(sid, k, buf)
 			s.ctr.DegradedOps += int64(n)
 			if err != nil {
@@ -965,7 +958,8 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 }
 
 // writeParity writes the cached parity of those of sids that are dirty,
-// except a stripe whose parity drive has died (the rebuild re-homes it).
+// except a stripe whose parity drive has died (unprotected until its
+// members leave).
 func (s *Store) writeParity(sids []int) error {
 	reqs := make([]disk.WriteReq, 0, len(sids))
 	for _, sid := range sids {
@@ -1132,19 +1126,21 @@ func (s *Store) removeOpen(sid int) {
 // assign places a track being written for the first time into a stripe
 // of this superstep: the first open one with a usable parity track, a
 // free slot on the track's drive and a parity drive other than it;
-// otherwise a new stripe whose parity drive continues the rotation and
-// whose parity track is allocated now. When no live drive can hold
-// parity (D = 2 with the survivor writing), the track is left
+// otherwise a new stripe whose parity track is allocated now. A parity
+// stripe's parity drive continues the rotation; a copy goes on the next
+// live drive after its member's, so the copies of one operation's tracks
+// never share a drive (at D = 2 the two rules agree). When no live drive
+// can hold parity (D = 2 with the survivor writing), the track is left
 // unprotected and assign reports ok = false.
 func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	for _, sid := range s.open {
 		st := s.stripes[sid]
-		if st.members[k.Disk] < 0 && st.parity.Disk != k.Disk && s.parityActive(sid) && !st.full(s.D) {
+		if st.members[k.Disk] < 0 && st.parity.Disk != k.Disk && s.parityActive(sid) && !st.full(s.width) {
 			st.members[k.Disk] = k.Track
 			st.count++
 			s.stripeOf[k] = sid
 			s.ctr.StripedBlocks++
-			if st.full(s.D) {
+			if st.full(s.width) {
 				s.removeOpen(sid)
 				s.filled = append(s.filled, sid)
 			}
@@ -1154,6 +1150,9 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	pd := -1
 	for i := 0; i < s.D; i++ {
 		c := (s.next + i) % s.D
+		if s.width == 1 {
+			c = (k.Disk + 1 + i) % s.D
+		}
 		if c != k.Disk && !s.dead[c] {
 			pd = c
 			break
@@ -1177,7 +1176,7 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	s.pdirty[sid] = true
 	s.ctr.ParityBlocks++
 	s.ctr.StripedBlocks++
-	if st.full(s.D) {
+	if st.full(s.width) {
 		s.filled = append(s.filled, sid)
 	} else {
 		s.open = append(s.open, sid) // ids only grow: still ascending
@@ -1261,10 +1260,11 @@ func (s *Store) FlushParity() error {
 // recomputeStaleParity recomputes and rewrites the parity of a
 // recompute-marked stripe from the current member contents, clearing
 // the mark on success. It keeps the mark (done = false, no error)
-// while the stripe cannot be recomputed yet: a member is torn and not
-// yet rewritten, a member or the parity track sits on a dead drive
-// awaiting rebuild. Its I/O is recovery work outside any superstep's
-// accounting, so no redundancy counters are charged.
+// while the stripe cannot be recomputed: a member is torn and not yet
+// rewritten, or a member or the parity track sits on a dead drive (the
+// mark then lasts until the stripe's members leave). Its I/O is
+// recovery work outside any superstep's accounting, so no redundancy
+// counters are charged.
 func (s *Store) recomputeStaleParity(sid int) (done bool, err error) {
 	st, ok := s.stripes[sid]
 	if !ok {
@@ -1272,7 +1272,7 @@ func (s *Store) recomputeStaleParity(sid int) (done bool, err error) {
 		return true, nil
 	}
 	if !s.parityUsable(st) {
-		return false, nil // the rebuild's re-homing recomputes it
+		return false, nil
 	}
 	dst := make([]uint64, s.B)
 	buf := make([]uint64, s.B)
@@ -1356,104 +1356,10 @@ func (s *Store) Scrub(budget int) (wrapped bool, err error) {
 	return false, nil
 }
 
-// RebuildStep advances the online rebuild by up to budget tracks:
-// striped tracks of the dead drive are reconstructed onto spare
-// capacity of the survivors and remapped, then stripes whose parity
-// track died are recomputed onto a live drive. Like Scrub it must run
-// at a barrier. When everything is rebuilt the drive is considered
-// fully absorbed and Rebuilding turns false.
-func (s *Store) RebuildStep(budget int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rebDrive < 0 || budget <= 0 {
-		return nil
-	}
-	d := s.rebDrive
-	limit := s.inner.State().Next[d]
-	buf := make([]uint64, s.B)
-	for budget > 0 && s.rebTrack < limit {
-		t := s.rebTrack
-		s.rebTrack++
-		k := disk.Addr{Disk: d, Track: t}
-		if _, remapped := s.remap[k]; remapped {
-			continue
-		}
-		sid, striped := s.stripeOf[k]
-		if !striped || !s.parityUsable(s.stripes[sid]) {
-			continue
-		}
-		n, err := s.reconstruct(sid, k, buf)
-		s.ctr.DegradedOps += int64(n)
-		if err != nil {
-			return err
-		}
-		sd, ok := s.chooseSpare(d, t)
-		if !ok {
-			return fmt.Errorf("redundancy: no live drive to rebuild drive %d onto", d)
-		}
-		p := disk.Addr{Disk: sd, Track: s.inner.Alloc(sd)}
-		if _, err := s.writePhys([]disk.WriteReq{{Disk: p.Disk, Track: p.Track, Src: buf}}); err != nil {
-			return err
-		}
-		s.remap[k] = p
-		s.rrmap[p] = k
-		delete(s.sums, k)
-		s.ctr.RebuiltBlocks++
-		budget--
-	}
-	if s.rebTrack < limit {
-		return nil
-	}
-	// Phase 2: re-home parity tracks that lived on the dead drive. With
-	// a full stripe every live drive already holds a member, so the new
-	// parity may share a drive with one — reconstruction then costs an
-	// extra split operation, and full second-failure tolerance is not
-	// restored until those stripes turn over (documented limitation).
-	for budget > 0 && s.rebParity < s.next {
-		sid := s.rebParity
-		s.rebParity++
-		st, ok := s.stripes[sid]
-		if !ok || st.parity.Disk != d {
-			continue
-		}
-		if err := func() error {
-			n, err := s.recomputeParity(sid, buf)
-			s.ctr.DegradedOps += int64(n)
-			if err != nil {
-				return err
-			}
-			pd, ok := s.chooseSpare(d, sid)
-			if !ok {
-				return fmt.Errorf("redundancy: no live drive for the parity of stripe %d", sid)
-			}
-			old := st.parity
-			np := disk.Addr{Disk: pd, Track: s.inner.Alloc(pd)}
-			if _, err := s.writePhys([]disk.WriteReq{{Disk: np.Disk, Track: np.Track, Src: buf}}); err != nil {
-				return err
-			}
-			delete(s.parityAt, old)
-			delete(s.sums, old)
-			st.parity = np
-			s.parityAt[np] = sid
-			// Re-homing recomputed the parity from the current members,
-			// which is exactly what a crash-stale stripe was waiting for.
-			delete(s.recompute, sid)
-			return nil
-		}(); err != nil {
-			return err
-		}
-		budget--
-	}
-	if s.rebParity >= s.next && s.rebTrack >= s.inner.State().Next[d] {
-		s.rebDrive = -1
-	}
-	return nil
-}
-
 // Snapshot captures the layer's rollback state for a superstep replay:
 // the stripe directory, the leaver and held-release lists, checksums,
 // remaps and parity cache. Dead
-// drives, the scrub/rebuild cursors and the counters are deliberately
+// drives, the scrub cursor and the counters are deliberately
 // not part of it — a replay is new work on the same (possibly
 // degraded) hardware, and work already spent really happened. This
 // mirrors the fault layer's Snapshot philosophy.
@@ -1486,10 +1392,9 @@ func (s *Store) Restore(sn *Snapshot) {
 
 // EncodeState appends the layer's complete persistent state to enc in
 // deterministic order: dead drives, the stripe directory, checksums,
-// remaps, the scrub and rebuild cursors, and the counters. A journal
-// commit must capture everything — a resumed process replaces the
-// crashed one entirely, so the scrub continues at its cursor and an
-// interrupted rebuild picks up exactly where it stopped. It must be
+// remaps, the scrub cursor, and the counters. A journal commit must
+// capture everything — a resumed process replaces the crashed one
+// entirely, so the scrub continues at its cursor. It must be
 // called at a barrier, after FlushParity (the parity cache and the
 // leaver and held-release lists are empty there and are not encoded).
 func (s *Store) EncodeState(enc *words.Encoder) {
@@ -1500,12 +1405,12 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		enc.PutBool(d)
 	}
 	enc.PutInt(int64(s.next))
-	enc.PutInts([]int64{int64(s.scrubD), int64(s.scrubT), int64(s.rebDrive), int64(s.rebTrack), int64(s.rebParity)})
+	enc.PutInts([]int64{int64(s.scrubD), int64(s.scrubT)})
 	c := s.ctr
 	enc.PutInts([]int64{
 		c.ChecksumFailures, c.RepairedBlocks, c.ReconstructedBlocks, c.DegradedOps,
 		c.ParityOps, c.ParityBlocks, c.StripedBlocks, c.ScrubbedBlocks, c.ScrubRepairs,
-		c.RebuiltBlocks, c.ParityReadOps,
+		c.ParityReadOps,
 	})
 
 	sids := make([]int, 0, len(s.stripes))
@@ -1558,19 +1463,18 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 	}
 	s.next = int(dec.Int())
 	cur := dec.Ints()
-	if len(cur) != 5 {
-		return fmt.Errorf("redundancy: cursor state has %d fields, want 5", len(cur))
+	if len(cur) != 2 {
+		return fmt.Errorf("redundancy: cursor state has %d fields, want 2", len(cur))
 	}
 	s.scrubD, s.scrubT = int(cur[0]), int(cur[1])
-	s.rebDrive, s.rebTrack, s.rebParity = int(cur[2]), int(cur[3]), int(cur[4])
 	cs := dec.Ints()
-	if len(cs) != 11 {
-		return fmt.Errorf("redundancy: counter state has %d fields, want 11", len(cs))
+	if len(cs) != 10 {
+		return fmt.Errorf("redundancy: counter state has %d fields, want 10", len(cs))
 	}
 	s.ctr = Counters{
 		ChecksumFailures: cs[0], RepairedBlocks: cs[1], ReconstructedBlocks: cs[2],
 		DegradedOps: cs[3], ParityOps: cs[4], ParityBlocks: cs[5], StripedBlocks: cs[6],
-		ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], RebuiltBlocks: cs[9], ParityReadOps: cs[10],
+		ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], ParityReadOps: cs[9],
 	}
 
 	s.stripes = make(map[int]*stripe)
@@ -1645,7 +1549,7 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 // exactly the crashed attempt's tracks before the next barrier, and
 // the read-modify-write only needs the "old" value it folds out to be
 // the value parity currently encodes. When a member of such a stripe
-// is torn or lost (dead drive, not yet rebuilt) the recomputation is
+// is torn or lost (on a dead drive) the recomputation is
 // deferred to the next FlushParity via the recompute set, and reads
 // needing reconstruction from the stripe fail loudly until then: crash
 // residue plus a lost member in one stripe is genuinely beyond

@@ -1,6 +1,7 @@
 package redundancy
 
 import (
+	"slices"
 	"testing"
 
 	"embsp/internal/disk"
@@ -8,12 +9,14 @@ import (
 	"embsp/internal/words"
 )
 
-func mkStore(t *testing.T, D, B int) (*Store, *disk.Array) {
+func mkStore(t *testing.T, D, B int) (*Store, *disk.Array) { return mkMode(t, Parity, D, B) }
+
+func mkMode(t *testing.T, mode Mode, D, B int) (*Store, *disk.Array) {
 	t.Helper()
 	raw := disk.MustNewArray(disk.Config{D: D, B: B})
-	s, err := Wrap(raw)
+	s, err := wrap(raw, mode)
 	if err != nil {
-		t.Fatalf("Wrap: %v", err)
+		t.Fatalf("wrap: %v", err)
 	}
 	return s, raw
 }
@@ -258,48 +261,64 @@ func (s *Store) stripeID(a disk.Addr) (int, bool) {
 	return sid, ok
 }
 
-func TestOnlineRebuild(t *testing.T) {
+// TestMirrorCopies: under mirror a stripe is one member and its copy. A
+// D-block write costs exactly one copy operation, every copy on the next
+// drive after its member's, holding the member's words; with a drive
+// dead the copies skip it and still share no drive, and every track
+// reads back from its copy.
+func TestMirrorCopies(t *testing.T) {
 	const D, B = 4, 8
-	s, _ := mkStore(t, D, B)
-	addrs := writeTracks(t, s, D, B, 5)
+	s, raw := mkMode(t, Mirror, D, B)
+	checkCopies := func(addrs []disk.Addr, next func(d int) int) {
+		t.Helper()
+		want := make([]uint64, B)
+		for _, a := range addrs {
+			cp := s.stripes[s.stripeOf[a]].parity
+			if pattern(want, a.Disk, a.Track); cp.Disk != next(a.Disk) || !slices.Equal(raw.PeekTrack(cp.Disk, cp.Track), want) {
+				t.Errorf("the copy of %v is at %v holding %x, want drive %d holding its words", a, cp, raw.PeekTrack(cp.Disk, cp.Track), next(a.Disk))
+			}
+		}
+	}
+	before := raw.Stats()
+	addrs := writeTracks(t, s, D, B, 1)
+	if w := raw.Stats().WriteOps - before.WriteOps; w != 2 {
+		t.Errorf("a %d-block write took %d write operations, want the write and one copy operation", D, w)
+	}
+	if c := s.Counters(); c.ParityOps != 1 || c.ParityBlocks != D || c.StripedBlocks != D {
+		t.Errorf("after one %d-block write: ParityOps %d, ParityBlocks %d, StripedBlocks %d, want 1, %d, %d", D, c.ParityOps, c.ParityBlocks, c.StripedBlocks, D, D)
+	}
+	checkCopies(addrs, func(d int) int { return (d + 1) % D })
 	flushChecked(t, s)
+
 	const dead = 1
 	s.DriveDied(dead)
-	if !s.Rebuilding() {
-		t.Fatal("Rebuilding() = false right after a drive death")
-	}
-	steps := 0
-	for s.Rebuilding() {
-		if err := s.RebuildStep(2); err != nil {
-			t.Fatalf("RebuildStep: %v", err)
-		}
-		steps++
-		if steps > 1000 {
-			t.Fatal("rebuild did not terminate")
+	var live []disk.Addr
+	var reqs []disk.WriteReq
+	for d := 0; d < D; d++ {
+		if d != dead {
+			a := disk.Addr{Disk: d, Track: s.Alloc(d)}
+			buf := make([]uint64, B)
+			pattern(buf, a.Disk, a.Track)
+			live, reqs = append(live, a), append(reqs, disk.WriteReq{Disk: a.Disk, Track: a.Track, Src: buf})
 		}
 	}
-	c := s.Counters()
-	if c.RebuiltBlocks == 0 {
-		t.Error("rebuild finished without rebuilding any block")
+	if err := s.WriteOp(reqs); err != nil {
+		t.Fatal(err)
 	}
-	// After the rebuild every dead-drive track is served from its
-	// remapped copy: reads need no further reconstruction.
-	recon0 := c.ReconstructedBlocks
-	for _, a := range addrs {
+	before = raw.Stats()
+	flushChecked(t, s)
+	if w := raw.Stats().WriteOps - before.WriteOps; w != 1 {
+		t.Errorf("the copies of a write over the %d live drives took %d operations, want 1", D-1, w)
+	}
+	checkCopies(live, func(d int) int {
+		if d+1 == dead {
+			return d + 2
+		}
+		return (d + 1) % D
+	})
+	for _, a := range append(addrs, live...) {
 		checkTrack(t, s, a, B)
 	}
-	if c2 := s.Counters(); c2.ReconstructedBlocks != recon0 {
-		t.Errorf("reads after a completed rebuild still reconstruct (%d -> %d)", recon0, c2.ReconstructedBlocks)
-	}
-	// New writes to the dead drive land on spare capacity and read back.
-	tr := s.Alloc(dead)
-	buf := make([]uint64, B)
-	pattern(buf, dead, tr)
-	if err := s.WriteOp([]disk.WriteReq{{Disk: dead, Track: tr, Src: append([]uint64(nil), buf...)}}); err != nil {
-		t.Fatalf("post-death write: %v", err)
-	}
-	flushChecked(t, s)
-	checkTrack(t, s, disk.Addr{Disk: dead, Track: tr}, B)
 }
 
 func TestSnapshotRestore(t *testing.T) {
@@ -332,9 +351,6 @@ func TestEncodeDecodeResume(t *testing.T) {
 	addrs := writeTracks(t, s, D, B, 5)
 	flushChecked(t, s)
 	s.DriveDied(2)
-	if err := s.RebuildStep(3); err != nil { // partial rebuild
-		t.Fatalf("RebuildStep: %v", err)
-	}
 	if _, err := s.Scrub(5); err != nil { // partial scrub
 		t.Fatalf("Scrub: %v", err)
 	}
@@ -356,13 +372,8 @@ func TestEncodeDecodeResume(t *testing.T) {
 	if s2.Counters() != s.Counters() {
 		t.Errorf("counters differ after decode:\n  %+v\n  %+v", s2.Counters(), s.Counters())
 	}
-	if !s2.Rebuilding() {
-		t.Error("resumed layer lost the rebuild cursor")
-	}
-	for s2.Rebuilding() {
-		if err := s2.RebuildStep(4); err != nil {
-			t.Fatalf("resumed RebuildStep: %v", err)
-		}
+	if s2.scrubD != s.scrubD || s2.scrubT != s.scrubT || !slices.Equal(s2.dead, s.dead) {
+		t.Errorf("resumed layer scrubs from (%d, %d) with dead drives %v, want (%d, %d) and %v", s2.scrubD, s2.scrubT, s2.dead, s.scrubD, s.scrubT, s.dead)
 	}
 	for _, a := range addrs {
 		checkTrack(t, s2, a, B)

@@ -1,10 +1,10 @@
 package embsp_test
 
-// The issue's acceptance property over the public API: every Table 1
-// workload, run with parity redundancy and a permanent single-drive
-// death mid-run, at P = 1 and P = 3, produces VP states bitwise
-// identical to RunReference — degraded reads, scrub and online rebuild
-// included — and EMStats shows the parity machinery actually worked.
+// The acceptance property of the redundancy layer over the public API:
+// every Table 1 workload, run with mirror or parity redundancy and a
+// permanent single-drive death mid-run, at P = 1 and P = 3, produces VP
+// states bitwise identical to RunReference — degraded reads and scrub
+// included — and EMStats shows the layer actually worked.
 
 import (
 	"fmt"
@@ -49,41 +49,44 @@ func TestParityPropertyTable1(t *testing.T) {
 					t.Fatalf("P=%d clean: %v", p, err)
 				}
 				drive0 := clean.EM.PerProc[0].PerDrive[0]
-				half, seen := max(1, (drive0.BlocksRead+drive0.BlocksWritten)/2), false
-				for op := half; op < half+8 && !seen; op++ {
-					plan := &embsp.FaultPlan{Seed: 23, FailDriveOp: op, FailDrive: 0}
-					res, err := embsp.Run(prog, cfg, embsp.Options{
-						Seed:       seed,
-						FaultPlan:  plan,
-						Redundancy: embsp.RedundancyParity,
-						Scrub:      true,
-					})
-					if err != nil {
-						t.Fatalf("P=%d: %v", p, err)
-					}
-					for i, vp := range res.VPs {
-						got := vpImage(vp)
-						if fmt.Sprint(got) != fmt.Sprint(want[i]) {
-							t.Fatalf("P=%d: VP %d context differs from reference after drive loss under parity", p, i)
+				half := max(1, (drive0.BlocksRead+drive0.BlocksWritten)/2)
+				for _, mode := range []embsp.Redundancy{embsp.RedundancyMirror, embsp.RedundancyParity} {
+					label, seen := fmt.Sprintf("%v P=%d", mode, p), false
+					for op := half; op < half+8 && !seen; op++ {
+						plan := &embsp.FaultPlan{Seed: 23, FailDriveOp: op, FailDrive: 0}
+						res, err := embsp.Run(prog, cfg, embsp.Options{
+							Seed:       seed,
+							FaultPlan:  plan,
+							Redundancy: mode,
+							Scrub:      true,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
+						for i, vp := range res.VPs {
+							got := vpImage(vp)
+							if fmt.Sprint(got) != fmt.Sprint(want[i]) {
+								t.Fatalf("%s: VP %d context differs from reference after drive loss", label, i)
+							}
+						}
+						em := res.EM
+						if em.DriveFailures != 1 {
+							t.Errorf("%s: DriveFailures=%d, want 1", label, em.DriveFailures)
+						}
+						if em.ParityOps == 0 {
+							t.Errorf("%s: redundancy enabled but ParityOps=0", label)
+						}
+						if em.ScrubbedBlocks == 0 {
+							t.Errorf("%s: scrub enabled but ScrubbedBlocks=0", label)
+						}
+						// Post-death activity: the drive's committed tracks are
+						// reconstructed, or writes under way at the death are
+						// remapped and charge degraded work.
+						seen = em.ReconstructedBlocks+em.DegradedOps > 0
 					}
-					em := res.EM
-					if em.DriveFailures != 1 {
-						t.Errorf("P=%d: DriveFailures=%d, want 1", p, em.DriveFailures)
+					if !seen {
+						t.Errorf("%s: the drive died at each of clock ticks %d to %d and no degraded work is visible", label, half, half+7)
 					}
-					if em.ParityOps == 0 {
-						t.Errorf("P=%d: parity enabled but ParityOps=0", p)
-					}
-					if em.ScrubbedBlocks == 0 {
-						t.Errorf("P=%d: scrub enabled but ScrubbedBlocks=0", p)
-					}
-					// Post-death activity: the drive's committed tracks are
-					// reconstructed or rebuilt, or writes under way at the
-					// death are remapped and charge degraded work.
-					seen = em.ReconstructedBlocks+em.RebuiltBlocks+em.DegradedOps > 0
-				}
-				if !seen {
-					t.Errorf("P=%d: the drive died at each of clock ticks %d to %d and no degraded or rebuild work is visible", p, half, half+7)
 				}
 			}
 		})
