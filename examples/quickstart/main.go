@@ -51,6 +51,8 @@ func (vp *histVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
 		for _, v := range vp.vals {
 			local[v%numBins]++
 		}
+		// Send copies each payload, so slices of local can go out as
+		// they are.
 		per := numBins / numVPs
 		for d := 0; d < numVPs; d++ {
 			env.Send(d, local[d*per:(d+1)*per])
@@ -60,6 +62,10 @@ func (vp *histVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
 		vp.phase = 1
 		return false, nil
 	default:
+		// The payloads are the engine's memory for this VP's batch:
+		// reading them, or keeping them in the VP until Save copies
+		// them out, is fine; handing them to anything that outlives the
+		// batch is not.
 		per := numBins / numVPs
 		vp.bins = make([]uint64, per)
 		for _, m := range in {
@@ -77,6 +83,8 @@ func (vp *histVP) Save(enc *words.Encoder) {
 	enc.PutUints(vp.bins)
 }
 
+// Load may keep the slices Uints returns: like the payloads, they live
+// until this VP's batch is saved.
 func (vp *histVP) Load(dec *words.Decoder) {
 	vp.phase = dec.Uint()
 	vp.vals = dec.Uints()

@@ -79,21 +79,28 @@ func recLess(a, b []uint64) bool {
 }
 
 // SortRecords sorts the flat record slice data (length a multiple of
-// w) lexicographically by its w-word records.
+// w) lexicographically by its w-word records, in place. Records compare
+// on all their words, so equal records are identical and the unstable
+// sort leaves the same words as a stable one would.
 func SortRecords(data []uint64, w int) {
-	n := len(data) / w
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	sort.Sort(records{data, w})
+}
+
+// records is a flat record slice as a sort.Interface.
+type records struct {
+	data []uint64
+	w    int
+}
+
+func (r records) Len() int { return len(r.data) / r.w }
+func (r records) Less(i, j int) bool {
+	return recLess(r.data[i*r.w:(i+1)*r.w], r.data[j*r.w:(j+1)*r.w])
+}
+func (r records) Swap(i, j int) {
+	a, b := r.data[i*r.w:(i+1)*r.w], r.data[j*r.w:(j+1)*r.w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		return recLess(data[idx[i]*w:idx[i]*w+w], data[idx[j]*w:idx[j]*w+w])
-	})
-	out := make([]uint64, len(data))
-	for i, j := range idx {
-		copy(out[i*w:(i+1)*w], data[j*w:(j+1)*w])
-	}
-	copy(data, out)
 }
 
 // RecordsSorted reports whether data is sorted by its w-word records.

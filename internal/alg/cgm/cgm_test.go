@@ -2,6 +2,7 @@ package cgm
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,31 @@ func TestSortRecords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSortRecordsInPlaceProperty: sorting in place leaves exactly the
+// words of a stable sort of a copy, whatever the width, the length and
+// the share of equal records.
+func TestSortRecordsInPlaceProperty(t *testing.T) {
+	f := func(seed uint64, wRaw, nRaw, keysRaw uint8) bool {
+		r := prng.New(seed)
+		w, n, keys := 1+int(wRaw%5), int(nRaw), 1+int(keysRaw%16)
+		data := make([]uint64, n*w)
+		for i := range data {
+			data[i] = uint64(r.Intn(keys))
+		}
+		recs := toPairs(data, w)
+		sort.SliceStable(recs, func(i, j int) bool { return lessSlice(recs[i], recs[j]) })
+		var want []uint64
+		for _, rec := range recs {
+			want = append(want, rec...)
+		}
+		SortRecords(data, w)
+		return slices.Equal(data, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -303,3 +303,98 @@ func (v *breathingVP) Load(dec *words.Decoder) {
 // BreathingWords returns the context words VP vp of a BreathingProgram
 // holds.
 func BreathingWords(vp bsp.VP) []uint64 { return vp.(*breathingVP).words }
+
+// HoldingProgram is StaticProgram's ring with state the engine hands
+// over: a VP's context is a CtxWords-word record whose Load decodes its
+// data with Uints, and its Step keeps the payloads it received in its
+// state until Save writes them out. Its VPs are made once, as
+// StaticProgram's are, and a Step allocates nothing, so what a superstep
+// allocates is the engine's — including whatever it makes of the
+// decoded data and the received payloads, which a test can find by
+// varying CtxWords.
+type HoldingProgram struct {
+	V, Rounds, Fan, CtxWords int
+	vps                      []holdingVP
+}
+
+func NewHoldingProgram(v, rounds, fan, ctxWords int) *HoldingProgram {
+	p := &HoldingProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords, vps: make([]holdingVP, v)}
+	// A context holds the accumulator, the data behind its length, the
+	// kept count and Fan one-word payloads behind theirs.
+	n := ctxWords - 3 - 2*fan
+	for id := range p.vps {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = mix(uint64(id), uint64(i))
+		}
+		p.vps[id] = holdingVP{p: p, id: id, init: vals, kept: make([][]uint64, 0, fan)}
+	}
+	return p
+}
+
+func (p *HoldingProgram) NumVPs() int          { return p.V }
+func (p *HoldingProgram) MaxContextWords() int { return p.CtxWords }
+func (p *HoldingProgram) MaxCommWords() int    { return 2 * p.Fan }
+
+// NewVP resets and returns the preallocated VP. Like StaticProgram's, it
+// relies on engines loading a VP before stepping it; it writes no word a
+// Load handed the VP, which belong to the engine once their batch is
+// saved.
+func (p *HoldingProgram) NewVP(id int) bsp.VP {
+	v := &p.vps[id]
+	v.acc, v.data, v.kept = 0, v.init, v.kept[:0]
+	return v
+}
+
+type holdingVP struct {
+	p    *HoldingProgram
+	id   int
+	acc  uint64
+	init []uint64   // the initial data, never written
+	data []uint64   // read only: init, or what Load decoded
+	kept [][]uint64 // the payloads received this superstep
+}
+
+func (v *holdingVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	v.kept = v.kept[:0]
+	for _, m := range in {
+		v.acc += m.Payload[0]
+		v.kept = append(v.kept, m.Payload)
+	}
+	if env.Superstep() == v.p.Rounds {
+		return true, nil
+	}
+	for f := 1; f <= v.p.Fan; f++ {
+		i := (v.acc + uint64(f)) % uint64(len(v.data))
+		env.Send((v.id+f)%v.p.V, v.data[i:i+1])
+	}
+	return false, nil
+}
+
+func (v *holdingVP) Save(enc *words.Encoder) {
+	enc.PutUint(v.acc)
+	enc.PutUints(v.data)
+	enc.PutUint(uint64(len(v.kept)))
+	for _, k := range v.kept {
+		enc.PutUints(k)
+	}
+}
+
+func (v *holdingVP) Load(dec *words.Decoder) {
+	v.acc = dec.Uint()
+	v.data = dec.Uints()
+	v.kept = v.kept[:dec.Uint()]
+	for i := range v.kept {
+		v.kept[i] = dec.Uints()
+	}
+}
+
+// HoldingState returns the accumulator and the kept payloads' words of a
+// HoldingProgram's VP.
+func HoldingState(vp bsp.VP) (acc uint64, kept []uint64) {
+	v := vp.(*holdingVP)
+	for _, k := range v.kept {
+		kept = append(kept, k...)
+	}
+	return v.acc, kept
+}

@@ -28,6 +28,11 @@ import (
 // Seq is the per-source send order; deliveries to a virtual processor
 // are always sorted by (Src, Seq), so program results are independent
 // of which engine (in-memory, sequential EM, parallel EM) ran them.
+//
+// A delivered Payload lives as long as the receiving VP's batch: an EM
+// engine reassembles a batch's messages into memory of its own and
+// reuses it for the next batch once the batch's contexts are saved (see
+// VP).
 type Message struct {
 	Src     int
 	Dst     int
@@ -53,29 +58,54 @@ type Program interface {
 }
 
 // VP is one virtual processor of a Program.
+//
+// Lifetime rule: an EM engine simulates the VPs a batch at a time and
+// hands them memory the real processor owns — the slices Load decodes
+// with Uints, the Step's in and its payloads, the Env. All of it lives
+// until the batch's contexts are saved, and is then reused for the next
+// batch. A VP may keep these slices in its own state, since Save copies
+// them out; it must not hand them to anything that outlives its batch
+// (the Program, a global, another goroutine). The slices are
+// capacity-limited, so an append reallocates rather than overwriting a
+// neighbour's words.
 type VP interface {
 	// Step executes the computation phase of one compound superstep.
 	// in holds the messages sent to this VP in the previous superstep
-	// in canonical (Src, Seq) order; the VP may keep the payload
-	// slices. Returning halt=true votes to end the program: the run
-	// finishes when all VPs vote halt in the same superstep, and it is
-	// an error to send a message while voting halt.
+	// in canonical (Src, Seq) order; the VP may keep the payload slices
+	// in its state, under the lifetime rule above. Returning halt=true
+	// votes to end the program: the run finishes when all VPs vote halt
+	// in the same superstep, and it is an error to send a message while
+	// voting halt.
 	Step(env *Env, in []Message) (halt bool, err error)
 	// Save marshals the VP's context. The encoding must be at most
 	// MaxContextWords() words and must capture all state the VP needs
 	// across supersteps.
 	Save(enc *words.Encoder)
-	// Load restores the VP's context from a previous Save.
+	// Load restores the VP's context from a previous Save. The slices
+	// dec.Uints returns follow the lifetime rule above.
 	Load(dec *words.Decoder)
 }
 
 // NewEnv constructs the Env for one VP's Step call. It is the hook
 // through which execution engines (the in-memory runner and the EM
 // simulation engines) provide the messaging fabric: emit is invoked
-// once per Send with the copied payload.
+// once per Send with the payload copied into an allocation of its own —
+// the one copy a message makes — which the emitter may keep.
 func NewEnv(id, v, superstep int, seed uint64, emit func(dst int, payload []uint64)) *Env {
 	return &Env{id: id, v: v, superstep: superstep, seed: seed, emit: emit}
 }
+
+// Reset readies e for another Step call, in e's own memory: an engine
+// that keeps one Env per real processor calls it where it would call
+// NewEnv. Unlike NewEnv's, e's Sends copy each payload into its send
+// memory, where it stays, across Resets, until ClearSent.
+func (e *Env) Reset(id, v, superstep int, seed uint64, emit func(dst int, payload []uint64)) {
+	*e = Env{id: id, v: v, superstep: superstep, seed: seed, emit: emit, sent: e.sent, reused: true}
+}
+
+// ClearSent gives a reused Env's send memory back for later Sends: the
+// payloads emitted so far are no longer valid.
+func (e *Env) ClearSent() { e.sent = e.sent[:0] }
 
 // SendTotals reports the traffic generated through this Env: total
 // payload+header words sent, number of messages, and the accumulated
@@ -91,10 +121,13 @@ type Env struct {
 	v         int
 	superstep int
 	seed      uint64
-	rng       *prng.Rand
+	rng       prng.Rand
+	seeded    bool // rng holds this Step's stream
 	sendWords int
 	sends     int
 	charge    int64
+	sent      []uint64 // a reused Env's send memory: the payloads sent since ClearSent, end to end
+	reused    bool     // made by Reset: Send copies into sent, not into an allocation of its own
 	emit      func(dst int, payload []uint64)
 }
 
@@ -110,12 +143,23 @@ func (e *Env) Superstep() int { return e.superstep }
 // Send sends payload to VP dst; it is received in the next superstep.
 // The payload is copied, so the caller may reuse the slice. An empty
 // payload still forms a message (one header word of traffic).
+//
+// Send makes the copy itself rather than leave it to emit, so that
+// payload does not escape: a slice literal a VP sends stays on its
+// stack.
 func (e *Env) Send(dst int, payload []uint64) {
 	if dst < 0 || dst >= e.v {
 		panic("bsp: Send to VP out of range")
 	}
-	p := make([]uint64, len(payload))
-	copy(p, payload)
+	var p []uint64
+	if e.reused {
+		at := len(e.sent)
+		e.sent = append(e.sent, payload...)
+		p = e.sent[at:len(e.sent):len(e.sent)]
+	} else {
+		p = make([]uint64, len(payload))
+		copy(p, payload)
+	}
 	e.sendWords += len(payload) + 1 // header word, per model accounting
 	e.sends++
 	e.emit(dst, p)
@@ -132,10 +176,12 @@ func (e *Env) Charge(ops int64) {
 
 // Rand returns a deterministic random stream keyed by (run seed, VP
 // id, superstep). The stream is identical across all engines, so
-// randomized programs still produce engine-independent results.
+// randomized programs still produce engine-independent results. It is
+// the Env's, valid for this Step only.
 func (e *Env) Rand() *prng.Rand {
-	if e.rng == nil {
-		e.rng = prng.New(prng.Derive(e.seed, uint64(e.id), uint64(e.superstep)))
+	if !e.seeded {
+		e.rng.Seed(prng.Derive(e.seed, uint64(e.id), uint64(e.superstep)))
+		e.seeded = true
 	}
-	return e.rng
+	return &e.rng
 }

@@ -158,15 +158,23 @@ func metaCmp(a, b blockMeta) int {
 // B each, concatenated in buf); metas[i] its directory entry. Every
 // stream is checked against the total in each of its headers. The
 // result maps local VP offsets (dst - loVP) to messages in canonical
-// delivery order; a stream's payloads share one allocation.
-func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Message, error) {
-	order := make([]int, len(metas))
+// delivery order, nil for a VP that received none. All of it is the
+// processor's memory (bufs): the streams laid end to end in msgMem,
+// which the payloads alias, and the lists capacity-limited runs of
+// msgList — valid until the next reassemble on the same bufs.
+func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int, bufs *stepBufs) ([][]bsp.Message, error) {
+	order := grow(&bufs.order, len(metas))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(i, j int) int { return metaCmp(metas[i], metas[j]) })
 
-	out := make([][]bsp.Message, hiVP-loVP)
+	// A stream word is one of some block's C payload words, so the
+	// streams fit the input's words. Their concatenation is a run of
+	// whole records, which the second pass below places.
+	mem, used, nmsgs := fit(&bufs.msgMem, len(buf)), 0, 0
+	counts := grow(&bufs.counts, hiVP-loVP)
+	clear(counts)
 	c := chunkCap(B)
 	for i := 0; i < len(order); {
 		m := metas[order[i]]
@@ -181,7 +189,7 @@ func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Mes
 		if total < recordWords {
 			return nil, bad("is shorter than a record")
 		}
-		stream := make([]uint64, 0, min(total, (len(order)-i)*c))
+		start := used
 		j := 0
 		for ; i+j < len(order) && metas[order[i+j]].dst == m.dst && metas[order[i+j]].src == m.src; j++ {
 			entry, img := metas[order[i+j]], buf[order[i+j]*B:(order[i+j]+1)*B]
@@ -195,23 +203,40 @@ func reassemble(buf []uint64, metas []blockMeta, B, loVP, hiVP int) ([][]bsp.Mes
 			case j >= chunks:
 				return nil, bad("has a block past its end, chunk %d of %d", j, chunks)
 			}
-			stream = append(stream, img[headerWords:headerWords+min(c, total-j*c)]...)
+			used += copy(mem[used:], img[headerWords:headerWords+min(c, total-j*c)])
 		}
 		if j < chunks {
 			return nil, bad("truncated at chunk %d of %d", j, chunks)
 		}
 		i += j
+		stream := mem[start:used]
 		for p := 0; p < total; {
 			if p+recordWords > total || stream[p+3] > uint64(total-p-recordWords) {
 				return nil, bad("has a record at word %d running past its end", p)
 			}
-			dst, src, seq, n := int(stream[p]), int(stream[p+1]), int(stream[p+2]), int(stream[p+3])
+			dst, n := int(stream[p]), int(stream[p+3])
 			if dst < loVP || dst >= hiVP {
 				return nil, bad("carries a message for VP %d into group [%d,%d)", dst, loVP, hiVP)
 			}
+			counts[dst-loVP]++
+			nmsgs++
 			p += recordWords + n
-			out[dst-loVP] = append(out[dst-loVP], bsp.Message{Src: src, Dst: dst, Seq: seq, Payload: stream[p-n : p : p]})
 		}
+	}
+
+	// A cell is a whole batch, so the messages of its VPs interleave in
+	// a stream: count, then place each VP's in a run of the list.
+	msgs, out := grow(&bufs.msgList, nmsgs), grow(&bufs.inMsgs, hiVP-loVP)
+	for i, off := 0, 0; i < len(out); i++ {
+		out[i] = nil
+		if n := counts[i]; n > 0 {
+			out[i], off = msgs[off:off:off+n], off+n
+		}
+	}
+	for p := 0; p < used; {
+		dst, src, seq, n := int(mem[p]), int(mem[p+1]), int(mem[p+2]), int(mem[p+3])
+		p += recordWords + n
+		out[dst-loVP] = append(out[dst-loVP], bsp.Message{Src: src, Dst: dst, Seq: seq, Payload: mem[p-n : p : p]})
 	}
 	return out, nil
 }

@@ -106,6 +106,7 @@ func TestPackedStreamsRoundTrip(t *testing.T) {
 		// as routing and the exchange do by directory entry alone.
 		order := make([]int, len(metas))
 		r.PermInto(order)
+		var bufs stepBufs // one processor's memory, reused by every batch
 		for _, batch := range batchRanges(sh) {
 			lo, hi := batch[0], batch[1]
 			var inBuf []uint64
@@ -115,7 +116,7 @@ func TestPackedStreamsRoundTrip(t *testing.T) {
 					inBuf, inMetas = append(inBuf, buf[i*B:(i+1)*B]...), append(inMetas, m)
 				}
 			}
-			got, err := reassemble(inBuf, inMetas, B, lo, hi)
+			got, err := reassemble(inBuf, inMetas, B, lo, hi, &bufs)
 			if err != nil {
 				t.Logf("seed %d: batch [%d,%d): %v", seed, lo, hi, err)
 				return false
@@ -125,6 +126,12 @@ func TestPackedStreamsRoundTrip(t *testing.T) {
 					return a.Src == b.Src && a.Dst == b.Dst && a.Seq == b.Seq && slices.Equal(a.Payload, b.Payload)
 				}) {
 					t.Logf("seed %d: VP %d received %v, want %v", seed, id, got[id-lo], want[id])
+					return false
+				}
+				// The lists and payloads share the processor's memory: an
+				// append to one must reallocate, not overwrite the next.
+				if cap(got[id-lo]) != len(got[id-lo]) || slices.ContainsFunc(got[id-lo], func(m bsp.Message) bool { return cap(m.Payload) != len(m.Payload) }) {
+					t.Logf("seed %d: VP %d's messages have room past their end", seed, id)
 					return false
 				}
 			}
@@ -152,7 +159,7 @@ func TestReassembleRejectsDamage(t *testing.T) {
 	}
 	if buf, metas := pack(); len(metas) != 7 {
 		t.Fatalf("fixture packs into %d blocks, want 7", len(metas))
-	} else if _, err := reassemble(buf, metas, B, lo, hi); err != nil {
+	} else if _, err := reassemble(buf, metas, B, lo, hi, new(stepBufs)); err != nil {
 		t.Fatalf("undamaged fixture: %v", err)
 	}
 	for _, tc := range []struct {
@@ -199,7 +206,7 @@ func TestReassembleRejectsDamage(t *testing.T) {
 		}, "stream (cell 8, from batch 0, 5 words) routed to group [4,8)"},
 	} {
 		buf, metas := tc.damage(pack())
-		if _, err := reassemble(buf, metas, B, lo, hi); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := reassemble(buf, metas, B, lo, hi, new(stepBufs)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}

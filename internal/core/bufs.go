@@ -1,6 +1,7 @@
 package core
 
 import (
+	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/words"
 )
@@ -24,6 +25,24 @@ type stepBufs struct {
 	slab     []uint64 // exchange: the block images the batch scatters
 	op       []uint64 // one parallel operation, D·B words: the block writer's pending blocks
 	scratch  []uint64 // the block image being packed, B words
+
+	// The batch's VPs: what they are handed lives until the batch's
+	// contexts are saved (bsp.VP's lifetime rule), and these hold it.
+	// vpMem and msgMem are not charged to the accountant: they are
+	// decoded copies of words it already charges (the loaded contexts,
+	// the input blocks), which the heap held before. env's send memory
+	// holds the payload words the batch grabs as its outgoing messages,
+	// and grows by append, as they are known only once they are sent.
+	vps     []bsp.VP        // the batch's VPs, loaded from ctx
+	vpMem   []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded
+	arena   words.Arena     // vpMem, as the decoder carves it
+	dec     words.Decoder   // the context being loaded
+	env     bsp.Env         // the environment of the VP stepping; its send memory holds the batch's payloads until the sink has packed them
+	msgMem  []uint64        // the batch's reassembled streams, which the received payloads alias: at most its input blocks' words
+	msgList []bsp.Message   // the batch's received messages, per VP in delivery order
+	inMsgs  [][]bsp.Message // each VP's messages, a capacity-limited run of msgList
+	counts  []int           // messages per VP, counted before they are placed
+	order   []int           // the input blocks in stream order
 
 	enc     words.Encoder // the context being saved
 	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell

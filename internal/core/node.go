@@ -299,13 +299,13 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 		pos += 1 + copy(buf[pos+1:], ps.enc.Words())
 	}
 	if sh.batchAt(step, j) == sh.batches-1 {
-		ps.ctxWrite[j] = nil
+		ps.ctxWrite[j] = ps.ctxWrite[j][:0]
 		if pos > 0 { // an empty batch holds nothing
 			ps.held, ps.heldLen = j, pos
 		}
 		return nil
 	}
-	tracks := make([]disk.Addr, (pos+B-1)/B)
+	tracks := grow(&ps.ctxWrite[j], (pos+B-1)/B)
 	clear(buf[pos : len(tracks)*B])
 	for i := range tracks {
 		for n := 0; n < D && ps.down != nil && ps.down(ps.ctxAt); n++ {
@@ -351,12 +351,14 @@ func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(i
 }
 
 // releaseContexts gives back the tracks of batch j's committed contexts,
-// last first, so the allocator hands them out again in block order.
+// last first, so the allocator hands them out again in block order. The
+// entry keeps its memory: in place, where the generation written is the
+// one read, the batch's save lists its new tracks in it.
 func (ps *procState) releaseContexts(j int) (err error) {
 	for i := len(ps.ctxDir[j]) - 1; i >= 0 && err == nil; i-- {
 		err = ps.chain.Release(ps.ctxDir[j][i].Disk, ps.ctxDir[j][i].Track)
 	}
-	ps.ctxDir[j] = nil
+	ps.ctxDir[j] = ps.ctxDir[j][:0]
 	return err
 }
 
@@ -621,24 +623,29 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	if err != nil {
 		return err
 	}
-	var inbox [][]bsp.Message
-	if len(in.metas) == 0 {
-		inbox = make([][]bsp.Message, n)
-	} else if inbox, err = reassemble(in.buf, in.metas, B, lo, hi); err != nil {
+	inbox, err := reassemble(in.buf, in.metas, B, lo, hi, &ps.stepBufs)
+	if err != nil {
 		return err
 	}
 	spMsg.End()
 
-	// Contexts of the current k VPs.
+	// Contexts of the current k VPs, decoded into the words they were
+	// loaded as: the held records, or the blocks the directory lists.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
 	ctxBuf, ctxGrab, err := sh.grabCtx(ps, n)
 	if err != nil {
 		return err
 	}
-	vps := make([]bsp.VP, n)
+	loaded := len(ps.ctxDir[j]) * B
+	if ps.held == j {
+		loaded = ps.heldLen
+	}
+	ps.arena.Reset(fit(&ps.vpMem, min(loaded, len(ctxBuf))))
+	vps := grow(&ps.vps, n)
 	err = sh.loadContexts(ps, j, ctxBuf, func(id int, ctx []uint64) error {
 		vps[id-lo] = sh.p.NewVP(id)
-		return bsp.SafeLoad(vps[id-lo], words.NewDecoder(ctx), id, step)
+		ps.dec.Reset(ctx, &ps.arena)
+		return bsp.SafeLoad(vps[id-lo], &ps.dec, id, step)
 	})
 	if err == nil && !ps.ckptOn {
 		// Nothing rolls back to them: the batch's save gets them back.
@@ -663,11 +670,21 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	}
 
 	// Simulate the computation supersteps, collecting the generated
-	// messages in internal memory, as the paper prescribes.
+	// messages in internal memory, as the paper prescribes: each payload
+	// is copied once, into the processor's Env, where it stays until the
+	// sink has packed it.
 	outs := ps.msgs[:0]
+	ps.env.ClearSent()
 	var outWords int64
+	var id, seq, sendPkts int
+	emit := func(dst int, payload []uint64) {
+		outs = append(outs, outMsg{dst: dst, src: id, seq: seq, payload: payload})
+		seq++
+		sendPkts += sh.rec.MsgPkts(len(payload) + 1)
+		outWords += int64(len(payload) + 1)
+	}
 	for i := 0; i < n; i++ {
-		id := lo + i
+		id, seq, sendPkts = lo+i, 0, 0
 		recvWords, recvPkts := 0, 0
 		for _, m := range inbox[i] {
 			w := len(m.Payload) + 1
@@ -677,14 +694,8 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		if recvWords > sh.gamma {
 			return fmt.Errorf("core: VP %d received %d words in superstep %d, exceeding γ=%d", id, recvWords, step, sh.gamma)
 		}
-		seq := 0
-		sendPkts := 0
-		env := bsp.NewEnv(id, sh.v, step, sh.opts.Seed, func(dst int, payload []uint64) {
-			outs = append(outs, outMsg{dst: dst, src: id, seq: seq, payload: payload})
-			seq++
-			sendPkts += sh.rec.MsgPkts(len(payload) + 1)
-			outWords += int64(len(payload) + 1)
-		})
+		env := &ps.env
+		env.Reset(id, sh.v, step, sh.opts.Seed, emit)
 		halt, err := bsp.SafeStep(vps[i], env, inbox[i])
 		if err != nil {
 			return fmt.Errorf("core: VP %d superstep %d: %w", id, step, err)

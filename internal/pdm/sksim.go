@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"fmt"
+	"slices"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -109,6 +110,14 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 	}
 
 	cellBuf := make([]uint64, cellBlocks*b)
+	// One Env serves every VP: its send memory holds the current VP's
+	// payloads, which go from there straight into the cell images.
+	type sent struct {
+		dst, seq int
+		payload  []uint64
+	}
+	var env bsp.Env
+	var outs []sent
 	for step := 0; ; step++ {
 		if step >= opts.MaxSupersteps {
 			return nil, fmt.Errorf("pdm: no convergence after %d supersteps", opts.MaxSupersteps)
@@ -116,7 +125,6 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 		halts := 0
 		sends := 0
 		nextUsed := make([]int, v*v)
-		outBufs := make([][]uint64, v) // per-destination encoding for current VP
 		for j := 0; j < v; j++ {
 			// Fetch context.
 			sub := subArea(ctxArea, j*muBlocks, muBlocks)
@@ -151,16 +159,12 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 			}
 
 			// Compute.
-			for d := range outBufs {
-				outBufs[d] = nil
-			}
-			seq := 0
-			env := bsp.NewEnv(j, v, step, opts.Seed, func(dst int, payload []uint64) {
-				outBufs[dst] = append(outBufs[dst], uint64(seq), uint64(len(payload)))
-				outBufs[dst] = append(outBufs[dst], payload...)
-				seq++
+			outs = outs[:0]
+			env.ClearSent()
+			env.Reset(j, v, step, opts.Seed, func(dst int, payload []uint64) {
+				outs = append(outs, sent{dst: dst, seq: len(outs), payload: payload})
 			})
-			halt, err := vp.Step(env, inbox)
+			halt, err := vp.Step(&env, inbox)
 			if err != nil {
 				return nil, fmt.Errorf("pdm: VP %d superstep %d: %w", j, step, err)
 			}
@@ -170,20 +174,26 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 				halts++
 			}
 
-			// Write generated messages to cells (j, d).
-			for dIdx, ob := range outBufs {
-				if len(ob) == 0 {
-					continue
+			// Write generated messages to cells (j, d), in destination
+			// order, each [seq, len, payload…] in send order.
+			slices.SortStableFunc(outs, func(a, b sent) int { return a.dst - b.dst })
+			for lo, hi := 0, 0; lo < len(outs); lo = hi {
+				dIdx, n := outs[lo].dst, 0
+				for hi = lo; hi < len(outs) && outs[hi].dst == dIdx; hi++ {
+					n += 2 + len(outs[hi].payload)
 				}
-				if len(ob) > cellBlocks*b {
-					return nil, fmt.Errorf("pdm: cell (%d,%d) overflow: %d words", j, dIdx, len(ob))
+				if n > cellBlocks*b {
+					return nil, fmt.Errorf("pdm: cell (%d,%d) overflow: %d words", j, dIdx, n)
 				}
-				clear(cellBuf[:((len(ob)+b-1)/b)*b])
-				copy(cellBuf, ob)
-				if err := writeWords(cells[(step+1)%2][j*v+dIdx], len(ob), cellBuf); err != nil {
+				clear(cellBuf[:((n+b-1)/b)*b])
+				for at, m := 0, lo; m < hi; m++ {
+					cellBuf[at], cellBuf[at+1] = uint64(outs[m].seq), uint64(len(outs[m].payload))
+					at += 2 + copy(cellBuf[at+2:], outs[m].payload)
+				}
+				if err := writeWords(cells[(step+1)%2][j*v+dIdx], n, cellBuf); err != nil {
 					return nil, err
 				}
-				nextUsed[j*v+dIdx] = len(ob)
+				nextUsed[j*v+dIdx] = n
 			}
 
 			// Write context back.

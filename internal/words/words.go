@@ -84,15 +84,44 @@ func (e *Encoder) PutFloats(s []float64) {
 	}
 }
 
-// Decoder reads values from a word buffer in the order they were
-// encoded.
-type Decoder struct {
+// Arena is memory a Decoder carves the slices Uints returns from, so
+// that decoding allocates nothing while the arena lasts. Each slice is
+// capacity-limited: an append to it reallocates instead of overwriting
+// the next one. The slices stay the arena's words, so they are valid
+// only until the arena's memory is handed out again.
+type Arena struct {
 	buf []uint64
 	off int
 }
 
+// Reset makes buf the arena's memory, all of it free.
+func (a *Arena) Reset(buf []uint64) { a.buf, a.off = buf, 0 }
+
+// take carves n words, or returns nil when a is nil or has fewer left.
+func (a *Arena) take(n int) []uint64 {
+	if a == nil || n > len(a.buf)-a.off {
+		return nil
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return s
+}
+
+// Decoder reads values from a word buffer in the order they were
+// encoded.
+type Decoder struct {
+	buf   []uint64
+	off   int
+	arena *Arena
+}
+
 // NewDecoder returns a Decoder reading from buf.
 func NewDecoder(buf []uint64) *Decoder { return &Decoder{buf: buf} }
+
+// Reset makes d read buf from its start, carving the slices Uints
+// returns from arena while it lasts (nil: every slice is a new
+// allocation, as with NewDecoder).
+func (d *Decoder) Reset(buf []uint64, arena *Arena) { d.buf, d.off, d.arena = buf, 0, arena }
 
 // Remaining returns the number of words not yet consumed.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
@@ -121,13 +150,18 @@ func (d *Decoder) Float() float64 { return math.Float64frombits(d.next()) }
 // Bool decodes one word as a boolean.
 func (d *Decoder) Bool() bool { return d.next() != 0 }
 
-// Uints decodes a length-prefixed slice. The result is a copy.
+// Uints decodes a length-prefixed slice. The result is a copy, carved
+// from the Decoder's arena when it has room and allocated otherwise;
+// it is never nil, even when empty.
 func (d *Decoder) Uints() []uint64 {
 	n := int(d.next())
 	if n < 0 || d.off+n > len(d.buf) {
 		panic("words: corrupt slice length")
 	}
-	s := make([]uint64, n)
+	s := d.arena.take(n)
+	if s == nil {
+		s = make([]uint64, n)
+	}
 	copy(s, d.buf[d.off:d.off+n])
 	d.off += n
 	return s

@@ -142,3 +142,93 @@ func TestSizeUints(t *testing.T) {
 		t.Errorf("encoded %d words, SizeUints says %d", e.Len(), SizeUints(17))
 	}
 }
+
+// encodedSlices encodes each slice with PutUints, in order.
+func encodedSlices(ss ...[]uint64) []uint64 {
+	e := NewEncoder(nil)
+	for _, s := range ss {
+		e.PutUints(s)
+	}
+	return e.Words()
+}
+
+func TestArenaEmptyUintsNotNil(t *testing.T) {
+	ws := encodedSlices(nil, []uint64{7}, nil)
+	for _, tc := range []struct {
+		name  string
+		arena *Arena
+	}{
+		{"no arena", nil},
+		{"an arena with room", &Arena{buf: make([]uint64, 4)}},
+		{"an exhausted arena", &Arena{buf: make([]uint64, 1), off: 1}},
+		{"an arena without memory", &Arena{}},
+	} {
+		var d Decoder
+		d.Reset(ws, tc.arena)
+		for i := 0; i < 3; i++ {
+			if s := d.Uints(); s == nil {
+				t.Errorf("%s: slice %d is nil", tc.name, i)
+			}
+		}
+	}
+}
+
+func TestArenaAppendLeavesNeighbour(t *testing.T) {
+	arena := &Arena{buf: make([]uint64, 6)}
+	var d Decoder
+	d.Reset(encodedSlices([]uint64{1, 2}, []uint64{3, 4, 5}), arena)
+	a, b := d.Uints(), d.Uints()
+	if &a[0] != &arena.buf[0] || &b[0] != &arena.buf[2] {
+		t.Fatal("the slices are not carved from the arena end to end")
+	}
+	if cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("capacities %d and %d, want the lengths %d and %d", cap(a), cap(b), len(a), len(b))
+	}
+	a = append(a, 99)
+	if !reflect.DeepEqual(a, []uint64{1, 2, 99}) || !reflect.DeepEqual(b, []uint64{3, 4, 5}) {
+		t.Errorf("after an append to the first slice: %v and %v", a, b)
+	}
+}
+
+func TestArenaExhaustedFallsBackToHeap(t *testing.T) {
+	arena := &Arena{buf: make([]uint64, 3)}
+	var d Decoder
+	d.Reset(encodedSlices([]uint64{1, 2}, []uint64{3, 4}, []uint64{5}), arena)
+	a, b, c := d.Uints(), d.Uints(), d.Uints()
+	if &a[0] != &arena.buf[0] {
+		t.Error("the first slice is not the arena's")
+	}
+	if &b[0] == &arena.buf[2] {
+		t.Error("the second slice overruns the arena")
+	}
+	if &c[0] != &arena.buf[2] {
+		t.Error("the third slice, which fits, is not the arena's")
+	}
+	if !reflect.DeepEqual([][]uint64{a, b, c}, [][]uint64{{1, 2}, {3, 4}, {5}}) {
+		t.Errorf("decoded %v, %v, %v", a, b, c)
+	}
+}
+
+func TestResetClearsOffsets(t *testing.T) {
+	mem := make([]uint64, 2)
+	var arena Arena
+	arena.Reset(mem)
+	var d Decoder
+	ws := encodedSlices([]uint64{1, 2})
+	d.Reset(ws, &arena)
+	d.Uints()
+	if d.Remaining() != 0 || arena.off != 2 {
+		t.Fatalf("after one slice: %d words left to decode, arena offset %d", d.Remaining(), arena.off)
+	}
+	d.Reset(ws, &arena)
+	if d.Offset() != 0 {
+		t.Errorf("Decoder.Reset leaves offset %d", d.Offset())
+	}
+	arena.Reset(mem)
+	if arena.off != 0 {
+		t.Errorf("Arena.Reset leaves offset %d", arena.off)
+	}
+	if s := d.Uints(); &s[0] != &mem[0] {
+		t.Error("a reset arena does not hand out its memory from the start")
+	}
+}
