@@ -30,31 +30,28 @@ import (
 	"embsp/internal/workload"
 )
 
-// killProgram wraps a Program so that one VP hard-kills the process
+// killProgram wraps a Program so that VP v/2 hard-kills the process
 // with SIGKILL — no deferred cleanup, exactly like a power loss — when
-// it starts computing superstep killStep. It exists for the
-// crash-recovery end-to-end test; the resumed invocation must not pass
-// -kill-step again.
+// it starts computing superstep killStep. Every VP is wrapped and the
+// victim is found by Env.ID: an engine steps VP v/2 in whichever object
+// its slot holds. It exists for the crash-recovery end-to-end test; the
+// resumed invocation must not pass -kill-step again.
 type killProgram struct {
 	embsp.Program
 	killStep int
 }
 
 func (p *killProgram) NewVP(id int) embsp.VP {
-	vp := p.Program.NewVP(id)
-	if id == p.Program.NumVPs()/2 {
-		return &killVP{VP: vp, killStep: p.killStep}
-	}
-	return vp
+	return &killVP{VP: p.Program.NewVP(id), p: p}
 }
 
 type killVP struct {
 	embsp.VP
-	killStep int
+	p *killProgram
 }
 
 func (k *killVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
-	if env.Superstep() == k.killStep {
+	if env.ID() == k.p.NumVPs()/2 && env.Superstep() == k.p.killStep {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
 	return k.VP.Step(env, in)

@@ -60,32 +60,30 @@ func (c soakCase) String() string {
 	return s
 }
 
-// crashProgram wraps a Program so one VP panics when it starts
+// crashProgram wraps a Program so VP v/2 panics when it starts
 // computing superstep step — a mid-superstep crash that leaves the
 // failed superstep's partial in-place writes in the state directory
 // behind the committed journal record, unlike killStep's clean
-// cancellation at a committed barrier.
+// cancellation at a committed barrier. Every VP is wrapped and the
+// victim is found by Env.ID: an engine steps VP v/2 in whichever object
+// its slot holds.
 type crashProgram struct {
 	embsp.Program
 	step int
 }
 
 func (p *crashProgram) NewVP(id int) embsp.VP {
-	vp := p.Program.NewVP(id)
-	if id == p.Program.NumVPs()/2 {
-		return &crashVP{VP: vp, step: p.step}
-	}
-	return vp
+	return &crashVP{VP: p.Program.NewVP(id), p: p}
 }
 
 type crashVP struct {
 	embsp.VP
-	step int
+	p *crashProgram
 }
 
 func (v *crashVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
-	if env.Superstep() == v.step {
-		panic(fmt.Sprintf("soak: injected crash in superstep %d", v.step))
+	if env.ID() == v.p.NumVPs()/2 && env.Superstep() == v.p.step {
+		panic(fmt.Sprintf("soak: injected crash in superstep %d", v.p.step))
 	}
 	return v.VP.Step(env, in)
 }

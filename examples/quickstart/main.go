@@ -32,6 +32,10 @@ func (p *histProgram) NumVPs() int          { return numVPs }
 func (p *histProgram) MaxContextWords() int { return perVP + numBins + 8 }
 func (p *histProgram) MaxCommWords() int    { return numVPs * (numBins + 2) }
 
+// NewVP gives VP id's initial state. An engine may later Load any VP's
+// context into the object it returns, so the VP keeps no id of its own
+// (a Step that needs one asks env.ID()), and Load restores every field
+// Step reads.
 func (p *histProgram) NewVP(id int) embsp.VP {
 	return &histVP{vals: append([]uint64(nil), p.values[id]...)}
 }

@@ -66,6 +66,8 @@ type Ranker struct {
 	state  []uint64   // 0 active, 1 spliced
 	known  []uint64   // rank known flag
 	subs   [][]uint64 // per owned node: subscriber (node, addW) pairs
+
+	parts [][]uint64 // scratch: a Step's records per destination VP, which Send copies out
 }
 
 // The MaxUint64 value marks "none" for node references.
@@ -171,7 +173,7 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 
 	switch r.phase {
 	case rkSetup:
-		parts := make([][]uint64, v)
+		parts := r.emptyParts(v)
 		for i, s := range r.Succ {
 			if s != none {
 				d := cgm.Owner(r.N, v, int(s))
@@ -232,7 +234,7 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		// Contraction round: splice out the round's local maxima.
 		r.Rounds++
 		round := uint64(r.Rounds)
-		parts := make([][]uint64, v)
+		parts := r.emptyParts(v)
 		var links uint64
 		for i := range r.state {
 			if r.state[i] != 0 {
@@ -371,6 +373,19 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	}
 }
 
+// emptyParts returns the per-destination scratch for v VPs, every part
+// empty and keeping its capacity. A part is sent before the next Step
+// empties it, and Send copies, so no message aliases it.
+func (r *Ranker) emptyParts(v int) [][]uint64 {
+	if len(r.parts) != v {
+		r.parts = make([][]uint64, v)
+	}
+	for d := range r.parts {
+		r.parts[d] = r.parts[d][:0]
+	}
+	return r.parts
+}
+
 // applyUpdates processes pointer/rank/subscription messages. It
 // returns the command broadcast by VP 0 (or rkCmdContinue) and, at
 // VP 0, the summed counter values.
@@ -450,7 +465,9 @@ func (r *Ranker) Save(enc *words.Encoder) {
 	}
 }
 
-// Load restores the Ranker; N must already be set by the host. A state
+// Load restores the Ranker; N must already be set by the host. It
+// reuses subs' capacity, and clears the lists beyond the saved ones,
+// which an object that held another VP would otherwise keep. A state
 // that does not begin with rankerFormat panics, which the engines
 // report as a typed program error.
 func (r *Ranker) Load(dec *words.Decoder) {
@@ -466,10 +483,14 @@ func (r *Ranker) Load(dec *words.Decoder) {
 	r.pred = dec.Uints()
 	r.state = dec.Uints()
 	r.known = dec.Uints()
-	r.subs = make([][]uint64, len(r.Succ))
+	if cap(r.subs) < len(r.Succ) {
+		r.subs = make([][]uint64, len(r.Succ))
+	}
+	r.subs = r.subs[:len(r.Succ)]
 	for i := range r.pred {
 		r.subs[i] = dec.Uints()
 	}
+	clear(r.subs[len(r.pred):])
 }
 
 // SaveSize bounds Save's output for maxOwn owned nodes and maxSubs

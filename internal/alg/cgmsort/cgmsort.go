@@ -162,12 +162,11 @@ func (p *PermuteProgram) NewVP(id int) bsp.VP {
 	lo, hi := cgm.Dist(p.n, p.v, id)
 	local := make([]uint64, hi-lo)
 	copy(local, p.vals[lo:hi])
-	return &permuteVP{p: p, id: id, in: local}
+	return &permuteVP{p: p, in: local}
 }
 
 type permuteVP struct {
 	p     *PermuteProgram
-	id    int
 	phase uint64
 	in    []uint64
 	out   []uint64
@@ -176,7 +175,7 @@ type permuteVP struct {
 func (vp *permuteVP) Step(env *bsp.Env, msgs []bsp.Message) (bool, error) {
 	switch vp.phase {
 	case 0:
-		lo, _ := cgm.Dist(vp.p.n, vp.p.v, vp.id)
+		lo, _ := cgm.Dist(vp.p.n, vp.p.v, env.ID())
 		// Batch (position, value) pairs per destination VP: the
 		// coarse-grained h-relation.
 		parts := make([][]uint64, vp.p.v)
@@ -195,13 +194,13 @@ func (vp *permuteVP) Step(env *bsp.Env, msgs []bsp.Message) (bool, error) {
 		vp.phase = 1
 		return false, nil
 	case 1:
-		lo, hi := cgm.Dist(vp.p.n, vp.p.v, vp.id)
+		lo, hi := cgm.Dist(vp.p.n, vp.p.v, env.ID())
 		vp.out = make([]uint64, hi-lo)
 		for _, m := range msgs {
 			for i := 0; i+1 < len(m.Payload); i += 2 {
 				pos := int(m.Payload[i])
 				if pos < lo || pos >= hi {
-					return false, fmt.Errorf("cgmsort: position %d routed to VP %d owning [%d,%d)", pos, vp.id, lo, hi)
+					return false, fmt.Errorf("cgmsort: position %d routed to VP %d owning [%d,%d)", pos, env.ID(), lo, hi)
 				}
 				vp.out[pos-lo] = m.Payload[i+1]
 			}

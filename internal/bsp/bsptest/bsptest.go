@@ -32,12 +32,11 @@ func (p *RingProgram) MaxContextWords() int { return 4 }
 func (p *RingProgram) MaxCommWords() int    { return 2 }
 
 func (p *RingProgram) NewVP(id int) bsp.VP {
-	return &ringVP{p: p, id: id, val: uint64(id)}
+	return &ringVP{p: p, val: uint64(id)}
 }
 
 type ringVP struct {
 	p   *RingProgram
-	id  int
 	val uint64
 	acc uint64
 }
@@ -45,7 +44,7 @@ type ringVP struct {
 func (v *ringVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	if env.Superstep() > 0 {
 		if len(in) != 1 {
-			return false, fmt.Errorf("ring VP %d got %d messages, want 1", v.id, len(in))
+			return false, fmt.Errorf("ring VP %d got %d messages, want 1", env.ID(), len(in))
 		}
 		v.val = in[0].Payload[0]
 		v.acc += v.val
@@ -53,7 +52,7 @@ func (v *ringVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	if env.Superstep() == v.p.Rounds {
 		return true, nil
 	}
-	env.Send((v.id+1)%v.p.V, []uint64{v.val})
+	env.Send((env.ID()+1)%v.p.V, []uint64{v.val})
 	env.Charge(1)
 	return false, nil
 }
@@ -103,11 +102,10 @@ func (p *RandomProgram) MaxCommWords() int {
 	return p.V * p.MsgsPerStep * (p.MaxLen + 1)
 }
 
-func (p *RandomProgram) NewVP(id int) bsp.VP { return &randomVP{p: p, id: id} }
+func (p *RandomProgram) NewVP(id int) bsp.VP { return &randomVP{p: p} }
 
 type randomVP struct {
 	p   *RandomProgram
-	id  int
 	sum uint64
 }
 
@@ -150,41 +148,31 @@ func Checksums(res *bsp.Result) []uint64 {
 }
 
 // StaticProgram is a ring of fan-out Fan whose virtual processors
-// allocate nothing: NewVP hands out VPs made once by NewStaticProgram,
-// and a Step only reads its inbox and sends one-word messages from a
-// field. What a run of it allocates is therefore the engine's own,
-// which is what allocation gates want to count. VP id starts at value
-// id; each round it sends its value to the next Fan VPs of the ring and
-// adds up what it received. Contexts claim CtxWords words but hold two.
+// allocate nothing once made: a Step only reads its inbox and sends
+// one-word messages from a field. An EM engine makes its VP objects
+// once per slot (bsp.VP), so what a run allocates past its set-up is
+// the engine's own, which is what allocation gates want to count. VP id
+// starts at value id; each round it sends its value to the next Fan VPs
+// of the ring and adds up what it received. Contexts claim CtxWords
+// words but hold two.
 type StaticProgram struct {
 	V, Rounds, Fan, CtxWords int
-	vps                      []staticVP
 }
 
 func NewStaticProgram(v, rounds, fan, ctxWords int) *StaticProgram {
-	p := &StaticProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords, vps: make([]staticVP, v)}
-	for id := range p.vps {
-		p.vps[id] = staticVP{p: p, id: id}
-	}
-	return p
+	return &StaticProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords}
 }
 
 func (p *StaticProgram) NumVPs() int          { return p.V }
 func (p *StaticProgram) MaxContextWords() int { return p.CtxWords }
 func (p *StaticProgram) MaxCommWords() int    { return 2 * p.Fan }
 
-// NewVP resets and returns the preallocated VP. Engines Load a context
-// into a VP before stepping it, and own disjoint VPs when they run in
-// parallel, so sharing the storage across calls is safe.
 func (p *StaticProgram) NewVP(id int) bsp.VP {
-	v := &p.vps[id]
-	v.val[0], v.acc = uint64(id), 0
-	return v
+	return &staticVP{p: p, val: [1]uint64{uint64(id)}}
 }
 
 type staticVP struct {
 	p   *StaticProgram
-	id  int
 	val [1]uint64
 	acc uint64
 }
@@ -197,7 +185,7 @@ func (v *staticVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		return true, nil
 	}
 	for f := 1; f <= v.p.Fan; f++ {
-		env.Send((v.id+f)%v.p.V, v.val[:])
+		env.Send((env.ID()+f)%v.p.V, v.val[:])
 	}
 	return false, nil
 }
@@ -252,20 +240,20 @@ func (p *BreathingProgram) ContextLen(id, t int) int {
 }
 
 func (p *BreathingProgram) NewVP(id int) bsp.VP {
-	vp := &breathingVP{p: p, id: id}
-	vp.refill(uint64(id), 0)
+	vp := &breathingVP{p: p}
+	vp.refill(id, uint64(id), 0)
 	return vp
 }
 
 type breathingVP struct {
 	p     *BreathingProgram
-	id    int
 	words []uint64
 }
 
-// refill replaces the context by ContextLen(id, t) words drawn from sum.
-func (v *breathingVP) refill(sum uint64, t int) {
-	v.words = make([]uint64, v.p.ContextLen(v.id, t))
+// refill replaces VP id's context by ContextLen(id, t) words drawn from
+// sum.
+func (v *breathingVP) refill(id int, sum uint64, t int) {
+	v.words = make([]uint64, v.p.ContextLen(id, t))
 	for i := range v.words {
 		v.words[i] = mix(sum, uint64(i))
 	}
@@ -279,11 +267,11 @@ func (v *breathingVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	for _, m := range in {
 		sum = mix(sum, m.Payload[0])
 	}
-	v.refill(sum, env.Superstep()+1)
+	v.refill(env.ID(), sum, env.Superstep()+1)
 	if env.Superstep() == v.p.Steps {
 		return true, nil
 	}
-	env.Send((v.id+1)%v.p.V, []uint64{sum})
+	env.Send((env.ID()+1)%v.p.V, []uint64{sum})
 	return false, nil
 }
 
@@ -307,51 +295,37 @@ func BreathingWords(vp bsp.VP) []uint64 { return vp.(*breathingVP).words }
 // HoldingProgram is StaticProgram's ring with state the engine hands
 // over: a VP's context is a CtxWords-word record whose Load decodes its
 // data with Uints, and its Step keeps the payloads it received in its
-// state until Save writes them out. Its VPs are made once, as
-// StaticProgram's are, and a Step allocates nothing, so what a superstep
+// state until Save writes them out. A Step allocates nothing, and an EM
+// engine makes its VP objects once per slot, so what a superstep
 // allocates is the engine's — including whatever it makes of the
 // decoded data and the received payloads, which a test can find by
 // varying CtxWords.
 type HoldingProgram struct {
 	V, Rounds, Fan, CtxWords int
-	vps                      []holdingVP
 }
 
 func NewHoldingProgram(v, rounds, fan, ctxWords int) *HoldingProgram {
-	p := &HoldingProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords, vps: make([]holdingVP, v)}
-	// A context holds the accumulator, the data behind its length, the
-	// kept count and Fan one-word payloads behind theirs.
-	n := ctxWords - 3 - 2*fan
-	for id := range p.vps {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = mix(uint64(id), uint64(i))
-		}
-		p.vps[id] = holdingVP{p: p, id: id, init: vals, kept: make([][]uint64, 0, fan)}
-	}
-	return p
+	return &HoldingProgram{V: v, Rounds: rounds, Fan: fan, CtxWords: ctxWords}
 }
 
 func (p *HoldingProgram) NumVPs() int          { return p.V }
 func (p *HoldingProgram) MaxContextWords() int { return p.CtxWords }
 func (p *HoldingProgram) MaxCommWords() int    { return 2 * p.Fan }
 
-// NewVP resets and returns the preallocated VP. Like StaticProgram's, it
-// relies on engines loading a VP before stepping it; it writes no word a
-// Load handed the VP, which belong to the engine once their batch is
-// saved.
 func (p *HoldingProgram) NewVP(id int) bsp.VP {
-	v := &p.vps[id]
-	v.acc, v.data, v.kept = 0, v.init, v.kept[:0]
-	return v
+	// A context holds the accumulator, the data behind its length, the
+	// kept count and Fan one-word payloads behind theirs.
+	data := make([]uint64, p.CtxWords-3-2*p.Fan)
+	for i := range data {
+		data[i] = mix(uint64(id), uint64(i))
+	}
+	return &holdingVP{p: p, data: data, kept: make([][]uint64, 0, p.Fan)}
 }
 
 type holdingVP struct {
 	p    *HoldingProgram
-	id   int
 	acc  uint64
-	init []uint64   // the initial data, never written
-	data []uint64   // read only: init, or what Load decoded
+	data []uint64   // read only: NewVP's, or what Load decoded
 	kept [][]uint64 // the payloads received this superstep
 }
 
@@ -366,7 +340,7 @@ func (v *holdingVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	}
 	for f := 1; f <= v.p.Fan; f++ {
 		i := (v.acc + uint64(f)) % uint64(len(v.data))
-		env.Send((v.id+f)%v.p.V, v.data[i:i+1])
+		env.Send((env.ID()+f)%v.p.V, v.data[i:i+1])
 	}
 	return false, nil
 }

@@ -53,11 +53,25 @@ type Program interface {
 	// one header word per message (destination bookkeeping), mirroring
 	// the paper's "messages inherit the destination address".
 	MaxCommWords() int
-	// NewVP returns virtual processor id in its initial state.
+	// NewVP returns virtual processor id in its initial state: the
+	// context its Save writes is VP id's before superstep 0. The object
+	// may go on to serve other VPs (see VP), so id reaches the VP's Steps
+	// through Env.ID, not through a field NewVP sets.
 	NewVP(id int) VP
 }
 
 // VP is one virtual processor of a Program.
+//
+// An engine may Load any VP's context into any object NewVP returned,
+// including one that has already been stepped as another VP: an EM
+// engine keeps k objects per real processor and Loads every context
+// into one of them, and the reference runner's ValidateContexts passes
+// each context to the object another VP stepped last. So a VP's
+// identity comes from Env.ID, and Load sets every field Step reads. A
+// field Load does not set is scratch: its capacity may carry over from
+// load to load, but no Step depends on its contents. Configuration
+// NewVP sets for every id alike (a record width, the Program) is not
+// identity and may stay.
 //
 // Lifetime rule: an EM engine simulates the VPs a batch at a time and
 // hands them memory the real processor owns — the slices Load decodes
@@ -81,8 +95,9 @@ type VP interface {
 	// MaxContextWords() words and must capture all state the VP needs
 	// across supersteps.
 	Save(enc *words.Encoder)
-	// Load restores the VP's context from a previous Save. The slices
-	// dec.Uints returns follow the lifetime rule above.
+	// Load restores the VP's context from a previous Save, into an
+	// object that may have held another VP: it sets every field Step
+	// reads. The slices dec.Uints returns follow the lifetime rule above.
 	Load(dec *words.Decoder)
 }
 

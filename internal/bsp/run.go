@@ -19,9 +19,12 @@ type RunOptions struct {
 	PktSize int
 	// ValidateContexts makes the runner marshal every VP's context
 	// after every superstep, check it against MaxContextWords, and
-	// replace the VP by a fresh instance restored from the encoding.
-	// This makes the in-memory runner exercise exactly the Save/Load
-	// path the EM engines rely on, at some cost in speed.
+	// restore it into the object the next VP (id+1 mod v) stepped:
+	// the objects rotate, as an EM engine's slots do (see VP). This
+	// makes the in-memory runner exercise exactly the Save/Load path the
+	// EM engines rely on, and a VP that keeps its identity, or state its
+	// Load does not restore, ends with other results than a plain run.
+	// It costs some speed.
 	ValidateContexts bool
 }
 
@@ -84,7 +87,10 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 	}
 	inboxes := make([][]Message, v)
 	rec := NewCostRecorder(opts.PktSize)
-	enc := words.NewEncoder(nil)
+	var saved [][]uint64
+	if opts.ValidateContexts {
+		saved = make([][]uint64, v)
+	}
 
 	for step := 0; ; step++ {
 		if step >= opts.MaxSupersteps {
@@ -133,14 +139,20 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 				Charge:    env.charge,
 			})
 			if opts.ValidateContexts {
-				enc.Reset()
+				enc := words.NewEncoder(saved[id])
 				vps[id].Save(enc)
 				if enc.Len() > mu {
 					return nil, fmt.Errorf("bsp: VP %d context is %d words after superstep %d, exceeding µ=%d", id, enc.Len(), step, mu)
 				}
-				fresh := p.NewVP(id)
-				fresh.Load(words.NewDecoder(enc.Words()))
-				vps[id] = fresh
+				saved[id] = enc.Words()
+			}
+		}
+		if opts.ValidateContexts {
+			// Every context is saved, so every object is free: VP id's
+			// goes into the object VP id+1 stepped.
+			vps = append(vps[1:], vps[0])
+			for id, ctx := range saved {
+				vps[id].Load(words.NewDecoder(ctx))
 			}
 		}
 		rec.EndStep()

@@ -2,6 +2,7 @@ package bsp_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"embsp/internal/bsp"
@@ -93,18 +94,65 @@ type errProg struct {
 func (p *errProg) NumVPs() int          { return p.v }
 func (p *errProg) MaxContextWords() int { return p.mu }
 func (p *errProg) MaxCommWords() int    { return p.gam }
-func (p *errProg) NewVP(id int) bsp.VP  { return &errVP{p: p, id: id} }
+func (p *errProg) NewVP(id int) bsp.VP  { return &errVP{p: p} }
 
-type errVP struct {
-	p  *errProg
-	id int
-}
+type errVP struct{ p *errProg }
 
 func (v *errVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
-	return v.p.step(v.id, env, in)
+	return v.p.step(env.ID(), env, in)
 }
-func (v *errVP) Save(enc *words.Encoder) { enc.PutUint(uint64(v.id)) }
+func (v *errVP) Save(enc *words.Encoder) { enc.PutUint(0) }
 func (v *errVP) Load(dec *words.Decoder) { _ = dec.Uint() }
+
+// idKeeper breaks bsp.VP's contract: its Steps add up the id NewVP gave
+// it, which no context carries.
+type idKeeper struct{ v, steps int }
+
+func (p *idKeeper) NumVPs() int          { return p.v }
+func (p *idKeeper) MaxContextWords() int { return 1 }
+func (p *idKeeper) MaxCommWords() int    { return 0 }
+func (p *idKeeper) NewVP(id int) bsp.VP  { return &idKeeperVP{p: p, id: id} }
+
+type idKeeperVP struct {
+	p   *idKeeper
+	id  int // set by NewVP and never saved: the bug
+	acc uint64
+}
+
+func (v *idKeeperVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	v.acc += uint64(v.id)
+	return env.Superstep() == v.p.steps, nil
+}
+func (v *idKeeperVP) Save(enc *words.Encoder) { enc.PutUint(v.acc) }
+func (v *idKeeperVP) Load(dec *words.Decoder) { v.acc = dec.Uint() }
+
+// TestValidateContextsCatchesKeptIdentity: ValidateContexts Loads each
+// context into the object another VP stepped, as an EM engine's slots
+// do, so a VP that takes its id from NewVP instead of Env.ID ends a
+// checked run with other results than a plain one.
+func TestValidateContextsCatchesKeptIdentity(t *testing.T) {
+	p := &idKeeper{v: 4, steps: 3}
+	acc := func(opts bsp.RunOptions) []uint64 {
+		res, err := bsp.Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]uint64, p.v)
+		for id, vp := range res.VPs {
+			out[id] = vp.(*idKeeperVP).acc
+		}
+		return out
+	}
+	plain, checked := acc(bsp.RunOptions{Seed: 1}), acc(bsp.RunOptions{Seed: 1, ValidateContexts: true})
+	for id := range plain {
+		if want := uint64((p.steps + 1) * id); plain[id] != want {
+			t.Fatalf("plain run: VP %d acc = %d, want %d", id, plain[id], want)
+		}
+	}
+	if slices.Equal(plain, checked) {
+		t.Errorf("a VP that keeps NewVP's id passes ValidateContexts: %v both ways", plain)
+	}
+}
 
 func TestSplitHaltVoteFails(t *testing.T) {
 	p := &errProg{v: 2, mu: 2, gam: 8, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {

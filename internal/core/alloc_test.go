@@ -5,12 +5,14 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
 	"embsp/internal/disk"
+	"embsp/internal/fault"
 	"embsp/internal/obs"
 )
 
@@ -128,6 +130,86 @@ func TestSteadyStateAllocsFlatInMu(t *testing.T) {
 		t.Logf("P=%d: %d bytes per superstep at µ=512, %d at µ=2048", P, perStep[0], perStep[1])
 		if perStep[1] > perStep[0]+slack[P] {
 			t.Errorf("P=%d: %d bytes per superstep at µ=2048, %d at µ=512: the engine allocates in proportion to the contexts", P, perStep[1], perStep[0])
+		}
+	}
+}
+
+// countingProgram counts its NewVP calls, which the processors of an
+// in-process run make from goroutines of their own.
+type countingProgram struct {
+	bsp.Program
+	calls atomic.Int64
+}
+
+func (p *countingProgram) NewVP(id int) bsp.VP {
+	p.calls.Add(1)
+	return p.Program.NewVP(id)
+}
+
+// TestNewVPCalls: a real processor holds k VP objects, not one per load
+// (bsp.VP). NewVP runs v times for the set-up's initial contexts (again
+// for each replay of the set-up), once per slot — at most k a processor,
+// made by the first batch, or a batch larger than any before — and v
+// times for the VPs the finish phase returns. None of it depends on the
+// superstep count, and a replayed superstep Loads into the same slots.
+// With k = 3 and 8 or 16 VPs a processor, the last batch is smaller than
+// the others and is the first that superstep 0 simulates (snake order),
+// so a slot is kept across a batch larger than any before.
+func TestNewVPCalls(t *testing.T) {
+	const v, fan, ctxWords = 16, 2, 32
+	for _, P := range []int{1, 2} {
+		cfg := parMachine(P, 2, 8, 3*ctxWords)
+		vpp := (v + P - 1) / P
+		for _, mode := range []string{"in place", "checkpointed", "fault replay"} {
+			label := fmt.Sprintf("P=%d %s", P, mode)
+			perRun := map[int]int64{}
+			for _, rounds := range []int{3, 9} {
+				p := &countingProgram{Program: bsptest.NewStaticProgram(v, rounds, fan, ctxWords)}
+				opts := core.Options{Seed: 1}
+				switch mode {
+				case "checkpointed":
+					opts.StateDir = t.TempDir()
+				case "fault replay":
+					opts.MaxRetries = -1
+					opts.FaultPlan = &fault.Plan{Seed: 3, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.005}
+				}
+				var m *replayMeter
+				res, err := core.RunOver(func(inner core.Transport) core.Transport {
+					m = &replayMeter{Transport: inner}
+					return m
+				}, p, cfg, opts)
+				if err != nil {
+					t.Fatalf("%s rounds=%d: %v", label, rounds, err)
+				}
+				for id, vp := range res.VPs {
+					want := uint64(0)
+					for f := 1; f <= fan; f++ {
+						want += uint64(rounds * ((id - f + v) % v))
+					}
+					if got := bsptest.StaticAcc(vp); got != want {
+						t.Fatalf("%s rounds=%d VP %d: acc = %d, want %d", label, rounds, id, got, want)
+					}
+				}
+				if mode == "fault replay" && res.EM.Replays <= m.setup+m.finish {
+					t.Fatalf("%s rounds=%d: %d replays, %d of the set-up and %d of the finish: no superstep replayed", label, rounds, res.EM.Replays, m.setup, m.finish)
+				}
+				slots := 0
+				for i := 0; i < P; i++ {
+					slots += min(res.EM.K, vpp, v-i*vpp)
+				}
+				if res.EM.K != 3 {
+					t.Fatalf("%s: k = %d, the test wants 3", label, res.EM.K)
+				}
+				setup := int64(v) * (1 + m.setup)
+				if got, want := p.calls.Load(), setup+int64(slots+v); got != want {
+					t.Errorf("%s rounds=%d: %d NewVP calls, want %d: %d for the set-up, %d slots and %d for the Result", label, rounds, got, want, setup, slots, v)
+				}
+				perRun[rounds] = p.calls.Load() - setup
+				t.Logf("%s rounds=%d: %d NewVP calls, %d replays (%d of the set-up)", label, rounds, p.calls.Load(), res.EM.Replays, m.setup)
+			}
+			if perRun[3] != perRun[9] {
+				t.Errorf("%s: %d NewVP calls past the set-up in 4 supersteps, %d in 10", label, perRun[3], perRun[9])
+			}
 		}
 	}
 }

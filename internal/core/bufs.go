@@ -28,12 +28,13 @@ type stepBufs struct {
 
 	// The batch's VPs: what they are handed lives until the batch's
 	// contexts are saved (bsp.VP's lifetime rule), and these hold it.
-	// vpMem and msgMem are not charged to the accountant: they are
-	// decoded copies of words it already charges (the loaded contexts,
-	// the input blocks), which the heap held before. env's send memory
-	// holds the payload words the batch grabs as its outgoing messages,
-	// and grows by append, as they are known only once they are sent.
-	vps     []bsp.VP        // the batch's VPs, loaded from ctx
+	// vps, vpMem and msgMem are not charged to the accountant: they are
+	// the k VP objects and decoded copies of words it already charges
+	// (the loaded contexts, the input blocks), which the heap held before.
+	// env's send memory holds the payload words the batch grabs as its
+	// outgoing messages, and grows by append, as they are known only once
+	// they are sent.
+	vps     []bsp.VP        // the VP slots: slot i holds the batch's i-th VP, Loaded from ctx into the object NewVP made for the slot's first VP
 	vpMem   []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded
 	arena   words.Arena     // vpMem, as the decoder carves it
 	dec     words.Decoder   // the context being loaded
@@ -67,10 +68,14 @@ type stepBufs struct {
 var bufCanary uint64
 
 // grow returns *s cut to n elements, reallocating exact-fit when it is
-// too small. The contents are unspecified.
+// too small. A reallocation keeps the elements *s held, which is what
+// keeps a processor's VP slots across a batch larger than any before;
+// the contents beyond them are unspecified.
 func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]T, n)
+		t := make([]T, n)
+		copy(t, *s)
+		*s = t
 	}
 	return (*s)[:n]
 }

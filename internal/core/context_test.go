@@ -114,11 +114,9 @@ func TestBreathingContexts(t *testing.T) {
 				label := fmt.Sprintf("%s mapped=%v kill@%d", label, mapped, kill)
 				opts := core.Options{Seed: 5, StateDir: t.TempDir(), MappedStore: mapped}
 				if kill < ref.Costs.Supersteps {
-					_, err := core.Run(&panicProgram{Program: prog, panicStep: kill}, cfg, opts)
-					var pe *bsp.ProgramError
-					if !errors.As(err, &pe) {
-						t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-					}
+					crashed := &panicProgram{Program: prog, panicStep: kill}
+					_, err := core.Run(crashed, cfg, opts)
+					crashed.crashed(t, label, err)
 				} else if _, err := core.RunOver(func(inner core.Transport) core.Transport { return &finalCrash{inner} }, prog, cfg, opts); !errors.Is(err, errFinalCrash) {
 					t.Fatalf("%s: crashed run returned %v, want the crash before the finish phase", label, err)
 				}

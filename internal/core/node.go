@@ -641,9 +641,13 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		loaded = ps.heldLen
 	}
 	ps.arena.Reset(fit(&ps.vpMem, min(loaded, len(ctxBuf))))
+	// Each context is Loaded into its slot's VP object, which NewVP made
+	// once, for the first VP the slot held (bsp.VP's contract).
 	vps := grow(&ps.vps, n)
 	err = sh.loadContexts(ps, j, ctxBuf, func(id int, ctx []uint64) error {
-		vps[id-lo] = sh.p.NewVP(id)
+		if vps[id-lo] == nil {
+			vps[id-lo] = sh.p.NewVP(id)
+		}
 		ps.dec.Reset(ctx, &ps.arena)
 		return bsp.SafeLoad(vps[id-lo], &ps.dec, id, step)
 	})

@@ -286,10 +286,7 @@ func TestParityCrashAndResume(t *testing.T) {
 		dir := t.TempDir()
 		crashed := &panicProgram{Program: p, panicStep: 2}
 		_, err = core.Run(crashed, cfg, opts(dir))
-		var pe *bsp.ProgramError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-		}
+		crashed.crashed(t, label, err)
 
 		resumed := opts(dir)
 		resumed.Resume = true
@@ -459,10 +456,7 @@ func TestParityCrashThenDriveLoss(t *testing.T) {
 		dir := t.TempDir()
 		crashed := &panicProgram{Program: p, panicStep: 2}
 		_, err = core.Run(crashed, cfg, opts(dir))
-		var pe *bsp.ProgramError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-		}
+		crashed.crashed(t, label, err)
 
 		resumed := opts(dir)
 		resumed.Resume = true

@@ -19,33 +19,44 @@ import (
 	"embsp/internal/words"
 )
 
-// panicProgram wraps a Program so one VP panics when it starts
+// panicProgram wraps a Program so VP v/2 panics when it starts
 // computing superstep panicStep — an in-process stand-in for a crash
 // mid-superstep: the journal is left at the last committed barrier
 // with the failed superstep's partial writes in the state directory.
+// Every VP is wrapped and the victim is found by Env.ID, because an
+// engine steps VP v/2 in whichever object its slot holds.
 type panicProgram struct {
 	bsp.Program
 	panicStep int
 }
 
 func (p *panicProgram) NewVP(id int) bsp.VP {
-	vp := p.Program.NewVP(id)
-	if id == p.Program.NumVPs()/2 {
-		return &panicVP{VP: vp, panicStep: p.panicStep}
-	}
-	return vp
+	return &panicVP{VP: p.Program.NewVP(id), p: p}
 }
 
 type panicVP struct {
 	bsp.VP
-	panicStep int
+	p *panicProgram
 }
 
 func (v *panicVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
-	if env.Superstep() == v.panicStep {
-		panic(fmt.Sprintf("injected crash in superstep %d", v.panicStep))
+	if env.ID() == v.p.NumVPs()/2 && env.Superstep() == v.p.panicStep {
+		panic(fmt.Sprintf("injected crash in superstep %d", v.p.panicStep))
 	}
 	return v.VP.Step(env, in)
+}
+
+// crashed requires err to be the crash p injects: a *bsp.ProgramError
+// of VP v/2 in Step of superstep panicStep.
+func (p *panicProgram) crashed(t *testing.T, label string, err error) {
+	t.Helper()
+	var pe *bsp.ProgramError
+	if !errors.As(err, &pe) {
+		t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
+	}
+	if pe.VP != p.NumVPs()/2 || pe.Superstep != p.panicStep || pe.Phase != "" {
+		t.Fatalf("%s: %v, want the crash injected in VP %d superstep %d", label, pe, p.NumVPs()/2, p.panicStep)
+	}
 }
 
 func testProgram() *bsptest.RandomProgram {
@@ -128,14 +139,7 @@ func TestCrashAndResumeBitwise(t *testing.T) {
 			dir := t.TempDir()
 			crashed := &panicProgram{Program: p, panicStep: 2}
 			_, err = core.Run(crashed, cfg, opts(core.Options{StateDir: dir}))
-			var pe *bsp.ProgramError
-			if !errors.As(err, &pe) {
-				t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-			}
-			if pe.Superstep != 2 || pe.VP != p.V/2 {
-				t.Errorf("%s: panic attributed to VP %d superstep %d, want VP %d superstep 2",
-					label, pe.VP, pe.Superstep, p.V/2)
-			}
+			crashed.crashed(t, label, err)
 
 			res, err := core.Run(p, cfg, opts(core.Options{StateDir: dir, Resume: true}))
 			if err != nil {
@@ -173,10 +177,7 @@ func TestTieredCrashAndResumeBitwise(t *testing.T) {
 				}
 				crashed := &panicProgram{Program: p, panicStep: 2}
 				_, err := core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir, FaultPlan: plan, Tiers: tt})
-				var pe *bsp.ProgramError
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s: crashed run returned %v, want *bsp.ProgramError", label, err)
-				}
+				crashed.crashed(t, label, err)
 			}
 
 			// Crash tiered, resume flat.
@@ -275,11 +276,9 @@ func TestResumeTornJournal(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	_, err = core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
-	var pe *bsp.ProgramError
-	if !errors.As(err, &pe) {
-		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
-	}
+	crashed := &panicProgram{Program: p, panicStep: 2}
+	_, err = core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir})
+	crashed.crashed(t, "crashed run", err)
 	// Simulate the torn prepared file of the never-committed record.
 	if err := os.WriteFile(filepath.Join(dir, "journal.prep"), make([]byte, 57), 0o666); err != nil {
 		t.Fatal(err)
@@ -298,11 +297,9 @@ func TestResumeCorruptJournal(t *testing.T) {
 	p := testProgram()
 	cfg := parMachine(1, 4, 8, 256)
 	dir := t.TempDir()
-	_, err := core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
-	var pe *bsp.ProgramError
-	if !errors.As(err, &pe) {
-		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
-	}
+	crashed := &panicProgram{Program: p, panicStep: 2}
+	_, err := core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir})
+	crashed.crashed(t, "crashed run", err)
 
 	path := filepath.Join(dir, "journal.wal")
 	buf, err := os.ReadFile(path)
@@ -425,11 +422,9 @@ func TestResumeRefusesOlderModelRules(t *testing.T) {
 func refusesFingerprint(t *testing.T, olderFpr uint64) {
 	p, cfg := testProgram(), parMachine(1, 4, 8, 256)
 	dir := t.TempDir()
-	_, err := core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
-	var pe *bsp.ProgramError
-	if !errors.As(err, &pe) {
-		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
-	}
+	crashed := &panicProgram{Program: p, panicStep: 2}
+	_, err := core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir})
+	crashed.crashed(t, "crashed run", err)
 	last, n, err := journal.Read(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -543,11 +538,9 @@ func TestResumeConfigMismatch(t *testing.T) {
 	p := testProgram()
 	cfg := parMachine(1, 4, 8, 256)
 	dir := t.TempDir()
-	_, err := core.Run(&panicProgram{Program: p, panicStep: 2}, cfg, core.Options{Seed: 3, StateDir: dir})
-	var pe *bsp.ProgramError
-	if !errors.As(err, &pe) {
-		t.Fatalf("crashed run returned %v, want *bsp.ProgramError", err)
-	}
+	crashed := &panicProgram{Program: p, panicStep: 2}
+	_, err := core.Run(crashed, cfg, core.Options{Seed: 3, StateDir: dir})
+	crashed.crashed(t, "crashed run", err)
 
 	if _, err := core.Run(p, cfg, core.Options{Seed: 4, StateDir: dir, Resume: true}); err == nil {
 		t.Error("resume with a different seed: want error, got nil")
@@ -569,7 +562,9 @@ func TestResumeConfigMismatch(t *testing.T) {
 
 // brokenCodec is a program whose VP id 1 panics in Save (from superstep
 // `save` on; -1: already in the setup's initial Save) or reads one word
-// more than was saved in every Load.
+// more than was saved in every Load. Save and Load are handed no Env,
+// and an engine may Load VP 1 into any object, so every VP is wrapped
+// and its context carries its id behind the program's words.
 type brokenCodec struct {
 	bsp.Program
 	save     int
@@ -577,15 +572,13 @@ type brokenCodec struct {
 }
 
 func (p *brokenCodec) NewVP(id int) bsp.VP {
-	if id != 1 {
-		return p.Program.NewVP(id)
-	}
-	return &brokenCodecVP{VP: p.Program.NewVP(id), p: p, step: -1}
+	return &brokenCodecVP{VP: p.Program.NewVP(id), p: p, id: id, step: -1}
 }
 
 type brokenCodecVP struct {
 	bsp.VP
 	p    *brokenCodec
+	id   int // the VP held: NewVP's, then the last Load's
 	step int // the superstep last stepped; -1 before any
 }
 
@@ -595,15 +588,16 @@ func (v *brokenCodecVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 }
 
 func (v *brokenCodecVP) Save(enc *words.Encoder) {
-	if !v.p.overread && v.step >= v.p.save {
+	if v.id == 1 && !v.p.overread && v.step >= v.p.save {
 		panic("injected Save panic")
 	}
 	v.VP.Save(enc)
+	enc.PutUint(uint64(v.id))
 }
 
 func (v *brokenCodecVP) Load(dec *words.Decoder) {
 	v.VP.Load(dec)
-	if v.p.overread {
+	if v.id = int(dec.Uint()); v.id == 1 && v.p.overread {
 		dec.Uint() // a context is exactly the words Save wrote: no padding to read
 	}
 }
@@ -653,14 +647,9 @@ func TestPanicIsolation(t *testing.T) {
 	p := &panicProgram{Program: testProgram(), panicStep: 1}
 	check := func(label string, err error) {
 		t.Helper()
+		p.crashed(t, label, err)
 		var pe *bsp.ProgramError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: got %v, want *bsp.ProgramError", label, err)
-		}
-		if pe.Superstep != 1 {
-			t.Errorf("%s: Superstep = %d, want 1", label, pe.Superstep)
-		}
-		if len(pe.Stack) == 0 {
+		if errors.As(err, &pe); len(pe.Stack) == 0 {
 			t.Errorf("%s: no stack captured", label)
 		}
 	}

@@ -238,7 +238,7 @@ func (p *bigCtxProgram) NumVPs() int          { return p.v }
 func (p *bigCtxProgram) MaxContextWords() int { return p.ctxWords + 2 }
 func (p *bigCtxProgram) MaxCommWords() int    { return 4 }
 func (p *bigCtxProgram) NewVP(id int) bsp.VP {
-	vp := &bigCtxVP{p: p, id: id, data: make([]uint64, p.ctxWords)}
+	vp := &bigCtxVP{p: p, data: make([]uint64, p.ctxWords)}
 	for i := range vp.data {
 		vp.data[i] = uint64(id*1000 + i)
 	}
@@ -247,7 +247,6 @@ func (p *bigCtxProgram) NewVP(id int) bsp.VP {
 
 type bigCtxVP struct {
 	p    *bigCtxProgram
-	id   int
 	data []uint64
 }
 
@@ -266,7 +265,7 @@ func (v *bigCtxVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	for _, w := range v.data {
 		sum += w
 	}
-	env.Send((v.id+1)%v.p.v, []uint64{sum})
+	env.Send((env.ID()+1)%v.p.v, []uint64{sum})
 	return false, nil
 }
 

@@ -118,6 +118,9 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 	}
 	var env bsp.Env
 	var outs []sent
+	// One VP object serves every load, as an EM engine's slot does
+	// (bsp.VP): NewVP makes it for the first VP loaded.
+	var vp bsp.VP
 	for step := 0; ; step++ {
 		if step >= opts.MaxSupersteps {
 			return nil, fmt.Errorf("pdm: no convergence after %d supersteps", opts.MaxSupersteps)
@@ -131,7 +134,9 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 			if err := readWords(sub, muBlocks*b, ctxBuf); err != nil {
 				return nil, err
 			}
-			vp := p.NewVP(j)
+			if vp == nil {
+				vp = p.NewVP(j)
+			}
 			vp.Load(words.NewDecoder(ctxBuf))
 
 			// Fetch messages: one cell per sender.

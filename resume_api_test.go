@@ -58,28 +58,26 @@ func crashMachine() embsp.MachineConfig {
 	}
 }
 
-// sigkillVP hard-kills the process when superstep killStep starts
-// computing — no deferred cleanup runs, exactly like a power loss.
+// sigkillProgram hard-kills the process when VP v/2 starts computing
+// superstep killStep — no deferred cleanup runs, exactly like a power
+// loss. Every VP is wrapped and the victim is found by Env.ID: an engine
+// steps VP v/2 in whichever object its slot holds.
 type sigkillProgram struct {
 	embsp.Program
 	killStep int
 }
 
 func (p *sigkillProgram) NewVP(id int) embsp.VP {
-	vp := p.Program.NewVP(id)
-	if id == p.Program.NumVPs()/2 {
-		return &sigkillVP{VP: vp, killStep: p.killStep}
-	}
-	return vp
+	return &sigkillVP{VP: p.Program.NewVP(id), p: p}
 }
 
 type sigkillVP struct {
 	embsp.VP
-	killStep int
+	p *sigkillProgram
 }
 
 func (k *sigkillVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
-	if env.Superstep() == k.killStep {
+	if env.ID() == k.p.NumVPs()/2 && env.Superstep() == k.p.killStep {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
 	return k.VP.Step(env, in)
