@@ -55,13 +55,13 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 // for the barrier — the process exits immediately with 130.
 func TestSecondSignalForcesImmediateExit(t *testing.T) {
 	state := t.TempDir()
-	// 20ms per track keeps the next barrier a superstep of message blocks
-	// away — tens of operations, most of a second — so only the forced
-	// exit can finish this test quickly. (The set-up moves nothing: with
-	// one batch, its contexts stay in memory.)
+	// 200ms per track keeps superstep 0's barrier at least one transfer
+	// away (it writes one operation of message blocks), so only the
+	// forced exit can finish this test quickly. (The set-up moves
+	// nothing: with one batch, its contexts stay in memory.)
 	args := []string{
 		"-alg", "sort", "-n", "4096", "-v", "6", "-seed", "3", "-b", "64",
-		"-state-dir", state, "-drive-latency", "20ms",
+		"-state-dir", state, "-drive-latency", "200ms",
 	}
 	cmd := exec.Command(os.Args[0], "-test.run", "TestRunHelper$")
 	cmd.Env = append(os.Environ(),
@@ -86,6 +86,9 @@ func TestSecondSignalForcesImmediateExit(t *testing.T) {
 		fi, err := os.Stat(filepath.Join(state, "journal.wal"))
 		return err == nil && fi.Size() > 0
 	})
+	// A signal between that commit and superstep 0's begin would stop
+	// the run there, gracefully, before a second one could land.
+	time.Sleep(20 * time.Millisecond)
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}

@@ -155,16 +155,19 @@ type Options struct {
 	// superstep manifest.
 	Scrub bool
 	// IOWorkers selects the physical schedule of a durable (StateDir)
-	// run. 0 is the default, pipelined one: one I/O worker goroutine
-	// per drive of the file-backed store, and the group pipeline —
-	// while a group computes, the next round's context and message
-	// blocks are prefetched into the store's (or the outermost tier's)
-	// physical cache and the last round's writes drain in the background
-	// through the write-behind. n > 0 asks for n workers (clamped to
-	// D). -1 is the serial schedule: no workers, no prefetch, no tier
-	// fill workers — synchronous physical I/O in program order.
-	// In-memory arrays have no physical transfers to overlap, so the
-	// knob is ignored there. The setting changes wall-clock behaviour
+	// run under emulated drive latency (DriveLatency > 0). 0 is the
+	// default, pipelined one: one I/O worker goroutine per drive of the
+	// file-backed store, and the group pipeline — while a group
+	// computes, the next round's context and message blocks are
+	// prefetched into the store's (or the outermost tier's) physical
+	// cache and the last round's writes drain in the background through
+	// the write-behind. n > 0 asks for n workers (clamped to D). -1 is
+	// the serial schedule: no workers, no prefetch, no tier fill workers
+	// — synchronous physical I/O in program order. At zero drive latency
+	// the knob has no effect: there is no latency to hide, and the file
+	// store is synchronous whatever it says. In-memory arrays have no
+	// physical transfers to overlap, so the knob is ignored there too.
+	// The setting changes wall-clock behaviour
 	// only: all accounting happens at the logical operation in program
 	// order, so results and every model-visible statistic are bitwise
 	// identical either way, and a durable run may be resumed with a
@@ -172,7 +175,7 @@ type Options struct {
 	// fingerprint).
 	IOWorkers int
 	// DriveLatency emulates the access time of one physical track
-	// transfer on the file-backed store: every slot read, write or wipe
+	// transfer on the file-backed store: every slot read or write
 	// sleeps this long on the goroutine moving the bytes. It models the
 	// EM machine's independent drives on hosts whose page cache hides
 	// real device latency, making schedule quality (D-parallel access,

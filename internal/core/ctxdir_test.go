@@ -286,16 +286,26 @@ func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 // that ends before its allocator state does. So is a held section (PR 25)
 // whose batch is not the one the next round 0 simulates, whether past the
 // batches or not, whose record count is not that batch's VP count, or one
-// of whose records is longer than µ + 1 words.
+// of whose records is longer than µ + 1 words. And so is a record whose
+// allocator state lists as fresh (modelRules 11) a track it names as input
+// or as contexts: that track would read zeros.
 func TestResumeRefusesMalformedRecord(t *testing.T) {
 	const huge = 1 << 40
 	for i, rec := range procRecordSeeds(t) {
-		_, _, _, st, _ := rec.Decode(rec.Words)
+		_, _, named, st, _ := rec.Decode(rec.Words)
 		D := len(st.Next)
 		// The allocator state opens with the statistics: a list of five
 		// totals, a drive count, a list of four counts a drive; then a drive
-		// count again and per drive two marks and the free list.
+		// count again and per drive two marks, the free list and the fresh
+		// list.
 		perDrive, alloc := rec.Store+6, rec.Store+7+5*D
+		freshAt := func(d int) int {
+			at := alloc + 1
+			for dd := 0; dd < d; dd++ {
+				at += 4 + len(st.Free[dd])
+			}
+			return at + 3 + len(st.Free[d])
+		}
 		for _, forge := range []struct {
 			name string
 			at   int
@@ -307,6 +317,7 @@ func TestResumeRefusesMalformedRecord(t *testing.T) {
 			{"one count of a drive", perDrive + 1, 1, "holds 1 counts of a drive, want 4"},
 			{"forged drive count of the allocator", alloc, huge, "drives' allocators"},
 			{"forged free list length", alloc + 3, huge, "free tracks"},
+			{"forged fresh list length", freshAt(0), huge, "fresh tracks"},
 			{"forged batch count of the input", rec.Dir, 1 << 30, "batches of input"},
 			{"forged input list length", rec.Dir + 1, huge, "input tracks"},
 			{"forged context list length", rec.Contexts[0] - 1, ^uint64(0), "context tracks"},
@@ -330,6 +341,20 @@ func TestResumeRefusesMalformedRecord(t *testing.T) {
 				t.Fatalf("seed %d cut to %d of its %d words: got %v (store untouched: %v), want the typed refusal", i, n, len(rec.Words), err, untouched)
 			}
 		}
+		for _, c := range []struct {
+			as string
+			a  disk.Addr
+		}{{"input", named[0]}, {"contexts", named[len(rec.Input)]}} {
+			at := freshAt(c.a.Disk)
+			if rec.Words[at] != 0 {
+				t.Fatalf("seed %d: drive %d lists %d fresh tracks at its barrier, want none", i, c.a.Disk, rec.Words[at])
+			}
+			forged := slices.Concat(rec.Words[:at], []uint64{1, uint64(c.a.Track)}, rec.Words[at+1:])
+			err, untouched, _, _, _ := rec.Decode(forged)
+			if !core.IsEngineError(err) || !strings.Contains(err.Error(), "as "+c.as) || !strings.Contains(err.Error(), "fresh") || !untouched {
+				t.Errorf("seed %d, track %v listed fresh: got %v (store untouched: %v), want the typed refusal of a fresh track named as %s", i, c.a, err, untouched, c.as)
+			}
+		}
 	}
 }
 
@@ -338,8 +363,9 @@ func TestResumeRefusesMalformedRecord(t *testing.T) {
 // check) — nudged, or copied from one another — and holds the decoder to
 // this: it refuses with the engine's typed error and the store untouched,
 // or the store adopts the record's allocator state and every track the
-// directories name is allocated in it and named once, so the releases a
-// commit makes through them cannot free a track twice or one it never had.
+// directories name is allocated in it, not fresh (it would read zeros) and
+// named once, so the releases a commit makes through them cannot free a
+// track twice or one it never had.
 func FuzzProcManifest(f *testing.F) {
 	seeds := procRecordSeeds(f)
 	f.Add(uint8(0), []byte{})
@@ -370,6 +396,9 @@ func FuzzProcManifest(f *testing.F) {
 		for _, a := range named {
 			if a.Disk < 0 || a.Disk >= len(st.Next) || a.Track < 0 || a.Track >= st.Next[a.Disk] || slices.Contains(st.Free[a.Disk], a.Track) || seen[a] {
 				t.Fatalf("accepted a record naming %v: out of range, free or named twice", a)
+			}
+			if st.Fresh != nil && slices.Contains(st.Fresh[a.Disk], a.Track) {
+				t.Fatalf("accepted a record naming %v, which its allocator state lists fresh", a)
 			}
 			seen[a] = true
 		}

@@ -48,11 +48,14 @@ const (
 // barrier, §22.7 — its records in the processor's record, no tracks; 10: a
 // mirror is a one-member stripe of the redundancy layer, §10, and the
 // fault layer, which no longer mirrors, and the redundancy layer, which no
-// longer rebuilds, journal fewer words). It is folded into every
+// longer rebuilds, journal fewer words; 11: a track allocated and not
+// written since reads blank by the allocator state, which journals such
+// fresh tracks per drive after the free list, §9 — no store writes a
+// track to clear it). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 10
+const modelRules = 11
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -173,35 +176,62 @@ func (r *recordReader) stats(D int) disk.Stats {
 	return s
 }
 
+// encodeStoreState writes the statistics, then per drive the bump mark,
+// the last track, the free list and the fresh list (lists in the form of
+// PutInts; a fresh list is empty when StoreState.Fresh is nil).
 func encodeStoreState(enc *words.Encoder, s disk.StoreState) {
 	encodeStats(enc, s.Stats)
 	enc.PutInt(int64(len(s.Next)))
 	for d := range s.Next {
 		enc.PutInt(int64(s.Next[d]))
 		enc.PutInt(int64(s.Last[d]))
-		free := make([]int64, len(s.Free[d]))
-		for i, t := range s.Free[d] {
-			free[i] = int64(t)
+		putTracks(enc, s.Free[d])
+		if s.Fresh == nil {
+			enc.PutInt(0)
+		} else {
+			putTracks(enc, s.Fresh[d])
 		}
-		enc.PutInts(free)
+	}
+}
+
+func putTracks(enc *words.Encoder, ts []int) {
+	enc.PutInt(int64(len(ts)))
+	for _, t := range ts {
+		enc.PutInt(int64(t))
 	}
 }
 
 // storeState reads the allocator state of a D-drive store; AdoptState
-// checks its marks and free lists.
+// checks its marks and its free and fresh lists. Fresh stays nil when
+// every drive's fresh list is empty.
 func (r *recordReader) storeState(D int) disk.StoreState {
 	s := disk.StoreState{Stats: r.stats(D)}
 	n := r.count(D, "drives' allocators")
 	s.Next, s.Last, s.Free = make([]int, n), make([]int, n), make([][]int, n)
 	for d := 0; d < n; d++ {
 		s.Next[d], s.Last[d] = int(r.word()), int(r.word())
-		free := r.list(-1, "free tracks")
-		s.Free[d] = make([]int, len(free))
-		for i, t := range free {
-			s.Free[d][i] = int(t)
+		s.Free[d] = r.tracks("free tracks")
+		if fresh := r.tracks("fresh tracks"); len(fresh) > 0 {
+			if s.Fresh == nil {
+				s.Fresh = make([][]int, n)
+			}
+			s.Fresh[d] = fresh
 		}
 	}
 	return s
+}
+
+// tracks reads a list of track numbers, nil when it is empty.
+func (r *recordReader) tracks(what string) []int {
+	l := r.list(-1, what)
+	if len(l) == 0 {
+		return nil
+	}
+	ts := make([]int, len(l))
+	for i, t := range l {
+		ts[i] = int(t)
+	}
+	return ts
 }
 
 // encodeDirectory writes a superstep's input: per batch and drive, the
@@ -322,13 +352,18 @@ func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs 
 // claimTracks checks the tracks a processor's record names, as input and
 // as contexts, against the allocator state the record carries: both
 // directories are read from and freed through, so a track that state
-// never handed out, holds free, or that is named twice is refused — before
-// the store adopts anything.
+// never handed out, holds free, holds fresh (it would read zeros), or that
+// is named twice is refused — before the store adopts anything.
 func claimTracks(st disk.StoreState, dir *outDirectory, ctxDir [][]disk.Addr) error {
 	held := make(map[disk.Addr]string)
 	for d, free := range st.Free {
 		for _, t := range free {
 			held[disk.Addr{Disk: d, Track: t}] = "on the free list"
+		}
+	}
+	for d, fresh := range st.Fresh {
+		for _, t := range fresh {
+			held[disk.Addr{Disk: d, Track: t}] = "fresh, never written since its allocation"
 		}
 	}
 	claim := func(a disk.Addr, as string, batch int) error {

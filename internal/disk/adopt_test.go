@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // AdoptState takes a StoreState decoded from the journal or from a
@@ -14,11 +15,16 @@ import (
 
 // adoptStores opens one store of every backend kind over a D-drive,
 // B-word geometry (the tier stands for every chain: it forwards the
-// state to its backend's model).
+// state to its backend's model). The worker store runs at a small
+// emulated latency, which is what starts its workers.
 func adoptStores(tb testing.TB, cfg Config) map[string]Backend {
 	tb.Helper()
 	file := func(workers int) *File {
-		f, err := OpenFileOpts(tb.TempDir(), cfg, false, FileOptions{Workers: workers})
+		var lat time.Duration
+		if workers > 0 {
+			lat = time.Microsecond
+		}
+		f, err := OpenFileOpts(tb.TempDir(), cfg, false, FileOptions{Workers: workers, AccessLatency: lat})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -45,13 +51,15 @@ func adoptStores(tb testing.TB, cfg Config) map[string]Backend {
 	return stores
 }
 
-// validState2 is a well-formed two-drive state with a free list.
+// validState2 is a well-formed two-drive state with a free list and a
+// fresh track.
 func validState2() StoreState {
 	return StoreState{
 		Stats: Stats{Ops: 3, WriteOps: 3, BlocksWritten: 5, PerDrive: []DriveStats{{BlocksWritten: 3, SeqAccesses: 3}, {BlocksWritten: 2, RandAccesses: 2}}},
 		Next:  []int{4, 3},
 		Last:  []int{2, -1},
 		Free:  [][]int{{1, 3}, nil},
+		Fresh: [][]int{nil, {2}},
 	}
 }
 
@@ -71,6 +79,12 @@ func TestAdoptStateRejectsMalformed(t *testing.T) {
 		{"free entry at the bump mark", func(s *StoreState) { s.Free[0] = []int{1, 4} }},
 		{"free entry beyond the bump mark", func(s *StoreState) { s.Free[1] = []int{70} }},
 		{"negative free entry", func(s *StoreState) { s.Free[0] = []int{-1} }},
+		{"short Fresh", func(s *StoreState) { s.Fresh = s.Fresh[:1] }},
+		{"long Fresh", func(s *StoreState) { s.Fresh = append(s.Fresh, nil) }},
+		{"fresh entry beyond the bump mark", func(s *StoreState) { s.Fresh[1] = []int{3} }},
+		{"negative fresh entry", func(s *StoreState) { s.Fresh[0] = []int{-1} }},
+		{"fresh entry on the free list", func(s *StoreState) { s.Fresh[0] = []int{3} }},
+		{"duplicated fresh entry", func(s *StoreState) { s.Fresh[1] = []int{0, 2, 0} }},
 	}
 	for name, s := range adoptStores(t, Config{D: 2, B: 4}) {
 		t.Run(name, func(t *testing.T) {
@@ -101,6 +115,7 @@ func TestAdoptStateRejectsMalformed(t *testing.T) {
 // fuzzState decodes arbitrary bytes into a two-drive-ish StoreState:
 // table lengths 0..3 and small signed entries, so every malformed
 // shape of the table test (and their combinations) is a short input.
+// Fresh is nil when its drawn length is 0.
 func fuzzState(data []byte) StoreState {
 	next := func() int {
 		if len(data) == 0 {
@@ -125,13 +140,20 @@ func fuzzState(data []byte) StoreState {
 	for d := range s.Free {
 		s.Free[d] = ints()
 	}
+	if n := next() & 3; n > 0 {
+		s.Fresh = make([][]int, n)
+		for d := range s.Fresh {
+			s.Fresh[d] = ints()
+		}
+	}
 	return s
 }
 
 // FuzzAdoptState: for arbitrary states, every backend either refuses
 // with a typed error and stays unchanged, or adopts a state it can
-// then run on — allocations are pairwise distinct, releases and I/O on
-// them succeed — without a panic.
+// then run on — the adopted fresh tracks read zeros, allocations are
+// pairwise distinct, releases and I/O on them succeed — without a
+// panic.
 func FuzzAdoptState(f *testing.F) {
 	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0})                  // validState2's shape
 	f.Add([]byte{1, 4, 2, 2, 0xff, 2, 2, 0, 0})                           // short Next
@@ -141,6 +163,11 @@ func FuzzAdoptState(f *testing.F) {
 	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 3, 1, 3, 1, 0})               // duplicated free entry
 	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 1, 4, 0})                     // free entry >= Next
 	f.Add([]byte{2, 127, 127, 2, 126, 126, 2, 2, 3, 5, 6, 7, 3, 0, 1, 2}) // large well-formed
+	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0, 2, 0, 1, 2})      // validState2 with its fresh track
+	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0, 1, 0})            // one-drive Fresh
+	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0, 2, 1, 3, 0})      // fresh entry on the free list
+	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0, 2, 0, 2, 1, 1})   // duplicated fresh entry
+	f.Add([]byte{2, 4, 3, 2, 2, 0xff, 2, 2, 2, 1, 3, 0, 2, 0, 1, 3})      // fresh entry >= Next
 	cfg := Config{D: 2, B: 4}
 	stores := adoptStores(f, cfg)
 	buf := make([]uint64, cfg.B)
@@ -157,6 +184,14 @@ func FuzzAdoptState(f *testing.F) {
 					t.Fatalf("%s: refused state changed the store:\n got %+v\nwant %+v", name, got, before)
 				}
 				continue
+			}
+			for d, fresh := range st.Fresh {
+				for _, tr := range fresh {
+					buf[0] = 1
+					if err := s.ReadOp([]ReadReq{{Disk: d, Track: tr, Dst: buf}}); err != nil || buf[0] != 0 {
+						t.Fatalf("%s: adopted fresh track %d of drive %d read %v (%v), want zeros", name, tr, d, buf, err)
+					}
+				}
 			}
 			seen := make(map[Addr]bool)
 			for i := 0; i < 8; i++ {

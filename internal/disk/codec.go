@@ -75,7 +75,7 @@ func slotBytes(B int) int64 { return int64(2+B) * 8 }
 type slotState uint8
 
 const (
-	slotBlank   slotState = iota // never written, or wiped: reads as zeros
+	slotBlank   slotState = iota // never written: reads as zeros
 	slotOK                       // payload decoded and checksum verified
 	slotCorrupt                  // torn or corrupted write
 )

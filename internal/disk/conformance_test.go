@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"embsp/internal/prng"
 )
@@ -15,45 +16,60 @@ import (
 // StoreState — and every store's transcript must equal the in-memory
 // Array's. The cases also assert the absolute expectations of the
 // per-store tests they replace (free-list reuse order, release guards,
-// snapshot/rollback wipes, flat-vs-tier accounting).
+// snapshot/rollback, flat-vs-tier accounting).
 
 const confD, confB = 3, 8
 
+// confOpener opens a store kind in dir: fresh, or resuming what an
+// earlier store left there.
+type confOpener func(t *testing.T, dir string, resume bool) Backend
+
 // confStores lists the store kinds under test: name and constructor.
+// The worker kinds run at a small emulated latency, without which the
+// file store starts no workers.
 func confStores() []struct {
 	name string
-	open func(t *testing.T) Backend
+	open confOpener
 } {
 	cfg := Config{D: confD, B: confB}
-	file := func(workers int) func(t *testing.T) Backend {
-		return func(t *testing.T) Backend {
-			f, err := OpenFileOpts(t.TempDir(), cfg, false, FileOptions{Workers: workers})
+	file := func(workers int) confOpener {
+		return func(t *testing.T, dir string, resume bool) Backend {
+			opt := FileOptions{Workers: workers}
+			if workers > 0 {
+				opt.AccessLatency = time.Microsecond
+			}
+			f, err := OpenFileOpts(dir, cfg, resume, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return f
 		}
 	}
-	mapped := func(t *testing.T) Backend {
+	mapped := func(t *testing.T, dir string, resume bool) Backend {
 		if !MmapSupported() {
 			t.Skip("no mmap on this platform")
 		}
-		m, err := OpenMapped(t.TempDir(), cfg, false, MappedOptions{})
+		m, err := OpenMapped(dir, cfg, resume, MappedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
+	tier := func(base confOpener) confOpener {
+		return func(t *testing.T, dir string, resume bool) Backend {
+			return NewTier(base(t, dir, resume), TierOptions{})
+		}
+	}
 	return []struct {
 		name string
-		open func(t *testing.T) Backend
+		open confOpener
 	}{
-		{"array", func(t *testing.T) Backend { return MustNewArray(cfg) }},
+		{"array", func(*testing.T, string, bool) Backend { return MustNewArray(cfg) }},
 		{"file", file(0)},
 		{"file-workers", file(confD)},
 		{"mapped", mapped},
-		{"tier-over-file", func(t *testing.T) Backend { return NewTier(file(confD)(t), TierOptions{}) }},
-		{"tier-over-mapped", func(t *testing.T) Backend { return NewTier(mapped(t), TierOptions{}) }},
+		{"tier-over-file", tier(file(confD))},
+		{"tier-over-mapped", tier(mapped)},
 	}
 }
 
@@ -74,6 +90,9 @@ type replay struct {
 	t        *testing.T
 	s        Backend
 	payloads *prng.Rand // source of written payloads
+	// reopen closes a durable store and opens its directory again; the
+	// in-memory array, whose medium dies with it, stays as it is.
+	reopen func()
 	transcript
 }
 
@@ -333,14 +352,9 @@ var confCases = []struct {
 		if got := r.export(2, c); !reflect.DeepEqual(got, payload) {
 			r.t.Errorf("export after import = %v, want %v", got, payload)
 		}
-		if err := r.s.ImportTrack(2, c, nil); err != nil {
-			r.t.Fatal(err)
-		}
-		if got := r.export(2, c); got != nil {
-			r.t.Errorf("export after wiping import = %v, want nil", got)
-		}
 		r.refused(r.s.ImportTrack(confD, 0, payload))
 		r.refused(r.s.ImportTrack(0, 0, payload[:confB-1]))
+		r.refused(r.s.ImportTrack(0, 0, nil))
 		_, err := r.s.ExportTrack(0, -1)
 		r.refused(err)
 		after := r.observe()
@@ -355,8 +369,8 @@ var confCases = []struct {
 	}},
 
 	// Blank tracks read zeros: allocated and never written, beyond the
-	// bump mark, released. A wiped track's buffer may serve a later write
-	// (the Array's spare list), but never shows: a released and
+	// bump mark, released. A released track's buffer may serve a later
+	// write (the Array's spare list), but never shows: a released and
 	// re-allocated track reads zeros before its first write, also when the
 	// allocation is rolled back and made again, and the tracks written
 	// meanwhile — which take the recycled buffers — each keep their own
@@ -404,6 +418,54 @@ var confCases = []struct {
 			r.t.Errorf("tracks written from recycled buffers read alike or blank: %v", got)
 		}
 		r.observe()
+	}},
+
+	// A fresh track — allocated and not written since — reads zeros and
+	// exports nil whatever its slot holds: a slot written, released and
+	// allocated again, and a slot a closed store wrote after a State that
+	// listed it fresh, once that state is adopted on reopen.
+	{"fresh-stays-blank", func(r *replay) {
+		stale := func(what string, d, t int) {
+			if got := r.read(Addr{d, t})[0]; !isBlank(got) {
+				r.t.Errorf("%s read %v, want zeros", what, got)
+			}
+			if got := r.export(d, t); got != nil {
+				r.t.Errorf("%s exported %v, want nil", what, got)
+			}
+			if a, ok := r.s.(*Array); ok && !isBlank(a.PeekTrack(d, t)) {
+				r.t.Errorf("PeekTrack of %s = %v, want zeros", what, a.PeekTrack(d, t))
+			}
+		}
+		t0 := r.alloc(0)
+		r.write(Addr{0, t0})
+		r.release(0, t0)
+		if again := r.alloc(0); again != t0 {
+			r.t.Fatalf("Alloc after Release = %d, want recycled %d", again, t0)
+		}
+		stale("re-allocated track", 0, t0)
+
+		t1 := r.alloc(1)
+		st := r.observe()
+		if want := [][]int{{t0}, {t1}, nil}; !reflect.DeepEqual(st.Fresh, want) {
+			r.t.Fatalf("State lists %v fresh, want %v", st.Fresh, want)
+		}
+		r.write(Addr{0, t0}, Addr{1, t1})
+		if err := r.s.Sync(); err != nil {
+			r.t.Fatal(err)
+		}
+		r.reopen()
+		if err := r.s.AdoptState(st); err != nil {
+			r.t.Fatalf("AdoptState of a captured state: %v", err)
+		}
+		stale("track written after a state that lists it fresh", 0, t0)
+		stale("track written after a state that lists it fresh", 1, t1)
+		r.write(Addr{1, t1})
+		if got := r.export(1, t1); got == nil {
+			r.t.Error("a track written after the adoption exports nil")
+		}
+		if got := r.observe().Fresh; !reflect.DeepEqual(got, [][]int{{t0}, nil, nil}) {
+			r.t.Errorf("State lists %v fresh after a write, want only track %d of drive 0", got, t0)
+		}
 	}},
 
 	// A long seeded mix of every model operation.
@@ -462,9 +524,18 @@ func TestStoreConformance(t *testing.T) {
 			var ref *transcript
 			for _, st := range confStores() {
 				t.Run(st.name, func(t *testing.T) {
-					s := st.open(t)
-					defer s.Close()
-					r := &replay{t: t, s: s, payloads: prng.New(0xC0FFEE)}
+					dir := t.TempDir()
+					r := &replay{t: t, s: st.open(t, dir, false), payloads: prng.New(0xC0FFEE)}
+					defer func() { r.s.Close() }()
+					r.reopen = func() {
+						if _, mem := r.s.(*Array); mem {
+							return
+						}
+						if err := r.s.Close(); err != nil {
+							t.Fatal(err)
+						}
+						r.s = st.open(t, dir, true)
+					}
 					c.script(r)
 					if ref == nil {
 						ref = &r.transcript

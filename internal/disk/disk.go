@@ -284,7 +284,8 @@ type Store interface {
 	// ExportTrack reads one track's committed payload raw — no model
 	// accounting, no emulated latency. nil payload means blank.
 	ExportTrack(d, t int) ([]uint64, error)
-	// ImportTrack writes one track payload raw (nil payload wipes).
+	// ImportTrack writes one track's B-word payload raw; the track is no
+	// longer fresh.
 	ImportTrack(d, t int, payload []uint64) error
 }
 
@@ -321,9 +322,9 @@ func Find[T any](s Store) (found T) {
 
 // StoreState is the persistent metadata of a Store: everything except
 // the track contents themselves. The fields mirror the per-drive
-// allocator (bump high-water mark, last accessed track, free list) and
-// the accumulated statistics; the engines serialize it into the commit
-// journal and feed it back via AdoptState on resume.
+// allocator (bump high-water mark, last accessed track, free list,
+// fresh set) and the accumulated statistics; the engines serialize it
+// into the commit journal and feed it back via AdoptState on resume.
 type StoreState struct {
 	Stats Stats
 	// Next holds each drive's bump-allocator high-water mark.
@@ -334,6 +335,12 @@ type StoreState struct {
 	Last []int
 	// Free holds each drive's free list, in stack order.
 	Free [][]int
+	// Fresh holds each drive's fresh tracks — allocated and not written
+	// since — in ascending order, or is nil when no drive has one. A
+	// fresh track reads blank whatever its slot holds, so the bytes a
+	// crashed attempt wrote to a track fresh at the journaled barrier
+	// are never returned after a resume.
+	Fresh [][]int
 }
 
 // Array simulates the D drives of one processor in memory: the shared
@@ -341,8 +348,8 @@ type StoreState struct {
 // concurrent use (the model's contract).
 type Array struct {
 	model
-	tracks [][][]uint64 // [drive][track] payload, nil when blank; guarded by mu
-	spare  *blockPool   // buffers of wiped tracks, for the next writes; used under mu
+	tracks [][][]uint64 // [drive][track] payload, nil when never written or released; guarded by mu
+	spare  *blockPool   // buffers of released tracks, for the next writes; used under mu
 }
 
 // NewArray returns a blank disk subsystem.
@@ -364,11 +371,12 @@ func MustNewArray(cfg Config) *Array {
 	return a
 }
 
-// The Array's physical half: tracks are slices, blank ones nil. A wiped
-// track's buffer goes to the spare list, where the next write of a
-// blank track takes it, so the drives allocate their peak number of
-// live blocks once. Reads copy and a write covers all B words, so a
-// recycled buffer cannot show through.
+// The Array's physical half: tracks are slices, nil until written. A
+// released track's buffer goes to the spare list, where the next write
+// of a nil track takes it, so the drives allocate their peak number of
+// live blocks once. The model reads only tracks that are not blank,
+// reads copy and a write covers all B words, so a recycled buffer — or
+// the old buffer of a fresh or rolled-back track — cannot show through.
 
 func (a *Array) readSlot(d, t int, dst []uint64) error {
 	if tr := a.tracks[d]; t < len(tr) && tr[t] != nil {
@@ -390,13 +398,6 @@ func (a *Array) writeSlot(d, t int, src []uint64) error {
 	return nil
 }
 
-func (a *Array) wipeSlot(d, t int) {
-	if t < len(a.tracks[d]) && a.tracks[d][t] != nil {
-		a.spare.put(a.tracks[d][t])
-		a.tracks[d][t] = nil
-	}
-}
-
 // Release returns a track to the drive's free list, with the model's
 // guards against double and out-of-range frees. The in-memory array
 // has nothing to keep for a crash, so it also gives the track's words
@@ -405,8 +406,9 @@ func (a *Array) Release(d, t int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	err := a.release(d, t)
-	if err == nil {
-		a.wipeSlot(d, t)
+	if err == nil && t < len(a.tracks[d]) && a.tracks[d][t] != nil {
+		a.spare.put(a.tracks[d][t])
+		a.tracks[d][t] = nil
 	}
 	return err
 }
@@ -425,13 +427,16 @@ func (a *Array) Tracks(d int) int {
 	return a.drives[d].next
 }
 
-// PeekTrack returns a copy of a track's contents without performing a
-// model I/O operation. It exists for tests, assertions and layout
-// visualization only; engine code must use ReadOp.
+// PeekTrack returns a copy of a track's contents, zeros when the track
+// reads blank, without performing a model I/O operation. It exists for
+// tests, assertions and layout visualization only; engine code must use
+// ReadOp.
 func (a *Array) PeekTrack(d, t int) []uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]uint64, a.cfg.B)
-	a.readSlot(d, t, out) //nolint:errcheck // the in-memory read cannot fail
+	if !a.blank(d, t) {
+		a.readSlot(d, t, out) //nolint:errcheck // the in-memory read cannot fail
+	}
 	return out
 }

@@ -29,22 +29,25 @@ import (
 // small geometry file pins (D, B) so a resume with a mismatched
 // machine configuration fails up front.
 //
-// Allocator metadata (free lists, bump marks, access statistics) lives
-// in memory — the shared EM-model core of model.go — and is persisted
-// by the engines' commit journal, not by the store itself: reads of
-// free or never-allocated tracks return zeros based on that metadata,
-// so releasing a track needs no physical wipe — which keeps Release
-// crash-safe (the freed track's bytes stay intact on disk until a
-// commit record that no longer references the track is durable).
+// Allocator metadata (free lists, fresh sets, bump marks, access
+// statistics) lives in memory — the shared EM-model core of model.go —
+// and is persisted by the engines' commit journal, not by the store
+// itself: free, fresh and never-allocated tracks read zeros by that
+// metadata, so neither Release nor Alloc writes anything, a freed
+// track's bytes stay intact until a commit record that no longer names
+// it is durable, and the physical writes are the model's block writes.
 //
 // # Physical concurrency
 //
-// With FileOptions.Workers > 0 the store runs that many I/O worker
-// goroutines; drive d's physical transfers are served by worker
-// d mod Workers, so every drive keeps strict FIFO order while distinct
-// drives proceed concurrently. One ReadOp/WriteOp call fans its
-// request list (at most one track per drive) out across the workers.
-// Writes are absorbed by a write-behind cache and made durable
+// At page-cache speed (AccessLatency zero) the store is synchronous,
+// every transfer inside the call: a worker round-trip would cost more
+// than the transfer it reschedules. With emulated latency and Workers > 0 the
+// store runs that many I/O worker goroutines; drive d's physical
+// transfers are served by worker d mod Workers, so every drive keeps
+// strict FIFO order while distinct drives proceed concurrently. One
+// ReadOp/WriteOp call fans its request list (at most one track per
+// drive) out across the workers, so one op's transfers sleep on D
+// workers at once. Writes are absorbed by a write-behind cache and land
 // asynchronously; Prefetch schedules reads ahead of need. Crucially,
 // none of this is visible to the model: all accounting — Stats, the
 // sequential/random access chains, allocation order — is applied
@@ -53,31 +56,23 @@ import (
 // movement is rescheduled; the cache is bounded by a mem.Accountant
 // (a soft high-water bound: an operation in flight may overshoot it by
 // up to one block per drive, and writes that cannot grab budget fall
-// back to stalling until their own transfers complete).
+// back to stalling until their own transfers complete). The payload
+// buffers that flow through the queues are recycled through a free
+// list (see blockPool); a per-entry refcount keeps a buffer out of the
+// pool while any reader still aliases it.
 //
-// When accesses are page-cache fast (AccessLatency zero), the worker
-// round-trip costs more than the transfer it reschedules, so reads,
-// writes and wipes whose track has no queued physical work short-cut
-// to an inline pread/pwrite on the calling goroutine; with emulated
-// latency everything queues so one op's transfers sleep on D workers
-// concurrently. The fast path is invisible to the model (same
-// accounting, same bytes) — it only removes scheduler overhead. The
-// payload buffers that do flow through the queues are recycled
-// through a free list (see blockPool); a per-entry refcount keeps a
-// buffer out of the pool while any reader still aliases it.
-//
-// fsync work is coalesced: every physical byte-landing marks its
-// drive as needing fsync, Sync flushes only marked drives, and a
-// completed fsync (barrier or flush-behind) unmarks the drive unless
-// new bytes landed while it ran — tracked with a per-drive epoch
-// counter, so the durability contract is exactly as before: when Sync
-// returns, every byte landed before the call is on disk.
+// A drive is fsynced only by Sync, the barrier's durability point, and
+// only when bytes landed on it since its last fsync: every physical
+// byte-landing marks its drive, Sync fsyncs the marked drives
+// concurrently, and a completed fsync unmarks the drive unless new
+// bytes landed while it ran — tracked with a per-drive epoch counter,
+// so when Sync returns, every byte landed before the call is on disk.
 //
 // One deliberate deviation exists on an error path: with workers on, a
 // physical write error (e.g. a full disk) surfaces at the next Sync or
-// Close rather than from the WriteOp that issued it (inline fast-path
-// writes included), with accounting as if the write succeeded. It is
-// not reachable from a correct engine on a healthy disk.
+// Close rather than from the WriteOp that issued it, with accounting as
+// if the write succeeded. It is not reachable from a correct engine on
+// a healthy disk.
 //
 // All methods are safe for concurrent use. Operations that race on the
 // same drive serialize in lock order (their relative order, and hence
@@ -89,23 +84,18 @@ type File struct {
 	driveFiles     // the drive files and their physical options
 	nworks     int // I/O worker goroutines (0 = fully synchronous)
 
-	buf      []byte // scratch for one slot (synchronous + inline-write paths, under mu)
+	buf      []byte // scratch for one slot (synchronous path and raw hooks, under mu)
 	cache    map[Addr]*centry
 	acct     *mem.Accountant // cache budget in words, used under mu
 	ov       OverlapStats
-	dirty    []bool       // drives written since their last flush-behind
-	flushing []bool       // drives with a background flush in flight
-	needSync []bool       // drives with bytes landed since their last completed fsync
-	wepoch   []int64      // bumped per byte-landing; guards needSync against racing fsyncs
-	pend     map[Addr]int // queued-but-unlanded physical writes + wipes per address
-	werr     error        // first deferred write error, surfaced at Sync/Close
-	pool     *blockPool   // recycled payload buffers for the worker path
-	scr      *bytePool    // recycled slot scratch for inline reads (outside mu)
+	needSync []bool     // drives with bytes landed since their last completed fsync
+	wepoch   []int64    // bumped per byte-landing; guards needSync against racing writes
+	werr     error      // first deferred write error, surfaced at Sync/Close
+	pool     *blockPool // recycled payload buffers for the worker path
 
-	queues  []*ioQueue
-	wg      sync.WaitGroup
-	flushWG sync.WaitGroup // in-flight background flushes
-	xfer    inflight       // physical transfers executing right now
+	queues []*ioQueue
+	wg     sync.WaitGroup
+	xfer   inflight // physical transfers executing right now
 }
 
 // FileOptions tunes the physical I/O engine of a file-backed store.
@@ -113,15 +103,16 @@ type File struct {
 // performed inside the ReadOp/WriteOp call), which is also what
 // OpenFile gives.
 type FileOptions struct {
-	// Workers is the number of I/O worker goroutines. 0 keeps the
-	// store synchronous; n > 0 serves drive d on worker d mod n (values
-	// above D are clamped to D — extra workers would sit idle). Model
-	// accounting is identical either way.
+	// Workers is the number of I/O worker goroutines when there is
+	// latency to hide (AccessLatency > 0); n > 0 serves drive d on
+	// worker d mod n (values above D are clamped to D — extra workers
+	// would sit idle). 0, or zero AccessLatency, keeps the store
+	// synchronous. Model accounting is identical either way.
 	Workers int
 	// CacheWords bounds the prefetch + write-behind cache in words
 	// (slot-sized units of B+2 words per track). 0 picks a small
-	// default of 4·D tracks; negative means unbounded. Ignored when
-	// Workers == 0.
+	// default of 4·D tracks; negative means unbounded. Ignored on a
+	// synchronous store.
 	CacheWords int64
 	// AccessLatency emulates the access time of one physical track
 	// transfer: every pread/pwrite of a slot sleeps this long first.
@@ -129,10 +120,10 @@ type FileOptions struct {
 	// whose page cache hides real device latency, so schedule quality
 	// (D-parallel access, I/O–compute overlap) becomes measurable.
 	// Both the synchronous and the worker store pay the same per-access
-	// cost; zero (the default) emulates nothing.
+	// cost; zero (the default) emulates nothing, and starts no workers.
 	AccessLatency time.Duration
 	// Tracer, when non-nil, records every physical transfer (track
-	// reads, writes, wipes, fsyncs) as an "io"-category span, labelled
+	// reads, writes, fsyncs) as an "io"-category span, labelled
 	// with TracePID as the trace process id and 1+drive as the thread
 	// id. Pure wall-clock observability: model accounting and results
 	// are unaffected; nil (the default) costs nothing.
@@ -160,7 +151,6 @@ func (e *CorruptTrackError) Error() string {
 const (
 	taskFill    uint8 = iota // physical read into a cache entry
 	taskWrite                // physical write of a cache entry's payload
-	taskWipe                 // clear a slot's magic word (best-effort)
 	taskBarrier              // completion fence: signal wg, move no bytes
 )
 
@@ -233,7 +223,8 @@ func OpenFile(dir string, cfg Config, resume bool) (*File, error) {
 	return OpenFileOpts(dir, cfg, resume, FileOptions{})
 }
 
-// OpenFileOpts is OpenFile with physical-concurrency options.
+// OpenFileOpts is OpenFile with physical-concurrency options. Workers
+// start only when there is emulated latency to hide.
 func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, error) {
 	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
 	if err != nil {
@@ -246,7 +237,7 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		wepoch:     make([]int64, cfg.D),
 	}
 	f.model.init(cfg, f)
-	if opt.Workers > 0 {
+	if opt.Workers > 0 && opt.AccessLatency > 0 {
 		f.nworks = min(opt.Workers, cfg.D)
 		budget := opt.CacheWords
 		if budget == 0 {
@@ -257,11 +248,7 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		}
 		f.acct = mem.NewAccountant(budget)
 		f.cache = make(map[Addr]*centry)
-		f.dirty = make([]bool, cfg.D)
-		f.flushing = make([]bool, cfg.D)
-		f.pend = make(map[Addr]int)
 		f.pool = newBlockPool(cfg.B, 8*cfg.D)
-		f.scr = newBytePool(int(f.slotB), cfg.D)
 		f.queues = make([]*ioQueue, f.nworks)
 		for i := range f.queues {
 			q := &ioQueue{}
@@ -445,8 +432,8 @@ func (f *File) Overlap() OverlapStats {
 
 // pread reads and decodes one slot raw — no span, no emulated latency
 // — through the given scratch buffer. A slot never physically written
-// (or wiped by a rollback) decodes as slotBlank with dst zeroed; a torn
-// one is a *CorruptTrackError.
+// decodes as slotBlank with dst zeroed; a torn one is a
+// *CorruptTrackError.
 func (f *File) pread(buf []byte, d, t int, dst []uint64) (slotState, error) {
 	n, err := f.files[d].ReadAt(buf, int64(t)*f.slotB)
 	if err != nil && err != io.EOF {
@@ -466,14 +453,6 @@ func (f *File) pwrite(buf []byte, d, t int, src []uint64) error {
 	return err
 }
 
-// pwipe clears a slot's magic word raw, so the track decodes as blank
-// again.
-func (f *File) pwipe(d, t int) error {
-	var zero [8]byte
-	_, err := f.files[d].WriteAt(zero[:], int64(t)*f.slotB)
-	return err
-}
-
 // readSlotBuf is one physical track read: span, emulated access time,
 // pread (one scratch buffer per worker, plus f.buf for the synchronous
 // path).
@@ -488,16 +467,9 @@ func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {
 	return f.pwrite(buf, d, t, src)
 }
 
-// physWipe is one physical wipe (used by AllocRestore to discard an
-// aborted attempt's writes, and by Alloc on stale slots).
-func (f *File) physWipe(d, t int) error {
-	defer f.access("phys-wipe", d).End()
-	return f.pwipe(d, t)
-}
-
 // readSlot and writeSlot are the synchronous store's slotIO: one
 // transfer inside the call, under f.mu, through the store's scratch
-// slot. (wipeSlot, queue-aware, is below with the allocator.)
+// slot.
 func (f *File) readSlot(d, t int, dst []uint64) error { return f.readSlotBuf(f.buf, d, t, dst) }
 
 func (f *File) writeSlot(d, t int, src []uint64) error {
@@ -547,9 +519,6 @@ func (f *File) runTask(t ioTask, scratch []byte) {
 		err := f.writeSlotBuf(scratch, t.d, t.t, t.entry.data)
 		f.mu.Lock()
 		a := Addr{Disk: t.d, Track: t.t}
-		if f.pend[a]--; f.pend[a] == 0 {
-			delete(f.pend, a)
-		}
 		f.markWritten(t.d)
 		e := t.entry
 		e.done = true
@@ -570,23 +539,13 @@ func (f *File) runTask(t ioTask, scratch []byte) {
 		}
 		f.retire(e)
 		f.mu.Unlock()
-	case taskWipe:
-		// Best-effort, exactly like the synchronous path's wipes.
-		_ = f.physWipe(t.d, t.t)
-		f.mu.Lock()
-		a := Addr{Disk: t.d, Track: t.t}
-		if f.pend[a]--; f.pend[a] == 0 {
-			delete(f.pend, a)
-		}
-		f.markWritten(t.d)
-		f.mu.Unlock()
 	}
 }
 
 // markWritten records that bytes just landed on drive d's file: the
 // drive needs an fsync before the next durability point, and the epoch
-// bump invalidates any fsync already in flight (its snapshot no longer
-// covers these bytes). Called under f.mu, at the moment a pwrite
+// bump invalidates a Sync's fsync already in flight (its snapshot no
+// longer covers these bytes). Called under f.mu, at the moment a pwrite
 // completes — not when it is queued — so a cleared needSync flag
 // always means "every landed byte is durable".
 func (f *File) markWritten(d int) {
@@ -657,47 +616,17 @@ func (f *File) drain() {
 // exhausted, address out of range, track blank or already cached) is
 // silently skipped — the later logical read simply misses. Safe to
 // call concurrently with operations; a no-op on a synchronous store.
-//
-// Prefetch doubles as the pipeline's group-boundary hint: every drive
-// written since its last flush starts a background fsync on its own
-// goroutine (flush-behind, off the task queues so fills never wait
-// behind an fsync), making the drive durable while the caller computes
-// so the next barrier Sync finds it mostly clean. This moves fsync
-// latency — the dominant physical cost on a real filesystem — off the
-// critical path without weakening the durability contract, which is
-// still established only by Sync. At most one flush per drive is in
-// flight; a flush error surfaces at the next Sync or Close like any
-// deferred write error.
 func (f *File) Prefetch(addrs []Addr) {
 	if f.nworks == 0 {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for d, dirty := range f.dirty {
-		if dirty && !f.flushing[d] {
-			f.dirty[d] = false
-			f.flushing[d] = true
-			f.flushWG.Add(1)
-			go f.bgFlush(d)
-		}
-	}
-	// At zero emulated latency a fill is pure overhead: the engine's
-	// eventual inline pread costs less than the worker round-trip,
-	// budget traffic and cache bookkeeping of staging the same
-	// page-cache-resident bytes. Prefetch then only kicks flush-behind
-	// (above); with emulated latency the fills are the entire point.
-	if f.lat == 0 {
-		return
-	}
 	for _, a := range addrs {
 		if a.Disk < 0 || a.Disk >= f.cfg.D || a.Track < 0 {
 			continue
 		}
-		if f.blank(a.Disk, a.Track) {
-			continue
-		}
-		if _, ok := f.cache[a]; ok {
+		if _, cached := f.cache[a]; cached || f.blank(a.Disk, a.Track) {
 			continue
 		}
 		words := int64(f.cfg.B + 2)
@@ -709,32 +638,6 @@ func (f *File) Prefetch(addrs []Addr) {
 		f.enqueue(ioTask{kind: taskFill, d: a.Disk, t: a.Track, entry: e})
 		f.ov.PrefetchIssued++
 	}
-}
-
-// bgFlush is one flush-behind fsync of drive d, running concurrently
-// with the engine and the I/O workers. A successful flush clears the
-// drive's needSync mark — letting the next barrier Sync skip the
-// drive entirely — but only when no new bytes landed while the fsync
-// ran: the epoch is snapshotted under the lock before the fsync, and
-// any pwrite completing after that snapshot bumps it, so a stale
-// snapshot can never hide un-durable bytes from Sync.
-func (f *File) bgFlush(d int) {
-	defer f.flushWG.Done()
-	f.mu.Lock()
-	epoch := f.wepoch[d]
-	f.mu.Unlock()
-	sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
-	err := f.files[d].Sync()
-	sp.End()
-	f.mu.Lock()
-	f.flushing[d] = false
-	if err == nil && f.wepoch[d] == epoch {
-		f.needSync[d] = false
-	}
-	if err != nil && f.werr == nil {
-		f.werr = fmt.Errorf("disk: flush-behind of drive %d failed: %w", d, err)
-	}
-	f.mu.Unlock()
 }
 
 // ReadOp performs one parallel read, at most one track per drive, with
@@ -756,22 +659,13 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 	// Phase 1, under the lock: apply all model accounting in request
 	// order (the drives are pairwise distinct, so per-request rollback
 	// below is exact), serve blank tracks and write-behind hits
-	// immediately, and pick how to serve everything else. When accesses
-	// are page-cache fast (no emulated latency), a miss whose track has
-	// no queued wipe reads the drive file directly on this goroutine
-	// (an uncached track has no write in flight — a queued write is
-	// visible in the cache until its bytes land — so the file holds
-	// current data and the inline pread skips a worker round-trip).
-	// With per-access latency the opposite holds: the misses of one op
-	// should sleep on D workers concurrently, not sequentially here, so
-	// they queue. Misses shadowed by a pending wipe always queue a fill
-	// behind it in drive FIFO order.
+	// immediately, and queue a fill for every miss, so the misses of one
+	// op sleep on D workers concurrently.
 	type pending struct {
 		i int
 		e *centry
 	}
 	var waits []pending
-	var inline []int
 	prev := make([]int, len(reqs))
 	f.mu.Lock()
 	for i, r := range reqs {
@@ -793,31 +687,16 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 			continue
 		}
 		f.ov.PrefetchMisses++
-		if f.lat == 0 && f.pend[Addr{Disk: r.Disk, Track: r.Track}] == 0 {
-			inline = append(inline, i)
-			continue
-		}
 		// A private fill (never in the map): queued in drive FIFO
 		// order, which in particular sequences it behind any pending
-		// wipe or write so it delivers current bytes.
+		// write so it delivers current bytes.
 		e := &centry{gone: true, refs: 1, ready: make(chan struct{})}
 		f.enqueue(ioTask{kind: taskFill, d: r.Disk, t: r.Track, entry: e})
 		waits = append(waits, pending{i, e})
 	}
 	f.mu.Unlock()
 
-	// Phase 2, no lock: inline misses read the drive files directly;
-	// then wait for any queued transfers.
-	inlineErr := make(map[int]error, len(inline))
-	if len(inline) > 0 {
-		scratch := f.scr.get()
-		for _, i := range inline {
-			if err := f.readSlotBuf(scratch, reqs[i].Disk, reqs[i].Track, reqs[i].Dst); err != nil {
-				inlineErr[i] = err
-			}
-		}
-		f.scr.put(scratch)
-	}
+	// Phase 2, no lock: wait for the queued transfers.
 	var stall time.Duration
 	for _, w := range waits {
 		select {
@@ -837,11 +716,6 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	failIdx, failErr := len(reqs), error(nil)
-	for i, err := range inlineErr {
-		if i < failIdx {
-			failIdx, failErr = i, err
-		}
-	}
 	for _, w := range waits {
 		if w.e.err != nil {
 			if w.i < failIdx {
@@ -898,20 +772,7 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	for _, r := range reqs {
 		a := Addr{Disk: r.Disk, Track: r.Track}
 		f.chargeWrite(r.Disk, r.Track)
-		f.markDirty(r.Disk, r.Track)
-		f.dirty[r.Disk] = true
-		if f.lat == 0 && f.pend[a] == 0 {
-			// Page-cache-fast write with no queued physical work on the
-			// track: pwrite inline, skipping the capture copy and the
-			// worker round-trip. A failure is deferred to Sync/Close
-			// exactly like a queued write's (the deviation above).
-			f.dropEntry(a)
-			if err := f.writeSlotBuf(f.buf, r.Disk, r.Track, r.Src); err != nil && f.werr == nil {
-				f.werr = fmt.Errorf("disk: write of track %d on drive %d failed: %w", r.Track, r.Disk, err)
-			}
-			f.markWritten(r.Disk)
-			continue
-		}
+		f.wrote(r.Disk, r.Track)
 		words := int64(f.cfg.B + 2)
 		data := f.pool.get()
 		copy(data, r.Src)
@@ -925,7 +786,6 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 		}
 		f.dropEntry(a)
 		f.cache[a] = e
-		f.pend[a]++
 		f.enqueue(ioTask{kind: taskWrite, d: r.Disk, t: r.Track, entry: e})
 		queued++
 		mine = append(mine, e)
@@ -948,29 +808,6 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	return nil
 }
 
-// wipeSlot invalidates any cache entry for (d, t) and clears the
-// slot's magic word — through the drive queue when workers are on and
-// the track has queued physical work (the wipe must keep its place in
-// the drive's FIFO order behind it, e.g. behind an aborted attempt's
-// still-queued writes, so AllocRestore's rollback is correct even
-// mid-pipeline); otherwise inline, which at zero
-// latency is both cheaper than a worker round-trip and what keeps the
-// queues idle on the fast path. Best-effort: a failed wipe only leaves
-// stale bytes that metadata already reads as blank. Called under f.mu.
-func (f *File) wipeSlot(d, t int) {
-	a := Addr{Disk: d, Track: t}
-	if f.nworks > 0 {
-		f.dropEntry(a)
-		if f.lat > 0 || f.pend[a] > 0 {
-			f.pend[a]++
-			f.enqueue(ioTask{kind: taskWipe, d: d, t: t})
-			return
-		}
-	}
-	f.physWipe(d, t) //nolint:errcheck
-	f.markWritten(d)
-}
-
 // Release returns a track to the drive's free list, metadata-only (see
 // the model's Release), and drops any cached copy of it.
 func (f *File) Release(d, t int) error {
@@ -983,6 +820,20 @@ func (f *File) Release(d, t int) error {
 		f.dropEntry(Addr{Disk: d, Track: t})
 	}
 	return err
+}
+
+// AllocRestore rolls the allocator back (the model's AllocRestore) and
+// drops the cached copies of the tracks that now read blank, returning
+// their budget.
+func (f *File) AllocRestore(mk AllocMark) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.allocRestore(mk)
+	for a := range f.cache {
+		if f.blank(a.Disk, a.Track) {
+			f.dropEntry(a)
+		}
+	}
 }
 
 // AdoptState replaces the store's metadata with a captured State — the
@@ -1003,37 +854,33 @@ func (f *File) AdoptState(s StoreState) error {
 }
 
 // Sync drains all queued physical work and fsyncs every drive file
-// with un-durable landed bytes. The engines call it before each
-// journal append: write-ahead discipline requires the data a commit
-// record references to be durable before the record itself. Any
-// deferred write error surfaces here. With workers on, the per-drive
-// fsyncs run concurrently — on a real filesystem the fsync is by far
-// the slowest physical operation, and D independent drives can flush
-// in the time of one. The fsyncs are also coalesced: a drive whose
-// needSync mark is clear (nothing landed since its last completed
-// fsync, barrier or flush-behind) is skipped, so a pipelined run
-// whose flush-behind kept up pays nothing here and a serial run pays
-// one fsync per dirtied drive per barrier instead of one per drive.
-// The durability contract is unchanged: when Sync returns, every byte
+// with un-durable landed bytes, all of them concurrently — on a real
+// filesystem the fsync is by far the slowest physical operation, and D
+// independent drives can flush in the time of one. The engines call it
+// before each journal append: write-ahead discipline requires the data
+// a commit record references to be durable before the record itself.
+// Any deferred write error surfaces here. A drive with nothing landed
+// since its last fsync is skipped, so a barrier pays one fsync per
+// drive written since the last one. When Sync returns, every byte
 // landed before the call is on disk.
 func (f *File) Sync() error {
 	t0 := time.Now()
-	f.drain()
-	if f.nworks > 0 {
-		f.mu.Lock()
-		err := f.werr
-		f.mu.Unlock()
-		if err != nil {
+	defer func() {
+		if f.nworks > 0 {
 			f.mu.Lock()
 			f.ov.StallNanos += time.Since(t0).Nanoseconds()
 			f.mu.Unlock()
-			return err
 		}
-	}
+	}()
+	f.drain()
 	// Snapshot which drives need an fsync and at which write epoch;
 	// after the fsyncs, clear only marks whose epoch is unchanged (a
 	// racing writer's bytes stay marked for the next Sync).
 	f.mu.Lock()
+	if err := f.werr; err != nil {
+		f.mu.Unlock()
+		return err
+	}
 	epochs := make([]int64, f.cfg.D)
 	for d := range epochs {
 		epochs[d] = -1
@@ -1043,41 +890,27 @@ func (f *File) Sync() error {
 	}
 	f.mu.Unlock()
 	errs := make([]error, f.cfg.D)
-	if f.nworks > 0 {
-		var wg sync.WaitGroup
-		for d := range epochs {
-			if epochs[d] < 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				f.xfer.begin()
-				defer f.xfer.end()
-				sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
-				errs[d] = f.files[d].Sync()
-				sp.End()
-			}(d)
+	var wg sync.WaitGroup
+	for d := range epochs {
+		if epochs[d] < 0 {
+			continue
 		}
-		wg.Wait()
-	} else {
-		for d := range epochs {
-			if epochs[d] < 0 {
-				continue
-			}
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			f.xfer.begin()
+			defer f.xfer.end()
 			sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
 			errs[d] = f.files[d].Sync()
 			sp.End()
-		}
+		}(d)
 	}
+	wg.Wait()
 	f.mu.Lock()
 	for d := range epochs {
 		if epochs[d] >= 0 && errs[d] == nil && f.wepoch[d] == epochs[d] {
 			f.needSync[d] = false
 		}
-	}
-	if f.nworks > 0 {
-		f.ov.StallNanos += time.Since(t0).Nanoseconds()
 	}
 	f.mu.Unlock()
 	for _, err := range errs {
@@ -1088,13 +921,11 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Close drains and stops the I/O workers, waits out any background
-// flush, and closes every drive file.
+// Close drains and stops the I/O workers and closes every drive file.
 func (f *File) Close() error {
 	var first error
 	if f.nworks > 0 {
 		f.drain()
-		f.flushWG.Wait()
 		for _, q := range f.queues {
 			q.mu.Lock()
 			q.stop = true

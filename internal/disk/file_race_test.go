@@ -5,21 +5,26 @@ package disk
 // one store at once. The assertions are deliberately weak (no panics,
 // no lost writes on private tracks) — the point is that `go test
 // -race ./...` explores the lock discipline of the cache, the queues,
-// the flush-behind goroutines and the overlap counters under real
-// contention.
+// the barrier's concurrent fsyncs and the overlap counters under real
+// contention. The stores run at a small emulated latency, which is what
+// starts their workers.
 
 import (
 	"sync"
 	"testing"
+	"time"
 )
+
+const raceLatency = 10 * time.Microsecond
 
 // raceStore opens a worker-backed store with a deliberately tiny cache
 // so budget-exhausted write stalls and prefetch rejections are hit.
 func raceStore(t *testing.T, d, b int) *File {
 	t.Helper()
 	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{
-		Workers:    d,
-		CacheWords: int64(2 * d * (b + 2)),
+		Workers:       d,
+		CacheWords:    int64(2 * d * (b + 2)),
+		AccessLatency: raceLatency,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +120,7 @@ func TestFileConcurrentOps(t *testing.T) {
 }
 
 // TestFileConcurrentAllocRestore interleaves snapshot/restore cycles
-// (the retry path's rollback, with its queued wipes) with reads and
+// (the retry path's rollback, over still-queued writes) with reads and
 // writes on stable tracks from other goroutines.
 func TestFileConcurrentAllocRestore(t *testing.T) {
 	const d, b = 3, 8
@@ -192,7 +197,7 @@ func TestFileConcurrentAllocRestore(t *testing.T) {
 // in Close must win cleanly.
 func TestFileConcurrentSyncClose(t *testing.T) {
 	const d, b = 4, 8
-	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{Workers: d})
+	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{Workers: d, AccessLatency: raceLatency})
 	if err != nil {
 		t.Fatal(err)
 	}

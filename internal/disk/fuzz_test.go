@@ -92,10 +92,9 @@ func FuzzGeometry(f *testing.F) {
 				t.Fatal(err)
 			}
 			cfg := Config{D: fuzzD, B: fuzzB}
-			// The worker variant gets a small emulated latency so the
-			// hostile bytes flow through the queued fill path — at zero
-			// latency prefetch no-ops and reads go inline, which the
-			// workers=0 variant already covers.
+			// The worker variant gets a small emulated latency, which is
+			// what starts its workers, so the hostile bytes flow through
+			// the queued fill path.
 			var lat time.Duration
 			if workers > 0 {
 				lat = 50 * time.Microsecond

@@ -37,8 +37,8 @@ func (a *Array) Reserve(nBlocks int) Area { return a.ReserveRot(nBlocks, 0) }
 // j land on the D distinct drives (d + j) mod D, exactly as the paper's
 // track formula d·⌈vγ/D²B⌉ + ⌊j/D⌋ on disk (d+j) mod D prescribes.
 //
-// Like Alloc's, the tracks are wiped, so ragged never-written slots
-// read blank.
+// Like Alloc's, the tracks join the drive's fresh run and read blank
+// until written, so ragged never-written slots read blank.
 func (a *Array) ReserveRot(nBlocks, rot int) Area {
 	if nBlocks < 0 {
 		panic("disk: Reserve with negative size")
@@ -52,7 +52,7 @@ func (a *Array) ReserveRot(nBlocks, rot int) Area {
 		ar.base[d] = dr.next
 		dr.next += max(0, nBlocks-(d-ar.rot+D)%D+D-1) / D
 		for t := ar.base[d]; t < dr.next; t++ {
-			a.wipe(d, t)
+			a.markDirty(d, t)
 		}
 	}
 	return ar

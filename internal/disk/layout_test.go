@@ -292,7 +292,7 @@ func TestBuckets(t *testing.T) {
 
 func TestPeekTrackDoesNotCount(t *testing.T) {
 	a := newTest(t, 1, 2)
-	_ = a.WriteOp([]WriteReq{{Disk: 0, Track: 0, Src: []uint64{5, 6}}})
+	_ = a.WriteOp([]WriteReq{{Disk: 0, Track: a.Alloc(0), Src: []uint64{5, 6}}})
 	before := a.Stats().Ops
 	got := a.PeekTrack(0, 0)
 	if got[0] != 5 || got[1] != 6 {

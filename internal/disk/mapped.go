@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"time"
@@ -25,8 +24,8 @@ import (
 // schedule). Crash safety is also File's, unchanged: the per-track
 // checksum makes a torn mapped write — the page writeback equivalent
 // of a torn pwrite — detectable instead of silently delivering
-// garbage, releases stay metadata-only, and wipe-on-alloc still
-// clears stale magic words before a slot is reused. The one hazard
+// garbage, and releases and allocations stay metadata-only: a free or
+// fresh track reads blank whatever its slot still holds. The one hazard
 // specific to mmap, SIGBUS on access beyond end-of-file, is
 // unreachable by construction: the file is always ftruncated to the
 // mapped capacity before the mapping is created.
@@ -204,8 +203,8 @@ func (m *Mapped) put(d, t int, src []uint64) error {
 	return nil
 }
 
-// readSlot, writeSlot and wipeSlot are the store's slotIO: one mapped
-// transfer inside the call, under m.mu.
+// readSlot and writeSlot are the store's slotIO: one mapped transfer
+// inside the call, under m.mu.
 
 func (m *Mapped) readSlot(d, t int, dst []uint64) error {
 	defer m.access("map-read", d).End()
@@ -216,17 +215,6 @@ func (m *Mapped) readSlot(d, t int, dst []uint64) error {
 func (m *Mapped) writeSlot(d, t int, src []uint64) error {
 	defer m.access("map-write", d).End()
 	return m.put(d, t, src)
-}
-
-// wipeSlot clears the slot's magic word so the track reads as blank
-// again. A track beyond the mapped capacity has no bytes at all and
-// needs no wipe.
-func (m *Mapped) wipeSlot(d, t int) {
-	if t >= m.capT[d] {
-		return
-	}
-	binary.LittleEndian.PutUint64(m.slot(d, t)[0:], 0)
-	m.needSync[d] = true
 }
 
 // Sync makes all stored track contents durable: kick writeback of the
@@ -286,7 +274,7 @@ func (m *Mapped) Close() error {
 func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkRaw("ExportTrack", d, t, nil); err != nil {
+	if err := m.checkRaw("ExportTrack", d, t); err != nil {
 		return nil, err
 	}
 	if m.blank(d, t) {
@@ -299,17 +287,13 @@ func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
 	return dst, nil
 }
 
-// ImportTrack writes one track payload raw, or wipes the slot when
-// payload is nil — File.ImportTrack's contract on the mapped store.
+// ImportTrack writes one track's B-word payload raw —
+// File.ImportTrack's contract on the mapped store.
 func (m *Mapped) ImportTrack(d, t int, payload []uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkRaw("ImportTrack", d, t, payload); err != nil {
+	if err := m.beginImport(d, t, payload); err != nil {
 		return err
-	}
-	if payload == nil {
-		m.wipeSlot(d, t)
-		return nil
 	}
 	return m.put(d, t, payload)
 }

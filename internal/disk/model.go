@@ -17,17 +17,15 @@ import (
 // physical side (slotIO); Tier, which forwards the allocator to its
 // backend, holds just the account.
 
-// slotIO is the physical half of a store: move one track's payload,
-// or make one track read blank again. Array implements it over
-// in-memory slices, File over pread/pwrite (queue-aware wipes), Mapped
-// over the mapping. The model calls it with its mutex held; none of
-// the implementations touches model state.
+// slotIO is the physical half of a store: move one track's payload.
+// Array implements it over in-memory slices, File over pread/pwrite,
+// Mapped over the mapping. readSlot is called only for tracks the
+// allocator does not read as blank, and nothing asks a store to clear a
+// track. The model calls it with its mutex held; none of the
+// implementations touches model state.
 type slotIO interface {
 	readSlot(d, t int, dst []uint64) error
 	writeSlot(d, t int, src []uint64) error
-	// wipeSlot is best-effort: a failed wipe only leaves stale bytes
-	// that metadata already reads as blank.
-	wipeSlot(d, t int)
 }
 
 // account is the accounting half of the model: the Stats and the
@@ -115,11 +113,47 @@ func (a *account) adopt(s StoreState) {
 	copy(a.lastTrack, s.Last)
 }
 
-// drive is one drive's track allocator.
+// drive is one drive's track allocator. The tracks that read blank by
+// metadata are those at or beyond top and those in blank. Every track in
+// [top, next) is fresh — taken by the bump and not written since — so
+// the common case, a bump allocation written before the next one, never
+// touches the map.
 type drive struct {
 	next     int // bump allocator high-water mark
+	top      int // start of the fresh run [top, next); top <= next
 	freeList []int
-	freeSet  map[int]struct{} // mirrors freeList for O(1) double-free checks
+	// blank holds the blank tracks below top: true for a free one
+	// (mirroring freeList, for O(1) double-free checks), false for a
+	// fresh one — allocated and not written since.
+	blank map[int]bool
+}
+
+// mark records track t, below top, as blank: free, or fresh.
+func (dr *drive) mark(t int, free bool) {
+	if dr.blank == nil {
+		dr.blank = make(map[int]bool)
+	}
+	dr.blank[t] = free
+}
+
+// leaveRun takes track t out of the fresh run, if it is in it; the run's
+// tracks below t stay fresh, in the map.
+func (dr *drive) leaveRun(t int) {
+	if t < dr.top || t >= dr.next {
+		return
+	}
+	for u := dr.top; u < t; u++ {
+		dr.mark(u, false)
+	}
+	dr.top = t + 1
+}
+
+// unfresh ends track t's fresh state, if it has one: it is written.
+func (dr *drive) unfresh(t int) {
+	dr.leaveRun(t)
+	if free, ok := dr.blank[t]; ok && !free {
+		delete(dr.blank, t)
+	}
 }
 
 // model is the EM-model half of a store: the account, the per-drive
@@ -237,8 +271,8 @@ func checkWrites(cfg Config, reqs []WriteReq) error {
 // at most one per drive, synchronously. It costs one operation
 // regardless of how many drives participate (the model's flat cost G).
 // An empty request list is a no-op and costs nothing. Tracks that are
-// free or beyond the drive's bump mark read as zeros by metadata,
-// whatever bytes the medium holds.
+// free, fresh or beyond the drive's bump mark read as zeros by
+// metadata, whatever bytes the medium holds.
 func (m *model) ReadOp(reqs []ReadReq) error {
 	if len(reqs) == 0 {
 		return nil
@@ -276,7 +310,7 @@ func (m *model) WriteOp(reqs []WriteReq) error {
 			return err
 		}
 		m.chargeWrite(r.Disk, r.Track)
-		m.markDirty(r.Disk, r.Track)
+		m.wrote(r.Disk, r.Track)
 	}
 	m.chargeWriteOp(len(reqs))
 	return nil
@@ -284,35 +318,42 @@ func (m *model) WriteOp(reqs []WriteReq) error {
 
 func (m *model) markDirty(d, t int) { m.mutated[Addr{Disk: d, Track: t}] = struct{}{} }
 
-// wipe returns a track to blank: a logical mutation (so it joins the
-// dirty set) carried out by the store's physical hook.
-func (m *model) wipe(d, t int) {
+// wrote records a logical write of a track: it is mutated, and no
+// longer fresh.
+func (m *model) wrote(d, t int) {
 	m.markDirty(d, t)
-	m.phys.wipeSlot(d, t)
+	m.drives[d].unfresh(t)
 }
 
 // blank reports whether the track reads as zeros by allocator
-// metadata alone: released, or beyond the bump mark (which covers
-// tracks dirtied by a crashed attempt and later rolled back). This is
-// what lets Release stay metadata-only on the durable stores.
+// metadata alone: released, fresh (allocated and not written since),
+// or beyond the bump mark (which covers tracks dirtied by a crashed
+// attempt and later rolled back). This is what lets Alloc and Release
+// stay metadata-only: no store writes a track to make it blank.
 func (m *model) blank(d, t int) bool {
 	dr := &m.drives[d]
-	if t >= dr.next {
-		return true
-	}
-	_, free := dr.freeSet[t]
-	return free
+	_, blank := dr.blank[t]
+	return blank || t >= dr.top
 }
 
-// checkRaw range-checks a raw (accounting-free) track export or
-// import; an import that is not a wipe (nil payload) needs B words.
-func (m *model) checkRaw(op string, d, t int, payload []uint64) error {
+// checkRaw range-checks a raw (accounting-free) track export or import.
+func (m *model) checkRaw(op string, d, t int) error {
 	if d < 0 || d >= m.cfg.D || t < 0 {
 		return fmt.Errorf("disk: %s (%d,%d) out of range", op, d, t)
 	}
-	if payload != nil && len(payload) != m.cfg.B {
-		return fmt.Errorf("disk: %s payload has %d words, want B=%d", op, len(payload), m.cfg.B)
+	return nil
+}
+
+// beginImport checks a raw ImportTrack of B words and ends the track's
+// fresh state: from here on it reads what the import writes.
+func (m *model) beginImport(d, t int, payload []uint64) error {
+	if err := m.checkRaw("ImportTrack", d, t); err != nil {
+		return err
 	}
+	if len(payload) != m.cfg.B {
+		return fmt.Errorf("disk: ImportTrack payload has %d words, want B=%d", len(payload), m.cfg.B)
+	}
+	m.drives[d].unfresh(t)
 	return nil
 }
 
@@ -320,10 +361,9 @@ func (m *model) checkRaw(op string, d, t int, payload []uint64) error {
 // first) before extending the drive — one allocation order for every
 // store, so durable and in-memory runs lay data out identically. Used
 // for standard-linked-format bucket blocks, whose placement is dynamic.
-// Releases are metadata-only, so the track is wiped here: a track being
-// handed out is free in the last durable commit record, so clearing it
-// destroys no committed data — and makes recycled tracks (and slots
-// holding stale bytes from a crashed run) read blank.
+// The track is fresh until its first write: it reads blank by metadata,
+// whatever bytes its slot holds from an earlier use or a crashed run,
+// and nothing is written to clear it.
 func (m *model) Alloc(d int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -332,12 +372,12 @@ func (m *model) Alloc(d int) int {
 	if n := len(dr.freeList); n > 0 {
 		t = dr.freeList[n-1]
 		dr.freeList = dr.freeList[:n-1]
-		delete(dr.freeSet, t)
+		dr.mark(t, false)
 	} else {
-		t = dr.next
+		t = dr.next // the fresh run grows by it
 		dr.next++
 	}
-	m.wipe(d, t)
+	m.markDirty(d, t)
 	return t
 }
 
@@ -362,15 +402,38 @@ func (m *model) release(d, t int) error {
 	if t < 0 || t >= dr.next {
 		return fmt.Errorf("disk: Release track %d on drive %d outside allocated range [0,%d)", t, d, dr.next)
 	}
-	if _, free := dr.freeSet[t]; free {
+	if free := dr.blank[t]; free {
 		return fmt.Errorf("disk: double release of track %d on drive %d", t, d)
 	}
-	if dr.freeSet == nil {
-		dr.freeSet = make(map[int]struct{})
-	}
-	dr.freeSet[t] = struct{}{}
+	dr.leaveRun(t)
+	dr.mark(t, true)
 	dr.freeList = append(dr.freeList, t)
 	return nil
+}
+
+// freshLists returns each drive's fresh tracks in ascending order, or
+// nil — allocating nothing — when no drive has one.
+func (m *model) freshLists() [][]int {
+	var out [][]int
+	for d := range m.drives {
+		dr := &m.drives[d]
+		if len(dr.blank) == len(dr.freeList) && dr.top == dr.next {
+			continue
+		}
+		if out == nil {
+			out = make([][]int, len(m.drives))
+		}
+		for t, free := range dr.blank {
+			if !free {
+				out[d] = append(out[d], t)
+			}
+		}
+		sort.Ints(out[d])
+		for t := dr.top; t < dr.next; t++ {
+			out[d] = append(out[d], t)
+		}
+	}
+	return out
 }
 
 // AllocMark is a snapshot of a store's track allocator, captured by
@@ -378,51 +441,83 @@ func (m *model) release(d, t int) error {
 // superstep checkpoint manifests: rolling the allocator back to the
 // last compound-superstep barrier discards every track allocated by an
 // aborted attempt.
-type AllocMark struct {
-	next []int
-	free [][]int
-}
+type AllocMark struct{ s StoreState } // Next, Free and Fresh
 
 // AllocSnapshot captures the allocator state (per-drive high-water
-// marks and free lists) for a later AllocRestore.
+// marks, free lists and fresh sets) for a later AllocRestore.
 func (m *model) AllocSnapshot() AllocMark {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mk := AllocMark{next: make([]int, m.cfg.D), free: make([][]int, m.cfg.D)}
-	for d := range m.drives {
-		mk.next[d] = m.drives[d].next
-		mk.free[d] = append([]int(nil), m.drives[d].freeList...)
-	}
-	return mk
+	return AllocMark{m.allocState()}
 }
 
-// AllocRestore rolls the allocator back to a snapshot and wipes every
-// track that becomes unallocated by the rollback, so data written by
-// an aborted attempt cannot leak into later reads. The caller must
-// guarantee that no track that was allocated at snapshot time has been
-// released since (the engines' checkpoint discipline: committed barrier
-// state is only freed after the next barrier) — so the wiped tracks are
-// never referenced by committed state and the wipe is safe at any crash
-// point.
+// allocState captures the allocator half of a StoreState.
+func (m *model) allocState() StoreState {
+	s := StoreState{Next: make([]int, m.cfg.D), Free: make([][]int, m.cfg.D), Fresh: m.freshLists()}
+	for d := range m.drives {
+		s.Next[d] = m.drives[d].next
+		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
+	}
+	return s
+}
+
+// AllocRestore rolls the allocator back to a snapshot: every track
+// allocated since is free or beyond the bump mark again, and every
+// track fresh at the snapshot is fresh again, so data written by an
+// aborted attempt reads blank by metadata and cannot leak into later
+// reads. The caller must guarantee that no track that was allocated at
+// snapshot time has been released since (the engines' checkpoint
+// discipline: committed barrier state is only freed after the next
+// barrier). The tracks that turn blank are logical mutations and join
+// the dirty set.
 func (m *model) AllocRestore(mk AllocMark) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.allocRestore(mk)
+}
+
+func (m *model) allocRestore(mk AllocMark) {
 	for d := range m.drives {
 		dr := &m.drives[d]
-		// Tracks allocated after the snapshot: wipe and retract.
-		for t := mk.next[d]; t < dr.next; t++ {
-			m.wipe(d, t)
+		for t := mk.s.Next[d]; t < dr.next; t++ {
+			m.markDirty(d, t)
 		}
-		dr.next = mk.next[d]
-		dr.freeList = append(dr.freeList[:0], mk.free[d]...)
-		dr.freeSet = make(map[int]struct{}, len(dr.freeList))
-		for _, t := range dr.freeList {
-			// Tracks the attempt popped off the free list and wrote:
-			// wipe on their way back to free.
-			m.wipe(d, t)
-			dr.freeSet[t] = struct{}{}
+		for _, t := range mk.s.Free[d] {
+			m.markDirty(d, t)
 		}
+		dr.load(d, mk.s.Next[d], mk.s.Free[d], row(mk.s.Fresh, d)) //nolint:errcheck // the store's own snapshot
 	}
+}
+
+// row returns list d of per-drive lists that may be nil.
+func row(lists [][]int, d int) []int {
+	if lists == nil {
+		return nil
+	}
+	return lists[d]
+}
+
+// load sets the drive's bump mark and its free and fresh lists,
+// checking every listed track: allocated (below the mark), and listed
+// once across both lists.
+func (dr *drive) load(d, next int, free, fresh []int) error {
+	dr.next, dr.top = next, next
+	dr.freeList = append(dr.freeList[:0], free...)
+	clear(dr.blank)
+	for i, t := range append(free[:len(free):len(free)], fresh...) {
+		what := "lists as fresh"
+		if i < len(free) {
+			what = "frees"
+		}
+		if t < 0 || t >= next {
+			return &stateError{fmt.Sprintf("drive %d %s track %d outside its allocated range [0,%d)", d, what, t, next)}
+		}
+		if _, dup := dr.blank[t]; dup {
+			return &stateError{fmt.Sprintf("drive %d %s track %d, which it already lists as free or fresh", d, what, t)}
+		}
+		dr.mark(t, i < len(free))
+	}
+	return nil
 }
 
 // State captures the store's persistent metadata: statistics, access
@@ -430,16 +525,8 @@ func (m *model) AllocRestore(mk AllocMark) {
 func (m *model) State() StoreState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := StoreState{
-		Stats: m.snapshot(),
-		Next:  make([]int, m.cfg.D),
-		Last:  m.chain(),
-		Free:  make([][]int, m.cfg.D),
-	}
-	for d := range m.drives {
-		s.Next[d] = m.drives[d].next
-		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
-	}
+	s := m.allocState()
+	s.Stats, s.Last = m.snapshot(), m.chain()
 	return s
 }
 
@@ -450,16 +537,16 @@ func (e *stateError) Error() string { return "disk: AdoptState: " + e.reason }
 
 // AdoptState replaces the store's metadata with a captured State — the
 // resume path. Track contents stay as the medium holds them; any bytes
-// written after the adopted state was captured are unreachable (free or
-// beyond the bump mark) and read as zeros.
+// written after the adopted state was captured are unreachable (free,
+// fresh or beyond the bump mark) and read as zeros.
 //
 // States come from outside the process — decoded from a journal, or
 // from a NodeSnapshot that arrived over the wire — so everything the
 // allocator and the accounting later index by is checked first: the
-// drive counts of all four tables, non-negative bump marks, chain
-// positions >= -1, and free lists that are duplicate-free and below
-// their drive's bump mark. A malformed state is a typed error and
-// leaves the store unchanged.
+// drive counts of all five tables (Fresh may also be nil), non-negative
+// bump marks, chain positions >= -1, and free and fresh lists that are
+// duplicate-free, below their drive's bump mark and disjoint. A
+// malformed state is a typed error and leaves the store unchanged.
 func (m *model) AdoptState(s StoreState) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -468,43 +555,34 @@ func (m *model) AdoptState(s StoreState) error {
 
 func (m *model) adoptState(s StoreState) error {
 	D := m.cfg.D
-	if len(s.Next) != D || len(s.Last) != D || len(s.Free) != D || len(s.Stats.PerDrive) != D {
-		return &stateError{fmt.Sprintf("%d/%d/%d/%d-drive state (next/last/free/stats) into a %d-drive store",
-			len(s.Next), len(s.Last), len(s.Free), len(s.Stats.PerDrive), D)}
+	if len(s.Next) != D || len(s.Last) != D || len(s.Free) != D || len(s.Stats.PerDrive) != D || (s.Fresh != nil && len(s.Fresh) != D) {
+		return &stateError{fmt.Sprintf("%d/%d/%d/%d/%d-drive state (next/last/free/stats/fresh) into a %d-drive store",
+			len(s.Next), len(s.Last), len(s.Free), len(s.Stats.PerDrive), len(s.Fresh), D)}
 	}
-	sets := make([]map[int]struct{}, D)
-	for d := 0; d < D; d++ {
+	drives := make([]drive, D)
+	for d := range drives {
 		if s.Next[d] < 0 {
 			return &stateError{fmt.Sprintf("drive %d has negative bump mark %d", d, s.Next[d])}
 		}
 		if s.Last[d] < -1 {
 			return &stateError{fmt.Sprintf("drive %d has last-track %d, want >= -1", d, s.Last[d])}
 		}
-		sets[d] = make(map[int]struct{}, len(s.Free[d]))
-		for _, t := range s.Free[d] {
-			if t < 0 || t >= s.Next[d] {
-				return &stateError{fmt.Sprintf("drive %d frees track %d outside its allocated range [0,%d)", d, t, s.Next[d])}
-			}
-			if _, dup := sets[d][t]; dup {
-				return &stateError{fmt.Sprintf("drive %d frees track %d twice", d, t)}
-			}
-			sets[d][t] = struct{}{}
+		if err := drives[d].load(d, s.Next[d], s.Free[d], row(s.Fresh, d)); err != nil {
+			return err
 		}
 	}
 	m.adopt(s)
-	for d := range m.drives {
-		m.drives[d] = drive{next: s.Next[d], freeList: append([]int(nil), s.Free[d]...), freeSet: sets[d]}
-	}
+	copy(m.drives, drives)
 	return nil
 }
 
 // TakeDirty returns the addresses of every track logically mutated
-// (written, wiped on alloc/reserve, or rolled back) since the previous
-// TakeDirty, sorted by drive then track, and resets the set. The set is
-// a superset of the tracks whose content differs from the last capture
-// — wipes of already-blank tracks and writes later rolled back are
-// included; that is harmless for replication, which re-reads the
-// current content per address.
+// (written, made fresh by an allocation or reservation, or rolled back)
+// since the previous TakeDirty, sorted by drive then track, and resets
+// the set. The set is a superset of the tracks whose content differs
+// from the last capture — allocations of already-blank tracks and
+// writes later rolled back are included; that is harmless for
+// replication, which re-reads the current content per address.
 func (m *model) TakeDirty() []Addr {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -12,13 +12,13 @@ package disk
 // ExportTrack reads the committed payload of one track, bypassing all
 // model accounting, emulated latency and the write-behind cache. It
 // returns nil (no error) when the track reads as blank — released,
-// beyond the bump mark, or never physically written. The caller must
-// have quiesced the store with Sync first: queued writes that have not
-// landed are not visible to the raw read.
+// fresh, beyond the bump mark, or never physically written. The caller
+// must have quiesced the store with Sync first: queued writes that have
+// not landed are not visible to the raw read.
 func (f *File) ExportTrack(d, t int) ([]uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkRaw("ExportTrack", d, t, nil); err != nil {
+	if err := f.checkRaw("ExportTrack", d, t); err != nil {
 		return nil, err
 	}
 	if f.blank(d, t) {
@@ -31,23 +31,17 @@ func (f *File) ExportTrack(d, t int) ([]uint64, error) {
 	return dst, nil
 }
 
-// ImportTrack writes one track payload raw — magic word, checksum,
-// payload — bypassing all model accounting and the cache, or wipes the
-// slot's magic word when payload is nil. It exists for adopting a
-// replica snapshot into a fresh store; using it on a store with queued
-// physical work is a caller bug.
+// ImportTrack writes one track's B-word payload raw — magic word,
+// checksum, payload — bypassing all model accounting and the cache. It
+// exists for adopting a replica snapshot into a fresh store; using it
+// on a store with queued physical work is a caller bug.
 func (f *File) ImportTrack(d, t int, payload []uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkRaw("ImportTrack", d, t, payload); err != nil {
+	if err := f.beginImport(d, t, payload); err != nil {
 		return err
 	}
-	var err error
-	if payload == nil {
-		err = f.pwipe(d, t)
-	} else {
-		err = f.pwrite(f.buf, d, t, payload)
-	}
+	err := f.pwrite(f.buf, d, t, payload)
 	f.markWritten(d)
 	return err
 }

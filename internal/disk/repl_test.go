@@ -29,8 +29,8 @@ func TestTakeDirtySortedAndReset(t *testing.T) {
 		t.Fatalf("second TakeDirty = %v, want empty (set not reset)", again)
 	}
 	// Release is metadata-only (reads of free tracks return zeros by
-	// the allocator) and must NOT dirty; the wipe that recycling does
-	// at Alloc is what re-dirties the track.
+	// the allocator) and must NOT dirty; recycling the track at Alloc,
+	// which makes it fresh, is what re-dirties it.
 	if err := f.Release(0, t0); err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +42,14 @@ func TestTakeDirtySortedAndReset(t *testing.T) {
 	}
 	got = f.TakeDirty()
 	if !reflect.DeepEqual(got, []Addr{{Disk: 0, Track: t0}}) {
-		t.Fatalf("TakeDirty after recycling = %v, want the wiped track", got)
+		t.Fatalf("TakeDirty after recycling = %v, want the recycled track", got)
 	}
 }
 
 // TestExportImportTrackRoundtrip drives the raw side-effect-free path
 // the replica store uses: export after Sync sees committed payloads,
-// blank tracks export as nil, import seeds a fresh store bitwise, and
-// a nil import wipes the slot.
+// blank tracks export as nil, import seeds a fresh store bitwise and
+// ends the imported track's fresh state, and a nil import is refused.
 func TestExportImportTrackRoundtrip(t *testing.T) {
 	const D, B = 2, 8
 	f := newFileTest(t, D, B)
@@ -84,9 +84,6 @@ func TestExportImportTrackRoundtrip(t *testing.T) {
 	if gt != tr {
 		t.Fatalf("allocator gave track %d, want %d (fresh stores allocate identically)", gt, tr)
 	}
-	if err := g.Sync(); err != nil { // quiesce Alloc's queued wipe before the raw write
-		t.Fatal(err)
-	}
 	if err := g.ImportTrack(0, tr, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +94,15 @@ func TestExportImportTrackRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(dst, payload) {
 		t.Fatalf("imported track reads back %v, want %v", dst, payload)
 	}
-	// A nil import wipes the magic word: the track reads as blank again.
-	if err := g.ImportTrack(0, tr, nil); err != nil {
-		t.Fatal(err)
+	if st := g.State(); st.Fresh != nil {
+		t.Errorf("imported track still listed fresh: %v", st.Fresh)
 	}
-	if blank, err := g.ExportTrack(0, tr); err != nil || blank != nil {
-		t.Fatalf("wiped track exported (%v, %v), want (nil, nil)", blank, err)
+	// An import carries B words; nil clears nothing and is refused.
+	if err := g.ImportTrack(0, tr, nil); err == nil {
+		t.Fatal("nil ImportTrack accepted")
+	}
+	if got, err := g.ExportTrack(0, tr); err != nil || !reflect.DeepEqual(got, payload) {
+		t.Fatalf("track after a refused nil import exported (%v, %v), want %v", got, err, payload)
 	}
 }
 
@@ -120,5 +120,8 @@ func TestExportImportTrackRejectsBadArgs(t *testing.T) {
 	}
 	if err := f.ImportTrack(0, 0, track(B-1, 1)); err == nil {
 		t.Error("ImportTrack with a short payload accepted")
+	}
+	if err := f.ImportTrack(0, 0, nil); err == nil {
+		t.Error("ImportTrack with a nil payload accepted")
 	}
 }

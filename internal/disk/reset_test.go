@@ -12,9 +12,9 @@ import (
 // discarded the overlap history too, making EMStats.Overlap undercount
 // any run with a mid-run reset.
 func TestResetStatsLeavesOverlapIntact(t *testing.T) {
-	// A small emulated latency routes writes and prefetches through
-	// the worker queues — at zero latency both take the inline fast
-	// path and generate no overlap activity to preserve.
+	// A small emulated latency starts the worker queues, which route
+	// writes and prefetches — at zero latency the store is synchronous
+	// and generates no overlap activity to preserve.
 	const D, B = 2, 8
 	f, err := OpenFileOpts(t.TempDir(), Config{D: D, B: B}, false, FileOptions{
 		Workers:       D,

@@ -65,13 +65,17 @@ func mixedOps(t *testing.T, s Store) {
 	}
 }
 
-// TestSyncFsyncsDirtiedDrivesOnce: a barrier costs one fsync per drive
-// that took bytes since the last one, and a barrier after nothing
-// costs none — the coalescing TestZeroLatencyNoRegression held by a 5%
-// wall-clock ratio.
+// TestSyncFsyncsDirtiedDrivesOnce: a drive is fsynced only by the
+// barrier's Sync, once if it took bytes since the last one, and a
+// barrier after nothing costs none — on the worker store under
+// emulated latency, with prefetch hints between the writes: a hint
+// moves reads ahead and makes nothing durable.
 func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 	tr := obs.New()
-	f := openCounted(t, 4, FileOptions{Tracer: tr})
+	f := openCounted(t, 4, FileOptions{Workers: 4, AccessLatency: 100 * time.Microsecond, Tracer: tr})
+	if f.Workers() == 0 {
+		t.Fatal("no workers at emulated latency")
+	}
 	fsyncs := func() (n int64) {
 		for _, ph := range tr.Phases() {
 			if ph.Name == "phys-fsync" {
@@ -80,15 +84,25 @@ func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 		}
 		return n
 	}
+	var written []Addr
 	for _, c := range []struct {
 		drives []int
 		want   int64
 	}{{[]int{0, 2}, 2}, {nil, 0}, {[]int{1}, 1}, {[]int{0, 1, 2, 3}, 4}, {nil, 0}} {
-		_, w, _ := stripe(f, 1, c.drives...)
-		if err := f.WriteOp(w); err != nil {
-			t.Fatal(err)
-		}
+		addrs, w, _ := stripe(f, 1, c.drives...)
 		before := fsyncs()
+		for i := range w {
+			f.Prefetch(written)
+			if err := f.WriteOp(w[i : i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		written = append(written, addrs...)
+		f.Prefetch(written)
+		f.drain()
+		if got := fsyncs() - before; got != 0 {
+			t.Errorf("writes to drives %v and prefetch hints: %d fsyncs before the barrier, want 0", c.drives, got)
+		}
 		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +112,14 @@ func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 	}
 }
 
-// TestZeroLatencyStaysInline: with workers on but nothing to wait for,
-// no transfer takes a worker round-trip — no fill is issued and no
-// write is queued (the inline fast path).
+// TestZeroLatencyStaysInline: with nothing to wait for, a store asked
+// for workers starts none — every transfer happens inside the call, no
+// fill is issued and no write is queued.
 func TestZeroLatencyStaysInline(t *testing.T) {
 	f := openCounted(t, 4, FileOptions{Workers: 4})
+	if n := f.Workers(); n != 0 {
+		t.Fatalf("zero-latency store started %d workers, want 0", n)
+	}
 	mixedOps(t, f)
 	if ov := f.Overlap(); ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
 		t.Errorf("zero-latency store queued work: %d fills issued, %d async writes, want 0 and 0", ov.PrefetchIssued, ov.AsyncWrites)
@@ -132,8 +149,6 @@ func TestLatencyDrivesAllDrivesAtOnce(t *testing.T) {
 	const D = 8
 	f := openCounted(t, D, FileOptions{Workers: D, AccessLatency: 20 * time.Millisecond})
 	addrs, w, r := stripe(f, 7, 0, 1, 2, 3, 4, 5, 6, 7)
-	f.drain() // the allocations' queued wipes are not the transfers counted
-	f.ResetOverlap()
 
 	if err := f.WriteOp(w); err != nil {
 		t.Fatal(err)

@@ -586,19 +586,14 @@ func (t *Tier) ImportTrack(d, tr int, payload []uint64) error {
 // (budget exhausted, address out of range, already staged) is
 // silently skipped — the later read simply misses. With no fill
 // workers the hint is forwarded to the backend's own prefetcher
-// unchanged; with fill workers the backend prefetcher still gets the
-// empty hint that kicks its flush-behind machinery, but the staging
-// itself happens here (one staging layer per chain link, not two for
-// the same bytes).
+// unchanged; with fill workers the staging happens here alone (one
+// staging layer per chain link, not two for the same bytes).
 func (t *Tier) Prefetch(addrs []Addr) {
 	if t.nfill == 0 {
 		if t.below != nil {
 			t.below.Prefetch(addrs)
 		}
 		return
-	}
-	if t.below != nil {
-		t.below.Prefetch(nil)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

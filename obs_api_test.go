@@ -9,6 +9,7 @@ package embsp_test
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -162,5 +163,81 @@ func TestSeqPhaseTotalsCoverWallClock(t *testing.T) {
 	}
 	if engine > wall.Nanoseconds()*11/10 {
 		t.Errorf("engine phases cover %v of %v wall clock (> 110%%) — phases overlap", time.Duration(engine), wall)
+	}
+}
+
+// TestBarrierFsyncsWrittenDrives: a durable run fsyncs a drive only at a
+// barrier, once if bytes landed on it since the barrier before, and
+// writes nothing the model does not count: the phys-fsync spans inside
+// each processor's barrier-sync span are the drives it wrote since its
+// previous one, no phys-fsync span is outside a barrier, and there is no
+// phys-wipe span.
+func TestBarrierFsyncsWrittenDrives(t *testing.T) {
+	prog := obsSortProgram(t)
+	for _, procs := range []int{1, 2} {
+		cfg := embsp.MachineConfig{
+			P: procs, M: 6 * prog.MaxContextWords(), D: 4, B: 64, G: 100,
+			Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
+		}
+		path := filepath.Join(t.TempDir(), "trace.json")
+		tr, err := embsp.OpenTrace(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := embsp.Run(prog, cfg, embsp.Options{Seed: 0x0B5, StateDir: t.TempDir(), Trace: tr}); err != nil {
+			t.Fatalf("P=%d: %v", procs, err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := embsp.DecodeTrace(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
+		type barrier struct {
+			pid      int64
+			from, to float64
+			want     int
+		}
+		var bars []barrier
+		written := map[int64]map[int64]bool{} // processor → drives written since its last barrier
+		fsyncs := 0
+		for _, ev := range evs {
+			switch {
+			case ev.Name == "phys-wipe":
+				t.Fatalf("P=%d: a phys-wipe span on drive %d of processor %d", procs, ev.TID-1, ev.PID)
+			case ev.Name == "phys-write":
+				if written[ev.PID] == nil {
+					written[ev.PID] = map[int64]bool{}
+				}
+				written[ev.PID][ev.TID] = true
+			case ev.Name == "phys-fsync":
+				fsyncs++
+			case ev.Name == "barrier-sync" && ev.Cat == "engine":
+				bars = append(bars, barrier{ev.PID, ev.TS, ev.TS + ev.Dur, len(written[ev.PID])})
+				delete(written, ev.PID)
+			}
+		}
+		inside, want := 0, 0
+		for i, b := range bars {
+			n := 0
+			for _, ev := range evs {
+				if ev.Name == "phys-fsync" && ev.PID == b.pid && ev.TS >= b.from && ev.TS <= b.to {
+					n++
+				}
+			}
+			if n != b.want {
+				t.Errorf("P=%d: barrier %d of processor %d fsyncs %d drives, want the %d written since the one before", procs, i, b.pid, n, b.want)
+			}
+			inside, want = inside+n, want+b.want
+		}
+		if want == 0 || fsyncs != inside {
+			t.Errorf("P=%d: %d phys-fsync spans, %d of them in the %d barriers, which wrote %d drives", procs, fsyncs, inside, len(bars), want)
+		}
 	}
 }

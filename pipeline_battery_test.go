@@ -3,7 +3,8 @@ package embsp_test
 // The pipeline determinism battery: every Table 1 workload runs on the
 // serial schedule (IOWorkers: -1 — fully synchronous file store, no
 // prefetch) and the pipelined one, the default (per-drive I/O workers,
-// prefetch, write-behind, flush-behind), and
+// prefetch, write-behind — which the file store runs only when there is
+// drive latency to hide, so the pipelined legs emulate a little), and
 // on the mmap-backed store (zero-copy, fully synchronous), on
 // sequential and parallel machines, under clean and faulty schedules —
 // and every word of the Result and every model-visible EM statistic
@@ -15,10 +16,16 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"embsp"
 	"embsp/internal/prng"
 )
+
+// batteryLatency is the pipelined legs' emulated drive latency: at zero
+// latency the file store starts no workers, and both legs would be the
+// one synchronous store.
+const batteryLatency = 20 * time.Microsecond
 
 type batterySpec struct {
 	name  string
@@ -193,15 +200,15 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d serial file: %v", procs, err)
 				}
 				piped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(),
+					Seed: 0xBA77E7, StateDir: t.TempDir(), DriveLatency: batteryLatency,
 				})
 				if err != nil {
 					t.Fatalf("P=%d pipelined file: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d clean", procs), serial, piped)
 				// The mmap-backed store shares the file store's on-disk
-				// format and its exact accounting (wipe-on-alloc track
-				// clearing included), so the mapped run must match the
+				// format and its exact accounting (blank tracks by metadata
+				// included), so the mapped run must match the
 				// serial file run in the FULL EM statistics, not just
 				// outputs and costs. On its own the mapped store has one
 				// schedule (no physical queue to stage into); under a
@@ -229,7 +236,7 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				}
 				mustAgree(t, fmt.Sprintf("P=%d tiered", procs), serial, tSerial)
 				tPiped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers, DriveLatency: batteryLatency,
 				})
 				if err != nil {
 					t.Fatalf("P=%d tiered pipelined: %v", procs, err)
@@ -243,9 +250,10 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				}
 				mustAgree(t, fmt.Sprintf("P=%d tiered mapped", procs), serial, tMapped)
 				// Across backends the contract covers outputs and model
-				// costs; the seq/rand access chains legitimately differ
-				// between Array and File (Release-time vs Alloc-time track
-				// clearing), so the full EM comparison is file-to-file only.
+				// costs; the track layout legitimately differs between an
+				// in-place Array run and a checkpointed File run (which
+				// keeps the generation it can roll back to), so the full
+				// EM comparison is file-to-file only.
 				for i := range array.VPs {
 					if !reflect.DeepEqual(vpImage(array.VPs[i]), vpImage(serial.VPs[i])) {
 						t.Fatalf("P=%d: VP %d context differs between array and file backends", procs, i)
@@ -274,7 +282,7 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("P=%d faulty serial: %v", procs, err)
 				}
-				fOpts.StateDir, fOpts.IOWorkers = t.TempDir(), 0
+				fOpts.StateDir, fOpts.IOWorkers, fOpts.DriveLatency = t.TempDir(), 0, batteryLatency
 				fPiped, err := embsp.Run(prog, cfg, fOpts)
 				if err != nil {
 					t.Fatalf("P=%d faulty pipelined: %v", procs, err)
