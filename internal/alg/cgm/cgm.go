@@ -14,6 +14,7 @@ package cgm
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -79,29 +80,104 @@ func recLess(a, b []uint64) bool {
 }
 
 // SortRecords sorts the flat record slice data (length a multiple of
-// w) lexicographically by its w-word records, in place. Records compare
-// on all their words, so equal records are identical and the unstable
-// sort leaves the same words as a stable one would.
+// w) lexicographically by its w-word records, in place, allocating
+// nothing. Records compare on all their words, so equal records are
+// identical and the unstable sort leaves the same words as a stable one
+// would.
+//
+// It is an introsort over the flat slice, with the w-word compare and
+// swap written out so no call goes through an interface: median-of-three
+// quicksort, insertion sort below 12 records, and sort.Sort past
+// 2·bits.Len(n) levels, so the worst case stays O(n log n).
 func SortRecords(data []uint64, w int) {
-	sort.Sort(records{data, w})
+	n := len(data) / w
+	introsort(data, w, 0, n, 2*bits.Len(uint(n)))
 }
 
-// records is a flat record slice as a sort.Interface.
+// introsort sorts records [lo, hi) of data, falling back to sort.Sort
+// when depth runs out.
+func introsort(data []uint64, w, lo, hi, depth int) {
+	for hi-lo >= 12 {
+		if depth == 0 {
+			sort.Sort(records{data[lo*w : hi*w], w})
+			return
+		}
+		depth--
+		p := partition(data, w, lo, hi)
+		// Recurse into the smaller side, loop on the larger one.
+		if p-lo < hi-p-1 {
+			introsort(data, w, lo, p, depth)
+			lo = p + 1
+		} else {
+			introsort(data, w, p+1, hi, depth)
+			hi = p
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && lessAt(data, w, j, j-1); j-- {
+			swapAt(data, w, j, j-1)
+		}
+	}
+}
+
+// partition moves the median of records lo, mid and hi-1 to lo, splits
+// [lo+1, hi) around it, and returns the pivot's final index: records
+// before it are ≤ it, records after it are ≥ it. Equal records stop both
+// scans, so a run of equal records splits in the middle.
+func partition(data []uint64, w, lo, hi int) int {
+	mid := int(uint(lo+hi) >> 1)
+	if lessAt(data, w, mid, lo) {
+		swapAt(data, w, mid, lo)
+	}
+	if lessAt(data, w, hi-1, mid) {
+		swapAt(data, w, hi-1, mid)
+		if lessAt(data, w, mid, lo) {
+			swapAt(data, w, mid, lo)
+		}
+	}
+	swapAt(data, w, lo, mid)
+	i, j := lo+1, hi-1
+	for {
+		for i <= j && lessAt(data, w, i, lo) {
+			i++
+		}
+		for i <= j && lessAt(data, w, lo, j) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		swapAt(data, w, i, j)
+		i++
+		j--
+	}
+	swapAt(data, w, lo, j)
+	return j
+}
+
+// lessAt reports whether record i of data is below record j.
+func lessAt(data []uint64, w, i, j int) bool {
+	return recLess(data[i*w:i*w+w], data[j*w:j*w+w])
+}
+
+// swapAt exchanges records i and j of data.
+func swapAt(data []uint64, w, i, j int) {
+	a, b := data[i*w:i*w+w], data[j*w:j*w+w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
+}
+
+// records is a flat record slice as a sort.Interface: SortRecords'
+// depth-limit fallback.
 type records struct {
 	data []uint64
 	w    int
 }
 
-func (r records) Len() int { return len(r.data) / r.w }
-func (r records) Less(i, j int) bool {
-	return recLess(r.data[i*r.w:(i+1)*r.w], r.data[j*r.w:(j+1)*r.w])
-}
-func (r records) Swap(i, j int) {
-	a, b := r.data[i*r.w:(i+1)*r.w], r.data[j*r.w:(j+1)*r.w]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
+func (r records) Len() int           { return len(r.data) / r.w }
+func (r records) Less(i, j int) bool { return lessAt(r.data, r.w, i, j) }
+func (r records) Swap(i, j int)      { swapAt(r.data, r.w, i, j) }
 
 // RecordsSorted reports whether data is sorted by its w-word records.
 func RecordsSorted(data []uint64, w int) bool {

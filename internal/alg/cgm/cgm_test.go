@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"embsp/internal/bsp"
 	"embsp/internal/prng"
 )
 
@@ -129,6 +130,114 @@ func TestSortRecordsInPlaceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortRecordsAdversarial: the inputs that break a quicksort leave
+// exactly the words of a stable sort, at every width, through
+// SortRecords and through introsort with its depth limit cut short, so
+// the sort.Sort fallback runs on every input and not only on the killer.
+func TestSortRecordsAdversarial(t *testing.T) {
+	inputs := map[string]func(i, n int) uint64{
+		"sorted":     func(i, n int) uint64 { return uint64(i) },
+		"reversed":   func(i, n int) uint64 { return uint64(n - i) },
+		"equal":      func(i, n int) uint64 { return 7 },
+		"organ-pipe": func(i, n int) uint64 { return uint64(min(i, n-1-i)) },
+		"sawtooth":   func(i, n int) uint64 { return uint64(i % 64) },
+		"m3-killer":  medianOfThreeKiller,
+	}
+	for name, key := range inputs {
+		for _, w := range []int{1, 2, 3, 5} {
+			for _, n := range []int{0, 1, 11, 12, 13, 100, 1000, 20000} {
+				// The key's 3-bit digits spread over the record's words,
+				// so compares reach past the first word; equal keys are
+				// equal records.
+				data := make([]uint64, n*w)
+				for i := 0; i < n; i++ {
+					k := key(i, n)
+					for j := 0; j < w; j++ {
+						d := k >> (3 * uint(w-1-j))
+						if j > 0 {
+							d &= 7
+						}
+						data[i*w+j] = d
+					}
+				}
+				recs := toPairs(data, w)
+				sort.SliceStable(recs, func(i, j int) bool { return lessSlice(recs[i], recs[j]) })
+				want := slices.Concat(recs...)
+				for _, depth := range []int{-1, 0, 1, 3} {
+					got := slices.Clone(data)
+					if depth < 0 {
+						SortRecords(got, w)
+					} else {
+						introsort(got, w, 0, n, depth)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s w=%d n=%d depth=%d: not the stable sort's words", name, w, n, depth)
+					}
+				}
+			}
+		}
+	}
+}
+
+// medianOfThreeKiller is Musser's sequence that drives a median-of-three
+// quicksort to quadratic work: with k = n/2 the first half is 1, 1+k, 3,
+// 3+k, … and the second 2, 4, …, 2k. SortRecords reaches its depth
+// limit on it at n ≥ 100.
+func medianOfThreeKiller(i, n int) uint64 {
+	k := n / 2
+	switch {
+	case i >= 2*k:
+		return uint64(n) // odd n: the last record
+	case i >= k:
+		return uint64(2 * (i - k + 1))
+	case i%2 == 0:
+		return uint64(i + 1)
+	default:
+		return uint64(k + i)
+	}
+}
+
+// TestSorterMergeAllocs: phase 3 merges into the Sorter's scratch, so
+// once a slot has merged a phase 3, another that receives no more words
+// allocates nothing.
+func TestSorterMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const w, v = 2, 16
+	r := prng.New(3)
+	runs := func(per int) []bsp.Message {
+		in := make([]bsp.Message, v)
+		for src := range in {
+			run := make([]uint64, per*w)
+			for i := range run {
+				run[i] = r.Uint64() % 1000
+			}
+			SortRecords(run, w)
+			in[src] = bsp.Message{Src: src, Payload: run}
+		}
+		return in
+	}
+	s := &Sorter{W: w}
+	env := bsp.NewEnv(0, v, 3, 1, nil)
+	phase3 := func(in []bsp.Message) {
+		s.phase, s.Data = 3, nil
+		if _, err := s.Step(env, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phase3(runs(40))
+	for _, per := range []int{40, 25, 0} {
+		in := runs(per)
+		if a := testing.AllocsPerRun(20, func() { phase3(in) }); a != 0 {
+			t.Errorf("phase 3 of %d records after one of %d: %v allocations, want 0", v*per, v*40, a)
+		}
+		if !RecordsSorted(s.Data, w) || len(s.Data) != v*per*w {
+			t.Fatalf("phase 3 of %d records left %d words, sorted %v", v*per, len(s.Data), RecordsSorted(s.Data, w))
+		}
 	}
 }
 

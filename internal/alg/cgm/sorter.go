@@ -28,9 +28,24 @@ import (
 // Phases (one superstep each, λ = 4 supersteps):
 //
 //	0: local sort; send v regular samples to VP 0
-//	1: VP 0 sorts the samples, broadcasts v-1 splitters
+//	1: VP 0 merges the samples, broadcasts v-1 splitters
 //	2: partition local records by splitter; route to destinations
-//	3: sort received records; done
+//	3: merge the received runs; done
+//
+// Every message of phases 1 and 3 is one sorted run: samples are taken
+// in order from the sender's sorted Data, and phase 2 sends contiguous
+// ranges of it. So both merge them with a heap of run heads, O(n log v)
+// instead of a sort's O(n log n), and Step fails with a *bsp.ProgramError
+// if a run is out of order. The model charge stays that of a sort.
+//
+// The merge writes into merged, scratch that Save does not write and
+// Load does not set: under the bsp.VP contract its capacity carries over
+// from load to load of the VP object, so an engine's VP slot grows it
+// only when a VP receives more words than any before it in that slot.
+// After phase 3, Data is merged, capacity-limited so a host's append
+// reallocates. A host that starts a second sort assigns a new Sorter
+// value, which drops the scratch, so a slice still aliasing the first
+// sort's output is never overwritten.
 type Sorter struct {
 	// W is the record width in words (≥ 1).
 	W int
@@ -39,6 +54,9 @@ type Sorter struct {
 
 	phase     int
 	splitters []uint64
+
+	merged []uint64   // scratch: phase 0's samples and the merge output
+	heap   [][]uint64 // scratch: the runs being merged, cleared after
 }
 
 // Active reports whether the Sorter still needs Step calls.
@@ -68,21 +86,20 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if n < cnt {
 			cnt = n
 		}
-		samples := make([]uint64, 0, cnt*s.W)
+		samples := s.scratch(cnt * s.W)
 		for j := 0; j < cnt; j++ {
 			i := j * n / cnt
-			samples = append(samples, s.Data[i*s.W:(i+1)*s.W]...)
+			copy(samples[j*s.W:], s.Data[i*s.W:(i+1)*s.W])
 		}
 		if len(samples) > 0 {
 			env.Send(0, samples)
 		}
 	case 1:
 		if env.ID() == 0 {
-			var samples []uint64
-			for _, m := range in {
-				samples = append(samples, m.Payload...)
+			samples, err := s.merge(env, in)
+			if err != nil {
+				return false, err
 			}
-			SortRecords(samples, s.W)
 			chargeSort(env, len(samples)/s.W)
 			m := len(samples) / s.W
 			spl := make([]uint64, 0, (v-1)*s.W)
@@ -129,13 +146,14 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		env.Charge(int64(n))
 		s.Data = nil
 	case 3:
-		var recv []uint64
-		for _, m := range in {
-			recv = append(recv, m.Payload...)
+		recv, err := s.merge(env, in)
+		if err != nil {
+			return false, err
 		}
-		SortRecords(recv, s.W)
 		chargeSort(env, len(recv)/s.W)
-		s.Data = recv
+		if len(recv) > 0 {
+			s.Data = recv
+		} // else Data stays nil, as phase 2 left it
 		s.phase++
 		return true, nil
 	default:
@@ -145,8 +163,39 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	return false, nil
 }
 
+// scratch returns merged[:n:n], first growing merged to exactly n
+// words if its capacity is smaller.
+func (s *Sorter) scratch(n int) []uint64 {
+	if cap(s.merged) < n {
+		s.merged = make([]uint64, n)
+	}
+	return s.merged[:n:n]
+}
+
+// merge merges the runs in, one a message, into merged and returns the
+// result, capacity-limited.
+func (s *Sorter) merge(env *bsp.Env, in []bsp.Message) ([]uint64, error) {
+	total := 0
+	h := s.heap[:0]
+	for _, m := range in {
+		if len(m.Payload)%s.W != 0 || !RecordsSorted(m.Payload, s.W) {
+			return nil, &bsp.ProgramError{VP: env.ID(), Superstep: env.Superstep(),
+				Value: fmt.Errorf("cgm: sorter phase %d: unsorted run of %d words from VP %d", s.phase, len(m.Payload), m.Src)}
+		}
+		if len(m.Payload) > 0 {
+			h = append(h, m.Payload)
+		}
+		total += len(m.Payload)
+	}
+	s.heap = h
+	out := s.scratch(total)
+	mergeRuns(out, h, s.W)
+	return out, nil
+}
+
 // Save marshals the Sorter state (W is static host configuration and
-// is not saved).
+// is not saved, nor is the merge scratch). It copies Data out, so a
+// Data that is merged stays the VP's after the slot's next merge.
 func (s *Sorter) Save(enc *words.Encoder) {
 	enc.PutUint(uint64(s.phase))
 	enc.PutUints(s.Data)

@@ -1,10 +1,14 @@
 package cgm_test
 
 import (
+	"errors"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"embsp"
 	"embsp/internal/alg/cgm"
 	"embsp/internal/bsp"
 	"embsp/internal/prng"
@@ -39,41 +43,103 @@ func (vp *sortHostVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 func (vp *sortHostVP) Save(enc *words.Encoder) { vp.s.Save(enc) }
 func (vp *sortHostVP) Load(dec *words.Decoder) { vp.s.Load(dec) }
 
-func runSortHost(t *testing.T, data []uint64, w, v int, seed uint64) []uint64 {
+func runSortHost(t *testing.T, data []uint64, w, v int, seed uint64, validate bool) []bsp.VP {
 	t.Helper()
 	p := &sortHost{v: v, w: w, data: data}
-	res, err := bsp.Run(p, bsp.RunOptions{Seed: seed, ValidateContexts: true})
+	res, err := bsp.Run(p, bsp.RunOptions{Seed: seed, ValidateContexts: validate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []uint64
-	for _, vp := range res.VPs {
-		out = append(out, vp.(*sortHostVP).s.Data...)
-	}
-	return out
+	return res.VPs
 }
 
 func TestSorterDirect(t *testing.T) {
 	r := prng.New(1)
-	for _, n := range []int{0, 1, 5, 64, 301} {
-		for _, v := range []int{1, 2, 7} {
-			data := make([]uint64, n)
-			for i := range data {
-				data[i] = r.Uint64() % 64 // duplicates stress splitters
-			}
-			got := runSortHost(t, data, 1, v, uint64(n*10+v))
-			want := append([]uint64(nil), data...)
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(got) != len(want) {
-				t.Fatalf("n=%d v=%d: %d records out, want %d", n, v, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d v=%d: record %d = %d, want %d", n, v, i, got[i], want[i])
+	for _, w := range []int{1, 2, 3} {
+		for _, n := range []int{0, 1, 5, 64, 301} {
+			for _, v := range []int{1, 2, 7, 16} {
+				data := make([]uint64, n*w)
+				for i := range data {
+					data[i] = r.Uint64() % 64 // duplicates stress splitters
+				}
+				want := sortedRecords(data, w)
+				for _, validate := range []bool{false, true} {
+					var got []uint64
+					for id, vp := range runSortHost(t, data, w, v, uint64(n*10+v), validate) {
+						d := vp.(*sortHostVP).s.Data
+						// A VP that receives no run keeps phase 2's nil;
+						// a validated run decodes it as empty.
+						if len(d) == 0 && (d == nil) == validate {
+							t.Fatalf("w=%d n=%d v=%d validate=%v: VP %d Data nil = %v", w, n, v, validate, id, d == nil)
+						}
+						got = append(got, d...)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("w=%d n=%d v=%d validate=%v: got %v, want %v", w, n, v, validate, got, want)
+					}
 				}
 			}
 		}
 	}
+}
+
+// sortedRecords returns a stably sorted copy of data's w-word records.
+func sortedRecords(data []uint64, w int) []uint64 {
+	idx := make([]int, len(data)/w)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return slices.Compare(data[idx[a]*w:idx[a]*w+w], data[idx[b]*w:idx[b]*w+w]) < 0
+	})
+	out := make([]uint64, 0, len(data))
+	for _, i := range idx {
+		out = append(out, data[i*w:i*w+w]...)
+	}
+	return out
+}
+
+// reversingHost reverses every VP's sorted Data before phase 2, so the
+// ranges phase 2 sends are runs out of order.
+type reversingHost struct{ sortHost }
+
+func (p *reversingHost) NewVP(id int) bsp.VP {
+	return &reversingVP{*p.sortHost.NewVP(id).(*sortHostVP)}
+}
+
+type reversingVP struct{ sortHostVP }
+
+func (vp *reversingVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	if env.Superstep() == 2 {
+		slices.Reverse(vp.s.Data)
+	}
+	return vp.s.Step(env, in)
+}
+
+func TestSorterRejectsUnsortedRun(t *testing.T) {
+	data := make([]uint64, 64)
+	for i := range data {
+		data[i] = uint64(i)
+	}
+	p := &reversingHost{sortHost{v: 4, w: 1, data: data}}
+	check := func(engine string, err error) {
+		t.Helper()
+		var pe *bsp.ProgramError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "unsorted run") {
+			t.Fatalf("%s: got %v, want a *bsp.ProgramError naming an unsorted run", engine, err)
+		}
+		if pe.Superstep != 3 {
+			t.Errorf("%s: error in superstep %d, want 3", engine, pe.Superstep)
+		}
+	}
+	_, err := bsp.Run(p, bsp.RunOptions{Seed: 1})
+	check("bsp.Run", err)
+	cfg := embsp.MachineConfig{
+		P: 1, M: 4 * p.MaxContextWords(), D: 2, B: 64, G: 100,
+		Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
+	}
+	_, err = embsp.Run(p, cfg, embsp.Options{Seed: 1})
+	check("embsp.Run", err)
 }
 
 func TestSorterSupersteps(t *testing.T) {

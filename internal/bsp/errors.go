@@ -13,7 +13,9 @@ import (
 // a ProgramError instead of crashing the process, so a long durable run
 // survives a buggy program: the state directory stays at the last
 // committed barrier and remains resumable (e.g. with a fixed program
-// binary).
+// binary). A Step may also return one for a fault it detects in its own
+// program's input, as cgm.Sorter does for a received run out of order;
+// the engines pass it through wrapped, so errors.As finds it.
 type ProgramError struct {
 	// VP is the id of the virtual processor whose code panicked.
 	VP int

@@ -1,7 +1,6 @@
 package pdm
 
 import (
-	"container/heap"
 	"fmt"
 
 	"embsp/internal/alg/cgm"
@@ -152,31 +151,6 @@ func (r *runReader) next(w int) ([]uint64, error) {
 	return rec, nil
 }
 
-// mergeHeap orders run heads lexicographically (ties by run index for
-// determinism).
-type mergeHeap struct {
-	heads [][]uint64
-	order []int
-}
-
-func (h *mergeHeap) Len() int { return len(h.order) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.heads[h.order[i]], h.heads[h.order[j]]
-	for k := range a {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return h.order[i] < h.order[j]
-}
-func (h *mergeHeap) Swap(i, j int)      { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *mergeHeap) Push(x interface{}) { h.order = append(h.order, x.(int)) }
-func (h *mergeHeap) Pop() interface{} {
-	x := h.order[len(h.order)-1]
-	h.order = h.order[:len(h.order)-1]
-	return x
-}
-
 // mergeRuns merges sorted runs into one sorted run.
 func (m *Machine) mergeRuns(runs []File, w int) (File, error) {
 	B := m.Arr.Config().B
@@ -194,8 +168,12 @@ func (m *Machine) mergeRuns(runs []File, w int) (File, error) {
 	}
 	defer m.Acct.Release(grab)
 
+	// The heap of run heads: each entry is a copy of its run's head
+	// followed by the run's index, and the heap keys on all w+1 words,
+	// so ties go to the lower run.
 	readers := make([]*runReader, len(runs))
-	h := &mergeHeap{heads: make([][]uint64, len(runs))}
+	slab := make([]uint64, len(runs)*(w+1))
+	h := make([][]uint64, 0, len(runs))
 	for i, r := range runs {
 		readers[i] = m.newRunReader(r, w)
 		head, err := readers[i].next(w)
@@ -203,11 +181,13 @@ func (m *Machine) mergeRuns(runs []File, w int) (File, error) {
 			return File{}, err
 		}
 		if head != nil {
-			h.heads[i] = append([]uint64(nil), head...)
-			h.order = append(h.order, i)
+			e := slab[i*(w+1) : (i+1)*(w+1)]
+			copy(e, head)
+			e[w] = uint64(i)
+			h = append(h, e)
 		}
 	}
-	heap.Init(h)
+	cgm.InitHeap(h, w+1)
 
 	// Output double buffer: flush whole blocks, carrying the partial
 	// tail so the written word stream stays contiguous.
@@ -227,25 +207,26 @@ func (m *Machine) mergeRuns(runs []File, w int) (File, error) {
 		outPos -= nb * B
 		return nil
 	}
-	for h.Len() > 0 {
-		i := h.order[0]
-		copy(outBuf[outPos:], h.heads[i])
+	for len(h) > 0 {
+		e := h[0]
+		copy(outBuf[outPos:], e[:w])
 		outPos += w
 		if outPos+w > len(outBuf) {
 			if err := flushFull(); err != nil {
 				return File{}, err
 			}
 		}
-		head, err := readers[i].next(w)
+		head, err := readers[e[w]].next(w)
 		if err != nil {
 			return File{}, err
 		}
 		if head == nil {
-			heap.Pop(h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		} else {
-			copy(h.heads[i], head)
-			heap.Fix(h, 0)
+			copy(e, head)
 		}
+		cgm.SiftDown(h, w+1, 0)
 	}
 	if outPos > 0 {
 		clear(outBuf[outPos : (outPos+B-1)/B*B])
