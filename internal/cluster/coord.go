@@ -97,8 +97,9 @@ func fatal(err error) bool {
 type coordinator struct {
 	cc      Config
 	core    *core.CoordCore
-	links   []*Link // per worker slot; nil = disconnected
-	epochs  []int   // connection incarnations seen per slot
+	links   []*Link         // per worker slot; nil = disconnected
+	encs    []words.Encoder // per worker slot: its requests, fanout's goroutine i only
+	epochs  []int           // connection incarnations seen per slot
 	replica *ReplicaStore
 	spares  []joinReq // parked spare workers, adopted on worker loss
 
@@ -159,6 +160,7 @@ func Run(cc Config) (*core.Result, error) {
 		cc:      cc,
 		core:    cco,
 		links:   make([]*Link, cc.Cfg.P),
+		encs:    make([]words.Encoder, cc.Cfg.P),
 		epochs:  make([]int, cc.Cfg.P),
 		joins:   make(chan joinReq, 2*cc.Cfg.P),
 		closed:  make(chan struct{}),
@@ -507,9 +509,10 @@ func fatalJoin(err error) bool {
 var errDiverged = errors.New("cluster: state diverged")
 
 // fanout sends req(i) to every worker concurrently and returns the
-// typed responses. Any failure is joined with its worker attributed;
-// the caller classifies and recovers.
-func (c *coordinator) fanout(respKind uint64, req func(i int) []uint64) ([]*words.Decoder, error) {
+// typed responses. req encodes worker i's request into enc, slot i's
+// encoder, which goroutine i alone uses. Any failure is joined with its
+// worker attributed; the caller classifies and recovers.
+func (c *coordinator) fanout(respKind uint64, req func(enc *words.Encoder, i int) []uint64) ([]*words.Decoder, error) {
 	P := len(c.links)
 	decs := make([]*words.Decoder, P)
 	errs := make([]error, P)
@@ -523,7 +526,7 @@ func (c *coordinator) fanout(respKind uint64, req func(i int) []uint64) ([]*word
 				errs[i] = fmt.Errorf("cluster: worker %d disconnected", i)
 				return
 			}
-			if err := l.Send(req(i)); err != nil {
+			if err := l.Send(req(&c.encs[i], i)); err != nil {
 				errs[i] = fmt.Errorf("cluster: worker %d: %w", i, err)
 				return
 			}
@@ -550,7 +553,7 @@ func (c *coordinator) fanout(respKind uint64, req func(i int) []uint64) ([]*word
 }
 
 // collect is fanout with every response decoded.
-func collect[T any](c *coordinator, respKind uint64, req func(i int) []uint64, decode func(*words.Decoder) T) ([]T, error) {
+func collect[T any](c *coordinator, respKind uint64, req func(enc *words.Encoder, i int) []uint64, decode func(*words.Decoder) T) ([]T, error) {
 	decs, err := c.fanout(respKind, req)
 	if err != nil {
 		return nil, err
@@ -565,7 +568,7 @@ func collect[T any](c *coordinator, respKind uint64, req func(i int) []uint64, d
 // Setup is phase one of the setup barrier (decision record 0).
 func (c *coordinator) Setup() ([]disk.Stats, error) {
 	c.replWait()
-	decs, err := c.fanout(msgSetupOut, func(i int) []uint64 { return encodeSetup(c.replReq(i)) })
+	decs, err := c.fanout(msgSetupOut, func(enc *words.Encoder, i int) []uint64 { return encodeSetup(enc, c.replReq(i)) })
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +620,7 @@ func (c *coordinator) Rollback(step, attempt int, cause error) (int64, error) {
 	}
 	add(c.replays, 1)
 	c.probe("recover", step)
-	req, resp := encodeKind(msgAbort), msgAborted
+	req, resp := encodeKind(new(words.Encoder), msgAbort), msgAborted
 	if step < 0 {
 		req, resp = welcome{Reset: true}.encode(), msgWelcomeOut
 	}
@@ -659,13 +662,13 @@ func (c *coordinator) reacquire() error {
 }
 
 func (c *coordinator) Begin(step int) error {
-	_, err := c.fanout(msgOK, func(int) []uint64 { return encodeKindStep(msgStepBegin, int64(step)) })
+	_, err := c.fanout(msgOK, func(enc *words.Encoder, _ int) []uint64 { return encodeKindStep(enc, msgStepBegin, int64(step)) })
 	return err
 }
 
 func (c *coordinator) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
-	decs, err := c.fanout(msgFetchOut, func(int) []uint64 {
-		return encodeKindStep(msgFetch, int64(j), int64(step))
+	decs, err := c.fanout(msgFetchOut, func(enc *words.Encoder, _ int) []uint64 {
+		return encodeKindStep(enc, msgFetch, int64(j), int64(step))
 	})
 	if err != nil {
 		return nil, nil, err
@@ -678,7 +681,8 @@ func (c *coordinator) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error)
 }
 
 // column is what every worker addressed to dst in the phase just
-// finished, relayed in the next request to dst.
+// finished, relayed in the next request to dst. The batches alias the
+// replies they were decoded from, which nothing else holds.
 func column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
 	in := make([]core.BlockBatch, len(rows))
 	for src, row := range rows {
@@ -690,8 +694,8 @@ func column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
 }
 
 func (c *coordinator) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
-	return collect(c, msgComputeOut, func(dst int) []uint64 {
-		return encodeBatchReq(msgCompute, j, step, column(dst, rows))
+	return collect(c, msgComputeOut, func(enc *words.Encoder, dst int) []uint64 {
+		return encodeBatchReq(enc, msgCompute, j, step, column(dst, rows))
 	}, decodeComputeOut)
 }
 
@@ -700,14 +704,14 @@ func (c *coordinator) Write(j, step int, outs []*core.BatchOut) error {
 	for src, bo := range outs {
 		rows[src] = bo.Scatter
 	}
-	_, err := c.fanout(msgOK, func(dst int) []uint64 {
-		return encodeBatchReq(msgWrite, j, step, column(dst, rows))
+	_, err := c.fanout(msgOK, func(enc *words.Encoder, dst int) []uint64 {
+		return encodeBatchReq(enc, msgWrite, j, step, column(dst, rows))
 	})
 	return err
 }
 
 func (c *coordinator) Totals() ([]core.StepTotals, error) {
-	return collect(c, msgSumOut, func(int) []uint64 { return encodeKind(msgSum) }, decodeSumOut)
+	return collect(c, msgSumOut, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgSum) }, decodeSumOut)
 }
 
 // Prepare is 2PC phase one: every worker journals its prepared barrier
@@ -716,7 +720,7 @@ func (c *coordinator) Prepare(step int, halted bool) ([]int64, error) {
 	c.probe("prepare", step)
 	c.barrier = time.Now()
 	c.replWait() // the previous barrier's apply had the whole superstep to land
-	decs, err := c.fanout(msgPrepared, func(i int) []uint64 { return encodePrepare(step, halted, c.replReq(i)) })
+	decs, err := c.fanout(msgPrepared, func(enc *words.Encoder, i int) []uint64 { return encodePrepare(enc, step, halted, c.replReq(i)) })
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +753,7 @@ func (c *coordinator) Commit(step int) error {
 // dead worker whose state died with it migrates from the replica.
 func (c *coordinator) broadcastCommit() error {
 	for {
-		_, err := c.fanout(msgCommitted, func(int) []uint64 { return encodeKind(msgCommit) })
+		_, err := c.fanout(msgCommitted, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgCommit) })
 		if err == nil {
 			return nil
 		}
@@ -827,7 +831,7 @@ func (c *coordinator) dropDead() (empty int) {
 
 func (c *coordinator) Final() ([]*core.NodeReport, error) {
 	final := func() ([]*core.NodeReport, error) {
-		return collect(c, msgFinalOut, func(int) []uint64 { return encodeKind(msgFinal) }, core.DecodeNodeReport)
+		return collect(c, msgFinalOut, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgFinal) }, core.DecodeNodeReport)
 	}
 	reports, err := final()
 	if err != nil && !fatal(err) {
@@ -855,7 +859,7 @@ func (c *coordinator) shutdown() {
 	}
 	c.pmu.Unlock()
 	byebye := func(l *Link) {
-		if l.Send(encodeKind(msgShutdown)) == nil {
+		if l.Send(encodeKind(new(words.Encoder), msgShutdown)) == nil {
 			if msg, err := l.Recv(5 * time.Second); err == nil {
 				expect(msg, msgBye) //nolint:errcheck
 			}

@@ -17,6 +17,14 @@ import (
 // word vector whose first word is the kind; payloads are encoded with
 // internal/words, the same codec the manifests use.
 //
+// Every message from STEP_BEGIN through COMMIT, and every reply, is
+// encoded into an Encoder its sender keeps (the worker one, the
+// coordinator one per worker slot): the functions below Reset it and
+// return its words, which stay valid until its next use. Link.Send is
+// done with a message when it returns, so that is the only rule. The
+// messages that carry blocks grow it exact-fit to their size first.
+// Handshake messages, rare and small, still encode into fresh memory.
+//
 // One compound superstep, coordinator's view (per worker, phases
 // fanned out concurrently, folded in node order):
 //
@@ -191,20 +199,30 @@ func decodeWelcomeOut(dec *words.Decoder) welcomeOut {
 	return welcomeOut{Committed: int(f[0]), StepsDone: int(f[1]), Halted: dec.Bool()}
 }
 
-func encodeKind(k uint64) []uint64 { return []uint64{k} }
+func encodeKind(enc *words.Encoder, k uint64) []uint64 {
+	enc.Reset()
+	enc.PutUint(k)
+	return enc.Words()
+}
 
-func encodeKindStep(k uint64, a ...int64) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeKindStep(enc *words.Encoder, k uint64, a ...int64) []uint64 {
+	enc.Reset()
 	enc.PutUint(k)
 	enc.PutInts(a)
 	return enc.Words()
 }
 
-func encodeErr(err error) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeErr(enc *words.Encoder, err error) []uint64 {
+	enc.Reset()
 	enc.PutUint(msgErr)
 	putString(enc, err.Error())
 	return enc.Words()
+}
+
+// reserve empties enc for a message of n words, growing it exact-fit.
+func reserve(enc *words.Encoder, n int) {
+	enc.Reset()
+	enc.Grow(n)
 }
 
 // replReq is the replication piggyback a SETUP or PREPARE request
@@ -234,15 +252,15 @@ func decodeReplReq(dec *words.Decoder) replReq {
 	return replReq{Replicate: dec.Bool(), Base: int(dec.Int())}
 }
 
-func encodeSetup(r replReq) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeSetup(enc *words.Encoder, r replReq) []uint64 {
+	enc.Reset()
 	enc.PutUint(msgSetup)
 	r.put(enc)
 	return enc.Words()
 }
 
-func encodePrepare(step int, halt bool, r replReq) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodePrepare(enc *words.Encoder, step int, halt bool, r replReq) []uint64 {
+	enc.Reset()
 	enc.PutUint(msgPrepare)
 	h := int64(0)
 	if halt {
@@ -273,8 +291,8 @@ func decodeSnapshotTail(dec *words.Decoder) (*core.NodeSnapshot, error) {
 	return core.DecodeSnapshot(dec)
 }
 
-func encodePrepared(snap *core.NodeSnapshot) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodePrepared(enc *words.Encoder, snap *core.NodeSnapshot) []uint64 {
+	enc.Reset()
 	enc.PutUint(msgPrepared)
 	putSnapshot(enc, snap)
 	return enc.Words()
@@ -335,8 +353,8 @@ func authMAC(secret string, nonce []uint64) []uint64 {
 	return bytesToWords(h.Sum(nil))
 }
 
-func encodeSetupOut(s disk.Stats, snap *core.NodeSnapshot) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeSetupOut(enc *words.Encoder, s disk.Stats, snap *core.NodeSnapshot) []uint64 {
+	enc.Reset()
 	enc.PutUint(msgSetupOut)
 	core.EncodeDiskStats(enc, s)
 	putSnapshot(enc, snap)
@@ -348,6 +366,15 @@ func encodeBatches(enc *words.Encoder, bs []core.BlockBatch) {
 	for _, b := range bs {
 		b.Encode(enc)
 	}
+}
+
+// batchesSize is the number of words encodeBatches appends for bs.
+func batchesSize(bs []core.BlockBatch) int {
+	n := 1
+	for _, b := range bs {
+		n += b.Size()
+	}
+	return n
 }
 
 func decodeBatches(dec *words.Decoder) []core.BlockBatch {
@@ -362,8 +389,12 @@ func decodeBatches(dec *words.Decoder) []core.BlockBatch {
 // encodeFetchOut carries one worker's fetching-phase output: the
 // batch's blocks grouped by destination (a nil out: the batch had no
 // input) and the per-destination word counts for the cost model.
-func encodeFetchOut(out []core.BlockBatch, nwords []int64) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeFetchOut(enc *words.Encoder, out []core.BlockBatch, nwords []int64) []uint64 {
+	n := 2
+	if out != nil {
+		n += batchesSize(out) + words.SizeUints(len(nwords))
+	}
+	reserve(enc, n)
 	enc.PutUint(msgFetchOut)
 	enc.PutBool(out != nil)
 	if out != nil {
@@ -382,16 +413,16 @@ func decodeFetchOut(dec *words.Decoder) (out []core.BlockBatch, nwords []int64) 
 
 // encodeBatchReq is a COMPUTE or WRITE request: round j of superstep
 // step, with the batches the worker received, one per source.
-func encodeBatchReq(kind uint64, j, step int, in []core.BlockBatch) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeBatchReq(enc *words.Encoder, kind uint64, j, step int, in []core.BlockBatch) []uint64 {
+	reserve(enc, 1+words.SizeUints(2)+batchesSize(in))
 	enc.PutUint(kind)
 	enc.PutInts([]int64{int64(j), int64(step)})
 	encodeBatches(enc, in)
 	return enc.Words()
 }
 
-func encodeComputeOut(bo *core.BatchOut) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeComputeOut(enc *words.Encoder, bo *core.BatchOut) []uint64 {
+	reserve(enc, 1+batchesSize(bo.Scatter)+words.SizeUints(len(bo.Pkts))+words.SizeUints(len(bo.Wrds))+core.SizeTraffic(len(bo.Traffic)))
 	enc.PutUint(msgComputeOut)
 	encodeBatches(enc, bo.Scatter)
 	enc.PutInts(bo.Pkts)
@@ -410,8 +441,8 @@ func decodeComputeOut(dec *words.Decoder) *core.BatchOut {
 }
 
 // encodeSumOut carries the worker's superstep totals at the vote point.
-func encodeSumOut(s core.StepTotals) []uint64 {
-	return encodeKindStep(msgSumOut, int64(s.Halts), int64(s.Sends), s.Ops)
+func encodeSumOut(enc *words.Encoder, s core.StepTotals) []uint64 {
+	return encodeKindStep(enc, msgSumOut, int64(s.Halts), int64(s.Sends), s.Ops)
 }
 
 func decodeSumOut(dec *words.Decoder) core.StepTotals {
@@ -419,8 +450,8 @@ func decodeSumOut(dec *words.Decoder) core.StepTotals {
 	return core.StepTotals{Halts: int(f[0]), Sends: int(f[1]), Ops: f[2]}
 }
 
-func encodeFinalOut(r *core.NodeReport) []uint64 {
-	enc := words.NewEncoder(nil)
+func encodeFinalOut(enc *words.Encoder, r *core.NodeReport) []uint64 {
+	reserve(enc, 1+r.Size())
 	enc.PutUint(msgFinalOut)
 	core.EncodeNodeReport(enc, r)
 	return enc.Words()

@@ -44,9 +44,9 @@ func (e *LostError) Error() string {
 // 1; the receiver re-ACKs anything at or below its delivered
 // watermark and rejects gaps (the lockstep protocol never has any).
 type Link struct {
-	conn net.Conn
-	wmu  sync.Mutex // serializes whole-frame writes (protocol, pings, pongs)
-	wbuf []byte     // guarded by wmu
+	conn   net.Conn
+	wmu    sync.Mutex // serializes whole-frame writes (protocol, pings, pongs)
+	wchunk []byte     // the fixed chunk frames are written through; guarded by wmu
 
 	self  int
 	peer  atomic.Int64 // settable post-handshake (SetPeer) while pings fly
@@ -60,7 +60,8 @@ type Link struct {
 	sendSeq uint64 // last sequence successfully ACKed by the peer
 	recvSeq uint64 // last sequence delivered to the caller
 	ackN    int    // times recvSeq has been ACKed (fault-stream clock)
-	stash   *frame // data frame consumed by Send as an implicit ACK
+	stash   frame  // data frame consumed by Send as an implicit ACK,
+	stashed bool   // waiting for the next Recv
 
 	hbInterval time.Duration
 	hbTimeout  time.Duration
@@ -143,6 +144,7 @@ func NewLink(conn net.Conn, cfg LinkConfig) *Link {
 	}
 	l := &Link{
 		conn:       conn,
+		wchunk:     make([]byte, frameChunkBytes),
 		self:       cfg.Self,
 		plan:       cfg.Plan,
 		seed:       cfg.BackoffSeed,
@@ -218,11 +220,14 @@ func add(c *obs.Counter, n int64) {
 // readLoop is the connection's only reader: frames never race a
 // deadline mid-read, so the stream cannot desynchronize. Checksum
 // failures are consumed and dropped (the sender retransmits); real
-// errors end the link.
+// errors end the link. Frames are read through a fixed chunk the loop
+// owns; each one's payload is a fresh allocation that the receiver then
+// owns outright (a decoded BlockBatch aliases it).
 func (l *Link) readLoop() {
 	br := bufio.NewReaderSize(l.conn, 1<<16)
+	chunk := make([]byte, frameChunkBytes)
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, chunk)
 		if err == errChecksum {
 			add(l.checksumRejects, 1)
 			continue
@@ -276,7 +281,8 @@ func (l *Link) Close() error {
 
 // writeFrame sends one frame through the fault plan: a dropped frame
 // is simply not written (the ARQ recovers it), a delayed one is held,
-// a duplicated one is written twice back to back.
+// a duplicated one is written twice back to back. The frame streams
+// through the link's chunk, so it costs no allocation however large.
 func (l *Link) writeFrame(kind byte, seq uint64, payload []uint64, attempt int) error {
 	peer, epoch := l.peerID(), l.epochN()
 	if kind == framePing || kind == framePong {
@@ -316,14 +322,14 @@ func (l *Link) writeFrame(kind byte, seq uint64, payload []uint64, attempt int) 
 		add(l.injected, 1)
 		writes = 2
 	}
-	l.wbuf = appendFrame(l.wbuf, frame{kind: kind, seq: seq, payload: payload})
 	for ; writes > 0; writes-- {
-		if _, err := l.conn.Write(l.wbuf); err != nil {
+		n, err := streamFrame(l.conn, l.wchunk, kind, seq, payload)
+		if err != nil {
 			l.fail(err)
 			return err
 		}
 		add(l.txFrames, 1)
-		add(l.txBytes, int64(len(l.wbuf)))
+		add(l.txBytes, int64(n))
 	}
 	return nil
 }
@@ -338,7 +344,9 @@ func (l *Link) ack(seq uint64) error {
 // Send delivers msg to the peer, retransmitting on ACK timeout with
 // prng.BackoffDelay between attempts, up to the retry bound. Stale
 // duplicate data arriving while the ACK is awaited is re-ACKed (the
-// peer is retransmitting because our ACK was lost).
+// peer is retransmitting because our ACK was lost). msg is read only
+// until Send returns, so the caller may then encode the next message
+// into the same memory.
 func (l *Link) Send(msg []uint64) error {
 	seq := l.sendSeq + 1
 	for attempt := 0; attempt <= l.retries; attempt++ {
@@ -376,7 +384,7 @@ func (l *Link) Send(msg []uint64) error {
 					// the frame for the next Recv.
 					timer.Stop()
 					l.sendSeq = seq
-					l.stash = &f
+					l.stash, l.stashed = f, true
 					return nil
 				}
 				timer.Stop()
@@ -395,8 +403,9 @@ func (l *Link) Send(msg []uint64) error {
 // Recv waits up to timeout for the next message, re-ACKing duplicates
 // of already-delivered frames. timeout <= 0 waits forever.
 func (l *Link) Recv(timeout time.Duration) ([]uint64, error) {
-	if f := l.stash; f != nil {
-		l.stash = nil
+	if l.stashed {
+		f := l.stash
+		l.stash, l.stashed = frame{}, false
 		l.recvSeq = f.seq
 		l.ackN = 0
 		if err := l.ack(f.seq); err != nil {

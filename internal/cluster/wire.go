@@ -10,10 +10,8 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 )
 
@@ -45,6 +43,15 @@ const (
 
 	frameHeaderBytes  = 4 + 1 + 8
 	frameChecksumSize = 8
+
+	// frameChunkWords is the size of the fixed chunk each end of a link
+	// streams frames through: a frame of up to about this many payload
+	// words goes out in one write.
+	frameChunkWords = 4096
+	frameChunkBytes = 8 * frameChunkWords
+
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
 )
 
 type frame struct {
@@ -53,44 +60,57 @@ type frame struct {
 	payload []uint64
 }
 
-func frameChecksum(kind byte, seq uint64, payload []byte) uint64 {
-	h := fnv.New64a()
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint64(hdr[1:], seq)
-	h.Write(hdr[:])
-	h.Write(payload)
-	return h.Sum64()
+// fnvWord folds the eight little-endian bytes of w into the FNV-1a hash h.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime64
+		w >>= 8
+	}
+	return h
 }
 
-// appendFrame serializes f into buf (reusing its capacity) and
-// returns the framed bytes.
-func appendFrame(buf []byte, f frame) []byte {
-	n := frameHeaderBytes + 8*len(f.payload) + frameChecksumSize
-	if cap(buf) < n {
-		buf = make([]byte, n)
+// frameHash starts a frame's checksum: FNV-1a over its kind and seq.
+func frameHash(kind byte, seq uint64) uint64 {
+	return fnvWord((fnvOffset64^uint64(kind))*fnvPrime64, seq)
+}
+
+// streamFrame writes one frame to w through chunk — the header, the
+// payload, then the checksum, hashed as they go — and returns the bytes
+// written. Only chunk is written to; nothing is allocated.
+func streamFrame(w io.Writer, chunk []byte, kind byte, seq uint64, payload []uint64) (int, error) {
+	h := frameHash(kind, seq)
+	buf := binary.LittleEndian.AppendUint32(chunk[:0], uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint64(append(buf, kind), seq)
+	n := 0
+	for i := 0; i <= len(payload); i++ {
+		if len(buf)+8 > len(chunk) {
+			if _, err := w.Write(buf); err != nil {
+				return n, err
+			}
+			n, buf = n+len(buf), chunk[:0]
+		}
+		word := h // the checksum, after the last payload word
+		if i < len(payload) {
+			word = payload[i]
+			h = fnvWord(h, word)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, word)
 	}
-	buf = buf[:n]
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(f.payload)))
-	buf[4] = f.kind
-	binary.LittleEndian.PutUint64(buf[5:], f.seq)
-	p := buf[frameHeaderBytes : frameHeaderBytes+8*len(f.payload)]
-	for i, w := range f.payload {
-		binary.LittleEndian.PutUint64(p[8*i:], w)
-	}
-	binary.LittleEndian.PutUint64(buf[n-frameChecksumSize:], frameChecksum(f.kind, f.seq, p))
-	return buf
+	_, err := w.Write(buf)
+	return n + len(buf), err
 }
 
 // errChecksum marks a frame whose checksum failed; the reader skips
 // it (the bytes were consumed, the stream stays aligned).
 var errChecksum = fmt.Errorf("cluster: frame checksum mismatch")
 
-// readFrame reads one frame. A checksum failure returns errChecksum
-// with the stream intact past the bad frame.
-func readFrame(r *bufio.Reader) (frame, error) {
-	var hdr [frameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame through chunk, decoding its payload straight
+// into the one allocation it makes. A checksum failure returns
+// errChecksum with the whole frame consumed, so the stream stays intact
+// past it.
+func readFrame(r io.Reader, chunk []byte) (frame, error) {
+	hdr := chunk[:frameHeaderBytes]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
@@ -101,18 +121,25 @@ func readFrame(r *bufio.Reader) (frame, error) {
 	if f.kind != frameData && f.kind != frameAck && f.kind != framePing && f.kind != framePong {
 		return frame{}, fmt.Errorf("cluster: unknown frame kind 0x%02x", f.kind)
 	}
-	body := make([]byte, 8*int(n)+frameChecksumSize)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return frame{}, err
-	}
-	p := body[:8*int(n)]
-	sum := binary.LittleEndian.Uint64(body[8*int(n):])
-	if sum != frameChecksum(f.kind, f.seq, p) {
-		return frame{}, errChecksum
-	}
 	f.payload = make([]uint64, n)
-	for i := range f.payload {
-		f.payload[i] = binary.LittleEndian.Uint64(p[8*i:])
+	h, sum := frameHash(f.kind, f.seq), uint64(0)
+	for i := 0; i <= len(f.payload); {
+		b := chunk[:8*min(len(chunk)/8, len(f.payload)+1-i)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return frame{}, err
+		}
+		for ; len(b) > 0; i, b = i+1, b[8:] {
+			w := binary.LittleEndian.Uint64(b)
+			if i == len(f.payload) {
+				sum = w
+				continue
+			}
+			f.payload[i] = w
+			h = fnvWord(h, w)
+		}
+	}
+	if sum != h {
+		return frame{}, errChecksum
 	}
 	return f, nil
 }

@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"reflect"
@@ -11,61 +12,173 @@ import (
 
 	"embsp/internal/fault"
 	"embsp/internal/obs"
+	"embsp/internal/words"
 )
 
+// frameBytes writes frames through the link's writer into a buffer.
+func frameBytes(t testing.TB, frames ...frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	chunk := make([]byte, frameChunkBytes)
+	for _, f := range frames {
+		n, err := streamFrame(&buf, chunk, f.kind, f.seq, f.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := frameHeaderBytes + 8*len(f.payload) + frameChecksumSize; n != want {
+			t.Fatalf("streamFrame(%d words) reports %d bytes, want %d", len(f.payload), n, want)
+		}
+	}
+	return buf.Bytes()
+}
+
+func payloadOf(n int) []uint64 {
+	p := make([]uint64, n)
+	for i := range p {
+		p[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	return p
+}
+
+// writeLog records the size of every write it is handed.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeLog) Write(b []byte) (int, error) {
+	w.sizes = append(w.sizes, len(b))
+	return w.Buffer.Write(b)
+}
+
+// TestFrameRoundtrip: a frame read back is the frame written, at every
+// edge of the chunk both ends stream through — c words fill a read
+// chunk, and the header takes two words' room from a frame's first
+// write — and every write the link makes fits the chunk.
 func TestFrameRoundtrip(t *testing.T) {
+	const c = frameChunkWords
 	frames := []frame{
 		{kind: frameData, seq: 1, payload: nil},
 		{kind: frameData, seq: 2, payload: []uint64{0}},
 		{kind: frameAck, seq: 3, payload: nil},
 		{kind: frameData, seq: 1 << 40, payload: []uint64{1, ^uint64(0), 42, 7}},
 	}
-	var buf []byte
+	for i, n := range []int{0, 1, c - 3, c - 2, c - 1, c, c + 1, 3*c + 5} {
+		frames = append(frames, frame{kind: frameData, seq: uint64(100 + i), payload: payloadOf(n)})
+	}
+	chunk := make([]byte, frameChunkBytes)
 	for _, f := range frames {
-		buf = appendFrame(nil, f)
-		br := bufio.NewReader(bytes.NewReader(buf))
-		got, err := readFrame(br)
+		var w writeLog
+		if _, err := streamFrame(&w, chunk, f.kind, f.seq, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range w.sizes {
+			if n > frameChunkBytes {
+				t.Fatalf("%d-word frame: a write of %d bytes, past the %d-byte chunk", len(f.payload), n, frameChunkBytes)
+			}
+		}
+		got, err := readFrame(bytes.NewReader(w.Bytes()), chunk)
 		if err != nil {
-			t.Fatalf("readFrame(%+v): %v", f, err)
+			t.Fatalf("readFrame(%d words): %v", len(f.payload), err)
 		}
 		if got.kind != f.kind || got.seq != f.seq {
-			t.Fatalf("roundtrip header: got %+v, want %+v", got, f)
+			t.Fatalf("roundtrip header: got %d/%d, want %d/%d", got.kind, got.seq, f.kind, f.seq)
 		}
 		if len(got.payload) != len(f.payload) || (len(f.payload) > 0 && !reflect.DeepEqual(got.payload, f.payload)) {
-			t.Fatalf("roundtrip payload: got %v, want %v", got.payload, f.payload)
+			t.Fatalf("roundtrip payload of %d words: got %d words back, or other words", len(f.payload), len(got.payload))
+		}
+	}
+}
+
+// TestFrameBytesPinned holds the wire format: one small DATA frame, an
+// ACK and a PING, byte for byte.
+func TestFrameBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		f    frame
+		want string
+	}{
+		{frame{kind: frameData, seq: 7, payload: []uint64{msgCompute, 0x0102030405060708, ^uint64(0)}},
+			"030000000107000000000000000a000000000000000807060504030201ffffffffffffffffe98cacf6cb29b908"},
+		{frame{kind: frameAck, seq: 7}, "000000000207000000000000008237f82cdad7e8af"},
+		{frame{kind: framePing, seq: 3}, "00000000030300000000000000b1d53bae8e10745a"},
+	} {
+		if got := hex.EncodeToString(frameBytes(t, tc.f)); got != tc.want {
+			t.Errorf("frame kind %d seq %d:\n got %s\nwant %s", tc.f.kind, tc.f.seq, got, tc.want)
 		}
 	}
 }
 
 // A corrupted frame must be rejected by checksum AND fully consumed,
 // so the following frame still parses: the ARQ depends on the stream
-// staying frame-aligned after a rejection.
+// staying frame-aligned after a rejection. The bad frame spans four
+// read chunks, and one byte is flipped in each region: the seq, the
+// first chunk's payload, the last chunk's, and the checksum.
 func TestFrameChecksumRejectKeepsAlignment(t *testing.T) {
 	good := frame{kind: frameData, seq: 9, payload: []uint64{5, 6, 7}}
-	bad := appendFrame(nil, frame{kind: frameData, seq: 8, payload: []uint64{1, 2}})
-	bad[frameHeaderBytes] ^= 0xff // corrupt first payload byte
-	stream := append(append([]byte{}, bad...), appendFrame(nil, good)...)
-
-	br := bufio.NewReader(bytes.NewReader(stream))
-	if _, err := readFrame(br); err != errChecksum {
-		t.Fatalf("corrupt frame: got err %v, want errChecksum", err)
-	}
-	got, err := readFrame(br)
-	if err != nil {
-		t.Fatalf("frame after corruption: %v", err)
-	}
-	if got.seq != good.seq || !reflect.DeepEqual(got.payload, good.payload) {
-		t.Fatalf("stream desynchronized after checksum reject: got %+v", got)
+	n := 3*frameChunkWords + 5
+	for _, tc := range []struct {
+		region string
+		at     int
+	}{
+		{"seq", 5},
+		{"first chunk", frameHeaderBytes},
+		{"last chunk", frameHeaderBytes + 8*n - 1},
+		{"checksum", frameHeaderBytes + 8*n + frameChecksumSize - 1},
+	} {
+		stream := frameBytes(t, frame{kind: frameData, seq: 8, payload: payloadOf(n)}, good)
+		stream[tc.at] ^= 0xff
+		r, chunk := bytes.NewReader(stream), make([]byte, frameChunkBytes)
+		if _, err := readFrame(r, chunk); err != errChecksum {
+			t.Fatalf("%s corrupted: got err %v, want errChecksum", tc.region, err)
+		}
+		got, err := readFrame(r, chunk)
+		if err != nil {
+			t.Fatalf("%s corrupted: frame after it: %v", tc.region, err)
+		}
+		if got.seq != good.seq || !reflect.DeepEqual(got.payload, good.payload) {
+			t.Fatalf("%s corrupted: stream desynchronized after checksum reject: got %+v", tc.region, got)
+		}
 	}
 }
 
 func TestFrameOversizeRejected(t *testing.T) {
-	buf := appendFrame(nil, frame{kind: frameData, seq: 1, payload: []uint64{1}})
+	buf := frameBytes(t, frame{kind: frameData, seq: 1, payload: []uint64{1}})
 	// Forge an absurd payload length in the header.
 	buf[0], buf[1], buf[2], buf[3] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf))); err == nil || err == errChecksum {
+	if _, err := readFrame(bytes.NewReader(buf), make([]byte, frameChunkBytes)); err == nil || err == errChecksum {
 		t.Fatalf("oversize frame: got %v, want hard error", err)
 	}
+}
+
+// FuzzFrame: the reader never panics on arbitrary bytes, and a frame it
+// accepts, written again, is the bytes it consumed. It reads through a
+// chunk of a few words, so frame and chunk edges meet everywhere.
+func FuzzFrame(f *testing.F) {
+	pinned := frameBytes(f,
+		frame{kind: frameData, seq: 7, payload: []uint64{msgCompute, 0x0102030405060708, ^uint64(0)}},
+		frame{kind: frameAck, seq: 7},
+		frame{kind: framePing, seq: 3})
+	f.Add(pinned)
+	f.Add(frameBytes(f, frame{kind: frameData, seq: 1 << 40, payload: payloadOf(20)}))
+	f.Add(pinned[:len(pinned)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			// A length the input cannot hold would only allocate before
+			// the read fails; past the cap the reader refuses it first.
+			if n := binary.LittleEndian.Uint32(data); n <= maxFramePayload && int(n) > len(data)/8 {
+				return
+			}
+		}
+		r := bytes.NewReader(data)
+		got, err := readFrame(r, make([]byte, 24))
+		if err != nil {
+			return
+		}
+		again := frameBytes(t, got)
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again, consumed) {
+			t.Fatalf("accepted frame rewrites as %x, read from %x", again, consumed)
+		}
+	})
 }
 
 // linkPair builds two Links over an in-memory connection.
@@ -191,18 +304,16 @@ func TestServeByeRaceIsCleanShutdown(t *testing.T) {
 	if _, err := coord.Recv(5 * time.Second); err != nil { // the parking HELLO
 		t.Fatal(err)
 	}
-	if err := coord.Send(encodeKind(msgShutdown)); err != nil {
+	if err := coord.Send(encodeKind(new(words.Encoder), msgShutdown)); err != nil {
 		t.Fatal(err)
 	}
 	// The BYE either arrived as the SHUTDOWN's implicit ACK (stashed) or
 	// is the next data frame; take it raw, so no ACK goes back.
-	bye := coord.stash
-	for bye == nil {
+	bye, ok := coord.stash, coord.stashed
+	for !ok {
 		select {
 		case f := <-coord.in:
-			if f.kind == frameData {
-				bye = &f
-			}
+			bye, ok = f, f.kind == frameData
 		case <-time.After(5 * time.Second):
 			t.Fatal("no BYE from the worker")
 		}

@@ -46,6 +46,7 @@ type Worker struct {
 	Probe func(phase string, step int)
 
 	engine *core.NodeEngine
+	enc    words.Encoder // every reply but the handshake's, reused once Send returns
 }
 
 func (w *Worker) probe(phase string, step int) {
@@ -196,7 +197,8 @@ func peerClosed(err error) bool {
 func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 	dec := words.NewDecoder(msg)
 	kind := dec.Uint()
-	fail := func(err error) ([]uint64, bool) { return encodeErr(err), false }
+	enc := &w.enc
+	fail := func(err error) ([]uint64, bool) { return encodeErr(enc, err), false }
 	if w.engine == nil {
 		// A parked spare can only authenticate, adopt a node, or leave.
 		switch kind {
@@ -249,18 +251,20 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 				return fail(err)
 			}
 		}
-		return encodeSetupOut(stats, snap), false
+		return encodeSetupOut(enc, stats, snap), false
 	case msgStepBegin:
 		w.engine.BeginStep()
-		return encodeKind(msgOK), false
+		return encodeKind(enc, msgOK), false
 	case msgFetch:
 		f := dec.Ints()
 		out, nwords, err := w.engine.Fetch(int(f[0]), int(f[1]))
 		if err != nil {
 			return fail(err)
 		}
-		return encodeFetchOut(out, nwords), false
+		return encodeFetchOut(enc, out, nwords), false
 	case msgCompute:
+		// The batches alias msg, which Compute and Write copy out of
+		// before they return (core.BlockBatch).
 		f := dec.Ints()
 		in := decodeBatches(dec)
 		bo, err := w.engine.Compute(int(f[0]), int(f[1]), in)
@@ -268,16 +272,16 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 			return fail(err)
 		}
 		w.probe("computed", int(f[1]))
-		return encodeComputeOut(bo), false
+		return encodeComputeOut(enc, bo), false
 	case msgWrite:
 		f := dec.Ints()
 		in := decodeBatches(dec)
 		if err := w.engine.Write(int(f[0]), int(f[1]), in); err != nil {
 			return fail(err)
 		}
-		return encodeKind(msgOK), false
+		return encodeKind(enc, msgOK), false
 	case msgSum:
-		return encodeSumOut(w.engine.StepTotals()), false
+		return encodeSumOut(enc, w.engine.StepTotals()), false
 	case msgPrepare:
 		f := dec.Ints()
 		req := decodeReplReq(dec)
@@ -293,7 +297,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 				return fail(err)
 			}
 		}
-		return encodePrepared(snap), false
+		return encodePrepared(enc, snap), false
 	case msgCommit:
 		// Idempotent: a worker that reconciled at rejoin has already
 		// committed; the broadcast's retry must still succeed.
@@ -303,20 +307,20 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 			}
 		}
 		w.probe("committed", w.engine.StepsDone()-1)
-		return encodeKind(msgCommitted), false
+		return encodeKind(enc, msgCommitted), false
 	case msgAbort:
 		if err := w.engine.Reload(); err != nil {
 			return fail(err)
 		}
-		return encodeKind(msgAborted), false
+		return encodeKind(enc, msgAborted), false
 	case msgFinal:
 		r, err := w.engine.Final()
 		if err != nil {
 			return fail(err)
 		}
-		return encodeFinalOut(r), false
+		return encodeFinalOut(enc, r), false
 	case msgShutdown:
-		return encodeKind(msgBye), true
+		return encodeKind(enc, msgBye), true
 	}
 	return fail(fmt.Errorf("cluster: worker %d: unexpected %s", w.NodeID, msgName(kind)))
 }

@@ -64,8 +64,11 @@ func nodeFingerprint(cfg MachineConfig, opts Options, v, mu, gamma, nodeID int) 
 // real processors. Encode/DecodeBlockBatch are its wire form. A batch
 // returned by NodeEngine.Fetch or Compute aliases that node's buffers
 // and is valid until the node's next call of the same phase: encode it,
-// or hand it to Compute or Write, before then. A decoded batch owns its
-// images.
+// or hand it to Compute or Write, before then. A decoded batch aliases
+// the words it was decoded from, so it is valid as long as they are:
+// Compute and Write copy its images (into the inbox, and into the
+// pending parallel write) before they return, so a caller may reuse
+// those words once they have.
 type BlockBatch struct {
 	blocks []wireBlock
 }
@@ -73,16 +76,34 @@ type BlockBatch struct {
 // Len returns the number of blocks in the batch.
 func (b BlockBatch) Len() int { return len(b.blocks) }
 
+// blockMetaWords is a block's encoded metadata: a length prefix and
+// dst, src, seq and chunk.
+const blockMetaWords = 5
+
+// Size returns the number of words Encode appends.
+func (b BlockBatch) Size() int {
+	n := 1
+	for _, wb := range b.blocks {
+		n += blockMetaWords + words.SizeUints(len(wb.img))
+	}
+	return n
+}
+
 // Encode appends the batch's wire form.
 func (b BlockBatch) Encode(enc *words.Encoder) {
 	enc.PutInt(int64(len(b.blocks)))
 	for _, wb := range b.blocks {
-		enc.PutInts([]int64{int64(wb.meta.dst), int64(wb.meta.src), int64(wb.meta.seq), int64(wb.meta.chunk)})
+		enc.PutInt(blockMetaWords - 1)
+		enc.PutInt(int64(wb.meta.dst))
+		enc.PutInt(int64(wb.meta.src))
+		enc.PutInt(int64(wb.meta.seq))
+		enc.PutInt(int64(wb.meta.chunk))
 		enc.PutUints(wb.img)
 	}
 }
 
-// DecodeBlockBatch reads a batch encoded by Encode.
+// DecodeBlockBatch reads a batch encoded by Encode. Its images are
+// capacity-limited views of dec's buffer, not copies (see BlockBatch).
 func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
 	n := int(dec.Int())
 	if n == 0 {
@@ -90,11 +111,12 @@ func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
 	}
 	blocks := make([]wireBlock, n)
 	for i := range blocks {
-		m := dec.Ints()
-		blocks[i] = wireBlock{
-			meta: blockMeta{dst: int(m[0]), src: int(m[1]), seq: int(m[2]), chunk: int(m[3])},
-			img:  dec.Uints(),
+		if dec.Int() != blockMetaWords-1 {
+			panic("core: corrupt block metadata")
 		}
+		m := &blocks[i].meta
+		m.dst, m.src, m.seq, m.chunk = int(dec.Int()), int(dec.Int()), int(dec.Int()), int(dec.Int())
+		blocks[i].img = dec.UintsView()
 	}
 	return BlockBatch{blocks: blocks}
 }
@@ -104,9 +126,23 @@ func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
 func EncodeTraffic(enc *words.Encoder, ts []bsp.VPTraffic) {
 	enc.PutInt(int64(len(ts)))
 	for _, t := range ts {
-		enc.PutInts([]int64{int64(t.SendWords), int64(t.RecvWords), int64(t.SendPkts), int64(t.RecvPkts), int64(t.Messages), t.Charge})
+		enc.PutInt(trafficWords - 1)
+		enc.PutInt(int64(t.SendWords))
+		enc.PutInt(int64(t.RecvWords))
+		enc.PutInt(int64(t.SendPkts))
+		enc.PutInt(int64(t.RecvPkts))
+		enc.PutInt(int64(t.Messages))
+		enc.PutInt(t.Charge)
 	}
 }
+
+// trafficWords is one encoded traffic record: a length prefix and six
+// counts.
+const trafficWords = 7
+
+// SizeTraffic returns the number of words EncodeTraffic appends for n
+// records.
+func SizeTraffic(n int) int { return 1 + n*trafficWords }
 
 func DecodeTraffic(dec *words.Decoder) []bsp.VPTraffic {
 	n := int(dec.Int())
@@ -115,12 +151,12 @@ func DecodeTraffic(dec *words.Decoder) []bsp.VPTraffic {
 	}
 	ts := make([]bsp.VPTraffic, n)
 	for i := range ts {
-		f := dec.Ints()
-		ts[i] = bsp.VPTraffic{
-			SendWords: int(f[0]), RecvWords: int(f[1]),
-			SendPkts: int(f[2]), RecvPkts: int(f[3]),
-			Messages: int(f[4]), Charge: f[5],
+		if dec.Int() != trafficWords-1 {
+			panic("core: corrupt traffic record")
 		}
+		t := &ts[i]
+		t.SendWords, t.RecvWords, t.SendPkts = int(dec.Int()), int(dec.Int()), int(dec.Int())
+		t.RecvPkts, t.Messages, t.Charge = int(dec.Int()), int(dec.Int()), dec.Int()
 	}
 	return ts
 }
@@ -138,6 +174,15 @@ type NodeReport struct {
 	MaxSkew          float64
 	MemHigh          int64
 	PeakLive         int64
+}
+
+// Size returns the number of words EncodeNodeReport appends for r.
+func (r *NodeReport) Size() int {
+	n := words.SizeUints(2) + statsWords(r.RunStats) + words.SizeUints(3) + 1 + words.SizeUints(2) + 1
+	for _, c := range r.Ctx {
+		n += words.SizeUints(len(c))
+	}
+	return n
 }
 
 // EncodeNodeReport / DecodeNodeReport are the report's wire form.

@@ -28,8 +28,10 @@ type clusterRig struct {
 	coord *core.CoordCore
 	nodes []*core.NodeEngine
 	fail  func(point string, step int) error
-	// wire sends every BlockBatch through its wire form between phases.
+	// wire sends every BlockBatch through its wire form between phases;
+	// sent holds the encoded words the open phase's batches alias.
 	wire bool
+	sent [][]uint64
 	// prepares and commits count the nodes' 2PC calls.
 	prepares, commits int
 }
@@ -94,7 +96,8 @@ func (r *clusterRig) failAt(point string, step int) error {
 }
 
 // column is what every node addressed to dst, through the wire form
-// when the rig is asked to.
+// when the rig is asked to. A decoded batch aliases the words it was
+// decoded from, as a worker's batches alias the message they came in.
 func (r *clusterRig) column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
 	in := make([]core.BlockBatch, len(rows))
 	for src, row := range rows {
@@ -105,10 +108,24 @@ func (r *clusterRig) column(dst int, rows [][]core.BlockBatch) []core.BlockBatch
 		if r.wire {
 			enc := words.NewEncoder(nil)
 			in[src].Encode(enc)
+			r.sent = append(r.sent, enc.Words())
 			in[src] = core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
 		}
 	}
 	return in
+}
+
+// poisonWire stamps the canary over every word the rig has sent since it
+// last did, once the node that received them has returned: Compute and
+// Write must have copied the images out by then, so a node that kept a
+// batch past its phase reads the canary and its run leaves the oracle's.
+func (r *clusterRig) poisonWire() {
+	for _, ws := range r.sent {
+		for i := range ws {
+			ws[i] = core.CanaryWord
+		}
+	}
+	r.sent = r.sent[:0]
 }
 
 func (r *clusterRig) Setup() (stats []disk.Stats, err error) {
@@ -145,6 +162,7 @@ func (r *clusterRig) Compute(j, step int, rows [][]core.BlockBatch) (outs []*cor
 		if outs[i], err = n.Compute(j, step, r.column(i, rows)); err != nil {
 			return nil, err
 		}
+		r.poisonWire()
 	}
 	return outs, nil
 }
@@ -158,6 +176,7 @@ func (r *clusterRig) Write(j, step int, outs []*core.BatchOut) error {
 		if err := n.Write(j, step, r.column(i, rows)); err != nil {
 			return err
 		}
+		r.poisonWire()
 	}
 	return nil
 }
@@ -236,7 +255,8 @@ func clusterProgram() *bsptest.RandomProgram {
 // TestClusterCoreMatchesInProcess: the driver over NodeEngines is
 // bitwise identical to the in-process parallel engine — VP states,
 // model costs, and EM statistics — across processor counts, including
-// P > V (empty nodes).
+// P > V (empty nodes); and so is it through the wire form, whose words
+// the rig poisons as soon as the node that read them returns.
 func TestClusterCoreMatchesInProcess(t *testing.T) {
 	for _, tc := range []struct{ p, v int }{{2, 16}, {4, 16}, {4, 3}} {
 		prog := clusterProgram()
@@ -247,8 +267,12 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-		resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("cluster p=%d v=%d", tc.p, tc.v))
+		for _, wire := range []bool{false, true} {
+			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+			rig.wire = wire
+			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("cluster p=%d v=%d wire=%v", tc.p, tc.v, wire))
+			rig.close()
+		}
 	}
 }
 

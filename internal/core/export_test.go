@@ -13,6 +13,9 @@ import (
 	"embsp/internal/words"
 )
 
+// CanaryWord is the word the test binary poisons reused buffers with.
+const CanaryWord = canaryWord
+
 // RunOver is Run with the engine's in-memory Transport wrapped by wrap,
 // so a test can watch — or fail — the driver's calls.
 func RunOver(wrap func(Transport) Transport, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {

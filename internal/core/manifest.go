@@ -88,6 +88,11 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 	return disk.Checksum(enc.Words())
 }
 
+// statsWords is the number of words encodeStats appends for s.
+func statsWords(s disk.Stats) int {
+	return words.SizeUints(5) + 1 + len(s.PerDrive)*words.SizeUints(4)
+}
+
 func encodeStats(enc *words.Encoder, s disk.Stats) {
 	enc.PutInts([]int64{s.Ops, s.ReadOps, s.WriteOps, s.BlocksRead, s.BlocksWritten})
 	enc.PutInt(int64(len(s.PerDrive)))

@@ -39,6 +39,15 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards all encoded words, retaining the buffer.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Grow makes room for n more words. A buffer with less room is
+// replaced by one of exactly the length needed, so a caller that knows
+// its message's size encodes it with one allocation and no doubling.
+func (e *Encoder) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.buf = append(make([]uint64, 0, len(e.buf)+n), e.buf...)
+	}
+}
+
 // PutUint appends one word.
 func (e *Encoder) PutUint(u uint64) { e.buf = append(e.buf, u) }
 
@@ -163,6 +172,19 @@ func (d *Decoder) Uints() []uint64 {
 		s = make([]uint64, n)
 	}
 	copy(s, d.buf[d.off:d.off+n])
+	d.off += n
+	return s
+}
+
+// UintsView decodes a length-prefixed slice as Uints does, but returns
+// a capacity-limited view of the decoder's buffer instead of a copy: it
+// is valid as long as that buffer is, and an append to it reallocates.
+func (d *Decoder) UintsView() []uint64 {
+	n := int(d.next())
+	if n < 0 || d.off+n > len(d.buf) {
+		panic("words: corrupt slice length")
+	}
+	s := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return s
 }

@@ -232,3 +232,36 @@ func TestResetClearsOffsets(t *testing.T) {
 		t.Error("a reset arena does not hand out its memory from the start")
 	}
 }
+
+func TestUintsViewAliasesTheBuffer(t *testing.T) {
+	ws := encodedSlices([]uint64{1, 2}, []uint64{3, 4, 5})
+	d := NewDecoder(ws)
+	a, b := d.UintsView(), d.UintsView()
+	if &a[0] != &ws[1] || &b[0] != &ws[4] {
+		t.Fatal("the views are not the decoder's words")
+	}
+	if cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("capacities %d and %d, want the lengths %d and %d", cap(a), cap(b), len(a), len(b))
+	}
+	a = append(a, 99)
+	if !reflect.DeepEqual(a, []uint64{1, 2, 99}) || !reflect.DeepEqual(b, []uint64{3, 4, 5}) || ws[3] != 3 {
+		t.Errorf("after an append to the first view: %v, %v and buffer %v", a, b, ws)
+	}
+}
+
+func TestGrowIsExactFit(t *testing.T) {
+	e := NewEncoder(nil)
+	e.PutUint(1)
+	e.Grow(10)
+	if got := cap(e.Words()); got != 11 {
+		t.Fatalf("after Grow(10) behind one word: capacity %d, want 11", got)
+	}
+	before := &e.Words()[0]
+	for i := 0; i < 10; i++ {
+		e.PutUint(uint64(i))
+	}
+	e.Grow(0)
+	if &e.Words()[0] != before || e.Len() != 11 || e.Words()[0] != 1 {
+		t.Error("filling the room Grow made reallocated, or lost a word")
+	}
+}
