@@ -80,6 +80,14 @@ type goldenRow struct {
 // and neither did liveBlocks but at P = 1 in place (105 → 104). Every
 // listrank fingerprint moved with the costs it hashes.
 //
+// A Ranker context that holds only what its phase reads (DESIGN.md
+// §23.1) moved every listrank row and no sort row. The declared µ fell
+// with the context, so MemHigh fell (115008 → 108864 at P = 1, 76864 →
+// 72768 at P = 2, 57728 → 54656 at P = 3) and liveBlocks with it. A
+// splice record lost its weight word and the notifications of a step go
+// one message a destination VP, so the message blocks fell too: runOps
+// fell at P = 2 and 3 as well, where no context moves.
+//
 // One redundancy layer (a mirror is a stripe of one member, DESIGN.md
 // §10) moved every fingerprint and nothing else: EMStats lost MirrorOps
 // and RebuiltBlocks, whose names and zeros the fingerprint hashed.
@@ -96,8 +104,9 @@ var goldenTable = []goldenRow{
 	// table a seventh of which is ever filled. PR 25: two batches, one held
 	// — runOps 3306 → 1856, setupOps 18 → 13, liveBlocks 111 → 105 and
 	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
-	{"listrank", "array", 1, 0x80c5765b5d928313, 1482, 13, 0, 115008, 104},
-	{"listrank", "file", 1, 0x5726cc689aa2b7ae, 1482, 13, 0, 115008, 112},
+	// Context words: runOps 1482 → 862, liveBlocks 104 → 70 and 112 → 77.
+	{"listrank", "array", 1, 0x575af5a225ea5977, 862, 13, 0, 108864, 70},
+	{"listrank", "file", 1, 0xcb97b41111783a18, 862, 13, 0, 108864, 77},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -106,27 +115,30 @@ var goldenTable = []goldenRow{
 	// parity tracks and held releases included. PR 25: sort 720 → 567 and
 	// 98 → 69, listrank 4237 → 2361 and 25 → 18, liveBlocks 194 → 172 and
 	// 223 → 148 — fewer blocks, fewer stripes, other draws. Local maxima:
-	// listrank 2361 → 1883.
+	// listrank 2361 → 1883. Context words: listrank 1883 → 1105,
+	// liveBlocks 148 → 101.
 	{"sort", "mapped+parity+faults", 1, 0xf08c6b5e7e0c80d1, 567, 69, 0, 26688, 172},
-	{"listrank", "mapped+parity+faults", 1, 0x401a64277bdb70b8, 1883, 18, 0, 115008, 148},
+	{"listrank", "mapped+parity+faults", 1, 0xf03b2591839fd510, 1105, 18, 0, 108864, 101},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
 	// sort 586 → 409, 68 → 50, liveBlocks 76 → 67 and 78 → 68; listrank,
 	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
-	// Local maxima: listrank 438 → 368.
+	// Local maxima: listrank 438 → 368. Context words: listrank 368 → 304,
+	// liveBlocks 32 → 30.
 	{"sort", "array", 2, 0x318762a4122d3962, 409, 50, 0, 26688, 67},
 	{"sort", "file+tier", 2, 0xc814fd3c48811994, 409, 50, 0, 26688, 68},
-	{"listrank", "array", 2, 0xaa6d69954fa5af2a, 368, 0, 0, 76864, 32},
-	{"listrank", "file+tier", 2, 0xaa6d69954fa5af2a, 368, 0, 0, 76864, 32},
+	{"listrank", "array", 2, 0x0ae45eb4ef2741b8, 304, 0, 0, 72768, 30},
+	{"listrank", "file+tier", 2, 0x0ae45eb4ef2741b8, 304, 0, 0, 72768, 30},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
 	// liveBlocks 102 → 52 and 236 → 44. PR 25, one batch a processor:
 	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
-	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400.
+	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400. Context words:
+	// listrank 400 → 328, liveBlocks 23 → 22.
 	{"sort", "array", 3, 0x1c85204b1b73273c, 168, 0, 0, 26688, 28},
-	{"listrank", "array", 3, 0xbcc3cf8ce8042673, 400, 0, 0, 57728, 23},
+	{"listrank", "array", 3, 0x4c3b3d6ca48a9bbf, 328, 0, 0, 54656, 22},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

@@ -1,5 +1,7 @@
 package cgmgraph
 
+import "embsp/internal/bsp"
+
 // Splices is the Ranker's splice rule, for the external tests.
 var Splices = splices
 
@@ -9,3 +11,16 @@ var RankerThreshold = rankerThreshold
 
 // None marks a missing predecessor or successor.
 const None = none
+
+// RankerSizes reports a ListRank VP's owned nodes and the subscriptions
+// its Ranker holds.
+func RankerSizes(vp bsp.VP) (own, subs int) {
+	r := &vp.(*listRankVP).ranker
+	return len(r.Succ), len(r.subs) / 2
+}
+
+// RankerContracting reports whether a ListRank VP's Ranker is in its
+// splice rounds.
+func RankerContracting(vp bsp.VP) bool {
+	return vp.(*listRankVP).ranker.phase == rkContract
+}

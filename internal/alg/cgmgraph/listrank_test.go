@@ -372,14 +372,90 @@ func TestRankerRoundsAtScale(t *testing.T) {
 	}
 }
 
+// rankerState is a saved Ranker state of a contraction round, decoded
+// from the current layout: format word, phase, rounds, expansion steps,
+// Succ, Weight, the state and known flags as bits, pred, and the
+// (owned index, subscriber) pairs.
+type rankerState struct {
+	phase, rounds, expand uint64
+	succ, weight          []uint64
+	state, known          []uint64 // one word a node
+	pred                  []uint64
+	subs                  [][]uint64 // per owned node, its subscribers
+}
+
+func decodeRankerState(w []uint64) rankerState {
+	dec := words.NewDecoder(w[1:]) // past the format word
+	s := rankerState{phase: dec.Uint(), rounds: dec.Uint(), expand: dec.Uint()}
+	s.succ, s.weight = dec.Uints(), dec.Uints()
+	own := len(s.succ)
+	flags := func() []uint64 {
+		f := make([]uint64, own)
+		for i := 0; i < own; i += 64 {
+			word := dec.Uint()
+			for b := i; b < min(i+64, own); b++ {
+				f[b] = word >> (b - i) & 1
+			}
+		}
+		return f
+	}
+	s.state, s.known = flags(), flags()
+	s.pred = dec.Uints()
+	s.subs = make([][]uint64, own)
+	pairs := dec.Uints()
+	for k := 0; k < len(pairs); k += 2 {
+		s.subs[pairs[k]] = append(s.subs[pairs[k]], pairs[k+1])
+	}
+	return s
+}
+
+// format2Layout writes s in the layout of rankerFormat 0x524b4c4d02:
+// format word, phase, rounds, expansion steps, six node arrays (Succ,
+// Weight, Rank, pred, state and known, one word a node each), then one
+// length-prefixed subscription list per node of (subscriber, weight)
+// pairs. The weights, which only a subscriber's owner knows, are written
+// as 0: Load refuses the state at its first word.
+func format2Layout(s rankerState, enc *words.Encoder) {
+	enc.PutUint(0x524b4c4d02)
+	enc.PutUint(s.phase)
+	enc.PutUint(s.rounds)
+	enc.PutUint(s.expand)
+	for _, a := range [][]uint64{s.succ, s.weight, make([]uint64, len(s.succ)), s.pred, s.state, s.known} {
+		enc.PutUints(a)
+	}
+	for _, subs := range s.subs {
+		enc.PutUint(uint64(2 * len(subs)))
+		for _, u := range subs {
+			enc.PutUint(u)
+			enc.PutUint(0)
+		}
+	}
+}
+
+// preFormatLayout writes s in the layout the Ranker used before its
+// format word: phase, rounds, a done flag where the expansion counter
+// is, the six node arrays, then one length-prefixed list holding every
+// node's length-prefixed subscription list.
+func preFormatLayout(s rankerState, enc *words.Encoder) {
+	var f2 words.Encoder
+	format2Layout(s, &f2)
+	dec := words.NewDecoder(f2.Words()[1:]) // past the format word
+	enc.PutUint(dec.Uint())                 // phase
+	enc.PutUint(dec.Uint())                 // rounds
+	dec.Uint()
+	enc.PutBool(false)
+	for range 6 {
+		enc.PutUints(dec.Uints())
+	}
+	enc.PutUints(f2.Words()[f2.Len()-dec.Remaining():])
+}
+
 // olderVP saves the state its Ranker holds at the barrier of superstep
-// at in the layout the Ranker used before its format word: phase,
-// rounds, a done flag where the expansion counter is, the six node
-// arrays, then one length-prefixed list holding every node's
-// length-prefixed subscription list.
+// at in an older layout.
 type olderVP struct {
 	bsp.VP
 	at, step int
+	layout   func(rankerState, *words.Encoder)
 }
 
 func (v *olderVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
@@ -390,66 +466,70 @@ func (v *olderVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 func (v *olderVP) Save(enc *words.Encoder) {
 	var cur words.Encoder
 	v.VP.Save(&cur)
-	w := cur.Words()
 	if v.step != v.at {
-		enc.PutWords(w)
+		enc.PutWords(cur.Words())
 		return
 	}
-	dec := words.NewDecoder(w[1:]) // past the format word
-	enc.PutUint(dec.Uint())        // phase
-	enc.PutUint(dec.Uint())        // rounds
-	dec.Uint()
-	enc.PutBool(false)
-	for range 6 {
-		enc.PutUints(dec.Uints())
-	}
-	enc.PutUints(w[len(w)-dec.Remaining():])
+	v.layout(decodeRankerState(cur.Words()), enc)
 }
 
 type olderProgram struct {
 	*cgmgraph.ListRank
-	at int
+	at     int
+	layout func(rankerState, *words.Encoder)
 }
 
 func (p olderProgram) NewVP(id int) bsp.VP {
-	return &olderVP{VP: p.ListRank.NewVP(id), at: p.at, step: -1}
+	return &olderVP{VP: p.ListRank.NewVP(id), at: p.at, step: -1, layout: p.layout}
 }
 
 // TestRankerRefusesOlderState: a state directory stopped in contraction
-// whose contexts are in the Ranker's older layout — the one whose Splice
-// tag an older Ranker used for a 4-word subscription — passes the
-// journal's fingerprint, which names µ and γ but no program. Its resume
-// fails with a typed load error naming the format, and leaves every file
-// byte for byte as found.
+// whose contexts are in an older Ranker layout passes the journal's
+// fingerprint, which names µ and γ but no program. Its resume fails with
+// a typed load error naming the format, and leaves every file byte for
+// byte as found. The layouts are the one before the format word — whose
+// Splice tag an older Ranker used for a 4-word subscription — and format
+// 2's, with per-node subscription lists of (subscriber, weight) pairs
+// and every node array one word a node.
 func TestRankerRefusesOlderState(t *testing.T) {
-	succ := randomChains(prng.New(29), 2048, 1)
-	p, err := cgmgraph.NewListRank(succ, nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := algtest.Machines(p)[0]
-	const at = 4 // a contraction round
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := core.Options{Seed: 7, StateDir: dir}
-	opts.OnCommit = func(step int) {
-		if step == at {
-			cancel()
-		}
-	}
-	if _, err := core.RunContext(ctx, olderProgram{p, at}, cfg, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("stopped run returned %v, want context.Canceled", err)
-	}
+	for _, tc := range []struct {
+		name   string
+		layout func(rankerState, *words.Encoder)
+	}{
+		{"pre-format", preFormatLayout},
+		{"format 2", format2Layout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			succ := randomChains(prng.New(29), 2048, 1)
+			p, err := cgmgraph.NewListRank(succ, nil, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := algtest.Machines(p)[0]
+			const at = 4 // a contraction round
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := core.Options{Seed: 7, StateDir: dir}
+			opts.OnCommit = func(step int) {
+				if step == at {
+					cancel()
+				}
+			}
+			if _, err := core.RunContext(ctx, olderProgram{p, at, tc.layout}, cfg, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("stopped run returned %v, want context.Canceled", err)
+			}
 
-	before := dirBytes(t, dir)
-	_, err = core.Run(p, cfg, core.Options{Seed: 7, StateDir: dir, Resume: true})
-	var pe *bsp.ProgramError
-	if !errors.As(err, &pe) || pe.Phase != "load" || !strings.Contains(pe.Error(), "ranker state format") {
-		t.Fatalf("resume returned %v, want a *bsp.ProgramError in load naming the format", err)
-	}
-	if !reflect.DeepEqual(before, dirBytes(t, dir)) {
-		t.Error("the refused resume changed the directory")
+			before := dirBytes(t, dir)
+			_, err = core.Run(p, cfg, core.Options{Seed: 7, StateDir: dir, Resume: true})
+			var pe *bsp.ProgramError
+			if !errors.As(err, &pe) || pe.Phase != "load" || !strings.Contains(pe.Error(), "ranker state format") {
+				t.Fatalf("resume returned %v, want a *bsp.ProgramError in load naming the format", err)
+			}
+			if !reflect.DeepEqual(before, dirBytes(t, dir)) {
+				t.Error("the refused resume changed the directory")
+			}
+		})
 	}
 }
 

@@ -8,7 +8,7 @@ package cgmgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"embsp/internal/alg/cgm"
 	"embsp/internal/bsp"
@@ -55,19 +55,24 @@ type Ranker struct {
 	// Weight holds the per-node weights (interpreted as int64,
 	// summed with wraparound; unit ranks use 1).
 	Weight []uint64
-	// Rank holds the results for the owned block once done.
+	// Rank holds the results for the owned block once done (nil
+	// before expansion).
 	Rank []uint64
 	// Rounds counts the contraction rounds used (observable λ).
 	Rounds int
 
 	phase  uint64
-	expand uint64     // expansion steps taken
-	pred   []uint64   // current predecessor per owned node
-	state  []uint64   // 0 active, 1 spliced
-	known  []uint64   // rank known flag
-	subs   [][]uint64 // per owned node: subscriber (node, addW) pairs
+	expand uint64   // expansion steps taken
+	pred   []uint64 // current predecessor per owned node, until expansion
+	state  []uint64 // 0 active, 1 spliced
+	known  []uint64 // rank known flag
+	subs   []uint64 // (owned index, subscriber) pairs, in arrival order
 
-	parts [][]uint64 // scratch: a Step's records per destination VP, which Send copies out
+	// The Ranker's own memory, which no Load hands out: slot is pred or
+	// Rank, whichever the phase made rather than loaded, and parts a
+	// Step's records per destination VP, which Send copies out.
+	slot  []uint64
+	parts [][]uint64
 }
 
 // The MaxUint64 value marks "none" for node references.
@@ -76,7 +81,7 @@ const none = ^uint64(0)
 // rankerFormat leads every saved Ranker state. It is above every phase
 // value, so a state saved in a layout that began with its phase is
 // refused by Load rather than misread.
-const rankerFormat = 0x524b4c4d02
+const rankerFormat = 0x524b4c4d03
 
 // Ranker phases.
 const (
@@ -95,8 +100,8 @@ const (
 	rkTagCount
 	rkTagCmd
 	rkTagChain
-	rkTagRank
-	rkTagSplice // (s, newPred, w): s's predecessor was spliced out
+	rkTagRank   // (u, rank): the rank of u's successor
+	rkTagSplice // (s, newPred): s's predecessor was spliced out
 )
 
 // Commands broadcast by VP 0.
@@ -110,11 +115,6 @@ const (
 // so they are keyed off a constant; determinism across engines holds
 // because the round counter advances identically everywhere.
 const rankSeed = 0x9E3779B97F4A7C15
-
-// sortUints sorts a uint64 slice ascending.
-func sortUints(s []uint64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
 
 // rankerThreshold is the count of active nodes other than tails below
 // which VP 0 gathers the remaining chains (scaled by v so the gather is
@@ -160,19 +160,17 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	v := env.NumVPs()
 	lo := r.lo(env)
 	own := len(r.Succ)
-	if len(r.pred) != own {
-		r.pred = make([]uint64, own)
-		r.state = make([]uint64, own)
-		r.known = make([]uint64, own)
-		r.Rank = make([]uint64, own)
-		r.subs = make([][]uint64, own)
-		for i := range r.pred {
-			r.pred[i] = none
-		}
-	}
 
 	switch r.phase {
 	case rkSetup:
+		r.state = zeroed(r.state, own)
+		r.known = zeroed(r.known, own)
+		r.slot = zeroed(r.slot, own)
+		r.pred = r.slot
+		for i := range r.pred {
+			r.pred[i] = none
+		}
+		r.subs = r.subs[:0]
 		parts := r.emptyParts(v)
 		for i, s := range r.Succ {
 			if s != none {
@@ -210,14 +208,15 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if cmd == rkCmdGather {
 			// Ship the remaining active nodes to VP 0, but the tails: a
 			// tail's rank is 0, and its owner ranks it at expansion step 1.
-			var chain []uint64
+			parts := r.emptyParts(v)
+			parts[0] = append(parts[0], rkTagChain)
 			for i := range r.state {
 				if r.state[i] == 0 && r.Succ[i] != none {
-					chain = append(chain, uint64(lo+i), r.Succ[i], r.Weight[i])
+					parts[0] = append(parts[0], uint64(lo+i), r.Succ[i], r.Weight[i])
 				}
 			}
-			if len(chain) > 0 {
-				env.Send(0, append([]uint64{rkTagChain}, chain...))
+			if len(parts[0]) > 1 {
+				env.Send(0, parts[0])
 			}
 			r.phase = rkSolve
 			return false, nil
@@ -249,14 +248,16 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			}
 			// Splice u out: pred.succ = succ(u) (+w), succ.pred =
 			// pred(u), and u subscribes to succ(u)'s rank. The successor
-			// learns u as its current predecessor, so one record does.
+			// knows u as its current predecessor, so one record does. It
+			// carries no weight: u's is final, and u adds it to the rank
+			// it is sent (applyUpdates).
 			s, w := r.Succ[i], r.Weight[i]
 			if r.pred[i] != none {
 				d := cgm.Owner(r.N, v, int(r.pred[i]))
 				parts[d] = append(parts[d], rkTagSetSucc, r.pred[i], s, w)
 			}
 			ds := cgm.Owner(r.N, v, int(s))
-			parts[ds] = append(parts[ds], rkTagSplice, s, r.pred[i], w)
+			parts[ds] = append(parts[ds], rkTagSplice, s, r.pred[i])
 			r.state[i] = 1
 		}
 		for d, part := range parts {
@@ -291,14 +292,15 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			}
 			// Walk every chain from its head, computing ranks from the
 			// tail backwards. A gathered node's successor is gathered too,
-			// or is the chain's tail, which stayed with its owner.
+			// or is the chain's tail, which stayed with its owner. Each
+			// node is sent its successor's rank, as a subscriber is.
 			heads := make([]uint64, 0, len(succ))
 			for u := range succ {
 				if !hasPred[u] {
 					heads = append(heads, u)
 				}
 			}
-			sortUints(heads)
+			slices.Sort(heads)
 			ranks := make(map[uint64]uint64)
 			for _, u := range heads {
 				var path []uint64
@@ -311,8 +313,8 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				}
 				var rank uint64
 				for i := len(path) - 1; i >= 0; i-- {
-					rank += weight[path[i]]
 					ranks[path[i]] = rank
+					rank += weight[path[i]]
 				}
 			}
 			if len(ranks) != len(succ) {
@@ -322,8 +324,8 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			for u := range ranks {
 				ranked = append(ranked, u)
 			}
-			sortUints(ranked)
-			parts := make([][]uint64, v)
+			slices.Sort(ranked)
+			parts := r.emptyParts(v)
 			for _, u := range ranked {
 				d := cgm.Owner(r.N, v, int(u))
 				parts[d] = append(parts[d], rkTagRank, u, ranks[u])
@@ -335,6 +337,11 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			}
 			env.Charge(int64(len(succ)) * 2)
 		}
+		// pred is dead from here on, and Rank takes its slot: the
+		// Ranker's own memory, never a slice a Load decoded, which
+		// belongs to the batch that loaded it.
+		r.slot = zeroed(r.slot, own)
+		r.pred, r.Rank = nil, r.slot
 		r.phase = rkExpand
 		return false, nil
 
@@ -352,10 +359,11 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if r.expand == 1 {
 			for i := range r.state {
 				if r.state[i] == 0 && r.Succ[i] == none {
-					r.ranked(env, i, 0)
+					r.known[i] = 1
 				}
 			}
 		}
+		r.notify(env)
 		env.Charge(int64(own))
 		if r.expand <= uint64(r.Rounds) {
 			return false, nil
@@ -407,15 +415,18 @@ func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, 
 			case rkTagSplice:
 				// s's predecessor u was spliced out, and no other node
 				// next to s was (the set is independent), so pred[s]
-				// still names u: u subscribes to s's rank with its weight,
-				// and s takes u's predecessor.
+				// still names u: u subscribes to s's rank, and s takes
+				// u's predecessor.
 				j := int(p[i+1]) - lo
-				r.subs[j] = append(r.subs[j], r.pred[j], p[i+3])
+				r.subs = append(r.subs, uint64(j), r.pred[j])
 				r.pred[j] = p[i+2]
-				i += 4
+				i += 3
 			case rkTagRank:
+				// u's weight is final: SetSucc reaches active nodes only,
+				// and u left them when it was spliced or gathered.
 				if j := int(p[i+1]) - lo; r.known[j] == 0 {
-					r.ranked(env, j, p[i+2])
+					r.known[j] = 1
+					r.Rank[j] = p[i+2] + r.Weight[j]
 				}
 				i += 3
 			case rkTagCount:
@@ -434,21 +445,69 @@ func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, 
 	return cmd, counts, nil
 }
 
-// ranked records owned node j's rank and notifies its subscribers: each
-// one's rank is j's plus the weight it had when it was spliced.
-func (r *Ranker) ranked(env *bsp.Env, j int, rank uint64) {
-	r.known[j] = 1
-	r.Rank[j] = rank
-	for s := 0; s+2 <= len(r.subs[j]); s += 2 {
-		u, w := r.subs[j][s], r.subs[j][s+1]
-		env.Send(cgm.Owner(r.N, env.NumVPs(), int(u)), []uint64{rkTagRank, u, rank + w})
+// notify sends each subscriber of a node ranked by now the node's rank,
+// one message per destination VP, and drops those subscriptions.
+func (r *Ranker) notify(env *bsp.Env) {
+	v := env.NumVPs()
+	parts := r.emptyParts(v)
+	kept := r.subs[:0]
+	for s := 0; s+2 <= len(r.subs); s += 2 {
+		j, u := r.subs[s], r.subs[s+1]
+		if r.known[j] == 0 {
+			kept = append(kept, j, u)
+			continue
+		}
+		d := cgm.Owner(r.N, v, int(u))
+		parts[d] = append(parts[d], rkTagRank, u, r.Rank[j])
 	}
-	r.subs[j] = nil
+	r.subs = kept
+	for d, part := range parts {
+		if len(part) > 0 {
+			env.Send(d, part)
+		}
+	}
 }
 
-// Save marshals the Ranker state (N is static host configuration).
-// The subscription lists follow the per-node arrays, one per node once
-// the first Step has allocated them (none before).
+// zeroed returns s cut to n words, all zero, reallocating when it is
+// too small.
+func zeroed(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// putFlags saves 0/1 flags as ⌈len(flags)/64⌉ words, flag i at bit i%64
+// of word i/64.
+func putFlags(enc *words.Encoder, flags []uint64) {
+	for i := 0; i < len(flags); i += 64 {
+		var w uint64
+		for b, f := range flags[i:min(i+64, len(flags))] {
+			w |= f << b
+		}
+		enc.PutUint(w)
+	}
+}
+
+// getFlags restores n flags saved by putFlags into buf's memory.
+func getFlags(dec *words.Decoder, buf []uint64, n int) []uint64 {
+	flags := zeroed(buf, n)
+	for i := 0; i < n; i += 64 {
+		w := dec.Uint()
+		for b := range flags[i:min(i+64, n)] {
+			flags[i+b] = w >> b & 1
+		}
+	}
+	return flags
+}
+
+// Save marshals the Ranker state (N is static host configuration): a
+// context carries only what its phase reads. Before the first Step that
+// is Succ and Weight. After it come the state and known flags as bits,
+// pred until expansion and Rank from then on, and the subscription
+// pairs.
 func (r *Ranker) Save(enc *words.Encoder) {
 	enc.PutUint(rankerFormat)
 	enc.PutUint(r.phase)
@@ -456,20 +515,24 @@ func (r *Ranker) Save(enc *words.Encoder) {
 	enc.PutUint(r.expand)
 	enc.PutUints(r.Succ)
 	enc.PutUints(r.Weight)
-	enc.PutUints(r.Rank)
-	enc.PutUints(r.pred)
-	enc.PutUints(r.state)
-	enc.PutUints(r.known)
-	for i := range r.pred {
-		enc.PutUints(r.subs[i])
+	if r.phase == rkSetup {
+		return
 	}
+	putFlags(enc, r.state)
+	putFlags(enc, r.known)
+	if r.phase < rkExpand {
+		enc.PutUints(r.pred)
+	} else {
+		enc.PutUints(r.Rank)
+	}
+	enc.PutUints(r.subs)
 }
 
-// Load restores the Ranker; N must already be set by the host. It
-// reuses subs' capacity, and clears the lists beyond the saved ones,
-// which an object that held another VP would otherwise keep. A state
-// that does not begin with rankerFormat panics, which the engines
-// report as a typed program error.
+// Load restores the Ranker; N must already be set by the host. The
+// flags and the subscription pairs go into the Ranker's own memory,
+// reusing its capacity; the array the phase does not carry, pred or
+// Rank, is nil. A state that does not begin with rankerFormat panics,
+// which the engines report as a typed program error.
 func (r *Ranker) Load(dec *words.Decoder) {
 	if f := dec.Uint(); f != rankerFormat {
 		panic(fmt.Sprintf("cgmgraph: ranker state format %#x, want %#x", f, rankerFormat))
@@ -479,22 +542,22 @@ func (r *Ranker) Load(dec *words.Decoder) {
 	r.expand = dec.Uint()
 	r.Succ = dec.Uints()
 	r.Weight = dec.Uints()
-	r.Rank = dec.Uints()
-	r.pred = dec.Uints()
-	r.state = dec.Uints()
-	r.known = dec.Uints()
-	if cap(r.subs) < len(r.Succ) {
-		r.subs = make([][]uint64, len(r.Succ))
+	r.pred, r.Rank = nil, nil
+	if r.phase == rkSetup {
+		return
 	}
-	r.subs = r.subs[:len(r.Succ)]
-	for i := range r.pred {
-		r.subs[i] = dec.Uints()
+	r.state = getFlags(dec, r.state, len(r.Succ))
+	r.known = getFlags(dec, r.known, len(r.Succ))
+	if r.phase < rkExpand {
+		r.pred = dec.Uints()
+	} else {
+		r.Rank = dec.Uints()
 	}
-	clear(r.subs[len(r.pred):])
+	r.subs = append(r.subs[:0], dec.UintsView()...)
 }
 
 // SaveSize bounds Save's output for maxOwn owned nodes and maxSubs
-// total subscription entries.
+// subscriptions.
 func (r *Ranker) SaveSize(maxOwn, maxSubs int) int {
-	return 4 + 6*words.SizeUints(maxOwn) + maxOwn + 2*maxSubs
+	return 4 + 3*words.SizeUints(maxOwn) + 2*((maxOwn+63)/64) + words.SizeUints(2*maxSubs)
 }

@@ -81,7 +81,10 @@ type Program interface {
 // them out; it must not hand them to anything that outlives its batch
 // (the Program, a global, another goroutine). The slices are
 // capacity-limited, so an append reallocates rather than overwriting a
-// neighbour's words.
+// neighbour's words. Nor is a slice an earlier Load decoded scratch:
+// by the next Load its words may be another VP's. ValidateContexts
+// decodes each superstep's contexts from one arena too, so a VP that
+// writes such a slice changes another VP's state there as well.
 type VP interface {
 	// Step executes the computation phase of one compound superstep.
 	// in holds the messages sent to this VP in the previous superstep

@@ -20,11 +20,13 @@ type RunOptions struct {
 	// ValidateContexts makes the runner marshal every VP's context
 	// after every superstep, check it against MaxContextWords, and
 	// restore it into the object the next VP (id+1 mod v) stepped:
-	// the objects rotate, as an EM engine's slots do (see VP). This
+	// the objects rotate, as an EM engine's slots do (see VP). The
+	// slices the Loads decode are carved from one arena, as an EM
+	// engine's are, stamped with contextCanary before each reuse. This
 	// makes the in-memory runner exercise exactly the Save/Load path the
-	// EM engines rely on, and a VP that keeps its identity, or state its
-	// Load does not restore, ends with other results than a plain run.
-	// It costs some speed.
+	// EM engines rely on, and a VP that keeps its identity, state its
+	// Load does not restore, or a slice an earlier Load decoded, ends
+	// with other results than a plain run. It costs some speed.
 	ValidateContexts bool
 }
 
@@ -87,7 +89,12 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 	}
 	inboxes := make([][]Message, v)
 	rec := NewCostRecorder(opts.PktSize)
-	var saved [][]uint64
+	var (
+		saved [][]uint64
+		mem   []uint64 // the arena's words: the slices the last Loads decoded
+		arena words.Arena
+		dec   words.Decoder
+	)
 	if opts.ValidateContexts {
 		saved = make([][]uint64, v)
 	}
@@ -151,8 +158,11 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 			// Every context is saved, so every object is free: VP id's
 			// goes into the object VP id+1 stepped.
 			vps = append(vps[1:], vps[0])
+			mem = stampArena(mem, saved)
+			arena.Reset(mem)
 			for id, ctx := range saved {
-				vps[id].Load(words.NewDecoder(ctx))
+				dec.Reset(ctx, &arena)
+				vps[id].Load(&dec)
 			}
 		}
 		rec.EndStep()
@@ -164,4 +174,30 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 		}
 		inboxes = next
 	}
+}
+
+// contextCanary is the word ValidateContexts stamps over the slices the
+// previous superstep's Loads decoded before it hands them out again.
+const contextCanary = 0xDEADBEEFCAFEF00D
+
+// stampArena returns the arena memory for loading the saved contexts:
+// mem, or a larger replacement, with every word of both set to
+// contextCanary. Every context is saved when it runs, so a VP that still
+// reads a slice an earlier Load decoded reads the canary.
+func stampArena(mem []uint64, saved [][]uint64) []uint64 {
+	n := 0
+	for _, ctx := range saved {
+		n += len(ctx)
+	}
+	mem = mem[:cap(mem)]
+	for i := range mem {
+		mem[i] = contextCanary
+	}
+	if len(mem) < n {
+		mem = make([]uint64, n)
+		for i := range mem {
+			mem[i] = contextCanary
+		}
+	}
+	return mem
 }

@@ -154,6 +154,65 @@ func TestValidateContextsCatchesKeptIdentity(t *testing.T) {
 	}
 }
 
+// sliceKeeper breaks bsp.VP's lifetime rule: its Load keeps the slice
+// the object's previous Load decoded, as scratch its Steps write before
+// they add one to their own count.
+type sliceKeeper struct{ v, steps int }
+
+func (p *sliceKeeper) NumVPs() int          { return p.v }
+func (p *sliceKeeper) MaxContextWords() int { return 2 }
+func (p *sliceKeeper) MaxCommWords() int    { return 0 }
+func (p *sliceKeeper) NewVP(id int) bsp.VP {
+	return &sliceKeeperVP{p: p, count: []uint64{uint64(id)}}
+}
+
+type sliceKeeperVP struct {
+	p       *sliceKeeper
+	count   []uint64
+	scratch []uint64 // an earlier Load's slice: the bug
+}
+
+func (v *sliceKeeperVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	for i := range v.scratch {
+		v.scratch[i] = ^uint64(0)
+	}
+	v.count[0]++
+	return env.Superstep() == v.p.steps, nil
+}
+func (v *sliceKeeperVP) Save(enc *words.Encoder) { enc.PutUints(v.count) }
+func (v *sliceKeeperVP) Load(dec *words.Decoder) {
+	v.scratch, v.count = v.count, dec.Uints()
+}
+
+// TestValidateContextsCatchesKeptSlice: ValidateContexts decodes every
+// superstep's contexts from one arena, as an EM engine does, so a VP
+// that writes a slice an earlier Load decoded writes over a context
+// another VP loaded, and a checked run ends with other results than a
+// plain one. With a fresh copy per Load the write went unseen.
+func TestValidateContextsCatchesKeptSlice(t *testing.T) {
+	p := &sliceKeeper{v: 4, steps: 5}
+	counts := func(opts bsp.RunOptions) []uint64 {
+		res, err := bsp.Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]uint64, p.v)
+		for id, vp := range res.VPs {
+			out[id] = vp.(*sliceKeeperVP).count[0]
+		}
+		return out
+	}
+	plain, checked := counts(bsp.RunOptions{Seed: 1}), counts(bsp.RunOptions{Seed: 1, ValidateContexts: true})
+	for id := range plain {
+		if want := uint64(id + p.steps + 1); plain[id] != want {
+			t.Fatalf("plain run: VP %d count = %d, want %d", id, plain[id], want)
+		}
+	}
+	if slices.Equal(plain, checked) {
+		t.Errorf("a VP that writes an earlier Load's slice passes ValidateContexts: %v both ways", plain)
+	}
+}
+
 func TestSplitHaltVoteFails(t *testing.T) {
 	p := &errProg{v: 2, mu: 2, gam: 8, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {
 		return id == 0, nil // VP 0 halts, VP 1 does not

@@ -394,7 +394,10 @@ func (m *contextMeter) Totals() ([]core.StepTotals, error) {
 // supersteps long, not 23, since the Ranker splices local maxima and
 // stops expanding after R + 1 steps (DESIGN.md §23); its subscription
 // lists fill in fewer rounds, so a middle superstep moves up to two
-// blocks more.
+// blocks more. Since a Ranker context holds only what its phase reads —
+// the flags as bits, one flat subscription list, pred or Rank (DESIGN.md
+// §23.1) — listrank at P = 1 moves about half the blocks it did: 43 → 19
+// operations in its last supersteps, 54 → 30 at the peak.
 func TestContextOpsFollowUse(t *testing.T) {
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640) // k = 4: three batches
@@ -425,7 +428,7 @@ func TestContextOpsFollowUse(t *testing.T) {
 		{sort, 2, 50, []int{18, 50, 2, 48}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.
-		{listrank, 1, 13, []int{15, 43, 16, 50, 17, 53, 18, 54, 18, 54, 17, 48, 15, 43, 15, 43, 15, 43}},
+		{listrank, 1, 13, []int{7, 19, 8, 26, 9, 29, 10, 30, 10, 30, 9, 24, 7, 19, 7, 19, 7, 19}},
 		{listrank, 2, 0, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 	} {
 		inst, err := row.spec.Build()
