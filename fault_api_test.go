@@ -165,7 +165,7 @@ func TestFaultPropertyTable1(t *testing.T) {
 			for i, vp := range ref.VPs {
 				want[i] = vpImage(vp)
 			}
-			for _, p := range []int{1, 3} {
+			for _, p := range []int{1, 2, 3} {
 				cfg := embsp.MachineConfig{
 					P: p, M: 4 * prog.MaxContextWords(), D: 3, B: 32, G: 100,
 					Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},

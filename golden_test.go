@@ -93,20 +93,33 @@ type goldenRow struct {
 // and RebuiltBlocks, whose names and zeros the fingerprint hashed.
 // Hashing the commit before's runs with those two fields cut from the
 // text gives this table's fingerprints, row for row.
+//
+// One stream per (sending processor, cell) a superstep (DESIGN.md §21:
+// a processor's tail blocks stay open across its rounds) moved every
+// fingerprint. Where a processor runs more than one batch, its message
+// blocks fell, and runOps with them: sort 450 → 448 at P = 1 and 409 →
+// 406 at P = 2, listrank 862 → 857 at P = 1; MemHigh fell with the
+// largest batch input (sort 26688 → 26624 at P = 1 and 2). Where it runs
+// one (sort at P = 3, listrank at P = 2 and 3) no count moved, only the
+// order its blocks leave in — full blocks as they fill, last blocks at
+// the close — and so the drives they are placed on. liveBlocks moved by
+// a few tracks either way.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
 	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
-	// 450, setupOps 67 → 50, liveBlocks 141 → 124 and 146 → 129.
-	{"sort", "array", 1, 0xb26e8c59a3651895, 450, 50, 0, 26688, 124},
-	{"sort", "file", 1, 0x6465cf28c457b86a, 450, 50, 0, 26688, 129},
+	// 450, setupOps 67 → 50, liveBlocks 141 → 124 and 146 → 129. One
+	// stream a processor: runOps 450 → 448, liveBlocks 129 → 128.
+	{"sort", "array", 1, 0xc402caed36c6faf6, 448, 50, 0, 26624, 124},
+	{"sort", "file", 1, 0x4f34071617859118, 448, 50, 0, 26624, 128},
 	// listrank: runOps 4193 → 3306, routeOps 866 → 0 (PR 21); liveBlocks
 	// 623 → 111 and 168: its µ is sized for a worst-case subscription
 	// table a seventh of which is ever filled. PR 25: two batches, one held
 	// — runOps 3306 → 1856, setupOps 18 → 13, liveBlocks 111 → 105 and
 	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
 	// Context words: runOps 1482 → 862, liveBlocks 104 → 70 and 112 → 77.
-	{"listrank", "array", 1, 0x575af5a225ea5977, 862, 13, 0, 108864, 70},
-	{"listrank", "file", 1, 0xcb97b41111783a18, 862, 13, 0, 108864, 77},
+	// One stream a processor: runOps 862 → 857, liveBlocks 77 → 76.
+	{"listrank", "array", 1, 0x2c5ca60360eddb17, 857, 13, 0, 108864, 70},
+	{"listrank", "file", 1, 0x3265f9b62a3cca51, 857, 13, 0, 108864, 76},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -116,20 +129,22 @@ var goldenTable = []goldenRow{
 	// 98 → 69, listrank 4237 → 2361 and 25 → 18, liveBlocks 194 → 172 and
 	// 223 → 148 — fewer blocks, fewer stripes, other draws. Local maxima:
 	// listrank 2361 → 1883. Context words: listrank 1883 → 1105,
-	// liveBlocks 148 → 101.
-	{"sort", "mapped+parity+faults", 1, 0xf08c6b5e7e0c80d1, 567, 69, 0, 26688, 172},
-	{"listrank", "mapped+parity+faults", 1, 0xf03b2591839fd510, 1105, 18, 0, 108864, 101},
+	// liveBlocks 148 → 101. One stream a processor: sort 567 → 565 and
+	// liveBlocks 172 → 170, listrank 1105 → 1100.
+	{"sort", "mapped+parity+faults", 1, 0x23b25a213393851b, 565, 69, 0, 26624, 170},
+	{"listrank", "mapped+parity+faults", 1, 0x43abd9d7cc8cff3a, 1100, 18, 0, 108864, 101},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
 	// sort 586 → 409, 68 → 50, liveBlocks 76 → 67 and 78 → 68; listrank,
 	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
 	// Local maxima: listrank 438 → 368. Context words: listrank 368 → 304,
-	// liveBlocks 32 → 30.
-	{"sort", "array", 2, 0x318762a4122d3962, 409, 50, 0, 26688, 67},
-	{"sort", "file+tier", 2, 0xc814fd3c48811994, 409, 50, 0, 26688, 68},
-	{"listrank", "array", 2, 0x0ae45eb4ef2741b8, 304, 0, 0, 72768, 30},
-	{"listrank", "file+tier", 2, 0x0ae45eb4ef2741b8, 304, 0, 0, 72768, 30},
+	// liveBlocks 32 → 30. One stream a processor: sort 409 → 406,
+	// liveBlocks 67 → 69 and 68 → 71.
+	{"sort", "array", 2, 0x79f31c7b9bc5a12b, 406, 50, 0, 26624, 69},
+	{"sort", "file+tier", 2, 0x4ba1231bb209ce86, 406, 50, 0, 26624, 71},
+	{"listrank", "array", 2, 0xdf995e48cb87731b, 304, 0, 0, 72768, 30},
+	{"listrank", "file+tier", 2, 0xdf995e48cb87731b, 304, 0, 0, 72768, 30},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
@@ -137,8 +152,8 @@ var goldenTable = []goldenRow{
 	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
 	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400. Context words:
 	// listrank 400 → 328, liveBlocks 23 → 22.
-	{"sort", "array", 3, 0x1c85204b1b73273c, 168, 0, 0, 26688, 28},
-	{"listrank", "array", 3, 0x4c3b3d6ca48a9bbf, 328, 0, 0, 54656, 22},
+	{"sort", "array", 3, 0xcafe30cd113c8ddd, 168, 0, 0, 26688, 28},
+	{"listrank", "array", 3, 0x723afee2f8fa5904, 328, 0, 0, 54656, 22},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

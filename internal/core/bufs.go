@@ -24,7 +24,7 @@ type stepBufs struct {
 	inbox    []uint64 // exchange: the batch's received blocks, gathered for reassembly
 	slab     []uint64 // exchange: the block images the batch scatters
 	op       []uint64 // one parallel operation, D·B words: the block writer's pending blocks
-	scratch  []uint64 // the block image being packed, B words
+	tailImgs []uint64 // the stream packer's open tails, ⌈(µ+1)/B⌉ blocks
 
 	// The batch's VPs: what they are handed lives until the batch's
 	// contexts are saved (bsp.VP's lifetime rule), and these hold it.
@@ -34,16 +34,19 @@ type stepBufs struct {
 	// env's send memory holds the payload words the batch grabs as its
 	// outgoing messages, and grows by append, as they are known only once
 	// they are sent.
-	vps     []bsp.VP        // the VP slots: slot i holds the batch's i-th VP, Loaded from ctx into the object NewVP made for the slot's first VP
-	vpMem   []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded
-	arena   words.Arena     // vpMem, as the decoder carves it
-	dec     words.Decoder   // the context being loaded
-	env     bsp.Env         // the environment of the VP stepping; its send memory holds the batch's payloads until the sink has packed them
-	msgMem  []uint64        // the batch's reassembled streams, which the received payloads alias: at most its input blocks' words
-	msgList []bsp.Message   // the batch's received messages, per VP in delivery order
-	inMsgs  [][]bsp.Message // each VP's messages, a capacity-limited run of msgList
-	counts  []int           // messages per VP, counted before they are placed
-	order   []int           // the input blocks in stream order
+	vps       []bsp.VP        // the VP slots: slot i holds the batch's i-th VP, Loaded from ctx into the object NewVP made for the slot's first VP
+	vpMem     []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded
+	arena     words.Arena     // vpMem, as the decoder carves it
+	dec       words.Decoder   // the context being loaded
+	env       bsp.Env         // the environment of the VP stepping; its send memory holds the batch's payloads until the sink has packed them
+	msgMem    []uint64        // the batch's reassembled streams, which the received payloads alias: at most its input blocks' words
+	msgList   []bsp.Message   // the batch's received messages, per VP in delivery order
+	inMsgs    [][]bsp.Message // each VP's messages, a capacity-limited run of msgList
+	counts    []int           // messages per VP, counted before they are placed
+	order     []int           // the input blocks in stream order
+	segs      []segment       // the streams' runs of one sending batch's records, placed in source order
+	tails     []tail          // the stream packer's per-cell state
+	tailSlots []int           // the cell of each open tail
 
 	enc     words.Encoder // the context being saved
 	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell

@@ -22,7 +22,7 @@ func TestTable1UnderCanary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", alg, err)
 		}
-		for _, p := range []int{1, 3} {
+		for _, p := range []int{1, 2, 3} {
 			res, err := embsp.Run(inst.Program, workload.Machine(inst.Program, p, 4, 64, 3, 10), embsp.Options{Seed: 11})
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", alg, p, err)

@@ -46,8 +46,8 @@ type MachineConfig struct {
 }
 
 // headerWords is the per-block header of a message block: destination
-// VP, source VP, per-source sequence number, chunk index, and the
-// total payload length of the message.
+// cell, sending processor, stream number, chunk index, and the block's
+// fill with its last-chunk flag (blocks.go).
 const headerWords = 5
 
 // Validate checks the machine configuration against the model's

@@ -43,6 +43,55 @@ func MessageBlocks(t Transport) (blocks, streams int) {
 	return blocks, streams
 }
 
+// PacketTargets lists the processor each block of one computing phase's
+// output was sent to, the blocks in stream order: by destination cell,
+// stream and chunk.
+func PacketTargets(bo *BatchOut) []int {
+	type sent struct {
+		meta   blockMeta
+		target int
+	}
+	var all []sent
+	for target, b := range bo.Scatter {
+		for _, wb := range b.blocks {
+			all = append(all, sent{wb.meta, target})
+		}
+	}
+	slices.SortFunc(all, func(a, b sent) int { return metaCmp(a.meta, b.meta) })
+	targets := make([]int, len(all))
+	for i, s := range all {
+		targets[i] = s.target
+	}
+	return targets
+}
+
+// Tails reports, on the engine RunOver hands to wrap, each processor's
+// open stream tails and the most it may hold open: its packer's slots.
+func Tails(t Transport) (open, slots []int) {
+	for _, ps := range t.(*engine).procs {
+		open, slots = append(open, ps.pack.open), append(slots, len(ps.pack.slots))
+	}
+	return open, slots
+}
+
+// EvictedStreams counts the streams of the open superstep's directories
+// that an eviction started: those numbered above 0.
+func EvictedStreams(t Transport) (n int) {
+	for _, ps := range t.(*engine).procs {
+		ps.dir.each(func(_ int, ref blockRef) error { //nolint:errcheck // f never fails
+			if ref.meta.chunk == 0 && ref.meta.seq > 0 {
+				n++
+			}
+			return nil
+		})
+	}
+	return n
+}
+
+// MemLimit is the engine's internal-memory budget for a processor of cfg
+// simulating batches of k VPs.
+func MemLimit(cfg MachineConfig, k, mu, gamma int) int64 { return engineMemLimit(cfg, k, mu, gamma) }
+
 // ContextOps is the number of parallel operations it takes to write —
 // or to read back — the contexts the open superstep has saved so far:
 // over processors and batches, ⌈used/D⌉ for the tracks the batch's

@@ -51,11 +51,14 @@ const (
 // longer rebuilds, journal fewer words; 11: a track allocated and not
 // written since reads blank by the allocator state, which journals such
 // fresh tracks per drive after the free list, §9 — no store writes a
-// track to clear it). It is folded into every
+// track to clear it; 12: one message stream per sending processor and
+// destination cell a superstep, its tail block open across the
+// processor's rounds, and a block header that carries its own fill and a
+// last-chunk flag in place of the stream's total, §21.7). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 11
+const modelRules = 12
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

@@ -235,7 +235,7 @@ func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDriv
 	}
 	metas := grow(&bufs.metas, total)
 	for i := range metas {
-		metas[i], _ = parseBlock(buf[i*B : (i+1)*B])
+		metas[i], _, _ = parseBlock(buf[i*B : (i+1)*B])
 	}
 	return batchIn{buf: buf, metas: metas, grab: grabbed}, nil
 }
@@ -276,7 +276,7 @@ type routeResult struct {
 // consecutive format per group.
 //
 // The directory is in memory (DESIGN.md §5), so the blocks' final order
-// — by group, then destination cell, sending batch, chunk — is known
+// — by group, then destination cell, sender, stream, chunk — is known
 // before one is moved, and the buckets are cut from it by load: bucket b
 // is the b-th of D runs of that order, equal to within one block
 // whatever the traffic (§20.2).

@@ -95,7 +95,7 @@ func (c *routeCase) check(t testing.TB, route *routeResult) (excess int) {
 				if err := c.dsk.ReadOp([]disk.ReadReq{{Disk: ad.Disk, Track: ad.Track, Dst: buf}}); err != nil {
 					t.Fatal(err)
 				}
-				meta, _ := parseBlock(buf)
+				meta, _, _ := parseBlock(buf)
 				if groupOf(meta.dst, c.k) != g || buf[5] != prng.Derive(c.seed, uint64(meta.dst), uint64(meta.seq)) {
 					t.Errorf("group %d holds block %+v with payload %#x", g, meta, buf[5])
 				}
