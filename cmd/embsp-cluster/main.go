@@ -40,7 +40,6 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/cluster"
 	"embsp/internal/core"
-	"embsp/internal/fault"
 	"embsp/internal/obs"
 	"embsp/internal/workload"
 )
@@ -90,57 +89,6 @@ func (k killSpec) probe(wipeDir string) func(phase string, step int) {
 	}
 }
 
-// parseNetPlan turns -net-faults into a transport fault plan:
-// drop=R,dup=R,delay=R@DUR,cleanafter=N (any subset).
-func parseNetPlan(spec string, seed uint64) (fault.NetPlan, error) {
-	plan := fault.NetPlan{Seed: seed}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return plan, fmt.Errorf("bad -net-faults field %q: want key=value", field)
-		}
-		switch key {
-		case "drop", "dup":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return plan, fmt.Errorf("bad -net-faults rate %q: %v", field, err)
-			}
-			if key == "drop" {
-				plan.DropRate = r
-			} else {
-				plan.DupRate = r
-			}
-		case "delay":
-			rs, ds, ok := strings.Cut(val, "@")
-			if !ok {
-				return plan, fmt.Errorf("bad -net-faults field %q: want delay=R@DUR", field)
-			}
-			r, err := strconv.ParseFloat(rs, 64)
-			if err != nil {
-				return plan, fmt.Errorf("bad -net-faults rate %q: %v", field, err)
-			}
-			d, err := time.ParseDuration(ds)
-			if err != nil {
-				return plan, fmt.Errorf("bad -net-faults duration %q: %v", field, err)
-			}
-			plan.DelayRate, plan.Delay = r, d
-		case "cleanafter":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return plan, fmt.Errorf("bad -net-faults field %q: %v", field, err)
-			}
-			plan.CleanAfter = n
-		default:
-			return plan, fmt.Errorf("unknown -net-faults key %q", key)
-		}
-	}
-	return plan, plan.Validate()
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("embsp-cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -161,9 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	check := fs.Bool("check", false, "after the run, replay in-process and verify bitwise identity")
 	killAt := fs.String("kill-at", "", "crash hook phase@step: SIGKILL this process at that probe (worker phases: computed, prepared, committed; coordinator: prepare, decided); resumed invocations must not pass it again")
 	killWorker := fs.Int("kill-worker", -1, "spawn mode: pass -kill-at to this worker instead of applying it here")
-	netFaults := fs.String("net-faults", "", "network fault plan: drop=R,dup=R,delay=R@DUR,cleanafter=N")
-	netSeed := fs.Uint64("net-seed", 1, "seed for the network fault schedule")
-	ackTimeout := fs.Duration("ack-timeout", 0, "transport retransmission timeout (0 = default)")
 	recvTimeout := fs.Duration("recv-timeout", 0, "coordinator per-phase response deadline (0 = default)")
 	joinTimeout := fs.Duration("join-timeout", 0, "how long the coordinator waits for a worker to (re)join (0 = default)")
 	replicate := fs.Bool("replicate", true, "replicate worker state to the coordinator at each commit; off, permanent worker loss fails the run")
@@ -192,13 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var plan fault.NetPlan
-	if *netFaults != "" {
-		if plan, err = parseNetPlan(*netFaults, *netSeed); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
 	var kill killSpec
 	if *killAt != "" {
 		if kill, err = parseKillAt(*killAt); err != nil {
@@ -214,16 +152,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *join != "" {
 		return runWorker(workerParams{
 			addr: *join, node: *node, root: *stateDir,
-			prog: prog, cfg: cfg, opts: opts, plan: plan,
-			ackTimeout: *ackTimeout, heartbeat: *heartbeat, hbTimeout: *hbTimeout,
+			prog: prog, cfg: cfg, opts: opts,
+			heartbeat: *heartbeat, hbTimeout: *hbTimeout,
 			spare: *spare, secret: *secret, wipe: *wipe, kill: kill,
 		}, stderr)
 	}
 	return runCoordinator(coordParams{
-		inst: inst, prog: prog, cfg: cfg, opts: opts, plan: plan,
+		inst: inst, prog: prog, cfg: cfg, opts: opts,
 		root: *stateDir, listen: *listen, spawn: *spawn,
 		check: *check, kill: kill, killWorker: *killWorker,
-		ackTimeout: *ackTimeout, recvTimeout: *recvTimeout, joinTimeout: *joinTimeout,
+		recvTimeout: *recvTimeout, joinTimeout: *joinTimeout,
 		replicate: *replicate, secret: *secret,
 		heartbeat: *heartbeat, hbTimeout: *hbTimeout, wipe: *wipe,
 		args: args,
@@ -237,9 +175,8 @@ type workerParams struct {
 	prog bsp.Program
 	cfg  core.MachineConfig
 	opts core.Options
-	plan fault.NetPlan
 
-	ackTimeout, heartbeat, hbTimeout time.Duration
+	heartbeat, hbTimeout time.Duration
 
 	spare  bool
 	secret string
@@ -280,9 +217,7 @@ func runWorker(p workerParams, stderr io.Writer) int {
 	}
 	defer w.Close()
 	err := w.Run(p.addr, true, cluster.LinkConfig{
-		Self: self, Peer: p.cfg.P, Plan: p.plan,
-		BackoffSeed:      uint64(self) + 1,
-		AckTimeout:       p.ackTimeout,
+		Self: self, Peer: p.cfg.P,
 		Heartbeat:        p.heartbeat,
 		HeartbeatTimeout: p.hbTimeout,
 	})
@@ -302,7 +237,6 @@ type coordParams struct {
 	prog bsp.Program
 	cfg  core.MachineConfig
 	opts core.Options
-	plan fault.NetPlan
 
 	root   string
 	listen string
@@ -316,7 +250,7 @@ type coordParams struct {
 	replicate bool
 	secret    string
 
-	ackTimeout, recvTimeout, joinTimeout, heartbeat, hbTimeout time.Duration
+	recvTimeout, joinTimeout, heartbeat, hbTimeout time.Duration
 
 	args []string // original command line, reused to spawn workers
 }
@@ -370,8 +304,6 @@ func runCoordinator(p coordParams, stdout, stderr io.Writer) int {
 		Prog: p.prog, Cfg: p.cfg, Opts: p.opts,
 		Dir:              filepath.Join(p.root, "coord"),
 		Listener:         ln,
-		Net:              p.plan,
-		AckTimeout:       p.ackTimeout,
 		RecvTimeout:      p.recvTimeout,
 		JoinTimeout:      p.joinTimeout,
 		Replicate:        p.replicate,
@@ -401,10 +333,9 @@ func runCoordinator(p coordParams, stdout, stderr io.Writer) int {
 	// Wire-level counters are wall-clock observability (like Overlap):
 	// stderr, so stdout stays diffable across faulted and clean runs.
 	meanBarrier := metrics.Histogram("cluster_barrier_wait_nanos").Snapshot().Mean()
-	fmt.Fprintf(stderr, "wire: %d frames out (%d bytes), %d in (%d bytes), %d retransmits, %d faults injected, %d checksum rejects; mean barrier wait %v; wall %v\n",
+	fmt.Fprintf(stderr, "wire: %d frames out (%d bytes), %d in (%d bytes), %d checksum rejects; mean barrier wait %v; wall %v\n",
 		metrics.Counter("cluster_tx_frames").Value(), metrics.Counter("cluster_tx_bytes").Value(),
 		metrics.Counter("cluster_rx_frames").Value(), metrics.Counter("cluster_rx_bytes").Value(),
-		metrics.Counter("cluster_retries").Value(), metrics.Counter("cluster_faults_injected").Value(),
 		metrics.Counter("cluster_checksum_rejects").Value(), meanBarrier, wall.Round(time.Millisecond))
 	fmt.Fprintf(stderr, "robustness: %d heartbeat misses, %d migrations, %d replica bytes shipped, %d auth rejects\n",
 		metrics.Counter("cluster_heartbeat_misses").Value(), metrics.Counter("cluster_migrations").Value(),
@@ -439,7 +370,6 @@ func workerArgs(args []string) []string {
 	keep := map[string]bool{
 		"-alg": true, "-n": true, "-v": true, "-p": true, "-d": true, "-b": true,
 		"-mfactor": true, "-g": true, "-seed": true, "-state-dir": true,
-		"-net-faults": true, "-net-seed": true, "-ack-timeout": true,
 		"-secret": true, "-heartbeat": true, "-heartbeat-timeout": true,
 	}
 	var out []string

@@ -159,31 +159,14 @@ func TestCoordinatorSIGKILL(t *testing.T) {
 func TestWorkerArgsFilter(t *testing.T) {
 	in := []string{
 		"-spawn", "-check", "-alg", "sort", "-n", "256", "-kill-at", "prepared@1",
-		"-kill-worker", "1", "-state-dir", "/tmp/x", "-net-faults", "drop=0.1",
+		"-kill-worker", "1", "-state-dir", "/tmp/x",
 		"-listen", ":7000", "-seed=5", "-secret", "hunter2", "-heartbeat", "1s",
 		"-heartbeat-timeout", "4s", "-replicate=false", "-spares", "2", "-wipe",
 	}
 	got := strings.Join(workerArgs(in), " ")
-	want := "-alg sort -n 256 -state-dir /tmp/x -net-faults drop=0.1 -seed=5" +
+	want := "-alg sort -n 256 -state-dir /tmp/x -seed=5" +
 		" -secret hunter2 -heartbeat 1s -heartbeat-timeout 4s"
 	if got != want {
 		t.Fatalf("workerArgs:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestParseNetPlan(t *testing.T) {
-	plan, err := parseNetPlan("drop=0.1,dup=0.05,delay=0.2@2ms,cleanafter=3", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.DropRate != 0.1 || plan.DupRate != 0.05 || plan.DelayRate != 0.2 ||
-		plan.Delay != 2*time.Millisecond || plan.CleanAfter != 3 || plan.Seed != 7 {
-		t.Fatalf("parsed %+v", plan)
-	}
-	if _, err := parseNetPlan("drop=2.0", 1); err == nil {
-		t.Fatal("rate 2.0 accepted")
-	}
-	if _, err := parseNetPlan("delay=0.5", 1); err == nil {
-		t.Fatal("delay without duration accepted")
 	}
 }

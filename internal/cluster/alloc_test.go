@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"embsp/internal/core"
-	"embsp/internal/fault"
 	"embsp/internal/words"
 )
 
@@ -59,7 +58,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 	}
 	const blocks, B, rounds = 16, 256, 20
 	batch := []core.BlockBatch{testBatch(blocks, B)}
-	a, b := linkPair(t, fault.NetPlan{}, time.Minute, nil)
+	a, b := linkPair(t)
 	relayed := make(chan error, 1)
 	go func() {
 		var enc words.Encoder

@@ -15,6 +15,7 @@ import (
 	"embsp/internal/core"
 	"embsp/internal/fault"
 	"embsp/internal/obs"
+	"embsp/internal/prng"
 	"embsp/internal/workload"
 )
 
@@ -61,19 +62,20 @@ type harness struct {
 	opts core.Options
 	root string
 	addr string
+	ln   net.Listener // the first coordinator incarnation's, bound from the start
 	plan fault.NetPlan
 
 	// PR 8 robustness knobs.
-	replicate     bool           // coordinator keeps a replica store
-	secret        string         // coordinator's join-auth secret
-	workerSecrets map[int]string // per-worker secret override (default: secret)
-	badSeed       map[int]uint64 // per-worker wrong run seed (fingerprint divergence)
-	heartbeat     time.Duration  // keep-alive interval, both sides
-	wipeKill      bool           // a killed worker's state dir is wiped too
-	permaKill     bool           // a killed worker never respawns
-	spares        int            // extra spare workers dialing in
-	spareDelay    time.Duration  // coordinator's spare-adoption delay
-	workerMetrics *obs.Registry  // transport counters on the worker side
+	replicate     bool            // coordinator keeps a replica store
+	secret        string          // coordinator's join-auth secret
+	workerSecrets map[int]string  // per-worker secret override (default: secret)
+	badSeed       map[int]uint64  // per-worker wrong run seed (fingerprint divergence)
+	heartbeat     time.Duration   // keep-alive interval, both sides
+	wipeKill      bool            // a killed worker's state dir is wiped too
+	permaKill     bool            // a killed worker never respawns
+	spares        int             // extra spare workers dialing in
+	spareDelay    time.Duration   // coordinator's spare-adoption delay
+	workerMetrics []*obs.Registry // per worker id: transport counters on its side (nil: none)
 
 	done atomic.Bool
 	wg   sync.WaitGroup
@@ -93,15 +95,20 @@ func newHarness(t *testing.T, prog bsp.Program, cfg core.MachineConfig, seed uin
 		kills: make(map[string]bool),
 		dead:  make(map[int]bool),
 	}
-	// Bind once to pick a free port, then remember the address so a
-	// restarted coordinator listens where the workers keep dialing.
+	// Bind a free port for the first coordinator and keep it, so no other
+	// run can take it; a restarted coordinator listens on the same address,
+	// where the workers keep dialing.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.addr = ln.Addr().String()
-	ln.Close()
-	t.Cleanup(h.stop)
+	h.addr, h.ln = ln.Addr().String(), ln
+	t.Cleanup(func() {
+		h.stop()
+		if h.ln != nil {
+			h.ln.Close()
+		}
+	})
 	return h
 }
 
@@ -193,7 +200,7 @@ func (h *harness) spareLoop(i int) {
 			time.Sleep(20 * time.Millisecond)
 			continue
 		}
-		link := cluster.NewLink(conn, h.linkConfig(h.cfg.P+1+i, epoch))
+		link := cluster.NewLink(conn, h.linkConfig(h.cfg.P+1+i, epoch, nil))
 		err = w.Serve(link)
 		link.Close()
 		if err == nil {
@@ -203,19 +210,21 @@ func (h *harness) spareLoop(i int) {
 	}
 }
 
-func (h *harness) linkConfig(self, epoch int) cluster.LinkConfig {
+func (h *harness) linkConfig(self, epoch int, metrics *obs.Registry) cluster.LinkConfig {
 	return cluster.LinkConfig{
 		Self: self, Peer: h.cfg.P, Plan: h.plan,
-		Epoch:       epoch,
-		BackoffSeed: uint64(self) + 1,
-		AckTimeout:  50 * time.Millisecond,
-		Heartbeat:   h.heartbeat,
-		Metrics:     h.workerMetrics,
+		Epoch:     epoch,
+		Heartbeat: h.heartbeat,
+		Metrics:   metrics,
 	}
 }
 
 func (h *harness) serveOnce(id int, dir string, conn net.Conn, epoch int) {
-	link := cluster.NewLink(conn, h.linkConfig(id, epoch))
+	var metrics *obs.Registry
+	if id < len(h.workerMetrics) {
+		metrics = h.workerMetrics[id]
+	}
+	link := cluster.NewLink(conn, h.linkConfig(id, epoch, metrics))
 	defer link.Close()
 	opts := h.opts
 	if s, ok := h.badSeed[id]; ok {
@@ -253,9 +262,13 @@ func (h *harness) serveOnce(id int, dir string, conn net.Conn, epoch int) {
 // surfaces as (nil, killed-error); the caller restarts by calling
 // runCoord again — resuming from the decision journal on disk.
 func (h *harness) runCoord(metrics *obs.Registry) (res *core.Result, err error) {
-	ln, lerr := net.Listen("tcp", h.addr)
-	if lerr != nil {
-		return nil, lerr
+	ln := h.ln
+	h.ln = nil // the coordinator closes it
+	if ln == nil {
+		var lerr error
+		if ln, lerr = net.Listen("tcp", h.addr); lerr != nil {
+			return nil, lerr
+		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -274,7 +287,6 @@ func (h *harness) runCoord(metrics *obs.Registry) (res *core.Result, err error) 
 		Probe: func(phase string, step int) {
 			h.maybeKill("coord/"+phase, step)
 		},
-		AckTimeout:  50 * time.Millisecond,
 		RecvTimeout: 30 * time.Second,
 		JoinTimeout: 20 * time.Second,
 		Replicate:   h.replicate,
@@ -309,38 +321,69 @@ func buildSpec(t *testing.T, spec workload.Spec) bsp.Program {
 	return inst.Program
 }
 
+// cleanFrames runs prog once on a clean cluster, keep-alives off, and
+// counts the DATA frames on worker 1's link in each direction: up, worker
+// 1 to the coordinator, and down. It returns the run's fingerprint too.
+func cleanFrames(t *testing.T, prog bsp.Program, cfg core.MachineConfig, seed uint64) (up, down int64, fpr uint64) {
+	t.Helper()
+	h := newHarness(t, prog, cfg, seed)
+	h.workerMetrics = []*obs.Registry{1: obs.NewRegistry()}
+	res, err := h.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.stop()
+	m := h.workerMetrics[1]
+	return m.Counter("cluster_tx_frames").Value(), m.Counter("cluster_rx_frames").Value(), workload.Fingerprint(res)
+}
+
+// linkDeath kills worker 1's link to the coordinator: dir "up" silences
+// worker 1's writes, "down" the coordinator's to it, from data frame
+// seq on, in connection epoch epoch.
+func linkDeath(p int, dir string, epoch int, seq uint64) fault.LinkDeath {
+	if dir == "up" {
+		return fault.LinkDeath{From: 1, To: p, Epoch: epoch, AfterSeq: seq}
+	}
+	return fault.LinkDeath{From: p, To: 1, Epoch: epoch, AfterSeq: seq}
+}
+
+// linkDeathHeartbeat is the keep-alive interval of the runs whose links
+// die: a silenced direction is noticed after four of them.
+const linkDeathHeartbeat = 20 * time.Millisecond
+
 // TestClusterBattery is the determinism battery: three Table 1
-// workloads at p in {2, 4} real worker processes, clean and under an
-// injected network fault plan, all bitwise identical to the in-process
-// engine's Result.
+// workloads at p in {2, 4} real worker processes, clean and with worker
+// 1's link killed in each direction, all bitwise identical to the
+// in-process engine's Result. The linkdeath leg silences the
+// coordinator's writes to worker 1 in their first connection and worker
+// 1's writes in their second, each from a data frame drawn from the
+// case's seed; the keep-alives notice, and the worker redials and
+// rejoins. (The coordinator numbers a worker's connections by the HELLOs
+// it receives, so the death that may swallow a HELLO comes last.)
 func TestClusterBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster battery is slow")
 	}
-	plans := []struct {
-		name string
-		plan fault.NetPlan
-	}{
-		{"clean", fault.NetPlan{}},
-		{"netfaults", fault.NetPlan{
-			Seed: 7, DropRate: 0.08, DupRate: 0.05,
-			DelayRate: 0.05, Delay: time.Millisecond, CleanAfter: 3,
-		}},
-	}
 	for _, spec := range battery {
 		for _, p := range []int{2, 4} {
-			for _, pl := range plans {
-				spec, p, pl := spec, p, pl
-				t.Run(fmt.Sprintf("%s/p%d/%s", spec.Alg, p, pl.name), func(t *testing.T) {
+			for _, leg := range []string{"clean", "linkdeath"} {
+				spec, p, leg := spec, p, leg
+				t.Run(fmt.Sprintf("%s/p%d/%s", spec.Alg, p, leg), func(t *testing.T) {
 					t.Parallel()
 					prog := buildSpec(t, spec)
 					cfg := clusterMachine(p)
 					want := oracleFingerprint(t, prog, cfg, spec.Seed)
-
-					h := newHarness(t, prog, cfg, spec.Seed)
-					h.plan = pl.plan
+					if leg == "linkdeath" {
+						r := prng.New(prng.Derive(spec.Seed, uint64(p)))
+						deaths := []fault.LinkDeath{
+							linkDeath(p, "down", 0, uint64(1+r.Intn(16))),
+							linkDeath(p, "up", 1, uint64(1+r.Intn(16))),
+						}
+						runLinkDeath(t, prog, cfg, spec.Seed, deaths, want)
+						return
+					}
 					metrics := obs.NewRegistry()
-					res, err := h.run(metrics)
+					res, err := newHarness(t, prog, cfg, spec.Seed).run(metrics)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -350,13 +393,99 @@ func TestClusterBattery(t *testing.T) {
 					if metrics.Counter("cluster_tx_frames").Value() == 0 {
 						t.Fatal("no frames counted; comm metrics are dead")
 					}
-					if pl.plan.Enabled() && metrics.Counter("cluster_faults_injected").Value() == 0 {
-						t.Fatal("fault plan enabled but nothing injected")
-					}
 				})
 			}
 		}
 	}
+}
+
+// TestClusterLinkDeathEveryFrame kills worker 1's link at every data
+// frame it carries in a clean run, in each direction, one death a run:
+// every request and every reply of the handshake, the superstep body,
+// PREPARE, COMMIT, FINAL and SHUTDOWN is, in some run, the first frame
+// that never arrives. The keep-alives notice, the worker redials, and
+// the rejoin handshake recovers — presumed abort before the decision,
+// the commit finished after it. Every run must match the oracle.
+func TestClusterLinkDeathEveryFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster link-death matrix is slow")
+	}
+	spec := workload.Spec{Alg: "sort", N: 32, V: 4, Seed: 44}
+	prog := buildSpec(t, spec)
+	cfg := clusterMachine(2)
+	want := oracleFingerprint(t, prog, cfg, spec.Seed)
+	up, down, got := cleanFrames(t, prog, cfg, spec.Seed)
+	if got != want {
+		t.Fatalf("clean cluster fingerprint %x, oracle %x", got, want)
+	}
+	t.Logf("worker 1's link carries %d data frames up and %d down", up, down)
+	for _, dir := range []struct {
+		name   string
+		frames int64
+	}{{"up", up}, {"down", down}} {
+		dir := dir
+		t.Run(dir.name, func(t *testing.T) {
+			t.Parallel()
+			// The runs spend most of their time waiting out a heartbeat
+			// timeout, so several go at once: more than -parallel would
+			// allow, hence subtests run from goroutines of this test.
+			sem := make(chan struct{}, 4)
+			var wg sync.WaitGroup
+			for seq := uint64(1); seq <= uint64(dir.frames); seq++ {
+				seq := seq
+				sem <- struct{}{}
+				wg.Add(1)
+				go func() {
+					defer func() { <-sem; wg.Done() }()
+					t.Run(fmt.Sprintf("frame%02d", seq), func(t *testing.T) {
+						d := []fault.LinkDeath{linkDeath(cfg.P, dir.name, 0, seq)}
+						runLinkDeath(t, prog, cfg, spec.Seed, d, want)
+					})
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// runLinkDeath runs prog on a cluster whose links die as deaths says,
+// keep-alives on, and checks the run against the oracle's fingerprint
+// want and that every death fired. A host that stalls past the
+// heartbeat timeout ends a link on its own, and the redial moves the
+// connection epochs past a death's; such a run still has to match the
+// oracle, and is repeated, up to three times, until its deaths fire.
+func runLinkDeath(t *testing.T, prog bsp.Program, cfg core.MachineConfig, seed uint64, deaths []fault.LinkDeath, want uint64) {
+	t.Helper()
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		h := newHarness(t, prog, cfg, seed)
+		h.plan.Deaths = deaths
+		h.heartbeat = linkDeathHeartbeat
+		coord, worker := obs.NewRegistry(), obs.NewRegistry()
+		h.workerMetrics = []*obs.Registry{1: worker}
+		res, rerr := h.run(coord)
+		h.stop()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if got := workload.Fingerprint(res); got != want {
+			t.Fatalf("cluster fingerprint %x, oracle %x", got, want)
+		}
+		err = nil
+		for _, d := range deaths {
+			dropper := coord
+			if d.From == 1 {
+				dropper = worker
+			}
+			if dropper.Counter("cluster_faults_injected").Value() == 0 {
+				err = fmt.Errorf("the death %+v never fired in %d runs", d, attempt+1)
+			}
+		}
+		if err == nil {
+			return
+		}
+	}
+	t.Fatal(err)
 }
 
 // TestClusterWorkerKill SIGKILLs (simulated) worker 1 once at every

@@ -16,7 +16,6 @@ import (
 	"embsp/internal/disk"
 	"embsp/internal/fault"
 	"embsp/internal/obs"
-	"embsp/internal/prng"
 	"embsp/internal/words"
 )
 
@@ -29,15 +28,10 @@ type Config struct {
 	Dir string
 	// Listener accepts worker connections; the coordinator owns it.
 	Listener net.Listener
-	// Net is the injected network fault plan (zero value: none).
+	// Net is the injected link-death plan (zero value: none).
 	Net fault.NetPlan
-	// BackoffSeed keys retransmission backoff (derived per link).
-	BackoffSeed uint64
-	// AckTimeout / Retries / RecvTimeout tune the transport (see
-	// LinkConfig; RecvTimeout bounds a phase response, default 2m).
-	AckTimeout  time.Duration
+	// RecvTimeout bounds a phase response (default 2m).
 	RecvTimeout time.Duration
-	Retries     int
 	// StepRetries bounds how many times one superstep may be aborted
 	// and replayed before the run gives up (default 5).
 	StepRetries int
@@ -139,6 +133,9 @@ type joinReq struct {
 // worker deaths by abort-and-replay, and assemble the Result — which
 // is bitwise identical to core.Run of the same configuration.
 func Run(cc Config) (*core.Result, error) {
+	if err := cc.Net.Validate(); err != nil {
+		return nil, err
+	}
 	if cc.RecvTimeout <= 0 {
 		cc.RecvTimeout = 2 * time.Minute
 	}
@@ -216,9 +213,6 @@ func (c *coordinator) acceptLoop() {
 				Self:             c.cc.Cfg.P,
 				Peer:             -1,
 				Plan:             c.cc.Net,
-				BackoffSeed:      prng.Derive(c.cc.BackoffSeed, uint64(c.cc.Cfg.P)),
-				AckTimeout:       c.cc.AckTimeout,
-				Retries:          c.cc.Retries,
 				Heartbeat:        c.cc.Heartbeat,
 				HeartbeatTimeout: c.cc.HeartbeatTimeout,
 				Metrics:          c.cc.Metrics,

@@ -50,7 +50,7 @@ func TestLinkHeartbeatDetectsSilentPeer(t *testing.T) {
 	defer b.Close() // b stays a dead socket: accepts bytes, never answers
 	metrics := obs.NewRegistry()
 	link := cluster.NewLink(a, cluster.LinkConfig{
-		Self: 0, Peer: 1, BackoffSeed: 1,
+		Self: 0, Peer: 1,
 		Heartbeat: 20 * time.Millisecond,
 		Metrics:   metrics,
 	})
@@ -78,11 +78,11 @@ func TestLinkHeartbeatDetectsSilentPeer(t *testing.T) {
 func TestLinkHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	a, b := tcpPair(t)
 	la := cluster.NewLink(a, cluster.LinkConfig{
-		Self: 0, Peer: 1, BackoffSeed: 1, Heartbeat: 20 * time.Millisecond,
+		Self: 0, Peer: 1, Heartbeat: 20 * time.Millisecond,
 	})
 	defer la.Close()
 	lb := cluster.NewLink(b, cluster.LinkConfig{
-		Self: 1, Peer: 0, BackoffSeed: 2, Heartbeat: 20 * time.Millisecond,
+		Self: 1, Peer: 0, Heartbeat: 20 * time.Millisecond,
 	})
 	defer lb.Close()
 

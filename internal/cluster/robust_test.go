@@ -97,7 +97,7 @@ func TestClusterWipeKillNoReplica(t *testing.T) {
 
 // TestClusterSilentLinkDeath injects the failure no FIN announces: at
 // connection epoch 0 the worker 1 → coordinator direction goes
-// permanently dead mid-superstep (frames, ACKs, and pongs all vanish),
+// permanently dead mid-superstep (data frames and pongs all vanish),
 // like a died NIC. The coordinator's keep-alive is what must notice —
 // its Recv would otherwise block for the full RecvTimeout — and the
 // worker's redial (epoch 1 is healthy) reconciles the step. The Result
@@ -114,7 +114,7 @@ func TestClusterSilentLinkDeath(t *testing.T) {
 	h := newHarness(t, prog, cfg, spec.Seed)
 	h.replicate = true
 	h.heartbeat = 40 * time.Millisecond
-	h.workerMetrics = obs.NewRegistry()
+	h.workerMetrics = []*obs.Registry{1: obs.NewRegistry()}
 	h.plan = fault.NetPlan{Deaths: []fault.LinkDeath{
 		{From: 1, To: cfg.P, Epoch: 0, AfterSeq: 6},
 	}}
@@ -127,7 +127,7 @@ func TestClusterSilentLinkDeath(t *testing.T) {
 		t.Fatalf("cluster fingerprint %x after silent link death, oracle %x", got, want)
 	}
 	misses := metrics.Counter("cluster_heartbeat_misses").Value() +
-		h.workerMetrics.Counter("cluster_heartbeat_misses").Value()
+		h.workerMetrics[1].Counter("cluster_heartbeat_misses").Value()
 	if misses == 0 {
 		t.Fatal("link died silently but no heartbeat timeout fired; detection is dead")
 	}
@@ -217,10 +217,7 @@ func TestClusterAuth(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 				continue
 			}
-			link := cluster.NewLink(conn, cluster.LinkConfig{
-				Self: 0, Peer: cfg.P, BackoffSeed: 99,
-				AckTimeout: 50 * time.Millisecond,
-			})
+			link := cluster.NewLink(conn, cluster.LinkConfig{Self: 0, Peer: cfg.P})
 			w.Serve(link) //nolint:errcheck // rejection is the expected outcome
 			link.Close()
 			return

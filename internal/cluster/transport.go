@@ -11,15 +11,14 @@ import (
 
 	"embsp/internal/fault"
 	"embsp/internal/obs"
-	"embsp/internal/prng"
 )
 
 // LostError reports a peer the transport or coordinator considers
-// permanently lost — a heartbeat timeout, an exhausted retransmission
-// budget, or a liveness deadline — as opposed to an orderly close or
-// a fatal protocol divergence. The coordinator treats it as the
-// trigger for migration: abort the step, and re-seed the node from
-// the replica if its own state never comes back.
+// permanently lost — a heartbeat timeout or a liveness deadline — as
+// opposed to an orderly close or a fatal protocol divergence. The
+// coordinator treats it as the trigger for migration: abort the step,
+// and re-seed the node from the replica if its own state never comes
+// back.
 type LostError struct {
 	Peer   int
 	Reason string
@@ -29,79 +28,65 @@ func (e *LostError) Error() string {
 	return fmt.Sprintf("cluster: peer %d lost: %s", e.Peer, e.Reason)
 }
 
-// Link is a reliable, deduplicating message channel over one TCP
-// connection: stop-and-wait ARQ with per-message deadlines, bounded
-// retries, and deterministic exponential backoff between
-// retransmissions. The cluster protocol is strict request/response
-// lockstep, so one outstanding message per direction is exactly the
-// pipelining it needs, and keeps the retransmission state trivial to
-// reason about under injected faults.
+// Link is a framed message channel over one TCP connection. TCP
+// delivers the bytes of a live connection in order, once, so the link
+// adds no retransmission of its own: Send writes one DATA frame, Recv
+// returns the next one, and anything else — a frame that fails its
+// checksum, a DATA frame out of sequence, an unknown kind, a silent
+// peer, a closed connection — ends the link. A dead link is recovered
+// a level up, by redial and the rejoin handshake (DESIGN.md §14.2).
 //
-// A fault.NetPlan is applied *below* the ARQ on this endpoint's own
-// writes — data frames and ACKs both — so drops, delays, and
-// duplicates exercise the retransmission and dedup machinery rather
-// than bypassing it. Sequence numbers are per connection and start at
-// 1; the receiver re-ACKs anything at or below its delivered
-// watermark and rejects gaps (the lockstep protocol never has any).
+// DATA sequence numbers count the frames written on this connection,
+// from 1; the receiver requires each to be one past the last. A
+// fault.NetPlan's Deaths silence this endpoint's own writes from a
+// given sequence number on, which is how tests kill a link.
 type Link struct {
-	conn   net.Conn
-	wmu    sync.Mutex // serializes whole-frame writes (protocol, pings, pongs)
-	wchunk []byte     // the fixed chunk frames are written through; guarded by wmu
+	conn    net.Conn
+	wmu     sync.Mutex // serializes whole-frame writes (protocol, pings, pongs)
+	wchunk  []byte     // the fixed chunk frames are written through; guarded by wmu
+	sendSeq uint64     // last DATA sequence number written; guarded by wmu
 
 	self  int
 	peer  atomic.Int64 // settable post-handshake (SetPeer) while pings fly
 	epoch atomic.Int64
 	plan  fault.NetPlan
-	seed  uint64
-
-	ackTimeout time.Duration
-	retries    int
-
-	sendSeq uint64 // last sequence successfully ACKed by the peer
-	recvSeq uint64 // last sequence delivered to the caller
-	ackN    int    // times recvSeq has been ACKed (fault-stream clock)
-	stash   frame  // data frame consumed by Send as an implicit ACK,
-	stashed bool   // waiting for the next Recv
 
 	hbInterval time.Duration
 	hbTimeout  time.Duration
 	lastRecv   atomic.Int64 // UnixNano of the last intact frame read
 	pingSeq    uint64       // heartbeat goroutine only
 
-	in      chan frame
+	in      chan []uint64
 	done    chan struct{}
 	errOnce sync.Once
 	err     error
 
-	txFrames, txBytes  *obs.Counter
-	rxFrames, rxBytes  *obs.Counter
-	retriesC, injected *obs.Counter
-	checksumRejects    *obs.Counter
-	hbMisses           *obs.Counter
+	txFrames, txBytes *obs.Counter
+	rxFrames, rxBytes *obs.Counter
+	injected          *obs.Counter
+	checksumRejects   *obs.Counter
+	hbMisses          *obs.Counter
 }
 
 // LinkConfig configures a Link. Self and Peer are the endpoint ids
-// used to key the fault plan's per-direction streams (workers use
-// their node id; the coordinator uses P).
+// used to key the fault plan's per-direction deaths (workers use their
+// node id; the coordinator uses P).
 type LinkConfig struct {
-	Self, Peer  int
-	Plan        fault.NetPlan
+	Self, Peer int
+	Plan       fault.NetPlan
+	// Deprecated: BackoffSeed is ignored. It keyed the backoff of the
+	// retransmissions the link no longer makes, and stays only so that
+	// callers outside this module which still set it keep compiling.
 	BackoffSeed uint64
 	// Epoch counts connection incarnations between the same endpoints
-	// (first dial 0, first redial 1, ...). It keys the fault plan —
-	// both the per-epoch rate streams and LinkDeath specs — so an
-	// injected permanent death of epoch e spares the replacement
-	// connection, exactly like a replaced machine.
+	// (first dial 0, first redial 1, ...). It keys the fault plan's
+	// LinkDeath specs, so an injected death of epoch e spares the
+	// replacement connection, exactly like a replaced machine.
 	Epoch int
-	// AckTimeout is how long a sent frame waits for its ACK before it
-	// is retransmitted (default 250ms).
-	AckTimeout time.Duration
-	// Retries bounds retransmissions per message (default 10).
-	Retries int
 	// Heartbeat, when positive, pings the peer whenever the link has
 	// been idle that long, and declares the peer lost (a *LostError
 	// ends the link) after HeartbeatTimeout of silence. Zero disables
-	// keep-alives: an idle link then blocks forever, as before PR 8.
+	// keep-alives: an idle link then blocks forever.
 	Heartbeat time.Duration
 	// HeartbeatTimeout is the silence span that kills the link
 	// (default 4× Heartbeat).
@@ -109,10 +94,6 @@ type LinkConfig struct {
 	// Metrics receives the comm counters (nil for none).
 	Metrics *obs.Registry
 }
-
-// ackBit keys ACK fates into a fault stream distinct from their data
-// frame's.
-const ackBit = uint64(1) << 63
 
 // SetPeer fixes the peer's id once the handshake reveals it (the
 // coordinator cannot know which worker dialed until HELLO arrives).
@@ -136,24 +117,17 @@ func NewLink(conn net.Conn, cfg LinkConfig) *Link {
 		tc.SetWriteBuffer(1 << 20) //nolint:errcheck // best-effort tuning
 		tc.SetReadBuffer(1 << 20)  //nolint:errcheck
 	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = 250 * time.Millisecond
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 10
-	}
 	l := &Link{
 		conn:       conn,
 		wchunk:     make([]byte, frameChunkBytes),
 		self:       cfg.Self,
 		plan:       cfg.Plan,
-		seed:       cfg.BackoffSeed,
-		ackTimeout: cfg.AckTimeout,
-		retries:    cfg.Retries,
 		hbInterval: cfg.Heartbeat,
 		hbTimeout:  cfg.HeartbeatTimeout,
-		in:         make(chan frame, 64),
-		done:       make(chan struct{}),
+		// The protocol is lockstep: at most one message is in flight in
+		// each direction, so one slot lets the reader run a frame ahead.
+		in:   make(chan []uint64, 1),
+		done: make(chan struct{}),
 	}
 	l.peer.Store(int64(cfg.Peer))
 	l.epoch.Store(int64(cfg.Epoch))
@@ -165,7 +139,6 @@ func NewLink(conn net.Conn, cfg LinkConfig) *Link {
 	l.txBytes = counter(m, "cluster_tx_bytes")
 	l.rxFrames = counter(m, "cluster_rx_frames")
 	l.rxBytes = counter(m, "cluster_rx_bytes")
-	l.retriesC = counter(m, "cluster_retries")
 	l.injected = counter(m, "cluster_faults_injected")
 	l.checksumRejects = counter(m, "cluster_checksum_rejects")
 	l.hbMisses = counter(m, "cluster_heartbeat_misses")
@@ -178,9 +151,8 @@ func NewLink(conn net.Conn, cfg LinkConfig) *Link {
 }
 
 // heartbeat keeps an idle link honest: a ping whenever nothing has
-// arrived for an interval, and a *LostError (plus connection close, so
-// every blocked goroutine wakes) after hbTimeout of silence. Protocol
-// traffic counts as liveness — a busy link never pings.
+// arrived for an interval, and a *LostError after hbTimeout of silence.
+// Protocol traffic counts as liveness — a busy link never pings.
 func (l *Link) heartbeat() {
 	t := time.NewTicker(l.hbInterval)
 	defer t.Stop()
@@ -194,12 +166,11 @@ func (l *Link) heartbeat() {
 		if idle >= l.hbTimeout {
 			add(l.hbMisses, 1)
 			l.fail(&LostError{Peer: l.peerID(), Reason: fmt.Sprintf("no frame for %v (heartbeat timeout %v)", idle.Round(time.Millisecond), l.hbTimeout)})
-			l.conn.Close()
 			return
 		}
 		if idle >= l.hbInterval {
 			l.pingSeq++
-			l.writeFrame(framePing, l.pingSeq, nil, 0) //nolint:errcheck // the timeout above is the error path
+			l.writeFrame(framePing, l.pingSeq, nil) //nolint:errcheck // the timeout above is the error path
 		}
 	}
 }
@@ -217,20 +188,24 @@ func add(c *obs.Counter, n int64) {
 	}
 }
 
-// readLoop is the connection's only reader: frames never race a
-// deadline mid-read, so the stream cannot desynchronize. Checksum
-// failures are consumed and dropped (the sender retransmits); real
-// errors end the link. Frames are read through a fixed chunk the loop
-// owns; each one's payload is a fresh allocation that the receiver then
-// owns outright (a decoded BlockBatch aliases it).
+// errSequence marks a DATA frame whose sequence number is not one past
+// the last: TCP never reorders, drops or repeats, so the stream is not
+// the peer's.
+var errSequence = errors.New("cluster: data frame out of sequence")
+
+// readLoop is the connection's only reader. Keep-alives are answered
+// here; a DATA frame goes to Recv; any error — a checksum mismatch
+// included — ends the link. Frames are read through a fixed chunk the
+// loop owns; each one's payload is a fresh allocation that the receiver
+// then owns outright (a decoded BlockBatch aliases it).
 func (l *Link) readLoop() {
 	br := bufio.NewReaderSize(l.conn, 1<<16)
 	chunk := make([]byte, frameChunkBytes)
+	var recvSeq uint64
 	for {
 		f, err := readFrame(br, chunk)
 		if err == errChecksum {
 			add(l.checksumRejects, 1)
-			continue
 		}
 		if err != nil {
 			l.fail(err)
@@ -241,23 +216,31 @@ func (l *Link) readLoop() {
 		l.lastRecv.Store(time.Now().UnixNano())
 		switch f.kind {
 		case framePing:
-			l.writeFrame(framePong, f.seq, nil, 0) //nolint:errcheck // peer's heartbeat timeout is the error path
+			l.writeFrame(framePong, f.seq, nil) //nolint:errcheck // peer's heartbeat timeout is the error path
 			continue
 		case framePong:
 			continue // lastRecv already refreshed — that is the point
 		}
+		if f.seq != recvSeq+1 {
+			l.fail(fmt.Errorf("%w: peer %d sent %d after %d", errSequence, l.peerID(), f.seq, recvSeq))
+			return
+		}
+		recvSeq = f.seq
 		select {
-		case l.in <- f:
+		case l.in <- f.payload:
 		case <-l.done:
 			return
 		}
 	}
 }
 
+// fail ends the link with err, the first time only, and closes the
+// connection, so every blocked goroutine at both ends wakes.
 func (l *Link) fail(err error) {
 	l.errOnce.Do(func() {
 		l.err = err
 		close(l.done)
+		l.conn.Close()
 	})
 }
 
@@ -276,174 +259,68 @@ var errLinkClosed = errors.New("cluster: link closed")
 // Close tears the link down and closes the connection.
 func (l *Link) Close() error {
 	l.fail(errLinkClosed)
-	return l.conn.Close()
-}
-
-// writeFrame sends one frame through the fault plan: a dropped frame
-// is simply not written (the ARQ recovers it), a delayed one is held,
-// a duplicated one is written twice back to back. The frame streams
-// through the link's chunk, so it costs no allocation however large.
-func (l *Link) writeFrame(kind byte, seq uint64, payload []uint64, attempt int) error {
-	peer, epoch := l.peerID(), l.epochN()
-	if kind == framePing || kind == framePong {
-		// Keep-alives have their own sequence counter; on a dying link
-		// they stop entirely (they are what detects the death).
-		if l.plan.DeadLink(l.self, peer, epoch) {
-			add(l.injected, 1)
-			return nil
-		}
-	} else if l.plan.Dead(l.self, peer, epoch, seq) {
-		add(l.injected, 1)
-		return nil // permanently dead: nothing ever leaves this endpoint
-	}
-	key := seq
-	if kind == frameAck {
-		key |= ackBit
-	}
-	link := fault.Link(l.self, peer)
-	if epoch > 0 {
-		// Re-key the rate-fault streams per connection incarnation so a
-		// redialed link draws fresh fates (sequence numbers restart).
-		link = prng.Derive(link, uint64(epoch))
-	}
-	d := l.plan.Decide(link, key, attempt)
-	if d.Drop {
-		add(l.injected, 1)
-		return nil
-	}
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	if d.Delay > 0 {
-		add(l.injected, 1)
-		time.Sleep(d.Delay)
-	}
-	writes := 1
-	if d.Duplicate {
-		add(l.injected, 1)
-		writes = 2
-	}
-	for ; writes > 0; writes-- {
-		n, err := streamFrame(l.conn, l.wchunk, kind, seq, payload)
-		if err != nil {
-			l.fail(err)
-			return err
-		}
-		add(l.txFrames, 1)
-		add(l.txBytes, int64(n))
-	}
 	return nil
 }
 
-func (l *Link) ack(seq uint64) error {
-	if seq == l.recvSeq {
-		l.ackN++
-	}
-	return l.writeFrame(frameAck, seq, nil, l.ackN-1)
+// writeFrame writes one frame, unless the fault plan has killed this
+// direction of the link: then nothing leaves this endpoint, keep-alives
+// included, since they are what detects the death. The frame streams
+// through the link's chunk, so it costs no allocation however large.
+func (l *Link) writeFrame(kind byte, seq uint64, payload []uint64) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	return l.write(kind, seq, payload)
 }
 
-// Send delivers msg to the peer, retransmitting on ACK timeout with
-// prng.BackoffDelay between attempts, up to the retry bound. Stale
-// duplicate data arriving while the ACK is awaited is re-ACKed (the
-// peer is retransmitting because our ACK was lost). msg is read only
+// write is writeFrame with wmu held.
+func (l *Link) write(kind byte, seq uint64, payload []uint64) error {
+	peer, epoch := l.peerID(), l.epochN()
+	dead := l.plan.Dead(l.self, peer, epoch, seq)
+	if kind != frameData {
+		dead = l.plan.DeadLink(l.self, peer, epoch)
+	}
+	if dead {
+		add(l.injected, 1)
+		return nil
+	}
+	n, err := streamFrame(l.conn, l.wchunk, kind, seq, payload)
+	if err != nil {
+		l.fail(err)
+		return err
+	}
+	add(l.txFrames, 1)
+	add(l.txBytes, int64(n))
+	return nil
+}
+
+// Send writes msg to the peer as the next DATA frame. msg is read only
 // until Send returns, so the caller may then encode the next message
 // into the same memory.
 func (l *Link) Send(msg []uint64) error {
-	seq := l.sendSeq + 1
-	for attempt := 0; attempt <= l.retries; attempt++ {
-		if attempt > 0 {
-			add(l.retriesC, 1)
-			time.Sleep(prng.BackoffDelay(l.seed^seq, attempt))
-		}
-		if err := l.writeFrame(frameData, seq, msg, attempt); err != nil {
-			return err
-		}
-		timer := time.NewTimer(l.ackTimeout)
-	wait:
-		for {
-			select {
-			case f := <-l.in:
-				if f.kind == frameAck {
-					if f.seq == seq {
-						timer.Stop()
-						l.sendSeq = seq
-						return nil
-					}
-					continue // stale ACK of an older message
-				}
-				if f.seq <= l.recvSeq {
-					if err := l.ack(f.seq); err != nil {
-						return err
-					}
-					continue
-				}
-				if f.seq == l.recvSeq+1 {
-					// The peer's *response* arrived while our ACK was
-					// still pending: under lockstep it can only have
-					// been sent after our message was delivered, so it
-					// is an implicit ACK. Complete the send and stash
-					// the frame for the next Recv.
-					timer.Stop()
-					l.sendSeq = seq
-					l.stash, l.stashed = f, true
-					return nil
-				}
-				timer.Stop()
-				return fmt.Errorf("cluster: peer %d sent data seq %d while seq %d unacknowledged", l.peerID(), f.seq, seq)
-			case <-timer.C:
-				break wait
-			case <-l.done:
-				timer.Stop()
-				return l.err
-			}
-		}
+	if err := l.Err(); err != nil {
+		return err
 	}
-	return &LostError{Peer: l.peerID(), Reason: fmt.Sprintf("no ACK for message %d after %d attempts", seq, l.retries+1)}
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	l.sendSeq++
+	return l.write(frameData, l.sendSeq, msg)
 }
 
-// Recv waits up to timeout for the next message, re-ACKing duplicates
-// of already-delivered frames. timeout <= 0 waits forever.
+// Recv waits up to timeout for the next message; timeout <= 0 waits
+// forever.
 func (l *Link) Recv(timeout time.Duration) ([]uint64, error) {
-	if l.stashed {
-		f := l.stash
-		l.stash, l.stashed = frame{}, false
-		l.recvSeq = f.seq
-		l.ackN = 0
-		if err := l.ack(f.seq); err != nil {
-			return nil, err
-		}
-		return f.payload, nil
-	}
 	var expire <-chan time.Time
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
 		expire = timer.C
 	}
-	for {
-		select {
-		case f := <-l.in:
-			if f.kind == frameAck {
-				continue // stale ACK (our last send already completed)
-			}
-			if f.seq <= l.recvSeq {
-				if err := l.ack(f.seq); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if f.seq != l.recvSeq+1 {
-				return nil, fmt.Errorf("cluster: peer %d jumped from seq %d to %d", l.peerID(), l.recvSeq, f.seq)
-			}
-			l.recvSeq = f.seq
-			l.ackN = 0
-			if err := l.ack(f.seq); err != nil {
-				return nil, err
-			}
-			return f.payload, nil
-		case <-expire:
-			return nil, fmt.Errorf("cluster: no message from peer %d within %v", l.peerID(), timeout)
-		case <-l.done:
-			return nil, l.err
-		}
+	select {
+	case msg := <-l.in:
+		return msg, nil
+	case <-expire:
+		return nil, fmt.Errorf("cluster: no message from peer %d within %v", l.peerID(), timeout)
+	case <-l.done:
+		return nil, l.err
 	}
 }

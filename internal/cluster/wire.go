@@ -15,23 +15,22 @@ import (
 	"io"
 )
 
-// The frame is the unit the transport retransmits:
+// The frame is the unit a link writes and reads:
 //
 //	[u32 length][u8 kind][u64 seq][payload: length words × u64][u64 checksum]
 //
 // length counts payload words. The checksum is FNV-1a over kind, seq,
-// and the payload bytes; a frame that fails it is discarded (never
-// ACKed), so the sender's retransmission recovers — corruption
-// degrades to loss. All integers are little-endian.
+// and the payload bytes; a frame that fails it ends the link, and the
+// rejoin handshake recovers. All integers are little-endian.
 
 const (
 	frameData = 0x01
-	frameAck  = 0x02
-	// PING/PONG keep-alives handled at the frame layer (below the
-	// ARQ): neither is retransmitted or ACKed, their sequence numbers
-	// are an independent per-link counter, and they never surface to
-	// Send/Recv. A link that stays silent past its heartbeat timeout
-	// is declared lost.
+	// 0x02, once an ACK, is unassigned: a frame of that kind is refused.
+
+	// PING/PONG keep-alives are handled by the link itself: their
+	// sequence numbers are an independent per-link counter, and they
+	// never surface to Send/Recv. A link that stays silent past its
+	// heartbeat timeout is declared lost.
 	framePing = 0x03
 	framePong = 0x04
 
@@ -100,14 +99,13 @@ func streamFrame(w io.Writer, chunk []byte, kind byte, seq uint64, payload []uin
 	return n + len(buf), err
 }
 
-// errChecksum marks a frame whose checksum failed; the reader skips
-// it (the bytes were consumed, the stream stays aligned).
+// errChecksum marks a frame whose checksum failed; the link it
+// arrived on ends.
 var errChecksum = fmt.Errorf("cluster: frame checksum mismatch")
 
 // readFrame reads one frame through chunk, decoding its payload straight
 // into the one allocation it makes. A checksum failure returns
-// errChecksum with the whole frame consumed, so the stream stays intact
-// past it.
+// errChecksum with the whole frame consumed.
 func readFrame(r io.Reader, chunk []byte) (frame, error) {
 	hdr := chunk[:frameHeaderBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -118,7 +116,7 @@ func readFrame(r io.Reader, chunk []byte) (frame, error) {
 	if n > maxFramePayload {
 		return frame{}, fmt.Errorf("cluster: frame advertises %d payload words (max %d)", n, maxFramePayload)
 	}
-	if f.kind != frameData && f.kind != frameAck && f.kind != framePing && f.kind != framePong {
+	if f.kind != frameData && f.kind != framePing && f.kind != framePong {
 		return frame{}, fmt.Errorf("cluster: unknown frame kind 0x%02x", f.kind)
 	}
 	f.payload = make([]uint64, n)

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
+	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
-	"embsp/internal/fault"
 	"embsp/internal/obs"
 	"embsp/internal/words"
 )
@@ -60,7 +60,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	frames := []frame{
 		{kind: frameData, seq: 1, payload: nil},
 		{kind: frameData, seq: 2, payload: []uint64{0}},
-		{kind: frameAck, seq: 3, payload: nil},
+		{kind: framePong, seq: 3, payload: nil},
 		{kind: frameData, seq: 1 << 40, payload: []uint64{1, ^uint64(0), 42, 7}},
 	}
 	for i, n := range []int{0, 1, c - 3, c - 2, c - 1, c, c + 1, 3*c + 5} {
@@ -90,8 +90,8 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
-// TestFrameBytesPinned holds the wire format: one small DATA frame, an
-// ACK and a PING, byte for byte.
+// TestFrameBytesPinned holds the wire format: one small DATA frame and
+// a PING, byte for byte.
 func TestFrameBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		f    frame
@@ -99,7 +99,6 @@ func TestFrameBytesPinned(t *testing.T) {
 	}{
 		{frame{kind: frameData, seq: 7, payload: []uint64{msgCompute, 0x0102030405060708, ^uint64(0)}},
 			"030000000107000000000000000a000000000000000807060504030201ffffffffffffffffe98cacf6cb29b908"},
-		{frame{kind: frameAck, seq: 7}, "000000000207000000000000008237f82cdad7e8af"},
 		{frame{kind: framePing, seq: 3}, "00000000030300000000000000b1d53bae8e10745a"},
 	} {
 		if got := hex.EncodeToString(frameBytes(t, tc.f)); got != tc.want {
@@ -108,11 +107,11 @@ func TestFrameBytesPinned(t *testing.T) {
 	}
 }
 
-// A corrupted frame must be rejected by checksum AND fully consumed,
-// so the following frame still parses: the ARQ depends on the stream
-// staying frame-aligned after a rejection. The bad frame spans four
-// read chunks, and one byte is flipped in each region: the seq, the
-// first chunk's payload, the last chunk's, and the checksum.
+// A corrupted frame must be rejected by checksum, wherever the flipped
+// byte sits, and consumed whole, so the reader stays a function of the
+// bytes it is given. The bad frame spans four read chunks, and one byte
+// is flipped in each region: the seq, the first chunk's payload, the
+// last chunk's, and the checksum.
 func TestFrameChecksumRejectKeepsAlignment(t *testing.T) {
 	good := frame{kind: frameData, seq: 9, payload: []uint64{5, 6, 7}}
 	n := 3*frameChunkWords + 5
@@ -156,7 +155,7 @@ func TestFrameOversizeRejected(t *testing.T) {
 func FuzzFrame(f *testing.F) {
 	pinned := frameBytes(f,
 		frame{kind: frameData, seq: 7, payload: []uint64{msgCompute, 0x0102030405060708, ^uint64(0)}},
-		frame{kind: frameAck, seq: 7},
+		frame{kind: framePong, seq: 7},
 		frame{kind: framePing, seq: 3})
 	f.Add(pinned)
 	f.Add(frameBytes(f, frame{kind: frameData, seq: 1 << 40, payload: payloadOf(20)}))
@@ -182,17 +181,17 @@ func FuzzFrame(f *testing.F) {
 }
 
 // linkPair builds two Links over an in-memory connection.
-func linkPair(t *testing.T, plan fault.NetPlan, ackTimeout time.Duration, m *obs.Registry) (*Link, *Link) {
+func linkPair(t *testing.T) (*Link, *Link) {
 	t.Helper()
 	ca, cb := net.Pipe()
-	a := NewLink(ca, LinkConfig{Self: 0, Peer: 1, Plan: plan, BackoffSeed: 1, AckTimeout: ackTimeout, Metrics: m})
-	b := NewLink(cb, LinkConfig{Self: 1, Peer: 0, Plan: plan, BackoffSeed: 2, AckTimeout: ackTimeout, Metrics: m})
+	a := NewLink(ca, LinkConfig{Self: 0, Peer: 1})
+	b := NewLink(cb, LinkConfig{Self: 1, Peer: 0})
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
 
 func TestLinkLockstepClean(t *testing.T) {
-	a, b := linkPair(t, fault.NetPlan{}, 0, nil)
+	a, b := linkPair(t)
 	errc := make(chan error, 1)
 	go func() {
 		for i := 0; i < 50; i++ {
@@ -225,80 +224,72 @@ func TestLinkLockstepClean(t *testing.T) {
 	}
 }
 
-// Under heavy injected drop/duplicate/delay on both directions the ARQ
-// must still deliver every message exactly once, in order.
-func TestLinkLockstepUnderFaults(t *testing.T) {
-	plan := fault.NetPlan{
-		Seed: 99, DropRate: 0.3, DupRate: 0.2,
-		DelayRate: 0.1, Delay: time.Millisecond,
-		CleanAfter: 4,
-	}
-	reg := obs.NewRegistry()
-	a, b := linkPair(t, plan, 25*time.Millisecond, reg)
-	const rounds = 40
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < rounds; i++ {
-			msg, err := b.Recv(10 * time.Second)
-			if err != nil {
-				errc <- fmt.Errorf("server round %d: %w", i, err)
-				return
-			}
-			if msg[0] != uint64(i) {
-				errc <- fmt.Errorf("server round %d: got %d", i, msg[0])
-				return
-			}
-			if err := b.Send([]uint64{msg[0] + 100}); err != nil {
-				errc <- fmt.Errorf("server round %d: %w", i, err)
-				return
-			}
-		}
-		errc <- nil
-	}()
-	for i := 0; i < rounds; i++ {
-		if err := a.Send([]uint64{uint64(i)}); err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		resp, err := a.Recv(10 * time.Second)
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		if resp[0] != uint64(i+100) {
-			t.Fatalf("round %d: got %d, want %d", i, resp[0], i+100)
+// rawLink puts a Link over one end of an in-memory connection and
+// writes stream into the other end, as a peer would, discarding what
+// the link writes back (its pongs).
+func rawLink(t *testing.T, m *obs.Registry, stream []byte) *Link {
+	t.Helper()
+	ca, cb := net.Pipe()
+	l := NewLink(ca, LinkConfig{Self: 0, Peer: 1, Metrics: m})
+	t.Cleanup(func() { l.Close(); cb.Close() })
+	go io.Copy(io.Discard, cb) //nolint:errcheck // ends when the link closes its end
+	go cb.Write(stream)        //nolint:errcheck // the link closes its end once the stream kills it
+	return l
+}
+
+// recvErr receives from l until an error ends it, at most n times.
+func recvErr(t *testing.T, l *Link, n int) error {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := l.Recv(time.Second); err != nil {
+			return err
 		}
 	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	t.Fatalf("%d messages received and the link is still up", n)
+	return nil
+}
+
+// TestLinkChecksumFailureKillsLink: a frame that fails its checksum
+// ends the link — there is no retransmission to wait for — and is
+// counted.
+func TestLinkChecksumFailureKillsLink(t *testing.T) {
+	stream := frameBytes(t, frame{kind: frameData, seq: 1, payload: []uint64{1, 2, 3}})
+	stream[frameHeaderBytes+8] ^= 0x01 // a payload byte
+	m := obs.NewRegistry()
+	err := recvErr(t, rawLink(t, m, stream), 1)
+	if !errors.Is(err, errChecksum) {
+		t.Fatalf("Recv after a corrupt frame = %v, want the checksum error", err)
 	}
-	if reg.Counter("cluster_faults_injected").Value() == 0 {
-		t.Fatal("fault plan injected nothing; the test exercised no recovery")
-	}
-	if reg.Counter("cluster_retries").Value() == 0 {
-		t.Fatal("no retransmissions under a 30% drop plan; ARQ untested")
+	if got := m.Counter("cluster_checksum_rejects").Value(); got != 1 {
+		t.Fatalf("cluster_checksum_rejects = %d, want 1", got)
 	}
 }
 
-func TestLinkRetryBound(t *testing.T) {
-	// Drop every data frame forever: Send must give up after its retry
-	// bound instead of hanging.
-	plan := fault.NetPlan{Seed: 1, DropRate: 1.0}
-	ca, cb := net.Pipe()
-	a := NewLink(ca, LinkConfig{Self: 0, Peer: 1, Plan: plan, AckTimeout: 5 * time.Millisecond, Retries: 3})
-	b := NewLink(cb, LinkConfig{Self: 1, Peer: 0})
-	defer a.Close()
-	defer b.Close()
-	if err := a.Send([]uint64{1}); err == nil {
-		t.Fatal("Send with all frames dropped: want error, got nil")
+// TestLinkRejectsOutOfSequence: TCP neither repeats nor skips, so a DATA
+// frame whose seq is not one past the last ends the link with a
+// protocol error. Keep-alives have a sequence space of their own.
+func TestLinkRejectsOutOfSequence(t *testing.T) {
+	data := func(seq uint64) frame { return frame{kind: frameData, seq: seq, payload: []uint64{seq}} }
+	for _, tc := range []struct {
+		name   string
+		frames []frame
+	}{
+		{"duplicate", []frame{data(1), {kind: framePing, seq: 9}, data(2), data(2)}},
+		{"skip", []frame{data(1), data(2), {kind: framePong, seq: 1}, data(4)}},
+		{"first not 1", []frame{data(2)}},
+	} {
+		err := recvErr(t, rawLink(t, nil, frameBytes(t, tc.frames...)), len(tc.frames))
+		if !errors.Is(err, errSequence) {
+			t.Errorf("%s: Recv = %v, want a sequence error", tc.name, err)
+		}
 	}
 }
 
 // TestServeByeRaceIsCleanShutdown: the coordinator closes a worker's
-// link as soon as it has read the BYE, and that close can overtake the
-// BYE's ACK. The worker has nothing left to deliver, so Serve must
-// report a clean shutdown, not the EOF. The peer here reads the BYE
-// frame off the wire and closes without ever acknowledging it.
+// link as soon as it has read the BYE. Sending the BYE waits for
+// nothing from the peer, so Serve has returned nil by then.
 func TestServeByeRaceIsCleanShutdown(t *testing.T) {
-	coord, wlink := linkPair(t, fault.NetPlan{}, 5*time.Second, nil)
+	coord, wlink := linkPair(t)
 	served := make(chan error, 1)
 	go func() { served <- (&Worker{Spare: true}).Serve(wlink) }()
 	if _, err := coord.Recv(5 * time.Second); err != nil { // the parking HELLO
@@ -307,35 +298,28 @@ func TestServeByeRaceIsCleanShutdown(t *testing.T) {
 	if err := coord.Send(encodeKind(new(words.Encoder), msgShutdown)); err != nil {
 		t.Fatal(err)
 	}
-	// The BYE either arrived as the SHUTDOWN's implicit ACK (stashed) or
-	// is the next data frame; take it raw, so no ACK goes back.
-	bye, ok := coord.stash, coord.stashed
-	for !ok {
-		select {
-		case f := <-coord.in:
-			bye, ok = f, f.kind == frameData
-		case <-time.After(5 * time.Second):
-			t.Fatal("no BYE from the worker")
-		}
+	bye, err := coord.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := expect(bye.payload, msgBye); err != nil {
+	if _, err := expect(bye, msgBye); err != nil {
 		t.Fatal(err)
 	}
 	coord.Close()
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("Serve after an unacknowledged BYE = %v, want nil (clean shutdown)", err)
+			t.Fatalf("Serve after its BYE = %v, want nil (clean shutdown)", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after the peer closed")
 	}
 }
 
-// TestServeMidRunCloseIsAnError: only the final BYE send forgives a
-// closed link; losing the coordinator mid-run still fails Serve.
+// TestServeMidRunCloseIsAnError: losing the coordinator mid-run fails
+// Serve.
 func TestServeMidRunCloseIsAnError(t *testing.T) {
-	coord, wlink := linkPair(t, fault.NetPlan{}, 5*time.Second, nil)
+	coord, wlink := linkPair(t)
 	served := make(chan error, 1)
 	go func() { served <- (&Worker{Spare: true}).Serve(wlink) }()
 	if _, err := coord.Recv(5 * time.Second); err != nil {

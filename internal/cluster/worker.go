@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"embsp/internal/bsp"
@@ -163,32 +160,10 @@ func (w *Worker) Serve(link *Link) error {
 			return err
 		}
 		resp, done := w.handle(msg)
-		err = link.Send(resp)
-		if done {
-			// BYE is the last frame of a clean run. The coordinator closes
-			// the link as soon as it has read it, and that close can win
-			// the race against the BYE's ACK; with nothing left to deliver,
-			// a closed link here is the clean shutdown, not a failure.
-			if peerClosed(err) {
-				err = nil
-			}
-			return err
-		}
-		if err != nil {
+		if err := link.Send(resp); err != nil || done {
 			return err
 		}
 	}
-}
-
-// peerClosed reports whether err is the connection ending under a
-// send: the peer closed or reset it, or the link was closed locally.
-func peerClosed(err error) bool {
-	for _, closed := range []error{io.EOF, io.ErrUnexpectedEOF, io.ErrClosedPipe, net.ErrClosed, syscall.ECONNRESET, syscall.EPIPE, errLinkClosed} {
-		if errors.Is(err, closed) {
-			return true
-		}
-	}
-	return false
 }
 
 // handle performs one request and builds the response. Engine errors
@@ -339,9 +314,9 @@ func (w *Worker) Run(addr string, redial bool, lc LinkConfig) error {
 			time.Sleep(500 * time.Millisecond)
 			continue
 		}
-		// Each established connection is a new incarnation: the fault
-		// plan's link streams re-key, so an injected death of epoch e
-		// spares the replacement, exactly like a replaced machine.
+		// Each established connection is a new incarnation: an injected
+		// death of epoch e spares the replacement, exactly like a
+		// replaced machine.
 		lc.Epoch = incarnation
 		incarnation++
 		link := NewLink(conn, lc)

@@ -31,9 +31,9 @@ import (
 
 // ClusterCheck rejects option combinations the cluster runtime does
 // not support. The in-process engine remains the only runtime for
-// disk-fault injection and redundancy layers; cluster runs take
-// network faults instead (internal/fault.NetPlan, injected in the
-// transport below the engine).
+// disk-fault injection and redundancy layers; cluster runs take link
+// deaths instead (internal/fault.NetPlan, injected in the transport
+// below the engine).
 func ClusterCheck(cfg MachineConfig, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -1,49 +1,16 @@
 package fault
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"embsp/internal/prng"
-)
-
-// NetPlan is the network counterpart of Plan: a deterministic,
-// seed-driven schedule of message-level faults for the cluster
-// transport. Where the disk plan perturbs parallel I/O operations,
-// the net plan perturbs frames on a link — dropping them, delaying
-// them, or delivering them twice — below the transport's
-// retransmission layer, so the ARQ machinery is what gets exercised.
-//
-// Decide is a pure function of (seed, link, seq, attempt): it keeps no
-// clocks and no streams, so the schedule is independent of goroutine
-// interleaving, reconnects, and replays — the same frame retransmitted
-// after a crash meets the same fate. Every retransmission is a fresh
-// draw, so with DropRate q the chance a frame survives none of r
-// attempts is qʳ; CleanAfter caps the adversary outright so a bounded
-// retry budget still guarantees delivery.
+// NetPlan is the network counterpart of Plan: a deterministic schedule
+// of link deaths for the cluster transport. TCP delivers the bytes of a
+// live connection in order and once, so the one network fault a run
+// has to survive is a connection that dies; the plan says which
+// direction of which connection dies, and at which frame.
 type NetPlan struct {
-	// Seed keys the fault schedule (independently of the run seed).
-	Seed uint64
-	// DropRate is the per-delivery probability that a frame vanishes.
-	DropRate float64
-	// DelayRate is the per-delivery probability that a frame is held
-	// for Delay before it is written.
-	DelayRate float64
-	// Delay is how long a delayed frame is held.
-	Delay time.Duration
-	// DupRate is the per-delivery probability that a frame is
-	// delivered twice (the receiver's dedup must absorb the copy).
-	DupRate float64
-	// CleanAfter, when positive, exempts delivery attempts with index
-	// >= CleanAfter: however unlucky the seed, the CleanAfter-th
-	// retransmission of a frame always goes through. Transports set it
-	// below their retry bound to keep injected chaos inside the
-	// recoverable regime.
-	CleanAfter int
-	// Deaths permanently kills links: unlike the rate faults above,
-	// a dead link delivers nothing ever again — no retransmission,
-	// heartbeat or CleanAfter rescues it. It models a died NIC, cable
-	// or machine; only a *new* connection (a higher epoch) escapes.
+	// Deaths permanently kills links: a dead link delivers nothing ever
+	// again. It models a died NIC, cable or machine; only a *new*
+	// connection (a higher epoch) escapes.
 	Deaths []LinkDeath
 }
 
@@ -85,30 +52,8 @@ func (p NetPlan) DeadLink(from, to, epoch int) bool {
 	return false
 }
 
-// Enabled reports whether the plan injects anything.
-func (p NetPlan) Enabled() bool {
-	return p.DropRate > 0 || p.DelayRate > 0 || p.DupRate > 0 || len(p.Deaths) > 0
-}
-
 // Validate reports whether the plan is usable.
 func (p NetPlan) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"DropRate", p.DropRate}, {"DelayRate", p.DelayRate}, {"DupRate", p.DupRate}} {
-		if r.v < 0 || r.v >= 1 {
-			return fmt.Errorf("fault: %s = %v, want [0, 1)", r.name, r.v)
-		}
-	}
-	if p.Delay < 0 {
-		return fmt.Errorf("fault: Delay = %v, want >= 0", p.Delay)
-	}
-	if p.DelayRate > 0 && p.Delay == 0 {
-		return fmt.Errorf("fault: DelayRate = %v with zero Delay", p.DelayRate)
-	}
-	if p.CleanAfter < 0 {
-		return fmt.Errorf("fault: CleanAfter = %d, want >= 0", p.CleanAfter)
-	}
 	for i, d := range p.Deaths {
 		if d.From < 0 || d.To < 0 {
 			return fmt.Errorf("fault: Deaths[%d] direction (%d -> %d) has a negative node id", i, d.From, d.To)
@@ -118,47 +63,4 @@ func (p NetPlan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// NetDecision is the fate of one delivery attempt.
-type NetDecision struct {
-	// Drop: the frame is not written at all.
-	Drop bool
-	// Duplicate: the frame is written twice back to back.
-	Duplicate bool
-	// Delay: hold the frame this long before writing it (zero when
-	// the attempt is not delayed).
-	Delay time.Duration
-}
-
-// Clean reports whether the attempt is delivered normally.
-func (d NetDecision) Clean() bool { return !d.Drop && !d.Duplicate && d.Delay == 0 }
-
-// Link names one direction of a connection between two cluster
-// members (workers 0..P-1; the coordinator conventionally uses P).
-// Decide treats it as an opaque stream identifier.
-func Link(from, to int) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// Decide returns the fate of delivery attempt attempt (0-based) of
-// frame seq on link. It is pure: the same arguments always return the
-// same decision, on any machine, in any order.
-func (p NetPlan) Decide(link, seq uint64, attempt int) NetDecision {
-	var d NetDecision
-	if !p.Enabled() || (p.CleanAfter > 0 && attempt >= p.CleanAfter) {
-		return d
-	}
-	r := prng.New(prng.Derive(p.Seed, 0x4e4554, link, seq, uint64(attempt)))
-	if p.DropRate > 0 && r.Float64() < p.DropRate {
-		d.Drop = true
-		return d
-	}
-	if p.DelayRate > 0 && r.Float64() < p.DelayRate {
-		d.Delay = p.Delay
-	}
-	if p.DupRate > 0 && r.Float64() < p.DupRate {
-		d.Duplicate = true
-	}
-	return d
 }

@@ -143,7 +143,7 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 // BackoffDelay is the wait before retry attempt+1: exponential from
 // 50ms, capped at 2s, with ±25% jitter drawn deterministically from
 // the seed and attempt number. It is the schedule of the job
-// supervisor's retries and of the cluster transport's retransmissions.
+// supervisor's retries.
 // The exponent is clamped before shifting: 50ms<<6 already exceeds the
 // 2s cap, and an unclamped shift wraps int64 around attempt 40,
 // producing a bogus small-or-negative base before the cap could catch

@@ -134,9 +134,8 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 }
 
 // TestBackoffDelaySchedule pins the first eight delays for two seeds:
-// the cluster transport's retransmissions and the job supervisor's
-// retries both run on this schedule, and a run replayed from a seed
-// must wait exactly as long as the first time.
+// the job supervisor's retries run on this schedule, and a run replayed
+// from a seed must wait exactly as long as the first time.
 func TestBackoffDelaySchedule(t *testing.T) {
 	for seed, want := range map[uint64][8]time.Duration{
 		1:  {42902656, 100454512, 158693806, 354339482, 783519272, 1893564753, 1881564491, 1920448614},
