@@ -34,11 +34,16 @@ import (
 // with SIGKILL — no deferred cleanup, exactly like a power loss — when
 // it starts computing superstep killStep. Every VP is wrapped and the
 // victim is found by Env.ID: an engine steps VP v/2 in whichever object
-// its slot holds. It exists for the crash-recovery end-to-end test; the
-// resumed invocation must not pass -kill-step again.
+// its slot holds. In a superstep VP v/2 began asleep (it voted halt and
+// may get no message: the sort's phase 1, in which only VP 0 works), VP
+// 0 is a victim too, and whichever of the two is stepped first kills.
+// It exists for the crash-recovery end-to-end test; the resumed
+// invocation must not pass -kill-step again.
 type killProgram struct {
 	embsp.Program
 	killStep int
+	asleep   bool // VP v/2 voted halt in superstep voted
+	voted    int
 }
 
 func (p *killProgram) NewVP(id int) embsp.VP {
@@ -51,10 +56,16 @@ type killVP struct {
 }
 
 func (k *killVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
-	if env.ID() == k.p.NumVPs()/2 && env.Superstep() == k.p.killStep {
+	half, id, step := k.p.NumVPs()/2, env.ID(), env.Superstep()
+	victim := id == half || id == 0 && k.p.asleep && k.p.voted < step
+	if victim && step == k.p.killStep {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
-	return k.VP.Step(env, in)
+	halt, err := k.VP.Step(env, in)
+	if id == half {
+		k.p.asleep, k.p.voted = halt, step
+	}
+	return halt, err
 }
 
 // parseFaultPlan turns the -faults flag value into a fault plan. A

@@ -32,6 +32,13 @@ import (
 //	2: partition local records by splitter; route to destinations
 //	3: merge the received runs; done
 //
+// Only VP 0 works in phase 1: the others go from phase 0 straight to
+// waiting for the splitters, and Idle reports the wait. A Step while
+// idle with an empty inbox changes nothing, so a host that votes halt
+// while its Sorter is idle keeps bsp.VP's sleep contract, and its VP
+// sleeps through phase 1 until the splitters wake it — an EM engine
+// then neither reads nor writes its context in that superstep.
+//
 // Every message of phases 1 and 3 is one sorted run: samples are taken
 // in order from the sender's sorted Data, and phase 2 sends contiguous
 // ranges of it. So both merge them with a heap of run heads, O(n log v)
@@ -61,6 +68,11 @@ type Sorter struct {
 
 // Active reports whether the Sorter still needs Step calls.
 func (s *Sorter) Active() bool { return s.phase <= 3 }
+
+// Idle reports whether the Sorter waits for VP 0's splitters: from the
+// superstep in which it sent its samples — VP 0: its splitters — until
+// they arrive. A host votes halt while its Sorter is idle.
+func (s *Sorter) Idle() bool { return s.phase == 2 }
 
 // Supersteps returns the number of supersteps a Sorter consumes.
 const SorterSupersteps = 4
@@ -94,30 +106,35 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if len(samples) > 0 {
 			env.Send(0, samples)
 		}
-	case 1:
-		if env.ID() == 0 {
-			samples, err := s.merge(env, in)
-			if err != nil {
-				return false, err
+		if env.ID() != 0 {
+			s.phase = 2 // wait for the splitters
+			return false, nil
+		}
+	case 1: // VP 0 only
+		samples, err := s.merge(env, in)
+		if err != nil {
+			return false, err
+		}
+		chargeSort(env, len(samples)/s.W)
+		m := len(samples) / s.W
+		spl := make([]uint64, 0, (v-1)*s.W)
+		for i := 1; i < v; i++ {
+			j := i * m / v
+			if j >= m {
+				j = m - 1
 			}
-			chargeSort(env, len(samples)/s.W)
-			m := len(samples) / s.W
-			spl := make([]uint64, 0, (v-1)*s.W)
-			for i := 1; i < v; i++ {
-				j := i * m / v
-				if j >= m {
-					j = m - 1
-				}
-				if j < 0 {
-					continue
-				}
-				spl = append(spl, samples[j*s.W:(j+1)*s.W]...)
+			if j < 0 {
+				continue
 			}
-			for d := 0; d < v; d++ {
-				env.Send(d, spl)
-			}
+			spl = append(spl, samples[j*s.W:(j+1)*s.W]...)
+		}
+		for d := 0; d < v; d++ {
+			env.Send(d, spl)
 		}
 	case 2:
+		if len(in) == 0 {
+			return false, nil // idle: the splitters have not arrived
+		}
 		if len(in) != 1 {
 			return false, fmt.Errorf("cgm: sorter expected splitters, got %d messages", len(in))
 		}

@@ -141,7 +141,7 @@ func (vp *domVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		// Within-slab counts: records are x-sorted; sweep in y order,
 		// Fenwick over local x rank.
@@ -178,7 +178,7 @@ func (vp *domVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		// Sweep local records in y order, accumulating per-x-slab
 		// weights: adds the same-y-slab, lower-x-slab contribution.

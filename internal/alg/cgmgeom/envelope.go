@@ -108,7 +108,7 @@ func (vp *envVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.slab.Idle(), nil
 		}
 		parts := make([][]uint64, env.NumVPs())
 		for i := 0; i+5 <= len(vp.mine); i += 5 {

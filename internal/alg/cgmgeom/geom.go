@@ -156,6 +156,10 @@ func (s *Slabber) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	return true, nil
 }
 
+// Idle reports whether the slab decomposition waits in its sort for VP
+// 0's splitters (cgm.Sorter.Idle): a host votes halt while it does.
+func (s *Slabber) Idle() bool { return s.sorter.Idle() }
+
 // SlabOf returns the slab owning key: the largest i with b[i] <= key.
 func SlabOf(bounds []uint64, key uint64) int {
 	v := len(bounds) - 1

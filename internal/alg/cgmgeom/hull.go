@@ -140,7 +140,7 @@ func (vp *hullVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		vp.cand = hullCandidates(vp.sorter.Data)
 		chargeHull(env, len(vp.sorter.Data)/hullRecW)

@@ -90,7 +90,7 @@ func (vp *maximaVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		// Sweep in descending x: a point is a slab-local maximum iff
 		// no earlier point strictly dominates its (y, z).

@@ -131,7 +131,7 @@ func (vp *nextVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.slab.Idle(), nil
 		}
 		v := env.NumVPs()
 		segParts := make([][]uint64, v)

@@ -178,7 +178,7 @@ func (vp *nnVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.slab.Idle(), nil
 		}
 		// Local pass within the slab.
 		xs, ys, idx := vp.localPts()

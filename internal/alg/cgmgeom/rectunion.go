@@ -101,7 +101,7 @@ func (vp *rectVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.slab.Idle(), nil
 		}
 		// Replicate each rectangle to every slab it overlaps, batched
 		// per destination.

@@ -134,7 +134,7 @@ func (vp *segTreeVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			vp.scan = cgm.Scan{Value: uint64(len(vp.sorter.Data) / 2)}
 			vp.phase = stScan
 		}
-		return false, nil
+		return vp.sorter.Idle(), nil
 
 	case stScan:
 		done, err := vp.scan.Step(env, in)
@@ -204,7 +204,7 @@ func (vp *segTreeVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		vp.phase = stDone
 		return true, nil

@@ -173,7 +173,7 @@ func (vp *sepVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, err
 		}
 		if !done {
-			return false, nil
+			return vp.sorter.Idle(), nil
 		}
 		vp.cand = sepCandidates(vp.sorter.Data)
 		env.Charge(int64(len(vp.sorter.Data) / sepRecW * 4))

@@ -304,7 +304,7 @@ func (vp *exprVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				vp.scan = cgm.Scan{Value: uint64(len(vp.sorter.Data) / 2)}
 				vp.numSub = 1
 			}
-			return false, nil
+			return vp.sorter.Idle(), nil
 		case 1: // scan supersteps
 			done, err := vp.scan.Step(env, in)
 			if err != nil {

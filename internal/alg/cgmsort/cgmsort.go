@@ -68,8 +68,11 @@ type sortVP struct {
 	sorter cgm.Sorter
 }
 
+// Step forwards to the Sorter, and votes halt while it is idle, so the
+// VP sleeps while VP 0 merges the samples.
 func (vp *sortVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
-	return vp.sorter.Step(env, in)
+	done, err := vp.sorter.Step(env, in)
+	return done || vp.sorter.Idle(), err
 }
 
 func (vp *sortVP) Save(enc *words.Encoder) { vp.sorter.Save(enc) }

@@ -372,3 +372,48 @@ func HoldingState(vp bsp.VP) (acc uint64, kept []uint64) {
 	}
 	return v.acc, kept
 }
+
+// SleeperProgram puts every VP but VP 0 to sleep in superstep 0, while
+// VP 0 stays awake for Rounds more supersteps; then it sleeps too and
+// the run ends. With Bump set, a VP stepped with an empty inbox after
+// superstep 0 adds one to a counter its context holds, which breaks
+// bsp.VP's sleep contract: the reference runner steps no sleeper, so
+// every counter ends at 0 there, but an EM engine steps every VP of a
+// batch it loads, VP 0's batch mates included.
+type SleeperProgram struct {
+	V, Rounds int
+	Bump      bool
+}
+
+func (p *SleeperProgram) NumVPs() int          { return p.V }
+func (p *SleeperProgram) MaxContextWords() int { return 8 } // saves 1: room for small batches
+func (p *SleeperProgram) MaxCommWords() int    { return 0 }
+func (p *SleeperProgram) NewVP(int) bsp.VP     { return &sleeperVP{p: p} }
+
+type sleeperVP struct {
+	p       *SleeperProgram
+	counter uint64
+}
+
+func (v *sleeperVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
+	if env.ID() == 0 {
+		return env.Superstep() >= v.p.Rounds, nil
+	}
+	if v.p.Bump && env.Superstep() > 0 && len(in) == 0 {
+		v.counter++
+	}
+	return true, nil
+}
+
+func (v *sleeperVP) Save(enc *words.Encoder) { enc.PutUint(v.counter) }
+func (v *sleeperVP) Load(dec *words.Decoder) { v.counter = dec.Uint() }
+
+// SleeperCounters returns every VP's counter from the final VPs of a
+// SleeperProgram run.
+func SleeperCounters(vps []bsp.VP) []uint64 {
+	out := make([]uint64, len(vps))
+	for i, vp := range vps {
+		out[i] = vp.(*sleeperVP).counter
+	}
+	return out
+}

@@ -7,9 +7,11 @@
 // proceeds in compound supersteps (receive, compute, send): in each
 // superstep every virtual processor receives the messages sent to it
 // in the previous superstep, performs local computation, and sends
-// messages that will be received in the next superstep. The program
-// ends when every virtual processor votes to halt in the same
-// superstep.
+// messages that will be received in the next superstep. A virtual
+// processor that votes to halt sleeps: it is not stepped again until a
+// message arrives for it, and it may send in the superstep in which it
+// votes. The program ends when every virtual processor sleeps and the
+// last superstep sent nothing.
 //
 // Virtual processor state (the paper's context) must be serializable
 // to 64-bit words: the EM engines keep contexts on simulated disk
@@ -90,9 +92,16 @@ type VP interface {
 	// in holds the messages sent to this VP in the previous superstep
 	// in canonical (Src, Seq) order; the VP may keep the payload slices
 	// in its state, under the lifetime rule above. Returning halt=true
-	// votes to end the program: the run finishes when all VPs vote halt
-	// in the same superstep, and it is an error to send a message while
-	// voting halt.
+	// puts the VP to sleep: it is not stepped again until a message
+	// arrives for it, and the messages it sent in this Step are
+	// delivered. The run finishes when every VP sleeps and the last
+	// superstep sent nothing.
+	//
+	// The sleep contract: an engine may still step a sleeper with an
+	// empty in — an EM engine steps every VP of a batch it loads. Such a
+	// Step must leave the context Save writes unchanged, send nothing,
+	// charge nothing and return halt=true again; RunOptions'
+	// ValidateContexts checks it.
 	Step(env *Env, in []Message) (halt bool, err error)
 	// Save marshals the VP's context. The encoding must be at most
 	// MaxContextWords() words and must capture all state the VP needs

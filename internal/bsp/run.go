@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"embsp/internal/words"
@@ -26,7 +27,11 @@ type RunOptions struct {
 	// makes the in-memory runner exercise exactly the Save/Load path the
 	// EM engines rely on, and a VP that keeps its identity, state its
 	// Load does not restore, or a slice an earlier Load decoded, ends
-	// with other results than a plain run. It costs some speed.
+	// with other results than a plain run. It also checks the sleep
+	// contract an EM engine's skip relies on (see VP.Step): every
+	// sleeper with no input is stepped too, and must leave its context
+	// as it was, send nothing, charge nothing and vote halt again. It
+	// costs some speed.
 	ValidateContexts bool
 }
 
@@ -88,6 +93,7 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 		vps[i] = p.NewVP(i)
 	}
 	inboxes := make([][]Message, v)
+	asleep := make([]bool, v) // voted halt and received nothing since
 	rec := NewCostRecorder(opts.PktSize)
 	var (
 		saved [][]uint64
@@ -105,9 +111,18 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 		}
 		next := make([][]Message, v)
 		rec.BeginStep()
-		halts := 0
+		sleepers, sends := 0, 0
 		for id := 0; id < v; id++ {
 			in := inboxes[id]
+			if asleep[id] && len(in) == 0 {
+				if opts.ValidateContexts {
+					if err := checkSleeper(vps[id], id, v, step, opts.Seed, saved[id]); err != nil {
+						return nil, err
+					}
+				}
+				sleepers++
+				continue
+			}
 			recvWords, recvPkts := 0, 0
 			for _, m := range in {
 				w := len(m.Payload) + 1
@@ -131,12 +146,11 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 			if env.sendWords > gamma {
 				return nil, fmt.Errorf("bsp: VP %d sent %d words in superstep %d, exceeding γ=%d", id, env.sendWords, step, gamma)
 			}
+			asleep[id] = halt
 			if halt {
-				if env.sends > 0 {
-					return nil, fmt.Errorf("bsp: VP %d sent %d messages while halting in superstep %d", id, env.sends, step)
-				}
-				halts++
+				sleepers++
 			}
+			sends += env.sends
 			rec.RecordVP(VPTraffic{
 				SendWords: env.sendWords,
 				RecvWords: recvWords,
@@ -166,14 +180,45 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 			}
 		}
 		rec.EndStep()
-		if halts == v {
+		if sleepers == v && sends == 0 {
 			return &Result{VPs: vps, Costs: rec.Costs()}, nil
-		}
-		if halts != 0 {
-			return nil, fmt.Errorf("bsp: split halt vote in superstep %d: %d of %d VPs halted", step, halts, v)
 		}
 		inboxes = next
 	}
+}
+
+// checkSleeper steps VP id, asleep in superstep step with no input,
+// the way an EM engine may step a sleeper its batch wakes with others,
+// and returns an error unless the step kept the sleep contract: the
+// context the VP saves is ctx word for word, and it sent nothing,
+// charged nothing and voted halt again.
+func checkSleeper(vp VP, id, v, step int, seed uint64, ctx []uint64) error {
+	env := NewEnv(id, v, step, seed, func(int, []uint64) {})
+	halt, err := SafeStep(vp, env, nil)
+	if err != nil {
+		return fmt.Errorf("bsp: VP %d superstep %d: %w", id, step, err)
+	}
+	var broke string
+	enc := words.NewEncoder(nil)
+	switch {
+	case !halt:
+		broke = "voted to go on"
+	case env.sends > 0:
+		broke = fmt.Sprintf("sent %d messages", env.sends)
+	case env.charge > 0:
+		broke = fmt.Sprintf("charged %d operations", env.charge)
+	default:
+		if err := SafeSave(vp, enc, id, step); err != nil {
+			return err
+		}
+		if !slices.Equal(enc.Words(), ctx) {
+			broke = "changed its context"
+		}
+	}
+	if broke != "" {
+		return fmt.Errorf("bsp: VP %d (%T) broke the sleep contract in superstep %d: stepped asleep with no input, it %s", id, vp, step, broke)
+	}
+	return nil
 }
 
 // contextCanary is the word ValidateContexts stamps over the slices the

@@ -3,6 +3,7 @@ package bsp_test
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"embsp/internal/bsp"
@@ -213,22 +214,128 @@ func TestValidateContextsCatchesKeptSlice(t *testing.T) {
 	}
 }
 
-func TestSplitHaltVoteFails(t *testing.T) {
-	p := &errProg{v: 2, mu: 2, gam: 8, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {
-		return id == 0, nil // VP 0 halts, VP 1 does not
+// wakeProg is an errProg whose VPs count their Steps and record the
+// superstep of their last one.
+func wakeProg(v int, step func(id int, env *bsp.Env, in []bsp.Message) bool) (p *errProg, steps, last []int) {
+	steps, last = make([]int, v), make([]int, v)
+	p = &errProg{v: v, mu: 2, gam: 8, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {
+		steps[id]++
+		last[id] = env.Superstep()
+		return step(id, env, in), nil
 	}}
-	if _, err := bsp.Run(p, bsp.RunOptions{Seed: 1}); err == nil {
-		t.Error("split halt vote not rejected")
+	return p, steps, last
+}
+
+// TestSleeperIsNotStepped: a VP that votes halt while others go on
+// sleeps — it is not stepped again — and the run ends when the last VP
+// votes halt.
+func TestSleeperIsNotStepped(t *testing.T) {
+	p, steps, _ := wakeProg(3, func(id int, env *bsp.Env, _ []bsp.Message) bool {
+		return id != 2 || env.Superstep() == 4 // VPs 0 and 1 sleep at once, VP 2 after 5 supersteps
+	})
+	res, err := bsp.Run(p, bsp.RunOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 1, 5}; !slices.Equal(steps, want) {
+		t.Errorf("Steps per VP = %v, want %v", steps, want)
+	}
+	if res.Costs.Supersteps != 5 {
+		t.Errorf("λ = %d, want 5", res.Costs.Supersteps)
 	}
 }
 
-func TestSendWhileHaltingFails(t *testing.T) {
-	p := &errProg{v: 2, mu: 2, gam: 8, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {
-		env.Send(0, []uint64{1})
-		return true, nil
-	}}
-	if _, err := bsp.Run(p, bsp.RunOptions{Seed: 1}); err == nil {
-		t.Error("send-while-halting not rejected")
+// TestMessageWakesSleeper: a message for a sleeper wakes it, and it is
+// stepped with that message in the next superstep.
+func TestMessageWakesSleeper(t *testing.T) {
+	var got []bsp.Message
+	p, steps, last := wakeProg(2, func(id int, env *bsp.Env, in []bsp.Message) bool {
+		if id == 0 {
+			got = append(got, in...)
+			return true
+		}
+		if env.Superstep() == 2 {
+			env.Send(0, []uint64{7})
+		}
+		return env.Superstep() >= 2
+	})
+	if _, err := bsp.Run(p, bsp.RunOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if steps[0] != 2 || last[0] != 3 {
+		t.Errorf("VP 0 stepped %d times, last in superstep %d; want 2, last in 3", steps[0], last[0])
+	}
+	if len(got) != 1 || got[0].Src != 1 || !slices.Equal(got[0].Payload, []uint64{7}) {
+		t.Errorf("VP 0 woke to %v, want one message [7] from VP 1", got)
+	}
+}
+
+// TestHaltWhileSendingGoesOn: every VP votes halt in a superstep in
+// which it sends, so the run goes on — its messages wake their
+// receivers — and it ends after the first superstep that sends nothing.
+func TestHaltWhileSendingGoesOn(t *testing.T) {
+	p, steps, _ := wakeProg(3, func(id int, env *bsp.Env, in []bsp.Message) bool {
+		if env.Superstep() < 2 && id != 2 {
+			env.Send(id+1, nil) // 0 → 1, 1 → 2: VP 2 wakes in superstep 1, VP 1 in 1, VP 2 again in 2
+		}
+		return true
+	})
+	res, err := bsp.Run(p, bsp.RunOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Costs.Supersteps != 3 {
+		t.Errorf("λ = %d, want 3: superstep 2 is the first that sends nothing", res.Costs.Supersteps)
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(steps, want) {
+		t.Errorf("Steps per VP = %v, want %v", steps, want)
+	}
+}
+
+// TestRunEndsOnQuietAllHalt: a superstep in which every VP sleeps does
+// not end the run while it sent a message, nor does a quiet superstep
+// with a VP awake.
+func TestRunEndsOnQuietAllHalt(t *testing.T) {
+	p, _, _ := wakeProg(2, func(id int, env *bsp.Env, in []bsp.Message) bool {
+		switch s := env.Superstep(); {
+		case id == 1 && s == 0:
+			return false // quiet, but awake
+		case id == 1 && s == 1:
+			env.Send(0, nil) // every VP sleeps after superstep 1, with a message in flight
+		}
+		return true
+	})
+	res, err := bsp.Run(p, bsp.RunOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Costs.Supersteps != 3 {
+		t.Errorf("λ = %d, want 3", res.Costs.Supersteps)
+	}
+}
+
+// TestValidateContextsChecksSleepContract: a sleeper that counts the
+// empty Steps it gets changes its context when stepped asleep, so
+// ValidateContexts — which steps every sleeper — rejects it, naming it,
+// while a plain run, which steps no sleeper, leaves every counter at 0.
+// The same program without the counter passes.
+func TestValidateContextsChecksSleepContract(t *testing.T) {
+	bad := &bsptest.SleeperProgram{V: 4, Rounds: 3, Bump: true}
+	res, err := bsp.Run(bad, bsp.RunOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := bsptest.SleeperCounters(res.VPs); slices.ContainsFunc(c, func(n uint64) bool { return n != 0 }) {
+		t.Errorf("plain run stepped a sleeper: counters %v", c)
+	}
+	_, err = bsp.Run(bad, bsp.RunOptions{Seed: 1, ValidateContexts: true})
+	if err == nil || !strings.Contains(err.Error(), "VP 1 (*bsptest.sleeperVP) broke the sleep contract in superstep 1") ||
+		!strings.Contains(err.Error(), "changed its context") {
+		t.Errorf("ValidateContexts on a counting sleeper: %v", err)
+	}
+	good := &bsptest.SleeperProgram{V: 4, Rounds: 3}
+	if _, err := bsp.Run(good, bsp.RunOptions{Seed: 1, ValidateContexts: true}); err != nil {
+		t.Errorf("ValidateContexts on a sleeper that keeps the contract: %v", err)
 	}
 }
 

@@ -321,7 +321,8 @@ func (n *NodeEngine) HasPending() bool { return n.jrn.HasPending() }
 // StepsDone returns the superstep count of the loaded barrier state.
 func (n *NodeEngine) StepsDone() int { return n.stepsDone }
 
-// Halted reports whether the loaded barrier state has all VPs halted.
+// Halted reports whether the loaded barrier state ends the run: every VP
+// sleeps and the last superstep sent nothing.
 func (n *NodeEngine) Halted() bool { return n.halted }
 
 // ResolvePending applies the coordinator's 2PC decision to a prepared
@@ -392,11 +393,11 @@ func (n *NodeEngine) Write(j, step int, in []BlockBatch) error {
 	return n.sh.receiveWrite(n.ps, j, step, in)
 }
 
-// StepTotals returns the superstep's halt votes and messages sent by
-// this node's VPs, and the parallel I/O operations it consumed since
+// StepTotals returns the node's sleeping VPs and the messages they sent
+// this superstep, and the parallel I/O operations it consumed since
 // BeginStep.
 func (n *NodeEngine) StepTotals() StepTotals {
-	return StepTotals{Halts: n.ps.halts, Sends: n.ps.sends, Ops: n.ps.stepOps()}
+	return StepTotals{Halts: n.ps.sleepers(), Sends: n.ps.sends, Ops: n.ps.stepOps()}
 }
 
 // Prepare is the node's PREPARE phase for superstep step: make the
@@ -409,7 +410,13 @@ func (n *NodeEngine) Prepare(step int, halted bool) error {
 	}
 	n.stepsDone = step + 1
 	n.halted = halted
-	return n.prepare(step)
+	if err := n.prepare(step); err != nil {
+		return err
+	}
+	if !halted {
+		n.sh.prefetchFirst(n.ps, step+1)
+	}
+	return nil
 }
 
 func (n *NodeEngine) prepare(step int) error {

@@ -288,7 +288,9 @@ func TestResumeRefusesForgedContextDirectory(t *testing.T) {
 // batches or not, whose record count is not that batch's VP count, or one
 // of whose records is longer than µ + 1 words. And so is a record whose
 // allocator state lists as fresh (modelRules 11) a track it names as input
-// or as contexts: that track would read zeros.
+// or as contexts: that track would read zeros. And so is one whose sleep
+// bits (modelRules 13) are not one word per 64 VPs, or that sets a bit
+// past its VPs.
 func TestResumeRefusesMalformedRecord(t *testing.T) {
 	const huge = 1 << 40
 	for i, rec := range procRecordSeeds(t) {
@@ -328,6 +330,8 @@ func TestResumeRefusesMalformedRecord(t *testing.T) {
 			{"held records a VP over", rec.Held + 1, uint64(rec.HeldVPs + 1), "held contexts, want"},
 			{"held record over µ + 1 words", rec.Held + 2, uint64(rec.Mu + 1), "over µ + 1"},
 			{"held record past the record", rec.Held + 2, huge, "context record of"},
+			{"forged count of sleep words", rec.Sleep, huge, "words of sleep bits"},
+			{"sleep bit past the VPs", rec.Sleep + 1, 1 << 63, "sleep bits past its"},
 		} {
 			forged := slices.Clone(rec.Words)
 			forged[forge.at] = forge.with

@@ -48,7 +48,7 @@ type Transport interface {
 	// Write hands node dst the packets outs[src].Scatter[dst] and runs
 	// batch j's writing phase.
 	Write(j, step int, outs []*BatchOut) error
-	// Totals returns every node's halt votes, sends and operations.
+	// Totals returns every node's sleepers, sends and operations.
 	Totals() ([]StepTotals, error)
 	// Prepare makes every node's barrier state — with the directory the
 	// superstep wrote as the next one's input, unless it halted —
@@ -68,9 +68,10 @@ type Transport interface {
 	Final() ([]*NodeReport, error)
 }
 
-// StepTotals is one node's share of a superstep at the vote: the halt
-// votes and messages of its VPs, and its parallel I/O operations since
-// Begin.
+// StepTotals is one node's share of a superstep at the vote: its VPs
+// that sleep — voted halt, in this superstep or in an earlier one with
+// nothing arrived for them since — the messages its VPs sent, and its
+// parallel I/O operations since Begin.
 type StepTotals struct {
 	Halts, Sends int
 	Ops          int64
@@ -91,7 +92,7 @@ type ledger struct {
 
 	setup     disk.Stats // setup-phase statistics
 	stepsDone int        // supersteps committed so far
-	halted    bool       // all VPs voted halt (committed)
+	halted    bool       // every VP sleeps and the last superstep sent nothing (committed)
 
 	pktX  [][]int64 // packets per channel this superstep
 	wordX [][]int64 // words per channel this superstep
@@ -195,25 +196,20 @@ func (l *ledger) addBatch(src int, bo *BatchOut) {
 	}
 }
 
-// vote sums the nodes' totals: whether every VP voted to halt, and the
+// vote sums the nodes' totals: whether the run halts — every VP sleeps
+// and the superstep sent nothing, the rule bsp.Run applies — and the
 // slowest node's operations.
 func (l *ledger) vote(step int, totals []StepTotals) (halted bool, maxOps int64, err error) {
-	var halts, sends int
+	var sleepers, sends int
 	for _, t := range totals {
-		halts += t.Halts
+		sleepers += t.Halts
 		sends += t.Sends
 		maxOps = max(maxOps, t.Ops)
 	}
-	switch {
-	case halts == l.sh.v:
-		if sends > 0 {
-			return false, 0, fmt.Errorf("core: %d messages sent while halting in superstep %d", sends, step)
-		}
-		return true, maxOps, nil
-	case halts != 0:
-		return false, 0, fmt.Errorf("core: split halt vote in superstep %d: %d of %d VPs halted", step, halts, l.sh.v)
+	if sleepers > l.sh.v {
+		return false, 0, fmt.Errorf("core: %d of %d VPs sleep after superstep %d", sleepers, l.sh.v, step)
 	}
-	return false, maxOps, nil
+	return sleepers == l.sh.v && sends == 0, maxOps, nil
 }
 
 // finish closes the superstep's model costs: I/O time is the slowest

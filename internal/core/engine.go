@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"embsp/internal/bsp"
@@ -320,7 +321,7 @@ func (e *engine) Write(j, step int, outs []*BatchOut) error {
 
 func (e *engine) Totals() ([]StepTotals, error) {
 	for i, ps := range e.procs {
-		e.totals[i] = StepTotals{Halts: ps.halts, Sends: ps.sends, Ops: ps.stepOps()}
+		e.totals[i] = StepTotals{Halts: ps.sleepers(), Sends: ps.sends, Ops: ps.stepOps()}
 	}
 	return e.totals, nil
 }
@@ -342,6 +343,9 @@ func (e *engine) Prepare(step int, halted bool) ([]int64, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if !halted {
+			e.prefetchFirst(ps, step+1)
 		}
 	}
 	return e.ops, nil
@@ -383,6 +387,7 @@ type procSnapshot struct {
 	opsMark  int64
 	held     int      // the held batch, -1: none
 	heldCtx  []uint64 // its records, in the processor's reused heldCopy
+	sleep    []uint64 // the sleep bits
 }
 
 func (e *engine) snapshot() []procSnapshot {
@@ -394,6 +399,7 @@ func (e *engine) snapshot() []procSnapshot {
 			acctMark: ps.acct.Mark(),
 			opsMark:  ps.chain.Stats().Ops,
 			held:     ps.held,
+			sleep:    slices.Clone(ps.sleep),
 		}
 		if ps.held >= 0 {
 			ps.heldCopy = append(ps.heldCopy[:0], ps.ctx[:ps.heldLen]...)
@@ -407,8 +413,8 @@ func (e *engine) snapshot() []procSnapshot {
 }
 
 // restore rolls every processor — allocator, checksum directory, PRNG,
-// memory accountant and held records — back to s and returns the slowest
-// processor's share of the rolled-back attempt's operations.
+// memory accountant, held records and sleep bits — back to s and returns
+// the slowest processor's share of the rolled-back attempt's operations.
 func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 	for i, ps := range e.procs {
 		p := s[i]
@@ -423,6 +429,7 @@ func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 		ps.acct.Rewind(p.acctMark)
 		ps.held, ps.heldLen = p.held, len(p.heldCtx)
 		ps.ctx = append(ps.ctx[:0], p.heldCtx...)
+		copy(ps.sleep, p.sleep)
 	}
 	return maxAborted
 }

@@ -95,12 +95,15 @@ func MemLimit(cfg MachineConfig, k, mu, gamma int) int64 { return engineMemLimit
 // ContextOps is the number of parallel operations it takes to write —
 // or to read back — the contexts the open superstep has saved so far:
 // over processors and batches, ⌈used/D⌉ for the tracks the batch's
-// packed records fill in the generation being written.
+// packed records fill in the generation being written. A skipped batch's
+// entry, which the generation carries over, was not written.
 func ContextOps(t Transport) (ops int) {
 	e := t.(*engine)
 	for _, ps := range e.procs {
-		for _, tracks := range ps.ctxWrite {
-			ops += (len(tracks) + e.cfg.D - 1) / e.cfg.D
+		for j, tracks := range ps.ctxWrite {
+			if !ps.skipped[j] {
+				ops += (len(tracks) + e.cfg.D - 1) / e.cfg.D
+			}
 		}
 	}
 	return ops
@@ -240,11 +243,13 @@ func AllocatorMarks(t Transport) [][]int {
 // Holdings is what one processor holds at a barrier: on disk, the tracks
 // of its current contexts per batch, the blocks of its next input, and the
 // tracks its allocator has handed out and not got back; in internal
-// memory, the batch whose records it holds (-1: none) and their words.
+// memory, the batch whose records it holds (-1: none) and their words;
+// and the batches the superstep the barrier ends skipped.
 type Holdings struct {
 	Contexts         []int
 	Input, Allocated int
 	Held, HeldWords  int
+	Skipped          []int
 }
 
 // HoldingsOf reports every processor's holdings.
@@ -255,8 +260,11 @@ func HoldingsOf(t Transport) []Holdings {
 		if ps.inDir != nil {
 			h.Input = ps.inDir.total
 		}
-		for _, tracks := range ps.ctxDir {
+		for j, tracks := range ps.ctxDir {
 			h.Contexts = append(h.Contexts, len(tracks))
+			if ps.skipped[j] {
+				h.Skipped = append(h.Skipped, j)
+			}
 		}
 		st := ps.chain.State()
 		for d := range st.Next {
@@ -275,17 +283,19 @@ func Replays(t Transport) int64 { return t.(*engine).led.replays }
 // — the input's, then the contexts' — so a test can forge exactly those,
 // and of the sections the decoder checks before the store adopts anything:
 // Dir is the input directory's first word, Held the held section's (the
-// batch), Store the allocator state's (the statistics' totals), Layers the
-// first word after it. HeldVPs is the count of the VPs whose records the
+// batch), Sleep the sleep bits' (their count of words), Store the
+// allocator state's (the statistics' totals), Layers the first word after
+// it. HeldVPs is the count of the VPs whose records the
 // held section carries, Mu the bound on each.
 type ProcRecord struct {
-	Words                    []uint64
-	Input                    []int // indexes into Words: one per block of the input directory
-	Contexts                 []int // one per block of the context directory
-	Dir, Held, Store, Layers int
-	HeldVPs, Mu              int
-	sh                       simShape
-	id, step                 int
+	Words                   []uint64
+	Input                   []int // indexes into Words: one per block of the input directory
+	Contexts                []int // one per block of the context directory
+	Dir, Held, Sleep, Store int
+	Layers                  int
+	HeldVPs, Mu             int
+	sh                      simShape
+	id, step                int
 }
 
 func procRecord(sh simShape, ps *procState, step int) ProcRecord {
@@ -296,6 +306,8 @@ func procRecord(sh simShape, ps *procState, step int) ProcRecord {
 	dirs := tail.Len()
 	sh.encodeHeld(tail, ps)
 	held := tail.Len()
+	tail.PutUints(ps.sleep)
+	sleep := tail.Len()
 	ps.encodeState(tail)
 	encodeStoreState(store, ps.chain.State())
 	r := ProcRecord{Words: slices.Clone(enc.Words()), Mu: sh.mu, sh: sh, id: ps.id, step: step}
@@ -304,7 +316,7 @@ func procRecord(sh simShape, ps *procState, step int) ProcRecord {
 		r.HeldVPs = hi - lo
 	}
 	base := len(r.Words) - tail.Len()
-	r.Dir, r.Held, r.Store, r.Layers = base, base+dirs, base+held, base+held+store.Len()
+	r.Dir, r.Held, r.Sleep, r.Store, r.Layers = base, base+dirs, base+held, base+sleep, base+sleep+store.Len()
 	dec := words.NewDecoder(r.Words[base:])
 	list := func(into *[]int) {
 		for n := dec.Int(); n > 0; n-- {

@@ -134,6 +134,24 @@ import (
 // so the directory and the allocator state differ. Checked against the
 // commit before with modelRules held at 11: every record 0 and both CORD
 // records are the commit before's, word for word.
+//
+// modelRules 12 → 13 (a VP that votes halt sleeps until a message arrives
+// for it, and a batch of sleepers with no input is skipped, DESIGN.md §24)
+// moved all of them by the fingerprint word, and every RUN and NODE record
+// by the layout as well: after the held section each processor section
+// carries its sleep bits, ⌈owned VPs/64⌉ words in the form of PutUints.
+// Checked against the commit before with modelRules held at 12 and the
+// sleep section left out: every record is the commit before's, word for
+// word (no superstep 0 skips a batch: nobody sleeps before it). Old → new:
+//
+//	RUN P=1               0xaa0d1ef0e506bfaa 0x68c894131e493cef → 0x4303eec25158f41e 0x53caae8153ac4249
+//	RUN P=2               0xc56ab23e60f7c17a 0x6afedc9fa51822e3 → 0xf97d6db633989417 0xffb0fe68b6a18fee
+//	file+parity+faults    0x6557e9c18c74be4  0x205bd92c3b7fe182 → 0x1d13ed27ef4a0712 0xed3239aded2ea9e6
+//	file+mirror+death     0x3e7de635096eb1eb 0x38bb7a6252a16cd6 → 0x2cae7ed17c7426c5 0xaa94a1a75cd65c32
+//	mapped+tier+parity    0xe20d3888b266690a 0x8cdac9a400f3c8ab → 0x6edd28deb65f4815 0x90e28bf00d7b7c3c
+//	NODE 0                0x505f95cba6547422 0x85ef7ce3067ae11e → 0xceca95a024ffa704 0x85875495b3dd4c32
+//	NODE 1                0x3832818a119b19eb 0x537bb68023e2574c → 0x49384a77d013c694 0x6b7874a4a4481cf3
+//	CORD                  0xffb9e98955f1b80a 0xa8efc5d4285b0112 → 0x61692876554f1871 0x0a839ca00ec5588f
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -167,8 +185,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xaa0d1ef0e506bfaa, 0x68c894131e493cef},
-		2: {0xc56ab23e60f7c17a, 0x6afedc9fa51822e3},
+		1: {0x4303eec25158f41e, 0x53caae8153ac4249},
+		2: {0xf97d6db633989417, 0xffb0fe68b6a18fee},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -184,16 +202,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x6557e9c18c74be4, 0x205bd92c3b7fe182}},
+		}, [2]uint64{0x1d13ed27ef4a0712, 0xed3239aded2ea9e6}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x3e7de635096eb1eb, 0x38bb7a6252a16cd6}},
+		}, [2]uint64{0x2cae7ed17c7426c5, 0xaa94a1a75cd65c32}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0xe20d3888b266690a, 0x8cdac9a400f3c8ab}},
+		}, [2]uint64{0x6edd28deb65f4815, 0x90e28bf00d7b7c3c}},
 	} {
 		o := opts
 		row.with(&o)
@@ -212,9 +230,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x505f95cba6547422, 0x85ef7ce3067ae11e})
-	check("NODE 1", node1, [2]uint64{0x3832818a119b19eb, 0x537bb68023e2574c})
-	check("CORD", coord, [2]uint64{0xffb9e98955f1b80a, 0xa8efc5d4285b0112})
+	check("NODE 0", node0, [2]uint64{0xceca95a024ffa704, 0x85875495b3dd4c32})
+	check("NODE 1", node1, [2]uint64{0x49384a77d013c694, 0x6b7874a4a4481cf3})
+	check("CORD", coord, [2]uint64{0x61692876554f1871, 0xa839ca00ec5588f})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

@@ -54,11 +54,15 @@ const (
 // track to clear it; 12: one message stream per sending processor and
 // destination cell a superstep, its tail block open across the
 // processor's rounds, and a block header that carries its own fill and a
-// last-chunk flag in place of the stream's total, §21.7). It is folded into every
+// last-chunk flag in place of the stream's total, §21.7; 13: a VP that
+// votes halt sleeps until a message arrives for it, a batch of sleepers
+// with no input is skipped — its contexts carried over, a turnaround
+// batch it ends on not held — and every processor's record carries the
+// sleep bits, §24). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 12
+const modelRules = 13
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -324,18 +328,20 @@ func (sh *simShape) encodeHeld(enc *words.Encoder, ps *procState) {
 }
 
 // held reads them back. The batch is the one the next round 0 simulates
-// after step supersteps (none when it has no VPs), and its count the
-// batch's VPs, each with a record of at most µ + 1 words.
-func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs []uint64) {
+// after step supersteps, or none when it has no VPs or the superstep
+// skipped it, which left its contexts on the tracks ctxDir lists; its
+// count is the batch's VPs, each with a record of at most µ + 1 words.
+func (r *recordReader) held(sh *simShape, ps *procState, step int, ctxDir [][]disk.Addr) (j int, recs []uint64) {
 	want := sh.batchAt(step, 0)
 	lo, hi := sh.batchBounds(ps, want)
 	if lo == hi {
 		want = -1
 	}
-	if w := r.word(); r.err == nil && w != uint64(want) {
-		r.fail("holds the contexts of batch %d in memory, want %d of %d batches", int64(w), want, sh.batches)
+	w := int64(r.word())
+	if skipped := w == -1 && want >= 0 && len(ctxDir[want]) > 0; r.err == nil && w != int64(want) && !skipped {
+		r.fail("holds the contexts of batch %d in memory, want %d of %d batches", w, want, sh.batches)
 	}
-	if r.err != nil || want < 0 {
+	if r.err != nil || w < 0 {
 		return -1, nil
 	}
 	n := r.count(hi-lo, "held contexts")
@@ -355,6 +361,19 @@ func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs 
 		}
 	}
 	return want, recs
+}
+
+// sleep reads the sleep bits of n owned VPs: ⌈n/64⌉ words, in the form
+// of PutUints, with no bit set past the n-th.
+func (r *recordReader) sleep(n int) []uint64 {
+	bits := make([]uint64, r.count((n+63)/64, "words of sleep bits"))
+	for i := range bits {
+		bits[i] = r.word()
+	}
+	if last := len(bits) - 1; r.err == nil && last >= 0 && n%64 != 0 && bits[last]>>(n%64) != 0 {
+		r.fail("holds sleep bits past its %d VPs", n)
+	}
+	return bits
 }
 
 // claimTracks checks the tracks a processor's record names, as input and
@@ -461,6 +480,7 @@ func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 	encodeDirectory(enc, ps.inDir)
 	encodeContexts(enc, ps.ctxDir, ps.chain.Config().D)
 	sh.encodeHeld(enc, ps)
+	enc.PutUints(ps.sleep)
 	ps.encodeState(enc)
 }
 
@@ -480,7 +500,8 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 	maxSkew, memHigh := math.Float64frombits(r.word()), int64(r.word())
 	D, batches := ps.chain.Config().D, len(ps.ctxDir)
 	inDir, ctxDir := r.directory(batches, D), r.contexts(batches, D)
-	held, recs := r.held(sh, ps, step)
+	held, recs := r.held(sh, ps, step, ctxDir)
+	sleep := r.sleep(ps.ownCount())
 	alloc := r.storeState(D)
 	if r.err == nil {
 		r.err = claimTracks(alloc, inDir, ctxDir)
@@ -495,6 +516,7 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 	copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
 	ps.acct.Release(ps.heldGrab())
 	ps.held, ps.heldLen = held, len(recs)
+	copy(ps.sleep, sleep)
 	ps.ctx = append(grow(&ps.ctx, sh.k*sh.muBlocks*sh.cfg.B)[:0], recs...)
 	if err := ps.acct.Grab(ps.heldGrab()); err != nil {
 		return err

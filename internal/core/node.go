@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"slices"
 
@@ -53,6 +54,10 @@ type wireBlock struct {
 // contexts of the turnaround batch never go to disk under either
 // discipline: they are held in ctx across the barrier, which journals
 // them in the processor's record and snapshots them for a replay.
+//
+// A batch whose VPs all sleep and which has no input is skipped: its
+// contexts stay on the tracks the context directory lists, and the
+// generation being written carries them over (DESIGN.md §24).
 type procState struct {
 	id int
 	lo int // first owned VP
@@ -72,14 +77,16 @@ type procState struct {
 	inDir    *outDirectory    // the input's blocks where their writer left them, per batch; nil before the first superstep
 	held     int              // the turnaround batch, whose packed records ctx holds until the next round 0 loads them; -1: none
 	heldLen  int              // the words of those records
+	sleep    []uint64         // one bit an owned VP: it voted halt and nothing has arrived for it since
 
 	// Superstep-scoped scratch.
-	halts  int
-	sends  int
-	dir    *outDirectory // the directory being written: the next input from the commit on
-	writer *blockWriter
-	pack   streamPacker // the superstep's message streams, their tails open across its rounds
-	final  *NodeReport  // the finish phase's report, begun at its first attempt
+	sends   int
+	skipped []bool        // per batch: skipped, its committed contexts carried into the generation written
+	fed     []bool        // per batch, at P = 1: sent a message this superstep
+	dir     *outDirectory // the directory being written: the next input from the commit on
+	writer  *blockWriter
+	pack    streamPacker // the superstep's message streams, their tails open across its rounds
+	final   *NodeReport  // the finish phase's report, begun at its first attempt
 
 	// Accounting.
 	opsMark int64
@@ -87,6 +94,30 @@ type procState struct {
 }
 
 func (ps *procState) ownCount() int { return ps.hi - ps.lo }
+
+// asleep reports whether owned VP id sleeps.
+func (ps *procState) asleep(id int) bool {
+	i := id - ps.lo
+	return ps.sleep[i/64]>>(i%64)&1 != 0
+}
+
+// vote records owned VP id's halt vote: a VP that votes halt sleeps.
+func (ps *procState) vote(id int, halt bool) {
+	i := id - ps.lo
+	ps.sleep[i/64] &^= 1 << (i % 64)
+	if halt {
+		ps.sleep[i/64] |= 1 << (i % 64)
+	}
+}
+
+// sleepers counts the owned VPs that sleep.
+func (ps *procState) sleepers() int {
+	n := 0
+	for _, w := range ps.sleep {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // heldGrab is what the accountant keeps across a barrier for the held
 // batch: the blocks its records fill.
@@ -216,10 +247,13 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	}
 	ps := &procState{
 		id: i, lo: lo, hi: hi, held: -1,
-		acct:   mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
-		rng:    prng.New(stream),
-		pktRng: prng.New(0),
-		ctxDir: make([][]disk.Addr, sh.batches),
+		acct:    mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
+		rng:     prng.New(stream),
+		pktRng:  prng.New(0),
+		ctxDir:  make([][]disk.Addr, sh.batches),
+		sleep:   make([]uint64, (hi-lo+63)/64),
+		skipped: make([]bool, sh.batches),
+		fed:     make([]bool, sh.batches),
 	}
 	var err error
 	if ps.storeStack, err = openStack(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i); err != nil {
@@ -286,7 +320,10 @@ func (ps *procState) moveContexts(tracks []disk.Addr, buf []uint64, write bool) 
 // may not exceed µ + 1 words, so the k of them fit grabCtx's buffer.
 // The records of the turnaround batch, the superstep's last, stay where
 // they are packed: the next round 0 loads them from buf, so they get no
-// track and the batch's entry in the generation is empty.
+// track and the batch's entry in the generation is empty. The tracks of
+// a batch whose VPs all sleep may outlive the superstep's other writes —
+// the next superstep may skip the batch — so under parity they go to
+// stripes of their own.
 func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp func(id int) bsp.VP) error {
 	lo, hi := sh.batchBounds(ps, j)
 	D, B, pos := sh.cfg.D, sh.cfg.B, 0
@@ -319,7 +356,13 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 		ps.ctxAt = (ps.ctxAt + 1) % D
 	}
 	ps.ctxWrite[j] = tracks
-	return ps.moveContexts(tracks, buf, true)
+	if !sh.batchSleeps(ps, j) {
+		return ps.moveContexts(tracks, buf, true)
+	}
+	ps.seal()
+	err := ps.moveContexts(tracks, buf, true)
+	ps.seal()
+	return err
 }
 
 // loadContexts is Step 1(a): read the blocks batch j's committed
@@ -453,13 +496,15 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 	return ps.chain.Sync()
 }
 
-// beginStep resets the processor's superstep-scoped scratch: halt/send
-// tallies, the outgoing directory (keyed by destination batch), the ops
-// watermark, the block writer over the processor's operation buffer, the
-// stream packer with no tail open, and under the checkpoint discipline
-// the context generation to write.
+// beginStep resets the processor's superstep-scoped scratch: the send
+// tally and the skipped batches, the outgoing directory (keyed by
+// destination batch), the ops watermark, the block writer over the
+// processor's operation buffer, the stream packer with no tail open, and
+// under the checkpoint discipline the context generation to write.
 func (sh *simShape) beginStep(ps *procState) {
-	ps.halts, ps.sends, ps.ctxAt = 0, 0, 0
+	ps.sends, ps.ctxAt = 0, 0
+	clear(ps.skipped)
+	clear(ps.fed)
 	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
 	ps.opsMark = ps.chain.Stats().Ops
 	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
@@ -637,12 +682,45 @@ func (sh *simShape) computeLocal(ps *procState, j, step int) error {
 		func(outs []outMsg) error { return sh.writeLocal(ps, j, step, outs) })
 }
 
+// skippable reports whether batch j, with no input, is skipped in step:
+// its VPs all sleep and it is not the held batch — and if it is the
+// superstep's last, the turnaround batch, the machine has one processor
+// and the superstep sent the batch nothing. Otherwise the next superstep
+// reads it anyway, and skipping it would only move that read while its
+// contexts stayed on disk instead of in memory; a machine with more
+// processors learns what the round sent it only in the round's exchange.
+func (sh *simShape) skippable(ps *procState, j, step int) bool {
+	if sh.batchAt(step, j) == sh.batches-1 && (sh.cfg.P > 1 || ps.fed[j]) {
+		return false
+	}
+	return sh.batchSleeps(ps, j)
+}
+
+// batchSleeps reports whether every VP of batch j sleeps and the batch
+// is not the held one, which is never skipped.
+func (sh *simShape) batchSleeps(ps *procState, j int) bool {
+	if ps.held == j {
+		return false
+	}
+	lo, hi := sh.batchBounds(ps, j)
+	for id := lo; id < hi; id++ {
+		if !ps.asleep(id) {
+			return false
+		}
+	}
+	return true
+}
+
 // simulateBatch simulates the (non-empty) batch j of processor ps:
 // reassemble the messages the driver's source delivers, load the k
 // current VPs, run their computation supersteps, write their contexts
 // back, and hand the generated messages to the driver's sink, which
-// packs them into their cells' streams. Halt and send tallies accumulate
-// on ps and the per-VP traffic records on ps.out.
+// packs them into their cells' streams. Every VP of the batch is
+// stepped, a sleeper with no input too (bsp.VP's sleep contract); the
+// votes go to ps's sleep bits, the send tally to ps and the per-VP
+// traffic records to ps.out. A batch of sleepers with no input is
+// skipped: the sink still runs, with nothing, for the streams a last
+// round closes.
 func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (batchIn, error), sink func(outs []outMsg) error) error {
 	lo, hi := sh.batchBounds(ps, j)
 	n := hi - lo
@@ -652,6 +730,13 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	in, err := source()
 	if err != nil {
 		return err
+	}
+	if len(in.metas) == 0 && sh.skippable(ps, j, step) {
+		spMsg.End()
+		ps.skipped[j] = true
+		ps.ctxWrite[j] = ps.ctxDir[j] // in place they are one table
+		sh.prefetchNext(ps, j, step)
+		return sink(nil)
 	}
 	inbox, err := sh.reassemble(in.buf, in.metas, lo, hi, &ps.stepBufs)
 	if err != nil {
@@ -693,15 +778,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	// The compute span also covers the pipeline's prefetch hint, so
 	// the engine phases tile this processor's lane with no gap.
 	spComp := sh.tr.BeginStep(obs.CatEngine, phCompute, ps.id, 0, step, j)
-
-	// Group pipeline: stage the next round's context and message blocks
-	// into the local store's physical cache while this batch computes
-	// (purely physical, no accounting — see pipeline.go).
-	if r := sh.batchAt(step, j) + 1; r < sh.batches {
-		if pf := ps.prefetcher(sh.opts); pf != nil {
-			pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, r)))
-		}
-	}
+	sh.prefetchNext(ps, j, step)
 
 	// Simulate the computation supersteps, collecting the generated
 	// messages in internal memory, as the paper prescribes: each payload
@@ -738,9 +815,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		if sw > sh.gamma {
 			return fmt.Errorf("core: VP %d sent %d words in superstep %d, exceeding γ=%d", id, sw, step, sh.gamma)
 		}
-		if halt {
-			ps.halts++
-		}
+		ps.vote(id, halt)
 		ps.sends += msgs
 		ps.out.Traffic = append(ps.out.Traffic, bsp.VPTraffic{
 			SendWords: sw, RecvWords: recvWords,
@@ -823,6 +898,9 @@ func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error 
 	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 	defer sp.End()
 	sh.sortByCell(outs)
+	for _, m := range outs {
+		ps.fed[sh.batchOf(m.dst)] = true
+	}
 	if err := ps.pack.add(outs, ps.writer.add); err != nil {
 		return err
 	}
@@ -889,17 +967,18 @@ func (sh *simShape) freeInput(ps *procState) error {
 // discipline everything before this point could still be rolled back, so
 // it is also where the consumed input and the context generation the
 // superstep read are released (in place, the last flush and each batch's
-// load already did) and the generation it wrote becomes current. The
-// released tracks were written a superstep apart at most, so under parity
-// their stripes leave whole. A halting superstep frees nothing and is
-// followed by no write: its stale contexts keep their tracks beside its
-// input.
+// load already did) — but for a skipped batch's, which the generation it
+// wrote carries over — and the generation it wrote becomes current. A
+// halting superstep frees nothing and is followed by no write: its stale
+// contexts keep their tracks beside its input.
 func (sh *simShape) commitProc(ps *procState, halted bool) error {
 	if !halted {
 		if ps.ckptOn {
 			err := sh.freeInput(ps)
 			for j := 0; j < len(ps.ctxDir) && err == nil; j++ {
-				err = ps.releaseContexts(j)
+				if !ps.skipped[j] {
+					err = ps.releaseContexts(j)
+				}
 			}
 			if err != nil {
 				return err

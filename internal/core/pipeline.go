@@ -135,12 +135,38 @@ func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.
 	}
 }
 
+// prefetchNext is the group pipeline's hint: while batch j computes (or
+// is skipped), stage the blocks the superstep's next round reads into the
+// local store's physical cache — purely physical, no accounting.
+func (sh *simShape) prefetchNext(ps *procState, j, step int) {
+	if r := sh.batchAt(step, j) + 1; r < sh.batches {
+		if pf := ps.prefetcher(sh.opts); pf != nil {
+			pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, r), step))
+		}
+	}
+}
+
+// prefetchFirst is the group pipeline's hint across a barrier: once the
+// store has synced — its writes drained, so nothing the superstep wrote
+// is still in flight — stage what superstep step's first round reads
+// while the decision record is appended.
+func (sh *simShape) prefetchFirst(ps *procState, step int) {
+	if pf := ps.prefetcher(sh.opts); pf != nil {
+		pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, 0), step))
+	}
+}
+
 // prefetchBatch collects the blocks processor ps will read for batch
 // j: the tracks the context directory lists for its committed contexts
-// (none for a held batch) plus the batch's message blocks.
-func (sh *simShape) prefetchBatch(ps *procState, j int) []disk.Addr {
+// (none for a held batch) plus the batch's message blocks — none for a
+// batch it knows will be skipped. Only a one-processor machine knows a
+// batch's input ahead of its round (the others gather it from every
+// processor), and whether a last round's batch is skipped only once the
+// rounds before it have sent what they send.
+func (sh *simShape) prefetchBatch(ps *procState, j, step int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
-	if lo == hi {
+	last := sh.batchAt(step, j) == sh.batches-1
+	if lo == hi || sh.cfg.P == 1 && !last && !ps.inDir.holds(j) && sh.batchSleeps(ps, j) {
 		return nil
 	}
 	addrs := append([]disk.Addr(nil), ps.ctxDir[j]...)

@@ -34,6 +34,20 @@ func newOutDirectory(groups, D int) *outDirectory {
 	return d
 }
 
+// holds reports whether the directory lists blocks for group g; a nil
+// directory, the input before the first superstep, lists none.
+func (d *outDirectory) holds(g int) bool {
+	if d == nil {
+		return false
+	}
+	for _, refs := range d.q[g] {
+		if len(refs) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // each calls f for every block of the directory with its batch, and
 // stops at f's first error.
 func (d *outDirectory) each(f func(g int, ref blockRef) error) error {

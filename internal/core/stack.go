@@ -89,6 +89,14 @@ func (s storeStack) prefetcher(opts Options) disk.Prefetcher {
 	return disk.Find[disk.Prefetcher](s.chain)
 }
 
+// seal closes the redundancy layer's open stripes (redundancy.Store.Seal);
+// without one it does nothing.
+func (s storeStack) seal() {
+	if red := disk.Find[*redundancy.Store](s.chain); red != nil {
+		red.Seal()
+	}
+}
+
 // scrubBudget returns the per-barrier track budget of the background
 // scrub: a deterministic slice of work per committed superstep,
 // proportional to the drive count so the scrub rate scales with the

@@ -20,7 +20,9 @@
 // WriteOp folds the data it has in memory into the stripe's cached
 // parity, a full stripe's parity goes to disk while the superstep still
 // writes, and the barrier (FlushParity) writes the rest and closes every
-// stripe — so a stripe holds one superstep's tracks, which die together.
+// stripe — so a stripe holds one superstep's tracks, which die together;
+// a client that keeps some of them longer seals them into stripes of
+// their own (Seal).
 // A track leaves its stripe without I/O (Release): the next barrier drops
 // a stripe all of whose members have left, and folds the leavers out of
 // any other in one batched read. Only a rewrite of a striped member in
@@ -1182,6 +1184,19 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 		s.open = append(s.open, sid) // ids only grow: still ascending
 	}
 	return sid, true
+}
+
+// Seal closes every open stripe: a track written after it shares no
+// stripe with one written before. A stripe a member short takes no more,
+// as if full, and its parity goes to disk with the full ones'. A client
+// whose tracks of one superstep leave at different barriers seals around
+// the ones that may outlive the others, so every stripe still leaves
+// whole and no barrier folds a leaver out by reading it back.
+func (s *Store) Seal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.filled = append(s.filled, s.open...)
+	s.open = s.open[:0]
 }
 
 // FlushParity is the barrier commit point of the parity scheme: the

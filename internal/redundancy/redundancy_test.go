@@ -611,3 +611,39 @@ func TestPhysOpsFollowFullestDrive(t *testing.T) {
 	}
 	check("two logical drives on one physical", after, fullest)
 }
+
+// TestSealKeepsStripesApart: a track written after Seal shares no stripe
+// with one written before, so when the earlier one leaves alone its
+// stripe drops whole, and the barrier reads nothing back. Without the
+// seal the two share a stripe, and the barrier reads the leaver and the
+// parity to fold the leaver out.
+func TestSealKeepsStripesApart(t *testing.T) {
+	const D, B = 4, 16
+	for _, seal := range []bool{false, true} {
+		s, raw := mkStore(t, D, B)
+		buf := make([]uint64, B)
+		write := func(d int) disk.Addr {
+			a := disk.Addr{Disk: d, Track: s.Alloc(d)}
+			pattern(buf, a.Disk, a.Track)
+			if err := s.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: buf}}); err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		leaver := write(0)
+		if seal {
+			s.Seal()
+		}
+		stays := write(2) // drive 1 holds the first stripe's parity
+		flushChecked(t, s)
+		if err := s.Release(leaver.Disk, leaver.Track); err != nil {
+			t.Fatal(err)
+		}
+		before := raw.Stats().ReadOps
+		flushChecked(t, s)
+		if reads := raw.Stats().ReadOps - before; (reads == 0) != seal {
+			t.Errorf("seal=%v: the barrier after the leaver's release read %d times", seal, reads)
+		}
+		checkTrack(t, s, stays, B)
+	}
+}

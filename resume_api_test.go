@@ -61,10 +61,14 @@ func crashMachine() embsp.MachineConfig {
 // sigkillProgram hard-kills the process when VP v/2 starts computing
 // superstep killStep — no deferred cleanup runs, exactly like a power
 // loss. Every VP is wrapped and the victim is found by Env.ID: an engine
-// steps VP v/2 in whichever object its slot holds.
+// steps VP v/2 in whichever object its slot holds. In a superstep that
+// VP v/2 began asleep — the sort's phase 1, in which only VP 0 works —
+// VP 0 is a victim too: whichever of the two is stepped first dies.
 type sigkillProgram struct {
 	embsp.Program
 	killStep int
+	asleep   bool // VP v/2 voted halt in superstep voted
+	voted    int
 }
 
 func (p *sigkillProgram) NewVP(id int) embsp.VP {
@@ -77,10 +81,16 @@ type sigkillVP struct {
 }
 
 func (k *sigkillVP) Step(env *embsp.Env, in []embsp.Message) (bool, error) {
-	if env.ID() == k.p.NumVPs()/2 && env.Superstep() == k.p.killStep {
+	half, id, step := k.p.NumVPs()/2, env.ID(), env.Superstep()
+	victim := id == half || id == 0 && k.p.asleep && k.p.voted < step
+	if victim && step == k.p.killStep {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
-	return k.VP.Step(env, in)
+	halt, err := k.VP.Step(env, in)
+	if id == half {
+		k.p.asleep, k.p.voted = halt, step
+	}
+	return halt, err
 }
 
 // TestCrashHelperProcess is not a test of its own: re-executed by
