@@ -32,7 +32,7 @@ import (
 //	per batch j:  FETCH → FETCH_OUT      (blocks by destination + word counts)
 //	              COMPUTE → COMPUTE_OUT  (scattered packets + traffic)
 //	              WRITE → OK
-//	SUM → SUM_OUT                        (halt votes, sends, I/O ops)
+//	SUM → SUM_OUT                        (sleepers, sends, I/O ops)
 //	PREPARE → PREPARED                   (2PC phase one: journal fsynced;
 //	                                      with replication on, PREPARED
 //	                                      carries the barrier snapshot)
@@ -442,12 +442,12 @@ func decodeComputeOut(dec *words.Decoder) *core.BatchOut {
 
 // encodeSumOut carries the worker's superstep totals at the vote point.
 func encodeSumOut(enc *words.Encoder, s core.StepTotals) []uint64 {
-	return encodeKindStep(enc, msgSumOut, int64(s.Halts), int64(s.Sends), s.Ops)
+	return encodeKindStep(enc, msgSumOut, int64(s.Sleepers), int64(s.Sends), s.Ops)
 }
 
 func decodeSumOut(dec *words.Decoder) core.StepTotals {
 	f := dec.Ints()
-	return core.StepTotals{Halts: int(f[0]), Sends: int(f[1]), Ops: f[2]}
+	return core.StepTotals{Sleepers: int(f[0]), Sends: int(f[1]), Ops: f[2]}
 }
 
 func encodeFinalOut(enc *words.Encoder, r *core.NodeReport) []uint64 {

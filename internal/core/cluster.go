@@ -397,7 +397,7 @@ func (n *NodeEngine) Write(j, step int, in []BlockBatch) error {
 // this superstep, and the parallel I/O operations it consumed since
 // BeginStep.
 func (n *NodeEngine) StepTotals() StepTotals {
-	return StepTotals{Halts: n.ps.sleepers(), Sends: n.ps.sends, Ops: n.ps.stepOps()}
+	return StepTotals{Sleepers: n.ps.sleepers(), Sends: n.ps.sends, Ops: n.ps.stepOps()}
 }
 
 // Prepare is the node's PREPARE phase for superstep step: make the

@@ -475,10 +475,9 @@ func TestContextOpsFollowUse(t *testing.T) {
 // finish phase begins.
 type roundMeter struct {
 	core.Transport
-	rounds  [][]int   // per superstep
-	held    [][]int   // per barrier, the set-up's first, per processor
-	skipped [][][]int // per barrier and processor, the batches its superstep skipped
-	final   []int     // per processor
+	rounds [][]int // per superstep
+	held   [][]int // per barrier, the set-up's first, per processor
+	final  []int   // per processor
 }
 
 func heldBatches(t core.Transport) (held []int) {
@@ -500,11 +499,6 @@ func (m *roundMeter) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) 
 
 func (m *roundMeter) Commit(step int) error {
 	m.held = append(m.held, heldBatches(m.Transport))
-	var skipped [][]int
-	for _, h := range core.HoldingsOf(m.Transport) {
-		skipped = append(skipped, h.Skipped)
-	}
-	m.skipped = append(m.skipped, skipped)
 	return m.Transport.Commit(step)
 }
 
@@ -519,10 +513,9 @@ func (m *roundMeter) Final() ([]*core.NodeReport, error) {
 // of the next superstep and of the finish phase. Every processor holds
 // that batch's records in internal memory across the barrier, unless the
 // batch has no VPs of the processor's (the last processor's ragged tail at
-// P = 3) or the superstep skipped it (DESIGN.md §24: at P = 1 a batch of
-// sleepers with no input that the superstep sent nothing), and nothing
-// else. One batch (listrank at P = 2, k ≥ v/P) is the turnaround batch of
-// every barrier.
+// P = 3), and nothing else — a superstep never skips its turnaround batch
+// (DESIGN.md §24). One batch (listrank at P = 2, k ≥ v/P) is the
+// turnaround batch of every barrier.
 func TestTurnaroundBatch(t *testing.T) {
 	breathe, _ := breathing(1)
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
@@ -568,19 +561,19 @@ func TestTurnaroundBatch(t *testing.T) {
 			}
 			// want is what every processor holds at the barrier whose last
 			// batch is j.
-			want := func(j int, skipped [][]int) []int {
+			want := func(j int) []int {
 				held := make([]int, r.cfg.P)
 				for p := range held {
 					held[p] = -1
-					if p*vpp+j*k < min((p+1)*vpp, v) && !slices.Contains(skipped[p], j) {
+					if p*vpp+j*k < min((p+1)*vpp, v) {
 						held[p] = j
 					}
 				}
 				return held
 			}
 			last := b - 1 // the set-up's
-			if !slices.Equal(m.held[0], want(last, m.skipped[0])) {
-				t.Errorf("%s: the set-up holds %v, want %v", label, m.held[0], want(last, m.skipped[0]))
+			if !slices.Equal(m.held[0], want(last)) {
+				t.Errorf("%s: the set-up holds %v, want %v", label, m.held[0], want(last))
 			}
 			for s, rounds := range m.rounds {
 				if len(rounds) != b || rounds[0] != last {
@@ -594,12 +587,12 @@ func TestTurnaroundBatch(t *testing.T) {
 					}
 				}
 				last = rounds[b-1]
-				if w := want(last, m.skipped[s+1]); !slices.Equal(m.held[s+1], w) {
-					t.Errorf("%s: barrier %d holds %v, want %v", label, s, m.held[s+1], w)
+				if !slices.Equal(m.held[s+1], want(last)) {
+					t.Errorf("%s: barrier %d holds %v, want %v", label, s, m.held[s+1], want(last))
 				}
 			}
-			if w := want(last, m.skipped[len(m.skipped)-1]); !slices.Equal(m.final, w) {
-				t.Errorf("%s: the finish phase begins holding %v, want %v", label, m.final, w)
+			if !slices.Equal(m.final, want(last)) {
+				t.Errorf("%s: the finish phase begins holding %v, want %v", label, m.final, want(last))
 			}
 		}
 	}

@@ -73,8 +73,8 @@ type Transport interface {
 // nothing arrived for them since — the messages its VPs sent, and its
 // parallel I/O operations since Begin.
 type StepTotals struct {
-	Halts, Sends int
-	Ops          int64
+	Sleepers, Sends int
+	Ops             int64
 }
 
 // ledger is the global half of a run: what no single processor knows.
@@ -202,7 +202,7 @@ func (l *ledger) addBatch(src int, bo *BatchOut) {
 func (l *ledger) vote(step int, totals []StepTotals) (halted bool, maxOps int64, err error) {
 	var sleepers, sends int
 	for _, t := range totals {
-		sleepers += t.Halts
+		sleepers += t.Sleepers
 		sends += t.Sends
 		maxOps = max(maxOps, t.Ops)
 	}

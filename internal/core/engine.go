@@ -321,7 +321,7 @@ func (e *engine) Write(j, step int, outs []*BatchOut) error {
 
 func (e *engine) Totals() ([]StepTotals, error) {
 	for i, ps := range e.procs {
-		e.totals[i] = StepTotals{Halts: ps.sleepers(), Sends: ps.sends, Ops: ps.stepOps()}
+		e.totals[i] = StepTotals{Sleepers: ps.sleepers(), Sends: ps.sends, Ops: ps.stepOps()}
 	}
 	return e.totals, nil
 }

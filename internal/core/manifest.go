@@ -56,8 +56,8 @@ const (
 // processor's rounds, and a block header that carries its own fill and a
 // last-chunk flag in place of the stream's total, §21.7; 13: a VP that
 // votes halt sleeps until a message arrives for it, a batch of sleepers
-// with no input is skipped — its contexts carried over, a turnaround
-// batch it ends on not held — and every processor's record carries the
+// with no input is skipped — its contexts carried over, the turnaround
+// batch never — and every processor's record carries the
 // sleep bits, §24). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
@@ -328,20 +328,18 @@ func (sh *simShape) encodeHeld(enc *words.Encoder, ps *procState) {
 }
 
 // held reads them back. The batch is the one the next round 0 simulates
-// after step supersteps, or none when it has no VPs or the superstep
-// skipped it, which left its contexts on the tracks ctxDir lists; its
-// count is the batch's VPs, each with a record of at most µ + 1 words.
-func (r *recordReader) held(sh *simShape, ps *procState, step int, ctxDir [][]disk.Addr) (j int, recs []uint64) {
+// after step supersteps (none when it has no VPs), and its count the
+// batch's VPs, each with a record of at most µ + 1 words.
+func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs []uint64) {
 	want := sh.batchAt(step, 0)
 	lo, hi := sh.batchBounds(ps, want)
 	if lo == hi {
 		want = -1
 	}
-	w := int64(r.word())
-	if skipped := w == -1 && want >= 0 && len(ctxDir[want]) > 0; r.err == nil && w != int64(want) && !skipped {
-		r.fail("holds the contexts of batch %d in memory, want %d of %d batches", w, want, sh.batches)
+	if w := r.word(); r.err == nil && w != uint64(want) {
+		r.fail("holds the contexts of batch %d in memory, want %d of %d batches", int64(w), want, sh.batches)
 	}
-	if r.err != nil || w < 0 {
+	if r.err != nil || want < 0 {
 		return -1, nil
 	}
 	n := r.count(hi-lo, "held contexts")
@@ -500,7 +498,7 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 	maxSkew, memHigh := math.Float64frombits(r.word()), int64(r.word())
 	D, batches := ps.chain.Config().D, len(ps.ctxDir)
 	inDir, ctxDir := r.directory(batches, D), r.contexts(batches, D)
-	held, recs := r.held(sh, ps, step, ctxDir)
+	held, recs := r.held(sh, ps, step)
 	sleep := r.sleep(ps.ownCount())
 	alloc := r.storeState(D)
 	if r.err == nil {

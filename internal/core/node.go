@@ -82,7 +82,6 @@ type procState struct {
 	// Superstep-scoped scratch.
 	sends   int
 	skipped []bool        // per batch: skipped, its committed contexts carried into the generation written
-	fed     []bool        // per batch, at P = 1: sent a message this superstep
 	dir     *outDirectory // the directory being written: the next input from the commit on
 	writer  *blockWriter
 	pack    streamPacker // the superstep's message streams, their tails open across its rounds
@@ -253,7 +252,6 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 		ctxDir:  make([][]disk.Addr, sh.batches),
 		sleep:   make([]uint64, (hi-lo+63)/64),
 		skipped: make([]bool, sh.batches),
-		fed:     make([]bool, sh.batches),
 	}
 	var err error
 	if ps.storeStack, err = openStack(dir, sh.cfg, sh.opts, resume, sh.k, sh.mu, sh.gamma, i); err != nil {
@@ -504,7 +502,6 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 func (sh *simShape) beginStep(ps *procState) {
 	ps.sends, ps.ctxAt = 0, 0
 	clear(ps.skipped)
-	clear(ps.fed)
 	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
 	ps.opsMark = ps.chain.Stats().Ops
 	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
@@ -682,18 +679,13 @@ func (sh *simShape) computeLocal(ps *procState, j, step int) error {
 		func(outs []outMsg) error { return sh.writeLocal(ps, j, step, outs) })
 }
 
-// skippable reports whether batch j, with no input, is skipped in step:
-// its VPs all sleep and it is not the held batch — and if it is the
-// superstep's last, the turnaround batch, the machine has one processor
-// and the superstep sent the batch nothing. Otherwise the next superstep
-// reads it anyway, and skipping it would only move that read while its
-// contexts stayed on disk instead of in memory; a machine with more
-// processors learns what the round sent it only in the round's exchange.
-func (sh *simShape) skippable(ps *procState, j, step int) bool {
-	if sh.batchAt(step, j) == sh.batches-1 && (sh.cfg.P > 1 || ps.fed[j]) {
-		return false
-	}
-	return sh.batchSleeps(ps, j)
+// skips reports whether batch j, whose input is empty when noInput, is
+// skipped in step: its VPs all sleep, and it is neither the held batch
+// nor the superstep's last, the turnaround batch. The next superstep
+// reads that one first anyway, so skipping it would only move the read
+// while its contexts stayed on disk instead of in memory.
+func (sh *simShape) skips(ps *procState, j, step int, noInput bool) bool {
+	return noInput && sh.batchAt(step, j) < sh.batches-1 && sh.batchSleeps(ps, j)
 }
 
 // batchSleeps reports whether every VP of batch j sleeps and the batch
@@ -731,7 +723,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	if err != nil {
 		return err
 	}
-	if len(in.metas) == 0 && sh.skippable(ps, j, step) {
+	if sh.skips(ps, j, step, len(in.metas) == 0) {
 		spMsg.End()
 		ps.skipped[j] = true
 		ps.ctxWrite[j] = ps.ctxDir[j] // in place they are one table
@@ -898,9 +890,6 @@ func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error 
 	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 	defer sp.End()
 	sh.sortByCell(outs)
-	for _, m := range outs {
-		ps.fed[sh.batchOf(m.dst)] = true
-	}
 	if err := ps.pack.add(outs, ps.writer.add); err != nil {
 		return err
 	}

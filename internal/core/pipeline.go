@@ -160,13 +160,11 @@ func (sh *simShape) prefetchFirst(ps *procState, step int) {
 // j: the tracks the context directory lists for its committed contexts
 // (none for a held batch) plus the batch's message blocks — none for a
 // batch it knows will be skipped. Only a one-processor machine knows a
-// batch's input ahead of its round (the others gather it from every
-// processor), and whether a last round's batch is skipped only once the
-// rounds before it have sent what they send.
+// batch's input ahead of its round; the others gather it from every
+// processor.
 func (sh *simShape) prefetchBatch(ps *procState, j, step int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
-	last := sh.batchAt(step, j) == sh.batches-1
-	if lo == hi || sh.cfg.P == 1 && !last && !ps.inDir.holds(j) && sh.batchSleeps(ps, j) {
+	if lo == hi || sh.cfg.P == 1 && sh.skips(ps, j, step, !ps.inDir.holds(j)) {
 		return nil
 	}
 	addrs := append([]disk.Addr(nil), ps.ctxDir[j]...)
