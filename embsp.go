@@ -14,11 +14,12 @@
 //     live on the simulated disks, the messages in the paper's standard
 //     linked format, only k = ⌊M/µ⌋ virtual processors per processor
 //     are in memory at a time, all I/O is fully blocked and D-parallel,
-//     and messages are scattered in packets to random processors to
-//     balance the disk load, then placed evenly over the receiver's
-//     drives and read where they lie (Algorithm 2, SimulateRouting, is
-//     reproduced by cmd/embsp-layout and runs in no superstep). At
-//     P == 1 there is nothing to scatter and this is Algorithm 1
+//     and every message block goes to the processor that owns its
+//     destination (where the paper sends packets to random processors),
+//     is placed evenly over that processor's drives and is read where
+//     it lies (Algorithm 2, SimulateRouting, is reproduced by
+//     cmd/embsp-layout and runs in no superstep). At P == 1 no block
+//     leaves its processor and this is Algorithm 1
 //     (SeqCompoundSuperstep).
 //   - RunReference — the in-memory BSP reference semantics.
 //

@@ -114,6 +114,15 @@ type goldenRow struct {
 // 565 → 501 (other fault draws), and every fingerprint with the costs it
 // hashes. liveBlocks did not move. At P = 2 a processor's two batches are
 // the held one and the last, and at P = 3 it has one: nothing is skipped.
+//
+// Delivering every message block to the processor that owns its
+// destination VP (DESIGN.md §5) moved every row at P = 2 and 3 and none
+// at P = 1. A processor's input is now the blocks its own VPs receive,
+// wherever they were sent from, so the drives they land on and the
+// operations that read them moved: runOps sort 406 → 404 at P = 2 and
+// 168 → 164 at P = 3, listrank 304 → 296 and 328 → 320; liveBlocks by a
+// few tracks either way; every fingerprint with the costs it hashes —
+// the model's communication among them, about half of what it was.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
 	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
@@ -151,20 +160,24 @@ var goldenTable = []goldenRow{
 	// one batch a processor, 3316 → 438, 18 → 0, liveBlocks 61 and 90 → 32.
 	// Local maxima: listrank 438 → 368. Context words: listrank 368 → 304,
 	// liveBlocks 32 → 30. One stream a processor: sort 409 → 406,
-	// liveBlocks 67 → 69 and 68 → 71.
-	{"sort", "array", 2, 0x79f31c7b9bc5a12b, 406, 50, 0, 26624, 69},
-	{"sort", "file+tier", 2, 0x4ba1231bb209ce86, 406, 50, 0, 26624, 71},
-	{"listrank", "array", 2, 0xdf995e48cb87731b, 304, 0, 0, 72768, 30},
-	{"listrank", "file+tier", 2, 0xdf995e48cb87731b, 304, 0, 0, 72768, 30},
+	// liveBlocks 67 → 69 and 68 → 71. Blocks to their owners: sort 406 →
+	// 404, liveBlocks 69 → 66 and 71 → 67; listrank 304 → 296, liveBlocks
+	// 30 → 27.
+	{"sort", "array", 2, 0x35be999685653575, 404, 50, 0, 26624, 66},
+	{"sort", "file+tier", 2, 0x0af0f22fcfa03bf0, 404, 50, 0, 26624, 67},
+	{"listrank", "array", 2, 0xe0ae447c6304c505, 296, 0, 0, 72768, 27},
+	{"listrank", "file+tier", 2, 0xe0ae447c6304c505, 296, 0, 0, 72768, 27},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
 	// liveBlocks 102 → 52 and 236 → 44. PR 25, one batch a processor:
 	// sort 577 → 168, 67 → 0, liveBlocks 52 → 28; listrank 3386 → 474,
 	// 19 → 0, 44 → 23. Local maxima: listrank 474 → 400. Context words:
-	// listrank 400 → 328, liveBlocks 23 → 22.
-	{"sort", "array", 3, 0xcafe30cd113c8ddd, 168, 0, 0, 26688, 28},
-	{"listrank", "array", 3, 0x723afee2f8fa5904, 328, 0, 0, 54656, 22},
+	// listrank 400 → 328, liveBlocks 23 → 22. Blocks to their owners:
+	// sort 168 → 164, liveBlocks 28 → 30; listrank 328 → 320, liveBlocks
+	// 22 → 20.
+	{"sort", "array", 3, 0xf8df7a335cf812fe, 164, 0, 0, 26688, 30},
+	{"listrank", "array", 3, 0xafebe786d4c96f20, 320, 0, 0, 54656, 20},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

@@ -20,9 +20,6 @@ func NewCostRecorder(pkt int) *CostRecorder {
 	return &CostRecorder{pkt: pkt}
 }
 
-// PktSize returns the packet size b used for packet accounting.
-func (c *CostRecorder) PktSize() int { return c.pkt }
-
 // BeginStep starts accumulation for the next superstep.
 func (c *CostRecorder) BeginStep() {
 	if c.open {

@@ -29,9 +29,7 @@ func TestEncodeExactFit(t *testing.T) {
 	bo := &core.BatchOut{Scatter: in, Pkts: []int64{1, 2, 3}, Wrds: []int64{4, 5, 6}}
 	report := &core.NodeReport{Lo: 2, Hi: 4, Ctx: [][]uint64{{1, 2}, {}}}
 	for name, encode := range map[string]func(*words.Encoder) []uint64{
-		"FETCH_OUT":   func(enc *words.Encoder) []uint64 { return encodeFetchOut(enc, in, []int64{24, 0, 8}) },
-		"no input":    func(enc *words.Encoder) []uint64 { return encodeFetchOut(enc, nil, nil) },
-		"COMPUTE":     func(enc *words.Encoder) []uint64 { return encodeBatchReq(enc, msgCompute, 1, 2, in) },
+		"WRITE":       func(enc *words.Encoder) []uint64 { return encodeWriteReq(enc, 1, 2, in) },
 		"COMPUTE_OUT": func(enc *words.Encoder) []uint64 { return encodeComputeOut(enc, bo) },
 		"FINAL_OUT":   func(enc *words.Encoder) []uint64 { return encodeFinalOut(enc, report) },
 	} {
@@ -68,7 +66,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 				var dec *words.Decoder
 				if dec, err = expect(msg, msgWrite); err == nil {
 					dec.Ints()
-					err = b.Send(encodeBatchReq(&enc, msgWrite, 0, 0, decodeBatches(dec)))
+					err = b.Send(encodeWriteReq(&enc, 0, 0, decodeBatches(dec)))
 				}
 			}
 			if err != nil {
@@ -81,7 +79,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 	var enc words.Encoder
 	var W int
 	roundTrip := func() {
-		msg := encodeBatchReq(&enc, msgWrite, 0, 0, batch)
+		msg := encodeWriteReq(&enc, 0, 0, batch)
 		W = len(msg)
 		if err := a.Send(msg); err != nil {
 			t.Fatal(err)

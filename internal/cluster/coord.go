@@ -660,46 +660,22 @@ func (c *coordinator) Begin(step int) error {
 	return err
 }
 
-func (c *coordinator) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
-	decs, err := c.fanout(msgFetchOut, func(enc *words.Encoder, _ int) []uint64 {
-		return encodeKindStep(enc, msgFetch, int64(j), int64(step))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, nwords := make([][]core.BlockBatch, len(decs)), make([][]int64, len(decs))
-	for i, dec := range decs {
-		rows[i], nwords[i] = decodeFetchOut(dec)
-	}
-	return rows, nwords, nil
-}
-
-// column is what every worker addressed to dst in the phase just
-// finished, relayed in the next request to dst. The batches alias the
-// replies they were decoded from, which nothing else holds.
-func column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
-	in := make([]core.BlockBatch, len(rows))
-	for src, row := range rows {
-		if row != nil {
-			in[src] = row[dst]
-		}
-	}
-	return in
-}
-
-func (c *coordinator) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
-	return collect(c, msgComputeOut, func(enc *words.Encoder, dst int) []uint64 {
-		return encodeBatchReq(enc, msgCompute, j, step, column(dst, rows))
+func (c *coordinator) Compute(j, step int) ([]*core.BatchOut, error) {
+	return collect(c, msgComputeOut, func(enc *words.Encoder, _ int) []uint64 {
+		return encodeKindStep(enc, msgCompute, int64(j), int64(step))
 	}, decodeComputeOut)
 }
 
+// Write relays to every worker what each worker delivered to it in the
+// round's computing phase. The batches alias the replies they were
+// decoded from, which nothing else holds.
 func (c *coordinator) Write(j, step int, outs []*core.BatchOut) error {
-	rows := make([][]core.BlockBatch, len(outs))
-	for src, bo := range outs {
-		rows[src] = bo.Scatter
-	}
 	_, err := c.fanout(msgOK, func(enc *words.Encoder, dst int) []uint64 {
-		return encodeBatchReq(enc, msgWrite, j, step, column(dst, rows))
+		in := make([]core.BlockBatch, len(outs))
+		for src, bo := range outs {
+			in[src] = bo.Scatter[dst]
+		}
+		return encodeWriteReq(enc, j, step, in)
 	})
 	return err
 }

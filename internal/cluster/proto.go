@@ -29,9 +29,9 @@ import (
 // fanned out concurrently, folded in node order):
 //
 //	STEP_BEGIN → OK
-//	per batch j:  FETCH → FETCH_OUT      (blocks by destination + word counts)
-//	              COMPUTE → COMPUTE_OUT  (scattered packets + traffic)
-//	              WRITE → OK
+//	per batch j:  COMPUTE → COMPUTE_OUT  (blocks for other workers' VPs,
+//	                                      by owner, + traffic)
+//	              WRITE → OK             (the blocks for this worker's VPs)
 //	SUM → SUM_OUT                        (sleepers, sends, I/O ops)
 //	PREPARE → PREPARED                   (2PC phase one: journal fsynced;
 //	                                      with replication on, PREPARED
@@ -50,8 +50,8 @@ const (
 	msgSetup
 	msgSetupOut
 	msgStepBegin
-	msgFetch
-	msgFetchOut
+	_ // 8 and 9 were FETCH and FETCH_OUT
+	_
 	msgCompute
 	msgComputeOut
 	msgWrite
@@ -82,9 +82,8 @@ func msgName(k uint64) string {
 	names := map[uint64]string{
 		msgHello: "HELLO", msgWelcome: "WELCOME", msgWelcomeOut: "WELCOME_OUT",
 		msgReset: "RESET", msgSetup: "SETUP", msgSetupOut: "SETUP_OUT",
-		msgStepBegin: "STEP_BEGIN", msgFetch: "FETCH", msgFetchOut: "FETCH_OUT",
-		msgCompute: "COMPUTE", msgComputeOut: "COMPUTE_OUT", msgWrite: "WRITE",
-		msgSum: "SUM", msgSumOut: "SUM_OUT",
+		msgStepBegin: "STEP_BEGIN", msgCompute: "COMPUTE", msgComputeOut: "COMPUTE_OUT",
+		msgWrite: "WRITE", msgSum: "SUM", msgSumOut: "SUM_OUT",
 		msgPrepare: "PREPARE", msgPrepared: "PREPARED", msgCommit: "COMMIT",
 		msgCommitted: "COMMITTED", msgAbort: "ABORT", msgAborted: "ABORTED",
 		msgFinal: "FINAL", msgFinalOut: "FINAL_OUT", msgShutdown: "SHUTDOWN",
@@ -386,36 +385,11 @@ func decodeBatches(dec *words.Decoder) []core.BlockBatch {
 	return bs
 }
 
-// encodeFetchOut carries one worker's fetching-phase output: the
-// batch's blocks grouped by destination (a nil out: the batch had no
-// input) and the per-destination word counts for the cost model.
-func encodeFetchOut(enc *words.Encoder, out []core.BlockBatch, nwords []int64) []uint64 {
-	n := 2
-	if out != nil {
-		n += batchesSize(out) + words.SizeUints(len(nwords))
-	}
-	reserve(enc, n)
-	enc.PutUint(msgFetchOut)
-	enc.PutBool(out != nil)
-	if out != nil {
-		encodeBatches(enc, out)
-		enc.PutInts(nwords)
-	}
-	return enc.Words()
-}
-
-func decodeFetchOut(dec *words.Decoder) (out []core.BlockBatch, nwords []int64) {
-	if dec.Bool() {
-		out, nwords = decodeBatches(dec), dec.Ints()
-	}
-	return out, nwords
-}
-
-// encodeBatchReq is a COMPUTE or WRITE request: round j of superstep
-// step, with the batches the worker received, one per source.
-func encodeBatchReq(enc *words.Encoder, kind uint64, j, step int, in []core.BlockBatch) []uint64 {
+// encodeWriteReq is a WRITE request: round j of superstep step, with
+// the blocks every worker delivered to this one, one batch per source.
+func encodeWriteReq(enc *words.Encoder, j, step int, in []core.BlockBatch) []uint64 {
 	reserve(enc, 1+words.SizeUints(2)+batchesSize(in))
-	enc.PutUint(kind)
+	enc.PutUint(msgWrite)
 	enc.PutInts([]int64{int64(j), int64(step)})
 	encodeBatches(enc, in)
 	return enc.Words()

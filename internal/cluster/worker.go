@@ -230,25 +230,17 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 	case msgStepBegin:
 		w.engine.BeginStep()
 		return encodeKind(enc, msgOK), false
-	case msgFetch:
-		f := dec.Ints()
-		out, nwords, err := w.engine.Fetch(int(f[0]), int(f[1]))
-		if err != nil {
-			return fail(err)
-		}
-		return encodeFetchOut(enc, out, nwords), false
 	case msgCompute:
-		// The batches alias msg, which Compute and Write copy out of
-		// before they return (core.BlockBatch).
 		f := dec.Ints()
-		in := decodeBatches(dec)
-		bo, err := w.engine.Compute(int(f[0]), int(f[1]), in)
+		bo, err := w.engine.Compute(int(f[0]), int(f[1]))
 		if err != nil {
 			return fail(err)
 		}
 		w.probe("computed", int(f[1]))
 		return encodeComputeOut(enc, bo), false
 	case msgWrite:
+		// The batches alias msg, which Write copies out of before it
+		// returns (core.BlockBatch).
 		f := dec.Ints()
 		in := decodeBatches(dec)
 		if err := w.engine.Write(int(f[0]), int(f[1]), in); err != nil {

@@ -21,8 +21,7 @@ type stepBufs struct {
 	ctx      []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words, the held batch's records in front across a barrier
 	heldCopy []uint64 // the held records a fault snapshot keeps for a replay
 	region   []uint64 // message blocks read for the current batch
-	inbox    []uint64 // exchange: the batch's received blocks, gathered for reassembly
-	slab     []uint64 // exchange: the block images the batch scatters
+	slab     []uint64 // the block images the batch sends other processors
 	op       []uint64 // one parallel operation, D·B words: the block writer's pending blocks
 	tailImgs []uint64 // the stream packer's open tails, ⌈(µ+1)/B⌉ blocks
 
@@ -56,12 +55,9 @@ type stepBufs struct {
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
 
-	// The rows this processor owns of the block exchange (of out, a
-	// machine without one fills only the traffic records).
-	fetched []BlockBatch // fetching phase output, per destination
-	nwords  []int64
-	recv    []BlockBatch // the current phase's input, per source
-	out     BatchOut     // computing phase output
+	// The rows this processor owns of the block exchange.
+	recv []BlockBatch // the writing phase's input, per source
+	out  BatchOut     // computing phase output
 }
 
 // bufCanary, when non-zero, is stamped over every word buffer fit hands

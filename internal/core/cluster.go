@@ -62,13 +62,12 @@ func nodeFingerprint(cfg MachineConfig, opts Options, v, mu, gamma, nodeID int) 
 
 // BlockBatch is an opaque sequence of message blocks in flight between
 // real processors. Encode/DecodeBlockBatch are its wire form. A batch
-// returned by NodeEngine.Fetch or Compute aliases that node's buffers
-// and is valid until the node's next call of the same phase: encode it,
-// or hand it to Compute or Write, before then. A decoded batch aliases
-// the words it was decoded from, so it is valid as long as they are:
-// Compute and Write copy its images (into the inbox, and into the
-// pending parallel write) before they return, so a caller may reuse
-// those words once they have.
+// returned by NodeEngine.Compute aliases that node's buffers and is
+// valid until the node's next Compute: encode it, or hand it to Write,
+// before then. A decoded batch aliases the words it was decoded from,
+// so it is valid as long as they are: Write copies its images into the
+// pending parallel write before it returns, so a caller may reuse those
+// words once it has.
 type BlockBatch struct {
 	blocks []wireBlock
 }
@@ -228,8 +227,8 @@ func DecodeDiskStats(dec *words.Decoder) disk.Stats { return decodeStats(dec) }
 // NodeEngine is one real processor of a cluster run: the per-node
 // superstep loop of Algorithm 3 over the node's own state directory,
 // driven phase by phase by the coordinator's messages. The caller (the
-// cluster worker) supplies the inboxes and forwards the outboxes; the
-// engine never touches the network itself.
+// cluster worker) forwards the blocks Compute returns and supplies those
+// Write receives; the engine never touches the network itself.
 type NodeEngine struct {
 	sh  simShape
 	ps  *procState
@@ -370,25 +369,18 @@ func (n *NodeEngine) Setup() (disk.Stats, error) {
 // BeginStep resets the node's superstep-scoped scratch.
 func (n *NodeEngine) BeginStep() { n.sh.beginStep(n.ps) }
 
-// Fetch runs the fetching phase of batch j: read the batch's blocks
-// from the local disks and group them by destination processor. A nil
-// out means the batch had no input. nwords[o] counts words addressed
-// to processor o. out and nwords are valid until the next Fetch (see
-// BlockBatch).
-func (n *NodeEngine) Fetch(j, step int) (out []BlockBatch, nwords []int64, err error) {
-	return n.sh.fetchForward(n.ps, j, step)
+// Compute runs the fetching and computing phases of batch j: its input
+// is read from the local disks, and the blocks for the node's own VPs go
+// straight into its block writer. The BatchOut holds the blocks for other
+// nodes' VPs, per destination, with their tallies and the traffic
+// records; it is valid until the next Compute (see BlockBatch).
+func (n *NodeEngine) Compute(j, step int) (*BatchOut, error) {
+	return &n.ps.out, n.sh.computeBatch(n.ps, j, step)
 }
 
-// Compute runs the computing phase of batch j over the inbox (one
-// batch per source processor, self included; a zero-value BlockBatch
-// is an empty slot). The BatchOut's batches, tallies and traffic records
-// are valid until the next Compute (see BlockBatch).
-func (n *NodeEngine) Compute(j, step int, in []BlockBatch) (*BatchOut, error) {
-	return &n.ps.out, n.sh.computeBatch(n.ps, j, step, in)
-}
-
-// Write runs the writing phase: store the scattered packets this node
-// received (one batch per source processor, self included).
+// Write runs the writing phase: store the blocks the other nodes
+// delivered to this one (one batch per source node; a zero-value
+// BlockBatch is an empty slot).
 func (n *NodeEngine) Write(j, step int, in []BlockBatch) error {
 	return n.sh.receiveWrite(n.ps, j, step, in)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"embsp/internal/bsp"
@@ -95,16 +97,13 @@ func (r *clusterRig) failAt(point string, step int) error {
 	return r.fail(point, step)
 }
 
-// column is what every node addressed to dst, through the wire form
+// column is what every node delivered to dst, through the wire form
 // when the rig is asked to. A decoded batch aliases the words it was
 // decoded from, as a worker's batches alias the message they came in.
-func (r *clusterRig) column(dst int, rows [][]core.BlockBatch) []core.BlockBatch {
-	in := make([]core.BlockBatch, len(rows))
-	for src, row := range rows {
-		if row == nil {
-			continue
-		}
-		in[src] = row[dst]
+func (r *clusterRig) column(dst int, outs []*core.BatchOut) []core.BlockBatch {
+	in := make([]core.BlockBatch, len(outs))
+	for src, bo := range outs {
+		in[src] = bo.Scatter[dst]
 		if r.wire {
 			enc := words.NewEncoder(nil)
 			in[src].Encode(enc)
@@ -116,8 +115,8 @@ func (r *clusterRig) column(dst int, rows [][]core.BlockBatch) []core.BlockBatch
 }
 
 // poisonWire stamps the canary over every word the rig has sent since it
-// last did, once the node that received them has returned: Compute and
-// Write must have copied the images out by then, so a node that kept a
+// last did, once the node that received them has returned: Write must
+// have copied the images out by then, so a node that kept a
 // batch past its phase reads the canary and its run leaves the oracle's.
 func (r *clusterRig) poisonWire() {
 	for _, ws := range r.sent {
@@ -146,34 +145,19 @@ func (r *clusterRig) Begin(int) error {
 	return nil
 }
 
-func (r *clusterRig) Fetch(j, step int) (rows [][]core.BlockBatch, nwords [][]int64, err error) {
-	rows, nwords = make([][]core.BlockBatch, len(r.nodes)), make([][]int64, len(r.nodes))
-	for i, n := range r.nodes {
-		if rows[i], nwords[i], err = n.Fetch(j, step); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rows, nwords, nil
-}
-
-func (r *clusterRig) Compute(j, step int, rows [][]core.BlockBatch) (outs []*core.BatchOut, err error) {
+func (r *clusterRig) Compute(j, step int) (outs []*core.BatchOut, err error) {
 	outs = make([]*core.BatchOut, len(r.nodes))
 	for i, n := range r.nodes {
-		if outs[i], err = n.Compute(j, step, r.column(i, rows)); err != nil {
+		if outs[i], err = n.Compute(j, step); err != nil {
 			return nil, err
 		}
-		r.poisonWire()
 	}
 	return outs, nil
 }
 
 func (r *clusterRig) Write(j, step int, outs []*core.BatchOut) error {
-	rows := make([][]core.BlockBatch, len(outs))
-	for src, bo := range outs {
-		rows[src] = bo.Scatter
-	}
 	for i, n := range r.nodes {
-		if err := n.Write(j, step, r.column(i, rows)); err != nil {
+		if err := n.Write(j, step, r.column(i, outs)); err != nil {
 			return err
 		}
 		r.poisonWire()
@@ -419,5 +403,82 @@ func TestClusterCoreCrashReopen(t *testing.T) {
 			resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("crash@%d/%s", crashAt, window))
 			rig.close()
 		}
+	}
+}
+
+// forgedBlock is one message block in the wire form, for VP dst and
+// from the processor whose first VP is src: a one-word stream, whole.
+func forgedBlock(dst, src, B int) core.BlockBatch {
+	img := make([]uint64, B)
+	img[0], img[1], img[4] = uint64(dst), uint64(src), 1<<1|1
+	enc := words.NewEncoder(nil)
+	enc.PutInt(1)
+	enc.PutInts([]int64{int64(dst), int64(src), 0, 0})
+	enc.PutUints(img)
+	return core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
+}
+
+// forgingRig hands node 0, in superstep `at`'s first writing phase, a
+// block from node 1 for node 1's first VP, which node 0 does not own.
+type forgingRig struct {
+	*clusterRig
+	at, vpp, B int
+	forged     bool
+}
+
+func (f *forgingRig) Write(j, step int, outs []*core.BatchOut) error {
+	if step == f.at && !f.forged {
+		f.forged = true
+		bo := *outs[1]
+		bo.Scatter = slices.Clone(bo.Scatter)
+		bo.Scatter[0] = forgedBlock(f.vpp, f.vpp, f.B)
+		outs = append([]*core.BatchOut{outs[0], &bo}, outs[2:]...)
+	}
+	return f.clusterRig.Write(j, step, outs)
+}
+
+// TestWriteRefusesBlockForAnotherOwner: a processor writes only the
+// blocks of VPs it owns. One for another processor's VP is refused as it
+// arrives, with a typed error that names the sender, the VP and the
+// receiver — through NodeEngine.Write, and on the node rig, where the
+// superstep then ends before its barrier: no node prepares it and the
+// coordinator decides nothing past the barrier before it.
+func TestWriteRefusesBlockForAnotherOwner(t *testing.T) {
+	prog := clusterProgram()
+	cfg := parMachine(2, 2, 8, 256)
+	opts := core.Options{Seed: 7}
+	vpp := prog.NumVPs() / 2
+	want := fmt.Sprintf("processor 1 sent processor 0 a block for VP %d", vpp)
+
+	n, err := core.OpenNode(prog, cfg, opts, 0, t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	n.BeginStep()
+	j := n.Batches() - 1 // superstep 0's first round
+	if _, err := n.Compute(j, 0); err != nil {
+		t.Fatal(err)
+	}
+	err = n.Write(j, 0, []core.BlockBatch{{}, forgedBlock(vpp, vpp, cfg.B)})
+	if !core.IsEngineError(err) || !strings.Contains(err.Error(), want) {
+		t.Errorf("NodeEngine.Write: got %v, want the engine's refusal %q", err, want)
+	}
+
+	for _, at := range []int{0, 2} {
+		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+		f := &forgingRig{clusterRig: rig, at: at, vpp: vpp, B: cfg.B}
+		_, err := rig.coord.Run(f)
+		if !core.IsEngineError(err) || !strings.Contains(err.Error(), want) {
+			t.Errorf("rig, superstep %d: got %v, want the engine's refusal %q", at, err, want)
+		}
+		if barriers := at + 1; rig.prepares != 2*barriers || rig.coord.Committed() != barriers {
+			t.Errorf("rig, superstep %d: %d node prepares and %d decisions, want %d and %d: the forged superstep passed its barrier",
+				at, rig.prepares, rig.coord.Committed(), 2*barriers, barriers)
+		}
+		rig.close()
 	}
 }

@@ -492,9 +492,9 @@ func (m *roundMeter) Begin(step int) error {
 	return m.Transport.Begin(step)
 }
 
-func (m *roundMeter) Fetch(j, step int) ([][]core.BlockBatch, [][]int64, error) {
+func (m *roundMeter) Compute(j, step int) ([]*core.BatchOut, error) {
 	m.rounds[step] = append(m.rounds[step], j)
-	return m.Transport.Fetch(j, step)
+	return m.Transport.Compute(j, step)
 }
 
 func (m *roundMeter) Commit(step int) error {

@@ -13,19 +13,21 @@ import (
 // This file is the superstep driver: the one place that knows the order
 // of a run —
 //
-//	setup → [begin → rounds (fetch, compute, write) → totals → vote →
-//	finish → prepare → decision record → commit] → final reports →
-//	assemble
+//	setup → [begin → rounds (compute, write) → totals → vote → finish →
+//	prepare → decision record → commit] → final reports → assemble
 //
 // — with the abort-and-replay loop around everything that precedes a
 // barrier's decision record, and the ledger of global accounting the
 // order feeds. The rounds visit the batches in snake order (batchAt), so
 // the batch a barrier ends with is the one the next superstep, or the
-// finish phase, begins with (DESIGN.md §22.7). It reaches the machine's
-// real processors through a Transport, of which there are two: the
-// in-process engine (engine.go: goroutines over procState, rows handed
-// across by reference) and the cluster coordinator (internal/cluster:
-// the same rows over the wire). Both present the step machine's outputs
+// finish phase, begins with (DESIGN.md §22.7). A round's computing phase
+// reads the batch's input where it lies and delivers each block it
+// writes to the processor that owns its destination; its writing phase
+// writes the blocks that crossed. It reaches the machine's real
+// processors through a Transport, of which there are two: the in-process
+// engine (engine.go: goroutines over procState, blocks handed across by
+// reference) and the cluster coordinator (internal/cluster: the same
+// blocks over the wire). Both present the step machine's outputs
 // (node.go) in node order, so the runtimes agree bit for bit by
 // construction.
 
@@ -38,14 +40,12 @@ type Transport interface {
 	Setup() ([]disk.Stats, error)
 	// Begin opens superstep step on every node.
 	Begin(step int) error
-	// Fetch runs batch j's fetching phase: rows[src][dst] are the blocks
-	// src read for the VPs dst simulates (a nil row: no input), nwords
-	// their word counts.
-	Fetch(j, step int) (rows [][]BlockBatch, nwords [][]int64, err error)
-	// Compute hands node dst column dst of rows and runs batch j's
-	// computing phase.
-	Compute(j, step int, rows [][]BlockBatch) ([]*BatchOut, error)
-	// Write hands node dst the packets outs[src].Scatter[dst] and runs
+	// Compute runs batch j's fetching and computing phases on every node:
+	// each reads the batch's input from its own disks, hands the blocks
+	// for its own VPs to its block writer, and returns those for other
+	// nodes' VPs.
+	Compute(j, step int) ([]*BatchOut, error)
+	// Write hands node dst the blocks outs[src].Scatter[dst] and runs
 	// batch j's writing phase.
 	Write(j, step int, outs []*BatchOut) error
 	// Totals returns every node's sleepers, sends and operations.
@@ -171,19 +171,7 @@ func (l *ledger) begin() {
 	}
 }
 
-// addFetch charges the words node src's fetching phase addressed to
-// other nodes, combined into size-b packets per channel.
-func (l *ledger) addFetch(src int, nwords []int64) {
-	for o, w := range nwords {
-		if o == src || w == 0 {
-			continue
-		}
-		l.wordX[src][o] += w
-		l.pktX[src][o] += l.sh.fetchPkts(w)
-	}
-}
-
-// addBatch charges node src's computing phase: its scattered packets,
+// addBatch charges node src's computing phase: the packets it sent,
 // and its VPs' traffic in the cost recorder (whose folds commute, so
 // node order reproduces any order).
 func (l *ledger) addBatch(src int, bo *BatchOut) {
@@ -463,14 +451,7 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 	}
 	for r := 0; r < d.sh.batches; r++ {
 		j := d.sh.batchAt(step, r)
-		rows, nwords, err := d.t.Fetch(j, step)
-		if err != nil {
-			return false, err
-		}
-		for src, nw := range nwords {
-			d.addFetch(src, nw)
-		}
-		outs, err := d.t.Compute(j, step, rows)
+		outs, err := d.t.Compute(j, step)
 		if err != nil {
 			return false, err
 		}

@@ -28,23 +28,28 @@ import (
 // next superstep and its contexts never leave internal memory.
 //
 //   - Fetching phase: each processor reads the blocks pertaining to
-//     batch j from its local disks, combines the blocks destined for a
-//     common simulating processor into packets, and routes them in one
-//     real communication superstep.
+//     batch j from its local disks: every message block for its k
+//     current VPs lies there.
 //   - Computing phase: each processor simulates its k current VPs.
-//   - Writing phase: generated messages are split into packets of
-//     size b, each packet is sent to a RANDOMLY chosen processor (the
-//     paper's disk-load balancing step), and every receiver cuts its
-//     packets into blocks and writes them to its local disks under a
-//     random drive permutation, maintaining a directory keyed by
-//     destination batch — whose counts place each block on the free
-//     drive where its batch holds fewest, the permutation breaking ties.
+//   - Writing phase: generated messages are packed into blocks of size
+//     B, each block is delivered to the processor that owns its
+//     destination VP — its own blocks straight into its block writer,
+//     the others in packets of size b in one real communication
+//     superstep — and every processor writes its blocks to its local
+//     disks under a random drive permutation, maintaining a directory
+//     keyed by destination batch — whose counts place each block on the
+//     free drive where its batch holds fewest, the permutation breaking
+//     ties.
 //
-// The next superstep reads a processor's received blocks where they
-// lie, by that directory: a batch's scattered read is within an
-// operation of fully D-parallel, so the local SimulateRouting (Algorithm
-// 2) the paper runs here is shown by DemoRouting and run by nobody
-// (DESIGN.md §7).
+// The paper sends each packet to a randomly chosen processor instead,
+// to balance the disks, and routes the blocks to their owners at the
+// next fetch; delivering them where they are read leaves that second
+// crossing out, and the h-relation bounds every receiver's words
+// (DESIGN.md §5). The next superstep reads a processor's received blocks
+// where they lie, by that directory: a batch's scattered read is within
+// an operation of fully D-parallel, so the local SimulateRouting
+// (Algorithm 2) the paper runs here is shown by DemoRouting and run by
+// nobody (DESIGN.md §7).
 //
 // Real processors run as goroutines separated by phase barriers. All
 // communication cells are owned by a single writer per phase and all
@@ -54,8 +59,7 @@ import (
 // The per-processor phase bodies live on simShape (node.go) and the
 // order they run in, with the global accounting, in the driver
 // (driver.go); this file is the driver's in-memory Transport: it hands
-// a phase's rows of blocks across processors by reference, or not at
-// all on a one-processor machine. The cluster coordinator
+// the blocks that leave a processor to their owners by reference. The cluster coordinator
 // (internal/cluster) is the other Transport, over the wire.
 //
 // With a fault plan configured, each processor's disk array is wrapped
@@ -64,7 +68,7 @@ import (
 // on any processor rolls all of them — allocator, checksum directory,
 // PRNG, cost recorder and memory accountant — back to the barrier and
 // replays the superstep. After a permanent drive loss the block writer
-// remaps its packet scatter onto the surviving drives.
+// remaps its placement onto the surviving drives.
 
 // maxReplays bounds how many times one compound superstep may be
 // rolled back and replayed before the engine gives up. Each replay
@@ -89,8 +93,6 @@ type engine struct {
 	// What the phases return, one entry per processor, reused every
 	// round. Entry [i] is set only by processor i's goroutine and read
 	// only after the phase's barrier.
-	rows   [][]BlockBatch
-	nwords [][]int64
 	outs   []*BatchOut
 	totals []StepTotals
 	ops    []int64
@@ -149,7 +151,6 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 		}
 	}
 	e.procs = make([]*procState, P)
-	e.rows, e.nwords = make([][]BlockBatch, P), make([][]int64, P)
 	e.outs, e.totals, e.ops = make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P)
 	for i := range e.procs {
 		var dir string
@@ -270,53 +271,29 @@ func (e *engine) Begin(step int) error {
 	return nil
 }
 
-// Fetch: with more than one processor, each reads batch j's blocks and
-// groups them by the processor simulating their destination. A
-// one-processor machine has nobody to fetch for: its whole round is its
-// computing phase (computeLocal).
-func (e *engine) Fetch(j, step int) ([][]BlockBatch, [][]int64, error) {
+// Compute simulates batch j on every processor, which delivers its own
+// blocks into its block writer and leaves the others in its BatchOut.
+// One processor runs it on this goroutine, with no closure to allocate.
+func (e *engine) Compute(j, step int) ([]*BatchOut, error) {
 	if len(e.procs) == 1 {
-		return nil, nil, nil
+		return e.outs, e.computeBatch(e.procs[0], j, step)
 	}
-	err := e.parallel(func(ps *procState) (err error) {
-		e.rows[ps.id], e.nwords[ps.id], err = e.fetchForward(ps, j, step)
-		return err
-	})
-	return e.rows, e.nwords, err
+	return e.outs, e.parallel(func(ps *procState) error { return e.computeBatch(ps, j, step) })
 }
 
-// Compute simulates batch j on every processor (and cuts the generated
-// messages into packets scattered to random processors).
-func (e *engine) Compute(j, step int, rows [][]BlockBatch) ([]*BatchOut, error) {
-	if len(e.procs) == 1 {
-		return e.outs, e.computeLocal(e.procs[0], j, step)
-	}
-	err := e.parallel(func(ps *procState) error {
-		in := grow(&ps.recv, len(rows))
-		for src, row := range rows {
-			in[src] = BlockBatch{}
-			if row != nil {
-				in[src] = row[ps.id]
-			}
-		}
-		return e.computeBatch(ps, j, step, in)
-	})
-	return e.outs, err
-}
-
-// Write: every processor writes the packets it received to its local
-// disks, maintaining the directory.
+// Write: every processor writes the blocks the others delivered to it
+// to its local disks, maintaining the directory.
 func (e *engine) Write(j, step int, outs []*BatchOut) error {
-	if len(e.procs) == 1 {
-		return nil
-	}
-	return e.parallel(func(ps *procState) error {
+	for _, ps := range e.procs {
 		in := grow(&ps.recv, len(outs))
 		for src, bo := range outs {
 			in[src] = bo.Scatter[ps.id]
 		}
-		return e.receiveWrite(ps, j, step, in)
-	})
+	}
+	if len(e.procs) == 1 {
+		return e.receiveWrite(e.procs[0], j, step, e.procs[0].recv)
+	}
+	return e.parallel(func(ps *procState) error { return e.receiveWrite(ps, j, step, ps.recv) })
 }
 
 func (e *engine) Totals() ([]StepTotals, error) {

@@ -43,26 +43,16 @@ func MessageBlocks(t Transport) (blocks, streams int) {
 	return blocks, streams
 }
 
-// PacketTargets lists the processor each block of one computing phase's
-// output was sent to, the blocks in stream order: by destination cell,
-// stream and chunk.
-func PacketTargets(bo *BatchOut) []int {
-	type sent struct {
-		meta   blockMeta
-		target int
-	}
-	var all []sent
+// Scattered lists, for every block one computing phase's output sends
+// another processor, the first VP of its destination cell and the
+// processor it is sent to.
+func Scattered(bo *BatchOut) (dsts, targets []int) {
 	for target, b := range bo.Scatter {
 		for _, wb := range b.blocks {
-			all = append(all, sent{wb.meta, target})
+			dsts, targets = append(dsts, wb.meta.dst), append(targets, target)
 		}
 	}
-	slices.SortFunc(all, func(a, b sent) int { return metaCmp(a.meta, b.meta) })
-	targets := make([]int, len(all))
-	for i, s := range all {
-		targets[i] = s.target
-	}
-	return targets
+	return dsts, targets
 }
 
 // Tails reports, on the engine RunOver hands to wrap, each processor's

@@ -152,6 +152,25 @@ import (
 //	NODE 0                0x505f95cba6547422 0x85ef7ce3067ae11e → 0xceca95a024ffa704 0x85875495b3dd4c32
 //	NODE 1                0x3832818a119b19eb 0x537bb68023e2574c → 0x49384a77d013c694 0x6b7874a4a4481cf3
 //	CORD                  0xffb9e98955f1b80a 0xa8efc5d4285b0112 → 0x61692876554f1871 0x0a839ca00ec5588f
+//
+// modelRules 13 → 14 (every message block goes to the processor that
+// owns its destination VP, DESIGN.md §5) moved all of them by the
+// fingerprint word, and the P = 2 rows' record 1 by more: the blocks of
+// superstep 0 land on their owners, so the directory, the allocator state
+// and the counts of a RUN P = 2, mapped+tier+parity and NODE record 1
+// differ, and the CORD record 1 by the model's communication and I/O
+// counts. The layout of none moved. Checked against the commit before
+// with modelRules held at 13: every record 0 and every P = 1 record is
+// the commit before's, word for word. Old → new:
+//
+//	RUN P=1               0x4303eec25158f41e 0x53caae8153ac4249 → 0xc9aa3ca14089c335 0x0ef9b7caf932f7e8
+//	RUN P=2               0xf97d6db633989417 0xffb0fe68b6a18fee → 0x357537e9fe335758 0x36765290e0807490
+//	file+parity+faults    0x1d13ed27ef4a0712 0xed3239aded2ea9e6 → 0xaf3fe319c01ab715 0xed318660451872a3
+//	file+mirror+death     0x2cae7ed17c7426c5 0xaa94a1a75cd65c32 → 0x0163e7366db330e6 0x9435d010fb0dd773
+//	mapped+tier+parity    0x6edd28deb65f4815 0x90e28bf00d7b7c3c → 0xa14c4b9f2d02ecae 0x43043199e074ce7b
+//	NODE 0                0xceca95a024ffa704 0x85875495b3dd4c32 → 0x41118726def2b46c 0xaa8cb0187672e7fe
+//	NODE 1                0x49384a77d013c694 0x6b7874a4a4481cf3 → 0xa75e4621b95bebef 0x3b6dfbb6f2156815
+//	CORD                  0x61692876554f1871 0x0a839ca00ec5588f → 0x77539dc3019ab030 0x5bc7a8969ef6d100
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -185,8 +204,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0x4303eec25158f41e, 0x53caae8153ac4249},
-		2: {0xf97d6db633989417, 0xffb0fe68b6a18fee},
+		1: {0xc9aa3ca14089c335, 0xef9b7caf932f7e8},
+		2: {0x357537e9fe335758, 0x36765290e0807490},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -202,16 +221,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x1d13ed27ef4a0712, 0xed3239aded2ea9e6}},
+		}, [2]uint64{0xaf3fe319c01ab715, 0xed318660451872a3}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x2cae7ed17c7426c5, 0xaa94a1a75cd65c32}},
+		}, [2]uint64{0x163e7366db330e6, 0x9435d010fb0dd773}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x6edd28deb65f4815, 0x90e28bf00d7b7c3c}},
+		}, [2]uint64{0xa14c4b9f2d02ecae, 0x43043199e074ce7b}},
 	} {
 		o := opts
 		row.with(&o)
@@ -230,9 +249,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0xceca95a024ffa704, 0x85875495b3dd4c32})
-	check("NODE 1", node1, [2]uint64{0x49384a77d013c694, 0x6b7874a4a4481cf3})
-	check("CORD", coord, [2]uint64{0x61692876554f1871, 0xa839ca00ec5588f})
+	check("NODE 0", node0, [2]uint64{0x41118726def2b46c, 0xaa8cb0187672e7fe})
+	check("NODE 1", node1, [2]uint64{0xa75e4621b95bebef, 0x3b6dfbb6f2156815})
+	check("CORD", coord, [2]uint64{0x77539dc3019ab030, 0x5bc7a8969ef6d100})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root
@@ -253,7 +272,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 // MemHigh 76864 → 72768, and 400 → 328, 57728 → 54656; and when a
 // processor came to keep one stream a cell for the superstep: sort's two
 // batches a processor at P = 2 write fewer message blocks, 409 → 406,
-// MemHigh 26688 → 26624).
+// MemHigh 26688 → 26624; and when every block came to be delivered to
+// the processor that owns its destination VP, which moves placement:
+// sort 406 → 404 and 168 → 164, listrank 304 → 296 and 328 → 320).
 func TestGoldenRowsOverTheWire(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -262,10 +283,10 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		p                                      int
 		runOps, setupOps, routeOps, memHighWds int64
 	}{
-		{sort, 2, 406, 50, 0, 26624},
-		{listrank, 2, 304, 0, 0, 72768},
-		{sort, 3, 168, 0, 0, 26688},
-		{listrank, 3, 328, 0, 0, 54656},
+		{sort, 2, 404, 50, 0, 26624},
+		{listrank, 2, 296, 0, 0, 72768},
+		{sort, 3, 164, 0, 0, 26688},
+		{listrank, 3, 320, 0, 0, 54656},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
@@ -300,8 +321,8 @@ type fillMeter struct {
 	words, blocks, streams []int // per superstep
 }
 
-func (m *fillMeter) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
-	outs, err := m.Transport.Compute(j, step, rows)
+func (m *fillMeter) Compute(j, step int) ([]*core.BatchOut, error) {
+	outs, err := m.Transport.Compute(j, step)
 	for _, bo := range outs {
 		for _, t := range bo.Traffic {
 			m.encoded += t.SendWords + 3*t.Messages

@@ -58,11 +58,13 @@ const (
 // votes halt sleeps until a message arrives for it, a batch of sleepers
 // with no input is skipped — its contexts carried over, the turnaround
 // batch never — and every processor's record carries the
-// sleep bits, §24). It is folded into every
+// sleep bits, §24; 14: every message block goes to the processor that
+// owns its destination VP, where it is written, and crosses processors
+// at most once, §5 and §20). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 13
+const modelRules = 14
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

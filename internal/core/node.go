@@ -21,22 +21,23 @@ import (
 // the processor's procState. The machine owns the superstep's I/O,
 // accounting, checks and trace spans; what it does not own is the order
 // of the phases (the driver, driver.go) or how blocks travel between
-// processors. A Transport supplies that:
+// processors. Every block is delivered to the processor that owns its
+// destination VP: a processor's own blocks go straight into its block
+// writer, and a Transport carries the others to their owners' writing
+// phases:
 //
 //   - the in-process engine (engine.go) keeps all p processors in one
-//     address space. With p > 1 it hands rows of blocks across by
-//     reference; with p = 1 there is nobody to exchange with, so the
-//     batch is reassembled from the region buffer its fetch filled and
-//     its messages are packed straight into the block writer;
+//     address space and hands the blocks across by reference; with p = 1
+//     there is nobody to hand them to;
 //   - NodeEngine (cluster.go) wraps a single processor for the
-//     multi-process cluster runtime, which carries the same rows over
+//     multi-process cluster runtime, which carries the same blocks over
 //     the wire.
 
 // wireBlock is a message block in flight between real processors. Its
 // image aliases a buffer of the processor that produced it (stepBufs):
-// a block from the fetching or computing phase is valid until that
-// processor next runs the same phase, by which time the receiver has
-// copied it — into its inbox buffer or its pending parallel write.
+// a block from the computing phase is valid until that processor next
+// runs it, by which time the receiver has copied it into its pending
+// parallel write.
 type wireBlock struct {
 	meta blockMeta
 	img  []uint64
@@ -68,7 +69,6 @@ type procState struct {
 	ckptOn     bool // barrier checkpoint discipline active
 	acct       *mem.Accountant
 	rng        *prng.Rand // the block writer's drive permutations
-	pktRng     *prng.Rand // scatter's packet targets: one stream per superstep, seeded in its first round
 
 	down     func(d int) bool // the fault layer's dead drives; nil without one
 	ctxDir   [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
@@ -248,7 +248,6 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 		id: i, lo: lo, hi: hi, held: -1,
 		acct:    mem.NewAccountant(engineMemLimit(sh.cfg, sh.k, sh.mu, sh.gamma)),
 		rng:     prng.New(stream),
-		pktRng:  prng.New(0),
 		ctxDir:  make([][]disk.Addr, sh.batches),
 		sleep:   make([]uint64, (hi-lo+63)/64),
 		skipped: make([]bool, sh.batches),
@@ -511,15 +510,9 @@ func (sh *simShape) beginStep(ps *procState) {
 	}
 }
 
-// fetchPkts is the packet count for w words combined into size-b
-// packets on one channel.
-func (sh *simShape) fetchPkts(w int64) int64 {
-	return (w + int64(sh.rec.PktSize()) - 1) / int64(sh.rec.PktSize())
-}
-
 // batchIn is one batch's incoming message blocks: the block images
 // concatenated in buf, their directory entries in metas, and the words
-// held for them, which computeBatch releases when the batch is done.
+// held for them, which simulateBatch releases when the batch is done.
 type batchIn struct {
 	buf   []uint64
 	metas []blockMeta
@@ -533,11 +526,10 @@ func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
 
 // fetchBatch reads the blocks of batch j from the local disks into the
 // processor's region buffer, from where the last writing phase left
-// them. The first round sizes the region buffer for the superstep's
-// largest batch at once, so that it does not grow again at every larger
-// batch. On one processor the region is the batch's whole inbox, so
-// the streams reassembled from it are sized with it; on more, the inbox
-// is gathered from every processor and reassemble sizes them from it.
+// them: every block for the batch's VPs, whichever processor sent it.
+// The first round sizes the region buffer for the superstep's largest
+// batch at once, so that it does not grow again at every larger batch,
+// and the streams reassembled from it with it.
 func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
 	if sh.batchAt(step, j) == 0 {
 		if err := ps.acct.Grab(sh.opWords()); err != nil {
@@ -553,9 +545,7 @@ func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
 				n = max(n, blocks)
 			}
 			grow(&ps.region, n*sh.cfg.B)
-			if sh.cfg.P == 1 {
-				grow(&ps.msgMem, n*sh.cfg.B)
-			}
+			grow(&ps.msgMem, n*sh.cfg.B)
 		}
 	}
 	if ps.inDir == nil {
@@ -564,62 +554,10 @@ func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
 	return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
 }
 
-// fetchForward is the fetching phase of a machine with an exchange:
-// fetchBatch, then each block grouped under the processor simulating
-// its destination VP. out is indexed by destination processor (self
-// included); nwords counts the words per destination, of which the
-// model charges those addressed to others. A nil out means the batch
-// had no input. The images alias the processor's region buffer and out
-// and nwords are its own rows: all are valid until its next fetching
-// phase.
-func (sh *simShape) fetchForward(ps *procState, j, step int) (out []BlockBatch, nwords []int64, err error) {
-	sp := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
-	defer sp.End()
-	in, err := sh.fetchBatch(ps, j, step)
-	if err != nil || in.metas == nil {
-		return nil, nil, err
-	}
-	B := sh.cfg.B
-	out, nwords = grow(&ps.fetched, sh.cfg.P), grow(&ps.nwords, sh.cfg.P)
-	for o := range out {
-		out[o].blocks, nwords[o] = out[o].blocks[:0], 0
-	}
-	for i, m := range in.metas {
-		o := sh.owner(m.dst)
-		out[o].blocks = append(out[o].blocks, wireBlock{meta: m, img: in.buf[i*B : (i+1)*B]})
-		nwords[o] += int64(B)
-	}
-	ps.acct.Release(in.grab)
-	return out, nwords, nil
-}
-
-// gather copies the blocks a processor received for its batch (one
-// batch per source processor, self included) into its inbox buffer.
-func (sh *simShape) gather(ps *procState, in []BlockBatch) (batchIn, error) {
-	B := sh.cfg.B
-	total := 0
-	for _, b := range in {
-		total += len(b.blocks)
-	}
-	grab := int64(total * B)
-	if err := ps.acct.Grab(grab); err != nil {
-		return batchIn{}, err
-	}
-	buf := fit(&ps.inbox, total*B)
-	metas := grow(&ps.metas, total)[:0]
-	for _, b := range in {
-		for _, wb := range b.blocks {
-			copy(buf[len(metas)*B:], wb.img)
-			metas = append(metas, wb.meta)
-		}
-	}
-	return batchIn{buf: buf, metas: metas, grab: grab}, nil
-}
-
 // BatchOut is one processor's output from a computing phase: the per-VP
-// traffic records for the cost recorder (in VP order) and, on a machine
-// with an exchange, the scattered packet blocks per destination
-// processor with the off-processor packet/word tallies the
+// traffic records for the cost recorder (in VP order), the blocks that
+// leave the processor per destination processor — its own entry stays
+// empty — and the packet and word tallies of those, which the
 // communication model charges.
 type BatchOut struct {
 	Scatter []BlockBatch
@@ -639,44 +577,26 @@ func (bo *BatchOut) reset(P int) {
 	bo.Traffic = bo.Traffic[:0]
 }
 
-// computeBatch is the computing phase of a machine with an exchange:
-// batch j is reassembled from the inbox (one batch per source processor,
-// self included) and the blocks its generated messages fill are
-// scattered to randomly chosen processors. Everything addressed to other
-// processors is left in ps.out, which is the processor's own (its images
-// alias the scatter slab) and valid until its next computing phase. The
-// packet targets are one random stream per processor and superstep,
-// which a replay of the superstep draws again; an empty batch scatters
-// too, in the last round, where the open tails leave.
-func (sh *simShape) computeBatch(ps *procState, j, step int, in []BlockBatch) error {
+// computeBatch is the computing phase: batch j is reassembled from the
+// blocks its fetch read, and the blocks its generated messages fill are
+// delivered to their owners (scatter). What leaves the processor is left
+// in ps.out, which is the processor's own (its images alias the scatter
+// slab) and valid until its next computing phase. An empty batch — the
+// last processor's ragged tail — has no input and scatters too, in the
+// last round, where the open tails leave.
+func (sh *simShape) computeBatch(ps *procState, j, step int) error {
 	ps.out.reset(sh.cfg.P)
-	if sh.batchAt(step, j) == 0 {
-		ps.pktRng.Seed(prng.Derive(sh.opts.Seed, 0x5CA7, uint64(ps.id), uint64(step)))
-	}
 	if lo, hi := sh.batchBounds(ps, j); lo == hi {
-		total := 0
-		for _, b := range in {
-			total += len(b.blocks)
+		in, err := sh.fetchBatch(ps, j, step)
+		if err != nil {
+			return err
 		}
-		if total != 0 {
-			return fmt.Errorf("core: processor %d received %d blocks for an empty batch %d", ps.id, total, j)
+		if len(in.metas) != 0 {
+			return fmt.Errorf("core: processor %d received %d blocks for an empty batch %d", ps.id, len(in.metas), j)
 		}
 		return sh.scatter(ps, j, step, nil)
 	}
-	return sh.simulateBatch(ps, j, step,
-		func() (batchIn, error) { return sh.gather(ps, in) },
-		func(outs []outMsg) error { return sh.scatter(ps, j, step, outs) })
-}
-
-// computeLocal is the whole round of a one-processor machine. With no
-// other processor there is no exchange (Algorithm 1): batch j is
-// reassembled straight from the region buffer its fetch filled, and its
-// generated messages are packed straight into the block writer.
-func (sh *simShape) computeLocal(ps *procState, j, step int) error {
-	ps.out.reset(sh.cfg.P)
-	return sh.simulateBatch(ps, j, step,
-		func() (batchIn, error) { return sh.fetchBatch(ps, j, step) },
-		func(outs []outMsg) error { return sh.writeLocal(ps, j, step, outs) })
+	return sh.simulateBatch(ps, j, step)
 }
 
 // skips reports whether batch j, whose input is empty when noInput, is
@@ -704,22 +624,21 @@ func (sh *simShape) batchSleeps(ps *procState, j int) bool {
 }
 
 // simulateBatch simulates the (non-empty) batch j of processor ps:
-// reassemble the messages the driver's source delivers, load the k
-// current VPs, run their computation supersteps, write their contexts
-// back, and hand the generated messages to the driver's sink, which
-// packs them into their cells' streams. Every VP of the batch is
-// stepped, a sleeper with no input too (bsp.VP's sleep contract); the
-// votes go to ps's sleep bits, the send tally to ps and the per-VP
-// traffic records to ps.out. A batch of sleepers with no input is
-// skipped: the sink still runs, with nothing, for the streams a last
-// round closes.
-func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (batchIn, error), sink func(outs []outMsg) error) error {
+// reassemble the messages its fetch reads, load the k current VPs, run
+// their computation supersteps, write their contexts back, and hand the
+// generated messages to scatter, which packs them into their cells'
+// streams. Every VP of the batch is stepped, a sleeper with no input too
+// (bsp.VP's sleep contract); the votes go to ps's sleep bits, the send
+// tally to ps and the per-VP traffic records to ps.out. A batch of
+// sleepers with no input is skipped: scatter still runs, with nothing,
+// for the streams a last round closes.
+func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	lo, hi := sh.batchBounds(ps, j)
 	n := hi - lo
 	B := sh.cfg.B
 
 	spMsg := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
-	in, err := source()
+	in, err := sh.fetchBatch(ps, j, step)
 	if err != nil {
 		return err
 	}
@@ -728,7 +647,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 		ps.skipped[j] = true
 		ps.ctxWrite[j] = ps.ctxDir[j] // in place they are one table
 		sh.prefetchNext(ps, j, step)
-		return sink(nil)
+		return sh.scatter(ps, j, step, nil)
 	}
 	inbox, err := sh.reassemble(in.buf, in.metas, lo, hi, &ps.stepBufs)
 	if err != nil {
@@ -774,8 +693,8 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 
 	// Simulate the computation supersteps, collecting the generated
 	// messages in internal memory, as the paper prescribes: each payload
-	// is copied once, into the processor's Env, where it stays until the
-	// sink has packed it.
+	// is copied once, into the processor's Env, where it stays until
+	// scatter has packed it.
 	outs := ps.msgs[:0]
 	ps.env.ClearSent()
 	var outWords int64
@@ -828,7 +747,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	if err := ps.acct.Grab(outWords); err != nil {
 		return err
 	}
-	if err := sink(outs); err != nil {
+	if err := sh.scatter(ps, j, step, outs); err != nil {
 		return err
 	}
 	ps.msgs = outs
@@ -837,44 +756,42 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int, source func() (bat
 	return nil
 }
 
-// scatter is the exchange's sink: append the batch's messages to the
-// processor's streams (and in its last round close them), group the
-// blocks that leave — ⌊b/B⌋ consecutive blocks of one stream — into
-// packets, and send every packet to a uniformly random processor (the
-// paper's disk-load balancing step). In deterministic (CGM) mode a
-// packet goes straight to a rotation determined by its stream's identity
-// and its place in the stream, which is balanced for predetermined
-// communication.
+// scatter is the computing phase's sink: append the batch's messages to
+// the processor's streams (and in its last round close them), and
+// deliver every block that leaves one to the processor that owns its
+// destination VP. A block for one of this processor's own VPs goes
+// straight into the block writer (Step 1(d) of Algorithm 1); any other
+// is copied into the scatter slab and left in ps.out for its owner's
+// writing phase, counted in packets of ⌊b/B⌋ consecutive blocks of one
+// stream, which the communication model charges.
 func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phScatter, ps.id, 0, step, j)
 	defer sp.End()
-	B, P := sh.cfg.B, sh.cfg.P
+	B := sh.cfg.B
 	bo := &ps.out
 	last := sh.batchAt(step, j) == sh.batches-1
 	words, cells := sh.sortByCell(outs)
-	slab := fit(&ps.slab, ps.pack.maxBlocks(words, cells, last)*B)
+	var slab []uint64 // cut at the first block that leaves the processor
 	var run blockMeta
-	pktLeft, target := 0, 0
+	pktLeft := 0
 	emit := func(meta blockMeta, img []uint64) error {
+		to := sh.owner(meta.dst)
+		if to == ps.id {
+			return ps.writer.add(meta, img)
+		}
+		if slab == nil {
+			slab = fit(&ps.slab, ps.pack.maxBlocks(words, cells, last)*B)
+		}
 		if pktLeft == 0 || meta.dst != run.dst || meta.seq != run.seq {
-			if sh.opts.Deterministic {
-				target = (meta.dst + meta.src + meta.seq + meta.chunk/sh.pktBlk) % P
-			} else {
-				target = ps.pktRng.Intn(P)
-			}
 			run, pktLeft = meta, sh.pktBlk
-			if target != ps.id {
-				bo.Pkts[target]++
-			}
+			bo.Pkts[to]++
 		}
 		pktLeft--
 		cp := slab[:B:B]
 		slab = slab[B:]
 		copy(cp, img)
-		bo.Scatter[target].blocks = append(bo.Scatter[target].blocks, wireBlock{meta: meta, img: cp})
-		if target != ps.id {
-			bo.Wrds[target] += int64(B)
-		}
+		bo.Scatter[to].blocks = append(bo.Scatter[to].blocks, wireBlock{meta: meta, img: cp})
+		bo.Wrds[to] += int64(B)
 		return nil
 	}
 	if err := ps.pack.add(outs, emit); err != nil || !last {
@@ -883,34 +800,21 @@ func (sh *simShape) scatter(ps *procState, j, step int, outs []outMsg) error {
 	return ps.pack.close(emit)
 }
 
-// writeLocal is the one-processor sink, Step 1(d) of Algorithm 1: append
-// the batch's messages to the processor's streams, whose blocks leave
-// straight into the block writer, and in the last round close them.
-func (sh *simShape) writeLocal(ps *procState, j, step int, outs []outMsg) error {
-	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
-	defer sp.End()
-	sh.sortByCell(outs)
-	if err := ps.pack.add(outs, ps.writer.add); err != nil {
-		return err
-	}
-	if sh.batchAt(step, j) == sh.batches-1 {
-		if err := ps.pack.close(ps.writer.add); err != nil {
-			return err
-		}
-	}
-	return sh.flushBatch(ps, j, step)
-}
-
-// receiveWrite is the writing phase of a machine with an exchange: the
-// scattered packets this processor received for batch j (one batch per
-// source processor, self included) go to its local disks, D blocks per
-// parallel operation under a random drive permutation, maintaining the
-// directory.
+// receiveWrite is the writing phase: the blocks other processors
+// delivered for this one's VPs in batch j's round (one batch per source
+// processor) join its own in the block writer, which writes them to the
+// local disks D blocks per parallel operation under a random drive
+// permutation, maintaining the directory. A block for a VP this
+// processor does not own is refused before it reaches the writer, so
+// the superstep aborts before its barrier.
 func (sh *simShape) receiveWrite(ps *procState, j, step int, in []BlockBatch) error {
 	sp := sh.tr.BeginStep(obs.CatEngine, phWriteMsg, ps.id, 0, step, j)
 	defer sp.End()
-	for _, b := range in {
+	for src, b := range in {
 		for _, wb := range b.blocks {
+			if d := wb.meta.dst; d < 0 || d >= sh.v || sh.owner(d) != ps.id {
+				return &engineError{msg: fmt.Sprintf("processor %d sent processor %d a block for VP %d, which it does not own", src, ps.id, d)}
+			}
 			if err := ps.writer.add(wb.meta, wb.img); err != nil {
 				return err
 			}

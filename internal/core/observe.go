@@ -18,7 +18,7 @@ const (
 	phFetchCtx = "fetch-ctx"    // read a group's context blocks
 	phFetchMsg = "fetch-msg"    // read + reassemble a group's messages
 	phCompute  = "compute"      // simulate the group's virtual processors
-	phScatter  = "scatter"      // cut messages into blocks (par engine CPU phase)
+	phScatter  = "scatter"      // pack messages into blocks and deliver them to their owners
 	phWriteMsg = "write-msg"    // write generated message blocks
 	phWriteCtx = "write-ctx"    // write back a group's contexts
 	phRoute    = "route"        // SimulateRouting, in DemoRouting alone

@@ -58,7 +58,9 @@ func measurePlacement(t *testing.T, prog bsp.Program, cfg core.MachineConfig, op
 // superstep (§21), every row reads fewer blocks — sort_mem's large
 // superstep 81 operations against an ideal of 76 — and the last blocks
 // of all streams are written together in the last round (sort at P = 2
-// reads 85 where it read 86). Same seed, same placement, twice.
+// reads 85 where it read 86). Since every block goes to the processor
+// that owns its destination VP (§5), sort at P = 2 places
+// [2 1 2 3 34 43] → [3 0 2 2 36 40]. Same seed, same placement, twice.
 func TestPlacementByCount(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -70,7 +72,7 @@ func TestPlacementByCount(t *testing.T) {
 		scattered, ideal []int
 	}{
 		{"sort", sort, 1, 64, 7, []int{3, 3, 75}, []int{3, 3, 75}},
-		{"sort P=2", sort, 2, 64, 7, []int{2, 1, 2, 3, 34, 43}, []int{2, 1, 2, 3, 34, 43}},
+		{"sort P=2", sort, 2, 64, 7, []int{3, 0, 2, 2, 36, 40}, []int{3, 0, 2, 2, 36, 40}},
 		{"listrank", listrank, 1, 64, 7,
 			[]int{28, 23, 16, 11, 9, 7, 6, 4, 2, 3, 7, 10, 8, 6, 3, 2, 2},
 			[]int{28, 23, 16, 11, 9, 7, 6, 4, 2, 3, 7, 10, 8, 6, 3, 2, 2}},

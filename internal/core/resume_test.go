@@ -404,17 +404,17 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // for the skew and the directory; one journaled at modelRules = 8 keeps
 // every batch's contexts on tracks and its records have no held section,
 // where this engine reads the turnaround batch's records from the record;
-// this engine can neither parse them nor continue them into honest
-// counts. The directory is a crashed run of this commit whose record is
-// rewritten to carry the fingerprint an older commit (PR 17, modelRules =
-// 2; PR 19, modelRules = 3; PR 20, modelRules = 4; PR 21, modelRules = 5;
-// PR 22, modelRules = 6; PR 23, modelRules = 7; PR 24, modelRules = 8,
-// read off a journal its binary wrote) stamps on the same program,
-// machine and options; it is refused by the fingerprint and left byte for
-// byte as found. (A directory PR 24 wrote past its first barrier is
+// one journaled at modelRules = 13 placed a P > 1 run's message blocks on
+// random processors, where this engine reads each processor's input as
+// all of its VPs' blocks; this engine can neither parse them nor continue
+// them into honest counts. The directory is a crashed run of this commit
+// whose record is rewritten to carry the fingerprint an older commit
+// (modelRules = 2 to 8, and 13, each read off a journal its binary
+// wrote) stamps on the same program, machine and options; it is refused
+// by the fingerprint and left byte for byte as found. (A directory PR 24 wrote past its first barrier is
 // refused before that, by the journal: TestJournalRefusesManyRecords.)
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }

@@ -11,62 +11,59 @@ import (
 	"embsp/internal/workload"
 )
 
-// targetMeter records, per (superstep, processor, batch), the processor
-// each scattered block was sent to.
-type targetMeter struct {
+// ownerMeter checks, after every computing phase, that each block a
+// processor sends goes to the owner of its destination VP and never to
+// the sender itself, and sums the words sent.
+type ownerMeter struct {
 	core.Transport
-	targets map[[3]int][]int
+	t      *testing.T
+	label  string
+	vpp, B int
+	words  int64
 }
 
-func (m *targetMeter) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
-	outs, err := m.Transport.Compute(j, step, rows)
+func (m *ownerMeter) Compute(j, step int) ([]*core.BatchOut, error) {
+	outs, err := m.Transport.Compute(j, step)
 	for src, bo := range outs {
-		m.targets[[3]int{step, src, j}] = core.PacketTargets(bo)
+		dsts, targets := core.Scattered(bo)
+		for i, dst := range dsts {
+			if targets[i] != dst/m.vpp || targets[i] == src {
+				m.t.Errorf("%s superstep %d batch %d: processor %d sent processor %d a block for VP %d, which processor %d owns", m.label, step, j, src, targets[i], dst, dst/m.vpp)
+			}
+		}
+		m.words += int64(len(dsts) * m.B)
 	}
 	return outs, err
 }
 
-// TestScatterDrawsOneStreamPerSuperstep: Algorithm 3 sends each packet
-// to a processor drawn independently, so the batches of one superstep
-// draw from one stream that runs on across the processor's rounds. A
-// stream restarted every batch sends every batch's i-th packet to the
-// same processor. Here a packet is one block (⌊b/B⌋ = 1) and each
-// processor runs two batches a superstep.
-func TestScatterDrawsOneStreamPerSuperstep(t *testing.T) {
-	inst, err := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := workload.Machine(inst.Program, 2, 4, 64, 6, 1000)
-	if cfg.Cost.Pkt/cfg.B != 1 {
-		t.Fatalf("b = %d, B = %d: want one block a packet", cfg.Cost.Pkt, cfg.B)
-	}
-	m := &targetMeter{targets: map[[3]int][]int{}}
-	res, err := core.RunOver(func(inner core.Transport) core.Transport {
-		m.Transport = inner
-		return m
-	}, inst.Program, cfg, core.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EM.Groups != 2 {
-		t.Fatalf("%d batches a processor, want 2", res.EM.Groups)
-	}
-	compared := 0
-	for key, first := range m.targets {
-		if key[2] != 0 {
-			continue
+// TestScatterDeliversToOwner: every message block goes to the processor
+// that owns its destination VP — a processor's own blocks never leave
+// it — so the words the model charges as communication are exactly the
+// words of the blocks that cross.
+func TestScatterDeliversToOwner(t *testing.T) {
+	for _, alg := range []string{"sort", "listrank"} {
+		inst, err := workload.Spec{Alg: alg, N: 8192, V: 16, Seed: 7}.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		second := m.targets[[3]int{key[0], key[1], 1}]
-		if n := min(len(first), len(second)); n >= 8 {
-			compared++
-			if fmt.Sprint(first[:n]) == fmt.Sprint(second[:n]) {
-				t.Errorf("superstep %d, processor %d: both batches send their packets to %v", key[0], key[1], first[:n])
+		for _, P := range []int{2, 3} {
+			cfg := workload.Machine(inst.Program, P, 4, 64, 6, 1000)
+			v := inst.Program.NumVPs()
+			m := &ownerMeter{t: t, label: fmt.Sprintf("%s P=%d", alg, P), vpp: (v + P - 1) / P, B: cfg.B}
+			res, err := core.RunOver(func(inner core.Transport) core.Transport {
+				m.Transport = inner
+				return m
+			}, inst.Program, cfg, core.Options{Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.words == 0 {
+				t.Errorf("%s: no block crossed processors", m.label)
+			}
+			if res.EM.CommWords != m.words {
+				t.Errorf("%s: the model charges %d words of communication, the blocks that crossed hold %d", m.label, res.EM.CommWords, m.words)
 			}
 		}
-	}
-	if compared == 0 {
-		t.Fatal("no superstep has two batches of 8 packets or more to compare")
 	}
 }
 
@@ -79,8 +76,8 @@ type tailMeter struct {
 	evicted int
 }
 
-func (m *tailMeter) Compute(j, step int, rows [][]core.BlockBatch) ([]*core.BatchOut, error) {
-	outs, err := m.Transport.Compute(j, step, rows)
+func (m *tailMeter) Compute(j, step int) ([]*core.BatchOut, error) {
+	outs, err := m.Transport.Compute(j, step)
 	open, slots := core.Tails(m.Transport)
 	for p := range open {
 		if open[p] > slots[p] {
