@@ -11,129 +11,19 @@ import (
 	"testing"
 
 	"embsp"
-	"embsp/internal/prng"
 	"embsp/internal/words"
+	"embsp/internal/workload"
 )
 
-// table1Programs builds one small instance of each Table 1 workload.
-func table1Programs(t *testing.T) map[string]embsp.Program {
+// table1Program builds the small instance of a Table 1 workload that
+// the API property tests run.
+func table1Program(t *testing.T, name string) embsp.Program {
 	t.Helper()
-	r := prng.New(99)
-	const n = 48
-	const v = 6
-
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = r.Uint64()
+	inst, err := workload.Spec{Alg: name, N: 48, V: 6, Seed: 99}.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	vals := make([]uint64, n)
-	perm := r.Perm(n)
-	for i := range vals {
-		vals[i] = uint64(i)
-	}
-	pts := make([]embsp.Point, n)
-	for i := range pts {
-		pts[i] = embsp.Point{X: r.Float64(), Y: r.Float64()}
-	}
-	pts3 := make([]embsp.Point3, n)
-	for i := range pts3 {
-		pts3[i] = embsp.Point3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
-	}
-	rects := make([]embsp.Rect, n)
-	for i := range rects {
-		x, y := r.Float64(), r.Float64()
-		rects[i] = embsp.Rect{X1: x, X2: x + r.Float64(), Y1: y, Y2: y + r.Float64()}
-	}
-	segs := make([]embsp.Segment, n)
-	for i := range segs {
-		x := 3 * float64(i)
-		segs[i] = embsp.Segment{X1: x, Y1: r.Float64(), X2: x + 2, Y2: r.Float64()}
-	}
-	hsegs := make([]embsp.HSegment, n)
-	for i := range hsegs {
-		x := r.Float64()
-		hsegs[i] = embsp.HSegment{X1: x, X2: x + 0.2, Y: r.Float64()}
-	}
-	succ := make([]int, n)
-	lperm := r.Perm(n)
-	for i := range succ {
-		succ[i] = -1
-	}
-	for i := 0; i+1 < n; i++ {
-		succ[lperm[i]] = lperm[i+1]
-	}
-	tree := make([][2]int, 0, n-1)
-	for i := 1; i < n; i++ {
-		tree = append(tree, [2]int{r.Intn(i), i})
-	}
-	graph := make([][2]int, 0, n)
-	for len(graph) < n {
-		a, b := r.Intn(n), r.Intn(n)
-		if a != b {
-			graph = append(graph, [2]int{a, b})
-		}
-	}
-
-	progs := make(map[string]embsp.Program)
-	add := func(name string, p embsp.Program, err error) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		progs[name] = p
-	}
-	{
-		p, err := embsp.NewSort(keys, 1, v)
-		add("sort", p, err)
-	}
-	{
-		p, err := embsp.NewPermute(vals, perm, v)
-		add("permute", p, err)
-	}
-	{
-		p, err := embsp.NewTranspose(keys, 6, 8, v)
-		add("transpose", p, err)
-	}
-	{
-		p, err := embsp.NewMaxima3D(pts3, v)
-		add("maxima", p, err)
-	}
-	{
-		p, err := embsp.NewDominance2D(pts, vals, v)
-		add("dominance", p, err)
-	}
-	{
-		p, err := embsp.NewRectUnion(rects, v)
-		add("rectunion", p, err)
-	}
-	{
-		p, err := embsp.NewHull2D(pts, v)
-		add("hull", p, err)
-	}
-	{
-		p, err := embsp.NewEnvelope(segs, v)
-		add("envelope", p, err)
-	}
-	{
-		p, err := embsp.NewNextElement(hsegs, pts, v)
-		add("nextelement", p, err)
-	}
-	{
-		p, err := embsp.NewNN2D(pts, v)
-		add("nn", p, err)
-	}
-	{
-		p, err := embsp.NewListRank(succ, nil, v)
-		add("listrank", p, err)
-	}
-	{
-		p, err := embsp.NewEulerTour(n, tree, v)
-		add("euler", p, err)
-	}
-	{
-		p, err := embsp.NewCC(n, graph, v)
-		add("cc", p, err)
-	}
-	return progs
+	return inst.Program
 }
 
 // vpImage marshals a VP's full context, the bitwise-identity witness.
@@ -155,8 +45,9 @@ func TestFaultPropertyTable1(t *testing.T) {
 		WriteErrorRate: 0.02,
 		CorruptRate:    0.02,
 	}
-	for name, prog := range table1Programs(t) {
+	for _, name := range workload.Table1Names() {
 		t.Run(name, func(t *testing.T) {
+			prog := table1Program(t, name)
 			ref, err := embsp.RunReference(prog, seed)
 			if err != nil {
 				t.Fatal(err)

@@ -16,12 +16,14 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
 	"embsp/internal/bsp"
 	"embsp/internal/core"
 	"embsp/internal/redundancy"
+	"embsp/internal/words"
 )
 
 // runRedundancy and runScrub are applied to every standard-machine run
@@ -77,6 +79,9 @@ func pick(s Scale, small, medium, large int) int {
 	}
 }
 
+// bFor returns the standard block size for a scale.
+func bFor(s Scale) int { return pick(s, 64, 128, 256) }
+
 // Experiment is one registered, runnable reproduction experiment.
 type Experiment struct {
 	// ID is the stable identifier (e.g. "table1/sorting").
@@ -85,6 +90,10 @@ type Experiment struct {
 	Title string
 	// Reproduces names the paper artifact this regenerates.
 	Reproduces string
+	// Workload names the registry workload (workload.Names) a Table 1
+	// row simulates; empty for the other experiments and for the rows
+	// composed of several programs.
+	Workload string
 	// Run executes the experiment, writing its table to w.
 	Run func(w io.Writer, s Scale) error
 }
@@ -134,6 +143,25 @@ func machineFor(p bsp.Program, procs, d, b, groupsTarget int) core.MachineConfig
 		P: procs, M: m, D: d, B: b, G: 1000,
 		Cost: bsp.CostParams{GUnit: 1, GPkt: float64(b), Pkt: b, L: 100},
 	}
+}
+
+// sameStates checks that a run's final VP states are bitwise those of
+// the reference run.
+func sameStates(want, got []bsp.VP) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d VPs, reference has %d", len(got), len(want))
+	}
+	a, b := words.NewEncoder(nil), words.NewEncoder(nil)
+	for i := range want {
+		a.Reset()
+		want[i].Save(a)
+		b.Reset()
+		got[i].Save(b)
+		if !slices.Equal(a.Words(), b.Words()) {
+			return fmt.Errorf("VP %d state differs from the reference run", i)
+		}
+	}
+	return nil
 }
 
 // emRow holds one measured configuration for the standard Table 1

@@ -5,11 +5,11 @@ import (
 	"io"
 
 	"embsp/internal/alg/cgmgraph"
-	"embsp/internal/alg/cgmsort"
 	"embsp/internal/bsp"
 	"embsp/internal/core"
 	"embsp/internal/pdm"
 	"embsp/internal/prng"
+	"embsp/internal/workload"
 )
 
 func init() {
@@ -174,7 +174,7 @@ func runLemma5(w io.Writer, s Scale) error {
 	// A skew-sensitive regime: few blocks per bucket per drive, so the
 	// per-superstep randomized placement actually varies.
 	n := pick(s, 1<<8, 1<<9, 1<<10)
-	prog, err := cgmsort.NewSort(genKeys(0x1E5, n), 1, 16)
+	prog, err := sortProgram(n, 16, 0x1E5)
 	if err != nil {
 		return err
 	}
@@ -260,16 +260,19 @@ func runLemma10(w io.Writer, s Scale) error {
 	return nil
 }
 
-// sortProgram builds the standard sort workload for the scaling
-// sweeps.
-func sortProgram(s Scale, seed uint64) (*cgmsort.SortProgram, error) {
-	n := pick(s, 1<<12, 1<<15, 1<<18)
-	return cgmsort.NewSort(genKeys(seed, n), 1, benchVPs)
+// sortProgram builds the registry's sort of n keys drawn from seed on
+// v VPs.
+func sortProgram(n, v int, seed uint64) (bsp.Program, error) {
+	inst, err := workload.Spec{Alg: "sort", N: n, V: v, Seed: seed}.Build()
+	if err != nil {
+		return nil, err
+	}
+	return inst.Program, nil
 }
 
 func runScaleDisks(w io.Writer, s Scale) error {
-	b := pick(s, 64, 128, 256)
-	prog, err := sortProgram(s, 0x5CA1E)
+	b := bFor(s)
+	prog, err := sortProgram(pick(s, 1<<12, 1<<15, 1<<18), benchVPs, 0x5CA1E)
 	if err != nil {
 		return err
 	}
@@ -297,8 +300,8 @@ func runScaleDisks(w io.Writer, s Scale) error {
 }
 
 func runScaleProcs(w io.Writer, s Scale) error {
-	b := pick(s, 64, 128, 256)
-	prog, err := sortProgram(s, 0x5CA1F)
+	b := bFor(s)
+	prog, err := sortProgram(pick(s, 1<<12, 1<<15, 1<<18), benchVPs, 0x5CA1F)
 	if err != nil {
 		return err
 	}
@@ -323,7 +326,7 @@ func runScaleProcs(w io.Writer, s Scale) error {
 func runScaleBlocking(w io.Writer, s Scale) error {
 	n := pick(s, 1<<10, 1<<12, 1<<13)
 	v := 16
-	prog, err := cgmsort.NewSort(genKeys(0xB10C, n), 1, v)
+	prog, err := sortProgram(n, v, 0xB10C)
 	if err != nil {
 		return err
 	}
@@ -356,7 +359,7 @@ func runScaleBlocking(w io.Writer, s Scale) error {
 	// the ⌈len/B⌉ blocking effect dominates fixed per-message costs.
 	nb := pick(s, 1<<13, 1<<15, 1<<17)
 	vb := 8
-	progB, err := cgmsort.NewSort(genKeys(0xB10D, nb), 1, vb)
+	progB, err := sortProgram(nb, vb, 0xB10D)
 	if err != nil {
 		return err
 	}
@@ -379,7 +382,7 @@ func runScaleBlocking(w io.Writer, s Scale) error {
 
 func runScaleSlack(w io.Writer, s Scale) error {
 	n := pick(s, 1<<13, 1<<15, 1<<17)
-	b := pick(s, 64, 128, 256)
+	b := bFor(s)
 	const d = 4
 	fmt.Fprintf(w, "Sort workload (n=%d, D=%d, B=%d), v sweep at k=⌈v/8⌉: Theorem 1 requires\n", n, d, b)
 	fmt.Fprintln(w, "slackness v = Ω(k·D·log(M/B)) for the randomized writing phase to balance")
@@ -387,7 +390,7 @@ func runScaleSlack(w io.Writer, s Scale) error {
 	tw := newTable(w)
 	fmt.Fprintf(tw, "v\tk\tv/(k·D)\tI/O ops\tutil\tmax bucket skew l\n")
 	for _, v := range []int{4, 8, 16, 32, 64, 128} {
-		prog, err := cgmsort.NewSort(genKeys(0x51AC, n), 1, v)
+		prog, err := sortProgram(n, v, 0x51AC)
 		if err != nil {
 			return err
 		}
@@ -408,8 +411,8 @@ func runScaleSlack(w io.Writer, s Scale) error {
 }
 
 func runScaleMemory(w io.Writer, s Scale) error {
-	b := pick(s, 64, 128, 256)
-	prog, err := sortProgram(s, 0x3E3)
+	b := bFor(s)
+	prog, err := sortProgram(pick(s, 1<<12, 1<<15, 1<<18), benchVPs, 0x3E3)
 	if err != nil {
 		return err
 	}
@@ -432,8 +435,8 @@ func runScaleMemory(w io.Writer, s Scale) error {
 
 func runBiCC(w io.Writer, s Scale) error {
 	n := pick(s, 1<<8, 1<<11, 1<<13)
-	b := pick(s, 64, 128, 256)
-	edges := genTree(0xB1CC, n)
+	b := bFor(s)
+	edges := workload.RandomTree(prng.New(0xB1CC), n)
 	r := prng.New(0xB1CD)
 	for i := 0; i < n/2; i++ {
 		a, bb := r.Intn(n), r.Intn(n)
@@ -490,7 +493,7 @@ func runBiCC(w io.Writer, s Scale) error {
 
 func runEarDecomp(w io.Writer, s Scale) error {
 	n := pick(s, 1<<8, 1<<11, 1<<13)
-	b := pick(s, 64, 128, 256)
+	b := bFor(s)
 	r := prng.New(0xEA2)
 	edges := make([][2]int, 0, n+n/2)
 	for i := 0; i < n; i++ {
@@ -560,7 +563,7 @@ func runCOpt(w io.Writer, s Scale) error {
 	fmt.Fprintf(tw, "n\tT_comp/p\tT_IO\tT_IO/(T_comp/p)\tT_comm*\tT_comm/(T_comp/p)\n")
 	for _, sh := range []int{10, 12, 14, pick(s, 14, 16, 18)} {
 		n := 1 << sh
-		prog, err := cgmsort.NewSort(genKeys(0xC0, n), 1, v)
+		prog, err := sortProgram(n, v, 0xC0)
 		if err != nil {
 			return err
 		}
@@ -586,7 +589,7 @@ func runCOpt(w io.Writer, s Scale) error {
 func runObs1(w io.Writer, s Scale) error {
 	n := pick(s, 1<<12, 1<<14, 1<<16)
 	v := benchVPs
-	prog, err := cgmsort.NewSort(genKeys(0x0B51, n), 1, v)
+	prog, err := sortProgram(n, v, 0x0B51)
 	if err != nil {
 		return err
 	}

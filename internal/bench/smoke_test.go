@@ -2,9 +2,12 @@ package bench_test
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"embsp/internal/bench"
+	"embsp/internal/workload"
 )
 
 func TestRegistryWellFormed(t *testing.T) {
@@ -26,6 +29,17 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		if got, ok := bench.Find(e.ID); !ok || got.ID != e.ID {
 			t.Errorf("Find(%q) failed", e.ID)
+		}
+	}
+	// A Table 1 row runs a registry workload, but for the rows composed
+	// of several programs.
+	composed := map[string]bool{"table1/bicc": true, "table1/eardecomp": true}
+	for _, e := range exps {
+		if !strings.HasPrefix(e.ID, "table1/") {
+			continue
+		}
+		if composed[e.ID] != (e.Workload == "") || (e.Workload != "" && !slices.Contains(workload.Names(), e.Workload)) {
+			t.Errorf("%s names workload %q; registered: %v", e.ID, e.Workload, workload.Names())
 		}
 	}
 	if _, ok := bench.Find("no/such"); ok {

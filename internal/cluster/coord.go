@@ -19,6 +19,10 @@ import (
 	"embsp/internal/words"
 )
 
+// stepRetries bounds how many times one superstep may be aborted and
+// replayed before the run gives up.
+const stepRetries = 5
+
 // Config configures a cluster coordinator run.
 type Config struct {
 	Prog bsp.Program
@@ -32,9 +36,6 @@ type Config struct {
 	Net fault.NetPlan
 	// RecvTimeout bounds a phase response (default 2m).
 	RecvTimeout time.Duration
-	// StepRetries bounds how many times one superstep may be aborted
-	// and replayed before the run gives up (default 5).
-	StepRetries int
 	// JoinTimeout bounds the wait for a worker to (re)join (default 60s).
 	JoinTimeout time.Duration
 	// Replicate enables barrier-time state replication: every PREPARED
@@ -138,9 +139,6 @@ func Run(cc Config) (*core.Result, error) {
 	}
 	if cc.RecvTimeout <= 0 {
 		cc.RecvTimeout = 2 * time.Minute
-	}
-	if cc.StepRetries <= 0 {
-		cc.StepRetries = 5
 	}
 	if cc.JoinTimeout <= 0 {
 		cc.JoinTimeout = 60 * time.Second
@@ -609,7 +607,7 @@ func (c *coordinator) stageSnapshot(i int, dec *words.Decoder) *core.NodeSnapsho
 // aborted). The driver rewinds its accounting; no operations are
 // charged, so a replay leaves no trace in the Result.
 func (c *coordinator) Rollback(step, attempt int, cause error) (int64, error) {
-	if fatal(cause) || attempt >= c.cc.StepRetries {
+	if fatal(cause) || attempt >= stepRetries {
 		return 0, cause
 	}
 	add(c.replays, 1)

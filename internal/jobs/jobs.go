@@ -102,6 +102,28 @@ type Request struct {
 	Chaos          *Chaos `json:"chaos,omitempty"`
 }
 
+// maxN and maxV bound a request's problem size and VP count. A request
+// above either is refused before its workload is built: the input is
+// drawn in the daemon's own memory before any quota is charged.
+const (
+	maxN = 1 << 22
+	maxV = 1 << 12
+)
+
+// validate checks the request's workload shape without building it.
+func (r Request) validate() error {
+	if err := r.Workload.Validate(); err != nil {
+		return err
+	}
+	if r.Workload.N > maxN {
+		return fmt.Errorf("jobs: n = %d, want <= %d", r.Workload.N, maxN)
+	}
+	if r.Workload.V > maxV {
+		return fmt.Errorf("jobs: v = %d, want <= %d", r.Workload.V, maxV)
+	}
+	return nil
+}
+
 func (r *Request) normalize() {
 	if r.Procs <= 0 {
 		r.Procs = 1
@@ -537,7 +559,7 @@ func (s *Supervisor) retryAfterTenantLocked(tenant string) time.Duration {
 // returned Job is a snapshot.
 func (s *Supervisor) Submit(req Request) (Job, error) {
 	req.normalize()
-	if err := req.Workload.Validate(); err != nil {
+	if err := req.validate(); err != nil {
 		return Job{}, err
 	}
 	c, dc, err := req.charges()

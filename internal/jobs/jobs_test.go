@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +145,39 @@ func TestAdmission(t *testing.T) {
 	}
 	if _, err := s.Submit(req); err != nil {
 		t.Fatalf("submit after cancel refused: %v", err)
+	}
+}
+
+// TestSubmitRefusesOversizedWorkload: a request above maxN or maxV is
+// refused by validation, through Submit and as HTTP 400 through POST
+// /jobs, before its input is drawn.
+func TestSubmitRefusesOversizedWorkload(t *testing.T) {
+	s := startSupervisor(t, Config{Metrics: obs.NewRegistry()})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, spec := range []workload.Spec{
+		{Alg: "sort", N: 1 << 40, V: 4, Seed: 1},
+		{Alg: "sort", N: 48, V: 1 << 40, Seed: 1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := s.Submit(Request{Workload: spec})
+		body, _ := json.Marshal(Request{Workload: spec})
+		resp, herr := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "want <=") {
+			t.Errorf("n=%d v=%d: Submit returned %v, want the size validation error", spec.N, spec.V, err)
+		}
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("n=%d v=%d: POST /jobs status = %d, want 400", spec.N, spec.V, resp.StatusCode)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("n=%d v=%d: refusing the request allocated %d bytes, want < 1 MiB", spec.N, spec.V, alloc)
+		}
 	}
 }
 

@@ -19,131 +19,13 @@ import (
 	"time"
 
 	"embsp"
-	"embsp/internal/prng"
+	"embsp/internal/workload"
 )
 
 // batteryLatency is the pipelined legs' emulated drive latency: at zero
 // latency the file store starts no workers, and both legs would be the
 // one synchronous store.
 const batteryLatency = 20 * time.Microsecond
-
-type batterySpec struct {
-	name  string
-	build func(n, v int, r *prng.Rand) (embsp.Program, error)
-}
-
-// batteryTable lists all 13 Table 1 workloads at battery scale —
-// deliberately the same constructions as embsp-run's chaos soak.
-func batteryTable() []batterySpec {
-	return []batterySpec{
-		{"sort", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			keys := make([]uint64, n)
-			for i := range keys {
-				keys[i] = r.Uint64()
-			}
-			return embsp.NewSort(keys, 1, v)
-		}},
-		{"permute", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			vals := make([]uint64, n)
-			for i := range vals {
-				vals[i] = uint64(i)
-			}
-			return embsp.NewPermute(vals, r.Perm(n), v)
-		}},
-		{"transpose", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			rows := 4
-			keys := make([]uint64, rows*(n/rows))
-			for i := range keys {
-				keys[i] = r.Uint64()
-			}
-			return embsp.NewTranspose(keys, rows, n/rows, v)
-		}},
-		{"maxima", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			pts := make([]embsp.Point3, n)
-			for i := range pts {
-				pts[i] = embsp.Point3{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
-			}
-			return embsp.NewMaxima3D(pts, v)
-		}},
-		{"dominance", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			pts := make([]embsp.Point, n)
-			vals := make([]uint64, n)
-			for i := range pts {
-				pts[i] = embsp.Point{X: r.Float64(), Y: r.Float64()}
-				vals[i] = uint64(i)
-			}
-			return embsp.NewDominance2D(pts, vals, v)
-		}},
-		{"rectunion", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			rects := make([]embsp.Rect, n)
-			for i := range rects {
-				x, y := r.Float64(), r.Float64()
-				rects[i] = embsp.Rect{X1: x, X2: x + r.Float64(), Y1: y, Y2: y + r.Float64()}
-			}
-			return embsp.NewRectUnion(rects, v)
-		}},
-		{"hull", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			pts := make([]embsp.Point, n)
-			for i := range pts {
-				pts[i] = embsp.Point{X: r.Float64(), Y: r.Float64()}
-			}
-			return embsp.NewHull2D(pts, v)
-		}},
-		{"envelope", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			segs := make([]embsp.Segment, n)
-			for i := range segs {
-				x := 3 * float64(i)
-				segs[i] = embsp.Segment{X1: x, Y1: r.Float64(), X2: x + 2, Y2: r.Float64()}
-			}
-			return embsp.NewEnvelope(segs, v)
-		}},
-		{"nextelement", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			hsegs := make([]embsp.HSegment, n)
-			pts := make([]embsp.Point, n)
-			for i := range hsegs {
-				x := r.Float64()
-				hsegs[i] = embsp.HSegment{X1: x, X2: x + 0.2, Y: r.Float64()}
-				pts[i] = embsp.Point{X: r.Float64(), Y: r.Float64()}
-			}
-			return embsp.NewNextElement(hsegs, pts, v)
-		}},
-		{"nn", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			pts := make([]embsp.Point, n)
-			for i := range pts {
-				pts[i] = embsp.Point{X: r.Float64(), Y: r.Float64()}
-			}
-			return embsp.NewNN2D(pts, v)
-		}},
-		{"listrank", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			perm := r.Perm(n)
-			succ := make([]int, n)
-			for i := range succ {
-				succ[i] = -1
-			}
-			for i := 0; i+1 < n; i++ {
-				succ[perm[i]] = perm[i+1]
-			}
-			return embsp.NewListRank(succ, nil, v)
-		}},
-		{"euler", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			edges := make([][2]int, n-1)
-			for i := 1; i < n; i++ {
-				edges[i-1] = [2]int{r.Intn(i), i}
-			}
-			return embsp.NewEulerTour(n, edges, v)
-		}},
-		{"cc", func(n, v int, r *prng.Rand) (embsp.Program, error) {
-			edges := make([][2]int, 0, n)
-			for len(edges) < n {
-				a, b := r.Intn(n), r.Intn(n)
-				if a != b {
-					edges = append(edges, [2]int{a, b})
-				}
-			}
-			return embsp.NewCC(n, edges, v)
-		}},
-	}
-}
 
 // mustAgree asserts the two results are bitwise identical in every
 // model-visible field; only the wall-clock Overlap counters, the
@@ -173,17 +55,11 @@ func mustAgree(t *testing.T, label string, serial, piped *embsp.Result) {
 // redundancy, the pipelined physical schedule produces the identical
 // Result to the fully synchronous one.
 func TestPipelineDeterminismBattery(t *testing.T) {
-	for _, spec := range batteryTable() {
-		spec := spec
-		t.Run(spec.name, func(t *testing.T) {
+	for _, name := range workload.Table1Names() {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			prog := table1Program(t, name)
 			for _, procs := range []int{1, 3} {
-				r := prng.New(0xBA77E7)
-				n, v := 48, 6
-				prog, err := spec.build(n, v, r)
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := embsp.MachineConfig{
 					P: procs, M: 4 * prog.MaxContextWords(), D: 4, B: 16, G: 100,
 					Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},

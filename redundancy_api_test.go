@@ -11,12 +11,14 @@ import (
 	"testing"
 
 	"embsp"
+	"embsp/internal/workload"
 )
 
 func TestParityPropertyTable1(t *testing.T) {
 	const seed = 17
-	for name, prog := range table1Programs(t) {
+	for _, name := range workload.Table1Names() {
 		t.Run(name, func(t *testing.T) {
+			prog := table1Program(t, name)
 			ref, err := embsp.RunReference(prog, seed)
 			if err != nil {
 				t.Fatal(err)
