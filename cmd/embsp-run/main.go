@@ -366,7 +366,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "communication: %d packets (%d words), T_comm=%.4g\n",
 			res.EM.CommPkts, res.EM.CommWords, res.EM.CommTime)
 	}
-	fmt.Fprintf(stdout, "memory high-water: %d words\n", res.EM.MemHigh)
+	// The contexts are charged for the blocks they fill; the bound beside
+	// the mark is what k contexts of µ words would fill.
+	fmt.Fprintf(stdout, "memory high-water: %d words (context bound k·⌈(µ+1)/B⌉·B = %d words)\n",
+		res.EM.MemHigh, res.EM.K*res.EM.CtxBlocksPerVP*cfg.B)
 	// What a run holds on disk at once is a count of allocated tracks, and
 	// a run that can roll back (a StateDir or a fault plan) holds the
 	// context generation it would roll back to beside the one it writes: the

@@ -416,16 +416,18 @@ func runScaleMemory(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Sort workload, p=1, D=4, B=%d, memory sweep: k = ⌊M/µ⌋ VPs per group.\n", b)
+	fmt.Fprintf(w, "Sort workload, p=1, D=4, B=%d, memory sweep: k = ⌊M/µ⌋ VPs per group;\n", b)
+	fmt.Fprintln(w, "k·µ is the context bound k·⌈(µ+1)/B⌉·B, mem high what the engine held.")
 	tw := newTable(w)
-	fmt.Fprintf(tw, "groups (v/k)\tk\tM (words)\tI/O ops\tmem high\n")
+	fmt.Fprintf(tw, "groups (v/k)\tk\tM (words)\tI/O ops\tk·µ\tmem high\n")
 	for _, groups := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := machineFor(prog, 1, 4, b, groups)
 		res, err := core.Run(prog, cfg, core.Options{Seed: 0x3E3})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", res.EM.Groups, res.EM.K, cfg.M, res.EM.Run.Ops, res.EM.MemHigh)
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\n", res.EM.Groups, res.EM.K, cfg.M, res.EM.Run.Ops,
+			res.EM.K*res.EM.CtxBlocksPerVP*cfg.B, res.EM.MemHigh)
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "Expected: larger memory (fewer groups) lowers overhead mildly; I/O stays Θ(λ·vµ/DB).")

@@ -11,14 +11,15 @@ import (
 // once; these slices are those words, allocated once and overwritten
 // by every batch and superstep (DESIGN.md §19). A buffer grows
 // exact-fit when a request exceeds it, so each allocation replaces an
-// identical one the loop would otherwise have made at that point.
+// identical one the loop would otherwise have made at that point; ctx,
+// whose batches grow a record at a time, doubles instead (ctxSpan).
 //
 // Lifetime rule: a slice cut from one of these buffers is valid until
 // the same phase next runs on this processor. Phases are separated by
 // barriers (in process) or by the coordinator's lockstep (cluster), so
 // whoever receives such a slice has consumed it by then.
 type stepBufs struct {
-	ctx      []uint64 // contexts of the current VPs: at most k·⌈µ/B⌉·B words, the held batch's records in front across a barrier
+	ctx      []uint64 // contexts of the current VPs: the largest batch held so far, at most k·⌈(µ+1)/B⌉·B words (ctxSpan), the held batch's records in front across a barrier
 	heldCopy []uint64 // the held records a fault snapshot keeps for a replay
 	region   []uint64 // message blocks read for the current batch
 	slab     []uint64 // the block images the batch sends other processors

@@ -354,7 +354,9 @@ type EMStats struct {
 	// R/D (Lemma 2's l).
 	MaxBucketSkew float64
 	// MemHigh is the engine's internal-memory high-water mark in words
-	// (max over processors).
+	// (max over processors). Contexts are charged for the blocks their
+	// records fill, not for k contexts at the µ bound
+	// (K·CtxBlocksPerVP·B words), which only the budget assumes.
 	MemHigh int64
 	// LiveBlocksPerDrive is the most tracks any drive had allocated at
 	// once (contexts, staged and delivered messages, and whatever the

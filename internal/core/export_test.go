@@ -64,6 +64,20 @@ func Tails(t Transport) (open, slots []int) {
 	return open, slots
 }
 
+// CtxBuffers reports, on the engine RunOver hands to wrap, each
+// processor's context buffer: the first word of its backing array (nil
+// before it has one) and its capacity in words.
+func CtxBuffers(t Transport) (addrs []*uint64, caps []int) {
+	for _, ps := range t.(*engine).procs {
+		var a *uint64
+		if cap(ps.ctx) > 0 {
+			a = &ps.ctx[:1][0]
+		}
+		addrs, caps = append(addrs, a), append(caps, cap(ps.ctx))
+	}
+	return addrs, caps
+}
+
 // EvictedStreams counts the streams of the open superstep's directories
 // that an eviction started: those numbered above 0.
 func EvictedStreams(t Transport) (n int) {

@@ -171,6 +171,23 @@ import (
 //	NODE 0                0xceca95a024ffa704 0x85875495b3dd4c32 → 0x41118726def2b46c 0xaa8cb0187672e7fe
 //	NODE 1                0x49384a77d013c694 0x6b7874a4a4481cf3 → 0xa75e4621b95bebef 0x3b6dfbb6f2156815
 //	CORD                  0x61692876554f1871 0x0a839ca00ec5588f → 0x77539dc3019ab030 0x5bc7a8969ef6d100
+//
+// Charging a batch's contexts for the blocks they fill instead of k·µ
+// (DESIGN.md §22.2) moved every RUN and NODE record 0 by its memHigh
+// word, the only accounting a processor section carries, and nothing
+// else: modelRules stays at 14, no I/O moved. The set-up grabs the words
+// of its largest batch, here ⌈2k/B⌉·B for k·B; by the barrier of
+// superstep 0 the high-water mark is set by the message words, as
+// before, so every record 1 and both CORD records are unchanged. Old →
+// new:
+//
+//	RUN P=1               0xc9aa3ca14089c335 → 0x1c8121b544722315
+//	RUN P=2               0x357537e9fe335758 → 0x8aa1fbfc7d0fad78
+//	file+parity+faults    0xaf3fe319c01ab715 → 0xcaa74a5e384b0875
+//	file+mirror+death     0x0163e7366db330e6 → 0xc35696be893c8446
+//	mapped+tier+parity    0xa14c4b9f2d02ecae → 0x3e6f1b9abef5d32e
+//	NODE 0                0x41118726def2b46c → 0x03a052e5ef2b685c
+//	NODE 1                0xa75e4621b95bebef → 0xe4cf7a62a92337ff
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -204,8 +221,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xc9aa3ca14089c335, 0xef9b7caf932f7e8},
-		2: {0x357537e9fe335758, 0x36765290e0807490},
+		1: {0x1c8121b544722315, 0xef9b7caf932f7e8},
+		2: {0x8aa1fbfc7d0fad78, 0x36765290e0807490},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -221,16 +238,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0xaf3fe319c01ab715, 0xed318660451872a3}},
+		}, [2]uint64{0xcaa74a5e384b0875, 0xed318660451872a3}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x163e7366db330e6, 0x9435d010fb0dd773}},
+		}, [2]uint64{0xc35696be893c8446, 0x9435d010fb0dd773}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0xa14c4b9f2d02ecae, 0x43043199e074ce7b}},
+		}, [2]uint64{0x3e6f1b9abef5d32e, 0x43043199e074ce7b}},
 	} {
 		o := opts
 		row.with(&o)
@@ -249,8 +266,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x41118726def2b46c, 0xaa8cb0187672e7fe})
-	check("NODE 1", node1, [2]uint64{0xa75e4621b95bebef, 0x3b6dfbb6f2156815})
+	check("NODE 0", node0, [2]uint64{0x3a052e5ef2b685c, 0xaa8cb0187672e7fe})
+	check("NODE 1", node1, [2]uint64{0xe4cf7a62a92337ff, 0x3b6dfbb6f2156815})
 	check("CORD", coord, [2]uint64{0x77539dc3019ab030, 0x5bc7a8969ef6d100})
 }
 
@@ -274,7 +291,10 @@ func TestManifestFormatsPinned(t *testing.T) {
 // batches a processor at P = 2 write fewer message blocks, 409 → 406,
 // MemHigh 26688 → 26624; and when every block came to be delivered to
 // the processor that owns its destination VP, which moves placement:
-// sort 406 → 404 and 168 → 164, listrank 304 → 296 and 328 → 320).
+// sort 406 → 404 and 168 → 164, listrank 304 → 296 and 328 → 320; and
+// when a batch came to hold the words its contexts fill instead of k·µ,
+// which moved MemHigh alone: sort 26624 → 13824 and 26688 → 13952,
+// listrank 72768 → 9673 and 54656 → 7417).
 func TestGoldenRowsOverTheWire(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -283,10 +303,10 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		p                                      int
 		runOps, setupOps, routeOps, memHighWds int64
 	}{
-		{sort, 2, 404, 50, 0, 26624},
-		{listrank, 2, 296, 0, 0, 72768},
-		{sort, 3, 164, 0, 0, 26688},
-		{listrank, 3, 320, 0, 0, 54656},
+		{sort, 2, 404, 50, 0, 13824},
+		{listrank, 2, 296, 0, 0, 9673},
+		{sort, 3, 164, 0, 0, 13952},
+		{listrank, 3, 320, 0, 0, 7417},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {

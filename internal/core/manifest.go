@@ -517,7 +517,7 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 	ps.acct.Release(ps.heldGrab())
 	ps.held, ps.heldLen = held, len(recs)
 	copy(ps.sleep, sleep)
-	ps.ctx = append(grow(&ps.ctx, sh.k*sh.muBlocks*sh.cfg.B)[:0], recs...)
+	copy(sh.ctxSpan(ps, 0, len(recs)), recs)
 	if err := ps.acct.Grab(ps.heldGrab()); err != nil {
 		return err
 	}

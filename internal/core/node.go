@@ -268,18 +268,26 @@ func procDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("proc-%02d", i))
 }
 
-// grabCtx holds the words of n VPs' contexts at the µ bound — what they
-// may be, whatever they are — and returns the buffer for them. With a
-// batch held, the grab tops up what the accountant kept for it and the
-// buffer keeps its records in front (grow, not fit, whose canary would
-// poison them; the buffer already has room for k contexts, so grow does
-// not move them).
-func (sh *simShape) grabCtx(ps *procState, n int) ([]uint64, int64, error) {
-	w := n * sh.muBlocks * sh.cfg.B
-	if ps.held < 0 {
-		return fit(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w))
+// ctxSpan returns the context buffer cut to w words, of which the first
+// keep — the records already packed — are kept; the others are
+// unspecified. The buffer grows geometrically, to at most the bound of k
+// contexts, k·⌈(µ+1)/B⌉·B words, so that it reaches a processor's
+// largest batch in a few reallocations; it is never cut, so a later batch
+// no larger than that one allocates nothing. The accountant is charged
+// apart, for the blocks the records fill.
+func (sh *simShape) ctxSpan(ps *procState, keep, w int) []uint64 {
+	if c := cap(ps.ctx); c < w {
+		t := make([]uint64, max(w, min(2*c, sh.k*sh.muBlocks*sh.cfg.B)))
+		copy(t, ps.ctx[:keep])
+		ps.ctx = t
 	}
-	return grow(&ps.ctx, w), int64(w), ps.acct.Grab(int64(w) - ps.heldGrab())
+	buf := ps.ctx[:w]
+	if bufCanary != 0 {
+		for i := keep; i < w; i++ {
+			buf[i] = bufCanary
+		}
+	}
+	return buf
 }
 
 // moveContexts writes (or reads) the blocks of buf to (from) tracks,
@@ -313,25 +321,36 @@ func (ps *procState) moveContexts(tracks []disk.Addr, buf []uint64, write bool) 
 // end to end as records [length, words…] and written to exactly the
 // tracks they fill, allocated here — striped over the live drives from
 // where the superstep's previous batch stopped, no draw from the block
-// writer's PRNG — and entered in the generation being written. A record
-// may not exceed µ + 1 words, so the k of them fit grabCtx's buffer.
-// The records of the turnaround batch, the superstep's last, stay where
-// they are packed: the next round 0 loads them from buf, so they get no
-// track and the batch's entry in the generation is empty. The tracks of
+// writer's PRNG — and entered in the generation being written. The
+// accountant holds grab words for the batch, what its load filled; as
+// each record is appended the grab is topped up to the blocks the
+// records fill, and the buffer grows with it. A record may not exceed
+// µ + 1 words, so neither exceeds the bound of k contexts. The grab is
+// returned. The records of the turnaround batch, the superstep's last,
+// stay where they are packed: the next round 0 loads them from the
+// buffer, so they get no track and the batch's entry in the generation
+// is empty. The tracks of
 // a batch whose VPs all sleep may outlive the superstep's other writes —
 // the next superstep may skip the batch — so under parity they go to
 // stripes of their own.
-func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp func(id int) bsp.VP) error {
+func (sh *simShape) saveContexts(ps *procState, j, step int, grab int64, vp func(id int) bsp.VP) (int64, error) {
 	lo, hi := sh.batchBounds(ps, j)
 	D, B, pos := sh.cfg.D, sh.cfg.B, 0
+	buf := sh.ctxSpan(ps, 0, int(grab))
 	for id := lo; id < hi; id++ {
 		ps.enc.Reset()
 		if err := bsp.SafeSave(vp(id), &ps.enc, id, step); err != nil {
-			return err
+			return grab, err
 		}
 		n := ps.enc.Len()
 		if n > sh.mu {
-			return fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", id, n, step, sh.mu)
+			return grab, fmt.Errorf("core: VP %d context is %d words after superstep %d, exceeding µ=%d", id, n, step, sh.mu)
+		}
+		if w := (pos + n + B) / B * B; int64(w) > grab {
+			if err := ps.acct.Grab(int64(w) - grab); err != nil {
+				return grab, err
+			}
+			grab, buf = int64(w), sh.ctxSpan(ps, pos, w)
 		}
 		buf[pos] = uint64(n)
 		pos += 1 + copy(buf[pos+1:], ps.enc.Words())
@@ -341,7 +360,7 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 		if pos > 0 { // an empty batch holds nothing
 			ps.held, ps.heldLen = j, pos
 		}
-		return nil
+		return grab, nil
 	}
 	tracks := grow(&ps.ctxWrite[j], (pos+B-1)/B)
 	clear(buf[pos : len(tracks)*B])
@@ -354,44 +373,55 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, buf []uint64, vp fu
 	}
 	ps.ctxWrite[j] = tracks
 	if !sh.batchSleeps(ps, j) {
-		return ps.moveContexts(tracks, buf, true)
+		return grab, ps.moveContexts(tracks, buf, true)
 	}
 	ps.seal()
 	err := ps.moveContexts(tracks, buf, true)
 	ps.seal()
-	return err
+	return grab, err
 }
 
 // loadContexts is Step 1(a): read the blocks batch j's committed
-// contexts fill, by the context directory, and hand each VP's words to
-// emit, in VP order. The slices alias buf. The held batch is read from
-// nowhere: its records are buf's first words, which grabCtx kept.
-func (sh *simShape) loadContexts(ps *procState, j int, buf []uint64, emit func(id int, ctx []uint64) error) error {
+// contexts fill, by the context directory, into the context buffer and
+// hand each VP's words to emit, in VP order. The slices alias the
+// buffer. It returns the words the accountant holds for the loaded
+// records, which it grabs for the blocks read — on an error too, once
+// grabbed. The held batch is read from nowhere: its records are the
+// buffer's first words, and the accountant kept their blocks across the
+// barrier.
+func (sh *simShape) loadContexts(ps *procState, j int, emit func(id int, ctx []uint64) error) (int64, error) {
 	lo, hi := sh.batchBounds(ps, j)
+	var buf []uint64
+	var grab int64
 	switch used := len(ps.ctxDir[j]); {
 	case ps.held == j:
-		buf, ps.held = buf[:ps.heldLen], -1
+		buf, grab = ps.ctx[:ps.heldLen], ps.heldGrab()
+		ps.held = -1
 	case ps.held >= 0:
-		return &engineError{msg: fmt.Sprintf("batch %d is read over the held contexts of batch %d", j, ps.held)}
+		return 0, &engineError{msg: fmt.Sprintf("batch %d is read over the held contexts of batch %d", j, ps.held)}
 	case used > (hi-lo)*sh.muBlocks:
-		return &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
+		return 0, &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
 	default:
-		buf = buf[:used*sh.cfg.B]
+		w := used * sh.cfg.B
+		if err := ps.acct.Grab(int64(w)); err != nil {
+			return 0, err
+		}
+		buf, grab = sh.ctxSpan(ps, 0, w), int64(w)
 		if err := ps.moveContexts(ps.ctxDir[j], buf, false); err != nil {
-			return err
+			return grab, err
 		}
 	}
 	for id, pos := lo, 0; id < hi; id++ {
 		if pos >= len(buf) || buf[pos] > uint64(len(buf)-pos-1) {
-			return &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d words of batch %d", id, len(buf), j)}
+			return grab, &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d words of batch %d", id, len(buf), j)}
 		}
 		n := int(buf[pos])
 		if err := emit(id, buf[pos+1:pos+1+n]); err != nil {
-			return err
+			return grab, err
 		}
 		pos += 1 + n
 	}
-	return nil
+	return grab, nil
 }
 
 // releaseContexts gives back the tracks of batch j's committed contexts,
@@ -413,13 +443,12 @@ func (ps *procState) releaseContexts(j int) (err error) {
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()
-	buf, grab, err := sh.grabCtx(ps, sh.k)
-	if err != nil {
-		return err
-	}
-	ps.ctxAt = 0
+	// A held batch's records are written over: their blocks start the grab.
+	grab := ps.heldGrab()
+	ps.held, ps.ctxAt = -1, 0
+	var err error
 	for r := 0; r < sh.batches && err == nil; r++ {
-		err = sh.saveContexts(ps, sh.batchAt(-1, r), -1, buf, sh.p.NewVP)
+		grab, err = sh.saveContexts(ps, sh.batchAt(-1, r), -1, grab, sh.p.NewVP)
 	}
 	ps.acct.Release(grab - ps.heldGrab())
 	return err
@@ -445,11 +474,6 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 		}
 	}
 	r := ps.final
-	buf, grab, err := sh.grabCtx(ps, sh.k)
-	if err != nil {
-		return nil, err
-	}
-	defer ps.acct.Release(grab)
 	loaded := func(id int) bool {
 		if load {
 			return r.vps[id-ps.lo] != nil
@@ -461,7 +485,7 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 		if lo, hi := sh.batchBounds(ps, j); lo == hi || loaded(lo) {
 			continue
 		}
-		err := sh.loadContexts(ps, j, buf, func(id int, ctx []uint64) error {
+		grab, err := sh.loadContexts(ps, j, func(id int, ctx []uint64) error {
 			if !load {
 				r.Ctx[id-ps.lo] = slices.Clone(ctx)
 				return nil
@@ -470,6 +494,7 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 			r.vps[id-ps.lo] = vp
 			return bsp.SafeLoad(vp, words.NewDecoder(ctx), id, step)
 		})
+		ps.acct.Release(grab)
 		if err != nil {
 			return nil, err
 		}
@@ -658,19 +683,15 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	// Contexts of the current k VPs, decoded into the words they were
 	// loaded as: the held records, or the blocks the directory lists.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
-	ctxBuf, ctxGrab, err := sh.grabCtx(ps, n)
-	if err != nil {
-		return err
-	}
 	loaded := len(ps.ctxDir[j]) * B
 	if ps.held == j {
 		loaded = ps.heldLen
 	}
-	ps.arena.Reset(fit(&ps.vpMem, min(loaded, len(ctxBuf))))
+	ps.arena.Reset(fit(&ps.vpMem, min(loaded, n*sh.muBlocks*B)))
 	// Each context is Loaded into its slot's VP object, which NewVP made
 	// once, for the first VP the slot held (bsp.VP's contract).
 	vps := grow(&ps.vps, n)
-	err = sh.loadContexts(ps, j, ctxBuf, func(id int, ctx []uint64) error {
+	ctxGrab, err := sh.loadContexts(ps, j, func(id int, ctx []uint64) error {
 		if vps[id-lo] == nil {
 			vps[id-lo] = sh.p.NewVP(id)
 		}
@@ -738,7 +759,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
-	if err := sh.saveContexts(ps, j, step, ctxBuf, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
+	if ctxGrab, err = sh.saveContexts(ps, j, step, ctxGrab, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
 		return err
 	}
 	ps.acct.Release(ctxGrab - ps.heldGrab())
