@@ -210,8 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	killStep := fs.Int("kill-step", -1, "crash-test hook: SIGKILL the process mid-computation of this superstep")
 	storeKind := fs.String("store", "file", "durable store backend for -state-dir runs: file (pread/pwrite) or mapped (mmap, zero-copy; falls back to file where unsupported)")
 	tiersFlag := fs.String("tiers", "", "stack intermediate store tiers over the backend: comma-separated words[:latency] per tier, outermost first (e.g. 65536:50us; 0 words = engine default capacity; requires -state-dir)")
-	ioWorkers := fs.Int("io-workers", 0, "per-drive I/O worker goroutines of file-backed runs under -drive-latency (0 = one per drive, pipelined; -1 = the serial schedule: synchronous, no prefetch); no effect at zero drive latency, where the store is synchronous")
-	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none)")
+	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none); it also picks the physical schedule: one I/O worker per drive and the group pipeline under latency, synchronous at zero")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
 	scrub := fs.Bool("scrub", false, "background scrub between supersteps (requires -redundancy mirror or parity)")
 	soak := fs.Bool("soak", false, "chaos-soak mode: randomized fault/kill/resume schedules over the Table 1 workloads, checked bitwise against the reference")
@@ -238,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := embsp.Options{
 		Seed: *seed, Deterministic: *det, MaxRetries: *maxRetries,
 		StateDir: *stateDir, Resume: *resume, Scrub: *scrub,
-		IOWorkers: *ioWorkers, DriveLatency: *driveLatency,
+		DriveLatency: *driveLatency,
 	}
 	switch *storeKind {
 	case "file":

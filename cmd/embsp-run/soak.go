@@ -33,18 +33,20 @@ type soakCase struct {
 	plan      *embsp.FaultPlan
 	killStep  int // superstep after whose commit the run is cancelled and resumed; -1 = none
 	crashStep int // superstep during which one VP panics mid-superstep; -1 = none
-	// The physical-schedule knob, drawn independently for the first
-	// attempt and the resume: the schedule is outside the config
-	// fingerprint, so a run may legally die under one schedule and
-	// resume under another — the soak crosses them on purpose.
-	ioWorkers, resumeIOWorkers int
+	// The emulated drive latency, drawn independently for the first
+	// attempt and the resume. It picks the physical schedule of the
+	// durable store (synchronous at zero, I/O workers and the group
+	// pipeline under latency) and is outside the config fingerprint, so
+	// a run may legally die under one schedule and resume under the
+	// other — the soak crosses them on purpose.
+	latency, resumeLatency time.Duration
 }
 
 func (c soakCase) String() string {
-	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v scrub=%v io-workers=%d",
-		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.scrub, c.ioWorkers)
+	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v scrub=%v drive-latency=%v",
+		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.scrub, c.latency)
 	if c.killStep >= 0 || c.crashStep >= 0 {
-		s += fmt.Sprintf(" resume-io-workers=%d", c.resumeIOWorkers)
+		s += fmt.Sprintf(" resume-drive-latency=%v", c.resumeLatency)
 	}
 	if c.plan != nil {
 		s += fmt.Sprintf(" faults={seed=%d read=%g write=%g corrupt=%g faildrive=%d@%d failproc=%d}",
@@ -101,8 +103,9 @@ func drawCase(r *prng.Rand, table []string) soakCase {
 		killStep:  -1,
 		crashStep: -1,
 	}
-	c.ioWorkers = r.Intn(4) - 1       // serial, default, 1, 2
-	c.resumeIOWorkers = r.Intn(4) - 1 // the resume may switch schedules
+	latencies := []time.Duration{0, 20 * time.Microsecond} // synchronous, pipelined
+	c.latency = latencies[r.Intn(2)]
+	c.resumeLatency = latencies[r.Intn(2)] // the resume may switch schedules
 	c.mode = []embsp.Redundancy{embsp.RedundancyMirror, embsp.RedundancyParity}[r.Intn(2)]
 	c.scrub = r.Bool()
 	plan := &embsp.FaultPlan{
@@ -151,11 +154,11 @@ func runCase(c soakCase) error {
 		Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
 	}
 	opts := embsp.Options{
-		Seed:       c.seed,
-		FaultPlan:  c.plan,
-		Redundancy: c.mode,
-		Scrub:      c.scrub,
-		IOWorkers:  c.ioWorkers,
+		Seed:         c.seed,
+		FaultPlan:    c.plan,
+		Redundancy:   c.mode,
+		Scrub:        c.scrub,
+		DriveLatency: c.latency,
 	}
 	var res *embsp.Result
 	if c.killStep >= 0 || c.crashStep >= 0 {
@@ -198,7 +201,7 @@ func runCase(c soakCase) error {
 			}
 		}
 		opts.Resume = true
-		opts.IOWorkers = c.resumeIOWorkers
+		opts.DriveLatency = c.resumeLatency
 		res, err = embsp.Run(prog, cfg, opts)
 		if err != nil {
 			return fmt.Errorf("resume: %w", err)

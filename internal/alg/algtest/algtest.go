@@ -8,6 +8,7 @@ package algtest
 
 import (
 	"testing"
+	"time"
 
 	"embsp/internal/bsp"
 	"embsp/internal/core"
@@ -61,9 +62,9 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 		}{name: "randomized", cfg: cfg, opts: core.Options{Seed: seed}})
 	}
 	// The deterministic (CGM) placement variant, and a durable
-	// file-backed run on the default, pipelined schedule (I/O workers,
-	// prefetch, write-behind) — the physical schedule must be invisible
-	// in every output word.
+	// file-backed run on the pipelined schedule (I/O workers, prefetch,
+	// write-behind), which a drive latency picks — the physical schedule
+	// must be invisible in every output word.
 	seqCfg := Machines(p)[0]
 	variants = append(variants,
 		struct {
@@ -75,7 +76,7 @@ func RunAll(t *testing.T, p bsp.Program, seed uint64, extract func(vps []bsp.VP)
 			name string
 			cfg  core.MachineConfig
 			opts core.Options
-		}{name: "pipelined", cfg: seqCfg, opts: core.Options{Seed: seed, StateDir: t.TempDir()}},
+		}{name: "pipelined", cfg: seqCfg, opts: core.Options{Seed: seed, StateDir: t.TempDir(), DriveLatency: time.Microsecond}},
 	)
 	for _, vr := range variants {
 		res, err := core.Run(p, vr.cfg, vr.opts)

@@ -8,13 +8,15 @@ import (
 	"embsp/internal/words"
 )
 
+// MaxSupersteps is the runaway guard of every runner: a program that
+// has not halted after this many supersteps is aborted with an error.
+const MaxSupersteps = 1 << 20
+
 // RunOptions configures a run of a Program.
 type RunOptions struct {
 	// Seed keys all Env.Rand streams. Runs with equal seeds produce
 	// identical results on every engine.
 	Seed uint64
-	// MaxSupersteps aborts runaway programs; 0 means 1 << 20.
-	MaxSupersteps int
 	// PktSize is the BSP* packet size b used for packet accounting;
 	// 0 means 64.
 	PktSize int
@@ -36,9 +38,6 @@ type RunOptions struct {
 }
 
 func (o *RunOptions) defaults() {
-	if o.MaxSupersteps == 0 {
-		o.MaxSupersteps = 1 << 20
-	}
 	if o.PktSize == 0 {
 		o.PktSize = 64
 	}
@@ -106,8 +105,8 @@ func Run(p Program, opts RunOptions) (*Result, error) {
 	}
 
 	for step := 0; ; step++ {
-		if step >= opts.MaxSupersteps {
-			return nil, fmt.Errorf("bsp: no convergence after %d supersteps", opts.MaxSupersteps)
+		if step >= MaxSupersteps {
+			return nil, fmt.Errorf("bsp: no convergence after %d supersteps", MaxSupersteps)
 		}
 		next := make([][]Message, v)
 		rec.BeginStep()

@@ -406,12 +406,19 @@ func TestVPErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestMaxSuperstepsGuard: a program that never halts is aborted after
+// exactly bsp.MaxSupersteps supersteps.
 func TestMaxSuperstepsGuard(t *testing.T) {
+	last := -1
 	p := &errProg{v: 1, mu: 2, gam: 4, step: func(id int, env *bsp.Env, in []bsp.Message) (bool, error) {
+		last = env.Superstep()
 		return false, nil // never halts
 	}}
-	if _, err := bsp.Run(p, bsp.RunOptions{Seed: 1, MaxSupersteps: 10}); err == nil {
+	if _, err := bsp.Run(p, bsp.RunOptions{Seed: 1}); err == nil {
 		t.Error("runaway program not aborted")
+	}
+	if last != bsp.MaxSupersteps-1 {
+		t.Errorf("last superstep stepped is %d, want %d", last, bsp.MaxSupersteps-1)
 	}
 }
 

@@ -8,22 +8,25 @@ import (
 )
 
 // TestMemoryBudgetTight: the engines must run within their documented
-// internal-memory footprint — M + k·(µ + 6γ) + D·B words — even at
-// slack factor 1, on both the sequential and parallel engines. The
-// accountant rejects any grab beyond the budget, so success here
-// proves the Θ(k·µ)-style working-set claim holds with constant 1.
+// internal-memory footprint — M + k·(µ + 6γ) + D·B words — at slack
+// factor 1, not just under the budget's slack constant, on both the
+// sequential and parallel engines: the Θ(k·µ)-style working-set claim
+// holds with constant 1.
 func TestMemoryBudgetTight(t *testing.T) {
 	p := &bsptest.RandomProgram{V: 16, Steps: 3, MsgsPerStep: 6, MaxLen: 40}
 	for _, procs := range []int{1, 3} {
 		cfg := tinyMachine(4, 8, 256)
 		cfg.P = procs
-		cfg.MemSlack = 1
 		res, err := core.Run(p, cfg, core.Options{Seed: 1})
 		if err != nil {
-			t.Fatalf("P=%d: engine exceeded its own footprint formula at slack 1: %v", procs, err)
+			t.Fatalf("P=%d: %v", procs, err)
 		}
 		if res.EM.MemHigh <= 0 {
 			t.Errorf("P=%d: memory accounting recorded nothing", procs)
+		}
+		budget := int64(cfg.M + res.EM.K*(p.MaxContextWords()+6*p.MaxCommWords()) + cfg.D*cfg.B)
+		if res.EM.MemHigh > budget {
+			t.Errorf("P=%d: memory high-water %d words exceeds the footprint formula at slack 1, %d", procs, res.EM.MemHigh, budget)
 		}
 	}
 }

@@ -255,7 +255,6 @@ type NodeEngine struct {
 // intact prepared tail for the coordinator's reconciliation) and the
 // caller must ResolvePending and LoadCommitted before running.
 func OpenNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string, resume bool) (*NodeEngine, error) {
-	opts.defaults()
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}
@@ -513,7 +512,6 @@ type CoordCore struct{ driver }
 // true, the existing decision journal is opened and its last record, if
 // it has one, adopted.
 func OpenCoord(p bsp.Program, cfg MachineConfig, opts Options, dir string, resume bool) (*CoordCore, error) {
-	opts.defaults()
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}

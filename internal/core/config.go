@@ -39,10 +39,6 @@ type MachineConfig struct {
 	// Cost holds the BSP*-level parameters (ĝ, g, b, L). The model
 	// requires the packet size b ≥ B.
 	Cost bsp.CostParams
-	// MemSlack scales the engine's internal-memory budget to
-	// MemSlack·M words, reflecting the Θ(kµ) = O(M) constant of the
-	// theorems. 0 means 8.
-	MemSlack int
 }
 
 // headerWords is the per-block header of a message block: destination
@@ -74,17 +70,7 @@ func (c MachineConfig) Validate() error {
 	if c.Cost.L < 0 || c.Cost.GPkt < 0 || c.Cost.GUnit < 0 {
 		return fmt.Errorf("core: negative cost parameter (ĝ=%v, g=%v, L=%v); all must be >= 0", c.Cost.GUnit, c.Cost.GPkt, c.Cost.L)
 	}
-	if c.MemSlack < 0 {
-		return fmt.Errorf("core: MemSlack = %d, want >= 0 (0 selects the default)", c.MemSlack)
-	}
 	return nil
-}
-
-func (c MachineConfig) memSlack() int {
-	if c.MemSlack <= 0 {
-		return 8
-	}
-	return c.MemSlack
 }
 
 // DefaultMachine returns a small laptop-scale machine useful in
@@ -103,8 +89,6 @@ type Options struct {
 	// Seed keys all randomness: the Env.Rand streams of the program
 	// and the engine's own disk/processor permutations.
 	Seed uint64
-	// MaxSupersteps aborts runaway programs; 0 means 1 << 20.
-	MaxSupersteps int
 	// Deterministic selects the deterministic placement variant the
 	// paper notes is possible for communication of predetermined size
 	// (CGM): where the block writer's placement by count leaves a choice
@@ -154,35 +138,22 @@ type Options struct {
 	// repaired from the track's stripe, with the cursor carried in the
 	// superstep manifest.
 	Scrub bool
-	// IOWorkers selects the physical schedule of a durable (StateDir)
-	// run under emulated drive latency (DriveLatency > 0). 0 is the
-	// default, pipelined one: one I/O worker goroutine per drive of the
-	// file-backed store, and the group pipeline — while a group
-	// computes, the next round's context and message blocks are
-	// prefetched into the store's (or the outermost tier's) physical
-	// cache and the last round's writes drain in the background through
-	// the write-behind. n > 0 asks for n workers (clamped to D). -1 is
-	// the serial schedule: no workers, no prefetch, no tier fill workers
-	// — synchronous physical I/O in program order. At zero drive latency
-	// the knob has no effect: there is no latency to hide, and the file
-	// store is synchronous whatever it says. In-memory arrays have no
-	// physical transfers to overlap, so the knob is ignored there too.
-	// The setting changes wall-clock behaviour
-	// only: all accounting happens at the logical operation in program
-	// order, so results and every model-visible statistic are bitwise
-	// identical either way, and a durable run may be resumed with a
-	// different value (the knob is deliberately left out of the config
-	// fingerprint).
-	IOWorkers int
 	// DriveLatency emulates the access time of one physical track
 	// transfer on the file-backed store: every slot read or write
 	// sleeps this long on the goroutine moving the bytes. It models the
 	// EM machine's independent drives on hosts whose page cache hides
 	// real device latency, making schedule quality (D-parallel access,
-	// I/O–compute overlap) measurable. Purely wall-clock: results and
-	// every model statistic are unchanged, and like IOWorkers the knob
-	// stays out of the config fingerprint. Zero emulates nothing;
-	// ignored by in-memory arrays.
+	// I/O–compute overlap) measurable. It is also what picks the
+	// physical schedule of a durable run: under latency the file store
+	// runs one I/O worker goroutine per drive and the group pipeline
+	// prefetches the next round's blocks and drains the last round's
+	// writes in the background; at zero latency there is nothing to
+	// hide, and the store is synchronous, in program order. Purely
+	// wall-clock: all accounting happens at the logical operation in
+	// program order, so results and every model statistic are bitwise
+	// identical either way, and the knob stays out of the config
+	// fingerprint — a durable run may resume under another latency.
+	// Zero emulates nothing; ignored by in-memory arrays.
 	DriveLatency time.Duration
 	// MappedStore selects the mmap-backed store variant for durable
 	// runs: checksummed track slots are mapped into memory instead of
@@ -190,7 +161,7 @@ type Options struct {
 	// mapping into the engine's group buffer and a write is one copy
 	// back — the zero-copy fast path for page-cache-fast storage. The
 	// on-disk layout is identical to the default file store, so the
-	// knob stays out of the config fingerprint like IOWorkers
+	// knob stays out of the config fingerprint like DriveLatency
 	// does: a crashed run may resume with either store kind.
 	// Mapped pages are page-cache memory, not engine memory, and are
 	// accounted separately (store_mapped_high_words metric), never
@@ -210,7 +181,7 @@ type Options struct {
 	// item 5 (scratch → M → D disks). Tier contents are cache, never
 	// durable state: a resumed run re-fills empty tiers from the
 	// backend, so the chain may change freely across a resume and the
-	// spec stays out of the config fingerprint. Like IOWorkers the
+	// spec stays out of the config fingerprint. Like DriveLatency the
 	// tiers are invisible to the model — results and every model
 	// statistic are bitwise identical with any chain, including none.
 	// Requires StateDir.
@@ -236,17 +207,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o *Options) defaults() {
-	if o.MaxSupersteps == 0 {
-		o.MaxSupersteps = 1 << 20
-	}
-}
-
-// serial reports whether the run asked for the serial physical
-// schedule (IOWorkers: -1): no I/O workers, no prefetch hint, no tier
-// fill workers. Everything else is the pipelined schedule.
-func (o Options) serial() bool { return o.IOWorkers < 0 }
-
 // UnprotectedDriveLossError reports a fault plan that schedules a
 // permanent drive death while the run has no redundancy to survive it.
 // Options.Validate returns it so the impossible run is rejected up
@@ -265,14 +225,8 @@ func (e *UnprotectedDriveLossError) Error() string {
 // machine configuration, turning invalid combinations into descriptive
 // errors up front instead of deep engine failures.
 func (o Options) Validate(cfg MachineConfig) error {
-	if o.MaxSupersteps < 0 {
-		return fmt.Errorf("core: MaxSupersteps = %d, want >= 0 (0 selects the default)", o.MaxSupersteps)
-	}
 	if o.MaxRetries < -1 {
 		return fmt.Errorf("core: MaxRetries = %d, want >= -1 (-1 disables retries, 0 selects the default)", o.MaxRetries)
-	}
-	if o.IOWorkers < -1 {
-		return fmt.Errorf("core: IOWorkers = %d, want >= -1 (-1 disables workers, 0 selects the default)", o.IOWorkers)
 	}
 	if o.DriveLatency < 0 {
 		return fmt.Errorf("core: DriveLatency = %v, want >= 0", o.DriveLatency)

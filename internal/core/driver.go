@@ -405,8 +405,8 @@ func (d *driver) run() (*Result, error) {
 		}
 	}
 	for step := d.stepsDone; !d.halted; step++ {
-		if step >= d.sh.opts.MaxSupersteps {
-			return nil, fmt.Errorf("core: no convergence after %d supersteps", d.sh.opts.MaxSupersteps)
+		if step >= bsp.MaxSupersteps {
+			return nil, fmt.Errorf("core: no convergence after %d supersteps", bsp.MaxSupersteps)
 		}
 		if err := d.barrier(step, func() (bool, error) { return d.superstep(step) }); err != nil {
 			return nil, err

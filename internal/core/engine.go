@@ -108,7 +108,6 @@ func runProgram(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Opti
 
 // newEngine returns the engine and the driver that runs over it.
 func newEngine(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*engine, *driver) {
-	opts.defaults()
 	e := &engine{simShape: newSimShape(p, cfg, opts), goctx: ctx}
 	d := &driver{t: e, ledger: newLedger(&e.simShape, manifestRunKind,
 		configFingerprint(manifestRunKind, cfg, opts, e.v, e.mu, e.gamma), opts.StateDir)}

@@ -72,14 +72,18 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 	enc := words.NewEncoder(nil)
 	enc.PutUint(kind)
 	enc.PutUint(modelRules)
-	enc.PutInts([]int64{int64(cfg.P), int64(cfg.M), int64(cfg.D), int64(cfg.B), int64(cfg.MemSlack)})
+	// Two slots keep the word layout of journals written when the
+	// memory slack and the superstep guard were settable: the slack's
+	// slot holds 0 (its default, the only value runs passed) and the
+	// guard's holds the constant, so those journals still resume.
+	enc.PutInts([]int64{int64(cfg.P), int64(cfg.M), int64(cfg.D), int64(cfg.B), 0})
 	enc.PutFloat(cfg.G)
 	enc.PutFloat(cfg.Cost.GUnit)
 	enc.PutFloat(cfg.Cost.GPkt)
 	enc.PutInt(int64(cfg.Cost.Pkt))
 	enc.PutFloat(cfg.Cost.L)
 	enc.PutUint(opts.Seed)
-	enc.PutInt(int64(opts.MaxSupersteps))
+	enc.PutInt(bsp.MaxSupersteps)
 	enc.PutBool(opts.Deterministic)
 	enc.PutInt(int64(opts.MaxRetries))
 	plan := opts.FaultPlan

@@ -219,10 +219,12 @@ func (sh *simShape) batchBounds(ps *procState, j int) (lo, hi int) {
 // records are ≤ 4γ words each way, and a superstep's streams end in one
 // partial block per (sending processor, cell), of which a processor
 // holds at most ⌈(µ+1)/B⌉ open — one context's blocks) and one block per
-// drive — scaled by the configured slack constant. Programs honouring γ
-// = O(µ) stay within O(M); others are still tracked and bounded.
+// drive — scaled by the slack constant memSlack, the Θ(kµ) = O(M)
+// constant of the theorems. Programs honouring γ = O(µ) stay within
+// O(M); others are still tracked and bounded.
 func engineMemLimit(cfg MachineConfig, k, mu, gamma int) int64 {
-	return int64(cfg.memSlack()) * (int64(cfg.M) + int64(k)*int64(mu+6*gamma) + int64(cfg.D*cfg.B))
+	const memSlack = 8
+	return memSlack * (int64(cfg.M) + int64(k)*int64(mu+6*gamma) + int64(cfg.D*cfg.B))
 }
 
 // newProcState builds processor i's state: VP range, accountant, the

@@ -61,10 +61,9 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 		return nil, err
 	}
 	// Stack the tier chain, innermost (last spec) first. A tier's
-	// fill workers only run on the pipelined schedule and when there is
-	// emulated latency below it to hide — at page-cache speed a
-	// staging copy costs more than the read it saves, mirroring the
-	// file store's own zero-latency fill skip.
+	// fill workers only run when there is emulated latency below it to
+	// hide — at page-cache speed a staging copy costs more than the read
+	// it saves, mirroring the file store's own zero-latency fill skip.
 	latBelow := opts.DriveLatency
 	for i := len(opts.Tiers) - 1; i >= 0; i-- {
 		spec := opts.Tiers[i]
@@ -73,7 +72,7 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 			words = engineMemLimit(cfg, k, mu, gamma) / 4
 		}
 		fill := 0
-		if !opts.serial() && latBelow > 0 {
+		if latBelow > 0 {
 			fill = cfg.D
 		}
 		chain = disk.NewTier(chain, disk.TierOptions{
@@ -112,22 +111,14 @@ func addTierStats(agg []disk.TierStats, ts []disk.TierStats) []disk.TierStats {
 	return agg
 }
 
-// fileStoreOpts resolves the run options' I/O-worker knob and the
-// engine memory budget into the file store's options. The prefetch /
+// fileStoreOpts resolves the run options and the engine memory budget
+// into the file store's options. The prefetch /
 // write-behind cache gets a quarter of the engine's internal-memory
 // budget, so the pipeline is bounded by the same O(M) constant as the
 // engine itself (internal/mem enforces it inside the store). pid
 // labels the store's trace spans with the owning processor.
 func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.FileOptions {
-	w := opts.IOWorkers
-	switch w {
-	case -1:
-		w = 0 // synchronous
-	case 0:
-		w = cfg.D // default: one worker per drive
-	}
 	return disk.FileOptions{
-		Workers:       w,
 		CacheWords:    engineMemLimit(cfg, k, mu, gamma) / 4,
 		AccessLatency: opts.DriveLatency,
 		Tracer:        opts.Trace,
@@ -140,7 +131,7 @@ func fileStoreOpts(cfg MachineConfig, opts Options, k, mu, gamma, pid int) disk.
 // local store's physical cache — purely physical, no accounting.
 func (sh *simShape) prefetchNext(ps *procState, j, step int) {
 	if r := sh.batchAt(step, j) + 1; r < sh.batches {
-		if pf := ps.prefetcher(sh.opts); pf != nil {
+		if pf := ps.prefetcher(); pf != nil {
 			pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, r), step))
 		}
 	}
@@ -151,7 +142,7 @@ func (sh *simShape) prefetchNext(ps *procState, j, step int) {
 // is still in flight — stage what superstep step's first round reads
 // while the decision record is appended.
 func (sh *simShape) prefetchFirst(ps *procState, step int) {
-	if pf := ps.prefetcher(sh.opts); pf != nil {
+	if pf := ps.prefetcher(); pf != nil {
 		pf.Prefetch(sh.prefetchBatch(ps, sh.batchAt(step, 0), step))
 	}
 }

@@ -671,14 +671,12 @@ func TestValidation(t *testing.T) {
 		cfg  core.MachineConfig
 		opts core.Options
 	}{
-		{"negative MaxSupersteps", good, core.Options{MaxSupersteps: -1}},
 		{"MaxRetries below -1", good, core.Options{MaxRetries: -2}},
 		{"Resume without StateDir", good, core.Options{Resume: true}},
 		{"FailProc out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, ReadErrorRate: 0.1, FailProc: 3}}},
 		{"FailDrive out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, FailDriveOp: 5, FailDrive: 9}}},
 		{"fault rate out of range", good, core.Options{FaultPlan: &fault.Plan{Seed: 1, ReadErrorRate: 1.5}}},
 		{"negative L", core.MachineConfig{P: 1, M: 256, D: 4, B: 8, G: 10, Cost: bsp.CostParams{GUnit: 1, GPkt: 2, Pkt: 16, L: -1}}, core.Options{}},
-		{"negative MemSlack", func() core.MachineConfig { c := good; c.MemSlack = -1; return c }(), core.Options{}},
 	}
 	for _, tc := range cases {
 		if _, err := core.Run(p, tc.cfg, tc.opts); err == nil {

@@ -178,7 +178,6 @@ func (n *NodeEngine) ExportSnapshot(base int) (*NodeSnapshot, error) {
 // the one derived from (cfg, opts, nodeID) — adopting another node's
 // (or another run's) state is refused before anything touches disk.
 func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string, snap *NodeSnapshot) (*NodeEngine, error) {
-	opts.defaults()
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}

@@ -80,12 +80,9 @@ func (s storeStack) durable() bool {
 // prefetcher returns the group pipeline's prefetch target: the
 // outermost link that can prefetch — the outermost tier (which is how a
 // mapped store, synchronous on its own, gains a pipeline), else the
-// file store — or nil: the run is on the serial schedule, or nothing in
-// the chain prefetches.
-func (s storeStack) prefetcher(opts Options) disk.Prefetcher {
-	if opts.serial() {
-		return nil
-	}
+// file store — or nil when nothing in the chain prefetches. A link with
+// no latency below it to hide ignores the hint.
+func (s storeStack) prefetcher() disk.Prefetcher {
 	return disk.Find[disk.Prefetcher](s.chain)
 }
 

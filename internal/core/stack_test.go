@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"embsp/internal/disk"
 	"embsp/internal/fault"
@@ -13,10 +14,12 @@ import (
 
 // TestStoreChain: the chain openStack builds is what DESIGN.md §18 says
 // it is, for every combination of base store, tier count, redundancy
-// mode, fault plan and schedule (IOWorkers 0 or -1) — the links outermost first,
+// mode, fault plan and physical schedule — the links outermost first,
 // what disk.Find returns for each thing the engines look up, the
 // methods no link overrides reaching the base through the whole stack,
-// and Close on the chain releasing the base.
+// and Close on the chain releasing the base. The drive latency picks
+// the schedule: pipeline=0 runs under a latency, which starts the file
+// store's I/O workers, and pipeline=-1 at none, where it is synchronous.
 func TestStoreChain(t *testing.T) {
 	cfg := MachineConfig{P: 1, M: 256, D: 2, B: 8}
 	const k, mu, gamma = 1, 8, 8
@@ -25,18 +28,21 @@ func TestStoreChain(t *testing.T) {
 		for tiers := 0; tiers <= 2; tiers++ {
 			for _, mode := range []redundancy.Mode{redundancy.None, redundancy.Mirror, redundancy.Parity} {
 				for _, faults := range []bool{false, true} {
-					for _, ioWorkers := range []int{0, -1} { // pipelined, serial
+					for _, pipeline := range []int{0, -1} {
 						if base == "array" && tiers > 0 {
 							continue // tiers stack above a durable store only
 						}
 						if base == "mapped" && !disk.MmapSupported() {
 							continue
 						}
-						opts := Options{Redundancy: mode, IOWorkers: ioWorkers, MappedStore: base == "mapped", Tiers: make([]TierSpec, tiers)}
+						opts := Options{Redundancy: mode, MappedStore: base == "mapped", Tiers: make([]TierSpec, tiers)}
 						if faults {
 							opts.FaultPlan = plan
 						}
-						name := fmt.Sprintf("%s/tiers=%d/%v/faults=%v/pipeline=%d", base, tiers, mode, faults, ioWorkers)
+						if pipeline == 0 {
+							opts.DriveLatency = time.Microsecond
+						}
+						name := fmt.Sprintf("%s/tiers=%d/%v/faults=%v/pipeline=%d", base, tiers, mode, faults, pipeline)
 						t.Run(name, func(t *testing.T) {
 							dir := ""
 							if base != "array" {
@@ -126,11 +132,20 @@ func checkChain(t *testing.T, s storeStack, base string, tiers int, mode redunda
 		t.Errorf("durable() = %v over a %s base", s.durable(), base)
 	}
 	var wantPF disk.Prefetcher
-	if pf, ok := outer.(disk.Prefetcher); ok && opts.IOWorkers >= 0 {
+	if pf, ok := outer.(disk.Prefetcher); ok {
 		wantPF = pf // the outermost tier, else *File; array and mapped have none
 	}
-	if pf := s.prefetcher(opts); pf != wantPF {
+	if pf := s.prefetcher(); pf != wantPF {
 		t.Errorf("prefetch target is %T, want %T", pf, wantPF)
+	}
+	if f := disk.Find[*disk.File](s.chain); f != nil {
+		want := 0 // synchronous at zero latency
+		if opts.DriveLatency > 0 {
+			want = f.Config().D // one I/O worker per drive
+		}
+		if n := f.Workers(); n != want {
+			t.Errorf("file store runs %d I/O workers at drive latency %v, want %d", n, opts.DriveLatency, want)
+		}
 	}
 
 	// What no link overrides reaches the base through the whole stack.

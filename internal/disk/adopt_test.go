@@ -19,12 +19,8 @@ import (
 // emulated latency, which is what starts its workers.
 func adoptStores(tb testing.TB, cfg Config) map[string]Backend {
 	tb.Helper()
-	file := func(workers int) *File {
-		var lat time.Duration
-		if workers > 0 {
-			lat = time.Microsecond
-		}
-		f, err := OpenFileOpts(tb.TempDir(), cfg, false, FileOptions{Workers: workers, AccessLatency: lat})
+	file := func(lat time.Duration) *File {
+		f, err := OpenFileOpts(tb.TempDir(), cfg, false, FileOptions{AccessLatency: lat})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -33,7 +29,7 @@ func adoptStores(tb testing.TB, cfg Config) map[string]Backend {
 	stores := map[string]Backend{
 		"array":          MustNewArray(cfg),
 		"file":           file(0),
-		"file-workers":   file(cfg.D),
+		"file-workers":   file(time.Microsecond),
 		"tier-over-file": NewTier(file(0), TierOptions{}),
 	}
 	if MmapSupported() {

@@ -32,13 +32,9 @@ func confStores() []struct {
 	open confOpener
 } {
 	cfg := Config{D: confD, B: confB}
-	file := func(workers int) confOpener {
+	file := func(lat time.Duration) confOpener {
 		return func(t *testing.T, dir string, resume bool) Backend {
-			opt := FileOptions{Workers: workers}
-			if workers > 0 {
-				opt.AccessLatency = time.Microsecond
-			}
-			f, err := OpenFileOpts(dir, cfg, resume, opt)
+			f, err := OpenFileOpts(dir, cfg, resume, FileOptions{AccessLatency: lat})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,9 +62,9 @@ func confStores() []struct {
 	}{
 		{"array", func(*testing.T, string, bool) Backend { return MustNewArray(cfg) }},
 		{"file", file(0)},
-		{"file-workers", file(confD)},
+		{"file-workers", file(time.Microsecond)},
 		{"mapped", mapped},
-		{"tier-over-file", tier(file(confD))},
+		{"tier-over-file", tier(file(time.Microsecond))},
 		{"tier-over-mapped", tier(mapped)},
 	}
 }

@@ -41,10 +41,10 @@ import (
 //
 // At page-cache speed (AccessLatency zero) the store is synchronous,
 // every transfer inside the call: a worker round-trip would cost more
-// than the transfer it reschedules. With emulated latency and Workers > 0 the
-// store runs that many I/O worker goroutines; drive d's physical
-// transfers are served by worker d mod Workers, so every drive keeps
-// strict FIFO order while distinct drives proceed concurrently. One
+// than the transfer it reschedules. With emulated latency the store
+// runs one I/O worker goroutine per drive; worker d serves drive d's
+// physical transfers, so every drive keeps strict FIFO order while
+// distinct drives proceed concurrently. One
 // ReadOp/WriteOp call fans its request list (at most one track per
 // drive) out across the workers, so one op's transfers sleep on D
 // workers at once. Writes are absorbed by a write-behind cache and land
@@ -103,12 +103,6 @@ type File struct {
 // performed inside the ReadOp/WriteOp call), which is also what
 // OpenFile gives.
 type FileOptions struct {
-	// Workers is the number of I/O worker goroutines when there is
-	// latency to hide (AccessLatency > 0); n > 0 serves drive d on
-	// worker d mod n (values above D are clamped to D — extra workers
-	// would sit idle). 0, or zero AccessLatency, keeps the store
-	// synchronous. Model accounting is identical either way.
-	Workers int
 	// CacheWords bounds the prefetch + write-behind cache in words
 	// (slot-sized units of B+2 words per track). 0 picks a small
 	// default of 4·D tracks; negative means unbounded. Ignored on a
@@ -119,8 +113,9 @@ type FileOptions struct {
 	// It models the EM machine's independent physical drives on hosts
 	// whose page cache hides real device latency, so schedule quality
 	// (D-parallel access, I/O–compute overlap) becomes measurable.
-	// Both the synchronous and the worker store pay the same per-access
-	// cost; zero (the default) emulates nothing, and starts no workers.
+	// Any latency starts one I/O worker goroutine per drive, which pay
+	// it concurrently; zero (the default) emulates nothing and keeps the
+	// store synchronous. Model accounting is identical either way.
 	AccessLatency time.Duration
 	// Tracer, when non-nil, records every physical transfer (track
 	// reads, writes, fsyncs) as an "io"-category span, labelled
@@ -223,8 +218,9 @@ func OpenFile(dir string, cfg Config, resume bool) (*File, error) {
 	return OpenFileOpts(dir, cfg, resume, FileOptions{})
 }
 
-// OpenFileOpts is OpenFile with physical-concurrency options. Workers
-// start only when there is emulated latency to hide.
+// OpenFileOpts is OpenFile with physical-concurrency options. Its I/O
+// workers, one per drive, start only when there is emulated latency to
+// hide.
 func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, error) {
 	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
 	if err != nil {
@@ -237,8 +233,8 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		wepoch:     make([]int64, cfg.D),
 	}
 	f.model.init(cfg, f)
-	if opt.Workers > 0 && opt.AccessLatency > 0 {
-		f.nworks = min(opt.Workers, cfg.D)
+	if opt.AccessLatency > 0 {
+		f.nworks = cfg.D
 		budget := opt.CacheWords
 		if budget == 0 {
 			budget = int64(4*cfg.D) * int64(cfg.B+2)
@@ -585,7 +581,7 @@ func (f *File) dropEntry(a Addr) {
 // queue order, keeping per-drive physical order identical to the
 // accounting order.
 func (f *File) enqueue(t ioTask) {
-	q := f.queues[t.d%f.nworks]
+	q := f.queues[t.d]
 	q.mu.Lock()
 	q.push(t)
 	q.cond.Signal()

@@ -22,7 +22,6 @@ const raceLatency = 10 * time.Microsecond
 func raceStore(t *testing.T, d, b int) *File {
 	t.Helper()
 	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{
-		Workers:       d,
 		CacheWords:    int64(2 * d * (b + 2)),
 		AccessLatency: raceLatency,
 	})
@@ -197,7 +196,7 @@ func TestFileConcurrentAllocRestore(t *testing.T) {
 // in Close must win cleanly.
 func TestFileConcurrentSyncClose(t *testing.T) {
 	const d, b = 4, 8
-	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{Workers: d, AccessLatency: raceLatency})
+	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{AccessLatency: raceLatency})
 	if err != nil {
 		t.Fatal(err)
 	}

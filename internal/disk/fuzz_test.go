@@ -83,7 +83,7 @@ func FuzzGeometry(f *testing.F) {
 	f.Add(wrongGeom, drive0)
 
 	f.Fuzz(func(t *testing.T, geom, drive []byte) {
-		for _, workers := range []int{0, fuzzD} {
+		for _, lat := range []time.Duration{0, 50 * time.Microsecond} {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, "geometry"), geom, 0o666); err != nil {
 				t.Fatal(err)
@@ -95,11 +95,7 @@ func FuzzGeometry(f *testing.F) {
 			// The worker variant gets a small emulated latency, which is
 			// what starts its workers, so the hostile bytes flow through
 			// the queued fill path.
-			var lat time.Duration
-			if workers > 0 {
-				lat = 50 * time.Microsecond
-			}
-			st, err := OpenFileOpts(dir, cfg, true, FileOptions{Workers: workers, AccessLatency: lat})
+			st, err := OpenFileOpts(dir, cfg, true, FileOptions{AccessLatency: lat})
 			if err != nil {
 				continue // refused the directory — the safe outcome
 			}
@@ -123,13 +119,13 @@ func FuzzGeometry(f *testing.F) {
 				err := st.ReadOp([]ReadReq{{Disk: a.Disk, Track: a.Track, Dst: dst}})
 				if err != nil {
 					if _, ok := err.(*CorruptTrackError); !ok {
-						t.Fatalf("workers=%d: ReadOp(%d/%d) returned untyped error %T: %v",
-							workers, a.Disk, a.Track, err, err)
+						t.Fatalf("latency=%v: ReadOp(%d/%d) returned untyped error %T: %v",
+							lat, a.Disk, a.Track, err, err)
 					}
 				}
 			}
 			if err := st.Close(); err != nil {
-				t.Fatalf("workers=%d: Close after fuzzed reads: %v", workers, err)
+				t.Fatalf("latency=%v: Close after fuzzed reads: %v", lat, err)
 			}
 		}
 	})

@@ -27,7 +27,6 @@ func canaryStore(t *testing.T, d, b int) *File {
 	SetPoolCanary(canaryWord)
 	t.Cleanup(func() { SetPoolCanary(0) })
 	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{
-		Workers:       d,
 		CacheWords:    int64(3 * d * (b + 2)),
 		AccessLatency: 200 * time.Microsecond,
 	})

@@ -17,7 +17,6 @@ func TestResetStatsLeavesOverlapIntact(t *testing.T) {
 	// and generates no overlap activity to preserve.
 	const D, B = 2, 8
 	f, err := OpenFileOpts(t.TempDir(), Config{D: D, B: B}, false, FileOptions{
-		Workers:       D,
 		AccessLatency: 100 * time.Microsecond,
 	})
 	if err != nil {

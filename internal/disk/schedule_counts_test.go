@@ -72,9 +72,9 @@ func mixedOps(t *testing.T, s Store) {
 // moves reads ahead and makes nothing durable.
 func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 	tr := obs.New()
-	f := openCounted(t, 4, FileOptions{Workers: 4, AccessLatency: 100 * time.Microsecond, Tracer: tr})
-	if f.Workers() == 0 {
-		t.Fatal("no workers at emulated latency")
+	f := openCounted(t, 4, FileOptions{AccessLatency: 100 * time.Microsecond, Tracer: tr})
+	if n := f.Workers(); n != 4 {
+		t.Fatalf("store under emulated latency started %d workers, want one per drive (4)", n)
 	}
 	fsyncs := func() (n int64) {
 		for _, ph := range tr.Phases() {
@@ -112,11 +112,11 @@ func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 	}
 }
 
-// TestZeroLatencyStaysInline: with nothing to wait for, a store asked
-// for workers starts none — every transfer happens inside the call, no
-// fill is issued and no write is queued.
+// TestZeroLatencyStaysInline: with nothing to wait for, the store
+// starts no workers — every transfer happens inside the call, no fill
+// is issued and no write is queued.
 func TestZeroLatencyStaysInline(t *testing.T) {
-	f := openCounted(t, 4, FileOptions{Workers: 4})
+	f := openCounted(t, 4, FileOptions{})
 	if n := f.Workers(); n != 0 {
 		t.Fatalf("zero-latency store started %d workers, want 0", n)
 	}
@@ -130,7 +130,7 @@ func TestZeroLatencyStaysInline(t *testing.T) {
 // store the tier is an accounting shim — no staging round-trip, its
 // own or the backend's (TestTierNoRegression's 5% ratio).
 func TestTierWithoutFillWorkersStagesNothing(t *testing.T) {
-	tier := NewTier(openCounted(t, 4, FileOptions{Workers: 4}), TierOptions{FillWorkers: 0})
+	tier := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{FillWorkers: 0})
 	mixedOps(t, tier)
 	if ts, ov := tier.TierStats(), tier.Overlap(); ts.Fills != 0 || ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
 		t.Errorf("tier staged %d tracks, chain issued %d fills and %d async writes, want 0, 0 and 0", ts.Fills, ov.PrefetchIssued, ov.AsyncWrites)
@@ -147,7 +147,7 @@ func TestTierWithoutFillWorkersStagesNothing(t *testing.T) {
 // 2-vCPU host under -race has all D marked long before the first ends.
 func TestLatencyDrivesAllDrivesAtOnce(t *testing.T) {
 	const D = 8
-	f := openCounted(t, D, FileOptions{Workers: D, AccessLatency: 20 * time.Millisecond})
+	f := openCounted(t, D, FileOptions{AccessLatency: 20 * time.Millisecond})
 	addrs, w, r := stripe(f, 7, 0, 1, 2, 3, 4, 5, 6, 7)
 
 	if err := f.WriteOp(w); err != nil {

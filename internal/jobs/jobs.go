@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"embsp"
-	"embsp/internal/fault"
 	"embsp/internal/journal"
 	"embsp/internal/mem"
 	"embsp/internal/obs"
@@ -64,16 +63,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Chaos is a fault-injection hook for exercising the retry machinery
-// end to end: the first FailAttempts attempts fail with a recoverable
-// fault before the engine starts (so the bookkeeping — backoff, state
-// transitions, attempt counting — is tested, not the engine). Terminal
-// makes every attempt fail with an unrecoverable fault instead.
-type Chaos struct {
-	FailAttempts int  `json:"fail_attempts,omitempty"`
-	Terminal     bool `json:"terminal,omitempty"`
-}
-
 // Request is a job submission: which workload to run and on what
 // simulated machine. Zero values select defaults (1 processor, 4
 // drives, 64-word blocks, internal memory sized to the program, 3
@@ -98,8 +87,7 @@ type Request struct {
 	// DriveLatencyUS emulates per-track access time (wall-clock only,
 	// outside the bitwise-identity contract); tests use it to keep a
 	// job running long enough to cancel or drain.
-	DriveLatencyUS int64  `json:"drive_latency_us,omitempty"`
-	Chaos          *Chaos `json:"chaos,omitempty"`
+	DriveLatencyUS int64 `json:"drive_latency_us,omitempty"`
 }
 
 // maxN and maxV bound a request's problem size and VP count. A request
@@ -176,7 +164,7 @@ func (r Request) options(stateDir string, resume bool) (embsp.Options, error) {
 }
 
 // RunOnce executes the request once in stateDir, outside any
-// supervisor and without chaos or emulated latency — the clean
+// supervisor and without emulated latency — the clean
 // baseline whose fingerprint a supervised job (however many times it
 // was interrupted, killed and resumed) must reproduce exactly.
 func (r Request) RunOnce(stateDir string) (*Summary, error) {
@@ -832,16 +820,6 @@ var buildWorkload = workload.Spec.Build
 // attempt executes one run of the job, resuming from the journal when
 // a previous attempt committed at least one barrier.
 func (s *Supervisor) attempt(ctx context.Context, j *Job) error {
-	if c := j.Request.Chaos; c != nil {
-		if c.Terminal {
-			return fmt.Errorf("chaos: %w",
-				&fault.Error{Kind: fault.DriveLoss, Op: "read", Recoverable: false})
-		}
-		if j.Attempts <= c.FailAttempts {
-			return fmt.Errorf("chaos attempt %d: %w", j.Attempts,
-				&fault.Error{Kind: fault.TransientRead, Op: "read", Recoverable: true})
-		}
-	}
 	inst, err := buildWorkload(j.Request.Workload)
 	if err != nil {
 		return err

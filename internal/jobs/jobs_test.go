@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +13,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"embsp/internal/fault"
 	"embsp/internal/journal"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
@@ -181,6 +184,27 @@ func TestSubmitRefusesOversizedWorkload(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesChaos: the request has no fault-injection field, so
+// a submission that asks for one is refused as HTTP 400 and admits no
+// job.
+func TestSubmitRefusesChaos(t *testing.T) {
+	s := startSupervisor(t, Config{Metrics: obs.NewRegistry()})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := `{"workload":{"alg":"sort","n":48,"v":4,"seed":1},"chaos":{"fail_attempts":2}}`
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /jobs with a chaos field: status = %d, want 400", resp.StatusCode)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("the refused submission admitted %d jobs, want 0", len(jobs))
+	}
+}
+
 // TestClampRetryAfter pins the hint's guard rails: no history falls
 // back to the old fixed second, and derived values are clamped to
 // [100ms, 2m] so a degenerate histogram can neither tell clients to
@@ -276,7 +300,30 @@ func TestRetryAfterDerivedFromHistory(t *testing.T) {
 	}
 }
 
+// failAttempts makes the attempts of the job seeded seed fail before
+// the engine starts, through the buildWorkload seam: the first n with a
+// recoverable fault, or every one with an unrecoverable fault when n is
+// negative. What is under test is the supervisor's bookkeeping —
+// backoff, state transitions, attempt counting — not the engine.
+func failAttempts(t *testing.T, seed uint64, n int32) {
+	orig := buildWorkload
+	t.Cleanup(func() { buildWorkload = orig }) // after the supervisor's drain
+	var calls atomic.Int32
+	buildWorkload = func(spec workload.Spec) (*workload.Instance, error) {
+		if spec.Seed == seed {
+			switch c := calls.Add(1); {
+			case n < 0:
+				return nil, fmt.Errorf("injected: %w", &fault.Error{Kind: fault.DriveLoss, Op: "read", Recoverable: false})
+			case c <= n:
+				return nil, fmt.Errorf("injected attempt %d: %w", c, &fault.Error{Kind: fault.TransientRead, Op: "read", Recoverable: true})
+			}
+		}
+		return spec.Build()
+	}
+}
+
 func TestRetriableChaosSucceedsWithinBackoffBudget(t *testing.T) {
+	failAttempts(t, 3, 2)
 	var mu sync.Mutex
 	var sleeps []time.Duration
 	s := startSupervisor(t, Config{
@@ -288,7 +335,7 @@ func TestRetriableChaosSucceedsWithinBackoffBudget(t *testing.T) {
 			return nil
 		},
 	})
-	req := Request{Workload: testSpec(3), MaxAttempts: 3, Chaos: &Chaos{FailAttempts: 2}}
+	req := Request{Workload: testSpec(3), MaxAttempts: 3}
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +365,9 @@ func TestRetriableChaosSucceedsWithinBackoffBudget(t *testing.T) {
 }
 
 func TestTerminalChaosNotRetried(t *testing.T) {
+	failAttempts(t, 4, -1)
 	s := startSupervisor(t, Config{Metrics: obs.NewRegistry()})
-	j, err := s.Submit(Request{Workload: testSpec(4), Chaos: &Chaos{Terminal: true}})
+	j, err := s.Submit(Request{Workload: testSpec(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +375,7 @@ func TestTerminalChaosNotRetried(t *testing.T) {
 	if j.State != StateFailed || j.Attempts != 1 {
 		t.Fatalf("state=%s attempts=%d, want failed on the first attempt", j.State, j.Attempts)
 	}
-	if !strings.Contains(j.Error, "chaos") {
+	if !strings.Contains(j.Error, "injected") {
 		t.Errorf("error %q does not name the fault", j.Error)
 	}
 	if got := s.Metrics().Counter("jobs_retried").Value(); got != 0 {

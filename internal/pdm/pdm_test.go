@@ -291,18 +291,3 @@ func TestSKSimRing(t *testing.T) {
 		}
 	}
 }
-
-func TestSKSimProbeEmptyCellsCostsMore(t *testing.T) {
-	p := &bsptest.RingProgram{V: 8, Rounds: 3}
-	lazy, err := pdm.SKSim(p, 1, 16, pdm.SKOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probing, err := pdm.SKSim(p, 1, 16, pdm.SKOptions{Seed: 1, ProbeEmptyCells: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probing.Disk.Ops <= lazy.Disk.Ops {
-		t.Errorf("probing ops %d <= lazy ops %d", probing.Disk.Ops, lazy.Disk.Ops)
-	}
-}

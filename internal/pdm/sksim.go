@@ -16,7 +16,8 @@ import (
 // superstep. The simulation is correct and simple, but — as the paper
 // points out — it has no mechanism for the disk blocking factor or
 // for multiple disks: every access moves one block per I/O operation,
-// and fetching VP j's messages touches one cell per sender. Run it
+// and fetching VP j's messages touches one cell per sender (an
+// in-memory occupancy directory skips the empty ones). Run it
 // next to core.Run on the same program to measure exactly the
 // blocking/striping gap the paper's technique closes. It keeps bsp.Run's
 // halt rule: a VP that votes halt sleeps, and a sleeper with no messages
@@ -25,12 +26,6 @@ type SKOptions struct {
 	// Seed keys the program's Env.Rand streams (same convention as
 	// the other engines, so results are comparable bit for bit).
 	Seed uint64
-	// MaxSupersteps aborts runaway programs; 0 means 1 << 20.
-	MaxSupersteps int
-	// ProbeEmptyCells reads every mailbox cell header even when the
-	// cell is empty (the fully oblivious v² behaviour). Off by
-	// default: the simulation keeps an in-memory occupancy directory.
-	ProbeEmptyCells bool
 }
 
 // SKResult is the outcome of an SKSim run.
@@ -44,9 +39,6 @@ type SKResult struct {
 func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 	if err := bsp.CheckProgram(p); err != nil {
 		return nil, err
-	}
-	if opts.MaxSupersteps == 0 {
-		opts.MaxSupersteps = 1 << 20
 	}
 	arr, err := disk.NewArray(disk.Config{D: d, B: b})
 	if err != nil {
@@ -125,8 +117,8 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 	var vp bsp.VP
 	asleep := make([]bool, v)
 	for step := 0; ; step++ {
-		if step >= opts.MaxSupersteps {
-			return nil, fmt.Errorf("pdm: no convergence after %d supersteps", opts.MaxSupersteps)
+		if step >= bsp.MaxSupersteps {
+			return nil, fmt.Errorf("pdm: no convergence after %d supersteps", bsp.MaxSupersteps)
 		}
 		sleepers := 0
 		sends := 0
@@ -136,14 +128,10 @@ func SKSim(p bsp.Program, d, b int, opts SKOptions) (*SKResult, error) {
 			var inbox []bsp.Message
 			for i := 0; i < v; i++ {
 				w := used[i*v+j]
-				if w == 0 && !opts.ProbeEmptyCells {
+				if w == 0 {
 					continue
 				}
-				rd := w
-				if rd == 0 {
-					rd = 1 // oblivious probe: one block to discover emptiness
-				}
-				if err := readWords(cells[step%2][i*v+j], rd, cellBuf); err != nil {
+				if err := readWords(cells[step%2][i*v+j], w, cellBuf); err != nil {
 					return nil, err
 				}
 				for off := 0; off < w; {

@@ -31,10 +31,10 @@ func obsSortProgram(t *testing.T) embsp.Program {
 	return prog
 }
 
-// TestTracingDoesNotPerturbResults runs the sort workload serial and
-// pipelined, on P=1 and P=3 machines, with a tracer and metrics
-// registry attached — and requires the identical Result an untraced
-// run produces. This is the "tracing stays outside the bitwise
+// TestTracingDoesNotPerturbResults runs the sort workload serial and,
+// with a tracer and metrics registry attached, pipelined (under the
+// battery's emulated drive latency), on P=1 and P=3 machines — and
+// requires the identical Result the untraced run produces. This is the "tracing stays outside the bitwise
 // identity contract" acceptance check.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	prog := obsSortProgram(t)
@@ -44,7 +44,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 			Cost: embsp.CostParams{GUnit: 1, GPkt: 64, Pkt: 64, L: 10},
 		}
 		plain, err := embsp.Run(prog, cfg, embsp.Options{
-			Seed: 0x0B5, StateDir: t.TempDir(), IOWorkers: -1,
+			Seed: 0x0B5, StateDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("P=%d plain: %v", procs, err)
@@ -59,7 +59,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		tr.AttachRegistry(reg)
 		start := time.Now()
 		traced, err := embsp.Run(prog, cfg, embsp.Options{
-			Seed: 0x0B5, StateDir: t.TempDir(),
+			Seed: 0x0B5, StateDir: t.TempDir(), DriveLatency: batteryLatency,
 			Trace: tr, Metrics: reg,
 		})
 		wall := time.Since(start)
@@ -146,7 +146,7 @@ func TestSeqPhaseTotalsCoverWallClock(t *testing.T) {
 	tr := embsp.NewTracer()
 	start := time.Now()
 	if _, err := embsp.Run(prog, cfg, embsp.Options{
-		Seed: 0x0B5, StateDir: t.TempDir(), IOWorkers: -1,
+		Seed: 0x0B5, StateDir: t.TempDir(),
 		DriveLatency: 2 * time.Millisecond, Trace: tr,
 	}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package embsp_test
 
 // The pipeline determinism battery: every Table 1 workload runs on the
-// serial schedule (IOWorkers: -1 — fully synchronous file store, no
-// prefetch) and the pipelined one, the default (per-drive I/O workers,
-// prefetch, write-behind — which the file store runs only when there is
-// drive latency to hide, so the pipelined legs emulate a little), and
+// serial schedule (zero drive latency — fully synchronous file store,
+// no prefetch) and the pipelined one (per-drive I/O workers, prefetch,
+// write-behind — which the drive latency picks, so the pipelined legs
+// emulate a little), and
 // on the mmap-backed store (zero-copy, fully synchronous), on
 // sequential and parallel machines, under clean and faulty schedules —
 // and every word of the Result and every model-visible EM statistic
@@ -70,7 +70,7 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d array: %v", procs, err)
 				}
 				serial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), IOWorkers: -1,
+					Seed: 0xBA77E7, StateDir: t.TempDir(),
 				})
 				if err != nil {
 					t.Fatalf("P=%d serial file: %v", procs, err)
@@ -105,7 +105,7 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				// (prefetch staging routes through the tier).
 				tiers := []embsp.TierSpec{{}}
 				tSerial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), IOWorkers: -1, Tiers: tiers,
+					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers,
 				})
 				if err != nil {
 					t.Fatalf("P=%d tiered serial: %v", procs, err)
@@ -152,13 +152,13 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				}
 				fOpts := embsp.Options{
 					Seed: 0xBA77E7, FaultPlan: plan, Redundancy: embsp.RedundancyParity,
-					StateDir: t.TempDir(), IOWorkers: -1,
+					StateDir: t.TempDir(),
 				}
 				fSerial, err := embsp.Run(prog, cfg, fOpts)
 				if err != nil {
 					t.Fatalf("P=%d faulty serial: %v", procs, err)
 				}
-				fOpts.StateDir, fOpts.IOWorkers, fOpts.DriveLatency = t.TempDir(), 0, batteryLatency
+				fOpts.StateDir, fOpts.DriveLatency = t.TempDir(), batteryLatency
 				fPiped, err := embsp.Run(prog, cfg, fOpts)
 				if err != nil {
 					t.Fatalf("P=%d faulty pipelined: %v", procs, err)

@@ -27,8 +27,12 @@ const (
 	helperEnv = "EMBSP_CRASH_HELPER_DIR"
 	killEnv   = "EMBSP_CRASH_KILL_STEP"
 	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
-	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier (with emulated drive latency, so its fill workers are live at the kill)
+	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier
 	procsEnv  = "EMBSP_CRASH_PROCS" // the helper's P, when not crashMachine's 1
+	// latencyEnv, set to a duration, runs the helper under that emulated
+	// drive latency: the pipelined schedule, with I/O workers, prefetch
+	// and write-behind live at the kill.
+	latencyEnv = "EMBSP_CRASH_LATENCY"
 	// commitEnv, set to a barrier b, has the helper die right after b's
 	// decision record lands rather than mid-superstep — for the halting
 	// barrier, which no superstep follows.
@@ -114,7 +118,11 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	if os.Getenv(tiersEnv) == "1" {
 		opts.Tiers = []embsp.TierSpec{{}}
-		opts.DriveLatency = 200 * time.Microsecond
+	}
+	if lat := os.Getenv(latencyEnv); lat != "" {
+		if opts.DriveLatency, err = time.ParseDuration(lat); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg := crashMachine()
 	if procs := os.Getenv(procsEnv); procs != "" {
@@ -180,11 +188,12 @@ func TestKillAndResumeSort(t *testing.T) {
 	}
 }
 
-// TestKillMidPipelineAndResumeSerial is the tentpole's crash-safety
-// property: SIGKILL a run on the default, pipelined schedule — dying
-// with prefetched blocks in the cache, write-behind queues in flight
-// and possibly a background flush mid-fsync — then resume it on the
-// serial schedule, a fully synchronous store. Crossing the
+// TestKillMidPipelineAndResumeSerial is the pipeline's crash-safety
+// property: SIGKILL a run on the pipelined schedule, under emulated
+// drive latency — dying with prefetched blocks in the cache,
+// write-behind queues in flight and possibly a background flush
+// mid-fsync — then resume it at zero latency on the serial schedule, a
+// fully synchronous store. Crossing the
 // physical schedule over the crash boundary proves the journal's
 // durable state is schedule-independent: the resumed serial run must
 // be bitwise identical to an uninterrupted run.
@@ -198,16 +207,14 @@ func TestKillMidPipelineAndResumeSerial(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "state")
 	cmd := exec.Command(os.Args[0], "-test.run", "TestCrashHelperProcess")
-	cmd.Env = append(os.Environ(), helperEnv+"="+dir, killEnv+"=2")
+	cmd.Env = append(os.Environ(), helperEnv+"="+dir, killEnv+"=2", latencyEnv+"=200us")
 	out, err := cmd.CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
 		t.Fatalf("helper did not die by SIGKILL: err=%v\n%s", err, out)
 	}
 
-	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
-	})
+	res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("resume after SIGKILL mid-pipeline: %v", err)
 	}
@@ -290,9 +297,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 			// Die on the mapped store, resume on the synchronous file store.
 			dir := filepath.Join(t.TempDir(), "state")
 			killHelper(t, helperEnv+"="+dir, at, storeEnv+"=mapped", procsEnv+"="+strconv.Itoa(procs))
-			res, err := embsp.Run(p, cfg, embsp.Options{
-				Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
-			})
+			res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
 			if err != nil {
 				t.Fatalf("%s: file resume of a mapped crash: %v", label, err)
 			}
@@ -362,10 +367,9 @@ func TestKillAndResumeTiered(t *testing.T) {
 
 	// Die tiered mid-pipeline, resume flat and fully synchronous.
 	dir := filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=2", tiersEnv+"=1")
-	res, err := embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true, IOWorkers: -1,
-	})
+	// The latency starts the tier's fill workers, live at the kill.
+	killHelper(t, helperEnv+"="+dir, killEnv+"=2", tiersEnv+"=1", latencyEnv+"=200us")
+	res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("flat resume of a tiered crash: %v", err)
 	}
