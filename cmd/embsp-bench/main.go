@@ -6,6 +6,7 @@
 //
 //	embsp-bench -list
 //	embsp-bench -run table1/sorting [-scale medium]
+//	embsp-bench -run table1/          (every experiment under a prefix)
 //	embsp-bench -all [-scale small|medium|large]
 package main
 
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments")
-	run := flag.String("run", "", "comma-separated experiment ids to run")
+	run := flag.String("run", "", "comma-separated experiment ids to run; an id ending in / selects every experiment under it")
 	all := flag.Bool("all", false, "run every experiment")
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium or large")
 	redundancyFlag := flag.String("redundancy", "", "drive redundancy for every run: none, mirror or parity")
@@ -71,17 +72,38 @@ func main() {
 		}
 	case *run != "":
 		for _, id := range strings.Split(*run, ",") {
-			e, ok := bench.Find(strings.TrimSpace(id))
-			if !ok {
+			es := matching(strings.TrimSpace(id))
+			if len(es) == 0 {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
 				os.Exit(2)
 			}
-			runOne(e, scale)
+			for _, e := range es {
+				runOne(e, scale)
+			}
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// matching returns the experiment with the given id or, for an id
+// ending in "/", every experiment whose id starts with it, in registry
+// order.
+func matching(id string) []bench.Experiment {
+	if !strings.HasSuffix(id, "/") {
+		if e, ok := bench.Find(id); ok {
+			return []bench.Experiment{e}
+		}
+		return nil
+	}
+	var out []bench.Experiment
+	for _, e := range bench.Experiments() {
+		if strings.HasPrefix(e.ID, id) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func runOne(e bench.Experiment, scale bench.Scale) {

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"embsp/internal/bench"
@@ -56,5 +58,35 @@ func TestResultsMedium(t *testing.T) {
 			}
 		}
 		t.Fatalf("RESULTS-medium.txt holds %d lines (timing lines aside), this tree prints %d", len(wl), len(gl))
+	}
+}
+
+// TestRunSelectsByPrefix: -run takes an experiment id, or an id ending
+// in "/" for every experiment under that prefix — `-run table1/` runs
+// the Table 1 rows.
+func TestRunSelectsByPrefix(t *testing.T) {
+	var table1 []string
+	for _, e := range bench.Experiments() {
+		if strings.HasPrefix(e.ID, "table1/") {
+			table1 = append(table1, e.ID)
+		}
+	}
+	if len(table1) == 0 {
+		t.Fatal("the registry has no table1/ experiments")
+	}
+	var got []string
+	for _, e := range matching("table1/") {
+		got = append(got, e.ID)
+	}
+	if !slices.Equal(got, table1) {
+		t.Errorf("-run table1/ selects %v, want %v", got, table1)
+	}
+	if es := matching(table1[0]); len(es) != 1 || es[0].ID != table1[0] {
+		t.Errorf("-run %s selects %d experiments, want that one", table1[0], len(es))
+	}
+	for _, id := range []string{"table1", "nope/", "table1/nope"} {
+		if es := matching(id); len(es) != 0 {
+			t.Errorf("-run %s selects %d experiments, want none", id, len(es))
+		}
 	}
 }

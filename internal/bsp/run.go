@@ -3,7 +3,6 @@ package bsp
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"embsp/internal/words"
 )
@@ -63,16 +62,6 @@ func CheckProgram(p Program) error {
 		return fmt.Errorf("bsp: MaxCommWords = %d, want >= 0", p.MaxCommWords())
 	}
 	return nil
-}
-
-// SortMessages puts messages into canonical delivery order (Src, Seq).
-func SortMessages(ms []Message) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Src != ms[j].Src {
-			return ms[i].Src < ms[j].Src
-		}
-		return ms[i].Seq < ms[j].Seq
-	})
 }
 
 // Run executes a Program entirely in memory. It is the reference

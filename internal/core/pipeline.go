@@ -60,30 +60,22 @@ func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, m
 	if err != nil {
 		return nil, err
 	}
-	// Stack the tier chain, innermost (last spec) first. A tier's
-	// fill workers only run when there is emulated latency below it to
-	// hide — at page-cache speed a staging copy costs more than the read
-	// it saves, mirroring the file store's own zero-latency fill skip.
-	latBelow := opts.DriveLatency
+	// Stack the tier chain, innermost (last spec) first. A tier runs
+	// fill workers only when there is emulated latency below it to hide
+	// (disk.NewTier).
 	for i := len(opts.Tiers) - 1; i >= 0; i-- {
 		spec := opts.Tiers[i]
 		words := spec.Words
 		if words == 0 {
 			words = engineMemLimit(cfg, k, mu, gamma) / 4
 		}
-		fill := 0
-		if latBelow > 0 {
-			fill = cfg.D
-		}
 		chain = disk.NewTier(chain, disk.TierOptions{
 			CacheWords:    words,
 			AccessLatency: spec.Latency,
-			FillWorkers:   fill,
 			Tracer:        opts.Trace,
 			TracePID:      pid,
 			Level:         i,
 		})
-		latBelow += spec.Latency
 	}
 	return chain, nil
 }

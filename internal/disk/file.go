@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"embsp/internal/mem"
 	"embsp/internal/obs"
 )
 
@@ -42,24 +41,23 @@ import (
 // At page-cache speed (AccessLatency zero) the store is synchronous,
 // every transfer inside the call: a worker round-trip would cost more
 // than the transfer it reschedules. With emulated latency the store
-// runs one I/O worker goroutine per drive; worker d serves drive d's
-// physical transfers, so every drive keeps strict FIFO order while
-// distinct drives proceed concurrently. One
-// ReadOp/WriteOp call fans its request list (at most one track per
-// drive) out across the workers, so one op's transfers sleep on D
-// workers at once. Writes are absorbed by a write-behind cache and land
-// asynchronously; Prefetch schedules reads ahead of need. Crucially,
-// none of this is visible to the model: all accounting — Stats, the
-// sequential/random access chains, allocation order — is applied
-// synchronously at call time in request order, so a run with workers
-// is bitwise identical to a run without them. Only the physical byte
-// movement is rescheduled; the cache is bounded by a mem.Accountant
-// (a soft high-water bound: an operation in flight may overshoot it by
-// up to one block per drive, and writes that cannot grab budget fall
-// back to stalling until their own transfers complete). The payload
-// buffers that flow through the queues are recycled through a free
-// list (see blockPool); a per-entry refcount keeps a buffer out of the
-// pool while any reader still aliases it.
+// moves its bytes through the disk layer's one staging cache (stage,
+// pool.go), which runs one worker goroutine per drive; worker d serves
+// drive d's physical transfers, so every drive keeps strict FIFO order
+// while distinct drives proceed concurrently. One ReadOp/WriteOp call
+// fans its request list (at most one track per drive) out across the
+// workers, so one op's transfers sleep on D workers at once. A miss
+// is a private fill on its drive's queue; writes are absorbed as
+// write-behind entries and land asynchronously; Prefetch stages reads
+// ahead of need. Crucially, none of this is visible to the model: all
+// accounting — Stats, the sequential/random access chains, allocation
+// order — is applied synchronously at call time in request order, so a
+// run with workers is bitwise identical to a run without them. Only
+// the physical byte movement is rescheduled; the cache is bounded by a
+// mem.Accountant (a soft high-water bound: an operation in flight may
+// overshoot it by up to one block per drive, and writes that cannot
+// grab budget fall back to stalling until their own transfers
+// complete).
 //
 // A drive is fsynced only by Sync, the barrier's durability point, and
 // only when bytes landed on it since its last fsync: every physical
@@ -80,22 +78,13 @@ import (
 // indeterminacy the caller asked for); operations on distinct drives
 // are independent.
 type File struct {
-	model          // the EM-model half; its mu also guards cache, acct, ov, werr
-	driveFiles     // the drive files and their physical options
-	nworks     int // I/O worker goroutines (0 = fully synchronous)
+	model      // the EM-model half; its mu also guards st and the fsync marks
+	driveFiles // the drive files and their physical options
 
-	buf      []byte // scratch for one slot (synchronous path and raw hooks, under mu)
-	cache    map[Addr]*centry
-	acct     *mem.Accountant // cache budget in words, used under mu
-	ov       OverlapStats
-	needSync []bool     // drives with bytes landed since their last completed fsync
-	wepoch   []int64    // bumped per byte-landing; guards needSync against racing writes
-	werr     error      // first deferred write error, surfaced at Sync/Close
-	pool     *blockPool // recycled payload buffers for the worker path
-
-	queues []*ioQueue
-	wg     sync.WaitGroup
-	xfer   inflight // physical transfers executing right now
+	buf      []byte  // scratch for one slot (synchronous path and raw hooks, under mu)
+	needSync []bool  // drives with bytes landed since their last completed fsync
+	wepoch   []int64 // bumped per byte-landing; guards needSync against racing writes
+	st       *stage  // the staging cache; workers only under emulated latency
 }
 
 // FileOptions tunes the physical I/O engine of a file-backed store.
@@ -142,72 +131,6 @@ func (e *CorruptTrackError) Error() string {
 	return fmt.Sprintf("disk: torn or corrupt track %d of drive %d (%s): stored checksum does not match payload", e.Track, e.Disk, e.Path)
 }
 
-// task kinds of the per-drive I/O queues.
-const (
-	taskFill    uint8 = iota // physical read into a cache entry
-	taskWrite                // physical write of a cache entry's payload
-	taskBarrier              // completion fence: signal wg, move no bytes
-)
-
-type ioTask struct {
-	kind  uint8
-	d, t  int
-	entry *centry
-	wg    *sync.WaitGroup
-}
-
-// centry is one track in the physical cache: a prefetched (or
-// in-flight) read, or a write-behind payload on its way to disk. data
-// is immutable once done; all other fields are guarded by File.mu.
-// data buffers come from the store's blockPool, so an entry is only
-// retired to the pool once it is done, unreachable from the cache map
-// and no reader holds a reference (refs counts ReadOp waiters between
-// their registration and their delivery copy).
-type centry struct {
-	data  []uint64
-	err   error
-	write bool
-	done  bool          // physical transfer completed
-	gone  bool          // no longer reachable from the cache map
-	refs  int           // ReadOp waiters still aliasing data
-	ready chan struct{} // closed when done
-	words int64         // budget words held (0 when none)
-}
-
-// ioQueue is one worker's task queue: a growable ring, so steady-state
-// pushes and pops recycle the same backing array instead of appending
-// a fresh slice element per physical transfer.
-type ioQueue struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []ioTask
-	head int
-	n    int
-	stop bool
-}
-
-// push appends a task. Caller holds q.mu.
-func (q *ioQueue) push(t ioTask) {
-	if q.n == len(q.buf) {
-		nb := make([]ioTask, max(16, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			nb[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = nb, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = t
-	q.n++
-}
-
-// pop removes the oldest task. Caller holds q.mu and has checked n > 0.
-func (q *ioQueue) pop() ioTask {
-	t := q.buf[q.head]
-	q.buf[q.head] = ioTask{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return t
-}
-
 // OpenFile opens (resume) or creates (fresh) a synchronous file-backed
 // store under dir. A fresh open truncates any previous drive files and
 // records the geometry; a resuming open requires the directory to
@@ -233,28 +156,10 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		wepoch:     make([]int64, cfg.D),
 	}
 	f.model.init(cfg, f)
+	f.st = newStage(&f.mu, cfg.D, int64(cfg.B+2), opt.CacheWords)
 	if opt.AccessLatency > 0 {
-		f.nworks = cfg.D
-		budget := opt.CacheWords
-		if budget == 0 {
-			budget = int64(4*cfg.D) * int64(cfg.B+2)
-		}
-		if budget < 0 {
-			budget = 0 // mem: non-positive limit = unlimited
-		}
-		f.acct = mem.NewAccountant(budget)
-		f.cache = make(map[Addr]*centry)
-		f.pool = newBlockPool(cfg.B, 8*cfg.D)
-		f.queues = make([]*ioQueue, f.nworks)
-		for i := range f.queues {
-			q := &ioQueue{}
-			q.cond = sync.NewCond(&q.mu)
-			f.queues[i] = q
-		}
-		f.wg.Add(f.nworks)
-		for i := 0; i < f.nworks; i++ {
-			go f.worker(f.queues[i], make([]byte, f.slotB))
-		}
+		f.st.move, f.st.blank, f.st.landed = f.move, f.blank, f.markWritten
+		f.st.start(cfg, f.slotB)
 	}
 	return f, nil
 }
@@ -336,6 +241,10 @@ func (df *driveFiles) access(name string, d int) obs.Span {
 	return sp
 }
 
+// latency is the emulated access time of one track transfer: a tier
+// stacked on the store starts its fill workers when it is non-zero.
+func (df *driveFiles) latency() time.Duration { return df.lat }
+
 // corrupt is the typed error for a slot that decoded as slotCorrupt.
 func (df *driveFiles) corrupt(d, t int) error {
 	return &CorruptTrackError{Path: df.files[d].Name(), Disk: d, Track: t}
@@ -403,7 +312,7 @@ func checkGeometry(path string, cfg Config) error {
 
 // Workers returns the number of I/O worker goroutines (0 when the
 // store is synchronous).
-func (f *File) Workers() int { return f.nworks }
+func (f *File) Workers() int { return len(f.st.queues) }
 
 // ResetOverlap zeroes the wall-clock overlap counters (including the
 // concurrency peak), leaving the model statistics alone — the
@@ -411,20 +320,14 @@ func (f *File) Workers() int { return f.nworks }
 func (f *File) ResetOverlap() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ov = OverlapStats{}
-	f.xfer.peak.Store(0)
+	f.st.ov = OverlapStats{}
+	f.st.xfer.peak.Store(0)
 }
 
 // Overlap returns a copy of the accumulated physical-overlap counters.
 // They describe wall-clock behaviour only; model statistics are
 // independent of them.
-func (f *File) Overlap() OverlapStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	o := f.ov
-	o.ConcurrentPeak = f.xfer.peak.Load()
-	return o
-}
+func (f *File) Overlap() OverlapStats { return f.st.overlap() }
 
 // pread reads and decodes one slot raw — no span, no emulated latency
 // — through the given scratch buffer. A slot never physically written
@@ -474,68 +377,13 @@ func (f *File) writeSlot(d, t int, src []uint64) error {
 	return err
 }
 
-// --- worker machinery --------------------------------------------------
-
-func (f *File) worker(q *ioQueue, scratch []byte) {
-	defer f.wg.Done()
-	for {
-		q.mu.Lock()
-		for q.n == 0 && !q.stop {
-			q.cond.Wait()
-		}
-		if q.n == 0 {
-			q.mu.Unlock()
-			return
-		}
-		t := q.pop()
-		q.mu.Unlock()
-		f.runTask(t, scratch)
+// move is a worker's physical transfer of one staged slot, through
+// the worker's scratch buffer.
+func (f *File) move(buf []byte, a Addr, write bool, data []uint64) error {
+	if write {
+		return f.writeSlotBuf(buf, a.Disk, a.Track, data)
 	}
-}
-
-func (f *File) runTask(t ioTask, scratch []byte) {
-	if t.kind == taskBarrier {
-		t.wg.Done()
-		return
-	}
-	f.xfer.begin()
-	defer f.xfer.end()
-	switch t.kind {
-	case taskFill:
-		data := f.pool.get()
-		err := f.readSlotBuf(scratch, t.d, t.t, data)
-		f.mu.Lock()
-		e := t.entry
-		e.data, e.err = data, err
-		e.done = true
-		close(e.ready)
-		f.retire(e)
-		f.mu.Unlock()
-	case taskWrite:
-		err := f.writeSlotBuf(scratch, t.d, t.t, t.entry.data)
-		f.mu.Lock()
-		a := Addr{Disk: t.d, Track: t.t}
-		f.markWritten(t.d)
-		e := t.entry
-		e.done = true
-		if err != nil {
-			e.err = err
-			if f.werr == nil {
-				f.werr = fmt.Errorf("disk: deferred write of track %d on drive %d failed: %w", t.t, t.d, err)
-			}
-		}
-		close(e.ready)
-		// Retire the write-behind entry: from here on a reader goes to
-		// the drive file, which now holds the same bytes.
-		if !e.gone {
-			if f.cache[a] == e {
-				delete(f.cache, a)
-			}
-			e.gone = true
-		}
-		f.retire(e)
-		f.mu.Unlock()
-	}
+	return f.readSlotBuf(buf, a.Disk, a.Track, data)
 }
 
 // markWritten records that bytes just landed on drive d's file: the
@@ -549,100 +397,19 @@ func (f *File) markWritten(d int) {
 	f.wepoch[d]++
 }
 
-// retire releases e's budget and recycles its payload buffer once it
-// is completed, unreachable from the cache map, and unreferenced by
-// any reader. Called under f.mu; idempotent.
-func (f *File) retire(e *centry) {
-	if !e.done || !e.gone || e.refs > 0 {
-		return
-	}
-	if e.words > 0 {
-		f.acct.Release(e.words)
-		e.words = 0
-	}
-	if e.data != nil {
-		f.pool.put(e.data)
-		e.data = nil
-	}
-}
-
-// dropEntry unlinks the cache entry for a, if any (written track
-// invalidated, freed, or rolled back). Called under f.mu.
-func (f *File) dropEntry(a Addr) {
-	if e, ok := f.cache[a]; ok {
-		delete(f.cache, a)
-		e.gone = true
-		f.retire(e)
-	}
-}
-
-// enqueue appends a physical task to its drive's queue. Must be called
-// with f.mu held: the lock is what serializes metadata updates and
-// queue order, keeping per-drive physical order identical to the
-// accounting order.
-func (f *File) enqueue(t ioTask) {
-	q := f.queues[t.d]
-	q.mu.Lock()
-	q.push(t)
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-// drain blocks until every physical task queued so far has completed.
-// Must be called without f.mu held.
-func (f *File) drain() {
-	if f.nworks == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(f.queues))
-	for _, q := range f.queues {
-		q.mu.Lock()
-		q.push(ioTask{kind: taskBarrier, wg: &wg})
-		q.cond.Signal()
-		q.mu.Unlock()
-	}
-	wg.Wait()
-}
-
-// Prefetch schedules asynchronous physical reads of the given blocks
-// into the cache, so a later ReadOp finds their bytes already in
-// memory. It is purely a physical hint: no model accounting happens,
-// Stats are untouched, and a prefetch that cannot be satisfied (budget
-// exhausted, address out of range, track blank or already cached) is
-// silently skipped — the later logical read simply misses. Safe to
-// call concurrently with operations; a no-op on a synchronous store.
-func (f *File) Prefetch(addrs []Addr) {
-	if f.nworks == 0 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, a := range addrs {
-		if a.Disk < 0 || a.Disk >= f.cfg.D || a.Track < 0 {
-			continue
-		}
-		if _, cached := f.cache[a]; cached || f.blank(a.Disk, a.Track) {
-			continue
-		}
-		words := int64(f.cfg.B + 2)
-		if f.acct.Grab(words) != nil {
-			break
-		}
-		e := &centry{words: words, ready: make(chan struct{})}
-		f.cache[a] = e
-		f.enqueue(ioTask{kind: taskFill, d: a.Disk, t: a.Track, entry: e})
-		f.ov.PrefetchIssued++
-	}
-}
+// Prefetch stages the given blocks in the cache, so a later ReadOp
+// finds their bytes already in memory (see stage.prefetch). It is
+// purely a physical hint: Stats are untouched, and a no-op on a
+// synchronous store.
+func (f *File) Prefetch(addrs []Addr) { f.st.prefetch(addrs) }
 
 // ReadOp performs one parallel read, at most one track per drive, with
 // the validation, accounting and blank-track semantics of the shared
 // model. Without workers it is the model's synchronous ReadOp; with
-// them the physical schedule below applies, charging through the same
-// account.
+// them the staging cache's three phases apply, charging through the
+// same account.
 func (f *File) ReadOp(reqs []ReadReq) error {
-	if f.nworks == 0 {
+	if f.st.queues == nil {
 		return f.model.ReadOp(reqs)
 	}
 	if len(reqs) == 0 {
@@ -654,13 +421,11 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 
 	// Phase 1, under the lock: apply all model accounting in request
 	// order (the drives are pairwise distinct, so per-request rollback
-	// below is exact), serve blank tracks and write-behind hits
-	// immediately, and queue a fill for every miss, so the misses of one
-	// op sleep on D workers concurrently.
-	type pending struct {
-		i int
-		e *centry
-	}
+	// is exact), serve blank tracks and completed entries immediately,
+	// and queue a private fill for every miss — never in the map, and
+	// queued in drive FIFO order, which sequences it behind any pending
+	// write so it delivers current bytes — so the misses of one op
+	// sleep on D workers concurrently.
 	var waits []pending
 	prev := make([]int, len(reqs))
 	f.mu.Lock()
@@ -670,81 +435,23 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 			clear(r.Dst)
 			continue
 		}
-		if e, ok := f.cache[Addr{Disk: r.Disk, Track: r.Track}]; ok {
-			f.ov.PrefetchHits++
-			if e.write {
-				// Read-your-write: the payload is the cached data,
-				// regardless of whether the physical write landed yet.
-				copy(r.Dst, e.data)
-				continue
-			}
-			e.refs++
+		var hit bool
+		if waits, hit = f.st.hit(i, r, waits); !hit {
+			e := &entry{gone: true, refs: 1, ready: make(chan struct{})}
+			f.st.enqueue(Addr{Disk: r.Disk, Track: r.Track}, e)
 			waits = append(waits, pending{i, e})
-			continue
 		}
-		f.ov.PrefetchMisses++
-		// A private fill (never in the map): queued in drive FIFO
-		// order, which in particular sequences it behind any pending
-		// write so it delivers current bytes.
-		e := &centry{gone: true, refs: 1, ready: make(chan struct{})}
-		f.enqueue(ioTask{kind: taskFill, d: r.Disk, t: r.Track, entry: e})
-		waits = append(waits, pending{i, e})
 	}
 	f.mu.Unlock()
 
-	// Phase 2, no lock: wait for the queued transfers.
-	var stall time.Duration
-	for _, w := range waits {
-		select {
-		case <-w.e.ready:
-		default:
-			t0 := time.Now()
-			<-w.e.ready
-			stall += time.Since(t0)
-		}
-	}
-
-	// Phase 3, under the lock again: deliver data, consume prefetched
-	// entries, and either commit the operation counters or — on the
-	// first failing request — roll accounting back to what the
-	// synchronous path would have left behind (requests before the
-	// failure accounted, the rest untouched).
+	// Phase 2, no lock: wait for the queued transfers. Phase 3, under
+	// the lock again: deliver, then commit the operation or roll the
+	// accounting back from the first failing request.
+	stall := wait(waits)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	failIdx, failErr := len(reqs), error(nil)
-	for _, w := range waits {
-		if w.e.err != nil {
-			if w.i < failIdx {
-				failIdx, failErr = w.i, w.e.err
-			}
-			continue
-		}
-		copy(reqs[w.i].Dst, w.e.data)
-	}
-	// Delivery copies done: release the references taken in phase 1,
-	// unlink consumed entries, and retire whatever nobody needs — the
-	// refcount is what keeps the pooled payload buffer alive between a
-	// concurrent reader's registration and its copy above.
-	for _, w := range waits {
-		w.e.refs--
-		if !w.e.gone {
-			a := Addr{Disk: reqs[w.i].Disk, Track: reqs[w.i].Track}
-			if f.cache[a] == w.e {
-				delete(f.cache, a)
-			}
-			w.e.gone = true
-		}
-		f.retire(w.e)
-	}
-	f.ov.StallNanos += stall.Nanoseconds()
-	if failErr != nil {
-		for i := failIdx; i < len(reqs); i++ {
-			f.refundRead(reqs[i].Disk, prev[i])
-		}
-		return failErr
-	}
-	f.chargeReadOp(len(reqs))
-	return nil
+	failIdx, failErr := f.st.deliver(reqs, waits, stall, len(reqs), nil)
+	return f.settleRead(reqs, prev, failIdx, failErr)
 }
 
 // WriteOp performs one parallel write, at most one track per drive.
@@ -752,7 +459,7 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 // and the physical write completes asynchronously (read-your-writes is
 // preserved via the cache; durability is established by Sync).
 func (f *File) WriteOp(reqs []WriteReq) error {
-	if f.nworks == 0 {
+	if f.st.queues == nil {
 		return f.model.WriteOp(reqs)
 	}
 	if len(reqs) == 0 {
@@ -761,34 +468,31 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	if err := checkWrites(f.cfg, reqs); err != nil {
 		return err
 	}
-	var mine []*centry
+	var mine []*entry
 	stalled := false
-	queued := int64(0)
 	f.mu.Lock()
 	for _, r := range reqs {
 		a := Addr{Disk: r.Disk, Track: r.Track}
 		f.chargeWrite(r.Disk, r.Track)
 		f.wrote(r.Disk, r.Track)
-		words := int64(f.cfg.B + 2)
-		data := f.pool.get()
+		data := f.st.pool.get()
 		copy(data, r.Src)
-		e := &centry{data: data, write: true, words: words, ready: make(chan struct{})}
-		if f.acct.Grab(words) != nil {
+		e := &entry{data: data, write: true, words: f.st.words, ready: make(chan struct{})}
+		if f.st.acct.Grab(e.words) != nil {
 			// Budget exhausted: the write still goes through the queue
 			// (ordering!), but this call stalls until its own transfers
 			// land, which bounds the backlog.
 			e.words = 0
 			stalled = true
 		}
-		f.dropEntry(a)
-		f.cache[a] = e
-		f.enqueue(ioTask{kind: taskWrite, d: r.Disk, t: r.Track, entry: e})
-		queued++
+		f.st.drop(a)
+		f.st.cache[a] = e
+		f.st.enqueue(a, e)
 		mine = append(mine, e)
 	}
 	f.chargeWriteOp(len(reqs))
 	if !stalled {
-		f.ov.AsyncWrites += queued
+		f.st.ov.AsyncWrites += int64(len(reqs))
 	}
 	f.mu.Unlock()
 	if stalled {
@@ -798,22 +502,22 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 		}
 		d := time.Since(t0)
 		f.mu.Lock()
-		f.ov.StallNanos += d.Nanoseconds()
+		f.st.ov.StallNanos += d.Nanoseconds()
 		f.mu.Unlock()
 	}
 	return nil
 }
 
 // Release returns a track to the drive's free list, metadata-only (see
-// the model's Release), and drops any cached copy of it.
+// the model's Release), and drops any cached copy of it: a freed track
+// reads as zeros from here on, so its budget is returned (the physical
+// bytes may stay).
 func (f *File) Release(d, t int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	err := f.release(d, t)
-	if err == nil && f.nworks > 0 {
-		// A freed track reads as zeros from here on; drop any cached copy
-		// so the budget is returned (the physical bytes may stay).
-		f.dropEntry(Addr{Disk: d, Track: t})
+	if err == nil {
+		f.st.drop(Addr{Disk: d, Track: t})
 	}
 	return err
 }
@@ -825,9 +529,9 @@ func (f *File) AllocRestore(mk AllocMark) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.allocRestore(mk)
-	for a := range f.cache {
+	for a := range f.st.cache {
 		if f.blank(a.Disk, a.Track) {
-			f.dropEntry(a)
+			f.st.drop(a)
 		}
 	}
 }
@@ -837,15 +541,13 @@ func (f *File) AllocRestore(mk AllocMark) {
 // first and the cache cleared: adopted metadata must describe quiesced
 // drives.
 func (f *File) AdoptState(s StoreState) error {
-	f.drain()
+	f.st.drain()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.adoptState(s); err != nil {
 		return err
 	}
-	for a := range f.cache {
-		f.dropEntry(a)
-	}
+	f.st.dropAll()
 	return nil
 }
 
@@ -862,18 +564,18 @@ func (f *File) AdoptState(s StoreState) error {
 func (f *File) Sync() error {
 	t0 := time.Now()
 	defer func() {
-		if f.nworks > 0 {
+		if f.st.queues != nil {
 			f.mu.Lock()
-			f.ov.StallNanos += time.Since(t0).Nanoseconds()
+			f.st.ov.StallNanos += time.Since(t0).Nanoseconds()
 			f.mu.Unlock()
 		}
 	}()
-	f.drain()
+	f.st.drain()
 	// Snapshot which drives need an fsync and at which write epoch;
 	// after the fsyncs, clear only marks whose epoch is unchanged (a
 	// racing writer's bytes stay marked for the next Sync).
 	f.mu.Lock()
-	if err := f.werr; err != nil {
+	if err := f.st.werr; err != nil {
 		f.mu.Unlock()
 		return err
 	}
@@ -894,8 +596,8 @@ func (f *File) Sync() error {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			f.xfer.begin()
-			defer f.xfer.end()
+			f.st.xfer.begin()
+			defer f.st.xfer.end()
 			sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
 			errs[d] = f.files[d].Sync()
 			sp.End()
@@ -917,23 +619,13 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Close drains and stops the I/O workers and closes every drive file.
+// Close stops the I/O workers — queued writes land first — and closes
+// every drive file.
 func (f *File) Close() error {
-	var first error
-	if f.nworks > 0 {
-		f.drain()
-		for _, q := range f.queues {
-			q.mu.Lock()
-			q.stop = true
-			q.cond.Signal()
-			q.mu.Unlock()
-		}
-		f.wg.Wait()
-		f.nworks = 0
-		f.mu.Lock()
-		first = f.werr
-		f.mu.Unlock()
-	}
+	f.st.stop()
+	f.mu.Lock()
+	first := f.st.werr
+	f.mu.Unlock()
 	if err := f.closeFiles(); first == nil {
 		first = err
 	}

@@ -39,7 +39,7 @@ import (
 // model.go, so runs are bitwise identical across all three.
 //
 // The words of mapped capacity are tracked in a mem.Accountant
-// (MappedWords/MappedHigh) for observability: mapped pages are backed
+// (MappedHigh) for observability: mapped pages are backed
 // by the page cache, not the engine's internal memory M, so they are
 // accounted separately and never charged against the engine budget.
 type Mapped struct {
@@ -163,12 +163,9 @@ func (m *Mapped) slot(d, t int) []byte {
 	return m.maps[d][off : off+m.slotB]
 }
 
-// MappedWords returns the current mapped capacity across all drives,
-// in words. Page-cache memory, not engine memory: reported for
-// observability, never charged against the engine's M budget.
-func (m *Mapped) MappedWords() int64 { return m.acct.Used() }
-
-// MappedHigh returns the high-water mark of MappedWords.
+// MappedHigh returns the high-water mark of the mapped capacity across
+// all drives, in words. Page-cache memory, not engine memory: reported
+// for observability, never charged against the engine's M budget.
 func (m *Mapped) MappedHigh() int64 { return m.acct.High() }
 
 // get decodes the mapped slot (d, t) into dst raw — no span, no

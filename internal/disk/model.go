@@ -63,10 +63,17 @@ func (a *account) chargeRead(d, t int) (prev int) {
 	return prev
 }
 
-// refundRead undoes chargeRead for the requests at and after a failed
-// one, leaving what the synchronous path leaves behind: requests before
-// the failure accounted, the rest untouched.
-func (a *account) refundRead(d, prev int) {
+// refundRead undoes chargeRead of track t for the requests at and
+// after a failed one — the block, the chain position and the
+// sequential or random access touch counted — leaving what the
+// synchronous path leaves behind: requests before the failure
+// accounted, the rest untouched.
+func (a *account) refundRead(d, t, prev int) {
+	if t == prev+1 {
+		a.stats.PerDrive[d].SeqAccesses--
+	} else {
+		a.stats.PerDrive[d].RandAccesses--
+	}
 	a.lastTrack[d] = prev
 	a.stats.PerDrive[d].BlocksRead--
 }
@@ -76,6 +83,21 @@ func (a *account) chargeReadOp(n int) {
 	a.stats.Ops++
 	a.stats.ReadOps++
 	a.stats.BlocksRead += int64(n)
+}
+
+// settleRead ends a parallel read whose blocks were all charged up
+// front, with prev their chains' previous positions: commit the
+// operation, or — from the first failing request on — take the charges
+// back, leaving what the synchronous path leaves behind.
+func (a *account) settleRead(reqs []ReadReq, prev []int, failIdx int, failErr error) error {
+	if failErr != nil {
+		for i := failIdx; i < len(reqs); i++ {
+			a.refundRead(reqs[i].Disk, reqs[i].Track, prev[i])
+		}
+		return failErr
+	}
+	a.chargeReadOp(len(reqs))
+	return nil
 }
 
 // chargeWrite accounts one block write.

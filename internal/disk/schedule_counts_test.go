@@ -3,8 +3,9 @@ package disk
 // The physical schedule's guarantees as counts (ROADMAP 1(d), next to
 // core's TestBarrierSequenceAndCounts). Each used to be held by a
 // wall-clock ratio of whole runs, which measures the host; a count
-// measures the code. Only Overlap(), TierStats() and the tracer's span
-// counts are read — no counter exists for these tests alone.
+// measures the code. Only Overlap() (a chain's, or a tier's own),
+// TierStats() and the tracer's span counts are read — no counter
+// exists for these tests alone.
 
 import (
 	"slices"
@@ -99,7 +100,7 @@ func TestSyncFsyncsDirtiedDrivesOnce(t *testing.T) {
 		}
 		written = append(written, addrs...)
 		f.Prefetch(written)
-		f.drain()
+		f.st.drain()
 		if got := fsyncs() - before; got != 0 {
 			t.Errorf("writes to drives %v and prefetch hints: %d fsyncs before the barrier, want 0", c.drives, got)
 		}
@@ -130,7 +131,7 @@ func TestZeroLatencyStaysInline(t *testing.T) {
 // store the tier is an accounting shim — no staging round-trip, its
 // own or the backend's (TestTierNoRegression's 5% ratio).
 func TestTierWithoutFillWorkersStagesNothing(t *testing.T) {
-	tier := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{FillWorkers: 0})
+	tier := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{})
 	mixedOps(t, tier)
 	if ts, ov := tier.TierStats(), tier.Overlap(); ts.Fills != 0 || ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
 		t.Errorf("tier staged %d tracks, chain issued %d fills and %d async writes, want 0, 0 and 0", ts.Fills, ov.PrefetchIssued, ov.AsyncWrites)
@@ -153,7 +154,7 @@ func TestLatencyDrivesAllDrivesAtOnce(t *testing.T) {
 	if err := f.WriteOp(w); err != nil {
 		t.Fatal(err)
 	}
-	f.drain()
+	f.st.drain()
 	if ov := f.Overlap(); ov.AsyncWrites != D || ov.ConcurrentPeak != D {
 		t.Errorf("D-wide write: %d async writes, peak %d in flight, want %d and %d", ov.AsyncWrites, ov.ConcurrentPeak, D, D)
 	}
@@ -165,6 +166,39 @@ func TestLatencyDrivesAllDrivesAtOnce(t *testing.T) {
 	}
 	if ov := f.Overlap(); ov.PrefetchIssued != D || ov.PrefetchHits != D || ov.ConcurrentPeak != D {
 		t.Errorf("hinted D-wide read: %d fills, %d hits, peak %d in flight, want %d each", ov.PrefetchIssued, ov.PrefetchHits, ov.ConcurrentPeak, D)
+	}
+	for i := range r {
+		if !slices.Equal(r[i].Dst, w[i].Src) {
+			t.Fatalf("drive %d read back other bytes than were written", r[i].Disk)
+		}
+	}
+}
+
+// TestTierLatencyDrivesAllDrivesAtOnce is the tier twin: over a file
+// store under 20 ms latency — which is what starts the tier's fill
+// workers — a D-wide Prefetch is D tier fills in flight together, each
+// a backend read on its own drive's worker, and the hinted D-wide read
+// is D staged hits. It reads the tier's own overlap counters, since
+// the chain's Overlap folds in the file store's peak, which is D from
+// its own transfers alone.
+func TestTierLatencyDrivesAllDrivesAtOnce(t *testing.T) {
+	const D = 8
+	tier := NewTier(openCounted(t, D, FileOptions{AccessLatency: 20 * time.Millisecond}), TierOptions{})
+	t.Cleanup(func() { tier.Close() })
+	addrs, w, r := stripe(tier, 7, 0, 1, 2, 3, 4, 5, 6, 7)
+	if err := tier.WriteOp(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := tier.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	tier.Prefetch(addrs)
+	if err := tier.ReadOp(r); err != nil {
+		t.Fatal(err)
+	}
+	if ov := tier.st.overlap(); ov.PrefetchIssued != D || ov.PrefetchHits != D || ov.ConcurrentPeak != D {
+		t.Errorf("hinted D-wide read through the tier: %d fills, %d hits, peak %d in flight, want %d each", ov.PrefetchIssued, ov.PrefetchHits, ov.ConcurrentPeak, D)
 	}
 	for i := range r {
 		if !slices.Equal(r[i].Dst, w[i].Src) {

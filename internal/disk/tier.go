@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"embsp/internal/mem"
 	"embsp/internal/obs"
 )
 
@@ -18,15 +17,9 @@ type TierOptions struct {
 	// AccessLatency emulates the access time of the tier's own medium:
 	// every block served from the tier cache sleeps this long, the way
 	// a scratchpad or NVMe device one level above the backend would.
-	// Zero (the default) emulates nothing.
+	// Zero (the default) emulates nothing. A tier stacked on this one
+	// counts it as latency below (see NewTier).
 	AccessLatency time.Duration
-	// FillWorkers is the number of background fill goroutines serving
-	// Prefetch. 0 disables tier-level fills entirely: Prefetch then
-	// forwards to the backend's own prefetcher (if any) and the tier
-	// degrades to a pure accounting shim — the right choice when the
-	// backend is page-cache fast, where staging a copy costs more than
-	// the read it saves. Values above D are clamped to D.
-	FillWorkers int
 	// Tracer, when non-nil, records every fill as an "io"-category
 	// "tier-fill" span labelled with TracePID and 1+drive.
 	Tracer *obs.Tracer
@@ -58,22 +51,6 @@ type TierStats struct {
 	HighWords int64 `json:"high_words"`
 }
 
-// tentry is one staged track in a tier's cache: a completed or
-// in-flight prefetch fill. data is immutable once done; all other
-// fields are guarded by Tier.mu. Entries are consumed on first read
-// (pseudo-streaming: a staged group flows through once), dropped on
-// any logical mutation of their track, and release their budget when
-// done, unreachable and unreferenced.
-type tentry struct {
-	data  []uint64
-	err   error
-	done  bool
-	gone  bool // no longer reachable from the cache map
-	refs  int  // ReadOp waiters still aliasing data
-	ready chan struct{}
-	words int64
-}
-
 // inner is the Store a chain link is stacked on, embedded under this
 // name so every method the link does not override reaches it by
 // promotion.
@@ -87,7 +64,17 @@ type inner = Store
 // Buurlage et al.): Prefetch stages the next group's blocks into the
 // tier while the current group computes, reads consume staged blocks
 // at tier speed, and writes pass through to the backend, whose own
-// write-behind machinery drains them while the next group fills.
+// write-behind machinery drains them while the next group fills. The
+// cache is the disk layer's one staging cache (stage, pool.go), the
+// one File runs under latency; a tier's miss is one batched read of
+// the backend, and a fill is a backend read on its drive's worker.
+//
+// The fill workers run exactly when the chain below has emulated
+// latency to hide — the file or mapped store's AccessLatency plus the
+// AccessLatency of every tier below. At page-cache speed a staging
+// copy costs more than the read it saves: Prefetch then forwards to
+// the backend's own prefetcher (if any), and the tier is a pure
+// accounting shim.
 //
 // The tier owns the model: all Stats — parallel I/O operation counts
 // and the per-drive sequential/random access chains — are applied by
@@ -120,35 +107,16 @@ type Tier struct {
 	inner
 	below Prefetcher // the next prefetcher down the chain, nil when none
 	cfg   Config
-	lat   time.Duration
+	lat   time.Duration // the tier's own hit latency
+	under time.Duration // the emulated latency of the chain below
 	tr    *obs.Tracer
 	tpid  int
 	level int
-	nfill int
 
-	mu     sync.Mutex // guards acc, cache, counters, werr
+	mu     sync.Mutex // guards acc, drains and st
 	acc    account    // the accounting half of the model; the allocator is the backend's
-	cache  map[Addr]*tentry
-	acct   *mem.Accountant
-	ov     OverlapStats
-	hits   int64
-	misses int64
-	fills  int64
+	st     *stage
 	drains int64
-	werr   error // first deferred write-through error, surfaced at Sync/Close
-
-	fmu   sync.Mutex // guards the fill queue; acquired inside mu
-	fcond *sync.Cond
-	fq    []fillReq
-	fstop bool
-
-	wg   sync.WaitGroup
-	xfer inflight // fills executing right now
-}
-
-type fillReq struct {
-	a Addr
-	e *tentry
 }
 
 // NewTier wraps a backend with one cache tier. The backend must be
@@ -156,68 +124,33 @@ type fillReq struct {
 // cache could serve stale data.
 func NewTier(be Store, opt TierOptions) *Tier {
 	cfg := be.Config()
-	budget := opt.CacheWords
-	if budget == 0 {
-		budget = int64(4*cfg.D) * int64(cfg.B)
-	}
-	if budget < 0 {
-		budget = 0 // mem: non-positive limit = unlimited
-	}
 	t := &Tier{
 		inner: be,
+		below: Find[Prefetcher](be),
 		cfg:   cfg,
 		lat:   opt.AccessLatency,
 		tr:    opt.Tracer,
 		tpid:  opt.TracePID,
 		level: opt.Level,
 		acc:   newAccount(cfg.D),
-		cache: make(map[Addr]*tentry),
-		acct:  mem.NewAccountant(budget),
 	}
-	if opt.FillWorkers > 0 {
-		t.nfill = min(opt.FillWorkers, cfg.D)
-		t.fcond = sync.NewCond(&t.fmu)
-		t.wg.Add(t.nfill)
-		for i := 0; i < t.nfill; i++ {
-			go t.fillWorker()
-		}
+	if l := Find[interface{ latency() time.Duration }](be); l != nil {
+		t.under = l.latency()
 	}
-	t.below = Find[Prefetcher](be)
+	t.st = newStage(&t.mu, cfg.D, int64(cfg.B), opt.CacheWords)
+	if t.under > 0 {
+		t.st.move = t.fill
+		t.st.start(cfg, 0)
+	}
 	return t
 }
 
+// latency is the emulated latency of the chain from this tier down:
+// its own hit latency and everything below it.
+func (t *Tier) latency() time.Duration { return t.lat + t.under }
+
 // Inner returns the store the tier is stacked on.
 func (t *Tier) Inner() Store { return t.inner }
-
-// retire releases e's budget once it is completed, unreachable from
-// the cache map and unreferenced. Called under t.mu; idempotent.
-func (t *Tier) retire(e *tentry) {
-	if !e.done || !e.gone || e.refs > 0 {
-		return
-	}
-	if e.words > 0 {
-		t.acct.Release(e.words)
-		e.words = 0
-	}
-	e.data = nil
-}
-
-// dropEntry unlinks the cache entry for a, if any (its track was
-// logically mutated, freed or rolled back). Called under t.mu.
-func (t *Tier) dropEntry(a Addr) {
-	if e, ok := t.cache[a]; ok {
-		delete(t.cache, a)
-		e.gone = true
-		t.retire(e)
-	}
-}
-
-// dropAll empties the tier cache. Called under t.mu.
-func (t *Tier) dropAll() {
-	for a := range t.cache {
-		t.dropEntry(a)
-	}
-}
 
 // delayHits emulates the tier medium's access time for n blocks
 // served from the cache, sequentially as a single device would pay
@@ -243,7 +176,7 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 
 	prev := make([]int, len(reqs))
 	t.mu.Lock()
-	if len(t.cache) == 0 {
+	if len(t.st.cache) == 0 {
 		// Fast path: nothing is staged, so every request misses and the
 		// caller's batch forwards to the backend as-is — no staging
 		// bookkeeping, no miss list to build. This is the steady state
@@ -253,48 +186,30 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 		for i, r := range reqs {
 			prev[i] = t.acc.chargeRead(r.Disk, r.Track)
 		}
-		t.misses += int64(len(reqs))
-		t.ov.PrefetchMisses += int64(len(reqs))
+		t.st.ov.PrefetchMisses += int64(len(reqs))
 		t.mu.Unlock()
 
 		failIdx, failErr := t.forward(reqs)
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		return t.settleRead(reqs, prev, failIdx, failErr)
+		return t.acc.settleRead(reqs, prev, failIdx, failErr)
 	}
 
 	// Phase 1, under the lock: apply all model accounting in request
 	// order (drives are pairwise distinct, so the rollback below is
 	// exact), serve completed staged entries immediately, register on
 	// in-flight fills, and collect the misses.
-	type pending struct {
-		i int
-		e *tentry
-	}
 	var waits []pending
 	var misses []ReadReq
 	var missIdx []int
-	served := 0
+	hits := 0
 	for i, r := range reqs {
 		prev[i] = t.acc.chargeRead(r.Disk, r.Track)
-		a := Addr{Disk: r.Disk, Track: r.Track}
-		if e, ok := t.cache[a]; ok {
-			t.hits++
-			t.ov.PrefetchHits++
-			if e.done {
-				// Consume the staged block: copy and unlink (a staged
-				// group streams through the tier once).
-				copy(r.Dst, e.data)
-				served++
-				t.dropEntry(a)
-				continue
-			}
-			e.refs++
-			waits = append(waits, pending{i, e})
+		var hit bool
+		if waits, hit = t.st.hit(i, r, waits); hit {
+			hits++
 			continue
 		}
-		t.misses++
-		t.ov.PrefetchMisses++
 		misses = append(misses, r)
 		missIdx = append(missIdx, i)
 	}
@@ -304,49 +219,20 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 	// blocks it served, forward the misses to the backend in one
 	// parallel op (their Dst buffers are the caller's — no staging
 	// copy), and wait out in-flight fills.
-	t.delayHits(served)
+	t.delayHits(hits - len(waits))
 	failIdx, failErr := len(reqs), error(nil)
 	if at, err := t.forward(misses); err != nil {
 		failIdx, failErr = missIdx[at], err
 	}
-	var stall time.Duration
-	nwaited := 0
-	for _, w := range waits {
-		select {
-		case <-w.e.ready:
-		default:
-			t0 := time.Now()
-			<-w.e.ready
-			stall += time.Since(t0)
-		}
-		nwaited++
-	}
-	t.delayHits(nwaited)
+	stall := wait(waits)
+	t.delayHits(len(waits))
 
 	// Phase 3, under the lock again: deliver waited fills and either
 	// commit the op counters or roll back from the first failure.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, w := range waits {
-		if w.e.err != nil {
-			if w.i < failIdx {
-				failIdx, failErr = w.i, w.e.err
-			}
-		} else {
-			copy(reqs[w.i].Dst, w.e.data)
-		}
-		w.e.refs--
-		if !w.e.gone {
-			a := Addr{Disk: reqs[w.i].Disk, Track: reqs[w.i].Track}
-			if t.cache[a] == w.e {
-				delete(t.cache, a)
-			}
-			w.e.gone = true
-		}
-		t.retire(w.e)
-	}
-	t.ov.StallNanos += stall.Nanoseconds()
-	return t.settleRead(reqs, prev, failIdx, failErr)
+	failIdx, failErr = t.st.deliver(reqs, waits, stall, failIdx, failErr)
+	return t.acc.settleRead(reqs, prev, failIdx, failErr)
 }
 
 // forward reads the given requests from the backend in one parallel
@@ -367,21 +253,6 @@ func (t *Tier) forward(reqs []ReadReq) (failAt int, err error) {
 	return 0, err
 }
 
-// settleRead ends a ReadOp whose blocks were all charged up front:
-// commit the operation, or — from the first failing request on — take
-// the charges back, leaving what a flat store would have (requests
-// before the failure accounted, the rest untouched). Called under t.mu.
-func (t *Tier) settleRead(reqs []ReadReq, prev []int, failIdx int, failErr error) error {
-	if failErr != nil {
-		for i := failIdx; i < len(reqs); i++ {
-			t.acc.refundRead(reqs[i].Disk, prev[i])
-		}
-		return failErr
-	}
-	t.acc.chargeReadOp(len(reqs))
-	return nil
-}
-
 // WriteOp performs one parallel write, accounted by the tier and
 // written through to the backend inside the call: the tier never
 // holds dirty data (that is the cache-not-state crash argument —
@@ -399,15 +270,15 @@ func (t *Tier) WriteOp(reqs []WriteReq) error {
 	t.mu.Lock()
 	for _, r := range reqs {
 		t.acc.chargeWrite(r.Disk, r.Track)
-		t.dropEntry(Addr{Disk: r.Disk, Track: r.Track})
+		t.st.drop(Addr{Disk: r.Disk, Track: r.Track})
 	}
 	t.acc.chargeWriteOp(len(reqs))
 	t.drains += int64(len(reqs))
 	t.mu.Unlock()
 	if err := t.inner.WriteOp(reqs); err != nil {
 		t.mu.Lock()
-		if t.werr == nil {
-			t.werr = fmt.Errorf("disk: tier write-through failed: %w", err)
+		if t.st.werr == nil {
+			t.st.werr = fmt.Errorf("disk: tier write-through failed: %w", err)
 		}
 		t.mu.Unlock()
 	}
@@ -420,7 +291,7 @@ func (t *Tier) WriteOp(reqs []WriteReq) error {
 func (t *Tier) Alloc(d int) int {
 	tr := t.inner.Alloc(d)
 	t.mu.Lock()
-	t.dropEntry(Addr{Disk: d, Track: tr})
+	t.st.drop(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
 	return tr
 }
@@ -432,7 +303,7 @@ func (t *Tier) Release(d, tr int) error {
 		return err
 	}
 	t.mu.Lock()
-	t.dropEntry(Addr{Disk: d, Track: tr})
+	t.st.drop(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
 	return nil
 }
@@ -444,7 +315,7 @@ func (t *Tier) Release(d, tr int) error {
 func (t *Tier) AllocRestore(m AllocMark) {
 	t.inner.AllocRestore(m)
 	t.mu.Lock()
-	t.dropAll()
+	t.st.dropAll()
 	t.mu.Unlock()
 }
 
@@ -489,7 +360,7 @@ func (t *Tier) AdoptState(s StoreState) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dropAll()
+	t.st.dropAll()
 	t.acc.adopt(s)
 	return nil
 }
@@ -499,7 +370,7 @@ func (t *Tier) AdoptState(s StoreState) error {
 // nothing of its own to flush.
 func (t *Tier) Sync() error {
 	t.mu.Lock()
-	werr := t.werr
+	werr := t.st.werr
 	t.mu.Unlock()
 	if werr != nil {
 		return werr
@@ -507,35 +378,14 @@ func (t *Tier) Sync() error {
 	return t.inner.Sync()
 }
 
-// Close stops the fill workers, fails any still-queued fills, and
+// Close stops the fill workers, failing any still-queued fills, and
 // closes the backend. A deferred write-through error surfaces here if
 // no Sync caught it first.
 func (t *Tier) Close() error {
-	if t.nfill > 0 {
-		t.fmu.Lock()
-		t.fstop = true
-		t.fcond.Broadcast()
-		t.fmu.Unlock()
-		t.wg.Wait()
-		t.nfill = 0
-		// Fail leftover queued fills so no reader waits forever and
-		// their budget is returned.
-		t.fmu.Lock()
-		left := t.fq
-		t.fq = nil
-		t.fmu.Unlock()
-		t.mu.Lock()
-		for _, fr := range left {
-			fr.e.err = fmt.Errorf("disk: tier closed with fill of track %d on drive %d queued", fr.a.Track, fr.a.Disk)
-			fr.e.done = true
-			close(fr.e.ready)
-			t.dropEntry(fr.a)
-		}
-		t.mu.Unlock()
-	}
+	t.st.stop()
 	t.mu.Lock()
-	t.dropAll() // staged blocks die with the tier; return their budget
-	werr := t.werr
+	t.st.dropAll() // staged blocks die with the tier; return their budget
+	werr := t.st.werr
 	t.mu.Unlock()
 	err := t.inner.Close()
 	if werr != nil {
@@ -548,26 +398,24 @@ func (t *Tier) Close() error {
 // own (fills issued, staged hits and misses, stalls, fill
 // concurrency) folded with the backend's.
 func (t *Tier) Overlap() OverlapStats {
-	t.mu.Lock()
-	o := t.ov
-	t.mu.Unlock()
-	o.ConcurrentPeak = t.xfer.peak.Load()
+	o := t.st.overlap()
 	o.Add(t.inner.Overlap())
 	return o
 }
 
-// TierStats returns the tier's cache-traffic counters.
+// TierStats returns the tier's cache-traffic counters: its own
+// overlap counters under the tier's names, its drains and its budget.
 func (t *Tier) TierStats() TierStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TierStats{
 		Level:     t.level,
-		CapWords:  t.acct.Limit(),
-		Hits:      t.hits,
-		Misses:    t.misses,
-		Fills:     t.fills,
+		CapWords:  t.st.acct.Limit(),
+		Hits:      t.st.ov.PrefetchHits,
+		Misses:    t.st.ov.PrefetchMisses,
+		Fills:     t.st.ov.PrefetchIssued,
 		Drains:    t.drains,
-		HighWords: t.acct.High(),
+		HighWords: t.st.acct.High(),
 	}
 }
 
@@ -575,93 +423,30 @@ func (t *Tier) TierStats() TierStats {
 // backend.
 func (t *Tier) ImportTrack(d, tr int, payload []uint64) error {
 	t.mu.Lock()
-	t.dropEntry(Addr{Disk: d, Track: tr})
+	t.st.drop(Addr{Disk: d, Track: tr})
 	t.mu.Unlock()
 	return t.inner.ImportTrack(d, tr, payload)
 }
 
 // Prefetch stages the given blocks into the tier cache on the fill
-// workers, so a later ReadOp consumes them at tier speed. Purely
-// physical: no model accounting, and a fill that cannot be admitted
-// (budget exhausted, address out of range, already staged) is
-// silently skipped — the later read simply misses. With no fill
-// workers the hint is forwarded to the backend's own prefetcher
-// unchanged; with fill workers the staging happens here alone (one
-// staging layer per chain link, not two for the same bytes).
+// workers, so a later ReadOp consumes them at tier speed (see
+// stage.prefetch). With no fill workers the hint is forwarded to the
+// backend's own prefetcher unchanged; with fill workers the staging
+// happens here alone (one staging layer per chain link, not two for
+// the same bytes).
 func (t *Tier) Prefetch(addrs []Addr) {
-	if t.nfill == 0 {
-		if t.below != nil {
-			t.below.Prefetch(addrs)
-		}
+	if t.st.queues == nil && t.below != nil {
+		t.below.Prefetch(addrs)
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, a := range addrs {
-		if a.Disk < 0 || a.Disk >= t.cfg.D || a.Track < 0 {
-			continue
-		}
-		if _, ok := t.cache[a]; ok {
-			continue
-		}
-		words := int64(t.cfg.B)
-		if t.acct.Grab(words) != nil {
-			break
-		}
-		e := &tentry{words: words, ready: make(chan struct{})}
-		t.cache[a] = e
-		t.fills++
-		t.ov.PrefetchIssued++
-		t.fmu.Lock()
-		t.fq = append(t.fq, fillReq{a: a, e: e})
-		t.fcond.Signal()
-		t.fmu.Unlock()
-	}
+	t.st.prefetch(addrs)
 }
 
-// fillWorker serves queued fills: one backend read per staged block,
-// concurrently with the engine and with other fills (the backend is
-// safe for concurrent use, and fill traffic carries no model
-// accounting the tier cares about).
-func (t *Tier) fillWorker() {
-	defer t.wg.Done()
-	for {
-		t.fmu.Lock()
-		for len(t.fq) == 0 && !t.fstop {
-			t.fcond.Wait()
-		}
-		if t.fstop {
-			// Exit immediately; Close fails whatever is left queued.
-			t.fmu.Unlock()
-			return
-		}
-		fr := t.fq[0]
-		t.fq = t.fq[1:]
-		t.fmu.Unlock()
-		t.runFill(fr)
-	}
-}
-
-func (t *Tier) runFill(fr fillReq) {
-	t.xfer.begin()
-	defer t.xfer.end()
-	sp := t.tr.Begin(obs.CatIO, "tier-fill", t.tpid, 1+fr.a.Disk)
-	data := make([]uint64, t.cfg.B)
-	err := t.inner.ReadOp([]ReadReq{{Disk: fr.a.Disk, Track: fr.a.Track, Dst: data}})
-	sp.End()
-	t.mu.Lock()
-	e := fr.e
-	e.data, e.err = data, err
-	e.done = true
-	close(e.ready)
-	if err != nil && !e.gone {
-		// A failed fill must not be served; the next read misses and
-		// takes the error (if still real) from the backend directly.
-		if t.cache[fr.a] == e {
-			delete(t.cache, fr.a)
-		}
-		e.gone = true
-	}
-	t.retire(e)
-	t.mu.Unlock()
+// fill is a fill worker's transfer: one backend read per staged
+// block, concurrently with the engine and with other drives' fills (the
+// backend is safe for concurrent use, and fill traffic carries no
+// model accounting the tier cares about).
+func (t *Tier) fill(_ []byte, a Addr, _ bool, data []uint64) error {
+	defer t.tr.Begin(obs.CatIO, "tier-fill", t.tpid, 1+a.Disk).End()
+	return t.inner.ReadOp([]ReadReq{{Disk: a.Disk, Track: a.Track, Dst: data}})
 }

@@ -7,11 +7,23 @@ import (
 	"embsp/internal/prng"
 )
 
+// newTierTest stacks a tier on a file store with 1 µs of emulated
+// latency, which is what starts the tier's fill workers.
 func newTierTest(t *testing.T, d, b int, opt TierOptions) *Tier {
 	t.Helper()
-	tr := NewTier(newTest(t, d, b), opt)
+	tr := NewTier(latentFile(t, d, b), opt)
 	t.Cleanup(func() { tr.Close() })
 	return tr
+}
+
+// latentFile opens a file store with 1 µs of emulated latency.
+func latentFile(t *testing.T, d, b int) *File {
+	t.Helper()
+	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{AccessLatency: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // driveScript runs one deterministic mixed op sequence (writes, reads,
@@ -81,7 +93,7 @@ func waitStaged(t *testing.T, tr *Tier, n int64) {
 	for {
 		tr.mu.Lock()
 		done := int64(0)
-		for _, e := range tr.cache {
+		for _, e := range tr.st.cache {
 			if e.done && e.err == nil {
 				done++
 			}
@@ -103,7 +115,7 @@ func waitStaged(t *testing.T, tr *Tier, n int64) {
 // a staged group flows through the tier once.
 func TestTierPrefetchHitAndConsume(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d})
+	tr := newTierTest(t, d, b, TierOptions{})
 	allocAll(tr, 6) // tracks 0..5: unallocated tracks read blank
 	src := []uint64{9, 8, 7, 6}
 	if err := tr.WriteOp([]WriteReq{{Disk: 1, Track: 5, Src: src}}); err != nil {
@@ -127,7 +139,7 @@ func TestTierPrefetchHitAndConsume(t *testing.T) {
 	if ts.Fills != 1 || ts.Hits != 1 || ts.Misses != 1 {
 		t.Fatalf("tier stats = %+v, want 1 fill, 1 hit (first read), 1 miss (second read)", ts)
 	}
-	if got := tr.acct.Used(); got != 0 {
+	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("consumed entry still holds %d budget words", got)
 	}
 }
@@ -137,7 +149,7 @@ func TestTierPrefetchHitAndConsume(t *testing.T) {
 // later reads just miss.
 func TestTierBudgetBoundsFills(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d, CacheWords: b})
+	tr := newTierTest(t, d, b, TierOptions{CacheWords: b})
 	var addrs []Addr
 	for i := 0; i < 6; i++ {
 		if err := tr.WriteOp([]WriteReq{{Disk: i % d, Track: 10 + i/d, Src: make([]uint64, b)}}); err != nil {
@@ -149,7 +161,7 @@ func TestTierBudgetBoundsFills(t *testing.T) {
 	if ts := tr.TierStats(); ts.Fills != 1 {
 		t.Fatalf("admitted %d fills into a one-track budget, want 1", ts.Fills)
 	}
-	if high := tr.acct.High(); high != b {
+	if high := tr.st.acct.High(); high != b {
 		t.Fatalf("budget high water = %d words, want %d", high, b)
 	}
 	dst := make([]uint64, b)
@@ -165,7 +177,7 @@ func TestTierBudgetBoundsFills(t *testing.T) {
 // not the stale staging entry).
 func TestTierWriteInvalidatesStaged(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d})
+	tr := newTierTest(t, d, b, TierOptions{})
 	allocAll(tr, 4) // tracks 0..3: unallocated tracks read blank
 	old := []uint64{1, 1, 1, 1}
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 3, Src: old}}); err != nil {
@@ -186,7 +198,7 @@ func TestTierWriteInvalidatesStaged(t *testing.T) {
 			t.Fatalf("read %v after overwrite, want %v (stale staged copy served)", dst, fresh)
 		}
 	}
-	if got := tr.acct.Used(); got != 0 {
+	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("invalidated entry still holds %d budget words", got)
 	}
 }
@@ -195,7 +207,7 @@ func TestTierWriteInvalidatesStaged(t *testing.T) {
 // staging cache wholesale and returns its budget.
 func TestTierAllocRestoreDropsCache(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d})
+	tr := newTierTest(t, d, b, TierOptions{})
 	mark := tr.AllocSnapshot()
 	track := tr.Alloc(0)
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: track, Src: []uint64{5, 5, 5, 5}}}); err != nil {
@@ -204,7 +216,7 @@ func TestTierAllocRestoreDropsCache(t *testing.T) {
 	tr.Prefetch([]Addr{{Disk: 0, Track: track}})
 	waitStaged(t, tr, 1)
 	tr.AllocRestore(mark)
-	if got := tr.acct.Used(); got != 0 {
+	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("rolled-back cache still holds %d budget words", got)
 	}
 	dst := []uint64{7, 7, 7, 7}
@@ -294,7 +306,7 @@ func TestTierStateRoundTripOverFile(t *testing.T) {
 // and must return the staging budget.
 func TestTierCloseFailsQueuedFills(t *testing.T) {
 	const d, b = 2, 4
-	tr := NewTier(newTest(t, d, b), TierOptions{FillWorkers: 1})
+	tr := NewTier(latentFile(t, d, b), TierOptions{})
 	var addrs []Addr
 	for i := 0; i < 32; i++ {
 		a := Addr{Disk: i % d, Track: i / d}
@@ -307,7 +319,7 @@ func TestTierCloseFailsQueuedFills(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.acct.Used(); got != 0 {
+	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("closed tier still holds %d budget words", got)
 	}
 }
@@ -317,7 +329,7 @@ func TestTierCloseFailsQueuedFills(t *testing.T) {
 // bench rows use.
 func TestTierLatencyServesHitsSlower(t *testing.T) {
 	const d, b, lat = 1, 4, 5 * time.Millisecond
-	tr := newTierTest(t, d, b, TierOptions{FillWorkers: d, AccessLatency: lat})
+	tr := newTierTest(t, d, b, TierOptions{AccessLatency: lat})
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 0, Src: make([]uint64, b)}}); err != nil {
 		t.Fatal(err)
 	}
