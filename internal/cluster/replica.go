@@ -59,14 +59,12 @@ type ReplicaStore struct {
 	nodes []replicaNode
 }
 
-type trackKey struct{ d, t int }
-
 type replicaNode struct {
 	valid   bool
 	version int
 	// table is the checksum of every live track, mirrored durably in
 	// meta.bin — the ground truth Load verifies payloads against.
-	table map[trackKey]uint64
+	table map[disk.Addr]uint64
 }
 
 const (
@@ -109,7 +107,7 @@ func (r *ReplicaStore) assess(i int) replicaNode {
 		return replicaNode{} // crashed mid-apply: torn
 	}
 	if _, err := os.Stat(r.metaPath(i)); errors.Is(err, os.ErrNotExist) {
-		return replicaNode{valid: true, version: 0, table: map[trackKey]uint64{}} // empty replica
+		return replicaNode{valid: true, version: 0, table: map[disk.Addr]uint64{}} // empty replica
 	}
 	version, _, table, err := r.readMeta(i)
 	if err != nil {
@@ -134,7 +132,7 @@ func (r *ReplicaStore) Restorable(i, version int) bool {
 	return r.nodes[i].valid && r.nodes[i].version == version && version >= 1
 }
 
-func (r *ReplicaStore) readMeta(i int) (version int, manifest []uint64, table map[trackKey]uint64, err error) {
+func (r *ReplicaStore) readMeta(i int) (version int, manifest []uint64, table map[disk.Addr]uint64, err error) {
 	buf, err := os.ReadFile(r.metaPath(i))
 	if err != nil {
 		return 0, nil, nil, err
@@ -161,21 +159,21 @@ func (r *ReplicaStore) readMeta(i int) (version int, manifest []uint64, table ma
 	if nt < 0 || 3+nm+3*nt != nw {
 		return 0, nil, nil, damaged
 	}
-	table = make(map[trackKey]uint64, nt)
+	table = make(map[disk.Addr]uint64, nt)
 	for j := 0; j < nt; j++ {
 		e := ws[3+nm+3*j:]
-		table[trackKey{d: int(e[0]), t: int(e[1])}] = e[2]
+		table[disk.Addr{Disk: int(e[0]), Track: int(e[1])}] = e[2]
 	}
 	return version, manifest, table, nil
 }
 
-func (r *ReplicaStore) writeMeta(i, version int, manifest []uint64, table map[trackKey]uint64) error {
+func (r *ReplicaStore) writeMeta(i, version int, manifest []uint64, table map[disk.Addr]uint64) error {
 	ws := make([]uint64, 0, 3+len(manifest)+3*len(table))
 	ws = append(ws, uint64(version), uint64(len(manifest)))
 	ws = append(ws, manifest...)
 	ws = append(ws, uint64(len(table)))
-	for k, sum := range table {
-		ws = append(ws, uint64(k.d), uint64(k.t), sum)
+	for _, a := range disk.SortedAddrs(table) { // by drive, then track: the meta file is deterministic
+		ws = append(ws, uint64(a.Disk), uint64(a.Track), table[a])
 	}
 	buf := make([]byte, 8*(2+len(ws)))
 	binary.LittleEndian.PutUint64(buf[0:], replMetaMagic)
@@ -230,7 +228,7 @@ func (r *ReplicaStore) Apply(i int, snap *core.NodeSnapshot) error {
 	}
 	table := r.nodes[i].table
 	if snap.Full || table == nil {
-		table = map[trackKey]uint64{}
+		table = map[disk.Addr]uint64{}
 	}
 	r.nodes[i].valid = false
 	if err := r.setMarker(i); err != nil {
@@ -252,7 +250,7 @@ func (r *ReplicaStore) Apply(i int, snap *core.NodeSnapshot) error {
 // applyTracks lands the snapshot's payloads in the per-drive slot
 // files — unfsynced; the meta table written after it is the durability
 // point — and updates table to match.
-func (r *ReplicaStore) applyTracks(i int, snap *core.NodeSnapshot, table map[trackKey]uint64) error {
+func (r *ReplicaStore) applyTracks(i int, snap *core.NodeSnapshot, table map[disk.Addr]uint64) error {
 	files := make(map[int]*os.File)
 	defer func() {
 		for _, f := range files {
@@ -301,7 +299,7 @@ func (r *ReplicaStore) applyTracks(i int, snap *core.NodeSnapshot, table map[tra
 			if _, err := f.WriteAt(zero[:], int64(t.Track)*slotB); err != nil {
 				return err
 			}
-			delete(table, trackKey{d: t.Disk, t: t.Track})
+			delete(table, disk.Addr{Disk: t.Disk, Track: t.Track})
 			continue
 		}
 		if len(t.Payload) != r.b {
@@ -316,7 +314,7 @@ func (r *ReplicaStore) applyTracks(i int, snap *core.NodeSnapshot, table map[tra
 		if _, err := f.WriteAt(buf, int64(t.Track)*slotB); err != nil {
 			return err
 		}
-		table[trackKey{d: t.Disk, t: t.Track}] = sum
+		table[disk.Addr{Disk: t.Disk, Track: t.Track}] = sum
 	}
 	return nil
 }
@@ -356,7 +354,7 @@ func (r *ReplicaStore) Load(i int) (*core.NodeSnapshot, error) {
 				f.Close()
 				return nil, err
 			}
-			want, live := table[trackKey{d: d, t: int(t)}]
+			want, live := table[disk.Addr{Disk: d, Track: int(t)}]
 			if n < 8 || binary.LittleEndian.Uint64(buf[0:]) != replTrackMagic {
 				if live {
 					f.Close()

@@ -5,11 +5,13 @@ package cluster
 // from ever being trusted.
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
 
 	"embsp/internal/core"
+	"embsp/internal/disk"
 )
 
 const (
@@ -92,6 +94,38 @@ func TestReplicaApplyLoadRoundtrip(t *testing.T) {
 	}
 	if !r2.Restorable(0, 2) {
 		t.Fatalf("reopened replica version %d, want restorable at 2", r2.Version(0))
+	}
+}
+
+// TestReplicaMetaDeterministic: the meta file's (disk, track, checksum)
+// table is written by drive, then track, so two replicas fed the same
+// snapshots hold the same bytes.
+func TestReplicaMetaDeterministic(t *testing.T) {
+	full := &core.NodeSnapshot{Version: 1, Full: true, Base: -1, Manifest: []uint64{5}}
+	delta := &core.NodeSnapshot{Version: 2, Base: 1, Manifest: []uint64{6}}
+	for i := 0; i < 48; i++ {
+		img := core.TrackImage{Disk: (i * 7) % replD, Track: (i * 13) % 48, Payload: replTrack(uint64(i))}
+		if i%2 == 0 {
+			full.Tracks = append(full.Tracks, img)
+		} else {
+			delta.Tracks = append(delta.Tracks, img)
+		}
+	}
+	var metas [2][]byte
+	for k := range metas {
+		r := openReplicasTest(t)
+		for _, snap := range []*core.NodeSnapshot{full, delta} {
+			if err := r.Apply(0, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if metas[k], err = os.ReadFile(r.metaPath(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(metas[0], metas[1]) {
+		t.Fatal("two replicas fed the same snapshots hold different meta.bin bytes")
 	}
 }
 
@@ -194,7 +228,7 @@ func TestReplicaLoadRejectsStaleTrack(t *testing.T) {
 		Version: 9, Full: true, Base: -1, Manifest: []uint64{3},
 		Tracks: []core.TrackImage{{Disk: 0, Track: 0, Payload: replTrack(1000)}},
 	}
-	if err := r.applyTracks(0, stale, map[trackKey]uint64{}); err != nil {
+	if err := r.applyTracks(0, stale, map[disk.Addr]uint64{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Load(0); err == nil || !strings.Contains(err.Error(), "checksum") {

@@ -240,13 +240,6 @@ type NodeEngine struct {
 	stepsDone int
 	halted    bool
 	report    *NodeReport
-
-	// Replication bookkeeping (snapshot.go): dirty accumulates the
-	// store's changed-track set across Reloads; exportBase is the
-	// barrier version that accumulation is known to cover changes
-	// since, or -1 when coverage is unknown (forces a full export).
-	dirty      map[disk.Addr]struct{}
-	exportBase int
 }
 
 // OpenNode opens node nodeID's engine rooted at dir. With resume
@@ -288,11 +281,6 @@ func OpenNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir st
 		return nil, err
 	}
 	n.jrn.SetTracer(n.sh.tr, nodeID)
-	// A fresh or resumed store's content is exactly its committed
-	// barrier, and every write from here on lands in the dirty set —
-	// so deltas may be exported against the opening version.
-	n.dirty = make(map[disk.Addr]struct{})
-	n.exportBase = n.Committed()
 	return n, nil
 }
 
@@ -330,11 +318,6 @@ func (n *NodeEngine) ResolvePending(commit bool) error {
 		return nil
 	}
 	if commit {
-		// The pending record's writes happened before this process
-		// opened the store, so the dirty set does not cover the barrier
-		// being committed: delta coverage is unknown until the next
-		// full export.
-		n.exportBase = -1
 		return n.jrn.CommitPending()
 	}
 	return n.jrn.AbortPending()
@@ -348,7 +331,11 @@ func (n *NodeEngine) LoadCommitted() error {
 		return &journal.Error{Path: n.dir, Record: -1,
 			Reason: "no committed checkpoint to load (the node crashed before its first barrier; reset it fresh)"}
 	}
-	return n.decodeManifest(last)
+	_, adopt, err := n.readManifest(last)
+	if err != nil {
+		return err
+	}
+	return adopt()
 }
 
 // Setup writes the node's VPs' initial contexts, then collects the
@@ -433,11 +420,6 @@ func (n *NodeEngine) Commit() error { return n.jrn.CommitPending() }
 // tail, and restoring the last committed barrier state. After Reload
 // the node is bitwise-identical to one that never ran the attempt.
 func (n *NodeEngine) Reload() error {
-	// The aborted attempt's writes are logically dead, but its dirty
-	// marks must outlive the store instance: the replay's writes are a
-	// subset-rewrite of them, and earlier uncommitted-to-replica
-	// barriers may still be in the accumulator.
-	n.mergeDirty()
 	if err := errors.Join(n.jrn.Close(), n.ps.chain.Close()); err != nil {
 		return err
 	}
@@ -490,14 +472,19 @@ func (n *NodeEngine) encodeManifest(enc *words.Encoder) {
 	n.sh.encodeProcManifest(enc, n.ps)
 }
 
-func (n *NodeEngine) decodeManifest(payload []uint64) error {
+// readManifest checks a node record's header and reads the barrier it
+// records (readProcRecord); adopt makes that barrier the node's state.
+func (n *NodeEngine) readManifest(payload []uint64) (alloc disk.StoreState, adopt func() error, err error) {
 	dec := words.NewDecoder(payload)
 	if err := checkManifestHeader(dec, manifestNodeKind, n.fpr); err != nil {
-		return err
+		return alloc, nil, err
 	}
-	n.stepsDone = int(dec.Int())
-	n.halted = dec.Bool()
-	return n.sh.decodeProcManifest(dec, n.ps, n.stepsDone)
+	step, halted := int(dec.Int()), dec.Bool()
+	alloc, adoptProc, err := n.sh.readProcRecord(dec, n.ps, step)
+	return alloc, func() error {
+		n.stepsDone, n.halted = step, halted
+		return adoptProc()
+	}, err
 }
 
 // --- CoordCore ---------------------------------------------------------

@@ -218,7 +218,9 @@ func (e *engine) replayPhase(phase func(ps *procState) error, snap []procSnapsho
 	for ; err != nil && e.faulty() && fault.Replayable(err) && r < maxReplays; r++ {
 		e.led.replays++
 		if snap != nil {
-			e.restore(snap)
+			if _, err := e.restore(snap); err != nil {
+				return err
+			}
 		}
 		err = e.parallel(phase)
 	}
@@ -342,7 +344,7 @@ func (e *engine) Rollback(step, attempt int, cause error) (int64, error) {
 		return 0, fmt.Errorf("core: superstep %d unrecoverable after %d replays: %w", step, attempt, cause)
 	}
 	e.led.replays++
-	return e.restore(e.snap), nil
+	return e.restore(e.snap)
 }
 
 func (e *engine) Final() ([]*NodeReport, error) {
@@ -390,14 +392,18 @@ func (e *engine) snapshot() []procSnapshot {
 
 // restore rolls every processor — allocator, checksum directory, PRNG,
 // memory accountant, held records and sleep bits — back to s and returns
-// the slowest processor's share of the rolled-back attempt's operations.
-func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
+// the slowest processor's share of the rolled-back attempt's operations,
+// or the error of a store that refused its captured state.
+func (e *engine) restore(s []procSnapshot) (maxAborted int64, err error) {
 	for i, ps := range e.procs {
 		p := s[i]
 		aborted := ps.chain.Stats().Ops - p.opsMark
 		e.led.recoveryOps += aborted
 		maxAborted = max(maxAborted, aborted)
-		disk.Find[*fault.Disk](ps.chain).Restore(p.faults) // rolls the shared allocator back first
+		// The fault layer rolls the shared allocator back first.
+		if err := disk.Find[*fault.Disk](ps.chain).Restore(p.faults); err != nil {
+			return 0, err
+		}
 		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
 			red.Restore(p.parity)
 		}
@@ -407,5 +413,5 @@ func (e *engine) restore(s []procSnapshot) (maxAborted int64) {
 		ps.ctx = append(ps.ctx[:0], p.heldCtx...)
 		copy(ps.sleep, p.sleep)
 	}
-	return maxAborted
+	return maxAborted, nil
 }

@@ -488,14 +488,16 @@ func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 	ps.encodeState(enc)
 }
 
-// decodeProcManifest adopts the record of the barrier after step
-// supersteps. Everything up to and including the allocator state is read
-// and checked — lengths by the reader, the tracks the two directories
-// name by claimTracks — before the processor or its store is touched; a
-// record that fails is refused with the engine's typed error. The held
-// records are adopted without model I/O, into internal memory the
-// accountant holds for them again.
-func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step int) error {
+// readProcRecord reads the record of the barrier after step supersteps —
+// the one place the record's order is read — checking every length, and
+// returns the allocator state the record carries and adopt, which makes
+// the record the processor's state. adopt first checks the tracks the two
+// directories name against that state (claimTracks), so a record that
+// fails either check is refused with the engine's typed error before the
+// processor or its store is touched. The held records are adopted without
+// model I/O, into internal memory the accountant holds for them again;
+// the layers' states that follow the record are read from dec.
+func (sh *simShape) readProcRecord(dec *words.Decoder, ps *procState, step int) (alloc disk.StoreState, adopt func() error, err error) {
 	r := recordReader{dec: dec}
 	var rng [4]uint64
 	for i := range rng {
@@ -506,26 +508,38 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 	inDir, ctxDir := r.directory(batches, D), r.contexts(batches, D)
 	held, recs := r.held(sh, ps, step)
 	sleep := r.sleep(ps.ownCount())
-	alloc := r.storeState(D)
-	if r.err == nil {
-		r.err = claimTracks(alloc, inDir, ctxDir)
-	}
+	alloc = r.storeState(D)
 	if r.err != nil {
-		return r.err
+		return alloc, nil, r.err
 	}
-	ps.rng.SetState(rng)
-	ps.maxSkew = maxSkew
-	ps.acct.AdoptHigh(memHigh)
-	ps.inDir = inDir
-	copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
-	ps.acct.Release(ps.heldGrab())
-	ps.held, ps.heldLen = held, len(recs)
-	copy(ps.sleep, sleep)
-	copy(sh.ctxSpan(ps, 0, len(recs)), recs)
-	if err := ps.acct.Grab(ps.heldGrab()); err != nil {
+	return alloc, func() error {
+		if err := claimTracks(alloc, inDir, ctxDir); err != nil {
+			return err
+		}
+		ps.rng.SetState(rng)
+		ps.maxSkew = maxSkew
+		ps.acct.AdoptHigh(memHigh)
+		ps.inDir = inDir
+		copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
+		ps.acct.Release(ps.heldGrab())
+		ps.held, ps.heldLen = held, len(recs)
+		copy(ps.sleep, sleep)
+		copy(sh.ctxSpan(ps, 0, len(recs)), recs)
+		if err := ps.acct.Grab(ps.heldGrab()); err != nil {
+			return err
+		}
+		return ps.decodeState(alloc, dec)
+	}, nil
+}
+
+// decodeProcManifest adopts the record of the barrier after step
+// supersteps.
+func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step int) error {
+	_, adopt, err := sh.readProcRecord(dec, ps, step)
+	if err != nil {
 		return err
 	}
-	return ps.decodeState(alloc, dec)
+	return adopt()
 }
 
 // decodeProcs adopts what encodeProcs wrote at the barrier after step

@@ -16,7 +16,8 @@ import (
 // allocator, stats) — the payload lives in the drive files — so a
 // snapshot pairs the manifest with track images: the full set of
 // non-blank tracks, or, between consecutive barriers, just the tracks
-// the barrier logically touched (a delta).
+// the later record lists as holding data and the earlier one does not
+// (a delta).
 
 // TrackImage is one track of a snapshot. A nil Payload is a deletion
 // marker: the track read as blank at the snapshot's barrier and any
@@ -28,9 +29,9 @@ type TrackImage struct {
 
 // NodeSnapshot is a node's state at committed barrier Version. Full
 // snapshots stand alone; deltas apply on top of a copy at barrier
-// Base, which the exporting engine guarantees covers every track whose
-// content changed between Base and Version (a superset is allowed —
-// images are current content, not diffs).
+// Base and hold every track non-blank at Version and blank at Base,
+// which the checkpoint discipline makes every track whose content
+// changed — images are current content, not diffs.
 type NodeSnapshot struct {
 	Version  int
 	Full     bool
@@ -102,19 +103,6 @@ func DecodeSnapshot(dec *words.Decoder) (*NodeSnapshot, error) {
 	return s, nil
 }
 
-// mergeDirty folds the store's dirty-track set into the engine's
-// accumulator. The accumulator survives Reload (which discards the
-// store instance, and with it the store-level set), preserving the
-// invariant that dirty ⊇ every track changed since barrier exportBase.
-func (n *NodeEngine) mergeDirty() {
-	if n.ps == nil {
-		return
-	}
-	for _, a := range n.ps.chain.TakeDirty() {
-		n.dirty[a] = struct{}{}
-	}
-}
-
 // ExportSnapshot captures the node's state at its latest barrier —
 // the prepared one when a 2PC record is pending (its track data is
 // already durable; only the commit lags), the committed one otherwise — for
@@ -123,50 +111,71 @@ func (n *NodeEngine) mergeDirty() {
 // the snapshot into the replica the moment the decision record lands,
 // so a worker wiped any time after never leaves the replica a barrier
 // behind. base is the barrier version the coordinator's replica
-// currently holds; when it matches the engine's dirty-set coverage the
-// export is a delta (current content of every track touched since
-// base), otherwise a full snapshot. The store must be quiesced —
-// ExportSnapshot is only valid between a Prepare (or commit) and the
-// next superstep's first write, which is when the cluster worker
-// calls it.
+// currently holds. When it is the journal's committed count the export
+// is a delta: the tracks the exported record's allocator state lists as
+// holding data and the committed record's lists as blank (free, fresh
+// or past the bump mark). That is every track the barrier changed,
+// because the checkpoint discipline never rewrites a track the last
+// barrier lists before the next one. Any other base gets a full
+// snapshot. The store must be quiesced — ExportSnapshot is only valid
+// between a Prepare (or commit) and the next superstep's first write,
+// which is when the cluster worker calls it.
 func (n *NodeEngine) ExportSnapshot(base int) (*NodeSnapshot, error) {
-	manifest, version := n.jrn.Records()
+	last, committed := n.jrn.Records()
+	manifest, version := last, committed
 	if n.jrn.HasPending() {
-		version++
-		manifest = n.jrn.Pending()
+		manifest, version = n.jrn.Pending(), committed+1
 	} else if version == 0 {
 		return nil, fmt.Errorf("core: nothing committed or prepared to export")
 	}
-	snap := &NodeSnapshot{Version: version, Manifest: append([]uint64(nil), manifest...)}
-	n.mergeDirty()
-	if base >= 0 && base == n.exportBase {
+	snap := &NodeSnapshot{Version: version, Full: true, Base: -1, Manifest: append([]uint64(nil), manifest...)}
+	st, _, err := n.readManifest(manifest)
+	if err != nil {
+		return nil, err
+	}
+	var before [][]bool // blankTracks at the replica's barrier; nil — all blank — for a full snapshot
+	if base >= 0 && base == committed {
 		snap.Full, snap.Base = false, base
-		for _, a := range disk.SortedAddrs(n.dirty) {
-			img, err := n.ps.chain.ExportTrack(a.Disk, a.Track)
+		if committed > 0 {
+			prev, _, err := n.readManifest(last)
 			if err != nil {
 				return nil, err
 			}
-			snap.Tracks = append(snap.Tracks, TrackImage{Disk: a.Disk, Track: a.Track, Payload: img})
+			before = blankTracks(prev)
 		}
-	} else {
-		snap.Full, snap.Base = true, -1
-		st := n.ps.chain.State()
-		for d := range st.Next {
-			for t := 0; t < st.Next[d]; t++ {
-				img, err := n.ps.chain.ExportTrack(d, t)
-				if err != nil {
-					return nil, err
-				}
-				if img == nil {
-					continue
-				}
-				snap.Tracks = append(snap.Tracks, TrackImage{Disk: d, Track: t, Payload: img})
+	}
+	for d, blank := range blankTracks(st) {
+		for t, b := range blank {
+			if b || d < len(before) && t < len(before[d]) && !before[d][t] {
+				continue // blank now, or unchanged since the replica's barrier
+			}
+			img, err := n.ps.chain.ExportTrack(d, t)
+			if err != nil {
+				return nil, err
+			}
+			snap.Tracks = append(snap.Tracks, TrackImage{Disk: d, Track: t, Payload: img})
+		}
+	}
+	return snap, nil
+}
+
+// blankTracks marks, per drive and track below the bump mark, whether a
+// store state lists the track as free or fresh; the tracks past the mark
+// are blank too.
+func blankTracks(st disk.StoreState) [][]bool {
+	blank := make([][]bool, len(st.Next))
+	for d, next := range st.Next {
+		blank[d] = make([]bool, next)
+		for _, t := range st.Free[d] {
+			blank[d][t] = true
+		}
+		if st.Fresh != nil {
+			for _, t := range st.Fresh[d] {
+				blank[d][t] = true
 			}
 		}
 	}
-	n.exportBase = version
-	clear(n.dirty)
-	return snap, nil
+	return blank
 }
 
 // AdoptNode re-materializes node nodeID at dir from a full snapshot —
@@ -196,12 +205,7 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 	if snap.Version < 1 {
 		return nil, fmt.Errorf("core: AdoptNode of snapshot with no committed barrier")
 	}
-	n := &NodeEngine{
-		sh:         newSimShape(p, cfg, opts),
-		dir:        dir,
-		dirty:      make(map[disk.Addr]struct{}),
-		exportBase: snap.Version,
-	}
+	n := &NodeEngine{sh: newSimShape(p, cfg, opts), dir: dir}
 	n.fpr = nodeFingerprint(cfg, opts, n.sh.v, n.sh.mu, n.sh.gamma, nodeID)
 	if len(snap.Manifest) < 2 || snap.Manifest[0] != manifestNodeKind || snap.Manifest[1] != n.fpr {
 		return nil, fmt.Errorf("core: snapshot manifest fingerprint does not match node %d of this run", nodeID)
@@ -230,7 +234,6 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 		ps.chain.Close()
 		return nil, err
 	}
-	ps.chain.TakeDirty()
 	jrn, err := journal.Seed(dir, snap.Version, snap.Manifest)
 	if err != nil {
 		ps.chain.Close()

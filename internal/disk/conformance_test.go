@@ -12,8 +12,7 @@ import (
 // The store conformance suite: one seeded script per case, replayed
 // against every store kind. Each replay records everything a caller
 // can observe of the model — returned tracks, read payloads, which
-// guarded calls were refused, dirty sets, raw exports, Stats and
-// StoreState — and every store's transcript must equal the in-memory
+// guarded calls were refused, raw exports, Stats and StoreState — and every store's transcript must equal the in-memory
 // Array's. The cases also assert the absolute expectations of the
 // per-store tests they replace (free-list reuse order, release guards,
 // snapshot/rollback, flat-vs-tier accounting).
@@ -74,7 +73,6 @@ type transcript struct {
 	Tracks  []int      // every track Alloc returned
 	Reads   [][]uint64 // every ReadOp payload
 	Refused []bool     // whether each guarded call returned an error
-	Dirty   [][]Addr   // every TakeDirty result
 	Exports [][]uint64 // every ExportTrack payload (nil = blank)
 	Stats   []Stats
 	States  []StoreState
@@ -149,10 +147,12 @@ func (r *replay) observe() StoreState {
 	return st
 }
 
-func (r *replay) takeDirty() []Addr {
-	d := r.s.TakeDirty()
-	r.Dirty = append(r.Dirty, d)
-	return d
+// rollback returns the store to a captured state, keeping its
+// statistics: the superstep replay.
+func (r *replay) rollback(to StoreState) {
+	if err := Rollback(r.s, to); err != nil {
+		r.t.Fatalf("Rollback: %v", err)
+	}
 }
 
 // export quiesces the store (queued writes are invisible to the raw
@@ -252,8 +252,8 @@ var confCases = []struct {
 		}
 	}},
 
-	// AllocSnapshot → an aborted attempt's allocations and writes →
-	// AllocRestore: committed data survives, the attempt's tracks are
+	// State → an aborted attempt's allocations and writes → Rollback:
+	// committed data survives, the attempt's tracks are
 	// retracted, wiped and handed out again in the same order.
 	{"snapshot-restore", func(r *replay) {
 		committed := r.alloc(0)
@@ -261,14 +261,14 @@ var confCases = []struct {
 		want := r.read(Addr{0, committed})[0]
 		freed := r.alloc(1)
 		r.release(1, freed)
-		mark := r.s.AllocSnapshot()
+		mark := r.s.State()
 
 		fresh, reused := r.alloc(0), r.alloc(1)
 		if reused != freed {
 			r.t.Fatalf("Alloc after Release = %d, want %d", reused, freed)
 		}
 		r.write(Addr{0, fresh}, Addr{1, reused})
-		r.s.AllocRestore(mark)
+		r.rollback(mark)
 
 		if got := r.read(Addr{0, committed})[0]; !reflect.DeepEqual(got, want) {
 			r.t.Errorf("committed track damaged by rollback: %v, want %v", got, want)
@@ -317,19 +317,11 @@ var confCases = []struct {
 		r.observe()
 	}},
 
-	// TakeDirty reports every logically mutated track once, sorted, and
-	// resets; Export/ImportTrack move payloads without accounting.
+	// Export/ImportTrack move payloads without accounting.
 	{"dirty-export-import", func(r *replay) {
-		r.takeDirty()
 		a, b := r.alloc(0), r.alloc(1)
 		r.write(Addr{0, a}, Addr{1, b})
 		r.write(Addr{0, a})
-		if got, want := r.takeDirty(), []Addr{{0, a}, {1, b}}; !reflect.DeepEqual(got, want) {
-			r.t.Errorf("TakeDirty = %v, want %v", got, want)
-		}
-		if got := r.takeDirty(); len(got) != 0 {
-			r.t.Errorf("second TakeDirty = %v, want empty", got)
-		}
 		before := r.observe()
 		payload := r.export(0, a)
 		if payload == nil {
@@ -361,7 +353,6 @@ var confCases = []struct {
 		if got := r.read(Addr{0, a})[0]; !reflect.DeepEqual(got, payload) {
 			r.t.Errorf("ReadOp = %v, exported %v", got, payload)
 		}
-		r.takeDirty()
 	}},
 
 	// Blank tracks read zeros: allocated and never written, beyond the
@@ -394,11 +385,11 @@ var confCases = []struct {
 		}
 		blank("recycled track", 0, t0)
 
-		mark := r.s.AllocSnapshot()
+		mark := r.s.State()
 		other := r.alloc(0)
 		r.write(Addr{0, t0}, Addr{1, r.alloc(1)})
 		r.write(Addr{0, other})
-		r.s.AllocRestore(mark)
+		r.rollback(mark)
 		blank("rolled-back track", 0, other)
 		if again := r.alloc(0); again != other {
 			r.t.Fatalf("Alloc after rollback = %d, want %d again", again, other)
@@ -506,7 +497,6 @@ var confCases = []struct {
 			}
 			if op%100 == 99 {
 				r.observe()
-				r.takeDirty()
 			}
 		}
 	}},

@@ -221,10 +221,10 @@ func Checksum(ws []uint64) uint64 {
 
 // Store is the one contract of the simulated disk subsystem, which
 // every link of a processor's store chain implements: parallel track
-// transfers, dynamic track allocation and I/O accounting; allocator
-// snapshot/rollback (the superstep replay) and whole-state
-// capture/adoption (the journal commit and resume); durability; and the
-// raw track hooks replication ships state through. *Array, *File and
+// transfers, dynamic track allocation and I/O accounting; whole-state
+// capture/adoption (the journal commit and resume, and through Rollback
+// the superstep replay); durability; and the raw track hooks
+// replication ships state through. *Array, *File and
 // *Mapped are the physical stores a chain ends in; *Tier, the
 // redundancy layer (internal/redundancy) and the fault layer
 // (internal/fault) are
@@ -251,11 +251,6 @@ type Store interface {
 	// counters (OverlapStats, TierStats) stay untouched: they are outside
 	// the model contract and mid-run model resets must not discard them.
 	ResetStats()
-	// AllocSnapshot captures the allocator for a later AllocRestore.
-	AllocSnapshot() AllocMark
-	// AllocRestore rolls the allocator back to a snapshot, discarding
-	// every track allocated since.
-	AllocRestore(m AllocMark)
 	// State captures the store's complete persistent metadata: I/O
 	// statistics plus per-drive allocator state. Together with the
 	// track contents (which the durable stores keep on real disk) it
@@ -278,9 +273,6 @@ type Store interface {
 	// Overlap returns the store's wall-clock overlap counters. Pure
 	// observability: model statistics are independent of them.
 	Overlap() OverlapStats
-	// TakeDirty returns (and resets) the set of tracks logically
-	// mutated since the previous TakeDirty, sorted by drive then track.
-	TakeDirty() []Addr
 	// ExportTrack reads one track's committed payload raw — no model
 	// accounting, no emulated latency. nil payload means blank.
 	ExportTrack(d, t int) ([]uint64, error)
@@ -341,6 +333,21 @@ type StoreState struct {
 	// crashed attempt wrote to a track fresh at the journaled barrier
 	// are never returned after a resume.
 	Fresh [][]int
+}
+
+// Rollback returns s's allocator to a captured state and keeps its
+// current statistics and access chains — the superstep replay, which
+// charges the aborted attempt's operations. Every track allocated since
+// the capture is free, fresh or beyond the bump mark again, so what an
+// aborted attempt wrote reads blank by metadata. The caller must
+// guarantee that no track allocated at the capture has been released
+// since (the engines' checkpoint discipline: barrier state is freed only
+// after the next barrier). The captured state stays valid for further
+// rollbacks.
+func Rollback(s Store, to StoreState) error {
+	cur := s.State()
+	to.Stats, to.Last = cur.Stats, cur.Last
+	return s.AdoptState(to)
 }
 
 // Array simulates the D drives of one processor in memory: the shared

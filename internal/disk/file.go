@@ -474,7 +474,7 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 	for _, r := range reqs {
 		a := Addr{Disk: r.Disk, Track: r.Track}
 		f.chargeWrite(r.Disk, r.Track)
-		f.wrote(r.Disk, r.Track)
+		f.drives[r.Disk].unfresh(r.Track)
 		data := f.st.pool.get()
 		copy(data, r.Src)
 		e := &entry{data: data, write: true, words: f.st.words, ready: make(chan struct{})}
@@ -520,20 +520,6 @@ func (f *File) Release(d, t int) error {
 		f.st.drop(Addr{Disk: d, Track: t})
 	}
 	return err
-}
-
-// AllocRestore rolls the allocator back (the model's AllocRestore) and
-// drops the cached copies of the tracks that now read blank, returning
-// their budget.
-func (f *File) AllocRestore(mk AllocMark) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.allocRestore(mk)
-	for a := range f.st.cache {
-		if f.blank(a.Disk, a.Track) {
-			f.st.drop(a)
-		}
-	}
 }
 
 // AdoptState replaces the store's metadata with a captured State — the

@@ -148,7 +148,7 @@ func TestFileConcurrentAllocRestore(t *testing.T) {
 			buf[i] = 0xDEAD
 		}
 		for i := 0; i < 30; i++ {
-			m := f.AllocSnapshot()
+			m := f.State()
 			var reqs []WriteReq
 			for dr := 0; dr < d; dr++ {
 				reqs = append(reqs, WriteReq{Disk: dr, Track: f.Alloc(dr), Src: buf})
@@ -157,7 +157,10 @@ func TestFileConcurrentAllocRestore(t *testing.T) {
 				t.Errorf("burst write: %v", err)
 				return
 			}
-			f.AllocRestore(m)
+			if err := Rollback(f, m); err != nil {
+				t.Errorf("rollback: %v", err)
+				return
+			}
 		}
 		close(stop)
 	}()

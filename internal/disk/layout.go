@@ -51,9 +51,6 @@ func (a *Array) ReserveRot(nBlocks, rot int) Area {
 		dr := &a.drives[d]
 		ar.base[d] = dr.next
 		dr.next += max(0, nBlocks-(d-ar.rot+D)%D+D-1) / D
-		for t := ar.base[d]; t < dr.next; t++ {
-			a.markDirty(d, t)
-		}
 	}
 	return ar
 }

@@ -178,26 +178,23 @@ func (dr *drive) unfresh(t int) {
 	}
 }
 
-// model is the EM-model half of a store: the account, the per-drive
-// allocator and the set of logically mutated tracks behind TakeDirty,
-// behind one mutex that also guards the embedding store's physical
-// state. All exported methods are safe for concurrent use: operations
-// serialize on the mutex, and racing operations on the same drive are
-// ordered by whatever the race decides.
+// model is the EM-model half of a store: the account and the per-drive
+// allocator, behind one mutex that also guards the embedding store's
+// physical state. All exported methods are safe for concurrent use:
+// operations serialize on the mutex, and racing operations on the same
+// drive are ordered by whatever the race decides.
 type model struct {
 	mu sync.Mutex
 	account
-	cfg     Config
-	drives  []drive
-	mutated map[Addr]struct{} // tracks logically mutated since TakeDirty
-	phys    slotIO            // the embedding store
+	cfg    Config
+	drives []drive
+	phys   slotIO // the embedding store
 }
 
 func (m *model) init(cfg Config, phys slotIO) {
 	m.account = newAccount(cfg.D)
 	m.cfg = cfg
 	m.drives = make([]drive, cfg.D)
-	m.mutated = make(map[Addr]struct{})
 	m.phys = phys
 }
 
@@ -332,19 +329,10 @@ func (m *model) WriteOp(reqs []WriteReq) error {
 			return err
 		}
 		m.chargeWrite(r.Disk, r.Track)
-		m.wrote(r.Disk, r.Track)
+		m.drives[r.Disk].unfresh(r.Track)
 	}
 	m.chargeWriteOp(len(reqs))
 	return nil
-}
-
-func (m *model) markDirty(d, t int) { m.mutated[Addr{Disk: d, Track: t}] = struct{}{} }
-
-// wrote records a logical write of a track: it is mutated, and no
-// longer fresh.
-func (m *model) wrote(d, t int) {
-	m.markDirty(d, t)
-	m.drives[d].unfresh(t)
 }
 
 // blank reports whether the track reads as zeros by allocator
@@ -399,7 +387,6 @@ func (m *model) Alloc(d int) int {
 		t = dr.next // the fresh run grows by it
 		dr.next++
 	}
-	m.markDirty(d, t)
 	return t
 }
 
@@ -458,59 +445,6 @@ func (m *model) freshLists() [][]int {
 	return out
 }
 
-// AllocMark is a snapshot of a store's track allocator, captured by
-// AllocSnapshot and restored by AllocRestore. It backs the engines'
-// superstep checkpoint manifests: rolling the allocator back to the
-// last compound-superstep barrier discards every track allocated by an
-// aborted attempt.
-type AllocMark struct{ s StoreState } // Next, Free and Fresh
-
-// AllocSnapshot captures the allocator state (per-drive high-water
-// marks, free lists and fresh sets) for a later AllocRestore.
-func (m *model) AllocSnapshot() AllocMark {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return AllocMark{m.allocState()}
-}
-
-// allocState captures the allocator half of a StoreState.
-func (m *model) allocState() StoreState {
-	s := StoreState{Next: make([]int, m.cfg.D), Free: make([][]int, m.cfg.D), Fresh: m.freshLists()}
-	for d := range m.drives {
-		s.Next[d] = m.drives[d].next
-		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
-	}
-	return s
-}
-
-// AllocRestore rolls the allocator back to a snapshot: every track
-// allocated since is free or beyond the bump mark again, and every
-// track fresh at the snapshot is fresh again, so data written by an
-// aborted attempt reads blank by metadata and cannot leak into later
-// reads. The caller must guarantee that no track that was allocated at
-// snapshot time has been released since (the engines' checkpoint
-// discipline: committed barrier state is only freed after the next
-// barrier). The tracks that turn blank are logical mutations and join
-// the dirty set.
-func (m *model) AllocRestore(mk AllocMark) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.allocRestore(mk)
-}
-
-func (m *model) allocRestore(mk AllocMark) {
-	for d := range m.drives {
-		dr := &m.drives[d]
-		for t := mk.s.Next[d]; t < dr.next; t++ {
-			m.markDirty(d, t)
-		}
-		for _, t := range mk.s.Free[d] {
-			m.markDirty(d, t)
-		}
-		dr.load(d, mk.s.Next[d], mk.s.Free[d], row(mk.s.Fresh, d)) //nolint:errcheck // the store's own snapshot
-	}
-}
-
 // row returns list d of per-drive lists that may be nil.
 func row(lists [][]int, d int) []int {
 	if lists == nil {
@@ -519,13 +453,12 @@ func row(lists [][]int, d int) []int {
 	return lists[d]
 }
 
-// load sets the drive's bump mark and its free and fresh lists,
+// load sets a new drive's bump mark and its free and fresh lists,
 // checking every listed track: allocated (below the mark), and listed
 // once across both lists.
 func (dr *drive) load(d, next int, free, fresh []int) error {
 	dr.next, dr.top = next, next
-	dr.freeList = append(dr.freeList[:0], free...)
-	clear(dr.blank)
+	dr.freeList = append([]int(nil), free...)
 	for i, t := range append(free[:len(free):len(free)], fresh...) {
 		what := "lists as fresh"
 		if i < len(free) {
@@ -547,8 +480,11 @@ func (dr *drive) load(d, next int, free, fresh []int) error {
 func (m *model) State() StoreState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.allocState()
-	s.Stats, s.Last = m.snapshot(), m.chain()
+	s := StoreState{Stats: m.snapshot(), Next: make([]int, m.cfg.D), Last: m.chain(), Free: make([][]int, m.cfg.D), Fresh: m.freshLists()}
+	for d := range m.drives {
+		s.Next[d] = m.drives[d].next
+		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
+	}
 	return s
 }
 
@@ -558,11 +494,12 @@ type stateError struct{ reason string }
 func (e *stateError) Error() string { return "disk: AdoptState: " + e.reason }
 
 // AdoptState replaces the store's metadata with a captured State — the
-// resume path. Track contents stay as the medium holds them; any bytes
-// written after the adopted state was captured are unreachable (free,
-// fresh or beyond the bump mark) and read as zeros.
+// resume path, and through Rollback the superstep replay. Track contents
+// stay as the medium holds them; any bytes written after the adopted
+// state was captured are unreachable (free, fresh or beyond the bump
+// mark) and read as zeros.
 //
-// States come from outside the process — decoded from a journal, or
+// States may come from outside the process — decoded from a journal, or
 // from a NodeSnapshot that arrived over the wire — so everything the
 // allocator and the accounting later index by is checked first: the
 // drive counts of all five tables (Fresh may also be nil), non-negative
@@ -596,21 +533,6 @@ func (m *model) adoptState(s StoreState) error {
 	m.adopt(s)
 	copy(m.drives, drives)
 	return nil
-}
-
-// TakeDirty returns the addresses of every track logically mutated
-// (written, made fresh by an allocation or reservation, or rolled back)
-// since the previous TakeDirty, sorted by drive then track, and resets
-// the set. The set is a superset of the tracks whose content differs
-// from the last capture — allocations of already-blank tracks and
-// writes later rolled back are included; that is harmless for
-// replication, which re-reads the current content per address.
-func (m *model) TakeDirty() []Addr {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := SortedAddrs(m.mutated)
-	clear(m.mutated)
-	return out
 }
 
 // SortedAddrs returns the keys of an address-keyed map by drive, then

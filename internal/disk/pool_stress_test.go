@@ -123,7 +123,7 @@ func TestPoolCanaryReadBack(t *testing.T) {
 }
 
 // TestPoolCanaryWipeReuse interleaves allocator churn (queued writes of
-// tracks then rolled back, whose cached copies AllocRestore drops and
+// tracks then rolled back, whose cached copies the rollback drops and
 // recycles) with reads of stable data: a rollback must never bleed
 // canaries or zeros into tracks a reader holds.
 func TestPoolCanaryWipeReuse(t *testing.T) {
@@ -153,7 +153,7 @@ func TestPoolCanaryWipeReuse(t *testing.T) {
 			buf[i] = 0xF00D
 		}
 		for i := 0; i < 20; i++ {
-			m := f.AllocSnapshot()
+			m := f.State()
 			var reqs []WriteReq
 			for dr := 0; dr < d; dr++ {
 				reqs = append(reqs, WriteReq{Disk: dr, Track: f.Alloc(dr), Src: buf})
@@ -162,7 +162,11 @@ func TestPoolCanaryWipeReuse(t *testing.T) {
 				t.Errorf("burst write: %v", err)
 				return
 			}
-			f.AllocRestore(m) // the burst tracks read blank again
+			// The burst tracks read blank again.
+			if err := Rollback(f, m); err != nil {
+				t.Errorf("rollback: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Add(1)

@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-// TestTakeDirtySortedAndReset pins the replication contract on the
-// dirty-track set: every logical mutation since the previous TakeDirty
-// is listed exactly once, in deterministic (disk, track) order, and
-// the call resets the set.
-func TestTakeDirtySortedAndReset(t *testing.T) {
-	const D, B = 2, 8
-	f := newFileTest(t, D, B)
-	t1 := f.Alloc(1)
-	t0 := f.Alloc(0)
-	if err := f.WriteOp([]WriteReq{
-		{Disk: 1, Track: t1, Src: track(B, 10)},
-		{Disk: 0, Track: t0, Src: track(B, 20)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := f.TakeDirty()
-	want := []Addr{{Disk: 0, Track: t0}, {Disk: 1, Track: t1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TakeDirty = %v, want %v (sorted by disk then track)", got, want)
-	}
-	if again := f.TakeDirty(); len(again) != 0 {
-		t.Fatalf("second TakeDirty = %v, want empty (set not reset)", again)
-	}
-	// Release is metadata-only (reads of free tracks return zeros by
-	// the allocator) and must NOT dirty; recycling the track at Alloc,
-	// which makes it fresh, is what re-dirties it.
-	if err := f.Release(0, t0); err != nil {
-		t.Fatal(err)
-	}
-	if got = f.TakeDirty(); len(got) != 0 {
-		t.Fatalf("TakeDirty after a metadata-only release = %v, want empty", got)
-	}
-	if re := f.Alloc(0); re != t0 {
-		t.Fatalf("allocator recycled track %d, want %d", re, t0)
-	}
-	got = f.TakeDirty()
-	if !reflect.DeepEqual(got, []Addr{{Disk: 0, Track: t0}}) {
-		t.Fatalf("TakeDirty after recycling = %v, want the recycled track", got)
-	}
-}
-
 // TestExportImportTrackRoundtrip drives the raw side-effect-free path
 // the replica store uses: export after Sync sees committed payloads,
 // blank tracks export as nil, import seeds a fresh store bitwise and

@@ -83,11 +83,11 @@ type inner = Store
 // backend's Stats are a physical by-product (fills and forwarded
 // traffic) and carry no model meaning under a tier; State() therefore
 // composes the tier's Stats and access chains with the backend's
-// allocator. The allocator itself is forwarded 1:1 (Alloc, Release,
-// AllocSnapshot/Restore go straight through), so layout
-// decisions are byte-identical to a flat store's; with TakeDirty (the
-// backend sees every logical mutation) and ExportTrack (the tier holds
-// only clean copies), AllocSnapshot is the embedded backend's, promoted.
+// allocator. The allocator itself is forwarded 1:1 (Alloc and Release go
+// straight through, AdoptState hands the backend the whole state), so
+// layout decisions are byte-identical to a flat store's; ExportTrack
+// (the tier holds only clean copies) is the embedded backend's,
+// promoted.
 //
 // Tier contents are cache, never durable state: every write goes
 // through to the backend inside the WriteOp call, so the tier holds
@@ -308,17 +308,6 @@ func (t *Tier) Release(d, tr int) error {
 	return nil
 }
 
-// AllocRestore rolls the backend's allocator back and empties the
-// tier cache: staged copies of rolled-back tracks (including fills
-// still in flight) must not survive the rollback, and a wholesale
-// drop is exact for a cache whose every entry is clean.
-func (t *Tier) AllocRestore(m AllocMark) {
-	t.inner.AllocRestore(m)
-	t.mu.Lock()
-	t.st.dropAll()
-	t.mu.Unlock()
-}
-
 // Stats returns a copy of the tier's model statistics — the
 // authoritative accounting of the chain.
 func (t *Tier) Stats() Stats {
@@ -353,7 +342,10 @@ func (t *Tier) State() StoreState {
 // (allocator included) into the backend, whose model validates it;
 // then model statistics and access chains into the tier, and an
 // emptied cache — adopted metadata must describe a tier with nothing
-// staged.
+// staged. A superstep replay's Rollback comes through here too: staged
+// copies of rolled-back tracks, fills still in flight included, must
+// not survive it, and a wholesale drop is exact for a cache whose every
+// entry is clean.
 func (t *Tier) AdoptState(s StoreState) error {
 	if err := t.inner.AdoptState(s); err != nil {
 		return err

@@ -68,10 +68,12 @@ func driveScript(t *testing.T, s Store, d, b int) []uint64 {
 		t.Fatal(err)
 	}
 	read(0, tr0) // blank again after release
-	mark := s.AllocSnapshot()
+	mark := s.State()
 	tr1 := s.Alloc(d - 1)
 	write(d-1, tr1)
-	s.AllocRestore(mark)
+	if err := Rollback(s, mark); err != nil {
+		t.Fatal(err)
+	}
 	read(d-1, tr1) // rolled back: blank
 	return got
 }
@@ -208,14 +210,16 @@ func TestTierWriteInvalidatesStaged(t *testing.T) {
 func TestTierAllocRestoreDropsCache(t *testing.T) {
 	const d, b = 2, 4
 	tr := newTierTest(t, d, b, TierOptions{})
-	mark := tr.AllocSnapshot()
+	mark := tr.State()
 	track := tr.Alloc(0)
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: track, Src: []uint64{5, 5, 5, 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Prefetch([]Addr{{Disk: 0, Track: track}})
 	waitStaged(t, tr, 1)
-	tr.AllocRestore(mark)
+	if err := Rollback(tr, mark); err != nil {
+		t.Fatal(err)
+	}
 	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("rolled-back cache still holds %d budget words", got)
 	}

@@ -347,14 +347,14 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 	return nil
 }
 
-// Snapshot captures the fault layer's rollback state: the underlying
-// allocator and the checksum directory. Together with the
-// engine-side manifest (superstep index, context-area cursor, PRNG
-// state) it forms the superstep checkpoint. Fault counters, the fault
-// schedule clock and dead drives are deliberately not part of it: a
-// replay is new work under new draws, not a rewind of history.
+// Snapshot captures the fault layer's rollback state: the chain's
+// StoreState beneath the layer and the checksum directory. Together
+// with the engine-side manifest (superstep index, context-area cursor,
+// PRNG state) it forms the superstep checkpoint. Fault counters, the
+// fault schedule clock and dead drives are deliberately not part of it:
+// a replay is new work under new draws, not a rewind of history.
 type Snapshot struct {
-	alloc disk.AllocMark
+	state disk.StoreState
 	sums  map[disk.Addr]uint64
 }
 
@@ -362,17 +362,23 @@ type Snapshot struct {
 func (f *Disk) Snapshot() *Snapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return &Snapshot{alloc: f.inner.AllocSnapshot(), sums: maps.Clone(f.sums)}
+	return &Snapshot{state: f.inner.State(), sums: maps.Clone(f.sums)}
 }
 
-// Restore rolls the fault layer and the underlying allocator back to a
-// snapshot. The snapshot remains valid for further Restores (replays
-// can themselves fault).
-func (f *Disk) Restore(s *Snapshot) {
+// Restore rolls the fault layer and the chain beneath it back to a
+// snapshot: the allocator to the captured state (disk.Rollback, which
+// keeps the statistics, so a replay still charges its aborted
+// operations) and the checksum directory to the captured one. The
+// snapshot remains valid for further Restores (replays can themselves
+// fault).
+func (f *Disk) Restore(s *Snapshot) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.inner.AllocRestore(s.alloc)
+	if err := disk.Rollback(f.inner, s.state); err != nil {
+		return err
+	}
 	f.sums = maps.Clone(s.sums)
+	return nil
 }
 
 // Replayable reports whether err contains a fault the engines can

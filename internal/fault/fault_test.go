@@ -294,7 +294,9 @@ func TestSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.Restore(snap)
+	if err := f.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
 	dst := make([]uint64, 2)
 	if err := f.ReadOp([]disk.ReadReq{{Disk: 0, Track: committed, Dst: dst}}); err != nil {
 		t.Fatalf("committed track fails checksum after rollback: %v", err)

@@ -260,7 +260,7 @@ func (m *opModel) flush() {
 // barrier value, which only the layer's cache holds.)
 func (m *opModel) rollback() {
 	m.flush()
-	mark, sn := m.s.AllocSnapshot(), m.s.Snapshot()
+	mark, sn := m.s.State(), m.s.Snapshot()
 	live := maps.Clone(m.live)
 	m.inPlace = make(map[disk.Addr]bool)
 	for n := 1 + m.pick(6); n > 0; n-- {
@@ -268,7 +268,9 @@ func (m *opModel) rollback() {
 	}
 	again := m.inPlace
 	m.inPlace = nil
-	m.s.AllocRestore(mark)
+	if err := disk.Rollback(m.s, mark); err != nil {
+		m.t.Fatal(err)
+	}
 	m.s.Restore(sn)
 	m.live = live
 	for _, a := range disk.SortedAddrs(again) {

@@ -202,8 +202,8 @@ type inner = disk.Store
 // store's, promoted — allocation (directory metadata that never faults;
 // I/O on a dead drive's tracks is remapped at operation time), Stats
 // (parity and reconstruction traffic are real charged operations),
-// AllocSnapshot/AllocRestore (the layer's own rollback state is
-// Snapshot's) and Sync (the engines call FlushParity first, so
+// State/AdoptState (the superstep replay rolls the allocator back
+// through them; the layer's own rollback state is Snapshot's) and Sync (the engines call FlushParity first, so
 // a commit record's parity is durable before the record lands). All
 // methods are safe for concurrent use: the parity directories and RMW
 // arithmetic serialize on an internal mutex (physical D-parallelism

@@ -326,7 +326,7 @@ func TestSnapshotRestore(t *testing.T) {
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 3)
 	flushChecked(t, s)
-	mark := s.AllocSnapshot()
+	mark := s.State()
 	sn := s.Snapshot()
 	// Mutate under the engines' checkpoint discipline: committed tracks
 	// are never rewritten in place and their frees are deferred to the
@@ -338,7 +338,9 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	flushChecked(t, s)
 	// Roll back (the engine's replay path: allocator first, then layer).
-	s.AllocRestore(mark)
+	if err := disk.Rollback(s, mark); err != nil {
+		t.Fatal(err)
+	}
 	s.Restore(sn)
 	for _, a := range addrs {
 		checkTrack(t, s, a, B)
