@@ -3,6 +3,7 @@ package embsp_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"embsp"
@@ -214,6 +215,15 @@ var goldenTable = []goldenRow{
 	{"euler", "array", 3, 0x3ff4e9b1daec5b70, 1734, 0, 0, 22370, 67},
 	{"cc", "array", 1, 0xdb7c5cb8cacd13bc, 12267, 68, 0, 35880, 355},
 	{"cc", "array", 3, 0x152e09d9aaff6def, 4010, 0, 0, 35944, 139},
+	// Forced replays: parity under read, write and corrupt faults with
+	// retries off, so every fault replays its superstep (or the set-up)
+	// from the barrier's record. Recorded while the replay still restored a
+	// hand-built snapshot, which these rows pin it to: sort 10 replays at
+	// P = 1 and 8 at P = 2, listrank 18 and 4.
+	{"sort", "array+parity+replays", 1, 0xd453681d3867bd4a, 838, 67, 0, 13888, 170},
+	{"sort", "array+parity+replays", 2, 0x12ff9eb400c24dcf, 1050, 68, 0, 13824, 89},
+	{"listrank", "array+parity+replays", 1, 0xe8affe523679b832, 1560, 18, 0, 13047, 101},
+	{"listrank", "array+parity+replays", 2, 0x10a2eeecf050f128, 401, 0, 0, 9673, 36},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.
@@ -238,6 +248,10 @@ func goldenOptions(t *testing.T, store string) embsp.Options {
 		opts.MappedStore = true
 		opts.Redundancy = embsp.RedundancyParity
 		opts.FaultPlan = &embsp.FaultPlan{Seed: 7, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
+	case "array+parity+replays":
+		opts.Redundancy = embsp.RedundancyParity
+		opts.FaultPlan = &embsp.FaultPlan{Seed: 7, ReadErrorRate: 0.002, WriteErrorRate: 0.002, CorruptRate: 0.002}
+		opts.MaxRetries = -1
 	case "file+tier":
 		opts.StateDir = t.TempDir()
 		opts.Tiers = []embsp.TierSpec{{}}
@@ -250,7 +264,9 @@ func goldenOptions(t *testing.T, store string) embsp.Options {
 // TestGoldenModelNumbers checks the committed model numbers exactly.
 // Everything in a row is a function of (workload, seed, machine, store
 // chain) alone, on any host and under any physical schedule. Every
-// Table 1 workload has a row in place at P = 1 and P = 3.
+// Table 1 workload has a row in place at P = 1 and P = 3. A row with
+// forced replays must replay at least once, so a change to what a replay
+// restores moves a pinned number rather than passing for want of one.
 func TestGoldenModelNumbers(t *testing.T) {
 	for _, name := range workload.Table1Names() {
 		for _, p := range []int{1, 3} {
@@ -270,6 +286,9 @@ func TestGoldenModelNumbers(t *testing.T) {
 			res, err := embsp.Run(inst.Program, cfg, goldenOptions(t, want.store))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if strings.HasSuffix(want.store, "+replays") && res.EM.Replays == 0 {
+				t.Errorf("no superstep replay: the row pins nothing of the replay path")
 			}
 			got := goldenRow{want.alg, want.store, want.p, workload.Fingerprint(res),
 				res.EM.Run.Ops, res.EM.Setup.Ops, res.EM.RouteOps, res.EM.MemHigh, res.EM.LiveBlocksPerDrive}

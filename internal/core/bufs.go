@@ -20,7 +20,6 @@ import (
 // whoever receives such a slice has consumed it by then.
 type stepBufs struct {
 	ctx      []uint64 // contexts of the current VPs: the largest batch held so far, at most k·⌈(µ+1)/B⌉·B words (ctxSpan), the held batch's records in front across a barrier
-	heldCopy []uint64 // the held records a fault snapshot keeps for a replay
 	region   []uint64 // message blocks read for the current batch
 	slab     []uint64 // the block images the batch sends other processors
 	op       []uint64 // one parallel operation, D·B words: the block writer's pending blocks

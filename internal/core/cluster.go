@@ -480,7 +480,7 @@ func (n *NodeEngine) readManifest(payload []uint64) (alloc disk.StoreState, adop
 		return alloc, nil, err
 	}
 	step, halted := int(dec.Int()), dec.Bool()
-	alloc, adoptProc, err := n.sh.readProcRecord(dec, n.ps, step)
+	alloc, adoptProc, err := n.sh.readProcRecord(dec, n.ps, step, false)
 	return alloc, func() error {
 		n.stepsDone, n.halted = step, halted
 		return adoptProc()

@@ -208,17 +208,19 @@ var errFinalCrash = errors.New("injected crash before the finish phase")
 
 func (finalCrash) Final() ([]*core.NodeReport, error) { return nil, errFinalCrash }
 
-// replayMeter counts the replays of the set-up and the finish phase.
+// replayMeter counts the replays of the set-up (the rollbacks to the
+// state it began from, step -1) and of the finish phase.
 type replayMeter struct {
 	core.Transport
 	setup, finish int64
 }
 
-func (m *replayMeter) Setup() ([]disk.Stats, error) {
-	before := core.Replays(m.Transport)
-	stats, err := m.Transport.Setup()
-	m.setup = core.Replays(m.Transport) - before
-	return stats, err
+func (m *replayMeter) Rollback(step, attempt int, cause error) (int64, error) {
+	aborted, err := m.Transport.Rollback(step, attempt, cause)
+	if err == nil && step < 0 {
+		m.setup++
+	}
+	return aborted, err
 }
 
 func (m *replayMeter) Final() ([]*core.NodeReport, error) {
@@ -231,8 +233,8 @@ func (m *replayMeter) Final() ([]*core.NodeReport, error) {
 // phaseReplays runs prog with retries off under read, write and corrupt
 // faults, trying plan seeds until one replays the set-up, a superstep and
 // the finish phase, and requires the result of every attempt to be the
-// reference's. A replay of the set-up or a superstep restores the held
-// records from the snapshot; the finish phase decodes the held batch
+// reference's. A replay of a superstep decodes the held records from the
+// barrier's record; the finish phase decodes the held batch
 // first, from memory, before any read can fail, and its replays read the
 // batches left.
 func phaseReplays(t *testing.T, label string, prog bsp.Program, cfg core.MachineConfig, mode redundancy.Mode, want []bsp.VP) {

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/fault"
-	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
@@ -65,10 +63,12 @@ import (
 // With a fault plan configured, each processor's disk array is wrapped
 // in its own fault layer (fault schedules keyed per processor); the
 // whole compound superstep is one recovery unit: a recoverable fault
-// on any processor rolls all of them — allocator, checksum directory,
-// PRNG, cost recorder and memory accountant — back to the barrier and
-// replays the superstep. After a permanent drive loss the block writer
-// remaps its placement onto the surviving drives.
+// on any processor returns all of them to the barrier and replays the
+// superstep. The engine keeps every processor's record of the last
+// barrier — the words the decision record carries — and a replay adopts
+// it: what the record holds comes back, and what a replay keeps instead
+// is history (DESIGN.md §8). After a permanent drive loss the block
+// writer remaps its placement onto the surviving drives.
 
 // maxReplays bounds how many times one compound superstep may be
 // rolled back and replayed before the engine gives up. Each replay
@@ -86,9 +86,12 @@ type engine struct {
 	goctx context.Context
 	led   *ledger // the run's global accounting, which holds the replay counters
 
-	// snap is the open superstep's rollback source under a fault plan;
-	// nil once the barrier commit began, which frees what it points at.
-	snap []procSnapshot
+	// rec is, under a fault plan, the barrier a replay returns to: every
+	// processor's record of the last barrier or, before the set-up, every
+	// chain's state (keep); marks is each processor's memory in use there.
+	// rec is empty once a barrier commit began, which no replay undoes.
+	rec   words.Encoder
+	marks []int64
 
 	// What the phases return, one entry per processor, reused every
 	// round. Entry [i] is set only by processor i's goroutine and read
@@ -149,7 +152,7 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 			return nil, err
 		}
 	}
-	e.procs = make([]*procState, P)
+	e.procs, e.marks = make([]*procState, P), make([]int64, P)
 	e.outs, e.totals, e.ops = make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P)
 	for i := range e.procs {
 		var dir string
@@ -176,6 +179,8 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 			return nil, err
 		}
 	}
+	// The barrier the run starts from: before the set-up, or the resumed one.
+	e.keep(manifest == nil)
 	res, err := d.run()
 	if err != nil {
 		return nil, err
@@ -207,39 +212,14 @@ func (e *engine) parallel(f func(ps *procState) error) error {
 	return errors.Join(errs...)
 }
 
-// replayPhase runs a whole-directory phase across all processors,
-// re-running it when a recoverable fault escapes the fault layer's
-// retries. The finish phase only reads; the set-up allocates the tracks
-// it writes and hands in snap, which every replay first returns the
-// processors to — allocator, layers and all, so no attempt leaks a track.
-func (e *engine) replayPhase(phase func(ps *procState) error, snap []procSnapshot) error {
-	err := e.parallel(phase)
-	r := 0
-	for ; err != nil && e.faulty() && fault.Replayable(err) && r < maxReplays; r++ {
-		e.led.replays++
-		if snap != nil {
-			if _, err := e.restore(snap); err != nil {
-				return err
-			}
-		}
-		err = e.parallel(phase)
-	}
-	if err != nil && r >= maxReplays {
-		return fmt.Errorf("core: phase unrecoverable after %d replays: %w", r, err)
-	}
-	return err
-}
-
 // Setup: every processor writes its VPs' initial contexts and makes them
-// durable.
+// durable. A recoverable fault returns the chains to the state they were
+// opened in (Rollback at step -1), and the driver runs Setup again.
 func (e *engine) Setup() ([]disk.Stats, error) {
-	var snap []procSnapshot
-	if e.faulty() {
-		snap = e.snapshot()
-	}
-	if err := e.replayPhase(e.writeInitialContexts, snap); err != nil {
+	if err := e.parallel(e.writeInitialContexts); err != nil {
 		return nil, err
 	}
+	e.rec.Reset() // the barrier commit begins
 	stats := make([]disk.Stats, len(e.procs))
 	for i, ps := range e.procs {
 		// The setup barrier's parity I/O is in Setup's counts, not in
@@ -253,18 +233,15 @@ func (e *engine) Setup() ([]disk.Stats, error) {
 			return nil, err
 		}
 	}
+	e.keep(false)
 	return stats, nil
 }
 
-// Begin implements cooperative cancellation at barriers, takes the
-// superstep's rollback source under a fault plan, and opens the
+// Begin implements cooperative cancellation at barriers and opens the
 // superstep on every processor.
 func (e *engine) Begin(step int) error {
 	if err := e.goctx.Err(); err != nil {
 		return fmt.Errorf("core: run cancelled at superstep barrier %d: %w", step, err)
-	}
-	if e.faulty() {
-		e.snap = e.snapshot()
 	}
 	for _, ps := range e.procs {
 		e.beginStep(ps)
@@ -308,9 +285,10 @@ func (e *engine) Totals() ([]StepTotals, error) {
 // finished the superstep: free the consumed input and contexts, make
 // the directory and the contexts written current (commitProc);
 // then the parity-aware commit point; then every processor's data is
-// made durable before the decision record is.
+// made durable before the decision record is. Then the engine keeps
+// the new barrier.
 func (e *engine) Prepare(step int, halted bool) ([]int64, error) {
-	e.snap = nil
+	e.rec.Reset()
 	for i, ps := range e.procs {
 		err := e.commitProc(ps, halted)
 		if err == nil {
@@ -326,7 +304,27 @@ func (e *engine) Prepare(step int, halted bool) ([]int64, error) {
 			e.prefetchFirst(ps, step+1)
 		}
 	}
+	e.keep(false)
 	return e.ops, nil
+}
+
+// keep takes, under a fault plan, the barrier a replay returns to: every
+// processor's record and its memory in use — before the set-up (chains),
+// every chain's state alone. The engine PRNG is drawn only by a
+// superstep's block writer, so a set-up replay needs nothing more.
+func (e *engine) keep(chains bool) {
+	if !e.faulty() {
+		return
+	}
+	e.rec.Reset()
+	for i, ps := range e.procs {
+		if chains {
+			ps.encodeState(&e.rec)
+		} else {
+			e.encodeProcManifest(&e.rec, ps)
+		}
+		e.marks[i] = ps.acct.Mark()
+	}
 }
 
 // Commit: the processors keep no journals of their own, so the decision
@@ -335,83 +333,68 @@ func (e *engine) Commit(int) error { return nil }
 
 // Rollback makes the whole compound superstep — all processors, all
 // batches — one recovery unit under a fault plan: a recoverable fault
-// anywhere rolls every processor back to the barrier.
-func (e *engine) Rollback(step, attempt int, cause error) (int64, error) {
+// anywhere returns every processor to the barrier by adopting the record
+// kept there in replay mode (step -1: the chains' states the set-up began
+// from). It returns the slowest processor's share of the aborted
+// attempt's operations — for the set-up, of every attempt so far — which
+// the run counts as recovery work too.
+func (e *engine) Rollback(step, attempt int, cause error) (maxAborted int64, err error) {
 	switch {
-	case e.snap == nil || !fault.Replayable(cause):
+	case e.rec.Len() == 0 || !fault.Replayable(cause):
 		return 0, cause
 	case attempt >= maxReplays:
 		return 0, fmt.Errorf("core: superstep %d unrecoverable after %d replays: %w", step, attempt, cause)
 	}
 	e.led.replays++
-	return e.restore(e.snap)
-}
-
-func (e *engine) Final() ([]*NodeReport, error) {
-	reports := make([]*NodeReport, len(e.procs))
-	err := e.replayPhase(func(ps *procState) (err error) {
-		reports[ps.id], err = e.finalReport(ps, e.led.stepsDone, true)
-		return err
-	}, nil)
-	return reports, err
-}
-
-// procSnapshot is one processor's superstep checkpoint.
-type procSnapshot struct {
-	faults   *fault.Snapshot
-	parity   *redundancy.Snapshot // nil without a redundancy layer
-	rng      [4]uint64
-	acctMark int64
-	opsMark  int64
-	held     int      // the held batch, -1: none
-	heldCtx  []uint64 // its records, in the processor's reused heldCopy
-	sleep    []uint64 // the sleep bits
-}
-
-func (e *engine) snapshot() []procSnapshot {
-	s := make([]procSnapshot, len(e.procs))
-	for i, ps := range e.procs {
-		s[i] = procSnapshot{
-			faults:   disk.Find[*fault.Disk](ps.chain).Snapshot(),
-			rng:      ps.rng.State(),
-			acctMark: ps.acct.Mark(),
-			opsMark:  ps.chain.Stats().Ops,
-			held:     ps.held,
-			sleep:    slices.Clone(ps.sleep),
-		}
-		if ps.held >= 0 {
-			ps.heldCopy = append(ps.heldCopy[:0], ps.ctx[:ps.heldLen]...)
-			s[i].heldCtx = ps.heldCopy
-		}
-		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
-			s[i].parity = red.Snapshot()
-		}
-	}
-	return s
-}
-
-// restore rolls every processor — allocator, checksum directory, PRNG,
-// memory accountant, held records and sleep bits — back to s and returns
-// the slowest processor's share of the rolled-back attempt's operations,
-// or the error of a store that refused its captured state.
-func (e *engine) restore(s []procSnapshot) (maxAborted int64, err error) {
-	for i, ps := range e.procs {
-		p := s[i]
-		aborted := ps.chain.Stats().Ops - p.opsMark
+	dec := words.NewDecoder(e.rec.Words())
+	for _, ps := range e.procs {
+		aborted := ps.stepOps()
 		e.led.recoveryOps += aborted
 		maxAborted = max(maxAborted, aborted)
-		// The fault layer rolls the shared allocator back first.
-		if err := disk.Find[*fault.Disk](ps.chain).Restore(p.faults); err != nil {
+		if err := e.replay(dec, ps, step); err != nil {
 			return 0, err
 		}
-		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
-			red.Restore(p.parity)
-		}
-		ps.rng.SetState(p.rng)
-		ps.acct.Rewind(p.acctMark)
-		ps.held, ps.heldLen = p.held, len(p.heldCtx)
-		ps.ctx = append(ps.ctx[:0], p.heldCtx...)
-		copy(ps.sleep, p.sleep)
 	}
 	return maxAborted, nil
+}
+
+// replay adopts processor ps's part of the kept barrier in replay mode
+// and rewinds its accountant to the barrier's usage. Before the set-up
+// that part is the chain's state, and no batch is held.
+func (e *engine) replay(dec *words.Decoder, ps *procState, step int) error {
+	defer ps.acct.Rewind(e.marks[ps.id])
+	if step < 0 {
+		ps.held = -1
+		r := recordReader{dec: dec}
+		st := r.storeState(ps.chain.Config().D)
+		if r.err != nil {
+			return r.err
+		}
+		return ps.decodeState(st, dec, true)
+	}
+	_, adopt, err := e.readProcRecord(dec, ps, step, true)
+	if err != nil {
+		return err
+	}
+	return adopt()
+}
+
+// Final reads every processor's final contexts. The finish phase only
+// reads, so a recoverable fault runs it again with nothing to return to.
+func (e *engine) Final() ([]*NodeReport, error) {
+	reports := make([]*NodeReport, len(e.procs))
+	phase := func(ps *procState) (err error) {
+		reports[ps.id], err = e.finalReport(ps, e.led.stepsDone, true)
+		return err
+	}
+	err := e.parallel(phase)
+	r := 0
+	for ; err != nil && e.faulty() && fault.Replayable(err) && r < maxReplays; r++ {
+		e.led.replays++
+		err = e.parallel(phase)
+	}
+	if err != nil && r >= maxReplays {
+		return nil, fmt.Errorf("core: finish phase unrecoverable after %d replays: %w", r, err)
+	}
+	return reports, err
 }

@@ -282,6 +282,80 @@ func HoldingsOf(t Transport) []Holdings {
 // Replays is the replay count of the run the engine is in, so far.
 func Replays(t Transport) int64 { return t.(*engine).led.replays }
 
+// ChainStates are the states of the chains of the processors of the
+// engine RunOver hands to wrap, as a processor's record carries them.
+func ChainStates(t Transport) (sts [][]uint64) {
+	for _, ps := range t.(*engine).procs {
+		enc := words.NewEncoder(nil)
+		ps.encodeState(enc)
+		sts = append(sts, enc.Words())
+	}
+	return sts
+}
+
+// MemUsed is every processor's internal memory in use.
+func MemUsed(t Transport) (used []int64) {
+	for _, ps := range t.(*engine).procs {
+		used = append(used, ps.acct.Used())
+	}
+	return used
+}
+
+// FaultLayer is processor proc's fault layer.
+func FaultLayer(t Transport, proc int) *fault.Disk {
+	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain)
+}
+
+// WithoutHistory is a copy of ws, the words of one D-drive chain's state
+// (ChainStates), with every field a superstep replay keeps instead of
+// adopting zeroed (DESIGN.md §8): the store's statistics and access
+// chains; the fault layer's clocks, injection streams, dead drives and
+// counters; the redundancy layer's dead drives, scrub cursor and
+// counters but its two gauges.
+func WithoutHistory(ws []uint64, D int) []uint64 {
+	ws = slices.Clone(ws)
+	at := 0
+	zero := func(n int) { clear(ws[at : at+n]); at += n }
+	skip := func(n int) { at += n }
+	zero(words.SizeUints(5))
+	zero(1 + int(ws[at])*words.SizeUints(4)) // the drives' statistics
+	skip(1)
+	for d := 0; d < D; d++ {
+		skip(1)               // the bump mark
+		zero(1)               // the last track
+		skip(1 + int(ws[at])) // the free list
+		skip(1 + int(ws[at])) // the fresh list
+	}
+	if skip(1); ws[at-1] != 0 { // the fault layer
+		skip(1)
+		zero(D + 4*D) // clocks and streams
+		skip(1)
+		zero(D)                  // dead drives
+		zero(words.SizeUints(8)) // counters
+		skip(1 + 3*int(ws[at]))  // checksums
+	}
+	if skip(1); ws[at-1] != 0 { // the redundancy layer
+		skip(1)
+		zero(D) // dead drives
+		skip(1) // the next stripe
+		zero(words.SizeUints(2))
+		zero(1 + 5) // counters, up to the gauges
+		skip(2)
+		zero(3)
+	}
+	return ws
+}
+
+// WithoutHistory is the record with every field a superstep replay keeps
+// instead of adopting zeroed: the high-water mark of the processor's
+// memory, and its chain's history (WithoutHistory).
+func (r ProcRecord) WithoutHistory() []uint64 {
+	ws := slices.Clone(r.Words)
+	ws[5] = 0 // after the four words of the PRNG's state and the skew
+	copy(ws[r.Store:], WithoutHistory(ws[r.Store:], r.sh.cfg.D))
+	return ws
+}
+
 // ProcRecord is one processor's barrier record as encodeProcManifest
 // wrote it, with the positions of the track words of its two directories
 // — the input's, then the contexts' — so a test can forge exactly those,

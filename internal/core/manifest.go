@@ -463,9 +463,14 @@ func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 }
 
 // encodeProcs appends every processor's barrier state to the decision
-// record of an in-process run.
+// record of an in-process run: under a fault plan the records the engine
+// kept at the barrier, the words a replay adopts.
 func (e *engine) encodeProcs(enc *words.Encoder) {
 	enc.PutInt(int64(len(e.procs)))
+	if e.faulty() {
+		enc.PutWords(e.rec.Words())
+		return
+	}
 	for _, ps := range e.procs {
 		e.encodeProcManifest(enc, ps)
 	}
@@ -496,8 +501,11 @@ func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 // fails either check is refused with the engine's typed error before the
 // processor or its store is touched. The held records are adopted without
 // model I/O, into internal memory the accountant holds for them again;
-// the layers' states that follow the record are read from dec.
-func (sh *simShape) readProcRecord(dec *words.Decoder, ps *procState, step int) (alloc disk.StoreState, adopt func() error, err error) {
+// the layers' states that follow the record are read from dec. A
+// superstep replay (replay) leaves the accountant to the engine, which
+// rewinds it to its usage at the barrier, and keeps the chain's history
+// (storeStack.decodeState); the high-water mark only ever rises.
+func (sh *simShape) readProcRecord(dec *words.Decoder, ps *procState, step int, replay bool) (alloc disk.StoreState, adopt func() error, err error) {
 	r := recordReader{dec: dec}
 	var rng [4]uint64
 	for i := range rng {
@@ -521,21 +529,25 @@ func (sh *simShape) readProcRecord(dec *words.Decoder, ps *procState, step int) 
 		ps.acct.AdoptHigh(memHigh)
 		ps.inDir = inDir
 		copy(ps.ctxDir, ctxDir) // in place: ctxWrite may be the same table
-		ps.acct.Release(ps.heldGrab())
+		if !replay {
+			ps.acct.Release(ps.heldGrab())
+		}
 		ps.held, ps.heldLen = held, len(recs)
 		copy(ps.sleep, sleep)
 		copy(sh.ctxSpan(ps, 0, len(recs)), recs)
-		if err := ps.acct.Grab(ps.heldGrab()); err != nil {
-			return err
+		if !replay {
+			if err := ps.acct.Grab(ps.heldGrab()); err != nil {
+				return err
+			}
 		}
-		return ps.decodeState(alloc, dec)
+		return ps.decodeState(alloc, dec, replay)
 	}, nil
 }
 
 // decodeProcManifest adopts the record of the barrier after step
 // supersteps.
 func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step int) error {
-	_, adopt, err := sh.readProcRecord(dec, ps, step)
+	_, adopt, err := sh.readProcRecord(dec, ps, step, false)
 	if err != nil {
 		return err
 	}

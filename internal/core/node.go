@@ -53,8 +53,8 @@ type wireBlock struct {
 // for the barrier commit — so a recoverable fault, or a crash, rolls back
 // to the barrier and replays the superstep from identical inputs. The
 // contexts of the turnaround batch never go to disk under either
-// discipline: they are held in ctx across the barrier, which journals
-// them in the processor's record and snapshots them for a replay.
+// discipline: they are held in ctx across the barrier, whose record —
+// journaled, and kept for a replay — carries them.
 //
 // A batch whose VPs all sleep and which has no input is skipped: its
 // contexts stay on the tracks the context directory lists, and the
@@ -439,9 +439,9 @@ func (ps *procState) releaseContexts(j int) (err error) {
 }
 
 // writeInitialContexts is the set-up, in ascending batch order: its last
-// batch is held for superstep 0's first round. A replay of it
-// (engine.Setup) starts from the allocator it found and rewrites every
-// entry of the directory.
+// batch is held for superstep 0's first round. A replay of it (after a
+// Rollback at step -1) starts from the allocator it found and rewrites
+// every entry of the directory.
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()

@@ -156,11 +156,18 @@ func (s storeStack) encodeState(enc *words.Encoder) {
 }
 
 // decodeState adopts what encodeState wrote — the store's state st,
-// already decoded, then the layers' — into a freshly opened chain,
-// refusing a journal whose layers disagree with the resuming options.
-// The store checks the state before it adopts any of it.
-func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
-	if err := s.chain.AdoptState(st); err != nil {
+// already decoded, then the layers' — refusing a journal whose layers
+// disagree with the resuming options. The store checks the state before
+// it adopts any of it. A resume adopts it all into a freshly opened
+// chain; a superstep replay (replay) keeps the chain's history: the
+// store's statistics and access chains (disk.Rollback) and what each
+// layer's DecodeState names.
+func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder, replay bool) error {
+	adopt := s.chain.AdoptState
+	if replay {
+		adopt = func(st disk.StoreState) error { return disk.Rollback(s.chain, st) }
+	}
+	if err := adopt(st); err != nil {
 		return &engineError{msg: "journal's allocator state refused: " + err.Error()}
 	}
 	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)
@@ -169,7 +176,7 @@ func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
 		return fmt.Errorf("core: journal fault-layer presence (%v) disagrees with the resuming options (%v)", hadFault, fd != nil)
 	}
 	if fd != nil {
-		if err := fd.DecodeState(dec); err != nil {
+		if err := fd.DecodeState(dec, replay); err != nil {
 			return err
 		}
 	}
@@ -178,7 +185,7 @@ func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder) error {
 		return fmt.Errorf("core: journal redundancy-layer presence (%v) disagrees with the resuming options (%v)", hadRed, red != nil)
 	}
 	if red != nil {
-		return red.DecodeState(dec)
+		return red.DecodeState(dec, replay)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 
 	"embsp/internal/disk"
@@ -347,40 +346,6 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 	return nil
 }
 
-// Snapshot captures the fault layer's rollback state: the chain's
-// StoreState beneath the layer and the checksum directory. Together
-// with the engine-side manifest (superstep index, context-area cursor,
-// PRNG state) it forms the superstep checkpoint. Fault counters, the
-// fault schedule clock and dead drives are deliberately not part of it:
-// a replay is new work under new draws, not a rewind of history.
-type Snapshot struct {
-	state disk.StoreState
-	sums  map[disk.Addr]uint64
-}
-
-// Snapshot captures rollback state at a compound-superstep barrier.
-func (f *Disk) Snapshot() *Snapshot {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return &Snapshot{state: f.inner.State(), sums: maps.Clone(f.sums)}
-}
-
-// Restore rolls the fault layer and the chain beneath it back to a
-// snapshot: the allocator to the captured state (disk.Rollback, which
-// keeps the statistics, so a replay still charges its aborted
-// operations) and the checksum directory to the captured one. The
-// snapshot remains valid for further Restores (replays can themselves
-// fault).
-func (f *Disk) Restore(s *Snapshot) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := disk.Rollback(f.inner, s.state); err != nil {
-		return err
-	}
-	f.sums = maps.Clone(s.sums)
-	return nil
-}
-
 // Replayable reports whether err contains a fault the engines can
 // recover from by rolling back to the last compound-superstep barrier
 // and replaying.
@@ -393,11 +358,9 @@ func Replayable(err error) bool {
 // enc: the per-drive fault-schedule clocks, the per-drive injection
 // PRNGs, dead drives, the accumulated counters, and the checksum
 // directory (in sorted address order, so the encoding is
-// deterministic). Unlike Snapshot — which deliberately omits the
-// clocks and counters because an in-process replay is new work under
-// new draws — a journal commit must capture everything: a resumed
-// process replaces the crashed one entirely, so the fault schedule
-// has to continue exactly where the last committed barrier left it.
+// deterministic). It is the layer's part of a processor's barrier
+// record, which a resumed process adopts whole and a superstep replay
+// adopts in part (DecodeState).
 func (f *Disk) EncodeState(enc *words.Encoder) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -431,8 +394,13 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 	}
 }
 
-// DecodeState restores state previously written by EncodeState.
-func (f *Disk) DecodeState(dec *words.Decoder) error {
+// DecodeState adopts state written by EncodeState. A resumed process
+// adopts all of it, so the fault schedule continues exactly where the
+// barrier left it. A superstep replay (replay) adopts the checksum
+// directory alone: the clocks, the injection streams, the dead drives
+// and the counters are history, which a replay keeps — it is new work
+// under new draws, not a rewind of what happened (DESIGN.md §8).
+func (f *Disk) DecodeState(dec *words.Decoder, replay bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	na := int(dec.Int())
@@ -440,30 +408,38 @@ func (f *Disk) DecodeState(dec *words.Decoder) error {
 		return fmt.Errorf("fault: decoding clocks for %d drives into %d-drive layer", na, len(f.attempts))
 	}
 	for d := range f.attempts {
-		f.attempts[d] = dec.Int()
+		if a := dec.Int(); !replay {
+			f.attempts[d] = a
+		}
 	}
 	for _, r := range f.rngs {
 		var st [4]uint64
 		for i := range st {
 			st[i] = dec.Uint()
 		}
-		r.SetState(st)
+		if !replay {
+			r.SetState(st)
+		}
 	}
 	nd := int(dec.Int())
 	if nd != len(f.dead) {
 		return fmt.Errorf("fault: decoding state for %d drives into %d-drive layer", nd, len(f.dead))
 	}
 	for d := range f.dead {
-		f.dead[d] = dec.Bool()
+		if dead := dec.Bool(); !replay {
+			f.dead[d] = dead
+		}
 	}
 	cs := dec.Ints()
 	if len(cs) != 8 {
 		return fmt.Errorf("fault: counter state has %d fields, want 8", len(cs))
 	}
-	f.ctr = Counters{
-		InjectedReadFaults: cs[0], InjectedWriteFaults: cs[1], InjectedCorruptions: cs[2],
-		ChecksumFailures: cs[3], DriveFailures: cs[4], Retries: cs[5], RetriedBlocks: cs[6],
-		RecoveryOps: cs[7],
+	if !replay {
+		f.ctr = Counters{
+			InjectedReadFaults: cs[0], InjectedWriteFaults: cs[1], InjectedCorruptions: cs[2],
+			ChecksumFailures: cs[3], DriveFailures: cs[4], Retries: cs[5], RetriedBlocks: cs[6],
+			RecoveryOps: cs[7],
+		}
 	}
 
 	f.sums = make(map[disk.Addr]uint64)

@@ -28,8 +28,9 @@
 // What the wrapper cannot recover (retries exhausted; the moment of a
 // drive death) escapes as a typed *Error whose Recoverable flag tells
 // the engine whether rolling back to the last compound-superstep
-// barrier and replaying is worthwhile. Snapshot/Restore support
-// exactly that rollback.
+// barrier and replaying is worthwhile. The replay adopts the barrier's
+// record: EncodeState at the barrier, DecodeState in replay mode after
+// the fault.
 //
 // All randomness is keyed by Plan.Seed via prng.Derive, with one
 // stream and one attempt clock per drive, consumed in the
@@ -177,9 +178,9 @@ func (p Plan) Validate() error {
 }
 
 // Counters reports everything the fault layer injected and everything
-// it spent recovering. All figures are monotone over the run (they are
-// not rolled back by Restore: a replayed superstep's faults and
-// recovery work really happened).
+// it spent recovering. All figures are monotone over the run (a
+// superstep replay keeps them: its faults and recovery work really
+// happened).
 type Counters struct {
 	// InjectedReadFaults / InjectedWriteFaults / InjectedCorruptions
 	// count injected faults by kind.

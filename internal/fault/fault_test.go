@@ -7,6 +7,7 @@ import (
 
 	"embsp/internal/disk"
 	"embsp/internal/redundancy"
+	"embsp/internal/words"
 )
 
 func testArray(t *testing.T, d, b int) *disk.Array {
@@ -286,7 +287,10 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: committed, Src: []uint64{5, 6}}}); err != nil {
 		t.Fatal(err)
 	}
-	snap := f.Snapshot()
+	// The barrier: the chain's state and the layer's, as a processor's
+	// record carries them.
+	mark, enc := f.State(), words.NewEncoder(nil)
+	f.EncodeState(enc)
 	// The attempt writes new tracks, then is rolled back.
 	for i := 0; i < 5; i++ {
 		tr := f.Alloc(1)
@@ -294,7 +298,10 @@ func TestSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Restore(snap); err != nil {
+	if err := disk.Rollback(f, mark); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DecodeState(words.NewDecoder(enc.Words()), true); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]uint64, 2)

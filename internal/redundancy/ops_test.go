@@ -253,14 +253,16 @@ func (m *opModel) flush() {
 }
 
 // rollback is a superstep attempt that fails: from a barrier, a few
-// operations, then the allocator and the layer restored as the engines
-// restore them — and, as a deterministic replay would, the tracks the
+// operations, then the allocator and the layer returned to the barrier's
+// record as the engines return them (disk.Rollback, then DecodeState in
+// replay mode) — and, as a deterministic replay would, the tracks the
 // attempt overwrote in place written again. (Or, now and then, released
 // with the aborted attempt's bytes still in them: parity encodes their
 // barrier value, which only the layer's cache holds.)
 func (m *opModel) rollback() {
 	m.flush()
-	mark, sn := m.s.State(), m.s.Snapshot()
+	mark, rec := m.s.State(), words.NewEncoder(nil)
+	m.s.EncodeState(rec)
 	live := maps.Clone(m.live)
 	m.inPlace = make(map[disk.Addr]bool)
 	for n := 1 + m.pick(6); n > 0; n-- {
@@ -271,7 +273,9 @@ func (m *opModel) rollback() {
 	if err := disk.Rollback(m.s, mark); err != nil {
 		m.t.Fatal(err)
 	}
-	m.s.Restore(sn)
+	if err := m.s.DecodeState(words.NewDecoder(rec.Words()), true); err != nil {
+		m.t.Fatal(err)
+	}
 	m.live = live
 	for _, a := range disk.SortedAddrs(again) {
 		if _, ok := m.live[a]; !ok {
@@ -506,13 +510,16 @@ func TestReleaseLeavesStripe(t *testing.T) {
 	flushChecked(t, s)
 	checkTrack(t, s, again, B)
 
-	// Restore after a release brings the member back, and the release is
-	// no longer held for the flush.
-	sn := s.Snapshot()
+	// A replay of the barrier's record after a release brings the member
+	// back, and the release is no longer held for the flush.
+	rec := words.NewEncoder(nil)
+	s.EncodeState(rec)
 	release(again)
-	s.Restore(sn)
+	if err := s.DecodeState(words.NewDecoder(rec.Words()), true); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := s.stripeOf[again]; !ok || len(s.left)+len(s.held) != 0 {
-		t.Fatalf("Restore left %v out of its stripe (%d leavers, %d held releases)", again, len(s.left), len(s.held))
+		t.Fatalf("the replay left %v out of its stripe (%d leavers, %d held releases)", again, len(s.left), len(s.held))
 	}
 	flushChecked(t, s)
 	s.DriveDied(again.Disk)

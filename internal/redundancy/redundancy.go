@@ -45,6 +45,12 @@
 //     corruption from parity. The cursor is part of EncodeState, so a
 //     crash-resumed run continues scrubbing where it left off.
 //
+// The layer's part of a processor's barrier record is EncodeState. A
+// resumed process adopts it whole; a superstep replay adopts it in
+// replay mode (DecodeState), which keeps the layer's history — dead
+// drives, the scrub cursor, the monotone counters — and what describes
+// the disk rather than the barrier: rmwOld and recompute.
+//
 // A dead drive is not rebuilt: a stripe lives with its superstep, so the
 // dead drive's members leave with theirs, and until then a read of one is
 // reconstructed (DESIGN.md §10).
@@ -57,8 +63,6 @@ package redundancy
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"sync"
 
@@ -124,8 +128,9 @@ type stripe struct {
 func (st *stripe) full(width int) bool { return st.count >= width }
 
 // Counters reports the layer's redundancy accounting. All figures
-// except the two gauges are monotone over the run; Restore does not
-// roll them back (work a replayed superstep spent really happened).
+// except the two gauges are monotone over the run; a superstep replay
+// keeps them (work a replayed superstep spent really happened) and
+// takes the gauges from the barrier's record.
 type Counters struct {
 	// ChecksumFailures counts tracks whose stored content failed the
 	// recorded checksum when read back (latent at-rest corruption,
@@ -202,35 +207,59 @@ type inner = disk.Store
 // store's, promoted — allocation (directory metadata that never faults;
 // I/O on a dead drive's tracks is remapped at operation time), Stats
 // (parity and reconstruction traffic are real charged operations),
-// State/AdoptState (the superstep replay rolls the allocator back
-// through them; the layer's own rollback state is Snapshot's) and Sync (the engines call FlushParity first, so
-// a commit record's parity is durable before the record lands). All
-// methods are safe for concurrent use: the parity directories and RMW
-// arithmetic serialize on an internal mutex (physical D-parallelism
-// lives below, inside one inner-store operation), so concurrent
-// operations see the same deterministic stripe state in whatever order
-// they land; the promoted methods rely on the inner store's own safety.
+// State/AdoptState (the barrier record carries the allocator's state
+// beside the layer's own, EncodeState) and Sync (the engines call
+// FlushParity first, so a commit record's parity is durable before the
+// record lands). All methods are safe for concurrent use: the parity
+// directories and RMW arithmetic serialize on an internal mutex
+// (physical D-parallelism lives below, inside one inner-store
+// operation), so concurrent operations see the same deterministic
+// stripe state in whatever order they land; the promoted methods rely
+// on the inner store's own safety.
 type Store struct {
 	inner
 	D, B  int
 	width int // data members a stripe holds: D-1 under parity, 1 under mirror
 
-	mu    sync.Mutex // guards all stripe/parity/remap state below
-	state            // what a superstep replay rolls back
-	dead  []bool
+	mu sync.Mutex // guards all stripe/parity/remap state below
 
+	// The barrier's record (EncodeState) carries these; a replay adopts
+	// them from it.
+	stripeOf map[disk.Addr]int // logical data track -> stripe id
+	stripes  map[int]*stripe
+	parityAt map[disk.Addr]int       // physical parity track -> stripe id
+	next     int                     // next stripe id; also the parity rotation counter
+	sums     map[disk.Addr]uint64    // physical track -> checksum of last write
+	remap    map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
+	rrmap    map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
+
+	// A barrier leaves these empty, and so does a replay.
+	open   []int            // stripes of this superstep with room, ascending
+	filled []int            // stripes of this superstep now full, parity not yet written
+	pval   map[int][]uint64 // cached current parity value (authoritative)
+	pdirty map[int]bool     // stripes whose cached parity needs write-back
+	// left is the leaver list: members released since the last flush.
+	// Their stripes' parity still encodes them, and their bytes stay where
+	// they are, until FlushParity folds them out; held is the released
+	// tracks whose inner Release waits for that.
+	left map[disk.Addr]bool
+	held []disk.Addr
+	// wrote marks physical tracks written by the current attempt; a
+	// replay starts a new attempt, which has written nothing.
+	wrote map[disk.Addr]bool
+
+	// History, which a replay keeps: these, the scrub cursor and the
+	// counters but for the two gauges.
+	dead []bool
 	// rmwOld caches the barrier-committed content of striped members
 	// rewritten in place during the current superstep, keyed by
 	// physical track. After a superstep rollback the physical track
 	// already holds replayed data the stored parity does not encode,
 	// so parity arithmetic must use this copy for any member the
 	// current attempt has not rewritten yet. Dropped at FlushParity;
-	// deliberately NOT part of Snapshot/Restore (it must survive the
-	// rollback that makes it necessary).
+	// deliberately not in the record, and kept by a replay (it must
+	// survive the rollback that makes it necessary).
 	rmwOld map[disk.Addr][]uint64
-	// wrote marks physical tracks written by the current attempt;
-	// Restore clears it (a rollback starts a new attempt).
-	wrote map[disk.Addr]bool
 	// recompute marks stripes whose stored parity is known stale after
 	// a crash-resume (Reconcile found residue it could not repair or
 	// recompute immediately: a torn member, or one on a dead drive).
@@ -238,57 +267,15 @@ type Store struct {
 	// reads needing their parity fail loudly;
 	// FlushParity recomputes each one from its members as soon as every
 	// member is readable again. Like rmwOld it describes physical state
-	// rather than superstep state, so it survives Restore and is not
-	// part of Snapshot or EncodeState (it only exists between a
-	// crash-resume and the barrier that clears it).
+	// rather than superstep state, so a replay keeps it and it is not
+	// part of EncodeState (it only exists between a crash-resume and the
+	// barrier that clears it).
 	recompute map[int]bool
 
 	scrubD, scrubT int // scrub cursor (physical walk)
 
 	ctr       Counters
 	cachePeak int // most parity blocks cached at once (CachePeak)
-}
-
-// state is the layer's rollback state (Snapshot, Restore).
-type state struct {
-	stripeOf map[disk.Addr]int // logical data track -> stripe id
-	stripes  map[int]*stripe
-	parityAt map[disk.Addr]int // physical parity track -> stripe id
-	open     []int             // stripes of this superstep with room, ascending
-	filled   []int             // stripes of this superstep now full, parity not yet written
-	next     int               // next stripe id; also the parity rotation counter
-
-	pval   map[int][]uint64 // cached current parity value (authoritative)
-	pdirty map[int]bool     // stripes whose cached parity needs write-back
-
-	// left is the leaver list: members released since the last flush.
-	// Their stripes' parity still encodes them, and their bytes stay where
-	// they are, until FlushParity folds them out; held is the released
-	// tracks whose inner Release waits for that.
-	left map[disk.Addr]bool
-	held []disk.Addr
-
-	sums  map[disk.Addr]uint64    // physical track -> checksum of last write
-	remap map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
-	rrmap map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
-}
-
-// clone returns a deep copy.
-func (st *state) clone() state {
-	c := *st
-	c.stripeOf, c.parityAt = maps.Clone(st.stripeOf), maps.Clone(st.parityAt)
-	c.open, c.filled, c.held = slices.Clone(st.open), slices.Clone(st.filled), slices.Clone(st.held)
-	c.pdirty, c.left, c.sums = maps.Clone(st.pdirty), maps.Clone(st.left), maps.Clone(st.sums)
-	c.remap, c.rrmap = maps.Clone(st.remap), maps.Clone(st.rrmap)
-	c.stripes = make(map[int]*stripe, len(st.stripes))
-	for sid, x := range st.stripes {
-		c.stripes[sid] = &stripe{parity: x.parity, members: slices.Clone(x.members), count: x.count}
-	}
-	c.pval = make(map[int][]uint64, len(st.pval))
-	for sid, pv := range st.pval {
-		c.pval[sid] = slices.Clone(pv)
-	}
-	return c
 }
 
 // Wrap layers parity redundancy over a store. Parity requires at least
@@ -310,24 +297,22 @@ func wrap(below disk.Store, mode Mode) (*Store, error) {
 		width = 1
 	}
 	return &Store{
-		inner: below,
-		D:     cfg.D,
-		B:     cfg.B,
-		width: width,
-		state: state{
-			stripeOf: make(map[disk.Addr]int),
-			stripes:  make(map[int]*stripe),
-			parityAt: make(map[disk.Addr]int),
-			pval:     make(map[int][]uint64),
-			pdirty:   make(map[int]bool),
-			left:     make(map[disk.Addr]bool),
-			sums:     make(map[disk.Addr]uint64),
-			remap:    make(map[disk.Addr]disk.Addr),
-			rrmap:    make(map[disk.Addr]disk.Addr),
-		},
+		inner:     below,
+		D:         cfg.D,
+		B:         cfg.B,
+		width:     width,
+		stripeOf:  make(map[disk.Addr]int),
+		stripes:   make(map[int]*stripe),
+		parityAt:  make(map[disk.Addr]int),
+		sums:      make(map[disk.Addr]uint64),
+		remap:     make(map[disk.Addr]disk.Addr),
+		rrmap:     make(map[disk.Addr]disk.Addr),
+		pval:      make(map[int][]uint64),
+		pdirty:    make(map[int]bool),
+		left:      make(map[disk.Addr]bool),
+		wrote:     make(map[disk.Addr]bool),
 		dead:      make([]bool, cfg.D),
 		rmwOld:    make(map[disk.Addr][]uint64),
-		wrote:     make(map[disk.Addr]bool),
 		recompute: make(map[int]bool),
 	}, nil
 }
@@ -1371,47 +1356,12 @@ func (s *Store) Scrub(budget int) (wrapped bool, err error) {
 	return false, nil
 }
 
-// Snapshot captures the layer's rollback state for a superstep replay:
-// the stripe directory, the leaver and held-release lists, checksums,
-// remaps and parity cache. Dead
-// drives, the scrub cursor and the counters are deliberately
-// not part of it — a replay is new work on the same (possibly
-// degraded) hardware, and work already spent really happened. This
-// mirrors the fault layer's Snapshot philosophy.
-type Snapshot struct {
-	state
-	striped, parityBl int64
-}
-
-// Snapshot captures rollback state at a compound-superstep barrier.
-func (s *Store) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Snapshot{s.state.clone(), s.ctr.StripedBlocks, s.ctr.ParityBlocks}
-}
-
-// Restore rolls the layer back to a snapshot. The snapshot remains
-// valid for further Restores.
-func (s *Store) Restore(sn *Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.state = sn.state.clone()
-	s.ctr.StripedBlocks = sn.striped
-	s.ctr.ParityBlocks = sn.parityBl
-	// A restore starts a fresh attempt: nothing is written yet. rmwOld
-	// deliberately survives — it holds the barrier-committed content of
-	// members the aborted attempt already overwrote in place, which the
-	// replay needs for its parity arithmetic.
-	s.wrote = make(map[disk.Addr]bool)
-}
-
 // EncodeState appends the layer's complete persistent state to enc in
 // deterministic order: dead drives, the stripe directory, checksums,
-// remaps, the scrub cursor, and the counters. A journal commit must
-// capture everything — a resumed process replaces the crashed one
-// entirely, so the scrub continues at its cursor. It must be
-// called at a barrier, after FlushParity (the parity cache and the
-// leaver and held-release lists are empty there and are not encoded).
+// remaps, the scrub cursor, and the counters: the layer's part of a
+// processor's barrier record. It must be called at a barrier, after
+// FlushParity (the parity cache and the leaver and held-release lists
+// are empty there and are not encoded).
 func (s *Store) EncodeState(enc *words.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1463,10 +1413,15 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 	}
 }
 
-// DecodeState restores state previously written by EncodeState,
-// rebuilding the derived directories (stripe membership, parity
-// locations, reverse remap). No stripe is open at a barrier.
-func (s *Store) DecodeState(dec *words.Decoder) error {
+// DecodeState adopts state written by EncodeState, rebuilding the
+// derived directories (stripe membership, parity locations, reverse
+// remap); no stripe is open at a barrier, no parity cached, nothing
+// written since. A resumed process adopts all of it, so the scrub
+// continues at its cursor. A superstep replay (replay) keeps the
+// layer's history — dead drives, the scrub cursor, the monotone
+// counters, rmwOld and recompute — and takes the rest, the two gauges
+// included, from the record (DESIGN.md §8).
+func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nd := int(dec.Int())
@@ -1474,22 +1429,28 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 		return fmt.Errorf("redundancy: decoding state for %d drives into %d-drive layer", nd, s.D)
 	}
 	for d := range s.dead {
-		s.dead[d] = dec.Bool()
+		if dead := dec.Bool(); !replay {
+			s.dead[d] = dead
+		}
 	}
 	s.next = int(dec.Int())
 	cur := dec.Ints()
 	if len(cur) != 2 {
 		return fmt.Errorf("redundancy: cursor state has %d fields, want 2", len(cur))
 	}
-	s.scrubD, s.scrubT = int(cur[0]), int(cur[1])
 	cs := dec.Ints()
 	if len(cs) != 10 {
 		return fmt.Errorf("redundancy: counter state has %d fields, want 10", len(cs))
 	}
-	s.ctr = Counters{
-		ChecksumFailures: cs[0], RepairedBlocks: cs[1], ReconstructedBlocks: cs[2],
-		DegradedOps: cs[3], ParityOps: cs[4], ParityBlocks: cs[5], StripedBlocks: cs[6],
-		ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], ParityReadOps: cs[9],
+	if replay {
+		s.ctr.ParityBlocks, s.ctr.StripedBlocks = cs[5], cs[6]
+	} else {
+		s.scrubD, s.scrubT = int(cur[0]), int(cur[1])
+		s.ctr = Counters{
+			ChecksumFailures: cs[0], RepairedBlocks: cs[1], ReconstructedBlocks: cs[2],
+			DegradedOps: cs[3], ParityOps: cs[4], ParityBlocks: cs[5], StripedBlocks: cs[6],
+			ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], ParityReadOps: cs[9],
+		}
 	}
 
 	s.stripes = make(map[int]*stripe)
@@ -1528,6 +1489,7 @@ func (s *Store) DecodeState(dec *words.Decoder) error {
 	s.pval = make(map[int][]uint64)
 	s.pdirty = make(map[int]bool)
 	s.left = make(map[disk.Addr]bool)
+	s.wrote = make(map[disk.Addr]bool)
 	s.filled, s.held = nil, nil
 	return nil
 }

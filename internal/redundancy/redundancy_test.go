@@ -326,8 +326,8 @@ func TestSnapshotRestore(t *testing.T) {
 	s, _ := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 3)
 	flushChecked(t, s)
-	mark := s.State()
-	sn := s.Snapshot()
+	mark, enc := s.State(), words.NewEncoder(nil)
+	s.EncodeState(enc)
 	// Mutate under the engines' checkpoint discipline: committed tracks
 	// are never rewritten in place and their frees are deferred to the
 	// barrier commit, so speculative work is fresh allocations only
@@ -341,7 +341,9 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := disk.Rollback(s, mark); err != nil {
 		t.Fatal(err)
 	}
-	s.Restore(sn)
+	if err := s.DecodeState(words.NewDecoder(enc.Words()), true); err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range addrs {
 		checkTrack(t, s, a, B)
 	}
@@ -365,7 +367,7 @@ func TestEncodeDecodeResume(t *testing.T) {
 		t.Fatalf("Wrap: %v", err)
 	}
 	dec := words.NewDecoder(enc.Words())
-	if err := s2.DecodeState(dec); err != nil {
+	if err := s2.DecodeState(dec, false); err != nil {
 		t.Fatalf("DecodeState: %v", err)
 	}
 	if dec.Remaining() != 0 {
@@ -406,7 +408,7 @@ func resumeFrom(t *testing.T, raw disk.Store, allocSt disk.StoreState, manifest 
 		t.Fatalf("Wrap: %v", err)
 	}
 	dec := words.NewDecoder(manifest)
-	if err := s.DecodeState(dec); err != nil {
+	if err := s.DecodeState(dec, false); err != nil {
 		t.Fatalf("DecodeState: %v", err)
 	}
 	if err := s.Reconcile(); err != nil {
