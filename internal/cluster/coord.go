@@ -169,12 +169,7 @@ func Run(cc Config) (*core.Result, error) {
 		c.authRejects = m.Counter("cluster_auth_rejects")
 	}
 	if cc.Replicate {
-		rs, err := OpenReplicas(filepath.Join(cc.Dir, "replica"), cc.Cfg.P, cc.Cfg.D, cc.Cfg.B)
-		if err != nil {
-			cco.Close()
-			return nil, err
-		}
-		c.replica = rs
+		c.replica = OpenReplicas(filepath.Join(cc.Dir, "replica"), cc.Prog, cc.Cfg, cc.Opts)
 	}
 	defer c.shutdown()
 	c.acceptWG.Add(1)
@@ -742,11 +737,13 @@ func (c *coordinator) broadcastCommit() error {
 }
 
 // applySnapshots folds the decided barrier's staged snapshots into
-// the replica store. The fsync-heavy disk work runs in a background
-// goroutine so it overlaps the next superstep's compute instead of
-// sitting on the barrier critical path; at most one apply batch is
-// ever in flight (preserving each node's delta chain), and every
-// coordinator-side replica read waits for it first (replWait). A
+// the replica store, each node's into its node directory: the images
+// imported and fsynced, then the record prepared and committed through
+// the replica's journal, with its fsyncs. That disk work runs in a
+// background goroutine so it overlaps the next superstep's compute
+// instead of sitting on the barrier critical path; at most one apply
+// batch is ever in flight (preserving each node's delta chain), and
+// every coordinator-side replica read waits for it first (replWait). A
 // snapshot that fails to apply just invalidates that node's replica —
 // the next PREPARE requests a full snapshot (Version reports -1) — it
 // never fails the run.

@@ -1,42 +1,103 @@
 package cluster
 
-// White-box tests for the ReplicaStore: apply/load roundtrips, delta
-// discipline, and the crash-marker contract that keeps a torn replica
-// from ever being trusted.
+// White-box tests for the ReplicaStore: apply/load roundtrips, the
+// delta discipline, and what a damaged replica directory reads as. The
+// crash windows inside an apply are held by core's
+// TestReplicaApplyStopsAtEveryStep.
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
-	"strings"
+	"path/filepath"
+	"reflect"
 	"testing"
 
+	"embsp/internal/bsp"
+	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
 	"embsp/internal/disk"
 )
 
-const (
-	replD = 2
-	replB = 4
+// replProg on replCfg is a two-node run whose nodes each simulate their
+// VPs in two batches.
+var (
+	replProg = &bsptest.RandomProgram{V: 16, Steps: 6, MsgsPerStep: 3, MaxLen: 6}
+	replCfg  = core.MachineConfig{
+		P: 2, M: 16, D: 2, B: 8, G: 10,
+		Cost: bsp.CostParams{GUnit: 1, GPkt: 2, Pkt: 8, L: 5},
+	}
+	replOpts = core.Options{Seed: 3}
 )
 
-func replTrack(fill uint64) []uint64 {
-	ws := make([]uint64, replB)
-	for i := range ws {
-		ws[i] = fill + uint64(i)
+// nodeBarriers drives node 0 alone through its set-up and steps
+// supersteps — the blocks it sends node 1 are dropped and it receives
+// none, which is all the same to a replica — and returns, per barrier,
+// the node's full snapshot and its delta on the barrier before.
+func nodeBarriers(t *testing.T, steps int) (fulls, deltas []*core.NodeSnapshot) {
+	t.Helper()
+	n, err := core.OpenNode(replProg, replCfg, replOpts, 0, t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ws
+	defer n.Close()
+	barrier := func() {
+		full, err := n.ExportSnapshot(-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := n.ExportSnapshot(n.Committed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fulls, deltas = append(fulls, full), append(deltas, delta)
+		if err := n.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	barrier()
+	for step := 0; step < steps; step++ {
+		n.BeginStep()
+		for r := 0; r < n.Batches(); r++ {
+			j := r // the driver's snake order: down in even supersteps
+			if step%2 == 0 {
+				j = n.Batches() - 1 - r
+			}
+			if _, err := n.Compute(j, step); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Write(j, step, make([]core.BlockBatch, replCfg.P)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.Prepare(step, false); err != nil {
+			t.Fatal(err)
+		}
+		barrier()
+	}
+	return fulls, deltas
 }
 
 func openReplicasTest(t *testing.T) *ReplicaStore {
 	t.Helper()
-	r, err := OpenReplicas(t.TempDir(), 2, replD, replB)
-	if err != nil {
-		t.Fatal(err)
+	return OpenReplicas(t.TempDir(), replProg, replCfg, replOpts)
+}
+
+func mustApply(t *testing.T, r *ReplicaStore, snaps ...*core.NodeSnapshot) {
+	t.Helper()
+	for _, snap := range snaps {
+		if err := r.Apply(0, snap); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return r
 }
 
 func TestReplicaApplyLoadRoundtrip(t *testing.T) {
+	fulls, deltas := nodeBarriers(t, 3)
 	r := openReplicasTest(t)
 	if v := r.Version(0); v != 0 {
 		t.Fatalf("fresh replica version %d, want 0", v)
@@ -44,195 +105,96 @@ func TestReplicaApplyLoadRoundtrip(t *testing.T) {
 	if r.Restorable(0, 0) {
 		t.Fatal("an empty replica must not be restorable (version 0 is pre-setup)")
 	}
-	full := &core.NodeSnapshot{
-		Version: 1, Full: true, Base: -1,
-		Manifest: []uint64{7, 11, 13, 17, 19}, // >1 word: pins the meta codec's length accounting
-		Tracks: []core.TrackImage{
-			{Disk: 0, Track: 0, Payload: replTrack(100)},
-			{Disk: 1, Track: 2, Payload: replTrack(200)},
-		},
-	}
-	if err := r.Apply(0, full); err != nil {
-		t.Fatal(err)
-	}
-	// A delta on the matching base: one changed track, one deletion.
-	delta := &core.NodeSnapshot{
-		Version: 2, Base: 1,
-		Manifest: []uint64{7, 11, 23, 29, 31},
-		Tracks: []core.TrackImage{
-			{Disk: 0, Track: 0, Payload: replTrack(300)},
-			{Disk: 1, Track: 2, Payload: nil}, // wiped at barrier 2
-		},
-	}
-	if err := r.Apply(0, delta); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Restorable(0, 2) || r.Restorable(0, 1) {
-		t.Fatalf("replica restorable(2)=%v restorable(1)=%v, want true/false", r.Restorable(0, 2), r.Restorable(0, 1))
+	mustApply(t, r, fulls[1], deltas[2], deltas[3])
+	if !r.Restorable(0, 4) || r.Restorable(0, 3) {
+		t.Fatalf("replica restorable(4)=%v restorable(3)=%v, want true/false", r.Restorable(0, 4), r.Restorable(0, 3))
 	}
 	snap, err := r.Load(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 2 || !snap.Full {
-		t.Fatalf("loaded version %d full=%v, want 2/full", snap.Version, snap.Full)
+	if !reflect.DeepEqual(snap, fulls[3]) {
+		t.Fatalf("the replica loads barrier %d with %d tracks, the node's barrier %d has %d", snap.Version, len(snap.Tracks), fulls[3].Version, len(fulls[3].Tracks))
 	}
-	if len(snap.Manifest) != 5 || snap.Manifest[4] != 31 {
-		t.Fatalf("manifest %v did not survive the meta roundtrip", snap.Manifest)
-	}
-	if len(snap.Tracks) != 1 || snap.Tracks[0].Disk != 0 || snap.Tracks[0].Track != 0 {
-		t.Fatalf("loaded tracks %+v, want exactly the surviving (0,0)", snap.Tracks)
-	}
-	if got := snap.Tracks[0].Payload[0]; got != 300 {
-		t.Fatalf("track (0,0) payload starts %d, want the delta's 300", got)
-	}
-
 	// The durable state must survive a reopen (a coordinator restart).
-	r2 := &ReplicaStore{root: r.root, p: r.p, d: r.d, b: r.b, nodes: make([]replicaNode, r.p)}
-	for i := 0; i < r.p; i++ {
-		r2.nodes[i] = r2.assess(i)
+	if r2 := OpenReplicas(r.root, replProg, replCfg, replOpts); !r2.Restorable(0, 4) {
+		t.Fatalf("reopened replica version %d, want restorable at 4", r2.Version(0))
 	}
-	if !r2.Restorable(0, 2) {
-		t.Fatalf("reopened replica version %d, want restorable at 2", r2.Version(0))
+	// So must the set-up's delta on the empty barrier, which holds every
+	// track.
+	r3 := openReplicasTest(t)
+	mustApply(t, r3, deltas[0], deltas[1])
+	if snap, err := r3.Load(0); err != nil || !reflect.DeepEqual(snap, fulls[1]) {
+		t.Fatalf("a replica folded from the set-up's delta loads %v, %v", snap, err)
 	}
 }
 
-// TestReplicaMetaDeterministic: the meta file's (disk, track, checksum)
-// table is written by drive, then track, so two replicas fed the same
-// snapshots hold the same bytes.
+// TestReplicaMetaDeterministic: two replicas fed the same snapshots hold
+// byte-identical directories.
 func TestReplicaMetaDeterministic(t *testing.T) {
-	full := &core.NodeSnapshot{Version: 1, Full: true, Base: -1, Manifest: []uint64{5}}
-	delta := &core.NodeSnapshot{Version: 2, Base: 1, Manifest: []uint64{6}}
-	for i := 0; i < 48; i++ {
-		img := core.TrackImage{Disk: (i * 7) % replD, Track: (i * 13) % 48, Payload: replTrack(uint64(i))}
-		if i%2 == 0 {
-			full.Tracks = append(full.Tracks, img)
-		} else {
-			delta.Tracks = append(delta.Tracks, img)
-		}
-	}
-	var metas [2][]byte
-	for k := range metas {
+	fulls, deltas := nodeBarriers(t, 4)
+	var trees [2]map[string][]byte
+	for k := range trees {
 		r := openReplicasTest(t)
-		for _, snap := range []*core.NodeSnapshot{full, delta} {
-			if err := r.Apply(0, snap); err != nil {
-				t.Fatal(err)
+		mustApply(t, r, deltas...)
+		mustApply(t, r, fulls[4])
+		trees[k] = map[string][]byte{}
+		err := filepath.WalkDir(r.root, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
 			}
-		}
-		var err error
-		if metas[k], err = os.ReadFile(r.metaPath(0)); err != nil {
+			rel, _ := filepath.Rel(r.root, path)
+			trees[k][rel], err = os.ReadFile(path)
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(metas[0], metas[1]) {
-		t.Fatal("two replicas fed the same snapshots hold different meta.bin bytes")
+	if len(trees[0]) == 0 || !reflect.DeepEqual(trees[0], trees[1]) {
+		t.Fatal("two replicas fed the same snapshots hold different bytes")
 	}
 }
 
 func TestReplicaDeltaBaseMismatch(t *testing.T) {
+	fulls, deltas := nodeBarriers(t, 4)
 	r := openReplicasTest(t)
-	full := &core.NodeSnapshot{Version: 3, Full: true, Base: -1, Manifest: []uint64{1, 2}}
-	if err := r.Apply(0, full); err != nil {
-		t.Fatal(err)
-	}
-	wrong := &core.NodeSnapshot{Version: 5, Base: 4, Manifest: []uint64{1, 2}}
-	if err := r.Apply(0, wrong); err == nil {
+	mustApply(t, r, fulls[2])
+	if err := r.Apply(0, deltas[4]); err == nil {
 		t.Fatal("delta on base 4 applied over a replica at 3")
 	}
 	if r.Version(0) != -1 {
 		t.Fatalf("after a refused delta the replica reports version %d, want -1 (invalid)", r.Version(0))
 	}
 	// A full snapshot re-seeds it.
-	if err := r.Apply(0, &core.NodeSnapshot{Version: 5, Full: true, Base: -1, Manifest: []uint64{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, r, fulls[4])
 	if !r.Restorable(0, 5) {
 		t.Fatal("full snapshot did not re-validate the replica")
 	}
 }
 
-func TestReplicaCrashMarkerInvalidates(t *testing.T) {
-	r := openReplicasTest(t)
-	full := &core.NodeSnapshot{Version: 2, Full: true, Base: -1, Manifest: []uint64{9}}
-	if err := r.Apply(1, full); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a coordinator that died mid-Apply: the marker survives.
-	if err := r.setMarker(1); err != nil {
-		t.Fatal(err)
-	}
-	r2 := &ReplicaStore{root: r.root, p: r.p, d: r.d, b: r.b, nodes: make([]replicaNode, r.p)}
-	for i := 0; i < r.p; i++ {
-		r2.nodes[i] = r2.assess(i)
-	}
-	if r2.Version(1) != -1 {
-		t.Fatalf("torn replica reports version %d, want -1", r2.Version(1))
-	}
-	if _, err := r2.Load(1); err == nil {
-		t.Fatal("torn replica loaded without complaint")
-	}
-	// A fresh full apply clears the marker and restores trust.
-	if err := r2.Apply(1, full); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(r2.markerPath(1)); err == nil {
-		t.Fatal("APPLYING marker survived a clean apply")
-	}
-	if !r2.Restorable(1, 2) {
-		t.Fatal("replica not restorable after recovery apply")
-	}
-}
-
+// TestReplicaLoadRejectsCorruptTrack: a flipped byte in a slot the
+// replica's record lists fails the slot's checksum, and so does a slot
+// whose magic word is gone.
 func TestReplicaLoadRejectsCorruptTrack(t *testing.T) {
-	r := openReplicasTest(t)
-	full := &core.NodeSnapshot{
-		Version: 1, Full: true, Base: -1, Manifest: []uint64{3},
-		Tracks: []core.TrackImage{{Disk: 0, Track: 0, Payload: replTrack(42)}},
-	}
-	if err := r.Apply(0, full); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one payload byte on disk; the slot checksum must catch it.
-	path := r.trackPath(0, 0)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[17] ^= 0xff
-	if err := os.WriteFile(path, buf, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Load(0); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt track loaded; err = %v", err)
-	}
-}
-
-// TestReplicaLoadRejectsStaleTrack simulates the crash the unfsynced
-// track-write path is exposed to: a slot holds a self-consistent image
-// (magic and slot checksum agree) that is NOT the content the
-// published meta table recorded — as when a newer, never-synced write
-// survived in the file while the meta rename did not, or vice versa.
-// The meta table is the ground truth; Load must refuse.
-func TestReplicaLoadRejectsStaleTrack(t *testing.T) {
-	r := openReplicasTest(t)
-	full := &core.NodeSnapshot{
-		Version: 1, Full: true, Base: -1, Manifest: []uint64{3},
-		Tracks: []core.TrackImage{{Disk: 0, Track: 0, Payload: replTrack(42)}},
-	}
-	if err := r.Apply(0, full); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite the slot with a different payload whose slot header is
-	// internally consistent — only the meta table can tell it apart.
-	stale := &core.NodeSnapshot{
-		Version: 9, Full: true, Base: -1, Manifest: []uint64{3},
-		Tracks: []core.TrackImage{{Disk: 0, Track: 0, Payload: replTrack(1000)}},
-	}
-	if err := r.applyTracks(0, stale, map[disk.Addr]uint64{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Load(0); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("stale-but-self-consistent track loaded; err = %v", err)
+	fulls, _ := nodeBarriers(t, 2)
+	for _, at := range []int{16, 0} { // a payload byte, the magic word
+		r := openReplicasTest(t)
+		mustApply(t, r, fulls[2])
+		tr := fulls[2].Tracks[0]
+		path := filepath.Join(r.nodeDir(0), "proc-00", fmt.Sprintf("drive-%03d.dat", tr.Disk))
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[int64(tr.Track)*int64(2+replCfg.B)*8+int64(at)] ^= 0xff
+		if err := os.WriteFile(path, buf, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		var cte *disk.CorruptTrackError
+		if _, err := r.Load(0); !errors.As(err, &cte) || cte.Disk != tr.Disk || cte.Track != tr.Track {
+			t.Fatalf("byte %d of track (%d,%d) flipped: Load returned %v", at, tr.Disk, tr.Track, err)
+		}
 	}
 }
 
@@ -240,5 +202,35 @@ func TestReplicaRejectsUncommittedSnapshot(t *testing.T) {
 	r := openReplicasTest(t)
 	if err := r.Apply(0, &core.NodeSnapshot{Version: 0, Full: true, Base: -1}); err == nil {
 		t.Fatal("snapshot with no committed barrier applied")
+	}
+}
+
+// TestReplicaRefusesImagelessTrack: a snapshot image without a payload
+// is refused, by a full apply and by a delta, and a delta image may not
+// land on a track its base lists.
+func TestReplicaRefusesImagelessTrack(t *testing.T) {
+	fulls, deltas := nodeBarriers(t, 2)
+	strip := func(s *core.NodeSnapshot) *core.NodeSnapshot {
+		c := *s
+		c.Tracks = append([]core.TrackImage(nil), s.Tracks...)
+		c.Tracks[0].Payload = nil
+		return &c
+	}
+	r := openReplicasTest(t)
+	if err := r.Apply(0, strip(fulls[1])); err == nil {
+		t.Fatal("a full snapshot with an imageless track applied")
+	}
+	mustApply(t, r, fulls[1])
+	if err := r.Apply(0, strip(deltas[2])); err == nil {
+		t.Fatal("a delta with an imageless track applied")
+	}
+	mustApply(t, r, fulls[1])
+	over := *deltas[2]
+	over.Tracks = append([]core.TrackImage{{Disk: fulls[1].Tracks[0].Disk, Track: fulls[1].Tracks[0].Track, Payload: fulls[1].Tracks[0].Payload}}, deltas[2].Tracks...)
+	if err := r.Apply(0, &over); err == nil {
+		t.Fatal("a delta that overwrites a track of its base applied")
+	}
+	if snap, err := OpenReplicas(r.root, replProg, replCfg, replOpts).Load(0); err != nil || !reflect.DeepEqual(snap, fulls[1]) {
+		t.Fatalf("a refused delta left the replica loading %v, %v; want its base", snap, err)
 	}
 }

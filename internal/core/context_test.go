@@ -230,6 +230,64 @@ func (m *replayMeter) Final() ([]*core.NodeReport, error) {
 	return reports, err
 }
 
+// attemptMeter measures, at processor 0, each rolled-back attempt's own
+// operations — from the start of its set-up or superstep to its
+// rollback — and counts the set-up's rollbacks.
+type attemptMeter struct {
+	core.Transport
+	mark, own int64
+	setups    int
+}
+
+func (m *attemptMeter) Setup() ([]disk.Stats, error) {
+	m.mark = core.Ops(m.Transport)
+	return m.Transport.Setup()
+}
+
+func (m *attemptMeter) Begin(step int) error {
+	m.mark = core.Ops(m.Transport)
+	return m.Transport.Begin(step)
+}
+
+func (m *attemptMeter) Rollback(step, attempt int, cause error) (int64, error) {
+	own := core.Ops(m.Transport) - m.mark
+	aborted, err := m.Transport.Rollback(step, attempt, cause)
+	if err == nil {
+		m.own += own
+		if step < 0 {
+			m.setups++
+		}
+	}
+	return aborted, err
+}
+
+// TestSetupRollbackChargesItsAttempt: a run that rolls its set-up back
+// twice or more charges each rollback with its own attempt's operations,
+// so the recovery operations the driver charges are the sum of the
+// rolled-back attempts' own, as they are for supersteps.
+func TestSetupRollbackChargesItsAttempt(t *testing.T) {
+	prog, cfg := breathing(1)
+	for seed := uint64(1); seed <= 256; seed++ {
+		var m *attemptMeter
+		_, err := core.RunOver(func(inner core.Transport) core.Transport {
+			m = &attemptMeter{Transport: inner}
+			return m
+		}, prog, cfg, core.Options{Seed: 5, MaxRetries: -1,
+			FaultPlan: &fault.Plan{Seed: seed, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.005}})
+		if err != nil {
+			t.Fatalf("plan seed %d: %v", seed, err)
+		}
+		if m.setups < 2 {
+			continue
+		}
+		if charged := core.RecoveryOps(m.Transport); charged != m.own {
+			t.Errorf("plan seed %d: %d set-up rollbacks; the driver charged %d recovery operations, the attempts rolled back performed %d", seed, m.setups, charged, m.own)
+		}
+		return
+	}
+	t.Error("no plan seed up to 256 rolls the set-up back twice")
+}
+
 // phaseReplays runs prog with retries off under read, write and corrupt
 // faults, trying plan seeds until one replays the set-up, a superstep and
 // the finish phase, and requires the result of every attempt to be the

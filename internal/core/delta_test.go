@@ -3,9 +3,12 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"embsp/internal/bsp"
+	"embsp/internal/cluster"
 	"embsp/internal/core"
 	"embsp/internal/disk"
 	"embsp/internal/workload"
@@ -18,37 +21,26 @@ import (
 // NodeEngines with replication, as a cluster worker and its coordinator
 // do, and check the invariant and the fold at every barrier.
 
-// replica is the coordinator's copy of one node: the barrier it holds
-// and the tracks folded into it.
-type replica struct {
-	version int
-	tracks  map[disk.Addr][]uint64
-}
-
 // replicatingRig ships every node's snapshot on its base at each barrier,
 // as a worker does on its PREPARED reply, and folds it into the node's
-// replica when the decision lands, as the coordinator does. Beside each
-// shipped snapshot it takes the node's full one, which holds exactly the
-// tracks the prepared record lists as holding data.
+// replica, a node directory, when the decision lands, as the coordinator
+// does. Beside each shipped snapshot it takes the node's full one, which
+// holds exactly the tracks the prepared record lists as holding data.
 type replicatingRig struct {
 	*clusterRig
-	t        *testing.T
-	label    string
-	replicas []replica
-	last     []*core.NodeSnapshot // each node's full snapshot at its last committed barrier
-	staged   []*core.NodeSnapshot // what each node shipped at this barrier
-	full     []*core.NodeSnapshot // and its full snapshot there
-	deltas   int
-	shipped  []bool // per barrier since the rig opened: whether every node shipped a delta
+	t       *testing.T
+	label   string
+	store   *cluster.ReplicaStore
+	last    []*core.NodeSnapshot // each node's full snapshot at its last committed barrier
+	staged  []*core.NodeSnapshot // what each node shipped at this barrier
+	full    []*core.NodeSnapshot // and its full snapshot there
+	deltas  int
+	shipped []bool // per barrier since the rig opened: whether every node shipped a delta
 }
 
-func newReplicatingRig(t *testing.T, label string, rig *clusterRig) *replicatingRig {
-	p := len(rig.nodes)
-	r := &replicatingRig{clusterRig: rig, t: t, label: label, replicas: make([]replica, p), last: make([]*core.NodeSnapshot, p)}
-	for i := range r.replicas {
-		r.replicas[i].tracks = map[disk.Addr][]uint64{}
-	}
-	return r
+func newReplicatingRig(t *testing.T, label string, rig *clusterRig, prog bsp.Program, cfg core.MachineConfig, opts core.Options) *replicatingRig {
+	return &replicatingRig{clusterRig: rig, t: t, label: label,
+		store: cluster.OpenReplicas(t.TempDir(), prog, cfg, opts), last: make([]*core.NodeSnapshot, cfg.P)}
 }
 
 // reopen carries the replicas and the last barrier's snapshots over to a
@@ -75,7 +67,7 @@ func (r *replicatingRig) ship() {
 	allDeltas := true
 	for i, n := range r.nodes {
 		var err error
-		if r.staged[i], err = n.ExportSnapshot(r.replicas[i].version); err != nil {
+		if r.staged[i], err = n.ExportSnapshot(r.store.Version(i)); err != nil {
 			r.t.Fatalf("%s: node %d: %v", r.label, i, err)
 		}
 		if r.full[i], err = n.ExportSnapshot(-1); err != nil {
@@ -95,40 +87,25 @@ func (r *replicatingRig) ship() {
 	r.shipped = append(r.shipped, allDeltas)
 }
 
-// fold applies what every node shipped to its replica and holds the
-// replica to the node's full snapshot, track by track. The replica may
-// also hold tracks the record lists as blank — freed since their images
-// shipped — which a restore never reads.
+// fold applies what every node shipped to its replica and holds what the
+// replica loads to the node's full snapshot, exactly: the same barrier,
+// record and tracks.
 func (r *replicatingRig) fold() {
 	for i, snap := range r.staged {
-		rep := &r.replicas[i]
-		switch {
-		case snap.Full:
-			rep.tracks = map[disk.Addr][]uint64{}
-		case snap.Base != rep.version:
-			r.t.Fatalf("%s: node %d shipped a delta on barrier %d to a replica at %d", r.label, i, snap.Base, rep.version)
-		default:
+		if !snap.Full {
 			r.deltas++
 		}
-		for _, tr := range snap.Tracks {
-			a := disk.Addr{Disk: tr.Disk, Track: tr.Track}
-			if tr.Payload == nil {
-				delete(rep.tracks, a)
-			} else {
-				rep.tracks[a] = tr.Payload
-			}
+		if err := r.store.Apply(i, snap); err != nil {
+			r.t.Fatalf("%s: node %d: %v", r.label, i, err)
 		}
-		rep.version = snap.Version
-		full := r.full[i]
-		if full.Version != snap.Version || !slices.Equal(full.Manifest, snap.Manifest) {
-			r.t.Errorf("%s: node %d shipped barrier %d, its full snapshot is barrier %d", r.label, i, snap.Version, full.Version)
+		got, err := r.store.Load(i)
+		if err != nil {
+			r.t.Fatalf("%s: node %d: %v", r.label, i, err)
 		}
-		for _, tr := range full.Tracks {
-			if got := rep.tracks[disk.Addr{Disk: tr.Disk, Track: tr.Track}]; !slices.Equal(got, tr.Payload) {
-				r.t.Errorf("%s: node %d barrier %d: the folded replica holds %v at track (%d,%d), the node %v", r.label, i, snap.Version, got, tr.Disk, tr.Track, tr.Payload)
-			}
+		if full := r.full[i]; !reflect.DeepEqual(got, full) {
+			r.t.Errorf("%s: node %d: the replica loads barrier %d with %d tracks, the node's full snapshot is barrier %d with %d", r.label, i, got.Version, len(got.Tracks), full.Version, len(full.Tracks))
 		}
-		r.last[i] = full
+		r.last[i] = r.full[i]
 	}
 }
 
@@ -157,8 +134,7 @@ func (r *replicatingRig) Commit(step int) error {
 
 // TestReplicaDeltaInvariant: on sort, listrank and cc at P = 2, no
 // barrier rewrites a track the last one lists, and a replica folded from
-// the deltas holds every track of the node's full snapshot, at every
-// barrier.
+// the deltas loads exactly the node's full snapshot, at every barrier.
 func TestReplicaDeltaInvariant(t *testing.T) {
 	for _, spec := range []workload.Spec{
 		{Alg: "sort", N: 4096, V: 16, Seed: 7},
@@ -170,7 +146,8 @@ func TestReplicaDeltaInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := workload.Machine(inst.Program, 2, 4, 64, 3, 1000)
-		rig := newReplicatingRig(t, spec.Alg, openRig(t, inst.Program, cfg, core.Options{Seed: 7}, t.TempDir(), false))
+		opts := core.Options{Seed: 7}
+		rig := newReplicatingRig(t, spec.Alg, openRig(t, inst.Program, cfg, opts, t.TempDir(), false), inst.Program, cfg, opts)
 		res, err := rig.coord.Run(rig)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Alg, err)
@@ -201,7 +178,7 @@ func TestReplicaDeltaAfterResolvePending(t *testing.T) {
 	for _, crashAt := range []int{0, 2} {
 		label := fmt.Sprintf("crash@%d/decided", crashAt)
 		root := t.TempDir()
-		rig := newReplicatingRig(t, label, openRig(t, inst.Program, cfg, opts, root, false))
+		rig := newReplicatingRig(t, label, openRig(t, inst.Program, cfg, opts, root, false), inst.Program, cfg, opts)
 		rig.fail = func(point string, step int) error {
 			if step == crashAt && point == "decided" {
 				return errCrash
@@ -226,4 +203,142 @@ func TestReplicaDeltaAfterResolvePending(t *testing.T) {
 			t.Errorf("%s: the first barrier after the reopen shipped %v, want a delta from every node", label, rig.shipped)
 		}
 	}
+}
+
+// snapshotRig takes node 0's full snapshot and its delta on the
+// committed barrier at every barrier, as the node would ship them.
+type snapshotRig struct {
+	*clusterRig
+	t             *testing.T
+	fulls, deltas []*core.NodeSnapshot
+}
+
+func (r *snapshotRig) take() {
+	n := r.nodes[0]
+	full, err := n.ExportSnapshot(-1)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	delta, err := n.ExportSnapshot(n.Committed())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.fulls, r.deltas = append(r.fulls, full), append(r.deltas, delta)
+}
+
+func (r *snapshotRig) Setup() ([]disk.Stats, error) {
+	stats, err := r.clusterRig.Setup()
+	if err == nil {
+		r.take()
+	}
+	return stats, err
+}
+
+func (r *snapshotRig) Prepare(step int, halted bool) ([]int64, error) {
+	ops, err := r.clusterRig.Prepare(step, halted)
+	if err == nil {
+		r.take()
+	}
+	return ops, err
+}
+
+// TestReplicaApplyStopsAtEveryStep stops a replica's apply after each of
+// its steps, as a crash would, and reopens the replica store. A delta
+// stopped after any ImportTrack, the Sync, the journal's prepare or its
+// commit leaves the replica at its base, loading the base's full
+// snapshot, or at the delta's barrier, loading the node's; a replica
+// left at its base takes the delta again. A full apply stopped before
+// its record holds no barrier (version 0 or -1), and the full snapshot
+// applied again restores it.
+func TestReplicaApplyStopsAtEveryStep(t *testing.T) {
+	inst, err := workload.Spec{Alg: "listrank", N: 512, V: 8, Seed: 7}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.Machine(inst.Program, 2, 2, 64, 3, 1000)
+	opts := core.Options{Seed: 7}
+	rig := &snapshotRig{clusterRig: openRig(t, inst.Program, cfg, opts, t.TempDir(), false), t: t}
+	if _, err := rig.coord.Run(rig); err != nil {
+		t.Fatal(err)
+	}
+	rig.close()
+	errStop := errors.New("stopped")
+	defer core.StopApply(nil)
+	// apply applies snap over a replica at base — none when base is nil —
+	// stopping after step stop, and returns the reopened store.
+	apply := func(base, snap *core.NodeSnapshot, stop int) (*cluster.ReplicaStore, bool) {
+		dir := t.TempDir()
+		r := cluster.OpenReplicas(dir, inst.Program, cfg, opts)
+		if base != nil {
+			if err := r.Apply(0, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var steps []string
+		core.StopApply(func(step string) error {
+			if steps = append(steps, step); len(steps) == stop {
+				return errStop
+			}
+			return nil
+		})
+		err := r.Apply(0, snap)
+		core.StopApply(nil)
+		if stopped := errors.Is(err, errStop); !stopped && err != nil || stopped != (stop <= len(steps)) {
+			t.Fatalf("barrier %d stopped after step %d of %v: %v", snap.Version, stop, steps, err)
+		}
+		return cluster.OpenReplicas(dir, inst.Program, cfg, opts), stop <= len(steps)
+	}
+	loads := func(r *cluster.ReplicaStore, want *core.NodeSnapshot, label string) {
+		t.Helper()
+		if got, err := r.Load(0); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the replica at %d does not load barrier %d: %v", label, r.Version(0), want.Version, err)
+		}
+	}
+	stops := 0
+	for b := 1; b < len(rig.deltas); b++ {
+		base, delta, full := rig.fulls[b-1], rig.deltas[b], rig.fulls[b]
+		if delta.Full || delta.Base != b || len(delta.Tracks) == 0 {
+			t.Fatalf("barrier %d shipped a delta on %d with %d tracks", delta.Version, delta.Base, len(delta.Tracks))
+		}
+		for stop := 1; ; stop++ {
+			r, stopped := apply(base, delta, stop)
+			if !stopped {
+				break
+			}
+			stops++
+			label := fmt.Sprintf("delta to barrier %d stopped after step %d", delta.Version, stop)
+			switch r.Version(0) {
+			case b:
+				loads(r, base, label)
+				if err := r.Apply(0, delta); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				loads(r, full, label+", applied again")
+			case b + 1:
+				loads(r, full, label)
+			default:
+				t.Fatalf("%s: the replica reopens at %d", label, r.Version(0))
+			}
+		}
+		for stop := 1; ; stop++ {
+			r, stopped := apply(base, full, stop)
+			if !stopped {
+				break
+			}
+			stops++
+			label := fmt.Sprintf("full snapshot of barrier %d stopped after step %d", full.Version, stop)
+			switch v := r.Version(0); {
+			case v == full.Version:
+				loads(r, full, label)
+			case v > 0 || r.Restorable(0, v):
+				t.Fatalf("%s: the replica reopens at %d", label, v)
+			default:
+				if err := r.Apply(0, full); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				loads(r, full, label+", applied again")
+			}
+		}
+	}
+	t.Logf("%d barriers, %d stops", len(rig.deltas)-1, stops)
 }

@@ -336,8 +336,7 @@ func (e *engine) Commit(int) error { return nil }
 // anywhere returns every processor to the barrier by adopting the record
 // kept there in replay mode (step -1: the chains' states the set-up began
 // from). It returns the slowest processor's share of the aborted
-// attempt's operations — for the set-up, of every attempt so far — which
-// the run counts as recovery work too.
+// attempt's operations, which the run counts as recovery work too.
 func (e *engine) Rollback(step, attempt int, cause error) (maxAborted int64, err error) {
 	switch {
 	case e.rec.Len() == 0 || !fault.Replayable(cause):

@@ -282,6 +282,21 @@ func HoldingsOf(t Transport) []Holdings {
 // Replays is the replay count of the run the engine is in, so far.
 func Replays(t Transport) int64 { return t.(*engine).led.replays }
 
+// RecoveryOps is the I/O the rolled-back attempts of the run the engine
+// is in have cost so far, as the driver's ledger charges it.
+func RecoveryOps(t Transport) int64 { return t.(*engine).led.recoveryOps }
+
+// Ops is the parallel I/O operations processor 0 of the engine has
+// performed since its statistics were last reset.
+func Ops(t Transport) int64 { return t.(*engine).procs[0].chain.Stats().Ops }
+
+// StopApply makes every apply of a snapshot to a node directory
+// (AdoptNode, ApplyDelta) ask stop after each step it completes — an
+// ImportTrack, the Sync, the seeded record, the prepare, the commit —
+// and stop there, as a crash would, when stop returns an error. nil
+// lets applies run through.
+func StopApply(stop func(step string) error) { applyStep = stop }
+
 // ChainStates are the states of the chains of the processors of the
 // engine RunOver hands to wrap, as a processor's record carries them.
 func ChainStates(t Transport) (sts [][]uint64) {

@@ -128,7 +128,8 @@ func (ps *procState) heldGrab() int64 {
 	return int64((ps.heldLen + B - 1) / B * B)
 }
 
-// stepOps returns the parallel I/O operations consumed since beginStep.
+// stepOps returns the parallel I/O operations consumed since beginStep,
+// or since the set-up attempt began.
 func (ps *procState) stepOps() int64 { return ps.chain.Stats().Ops - ps.opsMark }
 
 // simShape is the derived shape of a run — everything that follows
@@ -448,6 +449,7 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 	// A held batch's records are written over: their blocks start the grab.
 	grab := ps.heldGrab()
 	ps.held, ps.ctxAt = -1, 0
+	ps.opsMark = ps.chain.Stats().Ops // a rolled-back attempt charges its own operations
 	var err error
 	for r := 0; r < sh.batches && err == nil; r++ {
 		grab, err = sh.saveContexts(ps, sh.batchAt(-1, r), -1, grab, sh.p.NewVP)

@@ -19,9 +19,10 @@ import (
 // the later record lists as holding data and the earlier one does not
 // (a delta).
 
-// TrackImage is one track of a snapshot. A nil Payload is a deletion
-// marker: the track read as blank at the snapshot's barrier and any
-// replicated copy must be wiped.
+// TrackImage is one track of a snapshot. Every image a snapshot holds
+// is a track its record lists as holding data; the wire form still
+// carries a flag for an image without a payload, which AdoptNode and
+// ApplyDelta refuse.
 type TrackImage struct {
 	Disk, Track int
 	Payload     []uint64
@@ -219,23 +220,18 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 	}
 	ps.ckptOn = true
 	n.ps = ps
-	for _, t := range snap.Tracks {
-		if t.Payload == nil {
-			continue // a fresh store is blank everywhere
-		}
-		if err := ps.chain.ImportTrack(t.Disk, t.Track, t.Payload); err != nil {
-			ps.chain.Close()
-			return nil, err
-		}
+	if err := importTracks(ps, snap.Tracks, nil); err != nil {
+		ps.chain.Close()
+		return nil, err
 	}
 	// Track data must be durable before the seeded journal claims the
 	// barrier committed — the same write-ahead discipline as Prepare.
-	if err := ps.chain.Sync(); err != nil {
+	if err := stepDone("sync", ps.chain.Sync()); err != nil {
 		ps.chain.Close()
 		return nil, err
 	}
 	jrn, err := journal.Seed(dir, snap.Version, snap.Manifest)
-	if err != nil {
+	if err = stepDone("record", err); err != nil {
 		ps.chain.Close()
 		return nil, err
 	}
@@ -246,4 +242,91 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 		return nil, err
 	}
 	return n, nil
+}
+
+// OpenReplica opens node nodeID's state directory dir at its last
+// committed barrier — the coordinator's replica of the node, which is a
+// node directory like the node's own. A prepared record an apply left
+// undecided is dropped: until its commit the directory holds the
+// barrier before it intact.
+func OpenReplica(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string) (*NodeEngine, error) {
+	n, err := OpenNode(p, cfg, opts, nodeID, dir, true)
+	if err != nil {
+		return nil, err
+	}
+	if err = n.ResolvePending(false); err == nil {
+		err = n.LoadCommitted()
+	}
+	if err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// ApplyDelta folds a delta on the node's committed barrier into its
+// directory: the replica's side of replication (OpenReplica). Every
+// image must land on a track the committed record lists as blank, so
+// that record stays whole until the delta's record commits. The images
+// are imported and fsynced first, then the delta's record is prepared
+// and committed through the journal — the write order of the node's own
+// barrier (DESIGN.md §9) — so a crash anywhere leaves the directory at
+// the old barrier or at the new one.
+func (n *NodeEngine) ApplyDelta(snap *NodeSnapshot) error {
+	last, committed := n.jrn.Records()
+	if snap.Full || snap.Base != committed || snap.Version != committed+1 {
+		return fmt.Errorf("core: snapshot of barrier %d on base %d is no delta on barrier %d", snap.Version, snap.Base, committed)
+	}
+	if _, _, err := n.readManifest(snap.Manifest); err != nil {
+		return err
+	}
+	st, _, err := n.readManifest(last)
+	if err != nil {
+		return err
+	}
+	if err := importTracks(n.ps, snap.Tracks, blankTracks(st)); err != nil {
+		return err
+	}
+	if err := stepDone("sync", n.ps.chain.Sync()); err != nil {
+		return err
+	}
+	if err := stepDone("prepare", n.jrn.Prepare(snap.Manifest)); err != nil {
+		return err
+	}
+	return stepDone("commit", n.jrn.CommitPending())
+}
+
+// importTracks writes a snapshot's images into ps's store raw. With
+// blank set, an image may only land on a track it marks blank, or on
+// one past a drive's bump mark.
+func importTracks(ps *procState, images []TrackImage, blank [][]bool) error {
+	for _, t := range images {
+		switch {
+		case t.Payload == nil:
+			return fmt.Errorf("core: snapshot track (%d,%d) has no image", t.Disk, t.Track)
+		case blank != nil && (t.Disk < 0 || t.Disk >= len(blank)):
+			return fmt.Errorf("core: snapshot track (%d,%d) is on no drive", t.Disk, t.Track)
+		case blank != nil && t.Track >= 0 && t.Track < len(blank[t.Disk]) && !blank[t.Disk][t.Track]:
+			return fmt.Errorf("core: snapshot track (%d,%d) overwrites a track the base barrier holds", t.Disk, t.Track)
+		}
+		if err := stepDone("import", ps.chain.ImportTrack(t.Disk, t.Track, t.Payload)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyStep, when set, is told of each step of an apply — an import,
+// the sync, the record (Seed), the prepare and the commit — once it has
+// succeeded, and an error it returns stops the apply there, as a crash
+// would. Only tests set it (export_test.go).
+var applyStep func(step string) error
+
+// stepDone passes err on, or, when the step succeeded, applyStep's
+// verdict on it.
+func stepDone(step string, err error) error {
+	if err != nil || applyStep == nil {
+		return err
+	}
+	return applyStep(step)
 }

@@ -59,7 +59,7 @@ func putWords(b []byte, src []uint64) {
 // The slot format, written once: track t of a drive file occupies the
 // fixed-size slot [t·slotBytes, (t+1)·slotBytes) holding
 //
-//	word 0: track magic (marks the slot as ever written)
+//	word 0: track magic (marks the slot as written)
 //	word 1: Checksum of the payload
 //	words 2..B+1: the payload (B words)
 //
@@ -71,15 +71,6 @@ const trackMagic = 0x454d425354524b31 // "EMBSTRK1"
 // slotBytes is the slot size for B-word tracks.
 func slotBytes(B int) int64 { return int64(2+B) * 8 }
 
-// slotState is what decoding a slot found.
-type slotState uint8
-
-const (
-	slotBlank   slotState = iota // never written: reads as zeros
-	slotOK                       // payload decoded and checksum verified
-	slotCorrupt                  // torn or corrupted write
-)
-
 // encodeSlot encodes a track payload into the slot b, which must be
 // slotBytes(len(src)) long.
 func encodeSlot(b []byte, src []uint64) {
@@ -89,20 +80,16 @@ func encodeSlot(b []byte, src []uint64) {
 }
 
 // decodeSlot decodes the slot bytes b — possibly short, when the drive
-// file ends inside or before the slot — into dst. A slot without the
-// magic word is blank and dst is zeroed; a slot with it must be whole
-// and match its checksum, or it is corrupt (dst is then unspecified).
-func decodeSlot(b []byte, dst []uint64) slotState {
-	if len(b) < 8 || binary.LittleEndian.Uint64(b[0:]) != trackMagic {
-		clear(dst)
-		return slotBlank
-	}
-	if int64(len(b)) < slotBytes(len(dst)) {
-		return slotCorrupt
+// file ends inside or before the slot — into dst, and reports whether
+// the slot holds a whole payload that matches its checksum (dst is
+// unspecified when it does not). A store reads a slot only for a track
+// its metadata lists as written, so a slot without the magic word is
+// corrupt, as a torn one is: the zeros of a slot never written are no
+// track's content.
+func decodeSlot(b []byte, dst []uint64) bool {
+	if int64(len(b)) < slotBytes(len(dst)) || binary.LittleEndian.Uint64(b[0:]) != trackMagic {
+		return false
 	}
 	getWords(dst, b[16:])
-	if Checksum(dst) != binary.LittleEndian.Uint64(b[8:]) {
-		return slotCorrupt
-	}
-	return slotOK
+	return Checksum(dst) == binary.LittleEndian.Uint64(b[8:])
 }

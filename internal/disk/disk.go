@@ -274,7 +274,9 @@ type Store interface {
 	// observability: model statistics are independent of them.
 	Overlap() OverlapStats
 	// ExportTrack reads one track's committed payload raw — no model
-	// accounting, no emulated latency. nil payload means blank.
+	// accounting, no emulated latency. nil payload means blank by
+	// metadata; a track listed as written whose slot does not decode is
+	// a *CorruptTrackError, never zeros.
 	ExportTrack(d, t int) ([]uint64, error)
 	// ImportTrack writes one track's B-word payload raw; the track is no
 	// longer fresh.

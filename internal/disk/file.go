@@ -2,6 +2,7 @@ package disk
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -23,8 +24,10 @@ import (
 // On-disk layout: drive d is the sparse file drive-NNN.dat, whose
 // track t occupies one fixed-size checksummed slot (see codec.go). The
 // per-track checksum detects torn writes: a slot whose payload does
-// not match its checksum (e.g. after a crash mid-pwrite) reads back as
-// a typed *CorruptTrackError instead of silently delivering garbage. A
+// not match its checksum (e.g. after a crash mid-pwrite), or one
+// without its magic word under a track the metadata lists as written,
+// reads back as a typed *CorruptTrackError instead of silently
+// delivering garbage or zeros. A
 // small geometry file pins (D, B) so a resume with a mismatched
 // machine configuration fails up front.
 //
@@ -118,9 +121,9 @@ type FileOptions struct {
 
 const geomMagic = 0x454d424747454f4d // "EMBGGEOM"
 
-// CorruptTrackError reports a track whose stored payload does not
-// match its per-track checksum — a torn or corrupted write detected by
-// the file-backed store.
+// CorruptTrackError reports a track the store lists as written whose
+// slot does not hold an intact payload: a torn or corrupted write, or a
+// slot without its magic word, detected by the file-backed store.
 type CorruptTrackError struct {
 	Path  string
 	Disk  int
@@ -128,7 +131,7 @@ type CorruptTrackError struct {
 }
 
 func (e *CorruptTrackError) Error() string {
-	return fmt.Sprintf("disk: torn or corrupt track %d of drive %d (%s): stored checksum does not match payload", e.Track, e.Disk, e.Path)
+	return fmt.Sprintf("disk: torn or corrupt track %d of drive %d (%s): the slot fails its magic word or checksum", e.Track, e.Disk, e.Path)
 }
 
 // OpenFile opens (resume) or creates (fresh) a synchronous file-backed
@@ -245,30 +248,37 @@ func (df *driveFiles) access(name string, d int) obs.Span {
 // stacked on the store starts its fill workers when it is non-zero.
 func (df *driveFiles) latency() time.Duration { return df.lat }
 
-// corrupt is the typed error for a slot that decoded as slotCorrupt.
+// corrupt is the typed error for a slot that does not decode.
 func (df *driveFiles) corrupt(d, t int) error {
 	return &CorruptTrackError{Path: df.files[d].Name(), Disk: d, Track: t}
 }
 
+// writeGeometry records (D, B). The geometry must be durable before any
+// journal record can refer to this state directory, so a crash can
+// never leave a visible-but-empty (or torn) geometry file that a resume
+// would misread as a foreign directory.
 func writeGeometry(path string, cfg Config) error {
 	buf := make([]byte, 24)
 	binary.LittleEndian.PutUint64(buf[0:], geomMagic)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(cfg.D))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(cfg.B))
+	return ReplaceFile(path, buf)
+}
+
+// ReplaceFile durably replaces path's contents with data: a crash at any
+// point leaves the old file or the new one, never a torn mix. The data
+// goes to path+".tmp", which is fsynced before a rename makes it path,
+// and the directory is fsynced after.
+func ReplaceFile(path string, data []byte) error {
 	tmp := path + ".tmp"
 	fh, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	if _, err := fh.Write(buf); err != nil {
+	if _, err := fh.Write(data); err != nil {
 		fh.Close()
 		return err
 	}
-	// The geometry must be durable before any journal record can refer
-	// to this state directory: fsync the content before the rename makes
-	// it visible, and the directory after, so a crash can never leave a
-	// visible-but-empty (or torn) geometry file that a resume would
-	// misread as a foreign directory.
 	if err := fh.Sync(); err != nil {
 		fh.Close()
 		return err
@@ -279,20 +289,17 @@ func writeGeometry(path string, cfg Config) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, so that an entry just created, renamed or
+// removed in it survives a crash.
+func SyncDir(dir string) error {
 	dh, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = dh.Sync()
-	if cerr := dh.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(dh.Sync(), dh.Close())
 }
 
 func checkGeometry(path string, cfg Config) error {
@@ -330,19 +337,17 @@ func (f *File) ResetOverlap() {
 func (f *File) Overlap() OverlapStats { return f.st.overlap() }
 
 // pread reads and decodes one slot raw — no span, no emulated latency
-// — through the given scratch buffer. A slot never physically written
-// decodes as slotBlank with dst zeroed; a torn one is a
-// *CorruptTrackError.
-func (f *File) pread(buf []byte, d, t int, dst []uint64) (slotState, error) {
+// — through the given scratch buffer. A slot that does not decode (torn,
+// corrupt or never written) is a *CorruptTrackError.
+func (f *File) pread(buf []byte, d, t int, dst []uint64) error {
 	n, err := f.files[d].ReadAt(buf, int64(t)*f.slotB)
 	if err != nil && err != io.EOF {
-		return slotBlank, err
+		return err
 	}
-	st := decodeSlot(buf[:n], dst)
-	if st == slotCorrupt {
-		return st, f.corrupt(d, t)
+	if !decodeSlot(buf[:n], dst) {
+		return f.corrupt(d, t)
 	}
-	return st, nil
+	return nil
 }
 
 // pwrite encodes and writes one slot raw through the scratch buffer.
@@ -357,8 +362,7 @@ func (f *File) pwrite(buf []byte, d, t int, src []uint64) error {
 // path).
 func (f *File) readSlotBuf(buf []byte, d, t int, dst []uint64) error {
 	defer f.access("phys-read", d).End()
-	_, err := f.pread(buf, d, t, dst)
-	return err
+	return f.pread(buf, d, t, dst)
 }
 
 func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {

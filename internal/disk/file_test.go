@@ -223,6 +223,53 @@ func TestFileCorruptTrack(t *testing.T) {
 	}
 }
 
+// TestListedTrackWithoutMagicIsCorrupt: a slot that lost its magic word
+// under a track the store lists as written reads as a
+// *CorruptTrackError, and exports as one, on both durable stores — never
+// as the zeros of a slot never written.
+func TestListedTrackWithoutMagicIsCorrupt(t *testing.T) {
+	const B = 8
+	cfg := Config{D: 1, B: B}
+	for name, open := range map[string]func(dir string) (Backend, error){
+		"file":   func(dir string) (Backend, error) { return OpenFile(dir, cfg, false) },
+		"mapped": func(dir string) (Backend, error) { return OpenMapped(dir, cfg, false, MappedOptions{}) },
+	} {
+		dir := t.TempDir()
+		s, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Alloc(0)
+		t1 := s.Alloc(0)
+		if err := s.WriteOp([]WriteReq{{Disk: 0, Track: t1, Src: track(B, 3)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// Clear the magic word in place: the mapped store sees the
+		// drive file's bytes through its mapping.
+		fh, err := os.OpenFile(filepath.Join(dir, "drive-000.dat"), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fh.WriteAt(make([]byte, 8), int64(t1)*slotBytes(B)); err != nil {
+			t.Fatal(err)
+		}
+		fh.Close()
+		var ce *CorruptTrackError
+		err = s.ReadOp([]ReadReq{{Disk: 0, Track: t1, Dst: make([]uint64, B)}})
+		if !errors.As(err, &ce) || ce.Disk != 0 || ce.Track != t1 {
+			t.Errorf("%s: read of a listed track without its magic word: got %v, want *CorruptTrackError of (0,%d)", name, err, t1)
+		}
+		img, err := s.ExportTrack(0, t1)
+		if !errors.As(err, &ce) || ce.Disk != 0 || ce.Track != t1 {
+			t.Errorf("%s: export of a listed track without its magic word: got %v, %v, want *CorruptTrackError of (0,%d)", name, img, err, t1)
+		}
+		s.Close()
+	}
+}
+
 // TestFileCloseIdempotent: Close must be callable any number of times
 // (the engines close on both success and error unwind paths), and the
 // store must stay usable up to the first Close.

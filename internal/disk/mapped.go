@@ -169,18 +169,14 @@ func (m *Mapped) slot(d, t int) []byte {
 func (m *Mapped) MappedHigh() int64 { return m.acct.High() }
 
 // get decodes the mapped slot (d, t) into dst raw — no span, no
-// emulated latency. A track beyond the mapped (= physical) capacity
-// was never written and is blank. Caller holds m.mu.
-func (m *Mapped) get(d, t int, dst []uint64) (slotState, error) {
-	if t >= m.capT[d] {
-		clear(dst)
-		return slotBlank, nil
+// emulated latency. A slot that does not decode, or one beyond the
+// mapped (= physical) capacity, which was never written, is a
+// *CorruptTrackError. Caller holds m.mu.
+func (m *Mapped) get(d, t int, dst []uint64) error {
+	if t >= m.capT[d] || !decodeSlot(m.slot(d, t), dst) {
+		return m.corrupt(d, t)
 	}
-	st := decodeSlot(m.slot(d, t), dst)
-	if st == slotCorrupt {
-		return st, m.corrupt(d, t)
-	}
-	return st, nil
+	return nil
 }
 
 // put encodes src into the mapped slot (d, t) raw, growing the mapping
@@ -205,8 +201,7 @@ func (m *Mapped) put(d, t int, src []uint64) error {
 
 func (m *Mapped) readSlot(d, t int, dst []uint64) error {
 	defer m.access("map-read", d).End()
-	_, err := m.get(d, t, dst)
-	return err
+	return m.get(d, t, dst)
 }
 
 func (m *Mapped) writeSlot(d, t int, src []uint64) error {
@@ -278,7 +273,7 @@ func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
 		return nil, nil
 	}
 	dst := make([]uint64, m.cfg.B)
-	if st, err := m.get(d, t, dst); err != nil || st == slotBlank {
+	if err := m.get(d, t, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -11,8 +11,9 @@ package disk
 
 // ExportTrack reads the committed payload of one track, bypassing all
 // model accounting, emulated latency and the write-behind cache. It
-// returns nil (no error) when the track reads as blank — released,
-// fresh, beyond the bump mark, or never physically written. The caller
+// returns nil (no error) when the track reads as blank by metadata —
+// released, fresh or beyond the bump mark — and a *CorruptTrackError
+// when a track the metadata lists as written has no intact slot. The caller
 // must have quiesced the store with Sync first: queued writes that have
 // not landed are not visible to the raw read.
 func (f *File) ExportTrack(d, t int) ([]uint64, error) {
@@ -25,7 +26,7 @@ func (f *File) ExportTrack(d, t int) ([]uint64, error) {
 		return nil, nil
 	}
 	dst := make([]uint64, f.cfg.B)
-	if st, err := f.pread(f.buf, d, t, dst); err != nil || st == slotBlank {
+	if err := f.pread(f.buf, d, t, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"embsp/internal/disk"
 )
 
 // manifest is the persisted queue state: every job ever submitted plus
@@ -53,30 +55,5 @@ func (s *Supervisor) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	path := manifestPath(s.cfg.Root)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(s.cfg.Root)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return disk.ReplaceFile(manifestPath(s.cfg.Root), buf)
 }

@@ -99,7 +99,7 @@ func Create(dir string) (*Journal, error) {
 	if err := os.Remove(prepPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	return j, syncDir(dir)
+	return j, disk.SyncDir(dir)
 }
 
 // Read returns the last committed payload of the journal in dir and the
@@ -210,7 +210,7 @@ func (j *Journal) dropPrepared() error {
 		return err
 	}
 	j.torn = true
-	return syncDir(j.dir)
+	return disk.SyncDir(j.dir)
 }
 
 // parseRecord decodes one framed record, returning its checksummed words
@@ -270,16 +270,6 @@ func (j *Journal) writeFile(path string, ws []uint64) error {
 	return errors.Join(err, f.Close())
 }
 
-// syncDir makes dir's entries — a created, renamed or removed file —
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
-}
-
 // stage writes and fsyncs the next record's prepared file.
 func (j *Journal) stage(payload []uint64) error {
 	if j.hasPending {
@@ -312,7 +302,7 @@ func (j *Journal) Prepare(payload []uint64) error {
 	if err := j.stage(payload); err != nil {
 		return err
 	}
-	if err := syncDir(j.dir); err != nil {
+	if err := disk.SyncDir(j.dir); err != nil {
 		return err
 	}
 	j.hasPending = true
@@ -332,7 +322,7 @@ func (j *Journal) CommitPending() error {
 	}
 	j.count++
 	j.last, j.pending, j.hasPending = j.pending, j.last, false
-	return syncDir(j.dir)
+	return disk.SyncDir(j.dir)
 }
 
 // AbortPending discards the pending record, removing its prepared file —
@@ -346,7 +336,7 @@ func (j *Journal) AbortPending() error {
 	if err := os.Remove(prepPath(j.dir)); err != nil {
 		return err
 	}
-	return syncDir(j.dir)
+	return disk.SyncDir(j.dir)
 }
 
 // HasPending reports whether a prepared record awaits its decision.
