@@ -226,6 +226,25 @@ var goldenTable = []goldenRow{
 	{"listrank", "array+parity+replays", 2, 0x10a2eeecf050f128, 401, 0, 0, 9673, 36},
 }
 
+// goldenParity pins what the redundancy layer counts on the rows that
+// have one, keyed like the subtests: EMStats.ParityOps and the
+// parity_read_ops and parity_cache_peak_blocks the layer publishes. An
+// engine run writes each stripe within one superstep and releases it whole
+// (DESIGN.md §10), so its only parity reads are those of a write the fault
+// layer re-issues to a member of this superstep's stripe: the old data read
+// back, and the parity loaded again when it had gone to disk. With retries
+// off (the replay rows) nothing is re-issued and nothing is read.
+type parityCounts struct{ ops, reads, cachePeak int64 }
+
+var goldenParity = map[string]parityCounts{
+	"sort/p1/mapped+parity+faults":     {101, 11, 9},
+	"listrank/p1/mapped+parity+faults": {198, 28, 9},
+	"sort/p1/array+parity+replays":     {135, 0, 6},
+	"sort/p2/array+parity+replays":     {195, 0, 6},
+	"listrank/p1/array+parity+replays": {242, 0, 6},
+	"listrank/p2/array+parity+replays": {75, 0, 6},
+}
+
 // goldenSpec is the fixed-seed instance of each golden workload.
 func goldenSpec(alg string) workload.Spec {
 	switch alg {
@@ -276,16 +295,31 @@ func TestGoldenModelNumbers(t *testing.T) {
 		}
 	}
 	for _, want := range goldenTable {
-		t.Run(fmt.Sprintf("%s/p%d/%s", want.alg, want.p, want.store), func(t *testing.T) {
+		name := fmt.Sprintf("%s/p%d/%s", want.alg, want.p, want.store)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			inst, err := goldenSpec(want.alg).Build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := workload.Machine(inst.Program, want.p, 4, 64, 6, 1000)
-			res, err := embsp.Run(inst.Program, cfg, goldenOptions(t, want.store))
+			opts := goldenOptions(t, want.store)
+			wantParity, parity := goldenParity[name]
+			if parity {
+				opts.Metrics = embsp.NewMetricsRegistry()
+			}
+			res, err := embsp.Run(inst.Program, cfg, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if parity {
+				reg := opts.Metrics
+				got := parityCounts{res.EM.ParityOps, reg.Counter("parity_read_ops").Value(), reg.Counter("parity_cache_peak_blocks").Value()}
+				if got != wantParity {
+					t.Errorf("parity counts moved: got %+v, want %+v", got, wantParity)
+				}
+			} else if strings.Contains(want.store, "parity") {
+				t.Errorf("no pinned parity counts for %s", name)
 			}
 			if strings.HasSuffix(want.store, "+replays") && res.EM.Replays == 0 {
 				t.Errorf("no superstep replay: the row pins nothing of the replay path")

@@ -348,10 +348,11 @@ type EMStats struct {
 	//
 	// ParityOps counts the extra charged parallel I/O spent maintaining
 	// parity groups (striping fresh tracks — under mirror, writing their
-	// copies — and read-modify-write parity updates); ParityBlocks and
-	// StripedBlocks are gauges of the current parity tracks (or copies)
-	// held and data tracks protected — their ratio is the storage
-	// overhead, ≤ ⌈tracks/(D-1)⌉ under parity, 1 under mirror.
+	// copies — and the old-data reads and parity loads of the writes the
+	// fault layer re-issues); ParityBlocks and StripedBlocks are gauges
+	// of the current parity tracks (or copies) held and data tracks
+	// protected — their ratio is the storage overhead, ≤ ⌈tracks/(D-1)⌉
+	// under parity, 1 under mirror.
 	ParityOps     int64
 	ParityBlocks  int64
 	StripedBlocks int64

@@ -403,14 +403,13 @@ func TestRedundancyValidation(t *testing.T) {
 	}
 }
 
-// TestParityCrashThenDriveLoss closes the RAID write hole end to end:
-// the run crashes mid-superstep (in-place context rewrites on disk,
-// journal at the previous barrier, the layer's in-memory barrier-value
-// cache lost), resumes, and only THEN loses a drive — so the
-// reconstruction runs over state the resume-time reconciliation had to
-// repair or adopt. The resumed Result must stay bitwise identical to
-// the uninterrupted run. The death is aimed at the middle of superstep
-// 3, strictly after the superstep-2 crash, on the run as it is:
+// TestParityCrashThenDriveLoss: the run crashes mid-superstep (the
+// crashed attempt's tracks on disk, journal at the previous barrier),
+// resumes, and only THEN loses a drive — so the reconstruction runs over
+// the state the resume-time reconciliation checked against the record,
+// with nothing to repair or refuse. The resumed Result must stay bitwise
+// identical to the uninterrupted run. The death is aimed at the middle of
+// superstep 3, strictly after the superstep-2 crash, on the run as it is:
 // FailDriveOp counts drive 2's own attempt clock on processor 0 (fault
 // schedules are per drive), which a probing run — the same plan with a
 // death that never comes — reads at superstep 3's begin and vote, so an

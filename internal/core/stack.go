@@ -129,10 +129,10 @@ func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, e
 	return s.chain.Stats().Ops - before, nil
 }
 
-// reconcile runs after a resume adopted the manifest: the crashed
-// attempt may have left in-place rewrites (or torn writes) the
-// manifest's parity does not encode; repair or adopt them before the
-// replay's parity arithmetic trusts the disk.
+// reconcile runs after a resume adopted the manifest: a crashed attempt
+// wrote no track the manifest checksums, so what it finds is rot at rest
+// — one bad track a stripe is repaired before the replay reads it, and
+// anything more fails the resume (redundancy.Store.Reconcile).
 func (s storeStack) reconcile() error {
 	if red := disk.Find[*redundancy.Store](s.chain); red != nil {
 		return red.Reconcile()

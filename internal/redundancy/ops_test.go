@@ -2,6 +2,7 @@ package redundancy
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -21,8 +22,7 @@ import (
 // and after a death the member on the dead drive (nothing rebuilds it:
 // its stripe stays one failure short until its members leave); and every
 // checksummed track reads back through the layer. A stripe whose parity
-// drive is dead or that awaits a post-crash recomputation is exempt from
-// the parity clauses. The checker's own I/O and counts are taken back, so
+// drive is dead is exempt from the parity clauses. The checker's own I/O and counts are taken back, so
 // a test can count around it.
 func checkInvariants(t *testing.T, s *Store) {
 	t.Helper()
@@ -33,9 +33,9 @@ func checkInvariants(t *testing.T, s *Store) {
 			t.Fatalf("checker: AdoptState: %v", err)
 		}
 	}()
-	if len(s.open)+len(s.filled)+len(s.left)+len(s.held)+len(s.pval)+len(s.pdirty)+len(s.rmwOld)+len(s.wrote) != 0 {
-		t.Fatalf("after a flush: open %v, filled %v, %d leavers, %d held releases, %d cached and %d dirty parity blocks, %d barrier values, %d written marks — want none",
-			s.open, s.filled, len(s.left), len(s.held), len(s.pval), len(s.pdirty), len(s.rmwOld), len(s.wrote))
+	if len(s.open)+len(s.filled)+len(s.left)+len(s.held)+len(s.pval)+len(s.pdirty) != 0 {
+		t.Fatalf("after a flush: open %v, filled %v, %d leavers, %d held releases, %d cached and %d dirty parity blocks — want none",
+			s.open, s.filled, len(s.left), len(s.held), len(s.pval), len(s.pdirty))
 	}
 	raw := func(p disk.Addr) []uint64 {
 		buf := make([]uint64, s.B)
@@ -69,7 +69,7 @@ func checkInvariants(t *testing.T, s *Store) {
 		if len(members) != st.count || st.count == 0 || st.count > s.width {
 			t.Fatalf("stripe %d: %d members, count %d, width %d", sid, len(members), st.count, s.width)
 		}
-		if !s.parityActive(sid) {
+		if !s.parityUsable(st) {
 			continue
 		}
 		xor := raw(st.parity)
@@ -133,18 +133,30 @@ func flushChecked(t *testing.T, s *Store) {
 }
 
 // opModel drives a Store through a sequence of operations chosen by
-// pick, keeping beside it what every track must hold.
+// pick, the way an engine run does: a superstep writes fresh tracks,
+// rewrites some of them (as the fault layer re-issues a write), seals the
+// ones that leave together into groups and releases whole groups; the
+// barrier flushes and takes a record, which a failed attempt returns to.
+// Beside the Store it keeps what every track must hold.
 type opModel struct {
 	t    *testing.T
 	s    *Store
 	D, B int
 	pick func(n int) int // a choice in [0, n)
 	live map[disk.Addr][]uint64
-	died bool
-	// inPlace collects, during an attempt that will be rolled back, the
-	// tracks it overwrote: a replay must write them again.
-	inPlace map[disk.Addr]bool
-	stamp   uint64
+	// groups are the tracks written between two seals (a barrier seals
+	// too), which leave together; the last one is open. since is the
+	// tracks written since the barrier, the only ones a write may repeat.
+	groups [][]disk.Addr
+	since  []disk.Addr
+	died   bool
+	stamp  uint64
+	// The last barrier: the layer's record, the allocator's state, and
+	// what the model held.
+	rec      []uint64
+	mark     disk.StoreState
+	atLive   map[disk.Addr][]uint64
+	atGroups [][]disk.Addr
 }
 
 func (m *opModel) content() []uint64 {
@@ -155,9 +167,6 @@ func (m *opModel) content() []uint64 {
 	}
 	return buf
 }
-
-// tracks returns the allocated tracks in order.
-func (m *opModel) tracks() []disk.Addr { return disk.SortedAddrs(m.live) }
 
 func (m *opModel) write(addrs []disk.Addr) {
 	reqs := make([]disk.WriteReq, len(addrs))
@@ -170,9 +179,6 @@ func (m *opModel) write(addrs []disk.Addr) {
 	}
 	for i, a := range addrs {
 		m.live[a] = reqs[i].Src
-		if m.inPlace != nil {
-			m.inPlace[a] = true
-		}
 	}
 }
 
@@ -182,28 +188,47 @@ func (m *opModel) writeFresh() {
 		addrs = append(addrs, disk.Addr{Disk: d, Track: m.s.Alloc(d)})
 	}
 	m.write(addrs)
+	last := len(m.groups) - 1
+	m.groups[last] = append(m.groups[last], addrs...)
+	m.since = append(m.since, addrs...)
 }
 
+// rewrite repeats writes of this superstep's tracks, one a drive.
 func (m *opModel) rewrite() {
-	all := m.tracks()
-	if len(all) == 0 {
-		return
-	}
 	var addrs []disk.Addr
 	used := make(map[int]bool)
-	for n := 1 + m.pick(m.D); n > 0; n-- {
-		if a := all[m.pick(len(all))]; !used[a.Disk] {
+	for n := 1 + m.pick(m.D); n > 0 && len(m.since) > 0; n-- {
+		a := m.since[m.pick(len(m.since))]
+		if _, ok := m.live[a]; ok && !used[a.Disk] {
 			used[a.Disk] = true
 			addrs = append(addrs, a)
 		}
 	}
-	m.write(addrs)
+	if len(addrs) > 0 {
+		m.write(addrs)
+	}
 }
 
-func (m *opModel) release() {
-	if all := m.tracks(); len(all) > 0 {
-		m.releaseTrack(all[m.pick(len(all))])
+// seal closes the open group: what is written next shares no stripe
+// with it.
+func (m *opModel) seal() {
+	m.s.Seal()
+	if len(m.groups[len(m.groups)-1]) > 0 {
+		m.groups = append(m.groups, nil)
 	}
+}
+
+// release frees every track of a closed group, without I/O.
+func (m *opModel) release() {
+	closed := len(m.groups) - 1
+	if closed == 0 {
+		return
+	}
+	i := m.pick(closed)
+	for _, a := range m.groups[i] {
+		m.releaseTrack(a)
+	}
+	m.groups = slices.Delete(m.groups, i, i+1)
 }
 
 func (m *opModel) releaseTrack(a disk.Addr) {
@@ -235,7 +260,7 @@ func (m *opModel) read() {
 }
 
 // flush is the barrier: flush, check the invariants and every live
-// track's content.
+// track's content, and take the record.
 func (m *opModel) flush() {
 	if err := m.s.FlushParity(); err != nil {
 		m.t.Fatalf("FlushParity: %v", err)
@@ -250,43 +275,37 @@ func (m *opModel) flush() {
 			m.t.Fatalf("after a flush track %v reads %x, want %x", a, got, m.live[a])
 		}
 	}
+	m.barrier()
 }
 
-// rollback is a superstep attempt that fails: from a barrier, a few
-// operations, then the allocator and the layer returned to the barrier's
-// record as the engines return them (disk.Rollback, then DecodeState in
-// replay mode) — and, as a deterministic replay would, the tracks the
-// attempt overwrote in place written again. (Or, now and then, released
-// with the aborted attempt's bytes still in them: parity encodes their
-// barrier value, which only the layer's cache holds.)
+// barrier takes the record a failed attempt returns to, as the engines
+// take it: the allocator's state and the layer's EncodeState.
+func (m *opModel) barrier() {
+	enc := words.NewEncoder(nil)
+	m.mark = m.s.State()
+	m.s.EncodeState(enc)
+	m.rec = enc.Words()
+	if len(m.groups) == 0 || len(m.groups[len(m.groups)-1]) > 0 {
+		m.groups = append(m.groups, nil)
+	}
+	m.since = nil
+	m.atLive, m.atGroups = maps.Clone(m.live), slices.Clone(m.groups)
+}
+
+// rollback is a superstep attempt that fails: the allocator and the
+// layer go back to the barrier's record as the engines return them
+// (disk.Rollback, then DecodeState in replay mode), and the tracks the
+// attempt wrote are blank again as far as anyone knows.
 func (m *opModel) rollback() {
-	m.flush()
-	mark, rec := m.s.State(), words.NewEncoder(nil)
-	m.s.EncodeState(rec)
-	live := maps.Clone(m.live)
-	m.inPlace = make(map[disk.Addr]bool)
-	for n := 1 + m.pick(6); n > 0; n-- {
-		m.step(m.pick(5))
-	}
-	again := m.inPlace
-	m.inPlace = nil
-	if err := disk.Rollback(m.s, mark); err != nil {
+	m.t.Logf("  rollback")
+	if err := disk.Rollback(m.s, m.mark); err != nil {
 		m.t.Fatal(err)
 	}
-	if err := m.s.DecodeState(words.NewDecoder(rec.Words()), true); err != nil {
+	if err := m.s.DecodeState(words.NewDecoder(m.rec), true); err != nil {
 		m.t.Fatal(err)
 	}
-	m.live = live
-	for _, a := range disk.SortedAddrs(again) {
-		if _, ok := m.live[a]; !ok {
-			continue
-		}
-		if m.pick(4) == 0 {
-			m.releaseTrack(a)
-		} else {
-			m.write([]disk.Addr{a})
-		}
-	}
+	m.live, m.groups = maps.Clone(m.atLive), slices.Clone(m.atGroups)
+	m.since = nil
 }
 
 func (m *opModel) step(op int) {
@@ -296,18 +315,18 @@ func (m *opModel) step(op int) {
 		m.writeFresh()
 	case 1:
 		m.rewrite()
-	case 2, 3: // 3 was Discard, a leaver that kept its track, until PR 23
+	case 2:
+		m.seal()
+	case 3:
 		m.release()
 	case 4:
 		m.read()
 	case 5:
 		m.flush()
 	case 6:
-		if m.inPlace == nil {
-			m.rollback()
-		}
+		m.rollback()
 	case 7:
-		if !m.died && m.inPlace == nil {
+		if !m.died {
 			m.died = true
 			m.s.DriveDied(m.pick(m.D))
 		}
@@ -320,27 +339,26 @@ func runOps(t *testing.T, mode Mode, D int, steps func() bool, pick func(n int) 
 	const B = 4
 	s, _ := mkMode(t, mode, D, B)
 	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64)}
+	m.barrier()
 	for steps() {
 		// Writes are the common operation, a death the rare one.
 		m.step([]int{0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7}[pick(15)])
 	}
 	m.flush()
-	for _, a := range m.tracks() {
-		if err := s.Release(a.Disk, a.Track); err != nil {
-			t.Fatalf("Release %v: %v", a, err)
-		}
+	for _, a := range disk.SortedAddrs(m.live) {
+		m.releaseTrack(a)
 	}
-	m.live = nil
 	m.flush()
 	if c := s.Counters(); len(s.stripes) != 0 || c.StripedBlocks != 0 || c.ParityBlocks != 0 || len(s.remap) != 0 {
 		t.Fatalf("everything released, yet %d stripes, StripedBlocks %d, ParityBlocks %d, %d remaps remain", len(s.stripes), c.StripedBlocks, c.ParityBlocks, len(s.remap))
 	}
 }
 
-// TestRandomOps: 2,000 seeded sequences of fresh writes, rewrites,
-// releases, reads, flushes, rolled-back attempts and one drive death, the
-// invariants checked at every flush; and 600 more under mirror, whose
-// stripes are one member wide.
+// TestRandomOps: 2,000 seeded sequences of fresh writes, repeated writes
+// of this superstep's tracks, seals, releases of whole groups, reads,
+// flushes, rolled-back attempts and one drive death, the invariants
+// checked at every flush; and 600 more under mirror, whose stripes are
+// one member wide.
 func TestRandomOps(t *testing.T) {
 	for _, mode := range []Mode{Parity, Mirror} {
 		for _, D := range []int{2, 3, 4, 8} {
@@ -398,9 +416,9 @@ func FuzzParityOps(f *testing.F) {
 // until PR 23, when the engine's stale contexts became released tracks and
 // Discard, the leaver that kept its track, went). A stripe released whole
 // is dropped at the flush with no operation and gives its parity track
-// back; part of a stripe costs one batched fold, whatever the number of
-// stripes; a released track allocated and written after the flush is a
-// fresh write.
+// back; a stripe that only part of its members have left is refused; a
+// released track
+// allocated and written after the flush is a fresh write.
 func TestReleaseLeavesStripe(t *testing.T) {
 	const D, B, rows = 4, 8, 6
 	s, raw := mkStore(t, D, B)
@@ -471,41 +489,45 @@ func TestReleaseLeavesStripe(t *testing.T) {
 		}
 	}
 
-	// One member each of three stripes: one batched fold — parity and
-	// leaver of every stripe in a read or two, the parity written back.
-	var part []disk.Addr
+	// One member each of three stripes: the flush refuses the first before
+	// it changes anything, and takes the three once the rest of their
+	// members have left too — without an operation.
+	var part, rest []disk.Addr
 	for _, a := range addrs {
 		if sid, ok := s.stripeOf[a]; ok && len(part) < 3 && !slices.ContainsFunc(part, func(b disk.Addr) bool { return s.stripeOf[b] == sid }) {
 			part = append(part, a)
 		}
 	}
-	readsOn, writesOn := make([]int64, D), make([]int64, D)
-	for _, a := range part {
-		parity := s.stripes[s.stripeOf[a]].parity
-		readsOn[a.Disk]++
-		readsOn[parity.Disk]++
-		writesOn[parity.Disk]++
+	for _, a := range addrs {
+		if sid, ok := s.stripeOf[a]; ok && !slices.Contains(part, a) && slices.ContainsFunc(part, func(b disk.Addr) bool { return s.stripeOf[b] == sid }) {
+			rest = append(rest, a)
+		}
 	}
 	release(part...)
-	c1 := s.Counters()
-	ops, reads := flushOps()
-	if wantR, wantW := slices.Max(readsOn), slices.Max(writesOn); reads != wantR || ops != wantR+wantW {
-		t.Errorf("folding one leaver out of each of 3 stripes took %d reads and %d writes, want one batch: its fullest drive's %d and %d", reads, ops-reads, wantR, wantW)
+	b, c1 := raw.Stats(), s.Counters()
+	var ce *ContractError
+	if err := s.FlushParity(); !errors.As(err, &ce) || ce.Op != "FlushParity" || !slices.Contains(part, ce.Track) {
+		t.Fatalf("flush with one member each of 3 stripes left: %v, want a *ContractError naming one of %v", err, part)
 	}
-	if c := s.Counters(); c.ParityOps-c1.ParityOps != ops || c.ParityReadOps-c1.ParityReadOps != reads {
-		t.Errorf("the fold's %d operations (%d reads) are counted as ParityOps +%d, ParityReadOps +%d", ops, reads, c.ParityOps-c1.ParityOps, c.ParityReadOps-c1.ParityReadOps)
+	if a, c := raw.Stats(), s.Counters(); a.Ops != b.Ops || c != c1 || len(s.left) != len(part) || len(s.held) != len(part) {
+		t.Fatalf("the refused flush took %d operations, moved the counters (%+v → %+v) or settled leavers (%d left, %d held)", a.Ops-b.Ops, c1, c, len(s.left), len(s.held))
+	}
+	release(rest...)
+	pb = s.Counters().ParityBlocks
+	if ops, _ := flushOps(); ops != 0 || s.Counters().ParityBlocks != pb-3 {
+		t.Errorf("the 3 stripes left whole took %d operations and ParityBlocks %d → %d, want none and 3 fewer", ops, pb, s.Counters().ParityBlocks)
 	}
 
 	// Release, flush, allocate, write: a fresh write, nothing read.
-	b := raw.Stats()
+	b = raw.Stats()
 	again := disk.Addr{Disk: part[0].Disk, Track: s.Alloc(part[0].Disk)}
 	buf := make([]uint64, B)
 	pattern(buf, again.Disk, again.Track)
 	if err := s.WriteOp([]disk.WriteReq{{Disk: again.Disk, Track: again.Track, Src: buf}}); err != nil {
 		t.Fatal(err)
 	}
-	if a := raw.Stats(); !slices.Contains(part, again) || a.ReadOps != b.ReadOps || a.WriteOps != b.WriteOps+1 {
-		t.Errorf("the drive's next allocation is %v (released: %v); writing it took %d reads and %d writes, want 0 and 1", again, part, a.ReadOps-b.ReadOps, a.WriteOps-b.WriteOps)
+	if a := raw.Stats(); !slices.Contains(append(part, rest...), again) || a.ReadOps != b.ReadOps || a.WriteOps != b.WriteOps+1 {
+		t.Errorf("the drive's next allocation is %v (released: %v); writing it took %d reads and %d writes, want 0 and 1", again, append(part, rest...), a.ReadOps-b.ReadOps, a.WriteOps-b.WriteOps)
 	}
 	flushChecked(t, s)
 	checkTrack(t, s, again, B)
@@ -524,46 +546,6 @@ func TestReleaseLeavesStripe(t *testing.T) {
 	flushChecked(t, s)
 	s.DriveDied(again.Disk)
 	checkTrack(t, s, again, B)
-}
-
-// TestFoldVerifiesLeavers: the barrier folds no unverified bytes out of
-// parity. A leaver whose bytes rotted since it was written, or a stored
-// parity that did, turns the fold of that stripe into a recomputation
-// from its verified members.
-func TestFoldVerifiesLeavers(t *testing.T) {
-	const D, B = 4, 8
-	for _, rot := range []string{"leaver", "parity"} {
-		t.Run(rot, func(t *testing.T) {
-			s, raw := mkStore(t, D, B)
-			addrs := writeTracks(t, s, D, B, 3)
-			flushChecked(t, s)
-			victim := addrs[0]
-			sid := s.stripeOf[victim]
-			if err := s.Release(victim.Disk, victim.Track); err != nil {
-				t.Fatal(err)
-			}
-			bad := victim
-			if rot == "parity" {
-				bad = s.stripes[sid].parity
-			}
-			garbage := make([]uint64, B)
-			pattern(garbage, 99, 99)
-			if err := raw.WriteOp([]disk.WriteReq{{Disk: bad.Disk, Track: bad.Track, Src: garbage}}); err != nil {
-				t.Fatal(err)
-			}
-			flushChecked(t, s)
-			if c := s.Counters(); c.ChecksumFailures != 1 {
-				t.Errorf("ChecksumFailures = %d, want 1", c.ChecksumFailures)
-			}
-			if _, ok := s.stripes[sid]; !ok || len(s.recompute) != 0 {
-				t.Fatalf("stripe %d gone (%v) or still awaiting recomputation (%v)", sid, !ok, s.recompute)
-			}
-			s.DriveDied(addrs[1].Disk)
-			for _, a := range addrs[1:] {
-				checkTrack(t, s, a, B)
-			}
-		})
-	}
 }
 
 // TestReleasedTracksSurviveUntilTheRecord is the post-commit crash
@@ -614,7 +596,10 @@ func TestReleasedTracksSurviveUntilTheRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw2.Close()
-	s2 := resumeFrom(t, raw2, allocSt, manifest)
+	s2, err := resumeFrom(t, raw2, allocSt, manifest)
+	if err != nil {
+		t.Fatalf("Reconcile: %v", err)
+	}
 	for _, a := range old {
 		checkTrack(t, s2, a, B)
 	}

@@ -14,24 +14,30 @@
 // own, so the engines' layout is untouched — while parity tracks are
 // allocated from the same store, interleaved with client allocations.
 //
-// Parity follows the engine's lifetimes, which is the natural RAID-5
-// variant for a BSP-style engine that rewrites its live state every
-// compound superstep. A track joins a stripe when it is first written:
-// WriteOp folds the data it has in memory into the stripe's cached
-// parity, a full stripe's parity goes to disk while the superstep still
-// writes, and the barrier (FlushParity) writes the rest and closes every
-// stripe — so a stripe holds one superstep's tracks, which die together;
-// a client that keeps some of them longer seals them into stripes of
-// their own (Seal).
-// A track leaves its stripe without I/O (Release): the next barrier drops
-// a stripe all of whose members have left, and folds the leavers out of
-// any other in one batched read. Only a rewrite of a striped member in
-// place pays the classic read-modify-write small-write penalty (the old
-// data is read back, charged as a real parallel I/O, before it is
-// overwritten); the
-// parity value of a stripe so touched is cached between the touch and
-// the barrier, so it costs at most one parity read and one parity write
-// per superstep no matter how often its members change.
+// Parity follows the engine's lifetimes: the simulation gives every
+// superstep's contexts and message blocks fresh tracks, and all of them
+// die at the next commit. The layer's contract is that lifetime: a stripe
+// is written within one superstep and leaves whole at one barrier. A
+// track joins a stripe when it is first written: WriteOp folds the data
+// it has in memory into the stripe's cached parity, a full stripe's
+// parity goes to disk while the superstep still writes, and the barrier
+// (FlushParity) writes the rest and closes every stripe — so a stripe
+// holds one superstep's tracks, which die together; a client that keeps
+// some of them longer seals them into stripes of their own (Seal). A
+// track leaves its stripe without I/O (Release), and the next barrier
+// drops a stripe all of whose members have left.
+//
+// The layer enforces the contract rather than serving its violations,
+// with a *ContractError: WriteOp refuses a rewrite of a member of a
+// stripe a barrier record names (a replay or a resume of that record
+// would find bytes its parity does not encode), FlushParity refuses a
+// stripe with usable parity that some but not all of its members have
+// left, and Reconcile refuses damage beyond one track a stripe. What a
+// client may still rewrite is a member of a stripe no record names yet —
+// in an engine run, a write the fault layer re-issues. That pays the
+// classic read-modify-write small-write penalty: the old data is read
+// back, charged as a real parallel I/O and verified against its checksum,
+// before it is folded out of the stripe's cached parity.
 //
 // On top of the stripes the layer provides:
 //
@@ -48,8 +54,7 @@
 // The layer's part of a processor's barrier record is EncodeState. A
 // resumed process adopts it whole; a superstep replay adopts it in
 // replay mode (DecodeState), which keeps the layer's history — dead
-// drives, the scrub cursor, the monotone counters — and what describes
-// the disk rather than the barrier: rmwOld and recompute.
+// drives, the scrub cursor, the monotone counters.
 //
 // A dead drive is not rebuilt: a stripe lives with its superstep, so the
 // dead drive's members leave with theirs, and until then a read of one is
@@ -147,9 +152,8 @@ type Counters struct {
 	// reads, collision splits of remapped tracks, repair rewrites).
 	DegradedOps int64
 	// ParityOps counts the charged parallel I/O operations spent
-	// maintaining parity: parity writes, read-old-data small writes,
-	// parity track loads and the barrier's fold of leavers; ParityReadOps
-	// is the reads among them.
+	// maintaining parity: parity writes, read-old-data small writes and
+	// parity track loads; ParityReadOps is the reads among them.
 	ParityOps     int64
 	ParityReadOps int64
 	// ParityBlocks is the number of parity tracks currently allocated
@@ -198,6 +202,19 @@ func (c Counters) Publish(r *obs.Registry) {
 	r.Counter("parity_scrub_repairs").Add(c.ScrubRepairs)
 }
 
+// ContractError is the layer's refusal of a use outside its contract (a
+// stripe is written within one superstep and leaves whole at one
+// barrier): Op is the method that refuses, Track the track it refuses.
+type ContractError struct {
+	Op     string
+	Track  disk.Addr
+	Reason string
+}
+
+func (e *ContractError) Error() string {
+	return fmt.Sprintf("redundancy: %s refuses drive %d track %d: %s", e.Op, e.Track.Disk, e.Track.Track, e.Reason)
+}
+
 // inner is the store chain beneath the layer, embedded under this name
 // so every disk.Store method the layer does not override is the chain's.
 type inner = disk.Store
@@ -211,7 +228,7 @@ type inner = disk.Store
 // beside the layer's own, EncodeState) and Sync (the engines call
 // FlushParity first, so a commit record's parity is durable before the
 // record lands). All methods are safe for concurrent use: the parity
-// directories and RMW arithmetic serialize on an internal mutex
+// directories and arithmetic serialize on an internal mutex
 // (physical D-parallelism lives below, inside one inner-store
 // operation), so concurrent operations see the same deterministic
 // stripe state in whatever order they land; the promoted methods rely
@@ -232,6 +249,10 @@ type Store struct {
 	sums     map[disk.Addr]uint64    // physical track -> checksum of last write
 	remap    map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
 	rrmap    map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
+	// recorded is the first stripe id no barrier record names: EncodeState
+	// and DecodeState set it to next. WriteOp refuses to rewrite a member
+	// of an older stripe.
+	recorded int
 
 	// A barrier leaves these empty, and so does a replay.
 	open   []int            // stripes of this superstep with room, ascending
@@ -240,37 +261,14 @@ type Store struct {
 	pdirty map[int]bool     // stripes whose cached parity needs write-back
 	// left is the leaver list: members released since the last flush.
 	// Their stripes' parity still encodes them, and their bytes stay where
-	// they are, until FlushParity folds them out; held is the released
+	// they are, until FlushParity drops the stripes; held is the released
 	// tracks whose inner Release waits for that.
 	left map[disk.Addr]bool
 	held []disk.Addr
-	// wrote marks physical tracks written by the current attempt; a
-	// replay starts a new attempt, which has written nothing.
-	wrote map[disk.Addr]bool
 
 	// History, which a replay keeps: these, the scrub cursor and the
 	// counters but for the two gauges.
 	dead []bool
-	// rmwOld caches the barrier-committed content of striped members
-	// rewritten in place during the current superstep, keyed by
-	// physical track. After a superstep rollback the physical track
-	// already holds replayed data the stored parity does not encode,
-	// so parity arithmetic must use this copy for any member the
-	// current attempt has not rewritten yet. Dropped at FlushParity;
-	// deliberately not in the record, and kept by a replay (it must
-	// survive the rollback that makes it necessary).
-	rmwOld map[disk.Addr][]uint64
-	// recompute marks stripes whose stored parity is known stale after
-	// a crash-resume (Reconcile found residue it could not repair or
-	// recompute immediately: a torn member, or one on a dead drive).
-	// Incremental parity maintenance is suspended for these stripes and
-	// reads needing their parity fail loudly;
-	// FlushParity recomputes each one from its members as soon as every
-	// member is readable again. Like rmwOld it describes physical state
-	// rather than superstep state, so a replay keeps it and it is not
-	// part of EncodeState (it only exists between a crash-resume and the
-	// barrier that clears it).
-	recompute map[int]bool
 
 	scrubD, scrubT int // scrub cursor (physical walk)
 
@@ -297,23 +295,20 @@ func wrap(below disk.Store, mode Mode) (*Store, error) {
 		width = 1
 	}
 	return &Store{
-		inner:     below,
-		D:         cfg.D,
-		B:         cfg.B,
-		width:     width,
-		stripeOf:  make(map[disk.Addr]int),
-		stripes:   make(map[int]*stripe),
-		parityAt:  make(map[disk.Addr]int),
-		sums:      make(map[disk.Addr]uint64),
-		remap:     make(map[disk.Addr]disk.Addr),
-		rrmap:     make(map[disk.Addr]disk.Addr),
-		pval:      make(map[int][]uint64),
-		pdirty:    make(map[int]bool),
-		left:      make(map[disk.Addr]bool),
-		wrote:     make(map[disk.Addr]bool),
-		dead:      make([]bool, cfg.D),
-		rmwOld:    make(map[disk.Addr][]uint64),
-		recompute: make(map[int]bool),
+		inner:    below,
+		D:        cfg.D,
+		B:        cfg.B,
+		width:    width,
+		stripeOf: make(map[disk.Addr]int),
+		stripes:  make(map[int]*stripe),
+		parityAt: make(map[disk.Addr]int),
+		sums:     make(map[disk.Addr]uint64),
+		remap:    make(map[disk.Addr]disk.Addr),
+		rrmap:    make(map[disk.Addr]disk.Addr),
+		pval:     make(map[int][]uint64),
+		pdirty:   make(map[int]bool),
+		left:     make(map[disk.Addr]bool),
+		dead:     make([]bool, cfg.D),
 	}, nil
 }
 
@@ -350,13 +345,6 @@ func (s *Store) DriveDied(d int) {
 
 // parityUsable reports whether the stripe's parity track is readable.
 func (s *Store) parityUsable(st *stripe) bool { return !s.dead[st.parity.Disk] }
-
-// parityActive reports whether the stripe's parity can be maintained
-// incrementally: its parity track is on a live drive and it is not
-// awaiting a post-crash recomputation.
-func (s *Store) parityActive(sid int) bool {
-	return s.parityUsable(s.stripes[sid]) && !s.recompute[sid]
-}
 
 // chooseSpare returns a live drive other than d, rotated by salt so
 // remapped tracks spread over the survivors.
@@ -507,12 +495,6 @@ func (s *Store) readParityTrack(sid int, dst []uint64) (int, error) {
 // DegradedOps by the caller via the returned op count.
 func (s *Store) reconstruct(sid int, skip disk.Addr, dst []uint64) (int, error) {
 	st := s.stripes[sid]
-	if s.recompute[sid] {
-		// The stored parity is known stale (crash residue Reconcile
-		// could not absorb) and will only be recomputed at the next
-		// barrier; reconstructing from it would return silent garbage.
-		return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is stale after a crash and awaits recomputation", skip.Disk, skip.Track, sid)
-	}
 	ops := 0
 	if pv, ok := s.pval[sid]; ok {
 		copy(dst, pv)
@@ -536,15 +518,6 @@ func (s *Store) reconstruct(sid int, skip disk.Addr, dst []uint64) (int, error) 
 		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
 			return ops, fmt.Errorf("redundancy: two lost members in stripe %d (drive %d track %d and drive %d track %d)", sid, skip.Disk, skip.Track, d, t)
-		}
-		if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
-			// Rewritten in place this superstep but not yet by the
-			// current attempt: the parity state still encodes the
-			// barrier value, which only the cache holds.
-			for i := range dst {
-				dst[i] ^= old[i]
-			}
-			continue
 		}
 		buf := make([]uint64, s.B)
 		bufs = append(bufs, buf)
@@ -573,10 +546,8 @@ func (s *Store) reconstruct(sid int, skip disk.Addr, dst []uint64) (int, error) 
 func (s *Store) repairTrack(p disk.Addr) (int, error) {
 	buf := make([]uint64, s.B)
 	if sid, ok := s.parityAt[p]; ok {
-		// A parity track: the cached value, when present, is
-		// authoritative (it may carry this superstep's pending updates,
-		// which a recompute from the members would discard); only an
-		// uncached stripe is recomputed.
+		// A parity track: the cached value, when present, is current and
+		// costs no read; only an uncached stripe is recomputed.
 		ops := 0
 		if pv, cached := s.pval[sid]; cached {
 			copy(buf, pv)
@@ -621,37 +592,21 @@ func (s *Store) repairTrack(p disk.Addr) (int, error) {
 }
 
 // recomputeParity XORs the current data of every member of the stripe
-// into dst (reading members from their physical locations). Its callers
-// write dst over the stored parity, so the stripe's leavers are not
-// folded in and, on success, forgotten.
+// into dst (reading members from their physical locations; a leaver's
+// bytes stay where they are until the barrier drops its stripe).
 func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 	st := s.stripes[sid]
 	clear(dst)
 	var reqs []disk.ReadReq
 	var bufs [][]uint64
-	var left []disk.Addr
 	for d := 0; d < s.D; d++ {
 		t := st.members[d]
 		if t < 0 {
 			continue
 		}
-		if k := (disk.Addr{Disk: d, Track: t}); s.left[k] {
-			left = append(left, k)
-			continue
-		}
 		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
 		if !ok {
 			return 0, fmt.Errorf("redundancy: recomputing parity of stripe %d: member on dead drive %d", sid, d)
-		}
-		if old, ok := s.rmwOld[p]; ok {
-			// The stored parity being recomputed encodes the barrier
-			// state; a member rewritten in place this superstep
-			// contributes its barrier-committed value (already verified
-			// when it was captured).
-			for i := range dst {
-				dst[i] ^= old[i]
-			}
-			continue
 		}
 		buf := make([]uint64, s.B)
 		bufs = append(bufs, buf)
@@ -673,9 +628,6 @@ func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
 		for i := range dst {
 			dst[i] ^= b[i]
 		}
-	}
-	for _, k := range left {
-		s.forget(k)
 	}
 	return ops, nil
 }
@@ -771,15 +723,23 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 // folded into that stripe's cached parity from memory; once D stripes
 // have filled, their parity is written and leaves the cache, so what the
 // layer holds outside the engine's M stays a few blocks per drive. A
-// write to a striped track updates the cached parity with the classic
-// read-modify-write small write (the old data is read back first, a
-// charged operation). Writes to dead-drive tracks land on spare capacity
-// of the survivors and are remapped from then on.
+// write to a member of a stripe no barrier record names updates the
+// cached parity with the classic read-modify-write small write (the old
+// data is read back first, a charged operation); a write to a member of
+// a recorded stripe is refused with a *ContractError before anything
+// changes. Writes to dead-drive tracks land on spare capacity of the
+// survivors and are remapped from then on.
 func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(reqs) == 0 {
 		return nil
+	}
+	for _, r := range reqs {
+		k := disk.Addr{Disk: r.Disk, Track: r.Track}
+		if sid, ok := s.stripeOf[k]; ok && sid < s.recorded {
+			return &ContractError{Op: "WriteOp", Track: k, Reason: fmt.Sprintf("a member of stripe %d, which a barrier record names, is not rewritten in place", sid)}
+		}
 	}
 	// Read old data of striped targets first (parity maintenance).
 	type oldRead struct {
@@ -788,42 +748,27 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	}
 	var olds []oldRead
 	var oldReqs []disk.ReadReq
-	type oldCap struct {
-		pk  disk.Addr
-		buf []uint64
-	}
-	var oldCapture []oldCap // first-touched members to cache after the read
-	var oldRecon []oldRead
 	for _, r := range reqs {
 		k := disk.Addr{Disk: r.Disk, Track: r.Track}
 		sid, ok := s.stripeOf[k]
-		if !ok || !s.parityActive(sid) {
+		if !ok || !s.parityUsable(s.stripes[sid]) {
 			continue
 		}
 		buf := make([]uint64, s.B)
+		olds = append(olds, oldRead{sid, buf})
 		if p, live := s.physOf(k); live {
-			if old, ok := s.rmwOld[p]; ok && !s.wrote[p] {
-				// First rewrite by a replaying attempt: the track already
-				// holds the aborted attempt's data, the parity encodes
-				// the cached barrier value.
-				copy(buf, old)
-				olds = append(olds, oldRead{sid, buf})
-			} else {
-				if !s.wrote[p] {
-					oldCapture = append(oldCapture, oldCap{p, buf})
-				}
-				olds = append(olds, oldRead{sid, buf})
-				oldReqs = append(oldReqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
-			}
-		} else {
-			// Rewrite of a dead member: its old value must be
-			// reconstructed before parity can drop it.
-			n, err := s.reconstruct(sid, k, buf)
-			s.ctr.DegradedOps += int64(n)
-			if err != nil {
-				return err
-			}
-			oldRecon = append(oldRecon, oldRead{sid, buf})
+			oldReqs = append(oldReqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
+			continue
+		}
+		// Rewrite of a dead member: its old value must be reconstructed,
+		// and verified, before parity can drop it.
+		n, err := s.reconstruct(sid, k, buf)
+		s.ctr.DegradedOps += int64(n)
+		if err != nil {
+			return err
+		}
+		if want, ok := s.sums[k]; ok && disk.Checksum(buf) != want {
+			return &disk.CorruptTrackError{Disk: k.Disk, Track: k.Track}
 		}
 	}
 	if len(oldReqs) > 0 {
@@ -833,10 +778,10 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 			return err
 		}
 		// Verify the old data against its recorded checksum before it is
-		// folded out of parity or captured as the barrier value. A
-		// mismatch is latent corruption — folding it out would silently
-		// leave parity encoding the corrupt bytes; reconstruct the real
-		// content from parity first, exactly as the read path does.
+		// folded out of parity. A mismatch is latent corruption — folding
+		// it out would silently leave parity encoding the corrupt bytes;
+		// reconstruct the real content from parity first, exactly as the
+		// read path does.
 		for i, r := range oldReqs {
 			pk := disk.Addr{Disk: r.Disk, Track: r.Track}
 			want, ok := s.sums[pk]
@@ -858,12 +803,8 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 				return &disk.CorruptTrackError{Disk: pk.Disk, Track: pk.Track}
 			}
 		}
-		for _, c := range oldCapture {
-			s.rmwOld[c.pk] = append([]uint64(nil), c.buf...)
-		}
 	}
 	// Fold old and new data into the cached parity values.
-	olds = append(olds, oldRecon...)
 	for _, o := range olds {
 		if err := s.loadParity(o.sid); err != nil {
 			return err
@@ -879,8 +820,8 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 		if !ok {
 			sid, ok = s.assign(k)
 		}
-		if !ok || !s.parityActive(sid) {
-			return nil // unprotected, or protected again once recomputed
+		if !ok || !s.parityUsable(s.stripes[sid]) {
+			return nil // unprotected
 		}
 		if err := s.loadParity(sid); err != nil {
 			return err
@@ -915,7 +856,6 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 			degraded = true
 		}
 		phys[i] = disk.WriteReq{Disk: p.Disk, Track: p.Track, Src: r.Src}
-		s.wrote[p] = true
 	}
 	ops, err := s.writePhys(phys)
 	if err != nil {
@@ -963,8 +903,8 @@ func (s *Store) writeParity(sids []int) error {
 // Release frees a logical track without I/O, and is the only way out of a
 // stripe: a striped member joins the leaver list at once, and its stripe, a
 // member short, takes no more; the inner Release — and with it any reuse of
-// the track — is held until the next FlushParity has folded the leavers
-// out, so until then the bytes stay where parity encodes them.
+// the track — is held until the next FlushParity has dropped the stripe,
+// so until then the bytes stay where parity encodes them.
 func (s *Store) Release(d, t int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -979,128 +919,63 @@ func (s *Store) Release(d, t int) error {
 	return nil
 }
 
-// foldLeavers settles the leaver list at the barrier. A stripe all of
-// whose members have left is dropped with no I/O, and a stripe whose
-// parity is not being maintained just loses the leavers. For the stripes
-// with survivors the stored parity (unless cached) and the leavers' bytes
-// are read in one scheduled batch and every block is verified against its
-// recorded checksum before it is folded; a stripe with a failing or lost
-// block is left to the recomputation from its verified members at the end
-// of the flush, never folded from unverified bytes.
-func (s *Store) foldLeavers() error {
-	type fold struct {
-		sid  int
-		k    disk.Addr      // one of its leavers
-		idle bool           // nothing to fold: no survivor, or parity not maintained
-		read []disk.ReadReq // the parity track unless cached, then the leavers
-		olds [][]uint64     // leavers parity encodes by their barrier value
-		lost bool           // a leaver has no physical copy
-	}
-	var folds []*fold
-	var reqs []disk.ReadReq
-	bySid := make(map[int]*fold)
+// dropLeavers settles the leaver list at the barrier, without I/O. A
+// stripe all of whose members have left is dropped with its parity track,
+// and one whose parity drive has died just loses its leavers. A stripe
+// with usable parity that some of its members have left and others not is
+// refused with a *ContractError before anything changes: folding the
+// leavers out would read them back.
+func (s *Store) dropLeavers() error {
 	keys := disk.SortedAddrs(s.left)
 	for _, k := range keys {
 		sid := s.stripeOf[k]
-		f := bySid[sid]
-		if f == nil {
-			st := s.stripes[sid]
-			f = &fold{sid: sid, k: k, idle: st.count == 0 || !s.parityActive(sid)}
-			bySid[sid], folds = f, append(folds, f)
-			if _, cached := s.pval[sid]; !cached && !f.idle {
-				f.read = append(f.read, disk.ReadReq{Disk: st.parity.Disk, Track: st.parity.Track, Dst: make([]uint64, s.B)})
-			}
-		}
-		if f.idle {
-			continue
-		}
-		p, live := s.physOf(k)
-		switch old, ok := s.rmwOld[p]; {
-		case !live:
-			f.lost = true
-		case ok && !s.wrote[p]:
-			f.olds = append(f.olds, old)
-		default:
-			f.read = append(f.read, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: make([]uint64, s.B)})
+		if st := s.stripes[sid]; st.count > 0 && s.parityUsable(st) {
+			return &ContractError{Op: "FlushParity", Track: k, Reason: fmt.Sprintf("it left stripe %d, which %d of its members have not", sid, st.count)}
 		}
 	}
-	for _, f := range folds {
-		reqs = append(reqs, f.read...)
-	}
-	n, err := s.readPhys(reqs)
-	s.parityReads(n)
-	if err != nil {
-		return err
-	}
-	for _, f := range folds {
-		if f.idle || !s.left[f.k] {
-			continue // or a repair under the read recomputed this stripe's parity
-		}
-		bad := f.lost
-		for _, r := range f.read {
-			if want, ok := s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]; ok && disk.Checksum(r.Dst) != want {
-				s.ctr.ChecksumFailures++
-				bad = true
-			}
-		}
-		if bad {
-			s.recompute[f.sid] = true
-			delete(s.pdirty, f.sid)
-			continue
-		}
-		pv, cached := s.pval[f.sid]
-		if !cached {
-			pv, f.read = f.read[0].Dst, f.read[1:]
-			s.pval[f.sid] = pv
-		}
-		for _, r := range f.read {
-			f.olds = append(f.olds, r.Dst)
-		}
-		for _, b := range f.olds {
-			for w := range pv {
-				pv[w] ^= b[w]
-			}
-		}
-		s.pdirty[f.sid] = true
-	}
-	for _, k := range keys {
+	sids := make([]int, len(keys))
+	for i, k := range keys {
+		sids[i] = s.stripeOf[k]
 		s.forget(k)
 	}
-	for _, f := range folds {
-		if s.stripes[f.sid].count == 0 {
-			s.dropStripe(f.sid)
+	for _, sid := range sids {
+		if st, ok := s.stripes[sid]; ok && st.count == 0 {
+			if err := s.dropStripe(sid); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// forget ends a leaver's membership, once its stripe's parity no longer
-// encodes it or is about to be replaced by one that does not. Its bytes
-// are dead from here on: there is no checksum to hold them to.
+// forget ends a leaver's membership. Its bytes are dead from here on:
+// there is no checksum to hold them to.
 func (s *Store) forget(k disk.Addr) {
-	if sid, ok := s.stripeOf[k]; ok {
-		s.stripes[sid].members[k.Disk] = -1
-		delete(s.stripeOf, k)
-		if p, live := s.physOf(k); live {
-			delete(s.sums, p)
-		}
+	sid := s.stripeOf[k]
+	s.stripes[sid].members[k.Disk] = -1
+	delete(s.stripeOf, k)
+	if p, live := s.physOf(k); live {
+		delete(s.sums, p)
 	}
 	delete(s.left, k)
 }
 
 // dropStripe frees an empty stripe and its parity track.
-func (s *Store) dropStripe(sid int) {
+func (s *Store) dropStripe(sid int) error {
 	st := s.stripes[sid]
 	delete(s.parityAt, st.parity)
 	delete(s.sums, st.parity)
 	delete(s.pval, sid)
 	delete(s.pdirty, sid)
-	delete(s.recompute, sid)
 	delete(s.stripes, sid)
-	if !s.dead[st.parity.Disk] {
-		s.inner.Release(st.parity.Disk, st.parity.Track) //nolint:errcheck
-	}
 	s.ctr.ParityBlocks--
+	if s.dead[st.parity.Disk] {
+		return nil
+	}
+	if err := s.inner.Release(st.parity.Disk, st.parity.Track); err != nil {
+		return fmt.Errorf("redundancy: dropping stripe %d: %w", sid, err)
+	}
+	return nil
 }
 
 func (s *Store) removeOpen(sid int) {
@@ -1122,7 +997,7 @@ func (s *Store) removeOpen(sid int) {
 func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	for _, sid := range s.open {
 		st := s.stripes[sid]
-		if st.members[k.Disk] < 0 && st.parity.Disk != k.Disk && s.parityActive(sid) && !st.full(s.width) {
+		if st.members[k.Disk] < 0 && st.parity.Disk != k.Disk && s.parityUsable(st) && !st.full(s.width) {
 			st.members[k.Disk] = k.Track
 			st.count++
 			s.stripeOf[k] = sid
@@ -1176,7 +1051,7 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 // as if full, and its parity goes to disk with the full ones'. A client
 // whose tracks of one superstep leave at different barriers seals around
 // the ones that may outlive the others, so every stripe still leaves
-// whole and no barrier folds a leaver out by reading it back.
+// whole (FlushParity refuses one that does not).
 func (s *Store) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1185,13 +1060,13 @@ func (s *Store) Seal() {
 }
 
 // FlushParity is the barrier commit point of the parity scheme: the
-// leavers are folded out of their stripes (foldLeavers), every stripe
-// whose cached parity is newer than its track is written back, the
-// in-memory parity cache is dropped and every open stripe is closed — a
-// stripe holds one superstep's tracks. It reads no data track written
-// since the last flush. The engines call it at every compound-superstep
-// barrier (and before every journal commit), so committed state always
-// carries consistent parity.
+// stripes all of whose members have left are dropped (dropLeavers, which
+// refuses a stripe that leaves in part), every stripe whose cached parity
+// is newer than its track is written back, the in-memory parity cache is
+// dropped and every open stripe is closed — a stripe holds one
+// superstep's tracks. It reads nothing. The engines call it at every
+// compound-superstep barrier (and before every journal commit), so
+// committed state always carries consistent parity.
 //
 // Only then are the tracks released since the last flush handed to the
 // allocator, which is the layer's share of the commit ordering: nothing
@@ -1203,7 +1078,7 @@ func (s *Store) Seal() {
 func (s *Store) FlushParity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.foldLeavers(); err != nil {
+	if err := s.dropLeavers(); err != nil {
 		return err
 	}
 	s.cachePeak = max(s.cachePeak, len(s.pval))
@@ -1215,30 +1090,10 @@ func (s *Store) FlushParity() error {
 	if err := s.writeParity(sids); err != nil {
 		return err
 	}
-	// Drop the caches: memory stays bounded by the stripes and members
-	// touched in one superstep, not by the run. The barrier makes the
-	// physical state authoritative again, so the rewrite history of the
-	// finished superstep is no longer needed.
+	// Drop the cache: memory stays bounded by the stripes touched in one
+	// superstep, not by the run.
 	s.pval = make(map[int][]uint64)
-	s.rmwOld = make(map[disk.Addr][]uint64)
-	s.wrote = make(map[disk.Addr]bool)
 	s.open, s.filled = s.open[:0], s.filled[:0]
-	// Stripes whose parity went stale — across a crash (Reconcile could
-	// not recompute them at resume time), or by a leaver that could not be
-	// folded out — are recomputed here from their members, once those are
-	// readable.
-	if len(s.recompute) > 0 {
-		sids := make([]int, 0, len(s.recompute))
-		for sid := range s.recompute {
-			sids = append(sids, sid)
-		}
-		sort.Ints(sids)
-		for _, sid := range sids {
-			if _, err := s.recomputeStaleParity(sid); err != nil {
-				return err
-			}
-		}
-	}
 	for _, k := range s.held {
 		if m, ok := s.remap[k]; ok {
 			delete(s.remap, k)
@@ -1255,56 +1110,6 @@ func (s *Store) FlushParity() error {
 	}
 	s.held = s.held[:0]
 	return nil
-}
-
-// recomputeStaleParity recomputes and rewrites the parity of a
-// recompute-marked stripe from the current member contents, clearing
-// the mark on success. It keeps the mark (done = false, no error)
-// while the stripe cannot be recomputed: a member is torn and not yet
-// rewritten, or a member or the parity track sits on a dead drive (the
-// mark then lasts until the stripe's members leave). Its I/O is
-// recovery work outside any superstep's accounting, so no redundancy
-// counters are charged.
-func (s *Store) recomputeStaleParity(sid int) (done bool, err error) {
-	st, ok := s.stripes[sid]
-	if !ok {
-		delete(s.recompute, sid)
-		return true, nil
-	}
-	if !s.parityUsable(st) {
-		return false, nil
-	}
-	dst := make([]uint64, s.B)
-	buf := make([]uint64, s.B)
-	for d := 0; d < s.D; d++ {
-		t := st.members[d]
-		if t < 0 {
-			continue
-		}
-		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
-		if !ok {
-			return false, nil
-		}
-		rerr := s.inner.ReadOp([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}})
-		var cte *disk.CorruptTrackError
-		if errors.As(rerr, &cte) {
-			return false, nil
-		}
-		if rerr != nil {
-			return false, rerr
-		}
-		if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
-			return false, fmt.Errorf("redundancy: recomputing stale parity of stripe %d: member drive %d track %d fails its checksum", sid, p.Disk, p.Track)
-		}
-		for i := range dst {
-			dst[i] ^= buf[i]
-		}
-	}
-	if _, werr := s.writePhys([]disk.WriteReq{{Disk: st.parity.Disk, Track: st.parity.Track, Src: dst}}); werr != nil {
-		return false, werr
-	}
-	delete(s.recompute, sid)
-	return true, nil
 }
 
 // Scrub examines up to budget physical tracks from the persistent
@@ -1361,10 +1166,12 @@ func (s *Store) Scrub(budget int) (wrapped bool, err error) {
 // remaps, the scrub cursor, and the counters: the layer's part of a
 // processor's barrier record. It must be called at a barrier, after
 // FlushParity (the parity cache and the leaver and held-release lists
-// are empty there and are not encoded).
+// are empty there and are not encoded). Every stripe it encodes is
+// recorded from then on: its members are not rewritten.
 func (s *Store) EncodeState(enc *words.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.recorded = s.next
 	enc.PutInt(int64(s.D))
 	for _, d := range s.dead {
 		enc.PutBool(d)
@@ -1415,12 +1222,12 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 
 // DecodeState adopts state written by EncodeState, rebuilding the
 // derived directories (stripe membership, parity locations, reverse
-// remap); no stripe is open at a barrier, no parity cached, nothing
-// written since. A resumed process adopts all of it, so the scrub
-// continues at its cursor. A superstep replay (replay) keeps the
-// layer's history — dead drives, the scrub cursor, the monotone
-// counters, rmwOld and recompute — and takes the rest, the two gauges
-// included, from the record (DESIGN.md §8).
+// remap); no stripe is open at a barrier, no parity cached, no leaver
+// pending, and every stripe is recorded. A resumed process adopts all of
+// it, so the scrub continues at its cursor. A superstep replay (replay)
+// keeps the layer's history — dead drives, the scrub cursor, the
+// monotone counters — and takes the rest, the two gauges included, from
+// the record (DESIGN.md §8).
 func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1434,6 +1241,7 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 		}
 	}
 	s.next = int(dec.Int())
+	s.recorded = s.next
 	cur := dec.Ints()
 	if len(cur) != 2 {
 		return fmt.Errorf("redundancy: cursor state has %d fields, want 2", len(cur))
@@ -1489,48 +1297,22 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 	s.pval = make(map[int][]uint64)
 	s.pdirty = make(map[int]bool)
 	s.left = make(map[disk.Addr]bool)
-	s.wrote = make(map[disk.Addr]bool)
 	s.filled, s.held = nil, nil
 	return nil
 }
 
-// Reconcile re-establishes the parity invariant after a crash-resume;
-// the engines call it once, right after DecodeState and before the
-// replay starts.
+// Reconcile checks the disk against the adopted record after a
+// crash-resume; the engines call it once, right after DecodeState and
+// before the replay starts.
 //
-// A client that rewrites committed striped tracks in place leaves, when
-// it is killed mid-superstep, tracks the manifest's parity does not
-// encode, and the in-memory rmwOld cache that lets a same-process replay
-// fold the barrier content out of parity dies with the process. (The
-// engines' runs no longer do: a superstep writes only tracks it
-// allocated, and a barrier's flush writes parity only to tracks allocated
-// since the last record. There the scan below finds a track that rotted
-// at rest, or nothing.) A resumed process of such a client therefore
-// faces physical tracks that may hold the crashed attempt's bytes
-// (checksum mismatch against the manifest) or a torn write (the inner
-// store's own per-track checksum fails), with stored
-// parity encoding either the barrier state (crash before FlushParity)
-// or the aborted barrier's state (crash between FlushParity and the
-// journal commit). Left alone, the replay's read-modify-write would
-// fold the crashed bytes out of parity as if they were the barrier
-// content, leaving parity silently stale — the classic RAID write
-// hole.
-//
-// Reconcile scans every checksummed live track. A stripe with exactly
-// one bad track is repaired the ordinary way: the committed content is
-// reconstructed from the surviving tracks and rewritten. A stripe with
-// several bad tracks cannot be rolled back — parity is one equation —
-// so the current physical content is adopted instead: member checksums
-// are updated to match what is on disk and parity is recomputed from
-// it. Adoption is sound because the deterministic replay rewrites
-// exactly the crashed attempt's tracks before the next barrier, and
-// the read-modify-write only needs the "old" value it folds out to be
-// the value parity currently encodes. When a member of such a stripe
-// is torn or lost (on a dead drive) the recomputation is
-// deferred to the next FlushParity via the recompute set, and reads
-// needing reconstruction from the stripe fail loudly until then: crash
-// residue plus a lost member in one stripe is genuinely beyond
-// single-failure tolerance.
+// Under the contract a crashed attempt wrote no track the record
+// checksums: a superstep writes only tracks it allocated, and a barrier's
+// flush writes parity only to tracks allocated since the last record. So
+// what the scan of every checksummed live track finds is a track that
+// rotted at rest, or nothing. A stripe's one bad track (stale or torn) is
+// repaired from the rest of the stripe. Anything else — two bad tracks in
+// one stripe, one the stripe cannot rebuild, a bad unprotected track — is
+// refused with a *ContractError, never adopted.
 //
 // Reconcile is accounting-neutral: its repair I/O is real but belongs
 // to no superstep, so the inner Stats and the redundancy Counters are
@@ -1550,11 +1332,10 @@ func (s *Store) Reconcile() error {
 }
 
 func (s *Store) reconcile() error {
-	keys := disk.SortedAddrs(s.sums)
-	stale := make(map[disk.Addr]uint64) // readable, content != recorded sum -> current checksum
-	torn := make(map[disk.Addr]bool)    // the inner store reports the track torn
+	var bad []disk.Addr
+	perStripe := make(map[int]int)
 	buf := make([]uint64, s.B)
-	for _, k := range keys {
+	for _, k := range disk.SortedAddrs(s.sums) {
 		if s.dead[k.Disk] {
 			continue
 		}
@@ -1562,68 +1343,25 @@ func (s *Store) reconcile() error {
 		var cte *disk.CorruptTrackError
 		switch {
 		case errors.As(err, &cte):
-			torn[k] = true
 		case err != nil:
 			return err
-		case disk.Checksum(buf) != s.sums[k]:
-			stale[k] = disk.Checksum(buf)
-		}
-	}
-	if len(stale)+len(torn) == 0 {
-		return nil
-	}
-	// Group the residue by stripe (keys is sorted, so bySid's slices
-	// and sids are deterministic).
-	bySid := make(map[int][]disk.Addr)
-	var sids []int
-	var orphans []disk.Addr
-	for _, k := range keys {
-		if _, isStale := stale[k]; !isStale && !torn[k] {
+		case disk.Checksum(buf) == s.sums[k]:
 			continue
 		}
 		sid, ok := s.sidOfPhys(k)
-		if !ok {
-			orphans = append(orphans, k)
-			continue
+		if !ok || !s.stripeIntactExcept(sid, k) {
+			return &ContractError{Op: "Reconcile", Track: k, Reason: "its content is not the record's, and no stripe can rebuild it"}
 		}
-		if _, seen := bySid[sid]; !seen {
-			sids = append(sids, sid)
-		}
-		bySid[sid] = append(bySid[sid], k)
+		bad = append(bad, k)
+		perStripe[sid]++
 	}
-	sort.Ints(sids)
-	// Unprotected residue: adopt what is on disk, or forget the
-	// checksum of a torn track — the replay rewrites it.
-	for _, k := range orphans {
-		if torn[k] {
-			delete(s.sums, k)
-		} else {
-			s.sums[k] = stale[k]
+	for _, k := range bad {
+		if sid, _ := s.sidOfPhys(k); perStripe[sid] > 1 {
+			return &ContractError{Op: "Reconcile", Track: k, Reason: fmt.Sprintf("one of %d tracks of stripe %d whose content is not the record's", perStripe[sid], sid)}
 		}
 	}
-	for _, sid := range sids {
-		bad := bySid[sid]
-		if len(bad) == 1 && s.stripeIntactExcept(sid, bad[0]) {
-			// A single bad track in an otherwise healthy stripe: restore
-			// the committed content from the survivors.
-			if _, err := s.repairTrack(bad[0]); err != nil {
-				return err
-			}
-			continue
-		}
-		// Adoption: the current physical content becomes authoritative.
-		for _, k := range bad {
-			if _, isParity := s.parityAt[k]; isParity {
-				continue // recomputed below, never adopted
-			}
-			if torn[k] {
-				delete(s.sums, k)
-			} else {
-				s.sums[k] = stale[k]
-			}
-		}
-		s.recompute[sid] = true
-		if _, err := s.recomputeStaleParity(sid); err != nil {
+	for _, k := range bad {
+		if _, err := s.repairTrack(k); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,10 @@
 package redundancy
 
 import (
+	"errors"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"embsp/internal/disk"
@@ -118,54 +121,155 @@ func TestDegradedRead(t *testing.T) {
 	}
 }
 
-func TestRewriteReleaseAndDeath(t *testing.T) {
-	const D, B = 3, 8
-	s, _ := mkStore(t, D, B)
-	addrs := writeTracks(t, s, D, B, 4)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
+// rewrite writes each of as again with content of its own (test helper).
+func rewrite(s *Store, as ...disk.Addr) error {
+	reqs := make([]disk.WriteReq, len(as))
+	for i, a := range as {
+		reqs[i] = disk.WriteReq{Disk: a.Disk, Track: a.Track, Src: make([]uint64, s.B)}
+		pattern(reqs[i].Src, a.Disk, a.Track+1000)
 	}
-	// Rewrite some striped tracks (small-write path) and release others.
-	buf := make([]uint64, B)
+	return s.WriteOp(reqs)
+}
+
+// TestRewriteReleaseAndDeath: a member of a stripe no barrier record
+// names yet may be written again — a write the fault layer re-issues — at
+// the cost of its old bytes, read back and folded out of the parity; a
+// flush alone records nothing. Once a record names the stripe, a rewrite
+// of a member is refused with a *ContractError before anything changes,
+// whatever else the operation writes. A stripe released whole leaves, and
+// after a drive death every other track reads its last content.
+func TestRewriteReleaseAndDeath(t *testing.T) {
+	const D, B = 4, 8
+	s, raw := mkStore(t, D, B)
+	addrs := writeTracks(t, s, D, B, 3)
+	c0 := s.Counters()
+	rewritten := map[disk.Addr]bool{}
 	for i, a := range addrs {
-		switch i % 3 {
-		case 0:
-			pattern(buf, a.Disk, a.Track+1000)
-			if err := s.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: append([]uint64(nil), buf...)}}); err != nil {
-				t.Fatalf("rewrite: %v", err)
+		if i%3 == 0 {
+			if err := rewrite(s, a); err != nil {
+				t.Fatalf("rewrite of %v in the superstep that wrote it: %v", a, err)
 			}
-		case 1:
-			if err := s.Release(a.Disk, a.Track); err != nil {
-				t.Fatalf("release: %v", err)
-			}
+			rewritten[a] = true
 		}
 	}
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
+	if c := s.Counters(); c.ParityReadOps-c0.ParityReadOps < int64(len(rewritten)) {
+		t.Errorf("%d rewrites took %d parity reads, want an old-data read each at least", len(rewritten), c.ParityReadOps-c0.ParityReadOps)
 	}
+	flushChecked(t, s)
+	if err := rewrite(s, addrs[1]); err != nil {
+		t.Fatalf("rewrite after a flush with no record: %v", err)
+	}
+	rewritten[addrs[1]] = true
+	flushChecked(t, s)
+
+	rec := words.NewEncoder(nil)
+	s.EncodeState(rec)
+	fresh := disk.Addr{Disk: addrs[2].Disk ^ 1, Track: s.Alloc(addrs[2].Disk ^ 1)}
+	st, ops := s.State(), raw.Stats().Ops
+	var ce *ContractError
+	if err := rewrite(s, fresh, addrs[2]); !errors.As(err, &ce) || ce.Op != "WriteOp" || ce.Track != addrs[2] {
+		t.Fatalf("rewrite of a recorded member: %v, want a *ContractError naming %v", err, addrs[2])
+	}
+	again := words.NewEncoder(nil)
+	s.EncodeState(again)
+	if !reflect.DeepEqual(s.State(), st) || !slices.Equal(again.Words(), rec.Words()) || raw.Stats().Ops != ops {
+		t.Errorf("the refused write changed the layer's state or record, or issued %d operations", raw.Stats().Ops-ops)
+	}
+
+	left := map[disk.Addr]bool{}
+	for _, a := range addrs {
+		if s.stripeOf[a] == s.stripeOf[addrs[len(addrs)-1]] {
+			if err := s.Release(a.Disk, a.Track); err != nil {
+				t.Fatal(err)
+			}
+			left[a] = true
+		}
+	}
+	flushChecked(t, s)
 	s.DriveDied(1)
-	for i, a := range addrs {
-		want := make([]uint64, B)
-		switch i % 3 {
-		case 0:
+	for _, a := range addrs {
+		want, got := make([]uint64, B), make([]uint64, B)
+		switch {
+		case left[a]:
+			continue
+		case rewritten[a]:
 			pattern(want, a.Disk, a.Track+1000)
-		case 1:
-			continue // released
-		case 2:
+		default:
 			pattern(want, a.Disk, a.Track)
 		}
-		got := make([]uint64, B)
-		if err := s.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil {
-			t.Fatalf("read drive %d track %d: %v", a.Disk, a.Track, err)
+		if err := s.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("drive %d track %d after a drive death: %x (%v), want %x", a.Disk, a.Track, got, err, want)
 		}
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("drive %d track %d word %d: got %#x want %#x", a.Disk, a.Track, w, got[w], want[w])
+	}
+}
+
+// TestRewriteVerifiesOldBytes: a write repeated within its superstep
+// folds no unverified bytes out of parity. Old bytes that rotted since
+// they were written (member), or a stored parity that did (parity), are
+// repaired from the stripe before the fold, and the barrier's parity holds
+// every member, whichever drive dies.
+func TestRewriteVerifiesOldBytes(t *testing.T) {
+	const D, B = 4, 8
+	for _, rot := range []string{"member", "parity"} {
+		t.Run(rot, func(t *testing.T) {
+			s, raw := mkStore(t, D, B)
+			addrs := writeTracks(t, s, D, B, 4)
+			victim := addrs[0]
+			sid := s.stripeOf[victim]
+			if _, cached := s.pval[sid]; cached {
+				t.Fatalf("stripe %d's parity is still cached: the case wants it on disk", sid)
+			}
+			bad := victim
+			if rot == "parity" {
+				bad = s.stripes[sid].parity
+			}
+			garbage := make([]uint64, B)
+			pattern(garbage, 99, 99)
+			if err := raw.WriteOp([]disk.WriteReq{{Disk: bad.Disk, Track: bad.Track, Src: garbage}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := rewrite(s, victim); err != nil {
+				t.Fatal(err)
+			}
+			if c := s.Counters(); c.ChecksumFailures != 1 {
+				t.Errorf("ChecksumFailures = %d, want 1", c.ChecksumFailures)
+			}
+			flushChecked(t, s)
+			s.DriveDied(addrs[1].Disk)
+			want := make([]uint64, B)
+			pattern(want, victim.Disk, victim.Track+1000)
+			if got := make([]uint64, B); s.ReadOp([]disk.ReadReq{{Disk: victim.Disk, Track: victim.Track, Dst: got}}) != nil || !slices.Equal(got, want) {
+				t.Errorf("the rewritten track reads %x, want %x", got, want)
+			}
+			for _, a := range addrs[1:] {
+				checkTrack(t, s, a, B)
+			}
+		})
+	}
+}
+
+// TestDropStripeReportsReleaseError: the barrier that drops a stripe
+// returns what its parity track's inner Release returns — here the double
+// free of a track released beneath the layer.
+func TestDropStripeReportsReleaseError(t *testing.T) {
+	const D, B = 4, 8
+	s, raw := mkStore(t, D, B)
+	addrs := writeTracks(t, s, D, B, 1)
+	flushChecked(t, s)
+	sid := s.stripeOf[addrs[0]]
+	p := s.stripes[sid].parity
+	if err := raw.Release(p.Disk, p.Track); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
+		if s.stripeOf[a] == sid {
+			if err := s.Release(a.Disk, a.Track); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	if s.Counters().ParityOps == 0 {
-		t.Error("no parity maintenance ops recorded")
+	if err := s.FlushParity(); err == nil || !strings.Contains(err.Error(), "double release") {
+		t.Errorf("FlushParity dropping a stripe whose parity track is already free: %v, want the inner double release", err)
 	}
 }
 
@@ -193,7 +297,7 @@ func TestScrubCompleteness(t *testing.T) {
 			if injected[a] {
 				continue
 			}
-			sid, ok := s.stripeID(a)
+			sid, ok := s.sidOfPhys(a)
 			if !ok || hitStripes[sid] {
 				continue
 			}
@@ -246,19 +350,6 @@ func (s *Store) summedTracks() []disk.Addr {
 		}
 	}
 	return out
-}
-
-// stripeID maps a physical track to its parity group (test helper).
-func (s *Store) stripeID(a disk.Addr) (int, bool) {
-	k := a
-	if sid, ok := s.parityAt[k]; ok {
-		return sid, true
-	}
-	if l, ok := s.rrmap[k]; ok {
-		k = l
-	}
-	sid, ok := s.stripeOf[k]
-	return sid, ok
 }
 
 // TestMirrorCopies: under mirror a stripe is one member and its copy. A
@@ -331,10 +422,14 @@ func TestSnapshotRestore(t *testing.T) {
 	// Mutate under the engines' checkpoint discipline: committed tracks
 	// are never rewritten in place and their frees are deferred to the
 	// barrier commit, so speculative work is fresh allocations only
-	// (plus frees of those same fresh tracks).
+	// (plus frees of whole stripes of those same fresh tracks).
 	fresh := writeTracks(t, s, D, B, 2)
-	if err := s.Release(fresh[0].Disk, fresh[0].Track); err != nil {
-		t.Fatalf("release: %v", err)
+	for _, a := range fresh {
+		if s.stripeOf[a] == s.stripeOf[fresh[0]] {
+			if err := s.Release(a.Disk, a.Track); err != nil {
+				t.Fatalf("release: %v", err)
+			}
+		}
 	}
 	flushChecked(t, s)
 	// Roll back (the engine's replay path: allocator first, then layer).
@@ -384,21 +479,10 @@ func TestEncodeDecodeResume(t *testing.T) {
 	}
 }
 
-// crashPattern is the deterministic content a superstep's in-place
-// rewrite produces — distinct from pattern so stale parity is
-// detectable.
-func crashPattern(buf []uint64, d, t int) {
-	pattern(buf, d, t)
-	delta := 0xdeadbeefcafef00d * uint64(31*d+7*t+1)
-	for i := range buf {
-		buf[i] ^= delta
-	}
-}
-
 // resumeFrom models a crash-resume: the allocator metadata is restored
 // from the manifest, track contents stay as the crashed process left
-// them, and a fresh layer (empty rmwOld) decodes the manifest.
-func resumeFrom(t *testing.T, raw disk.Store, allocSt disk.StoreState, manifest []uint64) *Store {
+// them, and a fresh layer decodes the manifest and reconciles.
+func resumeFrom(t *testing.T, raw disk.Store, allocSt disk.StoreState, manifest []uint64) (*Store, error) {
 	t.Helper()
 	if err := raw.AdoptState(allocSt); err != nil {
 		t.Fatalf("AdoptState: %v", err)
@@ -407,137 +491,110 @@ func resumeFrom(t *testing.T, raw disk.Store, allocSt disk.StoreState, manifest 
 	if err != nil {
 		t.Fatalf("Wrap: %v", err)
 	}
-	dec := words.NewDecoder(manifest)
-	if err := s.DecodeState(dec, false); err != nil {
+	if err := s.DecodeState(words.NewDecoder(manifest), false); err != nil {
 		t.Fatalf("DecodeState: %v", err)
 	}
-	if err := s.Reconcile(); err != nil {
-		t.Fatalf("Reconcile: %v", err)
-	}
-	return s
+	return s, s.Reconcile()
 }
 
-// TestReconcileMidSuperstepCrash is the RAID write hole under the
-// checkpoint discipline: a superstep rewrites striped tracks in place,
-// the process dies before the barrier, and the resumed replay's parity
-// arithmetic must not trust the crashed attempt's on-disk data as the
-// barrier content the stored parity encodes. After the replayed
-// barrier, a drive death must still reconstruct every track bitwise.
-func TestReconcileMidSuperstepCrash(t *testing.T) {
+// crashAndResume runs a superstep — fresh tracks, one written twice as a
+// re-issued write is — from a barrier, kills the process before the
+// barrier's record lands (after its FlushParity when flushed), and resumes
+// from the record before: Reconcile must find nothing, and the replayed
+// superstep's barrier must hold every track, whichever drive dies.
+func crashAndResume(t *testing.T, flushed bool) {
 	const D, B = 4, 8
 	s, raw := mkStore(t, D, B)
 	addrs := writeTracks(t, s, D, B, 4)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
+	flushChecked(t, s)
 	enc := words.NewEncoder(nil)
 	s.EncodeState(enc)
-	manifest := append([]uint64(nil), enc.Words()...)
-	allocSt := raw.State()
-
-	// The deterministic superstep: rewrite a third of the striped
-	// tracks in place. Run once by the crashed attempt (no barrier),
-	// then identically by the resumed replay.
-	superstep := func(s *Store) {
+	manifest, allocSt := slices.Clone(enc.Words()), raw.State()
+	superstep := func(s *Store) []disk.Addr {
+		fresh := writeTracks(t, s, D, B, 2)
 		buf := make([]uint64, B)
-		for i, a := range addrs {
-			if i%3 != 0 {
-				continue
-			}
-			crashPattern(buf, a.Disk, a.Track)
-			if err := s.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: append([]uint64(nil), buf...)}}); err != nil {
-				t.Fatalf("WriteOp: %v", err)
-			}
+		pattern(buf, fresh[1].Disk, fresh[1].Track)
+		if err := s.WriteOp([]disk.WriteReq{{Disk: fresh[1].Disk, Track: fresh[1].Track, Src: buf}}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	superstep(s) // crashed attempt: writes land, no FlushParity, SIGKILL
-
-	s2 := resumeFrom(t, raw, allocSt, manifest)
-	superstep(s2) // replay
-	if err := s2.FlushParity(); err != nil {
-		t.Fatalf("replayed FlushParity: %v", err)
-	}
-
-	// Now lose a drive: every member must reconstruct bitwise.
-	s2.DriveDied(1)
-	want := make([]uint64, B)
-	got := make([]uint64, B)
-	for i, a := range addrs {
-		if err := s2.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil {
-			t.Fatalf("ReadOp drive %d track %d: %v", a.Disk, a.Track, err)
-		}
-		if i%3 == 0 {
-			crashPattern(want, a.Disk, a.Track)
-		} else {
-			pattern(want, a.Disk, a.Track)
-		}
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("drive %d track %d word %d: got %#x want %#x", a.Disk, a.Track, w, got[w], want[w])
-			}
-		}
-	}
-}
-
-// TestReconcilePostFlushCrash is the other window: the crash lands
-// after FlushParity rewrote the parity tracks but before the journal
-// commit, so the resumed manifest's checksums predate everything the
-// barrier wrote. Without reconciliation the replay hard-fails with
-// "member fails its checksum" while repairing the "stale" parity.
-func TestReconcilePostFlushCrash(t *testing.T) {
-	const D, B = 4, 8
-	s, raw := mkStore(t, D, B)
-	addrs := writeTracks(t, s, D, B, 4)
-	if err := s.FlushParity(); err != nil {
-		t.Fatalf("FlushParity: %v", err)
-	}
-	enc := words.NewEncoder(nil)
-	s.EncodeState(enc)
-	manifest := append([]uint64(nil), enc.Words()...)
-	allocSt := raw.State()
-
-	superstep := func(s *Store) {
-		buf := make([]uint64, B)
-		for i, a := range addrs {
-			if i%2 != 0 {
-				continue
-			}
-			crashPattern(buf, a.Disk, a.Track)
-			if err := s.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: append([]uint64(nil), buf...)}}); err != nil {
-				t.Fatalf("WriteOp: %v", err)
-			}
-		}
+		return fresh
 	}
 	superstep(s)
-	if err := s.FlushParity(); err != nil { // barrier completed ...
-		t.Fatalf("FlushParity: %v", err)
+	if flushed {
+		if err := s.FlushParity(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// ... but the journal commit never landed: resume from the OLD manifest.
+	s, err := resumeFrom(t, raw, allocSt, manifest)
+	if err != nil {
+		t.Fatalf("Reconcile: %v", err)
+	}
+	fresh := superstep(s)
+	flushChecked(t, s)
+	s.DriveDied(1)
+	for _, a := range append(addrs, fresh...) {
+		checkTrack(t, s, a, B)
+	}
+}
 
-	s2 := resumeFrom(t, raw, allocSt, manifest)
-	superstep(s2)
-	if err := s2.FlushParity(); err != nil {
-		t.Fatalf("replayed FlushParity: %v", err)
+// TestReconcileMidSuperstepCrash: a process killed mid-superstep wrote
+// only tracks its record holds free, so the resume has nothing to repair
+// (crashAndResume). What Reconcile does find is rot at rest: a stripe's
+// one bad track is repaired from the rest of the stripe, and two members
+// of one stripe, rewritten beneath the layer as no engine run does, are
+// refused with a *ContractError — not adopted — and neither reads back.
+func TestReconcileMidSuperstepCrash(t *testing.T) {
+	crashAndResume(t, false)
+
+	const D, B = 4, 8
+	s, raw := mkStore(t, D, B)
+	addrs := writeTracks(t, s, D, B, 4)
+	flushChecked(t, s)
+	enc := words.NewEncoder(nil)
+	s.EncodeState(enc)
+	manifest, allocSt := slices.Clone(enc.Words()), raw.State()
+	bySid := make(map[int][]disk.Addr)
+	for _, a := range addrs {
+		bySid[s.stripeOf[a]] = append(bySid[s.stripeOf[a]], a)
 	}
-	s2.DriveDied(2)
-	want := make([]uint64, B)
-	got := make([]uint64, B)
-	for i, a := range addrs {
-		if err := s2.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil {
-			t.Fatalf("ReadOp drive %d track %d: %v", a.Disk, a.Track, err)
-		}
-		if i%2 == 0 {
-			crashPattern(want, a.Disk, a.Track)
-		} else {
-			pattern(want, a.Disk, a.Track)
-		}
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("drive %d track %d word %d: got %#x want %#x", a.Disk, a.Track, w, got[w], want[w])
+	one, two := bySid[s.stripeOf[addrs[0]]][:1], bySid[s.stripeOf[addrs[len(addrs)-1]]][:2]
+	clobber := func(as []disk.Addr) {
+		buf := make([]uint64, B)
+		for _, a := range as {
+			pattern(buf, a.Disk, a.Track+1000)
+			if err := raw.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: buf}}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
+
+	clobber(one)
+	s, err := resumeFrom(t, raw, allocSt, manifest)
+	if err != nil {
+		t.Fatalf("Reconcile with one bad track: %v", err)
+	}
+	for _, a := range addrs {
+		checkTrack(t, s, a, B)
+	}
+
+	clobber(two)
+	s, err = resumeFrom(t, raw, allocSt, manifest)
+	var ce *ContractError
+	if !errors.As(err, &ce) || ce.Op != "Reconcile" || !slices.Contains(two, ce.Track) {
+		t.Fatalf("Reconcile with two bad members of a stripe: %v, want a *ContractError naming one of %v", err, two)
+	}
+	for _, a := range two {
+		if err := s.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)}}); err == nil {
+			t.Errorf("drive %d track %d, rewritten beneath the layer beside a sibling, reads back", a.Disk, a.Track)
+		}
+	}
 }
+
+// TestReconcilePostFlushCrash is the other window: the process dies after
+// the barrier's FlushParity, before its record lands. The flush wrote
+// parity only to tracks the record before holds free, so the resume from
+// that record finds nothing to repair either (crashAndResume).
+func TestReconcilePostFlushCrash(t *testing.T) { crashAndResume(t, true) }
 
 // TestPhysOpsFollowFullestDrive: readPhys and writePhys schedule a list
 // by its per-drive queues, so n requests sorted by (drive, track) — the
@@ -619,11 +676,15 @@ func TestPhysOpsFollowFullestDrive(t *testing.T) {
 // TestSealKeepsStripesApart: a track written after Seal shares no stripe
 // with one written before, so when the earlier one leaves alone its
 // stripe drops whole, and the barrier reads nothing back. Without the
-// seal the two share a stripe, and the barrier reads the leaver and the
-// parity to fold the leaver out.
+// seal the two share a stripe, and the barrier refuses the stripe that
+// leaves in part — unless its parity drive has died, when there is no
+// parity to keep and the leaver just goes.
 func TestSealKeepsStripesApart(t *testing.T) {
 	const D, B = 4, 16
-	for _, seal := range []bool{false, true} {
+	for _, c := range []struct {
+		name       string
+		seal, kill bool
+	}{{"sealed", true, false}, {"shared", false, false}, {"shared, parity drive dead", false, true}} {
 		s, raw := mkStore(t, D, B)
 		buf := make([]uint64, B)
 		write := func(d int) disk.Addr {
@@ -635,19 +696,29 @@ func TestSealKeepsStripesApart(t *testing.T) {
 			return a
 		}
 		leaver := write(0)
-		if seal {
+		if c.seal {
 			s.Seal()
 		}
 		stays := write(2) // drive 1 holds the first stripe's parity
 		flushChecked(t, s)
+		if c.kill {
+			s.DriveDied(1)
+		}
 		if err := s.Release(leaver.Disk, leaver.Track); err != nil {
 			t.Fatal(err)
 		}
 		before := raw.Stats().ReadOps
-		flushChecked(t, s)
-		if reads := raw.Stats().ReadOps - before; (reads == 0) != seal {
-			t.Errorf("seal=%v: the barrier after the leaver's release read %d times", seal, reads)
+		err := s.FlushParity()
+		var ce *ContractError
+		if refused := errors.As(err, &ce) && ce.Track == leaver; refused != (!c.seal && !c.kill) || (!refused && err != nil) {
+			t.Errorf("%s: the barrier after the leaver's release returned %v", c.name, err)
 		}
-		checkTrack(t, s, stays, B)
+		if reads := raw.Stats().ReadOps - before; reads != 0 {
+			t.Errorf("%s: the barrier after the leaver's release read %d times", c.name, reads)
+		}
+		if err == nil {
+			checkInvariants(t, s)
+			checkTrack(t, s, stays, B)
+		}
 	}
 }
