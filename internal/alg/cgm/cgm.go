@@ -34,12 +34,6 @@ func Dist(n, v, id int) (lo, hi int) {
 	return lo, hi
 }
 
-// DistSize returns the number of items VP id owns under Dist.
-func DistSize(n, v, id int) int {
-	lo, hi := Dist(n, v, id)
-	return hi - lo
-}
-
 // MaxPart returns ⌈n/v⌉, the largest per-VP share under Dist.
 func MaxPart(n, v int) int { return (n + v - 1) / v }
 
@@ -188,13 +182,4 @@ func RecordsSorted(data []uint64, w int) bool {
 		}
 	}
 	return true
-}
-
-// LowerBound returns the first record index i in the sorted flat
-// record slice data such that data[i] >= key (lexicographically).
-func LowerBound(data []uint64, w int, key []uint64) int {
-	n := len(data) / w
-	return sort.Search(n, func(i int) bool {
-		return !recLess(data[i*w:(i+1)*w], key)
-	})
 }

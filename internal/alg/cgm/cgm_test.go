@@ -40,8 +40,8 @@ func TestDistCoversAll(t *testing.T) {
 func TestDistBalance(t *testing.T) {
 	n, v := 103, 10
 	for id := 0; id < v; id++ {
-		if sz := DistSize(n, v, id); sz > MaxPart(n, v) {
-			t.Errorf("VP %d owns %d > ⌈n/v⌉ = %d", id, sz, MaxPart(n, v))
+		if lo, hi := Dist(n, v, id); hi-lo > MaxPart(n, v) {
+			t.Errorf("VP %d owns %d > ⌈n/v⌉ = %d", id, hi-lo, MaxPart(n, v))
 		}
 	}
 }
@@ -256,20 +256,4 @@ func lessSlice(a, b []uint64) bool {
 		}
 	}
 	return false
-}
-
-func TestLowerBound(t *testing.T) {
-	data := []uint64{1, 0, 3, 1, 3, 2, 7, 0} // 2-word records, sorted
-	if i := LowerBound(data, 2, []uint64{3, 0}); i != 1 {
-		t.Errorf("LowerBound(3,0) = %d, want 1", i)
-	}
-	if i := LowerBound(data, 2, []uint64{3, 2}); i != 2 {
-		t.Errorf("LowerBound(3,2) = %d, want 2", i)
-	}
-	if i := LowerBound(data, 2, []uint64{9, 9}); i != 4 {
-		t.Errorf("LowerBound(9,9) = %d, want 4", i)
-	}
-	if i := LowerBound(data, 2, []uint64{0, 0}); i != 0 {
-		t.Errorf("LowerBound(0,0) = %d, want 0", i)
-	}
 }

@@ -405,15 +405,3 @@ func (p *EulerTour) Output(vps []bsp.VP) TreeInfo {
 	}
 	return info
 }
-
-// ArcPositions returns the tour position of every arc (arc 2j is
-// edge j oriented as given, 2j+1 the reversal).
-func (p *EulerTour) ArcPositions(vps []bsp.VP) []int {
-	var out []int
-	for _, vp := range vps {
-		for _, q := range vp.(*eulerVP).pos {
-			out = append(out, int(q))
-		}
-	}
-	return out
-}

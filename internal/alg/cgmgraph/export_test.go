@@ -24,3 +24,15 @@ func RankerSizes(vp bsp.VP) (own, subs int) {
 func RankerContracting(vp bsp.VP) bool {
 	return vp.(*listRankVP).ranker.phase == rkContract
 }
+
+// TourPositions returns the tour position of every arc of an EulerTour's
+// VPs (arc 2j is edge j oriented as given, 2j+1 the reversal).
+func TourPositions(vps []bsp.VP) []int {
+	var out []int
+	for _, vp := range vps {
+		for _, q := range vp.(*eulerVP).pos {
+			out = append(out, int(q))
+		}
+	}
+	return out
+}

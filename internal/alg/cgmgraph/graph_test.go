@@ -278,7 +278,7 @@ func TestEulerTourPositionsArePermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := algtest.RunRef(t, p, 73)
-	pos := p.ArcPositions(res.VPs)
+	pos := cgmgraph.TourPositions(res.VPs)
 	if len(pos) != 2*(n-1) {
 		t.Fatalf("%d positions, want %d", len(pos), 2*(n-1))
 	}

@@ -91,16 +91,6 @@ func (p *SortProgram) Output(vps []bsp.VP) []uint64 {
 	return out
 }
 
-// PartSizes returns the number of records each VP holds after the
-// sort — the PSRS balance observable.
-func (p *SortProgram) PartSizes(vps []bsp.VP) []int {
-	out := make([]int, len(vps))
-	for i, vp := range vps {
-		out[i] = len(vp.(*sortVP).sorter.Data) / p.iw
-	}
-	return out
-}
-
 // PermuteProgram routes n values to caller-specified target positions
 // (λ = 1 communication round: one all-to-all of (position, value)
 // pairs). It implements both Table 1's "Permutation" row and, with a

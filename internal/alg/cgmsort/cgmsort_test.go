@@ -74,6 +74,16 @@ func TestSortWideRecords(t *testing.T) {
 	}
 }
 
+// partSizes is the number of w-word records each VP holds after the
+// sort — the PSRS balance observable.
+func partSizes(p *cgmsort.SortProgram, vps []bsp.VP, w int) []int {
+	out := make([]int, len(vps))
+	for i := range vps {
+		out[i] = len(p.Output(vps[i:i+1])) / w
+	}
+	return out
+}
+
 func TestSortBalance(t *testing.T) {
 	// PSRS with distinct records: no VP ends with more than ~2·⌈n/v⌉
 	// records.
@@ -90,7 +100,7 @@ func TestSortBalance(t *testing.T) {
 	}
 	res := algtest.RunRef(t, p, 2)
 	limit := 2*cgm.MaxPart(n, v) + v
-	for id, sz := range p.PartSizes(res.VPs) {
+	for id, sz := range partSizes(p, res.VPs, 2) {
 		if sz > limit {
 			t.Errorf("VP %d holds %d records, exceeding PSRS bound %d", id, sz, limit)
 		}
@@ -157,7 +167,7 @@ func TestSortAdversarialInputs(t *testing.T) {
 			// The internal index tiebreak guarantees the PSRS balance
 			// even for duplicate-heavy inputs.
 			limit := 2*cgm.MaxPart(n, v) + v
-			for id, sz := range p.PartSizes(res.VPs) {
+			for id, sz := range partSizes(p, res.VPs, 2) {
 				if sz > limit {
 					t.Errorf("VP %d holds %d records, exceeding PSRS bound %d", id, sz, limit)
 				}

@@ -55,18 +55,6 @@ type Costs struct {
 	PerStep    []SuperstepCost
 }
 
-// MaxH returns the largest h-relation (in words) over all supersteps —
-// the CGM model requires h ≤ n/p for every communication round.
-func (c Costs) MaxH() int {
-	h := 0
-	for _, s := range c.PerStep {
-		if v := s.HWords(); v > h {
-			h = v
-		}
-	}
-	return h
-}
-
 // TotalWords returns the total communication volume in words.
 func (c Costs) TotalWords() int64 {
 	var t int64
@@ -86,49 +74,12 @@ func (c Costs) TotalCharge() int64 {
 	return t
 }
 
-// MaxChargeSum returns Σ_i max_j t_j^i: the BSP computation time
-// (without the λ·L term).
-func (c Costs) MaxChargeSum() int64 {
-	var t int64
-	for _, s := range c.PerStep {
-		t += s.MaxCharge
-	}
-	return t
-}
-
-// CommTimeBSP evaluates T_comm under plain BSP accounting:
-// Σ_i max(L, ĝ·h_i) with h_i in words.
-func (c Costs) CommTimeBSP(p CostParams) float64 {
-	var t float64
-	for _, s := range c.PerStep {
-		w := p.GUnit * float64(s.MaxSendWords+s.MaxRecvWords)
-		if w < p.L {
-			w = p.L
-		}
-		t += w
-	}
-	return t
-}
-
 // CommTimeBSPStar evaluates T_comm under BSP* accounting:
 // Σ_i max(L, g·(send packets + receive packets)).
 func (c Costs) CommTimeBSPStar(p CostParams) float64 {
 	var t float64
 	for _, s := range c.PerStep {
 		w := p.GPkt * float64(s.MaxSendPkts+s.MaxRecvPkts)
-		if w < p.L {
-			w = p.L
-		}
-		t += w
-	}
-	return t
-}
-
-// CompTime evaluates T_comp = Σ_i max(L, max_j t_j^i).
-func (c Costs) CompTime(p CostParams) float64 {
-	var t float64
-	for _, s := range c.PerStep {
-		w := float64(s.MaxCharge)
 		if w < p.L {
 			w = p.L
 		}

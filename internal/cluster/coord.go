@@ -220,12 +220,11 @@ func (c *coordinator) acceptLoop() {
 				link.Close()
 				return
 			}
-			dec, err := expect(msg, msgHello)
-			if err != nil {
+			var h hello
+			if err := decodeUntrusted(msg, msgHello, func(dec *words.Decoder) { h = decodeHello(dec) }); err != nil {
 				link.Close()
 				return
 			}
-			h := decodeHello(dec)
 			if h.Spare {
 				if h.NodeID != -1 {
 					link.Close()
@@ -295,12 +294,12 @@ func (c *coordinator) challenge(link *Link) error {
 	if err != nil {
 		return err
 	}
-	dec, err := expect(msg, msgAuth)
-	if err != nil {
+	var mac []uint64
+	if err := decodeUntrusted(msg, msgAuth, func(dec *words.Decoder) { mac = dec.Uints() }); err != nil {
 		add(c.authRejects, 1)
 		return err
 	}
-	if !hmac.Equal(wordsToBytes(dec.Uints()), wordsToBytes(authMAC(c.cc.Secret, nw))) {
+	if !hmac.Equal(wordsToBytes(mac), wordsToBytes(authMAC(c.cc.Secret, nw))) {
 		add(c.authRejects, 1)
 		return fmt.Errorf("cluster: join authentication failed")
 	}

@@ -431,6 +431,23 @@ func encodeFinalOut(enc *words.Encoder, r *core.NodeReport) []uint64 {
 	return enc.Words()
 }
 
+// decodeUntrusted runs decode over a frame of the given kind from a peer
+// that has not authenticated: a frame shorter than what decode reads,
+// on which the word decoder panics, is an error, as is a frame of
+// another kind.
+func decodeUntrusted(msg []uint64, kind uint64, decode func(dec *words.Decoder)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cluster: malformed %s frame: %v", msgName(kind), r)
+		}
+	}()
+	dec, err := expect(msg, kind)
+	if err == nil {
+		decode(dec)
+	}
+	return err
+}
+
 // expect decodes a message and demands the given kind, surfacing a
 // worker's ERR as a *WorkerError (fatal: a deterministic engine
 // failure will not go away on replay).

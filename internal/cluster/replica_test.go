@@ -74,7 +74,7 @@ func nodeBarriers(t *testing.T, steps int) (fulls, deltas []*core.NodeSnapshot) 
 				t.Fatal(err)
 			}
 		}
-		if err := n.Prepare(step, false); err != nil {
+		if _, err := n.Prepare(step, false); err != nil {
 			t.Fatal(err)
 		}
 		barrier()

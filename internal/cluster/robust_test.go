@@ -236,6 +236,40 @@ func TestClusterAuth(t *testing.T) {
 	}
 }
 
+// TestClusterMalformedHello: frames too short for what the handshake
+// reads — an empty frame, a bare HELLO kind, and a HELLO whose list of
+// node id and record count is cut short — from peers that never
+// authenticate close their own links and nothing else. Queued at the
+// listener before the real workers join, they leave the run bitwise
+// identical to the in-process oracle.
+func TestClusterMalformedHello(t *testing.T) {
+	spec := battery[2] // cc, the smallest
+	prog := buildSpec(t, spec)
+	cfg := clusterMachine(2)
+	want := oracleFingerprint(t, prog, cfg, spec.Seed)
+
+	h := newHarness(t, prog, cfg, spec.Seed)
+	h.secret = "covenant" // the frames are decoded before the challenge
+	for _, frame := range [][]uint64{{}, {cluster.MsgHello}, {cluster.MsgHello, 1, 5}} {
+		conn, err := net.Dial("tcp", h.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := cluster.NewLink(conn, cluster.LinkConfig{Self: 0, Peer: cfg.P})
+		t.Cleanup(func() { link.Close() })
+		if err := link.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := h.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := workload.Fingerprint(res); got != want {
+		t.Fatalf("cluster fingerprint %x after malformed handshakes, oracle %x", got, want)
+	}
+}
+
 // TestClusterShutdownClosesPendingHandshakes pins the acceptLoop leak
 // fix: a connection that says HELLO never (a port scanner, a stalled
 // dialer) parks a handshake goroutine in Recv; shutdown must close it

@@ -201,16 +201,14 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		}
 		return w.welcomeOut(), false
 	case msgWelcome:
-		commit := dec.Bool()
-		if w.engine.HasPending() {
-			if err := w.engine.ResolvePending(commit); err != nil {
-				return fail(err)
-			}
+		// Resolve a prepared record as the coordinator decided, then
+		// abort to the committed barrier: a reconnecting worker may carry
+		// a half-run superstep in memory and on disk, and adopting the
+		// committed record discards every trace of it.
+		if err := w.engine.ResolvePending(dec.Bool()); err != nil {
+			return fail(err)
 		}
-		// Reload rather than a bare load: a reconnecting worker may
-		// carry a half-run superstep in memory and on disk; reopening
-		// from the journal discards every trace of it.
-		if err := w.engine.Reload(); err != nil {
+		if err := w.engine.LoadCommitted(); err != nil {
 			return fail(err)
 		}
 		return w.welcomeOut(), false
@@ -253,7 +251,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		f := dec.Ints()
 		req := decodeReplReq(dec)
 		step := int(f[0])
-		if err := w.engine.Prepare(step, f[1] != 0); err != nil {
+		if _, err := w.engine.Prepare(step, f[1] != 0); err != nil {
 			return fail(err)
 		}
 		w.probe("prepared", step)
@@ -276,7 +274,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		w.probe("committed", w.engine.StepsDone()-1)
 		return encodeKind(enc, msgCommitted), false
 	case msgAbort:
-		if err := w.engine.Reload(); err != nil {
+		if err := w.engine.LoadCommitted(); err != nil {
 			return fail(err)
 		}
 		return encodeKind(enc, msgAborted), false

@@ -7,18 +7,20 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/journal"
+	"embsp/internal/mem"
 	"embsp/internal/prng"
 	"embsp/internal/redundancy"
 	"embsp/internal/words"
 )
 
-// This file is the cluster runtime's view of the engine: a NodeEngine
-// is one real processor of the step machine (node.go) with a journal of
-// its own, for one worker process, and a CoordCore is the superstep
-// driver (driver.go) with a journal of its own, for the coordinator,
-// whose Transport carries the phases over the wire. The in-process
-// engine runs the same driver over the same machine, which is what
-// makes it the p-node reference oracle.
+// This file is the node and the cluster runtime's view of the engine: a
+// NodeEngine is one real processor of the step machine (node.go) — with
+// a journal of its own for one worker process, and without one as one
+// of the in-process engine's P nodes (driver.go) — and a CoordCore is the
+// superstep driver (driver.go) with a journal of its own, for the
+// coordinator, whose Transport carries the phases over the wire. The
+// in-process engine runs the same driver over the same nodes, which is
+// what makes it the p-node reference oracle.
 //
 // Durability is per process: every node journals its own barrier
 // state, and the coordinator's journal holds the 2PC decision record.
@@ -224,22 +226,40 @@ func DecodeDiskStats(dec *words.Decoder) disk.Stats { return decodeStats(dec) }
 
 // --- NodeEngine --------------------------------------------------------
 
-// NodeEngine is one real processor of a cluster run: the per-node
-// superstep loop of Algorithm 3 over the node's own state directory,
-// driven phase by phase by the coordinator's messages. The caller (the
-// cluster worker) forwards the blocks Compute returns and supplies those
-// Write receives; the engine never touches the network itself.
+// NodeEngine is one real processor of a run: the per-node superstep loop
+// of Algorithm 3 over the node's own store chain, driven phase by phase
+// — by the coordinator's messages in a cluster, where the node keeps a
+// journal of its own, and by the in-process engine, whose nodes have
+// none. The caller forwards the blocks Compute returns and supplies those
+// Write receives; the node never touches the network itself.
 type NodeEngine struct {
-	sh  simShape
+	sh  *simShape
 	ps  *procState
-	jrn *journal.Journal
-	enc words.Encoder // the record being prepared, reused
+	jrn *journal.Journal // nil in process
 	dir string
 	fpr uint64
+
+	// rec is the node's record of its last barrier, when it writes one:
+	// a cluster node's prepared record, reused; in process, under a fault
+	// plan, the barrier a replay returns to — before the set-up, the
+	// chain's state — and mark its memory in use there. In process rec is
+	// empty once a barrier commit began, which no replay undoes.
+	rec  words.Encoder
+	mark int64
 
 	stepsDone int
 	halted    bool
 	report    *NodeReport
+}
+
+// newNode opens processor i's node over sh, on drives under dir (in
+// memory when dir is empty), with no journal.
+func newNode(sh *simShape, i int, dir string, resume bool) (*NodeEngine, error) {
+	ps, err := sh.newProcState(i, dir, resume)
+	if err != nil {
+		return nil, err
+	}
+	return &NodeEngine{sh: sh, ps: ps}, nil
 }
 
 // OpenNode opens node nodeID's engine rooted at dir. With resume
@@ -248,6 +268,31 @@ type NodeEngine struct {
 // intact prepared tail for the coordinator's reconciliation) and the
 // caller must ResolvePending and LoadCommitted before running.
 func OpenNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string, resume bool) (*NodeEngine, error) {
+	sh, err := clusterNodeShape(p, cfg, opts, nodeID, dir)
+	if err != nil {
+		return nil, err
+	}
+	n, err := newNode(sh, nodeID, procDir(dir, nodeID), resume)
+	if err != nil {
+		return nil, err
+	}
+	n.dir, n.fpr = dir, nodeFingerprint(cfg, opts, sh.v, sh.mu, sh.gamma, nodeID)
+	if resume {
+		n.jrn, err = journal.OpenPrepared(dir)
+	} else {
+		n.jrn, err = journal.Create(dir)
+	}
+	if err != nil {
+		n.ps.chain.Close()
+		return nil, err
+	}
+	n.jrn.SetTracer(sh.tr, nodeID)
+	return n, nil
+}
+
+// clusterNodeShape checks what every cluster node is opened with and
+// returns the run's shape.
+func clusterNodeShape(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string) (*simShape, error) {
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}
@@ -260,28 +305,8 @@ func OpenNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir st
 	if dir == "" {
 		return nil, fmt.Errorf("core: a cluster node needs a state directory (its journal is the 2PC participant log)")
 	}
-	n := &NodeEngine{
-		sh:  newSimShape(p, cfg, opts),
-		dir: dir,
-	}
-	n.fpr = nodeFingerprint(cfg, opts, n.sh.v, n.sh.mu, n.sh.gamma, nodeID)
-	ps, err := n.sh.newProcState(nodeID, procDir(dir, nodeID), resume)
-	if err != nil {
-		return nil, err
-	}
-	ps.ckptOn = true
-	n.ps = ps
-	if resume {
-		n.jrn, err = journal.OpenPrepared(dir)
-	} else {
-		n.jrn, err = journal.Create(dir)
-	}
-	if err != nil {
-		ps.chain.Close()
-		return nil, err
-	}
-	n.jrn.SetTracer(n.sh.tr, nodeID)
-	return n, nil
+	sh := newSimShape(p, cfg, opts)
+	return &sh, nil
 }
 
 // NodeID returns the node's processor index.
@@ -314,23 +339,32 @@ func (n *NodeEngine) Halted() bool { return n.halted }
 // ResolvePending applies the coordinator's 2PC decision to a prepared
 // record: commit renames it over the committed one, abort removes it.
 func (n *NodeEngine) ResolvePending(commit bool) error {
-	if !n.jrn.HasPending() {
-		return nil
-	}
-	if commit {
+	if commit && n.jrn.HasPending() {
 		return n.jrn.CommitPending()
 	}
 	return n.jrn.AbortPending()
 }
 
-// LoadCommitted restores the node's processor state from the last
-// committed journal record.
+// LoadCommitted is a cluster node's abort: it drops a prepared record
+// still undecided (presumed abort) and adopts the last committed one in
+// memory, through the path a replay takes (readProcRecord) but as a
+// resume does, history and all, so the node is bitwise the one that
+// never ran the aborted attempt. The store's AdoptState drains and
+// empties whatever the attempt left queued or staged, and the memory it
+// held goes with the accountant it held it in: a barrier holds only the
+// records of its held batch, which the record carries.
 func (n *NodeEngine) LoadCommitted() error {
+	if err := n.jrn.AbortPending(); err != nil {
+		return err
+	}
 	last, c := n.jrn.Records()
 	if c == 0 {
 		return &journal.Error{Path: n.dir, Record: -1,
 			Reason: "no committed checkpoint to load (the node crashed before its first barrier; reset it fresh)"}
 	}
+	ps := n.ps
+	ps.acct, ps.held = mem.NewAccountant(ps.acct.Limit()), -1
+	ps.final, n.report = nil, nil
 	_, adopt, err := n.readManifest(last)
 	if err != nil {
 		return err
@@ -338,18 +372,53 @@ func (n *NodeEngine) LoadCommitted() error {
 	return adopt()
 }
 
-// Setup writes the node's VPs' initial contexts, then collects the
-// setup-phase statistics (resetting the running counters, at the boundary
-// the in-process engine resets them) and prepares the setup barrier record.
+// replay is an in-process node's abort: it adopts the record kept at the
+// last barrier in replay mode and rewinds the accountant to its usage
+// there. Before the set-up (step -1) that record is the chain's state,
+// and no batch is held.
+func (n *NodeEngine) replay(step int) error {
+	ps := n.ps
+	defer ps.acct.Rewind(n.mark)
+	dec := words.NewDecoder(n.rec.Words())
+	if step < 0 {
+		ps.held = -1
+		r := recordReader{dec: dec}
+		st := r.storeState(ps.chain.Config().D)
+		if r.err != nil {
+			return r.err
+		}
+		return ps.decodeState(st, dec, true)
+	}
+	_, adopt, err := n.sh.readProcRecord(dec, ps, step, true)
+	if err != nil {
+		return err
+	}
+	return adopt()
+}
+
+// Setup writes the node's VPs' initial contexts and reaches the set-up
+// barrier (setupBarrier).
 func (n *NodeEngine) Setup() (disk.Stats, error) {
 	if err := n.sh.writeInitialContexts(n.ps); err != nil {
 		return disk.Stats{}, err
 	}
-	stats := n.ps.chain.Stats()
+	return n.setupBarrier()
+}
+
+// setupBarrier is the node's set-up barrier once its initial contexts
+// are written: the parity they need, then the set-up's statistics —
+// taken, and the running counters reset, at the boundary where the run's
+// begin, so the set-up barrier's parity I/O is the set-up's and not in
+// IOTime — then the record.
+func (n *NodeEngine) setupBarrier() (stats disk.Stats, err error) {
+	n.rec.Reset() // the barrier commit begins
+	n.stepsDone, n.halted = 0, false
+	if _, err := n.ps.parityBarrier(n.sh.tr, n.ps.id, n.sh.opts.Scrub); err != nil {
+		return stats, err
+	}
+	stats = n.ps.chain.Stats()
 	n.ps.chain.ResetStats()
-	n.stepsDone = 0
-	n.halted = false
-	return stats, n.prepare(-1)
+	return stats, n.record(-1)
 }
 
 // BeginStep resets the node's superstep-scoped scratch.
@@ -378,76 +447,86 @@ func (n *NodeEngine) StepTotals() StepTotals {
 	return StepTotals{Sleepers: n.ps.sleepers(), Sends: n.ps.sends, Ops: n.ps.stepOps()}
 }
 
-// Prepare is the node's PREPARE phase for superstep step: make the
-// directory and the contexts written current (the local barrier
-// commit), fsync the node's data, and journal the prepared — not yet
-// committed — barrier record.
-func (n *NodeEngine) Prepare(step int, halted bool) error {
+// Prepare is the node's barrier commit for superstep step, run once
+// every node finished it: free the consumed input and contexts and make
+// the directory and the contexts written current (commitProc), flush the
+// superstep's parity, make the data durable and write the record — a
+// cluster node's prepared, not yet committed, one — then hint the next
+// superstep's first reads to the store. It returns the barrier's parity
+// operations, which the model charges.
+func (n *NodeEngine) Prepare(step int, halted bool) (ops int64, err error) {
+	n.rec.Reset() // the barrier commit begins
 	if err := n.sh.commitProc(n.ps, halted); err != nil {
-		return err
+		return 0, err
 	}
-	n.stepsDone = step + 1
-	n.halted = halted
-	if err := n.prepare(step); err != nil {
-		return err
+	n.stepsDone, n.halted = step+1, halted
+	if ops, err = n.ps.parityBarrier(n.sh.tr, n.ps.id, n.sh.opts.Scrub); err == nil {
+		err = n.record(step)
+	}
+	if err != nil {
+		return 0, err
 	}
 	if !halted {
 		n.sh.prefetchFirst(n.ps, step+1)
 	}
-	return nil
+	return ops, nil
 }
 
-func (n *NodeEngine) prepare(step int) error {
+// record makes the node's data durable, then writes its record of the
+// barrier after step supersteps, once, to whoever reads it: a cluster
+// node to its journal, as the prepared record; an in-process node, under
+// a fault plan, keeps it for a replay (keep). An in-process node's record
+// is its section of the decision record too, which encodeProcs writes.
+func (n *NodeEngine) record(step int) error {
 	if err := n.sh.syncStore(n.ps, step); err != nil {
 		return err
 	}
-	n.enc.Reset()
-	n.encodeManifest(&n.enc)
-	if err := n.jrn.Prepare(n.enc.Words()); err != nil {
+	if n.jrn == nil {
+		n.keep(false)
+		return nil
+	}
+	n.rec.Reset()
+	n.encodeManifest(&n.rec)
+	if err := n.jrn.Prepare(n.rec.Words()); err != nil {
 		return err
 	}
 	n.sh.tr.Flush() //nolint:errcheck
 	return nil
 }
 
+// keep takes, under a fault plan, the barrier a replay returns to: the
+// node's record and its memory in use — before the set-up (chains), the
+// chain's state alone. The node's PRNG is drawn only by a superstep's
+// block writer, so a set-up replay needs nothing more. The kept record
+// is outside the memory the accountant charges.
+func (n *NodeEngine) keep(chains bool) {
+	if !n.faulty() {
+		return
+	}
+	n.rec.Reset()
+	if chains {
+		n.ps.encodeState(&n.rec)
+	} else {
+		n.sh.encodeProcManifest(&n.rec, n.ps)
+	}
+	n.mark = n.ps.acct.Mark()
+}
+
+// faulty reports whether the node's chain has a fault layer.
+func (n *NodeEngine) faulty() bool { return n.ps.down != nil }
+
 // Commit applies the coordinator's COMMIT decision: the prepared record
 // becomes the journal's committed one.
 func (n *NodeEngine) Commit() error { return n.jrn.CommitPending() }
 
-// Reload is the node's ABORT path: discard every in-memory and
-// uncommitted on-disk effect of the current superstep attempt by
-// closing and reopening the store and journal, rolling back a prepared
-// tail, and restoring the last committed barrier state. After Reload
-// the node is bitwise-identical to one that never ran the attempt.
-func (n *NodeEngine) Reload() error {
-	if err := errors.Join(n.jrn.Close(), n.ps.chain.Close()); err != nil {
-		return err
-	}
-	ps, err := n.sh.newProcState(n.ps.id, procDir(n.dir, n.ps.id), true)
-	if err != nil {
-		return err
-	}
-	ps.ckptOn = true
-	n.ps = ps
-	jrn, err := journal.OpenPrepared(n.dir)
-	if err != nil {
-		return err
-	}
-	jrn.SetTracer(n.sh.tr, n.ps.id)
-	n.jrn = jrn
-	if err := n.jrn.AbortPending(); err != nil {
-		return err
-	}
-	return n.LoadCommitted()
-}
-
-// Final reads the node's final VP contexts and returns its complete
-// accounting report. It is idempotent: repeated calls (the
-// coordinator retries collection after losing a peer) return the
-// first report rather than re-charging the finish-phase reads.
+// Final reads the node's final VP contexts — loading the VPs in process,
+// copying the contexts out for the wire in a cluster — and returns its
+// complete accounting report. Once it has succeeded it is idempotent:
+// repeated calls (the coordinator retries collection after losing a
+// peer) return the first report rather than re-charging the reads.
 func (n *NodeEngine) Final() (r *NodeReport, err error) {
 	if n.report == nil {
-		n.report, err = n.sh.finalReport(n.ps, n.stepsDone, false)
+		n.report, err = n.sh.finalReport(n.ps, n.stepsDone, n.jrn == nil)
 	}
 	return n.report, err
 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
@@ -22,8 +24,9 @@ import (
 // SIGKILL on top; this layer pins the engine-side contract first.
 
 // clusterRig is that Transport. fail, when set, is asked at the named
-// points of every barrier ("batches": rounds done; "voted": the vote
-// taken and the superstep's costs closed; "prepared": every node
+// points of every barrier ("computed": a round's computing phase run on
+// every node, its writing phase not; "batches": rounds done; "voted": the
+// vote taken and the superstep's costs closed; "prepared": every node
 // PREPAREd, no decision; "decided": the decision landed, no node told)
 // whether to fail there, and how.
 type clusterRig struct {
@@ -152,7 +155,7 @@ func (r *clusterRig) Compute(j, step int) (outs []*core.BatchOut, err error) {
 			return nil, err
 		}
 	}
-	return outs, nil
+	return outs, r.failAt("computed", step)
 }
 
 func (r *clusterRig) Write(j, step int, outs []*core.BatchOut) error {
@@ -178,7 +181,7 @@ func (r *clusterRig) Prepare(step int, halted bool) ([]int64, error) {
 		return nil, err
 	}
 	for _, n := range r.nodes {
-		if err := n.Prepare(step, halted); err != nil {
+		if _, err := n.Prepare(step, halted); err != nil {
 			return nil, err
 		}
 	}
@@ -200,17 +203,25 @@ func (r *clusterRig) Commit(step int) error {
 }
 
 // Rollback is the path a worker failure mid-superstep takes: every
-// node reloads its committed state. Anything but errAbort ends the run.
+// node aborts to its committed state. Anything but errAbort ends the run.
 func (r *clusterRig) Rollback(_, _ int, cause error) (int64, error) {
 	if !errors.Is(cause, errAbort) {
 		return 0, cause
 	}
 	for _, n := range r.nodes {
-		if err := n.Reload(); err != nil {
+		if err := n.LoadCommitted(); err != nil {
 			return 0, err
 		}
 	}
 	return 0, nil
+}
+
+// prepared is every node's prepared record.
+func (r *clusterRig) prepared() (recs [][]uint64) {
+	for _, n := range r.nodes {
+		recs = append(recs, slices.Clone(n.Prepared()))
+	}
+	return recs
 }
 
 func (r *clusterRig) Final() (reports []*core.NodeReport, err error) {
@@ -261,19 +272,27 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 }
 
 // TestClusterCoreAbortReplay: aborting the attempt at every superstep
-// in turn — batches done, the vote taken, or every node already PREPARED
-// but no decision — then replaying leaves no trace: the final result
-// is still bitwise identical to an undisturbed run. Every node reloads
-// its input from its journal: the directory of the blocks its writer
+// in turn — round 0 computed on every node and not written, batches done,
+// the vote taken, or every node already PREPARED but no decision — then
+// replaying leaves no trace: every node prepares, at every barrier, the
+// record the undisturbed rig prepares, word for word, and the final result
+// is still bitwise identical to an undisturbed run. Every node adopts its
+// committed record in memory: the directory of the blocks its writer
 // placed, made the input at PREPARE and rolled back; and the held records
 // of its turnaround batch, which the aborted attempt's first round had
-// consumed and its last replaced — on a machine where that batch is all
-// a node owns (M = 256 words), and on one where it is one of two (M = 16).
+// consumed and its last replaced — on a machine where that batch is all a
+// node owns (M = 256 words), and on one where it is one of two (M = 16),
+// there also with drive latency, so that the store's workers and staging
+// cache still hold the aborted attempt's writes when the node aborts.
 func TestClusterCoreAbortReplay(t *testing.T) {
 	prog := clusterProgram()
-	for _, m := range []int{256, 16} {
+	for _, row := range []struct {
+		m       int
+		latency time.Duration
+	}{{256, 0}, {16, 0}, {16, 20 * time.Microsecond}} {
+		m := row.m
 		cfg := parMachine(3, 2, 8, m)
-		opts := core.Options{Seed: 11}
+		opts := core.Options{Seed: 11, DriveLatency: row.latency}
 		durable := opts
 		durable.StateDir = t.TempDir()
 		oracle, err := core.Run(prog, cfg, durable)
@@ -283,20 +302,34 @@ func TestClusterCoreAbortReplay(t *testing.T) {
 		if batches := map[int]int{256: 1, 16: 2}[m]; oracle.EM.Groups != batches {
 			t.Fatalf("M=%d: %d batches a node, want %d", m, oracle.EM.Groups, batches)
 		}
+		want := map[int][][]uint64{}
+		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+		rig.fail = func(point string, step int) error {
+			if point == "prepared" {
+				want[step] = rig.prepared()
+			}
+			return nil
+		}
+		resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("M=%d latency=%v undisturbed", m, row.latency))
+		rig.close()
 		for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
-			for _, phase := range []string{"batches", "voted", "prepared"} {
+			for _, phase := range []string{"computed", "batches", "voted", "prepared"} {
+				label := fmt.Sprintf("M=%d latency=%v abort@%d/%s", m, row.latency, abortAt, phase)
 				rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
 				aborted := false
 				rig.fail = func(point string, step int) error {
+					if point == "prepared" && !reflect.DeepEqual(rig.prepared(), want[step]) {
+						t.Errorf("%s: barrier %d: a node's prepared record differs from the undisturbed rig's", label, step)
+					}
 					if aborted || step != abortAt || point != phase {
 						return nil
 					}
 					aborted = true
 					return errAbort
 				}
-				resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("M=%d abort@%d/%s", m, abortAt, phase))
+				resultsIdentical(t, rig.run(t), oracle, label)
 				if !aborted {
-					t.Errorf("M=%d abort@%d/%s never fired", m, abortAt, phase)
+					t.Errorf("%s never fired", label)
 				}
 				rig.close()
 			}

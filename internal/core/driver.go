@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
+	"embsp/internal/fault"
 	"embsp/internal/journal"
 	"embsp/internal/words"
 )
@@ -24,12 +28,13 @@ import (
 // reads the batch's input where it lies and delivers each block it
 // writes to the processor that owns its destination; its writing phase
 // writes the blocks that crossed. It reaches the machine's real
-// processors through a Transport, of which there are two: the in-process
-// engine (engine.go: goroutines over procState, blocks handed across by
-// reference) and the cluster coordinator (internal/cluster: the same
-// blocks over the wire). Both present the step machine's outputs
-// (node.go) in node order, so the runtimes agree bit for bit by
-// construction.
+// processors through a Transport, of which there are two, over one node
+// type (NodeEngine, cluster.go): the in-process engine at the end of this
+// file (P nodes in one address space, blocks handed across by reference)
+// and the cluster coordinator (internal/cluster: one node a worker
+// process, the same blocks over the wire). Both present the step
+// machine's outputs (node.go) in node order, so the runtimes agree bit
+// for bit by construction.
 
 // Transport is how the driver reaches the P real processors. Every
 // method acts on all of them and returns their outputs in node order;
@@ -479,4 +484,257 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 		d.ioTime += d.sh.cfg.G * float64(slices.Max(barrierOps))
 	}
 	return halted, nil
+}
+
+// --- The in-process engine ---------------------------------------------
+
+// The in-process engine is the driver's in-memory Transport: P nodes
+// (NodeEngine, cluster.go) in one address space, which hand the blocks
+// that leave a processor to their owners by reference. Its nodes have
+// no journals: a node's record is its section of the decision record
+// (encodeProcs). The set-up's context writes, Compute, Write and Final
+// run the nodes as goroutines; the set-up barriers and Prepare run in
+// node order. Under a fault plan a recoverable fault on any node returns
+// every node to the barrier it kept, and the driver replays the
+// superstep (DESIGN.md §8).
+
+// maxReplays bounds how many times one compound superstep may be
+// rolled back and replayed before the engine gives up. Each replay draws
+// a fresh fault schedule, so the replay count is geometric in the
+// probability of one clean attempt; the bound is a runaway backstop set
+// far above anything a survivable plan produces (with retries disabled
+// entirely, a large superstep can legitimately need dozens of attempts).
+const maxReplays = 1000
+
+type engine struct {
+	simShape
+	nodes []*NodeEngine
+	goctx context.Context
+	led   *ledger // the run's global accounting, which holds the replay counters
+
+	// What the phases return, one entry per node, reused every round.
+	outs   []*BatchOut
+	totals []StepTotals
+	ops    []int64
+}
+
+func runProgram(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
+	e, d := newEngine(ctx, p, cfg, opts)
+	return e.run(d)
+}
+
+// newEngine returns the engine and the driver that runs over it.
+func newEngine(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*engine, *driver) {
+	e := &engine{simShape: newSimShape(p, cfg, opts), goctx: ctx}
+	d := &driver{t: e, ledger: newLedger(&e.simShape, manifestRunKind,
+		configFingerprint(manifestRunKind, cfg, opts, e.v, e.mu, e.gamma), opts.StateDir)}
+	d.procs, e.led = e.encodeProcs, &d.ledger
+	return e, d
+}
+
+// run runs, then closes the journal and every node.
+func (e *engine) run(d *driver) (*Result, error) {
+	res, err := e.openAndRun(d)
+	cerrs := []error{d.close()}
+	for _, n := range e.nodes {
+		if n != nil {
+			cerrs = append(cerrs, n.Close())
+		}
+	}
+	if err == nil {
+		err = errors.Join(cerrs...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// openAndRun opens the journal, then every node, and runs. A resumed run
+// adopts its last decision record before it opens a single drive
+// (ledger.load), so a state directory it cannot continue is refused
+// untouched.
+func (e *engine) openAndRun(d *driver) (*Result, error) {
+	root := e.opts.StateDir
+	var manifest *words.Decoder
+	if root != "" {
+		err := d.openJournal(e.opts.Resume)
+		if err == nil && e.opts.Resume {
+			manifest, err = d.load()
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	P := e.cfg.P
+	e.nodes, e.outs, e.totals, e.ops = make([]*NodeEngine, P), make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P)
+	for i := range e.nodes {
+		var dir string
+		if root != "" {
+			dir = procDir(root, i) // the node's drives; the journal is the root's
+		}
+		n, err := newNode(&e.simShape, i, dir, e.opts.Resume)
+		if err != nil {
+			return nil, err
+		}
+		e.nodes[i], e.outs[i] = n, &n.ps.out
+	}
+	if manifest != nil {
+		if err := e.decodeProcs(manifest, d.stepsDone); err != nil {
+			return nil, err
+		}
+	}
+	for _, n := range e.nodes {
+		n.keep(manifest == nil) // the barrier the run starts from
+	}
+	res, err := d.run()
+	if err != nil {
+		return nil, err
+	}
+	// The store layers' counters, which no report carries.
+	for _, n := range e.nodes {
+		n.ps.report(&res.EM, e.opts.Metrics, e.opts.MappedStore)
+	}
+	publishTierStats(e.opts.Metrics, res.EM.Tiers)
+	return res, nil
+}
+
+// parallel runs f once per node, concurrently, and joins errors. One
+// node runs it on the calling goroutine.
+func (e *engine) parallel(f func(n *NodeEngine) error) error {
+	if len(e.nodes) == 1 {
+		return f(e.nodes[0])
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(e.nodes))
+	for i, n := range e.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(n)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Setup writes every node's initial contexts, then, once all have, runs
+// the nodes' set-up barriers in node order: a recoverable fault in the
+// contexts finds every node before its barrier commit, and the driver
+// rolls them all back (Rollback at step -1).
+func (e *engine) Setup() ([]disk.Stats, error) {
+	contexts := func(n *NodeEngine) error { return e.writeInitialContexts(n.ps) }
+	if err := e.parallel(contexts); err != nil {
+		return nil, err
+	}
+	stats := make([]disk.Stats, len(e.nodes))
+	for i, n := range e.nodes {
+		var err error
+		if stats[i], err = n.setupBarrier(); err != nil {
+			return nil, err
+		}
+	}
+	return stats, nil
+}
+
+// Begin implements cooperative cancellation at barriers and opens the
+// superstep on every node.
+func (e *engine) Begin(step int) error {
+	if err := e.goctx.Err(); err != nil {
+		return fmt.Errorf("core: run cancelled at superstep barrier %d: %w", step, err)
+	}
+	for _, n := range e.nodes {
+		n.BeginStep()
+	}
+	return nil
+}
+
+// Compute runs batch j on every node. One node runs it on this
+// goroutine, with no closure to allocate.
+func (e *engine) Compute(j, step int) ([]*BatchOut, error) {
+	if len(e.nodes) == 1 {
+		_, err := e.nodes[0].Compute(j, step)
+		return e.outs, err
+	}
+	return e.outs, e.parallel(func(n *NodeEngine) error { _, err := n.Compute(j, step); return err })
+}
+
+// Write hands every node the blocks the others delivered to it, then
+// runs its writing phase.
+func (e *engine) Write(j, step int, outs []*BatchOut) error {
+	for _, n := range e.nodes {
+		in := grow(&n.ps.recv, len(outs))
+		for src, bo := range outs {
+			in[src] = bo.Scatter[n.ps.id]
+		}
+	}
+	if len(e.nodes) == 1 {
+		return e.nodes[0].Write(j, step, e.nodes[0].ps.recv)
+	}
+	return e.parallel(func(n *NodeEngine) error { return n.Write(j, step, n.ps.recv) })
+}
+
+func (e *engine) Totals() ([]StepTotals, error) {
+	for i, n := range e.nodes {
+		e.totals[i] = n.StepTotals()
+	}
+	return e.totals, nil
+}
+
+// Prepare runs every node's barrier commit, in node order.
+func (e *engine) Prepare(step int, halted bool) ([]int64, error) {
+	for i, n := range e.nodes {
+		var err error
+		if e.ops[i], err = n.Prepare(step, halted); err != nil {
+			return nil, err
+		}
+	}
+	return e.ops, nil
+}
+
+// Commit: the decision record, which carries the nodes' records, is all
+// there is to a commit.
+func (e *engine) Commit(int) error { return nil }
+
+// Rollback returns every node to the barrier it kept (replay), unless a
+// node began its barrier commit, which no replay undoes. It returns the
+// slowest node's share of the aborted attempt's operations, which the
+// run counts as recovery work too.
+func (e *engine) Rollback(step, attempt int, cause error) (maxAborted int64, err error) {
+	switch {
+	case !fault.Replayable(cause) || slices.ContainsFunc(e.nodes, func(n *NodeEngine) bool { return n.rec.Len() == 0 }):
+		return 0, cause
+	case attempt >= maxReplays:
+		return 0, fmt.Errorf("core: superstep %d unrecoverable after %d replays: %w", step, attempt, cause)
+	}
+	e.led.replays++
+	for _, n := range e.nodes {
+		aborted := n.ps.stepOps()
+		e.led.recoveryOps += aborted
+		maxAborted = max(maxAborted, aborted)
+		if err := n.replay(step); err != nil {
+			return 0, err
+		}
+	}
+	return maxAborted, nil
+}
+
+// Final collects every node's report. The finish phase only reads, so a
+// recoverable fault runs it again with nothing to return to.
+func (e *engine) Final() ([]*NodeReport, error) {
+	reports := make([]*NodeReport, len(e.nodes))
+	phase := func(n *NodeEngine) (err error) {
+		reports[n.ps.id], err = n.Final()
+		return err
+	}
+	err := e.parallel(phase)
+	r := 0
+	for ; err != nil && e.nodes[0].faulty() && fault.Replayable(err) && r < maxReplays; r++ {
+		e.led.replays++
+		err = e.parallel(phase)
+	}
+	if err != nil && r >= maxReplays {
+		return nil, fmt.Errorf("core: finish phase unrecoverable after %d replays: %w", r, err)
+	}
+	return reports, err
 }

@@ -24,11 +24,19 @@ func RunOver(wrap func(Transport) Transport, p bsp.Program, cfg MachineConfig, o
 	return e.run(d)
 }
 
+// procs are the processors of the engine RunOver hands to wrap.
+func procs(t Transport) (ps []*procState) {
+	for _, n := range t.(*engine).nodes {
+		ps = append(ps, n.ps)
+	}
+	return ps
+}
+
 // MessageBlocks counts, on the engine RunOver hands to wrap, the message
 // blocks the open superstep's writing phases have left in the
 // processors' directories, and the streams they form.
 func MessageBlocks(t Transport) (blocks, streams int) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		for _, perDrive := range ps.dir.q {
 			for _, refs := range perDrive {
 				for _, ref := range refs {
@@ -58,7 +66,7 @@ func Scattered(bo *BatchOut) (dsts, targets []int) {
 // Tails reports, on the engine RunOver hands to wrap, each processor's
 // open stream tails and the most it may hold open: its packer's slots.
 func Tails(t Transport) (open, slots []int) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		open, slots = append(open, ps.pack.open), append(slots, len(ps.pack.slots))
 	}
 	return open, slots
@@ -68,7 +76,7 @@ func Tails(t Transport) (open, slots []int) {
 // processor's context buffer: the first word of its backing array (nil
 // before it has one) and its capacity in words.
 func CtxBuffers(t Transport) (addrs []*uint64, caps []int) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		var a *uint64
 		if cap(ps.ctx) > 0 {
 			a = &ps.ctx[:1][0]
@@ -81,7 +89,7 @@ func CtxBuffers(t Transport) (addrs []*uint64, caps []int) {
 // EvictedStreams counts the streams of the open superstep's directories
 // that an eviction started: those numbered above 0.
 func EvictedStreams(t Transport) (n int) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		ps.dir.each(func(_ int, ref blockRef) error { //nolint:errcheck // f never fails
 			if ref.meta.chunk == 0 && ref.meta.seq > 0 {
 				n++
@@ -103,7 +111,7 @@ func MemLimit(cfg MachineConfig, k, mu, gamma int) int64 { return engineMemLimit
 // entry, which the generation carries over, was not written.
 func ContextOps(t Transport) (ops int) {
 	e := t.(*engine)
-	for _, ps := range e.procs {
+	for _, ps := range procs(t) {
 		for j, tracks := range ps.ctxWrite {
 			if !ps.skipped[j] {
 				ops += (len(tracks) + e.cfg.D - 1) / e.cfg.D
@@ -118,7 +126,7 @@ func ContextOps(t Transport) (ops int) {
 // is measured on, so a test can aim a drive death at a superstep of the
 // run as it is, whatever the engine's counts have become.
 func DriveClock(t Transport, proc, drive int) int64 {
-	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain).Clock(drive)
+	return disk.Find[*fault.Disk](procs(t)[proc].chain).Clock(drive)
 }
 
 // DeadDriveLoad reads, from the journaled form of one processor's
@@ -126,7 +134,7 @@ func DriveClock(t Transport, proc, drive int) int64 {
 // members with no copy on a survivor, and parity tracks (or copies); and
 // whether the fault layer has killed the drive at all.
 func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool) {
-	chain := t.(*engine).procs[proc].chain
+	chain := procs(t)[proc].chain
 	red := disk.Find[*redundancy.Store](chain)
 	enc := words.NewEncoder(nil)
 	red.EncodeState(enc)
@@ -173,7 +181,7 @@ func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool
 // lie beyond every allocator's mark, as a damaged or forged journal
 // record might name it; it reports whether there was a block to forge.
 func ForgeInputTrack(t Transport) bool {
-	ps := t.(*engine).procs[0]
+	ps := procs(t)[0]
 	if ps.inDir == nil {
 		return false
 	}
@@ -204,7 +212,7 @@ type Placement struct{ Scattered, Ideal, Multi, Worst, Floor int }
 
 // PlacementCosts reads every processor's Placement.
 func PlacementCosts(t Transport) (ps []Placement) {
-	for _, proc := range t.(*engine).procs {
+	for _, proc := range procs(t) {
 		D := len(proc.dir.q[0])
 		L, load, p := D, make([]int, D), Placement{}
 		for d := 0; d < D; d++ {
@@ -238,7 +246,7 @@ func PlacementCosts(t Transport) (ps []Placement) {
 // wrap, its drives' bump marks: the tracks each drive file holds.
 func AllocatorMarks(t Transport) [][]int {
 	var marks [][]int
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		marks = append(marks, ps.chain.State().Next)
 	}
 	return marks
@@ -259,7 +267,7 @@ type Holdings struct {
 // HoldingsOf reports every processor's holdings.
 func HoldingsOf(t Transport) []Holdings {
 	var hs []Holdings
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		h := Holdings{Held: ps.held, HeldWords: ps.heldLen}
 		if ps.inDir != nil {
 			h.Input = ps.inDir.total
@@ -288,7 +296,7 @@ func RecoveryOps(t Transport) int64 { return t.(*engine).led.recoveryOps }
 
 // Ops is the parallel I/O operations processor 0 of the engine has
 // performed since its statistics were last reset.
-func Ops(t Transport) int64 { return t.(*engine).procs[0].chain.Stats().Ops }
+func Ops(t Transport) int64 { return procs(t)[0].chain.Stats().Ops }
 
 // StopApply makes every apply of a snapshot to a node directory
 // (AdoptNode, ApplyDelta) ask stop after each step it completes — an
@@ -300,7 +308,7 @@ func StopApply(stop func(step string) error) { applyStep = stop }
 // ChainStates are the states of the chains of the processors of the
 // engine RunOver hands to wrap, as a processor's record carries them.
 func ChainStates(t Transport) (sts [][]uint64) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		enc := words.NewEncoder(nil)
 		ps.encodeState(enc)
 		sts = append(sts, enc.Words())
@@ -310,7 +318,7 @@ func ChainStates(t Transport) (sts [][]uint64) {
 
 // MemUsed is every processor's internal memory in use.
 func MemUsed(t Transport) (used []int64) {
-	for _, ps := range t.(*engine).procs {
+	for _, ps := range procs(t) {
 		used = append(used, ps.acct.Used())
 	}
 	return used
@@ -318,7 +326,7 @@ func MemUsed(t Transport) (used []int64) {
 
 // FaultLayer is processor proc's fault layer.
 func FaultLayer(t Transport, proc int) *fault.Disk {
-	return disk.Find[*fault.Disk](t.(*engine).procs[proc].chain)
+	return disk.Find[*fault.Disk](procs(t)[proc].chain)
 }
 
 // WithoutHistory is a copy of ws, the words of one D-drive chain's state
@@ -431,14 +439,17 @@ func procRecord(sh simShape, ps *procState, step int) ProcRecord {
 func ProcRecords(t Transport) []ProcRecord {
 	e := t.(*engine)
 	var rs []ProcRecord
-	for _, ps := range e.procs {
+	for _, ps := range procs(t) {
 		rs = append(rs, procRecord(e.simShape, ps, e.led.stepsDone))
 	}
 	return rs
 }
 
 // ProcRecord is the node's record, the body of its NODE manifest.
-func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(n.sh, n.ps, n.stepsDone) }
+func (n *NodeEngine) ProcRecord() ProcRecord { return procRecord(*n.sh, n.ps, n.stepsDone) }
+
+// Prepared is the node's prepared record, nil when none is pending.
+func (n *NodeEngine) Prepared() []uint64 { return n.jrn.Pending() }
 
 // Decode decodes ws, the record or a forgery of it, into a fresh processor
 // of the same shape over an in-memory chain with the same layers. It

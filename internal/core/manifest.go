@@ -462,17 +462,17 @@ func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 	return nil
 }
 
-// encodeProcs appends every processor's barrier state to the decision
-// record of an in-process run: under a fault plan the records the engine
-// kept at the barrier, the words a replay adopts.
+// encodeProcs appends every node's record of the barrier to the decision
+// record of an in-process run: under a fault plan the record the node
+// kept there, the words a replay adopts.
 func (e *engine) encodeProcs(enc *words.Encoder) {
-	enc.PutInt(int64(len(e.procs)))
-	if e.faulty() {
-		enc.PutWords(e.rec.Words())
-		return
-	}
-	for _, ps := range e.procs {
-		e.encodeProcManifest(enc, ps)
+	enc.PutInt(int64(len(e.nodes)))
+	for _, n := range e.nodes {
+		if n.faulty() {
+			enc.PutWords(n.rec.Words())
+		} else {
+			e.encodeProcManifest(enc, n.ps)
+		}
 	}
 }
 
@@ -502,9 +502,10 @@ func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 // processor or its store is touched. The held records are adopted without
 // model I/O, into internal memory the accountant holds for them again;
 // the layers' states that follow the record are read from dec. A
-// superstep replay (replay) leaves the accountant to the engine, which
-// rewinds it to its usage at the barrier, and keeps the chain's history
-// (storeStack.decodeState); the high-water mark only ever rises.
+// superstep replay (replay) leaves the accountant to the node
+// (NodeEngine.replay), which rewinds it to its usage at the barrier, and
+// keeps the chain's history (storeStack.decodeState); the high-water
+// mark only ever rises.
 func (sh *simShape) readProcRecord(dec *words.Decoder, ps *procState, step int, replay bool) (alloc disk.StoreState, adopt func() error, err error) {
 	r := recordReader{dec: dec}
 	var rng [4]uint64
@@ -559,16 +560,17 @@ func (sh *simShape) decodeProcManifest(dec *words.Decoder, ps *procState, step i
 // parity does not encode; each chain reconciles them before the replay
 // trusts the disk.
 func (e *engine) decodeProcs(dec *words.Decoder, step int) error {
-	if n := int(dec.Int()); n != len(e.procs) {
-		return fmt.Errorf("core: journal records %d processors, machine has %d", n, len(e.procs))
+	if n := int(dec.Int()); n != len(e.nodes) {
+		return fmt.Errorf("core: journal records %d processors, machine has %d", n, len(e.nodes))
 	}
-	for _, ps := range e.procs {
-		if err := e.decodeProcManifest(dec, ps, step); err != nil {
+	for _, n := range e.nodes {
+		if err := e.decodeProcManifest(dec, n.ps, step); err != nil {
 			return err
 		}
+		n.stepsDone = step
 	}
-	for _, ps := range e.procs {
-		if err := ps.reconcile(); err != nil {
+	for _, n := range e.nodes {
+		if err := n.ps.reconcile(); err != nil {
 			return err
 		}
 	}

@@ -21,17 +21,44 @@ import (
 // the processor's procState. The machine owns the superstep's I/O,
 // accounting, checks and trace spans; what it does not own is the order
 // of the phases (the driver, driver.go) or how blocks travel between
-// processors. Every block is delivered to the processor that owns its
-// destination VP: a processor's own blocks go straight into its block
-// writer, and a Transport carries the others to their owners' writing
-// phases:
+// processors.
 //
-//   - the in-process engine (engine.go) keeps all p processors in one
-//     address space and hands the blocks across by reference; with p = 1
-//     there is nobody to hand them to;
-//   - NodeEngine (cluster.go) wraps a single processor for the
-//     multi-process cluster runtime, which carries the same blocks over
-//     the wire.
+// Virtual processors are assigned in blocks: real processor i owns
+// VPs [i·⌈v/p⌉, (i+1)·⌈v/p⌉). A compound superstep runs in ⌈(v/p)/k⌉
+// rounds; in each, one batch j — the j-th group of k VPs of every real
+// processor — is simulated, the batches in ascending order in odd
+// supersteps and descending order in even ones (snake order, batchAt),
+// so the batch that ends a barrier begins the next superstep and its
+// contexts never leave internal memory.
+//
+//   - Fetching phase: each processor reads the blocks pertaining to
+//     batch j from its local disks: every message block for its k
+//     current VPs lies there.
+//   - Computing phase: each processor simulates its k current VPs.
+//   - Writing phase: generated messages are packed into blocks of size
+//     B, and each block is delivered to the processor that owns its
+//     destination VP — its own straight into its block writer, the others
+//     by a Transport, in packets of size b in one real communication
+//     superstep — and every processor writes its blocks to its local
+//     disks under a random drive permutation, maintaining a directory
+//     keyed by destination batch, whose counts place each block on the
+//     free drive where its batch holds fewest.
+//
+// The paper sends each packet to a randomly chosen processor instead,
+// to balance the disks, and routes the blocks to their owners at the
+// next fetch; delivering them where they are read leaves that second
+// crossing out, and the h-relation bounds every receiver's words
+// (DESIGN.md §5). The next superstep reads a processor's received blocks
+// where they lie, by that directory: a batch's scattered read is within
+// an operation of fully D-parallel, so the local SimulateRouting
+// (Algorithm 2) the paper runs here is shown by DemoRouting and run by
+// nobody (DESIGN.md §7). All deliveries are sorted canonically, so
+// results are bitwise deterministic and identical to the in-memory
+// reference runner.
+//
+// A NodeEngine (cluster.go) is one processor of this machine, in both
+// runtimes: the in-process engine (driver.go) runs P of them in one
+// address space, and a cluster worker runs one.
 
 // wireBlock is a message block in flight between real processors. Its
 // image aliases a buffer of the processor that produced it (stepBufs):
@@ -262,6 +289,11 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	if fd := disk.Find[*fault.Disk](ps.chain); fd != nil {
 		ps.down = fd.Down
 	}
+	// The barrier checkpoint discipline is on under a fault plan (a replay
+	// needs a rollback source) and on durable drives (the state the last
+	// record references must not be overwritten before the next record is
+	// committed).
+	ps.ckptOn = dir != "" || ps.down != nil
 	ps.ctxWrite = ps.ctxDir
 	return ps, nil
 }

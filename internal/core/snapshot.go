@@ -188,17 +188,9 @@ func blankTracks(st disk.StoreState) [][]bool {
 // the one derived from (cfg, opts, nodeID) — adopting another node's
 // (or another run's) state is refused before anything touches disk.
 func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir string, snap *NodeSnapshot) (*NodeEngine, error) {
-	if err := ClusterCheck(cfg, opts); err != nil {
+	sh, err := clusterNodeShape(p, cfg, opts, nodeID, dir)
+	if err != nil {
 		return nil, err
-	}
-	if err := bsp.CheckProgram(p); err != nil {
-		return nil, err
-	}
-	if nodeID < 0 || nodeID >= cfg.P {
-		return nil, fmt.Errorf("core: node id %d out of range for P = %d", nodeID, cfg.P)
-	}
-	if dir == "" {
-		return nil, fmt.Errorf("core: a cluster node needs a state directory (its journal is the 2PC participant log)")
 	}
 	if !snap.Full {
 		return nil, fmt.Errorf("core: AdoptNode needs a full snapshot, got a delta on base %d", snap.Base)
@@ -206,20 +198,19 @@ func AdoptNode(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir s
 	if snap.Version < 1 {
 		return nil, fmt.Errorf("core: AdoptNode of snapshot with no committed barrier")
 	}
-	n := &NodeEngine{sh: newSimShape(p, cfg, opts), dir: dir}
-	n.fpr = nodeFingerprint(cfg, opts, n.sh.v, n.sh.mu, n.sh.gamma, nodeID)
-	if len(snap.Manifest) < 2 || snap.Manifest[0] != manifestNodeKind || snap.Manifest[1] != n.fpr {
+	fpr := nodeFingerprint(cfg, opts, sh.v, sh.mu, sh.gamma, nodeID)
+	if len(snap.Manifest) < 2 || snap.Manifest[0] != manifestNodeKind || snap.Manifest[1] != fpr {
 		return nil, fmt.Errorf("core: snapshot manifest fingerprint does not match node %d of this run", nodeID)
 	}
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, err
 	}
-	ps, err := n.sh.newProcState(nodeID, procDir(dir, nodeID), false)
+	n, err := newNode(sh, nodeID, procDir(dir, nodeID), false)
 	if err != nil {
 		return nil, err
 	}
-	ps.ckptOn = true
-	n.ps = ps
+	n.dir, n.fpr = dir, fpr
+	ps := n.ps
 	if err := importTracks(ps, snap.Tracks, nil); err != nil {
 		ps.chain.Close()
 		return nil, err
@@ -254,10 +245,7 @@ func OpenReplica(p bsp.Program, cfg MachineConfig, opts Options, nodeID int, dir
 	if err != nil {
 		return nil, err
 	}
-	if err = n.ResolvePending(false); err == nil {
-		err = n.LoadCommitted()
-	}
-	if err != nil {
+	if err := n.LoadCommitted(); err != nil {
 		n.Close()
 		return nil, err
 	}

@@ -147,68 +147,3 @@ func (a *Array) WriteRange(ar Area, lo, hi int, src []uint64) error {
 	}
 	return nil
 }
-
-// Buckets maintains the paper's standard linked format: for each
-// drive, a table with one entry per bucket pointing at the list of
-// tracks on that drive holding blocks of that bucket (Step 1(d) of
-// Algorithm SeqCompoundSuperstep). Whenever a block of bucket i is
-// written to drive j, a free track on j is allocated and appended to
-// list (j, i).
-//
-// The paper stores the D-pointer tables on the disks themselves; here
-// the directory is in-memory metadata of size O(D·buckets) words (a
-// documented deviation — see DESIGN.md §5). The data blocks live on
-// the simulated disks and all their movement is counted.
-type Buckets struct {
-	d     int
-	lists [][][]int // [drive][bucket] -> ordered track list
-}
-
-// NewBuckets returns an empty directory for nBuckets buckets over the
-// D drives of a.
-func NewBuckets(a *Array, nBuckets int) *Buckets {
-	b := &Buckets{d: a.cfg.D, lists: make([][][]int, a.cfg.D)}
-	for d := range b.lists {
-		b.lists[d] = make([][]int, nBuckets)
-	}
-	return b
-}
-
-// Append records that track t on drive d now holds a block of bucket i.
-func (b *Buckets) Append(d, bucket, t int) { b.lists[d][bucket] = append(b.lists[d][bucket], t) }
-
-// Len returns the number of blocks of bucket i stored on drive d.
-func (b *Buckets) Len(d, bucket int) int { return len(b.lists[d][bucket]) }
-
-// Tracks returns the ordered track list of bucket i on drive d.
-// The caller must not modify the returned slice.
-func (b *Buckets) Tracks(d, bucket int) []int { return b.lists[d][bucket] }
-
-// Total returns the total number of blocks in bucket i across drives.
-func (b *Buckets) Total(bucket int) int {
-	n := 0
-	for d := 0; d < b.d; d++ {
-		n += len(b.lists[d][bucket])
-	}
-	return n
-}
-
-// MaxPerDrive returns the largest number of blocks any single drive
-// holds for bucket i — the quantity bounded by Lemma 2.
-func (b *Buckets) MaxPerDrive(bucket int) int {
-	m := 0
-	for d := 0; d < b.d; d++ {
-		if n := len(b.lists[d][bucket]); n > m {
-			m = n
-		}
-	}
-	return m
-}
-
-// NumBuckets returns the number of buckets.
-func (b *Buckets) NumBuckets() int {
-	if b.d == 0 {
-		return 0
-	}
-	return len(b.lists[0])
-}

@@ -262,34 +262,6 @@ func TestSliceRejectsBadRange(t *testing.T) {
 	}
 }
 
-func TestBuckets(t *testing.T) {
-	a := newTest(t, 3, 2)
-	b := NewBuckets(a, 4)
-	if b.NumBuckets() != 4 {
-		t.Fatalf("NumBuckets = %d, want 4", b.NumBuckets())
-	}
-	b.Append(0, 1, 10)
-	b.Append(0, 1, 11)
-	b.Append(2, 1, 5)
-	b.Append(1, 3, 0)
-	if got := b.Len(0, 1); got != 2 {
-		t.Errorf("Len(0,1) = %d, want 2", got)
-	}
-	if got := b.Total(1); got != 3 {
-		t.Errorf("Total(1) = %d, want 3", got)
-	}
-	if got := b.MaxPerDrive(1); got != 2 {
-		t.Errorf("MaxPerDrive(1) = %d, want 2", got)
-	}
-	if got := b.Total(0); got != 0 {
-		t.Errorf("Total(0) = %d, want 0", got)
-	}
-	tracks := b.Tracks(0, 1)
-	if len(tracks) != 2 || tracks[0] != 10 || tracks[1] != 11 {
-		t.Errorf("Tracks(0,1) = %v, want [10 11]", tracks)
-	}
-}
-
 func TestPeekTrackDoesNotCount(t *testing.T) {
 	a := newTest(t, 1, 2)
 	_ = a.WriteOp([]WriteReq{{Disk: 0, Track: a.Alloc(0), Src: []uint64{5, 6}}})

@@ -99,15 +99,6 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 	return f, nil
 }
 
-// MustWrap is Wrap for statically valid plans.
-func MustWrap(a disk.Store, plan Plan, maxRetries int) *Disk {
-	f, err := Wrap(a, plan, maxRetries)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Inner returns the chain beneath the fault layer.
 func (f *Disk) Inner() disk.Store { return f.inner }
 
@@ -123,19 +114,6 @@ func (f *Disk) Down(d int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.dead[d]
-}
-
-// LiveDrives returns the number of drives still serving I/O.
-func (f *Disk) LiveDrives() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, dd := range f.dead {
-		if !dd {
-			n++
-		}
-	}
-	return n
 }
 
 // Release frees a track and its checksum.

@@ -15,6 +15,15 @@ func testArray(t *testing.T, d, b int) *disk.Array {
 	return disk.MustNewArray(disk.Config{D: d, B: b})
 }
 
+// mustWrap is Wrap for statically valid plans.
+func mustWrap(a disk.Store, plan Plan, maxRetries int) *Disk {
+	f, err := Wrap(a, plan, maxRetries)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestPlanValidate(t *testing.T) {
 	cases := []struct {
 		plan Plan
@@ -52,7 +61,7 @@ func TestWrapRejectsImpossiblePlans(t *testing.T) {
 }
 
 func TestFaultFreePassThrough(t *testing.T) {
-	f := MustWrap(testArray(t, 2, 2), Plan{Seed: 1}, 0)
+	f := mustWrap(testArray(t, 2, 2), Plan{Seed: 1}, 0)
 	tr := f.Alloc(0)
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: tr, Src: []uint64{3, 4}}}); err != nil {
 		t.Fatal(err)
@@ -73,7 +82,7 @@ func TestFaultFreePassThrough(t *testing.T) {
 // transient rates never escape to the caller, and the recovery work is
 // counted.
 func TestRetriesAbsorbTransients(t *testing.T) {
-	f := MustWrap(testArray(t, 4, 4), Plan{Seed: 3, ReadErrorRate: 0.2, WriteErrorRate: 0.2}, 0)
+	f := mustWrap(testArray(t, 4, 4), Plan{Seed: 3, ReadErrorRate: 0.2, WriteErrorRate: 0.2}, 0)
 	src := []uint64{1, 2, 3, 4}
 	dst := make([]uint64, 4)
 	for i := 0; i < 200; i++ {
@@ -104,7 +113,7 @@ func TestRetriesAbsorbTransients(t *testing.T) {
 // TestCorruptionDetected: with retries disabled, an injected corruption
 // surfaces as a typed recoverable Corruption error.
 func TestCorruptionDetected(t *testing.T) {
-	f := MustWrap(testArray(t, 1, 4), Plan{Seed: 2, CorruptRate: 0.9}, -1)
+	f := mustWrap(testArray(t, 1, 4), Plan{Seed: 2, CorruptRate: 0.9}, -1)
 	src := []uint64{9, 8, 7, 6}
 	tr := f.Alloc(0)
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: tr, Src: src}}); err != nil {
@@ -149,7 +158,7 @@ func TestCorruptionDetected(t *testing.T) {
 // TestUncheckedBlocksNotCorrupted: corruption only strikes checksummed
 // (written) tracks, so blank reads stay exact zeros.
 func TestUncheckedBlocksNotCorrupted(t *testing.T) {
-	f := MustWrap(testArray(t, 1, 4), Plan{Seed: 2, CorruptRate: 0.9}, 0)
+	f := mustWrap(testArray(t, 1, 4), Plan{Seed: 2, CorruptRate: 0.9}, 0)
 	dst := make([]uint64, 4)
 	for i := 0; i < 50; i++ {
 		if err := f.ReadOp([]disk.ReadReq{{Disk: 0, Track: i, Dst: dst}}); err != nil {
@@ -165,7 +174,7 @@ func TestUncheckedBlocksNotCorrupted(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	run := func() Counters {
-		f := MustWrap(testArray(t, 2, 2), Plan{Seed: 11, ReadErrorRate: 0.3, WriteErrorRate: 0.3, CorruptRate: 0.3}, 0)
+		f := mustWrap(testArray(t, 2, 2), Plan{Seed: 11, ReadErrorRate: 0.3, WriteErrorRate: 0.3, CorruptRate: 0.3}, 0)
 		src := []uint64{1, 2}
 		dst := make([]uint64, 2)
 		for i := 0; i < 100; i++ {
@@ -185,7 +194,7 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 func TestFirstOpDelaysInjection(t *testing.T) {
-	f := MustWrap(testArray(t, 1, 2), Plan{Seed: 5, ReadErrorRate: 0.9, FirstOp: 1 << 40}, 0)
+	f := mustWrap(testArray(t, 1, 2), Plan{Seed: 5, ReadErrorRate: 0.9, FirstOp: 1 << 40}, 0)
 	dst := make([]uint64, 2)
 	for i := 0; i < 100; i++ {
 		if err := f.ReadOp([]disk.ReadReq{{Disk: 0, Track: i, Dst: dst}}); err != nil {
@@ -206,7 +215,7 @@ func TestDriveDeathRedirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := MustWrap(red, Plan{Seed: 7, FailDriveOp: 10, FailDrive: 1}, 0)
+	f := mustWrap(red, Plan{Seed: 7, FailDriveOp: 10, FailDrive: 1}, 0)
 	// Ten writes before the death, their copies on disk by the barrier.
 	tracks := make([]int, 10)
 	for i := range tracks {
@@ -227,8 +236,8 @@ func TestDriveDeathRedirection(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Kind != DriveLoss || fe.Disk != 1 || !fe.Recoverable {
 		t.Fatalf("death op error = %v, want recoverable DriveLoss on drive 1", err)
 	}
-	if !f.Down(1) || f.LiveDrives() != 2 {
-		t.Fatalf("drive 1 not marked dead: down=%v live=%d", f.Down(1), f.LiveDrives())
+	if !f.Down(1) || f.Down(0) || f.Down(2) {
+		t.Fatalf("drive 1 not the one drive marked dead: down=%v,%v,%v", f.Down(0), f.Down(1), f.Down(2))
 	}
 	// Replay of the read: served from the copies, data intact.
 	for i, tr := range tracks {
@@ -259,7 +268,7 @@ func TestDriveDeathRedirection(t *testing.T) {
 // an unrecoverable DriveLoss, at the death and at every later touch of
 // the drive; the survivors keep serving I/O.
 func TestLostDataIsFatal(t *testing.T) {
-	f := MustWrap(testArray(t, 2, 2), Plan{Seed: 7, FailDriveOp: 1, FailDrive: 0}, 0)
+	f := mustWrap(testArray(t, 2, 2), Plan{Seed: 7, FailDriveOp: 1, FailDrive: 0}, 0)
 	tr := f.Alloc(0)
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: tr, Src: []uint64{1, 2}}}); err != nil {
 		t.Fatal(err)
@@ -282,7 +291,7 @@ func TestLostDataIsFatal(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	f := MustWrap(testArray(t, 2, 2), Plan{Seed: 1}, 0)
+	f := mustWrap(testArray(t, 2, 2), Plan{Seed: 1}, 0)
 	committed := f.Alloc(0)
 	if err := f.WriteOp([]disk.WriteReq{{Disk: 0, Track: committed, Src: []uint64{5, 6}}}); err != nil {
 		t.Fatal(err)

@@ -94,9 +94,6 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // State returns the generator's internal state. The engines store it
 // in superstep checkpoint manifests so a rolled-back superstep can be
 // replayed with identical draws.

@@ -85,14 +85,6 @@ func (e *Encoder) PutInts(s []int64) {
 	}
 }
 
-// PutFloats appends a length prefix followed by the slice elements.
-func (e *Encoder) PutFloats(s []float64) {
-	e.buf = append(e.buf, uint64(len(s)))
-	for _, v := range s {
-		e.buf = append(e.buf, math.Float64bits(v))
-	}
-}
-
 // Arena is memory a Decoder carves the slices Uints returns from, so
 // that decoding allocates nothing while the arena lasts. Each slice is
 // capacity-limited: an append to it reallocates instead of overwriting
@@ -198,20 +190,6 @@ func (d *Decoder) Ints() []int64 {
 	s := make([]int64, n)
 	for i := range s {
 		s[i] = int64(d.buf[d.off+i])
-	}
-	d.off += n
-	return s
-}
-
-// Floats decodes a length-prefixed slice of float64s.
-func (d *Decoder) Floats() []float64 {
-	n := int(d.next())
-	if n < 0 || d.off+n > len(d.buf) {
-		panic("words: corrupt slice length")
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = math.Float64frombits(d.buf[d.off+i])
 	}
 	d.off += n
 	return s

@@ -39,10 +39,8 @@ func TestSliceRoundTrip(t *testing.T) {
 	e := NewEncoder(nil)
 	us := []uint64{1, 2, 3}
 	is := []int64{-1, 0, 9}
-	fs := []float64{0.5, -2, math.Inf(1)}
 	e.PutUints(us)
 	e.PutInts(is)
-	e.PutFloats(fs)
 	e.PutUints(nil)
 	d := NewDecoder(e.Words())
 	if got := d.Uints(); !reflect.DeepEqual(got, us) {
@@ -50,9 +48,6 @@ func TestSliceRoundTrip(t *testing.T) {
 	}
 	if got := d.Ints(); !reflect.DeepEqual(got, is) {
 		t.Errorf("Ints = %v, want %v", got, is)
-	}
-	if got := d.Floats(); !reflect.DeepEqual(got, fs) {
-		t.Errorf("Floats = %v, want %v", got, fs)
 	}
 	if got := d.Uints(); len(got) != 0 {
 		t.Errorf("empty Uints = %v, want empty", got)
