@@ -29,7 +29,6 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	scaleFlag := flag.String("scale", "medium", "workload scale: small, medium or large")
 	redundancyFlag := flag.String("redundancy", "", "drive redundancy for every run: none, mirror or parity")
-	scrub := flag.Bool("scrub", false, "background scrub between supersteps (requires -redundancy mirror or parity)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar and /metrics on this address while experiments run (medium/large sweeps take minutes; profile them live)")
 	flag.Parse()
 
@@ -47,17 +46,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *redundancyFlag != "" || *scrub {
+	if *redundancyFlag != "" {
 		mode, err := embsp.ParseRedundancy(*redundancyFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if *scrub && mode == embsp.RedundancyNone {
-			fmt.Fprintln(os.Stderr, "-scrub requires -redundancy mirror or parity")
-			os.Exit(2)
-		}
-		bench.SetRedundancy(mode, *scrub)
+		bench.SetRedundancy(mode)
 	}
 
 	switch {

@@ -212,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tiersFlag := fs.String("tiers", "", "stack intermediate store tiers over the backend: comma-separated words[:latency] per tier, outermost first (e.g. 65536:50us; 0 words = engine default capacity; requires -state-dir)")
 	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none); it also picks the physical schedule: one I/O worker per drive and the group pipeline under latency, synchronous at zero")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
-	scrub := fs.Bool("scrub", false, "background scrub between supersteps (requires -redundancy mirror or parity)")
 	soak := fs.Bool("soak", false, "chaos-soak mode: randomized fault/kill/resume schedules over the Table 1 workloads, checked bitwise against the reference")
 	soakDuration := fs.Duration("duration", 30*time.Second, "how long to keep soaking (-soak)")
 	soakAlgs := fs.String("soak-algs", "", "comma-separated workload filter for -soak (default: all 13)")
@@ -236,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := workload.Machine(prog, *procs, *d, *b, *mFactor, *g)
 	opts := embsp.Options{
 		Seed: *seed, Deterministic: *det, MaxRetries: *maxRetries,
-		StateDir: *stateDir, Resume: *resume, Scrub: *scrub,
+		StateDir: *stateDir, Resume: *resume,
 		DriveLatency: *driveLatency,
 	}
 	switch *storeKind {
@@ -408,9 +407,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		em := res.EM
 		fmt.Fprintf(stdout, "redundancy: %v, %d ops, %d parity blocks over %d striped, %d degraded ops, %d reconstructed\n",
 			opts.Redundancy, em.ParityOps, em.ParityBlocks, em.StripedBlocks, em.DegradedOps, em.ReconstructedBlocks)
-		if opts.Scrub {
-			fmt.Fprintf(stdout, "scrub: %d blocks verified, %d repaired\n", em.ScrubbedBlocks, em.ScrubRepairs)
-		}
 	}
 	if *report {
 		obs.WriteReport(stderr, tr.Phases(), wall)

@@ -29,7 +29,6 @@ type soakCase struct {
 	d, b      int
 	seed      uint64
 	mode      embsp.Redundancy
-	scrub     bool
 	plan      *embsp.FaultPlan
 	killStep  int // superstep after whose commit the run is cancelled and resumed; -1 = none
 	crashStep int // superstep during which one VP panics mid-superstep; -1 = none
@@ -43,8 +42,8 @@ type soakCase struct {
 }
 
 func (c soakCase) String() string {
-	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v scrub=%v drive-latency=%v",
-		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.scrub, c.latency)
+	s := fmt.Sprintf("alg=%s n=%d v=%d p=%d d=%d b=%d seed=%d redundancy=%v drive-latency=%v",
+		c.alg, c.n, c.v, c.procs, c.d, c.b, c.seed, c.mode, c.latency)
 	if c.killStep >= 0 || c.crashStep >= 0 {
 		s += fmt.Sprintf(" resume-drive-latency=%v", c.resumeLatency)
 	}
@@ -107,7 +106,6 @@ func drawCase(r *prng.Rand, table []string) soakCase {
 	c.latency = latencies[r.Intn(2)]
 	c.resumeLatency = latencies[r.Intn(2)] // the resume may switch schedules
 	c.mode = []embsp.Redundancy{embsp.RedundancyMirror, embsp.RedundancyParity}[r.Intn(2)]
-	c.scrub = r.Bool()
 	plan := &embsp.FaultPlan{
 		Seed:           r.Uint64(),
 		ReadErrorRate:  r.Float64() * 0.02,
@@ -157,7 +155,6 @@ func runCase(c soakCase) error {
 		Seed:         c.seed,
 		FaultPlan:    c.plan,
 		Redundancy:   c.mode,
-		Scrub:        c.scrub,
 		DriveLatency: c.latency,
 	}
 	var res *embsp.Result

@@ -152,8 +152,7 @@ const (
 	RedundancyMirror = redundancy.Mirror
 	// RedundancyParity protects the D drives with rotated XOR parity
 	// groups (RAID-5-style): ~1/(D-1) capacity overhead, one drive
-	// loss survived via degraded reads. Under either mode Options.Scrub
-	// adds a background scrub of latent corruption.
+	// loss survived via degraded reads.
 	RedundancyParity = redundancy.Parity
 )
 

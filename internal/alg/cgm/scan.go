@@ -25,9 +25,6 @@ type Scan struct {
 // ScanSupersteps is the number of supersteps a Scan consumes.
 const ScanSupersteps = 3
 
-// Active reports whether the Scan still needs Step calls.
-func (s *Scan) Active() bool { return s.phase <= 2 }
-
 // Step advances the scan by one superstep, returning true on
 // completion.
 func (s *Scan) Step(env *bsp.Env, in []bsp.Message) (bool, error) {

@@ -49,12 +49,6 @@ func NewNextElement(segs []HSegment, queries []Point, v int) (*NextElement, erro
 
 func (p *NextElement) NumVPs() int { return p.v }
 
-func (p *NextElement) maxOwn() int {
-	a := cgm.MaxPart(len(p.segs), p.v)
-	b := cgm.MaxPart(len(p.queries), p.v)
-	return a + b
-}
-
 func (p *NextElement) MaxContextWords() int {
 	maxKeys := 2*cgm.MaxPart(len(p.segs), p.v) + cgm.MaxPart(len(p.queries), p.v)
 	sl := Slabber{}

@@ -132,9 +132,6 @@ func (r *Ranker) lo(env *bsp.Env) int {
 	return lo
 }
 
-// Active reports whether the Ranker still needs Step calls.
-func (r *Ranker) Active() bool { return r.phase != rkDone }
-
 // splices reports whether active node u, with predecessor pred and
 // successor succ (none at either end of its chain), is spliced out in a
 // contraction round: u is no tail, and beats each neighbour it has on

@@ -26,20 +26,14 @@ import (
 	"embsp/internal/words"
 )
 
-// runRedundancy and runScrub are applied to every standard-machine run
-// so the whole Table 1 suite can be re-measured under a redundancy
-// mode (cmd/embsp-bench -redundancy / -scrub).
-var (
-	runRedundancy redundancy.Mode
-	runScrub      bool
-)
+// runRedundancy is applied to every standard-machine run so the whole
+// Table 1 suite can be re-measured under a redundancy mode
+// (cmd/embsp-bench -redundancy).
+var runRedundancy redundancy.Mode
 
-// SetRedundancy selects the drive-redundancy mode (and optional
-// background scrub) for subsequent experiment runs.
-func SetRedundancy(mode redundancy.Mode, scrub bool) {
-	runRedundancy = mode
-	runScrub = scrub
-}
+// SetRedundancy selects the drive-redundancy mode for subsequent
+// experiment runs.
+func SetRedundancy(mode redundancy.Mode) { runRedundancy = mode }
 
 // Scale selects workload sizes: Small for tests and Go benchmarks,
 // Medium for the default CLI run, Large for thorough runs.
@@ -209,11 +203,10 @@ func standardMachines(p bsp.Program, b int, seed uint64) ([]emRow, map[string][2
 	pd := map[string][2]int{}
 	for _, sh := range shapes {
 		cfg := machineFor(p, sh.procs, sh.d, b, 8)
-		opts := core.Options{Seed: seed, Redundancy: runRedundancy, Scrub: runScrub}
+		opts := core.Options{Seed: seed, Redundancy: runRedundancy}
 		if sh.d == 1 {
 			// Neither mirroring nor parity fits on a single drive.
 			opts.Redundancy = redundancy.None
-			opts.Scrub = false
 		}
 		res, err := core.Run(p, cfg, opts)
 		if err != nil {

@@ -44,7 +44,6 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 		{"none", core.Options{Seed: seed}},
 		{"mirror", core.Options{Seed: seed, Redundancy: redundancy.Mirror}},
 		{"parity", core.Options{Seed: seed, Redundancy: redundancy.Parity}},
-		{"parity+scrub", core.Options{Seed: seed, Redundancy: redundancy.Parity, Scrub: true}},
 		{"parity, drive death", core.Options{
 			Seed:       seed,
 			Redundancy: redundancy.Parity,
@@ -54,7 +53,7 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 
 	cfg := machineFor(prog, 1, d, bFor(s), 8)
 	tw := newTable(w)
-	fmt.Fprintf(tw, "mode\tI/O ops\tblocks\tparity blocks\toverhead\tdegraded\tscrubbed\n")
+	fmt.Fprintf(tw, "mode\tI/O ops\tblocks\tparity blocks\toverhead\tdegraded\n")
 	var base int64
 	for _, v := range variants {
 		res, err := core.Run(prog, cfg, v.opts)
@@ -73,9 +72,9 @@ func runRedundancyOverhead(w io.Writer, s Scale) error {
 		if base > 0 && blocks > base {
 			over = fmt.Sprintf("%.0f%%", 100*float64(blocks-base)/float64(base))
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%d\n",
 			v.label, em.Run.Ops, blocks, em.ParityBlocks, over,
-			em.DegradedOps, em.ScrubbedBlocks)
+			em.DegradedOps)
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "mirror doubles every write (a stripe of one member: its copy is its parity block);\n"+

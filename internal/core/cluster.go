@@ -74,9 +74,6 @@ type BlockBatch struct {
 	blocks []wireBlock
 }
 
-// Len returns the number of blocks in the batch.
-func (b BlockBatch) Len() int { return len(b.blocks) }
-
 // blockMetaWords is a block's encoded metadata: a length prefix and
 // dst, src, seq and chunk.
 const blockMetaWords = 5
@@ -309,9 +306,6 @@ func clusterNodeShape(p bsp.Program, cfg MachineConfig, opts Options, nodeID int
 	return &sh, nil
 }
 
-// NodeID returns the node's processor index.
-func (n *NodeEngine) NodeID() int { return n.ps.id }
-
 // Batches returns the rounds per compound superstep.
 func (n *NodeEngine) Batches() int { return n.sh.batches }
 
@@ -413,7 +407,7 @@ func (n *NodeEngine) Setup() (disk.Stats, error) {
 func (n *NodeEngine) setupBarrier() (stats disk.Stats, err error) {
 	n.rec.Reset() // the barrier commit begins
 	n.stepsDone, n.halted = 0, false
-	if _, err := n.ps.parityBarrier(n.sh.tr, n.ps.id, n.sh.opts.Scrub); err != nil {
+	if _, err := n.ps.parityBarrier(n.sh.tr, n.ps.id); err != nil {
 		return stats, err
 	}
 	stats = n.ps.chain.Stats()
@@ -460,7 +454,7 @@ func (n *NodeEngine) Prepare(step int, halted bool) (ops int64, err error) {
 		return 0, err
 	}
 	n.stepsDone, n.halted = step+1, halted
-	if ops, err = n.ps.parityBarrier(n.sh.tr, n.ps.id, n.sh.opts.Scrub); err == nil {
+	if ops, err = n.ps.parityBarrier(n.sh.tr, n.ps.id); err == nil {
 		err = n.record(step)
 	}
 	if err != nil {

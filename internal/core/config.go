@@ -128,16 +128,11 @@ type Options struct {
 	// FailDriveOp is rejected by Validate), RedundancyMirror (a copy of
 	// every written track on the next live drive, 2× capacity), or
 	// RedundancyParity (rotated XOR parity groups across the D drives,
-	// ~1/(D-1) overhead, with background scrub). Both are one layer,
-	// internal/redundancy, whose stripes are one member wide under mirror;
-	// a dead drive's tracks are reconstructed when read.
+	// ~1/(D-1) overhead). Both are one layer, internal/redundancy, whose
+	// stripes are one member wide under mirror; a dead drive's tracks,
+	// and a track whose stored bytes went bad, are reconstructed when
+	// read.
 	Redundancy redundancy.Mode
-	// Scrub enables the background scrub pass between compound
-	// supersteps (RedundancyMirror or RedundancyParity): a budgeted slice
-	// of tracks is checksum-verified per barrier and latent corruption is
-	// repaired from the track's stripe, with the cursor carried in the
-	// superstep manifest.
-	Scrub bool
 	// DriveLatency emulates the access time of one physical track
 	// transfer on the file-backed store: every slot read or write
 	// sleeps this long on the goroutine moving the bytes. It models the
@@ -188,7 +183,7 @@ type Options struct {
 	Tiers []TierSpec
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
-	// message read/write, compute, parity flush/scrub, barrier
+	// message read/write, compute, parity flush, barrier
 	// fsync, journal commit) on every engine, plus the file-backed store's worker-level physical
 	// transfers, exportable as Chrome trace_event JSON. Tracing is pure
 	// observability: it is deliberately left out of the config
@@ -255,9 +250,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	}
 	if o.Redundancy != redundancy.None && cfg.D < 2 {
 		return fmt.Errorf("core: Redundancy = %s requires D >= 2, have D = %d", o.Redundancy, cfg.D)
-	}
-	if o.Scrub && o.Redundancy == redundancy.None {
-		return fmt.Errorf("core: Scrub requires Redundancy = mirror or parity (scrub repairs from a track's stripe)")
 	}
 	if o.FaultPlan != nil {
 		if err := o.FaultPlan.Validate(); err != nil {
@@ -356,18 +348,15 @@ type EMStats struct {
 	ParityOps     int64
 	ParityBlocks  int64
 	StripedBlocks int64
-	// DegradedOps counts extra parallel I/O forced by operating without
-	// a drive (reconstruction reads, collision splits onto survivors);
-	// ReconstructedBlocks counts blocks rebuilt from parity on the read
-	// path; RepairedBlocks counts tracks rewritten with reconstructed
-	// data after a checksum failure.
+	// DegradedOps counts the extra parallel I/O reads spend rebuilding a
+	// lost or bad track from its stripe; ReconstructedBlocks counts the
+	// blocks so rebuilt.
 	DegradedOps         int64
 	ReconstructedBlocks int64
-	RepairedBlocks      int64
-	// ScrubbedBlocks / ScrubRepairs count the background scrub's
-	// verified tracks and the latent-corruption repairs it made.
-	ScrubbedBlocks int64
-	ScrubRepairs   int64
+	// RepairedBlocks reads 0 by construction: nothing rewrites a track
+	// with reconstructed data. Only the frozen benchmark reads it, and
+	// it goes with ROADMAP item 1(d).
+	RepairedBlocks int64
 	// Overlap reports the file-backed store's I/O–compute overlap
 	// observability counters (prefetch hits, async writes, stall time,
 	// concurrent-transfer high-water mark), aggregated over processors

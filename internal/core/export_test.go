@@ -131,8 +131,8 @@ func DriveClock(t Transport, proc, drive int) int64 {
 
 // DeadDriveLoad reads, from the journaled form of one processor's
 // redundancy layer, what a dead drive still holds at a barrier: striped
-// members with no copy on a survivor, and parity tracks (or copies); and
-// whether the fault layer has killed the drive at all.
+// members and parity tracks (or copies); and whether the fault layer has
+// killed the drive at all.
 func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool) {
 	chain := procs(t)[proc].chain
 	red := disk.Find[*redundancy.Store](chain)
@@ -145,8 +145,6 @@ func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool
 	}
 	dec.Int()
 	dec.Ints()
-	dec.Ints()
-	var lost []disk.Addr
 	for n := dec.Int(); n > 0; n-- {
 		dec.Int()
 		if pd := int(dec.Int()); dec.Int() >= 0 && pd == drive {
@@ -154,24 +152,8 @@ func DeadDriveLoad(t Transport, proc, drive int) (members, parity int, down bool
 		}
 		for d := 0; d < D; d++ {
 			if tr := int(dec.Int()); tr >= 0 && d == drive {
-				lost = append(lost, disk.Addr{Disk: d, Track: tr})
+				members++
 			}
-		}
-	}
-	for n := dec.Int(); n > 0; n-- {
-		dec.Int()
-		dec.Int()
-		dec.Uint()
-	}
-	remapped := make(map[disk.Addr]bool)
-	for n := dec.Int(); n > 0; n-- {
-		remapped[disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}] = true
-		dec.Int()
-		dec.Int()
-	}
-	for _, k := range lost {
-		if !remapped[k] {
-			members++
 		}
 	}
 	return members, parity, disk.Find[*fault.Disk](chain).Down(drive)
@@ -333,8 +315,8 @@ func FaultLayer(t Transport, proc int) *fault.Disk {
 // (ChainStates), with every field a superstep replay keeps instead of
 // adopting zeroed (DESIGN.md §8): the store's statistics and access
 // chains; the fault layer's clocks, injection streams, dead drives and
-// counters; the redundancy layer's dead drives, scrub cursor and
-// counters but its two gauges.
+// counters; the redundancy layer's dead drives and counters but its two
+// gauges.
 func WithoutHistory(ws []uint64, D int) []uint64 {
 	ws = slices.Clone(ws)
 	at := 0
@@ -359,12 +341,11 @@ func WithoutHistory(ws []uint64, D int) []uint64 {
 	}
 	if skip(1); ws[at-1] != 0 { // the redundancy layer
 		skip(1)
-		zero(D) // dead drives
-		skip(1) // the next stripe
-		zero(words.SizeUints(2))
-		zero(1 + 5) // counters, up to the gauges
+		zero(D)     // dead drives
+		skip(1)     // the next stripe
+		zero(1 + 4) // counters, up to the gauges
 		skip(2)
-		zero(3)
+		zero(1)
 	}
 	return ws
 }

@@ -188,6 +188,23 @@ import (
 //	mapped+tier+parity    0xa14c4b9f2d02ecae → 0x3e6f1b9abef5d32e
 //	NODE 0                0x41118726def2b46c → 0x03a052e5ef2b685c
 //	NODE 1                0xa75e4621b95bebef → 0xe4cf7a62a92337ff
+//
+// modelRules 14 → 15 (the redundancy layer's record lost its scrub
+// cursor, its remap table and three counters, and Options its scrub bit,
+// DESIGN.md §10) moved all of them by the fingerprint word, and the three
+// layered rows by the layer's shorter record too. Checked against the
+// commit before with modelRules held at 14 and the scrub bit's slot kept:
+// every RUN P = 1 and P = 2, NODE and CORD record is the commit before's,
+// word for word. Old → new:
+//
+//	RUN P=1               0x1c8121b544722315 0x0ef9b7caf932f7e8 → 0xaf5a671068a545ca 0x53a4eae16c25060d
+//	RUN P=2               0x8aa1fbfc7d0fad78 0x36765290e0807490 → 0x27327aab1982eed5 0xaba08820f3163011
+//	file+parity+faults    0xcaa74a5e384b0875 0xed318660451872a3 → 0x37606fb669332527 0x8481542182ab25bf
+//	file+mirror+death     0xc35696be893c8446 0x9435d010fb0dd773 → 0x50d123027c0548e8 0xbbe0c2b41f3841b1
+//	mapped+tier+parity    0x3e6f1b9abef5d32e 0x43043199e074ce7b → 0x6a98813bd4f7c457 0x816278927de7f5fc
+//	NODE 0                0x03a052e5ef2b685c 0xaa8cb0187672e7fe → 0x483d9f857dc4af9a 0xdfcbbff0cb7768ec
+//	NODE 1                0xe4cf7a62a92337ff 0x3b6dfbb6f2156815 → 0x46eaf5aae2292dc8 0x910885e9fef97c06
+//	CORD                  0x77539dc3019ab030 0x5bc7a8969ef6d100 → 0x5ea236e10a68ed73 0x48dae754ab7cf201
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -221,8 +238,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0x1c8121b544722315, 0xef9b7caf932f7e8},
-		2: {0x8aa1fbfc7d0fad78, 0x36765290e0807490},
+		1: {0xaf5a671068a545ca, 0x53a4eae16c25060d},
+		2: {0x27327aab1982eed5, 0xaba08820f3163011},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -238,16 +255,16 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0xcaa74a5e384b0875, 0xed318660451872a3}},
+		}, [2]uint64{0x37606fb669332527, 0x8481542182ab25bf}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0xc35696be893c8446, 0x9435d010fb0dd773}},
+		}, [2]uint64{0x50d123027c0548e8, 0xbbe0c2b41f3841b1}},
 		{"mapped+tier+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x3e6f1b9abef5d32e, 0x43043199e074ce7b}},
+		}, [2]uint64{0x6a98813bd4f7c457, 0x816278927de7f5fc}},
 	} {
 		o := opts
 		row.with(&o)
@@ -266,9 +283,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x3a052e5ef2b685c, 0xaa8cb0187672e7fe})
-	check("NODE 1", node1, [2]uint64{0xe4cf7a62a92337ff, 0x3b6dfbb6f2156815})
-	check("CORD", coord, [2]uint64{0x77539dc3019ab030, 0x5bc7a8969ef6d100})
+	check("NODE 0", node0, [2]uint64{0x483d9f857dc4af9a, 0xdfcbbff0cb7768ec})
+	check("NODE 1", node1, [2]uint64{0x46eaf5aae2292dc8, 0x910885e9fef97c06})
+	check("CORD", coord, [2]uint64{0x5ea236e10a68ed73, 0x48dae754ab7cf201})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

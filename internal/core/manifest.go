@@ -60,11 +60,14 @@ const (
 // batch never — and every processor's record carries the
 // sleep bits, §24; 14: every message block goes to the processor that
 // owns its destination VP, where it is written, and crosses processors
-// at most once, §5 and §20). It is folded into every
+// at most once, §5 and §20; 15: the redundancy layer's record carries no
+// scrub cursor, no remap table and no repair counters — a bad track is
+// rebuilt into its reader's buffer, never written back, and nothing is
+// written to a dead drive, §10). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 14
+const modelRules = 15
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -96,7 +99,6 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 		enc.PutInts([]int64{plan.FirstOp, plan.FailDriveOp, int64(plan.FailDrive), int64(plan.FailProc)})
 	}
 	enc.PutInt(int64(opts.Redundancy))
-	enc.PutBool(opts.Scrub)
 	enc.PutInts([]int64{int64(v), int64(mu), int64(gamma)})
 	return disk.Checksum(enc.Words())
 }

@@ -144,37 +144,6 @@ func TestParityOverhead(t *testing.T) {
 	}
 }
 
-// TestParityScrubClean: with scrubbing enabled and no corruption, the
-// scrub verifies tracks between supersteps, repairs nothing, and the
-// run stays bitwise identical to the reference.
-func TestParityScrubClean(t *testing.T) {
-	p := &bsptest.RandomProgram{V: 16, Steps: 4, MsgsPerStep: 4, MaxLen: 12}
-	ref, err := bsp.Run(p, bsp.RunOptions{Seed: 21, PktSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{1, 3} {
-		cfg := parMachine(procs, 4, 8, 256)
-		res, err := core.Run(p, cfg, core.Options{
-			Seed:       21,
-			Redundancy: redundancy.Parity,
-			Scrub:      true,
-		})
-		if err != nil {
-			t.Fatalf("P=%d: %v", procs, err)
-		}
-		checksumsEqual(t, ref, res, "scrub")
-		em := res.EM
-		if em.ScrubbedBlocks == 0 {
-			t.Errorf("P=%d: scrub enabled but ScrubbedBlocks=0", procs)
-		}
-		if em.ScrubRepairs != 0 || em.ChecksumFailures != 0 {
-			t.Errorf("P=%d: clean run but repairs=%d checksum failures=%d",
-				procs, em.ScrubRepairs, em.ChecksumFailures)
-		}
-	}
-}
-
 // TestParityTransientFaults: parity and the fault layer's transient
 // injection compose — retries and replays above, parity maintenance
 // below — without losing bitwise fidelity.
@@ -190,7 +159,6 @@ func TestParityTransientFaults(t *testing.T) {
 			Seed:       9,
 			FaultPlan:  transientPlan(77),
 			Redundancy: redundancy.Parity,
-			Scrub:      true,
 		})
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
@@ -208,7 +176,7 @@ func TestParityTransientFaults(t *testing.T) {
 // TestKillAfterDriveDeathResume is the crash-consistency half of the
 // acceptance property, under mirror and parity: a run hard-stopped at the
 // first barrier after the drive death — where the journaled state is a
-// dead drive, remapped tracks and degraded counts — then resumed from its
+// dead drive, its stripes one member short and degraded counts — then resumed from its
 // journal, produces a Result bitwise identical to the uninterrupted run.
 func TestKillAfterDriveDeathResume(t *testing.T) {
 	p := testProgram()
@@ -222,7 +190,6 @@ func TestKillAfterDriveDeathResume(t *testing.T) {
 					StateDir:   dir,
 					FaultPlan:  deathPlan(),
 					Redundancy: mode,
-					Scrub:      true,
 				}
 			}
 			clean, err := core.Run(p, cfg, opts(t.TempDir()))
@@ -262,8 +229,8 @@ func TestKillAfterDriveDeathResume(t *testing.T) {
 
 // TestParityCrashAndResume: the in-process stand-in for SIGKILL — a
 // Program panic mid-superstep — leaves the journal at the last
-// committed barrier; resuming a parity-protected, scrubbed, fault-
-// injected run still reproduces the uninterrupted Result exactly.
+// committed barrier; resuming a parity-protected, fault-injected run
+// still reproduces the uninterrupted Result exactly.
 func TestParityCrashAndResume(t *testing.T) {
 	p := testProgram()
 	for _, procs := range []int{1, 3} {
@@ -275,7 +242,6 @@ func TestParityCrashAndResume(t *testing.T) {
 				StateDir:   dir,
 				FaultPlan:  deathPlan(),
 				Redundancy: redundancy.Parity,
-				Scrub:      true,
 			}
 		}
 		clean, err := core.Run(p, cfg, opts(t.TempDir()))
@@ -386,7 +352,6 @@ func TestRedundancyValidation(t *testing.T) {
 	}{
 		{"invalid mode", good, core.Options{Redundancy: redundancy.Mode(99)}},
 		{"parity on one drive", parMachine(1, 1, 8, 64), core.Options{Redundancy: redundancy.Parity}},
-		{"scrub without redundancy", good, core.Options{Scrub: true}},
 		{"mirror on one drive", parMachine(1, 1, 8, 64), core.Options{Redundancy: redundancy.Mirror}},
 	}
 	for _, tc := range cases {
@@ -426,7 +391,6 @@ func TestParityCrashThenDriveLoss(t *testing.T) {
 				StateDir:   dir,
 				FaultPlan:  &fault.Plan{Seed: 13, FailDriveOp: deathOp, FailDrive: 2},
 				Redundancy: redundancy.Parity,
-				Scrub:      true,
 			}
 		}
 		var probe *clockProbe

@@ -406,15 +406,19 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // where this engine reads the turnaround batch's records from the record;
 // one journaled at modelRules = 13 placed a P > 1 run's message blocks on
 // random processors, where this engine reads each processor's input as
-// all of its VPs' blocks; this engine can neither parse them nor continue
-// them into honest counts. The directory is a crashed run of this commit
-// whose record is rewritten to carry the fingerprint an older commit
-// (modelRules = 2 to 8, and 13, each read off a journal its binary
-// wrote) stamps on the same program, machine and options; it is refused
+// all of its VPs' blocks; one journaled at modelRules = 14 carries, in its
+// redundancy layer's part of every record, a scrub cursor, a remap table
+// and repair counters this engine no longer reads (that layer is absent
+// from this run, but the fingerprint's words for its options moved too);
+// this engine can neither parse them nor continue them into honest
+// counts. The directory is a crashed run of this commit whose record is
+// rewritten to carry the fingerprint an older commit (modelRules = 2 to
+// 8, 13 and 14, each read off a journal its binary wrote) stamps on the
+// same program, machine and options; it is refused
 // by the fingerprint and left byte for byte as found. (A directory PR 24 wrote past its first barrier is
 // refused before that, by the journal: TestJournalRefusesManyRecords.)
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2, 14: 0xd9bf13d44e6ba1b3} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }

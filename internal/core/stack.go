@@ -94,19 +94,12 @@ func (s storeStack) seal() {
 	}
 }
 
-// scrubBudget returns the per-barrier track budget of the background
-// scrub: a deterministic slice of work per committed superstep,
-// proportional to the drive count so the scrub rate scales with the
-// machine.
-func scrubBudget(D int) int { return 4 * D }
-
 // parityBarrier is the redundancy-aware commit point: at every barrier
-// the superstep's parity and copies are flushed, then (when enabled) a
-// budgeted slice of the latent-corruption scrub runs. All before the
-// journal commit, so the manifest always captures a parity-consistent
-// state. Returns the I/O operations consumed, so a multiprocessor driver
-// can charge the slowest processor's share.
-func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, error) {
+// the superstep's parity and copies are flushed, before the journal
+// commit, so the manifest always captures a parity-consistent state.
+// Returns the I/O operations consumed, so a multiprocessor driver can
+// charge the slowest processor's share.
+func (s storeStack) parityBarrier(tr *obs.Tracer, pid int) (int64, error) {
 	red := disk.Find[*redundancy.Store](s.chain)
 	if red == nil {
 		return 0, nil
@@ -117,14 +110,6 @@ func (s storeStack) parityBarrier(tr *obs.Tracer, pid int, scrub bool) (int64, e
 	sp.End()
 	if err != nil {
 		return 0, err
-	}
-	if scrub {
-		sp := tr.Begin(obs.CatEngine, phScrub, pid, 0)
-		_, err := red.Scrub(scrubBudget(s.chain.Config().D))
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
 	}
 	return s.chain.Stats().Ops - before, nil
 }
@@ -214,9 +199,6 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
 		em.StripedBlocks += c.StripedBlocks
 		em.DegradedOps += c.DegradedOps
 		em.ReconstructedBlocks += c.ReconstructedBlocks
-		em.RepairedBlocks += c.RepairedBlocks
-		em.ScrubbedBlocks += c.ScrubbedBlocks
-		em.ScrubRepairs += c.ScrubRepairs
 		c.Publish(reg)
 		// Like mapped pages, the parity cache is outside the budget M.
 		reg.Counter("parity_cache_peak_blocks").Max(int64(red.CachePeak()))

@@ -427,25 +427,3 @@ func (a *Array) Sync() error { return nil }
 
 // Close is a no-op for the in-memory array.
 func (a *Array) Close() error { return nil }
-
-// Tracks returns the bump-allocator high-water mark of drive d: the
-// number of tracks ever allocated on it (peak disk space in blocks).
-func (a *Array) Tracks(d int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.drives[d].next
-}
-
-// PeekTrack returns a copy of a track's contents, zeros when the track
-// reads blank, without performing a model I/O operation. It exists for
-// tests, assertions and layout visualization only; engine code must use
-// ReadOp.
-func (a *Array) PeekTrack(d, t int) []uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]uint64, a.cfg.B)
-	if !a.blank(d, t) {
-		a.readSlot(d, t, out) //nolint:errcheck // the in-memory read cannot fail
-	}
-	return out
-}

@@ -321,16 +321,6 @@ func checkGeometry(path string, cfg Config) error {
 // store is synchronous).
 func (f *File) Workers() int { return len(f.st.queues) }
 
-// ResetOverlap zeroes the wall-clock overlap counters (including the
-// concurrency peak), leaving the model statistics alone — the
-// observability-side complement of ResetStats.
-func (f *File) ResetOverlap() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.st.ov = OverlapStats{}
-	f.st.xfer.peak.Store(0)
-}
-
 // Overlap returns a copy of the accumulated physical-overlap counters.
 // They describe wall-clock behaviour only; model statistics are
 // independent of them.

@@ -262,19 +262,6 @@ func TestSliceRejectsBadRange(t *testing.T) {
 	}
 }
 
-func TestPeekTrackDoesNotCount(t *testing.T) {
-	a := newTest(t, 1, 2)
-	_ = a.WriteOp([]WriteReq{{Disk: 0, Track: a.Alloc(0), Src: []uint64{5, 6}}})
-	before := a.Stats().Ops
-	got := a.PeekTrack(0, 0)
-	if got[0] != 5 || got[1] != 6 {
-		t.Errorf("PeekTrack = %v, want [5 6]", got)
-	}
-	if a.Stats().Ops != before {
-		t.Error("PeekTrack counted as an I/O op")
-	}
-}
-
 func TestTracksHighWaterMark(t *testing.T) {
 	a := newTest(t, 2, 2)
 	a.Reserve(6) // 3 tracks per drive
@@ -363,4 +350,12 @@ func TestArrayAreas(t *testing.T) {
 			t.Errorf("free lists after freeing both areas: %v, want %v", got, want)
 		}
 	})
+}
+
+// Tracks returns the bump-allocator high-water mark of drive d: the
+// number of tracks ever allocated on it (peak disk space in blocks).
+func (a *Array) Tracks(d int) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.drives[d].next
 }

@@ -79,3 +79,13 @@ func TestResetStatsLeavesOverlapIntact(t *testing.T) {
 		t.Errorf("ResetOverlap left counters: %+v", got)
 	}
 }
+
+// ResetOverlap zeroes the wall-clock overlap counters (including the
+// concurrency peak), leaving the model statistics alone — the
+// observability-side complement of ResetStats.
+func (f *File) ResetOverlap() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.st.ov = OverlapStats{}
+	f.st.xfer.peak.Store(0)
+}

@@ -58,8 +58,8 @@ type Disk struct {
 // driveDier is implemented by a redundancy layer somewhere beneath the
 // fault layer (found by walking the chain; structural, to avoid an
 // import cycle). When present, dead-drive I/O passes straight through
-// and the layer below reconstructs reads from a stripe's survivors and
-// remaps writes onto surviving drives; without one, a drive death is
+// and the layer below reconstructs reads from a stripe's survivors (the
+// engines place no write on a dead drive); without one, a drive death is
 // unrecoverable.
 type driveDier interface {
 	DriveDied(d int)
@@ -136,10 +136,10 @@ func (f *Disk) Release(d, t int) error {
 // The error is the drive loss the attempt of op meets, before any I/O.
 // The death always aborts the attempt: tracks written since the barrier
 // may sit on the dying drive with their stripe's parity or copy not yet
-// on disk, so the superstep replays with the drive dead, and the
-// redundancy layer below remaps its writes onto survivors. Without that
-// layer the loss is unrecoverable, at the death and at every later touch
-// of the drive.
+// on disk, so the superstep replays with the drive dead, and the engine
+// places nothing on the dead drive from then on. Without a redundancy
+// layer below the loss is unrecoverable, at the death and at every later
+// touch of the drive.
 func (f *Disk) tickDrives(op string, n int, at func(int) disk.Addr) (inject []bool, err error) {
 	inject = make([]bool, n)
 	ticked := make([]bool, len(f.attempts))

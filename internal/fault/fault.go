@@ -206,18 +206,6 @@ func (c Counters) Injected() int64 {
 	return c.InjectedReadFaults + c.InjectedWriteFaults + c.InjectedCorruptions + c.DriveFailures
 }
 
-// Add accumulates other into c (for multi-processor aggregation).
-func (c *Counters) Add(other Counters) {
-	c.InjectedReadFaults += other.InjectedReadFaults
-	c.InjectedWriteFaults += other.InjectedWriteFaults
-	c.InjectedCorruptions += other.InjectedCorruptions
-	c.ChecksumFailures += other.ChecksumFailures
-	c.DriveFailures += other.DriveFailures
-	c.Retries += other.Retries
-	c.RetriedBlocks += other.RetriedBlocks
-	c.RecoveryOps += other.RecoveryOps
-}
-
 // Publish folds the counters into the metrics registry under fault_*
 // names, with Add semantics so multi-processor runs aggregate. A nil
 // registry is a no-op.

@@ -209,7 +209,8 @@ func TestFirstOpDelaysInjection(t *testing.T) {
 // TestDriveDeathRedirection: a death over a redundancy layer aborts the
 // attempt that meets it, recoverably; from then on I/O addressed to the
 // dead drive passes through the fault layer, and the layer below serves
-// it from the survivors — reads from the tracks' copies, writes remapped.
+// reads from the tracks' copies and refuses writes: the engines place
+// nothing on a dead drive.
 func TestDriveDeathRedirection(t *testing.T) {
 	red, err := redundancy.WrapMirror(testArray(t, 3, 2))
 	if err != nil {
@@ -248,16 +249,12 @@ func TestDriveDeathRedirection(t *testing.T) {
 			t.Fatalf("track %d after death: %v, want [%d %d]", tr, dst, i, i*3)
 		}
 	}
-	// Writes addressed to the dead drive keep working.
+	// A write addressed to the dead drive is refused by the layer below,
+	// and the refusal passes through the fault layer as it is.
 	tr := f.Alloc(1)
-	if err := f.WriteOp([]disk.WriteReq{{Disk: 1, Track: tr, Src: []uint64{42, 43}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ReadOp([]disk.ReadReq{{Disk: 1, Track: tr, Dst: dst}}); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 42 || dst[1] != 43 {
-		t.Fatalf("post-death write round trip: %v", dst)
+	var ce *redundancy.ContractError
+	if err := f.WriteOp([]disk.WriteReq{{Disk: 1, Track: tr, Src: []uint64{42, 43}}}); !errors.As(err, &ce) || ce.Track != (disk.Addr{Disk: 1, Track: tr}) {
+		t.Fatalf("post-death write to the dead drive: %v, want a *redundancy.ContractError naming it", err)
 	}
 	if c, rc := f.Counters(), red.Counters(); c.DriveFailures != 1 || rc.ParityOps == 0 || rc.ReconstructedBlocks == 0 {
 		t.Errorf("counters after death: fault %+v, redundancy %+v", c, rc)

@@ -188,13 +188,6 @@ func (a *Accountant) Rewind(used int64) {
 	a.wakeLocked()
 }
 
-// waiterCount reports the queued ReserveCtx waiters (test hook).
-func (a *Accountant) waiterCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.waiters)
-}
-
 // wakeLocked grants reservations to queued ReserveCtx waiters,
 // oldest first, for as long as the head fits the free capacity. The
 // reservation is made here, on the waiter's behalf, before its

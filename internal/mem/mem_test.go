@@ -296,3 +296,10 @@ func TestReserveCtxUnblocksOnRelease(t *testing.T) {
 		t.Errorf("Used = %d, want 5", a.Used())
 	}
 }
+
+// waiterCount reports the queued ReserveCtx waiters.
+func (a *Accountant) waiterCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.waiters)
+}

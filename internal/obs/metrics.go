@@ -288,14 +288,6 @@ func promName(s string) string {
 	return string(b)
 }
 
-// Handler returns an http.Handler serving /metrics (Prometheus text)
-// and /metrics.json.
-func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	Mount(mux, r)
-	return mux
-}
-
 // Mount registers the registry's /metrics (Prometheus text) and
 // /metrics.json handlers on an existing mux, for servers that expose
 // metrics alongside their own API (the job daemon mounts them on its

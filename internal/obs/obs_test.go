@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -305,4 +308,21 @@ func TestDecodeTraceRejectsGarbage(t *testing.T) {
 	if err != nil || len(evs) != 1 {
 		t.Errorf("terminated array: %v %v", evs, err)
 	}
+}
+
+// NewWriter returns a tracer writing trace_event JSON to w (the array
+// header included); runs use Open or New.
+func NewWriter(w io.Writer) *Tracer {
+	t := New()
+	t.w = bufio.NewWriterSize(w, 16<<10)
+	t.w.WriteString("[\n") //nolint:errcheck // surfaces on Flush
+	return t
+}
+
+// Handler returns an http.Handler serving /metrics (Prometheus text)
+// and /metrics.json.
+func (r *Registry) Handler() http.Handler {
+	mux := http.NewServeMux()
+	Mount(mux, r)
+	return mux
 }

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -104,15 +103,6 @@ func Open(path string, resume bool) (*Tracer, error) {
 		t.Instant(CatEngine, "resume", 0, 0)
 	}
 	return t, nil
-}
-
-// NewWriter returns a tracer writing trace_event JSON to w (the array
-// header included). Tests and fuzzers use it; runs use Open or New.
-func NewWriter(w io.Writer) *Tracer {
-	t := New()
-	t.w = bufio.NewWriterSize(w, 16<<10)
-	t.w.WriteString("[\n") //nolint:errcheck // surfaces on Flush
-	return t
 }
 
 // AttachRegistry mirrors every completed span into a per-phase

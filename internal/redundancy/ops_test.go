@@ -75,32 +75,31 @@ func checkInvariants(t *testing.T, s *Store) {
 		xor := raw(st.parity)
 		lost := 0
 		for _, k := range members {
-			p, live := s.physOf(k)
-			if !live {
+			if s.dead[k.Disk] {
 				lost++
 				continue
 			}
-			for w, x := range raw(p) {
+			for w, x := range raw(k) {
 				xor[w] ^= x
 			}
 		}
 		if lost > 1 {
-			t.Fatalf("stripe %d: %d members without a physical copy", sid, lost)
+			t.Fatalf("stripe %d: %d members on dead drives", sid, lost)
 		}
 		if lost == 0 && slices.ContainsFunc(xor, func(x uint64) bool { return x != 0 }) {
 			t.Fatalf("stripe %d (parity %v, members %v): stored parity is not the XOR of its members", sid, st.parity, members)
 		}
 		for _, k := range members {
-			p, live := s.physOf(k)
+			live := !s.dead[k.Disk]
 			if live && lost > 0 {
 				continue
 			}
 			got := make([]uint64, s.B)
-			if _, err := s.reconstruct(sid, k, got); err != nil {
-				t.Fatalf("stripe %d: reconstructing %v: %v", sid, k, err)
+			if _, err := s.rebuild(k, got); err != nil {
+				t.Fatalf("stripe %d: rebuilding %v: %v", sid, k, err)
 			}
-			if live && !slices.Equal(got, raw(p)) {
-				t.Fatalf("stripe %d: %v reconstructs to other bytes than it holds", sid, k)
+			if live && !slices.Equal(got, raw(k)) {
+				t.Fatalf("stripe %d: %v rebuilds to other bytes than it holds", sid, k)
 			}
 		}
 	}
@@ -113,12 +112,8 @@ func checkInvariants(t *testing.T, s *Store) {
 		if _, parity := s.parityAt[p]; parity || s.dead[p.Disk] {
 			continue
 		}
-		k := p
-		if l, ok := s.rrmap[p]; ok {
-			k = l
-		}
-		if err := s.ReadOp([]disk.ReadReq{{Disk: k.Disk, Track: k.Track, Dst: buf}}); err != nil {
-			t.Fatalf("reading %v back through the layer: %v", k, err)
+		if err := s.ReadOp([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}}); err != nil {
+			t.Fatalf("reading %v back through the layer: %v", p, err)
 		}
 	}
 }
@@ -137,7 +132,8 @@ func flushChecked(t *testing.T, s *Store) {
 // rewrites some of them (as the fault layer re-issues a write), seals the
 // ones that leave together into groups and releases whole groups; the
 // barrier flushes and takes a record, which a failed attempt returns to.
-// Beside the Store it keeps what every track must hold.
+// Like the engines, it writes nothing to a dead drive. Beside the Store
+// it keeps what every track must hold.
 type opModel struct {
 	t    *testing.T
 	s    *Store
@@ -149,7 +145,7 @@ type opModel struct {
 	// tracks written since the barrier, the only ones a write may repeat.
 	groups [][]disk.Addr
 	since  []disk.Addr
-	died   bool
+	dead   int // the dead drive, -1 while none has died
 	stamp  uint64
 	// The last barrier: the layer's record, the allocator's state, and
 	// what the model held.
@@ -185,7 +181,12 @@ func (m *opModel) write(addrs []disk.Addr) {
 func (m *opModel) writeFresh() {
 	var addrs []disk.Addr
 	for d, n := m.pick(m.D), 1+m.pick(m.D); n > 0; d, n = (d+1)%m.D, n-1 {
-		addrs = append(addrs, disk.Addr{Disk: d, Track: m.s.Alloc(d)})
+		if d != m.dead {
+			addrs = append(addrs, disk.Addr{Disk: d, Track: m.s.Alloc(d)})
+		}
+	}
+	if len(addrs) == 0 {
+		return
 	}
 	m.write(addrs)
 	last := len(m.groups) - 1
@@ -193,13 +194,13 @@ func (m *opModel) writeFresh() {
 	m.since = append(m.since, addrs...)
 }
 
-// rewrite repeats writes of this superstep's tracks, one a drive.
+// rewrite repeats writes of this superstep's tracks, one a live drive.
 func (m *opModel) rewrite() {
 	var addrs []disk.Addr
 	used := make(map[int]bool)
 	for n := 1 + m.pick(m.D); n > 0 && len(m.since) > 0; n-- {
 		a := m.since[m.pick(len(m.since))]
-		if _, ok := m.live[a]; ok && !used[a.Disk] {
+		if _, ok := m.live[a]; ok && !used[a.Disk] && a.Disk != m.dead {
 			used[a.Disk] = true
 			addrs = append(addrs, a)
 		}
@@ -326,9 +327,9 @@ func (m *opModel) step(op int) {
 	case 6:
 		m.rollback()
 	case 7:
-		if !m.died {
-			m.died = true
-			m.s.DriveDied(m.pick(m.D))
+		if m.dead < 0 {
+			m.dead = m.pick(m.D)
+			m.s.DriveDied(m.dead)
 		}
 	}
 }
@@ -338,7 +339,7 @@ func (m *opModel) step(op int) {
 func runOps(t *testing.T, mode Mode, D int, steps func() bool, pick func(n int) int) {
 	const B = 4
 	s, _ := mkMode(t, mode, D, B)
-	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64)}
+	m := &opModel{t: t, s: s, D: D, B: B, pick: pick, live: make(map[disk.Addr][]uint64), dead: -1}
 	m.barrier()
 	for steps() {
 		// Writes are the common operation, a death the rare one.
@@ -349,8 +350,8 @@ func runOps(t *testing.T, mode Mode, D int, steps func() bool, pick func(n int) 
 		m.releaseTrack(a)
 	}
 	m.flush()
-	if c := s.Counters(); len(s.stripes) != 0 || c.StripedBlocks != 0 || c.ParityBlocks != 0 || len(s.remap) != 0 {
-		t.Fatalf("everything released, yet %d stripes, StripedBlocks %d, ParityBlocks %d, %d remaps remain", len(s.stripes), c.StripedBlocks, c.ParityBlocks, len(s.remap))
+	if c := s.Counters(); len(s.stripes) != 0 || c.StripedBlocks != 0 || c.ParityBlocks != 0 || len(s.sums) != 0 {
+		t.Fatalf("everything released, yet %d stripes, StripedBlocks %d, ParityBlocks %d, %d checksums remain", len(s.stripes), c.StripedBlocks, c.ParityBlocks, len(s.sums))
 	}
 }
 
@@ -463,13 +464,13 @@ func TestReleaseLeavesStripe(t *testing.T) {
 			c0.StripedBlocks, c.StripedBlocks, len(s.left), freed(blank), freed(whole[0]))
 	}
 
-	// A survivor of a stripe with a pending leaver still reconstructs.
+	// A survivor of a stripe with a pending leaver still rebuilds.
 	got, want := make([]uint64, B), make([]uint64, B)
-	if _, err := s.reconstruct(s.stripeOf[whole[1]], whole[1], got); err != nil {
-		t.Fatalf("reconstruct beside a leaver: %v", err)
+	if _, err := s.rebuild(whole[1], got); err != nil {
+		t.Fatalf("rebuild beside a leaver: %v", err)
 	}
 	if pattern(want, whole[1].Disk, whole[1].Track); !slices.Equal(got, want) {
-		t.Fatalf("survivor %v reconstructs wrongly between Release and the flush", whole[1])
+		t.Fatalf("survivor %v rebuilds wrongly between Release and the flush", whole[1])
 	}
 
 	// The whole stripe: no operation, and the parity track comes back with

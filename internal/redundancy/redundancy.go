@@ -5,8 +5,8 @@
 // (RAID-5 style), single-drive-failure tolerance at one parity track per
 // D-1 data tracks. Under mirror a stripe holds one data track, and the
 // "parity" of one member is its copy, on the next live drive after the
-// member's (2× capacity). Everything below — degraded reads, remaps,
-// the barrier flush, the scrub and Reconcile — serves both unchanged.
+// member's (2× capacity). Everything below — degraded reads, the barrier
+// flush and Reconcile — serves both unchanged.
 //
 // The layer is a link of a processor's store chain, between the
 // fault-injection layer (internal/fault) and the disk.Store beneath.
@@ -28,33 +28,30 @@
 // drops a stripe all of whose members have left.
 //
 // The layer enforces the contract rather than serving its violations,
-// with a *ContractError: WriteOp refuses a rewrite of a member of a
-// stripe a barrier record names (a replay or a resume of that record
-// would find bytes its parity does not encode), FlushParity refuses a
-// stripe with usable parity that some but not all of its members have
-// left, and Reconcile refuses damage beyond one track a stripe. What a
-// client may still rewrite is a member of a stripe no record names yet —
-// in an engine run, a write the fault layer re-issues. That pays the
-// classic read-modify-write small-write penalty: the old data is read
-// back, charged as a real parallel I/O and verified against its checksum,
+// with a *ContractError: WriteOp refuses a write to a dead drive (the
+// engines place nothing there) and a rewrite of a member of a stripe a
+// barrier record names (a replay or a resume of that record would find
+// bytes its parity does not encode), FlushParity refuses a stripe with
+// usable parity that some but not all of its members have left, and
+// Reconcile refuses damage beyond one track a stripe. What a client may
+// still rewrite is a member of a stripe no record names yet — in an
+// engine run, a write the fault layer re-issues. That pays the classic
+// read-modify-write small-write penalty: the old data is read back,
+// charged as a real parallel I/O and verified against its checksum,
 // before it is folded out of the stripe's cached parity.
 //
-// On top of the stripes the layer provides:
-//
-//   - degraded-mode reads: a read of a track whose drive has died, or
-//     whose content fails its recorded checksum, is served by XOR-ing
-//     the stripe's survivors. Every extra parallel I/O this costs is a
-//     real charged operation, surfaced in the ReconstructedBlocks /
-//     DegradedOps counters;
-//   - a background scrub: a cursor walks the physical tracks between
-//     supersteps, re-reads checksummed tracks, and repairs latent
-//     corruption from parity. The cursor is part of EncodeState, so a
-//     crash-resumed run continues scrubbing where it left off.
+// A read of a track whose drive has died, or whose stored bytes are not
+// what was written (a failed checksum, or a slot the inner store reports
+// corrupt), is served degraded: the XOR of the stripe's other tracks is
+// rebuilt into the reader's buffer and verified against the recorded
+// checksum. Nothing is written back — the track leaves with its
+// superstep. Every extra parallel I/O this costs is a real charged
+// operation, surfaced in the ReconstructedBlocks / DegradedOps counters.
 //
 // The layer's part of a processor's barrier record is EncodeState. A
 // resumed process adopts it whole; a superstep replay adopts it in
 // replay mode (DecodeState), which keeps the layer's history — dead
-// drives, the scrub cursor, the monotone counters.
+// drives and the monotone counters.
 //
 // A dead drive is not rebuilt: a stripe lives with its superstep, so the
 // dead drive's members leave with theirs, and until then a read of one is
@@ -68,6 +65,7 @@ package redundancy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -126,7 +124,7 @@ func ParseMode(s string) (Mode, error) {
 // members that have not.
 type stripe struct {
 	parity  disk.Addr // parity track location
-	members []int     // member track per logical drive, -1 = none
+	members []int     // member track per drive, -1 = none
 	count   int
 }
 
@@ -138,18 +136,13 @@ func (st *stripe) full(width int) bool { return st.count >= width }
 // takes the gauges from the barrier's record.
 type Counters struct {
 	// ChecksumFailures counts tracks whose stored content failed the
-	// recorded checksum when read back (latent at-rest corruption,
-	// detected by a degraded read or by the scrub).
+	// recorded checksum, or the inner store's slot check, when read.
 	ChecksumFailures int64
-	// RepairedBlocks counts tracks rewritten with data reconstructed
-	// from parity (scrub repairs plus read-path repairs).
-	RepairedBlocks int64
-	// ReconstructedBlocks counts blocks served or repaired by XOR-ing
-	// the stripe's surviving members instead of reading the track.
+	// ReconstructedBlocks counts blocks served by XOR-ing the stripe's
+	// other tracks instead of reading the track.
 	ReconstructedBlocks int64
 	// DegradedOps counts the extra charged parallel I/O operations
-	// spent serving reads and writes in degraded mode (reconstruction
-	// reads, collision splits of remapped tracks, repair rewrites).
+	// spent serving reads in degraded mode (the reconstruction reads).
 	DegradedOps int64
 	// ParityOps counts the charged parallel I/O operations spent
 	// maintaining parity: parity writes, read-old-data small writes and
@@ -162,24 +155,6 @@ type Counters struct {
 	// StripedBlocks is the number of data tracks currently protected
 	// by a stripe (a gauge).
 	StripedBlocks int64
-	// ScrubbedBlocks counts tracks whose checksum the scrub verified;
-	// ScrubRepairs counts the corrupt ones it repaired from parity.
-	ScrubbedBlocks int64
-	ScrubRepairs   int64
-}
-
-// Add accumulates other into c (for multi-processor aggregation).
-func (c *Counters) Add(other Counters) {
-	c.ChecksumFailures += other.ChecksumFailures
-	c.RepairedBlocks += other.RepairedBlocks
-	c.ReconstructedBlocks += other.ReconstructedBlocks
-	c.DegradedOps += other.DegradedOps
-	c.ParityOps += other.ParityOps
-	c.ParityReadOps += other.ParityReadOps
-	c.ParityBlocks += other.ParityBlocks
-	c.StripedBlocks += other.StripedBlocks
-	c.ScrubbedBlocks += other.ScrubbedBlocks
-	c.ScrubRepairs += other.ScrubRepairs
 }
 
 // Publish folds the counters into the metrics registry under parity_*
@@ -191,15 +166,12 @@ func (c Counters) Publish(r *obs.Registry) {
 		return
 	}
 	r.Counter("parity_checksum_failures").Add(c.ChecksumFailures)
-	r.Counter("parity_repaired_blocks").Add(c.RepairedBlocks)
 	r.Counter("parity_reconstructed_blocks").Add(c.ReconstructedBlocks)
 	r.Counter("parity_degraded_ops").Add(c.DegradedOps)
 	r.Counter("parity_ops").Add(c.ParityOps)
 	r.Counter("parity_read_ops").Add(c.ParityReadOps)
 	r.Counter("parity_blocks").Add(c.ParityBlocks)
 	r.Counter("parity_striped_blocks").Add(c.StripedBlocks)
-	r.Counter("parity_scrubbed_blocks").Add(c.ScrubbedBlocks)
-	r.Counter("parity_scrub_repairs").Add(c.ScrubRepairs)
 }
 
 // ContractError is the layer's refusal of a use outside its contract (a
@@ -222,33 +194,30 @@ type inner = disk.Store
 // Store is the redundancy layer, a link of a store chain: it overrides
 // ReadOp, WriteOp and Release; everything else is the embedded inner
 // store's, promoted — allocation (directory metadata that never faults;
-// I/O on a dead drive's tracks is remapped at operation time), Stats
-// (parity and reconstruction traffic are real charged operations),
-// State/AdoptState (the barrier record carries the allocator's state
-// beside the layer's own, EncodeState) and Sync (the engines call
-// FlushParity first, so a commit record's parity is durable before the
-// record lands). All methods are safe for concurrent use: the parity
-// directories and arithmetic serialize on an internal mutex
-// (physical D-parallelism lives below, inside one inner-store
-// operation), so concurrent operations see the same deterministic
-// stripe state in whatever order they land; the promoted methods rely
-// on the inner store's own safety.
+// the engines allocate nothing on a dead drive), Stats (parity and
+// reconstruction traffic are real charged operations), State/AdoptState
+// (the barrier record carries the allocator's state beside the layer's
+// own, EncodeState) and Sync (the engines call FlushParity first, so a
+// commit record's parity is durable before the record lands). All
+// methods are safe for concurrent use: the parity directories and
+// arithmetic serialize on an internal mutex (physical D-parallelism
+// lives below, inside one inner-store operation), so concurrent
+// operations see the same deterministic stripe state in whatever order
+// they land; the promoted methods rely on the inner store's own safety.
 type Store struct {
 	inner
 	D, B  int
 	width int // data members a stripe holds: D-1 under parity, 1 under mirror
 
-	mu sync.Mutex // guards all stripe/parity/remap state below
+	mu sync.Mutex // guards all stripe/parity state below
 
 	// The barrier's record (EncodeState) carries these; a replay adopts
 	// them from it.
-	stripeOf map[disk.Addr]int // logical data track -> stripe id
+	stripeOf map[disk.Addr]int // data track -> stripe id
 	stripes  map[int]*stripe
-	parityAt map[disk.Addr]int       // physical parity track -> stripe id
-	next     int                     // next stripe id; also the parity rotation counter
-	sums     map[disk.Addr]uint64    // physical track -> checksum of last write
-	remap    map[disk.Addr]disk.Addr // dead-drive logical track -> live physical
-	rrmap    map[disk.Addr]disk.Addr // inverse of remap (physical -> logical)
+	parityAt map[disk.Addr]int    // parity track -> stripe id
+	next     int                  // next stripe id; also the parity rotation counter
+	sums     map[disk.Addr]uint64 // track -> checksum of last write
 	// recorded is the first stripe id no barrier record names: EncodeState
 	// and DecodeState set it to next. WriteOp refuses to rewrite a member
 	// of an older stripe.
@@ -266,11 +235,9 @@ type Store struct {
 	left map[disk.Addr]bool
 	held []disk.Addr
 
-	// History, which a replay keeps: these, the scrub cursor and the
-	// counters but for the two gauges.
+	// History, which a replay keeps: these and the counters but for the
+	// two gauges.
 	dead []bool
-
-	scrubD, scrubT int // scrub cursor (physical walk)
 
 	ctr       Counters
 	cachePeak int // most parity blocks cached at once (CachePeak)
@@ -303,8 +270,6 @@ func wrap(below disk.Store, mode Mode) (*Store, error) {
 		stripes:  make(map[int]*stripe),
 		parityAt: make(map[disk.Addr]int),
 		sums:     make(map[disk.Addr]uint64),
-		remap:    make(map[disk.Addr]disk.Addr),
-		rrmap:    make(map[disk.Addr]disk.Addr),
 		pval:     make(map[int][]uint64),
 		pdirty:   make(map[int]bool),
 		left:     make(map[disk.Addr]bool),
@@ -334,7 +299,7 @@ func (s *Store) CachePeak() int {
 // DriveDied marks drive d permanently dead. The fault layer calls it at
 // the moment of a scheduled drive death; from then on the Store never
 // issues inner I/O against d — reads are reconstructed from the stripe's
-// survivors, writes land on spare capacity of the survivors.
+// survivors, and a write to d is refused.
 func (s *Store) DriveDied(d int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,18 +310,6 @@ func (s *Store) DriveDied(d int) {
 
 // parityUsable reports whether the stripe's parity track is readable.
 func (s *Store) parityUsable(st *stripe) bool { return !s.dead[st.parity.Disk] }
-
-// chooseSpare returns a live drive other than d, rotated by salt so
-// remapped tracks spread over the survivors.
-func (s *Store) chooseSpare(d, salt int) (int, bool) {
-	for i := 0; i < s.D; i++ {
-		c := (d + 1 + salt + i) % s.D
-		if c != d && !s.dead[c] {
-			return c, true
-		}
-	}
-	return 0, false
-}
 
 // rounds cuts a list of physical requests into parallel operations by
 // its per-drive queues: operation r takes the r-th request of every
@@ -377,32 +330,69 @@ func rounds[R any](reqs []R, drive func(R) int) [][]R {
 	return ops
 }
 
-// readPhys issues physical reads grouped into valid parallel
-// operations, transparently repairing tracks the inner store reports
-// as corrupt (File's torn-write detection). It returns the number of
-// operations issued.
+func readDrive(r disk.ReadReq) int { return r.Disk }
+
+// readRaw issues physical reads grouped into valid parallel operations,
+// taking the bytes as they lie. It returns the number of operations the
+// inner store charged (a failed read is not charged).
+func (s *Store) readRaw(reqs []disk.ReadReq) (int, error) {
+	ops := 0
+	for _, sub := range rounds(reqs, readDrive) {
+		if err := s.inner.ReadOp(sub); err != nil {
+			return ops, err
+		}
+		ops++
+	}
+	return ops, nil
+}
+
+// readPhys issues physical reads grouped into valid parallel operations
+// and returns the number the inner store charged. Every track it
+// delivers holds what was last written to it: one the inner store
+// reports corrupt (File's slot check, which fails the operation), or
+// whose bytes fail their recorded checksum, is rebuilt into its
+// destination from the rest of its stripe (rebuildBad).
 func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
 	ops := 0
-	for _, sub := range rounds(reqs, func(r disk.ReadReq) int { return r.Disk }) {
-		for try := 0; ; try++ {
+	for _, sub := range rounds(reqs, readDrive) {
+		for len(sub) > 0 {
 			err := s.inner.ReadOp(sub)
-			ops++
-			if err == nil {
+			var cte *disk.CorruptTrackError
+			if !errors.As(err, &cte) {
+				if err != nil {
+					return ops, err
+				}
+				ops++
 				break
 			}
-			var cte *disk.CorruptTrackError
-			if !errors.As(err, &cte) || try > len(sub) {
+			i := slices.IndexFunc(sub, func(r disk.ReadReq) bool { return r.Disk == cte.Disk && r.Track == cte.Track })
+			if i < 0 {
 				return ops, err
 			}
-			s.ctr.ChecksumFailures++
-			rops, rerr := s.repairTrack(disk.Addr{Disk: cte.Disk, Track: cte.Track})
-			ops += rops
-			if rerr != nil {
-				return ops, rerr
+			if err := s.rebuildBad(sub[i]); err != nil {
+				return ops, err
+			}
+			sub = slices.Delete(sub, i, i+1)
+		}
+	}
+	for _, r := range reqs {
+		if want, ok := s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]; ok && disk.Checksum(r.Dst) != want {
+			if err := s.rebuildBad(r); err != nil {
+				return ops, err
 			}
 		}
 	}
 	return ops, nil
+}
+
+// rebuildBad serves a read of a track whose stored bytes are not what
+// was written to it: the content is rebuilt into r.Dst, and the stored
+// copy is left as it is. The rebuild's reads are degraded operations.
+func (s *Store) rebuildBad(r disk.ReadReq) error {
+	s.ctr.ChecksumFailures++
+	n, err := s.rebuild(disk.Addr{Disk: r.Disk, Track: r.Track}, r.Dst)
+	s.ctr.DegradedOps += int64(n)
+	return err
 }
 
 // writePhys issues physical writes grouped into valid parallel
@@ -422,20 +412,6 @@ func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
 	return ops, nil
 }
 
-// physOf maps a logical data track to the physical location currently
-// holding its bytes. The second result is false when no physical copy
-// exists (dead drive, not remapped) and the data must be
-// reconstructed.
-func (s *Store) physOf(k disk.Addr) (disk.Addr, bool) {
-	if m, ok := s.remap[k]; ok {
-		return m, true
-	}
-	if s.dead[k.Disk] {
-		return disk.Addr{}, false
-	}
-	return k, true
-}
-
 // loadParity ensures the stripe's current parity value is cached,
 // reading (and verifying) the parity track if needed.
 func (s *Store) loadParity(sid int) error {
@@ -447,7 +423,7 @@ func (s *Store) loadParity(sid int) error {
 		return fmt.Errorf("redundancy: parity of stripe %d is on dead drive %d", sid, st.parity.Disk)
 	}
 	buf := make([]uint64, s.B)
-	ops, err := s.readParityTrack(sid, buf)
+	ops, err := s.readPhys([]disk.ReadReq{{Disk: st.parity.Disk, Track: st.parity.Track, Dst: buf}})
 	s.parityReads(ops)
 	if err != nil {
 		return err
@@ -462,257 +438,99 @@ func (s *Store) parityReads(n int) {
 	s.ctr.ParityReadOps += int64(n)
 }
 
-// readParityTrack reads the stripe's stored parity into dst, verifying
-// its recorded checksum and recomputing it from the members when the
-// stored copy is corrupt.
-func (s *Store) readParityTrack(sid int, dst []uint64) (int, error) {
-	st := s.stripes[sid]
-	p := st.parity
-	ops, err := s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: dst}})
-	if err != nil {
-		return ops, err
-	}
-	if want, ok := s.sums[p]; ok && disk.Checksum(dst) != want {
-		s.ctr.ChecksumFailures++
-		n, err := s.repairTrack(p)
-		ops += n
-		if err != nil {
-			return ops, err
-		}
-		n, err = s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: dst}})
-		ops += n
-		if err != nil {
-			return ops, err
+// rebuild computes into dst the content of track p of a stripe — a
+// member or the parity track — as the XOR of the stripe's other tracks,
+// and verifies it against p's recorded checksum; it returns the
+// operations spent. A cached parity value stands in for the parity track
+// and costs no read. The other tracks are read as they lie, so a stripe
+// with a second lost or bad track cannot rebuild p, and the error says
+// which.
+func (s *Store) rebuild(p disk.Addr, dst []uint64) (int, error) {
+	sid, isParity := s.parityAt[p]
+	if !isParity {
+		var ok bool
+		if sid, ok = s.stripeOf[p]; !ok {
+			return 0, fmt.Errorf("redundancy: drive %d track %d is in no stripe to rebuild it from", p.Disk, p.Track)
 		}
 	}
-	return ops, nil
-}
-
-// reconstruct XORs the stripe's parity value with every member other
-// than skip, yielding skip's data. All other members are readable (a
-// stripe never has two members on one logical drive, and only one
-// drive can be dead). The charged operations are counted as
-// DegradedOps by the caller via the returned op count.
-func (s *Store) reconstruct(sid int, skip disk.Addr, dst []uint64) (int, error) {
 	st := s.stripes[sid]
+	clear(dst)
 	ops := 0
-	if pv, ok := s.pval[sid]; ok {
-		copy(dst, pv)
-	} else {
-		if !s.parityUsable(st) {
-			return 0, fmt.Errorf("redundancy: cannot reconstruct drive %d track %d: stripe %d's parity is on dead drive %d", skip.Disk, skip.Track, sid, st.parity.Disk)
-		}
-		n, err := s.readParityTrack(sid, dst)
-		ops += n
-		if err != nil {
-			return ops, err
-		}
-	}
-	var reqs []disk.ReadReq
-	var bufs [][]uint64
-	for d := 0; d < s.D; d++ {
-		t := st.members[d]
-		if t < 0 || (d == skip.Disk && t == skip.Track) {
-			continue
-		}
-		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
-		if !ok {
-			return ops, fmt.Errorf("redundancy: two lost members in stripe %d (drive %d track %d and drive %d track %d)", sid, skip.Disk, skip.Track, d, t)
-		}
-		buf := make([]uint64, s.B)
-		bufs = append(bufs, buf)
-		reqs = append(reqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
-	}
-	n, err := s.readPhys(reqs)
-	ops += n
-	if err != nil {
-		return ops, err
-	}
-	for _, b := range bufs {
-		for i := range dst {
-			dst[i] ^= b[i]
-		}
-	}
-	s.ctr.ReconstructedBlocks++
-	return ops, nil
-}
-
-// repairTrack rewrites the physical track p with data reconstructed
-// from its stripe, returning the operations spent. It handles both
-// data tracks (reconstructed from parity and siblings) and parity
-// tracks (recomputed from the members). The recorded checksum is the
-// repair target, so a successful repair restores exactly the
-// last-written content.
-func (s *Store) repairTrack(p disk.Addr) (int, error) {
-	buf := make([]uint64, s.B)
-	if sid, ok := s.parityAt[p]; ok {
-		// A parity track: the cached value, when present, is current and
-		// costs no read; only an uncached stripe is recomputed.
-		ops := 0
-		if pv, cached := s.pval[sid]; cached {
-			copy(buf, pv)
+	if !isParity {
+		if pv, ok := s.pval[sid]; ok {
+			copy(dst, pv)
 		} else {
-			var err error
-			ops, err = s.recomputeParity(sid, buf)
+			if !s.parityUsable(st) {
+				return 0, fmt.Errorf("redundancy: cannot rebuild drive %d track %d: stripe %d's parity is on dead drive %d", p.Disk, p.Track, sid, st.parity.Disk)
+			}
+			n, err := s.readRaw([]disk.ReadReq{{Disk: st.parity.Disk, Track: st.parity.Track, Dst: dst}})
+			ops += n
 			if err != nil {
 				return ops, err
 			}
 		}
-		n, err := s.writePhys([]disk.WriteReq{{Disk: p.Disk, Track: p.Track, Src: buf}})
-		ops += n
-		if err != nil {
-			return ops, err
+	}
+	var reqs []disk.ReadReq
+	for d, t := range st.members {
+		if t < 0 || (d == p.Disk && t == p.Track) {
+			continue
 		}
-		delete(s.pdirty, sid) // the stored copy now matches the cache
-		s.ctr.RepairedBlocks++
-		return ops, nil
+		if s.dead[d] {
+			return ops, fmt.Errorf("redundancy: two lost tracks in stripe %d (drive %d track %d and drive %d track %d)", sid, p.Disk, p.Track, d, t)
+		}
+		reqs = append(reqs, disk.ReadReq{Disk: d, Track: t, Dst: make([]uint64, s.B)})
 	}
-	logical := p
-	if l, ok := s.rrmap[p]; ok {
-		logical = l
-	}
-	sid, ok := s.stripeOf[logical]
-	if !ok {
-		return 0, fmt.Errorf("redundancy: cannot repair unprotected track (drive %d track %d)", p.Disk, p.Track)
-	}
-	ops, err := s.reconstruct(sid, logical, buf)
-	if err != nil {
-		return ops, err
-	}
-	if want, ok := s.sums[p]; ok && disk.Checksum(buf) != want {
-		return ops, fmt.Errorf("redundancy: reconstruction of drive %d track %d does not match its recorded checksum", p.Disk, p.Track)
-	}
-	n, err := s.writePhys([]disk.WriteReq{{Disk: p.Disk, Track: p.Track, Src: buf}})
+	n, err := s.readRaw(reqs)
 	ops += n
 	if err != nil {
 		return ops, err
 	}
-	s.ctr.RepairedBlocks++
-	return ops, nil
-}
-
-// recomputeParity XORs the current data of every member of the stripe
-// into dst (reading members from their physical locations; a leaver's
-// bytes stay where they are until the barrier drops its stripe).
-func (s *Store) recomputeParity(sid int, dst []uint64) (int, error) {
-	st := s.stripes[sid]
-	clear(dst)
-	var reqs []disk.ReadReq
-	var bufs [][]uint64
-	for d := 0; d < s.D; d++ {
-		t := st.members[d]
-		if t < 0 {
-			continue
-		}
-		p, ok := s.physOf(disk.Addr{Disk: d, Track: t})
-		if !ok {
-			return 0, fmt.Errorf("redundancy: recomputing parity of stripe %d: member on dead drive %d", sid, d)
-		}
-		buf := make([]uint64, s.B)
-		bufs = append(bufs, buf)
-		reqs = append(reqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
-	}
-	ops, err := s.readPhys(reqs)
-	if err != nil {
-		return ops, err
-	}
-	// Verify the members before folding them in: recomputing parity
-	// from a corrupt member would launder the corruption into parity
-	// that then "verifies".
-	for i, r := range reqs {
-		if want, ok := s.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]; ok && disk.Checksum(bufs[i]) != want {
-			return ops, fmt.Errorf("redundancy: recomputing parity of stripe %d: member drive %d track %d fails its checksum", sid, r.Disk, r.Track)
-		}
-	}
-	for _, b := range bufs {
+	for _, r := range reqs {
 		for i := range dst {
-			dst[i] ^= b[i]
+			dst[i] ^= r.Dst[i]
 		}
+	}
+	s.ctr.ReconstructedBlocks++
+	if want, ok := s.sums[p]; ok && disk.Checksum(dst) != want {
+		return ops, &disk.CorruptTrackError{Disk: p.Disk, Track: p.Track}
 	}
 	return ops, nil
 }
 
 // ReadOp performs one parallel read. Live tracks are read directly
-// (verifying recorded checksums and repairing latent corruption from
-// parity); dead-drive tracks are served from their remapped location or
-// reconstructed from the stripe's survivors; blank tracks read as zeros,
-// exactly as on the raw store.
+// (verified against their recorded checksums, and rebuilt when bad);
+// dead-drive tracks are reconstructed from the stripe's survivors; blank
+// tracks read as zeros, exactly as on the raw store.
 func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(reqs) == 0 {
-		return nil
-	}
-	var direct []disk.ReadReq
-	directPhys := make([]disk.Addr, 0, len(reqs))
-	var recon []int
-	degraded := false
-	for i, r := range reqs {
-		k := disk.Addr{Disk: r.Disk, Track: r.Track}
-		p, ok := s.physOf(k)
+	var live, lost []disk.ReadReq
+	for _, r := range reqs {
+		_, striped := s.stripeOf[disk.Addr{Disk: r.Disk, Track: r.Track}]
 		switch {
-		case ok:
-			if p.Disk != r.Disk || p.Track != r.Track {
-				degraded = true
-			}
-			direct = append(direct, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: r.Dst})
-			directPhys = append(directPhys, p)
+		case !s.dead[r.Disk]:
+			live = append(live, r)
+		case striped:
+			lost = append(lost, r)
 		default:
-			if _, striped := s.stripeOf[k]; striped {
-				recon = append(recon, i)
-				degraded = true
-			} else {
-				// Dead and never striped: the track was blank at the death
-				// (fresh writes since then are remapped), so it still reads
-				// as zeros.
-				clear(r.Dst)
-			}
+			// Dead and never striped: nothing is written to a dead drive,
+			// and a track written before the death is striped, so it
+			// still reads as zeros.
+			clear(r.Dst)
 		}
 	}
-	ops := 0
-	if len(direct) > 0 {
-		n, err := s.readPhys(direct)
+	ops, err := s.readPhys(live)
+	if err != nil {
+		return err
+	}
+	for _, r := range lost {
+		n, err := s.rebuild(disk.Addr{Disk: r.Disk, Track: r.Track}, r.Dst)
 		ops += n
 		if err != nil {
 			return err
 		}
-		// Verify recorded checksums; a mismatch is latent corruption the
-		// inner store could not detect itself — reconstruct and repair.
-		for i, r := range direct {
-			p := directPhys[i]
-			want, ok := s.sums[p]
-			if !ok || disk.Checksum(r.Dst) == want {
-				continue
-			}
-			s.ctr.ChecksumFailures++
-			degraded = true
-			n, err := s.repairTrack(p)
-			ops += n
-			if err != nil {
-				return err
-			}
-			n, err = s.readPhys([]disk.ReadReq{r})
-			ops += n
-			if err != nil {
-				return err
-			}
-			if disk.Checksum(r.Dst) != want {
-				return &disk.CorruptTrackError{Disk: p.Disk, Track: p.Track}
-			}
-		}
 	}
-	for _, i := range recon {
-		k := disk.Addr{Disk: reqs[i].Disk, Track: reqs[i].Track}
-		n, err := s.reconstruct(s.stripeOf[k], k, reqs[i].Dst)
-		ops += n
-		if err != nil {
-			return err
-		}
-		if want, ok := s.sums[k]; ok && disk.Checksum(reqs[i].Dst) != want {
-			return &disk.CorruptTrackError{Disk: k.Disk, Track: k.Track}
-		}
-	}
-	if degraded && ops > 1 {
+	if len(lost) > 0 && ops > 1 {
 		s.ctr.DegradedOps += int64(ops - 1)
 	}
 	return nil
@@ -725,10 +543,9 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 // layer holds outside the engine's M stays a few blocks per drive. A
 // write to a member of a stripe no barrier record names updates the
 // cached parity with the classic read-modify-write small write (the old
-// data is read back first, a charged operation); a write to a member of
-// a recorded stripe is refused with a *ContractError before anything
-// changes. Writes to dead-drive tracks land on spare capacity of the
-// survivors and are remapped from then on.
+// data is read back first, a charged operation). A write to a dead
+// drive, or to a member of a recorded stripe, is refused with a
+// *ContractError before anything changes.
 func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -737,92 +554,33 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	}
 	for _, r := range reqs {
 		k := disk.Addr{Disk: r.Disk, Track: r.Track}
+		if s.dead[r.Disk] {
+			return &ContractError{Op: "WriteOp", Track: k, Reason: fmt.Sprintf("drive %d is dead, and nothing is placed on a dead drive", r.Disk)}
+		}
 		if sid, ok := s.stripeOf[k]; ok && sid < s.recorded {
 			return &ContractError{Op: "WriteOp", Track: k, Reason: fmt.Sprintf("a member of stripe %d, which a barrier record names, is not rewritten in place", sid)}
 		}
 	}
-	// Read old data of striped targets first (parity maintenance).
-	type oldRead struct {
-		sid int
-		buf []uint64
-	}
-	var olds []oldRead
-	var oldReqs []disk.ReadReq
+	// Read the old data of striped targets back, verified (parity
+	// maintenance): folding unverified bytes out of parity would leave it
+	// encoding whatever they had become.
+	var olds []disk.ReadReq
+	var oldSids []int
 	for _, r := range reqs {
-		k := disk.Addr{Disk: r.Disk, Track: r.Track}
-		sid, ok := s.stripeOf[k]
+		sid, ok := s.stripeOf[disk.Addr{Disk: r.Disk, Track: r.Track}]
 		if !ok || !s.parityUsable(s.stripes[sid]) {
 			continue
 		}
-		buf := make([]uint64, s.B)
-		olds = append(olds, oldRead{sid, buf})
-		if p, live := s.physOf(k); live {
-			oldReqs = append(oldReqs, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: buf})
-			continue
-		}
-		// Rewrite of a dead member: its old value must be reconstructed,
-		// and verified, before parity can drop it.
-		n, err := s.reconstruct(sid, k, buf)
-		s.ctr.DegradedOps += int64(n)
-		if err != nil {
-			return err
-		}
-		if want, ok := s.sums[k]; ok && disk.Checksum(buf) != want {
-			return &disk.CorruptTrackError{Disk: k.Disk, Track: k.Track}
-		}
+		olds = append(olds, disk.ReadReq{Disk: r.Disk, Track: r.Track, Dst: make([]uint64, s.B)})
+		oldSids = append(oldSids, sid)
 	}
-	if len(oldReqs) > 0 {
-		n, err := s.readPhys(oldReqs)
-		s.parityReads(n)
-		if err != nil {
-			return err
-		}
-		// Verify the old data against its recorded checksum before it is
-		// folded out of parity. A mismatch is latent corruption — folding
-		// it out would silently leave parity encoding the corrupt bytes;
-		// reconstruct the real content from parity first, exactly as the
-		// read path does.
-		for i, r := range oldReqs {
-			pk := disk.Addr{Disk: r.Disk, Track: r.Track}
-			want, ok := s.sums[pk]
-			if !ok || disk.Checksum(r.Dst) == want {
-				continue
-			}
-			s.ctr.ChecksumFailures++
-			n, err := s.repairTrack(pk)
-			s.ctr.DegradedOps += int64(n)
-			if err != nil {
-				return err
-			}
-			n, err = s.readPhys([]disk.ReadReq{oldReqs[i]})
-			s.ctr.DegradedOps += int64(n)
-			if err != nil {
-				return err
-			}
-			if disk.Checksum(r.Dst) != want {
-				return &disk.CorruptTrackError{Disk: pk.Disk, Track: pk.Track}
-			}
-		}
+	n, err := s.readPhys(olds)
+	s.parityReads(n)
+	if err != nil {
+		return err
 	}
 	// Fold old and new data into the cached parity values.
-	for _, o := range olds {
-		if err := s.loadParity(o.sid); err != nil {
-			return err
-		}
-		pv := s.pval[o.sid]
-		for i := range pv {
-			pv[i] ^= o.buf[i]
-		}
-		s.pdirty[o.sid] = true
-	}
-	xorNew := func(k disk.Addr, src []uint64) error {
-		sid, ok := s.stripeOf[k]
-		if !ok {
-			sid, ok = s.assign(k)
-		}
-		if !ok || !s.parityUsable(s.stripes[sid]) {
-			return nil // unprotected
-		}
+	fold := func(sid int, src []uint64) error {
 		if err := s.loadParity(sid); err != nil {
 			return err
 		}
@@ -833,40 +591,30 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 		s.pdirty[sid] = true
 		return nil
 	}
-	// Resolve physical targets, remapping dead-drive writes.
-	phys := make([]disk.WriteReq, len(reqs))
-	degraded := false
-	for i, r := range reqs {
-		k := disk.Addr{Disk: r.Disk, Track: r.Track}
-		if err := xorNew(k, r.Src); err != nil {
+	for i, o := range olds {
+		if err := fold(oldSids[i], o.Dst); err != nil {
 			return err
 		}
-		p, live := s.physOf(k)
-		if !live {
-			sd, ok := s.chooseSpare(k.Disk, k.Track)
-			if !ok {
-				return fmt.Errorf("redundancy: no live drive to remap drive %d track %d onto", k.Disk, k.Track)
-			}
-			p = disk.Addr{Disk: sd, Track: s.inner.Alloc(sd)}
-			s.remap[k] = p
-			s.rrmap[p] = k
-			delete(s.sums, k) // the historical location is dead
-		}
-		if p.Disk != r.Disk {
-			degraded = true
-		}
-		phys[i] = disk.WriteReq{Disk: p.Disk, Track: p.Track, Src: r.Src}
 	}
-	ops, err := s.writePhys(phys)
+	for _, r := range reqs {
+		k := disk.Addr{Disk: r.Disk, Track: r.Track}
+		sid, ok := s.stripeOf[k]
+		if !ok {
+			sid, ok = s.assign(k)
+		}
+		if !ok || !s.parityUsable(s.stripes[sid]) {
+			continue // unprotected
+		}
+		if err := fold(sid, r.Src); err != nil {
+			return err
+		}
+	}
+	ops, err := s.writePhys(reqs)
 	if err != nil {
 		return err
 	}
 	if ops > 1 {
-		if degraded {
-			s.ctr.DegradedOps += int64(ops - 1)
-		} else {
-			s.ctr.ParityOps += int64(ops - 1)
-		}
+		s.ctr.ParityOps += int64(ops - 1)
 	}
 	s.cachePeak = max(s.cachePeak, len(s.pval))
 	if len(s.filled) < s.D {
@@ -900,7 +648,7 @@ func (s *Store) writeParity(sids []int) error {
 	return err
 }
 
-// Release frees a logical track without I/O, and is the only way out of a
+// Release frees a track without I/O, and is the only way out of a
 // stripe: a striped member joins the leaver list at once, and its stripe, a
 // member short, takes no more; the inner Release — and with it any reuse of
 // the track — is held until the next FlushParity has dropped the stripe,
@@ -948,15 +696,12 @@ func (s *Store) dropLeavers() error {
 	return nil
 }
 
-// forget ends a leaver's membership. Its bytes are dead from here on:
-// there is no checksum to hold them to.
+// forget ends a leaver's membership; its checksum goes with its held
+// release, later in the same flush.
 func (s *Store) forget(k disk.Addr) {
 	sid := s.stripeOf[k]
 	s.stripes[sid].members[k.Disk] = -1
 	delete(s.stripeOf, k)
-	if p, live := s.physOf(k); live {
-		delete(s.sums, p)
-	}
 	delete(s.left, k)
 }
 
@@ -1095,14 +840,6 @@ func (s *Store) FlushParity() error {
 	s.pval = make(map[int][]uint64)
 	s.open, s.filled = s.open[:0], s.filled[:0]
 	for _, k := range s.held {
-		if m, ok := s.remap[k]; ok {
-			delete(s.remap, k)
-			delete(s.rrmap, m)
-			delete(s.sums, m)
-			if err := s.inner.Release(m.Disk, m.Track); err != nil {
-				return err
-			}
-		}
 		delete(s.sums, k)
 		if err := s.inner.Release(k.Disk, k.Track); err != nil {
 			return err
@@ -1112,62 +849,13 @@ func (s *Store) FlushParity() error {
 	return nil
 }
 
-// Scrub examines up to budget physical tracks from the persistent
-// cursor, re-reading every checksummed one and repairing latent
-// corruption from parity. It reports whether the cursor completed a
-// full cycle over all drives during this call. Dead drives and
-// uncheck-summed (blank or released) tracks are skipped. Scrub must
-// run at a barrier (after FlushParity), where parity is consistent.
-func (s *Store) Scrub(budget int) (wrapped bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if budget <= 0 {
-		return false, nil
-	}
-	next := s.inner.State().Next
-	buf := make([]uint64, s.B)
-	for examined := 0; examined < budget; examined++ {
-		// Advance to the next live track within bounds.
-		for s.scrubD < s.D && (s.dead[s.scrubD] || s.scrubT >= next[s.scrubD]) {
-			s.scrubD++
-			s.scrubT = 0
-		}
-		if s.scrubD >= s.D {
-			s.scrubD, s.scrubT = 0, 0
-			return true, nil
-		}
-		p := disk.Addr{Disk: s.scrubD, Track: s.scrubT}
-		s.scrubT++
-		want, ok := s.sums[p]
-		if !ok {
-			continue
-		}
-		if _, err := s.readPhys([]disk.ReadReq{{Disk: p.Disk, Track: p.Track, Dst: buf}}); err != nil {
-			return false, err
-		}
-		s.ctr.ScrubbedBlocks++
-		if disk.Checksum(buf) == want {
-			continue
-		}
-		s.ctr.ChecksumFailures++
-		// A failed repair (e.g. two corruptions in one stripe — beyond
-		// single-failure tolerance) is recorded but does not abort the
-		// scrub: the track stays corrupt and a read of it will report
-		// the damage.
-		if _, err := s.repairTrack(p); err == nil {
-			s.ctr.ScrubRepairs++
-		}
-	}
-	return false, nil
-}
-
 // EncodeState appends the layer's complete persistent state to enc in
-// deterministic order: dead drives, the stripe directory, checksums,
-// remaps, the scrub cursor, and the counters: the layer's part of a
-// processor's barrier record. It must be called at a barrier, after
-// FlushParity (the parity cache and the leaver and held-release lists
-// are empty there and are not encoded). Every stripe it encodes is
-// recorded from then on: its members are not rewritten.
+// deterministic order: dead drives, the counters, the stripe directory
+// and the checksums: the layer's part of a processor's barrier record. It
+// must be called at a barrier, after FlushParity (the parity cache and
+// the leaver and held-release lists are empty there and are not
+// encoded). Every stripe it encodes is recorded from then on: its
+// members are not rewritten.
 func (s *Store) EncodeState(enc *words.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1177,12 +865,10 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		enc.PutBool(d)
 	}
 	enc.PutInt(int64(s.next))
-	enc.PutInts([]int64{int64(s.scrubD), int64(s.scrubT)})
 	c := s.ctr
 	enc.PutInts([]int64{
-		c.ChecksumFailures, c.RepairedBlocks, c.ReconstructedBlocks, c.DegradedOps,
-		c.ParityOps, c.ParityBlocks, c.StripedBlocks, c.ScrubbedBlocks, c.ScrubRepairs,
-		c.ParityReadOps,
+		c.ChecksumFailures, c.ReconstructedBlocks, c.DegradedOps,
+		c.ParityOps, c.ParityBlocks, c.StripedBlocks, c.ParityReadOps,
 	})
 
 	sids := make([]int, 0, len(s.stripes))
@@ -1208,24 +894,13 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		enc.PutInt(int64(k.Track))
 		enc.PutUint(s.sums[k])
 	}
-
-	remapKeys := disk.SortedAddrs(s.remap)
-	enc.PutInt(int64(len(remapKeys)))
-	for _, k := range remapKeys {
-		m := s.remap[k]
-		enc.PutInt(int64(k.Disk))
-		enc.PutInt(int64(k.Track))
-		enc.PutInt(int64(m.Disk))
-		enc.PutInt(int64(m.Track))
-	}
 }
 
 // DecodeState adopts state written by EncodeState, rebuilding the
-// derived directories (stripe membership, parity locations, reverse
-// remap); no stripe is open at a barrier, no parity cached, no leaver
-// pending, and every stripe is recorded. A resumed process adopts all of
-// it, so the scrub continues at its cursor. A superstep replay (replay)
-// keeps the layer's history — dead drives, the scrub cursor, the
+// derived directories (stripe membership, parity locations); no stripe
+// is open at a barrier, no parity cached, no leaver pending, and every
+// stripe is recorded. A resumed process adopts all of it. A superstep
+// replay (replay) keeps the layer's history — dead drives and the
 // monotone counters — and takes the rest, the two gauges included, from
 // the record (DESIGN.md §8).
 func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
@@ -1242,22 +917,16 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 	}
 	s.next = int(dec.Int())
 	s.recorded = s.next
-	cur := dec.Ints()
-	if len(cur) != 2 {
-		return fmt.Errorf("redundancy: cursor state has %d fields, want 2", len(cur))
-	}
 	cs := dec.Ints()
-	if len(cs) != 10 {
-		return fmt.Errorf("redundancy: counter state has %d fields, want 10", len(cs))
+	if len(cs) != 7 {
+		return fmt.Errorf("redundancy: counter state has %d fields, want 7", len(cs))
 	}
 	if replay {
-		s.ctr.ParityBlocks, s.ctr.StripedBlocks = cs[5], cs[6]
+		s.ctr.ParityBlocks, s.ctr.StripedBlocks = cs[4], cs[5]
 	} else {
-		s.scrubD, s.scrubT = int(cur[0]), int(cur[1])
 		s.ctr = Counters{
-			ChecksumFailures: cs[0], RepairedBlocks: cs[1], ReconstructedBlocks: cs[2],
-			DegradedOps: cs[3], ParityOps: cs[4], ParityBlocks: cs[5], StripedBlocks: cs[6],
-			ScrubbedBlocks: cs[7], ScrubRepairs: cs[8], ParityReadOps: cs[9],
+			ChecksumFailures: cs[0], ReconstructedBlocks: cs[1], DegradedOps: cs[2],
+			ParityOps: cs[3], ParityBlocks: cs[4], StripedBlocks: cs[5], ParityReadOps: cs[6],
 		}
 	}
 
@@ -1286,14 +955,6 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 		t := int(dec.Int())
 		s.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
 	}
-	s.remap = make(map[disk.Addr]disk.Addr)
-	s.rrmap = make(map[disk.Addr]disk.Addr)
-	for n := dec.Int(); n > 0; n-- {
-		k := disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}
-		m := disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}
-		s.remap[k] = m
-		s.rrmap[m] = k
-	}
 	s.pval = make(map[int][]uint64)
 	s.pdirty = make(map[int]bool)
 	s.left = make(map[disk.Addr]bool)
@@ -1310,9 +971,10 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 // flush writes parity only to tracks allocated since the last record. So
 // what the scan of every checksummed live track finds is a track that
 // rotted at rest, or nothing. A stripe's one bad track (stale or torn) is
-// repaired from the rest of the stripe. Anything else — two bad tracks in
-// one stripe, one the stripe cannot rebuild, a bad unprotected track — is
-// refused with a *ContractError, never adopted.
+// rebuilt from the rest of the stripe and written back. Anything else —
+// two bad tracks in one stripe, one the stripe cannot rebuild, a bad
+// unprotected track — is refused with a *ContractError before anything
+// is written, never adopted.
 //
 // Reconcile is accounting-neutral: its repair I/O is real but belongs
 // to no superstep, so the inner Stats and the redundancy Counters are
@@ -1332,8 +994,7 @@ func (s *Store) Reconcile() error {
 }
 
 func (s *Store) reconcile() error {
-	var bad []disk.Addr
-	perStripe := make(map[int]int)
+	var fixes []disk.WriteReq
 	buf := make([]uint64, s.B)
 	for _, k := range disk.SortedAddrs(s.sums) {
 		if s.dead[k.Disk] {
@@ -1348,56 +1009,14 @@ func (s *Store) reconcile() error {
 		case disk.Checksum(buf) == s.sums[k]:
 			continue
 		}
-		sid, ok := s.sidOfPhys(k)
-		if !ok || !s.stripeIntactExcept(sid, k) {
-			return &ContractError{Op: "Reconcile", Track: k, Reason: "its content is not the record's, and no stripe can rebuild it"}
+		// The rebuild reads every other track of the stripe as it lies,
+		// so a second bad one fails it too.
+		good := make([]uint64, s.B)
+		if _, err := s.rebuild(k, good); err != nil {
+			return &ContractError{Op: "Reconcile", Track: k, Reason: "its content is not the record's, and its stripe cannot rebuild it: " + err.Error()}
 		}
-		bad = append(bad, k)
-		perStripe[sid]++
+		fixes = append(fixes, disk.WriteReq{Disk: k.Disk, Track: k.Track, Src: good})
 	}
-	for _, k := range bad {
-		if sid, _ := s.sidOfPhys(k); perStripe[sid] > 1 {
-			return &ContractError{Op: "Reconcile", Track: k, Reason: fmt.Sprintf("one of %d tracks of stripe %d whose content is not the record's", perStripe[sid], sid)}
-		}
-	}
-	for _, k := range bad {
-		if _, err := s.repairTrack(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sidOfPhys maps a physical track to its stripe via the parity
-// directory, the reverse remap, or the identity mapping.
-func (s *Store) sidOfPhys(k disk.Addr) (int, bool) {
-	if sid, ok := s.parityAt[k]; ok {
-		return sid, true
-	}
-	l := k
-	if r, ok := s.rrmap[k]; ok {
-		l = r
-	}
-	sid, ok := s.stripeOf[l]
-	return sid, ok
-}
-
-// stripeIntactExcept reports whether the bad track p can be repaired
-// from the rest of its stripe: every member has a readable physical
-// copy and, unless p is the parity track itself, the parity track is
-// on a live drive.
-func (s *Store) stripeIntactExcept(sid int, p disk.Addr) bool {
-	st := s.stripes[sid]
-	if _, isParity := s.parityAt[p]; !isParity && !s.parityUsable(st) {
-		return false
-	}
-	for d, t := range st.members {
-		if t < 0 {
-			continue
-		}
-		if _, ok := s.physOf(disk.Addr{Disk: d, Track: t}); !ok {
-			return false
-		}
-	}
-	return true
+	_, err := s.writePhys(fixes)
+	return err
 }

@@ -2,13 +2,15 @@ package redundancy
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"embsp/internal/disk"
-	"embsp/internal/prng"
 	"embsp/internal/words"
 )
 
@@ -206,8 +208,9 @@ func TestRewriteReleaseAndDeath(t *testing.T) {
 // TestRewriteVerifiesOldBytes: a write repeated within its superstep
 // folds no unverified bytes out of parity. Old bytes that rotted since
 // they were written (member), or a stored parity that did (parity), are
-// repaired from the stripe before the fold, and the barrier's parity holds
-// every member, whichever drive dies.
+// rebuilt from the rest of the stripe into the fold's buffer — the
+// rewrite writes its own track and nothing else — and the barrier's
+// parity holds every member, whichever drive dies.
 func TestRewriteVerifiesOldBytes(t *testing.T) {
 	const D, B = 4, 8
 	for _, rot := range []string{"member", "parity"} {
@@ -228,11 +231,15 @@ func TestRewriteVerifiesOldBytes(t *testing.T) {
 			if err := raw.WriteOp([]disk.WriteReq{{Disk: bad.Disk, Track: bad.Track, Src: garbage}}); err != nil {
 				t.Fatal(err)
 			}
+			writes := raw.Stats().WriteOps
 			if err := rewrite(s, victim); err != nil {
 				t.Fatal(err)
 			}
-			if c := s.Counters(); c.ChecksumFailures != 1 {
-				t.Errorf("ChecksumFailures = %d, want 1", c.ChecksumFailures)
+			if c := s.Counters(); c.ChecksumFailures != 1 || c.ReconstructedBlocks != 1 {
+				t.Errorf("ChecksumFailures = %d, ReconstructedBlocks = %d, want 1 and 1", c.ChecksumFailures, c.ReconstructedBlocks)
+			}
+			if w := raw.Stats().WriteOps - writes; w != 1 {
+				t.Errorf("the rewrite took %d write operations, want its own one", w)
 			}
 			flushChecked(t, s)
 			s.DriveDied(addrs[1].Disk)
@@ -245,6 +252,107 @@ func TestRewriteVerifiesOldBytes(t *testing.T) {
 				checkTrack(t, s, a, B)
 			}
 		})
+	}
+}
+
+// TestRottedSlotIsServedDegraded: a slot that rotted at rest under the
+// file store — its magic word cleared by hand, the method of
+// TestListedTrackWithoutMagicIsCorrupt — is rebuilt from the rest of its
+// stripe into the reader's buffer. The read returns the recorded content,
+// writes nothing, and leaves the slot as rotted as it found it. With a
+// second slot of the stripe rotted nothing can rebuild it, and the read
+// fails with a *disk.CorruptTrackError.
+func TestRottedSlotIsServedDegraded(t *testing.T) {
+	const D, B = 4, 8
+	dir := t.TempDir()
+	raw, err := disk.OpenFile(dir, disk.Config{D: D, B: B}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	s, err := Wrap(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := writeTracks(t, s, D, B, 4)
+	flushChecked(t, s)
+	if err := raw.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	victim, sibling := addrs[0], disk.Addr{Disk: -1}
+	for _, a := range addrs[1:] {
+		if s.stripeOf[a] == s.stripeOf[victim] {
+			sibling = a
+			break
+		}
+	}
+	if sibling.Disk < 0 {
+		t.Fatalf("the stripe of %v has no other member", victim)
+	}
+	rot := func(a disk.Addr) {
+		t.Helper()
+		fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", a.Disk)), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		// A slot is the magic word, the checksum and the B payload words.
+		if _, err := fh.WriteAt(make([]byte, 8), int64(a.Track)*(B+2)*8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotted := func(a disk.Addr) bool {
+		var ce *disk.CorruptTrackError
+		return errors.As(raw.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)}}), &ce)
+	}
+
+	rot(victim)
+	before := raw.Stats()
+	checkTrack(t, s, victim, B)
+	if w := raw.Stats().WriteOps - before.WriteOps; w != 0 {
+		t.Errorf("serving the rotted slot took %d write operations, want none", w)
+	}
+	// The read that met the slot failed uncharged, so every operation the
+	// store charged is the rebuild's.
+	if c, ops := s.Counters(), raw.Stats().Ops-before.Ops; c.ChecksumFailures != 1 || c.ReconstructedBlocks != 1 || ops == 0 || c.DegradedOps != ops {
+		t.Errorf("after one rotted slot read: %+v and %d operations, want one checksum failure, one reconstruction and every operation degraded", c, ops)
+	}
+	if !rotted(victim) {
+		t.Errorf("the read wrote the rotted slot of %v back", victim)
+	}
+
+	rot(sibling)
+	var ce *disk.CorruptTrackError
+	if err := s.ReadOp([]disk.ReadReq{{Disk: victim.Disk, Track: victim.Track, Dst: make([]uint64, B)}}); !errors.As(err, &ce) {
+		t.Errorf("read of %v with its sibling %v rotted too: %v, want a *disk.CorruptTrackError", victim, sibling, err)
+	}
+}
+
+// TestWriteToDeadDriveRefused: nothing is placed on a dead drive, so a
+// write addressed to one — fresh or a rewrite of a member of this
+// superstep — is refused with a *ContractError before anything changes,
+// whatever else the operation writes.
+func TestWriteToDeadDriveRefused(t *testing.T) {
+	const D, B, dead = 4, 8, 1
+	s, raw := mkStore(t, D, B)
+	addrs := writeTracks(t, s, D, B, 2)
+	s.DriveDied(dead)
+	fresh := disk.Addr{Disk: dead, Track: s.Alloc(dead)}
+	member := addrs[dead]
+	live := disk.Addr{Disk: 0, Track: s.Alloc(0)}
+	for _, a := range []disk.Addr{fresh, member} {
+		st, ops, ctr := s.State(), raw.Stats().Ops, s.Counters()
+		var ce *ContractError
+		if err := rewrite(s, live, a); !errors.As(err, &ce) || ce.Op != "WriteOp" || ce.Track != a {
+			t.Fatalf("write to %v on dead drive %d: %v, want a *ContractError naming it", a, dead, err)
+		}
+		if !reflect.DeepEqual(s.State(), st) || raw.Stats().Ops != ops || s.Counters() != ctr {
+			t.Errorf("the refused write to %v changed the store, issued %d operations or moved the counters", a, raw.Stats().Ops-ops)
+		}
+	}
+	flushChecked(t, s)
+	for _, a := range addrs {
+		checkTrack(t, s, a, B)
 	}
 }
 
@@ -273,85 +381,6 @@ func TestDropStripeReportsReleaseError(t *testing.T) {
 	}
 }
 
-// TestScrubCompleteness is the scrub property test: latent corruption
-// seeded at random committed tracks is fully found and repaired by one
-// scrub cycle, with exactly one detected checksum failure per injected
-// instance.
-func TestScrubCompleteness(t *testing.T) {
-	const D, B = 4, 16
-	for _, seed := range []uint64{1, 7, 42} {
-		s, raw := mkStore(t, D, B)
-		addrs := writeTracks(t, s, D, B, 6)
-		flushChecked(t, s)
-		// Corrupt random committed tracks (data and parity alike)
-		// directly on the raw store, beneath the layer — at most one
-		// per stripe, since single XOR parity by construction cannot
-		// repair two bad tracks in one group.
-		rng := prng.New(prng.Derive(seed, 0x5c52))
-		summed := s.summedTracks()
-		injected := map[disk.Addr]bool{}
-		hitStripes := map[int]bool{}
-		garbage := make([]uint64, B)
-		for len(injected) < 5 {
-			a := summed[rng.Intn(len(summed))]
-			if injected[a] {
-				continue
-			}
-			sid, ok := s.sidOfPhys(a)
-			if !ok || hitStripes[sid] {
-				continue
-			}
-			hitStripes[sid] = true
-			injected[a] = true
-			for i := range garbage {
-				garbage[i] = rng.Uint64()
-			}
-			if err := raw.WriteOp([]disk.WriteReq{{Disk: a.Disk, Track: a.Track, Src: append([]uint64(nil), garbage...)}}); err != nil {
-				t.Fatalf("inject: %v", err)
-			}
-		}
-		// One full scrub cycle.
-		for {
-			wrapped, err := s.Scrub(2 * D)
-			if err != nil {
-				t.Fatalf("seed %d: Scrub: %v", seed, err)
-			}
-			if wrapped {
-				break
-			}
-		}
-		c := s.Counters()
-		if c.ChecksumFailures != int64(len(injected)) {
-			t.Errorf("seed %d: ChecksumFailures = %d, want %d", seed, c.ChecksumFailures, len(injected))
-		}
-		if c.ScrubRepairs != c.ChecksumFailures {
-			t.Errorf("seed %d: ScrubRepairs = %d, ChecksumFailures = %d — scrub must repair every instance it finds", seed, c.ScrubRepairs, c.ChecksumFailures)
-		}
-		// Everything reads back clean afterwards (no further failures).
-		for _, a := range addrs {
-			checkTrack(t, s, a, B)
-		}
-		if c2 := s.Counters(); c2.ChecksumFailures != c.ChecksumFailures {
-			t.Errorf("seed %d: reads after a full scrub still detect corruption", seed)
-		}
-	}
-}
-
-// summedTracks returns the physical tracks with recorded checksums, in
-// deterministic order (test helper).
-func (s *Store) summedTracks() []disk.Addr {
-	var out []disk.Addr
-	next := s.inner.State().Next
-	for d := 0; d < s.D; d++ {
-		for t := 0; t < next[d]; t++ {
-			if _, ok := s.sums[disk.Addr{Disk: d, Track: t}]; ok {
-				out = append(out, disk.Addr{Disk: d, Track: t})
-			}
-		}
-	}
-	return out
-}
-
 // TestMirrorCopies: under mirror a stripe is one member and its copy. A
 // D-block write costs exactly one copy operation, every copy on the next
 // drive after its member's, holding the member's words; with a drive
@@ -365,8 +394,9 @@ func TestMirrorCopies(t *testing.T) {
 		want := make([]uint64, B)
 		for _, a := range addrs {
 			cp := s.stripes[s.stripeOf[a]].parity
-			if pattern(want, a.Disk, a.Track); cp.Disk != next(a.Disk) || !slices.Equal(raw.PeekTrack(cp.Disk, cp.Track), want) {
-				t.Errorf("the copy of %v is at %v holding %x, want drive %d holding its words", a, cp, raw.PeekTrack(cp.Disk, cp.Track), next(a.Disk))
+			got, err := raw.ExportTrack(cp.Disk, cp.Track)
+			if pattern(want, a.Disk, a.Track); err != nil || cp.Disk != next(a.Disk) || !slices.Equal(got, want) {
+				t.Errorf("the copy of %v is at %v holding %x (%v), want drive %d holding its words", a, cp, got, err, next(a.Disk))
 			}
 		}
 	}
@@ -450,9 +480,7 @@ func TestEncodeDecodeResume(t *testing.T) {
 	addrs := writeTracks(t, s, D, B, 5)
 	flushChecked(t, s)
 	s.DriveDied(2)
-	if _, err := s.Scrub(5); err != nil { // partial scrub
-		t.Fatalf("Scrub: %v", err)
-	}
+	checkTrack(t, s, addrs[2], B) // a reconstruction, counted
 	enc := words.NewEncoder(nil)
 	s.EncodeState(enc)
 
@@ -471,8 +499,8 @@ func TestEncodeDecodeResume(t *testing.T) {
 	if s2.Counters() != s.Counters() {
 		t.Errorf("counters differ after decode:\n  %+v\n  %+v", s2.Counters(), s.Counters())
 	}
-	if s2.scrubD != s.scrubD || s2.scrubT != s.scrubT || !slices.Equal(s2.dead, s.dead) {
-		t.Errorf("resumed layer scrubs from (%d, %d) with dead drives %v, want (%d, %d) and %v", s2.scrubD, s2.scrubT, s2.dead, s.scrubD, s.scrubT, s.dead)
+	if !slices.Equal(s2.dead, s.dead) {
+		t.Errorf("resumed layer has dead drives %v, want %v", s2.dead, s.dead)
 	}
 	for _, a := range addrs {
 		checkTrack(t, s2, a, B)
@@ -599,8 +627,7 @@ func TestReconcilePostFlushCrash(t *testing.T) { crashAndResume(t, true) }
 // TestPhysOpsFollowFullestDrive: readPhys and writePhys schedule a list
 // by its per-drive queues, so n requests sorted by (drive, track) — the
 // order FlushParity's read-back arrives in, which cut at every repeated
-// drive cost one operation a request — cost their fullest drive's count;
-// also once a dead drive's tracks share a survivor with that drive's own.
+// drive cost one operation a request — cost their fullest drive's count.
 func TestPhysOpsFollowFullestDrive(t *testing.T) {
 	const D, B, rows = 4, 8, 6
 	s, raw := mkStore(t, D, B)
@@ -611,13 +638,9 @@ func TestPhysOpsFollowFullestDrive(t *testing.T) {
 		}
 		perDrive := make(map[int]int)
 		for _, a := range disk.SortedAddrs(set) {
-			p, live := s.physOf(a)
-			if !live {
-				t.Fatalf("track %v has no physical copy", a)
-			}
-			reads = append(reads, disk.ReadReq{Disk: p.Disk, Track: p.Track, Dst: make([]uint64, B)})
-			perDrive[p.Disk]++
-			fullest = max(fullest, perDrive[p.Disk])
+			reads = append(reads, disk.ReadReq{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)})
+			perDrive[a.Disk]++
+			fullest = max(fullest, perDrive[a.Disk])
 		}
 		return reads, fullest
 	}
@@ -658,19 +681,6 @@ func TestPhysOpsFollowFullestDrive(t *testing.T) {
 	}
 	addrs = append(addrs, disk.Addr{Disk: 2, Track: tr})
 	check("one drive fuller", addrs, rows+1)
-
-	// Drive 1 dies; what is written to it from now on lands on spares,
-	// beside those drives' own tracks.
-	s.DriveDied(1)
-	after := writeTracks(t, s, D, B, rows)
-	if err := s.FlushParity(); err != nil {
-		t.Fatal(err)
-	}
-	_, fullest := sorted(after)
-	if fullest <= rows {
-		t.Fatalf("the remap put at most %d of %d tracks on one drive; the case wants two logical drives sharing one", fullest, len(after))
-	}
-	check("two logical drives on one physical", after, fullest)
 }
 
 // TestSealKeepsStripesApart: a track written after Seal shares no stripe
