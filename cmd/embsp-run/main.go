@@ -144,42 +144,6 @@ func parseFaultPlan(spec string, seed uint64) (*embsp.FaultPlan, error) {
 	return plan, nil
 }
 
-// parseTiers turns the -tiers flag value into a tier chain spec. Each
-// comma-separated field is words[:latency] — a tier cache capacity in
-// words (0 selects the engine default) with an optional emulated
-// per-track access latency — listed outermost first, matching
-// Options.Tiers.
-func parseTiers(spec string) ([]embsp.TierSpec, error) {
-	var tiers []embsp.TierSpec
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		ws, ls, hasLat := strings.Cut(field, ":")
-		w, err := strconv.ParseInt(ws, 10, 64)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad -tiers field %q: want words[:latency] with words >= 0", field)
-		}
-		ts := embsp.TierSpec{Words: w}
-		if hasLat {
-			d, err := time.ParseDuration(ls)
-			if err != nil {
-				return nil, fmt.Errorf("bad -tiers latency in %q: %v", field, err)
-			}
-			if d < 0 {
-				return nil, fmt.Errorf("bad -tiers latency in %q: want >= 0", field)
-			}
-			ts.Latency = d
-		}
-		tiers = append(tiers, ts)
-	}
-	if len(tiers) == 0 {
-		return nil, fmt.Errorf("empty -tiers spec")
-	}
-	return tiers, nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -209,7 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := fs.Bool("resume", false, "resume an interrupted run from the journal in -state-dir")
 	killStep := fs.Int("kill-step", -1, "crash-test hook: SIGKILL the process mid-computation of this superstep")
 	storeKind := fs.String("store", "file", "durable store backend for -state-dir runs: file (pread/pwrite) or mapped (mmap, zero-copy; falls back to file where unsupported)")
-	tiersFlag := fs.String("tiers", "", "stack intermediate store tiers over the backend: comma-separated words[:latency] per tier, outermost first (e.g. 65536:50us; 0 words = engine default capacity; requires -state-dir)")
 	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none); it also picks the physical schedule: one I/O worker per drive and the group pipeline under latency, synchronous at zero")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
 	soak := fs.Bool("soak", false, "chaos-soak mode: randomized fault/kill/resume schedules over the Table 1 workloads, checked bitwise against the reference")
@@ -252,18 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "bad -store %q: want file or mapped\n", *storeKind)
 		return 2
-	}
-	if *tiersFlag != "" {
-		if *stateDir == "" {
-			fmt.Fprintln(stderr, "-tiers requires -state-dir (tiers stack over the durable store)")
-			return 2
-		}
-		ts, err := parseTiers(*tiersFlag)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		opts.Tiers = ts
 	}
 	if *redundancyFlag != "" {
 		mode, err := embsp.ParseRedundancy(*redundancyFlag)
@@ -371,7 +322,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// What a run holds on disk at once is a count of allocated tracks, and
 	// a run that can roll back (a StateDir or a fault plan) holds the
 	// context generation it would roll back to beside the one it writes: the
-	// figure follows the store options, so like the store lines below it
+	// figure follows the store options, so like the overlap line below it
 	// goes to stderr and stdout stays diffable across them.
 	fmt.Fprintf(stderr, "disk: peak %d blocks/drive\n", res.EM.LiveBlocksPerDrive)
 	// The overlap counters are wall-clock observability, not model
@@ -384,17 +335,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pipeline: %d blocks prefetched (%d cache hits, %d misses), %d async writes, %.1fms stalled, peak %d transfers in flight\n",
 			ov.PrefetchIssued, ov.PrefetchHits, ov.PrefetchMisses,
 			ov.AsyncWrites, float64(ov.StallNanos)/1e6, ov.ConcurrentPeak)
-	}
-	// The opened backend and the tier cache counters are configuration
-	// and wall-clock observability, outside the identity contract: like
-	// the overlap line they go to stderr so tiered and flat runs of the
-	// same workload stay byte-diffable on stdout.
-	if res.EM.StoreBackend != "" {
-		fmt.Fprintf(stderr, "store: backend %s\n", res.EM.StoreBackend)
-	}
-	for _, ts := range res.EM.Tiers {
-		fmt.Fprintf(stderr, "store tier %d: cap %d words, %d hits, %d misses, %d fills, %d drains, high-water %d words\n",
-			ts.Level, ts.CapWords, ts.Hits, ts.Misses, ts.Fills, ts.Drains, ts.HighWords)
 	}
 	if opts.FaultPlan != nil {
 		em := res.EM

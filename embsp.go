@@ -66,17 +66,6 @@ type (
 	// two runs of the same program — it describes the physical
 	// schedule, not the model.
 	OverlapStats = disk.OverlapStats
-	// TierSpec describes one intermediate store tier; set
-	// Options.Tiers (outermost first) to stack bounded staging tiers
-	// above the durable backend. Tier contents are cache, never
-	// durable state, so the spec sits outside the config fingerprint:
-	// tiered and flat runs are bitwise identical and share journals.
-	TierSpec = core.TierSpec
-	// TierStats reports one tier's cache-traffic counters
-	// (EMStats.Tiers, outermost first). Like OverlapStats it describes
-	// the physical schedule, not the model, and is allowed to differ
-	// between two runs of the same program.
-	TierStats = disk.TierStats
 	// CostParams holds the BSP* parameters ĝ, g, b and L.
 	CostParams = bsp.CostParams
 	// Program is a BSP-like algorithm for v virtual processors.

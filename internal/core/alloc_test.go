@@ -50,7 +50,7 @@ func allocMachine(P, ctxWords int) core.MachineConfig {
 	}
 }
 
-// TestSteadyStateAllocs is the countable allocation gate (ROADMAP 1(a)):
+// TestSteadyStateAllocs is the countable allocation gate (DESIGN.md §19):
 // once the superstep loop is warm, a superstep of a program whose VPs
 // allocate nothing may allocate only the engine's per-superstep metadata
 // — the message directory, a closure a batch — and none of the buffers
@@ -249,7 +249,7 @@ func (r *recorder) Rollback(step, attempt int, cause error) (int64, error) {
 func (r *recorder) Final() ([]*core.NodeReport, error) { r.log("final"); return r.t.Final() }
 
 // TestBarrierSequenceAndCounts is the first slice of the exact-count
-// gates (ROADMAP 1(d)). One driver means one call sequence: the
+// gates (DESIGN.md §20.1). One driver means one call sequence: the
 // in-memory transport and the NodeEngine-backed rig must see the very
 // same calls for the same run — per superstep begin, two a round,
 // totals, prepare and commit, each a fan-out over the processors in

@@ -162,25 +162,10 @@ type Options struct {
 	// accounted separately (store_mapped_high_words metric), never
 	// against M. On platforms without mmap support the engines fall
 	// back to the file store — results are bitwise identical either
-	// way; the backend actually opened is reported in
-	// EMStats.StoreBackend and counted by the store_mapped_fallbacks
-	// metric so a benchmark cannot silently measure the wrong store.
+	// way; a fallback is counted by the store_mapped_fallbacks metric
+	// so a benchmark cannot silently measure the wrong store.
 	// Requires StateDir; ignored without one.
 	MappedStore bool
-	// Tiers stacks bounded cache tiers above the durable store,
-	// outermost first: Tiers[0] is closest to the engine, the last
-	// entry sits directly on the file or mapped backend. Each tier is
-	// a track-granular, budget-bounded staging cache (disk.Tier) that
-	// the group pipeline fills one group ahead and drains one group
-	// behind — the configurable memory-hierarchy chain of ROADMAP
-	// item 5 (scratch → M → D disks). Tier contents are cache, never
-	// durable state: a resumed run re-fills empty tiers from the
-	// backend, so the chain may change freely across a resume and the
-	// spec stays out of the config fingerprint. Like DriveLatency the
-	// tiers are invisible to the model — results and every model
-	// statistic are bitwise identical with any chain, including none.
-	// Requires StateDir.
-	Tiers []TierSpec
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
 	// message read/write, compute, parity flush, barrier
@@ -231,17 +216,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	}
 	if o.MappedStore && o.StateDir == "" {
 		return fmt.Errorf("core: MappedStore requires a StateDir (the mapped store maps durable drive files)")
-	}
-	if len(o.Tiers) > 0 && o.StateDir == "" {
-		return fmt.Errorf("core: Tiers requires a StateDir (tiers stack above a durable backend)")
-	}
-	for i, t := range o.Tiers {
-		if t.Words < -1 {
-			return fmt.Errorf("core: Tiers[%d].Words = %d, want >= -1 (-1 unbounded, 0 default)", i, t.Words)
-		}
-		if t.Latency < 0 {
-			return fmt.Errorf("core: Tiers[%d].Latency = %v, want >= 0", i, t.Latency)
-		}
 	}
 	switch o.Redundancy {
 	case redundancy.None, redundancy.Mirror, redundancy.Parity:
@@ -365,31 +339,6 @@ type EMStats struct {
 	// deliberately EXCLUDED from the bitwise-identity contract that
 	// covers every other EMStats field.
 	Overlap disk.OverlapStats
-	// StoreBackend names the durable backend the run actually opened:
-	// "file", "mapped", "mapped→file" (MappedStore requested but
-	// unsupported on this platform), or "" for in-memory runs. It
-	// exists so library callers can detect the mapped-store fallback
-	// that embsp-run refuses interactively. Same carve-out as Overlap:
-	// outside the bitwise-identity contract.
-	StoreBackend string
-	// Tiers reports each configured store tier's cache traffic
-	// (hits, misses, fills, drains, budget high-water), outermost
-	// first, aggregated over processors for P > 1. Wall-clock
-	// observability like Overlap: EXCLUDED from the bitwise-identity
-	// contract.
-	Tiers []disk.TierStats
-}
-
-// TierSpec configures one store tier of Options.Tiers.
-type TierSpec struct {
-	// Words bounds the tier's staging cache in payload words. 0 picks
-	// the engine default (a quarter of the engine memory budget, like
-	// the file store's physical cache); -1 means unbounded.
-	Words int64
-	// Latency emulates the access time of the tier's medium: every
-	// block served from the tier sleeps this long. Purely wall-clock,
-	// like DriveLatency.
-	Latency time.Duration
 }
 
 // Result is the outcome of an EM simulation run.

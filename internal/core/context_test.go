@@ -192,7 +192,7 @@ func sameStats(t *testing.T, label string, a, b *core.Result) {
 	for _, e := range []*core.EMStats{&ea, &eb} {
 		ph := phaseStats(*e, false)
 		e.Setup, e.Run, e.Finish, e.PerProc = ph[0], ph[1], ph[2], nil
-		e.LiveBlocksPerDrive, e.StoreBackend, e.Overlap, e.Tiers = 0, "", disk.OverlapStats{}, nil
+		e.LiveBlocksPerDrive, e.Overlap = 0, disk.OverlapStats{}
 	}
 	if !reflect.DeepEqual(ea, eb) {
 		t.Errorf("%s: statistics differ:\na: %+v\nb: %+v", label, ea, eb)
@@ -679,8 +679,8 @@ func phaseStats(em core.EMStats, chains bool) [3]disk.Stats {
 
 // TestPhaseStatsAcrossRuntimes: the turnaround batch is held the same way
 // under both disciplines and on every transport, so on the 13 Table 1
-// workloads at P = 1 and P = 3 an in-place run, a file run, a mapped run,
-// a tiered run and — at P = 3 — a cluster run over the wire report the
+// workloads at P = 1 and P = 3 an in-place run, a file run, a mapped run
+// and — at P = 3 — a cluster run over the wire report the
 // same Setup, Run and Finish statistics: every operation, block and drive
 // (the array's access chains aside).
 func TestPhaseStatsAcrossRuntimes(t *testing.T) {
@@ -709,7 +709,6 @@ func TestPhaseStatsAcrossRuntimes(t *testing.T) {
 				}
 				got := map[string][3]disk.Stats{
 					"mapped": phaseStats(run(core.Options{StateDir: t.TempDir(), MappedStore: true}).EM, true),
-					"tiered": phaseStats(run(core.Options{StateDir: t.TempDir(), Tiers: []core.TierSpec{{}}}).EM, true),
 				}
 				if p > 1 {
 					rig := openRig(t, inst.Program, cfg, core.Options{Seed: seed}, t.TempDir(), false)

@@ -334,7 +334,7 @@ func (l *ledger) load() (*words.Decoder, error) {
 }
 
 // assemble builds the run's Result from the nodes' final reports.
-// Store-layer counters (faults, parity, overlap, tiers) are not in the
+// Store-layer counters (faults, parity, overlap) are not in the
 // reports: they never cross a wire, and the in-process engine adds its
 // own afterwards.
 func (l *ledger) assemble(reports []*NodeReport) (*Result, error) {
@@ -593,9 +593,8 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	}
 	// The store layers' counters, which no report carries.
 	for _, n := range e.nodes {
-		n.ps.report(&res.EM, e.opts.Metrics, e.opts.MappedStore)
+		n.ps.report(&res.EM, e.opts.Metrics)
 	}
-	publishTierStats(e.opts.Metrics, res.EM.Tiers)
 	return res, nil
 }
 

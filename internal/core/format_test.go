@@ -205,6 +205,10 @@ import (
 //	NODE 0                0x03a052e5ef2b685c 0xaa8cb0187672e7fe → 0x483d9f857dc4af9a 0xdfcbbff0cb7768ec
 //	NODE 1                0xe4cf7a62a92337ff 0x3b6dfbb6f2156815 → 0x46eaf5aae2292dc8 0x910885e9fef97c06
 //	CORD                  0x77539dc3019ab030 0x5bc7a8969ef6d100 → 0x5ea236e10a68ed73 0x48dae754ab7cf201
+//
+// The mapped+parity row was mapped+tier+parity while the engine could
+// stack a store tier (DESIGN.md §17). A tier never entered a record, so
+// the row kept its words when the tier left it.
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -260,9 +264,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
 		}, [2]uint64{0x50d123027c0548e8, 0xbbe0c2b41f3841b1}},
-		{"mapped+tier+parity", 2, func(o *core.Options) {
+		{"mapped+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
-			o.Tiers = []core.TierSpec{{}}
 			o.Redundancy = redundancy.Parity
 		}, [2]uint64{0x6a98813bd4f7c457, 0x816278927de7f5fc}},
 	} {
@@ -292,7 +295,7 @@ func TestManifestFormatsPinned(t *testing.T) {
 // package's golden table (golden_test.go: same programs, machine and
 // seed) a second time through the NodeEngine transport, with every
 // BlockBatch encoded and decoded between phases, and requires the
-// table's numbers. Nodes are always durable and never tiered, so the
+// table's numbers. Nodes are always durable, so the
 // table's fingerprints — which also hash how each store classifies a
 // drive's accesses as sequential or random — are replaced by the
 // fingerprint of the in-process run on the same file store. Re-pinned

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"embsp/internal/disk"
 	"embsp/internal/obs"
 )
 
@@ -50,21 +47,4 @@ func publishEMStats(r *obs.Registry, em *EMStats) {
 	set("em_comm_words", em.CommWords)
 	set("em_comm_pkts", em.CommPkts)
 	set("em_replays", em.Replays)
-}
-
-// publishTierStats exposes the tier chain's cache-traffic totals as
-// per-level metrics (tier0 is the outermost tier).
-func publishTierStats(r *obs.Registry, tiers []disk.TierStats) {
-	if r == nil {
-		return
-	}
-	for _, ts := range tiers {
-		p := fmt.Sprintf("store_tier%d_", ts.Level)
-		r.Counter(p + "cap_words").Set(ts.CapWords)
-		r.Counter(p + "hits").Set(ts.Hits)
-		r.Counter(p + "misses").Set(ts.Misses)
-		r.Counter(p + "fills").Set(ts.Fills)
-		r.Counter(p + "drains").Set(ts.Drains)
-		r.Counter(p + "high_words").Max(ts.HighWords)
-	}
 }

@@ -22,85 +22,25 @@ import (
 // wrong byte) — prefetching is pure cache priming with zero model
 // accounting either way.
 
-// Store backend names reported in EMStats.StoreBackend.
-const (
-	backendFile   = "file"
-	backendMapped = "mapped"
-	// backendMappedFallback marks a run that asked for the mapped
-	// store on a platform without mmap support and got the (on-disk
-	// compatible, bitwise-identical) file store instead.
-	backendMappedFallback = "mapped→file"
-)
-
-// openRunStore opens the durable links of one processor's chain: the
+// openRunStore opens the durable store of one processor's chain: the
 // mmap-backed store when Options.MappedStore is set and the platform
-// supports it (falling back to the file store otherwise, so mapped runs
-// degrade gracefully on foreign platforms — the two stores share one
-// on-disk format, so the fallback is invisible to results and resume;
-// EMStats.StoreBackend and the store_mapped_fallbacks metric make it
-// visible to observability), else the file store with the run's
-// I/O-worker options — then any Options.Tiers stacked above it,
-// innermost last.
+// supports it, else the file store with the run's I/O-worker options.
+// The fallback is graceful: the two stores share one on-disk format, so
+// it is invisible to results and resume, and the store_mapped_fallbacks
+// metric makes it visible to observability.
 func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (disk.Store, error) {
 	dcfg := disk.Config{D: cfg.D, B: cfg.B}
-	var chain disk.Store
-	var err error
 	if opts.MappedStore && disk.MmapSupported() {
-		chain, err = disk.OpenMapped(dir, dcfg, resume, disk.MappedOptions{
+		return disk.OpenMapped(dir, dcfg, resume, disk.MappedOptions{
 			AccessLatency: opts.DriveLatency,
 			Tracer:        opts.Trace,
 			TracePID:      pid,
 		})
-	} else {
-		if opts.MappedStore {
-			opts.Metrics.Counter("store_mapped_fallbacks").Add(1)
-		}
-		chain, err = disk.OpenFileOpts(dir, dcfg, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid))
 	}
-	if err != nil {
-		return nil, err
+	if opts.MappedStore {
+		opts.Metrics.Counter("store_mapped_fallbacks").Add(1)
 	}
-	// Stack the tier chain, innermost (last spec) first. A tier runs
-	// fill workers only when there is emulated latency below it to hide
-	// (disk.NewTier).
-	for i := len(opts.Tiers) - 1; i >= 0; i-- {
-		spec := opts.Tiers[i]
-		words := spec.Words
-		if words == 0 {
-			words = engineMemLimit(cfg, k, mu, gamma) / 4
-		}
-		chain = disk.NewTier(chain, disk.TierOptions{
-			CacheWords:    words,
-			AccessLatency: spec.Latency,
-			Tracer:        opts.Trace,
-			TracePID:      pid,
-			Level:         i,
-		})
-	}
-	return chain, nil
-}
-
-// addTierStats folds one processor's tier counters into a run
-// aggregate (index-aligned: every processor runs the same chain).
-func addTierStats(agg []disk.TierStats, ts []disk.TierStats) []disk.TierStats {
-	if agg == nil {
-		agg = make([]disk.TierStats, len(ts))
-		for i := range ts {
-			agg[i].Level = ts[i].Level
-			agg[i].CapWords = ts[i].CapWords
-		}
-	}
-	for i := range ts {
-		if i >= len(agg) {
-			break
-		}
-		agg[i].Hits += ts[i].Hits
-		agg[i].Misses += ts[i].Misses
-		agg[i].Fills += ts[i].Fills
-		agg[i].Drains += ts[i].Drains
-		agg[i].HighWords = max(agg[i].HighWords, ts[i].HighWords)
-	}
-	return agg
+	return disk.OpenFileOpts(dir, dcfg, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid))
 }
 
 // fileStoreOpts resolves the run options and the engine memory budget

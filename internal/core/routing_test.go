@@ -166,7 +166,7 @@ func TestRoutingInvariants(t *testing.T) {
 	t.Logf("Step 1 took at most %d operations above its lower bound 2Δ", worst)
 }
 
-// TestRoutingLoneDestination pins ROADMAP item 4(ii)'s case: sort's
+// TestRoutingLoneDestination pins DESIGN.md §20.2's case: sort's
 // sample gather sends 22 blocks to one VP. Under the fixed Step 1(d)
 // rule they were one bucket of four and Algorithm 2 moved them one block
 // per operation, 88 operations; cut by load they are four buckets of 6,

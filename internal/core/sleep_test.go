@@ -169,7 +169,7 @@ func TestSleepBitwiseTable1(t *testing.T) {
 						t.Errorf("P=%d run %d: %d batches skipped", p, i, m.pairs)
 					}
 					em := res.EM
-					em.Overlap, em.StoreBackend = disk.OverlapStats{}, ""
+					em.Overlap = disk.OverlapStats{}
 					ems = append(ems, em)
 				}
 				if !reflect.DeepEqual(ems[1], ems[2]) {

@@ -14,7 +14,7 @@ import (
 // storeStack is one processor's store chain, built in one place
 // (openStack) for every engine, outermost link first: the fault layer
 // when the run has a fault plan; the redundancy layer when Redundancy is
-// mirror or parity; any tiers; then the in-memory array, or the durable file or
+// mirror or parity; then the in-memory array, or the durable file or
 // mapped store. The engines address the one value for I/O, state,
 // durability and the raw track hooks alike, and find a layer's own
 // surface by walking it (disk.Find) — per superstep, barrier or batch,
@@ -77,11 +77,9 @@ func (s storeStack) durable() bool {
 	return disk.Find[*disk.Array](s.chain) == nil
 }
 
-// prefetcher returns the group pipeline's prefetch target: the
-// outermost link that can prefetch — the outermost tier (which is how a
-// mapped store, synchronous on its own, gains a pipeline), else the
-// file store — or nil when nothing in the chain prefetches. A link with
-// no latency below it to hide ignores the hint.
+// prefetcher returns the group pipeline's prefetch target: the file
+// store, or nil when nothing in the chain prefetches. A store with no
+// latency to hide ignores the hint.
 func (s storeStack) prefetcher() disk.Prefetcher {
 	return disk.Find[disk.Prefetcher](s.chain)
 }
@@ -178,9 +176,7 @@ func (s storeStack) decodeState(st disk.StoreState, dec *words.Decoder, replay b
 // report folds the chain's layer counters into a run's EMStats and
 // metrics registry; called once per processor (every field it touches
 // accumulates, so the multiprocessor fold is the same call repeated).
-// askedMapped is Options.MappedStore, which names a file store opened
-// in the mapped store's place.
-func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
+func (s storeStack) report(em *EMStats, reg *obs.Registry) {
 	if fd := disk.Find[*fault.Disk](s.chain); fd != nil {
 		c := fd.Counters()
 		em.FaultsInjected += c.Injected()
@@ -209,19 +205,10 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry, askedMapped bool) {
 	ov := s.chain.Overlap()
 	em.Overlap.Add(ov)
 	ov.Publish(reg)
-	em.StoreBackend = backendFile
 	if m := disk.Find[*disk.Mapped](s.chain); m != nil {
-		em.StoreBackend = backendMapped
 		// Mapped pages are deliberately outside the engine's
 		// internal-memory budget M — they are kernel page cache, the EM
 		// model's "disk" — so their high-water mark is a gauge of its own.
 		reg.Counter("store_mapped_high_words").Max(m.MappedHigh())
-	} else if askedMapped {
-		em.StoreBackend = backendMappedFallback
 	}
-	var tiers []disk.TierStats
-	for t := disk.Find[*disk.Tier](s.chain); t != nil; t = disk.Find[*disk.Tier](t.Inner()) {
-		tiers = append(tiers, t.TierStats())
-	}
-	em.Tiers = addTierStats(em.Tiers, tiers)
 }

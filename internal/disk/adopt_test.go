@@ -216,3 +216,79 @@ func FuzzAdoptState(f *testing.F) {
 		}
 	})
 }
+
+// TestAdoptStateLeavesTheStageIdle: adopting a state while the staging
+// cache is busy — fills staged or queued and writes queued behind the
+// workers — leaves nothing queued or staged and the whole budget free.
+// The adopted metadata describes a store with nothing in flight, and a
+// staged copy of a track the state rolls back must never be served
+// (File.AdoptState drains the queues and drops the cache; a tier drops
+// its own cache and has the store below do the same).
+func TestAdoptStateLeavesTheStageIdle(t *testing.T) {
+	const D, B, lat = 4, 8, 20 * time.Millisecond
+	open := func(t *testing.T) *File {
+		f, err := OpenFileOpts(t.TempDir(), Config{D: D, B: B}, false, FileOptions{AccessLatency: lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// busy writes a stripe and takes the mark, stages that stripe back
+	// through s (stage), queues a second stripe's writes and adopts the
+	// mark while they are in flight.
+	busy := func(t *testing.T, s Store, stage func([]Addr)) {
+		t.Helper()
+		addrs, w, _ := stripe(s, 1, 0, 1, 2, 3)
+		if err := s.WriteOp(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		mark := s.State()
+		stage(addrs)
+		_, next, _ := stripe(s, 2, 0, 1, 2, 3)
+		if err := s.WriteOp(next); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AdoptState(mark); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := func(t *testing.T, label string, s *stage) {
+		t.Helper()
+		queued := 0
+		for _, q := range s.queues {
+			q.mu.Lock()
+			queued += q.n
+			q.mu.Unlock()
+		}
+		s.mu.Lock()
+		staged := len(s.cache)
+		s.mu.Unlock()
+		if queued != 0 || staged != 0 || s.acct.Used() != 0 {
+			t.Errorf("%s after AdoptState: %d transfers queued, %d entries staged, %d budget words held, want none", label, queued, staged, s.acct.Used())
+		}
+	}
+
+	t.Run("file", func(t *testing.T) {
+		f := open(t)
+		defer f.Close()
+		// The fills queue on every drive, the writes behind them.
+		busy(t, f, f.Prefetch)
+		idle(t, "file", f.st)
+	})
+	t.Run("tier-over-file", func(t *testing.T) {
+		f := open(t)
+		tier := NewTier(f, TierOptions{})
+		defer tier.Close()
+		// The fills land in the tier; the writes pass through and queue
+		// behind the file store's workers.
+		busy(t, tier, func(addrs []Addr) {
+			tier.Prefetch(addrs)
+			waitStaged(t, tier, D)
+		})
+		idle(t, "tier", tier.st)
+		idle(t, "file below the tier", f.st)
+	})
+}

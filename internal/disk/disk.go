@@ -248,7 +248,7 @@ type Store interface {
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
 	// ResetStats zeroes the model statistics. Wall-clock observability
-	// counters (OverlapStats, TierStats) stay untouched: they are outside
+	// counters (OverlapStats) stay untouched: they are outside
 	// the model contract and mid-run model resets must not discard them.
 	ResetStats()
 	// State captures the store's complete persistent metadata: I/O
@@ -298,8 +298,8 @@ var (
 // returns the outermost link that is a T, or T's zero value (nil for
 // the pointer and interface types links are looked up by) when there is
 // none: how a caller holding only the chain reaches a capability
-// (Prefetcher) or one layer's own state (*Tier, *Mapped, the parity and
-// fault layers).
+// (Prefetcher) or one layer's own state (*Mapped, the parity and fault
+// layers).
 func Find[T any](s Store) (found T) {
 	for s != nil {
 		if t, ok := s.(T); ok {

@@ -84,9 +84,8 @@ func (p *blockPool) put(b []uint64) {
 // the current group computes, and a read consumes each staged block
 // once. The owner keeps what differs: how a miss is served (File queues
 // a private fill on the drive's worker, Tier makes one batched read
-// below), the write-behind entries (File only), the tier's own hit
-// latency, and the words one entry is charged (B+2 for File's slots, B
-// for Tier's blocks).
+// below), the write-behind entries (File only), and the words one entry
+// is charged (B+2 for File's slots, B for Tier's blocks).
 //
 // Every field but the queues is guarded by the owner's lock, mu, which
 // also orders the owner's model accounting: an operation charges the

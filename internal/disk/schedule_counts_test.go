@@ -1,11 +1,11 @@
 package disk
 
-// The physical schedule's guarantees as counts (ROADMAP 1(d), next to
+// The physical schedule's guarantees as counts (DESIGN.md §16.3, next to
 // core's TestBarrierSequenceAndCounts). Each used to be held by a
 // wall-clock ratio of whole runs, which measures the host; a count
-// measures the code. Only Overlap() (a chain's, or a tier's own),
-// TierStats() and the tracer's span counts are read — no counter
-// exists for these tests alone.
+// measures the code. Only Overlap() (a chain's, or a tier's own) and the
+// tracer's span counts are read — no counter exists for these tests
+// alone.
 
 import (
 	"slices"
@@ -133,8 +133,8 @@ func TestZeroLatencyStaysInline(t *testing.T) {
 func TestTierWithoutFillWorkersStagesNothing(t *testing.T) {
 	tier := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{})
 	mixedOps(t, tier)
-	if ts, ov := tier.TierStats(), tier.Overlap(); ts.Fills != 0 || ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
-		t.Errorf("tier staged %d tracks, chain issued %d fills and %d async writes, want 0, 0 and 0", ts.Fills, ov.PrefetchIssued, ov.AsyncWrites)
+	if own, ov := tier.st.overlap(), tier.Overlap(); own.PrefetchIssued != 0 || ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
+		t.Errorf("tier staged %d tracks, chain issued %d fills and %d async writes, want 0, 0 and 0", own.PrefetchIssued, ov.PrefetchIssued, ov.AsyncWrites)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"embsp/internal/obs"
 )
 
 // TierOptions configures one cache tier above a Store.
@@ -14,41 +12,6 @@ type TierOptions struct {
 	// words; one track costs B). 0 picks a small default of 4·D
 	// tracks; negative means unbounded.
 	CacheWords int64
-	// AccessLatency emulates the access time of the tier's own medium:
-	// every block served from the tier cache sleeps this long, the way
-	// a scratchpad or NVMe device one level above the backend would.
-	// Zero (the default) emulates nothing. A tier stacked on this one
-	// counts it as latency below (see NewTier).
-	AccessLatency time.Duration
-	// Tracer, when non-nil, records every fill as an "io"-category
-	// "tier-fill" span labelled with TracePID and 1+drive.
-	Tracer *obs.Tracer
-	// TracePID labels the tier's spans with the owning processor id.
-	TracePID int
-	// Level labels the tier's statistics (0 = outermost).
-	Level int
-}
-
-// TierStats is the wall-clock observability of one tier: cache traffic
-// and capacity. Like OverlapStats these are outside the model
-// contract — bitwise identity between tiered and flat runs is over
-// everything except these counters.
-type TierStats struct {
-	// Level is the tier's position in the chain (0 = outermost).
-	Level int `json:"level"`
-	// CapWords is the configured cache capacity (0 = unbounded).
-	CapWords int64 `json:"cap_words"`
-	// Hits counts logical block reads served from the tier cache
-	// (including reads that waited on an in-flight fill); Misses those
-	// forwarded to the backend.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Fills counts blocks staged into the tier by Prefetch.
-	Fills int64 `json:"fills"`
-	// Drains counts blocks written through to the backend.
-	Drains int64 `json:"drains"`
-	// HighWords is the cache budget's high-water mark.
-	HighWords int64 `json:"high_words"`
 }
 
 // inner is the Store a chain link is stacked on, embedded under this
@@ -57,24 +20,25 @@ type TierStats struct {
 type inner = Store
 
 // Tier is a bounded intermediate store tier above any Store: a
-// track-granular, mem.Accountant-charged staging cache that streams
-// group-sized working sets between the engine and a slower backend.
-// It is the generalized memory hierarchy of ROADMAP item 5 (scratch →
-// M → D disks, in the bulk-synchronous pseudo-streaming sense of
-// Buurlage et al.): Prefetch stages the next group's blocks into the
-// tier while the current group computes, reads consume staged blocks
-// at tier speed, and writes pass through to the backend, whose own
-// write-behind machinery drains them while the next group fills. The
-// cache is the disk layer's one staging cache (stage, pool.go), the
-// one File runs under latency; a tier's miss is one batched read of
-// the backend, and a fill is a backend read on its drive's worker.
+// track-granular, mem.Accountant-charged staging cache in Buurlage et
+// al.'s bulk-synchronous pseudo-streaming sense. Prefetch stages the
+// next group's blocks into the tier while the current group computes,
+// reads consume staged blocks, and writes pass through to the backend.
+// The cache is the disk layer's one staging cache (stage, pool.go), the
+// one File runs under latency; a tier's miss is one batched read of the
+// backend, and a fill is a backend read on its drive's worker.
 //
-// The fill workers run exactly when the chain below has emulated
-// latency to hide — the file or mapped store's AccessLatency plus the
-// AccessLatency of every tier below. At page-cache speed a staging
-// copy costs more than the read it saves: Prefetch then forwards to
-// the backend's own prefetcher (if any), and the tier is a pure
-// accounting shim.
+// No engine stacks a tier (DESIGN.md §17): no benchmark workload
+// opened one, and over a real device, with no emulated latency, its fill
+// workers never start. The type remains for the frozen benchmark module
+// alone, whose disk.tier.* layer drive stacks one on a file store; it
+// goes with ROADMAP item 1(d).
+//
+// The fill workers run exactly when the store below has emulated
+// latency to hide — the file or mapped store's AccessLatency. At
+// page-cache speed a staging copy costs more than the read it saves:
+// Prefetch then forwards to the backend's own prefetcher (if any), and
+// the tier is a pure accounting shim.
 //
 // The tier owns the model: all Stats — parallel I/O operation counts
 // and the per-drive sequential/random access chains — are applied by
@@ -107,16 +71,10 @@ type Tier struct {
 	inner
 	below Prefetcher // the next prefetcher down the chain, nil when none
 	cfg   Config
-	lat   time.Duration // the tier's own hit latency
-	under time.Duration // the emulated latency of the chain below
-	tr    *obs.Tracer
-	tpid  int
-	level int
 
-	mu     sync.Mutex // guards acc, drains and st
-	acc    account    // the accounting half of the model; the allocator is the backend's
-	st     *stage
-	drains int64
+	mu  sync.Mutex // guards acc and st
+	acc account    // the accounting half of the model; the allocator is the backend's
+	st  *stage
 }
 
 // NewTier wraps a backend with one cache tier. The backend must be
@@ -128,38 +86,18 @@ func NewTier(be Store, opt TierOptions) *Tier {
 		inner: be,
 		below: Find[Prefetcher](be),
 		cfg:   cfg,
-		lat:   opt.AccessLatency,
-		tr:    opt.Tracer,
-		tpid:  opt.TracePID,
-		level: opt.Level,
 		acc:   newAccount(cfg.D),
 	}
-	if l := Find[interface{ latency() time.Duration }](be); l != nil {
-		t.under = l.latency()
-	}
 	t.st = newStage(&t.mu, cfg.D, int64(cfg.B), opt.CacheWords)
-	if t.under > 0 {
+	if l := Find[interface{ latency() time.Duration }](be); l != nil && l.latency() > 0 {
 		t.st.move = t.fill
 		t.st.start(cfg, 0)
 	}
 	return t
 }
 
-// latency is the emulated latency of the chain from this tier down:
-// its own hit latency and everything below it.
-func (t *Tier) latency() time.Duration { return t.lat + t.under }
-
 // Inner returns the store the tier is stacked on.
 func (t *Tier) Inner() Store { return t.inner }
-
-// delayHits emulates the tier medium's access time for n blocks
-// served from the cache, sequentially as a single device would pay
-// them. Called without t.mu held.
-func (t *Tier) delayHits(n int) {
-	if t.lat > 0 && n > 0 {
-		time.Sleep(t.lat * time.Duration(n))
-	}
-}
 
 // ReadOp performs one parallel read with the shared model's
 // validation and accounting, applied by the tier itself in request
@@ -202,12 +140,10 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 	var waits []pending
 	var misses []ReadReq
 	var missIdx []int
-	hits := 0
 	for i, r := range reqs {
 		prev[i] = t.acc.chargeRead(r.Disk, r.Track)
 		var hit bool
 		if waits, hit = t.st.hit(i, r, waits); hit {
-			hits++
 			continue
 		}
 		misses = append(misses, r)
@@ -215,17 +151,14 @@ func (t *Tier) ReadOp(reqs []ReadReq) error {
 	}
 	t.mu.Unlock()
 
-	// Phase 2, no lock: pay the tier's emulated access time for the
-	// blocks it served, forward the misses to the backend in one
+	// Phase 2, no lock: forward the misses to the backend in one
 	// parallel op (their Dst buffers are the caller's — no staging
 	// copy), and wait out in-flight fills.
-	t.delayHits(hits - len(waits))
 	failIdx, failErr := len(reqs), error(nil)
 	if at, err := t.forward(misses); err != nil {
 		failIdx, failErr = missIdx[at], err
 	}
 	stall := wait(waits)
-	t.delayHits(len(waits))
 
 	// Phase 3, under the lock again: deliver waited fills and either
 	// commit the op counters or roll back from the first failure.
@@ -273,7 +206,6 @@ func (t *Tier) WriteOp(reqs []WriteReq) error {
 		t.st.drop(Addr{Disk: r.Disk, Track: r.Track})
 	}
 	t.acc.chargeWriteOp(len(reqs))
-	t.drains += int64(len(reqs))
 	t.mu.Unlock()
 	if err := t.inner.WriteOp(reqs); err != nil {
 		t.mu.Lock()
@@ -318,7 +250,7 @@ func (t *Tier) Stats() Stats {
 
 // ResetStats zeroes the tier's model statistics and forwards to the
 // backend so its physical by-product counters stay aligned with the
-// measured window. Overlap and tier counters are untouched.
+// measured window. Overlap counters are untouched.
 func (t *Tier) ResetStats() {
 	t.mu.Lock()
 	t.acc.reset()
@@ -395,22 +327,6 @@ func (t *Tier) Overlap() OverlapStats {
 	return o
 }
 
-// TierStats returns the tier's cache-traffic counters: its own
-// overlap counters under the tier's names, its drains and its budget.
-func (t *Tier) TierStats() TierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return TierStats{
-		Level:     t.level,
-		CapWords:  t.st.acct.Limit(),
-		Hits:      t.st.ov.PrefetchHits,
-		Misses:    t.st.ov.PrefetchMisses,
-		Fills:     t.st.ov.PrefetchIssued,
-		Drains:    t.drains,
-		HighWords: t.st.acct.High(),
-	}
-}
-
 // ImportTrack invalidates any staged copy and forwards to the
 // backend.
 func (t *Tier) ImportTrack(d, tr int, payload []uint64) error {
@@ -439,6 +355,5 @@ func (t *Tier) Prefetch(addrs []Addr) {
 // backend is safe for concurrent use, and fill traffic carries no
 // model accounting the tier cares about).
 func (t *Tier) fill(_ []byte, a Addr, _ bool, data []uint64) error {
-	defer t.tr.Begin(obs.CatIO, "tier-fill", t.tpid, 1+a.Disk).End()
 	return t.inner.ReadOp([]ReadReq{{Disk: a.Disk, Track: a.Track, Dst: data}})
 }

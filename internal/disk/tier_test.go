@@ -137,9 +137,9 @@ func TestTierPrefetchHitAndConsume(t *testing.T) {
 			}
 		}
 	}
-	ts := tr.TierStats()
-	if ts.Fills != 1 || ts.Hits != 1 || ts.Misses != 1 {
-		t.Fatalf("tier stats = %+v, want 1 fill, 1 hit (first read), 1 miss (second read)", ts)
+	ov := tr.st.overlap()
+	if ov.PrefetchIssued != 1 || ov.PrefetchHits != 1 || ov.PrefetchMisses != 1 {
+		t.Fatalf("tier overlap = %+v, want 1 fill, 1 hit (first read), 1 miss (second read)", ov)
 	}
 	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("consumed entry still holds %d budget words", got)
@@ -160,8 +160,8 @@ func TestTierBudgetBoundsFills(t *testing.T) {
 		addrs = append(addrs, Addr{Disk: i % d, Track: 10 + i/d})
 	}
 	tr.Prefetch(addrs)
-	if ts := tr.TierStats(); ts.Fills != 1 {
-		t.Fatalf("admitted %d fills into a one-track budget, want 1", ts.Fills)
+	if n := tr.st.overlap().PrefetchIssued; n != 1 {
+		t.Fatalf("admitted %d fills into a one-track budget, want 1", n)
 	}
 	if high := tr.st.acct.High(); high != b {
 		t.Fatalf("budget high water = %d words, want %d", high, b)
@@ -235,12 +235,12 @@ func TestTierAllocRestoreDropsCache(t *testing.T) {
 }
 
 // TestTierStacked: a two-tier chain is itself a Backend; ops account
-// identically to flat, and the chain walk finds both levels outermost
+// identically to flat, and the chain walk finds both tiers outermost
 // first.
 func TestTierStacked(t *testing.T) {
 	const d, b = 2, 4
-	inner := NewTier(newTest(t, d, b), TierOptions{Level: 1})
-	outer := NewTier(inner, TierOptions{Level: 0})
+	inner := NewTier(newTest(t, d, b), TierOptions{})
+	outer := NewTier(inner, TierOptions{})
 	defer outer.Close()
 
 	flat := newTest(t, d, b)
@@ -255,12 +255,12 @@ func TestTierStacked(t *testing.T) {
 	if fs.Ops != cs.Ops || fs.BlocksRead != cs.BlocksRead || fs.BlocksWritten != cs.BlocksWritten {
 		t.Fatalf("op stats differ:\nflat:  %+v\nchain: %+v", fs, cs)
 	}
-	var tiers []TierStats
-	for tr := outer; tr != nil; tr = Find[*Tier](tr.Inner()) {
-		tiers = append(tiers, tr.TierStats())
+	var tiers []*Tier
+	for tr := Find[*Tier](outer); tr != nil; tr = Find[*Tier](tr.Inner()) {
+		tiers = append(tiers, tr)
 	}
-	if len(tiers) != 2 || tiers[0].Level != 0 || tiers[1].Level != 1 {
-		t.Fatalf("the chain's tiers = %+v, want levels [0 1]", tiers)
+	if len(tiers) != 2 || tiers[0] != outer || tiers[1] != inner {
+		t.Fatalf("the chain walk finds %d tiers, want the outer and the inner one", len(tiers))
 	}
 }
 
@@ -325,26 +325,5 @@ func TestTierCloseFailsQueuedFills(t *testing.T) {
 	}
 	if got := tr.st.acct.Used(); got != 0 {
 		t.Fatalf("closed tier still holds %d budget words", got)
-	}
-}
-
-// TestTierLatencyServesHitsSlower: a tier with emulated access latency
-// delays staged hits by roughly lat per block — the emulation knob the
-// bench rows use.
-func TestTierLatencyServesHitsSlower(t *testing.T) {
-	const d, b, lat = 1, 4, 5 * time.Millisecond
-	tr := newTierTest(t, d, b, TierOptions{AccessLatency: lat})
-	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 0, Src: make([]uint64, b)}}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Prefetch([]Addr{{Disk: 0, Track: 0}})
-	waitStaged(t, tr, 1)
-	dst := make([]uint64, b)
-	t0 := time.Now()
-	if err := tr.ReadOp([]ReadReq{{Disk: 0, Track: 0, Dst: dst}}); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(t0); el < lat {
-		t.Fatalf("staged hit served in %v, want >= %v of emulated latency", el, lat)
 	}
 }

@@ -398,7 +398,9 @@ func (r Request) charge() (int64, error) {
 // footprint (D·tracks·trackBytes). The disk estimate covers the blocks
 // a run keeps live — double-buffered contexts plus in- and outbound
 // message areas, 2·v·(⌈µ/B⌉+⌈γ/B⌉) blocks striped over D drives at
-// B+2 words (payload, address tag, checksum) per track slot.
+// B+2 words (payload, address tag, checksum) per track slot. A request
+// its run would refuse is refused here: the machine and the run options
+// are validated against each other as embsp.Run validates them.
 func (r Request) charges() (memWords, diskBytes int64, err error) {
 	inst, err := r.Workload.Build()
 	if err != nil {
@@ -407,6 +409,13 @@ func (r Request) charges() (memWords, diskBytes int64, err error) {
 	prog := inst.Program
 	cfg := r.machineFor(prog)
 	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	opts, err := r.options("", false)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := opts.Validate(cfg); err != nil {
 		return 0, 0, err
 	}
 	muBlocks := (prog.MaxContextWords() + cfg.B - 1) / cfg.B
@@ -552,9 +561,6 @@ func (s *Supervisor) Submit(req Request) (Job, error) {
 	}
 	c, dc, err := req.charges()
 	if err != nil {
-		return Job{}, err
-	}
-	if _, err := req.options("x", false); err != nil {
 		return Job{}, err
 	}
 	now := time.Now()

@@ -205,6 +205,47 @@ func TestSubmitRefusesChaos(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesWhatItsRunRefuses: a request whose run options the
+// run would refuse against its machine — parity on one drive, a negative
+// drive latency — is refused at admission, through Submit and as HTTP
+// 400 through POST /jobs, and neither queues a job nor charges the
+// tenant's quota.
+func TestSubmitRefusesWhatItsRunRefuses(t *testing.T) {
+	s := startSupervisor(t, Config{Metrics: obs.NewRegistry()})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	spec := workload.Spec{Alg: "sort", N: 48, V: 4, Seed: 1}
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Workload: spec, Disks: 1, Redundancy: "parity"}, "requires D >= 2"},
+		{Request{Workload: spec, DriveLatencyUS: -5}, "want >= 0"},
+	} {
+		if _, err := s.Submit(c.req); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Submit returned %v, want the run's refusal (%q)", c.req, err, c.want)
+		}
+		body, _ := json.Marshal(c.req)
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: POST /jobs status = %d, want 400", c.req, resp.StatusCode)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("the refused submissions admitted %d jobs, want 0", len(jobs))
+	}
+	s.mu.Lock()
+	used := s.tenant("").Used() + s.tenantDisk("").Used()
+	s.mu.Unlock()
+	if used != 0 {
+		t.Errorf("the refused submissions hold %d of the tenant's quota, want 0", used)
+	}
+}
+
 // TestClampRetryAfter pins the hint's guard rails: no history falls
 // back to the old fixed second, and derived values are clamped to
 // [100ms, 2m] so a degenerate histogram can neither tell clients to

@@ -409,8 +409,6 @@ func Fingerprint(res *embsp.Result) uint64 {
 	}
 	em := res.EM
 	em.Overlap = embsp.OverlapStats{}
-	em.StoreBackend = ""
-	em.Tiers = nil
 	fmt.Fprintf(h, "%+v%+v", res.Costs, em)
 	return h.Sum64()
 }

@@ -28,8 +28,7 @@ import (
 const batteryLatency = 20 * time.Microsecond
 
 // mustAgree asserts the two results are bitwise identical in every
-// model-visible field; only the wall-clock Overlap counters, the
-// opened-backend name, and the tier cache counters may differ.
+// model-visible field; only the wall-clock Overlap counters may differ.
 func mustAgree(t *testing.T, label string, serial, piped *embsp.Result) {
 	t.Helper()
 	for i := range serial.VPs {
@@ -42,8 +41,6 @@ func mustAgree(t *testing.T, label string, serial, piped *embsp.Result) {
 	}
 	es, ep := serial.EM, piped.EM
 	es.Overlap, ep.Overlap = embsp.OverlapStats{}, embsp.OverlapStats{}
-	es.StoreBackend, ep.StoreBackend = "", ""
-	es.Tiers, ep.Tiers = nil, nil
 	if !reflect.DeepEqual(es, ep) {
 		t.Fatalf("%s: EM statistics differ:\nserial:    %+v\npipelined: %+v", label, es, ep)
 	}
@@ -86,9 +83,8 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 				// format and its exact accounting (blank tracks by metadata
 				// included), so the mapped run must match the
 				// serial file run in the FULL EM statistics, not just
-				// outputs and costs. On its own the mapped store has one
-				// schedule (no physical queue to stage into); under a
-				// tier it gains the pipelined one, below.
+				// outputs and costs. The mapped store has one schedule
+				// (no physical queue to stage into).
 				mapped, err := embsp.Run(prog, cfg, embsp.Options{
 					Seed: 0xBA77E7, StateDir: t.TempDir(), MappedStore: true,
 				})
@@ -96,35 +92,6 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d mapped: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d mapped", procs), serial, mapped)
-				// Tiered store chains: a bounded staging tier above the
-				// file store and above the mapped store. Tier contents
-				// are cache, never durable state, so every tiered run
-				// must be bitwise identical to the flat serial run in
-				// the FULL EM statistics — on the serial schedule (the
-				// tier is a pure accounting shim) and the pipelined one
-				// (prefetch staging routes through the tier).
-				tiers := []embsp.TierSpec{{}}
-				tSerial, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers,
-				})
-				if err != nil {
-					t.Fatalf("P=%d tiered serial: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d tiered", procs), serial, tSerial)
-				tPiped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), Tiers: tiers, DriveLatency: batteryLatency,
-				})
-				if err != nil {
-					t.Fatalf("P=%d tiered pipelined: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d tiered+pipeline", procs), serial, tPiped)
-				tMapped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), MappedStore: true, Tiers: tiers,
-				})
-				if err != nil {
-					t.Fatalf("P=%d tiered mapped: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d tiered mapped", procs), serial, tMapped)
 				// Across backends the contract covers outputs and model
 				// costs; the track layout legitimately differs between an
 				// in-place Array run and a checkpointed File run (which
@@ -173,15 +140,6 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d faulty mapped: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d faults+parity mapped", procs), fSerial, fMapped)
-				// And tiered under the same faulty schedule: the fault
-				// layer sits above the tier, so injected faults must
-				// replay identically over a tiered chain.
-				fOpts.StateDir, fOpts.MappedStore, fOpts.Tiers = t.TempDir(), false, tiers
-				fTiered, err := embsp.Run(prog, cfg, fOpts)
-				if err != nil {
-					t.Fatalf("P=%d faulty tiered: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d faults+parity tiered", procs), fSerial, fTiered)
 			}
 		})
 	}

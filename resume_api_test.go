@@ -27,7 +27,6 @@ const (
 	helperEnv = "EMBSP_CRASH_HELPER_DIR"
 	killEnv   = "EMBSP_CRASH_KILL_STEP"
 	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
-	tiersEnv  = "EMBSP_CRASH_TIERS" // "1" stacks a staging tier
 	procsEnv  = "EMBSP_CRASH_PROCS" // the helper's P, when not crashMachine's 1
 	// latencyEnv, set to a duration, runs the helper under that emulated
 	// drive latency: the pipelined schedule, with I/O workers, prefetch
@@ -116,9 +115,6 @@ func TestCrashHelperProcess(t *testing.T) {
 	if os.Getenv(storeEnv) == "mapped" {
 		opts.MappedStore = true
 	}
-	if os.Getenv(tiersEnv) == "1" {
-		opts.Tiers = []embsp.TierSpec{{}}
-	}
 	if lat := os.Getenv(latencyEnv); lat != "" {
 		if opts.DriveLatency, err = time.ParseDuration(lat); err != nil {
 			t.Fatal(err)
@@ -182,7 +178,6 @@ func TestKillAndResumeSort(t *testing.T) {
 	// Overlap is wall-clock observability and outside the
 	// bitwise-identity contract; equalize it before comparing.
 	res.EM.Overlap = clean.EM.Overlap
-	res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
 	if !reflect.DeepEqual(clean.EM, res.EM) {
 		t.Errorf("EM statistics differ:\nclean:   %+v\nresumed: %+v", clean.EM, res.EM)
 	}
@@ -226,7 +221,6 @@ func TestKillMidPipelineAndResumeSerial(t *testing.T) {
 		t.Errorf("model costs differ:\nclean:   %+v\nresumed: %+v", clean.Costs, res.Costs)
 	}
 	res.EM.Overlap = clean.EM.Overlap
-	res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
 	if !reflect.DeepEqual(clean.EM, res.EM) {
 		t.Errorf("EM statistics differ:\nclean:   %+v\nresumed: %+v", clean.EM, res.EM)
 	}
@@ -246,8 +240,7 @@ func killHelper(t *testing.T, env ...string) {
 }
 
 // sameAsClean holds a resumed run to the uninterrupted one: same sorted
-// output, same model costs, same EM statistics (Overlap, the backend
-// name and the tier counters are wall-clock or configuration
+// output, same model costs, same EM statistics (Overlap is wall-clock
 // observability outside the bitwise-identity contract, and equalized).
 func sameAsClean(t *testing.T, label string, p *embsp.SortProgram, clean, res *embsp.Result) {
 	t.Helper()
@@ -258,7 +251,6 @@ func sameAsClean(t *testing.T, label string, p *embsp.SortProgram, clean, res *e
 		t.Errorf("%s: model costs differ:\nclean:   %+v\nresumed: %+v", label, clean.Costs, res.Costs)
 	}
 	res.EM.Overlap = clean.EM.Overlap
-	res.EM.StoreBackend, res.EM.Tiers = clean.EM.StoreBackend, clean.EM.Tiers
 	if !reflect.DeepEqual(clean.EM, res.EM) {
 		t.Errorf("%s: EM statistics differ:\nclean:   %+v\nresumed: %+v", label, clean.EM, res.EM)
 	}
@@ -343,47 +335,4 @@ func TestKillAndResumeScatteredInput(t *testing.T) {
 			sameAsClean(t, label, p, clean, res)
 		}
 	}
-}
-
-// TestKillAndResumeTiered crosses a STORE TIER over the crash
-// boundary: SIGKILL a pipelined run with a staging tier above a
-// latency-emulating file store — dying with tier fill workers live and
-// staged blocks in the tier cache — then resume it flat, serial, at
-// zero latency. Tier contents are cache, never durable state, so the
-// resumed run must be bitwise identical to an uninterrupted flat run;
-// then the reverse direction, resuming a flat crash with the tier
-// stacked.
-func TestKillAndResumeTiered(t *testing.T) {
-	p := crashSort(t)
-	cfg := crashMachine()
-	clean, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(label string, res *embsp.Result) {
-		t.Helper()
-		sameAsClean(t, label, p, clean, res)
-	}
-
-	// Die tiered mid-pipeline, resume flat and fully synchronous.
-	dir := filepath.Join(t.TempDir(), "state")
-	// The latency starts the tier's fill workers, live at the kill.
-	killHelper(t, helperEnv+"="+dir, killEnv+"=2", tiersEnv+"=1", latencyEnv+"=200us")
-	res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
-	if err != nil {
-		t.Fatalf("flat resume of a tiered crash: %v", err)
-	}
-	check("tiered->flat", res)
-
-	// Die flat, resume with the tier stacked and the pipeline on.
-	dir = filepath.Join(t.TempDir(), "state")
-	killHelper(t, helperEnv+"="+dir, killEnv+"=3")
-	res, err = embsp.Run(p, cfg, embsp.Options{
-		Seed: 7, StateDir: dir, Resume: true,
-		Tiers: []embsp.TierSpec{{}},
-	})
-	if err != nil {
-		t.Fatalf("tiered resume of a flat crash: %v", err)
-	}
-	check("flat->tiered", res)
 }
