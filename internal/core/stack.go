@@ -78,10 +78,10 @@ func (s storeStack) durable() bool {
 }
 
 // prefetcher returns the group pipeline's prefetch target: the file
-// store, or nil when nothing in the chain prefetches. A store with no
-// latency to hide ignores the hint.
-func (s storeStack) prefetcher() disk.Prefetcher {
-	return disk.Find[disk.Prefetcher](s.chain)
+// store, the one store that stages blocks, or nil when the chain ends
+// in another. A file store with no latency to hide ignores the hint.
+func (s storeStack) prefetcher() *disk.File {
+	return disk.Find[*disk.File](s.chain)
 }
 
 // seal closes the redundancy layer's open stripes (redundancy.Store.Seal);
@@ -202,7 +202,12 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry) {
 	if !s.durable() {
 		return
 	}
-	ov := s.chain.Overlap()
+	// The overlap counters are the file store's; a mapped chain
+	// publishes the set at zero.
+	var ov disk.OverlapStats
+	if f := disk.Find[*disk.File](s.chain); f != nil {
+		ov = f.Overlap()
+	}
 	em.Overlap.Add(ov)
 	ov.Publish(reg)
 	if m := disk.Find[*disk.Mapped](s.chain); m != nil {

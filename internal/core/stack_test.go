@@ -108,12 +108,9 @@ func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, f
 	if s.durable() != (base != "array") {
 		t.Errorf("durable() = %v over a %s base", s.durable(), base)
 	}
-	var wantPF disk.Prefetcher
-	if pf, ok := bottom.(disk.Prefetcher); ok {
-		wantPF = pf // *File; array and mapped have none
-	}
+	wantPF, _ := bottom.(*disk.File) // array and mapped take no hint
 	if pf := s.prefetcher(); pf != wantPF {
-		t.Errorf("prefetch target is %T, want %T", pf, wantPF)
+		t.Errorf("prefetch target is %p, want %p (the file store at the base, or nil)", pf, wantPF)
 	}
 	if f := disk.Find[*disk.File](s.chain); f != nil {
 		want := 0 // synchronous at zero latency

@@ -222,8 +222,8 @@ func FuzzAdoptState(f *testing.F) {
 // workers — leaves nothing queued or staged and the whole budget free.
 // The adopted metadata describes a store with nothing in flight, and a
 // staged copy of a track the state rolls back must never be served
-// (File.AdoptState drains the queues and drops the cache; a tier drops
-// its own cache and has the store below do the same).
+// (File.AdoptState drains the queues and drops the cache; a tier's
+// AdoptState hands the state to the file store below it).
 func TestAdoptStateLeavesTheStageIdle(t *testing.T) {
 	const D, B, lat = 4, 8, 20 * time.Millisecond
 	open := func(t *testing.T) *File {
@@ -282,13 +282,9 @@ func TestAdoptStateLeavesTheStageIdle(t *testing.T) {
 		f := open(t)
 		tier := NewTier(f, TierOptions{})
 		defer tier.Close()
-		// The fills land in the tier; the writes pass through and queue
-		// behind the file store's workers.
-		busy(t, tier, func(addrs []Addr) {
-			tier.Prefetch(addrs)
-			waitStaged(t, tier, D)
-		})
-		idle(t, "tier", tier.st)
+		// The fills queue in the file store below the tier; the writes
+		// pass through the tier and queue behind them.
+		busy(t, tier, f.Prefetch)
 		idle(t, "file below the tier", f.st)
 	})
 }

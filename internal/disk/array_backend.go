@@ -1,8 +1,8 @@
 package disk
 
 // The in-memory Array's replication hooks operate directly on the
-// in-memory tracks. They exist so a Tier (and tests, and the cluster
-// runtime's replica machinery) can treat every store uniformly; neither
+// in-memory tracks. They exist so tests and the cluster runtime's
+// replica machinery can treat every store uniformly; neither
 // touches model accounting.
 
 // ExportTrack returns a copy of one track's payload without model

@@ -18,10 +18,11 @@
 // proved about in the paper's lemmas (numbers of parallel I/O
 // operations, per-drive block balance) are read directly off these
 // statistics. The stores differ only in where a track's words live:
-// in memory (Array), in pread/pwrite drive files (File), in mapped
-// drive files (Mapped), or staged above another store (Tier). All of
-// them, and the layers other packages stack on them, are one interface,
-// Store; a processor's stack of them is a chain that Find walks.
+// in memory (Array), in pread/pwrite drive files (File) or in mapped
+// drive files (Mapped); Tier is an accounting shim above any of them.
+// All of them, and the layers other packages stack on them, are one
+// interface, Store; a processor's stack of them is a chain that Find
+// walks.
 package disk
 
 import (
@@ -132,12 +133,12 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
-// OverlapStats reports how much physical I/O a store overlapped with
-// its caller's computation. These are wall-clock observability
-// counters, not model quantities: the model Stats of a run are bitwise
-// independent of them (the file-backed store reschedules only physical
-// byte movement, never accounting). The in-memory Array moves no
-// physical bytes and always reports zeros.
+// OverlapStats reports how much physical I/O the file store overlapped
+// with its caller's computation (File.Overlap). These are wall-clock
+// observability counters, not model quantities: the model Stats of a
+// run are bitwise independent of them (the file store reschedules only
+// physical byte movement, never accounting). The other stores move
+// their bytes inside the call and have none.
 type OverlapStats struct {
 	// PrefetchIssued counts blocks submitted for asynchronous
 	// prefetch; PrefetchHits counts logical block reads served from
@@ -197,14 +198,6 @@ func (g *inflight) begin() {
 
 func (g *inflight) end() { g.running.Add(-1) }
 
-// Prefetcher is the one optional capability of a chain link: pulling
-// blocks toward memory ahead of the logical read that will consume them
-// (*File with workers, *Tier). Purely physical: no model accounting
-// results.
-type Prefetcher interface {
-	Prefetch(addrs []Addr)
-}
-
 // Checksum is an FNV-1a-style fold over a block's words; any single
 // bit flip changes it. It is the one checksum of the whole stack: the
 // fault layer uses it to detect in-flight corruption, the file-backed
@@ -225,12 +218,13 @@ func Checksum(ws []uint64) uint64 {
 // capture/adoption (the journal commit and resume, and through Rollback
 // the superstep replay); durability; and the raw track hooks
 // replication ships state through. *Array, *File and
-// *Mapped are the physical stores a chain ends in; *Tier, the
-// redundancy layer (internal/redundancy) and the fault layer
-// (internal/fault) are
-// links that embed the Store beneath them, override what they change
-// and expose it as Inner() Store — everything else reaches the base by
-// promotion. The standard-consecutive-format areas (Reserve, ReadRange,
+// *Mapped are the physical stores a chain ends in; the redundancy layer
+// (internal/redundancy), the fault layer (internal/fault) and the
+// accounting shim *Tier are links that embed the Store beneath them,
+// override what they change and expose it as Inner() Store — everything
+// else reaches the base by promotion. Prefetch hints and the overlap
+// counters are *File's own: the file store is the one store that stages
+// blocks. The standard-consecutive-format areas (Reserve, ReadRange,
 // WriteRange, FreeArea) are the in-memory Array's alone: the Figure 2
 // demo and the PDM baselines lay files out on one, and no engine does.
 type Store interface {
@@ -247,9 +241,10 @@ type Store interface {
 	Release(d, t int) error
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
-	// ResetStats zeroes the model statistics. Wall-clock observability
-	// counters (OverlapStats) stay untouched: they are outside
-	// the model contract and mid-run model resets must not discard them.
+	// ResetStats zeroes the model statistics. The file store's
+	// wall-clock overlap counters (File.Overlap) stay untouched: they
+	// are outside the model contract and mid-run model resets must not
+	// discard them.
 	ResetStats()
 	// State captures the store's complete persistent metadata: I/O
 	// statistics plus per-drive allocator state. Together with the
@@ -270,9 +265,6 @@ type Store interface {
 	// Close releases the store's resources. The store must not be used
 	// afterwards.
 	Close() error
-	// Overlap returns the store's wall-clock overlap counters. Pure
-	// observability: model statistics are independent of them.
-	Overlap() OverlapStats
 	// ExportTrack reads one track's committed payload raw — no model
 	// accounting, no emulated latency. nil payload means blank by
 	// metadata; a track listed as written whose slot does not decode is
@@ -296,10 +288,10 @@ var (
 
 // Find walks a store chain from s inward — each link's Inner() — and
 // returns the outermost link that is a T, or T's zero value (nil for
-// the pointer and interface types links are looked up by) when there is
-// none: how a caller holding only the chain reaches a capability
-// (Prefetcher) or one layer's own state (*Mapped, the parity and fault
-// layers).
+// the pointer types links are looked up by) when there is none: how a
+// caller holding only the chain reaches one store's or layer's own
+// surface (*File's prefetch hint and overlap counters, *Mapped, the
+// parity and fault layers).
 func Find[T any](s Store) (found T) {
 	for s != nil {
 		if t, ok := s.(T); ok {

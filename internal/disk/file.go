@@ -159,10 +159,9 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		wepoch:     make([]int64, cfg.D),
 	}
 	f.model.init(cfg, f)
-	f.st = newStage(&f.mu, cfg.D, int64(cfg.B+2), opt.CacheWords)
+	f.st = newStage(f, opt.CacheWords)
 	if opt.AccessLatency > 0 {
-		f.st.move, f.st.blank, f.st.landed = f.move, f.blank, f.markWritten
-		f.st.start(cfg, f.slotB)
+		f.st.start()
 	}
 	return f, nil
 }
@@ -244,10 +243,6 @@ func (df *driveFiles) access(name string, d int) obs.Span {
 	return sp
 }
 
-// latency is the emulated access time of one track transfer: a tier
-// stacked on the store starts its fill workers when it is non-zero.
-func (df *driveFiles) latency() time.Duration { return df.lat }
-
 // corrupt is the typed error for a slot that does not decode.
 func (df *driveFiles) corrupt(d, t int) error {
 	return &CorruptTrackError{Path: df.files[d].Name(), Disk: d, Track: t}
@@ -323,8 +318,12 @@ func (f *File) Workers() int { return len(f.st.queues) }
 
 // Overlap returns a copy of the accumulated physical-overlap counters.
 // They describe wall-clock behaviour only; model statistics are
-// independent of them.
+// independent of them, and ResetStats leaves them alone.
 func (f *File) Overlap() OverlapStats { return f.st.overlap() }
+
+// slotWords is what one staged slot is charged against the cache
+// budget: its B payload words and two header words.
+func (f *File) slotWords() int64 { return int64(f.cfg.B + 2) }
 
 // pread reads and decodes one slot raw — no span, no emulated latency
 // — through the given scratch buffer. A slot that does not decode (torn,
@@ -444,7 +443,7 @@ func (f *File) ReadOp(reqs []ReadReq) error {
 	stall := wait(waits)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	failIdx, failErr := f.st.deliver(reqs, waits, stall, len(reqs), nil)
+	failIdx, failErr := f.st.deliver(reqs, waits, stall)
 	return f.settleRead(reqs, prev, failIdx, failErr)
 }
 
@@ -471,7 +470,7 @@ func (f *File) WriteOp(reqs []WriteReq) error {
 		f.drives[r.Disk].unfresh(r.Track)
 		data := f.st.pool.get()
 		copy(data, r.Src)
-		e := &entry{data: data, write: true, words: f.st.words, ready: make(chan struct{})}
+		e := &entry{data: data, write: true, words: f.slotWords(), ready: make(chan struct{})}
 		if f.st.acct.Grab(e.words) != nil {
 			// Budget exhausted: the write still goes through the queue
 			// (ordering!), but this call stalls until its own transfers

@@ -31,8 +31,8 @@ import (
 // mapped capacity before the mapping is created.
 //
 // Mapped is fully synchronous (every transfer happens inside the
-// call, under one lock) and does not implement Prefetcher: there is
-// no physical queue to overlap, which is the point — on page-cache
+// call, under one lock) and has no staging cache or prefetch hint:
+// there is no physical queue to overlap, which is the point — on page-cache
 // fast storage the zero-copy path *is* the fast path, and the group
 // pipeline degrades gracefully to the serial schedule exactly as on
 // the in-memory Array. Model accounting is the shared core of

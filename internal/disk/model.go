@@ -14,8 +14,8 @@ import (
 // formats, and the exact accounting the lemmas are read off — lives in
 // this file. Array, File and Mapped embed a model by value, which
 // gives them its exported methods and its mutex, and supply only the
-// physical side (slotIO); Tier, which forwards the allocator to its
-// backend, holds just the account.
+// physical side (slotIO); Tier, the accounting shim that forwards the
+// allocator to its backend, holds just the account.
 
 // slotIO is the physical half of a store: move one track's payload.
 // Array implements it over in-memory slices, File over pread/pwrite,
@@ -200,10 +200,6 @@ func (m *model) init(cfg Config, phys slotIO) {
 
 // Config returns the store's drive configuration.
 func (m *model) Config() Config { return m.cfg }
-
-// Overlap reports zeros: a store that moves its bytes inside the call
-// (Array, Mapped) overlaps nothing. File has counters of its own.
-func (m *model) Overlap() OverlapStats { return OverlapStats{} }
 
 // Stats returns a copy of the accumulated I/O statistics.
 func (m *model) Stats() Stats {

@@ -77,38 +77,27 @@ func (p *blockPool) put(b []uint64) {
 	p.mu.Unlock()
 }
 
-// stage is the staging cache of the disk layer, written once for the
-// two stores that move blocks while a group computes: File under
-// emulated latency and Tier. It is Buurlage et al.'s pseudo-streaming:
-// Prefetch stages the next group's blocks on one worker per drive while
-// the current group computes, and a read consumes each staged block
-// once. The owner keeps what differs: how a miss is served (File queues
-// a private fill on the drive's worker, Tier makes one batched read
-// below), the write-behind entries (File only), and the words one entry
-// is charged (B+2 for File's slots, B for Tier's blocks).
+// stage is the file store's staging cache under emulated latency,
+// Buurlage et al.'s pseudo-streaming: one worker per drive moves the
+// store's bytes while the caller computes. Prefetch stages the next
+// group's blocks, a read consumes each staged block once, a miss is a
+// private fill on its drive's worker, and a write is a write-behind
+// entry that lands asynchronously. Every entry is one slot, charged B+2
+// words against the cache budget.
 //
-// Every field but the queues is guarded by the owner's lock, mu, which
-// also orders the owner's model accounting: an operation charges the
+// Every field but the queues is guarded by the store's lock, mu, which
+// also orders the store's model accounting: an operation charges the
 // model and touches the cache and the queues in one critical section,
 // so each drive's physical order is its accounting order. A stage
 // without workers (queues nil) stages nothing.
 type stage struct {
-	mu    *sync.Mutex // the owner's lock
-	words int64       // budget words one entry is charged
+	f     *File       // the store the cache stages for
+	mu    *sync.Mutex // the store's lock, &f.mu
 	cache map[Addr]*entry
 	acct  *mem.Accountant // the cache budget in words
 	pool  *blockPool      // recycled payload buffers
 	ov    OverlapStats
 	werr  error // first deferred write error, surfaced at Sync/Close
-
-	// The owner's side of a queued transfer: move runs without the
-	// lock, with the worker's scratch buffer, and fills data or writes
-	// it; blank (File) says a track reads zeros by metadata, so a hint
-	// for it stages nothing; landed (File) marks a drive its bytes just
-	// reached, under the lock.
-	move   func(buf []byte, a Addr, write bool, data []uint64) error
-	blank  func(d, t int) bool
-	landed func(d int)
 
 	queues []*ioQueue // one per drive; nil when no workers run
 	wg     sync.WaitGroup
@@ -118,7 +107,7 @@ type stage struct {
 // entry is one track in a staging cache: a staged (or in-flight) fill,
 // a private fill one ReadOp waits on, or a write-behind payload on its
 // way to the drive. data is immutable once done; all other fields are
-// guarded by the owner's lock. data buffers come from the stage's pool,
+// guarded by the store's lock. data buffers come from the stage's pool,
 // so an entry is only retired to the pool once it is done, unreachable
 // from the cache map and no reader holds a reference (refs counts
 // ReadOp waiters between their registration and their delivery copy).
@@ -178,25 +167,23 @@ func (q *ioQueue) pop() task {
 	return t
 }
 
-// newStage returns a staging cache without workers, which holds
-// nothing (a nil map and no pool), for a store of D drives guarded by
-// mu. budget bounds it in words: 0 picks 4·D entries, negative means
-// unbounded.
-func newStage(mu *sync.Mutex, D int, words, budget int64) *stage {
+// newStage returns f's staging cache without workers, which holds
+// nothing (a nil map and no pool). budget bounds it in words: 0 picks
+// 4·D entries, negative means unbounded.
+func newStage(f *File, budget int64) *stage {
 	if budget == 0 {
-		budget = int64(4*D) * words
+		budget = int64(4*f.cfg.D) * f.slotWords()
 	}
 	return &stage{
-		mu:    mu,
-		words: words,
-		acct:  mem.NewAccountant(max(budget, 0)), // mem: non-positive limit = unlimited
+		f:    f,
+		mu:   &f.mu,
+		acct: mem.NewAccountant(max(budget, 0)), // mem: non-positive limit = unlimited
 	}
 }
 
-// start runs one worker per drive of cfg, each with a scratch buffer
-// of the given size in bytes. The owner has set move (and blank and
-// landed where it has them).
-func (s *stage) start(cfg Config, scratch int64) {
+// start runs one worker per drive, each with a scratch slot.
+func (s *stage) start() {
+	cfg := s.f.cfg
 	s.cache = make(map[Addr]*entry)
 	s.pool = newBlockPool(cfg.B, 8*cfg.D)
 	s.queues = make([]*ioQueue, cfg.D)
@@ -205,7 +192,7 @@ func (s *stage) start(cfg Config, scratch int64) {
 		q := &ioQueue{}
 		q.cond = sync.NewCond(&q.mu)
 		s.queues[i] = q
-		go s.worker(q, make([]byte, scratch))
+		go s.worker(q, make([]byte, s.f.slotB))
 	}
 }
 
@@ -246,7 +233,7 @@ func (s *stage) run(t task, buf []byte) {
 	if !t.e.write {
 		data = s.pool.get()
 	}
-	err := s.move(buf, t.a, t.e.write, data)
+	err := s.f.move(buf, t.a, t.e.write, data)
 	s.mu.Lock()
 	s.complete(t.a, t.e, data, err)
 	s.mu.Unlock()
@@ -261,7 +248,7 @@ func (s *stage) complete(a Addr, e *entry, data []uint64, err error) {
 	e.data, e.err, e.done = data, err, true
 	close(e.ready)
 	if e.write {
-		s.landed(a.Disk)
+		s.f.markWritten(a.Disk)
 		if err != nil && s.werr == nil {
 			s.werr = fmt.Errorf("disk: deferred write of track %d on drive %d failed: %w", a.Track, a.Disk, err)
 		}
@@ -288,7 +275,7 @@ func (s *stage) drain() {
 }
 
 // stop ends the workers once their queues are empty (see worker).
-// Called without the lock; the owner must not be in use.
+// Called without the lock; the store must not be in use.
 func (s *stage) stop() {
 	for _, q := range s.queues {
 		q.mu.Lock()
@@ -359,13 +346,13 @@ func (s *stage) prefetch(addrs []Addr) {
 		if a.Disk < 0 || a.Disk >= len(s.queues) || a.Track < 0 {
 			continue
 		}
-		if _, ok := s.cache[a]; ok || s.blank != nil && s.blank(a.Disk, a.Track) {
+		if _, ok := s.cache[a]; ok || s.f.blank(a.Disk, a.Track) {
 			continue
 		}
-		if s.acct.Grab(s.words) != nil {
+		if s.acct.Grab(s.f.slotWords()) != nil {
 			break
 		}
-		e := &entry{words: s.words, ready: make(chan struct{})}
+		e := &entry{words: s.f.slotWords(), ready: make(chan struct{})}
 		s.cache[a] = e
 		s.enqueue(a, e)
 		s.ov.PrefetchIssued++
@@ -379,11 +366,11 @@ type pending struct {
 }
 
 // hit is a ReadOp's first phase for request i, under the lock, after
-// the owner charged it: a completed entry (a staged fill or a
+// the store charged it: a completed entry (a staged fill or a
 // write-behind payload) is copied now — a staged fill is consumed, for
 // a staged group streams through once — and an in-flight fill is
 // registered in waits. It reports whether the cache held the track; a
-// miss is counted, and the owner serves it.
+// miss is counted, and the store serves it.
 func (s *stage) hit(i int, r ReadReq, waits []pending) ([]pending, bool) {
 	a := Addr{Disk: r.Disk, Track: r.Track}
 	e, ok := s.cache[a]
@@ -422,12 +409,13 @@ func wait(waits []pending) (stall time.Duration) {
 }
 
 // deliver is a ReadOp's third phase, under the lock: copy each waited
-// entry into its request, lowering failIdx/failErr to the first
-// request whose entry failed, then release the reference taken in
-// phase 1, consume the entry, and retire it if nobody needs it — the
-// refcount is what keeps a pooled payload buffer alive between a
+// entry into its request and return the first request whose entry
+// failed (len(reqs), nil when none did), then release the reference
+// taken in phase 1, consume the entry, and retire it if nobody needs it
+// — the refcount is what keeps a pooled payload buffer alive between a
 // concurrent reader's registration and its copy.
-func (s *stage) deliver(reqs []ReadReq, waits []pending, stall time.Duration, failIdx int, failErr error) (int, error) {
+func (s *stage) deliver(reqs []ReadReq, waits []pending, stall time.Duration) (failIdx int, failErr error) {
+	failIdx = len(reqs)
 	for _, w := range waits {
 		if w.e.err == nil {
 			copy(reqs[w.i].Dst, w.e.data)

@@ -11,13 +11,13 @@ import (
 )
 
 // TestReadFailureRollsBack pins the failure path the file store's
-// worker schedule and the tier share with the synchronous store: when
+// worker schedule and the tier shim share with the synchronous store: when
 // the k-th request of a D-wide ReadOp hits a torn slot, the call
 // returns *CorruptTrackError and leaves the model exactly where the
 // synchronous file store leaves it — requests before k accounted, the
 // rest refunded. Every store runs the same script: write one stripe,
 // make it durable, tear one slot behind the store's back, optionally
-// hint the stripe, read it.
+// hint the stripe to the file store, read it.
 func TestReadFailureRollsBack(t *testing.T) {
 	const D, B = 4, 8
 	stores := []struct {
@@ -65,7 +65,7 @@ func TestReadFailureRollsBack(t *testing.T) {
 					}
 					fh.Close()
 					if hint {
-						s.(Prefetcher).Prefetch(addrs)
+						f.Prefetch(addrs)
 					}
 
 					err = s.ReadOp(r)

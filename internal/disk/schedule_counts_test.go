@@ -3,11 +3,11 @@ package disk
 // The physical schedule's guarantees as counts (DESIGN.md §16.3, next to
 // core's TestBarrierSequenceAndCounts). Each used to be held by a
 // wall-clock ratio of whole runs, which measures the host; a count
-// measures the code. Only Overlap() (a chain's, or a tier's own) and the
-// tracer's span counts are read — no counter exists for these tests
-// alone.
+// measures the code. Only the file store's Overlap() and the tracer's
+// span counts are read — no counter exists for these tests alone.
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -42,8 +42,9 @@ func stripe(s Store, fill uint64, drives ...int) ([]Addr, []WriteReq, []ReadReq)
 }
 
 // mixedOps is the sequence the zero-latency tests share, on a D = 4
-// store: twice, write a D-wide stripe, hint it, read it back and free
-// one of its tracks (so the second round also reuses a released track).
+// store: twice, write a D-wide stripe, hint it to the file store in the
+// chain, read it back and free one of its tracks (so the second round
+// also reuses a released track).
 func mixedOps(t *testing.T, s Store) {
 	t.Helper()
 	for round := uint64(1); round <= 2; round++ {
@@ -51,7 +52,7 @@ func mixedOps(t *testing.T, s Store) {
 		if err := s.WriteOp(w); err != nil {
 			t.Fatal(err)
 		}
-		s.(Prefetcher).Prefetch(addrs)
+		Find[*File](s).Prefetch(addrs)
 		if err := s.ReadOp(r); err != nil {
 			t.Fatal(err)
 		}
@@ -127,14 +128,18 @@ func TestZeroLatencyStaysInline(t *testing.T) {
 	}
 }
 
-// TestTierWithoutFillWorkersStagesNothing: over a page-cache-fast
-// store the tier is an accounting shim — no staging round-trip, its
-// own or the backend's (TestTierNoRegression's 5% ratio).
+// TestTierWithoutFillWorkersStagesNothing: the tier is an accounting
+// shim — over the same mixed sequence, hints included, its State is the
+// bare file store's.
 func TestTierWithoutFillWorkersStagesNothing(t *testing.T) {
-	tier := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{})
+	tier, flat := NewTier(openCounted(t, 4, FileOptions{}), TierOptions{}), openCounted(t, 4, FileOptions{})
 	mixedOps(t, tier)
-	if own, ov := tier.st.overlap(), tier.Overlap(); own.PrefetchIssued != 0 || ov.PrefetchIssued != 0 || ov.AsyncWrites != 0 {
-		t.Errorf("tier staged %d tracks, chain issued %d fills and %d async writes, want 0, 0 and 0", own.PrefetchIssued, ov.PrefetchIssued, ov.AsyncWrites)
+	mixedOps(t, flat)
+	if got, want := tier.State(), flat.State(); !reflect.DeepEqual(got, want) {
+		t.Errorf("tier state after the mixed sequence:\n got %+v\nwant %+v (the bare file store's)", got, want)
+	}
+	if got, want := tier.Stats(), flat.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("tier stats after the mixed sequence:\n got %+v\nwant %+v (the bare file store's)", got, want)
 	}
 }
 
@@ -166,39 +171,6 @@ func TestLatencyDrivesAllDrivesAtOnce(t *testing.T) {
 	}
 	if ov := f.Overlap(); ov.PrefetchIssued != D || ov.PrefetchHits != D || ov.ConcurrentPeak != D {
 		t.Errorf("hinted D-wide read: %d fills, %d hits, peak %d in flight, want %d each", ov.PrefetchIssued, ov.PrefetchHits, ov.ConcurrentPeak, D)
-	}
-	for i := range r {
-		if !slices.Equal(r[i].Dst, w[i].Src) {
-			t.Fatalf("drive %d read back other bytes than were written", r[i].Disk)
-		}
-	}
-}
-
-// TestTierLatencyDrivesAllDrivesAtOnce is the tier twin: over a file
-// store under 20 ms latency — which is what starts the tier's fill
-// workers — a D-wide Prefetch is D tier fills in flight together, each
-// a backend read on its own drive's worker, and the hinted D-wide read
-// is D staged hits. It reads the tier's own overlap counters, since
-// the chain's Overlap folds in the file store's peak, which is D from
-// its own transfers alone.
-func TestTierLatencyDrivesAllDrivesAtOnce(t *testing.T) {
-	const D = 8
-	tier := NewTier(openCounted(t, D, FileOptions{AccessLatency: 20 * time.Millisecond}), TierOptions{})
-	t.Cleanup(func() { tier.Close() })
-	addrs, w, r := stripe(tier, 7, 0, 1, 2, 3, 4, 5, 6, 7)
-	if err := tier.WriteOp(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	tier.Prefetch(addrs)
-	if err := tier.ReadOp(r); err != nil {
-		t.Fatal(err)
-	}
-	if ov := tier.st.overlap(); ov.PrefetchIssued != D || ov.PrefetchHits != D || ov.ConcurrentPeak != D {
-		t.Errorf("hinted D-wide read through the tier: %d fills, %d hits, peak %d in flight, want %d each", ov.PrefetchIssued, ov.PrefetchHits, ov.ConcurrentPeak, D)
 	}
 	for i := range r {
 		if !slices.Equal(r[i].Dst, w[i].Src) {

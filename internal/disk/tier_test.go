@@ -1,30 +1,14 @@
 package disk
 
 import (
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"embsp/internal/prng"
 )
-
-// newTierTest stacks a tier on a file store with 1 µs of emulated
-// latency, which is what starts the tier's fill workers.
-func newTierTest(t *testing.T, d, b int, opt TierOptions) *Tier {
-	t.Helper()
-	tr := NewTier(latentFile(t, d, b), opt)
-	t.Cleanup(func() { tr.Close() })
-	return tr
-}
-
-// latentFile opens a file store with 1 µs of emulated latency.
-func latentFile(t *testing.T, d, b int) *File {
-	t.Helper()
-	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{AccessLatency: time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
 
 // driveScript runs one deterministic mixed op sequence (writes, reads,
 // allocs, releases, an area reservation) against any store and returns
@@ -78,29 +62,31 @@ func driveScript(t *testing.T, s Store, d, b int) []uint64 {
 	return got
 }
 
-// allocAll allocates n tracks on every drive of s.
-func allocAll(s Store, n int) {
-	for d := 0; d < s.Config().D; d++ {
-		for i := 0; i < n; i++ {
-			s.Alloc(d)
-		}
+// latentFile opens a file store with 1 µs of emulated latency, which
+// is what starts its workers and its staging cache.
+func latentFile(t *testing.T, d, b int) *File {
+	t.Helper()
+	f, err := OpenFileOpts(t.TempDir(), Config{D: d, B: b}, false, FileOptions{AccessLatency: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return f
 }
 
-// waitStaged spins until the tier has n completed staged entries (fill
-// workers run asynchronously).
-func waitStaged(t *testing.T, tr *Tier, n int64) {
+// waitStaged spins until the staging cache holds n completed fills
+// (the workers run asynchronously).
+func waitStaged(t *testing.T, s *stage, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tr.mu.Lock()
-		done := int64(0)
-		for _, e := range tr.st.cache {
-			if e.done && e.err == nil {
+		s.mu.Lock()
+		done := 0
+		for _, e := range s.cache {
+			if e.done && !e.write && e.err == nil {
 				done++
 			}
 		}
-		tr.mu.Unlock()
+		s.mu.Unlock()
 		if done >= n {
 			return
 		}
@@ -111,130 +97,75 @@ func waitStaged(t *testing.T, tr *Tier, n int64) {
 	}
 }
 
-// TestTierPrefetchHitAndConsume: a prefetched block is served from the
-// tier (a hit) and consumed by that read — the next read of the same
-// track misses to the backend with the same bytes. Pseudo-streaming:
-// a staged group flows through the tier once.
-func TestTierPrefetchHitAndConsume(t *testing.T) {
-	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{})
-	allocAll(tr, 6) // tracks 0..5: unallocated tracks read blank
-	src := []uint64{9, 8, 7, 6}
-	if err := tr.WriteOp([]WriteReq{{Disk: 1, Track: 5, Src: src}}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Prefetch([]Addr{{Disk: 1, Track: 5}})
-	waitStaged(t, tr, 1)
-
-	dst := make([]uint64, b)
-	for pass := 0; pass < 2; pass++ { // staged, then consumed
-		if err := tr.ReadOp([]ReadReq{{Disk: 1, Track: 5, Dst: dst}}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range src {
-			if dst[i] != src[i] {
-				t.Fatalf("pass %d: read %v, want %v", pass, dst, src)
-			}
-		}
-	}
-	ov := tr.st.overlap()
-	if ov.PrefetchIssued != 1 || ov.PrefetchHits != 1 || ov.PrefetchMisses != 1 {
-		t.Fatalf("tier overlap = %+v, want 1 fill, 1 hit (first read), 1 miss (second read)", ov)
-	}
-	if got := tr.st.acct.Used(); got != 0 {
-		t.Fatalf("consumed entry still holds %d budget words", got)
-	}
-}
-
-// TestTierBudgetBoundsFills: with a one-track budget, prefetching many
-// blocks admits exactly one fill; the rest are silently skipped and the
-// later reads just miss.
-func TestTierBudgetBoundsFills(t *testing.T) {
-	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{CacheWords: b})
-	var addrs []Addr
-	for i := 0; i < 6; i++ {
-		if err := tr.WriteOp([]WriteReq{{Disk: i % d, Track: 10 + i/d, Src: make([]uint64, b)}}); err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, Addr{Disk: i % d, Track: 10 + i/d})
-	}
-	tr.Prefetch(addrs)
-	if n := tr.st.overlap().PrefetchIssued; n != 1 {
-		t.Fatalf("admitted %d fills into a one-track budget, want 1", n)
-	}
-	if high := tr.st.acct.High(); high != b {
-		t.Fatalf("budget high water = %d words, want %d", high, b)
-	}
-	dst := make([]uint64, b)
-	for _, a := range addrs {
-		if err := tr.ReadOp([]ReadReq{{Disk: a.Disk, Track: a.Track, Dst: dst}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestTierWriteInvalidatesStaged: writing a track drops its staged
-// copy, so the next read returns the new bytes (served by the backend,
-// not the stale staging entry).
+// TestTierWriteInvalidatesStaged: a track staged in the file store
+// below a tier and then overwritten through the tier reads back with
+// the new bytes — the write-through drops the stale staged copy — and
+// once the write has landed the cache holds no budget.
 func TestTierWriteInvalidatesStaged(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{})
-	allocAll(tr, 4) // tracks 0..3: unallocated tracks read blank
-	old := []uint64{1, 1, 1, 1}
-	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 3, Src: old}}); err != nil {
+	f := latentFile(t, d, b)
+	tr := NewTier(f, TierOptions{})
+	t.Cleanup(func() { tr.Close() })
+	track := tr.Alloc(0)
+	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: track, Src: []uint64{1, 1, 1, 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Prefetch([]Addr{{Disk: 0, Track: 3}})
-	waitStaged(t, tr, 1)
+	if err := tr.Sync(); err != nil { // the write lands and leaves the cache
+		t.Fatal(err)
+	}
+	f.Prefetch([]Addr{{Disk: 0, Track: track}})
+	waitStaged(t, f.st, 1)
 	fresh := []uint64{2, 2, 2, 2}
-	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: 3, Src: fresh}}); err != nil {
+	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: track, Src: fresh}}); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]uint64, b)
-	if err := tr.ReadOp([]ReadReq{{Disk: 0, Track: 3, Dst: dst}}); err != nil {
+	if err := tr.ReadOp([]ReadReq{{Disk: 0, Track: track, Dst: dst}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range fresh {
-		if dst[i] != fresh[i] {
-			t.Fatalf("read %v after overwrite, want %v (stale staged copy served)", dst, fresh)
-		}
+	if !slices.Equal(dst, fresh) {
+		t.Fatalf("read %v after overwrite, want %v (stale staged copy served)", dst, fresh)
 	}
-	if got := tr.st.acct.Used(); got != 0 {
+	f.st.drain()
+	if got := f.st.acct.Used(); got != 0 {
 		t.Fatalf("invalidated entry still holds %d budget words", got)
 	}
 }
 
-// TestTierAllocRestoreDropsCache: an allocator rollback empties the
-// staging cache wholesale and returns its budget.
+// TestTierAllocRestoreDropsCache: a rollback through a tier empties the
+// staging cache of the file store below it and returns its budget, and
+// the rolled-back track reads blank.
 func TestTierAllocRestoreDropsCache(t *testing.T) {
 	const d, b = 2, 4
-	tr := newTierTest(t, d, b, TierOptions{})
+	f := latentFile(t, d, b)
+	tr := NewTier(f, TierOptions{})
+	t.Cleanup(func() { tr.Close() })
 	mark := tr.State()
 	track := tr.Alloc(0)
 	if err := tr.WriteOp([]WriteReq{{Disk: 0, Track: track, Src: []uint64{5, 5, 5, 5}}}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Prefetch([]Addr{{Disk: 0, Track: track}})
-	waitStaged(t, tr, 1)
+	if err := tr.Sync(); err != nil { // the write lands and leaves the cache
+		t.Fatal(err)
+	}
+	f.Prefetch([]Addr{{Disk: 0, Track: track}})
+	waitStaged(t, f.st, 1)
 	if err := Rollback(tr, mark); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.st.acct.Used(); got != 0 {
+	if got := f.st.acct.Used(); got != 0 {
 		t.Fatalf("rolled-back cache still holds %d budget words", got)
 	}
 	dst := []uint64{7, 7, 7, 7}
 	if err := tr.ReadOp([]ReadReq{{Disk: 0, Track: track, Dst: dst}}); err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range dst {
-		if w != 0 {
-			t.Fatalf("word %d of a rolled-back track = %d, want 0", i, w)
-		}
+	if !slices.Equal(dst, make([]uint64, b)) {
+		t.Fatalf("a rolled-back track read %v, want zeros", dst)
 	}
 }
 
-// TestTierStacked: a two-tier chain is itself a Backend; ops account
+// TestTierStacked: a two-tier chain is itself a Backend; it accounts
 // identically to flat, and the chain walk finds both tiers outermost
 // first.
 func TestTierStacked(t *testing.T) {
@@ -251,9 +182,8 @@ func TestTierStacked(t *testing.T) {
 			t.Fatalf("read word %d = %d through the chain, %d flat", i, ob[i], fb[i])
 		}
 	}
-	fs, cs := flat.Stats(), outer.Stats()
-	if fs.Ops != cs.Ops || fs.BlocksRead != cs.BlocksRead || fs.BlocksWritten != cs.BlocksWritten {
-		t.Fatalf("op stats differ:\nflat:  %+v\nchain: %+v", fs, cs)
+	if fs, cs := flat.State(), outer.State(); !reflect.DeepEqual(fs, cs) {
+		t.Fatalf("states differ:\nflat:  %+v\nchain: %+v", fs, cs)
 	}
 	var tiers []*Tier
 	for tr := Find[*Tier](outer); tr != nil; tr = Find[*Tier](tr.Inner()) {
@@ -305,25 +235,24 @@ func TestTierStateRoundTripOverFile(t *testing.T) {
 	}
 }
 
-// TestTierCloseFailsQueuedFills: Close with fills still queued must not
-// hang, must fail the queued entries (so no reader could wait forever)
-// and must return the staging budget.
-func TestTierCloseFailsQueuedFills(t *testing.T) {
+// failingWrites is a store whose every WriteOp fails.
+type failingWrites struct{ Store }
+
+var errWriteFailed = errors.New("disk: injected write failure")
+
+func (failingWrites) WriteOp([]WriteReq) error { return errWriteFailed }
+
+// TestTierWriteOpReturnsBackendError: a tier writes through inside the
+// call, so a backend's write error is WriteOp's own, not one deferred to
+// the next Sync.
+func TestTierWriteOpReturnsBackendError(t *testing.T) {
 	const d, b = 2, 4
-	tr := NewTier(latentFile(t, d, b), TierOptions{})
-	var addrs []Addr
-	for i := 0; i < 32; i++ {
-		a := Addr{Disk: i % d, Track: i / d}
-		if err := tr.WriteOp([]WriteReq{{Disk: a.Disk, Track: a.Track, Src: make([]uint64, b)}}); err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, a)
+	tr := NewTier(failingWrites{newTest(t, d, b)}, TierOptions{})
+	err := tr.WriteOp([]WriteReq{{Disk: 0, Track: tr.Alloc(0), Src: make([]uint64, b)}})
+	if !errors.Is(err, errWriteFailed) {
+		t.Fatalf("WriteOp over a failing backend = %v, want %v", err, errWriteFailed)
 	}
-	tr.Prefetch(addrs)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.st.acct.Used(); got != 0 {
-		t.Fatalf("closed tier still holds %d budget words", got)
+	if err := tr.Sync(); err != nil {
+		t.Fatalf("Sync after the failed write = %v, want nil: the error was WriteOp's", err)
 	}
 }

@@ -553,10 +553,18 @@ func (s *Supervisor) retryAfterTenantLocked(tenant string) time.Duration {
 
 // Submit admits a job: validates the request, charges the tenant's
 // quota, persists it queued, and hands it to the worker pool. The
-// returned Job is a snapshot.
+// returned Job is a snapshot. A draining supervisor or a full queue
+// refuses the request before its workload is built, and again after,
+// since either can change while it builds.
 func (s *Supervisor) Submit(req Request) (Job, error) {
 	req.normalize()
 	if err := req.validate(); err != nil {
+		return Job{}, err
+	}
+	s.mu.Lock()
+	err := s.refuseLocked()
+	s.mu.Unlock()
+	if err != nil {
 		return Job{}, err
 	}
 	c, dc, err := req.charges()
@@ -567,21 +575,8 @@ func (s *Supervisor) Submit(req Request) (Job, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return Job{}, ErrDraining
-	}
-	live := 0
-	for _, j := range s.jobs {
-		if !j.State.Terminal() {
-			live++
-		}
-	}
-	if live >= s.cfg.QueueDepth {
-		s.cfg.Metrics.Counter("jobs_rejected").Add(1)
-		return Job{}, &AdmissionError{
-			Reason:     fmt.Sprintf("queue full (%d live jobs)", live),
-			RetryAfter: s.retryAfterSlotLocked(),
-		}
+	if err := s.refuseLocked(); err != nil {
+		return Job{}, err
 	}
 	if err := s.tenant(req.Tenant).Grab(c); err != nil {
 		s.cfg.Metrics.Counter("jobs_rejected").Add(1)
@@ -635,6 +630,29 @@ func (s *Supervisor) Submit(req Request) (Job, error) {
 	s.gaugesLocked()
 	s.wake()
 	return *j, nil
+}
+
+// refuseLocked reports why no job can be admitted now, whatever its
+// request: the supervisor is draining, or its queue is full. Caller
+// holds s.mu.
+func (s *Supervisor) refuseLocked() error {
+	if s.draining {
+		return ErrDraining
+	}
+	live := 0
+	for _, j := range s.jobs {
+		if !j.State.Terminal() {
+			live++
+		}
+	}
+	if live >= s.cfg.QueueDepth {
+		s.cfg.Metrics.Counter("jobs_rejected").Add(1)
+		return &AdmissionError{
+			Reason:     fmt.Sprintf("queue full (%d live jobs)", live),
+			RetryAfter: s.retryAfterSlotLocked(),
+		}
+	}
+	return nil
 }
 
 // Get returns a snapshot of the job.

@@ -184,6 +184,47 @@ func TestSubmitRefusesOversizedWorkload(t *testing.T) {
 	}
 }
 
+// TestRefusedSubmitBuildsNothing: a full queue and a draining supervisor
+// refuse a request before its workload is built, so refusing the
+// largest admissible sort — 32 MiB of input — allocates next to nothing.
+func TestRefusedSubmitBuildsNothing(t *testing.T) {
+	big := Request{Workload: workload.Spec{Alg: "sort", N: maxN, V: 64, Seed: 1}}
+	refused := func(t *testing.T, s *Supervisor, want func(error) bool) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := s.Submit(big)
+		runtime.ReadMemStats(&after)
+		if !want(err) {
+			t.Errorf("Submit returned %v", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("refusing the request allocated %d bytes, want < 1 MiB", alloc)
+		}
+	}
+	t.Run("queue full", func(t *testing.T) {
+		s, err := New(Config{Root: t.TempDir(), QueueDepth: 1, Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(Request{Workload: testSpec(1)}); err != nil {
+			t.Fatalf("first job refused: %v", err)
+		}
+		var adm *AdmissionError
+		refused(t, s, func(err error) bool { return errors.As(err, &adm) })
+	})
+	t.Run("draining", func(t *testing.T) {
+		s, err := New(Config{Root: t.TempDir(), Metrics: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, s, func(err error) bool { return errors.Is(err, ErrDraining) })
+	})
+}
+
 // TestSubmitRefusesChaos: the request has no fault-injection field, so
 // a submission that asks for one is refused as HTTP 400 and admits no
 // job.
