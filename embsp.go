@@ -145,6 +145,13 @@ const (
 	RedundancyParity = redundancy.Parity
 )
 
+// ErrFingerprintMismatch is the error Run returns, matched with
+// errors.Is, when Options.Resume finds a StateDir journaled under a
+// different program, machine configuration, options or model rules. The
+// directory is left as found; it cannot be continued, only started
+// afresh.
+var ErrFingerprintMismatch = core.ErrFingerprintMismatch
+
 // ParseRedundancy parses "none", "mirror" or "parity" (or "") into a
 // Redundancy mode.
 func ParseRedundancy(s string) (Redundancy, error) { return redundancy.ParseMode(s) }

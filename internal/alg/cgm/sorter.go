@@ -3,6 +3,7 @@ package cgm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"embsp/internal/bsp"
@@ -21,9 +22,17 @@ import (
 // holds the VP's slice of the globally sorted sequence: concatenating
 // Data over VP ids yields the total order.
 //
-// Records should be made distinct (e.g. by appending an index word):
-// the lexicographic order is then total, which both balances the
-// output (the PSRS 2n/v guarantee) and makes results deterministic.
+// The PSRS balance (every VP ends with at most 2·⌈n/v⌉ + v records)
+// needs a total order. A host whose records are distinct has one; the
+// geometry hosts (hull, maxima, dominance, separability, nn, segtree)
+// and exprtree end each record with an index or id word. A host with
+// duplicate keys sets Ties, and the Sorter breaks ties by a record's
+// place — (source VP, position after the local sort) — which it carries
+// as one tag word on each sample and splitter only, never on a record.
+// Records equal in all W words are identical, so the output is the
+// same whichever VP a tie lands on. Ties needs v and every VP's record
+// count to fit in 32 bits. A host with distinct records leaves it off:
+// the tag words only add to its samples and splitters.
 //
 // Phases (one superstep each, λ = 4 supersteps):
 //
@@ -58,6 +67,9 @@ type Sorter struct {
 	W int
 	// Data holds the VP's local flat records (len divisible by W).
 	Data []uint64
+	// Ties breaks ties between equal records by place: samples and
+	// splitters carry a tag word, (VP id)<<32 | local position.
+	Ties bool
 
 	phase     int
 	splitters []uint64
@@ -98,10 +110,14 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if n < cnt {
 			cnt = n
 		}
-		samples := s.scratch(cnt * s.W)
+		tw := s.tagW()
+		samples := s.scratch(cnt * tw)
 		for j := 0; j < cnt; j++ {
 			i := j * n / cnt
-			copy(samples[j*s.W:], s.Data[i*s.W:(i+1)*s.W])
+			copy(samples[j*tw:], s.Data[i*s.W:(i+1)*s.W])
+			if s.Ties {
+				samples[j*tw+s.W] = recTag(env.ID(), i)
+			}
 		}
 		if len(samples) > 0 {
 			env.Send(0, samples)
@@ -111,13 +127,14 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, nil
 		}
 	case 1: // VP 0 only
-		samples, err := s.merge(env, in)
+		tw := s.tagW()
+		samples, err := s.merge(env, in, tw)
 		if err != nil {
 			return false, err
 		}
-		chargeSort(env, len(samples)/s.W)
-		m := len(samples) / s.W
-		spl := make([]uint64, 0, (v-1)*s.W)
+		chargeSort(env, len(samples)/tw)
+		m := len(samples) / tw
+		spl := make([]uint64, 0, (v-1)*tw)
 		for i := 1; i < v; i++ {
 			j := i * m / v
 			if j >= m {
@@ -126,7 +143,7 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			if j < 0 {
 				continue
 			}
-			spl = append(spl, samples[j*s.W:(j+1)*s.W]...)
+			spl = append(spl, samples[j*tw:(j+1)*tw]...)
 		}
 		for d := 0; d < v; d++ {
 			env.Send(d, spl)
@@ -139,20 +156,24 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			return false, fmt.Errorf("cgm: sorter expected splitters, got %d messages", len(in))
 		}
 		s.splitters = in[0].Payload
-		ns := len(s.splitters) / s.W
+		tw, id := s.tagW(), env.ID()
+		ns := len(s.splitters) / tw
 		n := len(s.Data) / s.W
-		// Destination of a record: the number of splitters <= it.
-		// Records are sorted, so destinations are non-decreasing and
-		// each VP receives one contiguous run.
+		// Destination of a record: the number of splitters <= it, a
+		// tie going by place under Ties. Records are sorted (and their
+		// places ascend), so destinations are non-decreasing and each VP
+		// receives one contiguous run.
 		start := 0
 		for d := 0; d < v && start < n; d++ {
 			end := n
 			if d < ns {
 				// First record index with record > splitter d.
-				key := s.splitters[d*s.W : (d+1)*s.W]
+				spl := s.splitters[d*tw : (d+1)*tw]
+				key := spl[:s.W]
 				end = start + sort.Search(n-start, func(i int) bool {
 					r := s.Data[(start+i)*s.W : (start+i+1)*s.W]
-					return recLess(key, r)
+					c := slices.Compare(key, r)
+					return c < 0 || c == 0 && s.Ties && spl[s.W] < recTag(id, start+i)
 				})
 			}
 			if end > start {
@@ -163,7 +184,7 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		env.Charge(int64(n))
 		s.Data = nil
 	case 3:
-		recv, err := s.merge(env, in)
+		recv, err := s.merge(env, in, s.W)
 		if err != nil {
 			return false, err
 		}
@@ -189,13 +210,26 @@ func (s *Sorter) scratch(n int) []uint64 {
 	return s.merged[:n:n]
 }
 
-// merge merges the runs in, one a message, into merged and returns the
-// result, capacity-limited.
-func (s *Sorter) merge(env *bsp.Env, in []bsp.Message) ([]uint64, error) {
+// tagW is the width of a sample or splitter: W, and the tag word under
+// Ties.
+func (s *Sorter) tagW() int {
+	if s.Ties {
+		return s.W + 1
+	}
+	return s.W
+}
+
+// recTag is the place of the record at local position i of VP id, the
+// tag that breaks ties under Ties.
+func recTag(id, i int) uint64 { return uint64(id)<<32 | uint64(i) }
+
+// merge merges the runs in, one a message of w-word records, into
+// merged and returns the result, capacity-limited.
+func (s *Sorter) merge(env *bsp.Env, in []bsp.Message, w int) ([]uint64, error) {
 	total := 0
 	h := s.heap[:0]
 	for _, m := range in {
-		if len(m.Payload)%s.W != 0 || !RecordsSorted(m.Payload, s.W) {
+		if len(m.Payload)%w != 0 || !RecordsSorted(m.Payload, w) {
 			return nil, &bsp.ProgramError{VP: env.ID(), Superstep: env.Superstep(),
 				Value: fmt.Errorf("cgm: sorter phase %d: unsorted run of %d words from VP %d", s.phase, len(m.Payload), m.Src)}
 		}
@@ -206,12 +240,13 @@ func (s *Sorter) merge(env *bsp.Env, in []bsp.Message) ([]uint64, error) {
 	}
 	s.heap = h
 	out := s.scratch(total)
-	mergeRuns(out, h, s.W)
+	mergeRuns(out, h, w)
 	return out, nil
 }
 
-// Save marshals the Sorter state (W is static host configuration and
-// is not saved, nor is the merge scratch). It copies Data out, so a
+// Save marshals the Sorter state (W and Ties are static host
+// configuration and are not saved, nor is the merge scratch; under Ties
+// the saved splitters are (W+1)-word records). It copies Data out, so a
 // Data that is merged stays the VP's after the slot's next merge.
 func (s *Sorter) Save(enc *words.Encoder) {
 	enc.PutUint(uint64(s.phase))
@@ -219,7 +254,8 @@ func (s *Sorter) Save(enc *words.Encoder) {
 	enc.PutUints(s.splitters)
 }
 
-// Load restores the Sorter state; W must already be set by the host.
+// Load restores the Sorter state; W and Ties must already be set by the
+// host, as they were when the state was saved.
 func (s *Sorter) Load(dec *words.Decoder) {
 	s.phase = int(dec.Uint())
 	s.Data = dec.Uints()
@@ -229,5 +265,15 @@ func (s *Sorter) Load(dec *words.Decoder) {
 // SaveSize returns an upper bound on Save's output given a bound
 // maxRecs on the number of local records.
 func (s *Sorter) SaveSize(maxRecs, v int) int {
-	return 1 + words.SizeUints(maxRecs*s.W) + words.SizeUints((v-1)*s.W)
+	return 1 + words.SizeUints(maxRecs*s.W) + words.SizeUints((v-1)*s.tagW())
+}
+
+// CommWords returns an upper bound on the words a VP sends or receives
+// in one of the Sorter's supersteps, given a bound maxRecs on the
+// number of records a VP starts with: three times its records for
+// phase 2's routing, and VP 0's v·v samples and v-1 splitters to each of
+// v VPs, each message with a word of overhead.
+func (s *Sorter) CommWords(maxRecs, v int) int {
+	tw := s.tagW()
+	return 3*maxRecs*s.W + v*(v*tw+1) + v*((v-1)*tw+1)
 }

@@ -20,17 +20,25 @@ type sortHost struct {
 	v    int
 	w    int
 	data []uint64
+	ties bool
 }
 
-func (p *sortHost) NumVPs() int          { return p.v }
-func (p *sortHost) MaxContextWords() int { return 2 + len(p.data) + (p.v+1)*p.w + 64 }
+func (p *sortHost) NumVPs() int { return p.v }
+func (p *sortHost) MaxContextWords() int {
+	tags := 0 // the splitters' tag words under Ties
+	if p.ties {
+		tags = p.v + 1
+	}
+	return 2 + len(p.data) + (p.v+1)*p.w + tags + 64
+}
 func (p *sortHost) MaxCommWords() int {
-	return 3*len(p.data) + p.v*(p.v*p.w+1) + p.v*((p.v-1)*p.w+1) + 16
+	s := cgm.Sorter{W: p.w, Ties: p.ties}
+	return s.CommWords(len(p.data)/p.w, p.v) + 16
 }
 func (p *sortHost) NewVP(id int) bsp.VP {
 	lo, hi := cgm.Dist(len(p.data)/p.w, p.v, id)
 	local := append([]uint64(nil), p.data[lo*p.w:hi*p.w]...)
-	return &sortHostVP{s: cgm.Sorter{W: p.w, Data: local}}
+	return &sortHostVP{s: cgm.Sorter{W: p.w, Data: local, Ties: p.ties}}
 }
 
 type sortHostVP struct {
@@ -97,6 +105,43 @@ func sortedRecords(data []uint64, w int) []uint64 {
 		out = append(out, data[i*w:i*w+w]...)
 	}
 	return out
+}
+
+// FuzzSorterTies sorts duplicate-heavy records with Ties set: random n,
+// v and W, keys drawn from few values. The output must be sorted, the
+// input's multiset, and balanced as PSRS promises for distinct records
+// — at most 2·⌈n/v⌉ + v records a VP — since a record's place breaks
+// every tie.
+func FuzzSorterTies(f *testing.F) {
+	f.Add(uint64(1), uint16(600), uint8(6), uint8(1), uint8(1))
+	f.Add(uint64(2), uint16(301), uint8(16), uint8(3), uint8(2))
+	f.Add(uint64(3), uint16(1000), uint8(64), uint8(2), uint8(7))
+	f.Add(uint64(4), uint16(5), uint8(9), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, v, w, keys uint8) {
+		N, V, W := int(n)%2048, 1+int(v)%64, 1+int(w)%3
+		r := prng.New(seed)
+		data := make([]uint64, N*W)
+		for i := range data {
+			data[i] = r.Uint64() % (1 + uint64(keys)%16)
+		}
+		p := &sortHost{v: V, w: W, data: data, ties: true}
+		res, err := bsp.Run(p, bsp.RunOptions{Seed: seed, ValidateContexts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		limit := 2*cgm.MaxPart(N, V) + V
+		for id, vp := range res.VPs {
+			d := vp.(*sortHostVP).s.Data
+			if len(d)/W > limit {
+				t.Errorf("n=%d v=%d w=%d: VP %d holds %d records, above the PSRS bound %d", N, V, W, id, len(d)/W, limit)
+			}
+			got = append(got, d...)
+		}
+		if want := sortedRecords(data, W); !slices.Equal(got, want) {
+			t.Fatalf("n=%d v=%d w=%d: the output is not the sorted input", N, V, W)
+		}
+	})
 }
 
 // reversingHost reverses every VP's sorted Data before phase 2, so the

@@ -69,7 +69,8 @@ func (p *Dominance2D) MaxContextWords() int {
 }
 
 func (p *Dominance2D) MaxCommWords() int {
-	sortComm := 3*cgm.MaxPart(p.n, p.v)*domYW + p.v*(p.v*domYW+1) + p.v*((p.v-1)*domYW+1)
+	s := cgm.Sorter{W: domYW}
+	sortComm := s.CommWords(cgm.MaxPart(p.n, p.v), p.v)
 	totalsComm := p.v*(p.v+1) + p.v
 	routeComm := 2*p.maxRecs()*2 + p.v
 	m := sortComm

@@ -51,7 +51,8 @@ func (p *Hull2D) MaxContextWords() int {
 }
 
 func (p *Hull2D) MaxCommWords() int {
-	sortComm := 3*cgm.MaxPart(p.n, p.v)*hullRecW + p.v*(p.v*hullRecW+1) + p.v*((p.v-1)*hullRecW+1)
+	s := cgm.Sorter{W: hullRecW}
+	sortComm := s.CommWords(cgm.MaxPart(p.n, p.v), p.v)
 	mergeComm := hullRecW*p.n + 1
 	if mergeComm > sortComm {
 		return mergeComm + 16

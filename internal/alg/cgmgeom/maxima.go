@@ -49,7 +49,8 @@ func (p *Maxima3D) MaxContextWords() int {
 
 func (p *Maxima3D) MaxCommWords() int {
 	maxRecs := 3*cgm.MaxPart(p.n, p.v) + p.v
-	sortComm := 3*cgm.MaxPart(p.n, p.v)*maximaRecW + p.v*(p.v*maximaRecW+1) + p.v*((p.v-1)*maximaRecW+1)
+	s := cgm.Sorter{W: maximaRecW}
+	sortComm := s.CommWords(cgm.MaxPart(p.n, p.v), p.v)
 	// Candidate broadcast: worst case every VP sends all its records
 	// to every lower VP, and a VP receives all records of higher VPs.
 	bcast := 3*maxRecs*p.v + p.v

@@ -52,7 +52,8 @@ func (p *NN2D) MaxContextWords() int {
 
 func (p *NN2D) MaxCommWords() int {
 	m := p.maxRecs()
-	sortComm := 3*cgm.MaxPart(p.n, p.v)*nnRecW + p.v*(p.v*nnRecW+1) + p.v*((p.v-1)*nnRecW+1)
+	s := cgm.Sorter{W: nnRecW}
+	sortComm := s.CommWords(cgm.MaxPart(p.n, p.v), p.v)
 	// A round's queries: every local point may query both sides.
 	queries := 2*m*5 + p.v + 4
 	replies := 2*m*4 + p.v + 4

@@ -74,8 +74,9 @@ func (p *SegTree) MaxContextWords() int {
 }
 
 func (p *SegTree) MaxCommWords() int {
-	pairSort := 3*p.maxPairs()*3 + p.v*(p.v*3+1) + p.v*((p.v-1)*3+1)
-	endSort := 3*cgm.MaxPart(2*p.n, p.v)*2 + p.v*(p.v*2+1) + p.v*((p.v-1)*2+1)
+	s2, s3 := cgm.Sorter{W: 2}, cgm.Sorter{W: 3}
+	pairSort := s3.CommWords(p.maxPairs(), p.v)
+	endSort := s2.CommWords(cgm.MaxPart(2*p.n, p.v), p.v)
 	ranks := 3*cgm.MaxPart(2*p.n, p.v) + p.v
 	m := pairSort
 	for _, c := range []int{endSort, ranks} {

@@ -46,7 +46,8 @@ func (p *Separability) MaxContextWords() int {
 }
 
 func (p *Separability) MaxCommWords() int {
-	sortComm := 3*cgm.MaxPart(p.n(), p.v)*sepRecW + p.v*(p.v*sepRecW+1) + p.v*((p.v-1)*sepRecW+1)
+	s := cgm.Sorter{W: sepRecW}
+	sortComm := s.CommWords(cgm.MaxPart(p.n(), p.v), p.v)
 	mergeComm := sepRecW*p.n() + 16
 	if mergeComm > sortComm {
 		return mergeComm

@@ -14,14 +14,14 @@ import (
 )
 
 // SortProgram sorts n flat records of width W lexicographically with
-// a distributed sample sort (λ = 4 supersteps). Records are
-// uniquified internally with a trailing input-index word, which makes
-// the sort stable and guarantees the PSRS 2·⌈n/v⌉ output balance (and
-// hence the declared γ) even for duplicate-heavy inputs.
+// a distributed sample sort (λ = 4 supersteps). Records move as their W
+// words alone: the Sorter breaks ties by a record's place (cgm.Sorter's
+// Ties), which guarantees the PSRS 2·⌈n/v⌉ output balance (and hence the
+// declared γ) even for duplicate-heavy inputs. Equal records are
+// identical, so the output is that of a stable sort.
 type SortProgram struct {
 	v    int
-	w    int // caller-visible record width
-	iw   int // internal width: w + 1 (index tiebreak)
+	w    int // record width
 	data []uint64
 	n    int // number of records
 }
@@ -35,33 +35,33 @@ func NewSort(data []uint64, w, v int) (*SortProgram, error) {
 	if v <= 0 {
 		return nil, fmt.Errorf("cgmsort: v = %d, want > 0", v)
 	}
-	return &SortProgram{v: v, w: w, iw: w + 1, data: data, n: len(data) / w}, nil
+	n := len(data) / w
+	if uint64(v) > 1<<32 || uint64(cgm.MaxPart(n, v)) > 1<<32 {
+		return nil, fmt.Errorf("cgmsort: v = %d or ⌈n/v⌉ = %d does not fit the tie-break tag's 32 bits", v, cgm.MaxPart(n, v))
+	}
+	return &SortProgram{v: v, w: w, data: data, n: n}, nil
 }
 
 func (p *SortProgram) NumVPs() int { return p.v }
 
 // MaxContextWords budgets for the PSRS output guarantee (≤ 2·⌈n/v⌉
-// records per VP, guaranteed by the index tiebreak) with headroom.
+// records per VP, guaranteed by the tie-break by place) with headroom.
 func (p *SortProgram) MaxContextWords() int {
 	maxRecs := 3*cgm.MaxPart(p.n, p.v) + p.v
-	s := &cgm.Sorter{W: p.iw}
+	s := &cgm.Sorter{W: p.w, Ties: true}
 	return 2 + s.SaveSize(maxRecs, p.v)
 }
 
 func (p *SortProgram) MaxCommWords() int {
-	// Phase 2 routes all local records; VP 0 additionally receives
-	// v·v samples in phase 1 and broadcasts v-1 splitters to v VPs.
-	return 3*cgm.MaxPart(p.n, p.v)*p.iw + p.v*(p.v*p.iw+1) + p.v*((p.v-1)*p.iw+1) + 16
+	s := &cgm.Sorter{W: p.w, Ties: true}
+	return s.CommWords(cgm.MaxPart(p.n, p.v), p.v) + 16
 }
 
 func (p *SortProgram) NewVP(id int) bsp.VP {
 	lo, hi := cgm.Dist(p.n, p.v, id)
-	local := make([]uint64, 0, (hi-lo)*p.iw)
-	for i := lo; i < hi; i++ {
-		local = append(local, p.data[i*p.w:(i+1)*p.w]...)
-		local = append(local, uint64(i))
-	}
-	return &sortVP{sorter: cgm.Sorter{W: p.iw, Data: local}}
+	local := make([]uint64, (hi-lo)*p.w)
+	copy(local, p.data[lo*p.w:hi*p.w])
+	return &sortVP{sorter: cgm.Sorter{W: p.w, Data: local, Ties: true}}
 }
 
 type sortVP struct {
@@ -79,14 +79,11 @@ func (vp *sortVP) Save(enc *words.Encoder) { vp.sorter.Save(enc) }
 func (vp *sortVP) Load(dec *words.Decoder) { vp.sorter.Load(dec) }
 
 // Output concatenates the per-VP sorted slices into the global sorted
-// sequence, stripping the internal index tiebreak.
+// sequence.
 func (p *SortProgram) Output(vps []bsp.VP) []uint64 {
 	out := make([]uint64, 0, p.n*p.w)
 	for _, vp := range vps {
-		data := vp.(*sortVP).sorter.Data
-		for i := 0; i+p.iw <= len(data); i += p.iw {
-			out = append(out, data[i:i+p.w]...)
-		}
+		out = append(out, vp.(*sortVP).sorter.Data...)
 	}
 	return out
 }

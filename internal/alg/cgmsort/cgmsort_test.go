@@ -164,10 +164,10 @@ func TestSortAdversarialInputs(t *testing.T) {
 					t.Fatalf("word %d = %d, want %d", i, got[i], want[i])
 				}
 			}
-			// The internal index tiebreak guarantees the PSRS balance
-			// even for duplicate-heavy inputs.
+			// The tie-break by place guarantees the PSRS balance even
+			// for duplicate-heavy inputs.
 			limit := 2*cgm.MaxPart(n, v) + v
-			for id, sz := range partSizes(p, res.VPs, 2) {
+			for id, sz := range partSizes(p, res.VPs, 1) {
 				if sz > limit {
 					t.Errorf("VP %d holds %d records, exceeding PSRS bound %d", id, sz, limit)
 				}
@@ -185,6 +185,10 @@ func TestSortRejectsBadInput(t *testing.T) {
 	}
 	if _, err := cgmsort.NewSort(nil, 1, 0); err == nil {
 		t.Error("v=0 accepted")
+	}
+	// A tie-break tag holds the VP id in 32 bits.
+	if _, err := cgmsort.NewSort(nil, 1, 1<<32+1); err == nil {
+		t.Error("v=2³²+1 accepted")
 	}
 }
 

@@ -51,7 +51,7 @@ type stepBufs struct {
 	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell
 	metas   []blockMeta   // the fetched blocks' directory entries
 	pending []blockMeta   // the block writer's pending blocks, D entries
-	perm    []int         // the block writer's drive permutation, D entries
+	place   []int         // the block writer's matching scratch, 7·D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
 

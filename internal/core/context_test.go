@@ -489,8 +489,11 @@ func TestContextOpsFollowUse(t *testing.T) {
 		// and only VP 0's is written (50 → 25 since the sleep rule,
 		// DESIGN.md §24); at P = 2 a processor's two batches are the one
 		// it holds and the superstep's last, neither of which is skipped.
-		{sort, 1, 50, []int{42, 25, 2, 49}},
-		{sort, 2, 50, []int{18, 50, 2, 48}},
+		// A key is one word since the sort stores no index word (§5):
+		// every sum about halved, {50, [42 25 2 49]} → {26, [22 13 2 25]}
+		// and {50, [18 50 2 48]} → {26, [10 26 2 25]}.
+		{sort, 1, 26, []int{22, 13, 2, 25}},
+		{sort, 2, 26, []int{10, 26, 2, 25}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.
 		{listrank, 1, 13, []int{7, 19, 8, 26, 9, 29, 10, 30, 10, 30, 9, 24, 7, 19, 7, 19, 7, 19}},

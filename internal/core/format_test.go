@@ -209,6 +209,20 @@ import (
 // The mapped+parity row was mapped+tier+parity while the engine could
 // stack a store tier (DESIGN.md §17). A tier never entered a record, so
 // the row kept its words when the tier left it.
+//
+// modelRules 15 → 16 (the block writer matches an operation's blocks to
+// drives, DESIGN.md §7) moved all of them by the fingerprint word alone.
+// Checked against the commit before with modelRules held at 15: every
+// record is the commit before's, word for word. Old → new:
+//
+//	RUN P=1               0xaf5a671068a545ca 0x53a4eae16c25060d → 0x6ab8f4114f8bf3c3 0x945bc531e116902e
+//	RUN P=2               0x27327aab1982eed5 0xaba08820f3163011 → 0x015ea963880642a8 0x101888efdf3e7b00
+//	file+parity+faults    0x37606fb669332527 0x8481542182ab25bf → 0x0cc2ce42a37c5090 0x1178ea5107664a26
+//	file+mirror+death     0x50d123027c0548e8 0xbbe0c2b41f3841b1 → 0x608e5e6a78af6443 0x239927f8397ca5fc
+//	mapped+parity         0x6a98813bd4f7c457 0x816278927de7f5fc → 0xdec028df14c5a742 0x2b5dfc933ab7b40f
+//	NODE 0                0x483d9f857dc4af9a 0xdfcbbff0cb7768ec → 0x902be5df60ef8a15 0x9bfab3ab21373b15
+//	NODE 1                0x46eaf5aae2292dc8 0x910885e9fef97c06 → 0x59dbc75a258164f3 0x15b7571e5552de09
+//	CORD                  0x5ea236e10a68ed73 0x48dae754ab7cf201 → 0x729ca9c0b3cba7b8 0xeb4d77b1a0c83f38
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -242,8 +256,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xaf5a671068a545ca, 0x53a4eae16c25060d},
-		2: {0x27327aab1982eed5, 0xaba08820f3163011},
+		1: {0x6ab8f4114f8bf3c3, 0x945bc531e116902e},
+		2: {0x015ea963880642a8, 0x101888efdf3e7b00},
 	} {
 		run("RUN", p, opts, want)
 	}
@@ -259,15 +273,15 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x37606fb669332527, 0x8481542182ab25bf}},
+		}, [2]uint64{0x0cc2ce42a37c5090, 0x1178ea5107664a26}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0x50d123027c0548e8, 0xbbe0c2b41f3841b1}},
+		}, [2]uint64{0x608e5e6a78af6443, 0x239927f8397ca5fc}},
 		{"mapped+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x6a98813bd4f7c457, 0x816278927de7f5fc}},
+		}, [2]uint64{0xdec028df14c5a742, 0x2b5dfc933ab7b40f}},
 	} {
 		o := opts
 		row.with(&o)
@@ -286,9 +300,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x483d9f857dc4af9a, 0xdfcbbff0cb7768ec})
-	check("NODE 1", node1, [2]uint64{0x46eaf5aae2292dc8, 0x910885e9fef97c06})
-	check("CORD", coord, [2]uint64{0x5ea236e10a68ed73, 0x48dae754ab7cf201})
+	check("NODE 0", node0, [2]uint64{0x902be5df60ef8a15, 0x9bfab3ab21373b15})
+	check("NODE 1", node1, [2]uint64{0x59dbc75a258164f3, 0x15b7571e5552de09})
+	check("CORD", coord, [2]uint64{0x729ca9c0b3cba7b8, 0xeb4d77b1a0c83f38})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root
@@ -314,7 +328,10 @@ func TestManifestFormatsPinned(t *testing.T) {
 // sort 406 → 404 and 168 → 164, listrank 304 → 296 and 328 → 320; and
 // when a batch came to hold the words its contexts fill instead of k·µ,
 // which moved MemHigh alone: sort 26624 → 13824 and 26688 → 13952,
-// listrank 72768 → 9673 and 54656 → 7417).
+// listrank 72768 → 9673 and 54656 → 7417; and when the sort stopped
+// storing an index word a record, breaking ties by place: sort 404 → 223
+// with setup 50 → 26 and MemHigh 13824 → 7360, and 164 → 94 with MemHigh
+// 13952 → 7488).
 func TestGoldenRowsOverTheWire(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -323,9 +340,9 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 		p                                      int
 		runOps, setupOps, routeOps, memHighWds int64
 	}{
-		{sort, 2, 404, 50, 0, 13824},
+		{sort, 2, 223, 26, 0, 7360},
 		{listrank, 2, 296, 0, 0, 9673},
-		{sort, 3, 164, 0, 0, 13952},
+		{sort, 3, 94, 0, 0, 7488},
 		{listrank, 3, 320, 0, 0, 7417},
 	} {
 		inst, err := row.spec.Build()
@@ -357,8 +374,8 @@ func TestGoldenRowsOverTheWire(t *testing.T) {
 // message, payload + 1, and 3 more) and the message blocks written.
 type fillMeter struct {
 	core.Transport
-	encoded                int
-	words, blocks, streams []int // per superstep
+	encoded                         int
+	words, blocks, streams, evicted []int // per superstep
 }
 
 func (m *fillMeter) Compute(j, step int) ([]*core.BatchOut, error) {
@@ -374,6 +391,7 @@ func (m *fillMeter) Compute(j, step int) ([]*core.BatchOut, error) {
 func (m *fillMeter) Totals() ([]core.StepTotals, error) {
 	blocks, streams := core.MessageBlocks(m.Transport)
 	m.words, m.blocks, m.streams = append(m.words, m.encoded), append(m.blocks, blocks), append(m.streams, streams)
+	m.evicted = append(m.evicted, core.EvictedStreams(m.Transport))
 	m.encoded = 0
 	return m.Transport.Totals()
 }
@@ -398,38 +416,49 @@ func (m *fillMeter) Totals() ([]core.StepTotals, error) {
 // about half.
 //
 // A stream is one per (sending processor, destination cell) a
-// superstep, so there are at most P × cells of them. Re-pinned when a
+// superstep, and one more per eviction: a packer holds at most
+// ⌈(µ+1)/B⌉ tails open and evicts the fullest when all are taken, and
+// the evicted cell's next record starts a new stream (DESIGN.md §21.7).
+// So there are at most P × cells streams and the evictions, which the
+// meter counts and the rows pin. Re-pinned when a
 // processor came to keep one stream a cell for the whole superstep, its
 // tails open across its rounds (DESIGN.md §21.7), where each sending
 // batch ended a stream of its own: every row where a processor runs more
 // than one batch writes fewer blocks, the benchmark's sort_mem 387 → 337
-// and listrank_par 765 → 440.
+// and listrank_par 765 → 440. Re-pinned when the sort stopped storing an
+// index word a record (ties are broken by place, DESIGN.md §5): its
+// all-to-all carries half the words, and sort_mem's µ fell from 6,403
+// to 3,267 words, so 7 tails serve its 11 cells and 51 evictions start
+// streams (62 in its all-to-all superstep).
 func TestMessageBlockFill(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
 	for _, row := range []struct {
-		spec   workload.Spec
-		p, b   int
-		seed   uint64
-		blocks []int // per superstep
+		spec    workload.Spec
+		p, b    int
+		seed    uint64
+		blocks  []int // per superstep
+		evicted int   // the streams an eviction started, over the run
 	}{
 		// The golden sort's all-to-all sends 256 messages of 64 words,
 		// which at B = 64 took two blocks each (512; 303 with cells cut
 		// by bucket range; 298 in 9 streams with a stream a sending
-		// batch; now 296 in 3).
-		{sort, 1, 64, 7, []int{10, 11, 296, 0}},
-		{sort, 2, 64, 7, []int{10, 12, 300, 0}},
-		{listrank, 1, 64, 7, []int{111, 89, 60, 42, 31, 23, 18, 13, 7, 8, 27, 37, 31, 18, 8, 2, 2, 0}},
+		// batch; 296 in 3; now 32 words a message, 158).
+		{sort, 1, 64, 7, []int{10, 11, 158, 0}, 0},
+		{sort, 2, 64, 7, []int{10, 12, 160, 0}, 0},
+		{listrank, 1, 64, 7, []int{111, 89, 60, 42, 31, 23, 18, 13, 7, 8, 27, 37, 31, 18, 8, 2, 2, 0}, 0},
 		// One batch a processor: nothing to merge.
-		{listrank, 2, 64, 7, []int{113, 90, 61, 43, 32, 23, 18, 15, 8, 8, 28, 39, 33, 20, 10, 3, 3, 0}},
-		// The benchmark's sort_mem instance: 147,456 encoded words in
-		// 11 streams (121 with a stream a sending batch, 343 blocks).
-		{workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 7, []int{17, 22, 298, 0}},
+		{listrank, 2, 64, 7, []int{113, 90, 61, 43, 32, 23, 18, 15, 8, 8, 28, 39, 33, 20, 10, 3, 3, 0}, 0},
+		// The benchmark's sort_mem instance: 81,920 encoded words in 62
+		// streams (147,456 words in 11 streams, 298 blocks, with an
+		// index word a record; 121 streams and 343 blocks with a stream
+		// a sending batch).
+		{workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 7, []int{17, 22, 176, 0}, 51},
 		// The benchmark's listrank_par instance: 154,859 encoded words in
 		// 440 blocks and 236 streams (765 blocks in 674 streams with a
 		// stream a sending batch).
 		{workload.Spec{Alg: "listrank", N: 8192, V: 32, Seed: 1}, 2, 512, 1,
-			[]int{64, 52, 42, 32, 24, 20, 13, 12, 12, 12, 12, 2, 6, 12, 22, 25, 24, 18, 12, 12, 11, 1, 0, 0}},
+			[]int{64, 52, 42, 32, 24, 20, 13, 12, 12, 12, 12, 2, 6, 12, 22, 25, 24, 18, 12, 12, 11, 1, 0, 0}, 0},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {
@@ -450,12 +479,17 @@ func TestMessageBlockFill(t *testing.T) {
 				t.Errorf("%s superstep %d: %d message blocks for %d encoded words in %d streams, want <= %d",
 					label, step, blocks, m.words[step], m.streams[step], bound)
 			}
-			if m.streams[step] > row.p*cells {
-				t.Errorf("%s superstep %d: %d streams, want <= %d (sending processors × cells)", label, step, m.streams[step], row.p*cells)
+			if bound := row.p*cells + m.evicted[step]; m.streams[step] > bound {
+				t.Errorf("%s superstep %d: %d streams, want <= %d (sending processors × cells, and %d evictions)", label, step, m.streams[step], bound, m.evicted[step])
 			}
 		}
-		if !slices.Equal(m.blocks, row.blocks) {
-			t.Errorf("%s: message blocks per superstep are %v (for %v encoded words in %v streams), want %v", label, m.blocks, m.words, m.streams, row.blocks)
+		evicted := 0
+		for _, n := range m.evicted {
+			evicted += n
+		}
+		if !slices.Equal(m.blocks, row.blocks) || evicted != row.evicted {
+			t.Errorf("%s: message blocks per superstep are %v (for %v encoded words in %v streams, %v started by an eviction), want %v blocks and %d evictions",
+				label, m.blocks, m.words, m.streams, m.evicted, row.blocks, row.evicted)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -63,11 +64,14 @@ const (
 // at most once, §5 and §20; 15: the redundancy layer's record carries no
 // scrub cursor, no remap table and no repair counters — a bad track is
 // rebuilt into its reader's buffer, never written back, and nothing is
-// written to a dead drive, §10). It is folded into every
+// written to a dead drive, §10; 16: the block writer matches each
+// operation's blocks to drives so that every destination batch stays
+// within ⌈R_g/L⌉ + 1 blocks a drive where it can, §7, which moves the
+// tracks a directory lists). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 15
+const modelRules = 16
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -451,6 +455,13 @@ func decodeRecSteps(dec *words.Decoder) []bsp.SuperstepCost {
 	return steps
 }
 
+// ErrFingerprintMismatch is the error a resume returns when the state
+// directory's journal carries another fingerprint than this run's: it
+// was written under a different program, machine configuration, options
+// or model rules (modelRules), so the run cannot continue it. The
+// directory is left as found.
+var ErrFingerprintMismatch = errors.New("core: journal fingerprint mismatch: the state directory was written under a different program, machine configuration, options or model rules")
+
 // checkManifestHeader verifies the kind tag and fingerprint leading
 // every manifest.
 func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
@@ -459,7 +470,7 @@ func checkManifestHeader(dec *words.Decoder, kind uint64, fpr uint64) error {
 		return fmt.Errorf("core: journal was written by a different engine, or by this one before its manifest changed (kind %#x, want %#x); it cannot be resumed", gotKind, kind)
 	}
 	if got := dec.Uint(); got != fpr {
-		return fmt.Errorf("core: journal fingerprint mismatch: the state directory was written under a different program, machine configuration, options or model rules")
+		return ErrFingerprintMismatch
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"embsp/internal/disk"
@@ -92,12 +93,15 @@ func (d *outDirectory) skew() (skew float64) {
 // blockWriter implements Step 1(d) of Algorithm 1 (and the disk-write
 // part of Step 1(c) of Algorithm 3): it accepts block images, buffers
 // up to D of them, and flushes each full buffer in one parallel write
-// operation. A block goes to the free drive on which its destination
-// group holds fewest blocks so far, so a group's scattered read takes
-// ⌈R_g/D⌉ operations or one more whatever the traffic; a fresh random
-// permutation (a round-robin rotation in deterministic mode) orders the
-// drives and so breaks the ties. Every written block is appended to its
-// destination group's standard-linked-format list.
+// operation. Each operation's blocks are matched to distinct drives
+// (place) so that every destination batch stays within DESIGN.md §7's
+// bound, max_d q[g][d] ≤ ⌈R_g/L⌉ + 1 — a batch's scattered read takes
+// ⌈R_g/L⌉ operations or one more whatever the traffic — and, among the
+// drives that keep it there, a block goes to the one on which its batch
+// holds fewest blocks so far. A fresh random permutation (a round-robin
+// rotation in deterministic mode) orders the drives and so breaks the
+// ties. Every written block is appended to its destination group's
+// standard-linked-format list.
 //
 // When the fault layer reports a dead drive (down != nil), the writer
 // scatters only over the surviving drives, splitting a full buffer
@@ -115,8 +119,15 @@ type blockWriter struct {
 	buf     []uint64 // D·B words
 	reqs    []disk.WriteReq
 	metas   []blockMeta
-	perm    []int
 	pending int
+
+	// One operation's matching, over live drive indices s (drive
+	// live[s]) and the operation's blocks i: order is the drives in
+	// tie-break order, owner[s] the block on s (-1: free), seen marks an
+	// augmenting search's drives; to[i] is block i's drive, group[i] its
+	// batch and limit[i] the most blocks of it a drive may already hold
+	// to take it.
+	live, order, owner, seen, to, group, limit []int
 }
 
 // newBlockWriter returns a writer over the processor's operation
@@ -124,11 +135,16 @@ type blockWriter struct {
 // the superstep's last flush.
 func newBlockWriter(dsk disk.Store, dir *outDirectory, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
 	D, B := dsk.Config().D, dsk.Config().B
-	return &blockWriter{
+	w := &blockWriter{
 		dsk: dsk, dir: dir, groupOf: groupOf, rng: rng, det: det, down: down,
 		buf: fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
-		metas: grow(&bufs.pending, D), perm: grow(&bufs.perm, D),
+		metas: grow(&bufs.pending, D),
 	}
+	place := grow(&bufs.place, 7*D)
+	for _, s := range []*[]int{&w.live, &w.order, &w.owner, &w.seen, &w.to, &w.group, &w.limit} {
+		*s, place = place[:D:D], place[D:]
+	}
+	return w
 }
 
 func (w *blockWriter) add(meta blockMeta, img []uint64) error {
@@ -160,38 +176,28 @@ func (w *blockWriter) flush() error {
 		return nil
 	}
 	B := w.dsk.Config().B
-	var liveBuf [64]int
-	live := w.liveInto(liveBuf[:0])
+	live := w.liveInto(w.live)
 	L := len(live)
 	if L == 0 {
 		return &engineError{msg: "no live drives"}
 	}
 	for base := 0; base < w.pending; {
-		n := w.pending - base
-		if n > L {
-			n = L
-		}
+		n := min(w.pending-base, L)
 		if w.det {
 			for i := 0; i < L; i++ {
-				w.perm[i] = (w.rr + i) % L
+				w.order[i] = (w.rr + i) % L
 			}
 			w.rr = (w.rr + n) % L
 		} else {
-			w.rng.PermInto(w.perm[:L])
+			w.rng.PermInto(w.order[:L])
 		}
+		w.place(base, n, L)
 		reqs := w.reqs[:0]
 		for i := 0; i < n; i++ {
-			q := w.dir.q[w.groupOf(w.metas[base+i].dst)]
-			best := -1 // the pick's position in perm, whose taken entries are -1
-			for at, s := range w.perm[:L] {
-				if s >= 0 && (best < 0 || len(q[live[s]]) < len(q[live[w.perm[best]]])) {
-					best = at
-				}
-			}
-			d := live[w.perm[best]]
-			w.perm[best] = -1
+			d := live[w.to[i]]
 			t := w.dsk.Alloc(d)
 			reqs = append(reqs, disk.WriteReq{Disk: d, Track: t, Src: w.buf[(base+i)*B : (base+i+1)*B]})
+			q := w.dir.q[w.group[i]]
 			q[d] = append(q[d], blockRef{disk: d, track: t, meta: w.metas[base+i]})
 			w.dir.total++
 		}
@@ -202,6 +208,89 @@ func (w *blockWriter) flush() error {
 	}
 	w.pending = 0
 	return nil
+}
+
+// place matches the n ≤ L pending blocks from base to distinct live
+// drives, filling to. A drive holding at most limit[i] of block i's
+// batch keeps the batch within its bound after the operation, whatever
+// the other blocks do, since two blocks of a batch never share a drive.
+// The blocks take such drives by augmenting paths (a maximum matching
+// over at most L blocks): first the drives that leave a batch at
+// ⌈R_g/L⌉, spending none of the bound's slack, then the rest within it,
+// each block trying the free drive its batch holds fewest blocks on
+// first. A block no matching can keep within its bound takes that drive.
+func (w *blockWriter) place(base, n, L int) {
+	for i := 0; i < n; i++ {
+		w.group[i] = w.groupOf(w.metas[base+i].dst)
+	}
+	for i := 0; i < n; i++ {
+		R := 0
+		for _, refs := range w.dir.q[w.group[i]] {
+			R += len(refs)
+		}
+		for j := 0; j < n; j++ {
+			if w.group[j] == w.group[i] {
+				R++
+			}
+		}
+		w.limit[i] = (R + L - 1) / L
+	}
+	for s := 0; s < L; s++ {
+		w.owner[s] = -1
+	}
+	for i := 0; i < n; i++ {
+		w.to[i] = -1
+	}
+	for slack := 0; slack <= 1; slack++ {
+		for i := 0; i < n; i++ {
+			if w.to[i] < 0 {
+				clear(w.seen[:L])
+				w.augment(i, L, slack)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if w.to[i] < 0 {
+			s := w.fewest(i, L, math.MaxInt)
+			w.owner[s], w.to[i] = i, s
+		}
+	}
+}
+
+// fewest returns the free drive, by live index, on which block i's
+// batch holds fewest blocks, and at most limit; the first in order among
+// equals, and -1 if there is none.
+func (w *blockWriter) fewest(i, L, limit int) int {
+	q := w.dir.q[w.group[i]]
+	best, least := -1, 0
+	for _, s := range w.order[:L] {
+		if n := len(q[w.live[s]]); w.owner[s] < 0 && n <= limit && (best < 0 || n < least) {
+			best, least = s, n
+		}
+	}
+	return best
+}
+
+// augment gives block i a drive holding at most limit[i]-1+slack of its
+// batch, moving placed blocks along an augmenting path if it must, and
+// reports whether it could.
+func (w *blockWriter) augment(i, L, slack int) bool {
+	limit := w.limit[i] - 1 + slack
+	if s := w.fewest(i, L, limit); s >= 0 {
+		w.owner[s], w.to[i] = i, s
+		return true
+	}
+	q := w.dir.q[w.group[i]]
+	for _, s := range w.order[:L] {
+		if w.seen[s] == 0 && len(q[w.live[s]]) <= limit {
+			w.seen[s] = 1 // every such drive is taken: fewest found none free
+			if w.augment(w.owner[s], L, slack) {
+				w.owner[s], w.to[i] = i, s
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // engineError is a plain internal failure (not a fault, not a model

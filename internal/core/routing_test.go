@@ -244,3 +244,71 @@ func TestDemoRoutingRuns(t *testing.T) {
 		t.Errorf("the demo printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
+
+// TestBlockWriterPlacementBound holds the block writer to DESIGN.md §7's
+// placement bound on random block streams — few drives and many, one
+// batch to a dozen, skewed batch sizes, blocks in runs as a stream packer
+// hands them over, both tie-break modes, all drives live or one dead:
+// when the last block is written, no batch g holds more than
+// ⌈R_g/L⌉ + 1 blocks on one drive. A writer that places each block
+// greedily in arrival order breaks it: earlier blocks of an operation can
+// take every drive on which a later block's batch is light.
+func TestBlockWriterPlacementBound(t *testing.T) {
+	r := prng.New(51)
+	const streams = 4000
+	bad := 0
+	for c := 0; c < streams; c++ {
+		D := []int{2, 3, 4, 8}[r.Intn(4)]
+		G := 1 + r.Intn(12)
+		dsk := disk.MustNewArray(disk.Config{D: D, B: headerWords + 1})
+		dir := newOutDirectory(G, D)
+		var down func(int) bool
+		L := D
+		if D > 2 && r.Intn(4) == 0 {
+			dead := r.Intn(D)
+			down, L = func(d int) bool { return d == dead }, D-1
+		}
+		var bufs stepBufs
+		w := newBlockWriter(dsk, dir, func(dst int) int { return dst }, prng.New(uint64(c)), r.Intn(2) == 0, down, &bufs)
+		weights := make([]int, G)
+		for g := range weights {
+			weights[g] = 1 + r.Intn(1<<r.Intn(6))
+		}
+		sum := 0
+		for _, x := range weights {
+			sum += x
+		}
+		img := make([]uint64, headerWords+1)
+		g := 0
+		for i, n := 0, 1+r.Intn(400); i < n; i++ {
+			if i == 0 || r.Intn(3) == 0 { // a new run: a batch by weight
+				x := r.Intn(sum)
+				for g = 0; x >= weights[g]; g++ {
+					x -= weights[g]
+				}
+			}
+			if err := w.add(blockMeta{dst: g, seq: i}, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+		for g, perDrive := range dir.q {
+			fullest, R := 0, 0
+			for _, refs := range perDrive {
+				fullest, R = max(fullest, len(refs)), R+len(refs)
+			}
+			if fullest > (R+L-1)/L+1 {
+				bad++
+				if bad <= 3 {
+					t.Errorf("stream %d (D=%d, L=%d): batch %d holds %d of its %d blocks on one drive, above ⌈R/L⌉ + 1 = %d", c, D, L, g, fullest, R, (R+L-1)/L+1)
+				}
+				break
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d streams broke the placement bound", bad, streams)
+	}
+}

@@ -237,13 +237,14 @@ func table() []entry {
 
 // Machine builds the standard CLI machine shape for a built program:
 // per-processor memory scaled off the program's context footprint
-// (M = mFactor·µ) and the default cost parameters over block size b.
+// (M = mFactor·µ, and at least the one block a drive the model requires,
+// M ≥ D·B) and the default cost parameters over block size b.
 // embsp-run and embsp-cluster must agree on this mapping exactly —
 // the cluster's bitwise-identity check replays the same flags through
 // the in-process engine.
 func Machine(prog embsp.Program, p, d, b, mFactor int, g float64) embsp.MachineConfig {
 	return embsp.MachineConfig{
-		P: p, M: mFactor * prog.MaxContextWords(), D: d, B: b, G: g,
+		P: p, M: max(mFactor*prog.MaxContextWords(), d*b), D: d, B: b, G: g,
 		Cost: embsp.CostParams{GUnit: 1, GPkt: float64(b), Pkt: b, L: 100},
 	}
 }
