@@ -12,7 +12,10 @@ import (
 // by every batch and superstep (DESIGN.md §19). A buffer grows
 // exact-fit when a request exceeds it, so each allocation replaces an
 // identical one the loop would otherwise have made at that point; ctx,
-// whose batches grow a record at a time, doubles instead (ctxSpan).
+// whose batches grow a record at a time, and vpMem, which follows a
+// batch's contexts, double instead, up to their bounds (ctxSpan,
+// fitUpTo). The scatter slab stays exact-fit: doubling it was measured
+// to allocate more bytes a run, not fewer (DESIGN.md §19).
 //
 // Lifetime rule: a slice cut from one of these buffers is valid until
 // the same phase next runs on this processor. Phases are separated by
@@ -47,11 +50,13 @@ type stepBufs struct {
 	tails     []tail          // the stream packer's per-cell state
 	tailSlots []int           // the cell of each open tail
 
-	enc     words.Encoder // the context being saved
-	msgs    []outMsg      // the batch's generated messages, which the sink sorts by cell
-	metas   []blockMeta   // the fetched blocks' directory entries
-	pending []blockMeta   // the block writer's pending blocks, D entries
-	place   []int         // the block writer's matching scratch, 7·D entries
+	enc     words.Encoder  // the context being saved
+	msgs    []outMsg       // the batch's generated messages, which the sink sorts by cell
+	metas   []blockMeta    // the fetched blocks' directory entries
+	at      []int          // the fetch's per-drive cursors, 2·D entries
+	pending []pendingBlock // the block writer's pending blocks, D entries
+	load    []int          // the block writer's blocks per batch and drive
+	place   []int          // the block writer's matching scratch, 7·D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
 
@@ -89,4 +94,16 @@ func fit(s *[]uint64, n int) []uint64 {
 		}
 	}
 	return b
+}
+
+// fitUpTo is fit for a buffer that grows geometrically: one too small
+// for n words is reallocated, contents dropped, to twice its capacity,
+// at most limit — the buffer's bound — and at least n. So it reaches
+// its largest request in a few reallocations, and a later request no
+// larger allocates nothing.
+func fitUpTo(s *[]uint64, n, limit int) []uint64 {
+	if c := cap(*s); c < n {
+		*s = make([]uint64, max(n, min(2*c, limit)))
+	}
+	return fit(s, n)
 }

@@ -415,8 +415,9 @@ func (n *NodeEngine) setupBarrier() (stats disk.Stats, err error) {
 	return stats, n.record(-1)
 }
 
-// BeginStep resets the node's superstep-scoped scratch.
-func (n *NodeEngine) BeginStep() { n.sh.beginStep(n.ps) }
+// BeginStep resets the node's superstep-scoped scratch for the
+// superstep after its last barrier.
+func (n *NodeEngine) BeginStep() { n.sh.beginStep(n.ps, n.stepsDone) }
 
 // Compute runs the fetching and computing phases of batch j: its input
 // is read from the local disks, and the blocks for the node's own VPs go

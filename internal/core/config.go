@@ -270,8 +270,8 @@ type EMStats struct {
 	RouteOps    int64
 	RaggedSlots int64
 	// MaxBucketSkew is the largest observed ratio between the maximum
-	// per-drive share of a destination batch's blocks and the even share
-	// R/D (Lemma 2's l).
+	// per-drive share of the blocks a batch's fetch reads — its contexts
+	// and its incoming messages — and the even share R/D (Lemma 2's l).
 	MaxBucketSkew float64
 	// MemHigh is the engine's internal-memory high-water mark in words
 	// (max over processors). Contexts are charged for the blocks their

@@ -457,7 +457,13 @@ func (m *contextMeter) Totals() ([]core.StepTotals, error) {
 // blocks more. Since a Ranker context holds only what its phase reads —
 // the flags as bits, one flat subscription list, pred or Rank (DESIGN.md
 // §23.1) — listrank at P = 1 moves about half the blocks it did: 43 → 19
-// operations in its last supersteps, 54 → 30 at the peak.
+// operations in its last supersteps, 54 → 30 at the peak. Since every
+// block a processor writes goes through its one block writer (§22.1),
+// the sums are what the contexts would take read apart, and the
+// operations they take are shared: oneWord's set-up writes its two
+// blocks in one operation, not two, and a superstep its two blocks in
+// one write, [2 16 2] → [1 12 2]; sort's set-up at P = 1 writes its
+// batches' blocks in 25 operations, not 26.
 func TestContextOpsFollowUse(t *testing.T) {
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640) // k = 4: three batches
@@ -469,9 +475,11 @@ func TestContextOpsFollowUse(t *testing.T) {
 	if res.EM.K != 4 || res.EM.Groups != batches || res.Costs.Supersteps != supersteps {
 		t.Fatalf("shape: k=%d, %d batches, %d supersteps", res.EM.K, res.EM.Groups, res.Costs.Supersteps)
 	}
+	// The batches but the held one write their block each in one
+	// operation a superstep (D = 4), and read it in one operation each.
 	got := [3]int64{res.EM.Setup.Ops, res.EM.Run.Ops, res.EM.Finish.Ops}
-	if want := [3]int64{batches - 1, 2 * (batches - 1) * supersteps, batches - 1}; got != want {
-		t.Errorf("setup, run and finish operations are %v, want %v: one write and one read per batch and superstep but the held one", got, want)
+	if want := [3]int64{1, batches * supersteps, batches - 1}; got != want {
+		t.Errorf("setup, run and finish operations are %v, want %v: one write a superstep, one read per batch and superstep but the held one", got, want)
 	}
 
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
@@ -492,7 +500,7 @@ func TestContextOpsFollowUse(t *testing.T) {
 		// A key is one word since the sort stores no index word (§5):
 		// every sum about halved, {50, [42 25 2 49]} → {26, [22 13 2 25]}
 		// and {50, [18 50 2 48]} → {26, [10 26 2 25]}.
-		{sort, 1, 26, []int{22, 13, 2, 25}},
+		{sort, 1, 25, []int{22, 13, 2, 25}},
 		{sort, 2, 26, []int{10, 26, 2, 25}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.

@@ -90,20 +90,20 @@ func TestLiveBlocksAreDriveFiles(t *testing.T) {
 		}
 	}
 
-	// Three batches of one block each, two of them on drives 0 and 1 and
-	// the turnaround batch in memory: in place each save gets back the
-	// track its load released, but for the first of a superstep's, the
-	// batch held across the barrier, which is saved before any load has
-	// released a track and takes one beside the batch on its stripe's
-	// first drive (1 until PR 25, when every batch had a track to give
-	// back); a checkpointed run holds the generation it would roll back to
+	// Three batches of one block each, two of them on disk and the
+	// turnaround batch in memory. The block writer holds both blocks a
+	// superstep writes until its last flush, by when in place both loads
+	// have released their tracks, which the flush takes back: one track a
+	// drive (2 while each save allocated its track at once, and the batch
+	// held across the barrier was saved before any load had released
+	// one). A checkpointed run holds the generation it would roll back to
 	// beside the one it writes.
 	prog := &oneWord{v: 12, mu: 160, steps: 3}
 	cfg := parMachine(1, 4, 16, 640)
 	for _, row := range []struct {
 		durable bool
 		want    int64
-	}{{false, 2}, {true, 2}} {
+	}{{false, 1}, {true, 2}} {
 		opts := core.Options{Seed: 1}
 		if row.durable {
 			opts.StateDir = t.TempDir()

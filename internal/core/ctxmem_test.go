@@ -108,15 +108,21 @@ func TestContextMemoryFollowsUse(t *testing.T) {
 	}
 }
 
-// bufferMeter records each processor's context buffer at every commit.
+// bufferMeter records a buffer of each processor's at every commit: the
+// context buffer, or the one of reads.
 type bufferMeter struct {
 	core.Transport
+	reads func(core.Transport) ([]*uint64, []int)
 	addrs [][]*uint64 // per commit, per processor
 	caps  [][]int
 }
 
 func (m *bufferMeter) Commit(step int) error {
-	a, c := core.CtxBuffers(m.Transport)
+	read := core.CtxBuffers
+	if m.reads != nil {
+		read = m.reads
+	}
+	a, c := read(m.Transport)
 	m.addrs, m.caps = append(m.addrs, a), append(m.caps, c)
 	return m.Transport.Commit(step)
 }
@@ -166,6 +172,55 @@ func TestContextBufferAllocs(t *testing.T) {
 			t.Logf("P=%d processor %d: %d allocations of the context buffer, up to %d words (bound %d)", P, proc, allocs, m.caps[len(m.caps)-1][proc], bound)
 			if allocs < 2 || allocs > maxAllocs {
 				t.Errorf("P=%d processor %d: the context buffer was allocated %d times, want 2 to %d", P, proc, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// TestVPMemAllocs is TestContextBufferAllocs for the words a batch's
+// VPs decode (stepBufs.vpMem), which follow what its load read: on the
+// same ramp the buffer is allocated at most 1 + ⌈log₂(bound/B)⌉ times —
+// exact-fit, it was reallocated at each batch larger than any before —
+// and once a superstep has decoded every batch at µ, no later superstep
+// allocates it again.
+func TestVPMemAllocs(t *testing.T) {
+	const mu, top = 200, 17 // every context holds µ words from barrier 17 on
+	prog := &sizedProgram{v: 16, mu: mu, steps: 30, length: func(id, t int) int {
+		return min(mu, 1+12*t+id%3)
+	}}
+	for _, P := range []int{1, 2} {
+		cfg := parMachine(P, 2, 8, 4*mu)
+		m := &bufferMeter{reads: core.VPMemBuffers}
+		res, err := core.RunOver(func(inner core.Transport) core.Transport {
+			m.Transport = inner
+			return m
+		}, prog, cfg, core.Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("P=%d: %v", P, err)
+		}
+		bound := res.EM.K * res.EM.CtxBlocksPerVP * cfg.B
+		maxAllocs := 1
+		for n := cfg.B; n < bound; n *= 2 {
+			maxAllocs++
+		}
+		// m.addrs[s+1] is superstep s's commit; superstep top loaded
+		// every batch at µ.
+		for proc := 0; proc < P; proc++ {
+			allocs := 0
+			var last *uint64
+			for c, addrs := range m.addrs {
+				if addrs[proc] == last {
+					continue
+				}
+				allocs++
+				last = addrs[proc]
+				if c > top+1 {
+					t.Errorf("P=%d processor %d: the decode buffer was reallocated in superstep %d, after every batch was decoded at µ (%d words of capacity)", P, proc, c-1, m.caps[c][proc])
+				}
+			}
+			t.Logf("P=%d processor %d: %d allocations of the decode buffer, up to %d words (bound %d)", P, proc, allocs, m.caps[len(m.caps)-1][proc], bound)
+			if allocs > maxAllocs {
+				t.Errorf("P=%d processor %d: the decode buffer was allocated %d times, want at most %d", P, proc, allocs, maxAllocs)
 			}
 		}
 	}

@@ -86,6 +86,19 @@ func CtxBuffers(t Transport) (addrs []*uint64, caps []int) {
 	return addrs, caps
 }
 
+// VPMemBuffers reports, like CtxBuffers, each processor's buffer of the
+// words its batch's VPs decode (stepBufs.vpMem).
+func VPMemBuffers(t Transport) (addrs []*uint64, caps []int) {
+	for _, ps := range procs(t) {
+		var a *uint64
+		if cap(ps.vpMem) > 0 {
+			a = &ps.vpMem[:1][0]
+		}
+		addrs, caps = append(addrs, a), append(caps, cap(ps.vpMem))
+	}
+	return addrs, caps
+}
+
 // EvictedStreams counts the streams of the open superstep's directories
 // that an eviction started: those numbered above 0.
 func EvictedStreams(t Transport) (n int) {
@@ -185,11 +198,13 @@ func IsEngineError(err error) bool {
 }
 
 // Placement is what one processor's block writer left the next fetch to
-// pay in the open superstep's directory: Scattered, the sum over batches
-// of the fullest drive's share; Ideal, Σ_g⌈R_g/L⌉ over the L live drives;
-// Multi, the batches holding two blocks or more; Worst, the furthest a
-// batch lies above its own ideal; and Floor, the least Algorithm 2 could
-// have cost before the same batches were read from its regions.
+// pay in the open superstep, a batch's contexts and messages together:
+// Scattered, the sum over batches of the fullest drive's share; Ideal,
+// Σ_g⌈R_g/L⌉ over the L live drives; Multi, the batches holding two
+// blocks or more; Worst, the furthest a batch lies above its own ideal;
+// and Floor, the least Algorithm 1 could have cost to read the same
+// batches had Algorithm 2 routed their messages first, and their
+// contexts been read apart.
 type Placement struct{ Scattered, Ideal, Multi, Worst, Floor int }
 
 // PlacementCosts reads every processor's Placement.
@@ -202,20 +217,29 @@ func PlacementCosts(t Transport) (ps []Placement) {
 				L--
 			}
 		}
-		for _, perDrive := range proc.dir.q {
-			fullest, Rg := 0, 0
+		for g, perDrive := range proc.dir.q {
+			// The batch's next fetch reads its messages and the contexts
+			// the generation lists: those the superstep wrote, or those
+			// a skip carried over.
+			ctx := make([]int, D)
+			for _, a := range proc.ctxWrite[g] {
+				ctx[a.Disk]++
+			}
+			fullest, Rg, Mg := 0, 0, 0
 			for d, refs := range perDrive {
-				fullest, Rg, load[d] = max(fullest, len(refs)), Rg+len(refs), load[d]+len(refs)
+				n := len(refs) + ctx[d]
+				fullest, Rg, Mg, load[d] = max(fullest, n), Rg+n, Mg+len(refs), load[d]+len(refs)
 			}
 			p.Scattered, p.Ideal, p.Worst = p.Scattered+fullest, p.Ideal+(Rg+L-1)/L, max(p.Worst, fullest-(Rg+L-1)/L)
 			if Rg >= 2 {
 				p.Multi++
 			}
-			// Routed, the batch is read in ⌈R_g/D⌉ operations, after
-			// Step 1 moved every block (at least the fullest drive's
-			// load, at least ⌈R/D⌉ moves) and Step 2's ⌈R/D⌉ moves, two
-			// operations a move.
-			p.Floor += (Rg + D - 1) / D
+			// Routed, the batch's messages are read in ⌈M_g/D⌉
+			// operations, after Step 1 moved every block (at least the
+			// fullest drive's load, at least ⌈M/D⌉ moves) and Step 2's
+			// ⌈M/D⌉ moves, two operations a move; its contexts in
+			// ⌈C_g/L⌉ more, from the live drives.
+			p.Floor += (Mg+D-1)/D + (Rg-Mg+L-1)/L
 		}
 		even := (proc.dir.total + D - 1) / D
 		p.Floor += 2*max(even, slices.Max(load)) + 2*even
@@ -469,4 +493,41 @@ func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk
 		named = append(named, tracks...)
 	}
 	return err, false, named, st, held
+}
+
+// Writes is what one processor's block writer has written since the
+// set-up or the open superstep began: Blocks, its message and context
+// blocks, and Sealed, the batches it wrote between flushes of their own
+// (a batch of sleepers under redundancy, saveContexts); Stats is the
+// processor's chain statistics and ParityOps its redundancy layer's
+// operations so far.
+type Writes struct {
+	Blocks, Sealed int
+	Stats          disk.Stats
+	ParityOps      int64
+}
+
+// WritesOf reports every processor's Writes.
+func WritesOf(t Transport) []Writes {
+	var ws []Writes
+	for _, ps := range procs(t) {
+		w := Writes{Stats: ps.chain.Stats()}
+		if ps.dir != nil {
+			w.Blocks = ps.dir.total
+		}
+		for j, tracks := range ps.ctxWrite {
+			if ps.skipped[j] || len(tracks) == 0 {
+				continue
+			}
+			w.Blocks += len(tracks)
+			if ps.redundant() && t.(*engine).batchSleeps(ps, j) {
+				w.Sealed++
+			}
+		}
+		if red := disk.Find[*redundancy.Store](ps.chain); red != nil {
+			w.ParityOps = red.Counters().ParityOps
+		}
+		ws = append(ws, w)
+	}
+	return ws
 }

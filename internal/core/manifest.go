@@ -67,11 +67,16 @@ const (
 // written to a dead drive, §10; 16: the block writer matches each
 // operation's blocks to drives so that every destination batch stays
 // within ⌈R_g/L⌉ + 1 blocks a drive where it can, §7, which moves the
-// tracks a directory lists). It is folded into every
+// tracks a directory lists; 17: every block a processor writes, its
+// contexts too, goes through its block writer, which places a batch's
+// contexts and messages under one bound and allocates a context block's
+// track at its flush, and a batch's contexts and messages are read in one
+// scattered read, §22.1 — the context directory lists other tracks, and
+// the set-up's placement draws nothing from the PRNG). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 16
+const modelRules = 17
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

@@ -100,7 +100,6 @@ type procState struct {
 	down     func(d int) bool // the fault layer's dead drives; nil without one
 	ctxDir   [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
 	ctxWrite [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
-	ctxAt    int              // the drive the next batch's context tracks start at
 	inDir    *outDirectory    // the input's blocks where their writer left them, per batch; nil before the first superstep
 	held     int              // the turnaround batch, whose packed records ctx holds until the next round 0 loads them; -1: none
 	heldLen  int              // the words of those records
@@ -325,52 +324,28 @@ func (sh *simShape) ctxSpan(ps *procState, keep, w int) []uint64 {
 	return buf
 }
 
-// moveContexts writes (or reads) the blocks of buf to (from) tracks,
-// block i at tracks[i]: one parallel operation for every run of tracks on
-// distinct drives, which is a stripe's period — D while every drive lives.
-func (ps *procState) moveContexts(tracks []disk.Addr, buf []uint64, write bool) error {
-	D, B := ps.chain.Config().D, ps.chain.Config().B
-	for lo, hi := 0, 0; lo < len(tracks); lo = hi {
-		reads, writes := grow(&ps.reads, D)[:0], grow(&ps.writes, D)[:0]
-		for hi = lo; hi < len(tracks) && (hi == lo || tracks[hi].Disk != tracks[lo].Disk); hi++ {
-			a, blk := tracks[hi], buf[hi*B:(hi+1)*B]
-			if write {
-				writes = append(writes, disk.WriteReq{Disk: a.Disk, Track: a.Track, Src: blk})
-			} else {
-				reads = append(reads, disk.ReadReq{Disk: a.Disk, Track: a.Track, Dst: blk})
-			}
-		}
-		// One of the lists is empty, and an empty operation is none.
-		err := ps.chain.ReadOp(reads)
-		if err == nil {
-			err = ps.chain.WriteOp(writes)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // saveContexts is Step 1(e): the contexts of batch j's VPs are packed
-// end to end as records [length, words…] and written to exactly the
-// tracks they fill, allocated here — striped over the live drives from
-// where the superstep's previous batch stopped, no draw from the block
-// writer's PRNG — and entered in the generation being written. The
-// accountant holds grab words for the batch, what its load filled; as
-// each record is appended the grab is topped up to the blocks the
-// records fill, and the buffer grows with it. A record may not exceed
-// µ + 1 words, so neither exceeds the bound of k contexts. The grab is
-// returned. The records of the turnaround batch, the superstep's last,
-// stay where they are packed: the next round 0 loads them from the
-// buffer, so they get no track and the batch's entry in the generation
-// is empty. The tracks of
-// a batch whose VPs all sleep may outlive the superstep's other writes —
-// the next superstep may skip the batch — so under parity they go to
-// stripes of their own.
-func (sh *simShape) saveContexts(ps *procState, j, step int, grab int64, vp func(id int) bsp.VP) (int64, error) {
+// end to end as records [length, words…] and handed, block by block, to
+// the block writer w, which allocates their tracks at its flush — placed
+// as it places message blocks, under the batch's bound (DESIGN.md §7) —
+// and enters them, in block order, in the generation being written. So
+// the batch's blocks share parallel operations with every other block
+// the processor writes in the superstep. The accountant holds grab words
+// for the batch, what its load filled; as each record is appended the
+// grab is topped up to the blocks the records fill, and the buffer grows
+// with it. A record may not exceed µ + 1 words, so neither exceeds the
+// bound of k contexts. The grab is returned: the writer's operation
+// buffer, charged apart, holds what is not yet written. The records of
+// the turnaround batch, the superstep's last, stay where they are packed:
+// the next round 0 loads them from the buffer, so they get no track and
+// the batch's entry in the generation is empty. The tracks of a batch
+// whose VPs all sleep may outlive the superstep's other writes — the
+// next superstep may skip the batch — so under redundancy they go to
+// stripes of their own: the writer is flushed and the stripes sealed on
+// both sides of them.
+func (sh *simShape) saveContexts(ps *procState, w *blockWriter, j, step int, grab int64, vp func(id int) bsp.VP) (int64, error) {
 	lo, hi := sh.batchBounds(ps, j)
-	D, B, pos := sh.cfg.D, sh.cfg.B, 0
+	B, pos := sh.cfg.B, 0
 	buf := sh.ctxSpan(ps, 0, int(grab))
 	for id := lo; id < hi; id++ {
 		ps.enc.Reset()
@@ -397,66 +372,83 @@ func (sh *simShape) saveContexts(ps *procState, j, step int, grab int64, vp func
 		}
 		return grab, nil
 	}
-	tracks := grow(&ps.ctxWrite[j], (pos+B-1)/B)
-	clear(buf[pos : len(tracks)*B])
-	for i := range tracks {
-		for n := 0; n < D && ps.down != nil && ps.down(ps.ctxAt); n++ {
-			ps.ctxAt = (ps.ctxAt + 1) % D
+	blocks := (pos + B - 1) / B
+	clear(buf[pos : blocks*B])
+	ps.ctxWrite[j] = slices.Grow(ps.ctxWrite[j][:0], blocks) // the writer's flushes fill it
+	sealed := ps.redundant() && sh.batchSleeps(ps, j)
+	if sealed {
+		if err := w.flush(); err != nil {
+			return grab, err
 		}
-		tracks[i] = disk.Addr{Disk: ps.ctxAt, Track: ps.chain.Alloc(ps.ctxAt)}
-		ps.ctxAt = (ps.ctxAt + 1) % D
+		ps.seal()
 	}
-	ps.ctxWrite[j] = tracks
-	if !sh.batchSleeps(ps, j) {
-		return grab, ps.moveContexts(tracks, buf, true)
+	for i := 0; i < blocks; i++ {
+		if err := w.addContext(j, buf[i*B:(i+1)*B]); err != nil {
+			return grab, err
+		}
 	}
-	ps.seal()
-	err := ps.moveContexts(tracks, buf, true)
+	if !sealed {
+		return grab, nil
+	}
+	err := w.flush()
 	ps.seal()
 	return grab, err
 }
 
-// loadContexts is Step 1(a): read the blocks batch j's committed
-// contexts fill, by the context directory, into the context buffer and
-// hand each VP's words to emit, in VP order. The slices alias the
-// buffer. It returns the words the accountant holds for the loaded
-// records, which it grabs for the blocks read — on an error too, once
-// grabbed. The held batch is read from nowhere: its records are the
-// buffer's first words, and the accountant kept their blocks across the
-// barrier.
-func (sh *simShape) loadContexts(ps *procState, j int, emit func(id int, ctx []uint64) error) (int64, error) {
+// fetchBlocks is the read of batch j (Steps 1(a) and 1(b)): the tracks
+// the context directory lists for its committed contexts, into the
+// context buffer, and the message blocks in lists per drive, into the
+// region buffer, in one scattered read (readBatch). The held batch's
+// contexts are read from nowhere: its records are the buffer's first
+// words, and the accountant kept their blocks across the barrier. The
+// batchIn's ctx holds the records and ctxGrab the words the accountant
+// holds for them; on an error nothing the read grabbed stays grabbed.
+func (sh *simShape) fetchBlocks(ps *procState, j int, in [][]blockRef) (batchIn, error) {
 	lo, hi := sh.batchBounds(ps, j)
-	var buf []uint64
+	var tracks []disk.Addr
+	var ctx []uint64
 	var grab int64
 	switch used := len(ps.ctxDir[j]); {
 	case ps.held == j:
-		buf, grab = ps.ctx[:ps.heldLen], ps.heldGrab()
+		ctx, grab = ps.ctx[:ps.heldLen], ps.heldGrab()
 		ps.held = -1
 	case ps.held >= 0:
-		return 0, &engineError{msg: fmt.Sprintf("batch %d is read over the held contexts of batch %d", j, ps.held)}
+		return batchIn{}, &engineError{msg: fmt.Sprintf("batch %d is read over the held contexts of batch %d", j, ps.held)}
 	case used > (hi-lo)*sh.muBlocks:
-		return 0, &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
+		return batchIn{}, &engineError{msg: fmt.Sprintf("batch %d records %d context blocks for %d VPs of at most %d", j, used, hi-lo, sh.muBlocks)}
 	default:
 		w := used * sh.cfg.B
 		if err := ps.acct.Grab(int64(w)); err != nil {
-			return 0, err
+			return batchIn{}, err
 		}
-		buf, grab = sh.ctxSpan(ps, 0, w), int64(w)
-		if err := ps.moveContexts(ps.ctxDir[j], buf, false); err != nil {
-			return grab, err
-		}
+		tracks, ctx, grab = ps.ctxDir[j], sh.ctxSpan(ps, 0, w), int64(w)
 	}
+	b, err := readBatch(ps.chain, ps.acct, &ps.stepBufs, tracks, ctx, in)
+	if err != nil {
+		ps.acct.Release(grab)
+		return batchIn{}, err
+	}
+	b.ctx, b.ctxGrab = ctx, grab
+	return b, nil
+}
+
+// loadContexts hands each VP of batch j its words of the records ctx,
+// which fetchBlocks read, to emit, in VP order. The slices alias ctx. A
+// record that runs past the words read is an engine error, not a read of
+// somebody else's data.
+func (sh *simShape) loadContexts(ps *procState, j int, ctx []uint64, emit func(id int, ctx []uint64) error) error {
+	lo, hi := sh.batchBounds(ps, j)
 	for id, pos := lo, 0; id < hi; id++ {
-		if pos >= len(buf) || buf[pos] > uint64(len(buf)-pos-1) {
-			return grab, &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d words of batch %d", id, len(buf), j)}
+		if pos >= len(ctx) || ctx[pos] > uint64(len(ctx)-pos-1) {
+			return &engineError{msg: fmt.Sprintf("context record of VP %d runs past the %d words of batch %d", id, len(ctx), j)}
 		}
-		n := int(buf[pos])
-		if err := emit(id, buf[pos+1:pos+1+n]); err != nil {
-			return grab, err
+		n := int(ctx[pos])
+		if err := emit(id, ctx[pos+1:pos+1+n]); err != nil {
+			return err
 		}
 		pos += 1 + n
 	}
-	return grab, nil
+	return nil
 }
 
 // releaseContexts gives back the tracks of batch j's committed contexts,
@@ -472,21 +464,32 @@ func (ps *procState) releaseContexts(j int) (err error) {
 }
 
 // writeInitialContexts is the set-up, in ascending batch order: its last
-// batch is held for superstep 0's first round. A replay of it (after a
-// Rollback at step -1) starts from the allocator it found and rewrites
-// every entry of the directory.
+// batch is held for superstep 0's first round. The contexts go through a
+// block writer of the set-up's own, which breaks placement ties by
+// rotation, not by the processor's PRNG, so a replay of the set-up
+// (after a Rollback at step -1), which starts from the allocator it
+// found and rewrites every entry of the directory, places them as the
+// first attempt did. The writer's operation buffer is held until its
+// last flush.
 func (sh *simShape) writeInitialContexts(ps *procState) error {
 	sp := sh.tr.Begin(obs.CatEngine, phSetup, ps.id, 0)
 	defer sp.End()
 	// A held batch's records are written over: their blocks start the grab.
 	grab := ps.heldGrab()
-	ps.held, ps.ctxAt = -1, 0
+	ps.held = -1
 	ps.opsMark = ps.chain.Stats().Ops // a rolled-back attempt charges its own operations
+	if err := ps.acct.Grab(sh.opWords()); err != nil {
+		return err
+	}
+	w := newBlockWriter(ps.chain, nil, ps.ctxWrite, sh.batchOf, nil, true, ps.down, &ps.stepBufs)
 	var err error
 	for r := 0; r < sh.batches && err == nil; r++ {
-		grab, err = sh.saveContexts(ps, sh.batchAt(-1, r), -1, grab, sh.p.NewVP)
+		grab, err = sh.saveContexts(ps, w, sh.batchAt(-1, r), -1, grab, sh.p.NewVP)
 	}
-	ps.acct.Release(grab - ps.heldGrab())
+	if err == nil {
+		err = w.flush()
+	}
+	ps.acct.Release(grab - ps.heldGrab() + sh.opWords())
 	return err
 }
 
@@ -521,7 +524,11 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 		if lo, hi := sh.batchBounds(ps, j); lo == hi || loaded(lo) {
 			continue
 		}
-		grab, err := sh.loadContexts(ps, j, func(id int, ctx []uint64) error {
+		in, err := sh.fetchBlocks(ps, j, nil)
+		if err != nil {
+			return nil, err
+		}
+		err = sh.loadContexts(ps, j, in.ctx, func(id int, ctx []uint64) error {
 			if !load {
 				r.Ctx[id-ps.lo] = slices.Clone(ctx)
 				return nil
@@ -530,7 +537,7 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 			r.vps[id-ps.lo] = vp
 			return bsp.SafeLoad(vp, words.NewDecoder(ctx), id, step)
 		})
-		ps.acct.Release(grab)
+		ps.acct.Release(in.ctxGrab)
 		if err != nil {
 			return nil, err
 		}
@@ -554,30 +561,43 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 	return ps.chain.Sync()
 }
 
-// beginStep resets the processor's superstep-scoped scratch: the send
-// tally and the skipped batches, the outgoing directory (keyed by
-// destination batch), the ops watermark, the block writer over the
-// processor's operation buffer, the stream packer with no tail open, and
-// under the checkpoint discipline the context generation to write.
-func (sh *simShape) beginStep(ps *procState) {
-	ps.sends, ps.ctxAt = 0, 0
+// beginStep resets the processor's superstep-scoped scratch for
+// superstep step: the send tally and the skipped batches, the outgoing
+// directory (keyed by destination batch), the ops watermark, under the
+// checkpoint discipline the context generation to write, the block
+// writer over the processor's operation buffer, and the stream packer
+// with no tail open. The writer counts the contexts of every batch the
+// superstep will skip where they lie — the generation carries them into
+// the batch's next read — so that it places the batch's messages around
+// them; the rule (skips) reads only what the barrier left.
+func (sh *simShape) beginStep(ps *procState, step int) {
+	ps.sends = 0
 	clear(ps.skipped)
 	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
 	ps.opsMark = ps.chain.Stats().Ops
-	ps.writer = newBlockWriter(ps.chain, ps.dir, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
-	ps.pack.reset(sh, ps.lo, ps.acct, &ps.stepBufs)
 	if ps.ckptOn {
 		ps.ctxWrite = make([][]disk.Addr, sh.batches)
 	}
+	ps.writer = newBlockWriter(ps.chain, ps.dir, ps.ctxWrite, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
+	for j := range ps.ctxDir {
+		if sh.skips(ps, j, step, !ps.inDir.holds(j)) {
+			ps.writer.carry(j, ps.ctxDir[j])
+		}
+	}
+	ps.pack.reset(sh, ps.lo, ps.acct, &ps.stepBufs)
 }
 
-// batchIn is one batch's incoming message blocks: the block images
-// concatenated in buf, their directory entries in metas, and the words
-// held for them, which simulateBatch releases when the batch is done.
+// batchIn is what one batch's fetch read: its incoming message blocks —
+// the block images concatenated in buf, their directory entries in
+// metas, and the words held for them, which simulateBatch releases when
+// the batch is done — and its packed context records, ctx, with the
+// words held for those.
 type batchIn struct {
-	buf   []uint64
-	metas []blockMeta
-	grab  int64
+	buf     []uint64
+	metas   []blockMeta
+	grab    int64
+	ctx     []uint64
+	ctxGrab int64
 }
 
 // opWords is one parallel operation's worth of blocks: the block
@@ -585,16 +605,18 @@ type batchIn struct {
 // of a superstep (fetchBatch) to its last flush (flushBatch).
 func (sh *simShape) opWords() int64 { return int64(sh.cfg.D * sh.cfg.B) }
 
-// fetchBatch reads the blocks of batch j from the local disks into the
-// processor's region buffer, from where the last writing phase left
-// them: every block for the batch's VPs, whichever processor sent it.
+// fetchBatch is the fetching phase of batch j: unless the batch is
+// skipped (skips), which it reports, it reads the batch's committed
+// contexts and its message blocks from the local disks, from where the
+// last writing phase left them — every block for the batch's VPs,
+// whichever processor sent it — in one scattered read (fetchBlocks).
 // The first round sizes the region buffer for the superstep's largest
 // batch at once, so that it does not grow again at every larger batch,
 // and the streams reassembled from it with it.
-func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
+func (sh *simShape) fetchBatch(ps *procState, j, step int) (in batchIn, skip bool, err error) {
 	if sh.batchAt(step, j) == 0 {
 		if err := ps.acct.Grab(sh.opWords()); err != nil {
-			return batchIn{}, err
+			return batchIn{}, false, err
 		}
 		if ps.inDir != nil {
 			n := 0
@@ -609,10 +631,15 @@ func (sh *simShape) fetchBatch(ps *procState, j, step int) (batchIn, error) {
 			grow(&ps.msgMem, n*sh.cfg.B)
 		}
 	}
-	if ps.inDir == nil {
-		return batchIn{}, nil
+	if sh.skips(ps, j, step, !ps.inDir.holds(j)) {
+		return batchIn{}, true, nil
 	}
-	return readScattered(ps.chain, ps.acct, &ps.stepBufs, ps.inDir.q[j])
+	var q [][]blockRef
+	if ps.inDir != nil {
+		q = ps.inDir.q[j]
+	}
+	in, err = sh.fetchBlocks(ps, j, q)
+	return in, false, err
 }
 
 // BatchOut is one processor's output from a computing phase: the per-VP
@@ -648,7 +675,7 @@ func (bo *BatchOut) reset(P int) {
 func (sh *simShape) computeBatch(ps *procState, j, step int) error {
 	ps.out.reset(sh.cfg.P)
 	if lo, hi := sh.batchBounds(ps, j); lo == hi {
-		in, err := sh.fetchBatch(ps, j, step)
+		in, _, err := sh.fetchBatch(ps, j, step)
 		if err != nil {
 			return err
 		}
@@ -698,12 +725,14 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	n := hi - lo
 	B := sh.cfg.B
 
+	// The batch's one read, contexts and messages, is under fetch-msg;
+	// decoding the contexts and loading the VPs under fetch-ctx.
 	spMsg := sh.tr.BeginStep(obs.CatEngine, phFetchMsg, ps.id, 0, step, j)
-	in, err := sh.fetchBatch(ps, j, step)
+	in, skip, err := sh.fetchBatch(ps, j, step)
 	if err != nil {
 		return err
 	}
-	if sh.skips(ps, j, step, len(in.metas) == 0) {
+	if skip {
 		spMsg.End()
 		ps.skipped[j] = true
 		ps.ctxWrite[j] = ps.ctxDir[j] // in place they are one table
@@ -719,15 +748,11 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	// Contexts of the current k VPs, decoded into the words they were
 	// loaded as: the held records, or the blocks the directory lists.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
-	loaded := len(ps.ctxDir[j]) * B
-	if ps.held == j {
-		loaded = ps.heldLen
-	}
-	ps.arena.Reset(fit(&ps.vpMem, min(loaded, n*sh.muBlocks*B)))
+	ps.arena.Reset(fitUpTo(&ps.vpMem, min(len(in.ctx), n*sh.muBlocks*B), sh.k*sh.muBlocks*B))
 	// Each context is Loaded into its slot's VP object, which NewVP made
 	// once, for the first VP the slot held (bsp.VP's contract).
 	vps := grow(&ps.vps, n)
-	ctxGrab, err := sh.loadContexts(ps, j, func(id int, ctx []uint64) error {
+	err = sh.loadContexts(ps, j, in.ctx, func(id int, ctx []uint64) error {
 		if vps[id-lo] == nil {
 			vps[id-lo] = sh.p.NewVP(id)
 		}
@@ -795,7 +820,8 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
-	if ctxGrab, err = sh.saveContexts(ps, j, step, ctxGrab, func(id int) bsp.VP { return vps[id-lo] }); err != nil {
+	ctxGrab, err := sh.saveContexts(ps, ps.writer, j, step, in.ctxGrab, func(id int) bsp.VP { return vps[id-lo] })
+	if err != nil {
 		return err
 	}
 	ps.acct.Release(ctxGrab - ps.heldGrab())
@@ -935,7 +961,7 @@ func (sh *simShape) commitProc(ps *procState, halted bool) error {
 			}
 		}
 		ps.inDir = ps.dir
-		ps.maxSkew = max(ps.maxSkew, ps.dir.skew())
+		ps.maxSkew = max(ps.maxSkew, ps.writer.skew())
 	}
 	ps.ctxDir = ps.ctxWrite
 	return nil

@@ -66,7 +66,12 @@ func measurePlacement(t *testing.T, prog bsp.Program, cfg core.MachineConfig, op
 // ideal of 47 — and the writer matches each operation's blocks to drives
 // (§7): placed greedily in arrival order, that superstep read 51, a
 // batch 2 operations above its ideal (and superstep 1 read 12 against 11
-// before). Same seed, same placement, twice.
+// before). Since the writer places context blocks too and a batch's
+// contexts and messages are read together (§22.1), the sums count both:
+// sort [3 3 40] → [25 29 42], at P = 2 [3 0 2 2 20 21] → [8 5 15 15 20
+// 22], sort_mem [5 11 48] → [44 41 53] beside ideals [5 11 47] → [44 41
+// 53], where the contexts alone took Σ⌈used_j/D⌉ reads of their own
+// besides; every row sits on its ideal. Same seed, same placement, twice.
 func TestPlacementByCount(t *testing.T) {
 	sort := workload.Spec{Alg: "sort", N: 8192, V: 16, Seed: 7}
 	listrank := workload.Spec{Alg: "listrank", N: 2048, V: 8, Seed: 7}
@@ -77,12 +82,12 @@ func TestPlacementByCount(t *testing.T) {
 		seed             uint64
 		scattered, ideal []int
 	}{
-		{"sort", sort, 1, 64, 7, []int{3, 3, 40}, []int{3, 3, 40}},
-		{"sort P=2", sort, 2, 64, 7, []int{3, 0, 2, 2, 20, 21}, []int{3, 0, 2, 2, 20, 21}},
+		{"sort", sort, 1, 64, 7, []int{25, 29, 42}, []int{25, 29, 42}},
+		{"sort P=2", sort, 2, 64, 7, []int{8, 5, 15, 15, 20, 22}, []int{8, 5, 15, 15, 20, 22}},
 		{"listrank", listrank, 1, 64, 7,
-			[]int{28, 23, 16, 11, 9, 7, 6, 4, 2, 3, 7, 10, 8, 6, 3, 2, 2},
-			[]int{28, 23, 16, 11, 9, 7, 6, 4, 2, 3, 7, 10, 8, 6, 3, 2, 2}},
-		{"sort_mem", workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 1, []int{5, 11, 48}, []int{5, 11, 47}},
+			[]int{35, 42, 24, 37, 17, 35, 15, 34, 12, 33, 16, 34, 15, 25, 9, 20, 8},
+			[]int{35, 42, 24, 37, 17, 35, 15, 34, 12, 33, 16, 34, 15, 25, 9, 20, 8}},
+		{"sort_mem", workload.Spec{Alg: "sort", N: 65536, V: 64, Seed: 1}, 1, 512, 1, []int{44, 41, 53}, []int{44, 41, 53}},
 	} {
 		inst, err := row.spec.Build()
 		if err != nil {

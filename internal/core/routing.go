@@ -21,7 +21,7 @@ type blockRef struct {
 // outDirectory holds the standard-linked-format state of Step 1(d):
 // for every (group, drive) pair, the ordered list of tracks on that
 // drive holding blocks for that group — a destination batch. The next
-// fetch reads a batch's lists as they are (readScattered).
+// fetch reads a batch's lists as they are (readBatch).
 type outDirectory struct {
 	q     [][][]blockRef // [group][drive]
 	total int
@@ -77,49 +77,45 @@ func skewOf(perDrive []int) float64 {
 	return float64(slices.Max(perDrive)) * float64(len(perDrive)) / float64(R)
 }
 
-// skew is the Lemma 2 observation over the directory's batches, which
-// are what a fetch reads drive by drive.
-func (d *outDirectory) skew() (skew float64) {
-	counts := make([]int, len(d.q[0]))
-	for _, perDrive := range d.q {
-		for s, refs := range perDrive {
-			counts[s] = len(refs)
-		}
-		skew = max(skew, skewOf(counts))
-	}
-	return skew
-}
-
 // blockWriter implements Step 1(d) of Algorithm 1 (and the disk-write
-// part of Step 1(c) of Algorithm 3): it accepts block images, buffers
-// up to D of them, and flushes each full buffer in one parallel write
-// operation. Each operation's blocks are matched to distinct drives
-// (place) so that every destination batch stays within DESIGN.md §7's
-// bound, max_d q[g][d] ≤ ⌈R_g/L⌉ + 1 — a batch's scattered read takes
+// part of Step 1(c) of Algorithm 3) together with Step 1(e): it accepts
+// the images of every block a processor writes in a superstep — its
+// message blocks and its batches' context blocks — buffers up to L of
+// them, L the live drives, and flushes each full buffer in one parallel
+// write operation. Each operation's blocks are matched to distinct
+// drives (place) so that every batch stays within DESIGN.md §7's bound,
+// max_d q[g][d] ≤ ⌈R_g/L⌉ + 1 with q[g][d] the blocks of either kind
+// that batch g's next read takes from drive d — so that read takes
 // ⌈R_g/L⌉ operations or one more whatever the traffic — and, among the
 // drives that keep it there, a block goes to the one on which its batch
 // holds fewest blocks so far. A fresh random permutation (a round-robin
 // rotation in deterministic mode) orders the drives and so breaks the
-// ties. Every written block is appended to its destination group's
-// standard-linked-format list.
+// ties. The track is allocated at the flush: a message block is
+// appended to its destination batch's standard-linked-format list, a
+// context block to its batch's entry in the context generation, in
+// block order.
 //
 // When the fault layer reports a dead drive (down != nil), the writer
-// scatters only over the surviving drives, splitting a full buffer
-// into as many parallel operations as needed — the engine's graceful
+// scatters only over the surviving drives, an operation's worth of
+// blocks at a time — a drive that dies between two flushes splits the
+// buffer into as many operations as needed — the engine's graceful
 // degradation after a permanent drive loss.
 type blockWriter struct {
 	dsk     disk.Store
 	dir     *outDirectory
+	ctx     [][]disk.Addr     // the context generation being written
 	groupOf func(dst int) int // the directory's key: a block's destination batch
 	rng     *prng.Rand
 	det     bool
 	down    func(d int) bool // nil when no fault layer is present
 	rr      int
 
+	load    []int    // [batch·D + drive]: the blocks the batch's next read takes from the drive
 	buf     []uint64 // D·B words
 	reqs    []disk.WriteReq
-	metas   []blockMeta
+	pend    []pendingBlock
 	pending int
+	lanes   int // the live drives at the last flush: the pending blocks that make a full operation
 
 	// One operation's matching, over live drive indices s (drive
 	// live[s]) and the operation's blocks i: order is the drives in
@@ -130,29 +126,67 @@ type blockWriter struct {
 	live, order, owner, seen, to, group, limit []int
 }
 
+// pendingBlock is a block in the writer's buffer: its batch, and its
+// directory entry or, for a context block, none.
+type pendingBlock struct {
+	meta  blockMeta
+	batch int
+	ctx   bool
+}
+
 // newBlockWriter returns a writer over the processor's operation
-// buffer, request list and pending-block tables, which it owns until
-// the superstep's last flush.
-func newBlockWriter(dsk disk.Store, dir *outDirectory, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
+// buffer, request list, pending-block and load tables, which it owns
+// until the superstep's last flush. It lists message blocks in dir and
+// context blocks in ctx, which hold an entry a batch; a writer of
+// context blocks alone (the set-up's) has no dir.
+func newBlockWriter(dsk disk.Store, dir *outDirectory, ctx [][]disk.Addr, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
 	D, B := dsk.Config().D, dsk.Config().B
-	w := &blockWriter{
-		dsk: dsk, dir: dir, groupOf: groupOf, rng: rng, det: det, down: down,
-		buf: fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
-		metas: grow(&bufs.pending, D),
+	batches := len(ctx)
+	if dir != nil {
+		batches = len(dir.q)
 	}
+	w := &blockWriter{
+		dsk: dsk, dir: dir, ctx: ctx, groupOf: groupOf, rng: rng, det: det, down: down,
+		load: grow(&bufs.load, batches*D),
+		buf:  fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
+		pend: grow(&bufs.pending, D),
+	}
+	clear(w.load)
 	place := grow(&bufs.place, 7*D)
 	for _, s := range []*[]int{&w.live, &w.order, &w.owner, &w.seen, &w.to, &w.group, &w.limit} {
 		*s, place = place[:D:D], place[D:]
 	}
+	w.lanes = len(w.liveInto(w.live))
 	return w
 }
 
+// add takes a message block.
 func (w *blockWriter) add(meta blockMeta, img []uint64) error {
+	return w.take(pendingBlock{meta: meta, batch: w.groupOf(meta.dst)}, img)
+}
+
+// addContext takes the next context block of batch j.
+func (w *blockWriter) addContext(j int, img []uint64) error {
+	return w.take(pendingBlock{batch: j, ctx: true}, img)
+}
+
+// carry counts tracks that batch j's next read takes and no flush of
+// this writer wrote: a skipped batch's contexts, which the generation
+// being written carries over.
+func (w *blockWriter) carry(j int, tracks []disk.Addr) {
+	D := w.dsk.Config().D
+	for _, a := range tracks {
+		w.load[j*D+a.Disk]++
+	}
+}
+
+// take buffers a block, and flushes once the buffer fills an operation.
+func (w *blockWriter) take(p pendingBlock, img []uint64) error {
 	B := w.dsk.Config().B
 	copy(w.buf[w.pending*B:(w.pending+1)*B], img)
-	w.metas[w.pending] = meta
+	w.pend[w.pending] = p
 	w.pending++
-	if w.pending == w.dsk.Config().D {
+	if w.pending >= w.lanes {
 		return w.flush()
 	}
 	return nil
@@ -175,12 +209,13 @@ func (w *blockWriter) flush() error {
 	if w.pending == 0 {
 		return nil
 	}
-	B := w.dsk.Config().B
+	D, B := w.dsk.Config().D, w.dsk.Config().B
 	live := w.liveInto(w.live)
 	L := len(live)
 	if L == 0 {
 		return &engineError{msg: "no live drives"}
 	}
+	w.lanes = L
 	for base := 0; base < w.pending; {
 		n := min(w.pending-base, L)
 		if w.det {
@@ -192,16 +227,32 @@ func (w *blockWriter) flush() error {
 			w.rng.PermInto(w.order[:L])
 		}
 		w.place(base, n, L)
-		reqs := w.reqs[:0]
+		// The blocks are listed in block order, a batch's contexts so in
+		// the generation, and requested in drive order, the order in
+		// which a redundancy layer fills its stripes: the parity blocks
+		// of stripes filled together then fall on distinct drives more
+		// often, and go to disk in fewer operations.
+		reqs := w.reqs[:L]
 		for i := 0; i < n; i++ {
-			d := live[w.to[i]]
+			p, d := &w.pend[base+i], live[w.to[i]]
 			t := w.dsk.Alloc(d)
-			reqs = append(reqs, disk.WriteReq{Disk: d, Track: t, Src: w.buf[(base+i)*B : (base+i+1)*B]})
-			q := w.dir.q[w.group[i]]
-			q[d] = append(q[d], blockRef{disk: d, track: t, meta: w.metas[base+i]})
+			reqs[w.to[i]] = disk.WriteReq{Disk: d, Track: t, Src: w.buf[(base+i)*B : (base+i+1)*B]}
+			w.load[p.batch*D+d]++
+			if p.ctx {
+				w.ctx[p.batch] = append(w.ctx[p.batch], disk.Addr{Disk: d, Track: t})
+				continue
+			}
+			q := w.dir.q[p.batch]
+			q[d] = append(q[d], blockRef{disk: d, track: t, meta: p.meta})
 			w.dir.total++
 		}
-		if err := w.dsk.WriteOp(reqs); err != nil {
+		k := 0
+		for s := 0; s < L; s++ {
+			if w.owner[s] >= 0 {
+				reqs[k], k = reqs[s], k+1
+			}
+		}
+		if err := w.dsk.WriteOp(reqs[:k]); err != nil {
 			return err
 		}
 		base += n
@@ -209,6 +260,20 @@ func (w *blockWriter) flush() error {
 	w.pending = 0
 	return nil
 }
+
+// skew is the Lemma 2 observation over the batches the writer wrote
+// for: per batch, its fullest drive's share of the blocks — contexts and
+// messages — its next fetch reads drive by drive.
+func (w *blockWriter) skew() (skew float64) {
+	D := w.dsk.Config().D
+	for g := 0; g < len(w.load)/D; g++ {
+		skew = max(skew, skewOf(w.load[g*D:(g+1)*D]))
+	}
+	return skew
+}
+
+// loadOf returns the blocks of batch g on drive d.
+func (w *blockWriter) loadOf(g, d int) int { return w.load[g*w.dsk.Config().D+d] }
 
 // place matches the n ≤ L pending blocks from base to distinct live
 // drives, filling to. A drive holding at most limit[i] of block i's
@@ -220,13 +285,14 @@ func (w *blockWriter) flush() error {
 // each block trying the free drive its batch holds fewest blocks on
 // first. A block no matching can keep within its bound takes that drive.
 func (w *blockWriter) place(base, n, L int) {
+	D := w.dsk.Config().D
 	for i := 0; i < n; i++ {
-		w.group[i] = w.groupOf(w.metas[base+i].dst)
+		w.group[i] = w.pend[base+i].batch
 	}
 	for i := 0; i < n; i++ {
 		R := 0
-		for _, refs := range w.dir.q[w.group[i]] {
-			R += len(refs)
+		for _, c := range w.load[w.group[i]*D : (w.group[i]+1)*D] {
+			R += c
 		}
 		for j := 0; j < n; j++ {
 			if w.group[j] == w.group[i] {
@@ -261,10 +327,9 @@ func (w *blockWriter) place(base, n, L int) {
 // batch holds fewest blocks, and at most limit; the first in order among
 // equals, and -1 if there is none.
 func (w *blockWriter) fewest(i, L, limit int) int {
-	q := w.dir.q[w.group[i]]
 	best, least := -1, 0
 	for _, s := range w.order[:L] {
-		if n := len(q[w.live[s]]); w.owner[s] < 0 && n <= limit && (best < 0 || n < least) {
+		if n := w.loadOf(w.group[i], w.live[s]); w.owner[s] < 0 && n <= limit && (best < 0 || n < least) {
 			best, least = s, n
 		}
 	}
@@ -280,9 +345,8 @@ func (w *blockWriter) augment(i, L, slack int) bool {
 		w.owner[s], w.to[i] = i, s
 		return true
 	}
-	q := w.dir.q[w.group[i]]
 	for _, s := range w.order[:L] {
-		if w.seen[s] == 0 && len(q[w.live[s]]) <= limit {
+		if w.seen[s] == 0 && w.loadOf(w.group[i], w.live[s]) <= limit {
 			w.seen[s] = 1 // every such drive is taken: fewest found none free
 			if w.augment(w.owner[s], L, slack) {
 				w.owner[s], w.to[i] = i, s
@@ -299,44 +363,62 @@ type engineError struct{ msg string }
 
 func (e *engineError) Error() string { return "core: " + e.msg }
 
-// readScattered reads the blocks listed per drive into the processor's
-// region buffer with greedy batching: every parallel read operation
-// takes the next pending block of each drive, so the op count equals
-// the maximum per-drive share — exactly the quantity Lemma 2 bounds —
-// and at most one track per drive is in flight. It grabs the blocks'
-// words and parses their directory entries from the images; the caller
-// releases the returned grab, and the batchIn stays valid until the
-// next read into the region buffer. The tracks stay allocated: they are
-// the superstep's replay source until its barrier commits (freeInput).
-func readScattered(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, perDrive [][]blockRef) (batchIn, error) {
-	B := dsk.Config().B
-	total := 0
+// readBatch is the fetch of one batch: it reads the batch's context
+// blocks, block i from tracks[i] into ctx's i-th block, and its message
+// blocks, listed per drive, into the processor's region buffer, with
+// greedy batching: every parallel read operation takes the next pending
+// block of each drive — its context blocks in block order, then its
+// message blocks — so the op count equals the fullest drive's share,
+// which the block writer keeps within one of ⌈R/L⌉ (DESIGN.md §7), and
+// at most one track per drive is in flight. It grabs the message blocks'
+// words — the caller holds the context buffer's — and parses their
+// directory entries from the images; the caller releases the returned
+// grab, and the batchIn stays valid until the next read into the region
+// buffer. The tracks stay allocated: they are the superstep's replay
+// source until its barrier commits (freeInput, releaseContexts).
+func readBatch(dsk disk.Store, acct *mem.Accountant, bufs *stepBufs, tracks []disk.Addr, ctx []uint64, perDrive [][]blockRef) (batchIn, error) {
+	D, B := dsk.Config().D, dsk.Config().B
+	msgs := 0
 	for _, refs := range perDrive {
-		total += len(refs)
+		msgs += len(refs)
 	}
-	if total == 0 {
+	left := len(tracks) + msgs
+	if left == 0 {
 		return batchIn{}, nil
 	}
-	grabbed := int64(total * B)
+	grabbed := int64(msgs * B)
 	if err := acct.Grab(grabbed); err != nil {
 		return batchIn{}, err
 	}
-	buf := fit(&bufs.region, total*B)
-	grow(&bufs.reads, len(perDrive))
-	for idx, round := 0, 0; idx < total; round++ {
+	buf := fit(&bufs.region, msgs*B)
+	// Per drive, the next context block to look at and the message
+	// blocks read.
+	at := grow(&bufs.at, 2*D)
+	clear(at)
+	next, taken := at[:D], at[D:]
+	grow(&bufs.reads, D)
+	for idx := 0; left > 0; {
 		reqs := bufs.reads[:0]
-		for d, refs := range perDrive {
-			if round < len(refs) {
-				reqs = append(reqs, disk.ReadReq{Disk: d, Track: refs[round].track, Dst: buf[idx*B : (idx+1)*B]})
+		for d := 0; d < D; d++ {
+			for next[d] < len(tracks) && tracks[next[d]].Disk != d {
+				next[d]++
+			}
+			if i := next[d]; i < len(tracks) {
+				reqs = append(reqs, disk.ReadReq{Disk: d, Track: tracks[i].Track, Dst: ctx[i*B : (i+1)*B]})
+				next[d]++
+			} else if d < len(perDrive) && taken[d] < len(perDrive[d]) {
+				reqs = append(reqs, disk.ReadReq{Disk: d, Track: perDrive[d][taken[d]].track, Dst: buf[idx*B : (idx+1)*B]})
+				taken[d]++
 				idx++
 			}
 		}
+		left -= len(reqs)
 		if err := dsk.ReadOp(reqs); err != nil {
 			acct.Release(grabbed)
 			return batchIn{}, err
 		}
 	}
-	metas := grow(&bufs.metas, total)
+	metas := grow(&bufs.metas, msgs)
 	for i := range metas {
 		metas[i], _, _ = parseBlock(buf[i*B : (i+1)*B])
 	}

@@ -31,7 +31,7 @@ func (c *routeCase) write(t testing.TB, r *prng.Rand) {
 	t.Helper()
 	D, B := c.dsk.Config().D, c.dsk.Config().B
 	c.dir = newOutDirectory((c.v+c.k-1)/c.k, D)
-	writer := newBlockWriter(c.dsk, c.dir, func(dst int) int { return groupOf(dst, c.k) }, r, false, nil, &c.bufs)
+	writer := newBlockWriter(c.dsk, c.dir, nil, func(dst int) int { return groupOf(dst, c.k) }, r, false, nil, &c.bufs)
 	img := make([]uint64, B)
 	for i := 0; i < c.nBlocks; i++ {
 		// A payload word derived from the block's identity, so a read can
@@ -195,7 +195,7 @@ func TestRoutingParallelism(t *testing.T) {
 	dir := newOutDirectory(v/k, d)
 	r := prng.New(7)
 	var bufs stepBufs
-	writer := newBlockWriter(arr, dir, func(dst int) int { return groupOf(dst, k) }, r, false, nil, &bufs)
+	writer := newBlockWriter(arr, dir, nil, func(dst int) int { return groupOf(dst, k) }, r, false, nil, &bufs)
 	img := make([]uint64, b)
 	for c := 0; c < perVP; c++ {
 		for dst := 0; dst < v; dst++ {
@@ -248,11 +248,14 @@ func TestDemoRoutingRuns(t *testing.T) {
 // TestBlockWriterPlacementBound holds the block writer to DESIGN.md §7's
 // placement bound on random block streams — few drives and many, one
 // batch to a dozen, skewed batch sizes, blocks in runs as a stream packer
-// hands them over, both tie-break modes, all drives live or one dead:
-// when the last block is written, no batch g holds more than
-// ⌈R_g/L⌉ + 1 blocks on one drive. A writer that places each block
-// greedily in arrival order breaks it: earlier blocks of an operation can
-// take every drive on which a later block's batch is light.
+// hands them over, message blocks and context blocks mixed, both
+// tie-break modes, all drives live or one dead: when the last block is
+// written, no batch g holds more than ⌈R_g/L⌉ + 1 of its blocks, of
+// either kind, on one drive, and the context generation lists each
+// batch's context blocks in the order they came. A writer that places
+// each block greedily in arrival order breaks the bound: earlier blocks
+// of an operation can take every drive on which a later block's batch is
+// light.
 func TestBlockWriterPlacementBound(t *testing.T) {
 	r := prng.New(51)
 	const streams = 4000
@@ -261,7 +264,7 @@ func TestBlockWriterPlacementBound(t *testing.T) {
 		D := []int{2, 3, 4, 8}[r.Intn(4)]
 		G := 1 + r.Intn(12)
 		dsk := disk.MustNewArray(disk.Config{D: D, B: headerWords + 1})
-		dir := newOutDirectory(G, D)
+		dir, ctx := newOutDirectory(G, D), make([][]disk.Addr, G)
 		var down func(int) bool
 		L := D
 		if D > 2 && r.Intn(4) == 0 {
@@ -269,7 +272,7 @@ func TestBlockWriterPlacementBound(t *testing.T) {
 			down, L = func(d int) bool { return d == dead }, D-1
 		}
 		var bufs stepBufs
-		w := newBlockWriter(dsk, dir, func(dst int) int { return dst }, prng.New(uint64(c)), r.Intn(2) == 0, down, &bufs)
+		w := newBlockWriter(dsk, dir, ctx, func(dst int) int { return dst }, prng.New(uint64(c)), r.Intn(2) == 0, down, &bufs)
 		weights := make([]int, G)
 		for g := range weights {
 			weights[g] = 1 + r.Intn(1<<r.Intn(6))
@@ -279,15 +282,25 @@ func TestBlockWriterPlacementBound(t *testing.T) {
 			sum += x
 		}
 		img := make([]uint64, headerWords+1)
-		g := 0
+		g, contexts := 0, false
+		added := make([]uint64, G) // context blocks per batch
 		for i, n := 0, 1+r.Intn(400); i < n; i++ {
-			if i == 0 || r.Intn(3) == 0 { // a new run: a batch by weight
+			if i == 0 || r.Intn(3) == 0 { // a new run: a batch by weight, a third of them contexts
 				x := r.Intn(sum)
 				for g = 0; x >= weights[g]; g++ {
 					x -= weights[g]
 				}
+				contexts = r.Intn(3) == 0
 			}
-			if err := w.add(blockMeta{dst: g, seq: i}, img); err != nil {
+			var err error
+			if contexts {
+				img[0] = added[g]
+				added[g]++
+				err = w.addContext(g, img)
+			} else {
+				err = w.add(blockMeta{dst: g, seq: i}, img)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -295,9 +308,26 @@ func TestBlockWriterPlacementBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		for g, perDrive := range dir.q {
+			load := make([]int, D)
+			for d, refs := range perDrive {
+				load[d] += len(refs)
+			}
+			for k, a := range ctx[g] {
+				load[a.Disk]++
+				got := make([]uint64, headerWords+1)
+				if err := dsk.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil {
+					t.Fatal(err)
+				}
+				if got[0] != uint64(k) {
+					t.Fatalf("stream %d: batch %d lists context block %d at entry %d", c, g, got[0], k)
+				}
+			}
+			if len(ctx[g]) != int(added[g]) {
+				t.Fatalf("stream %d: batch %d lists %d context blocks of %d", c, g, len(ctx[g]), added[g])
+			}
 			fullest, R := 0, 0
-			for _, refs := range perDrive {
-				fullest, R = max(fullest, len(refs)), R+len(refs)
+			for _, n := range load {
+				fullest, R = max(fullest, n), R+n
 			}
 			if fullest > (R+L-1)/L+1 {
 				bad++

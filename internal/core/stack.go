@@ -84,6 +84,11 @@ func (s storeStack) prefetcher() *disk.File {
 	return disk.Find[*disk.File](s.chain)
 }
 
+// redundant reports whether the chain has a redundancy layer.
+func (s storeStack) redundant() bool {
+	return disk.Find[*redundancy.Store](s.chain) != nil
+}
+
 // seal closes the redundancy layer's open stripes (redundancy.Store.Seal);
 // without one it does nothing.
 func (s storeStack) seal() {

@@ -11,13 +11,11 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
 	"embsp"
 	"embsp/internal/prng"
-	"embsp/internal/words"
 )
 
 // Spec names one workload instance. Building the same Spec twice — in
@@ -383,39 +381,4 @@ func randomExpr(r *prng.Rand, nLeaves int) (parent []int, kind []uint8, value []
 		}
 	}
 	return
-}
-
-// Fingerprint digests a Result into one comparable value: the marshaled
-// context of every final VP (the bitwise-identity contract's ground
-// truth), the BSP model costs and the EM statistics — with
-// EMStats.Overlap zeroed first, since overlap is wall-clock
-// observability explicitly outside that contract. Two runs of the same
-// Spec on the same machine configuration — clean, fault-injected,
-// killed-and-resumed, pipelined or serial — must produce equal
-// fingerprints; the job daemon stores it per job so a crash-resumed
-// daemon's results can be checked against clean one-shot runs.
-func Fingerprint(res *embsp.Result) uint64 {
-	h := fnv.New64a()
-	enc := words.NewEncoder(nil)
-	var buf [8]byte
-	for _, vp := range res.VPs {
-		enc.Reset()
-		vp.Save(enc)
-		for _, w := range enc.Words() {
-			putWord(&buf, w)
-			h.Write(buf[:])
-		}
-		// Separate VPs so context boundaries shift the digest.
-		fmt.Fprintf(h, "|")
-	}
-	em := res.EM
-	em.Overlap = embsp.OverlapStats{}
-	fmt.Fprintf(h, "%+v%+v", res.Costs, em)
-	return h.Sum64()
-}
-
-func putWord(buf *[8]byte, w uint64) {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(w >> (8 * i))
-	}
 }
