@@ -355,7 +355,8 @@ func runCoordinator(p coordParams, stdout, stderr io.Writer) int {
 		}
 		want, got := workload.Fingerprint(oracle), workload.Fingerprint(res)
 		if want != got {
-			fmt.Fprintf(stderr, "check: FAILED: cluster fingerprint %016x, in-process %016x\n", got, want)
+			fmt.Fprintf(stderr, "check: FAILED: cluster fingerprint %016x, in-process %016x; first difference (in-process vs cluster): %s\n",
+				got, want, core.Diff(oracle, res))
 			return 1
 		}
 		fmt.Fprintf(stdout, "check: ok (bitwise identical to the in-process engine)\n")

@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"embsp"
+	"embsp/internal/core"
 	"embsp/internal/prng"
-	"embsp/internal/words"
 	"embsp/internal/workload"
 )
 
@@ -129,12 +129,6 @@ func drawCase(r *prng.Rand, table []string) soakCase {
 	return c
 }
 
-func soakImage(vp embsp.VP) string {
-	enc := words.NewEncoder(nil)
-	vp.Save(enc)
-	return fmt.Sprint(enc.Words())
-}
-
 // runCase executes one schedule and compares it bitwise against the
 // reference. It returns an error describing the divergence, if any.
 func runCase(c soakCase) error {
@@ -209,10 +203,8 @@ func runCase(c soakCase) error {
 			return err
 		}
 	}
-	for i, vp := range res.VPs {
-		if soakImage(vp) != soakImage(ref.VPs[i]) {
-			return fmt.Errorf("VP %d context differs from reference", i)
-		}
+	if d := core.Diff(&core.Result{VPs: ref.VPs}, &core.Result{VPs: res.VPs}); d != "" {
+		return fmt.Errorf("final states differ from the reference: %s", d)
 	}
 	return nil
 }

@@ -113,14 +113,12 @@ type (
 	// Redundancy is none.
 	UnprotectedDriveLossError = core.UnprotectedDriveLossError
 	// Tracer records per-phase spans of a run as Chrome trace_event
-	// JSON plus in-memory per-phase totals; set Options.Trace. Like
-	// OverlapStats it observes wall clock, so it sits outside the
-	// bitwise-identity contract and the config fingerprint; a nil
-	// Tracer costs nothing.
+	// JSON plus in-memory per-phase totals; set Options.Trace. It
+	// observes wall clock (see Options.Trace); a nil Tracer costs
+	// nothing.
 	Tracer = obs.Tracer
 	// MetricsRegistry collects named counters and duration histograms
-	// from a run; set Options.Metrics. Same observability carve-out as
-	// Tracer.
+	// from a run; set Options.Metrics. Observability like Tracer.
 	MetricsRegistry = obs.Registry
 	// TraceEvent is one decoded Chrome trace_event record; see
 	// DecodeTrace.

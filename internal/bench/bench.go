@@ -16,14 +16,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"text/tabwriter"
 
 	"embsp/internal/bsp"
 	"embsp/internal/core"
 	"embsp/internal/redundancy"
-	"embsp/internal/words"
 )
 
 // runRedundancy is applied to every standard-machine run so the whole
@@ -142,18 +140,8 @@ func machineFor(p bsp.Program, procs, d, b, groupsTarget int) core.MachineConfig
 // sameStates checks that a run's final VP states are bitwise those of
 // the reference run.
 func sameStates(want, got []bsp.VP) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d VPs, reference has %d", len(got), len(want))
-	}
-	a, b := words.NewEncoder(nil), words.NewEncoder(nil)
-	for i := range want {
-		a.Reset()
-		want[i].Save(a)
-		b.Reset()
-		got[i].Save(b)
-		if !slices.Equal(a.Words(), b.Words()) {
-			return fmt.Errorf("VP %d state differs from the reference run", i)
-		}
+	if d := core.Diff(&core.Result{VPs: want}, &core.Result{VPs: got}); d != "" {
+		return fmt.Errorf("final states differ from the reference run: %s", d)
 	}
 	return nil
 }

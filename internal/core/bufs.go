@@ -97,13 +97,22 @@ func fit(s *[]uint64, n int) []uint64 {
 }
 
 // fitUpTo is fit for a buffer that grows geometrically: one too small
-// for n words is reallocated, contents dropped, to twice its capacity,
-// at most limit — the buffer's bound — and at least n. So it reaches
-// its largest request in a few reallocations, and a later request no
-// larger allocates nothing.
-func fitUpTo(s *[]uint64, n, limit int) []uint64 {
+// for n words is reallocated to twice its capacity, at most limit — the
+// buffer's bound — and at least n, keeping its first keep words. So it
+// reaches its largest request in a few reallocations, and a later
+// request no larger allocates nothing. The words past keep are
+// unspecified.
+func fitUpTo(s *[]uint64, keep, n, limit int) []uint64 {
 	if c := cap(*s); c < n {
-		*s = make([]uint64, max(n, min(2*c, limit)))
+		t := make([]uint64, max(n, min(2*c, limit)))
+		copy(t, (*s)[:keep])
+		*s = t
 	}
-	return fit(s, n)
+	b := (*s)[:n]
+	if bufCanary != 0 {
+		for i := keep; i < n; i++ {
+			b[i] = bufCanary
+		}
+	}
+	return b
 }

@@ -285,55 +285,57 @@ func TestClusterCoreMatchesInProcess(t *testing.T) {
 // there also with drive latency, so that the store's workers and staging
 // cache still hold the aborted attempt's writes when the node aborts.
 func TestClusterCoreAbortReplay(t *testing.T) {
-	prog := clusterProgram()
 	for _, row := range []struct {
 		m       int
 		latency time.Duration
 	}{{256, 0}, {16, 0}, {16, 20 * time.Microsecond}} {
-		m := row.m
-		cfg := parMachine(3, 2, 8, m)
-		opts := core.Options{Seed: 11, DriveLatency: row.latency}
-		durable := opts
-		durable.StateDir = t.TempDir()
-		oracle, err := core.Run(prog, cfg, durable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batches := map[int]int{256: 1, 16: 2}[m]; oracle.EM.Groups != batches {
-			t.Fatalf("M=%d: %d batches a node, want %d", m, oracle.EM.Groups, batches)
-		}
-		want := map[int][][]uint64{}
-		rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-		rig.fail = func(point string, step int) error {
-			if point == "prepared" {
-				want[step] = rig.prepared()
+		t.Run(fmt.Sprintf("M=%d/latency=%v", row.m, row.latency), func(t *testing.T) {
+			t.Parallel()
+			m, prog := row.m, clusterProgram()
+			cfg := parMachine(3, 2, 8, m)
+			opts := core.Options{Seed: 11, DriveLatency: row.latency}
+			durable := opts
+			durable.StateDir = t.TempDir()
+			oracle, err := core.Run(prog, cfg, durable)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}
-		resultsIdentical(t, rig.run(t), oracle, fmt.Sprintf("M=%d latency=%v undisturbed", m, row.latency))
-		rig.close()
-		for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
-			for _, phase := range []string{"computed", "batches", "voted", "prepared"} {
-				label := fmt.Sprintf("M=%d latency=%v abort@%d/%s", m, row.latency, abortAt, phase)
-				rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
-				aborted := false
-				rig.fail = func(point string, step int) error {
-					if point == "prepared" && !reflect.DeepEqual(rig.prepared(), want[step]) {
-						t.Errorf("%s: barrier %d: a node's prepared record differs from the undisturbed rig's", label, step)
-					}
-					if aborted || step != abortAt || point != phase {
-						return nil
-					}
-					aborted = true
-					return errAbort
-				}
-				resultsIdentical(t, rig.run(t), oracle, label)
-				if !aborted {
-					t.Errorf("%s never fired", label)
-				}
-				rig.close()
+			if batches := map[int]int{256: 1, 16: 2}[m]; oracle.EM.Groups != batches {
+				t.Fatalf("M=%d: %d batches a node, want %d", m, oracle.EM.Groups, batches)
 			}
-		}
+			want := map[int][][]uint64{}
+			rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+			rig.fail = func(point string, step int) error {
+				if point == "prepared" {
+					want[step] = rig.prepared()
+				}
+				return nil
+			}
+			resultsIdentical(t, rig.run(t), oracle, "undisturbed")
+			rig.close()
+			for abortAt := 0; abortAt < oracle.Costs.Supersteps; abortAt++ {
+				for _, phase := range []string{"computed", "batches", "voted", "prepared"} {
+					label := fmt.Sprintf("abort@%d/%s", abortAt, phase)
+					rig := openRig(t, prog, cfg, opts, t.TempDir(), false)
+					aborted := false
+					rig.fail = func(point string, step int) error {
+						if point == "prepared" && !reflect.DeepEqual(rig.prepared(), want[step]) {
+							t.Errorf("%s: barrier %d: a node's prepared record differs from the undisturbed rig's", label, step)
+						}
+						if aborted || step != abortAt || point != phase {
+							return nil
+						}
+						aborted = true
+						return errAbort
+					}
+					resultsIdentical(t, rig.run(t), oracle, label)
+					if !aborted {
+						t.Errorf("%s never fired", label)
+					}
+					rig.close()
+				}
+			}
+		})
 	}
 }
 

@@ -303,25 +303,11 @@ func procDir(root string, i int) string {
 }
 
 // ctxSpan returns the context buffer cut to w words, of which the first
-// keep — the records already packed — are kept; the others are
-// unspecified. The buffer grows geometrically, to at most the bound of k
-// contexts, k·⌈(µ+1)/B⌉·B words, so that it reaches a processor's
-// largest batch in a few reallocations; it is never cut, so a later batch
-// no larger than that one allocates nothing. The accountant is charged
-// apart, for the blocks the records fill.
+// keep — the records already packed — are kept (fitUpTo, to the bound of
+// k contexts, k·⌈(µ+1)/B⌉·B words). The accountant is charged apart, for
+// the blocks the records fill.
 func (sh *simShape) ctxSpan(ps *procState, keep, w int) []uint64 {
-	if c := cap(ps.ctx); c < w {
-		t := make([]uint64, max(w, min(2*c, sh.k*sh.muBlocks*sh.cfg.B)))
-		copy(t, ps.ctx[:keep])
-		ps.ctx = t
-	}
-	buf := ps.ctx[:w]
-	if bufCanary != 0 {
-		for i := keep; i < w; i++ {
-			buf[i] = bufCanary
-		}
-	}
-	return buf
+	return fitUpTo(&ps.ctx, keep, w, sh.k*sh.muBlocks*sh.cfg.B)
 }
 
 // saveContexts is Step 1(e): the contexts of batch j's VPs are packed
@@ -748,7 +734,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	// Contexts of the current k VPs, decoded into the words they were
 	// loaded as: the held records, or the blocks the directory lists.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
-	ps.arena.Reset(fitUpTo(&ps.vpMem, min(len(in.ctx), n*sh.muBlocks*B), sh.k*sh.muBlocks*B))
+	ps.arena.Reset(fitUpTo(&ps.vpMem, 0, min(len(in.ctx), n*sh.muBlocks*B), sh.k*sh.muBlocks*B))
 	// Each context is Loaded into its slot's VP object, which NewVP made
 	// once, for the first VP the slot held (bsp.VP's contract).
 	vps := grow(&ps.vps, n)

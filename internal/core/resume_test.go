@@ -63,29 +63,11 @@ func testProgram() *bsptest.RandomProgram {
 	return &bsptest.RandomProgram{V: 16, Steps: 5, MsgsPerStep: 4, MaxLen: 12}
 }
 
+// resultsIdentical holds two runs to the identity contract (core.Diff).
 func resultsIdentical(t *testing.T, a, b *core.Result, label string) {
 	t.Helper()
-	ca, cb := bsptest.Checksums(a.ToBSPResult()), bsptest.Checksums(b.ToBSPResult())
-	if !reflect.DeepEqual(ca, cb) {
-		t.Errorf("%s: VP states differ", label)
-	}
-	statsIdentical(t, a, b, label)
-}
-
-// statsIdentical holds two runs to the same model costs and EM
-// statistics.
-func statsIdentical(t *testing.T, a, b *core.Result, label string) {
-	t.Helper()
-	if !reflect.DeepEqual(a.Costs, b.Costs) {
-		t.Errorf("%s: model costs differ:\na: %+v\nb: %+v", label, a.Costs, b.Costs)
-	}
-	// Overlap is wall-clock observability, explicitly outside the
-	// bitwise-identity contract (see EMStats.Overlap); compare the rest
-	// of EMStats exactly.
-	ea, eb := a.EM, b.EM
-	ea.Overlap, eb.Overlap = disk.OverlapStats{}, disk.OverlapStats{}
-	if !reflect.DeepEqual(ea, eb) {
-		t.Errorf("%s: EM statistics differ:\na: %+v\nb: %+v", label, ea, eb)
+	if d := core.Diff(a, b); d != "" {
+		t.Errorf("%s: the results differ: %s", label, d)
 	}
 }
 

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/bsp/bsptest"
 	"embsp/internal/core"
-	"embsp/internal/disk"
 	"embsp/internal/fault"
 	"embsp/internal/redundancy"
 	"embsp/internal/workload"
@@ -152,7 +150,7 @@ func TestSleepBitwiseTable1(t *testing.T) {
 						FaultPlan: &fault.Plan{Seed: seed, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01,
 							FailDrive: 1, FailDriveOp: 10, FailProc: p - 1}}
 				}
-				var ems []core.EMStats
+				var runs []*core.Result
 				for i, opts := range []core.Options{{Seed: seed}, faulty(false), faulty(true)} {
 					var m *skipMeter
 					res, err := core.RunOver(func(inner core.Transport) core.Transport {
@@ -168,12 +166,10 @@ func TestSleepBitwiseTable1(t *testing.T) {
 					if sorts := name != "permute" && name != "transpose" && name != "listrank" && name != "euler" && name != "cc"; sorts != (m.pairs > 0) {
 						t.Errorf("P=%d run %d: %d batches skipped", p, i, m.pairs)
 					}
-					em := res.EM
-					em.Overlap = disk.OverlapStats{}
-					ems = append(ems, em)
+					runs = append(runs, res)
 				}
-				if !reflect.DeepEqual(ems[1], ems[2]) {
-					t.Errorf("P=%d: the file and the mapped run under parity and faults differ in their EM statistics", p)
+				if d := core.Diff(runs[1], runs[2]); d != "" {
+					t.Errorf("P=%d: the file and the mapped run under parity and faults differ: %s", p, d)
 				}
 			}
 		})

@@ -197,9 +197,8 @@ func summarize(inst *workload.Instance, res *embsp.Result) *Summary {
 }
 
 // Summary is the result of a completed job. Fingerprint digests the
-// final VP states and model statistics (EMStats.Overlap excluded, as
-// everywhere); two runs of the same request always produce the same
-// fingerprint, interrupted and resumed or not.
+// run's identity (core.Fingerprint); two runs of the same request always
+// produce the same fingerprint, interrupted and resumed or not.
 type Summary struct {
 	Fingerprint string `json:"fingerprint"`
 	Supersteps  int    `json:"supersteps"`

@@ -4,10 +4,9 @@
 // the run's counters and duration histograms in JSON and
 // Prometheus-text form, and a per-phase wall-clock report.
 //
-// Everything in this package is wall-clock observability, deliberately
-// OUTSIDE the model: nothing here feeds the config fingerprint or the
-// bitwise-identity contract that covers the engines' results (the same
-// carve-out as EMStats.Overlap). A nil *Tracer or *Registry is a
+// Everything in this package is wall-clock observability, outside the
+// model: nothing here feeds the config fingerprint or the identity
+// contract (internal/core/identity.go). A nil *Tracer or *Registry is a
 // valid, zero-cost no-op — every method checks its receiver and skips
 // even the clock read — so the engines thread the pointers
 // unconditionally and pay nothing when observability is off.

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"embsp"
+	"embsp/internal/core"
 	"embsp/internal/prng"
 )
 
@@ -232,6 +233,10 @@ func table() []entry {
 		}},
 	}
 }
+
+// Fingerprint digests a run's identity (core.Fingerprint): the job
+// daemon stores it per job, and embsp-cluster prints and checks it.
+func Fingerprint(res *embsp.Result) uint64 { return core.Fingerprint(res) }
 
 // Machine builds the standard CLI machine shape for a built program:
 // per-processor memory scaled off the program's context footprint

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"embsp"
+	"embsp/internal/core"
 	"embsp/internal/workload"
 )
 
@@ -27,22 +28,12 @@ import (
 // one synchronous store.
 const batteryLatency = 20 * time.Microsecond
 
-// mustAgree asserts the two results are bitwise identical in every
-// model-visible field; only the wall-clock Overlap counters may differ.
+// mustAgree asserts the two results agree under the identity contract
+// (core.Diff): every VP context, model cost and EM statistic.
 func mustAgree(t *testing.T, label string, serial, piped *embsp.Result) {
 	t.Helper()
-	for i := range serial.VPs {
-		if !reflect.DeepEqual(vpImage(serial.VPs[i]), vpImage(piped.VPs[i])) {
-			t.Fatalf("%s: VP %d context differs between serial and pipelined schedules", label, i)
-		}
-	}
-	if !reflect.DeepEqual(serial.Costs, piped.Costs) {
-		t.Fatalf("%s: model costs differ:\nserial:    %+v\npipelined: %+v", label, serial.Costs, piped.Costs)
-	}
-	es, ep := serial.EM, piped.EM
-	es.Overlap, ep.Overlap = embsp.OverlapStats{}, embsp.OverlapStats{}
-	if !reflect.DeepEqual(es, ep) {
-		t.Fatalf("%s: EM statistics differ:\nserial:    %+v\npipelined: %+v", label, es, ep)
+	if d := core.Diff(serial, piped); d != "" {
+		t.Fatalf("%s: the results differ: %s", label, d)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"syscall"
 	"testing"
 	"time"
 
 	"embsp"
+	"embsp/internal/core"
 	"embsp/internal/prng"
 )
 
@@ -163,24 +163,13 @@ func TestKillAndResumeSort(t *testing.T) {
 		t.Fatalf("resume after SIGKILL: %v", err)
 	}
 
-	cleanOut, resOut := p.Output(clean.VPs), p.Output(res.VPs)
-	if !reflect.DeepEqual(cleanOut, resOut) {
-		t.Error("resumed run sorted differently from the uninterrupted run")
-	}
+	resOut := p.Output(res.VPs)
 	for i := 1; i < len(resOut); i++ {
 		if resOut[i-1] > resOut[i] {
 			t.Fatalf("resumed output not sorted at %d", i)
 		}
 	}
-	if !reflect.DeepEqual(clean.Costs, res.Costs) {
-		t.Errorf("model costs differ:\nclean:   %+v\nresumed: %+v", clean.Costs, res.Costs)
-	}
-	// Overlap is wall-clock observability and outside the
-	// bitwise-identity contract; equalize it before comparing.
-	res.EM.Overlap = clean.EM.Overlap
-	if !reflect.DeepEqual(clean.EM, res.EM) {
-		t.Errorf("EM statistics differ:\nclean:   %+v\nresumed: %+v", clean.EM, res.EM)
-	}
+	sameAsClean(t, "resume after SIGKILL", clean, res)
 }
 
 // TestKillMidPipelineAndResumeSerial is the pipeline's crash-safety
@@ -214,16 +203,7 @@ func TestKillMidPipelineAndResumeSerial(t *testing.T) {
 		t.Fatalf("resume after SIGKILL mid-pipeline: %v", err)
 	}
 
-	if !reflect.DeepEqual(p.Output(clean.VPs), p.Output(res.VPs)) {
-		t.Error("serial resume of a pipelined crash sorted differently from the uninterrupted run")
-	}
-	if !reflect.DeepEqual(clean.Costs, res.Costs) {
-		t.Errorf("model costs differ:\nclean:   %+v\nresumed: %+v", clean.Costs, res.Costs)
-	}
-	res.EM.Overlap = clean.EM.Overlap
-	if !reflect.DeepEqual(clean.EM, res.EM) {
-		t.Errorf("EM statistics differ:\nclean:   %+v\nresumed: %+v", clean.EM, res.EM)
-	}
+	sameAsClean(t, "serial resume of a pipelined crash", clean, res)
 }
 
 // killHelper re-executes the test binary as the crash helper with the
@@ -239,20 +219,12 @@ func killHelper(t *testing.T, env ...string) {
 	}
 }
 
-// sameAsClean holds a resumed run to the uninterrupted one: same sorted
-// output, same model costs, same EM statistics (Overlap is wall-clock
-// observability outside the bitwise-identity contract, and equalized).
-func sameAsClean(t *testing.T, label string, p *embsp.SortProgram, clean, res *embsp.Result) {
+// sameAsClean holds a resumed run to the uninterrupted one under the
+// identity contract (core.Diff).
+func sameAsClean(t *testing.T, label string, clean, res *embsp.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(p.Output(clean.VPs), p.Output(res.VPs)) {
-		t.Errorf("%s: resumed run sorted differently from the uninterrupted run", label)
-	}
-	if !reflect.DeepEqual(clean.Costs, res.Costs) {
-		t.Errorf("%s: model costs differ:\nclean:   %+v\nresumed: %+v", label, clean.Costs, res.Costs)
-	}
-	res.EM.Overlap = clean.EM.Overlap
-	if !reflect.DeepEqual(clean.EM, res.EM) {
-		t.Errorf("%s: EM statistics differ:\nclean:   %+v\nresumed: %+v", label, clean.EM, res.EM)
+	if d := core.Diff(clean, res); d != "" {
+		t.Errorf("%s: the resumed run differs from the uninterrupted one: %s", label, d)
 	}
 }
 
@@ -293,7 +265,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: file resume of a mapped crash: %v", label, err)
 			}
-			sameAsClean(t, label+" mapped->file", p, clean, res)
+			sameAsClean(t, label+" mapped->file", clean, res)
 
 			// Die on the pipelined file store, resume on the mapped store.
 			dir = filepath.Join(t.TempDir(), "state")
@@ -304,7 +276,7 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: mapped resume of a pipelined file crash: %v", label, err)
 			}
-			sameAsClean(t, label+" file->mapped", p, clean, res)
+			sameAsClean(t, label+" file->mapped", clean, res)
 		}
 	}
 }
@@ -332,7 +304,7 @@ func TestKillAndResumeScatteredInput(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: resume after SIGKILL: %v", label, err)
 			}
-			sameAsClean(t, label, p, clean, res)
+			sameAsClean(t, label, clean, res)
 		}
 	}
 }
