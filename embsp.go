@@ -112,6 +112,9 @@ type (
 	// returns when a fault plan schedules a permanent drive death while
 	// Redundancy is none.
 	UnprotectedDriveLossError = core.UnprotectedDriveLossError
+	// RecordFieldError is the typed error Run returns for a program
+	// whose VP count or γ does not fit a message record's 32-bit field.
+	RecordFieldError = core.RecordFieldError
 	// Tracer records per-phase spans of a run as Chrome trace_event
 	// JSON plus in-memory per-phase totals; set Options.Trace. It
 	// observes wall clock (see Options.Trace); a nil Tracer costs

@@ -38,9 +38,11 @@ func TestFaultPropertyTable1(t *testing.T) {
 	// The shortest rows (permute, transpose at P = 1) take a few dozen
 	// operations, so whether 2% rates strike them at all is the plan
 	// seed's luck, and the draws follow which drive a block goes to: 23
-	// served until contexts moved to allocated tracks (PR 23).
+	// served until contexts moved to allocated tracks (PR 23), 24 until
+	// message records lost two header words and tails came to share
+	// blocks, when sort at P = 3 ran 5 operations and none was struck.
 	plan := &embsp.FaultPlan{
-		Seed:           24,
+		Seed:           31,
 		ReadErrorRate:  0.02,
 		WriteErrorRate: 0.02,
 		CorruptRate:    0.02,

@@ -184,14 +184,35 @@ type goldenRow struct {
 // MaxBucketSkew, which the fingerprint hashes, now observes what a
 // batch's fetch reads, its contexts with its messages: it moved the
 // fingerprints of the sort rows at P = 1 and of hull at P = 1 again.
+//
+// Two changes moved every row at once, and neither a VP's result nor a
+// model cost. A message record's header became two words and the tails
+// of a superstep's last round came to share blocks (DESIGN.md §21.1):
+// fewer message blocks, so runOps, MemHigh (the largest batch input) and
+// liveBlocks fell, and the fingerprints with them. And the Sorter stopped
+// saving its splitters past phase 2, which moved the saved contexts, so
+// the fingerprints, of every row that sorts (sort, maxima, dominance,
+// rectunion, hull, envelope, nextelement, nn) and its context blocks.
+// Hashing this table's runs with their contexts and costs alone gives
+// the commit before's on every row but those that sort, whose contexts
+// moved by the splitters alone. runOps sort 214 → 206 at P = 1, 218 → 210
+// at P = 2, 94 → 90 at P = 3; listrank 842 → 827, 296 → 274, 320 → 298;
+// euler 8837 → 8717, cc 12137 → 12068; hull 194 → 168 and nn 955 → 903,
+// where the splitters were most of a context. The faulted rows drew other
+// faults: listrank under forced replays replays 17 supersteps where it
+// replayed 15, so its runOps rose 1317 → 1437 and its parity operations
+// 199 → 215; and listrank under parity and faults drew 49 faults where
+// it drew 55 but more of them on writes the layer re-issues, so its
+// parity operations rose 171 → 188 and its read-backs 18 → 31, while its
+// runOps fell 1060 → 1059. The other faulted rows fell.
 var goldenTable = []goldenRow{
 	// Clean P=1. sort: runOps 903 → 572, routeOps 328 → 0 (PR 21);
 	// liveBlocks 277 → 141 in place, 146 checkpointed. PR 25: runOps 572 →
 	// 450, setupOps 67 → 50, liveBlocks 141 → 124 and 146 → 129. One
 	// stream a processor: runOps 450 → 448, liveBlocks 129 → 128. Sleep:
 	// runOps 448 → 398.
-	{"sort", "array", 1, 0x3dab11975302ec4e, 214, 25, 0, 7424, 66},
-	{"sort", "file", 1, 0x9797bc8ad4066559, 214, 25, 0, 7424, 69},
+	{"sort", "array", 1, 0xa25cb8eeb09cf7, 206, 25, 0, 6976, 62},
+	{"sort", "file", 1, 0xac0fd79d03876ad3, 206, 25, 0, 6976, 66},
 	// listrank: runOps 4193 → 3306, routeOps 866 → 0 (PR 21); liveBlocks
 	// 623 → 111 and 168: its µ is sized for a worst-case subscription
 	// table a seventh of which is ever filled. PR 25: two batches, one held
@@ -199,8 +220,8 @@ var goldenTable = []goldenRow{
 	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
 	// Context words: runOps 1482 → 862, liveBlocks 104 → 70 and 112 → 77.
 	// One stream a processor: runOps 862 → 857, liveBlocks 77 → 76.
-	{"listrank", "array", 1, 0x6a0894cf26999692, 842, 13, 0, 13047, 69},
-	{"listrank", "file", 1, 0x4d026142dfdd7fc, 842, 13, 0, 13047, 75},
+	{"listrank", "array", 1, 0xe428d2c684659181, 827, 13, 0, 12919, 68},
+	{"listrank", "file", 1, 0xf07445ef6b5e3ef, 827, 13, 0, 12919, 74},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -212,8 +233,8 @@ var goldenTable = []goldenRow{
 	// listrank 2361 → 1883. Context words: listrank 1883 → 1105,
 	// liveBlocks 148 → 101. One stream a processor: sort 567 → 565 and
 	// liveBlocks 172 → 170, listrank 1105 → 1100. Sleep: sort 565 → 501.
-	{"sort", "mapped+parity+faults", 1, 0x62678cca2897a6cf, 274, 34, 0, 7424, 93},
-	{"listrank", "mapped+parity+faults", 1, 0x2441e1032ad60b18, 1060, 18, 0, 13047, 101},
+	{"sort", "mapped+parity+faults", 1, 0x7583f16085c81652, 266, 34, 0, 6976, 88},
+	{"listrank", "mapped+parity+faults", 1, 0x38953094ca2a56b5, 1059, 18, 0, 12919, 99},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
@@ -224,10 +245,10 @@ var goldenTable = []goldenRow{
 	// liveBlocks 67 → 69 and 68 → 71. Blocks to their owners: sort 406 →
 	// 404, liveBlocks 69 → 66 and 71 → 67; listrank 304 → 296, liveBlocks
 	// 30 → 27.
-	{"sort", "array", 2, 0x17e8c19fb275303a, 218, 26, 0, 7360, 35},
-	{"sort", "file", 2, 0x57a512ae20181e7c, 218, 26, 0, 7360, 35},
-	{"listrank", "array", 2, 0x3ac0590dd72f3896, 296, 0, 0, 9673, 27},
-	{"listrank", "file", 2, 0x3ac0590dd72f3896, 296, 0, 0, 9673, 27},
+	{"sort", "array", 2, 0xfb3698b5f998209, 210, 26, 0, 6976, 32},
+	{"sort", "file", 2, 0xe128cb913ae92bdd, 210, 26, 0, 6976, 34},
+	{"listrank", "array", 2, 0xf2901bea6a84ef5e, 274, 0, 0, 9545, 25},
+	{"listrank", "file", 2, 0xf2901bea6a84ef5e, 274, 0, 0, 9545, 25},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
@@ -237,44 +258,44 @@ var goldenTable = []goldenRow{
 	// listrank 400 → 328, liveBlocks 23 → 22. Blocks to their owners:
 	// sort 168 → 164, liveBlocks 28 → 30; listrank 328 → 320, liveBlocks
 	// 22 → 20.
-	{"sort", "array", 3, 0x2db38a7ddabd971f, 94, 0, 0, 7488, 17},
-	{"listrank", "array", 3, 0xf604bffd5c48c979, 320, 0, 0, 7417, 20},
+	{"sort", "array", 3, 0xe68bde34d502e48, 90, 0, 0, 7040, 16},
+	{"listrank", "array", 3, 0x6f8d80585777929e, 298, 0, 0, 7289, 19},
 	// The other eleven Table 1 workloads, in place at P = 1 and 3, pinned
 	// when the registry became the one place a Table 1 program is built.
 	// permute, maxima, hull, nn, euler and cc draw their inputs as they
 	// did before, and their rows read the same on the commit before; the
 	// other five draw the inputs the paper's experiments always ran.
-	{"permute", "array", 1, 0xbf2fffa1e32493fa, 62, 7, 0, 3200, 30},
-	{"permute", "array", 3, 0xaa5f027e0bd5ddf6, 48, 0, 0, 3264, 9},
-	{"transpose", "array", 1, 0x49f0694753f0650f, 62, 7, 0, 3200, 30},
-	{"transpose", "array", 3, 0x5f92e58e9561f439, 48, 0, 0, 3264, 9},
-	{"maxima", "array", 1, 0xa1d5c813c75057e5, 264, 25, 0, 7647, 71},
-	{"maxima", "array", 3, 0x389d271b0ec69c2, 158, 0, 0, 8479, 26},
-	{"dominance", "array", 1, 0xaac03622154f399, 654, 25, 0, 9408, 105},
-	{"dominance", "array", 3, 0x449c8dc408d99eaf, 328, 0, 0, 11136, 27},
-	{"rectunion", "array", 1, 0xb19e3ea8799c6e5b, 525, 37, 0, 8960, 88},
-	{"rectunion", "array", 3, 0x82768fe713563b08, 216, 0, 0, 9036, 30},
-	{"hull", "array", 1, 0x31ad444f5fa17b84, 194, 19, 0, 3840, 37},
-	{"hull", "array", 3, 0xcf879e135f0a79d3, 102, 0, 0, 4576, 14},
-	{"envelope", "array", 1, 0xa6698a20aad1cc15, 737, 43, 0, 18176, 171},
-	{"envelope", "array", 3, 0xf038b13fcb48a881, 382, 0, 0, 18279, 66},
-	{"nextelement", "array", 1, 0x1c67da6abfdcf787, 971, 61, 0, 18240, 200},
-	{"nextelement", "array", 3, 0x48e9ea869f7678d7, 458, 0, 0, 20662, 72},
-	{"nn", "array", 1, 0xbbcfb14fd3fc45c1, 955, 19, 0, 9984, 96},
-	{"nn", "array", 3, 0xe6bbf52c08091132, 204, 0, 0, 10048, 16},
-	{"euler", "array", 1, 0x577d1b7a5d227855, 8837, 1, 0, 21407, 222},
-	{"euler", "array", 3, 0x9a6a73829433ed71, 1734, 0, 0, 22370, 67},
-	{"cc", "array", 1, 0xf3f3816965229087, 12137, 67, 0, 35880, 355},
-	{"cc", "array", 3, 0x8c1e5d8030553c01, 4010, 0, 0, 35944, 139},
+	{"permute", "array", 1, 0x96092f249d3fef18, 58, 7, 0, 3008, 28},
+	{"permute", "array", 3, 0xc000f9121738d43e, 42, 0, 0, 3008, 8},
+	{"transpose", "array", 1, 0x9ec8755f78b3b25c, 59, 7, 0, 3008, 27},
+	{"transpose", "array", 3, 0xc99e8b68de3d888c, 42, 0, 0, 3008, 8},
+	{"maxima", "array", 1, 0x8898a6fadb18e797, 245, 25, 0, 7455, 65},
+	{"maxima", "array", 3, 0x73ee9518803729c1, 150, 0, 0, 7839, 24},
+	{"dominance", "array", 1, 0x43ad051e182c8789, 607, 25, 0, 8704, 97},
+	{"dominance", "array", 3, 0x2d28c29f962f9c99, 302, 0, 0, 10432, 25},
+	{"rectunion", "array", 1, 0xc8659a70cff19d33, 503, 37, 0, 8704, 85},
+	{"rectunion", "array", 3, 0x937694b34a3b8770, 196, 0, 0, 8716, 28},
+	{"hull", "array", 1, 0xe3f1884f261ec6f0, 168, 19, 0, 3520, 33},
+	{"hull", "array", 3, 0x1f4705118ccb064d, 96, 0, 0, 4448, 14},
+	{"envelope", "array", 1, 0x73917066db5cf934, 713, 43, 0, 17792, 167},
+	{"envelope", "array", 3, 0x86947331a64768e5, 364, 0, 0, 17831, 63},
+	{"nextelement", "array", 1, 0xd26091a6f99acdd9, 943, 61, 0, 17792, 193},
+	{"nextelement", "array", 3, 0xb24ae254b14d2a6e, 430, 0, 0, 20150, 69},
+	{"nn", "array", 1, 0x90a8087cd69fcdf6, 903, 19, 0, 9536, 90},
+	{"nn", "array", 3, 0x914c7155a83d37fa, 184, 0, 0, 9536, 14},
+	{"euler", "array", 1, 0x80989ae9b4c4133c, 8717, 1, 0, 21407, 217},
+	{"euler", "array", 3, 0x11de423d49d5b919, 1586, 0, 0, 22050, 67},
+	{"cc", "array", 1, 0x6c4d767b47572d88, 12068, 67, 0, 35624, 350},
+	{"cc", "array", 3, 0x4940f2011dcfa18b, 3926, 0, 0, 35688, 137},
 	// Forced replays: parity under read, write and corrupt faults with
 	// retries off, so every fault replays its superstep (or the set-up)
 	// from the barrier's record. Recorded while the replay still restored a
 	// hand-built snapshot, which these rows pin it to: sort 10 replays at
 	// P = 1 and 8 at P = 2, listrank 18 and 4.
-	{"sort", "array+parity+replays", 1, 0x681fc7178215fc35, 357, 34, 0, 7424, 93},
-	{"sort", "array+parity+replays", 2, 0x2a82c8706eec3c5a, 489, 36, 0, 7360, 49},
-	{"listrank", "array+parity+replays", 1, 0x7729f2e682b31834, 1317, 18, 0, 13047, 101},
-	{"listrank", "array+parity+replays", 2, 0x171a1b6a348afbe6, 397, 0, 0, 9673, 37},
+	{"sort", "array+parity+replays", 1, 0xa147bb4826064f27, 347, 34, 0, 6976, 88},
+	{"sort", "array+parity+replays", 2, 0xed28890aa4484505, 361, 36, 0, 6976, 47},
+	{"listrank", "array+parity+replays", 1, 0xb6ddc5523945693d, 1437, 18, 0, 12919, 99},
+	{"listrank", "array+parity+replays", 2, 0xe1682087f26a74f1, 363, 0, 0, 9545, 34},
 }
 
 // goldenParity pins what the redundancy layer counts on the rows that
@@ -288,12 +309,12 @@ var goldenTable = []goldenRow{
 type parityCounts struct{ ops, reads, cachePeak int64 }
 
 var goldenParity = map[string]parityCounts{
-	"sort/p1/mapped+parity+faults":     {57, 8, 6},
-	"listrank/p1/mapped+parity+faults": {171, 18, 6},
-	"sort/p1/array+parity+replays":     {62, 0, 6},
-	"sort/p2/array+parity+replays":     {78, 0, 7},
-	"listrank/p1/array+parity+replays": {199, 0, 6},
-	"listrank/p2/array+parity+replays": {71, 0, 6},
+	"sort/p1/mapped+parity+faults":     {56, 8, 6},
+	"listrank/p1/mapped+parity+faults": {188, 31, 7},
+	"sort/p1/array+parity+replays":     {60, 0, 6},
+	"sort/p2/array+parity+replays":     {61, 0, 7},
+	"listrank/p1/array+parity+replays": {215, 0, 6},
+	"listrank/p2/array+parity+replays": {68, 0, 6},
 }
 
 // goldenSpec is the fixed-seed instance of each golden workload.

@@ -182,7 +182,7 @@ func (s *Sorter) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			start = end
 		}
 		env.Charge(int64(n))
-		s.Data = nil
+		s.Data, s.splitters = nil, nil
 	case 3:
 		recv, err := s.merge(env, in, s.W)
 		if err != nil {
@@ -245,9 +245,10 @@ func (s *Sorter) merge(env *bsp.Env, in []bsp.Message, w int) ([]uint64, error) 
 }
 
 // Save marshals the Sorter state (W and Ties are static host
-// configuration and are not saved, nor is the merge scratch; under Ties
-// the saved splitters are (W+1)-word records). It copies Data out, so a
-// Data that is merged stays the VP's after the slot's next merge.
+// configuration and are not saved, nor is the merge scratch; phase 2
+// drops the splitters in the step they arrive, so they save as an empty
+// list). It copies Data out, so a Data that is merged stays the VP's
+// after the slot's next merge.
 func (s *Sorter) Save(enc *words.Encoder) {
 	enc.PutUint(uint64(s.phase))
 	enc.PutUints(s.Data)

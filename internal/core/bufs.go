@@ -45,10 +45,13 @@ type stepBufs struct {
 	msgList   []bsp.Message   // the batch's received messages, per VP in delivery order
 	inMsgs    [][]bsp.Message // each VP's messages, a capacity-limited run of msgList
 	counts    []int           // messages per VP, counted before they are placed
-	order     []int           // the input blocks in stream order
-	segs      []segment       // the streams' runs of one sending batch's records, placed in source order
+	segs      []segment       // the input blocks' segments, in stream order
+	runs      []run           // the streams' runs of one sending batch's records, placed in source order
 	tails     []tail          // the stream packer's per-cell state
 	tailSlots []int           // the cell of each open tail
+	lastTails []wireBlock     // the last round's tails that may share blocks: own closed ones in the packer's slots, the rest where they were delivered
+	first     []int           // shareTails: the tail whose block each tail joins
+	room      []int           // shareTails: the words left in each block it opens
 
 	enc     words.Encoder  // the context being saved
 	msgs    []outMsg       // the batch's generated messages, which the sink sorts by cell

@@ -293,7 +293,7 @@ func clusterNodeShape(p bsp.Program, cfg MachineConfig, opts Options, nodeID int
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}
-	if err := bsp.CheckProgram(p); err != nil {
+	if err := checkProgram(p); err != nil {
 		return nil, err
 	}
 	if nodeID < 0 || nodeID >= cfg.P {
@@ -576,7 +576,7 @@ func OpenCoord(p bsp.Program, cfg MachineConfig, opts Options, dir string, resum
 	if err := ClusterCheck(cfg, opts); err != nil {
 		return nil, err
 	}
-	if err := bsp.CheckProgram(p); err != nil {
+	if err := checkProgram(p); err != nil {
 		return nil, err
 	}
 	if dir == "" {

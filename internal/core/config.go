@@ -368,7 +368,7 @@ func RunContext(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Opti
 	if err := opts.Validate(cfg); err != nil {
 		return nil, err
 	}
-	if err := bsp.CheckProgram(p); err != nil {
+	if err := checkProgram(p); err != nil {
 		return nil, err
 	}
 	return runProgram(ctx, p, cfg, opts)

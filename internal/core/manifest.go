@@ -72,11 +72,14 @@ const (
 // contexts and messages under one bound and allocates a context block's
 // track at its flush, and a batch's contexts and messages are read in one
 // scattered read, §22.1 — the context directory lists other tracks, and
-// the set-up's placement draws nothing from the PRNG). It is folded into every
+// the set-up's placement draws nothing from the PRNG; 18: a message
+// record's header is two words, dst<<32|src and seq<<32|len, and the
+// tails a superstep's last round writes share blocks per destination
+// cell, §21.1 — fewer message blocks, on other tracks). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 17
+const modelRules = 18
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.

@@ -330,16 +330,19 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // this engine's writer would fill on a replay; one journaled at
 // modelRules = 16 striped contexts over the drives apart from the block
 // writer, so its context directory lists other tracks, and its PRNG
-// stands at another draw, than this engine's would on a replay;
+// stands at another draw, than this engine's would on a replay; one
+// journaled at modelRules = 17 holds message records with four-word
+// headers and a tail block per (sender, cell), where this engine parses
+// two-word headers and shared tail blocks;
 // this engine can neither parse them nor continue them into honest
 // counts. The directory is a crashed run of this commit whose record is
 // rewritten to carry the fingerprint an older commit (modelRules = 2 to
-// 8 and 13 to 16, each read off a journal its binary wrote) stamps on the
+// 8 and 13 to 17, each read off a journal its binary wrote) stamps on the
 // same program, machine and options; it is refused
 // by the fingerprint and left byte for byte as found. (A directory PR 24 wrote past its first barrier is
 // refused before that, by the journal: TestJournalRefusesManyRecords.)
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2, 14: 0xd9bf13d44e6ba1b3, 15: 0x23914063f92601d6, 16: 0xcc7d0b18f0ee001} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2, 14: 0xd9bf13d44e6ba1b3, 15: 0x23914063f92601d6, 16: 0xcc7d0b18f0ee001, 17: 0x3d5930a65de61234} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }
@@ -586,6 +589,15 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// wideProgram declares a VP count and a γ of its own.
+type wideProgram struct {
+	bsp.Program
+	v, gamma int
+}
+
+func (w *wideProgram) NumVPs() int       { return w.v }
+func (w *wideProgram) MaxCommWords() int { return w.gamma }
+
 // TestValidation: malformed machine configurations and options are
 // rejected up front with descriptive errors.
 func TestValidation(t *testing.T) {
@@ -610,6 +622,24 @@ func TestValidation(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+	// A message record packs a VP, a sequence number and a payload
+	// length in half a word each: a program that could overflow one is
+	// refused, in process and by the cluster's coordinator, before a VP
+	// is built.
+	for _, tc := range []struct {
+		field    string
+		v, gamma int
+	}{{"v", 1 << 32, 100}, {"γ", 16, 1 << 32}} {
+		wide := &wideProgram{Program: p, v: tc.v, gamma: tc.gamma}
+		_, err := core.Run(wide, good, core.Options{})
+		_, cerr := core.OpenCoord(wide, parMachine(2, 4, 8, 256), core.Options{}, t.TempDir(), false)
+		for _, err := range []error{err, cerr} {
+			var fe *core.RecordFieldError
+			if !errors.As(err, &fe) || fe.Field != tc.field {
+				t.Errorf("%s past 32 bits: got %v, want a *core.RecordFieldError naming it", tc.field, err)
+			}
+		}
 	}
 	// Three combinations were refused while a scattered input was an
 	// ablation that freed its blocks as it read them. It is freed at the

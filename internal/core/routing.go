@@ -180,10 +180,27 @@ func (w *blockWriter) carry(j int, tracks []disk.Addr) {
 	}
 }
 
-// take buffers a block, and flushes once the buffer fills an operation.
-func (w *blockWriter) take(p pendingBlock, img []uint64) error {
+// addNext takes the message block built in next's image.
+func (w *blockWriter) addNext(meta blockMeta) error {
+	return w.push(pendingBlock{meta: meta, batch: w.groupOf(meta.dst)})
+}
+
+// next returns the operation buffer's image of the block the writer
+// takes next.
+func (w *blockWriter) next() []uint64 {
 	B := w.dsk.Config().B
-	copy(w.buf[w.pending*B:(w.pending+1)*B], img)
+	return w.buf[w.pending*B : (w.pending+1)*B]
+}
+
+// take buffers a block.
+func (w *blockWriter) take(p pendingBlock, img []uint64) error {
+	copy(w.next(), img)
+	return w.push(p)
+}
+
+// push buffers the block in next's image, and flushes once the buffer
+// fills an operation.
+func (w *blockWriter) push(p pendingBlock) error {
 	w.pend[w.pending] = p
 	w.pending++
 	if w.pending >= w.lanes {
