@@ -28,6 +28,21 @@ import (
 // added, and every fingerprint moved with it, when contexts went to
 // allocated tracks (PR 23); and every row when the turnaround batch came
 // to stay in internal memory (PR 25).
+//
+// Packed contexts: the Ranker, the Euler tour and CC pack their arrays
+// two values a word (DESIGN.md §23.1), so only Group C rows move, each
+// fingerprint with them. listrank P=1 runOps 827 → 553, setupOps 13 → 7,
+// MemHigh 12919 → 10039, liveBlocks 68 → 59 and 74 → 62; at P = 2 and 3
+// one batch a processor holds its contexts, so only MemHigh moves, 9545
+// → 8009 and 7289 → 6137. euler P=1 8717 → 5194, MemHigh 21407 → 19634,
+// liveBlocks 217 → 159, at P = 3 MemHigh 22050 → 19762; cc P=1 12068 →
+// 8047, setupOps 67 → 34, MemHigh 35624 → 31208, liveBlocks 350 → 318,
+// at P = 3 MemHigh 35688 → 31272. The faulted listrank rows drew their
+// faults over fewer operations: under parity and faults runOps 1059 →
+// 709, setupOps 18 → 10, parity operations 188 → 130, read-backs 31 →
+// 21 and cache peak 7 → 9 blocks; under forced replays runOps 1437 →
+// 777, setupOps 18 → 10, parity operations 215 → 119, and at P = 2 MemHigh
+// 9545 → 8009.
 // The listrank rows were re-recorded when the Ranker came to splice
 // local maxima (DESIGN.md §23).
 type goldenRow struct {
@@ -220,8 +235,8 @@ var goldenTable = []goldenRow{
 	// 168 → 112. Local maxima: runOps 1856 → 1482, liveBlocks 105 → 104.
 	// Context words: runOps 1482 → 862, liveBlocks 104 → 70 and 112 → 77.
 	// One stream a processor: runOps 862 → 857, liveBlocks 77 → 76.
-	{"listrank", "array", 1, 0xe428d2c684659181, 827, 13, 0, 12919, 68},
-	{"listrank", "file", 1, 0xf07445ef6b5e3ef, 827, 13, 0, 12919, 74},
+	{"listrank", "array", 1, 0xca5820e1ff826574, 553, 7, 0, 10039, 59},
+	{"listrank", "file", 1, 0xa8ff15ce12c1fa39, 553, 7, 0, 10039, 62},
 	// Faulted P=1 (parity, 1% faults). PR 22 folded parity at write: sort
 	// runOps 1385 → 737, setupOps 172 → 102; listrank 10248 → 4248, 44 →
 	// 25 (TestParityReadsNothingBack). PR 23: sort 737 → 720 and 102 → 98,
@@ -234,7 +249,7 @@ var goldenTable = []goldenRow{
 	// liveBlocks 148 → 101. One stream a processor: sort 567 → 565 and
 	// liveBlocks 172 → 170, listrank 1105 → 1100. Sleep: sort 565 → 501.
 	{"sort", "mapped+parity+faults", 1, 0x7583f16085c81652, 266, 34, 0, 6976, 88},
-	{"listrank", "mapped+parity+faults", 1, 0x38953094ca2a56b5, 1059, 18, 0, 12919, 99},
+	{"listrank", "mapped+parity+faults", 1, 0xe501a785ce207c44, 709, 10, 0, 10039, 82},
 	// P=2, every processor deciding for its own directory. sort runOps
 	// 936 → 586, routeOps 346 → 0; listrank 4224 → 3316, 908 → 0 (PR 21).
 	// liveBlocks: sort 141 → 76 and 78, listrank 316 → 61 and 90. PR 25:
@@ -247,8 +262,8 @@ var goldenTable = []goldenRow{
 	// 30 → 27.
 	{"sort", "array", 2, 0xfb3698b5f998209, 210, 26, 0, 6976, 32},
 	{"sort", "file", 2, 0xe128cb913ae92bdd, 210, 26, 0, 6976, 34},
-	{"listrank", "array", 2, 0xf2901bea6a84ef5e, 274, 0, 0, 9545, 25},
-	{"listrank", "file", 2, 0xf2901bea6a84ef5e, 274, 0, 0, 9545, 25},
+	{"listrank", "array", 2, 0x342ac4dc4fe51fd8, 274, 0, 0, 8009, 25},
+	{"listrank", "file", 2, 0x342ac4dc4fe51fd8, 274, 0, 0, 8009, 25},
 	// P=3: ragged ownership — the last processor owns 4 of sort's 16 VPs
 	// and 2 of listrank's 8 — where ⌈v/p⌉ does not divide v. sort runOps
 	// 917 → 577, routeOps 340 → 0; listrank 4376 → 3386, 990 → 0 (PR 21).
@@ -259,7 +274,7 @@ var goldenTable = []goldenRow{
 	// sort 168 → 164, liveBlocks 28 → 30; listrank 328 → 320, liveBlocks
 	// 22 → 20.
 	{"sort", "array", 3, 0xe68bde34d502e48, 90, 0, 0, 7040, 16},
-	{"listrank", "array", 3, 0x6f8d80585777929e, 298, 0, 0, 7289, 19},
+	{"listrank", "array", 3, 0x64f570f2f59ee133, 298, 0, 0, 6137, 19},
 	// The other eleven Table 1 workloads, in place at P = 1 and 3, pinned
 	// when the registry became the one place a Table 1 program is built.
 	// permute, maxima, hull, nn, euler and cc draw their inputs as they
@@ -283,10 +298,10 @@ var goldenTable = []goldenRow{
 	{"nextelement", "array", 3, 0xb24ae254b14d2a6e, 430, 0, 0, 20150, 69},
 	{"nn", "array", 1, 0x90a8087cd69fcdf6, 903, 19, 0, 9536, 90},
 	{"nn", "array", 3, 0x914c7155a83d37fa, 184, 0, 0, 9536, 14},
-	{"euler", "array", 1, 0x80989ae9b4c4133c, 8717, 1, 0, 21407, 217},
-	{"euler", "array", 3, 0x11de423d49d5b919, 1586, 0, 0, 22050, 67},
-	{"cc", "array", 1, 0x6c4d767b47572d88, 12068, 67, 0, 35624, 350},
-	{"cc", "array", 3, 0x4940f2011dcfa18b, 3926, 0, 0, 35688, 137},
+	{"euler", "array", 1, 0x83c2ec0a70d1748b, 5194, 1, 0, 19634, 159},
+	{"euler", "array", 3, 0x40fcdde3d48f20c, 1586, 0, 0, 19762, 67},
+	{"cc", "array", 1, 0xf4adff8c890151f8, 8047, 34, 0, 31208, 318},
+	{"cc", "array", 3, 0x4a69eceed899318c, 3926, 0, 0, 31272, 137},
 	// Forced replays: parity under read, write and corrupt faults with
 	// retries off, so every fault replays its superstep (or the set-up)
 	// from the barrier's record. Recorded while the replay still restored a
@@ -294,8 +309,8 @@ var goldenTable = []goldenRow{
 	// P = 1 and 8 at P = 2, listrank 18 and 4.
 	{"sort", "array+parity+replays", 1, 0xa147bb4826064f27, 347, 34, 0, 6976, 88},
 	{"sort", "array+parity+replays", 2, 0xed28890aa4484505, 361, 36, 0, 6976, 47},
-	{"listrank", "array+parity+replays", 1, 0xb6ddc5523945693d, 1437, 18, 0, 12919, 99},
-	{"listrank", "array+parity+replays", 2, 0xe1682087f26a74f1, 363, 0, 0, 9545, 34},
+	{"listrank", "array+parity+replays", 1, 0x58cb0f5609dcb515, 777, 10, 0, 10039, 82},
+	{"listrank", "array+parity+replays", 2, 0x45bf20d77b937823, 363, 0, 0, 8009, 34},
 }
 
 // goldenParity pins what the redundancy layer counts on the rows that
@@ -310,10 +325,10 @@ type parityCounts struct{ ops, reads, cachePeak int64 }
 
 var goldenParity = map[string]parityCounts{
 	"sort/p1/mapped+parity+faults":     {56, 8, 6},
-	"listrank/p1/mapped+parity+faults": {188, 31, 7},
+	"listrank/p1/mapped+parity+faults": {130, 21, 9},
 	"sort/p1/array+parity+replays":     {60, 0, 6},
 	"sort/p2/array+parity+replays":     {61, 0, 7},
-	"listrank/p1/array+parity+replays": {215, 0, 6},
+	"listrank/p1/array+parity+replays": {119, 0, 6},
 	"listrank/p2/array+parity+replays": {68, 0, 6},
 }
 

@@ -409,34 +409,46 @@ func (vp *ccVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	}
 }
 
+// ccFormat leads every saved CC state. It is above every phase value,
+// so a state saved in the layout that began with its phase, with every
+// array a word a value, is refused by Load rather than misread.
+const ccFormat = 0x43434d5001
+
+// Save marshals the VP's state. Every array holds vertex or edge ids or
+// 0/1 flags, so each is packed two values a word while the graph has
+// fewer than 2³¹ vertices and edges (words.Encoder.PutPacked).
 func (vp *ccVP) Save(enc *words.Encoder) {
+	enc.PutUint(ccFormat)
 	enc.PutUint(vp.phase)
 	enc.PutBool(vp.liveDone)
 	enc.PutBool(vp.jumpStop)
 	enc.PutBool(vp.jumpFirst)
 	enc.PutUint(vp.rounds)
-	enc.PutUints(vp.parent)
-	enc.PutUints(vp.eu)
-	enc.PutUints(vp.ev)
-	enc.PutUints(vp.ru)
-	enc.PutUints(vp.rv)
-	enc.PutUints(vp.alive)
-	enc.PutUints(vp.forest)
+	for _, a := range vp.arrays() {
+		enc.PutPacked(*a)
+	}
 }
 
+// Load restores the VP, decoding every array into its own memory. A
+// state that does not begin with ccFormat panics, which the engines
+// report as a typed program error.
 func (vp *ccVP) Load(dec *words.Decoder) {
+	if f := dec.Uint(); f != ccFormat {
+		panic(fmt.Sprintf("cgmgraph: cc state format %#x, want %#x", f, ccFormat))
+	}
 	vp.phase = dec.Uint()
 	vp.liveDone = dec.Bool()
 	vp.jumpStop = dec.Bool()
 	vp.jumpFirst = dec.Bool()
 	vp.rounds = dec.Uint()
-	vp.parent = dec.Uints()
-	vp.eu = dec.Uints()
-	vp.ev = dec.Uints()
-	vp.ru = dec.Uints()
-	vp.rv = dec.Uints()
-	vp.alive = dec.Uints()
-	vp.forest = dec.Uints()
+	for _, a := range vp.arrays() {
+		*a = dec.Packed(*a)
+	}
+}
+
+// arrays lists the VP's saved arrays in their order in a context.
+func (vp *ccVP) arrays() [7]*[]uint64 {
+	return [...]*[]uint64{&vp.parent, &vp.eu, &vp.ev, &vp.ru, &vp.rv, &vp.alive, &vp.forest}
 }
 
 // Output returns the component label (minimum vertex id in the

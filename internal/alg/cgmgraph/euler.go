@@ -337,38 +337,46 @@ func (vp *eulerVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	}
 }
 
+// eulerFormat leads every saved Euler state. It is above every phase
+// value, so a state saved in the layout that began with its phase, with
+// every array a word a value, is refused by Load rather than misread.
+const eulerFormat = 0x45554c5201
+
+// Save marshals the VP's state. Every array holds arc or vertex ids,
+// none, tour positions, depths or sizes, so each is packed two values a
+// word while the tree has fewer than 2³¹ arcs (words.Encoder.PutPacked).
 func (vp *eulerVP) Save(enc *words.Encoder) {
+	enc.PutUint(eulerFormat)
 	enc.PutUint(vp.phase)
 	enc.PutBool(vp.origSucc != nil)
-	enc.PutUints(vp.origSucc)
-	enc.PutUints(vp.tail)
-	enc.PutUints(vp.head)
-	enc.PutUints(vp.pos)
-	enc.PutUints(vp.posRev)
-	enc.PutUints(vp.parent)
-	enc.PutUints(vp.depth)
-	enc.PutUints(vp.size)
-	enc.PutUints(vp.first)
+	for _, a := range vp.arrays() {
+		enc.PutPacked(*a)
+	}
 	vp.ranker.Save(enc)
 }
 
+// Load restores the VP, decoding every array into its own memory. A
+// state that does not begin with eulerFormat panics, which the engines
+// report as a typed program error.
 func (vp *eulerVP) Load(dec *words.Decoder) {
+	if f := dec.Uint(); f != eulerFormat {
+		panic(fmt.Sprintf("cgmgraph: euler state format %#x, want %#x", f, eulerFormat))
+	}
 	vp.phase = dec.Uint()
 	started := dec.Bool()
-	vp.origSucc = dec.Uints()
+	for _, a := range vp.arrays() {
+		*a = dec.Packed(*a)
+	}
 	if !started {
 		vp.origSucc = nil
 	}
-	vp.tail = dec.Uints()
-	vp.head = dec.Uints()
-	vp.pos = dec.Uints()
-	vp.posRev = dec.Uints()
-	vp.parent = dec.Uints()
-	vp.depth = dec.Uints()
-	vp.size = dec.Uints()
-	vp.first = dec.Uints()
 	vp.ranker.N = vp.p.numArcs()
 	vp.ranker.Load(dec)
+}
+
+// arrays lists the VP's saved arrays in their order in a context.
+func (vp *eulerVP) arrays() [9]*[]uint64 {
+	return [...]*[]uint64{&vp.origSucc, &vp.tail, &vp.head, &vp.pos, &vp.posRev, &vp.parent, &vp.depth, &vp.size, &vp.first}
 }
 
 // TreeInfo is the per-vertex result of an Euler tour run. First is

@@ -1,19 +1,15 @@
 package cgmgraph_test
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"embsp/internal/alg/algtest"
 	"embsp/internal/alg/cgmgraph"
 	"embsp/internal/bsp"
-	"embsp/internal/core"
 	"embsp/internal/prng"
 	"embsp/internal/words"
 )
@@ -375,7 +371,7 @@ func TestRankerRoundsAtScale(t *testing.T) {
 // rankerState is a saved Ranker state of a contraction round, decoded
 // from the current layout: format word, phase, rounds, expansion steps,
 // Succ, Weight, the state and known flags as bits, pred, and the
-// (owned index, subscriber) pairs.
+// (owned index, subscriber) pairs, every array packed.
 type rankerState struct {
 	phase, rounds, expand uint64
 	succ, weight          []uint64
@@ -387,7 +383,7 @@ type rankerState struct {
 func decodeRankerState(w []uint64) rankerState {
 	dec := words.NewDecoder(w[1:]) // past the format word
 	s := rankerState{phase: dec.Uint(), rounds: dec.Uint(), expand: dec.Uint()}
-	s.succ, s.weight = dec.Uints(), dec.Uints()
+	s.succ, s.weight = dec.Packed(nil), dec.Packed(nil)
 	own := len(s.succ)
 	flags := func() []uint64 {
 		f := make([]uint64, own)
@@ -400,9 +396,9 @@ func decodeRankerState(w []uint64) rankerState {
 		return f
 	}
 	s.state, s.known = flags(), flags()
-	s.pred = dec.Uints()
+	s.pred = dec.Packed(nil)
 	s.subs = make([][]uint64, own)
-	pairs := dec.Uints()
+	pairs := dec.Packed(nil)
 	for k := 0; k < len(pairs); k += 2 {
 		s.subs[pairs[k]] = append(s.subs[pairs[k]], pairs[k+1])
 	}
@@ -450,54 +446,26 @@ func preFormatLayout(s rankerState, enc *words.Encoder) {
 	enc.PutUints(f2.Words()[f2.Len()-dec.Remaining():])
 }
 
-// olderVP saves the state its Ranker holds at the barrier of superstep
-// at in an older layout.
-type olderVP struct {
-	bsp.VP
-	at, step int
-	layout   func(rankerState, *words.Encoder)
-}
-
-func (v *olderVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
-	v.step = env.Superstep()
-	return v.VP.Step(env, in)
-}
-
-func (v *olderVP) Save(enc *words.Encoder) {
-	var cur words.Encoder
-	v.VP.Save(&cur)
-	if v.step != v.at {
-		enc.PutWords(cur.Words())
-		return
-	}
-	v.layout(decodeRankerState(cur.Words()), enc)
-}
-
-type olderProgram struct {
-	*cgmgraph.ListRank
-	at     int
-	layout func(rankerState, *words.Encoder)
-}
-
-func (p olderProgram) NewVP(id int) bsp.VP {
-	return &olderVP{VP: p.ListRank.NewVP(id), at: p.at, step: -1, layout: p.layout}
-}
-
 // TestRankerRefusesOlderState: a state directory stopped in contraction
 // whose contexts are in an older Ranker layout passes the journal's
 // fingerprint, which names µ and γ but no program. Its resume fails with
 // a typed load error naming the format, and leaves every file byte for
 // byte as found. The layouts are the one before the format word — whose
-// Splice tag an older Ranker used for a 4-word subscription — and format
+// Splice tag an older Ranker used for a 4-word subscription — format
 // 2's, with per-node subscription lists of (subscriber, weight) pairs
-// and every node array one word a node.
+// and every node array one word a node, and format 3's, the current one
+// with no array packed.
 func TestRankerRefusesOlderState(t *testing.T) {
+	fromState := func(layout func(rankerState, *words.Encoder)) func([]uint64, *words.Encoder) {
+		return func(w []uint64, enc *words.Encoder) { layout(decodeRankerState(w), enc) }
+	}
 	for _, tc := range []struct {
 		name   string
-		layout func(rankerState, *words.Encoder)
+		layout func([]uint64, *words.Encoder)
 	}{
-		{"pre-format", preFormatLayout},
-		{"format 2", format2Layout},
+		{"pre-format", fromState(preFormatLayout)},
+		{"format 2", fromState(format2Layout)},
+		{"format 3", func(w []uint64, enc *words.Encoder) { rankerFormat3(words.NewDecoder(w), enc) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			succ := randomChains(prng.New(29), 2048, 1)
@@ -505,30 +473,7 @@ func TestRankerRefusesOlderState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := algtest.Machines(p)[0]
-			const at = 4 // a contraction round
-			dir := t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			opts := core.Options{Seed: 7, StateDir: dir}
-			opts.OnCommit = func(step int) {
-				if step == at {
-					cancel()
-				}
-			}
-			if _, err := core.RunContext(ctx, olderProgram{p, at, tc.layout}, cfg, opts); !errors.Is(err, context.Canceled) {
-				t.Fatalf("stopped run returned %v, want context.Canceled", err)
-			}
-
-			before := dirBytes(t, dir)
-			_, err = core.Run(p, cfg, core.Options{Seed: 7, StateDir: dir, Resume: true})
-			var pe *bsp.ProgramError
-			if !errors.As(err, &pe) || pe.Phase != "load" || !strings.Contains(pe.Error(), "ranker state format") {
-				t.Fatalf("resume returned %v, want a *bsp.ProgramError in load naming the format", err)
-			}
-			if !reflect.DeepEqual(before, dirBytes(t, dir)) {
-				t.Error("the refused resume changed the directory")
-			}
+			refusesOlderState(t, p, 4, tc.layout, "ranker state format") // a contraction round
 		})
 	}
 }

@@ -68,11 +68,62 @@ type Ranker struct {
 	known  []uint64 // rank known flag
 	subs   []uint64 // (owned index, subscriber) pairs, in arrival order
 
-	// The Ranker's own memory, which no Load hands out: slot is pred or
-	// Rank, whichever the phase made rather than loaded, and parts a
-	// Step's records per destination VP, which Send copies out.
-	slot  []uint64
-	parts [][]uint64
+	// The Ranker's own memory, never a decoder's: slot holds pred or
+	// Rank, whichever the phase carries, out a Step's records for other
+	// VPs, and spliced a splice round's spliced nodes.
+	slot    []uint64
+	out     parts
+	spliced []int
+}
+
+// parts lays out a Step's records for other VPs in one buffer its owner
+// keeps, each destination's records together in the order they are put:
+// a Step counts the words of its records per destination, lays the
+// parts out, puts the records it counted and sends one message a
+// destination, which Send copies out.
+type parts struct {
+	flat []uint64
+	at   []int // per destination: the words counted, then where its part is filled to
+}
+
+// reset starts counting for v destinations.
+func (p *parts) reset(v int) {
+	p.at = slices.Grow(p.at[:0], v)[:v]
+	clear(p.at)
+}
+
+// count adds n words for VP d.
+func (p *parts) count(d, n int) { p.at[d] += n }
+
+// layout makes room for the words counted, each part after the one
+// before.
+func (p *parts) layout() {
+	end := 0
+	for d, n := range p.at {
+		p.at[d], end = end, end+n
+	}
+	p.flat = slices.Grow(p.flat[:0], end)[:end]
+}
+
+// put adds a record for VP d, counted before layout.
+func (p *parts) put(d int, rec ...uint64) {
+	part := p.flat[p.at[d]:]
+	for i, w := range rec {
+		part[i] = w
+	}
+	p.at[d] += len(rec)
+}
+
+// send sends every destination's part, in destination order: once every
+// record counted is put, part d ends where part d+1 begins.
+func (p *parts) send(env *bsp.Env) {
+	start := 0
+	for d, end := range p.at {
+		if end > start {
+			env.Send(d, p.flat[start:end])
+		}
+		start = end
+	}
 }
 
 // The MaxUint64 value marks "none" for node references.
@@ -80,8 +131,9 @@ const none = ^uint64(0)
 
 // rankerFormat leads every saved Ranker state. It is above every phase
 // value, so a state saved in a layout that began with its phase is
-// refused by Load rather than misread.
-const rankerFormat = 0x524b4c4d03
+// refused by Load rather than misread; 4 is the layout whose node
+// arrays are packed (words.Encoder.PutPacked), 3 the one before.
+const rankerFormat = 0x524b4c4d04
 
 // Ranker phases.
 const (
@@ -168,28 +220,25 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 			r.pred[i] = none
 		}
 		r.subs = r.subs[:0]
-		parts := r.emptyParts(v)
+		var links uint64
+		r.out.reset(v)
+		for _, s := range r.Succ {
+			if s != none {
+				r.out.count(cgm.Owner(r.N, v, int(s)), 3)
+				links++
+			}
+		}
+		r.out.layout()
 		for i, s := range r.Succ {
 			if s != none {
-				d := cgm.Owner(r.N, v, int(s))
-				parts[d] = append(parts[d], rkTagSetPred, s, uint64(lo+i))
+				r.out.put(cgm.Owner(r.N, v, int(s)), rkTagSetPred, s, uint64(lo+i))
 			}
 		}
-		for d, part := range parts {
-			if len(part) > 0 {
-				env.Send(d, part)
-			}
-		}
+		r.out.send(env)
 		if env.ID() == 0 {
 			// Seed the command pipeline.
 			for d := 0; d < v; d++ {
 				env.Send(d, []uint64{rkTagCmd, rkCmdContinue})
-			}
-		}
-		var links uint64
-		for _, s := range r.Succ {
-			if s != none {
-				links++
 			}
 		}
 		env.Send(0, []uint64{rkTagCount, links})
@@ -205,16 +254,17 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		if cmd == rkCmdGather {
 			// Ship the remaining active nodes to VP 0, but the tails: a
 			// tail's rank is 0, and its owner ranks it at expansion step 1.
-			parts := r.emptyParts(v)
-			parts[0] = append(parts[0], rkTagChain)
+			// One message, to VP 0.
+			chain := append(r.out.flat[:0], rkTagChain)
 			for i := range r.state {
 				if r.state[i] == 0 && r.Succ[i] != none {
-					parts[0] = append(parts[0], uint64(lo+i), r.Succ[i], r.Weight[i])
+					chain = append(chain, uint64(lo+i), r.Succ[i], r.Weight[i])
 				}
 			}
-			if len(parts[0]) > 1 {
-				env.Send(0, parts[0])
+			if len(chain) > 1 {
+				env.Send(0, chain)
 			}
+			r.out.flat = chain[:0]
 			r.phase = rkSolve
 			return false, nil
 		}
@@ -230,38 +280,40 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 		// Contraction round: splice out the round's local maxima.
 		r.Rounds++
 		round := uint64(r.Rounds)
-		parts := r.emptyParts(v)
 		var links uint64
+		r.out.reset(v)
+		r.spliced = r.spliced[:0]
 		for i := range r.state {
 			if r.state[i] != 0 {
 				continue
 			}
-			u := uint64(lo + i)
-			if !splices(round, u, r.pred[i], r.Succ[i]) {
+			if !splices(round, uint64(lo+i), r.pred[i], r.Succ[i]) {
 				if r.Succ[i] != none {
 					links++
 				}
 				continue
 			}
-			// Splice u out: pred.succ = succ(u) (+w), succ.pred =
+			r.spliced = append(r.spliced, i)
+			if r.pred[i] != none {
+				r.out.count(cgm.Owner(r.N, v, int(r.pred[i])), 4)
+			}
+			r.out.count(cgm.Owner(r.N, v, int(r.Succ[i])), 3)
+		}
+		r.out.layout()
+		for _, i := range r.spliced {
+			// Splice u = lo+i out: pred.succ = succ(u) (+w), succ.pred =
 			// pred(u), and u subscribes to succ(u)'s rank. The successor
 			// knows u as its current predecessor, so one record does. It
 			// carries no weight: u's is final, and u adds it to the rank
 			// it is sent (applyUpdates).
 			s, w := r.Succ[i], r.Weight[i]
 			if r.pred[i] != none {
-				d := cgm.Owner(r.N, v, int(r.pred[i]))
-				parts[d] = append(parts[d], rkTagSetSucc, r.pred[i], s, w)
+				r.out.put(cgm.Owner(r.N, v, int(r.pred[i])), rkTagSetSucc, r.pred[i], s, w)
 			}
-			ds := cgm.Owner(r.N, v, int(s))
-			parts[ds] = append(parts[ds], rkTagSplice, s, r.pred[i])
+			r.out.put(cgm.Owner(r.N, v, int(s)), rkTagSplice, s, r.pred[i])
 			r.state[i] = 1
 		}
-		for d, part := range parts {
-			if len(part) > 0 {
-				env.Send(d, part)
-			}
-		}
+		r.out.send(env)
 		env.Send(0, []uint64{rkTagCount, links})
 		env.Charge(int64(own))
 		return false, nil
@@ -322,16 +374,15 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 				ranked = append(ranked, u)
 			}
 			slices.Sort(ranked)
-			parts := r.emptyParts(v)
+			r.out.reset(v)
 			for _, u := range ranked {
-				d := cgm.Owner(r.N, v, int(u))
-				parts[d] = append(parts[d], rkTagRank, u, ranks[u])
+				r.out.count(cgm.Owner(r.N, v, int(u)), 3)
 			}
-			for d, part := range parts {
-				if len(part) > 0 {
-					env.Send(d, part)
-				}
+			r.out.layout()
+			for _, u := range ranked {
+				r.out.put(cgm.Owner(r.N, v, int(u)), rkTagRank, u, ranks[u])
 			}
+			r.out.send(env)
 			env.Charge(int64(len(succ)) * 2)
 		}
 		// pred is dead from here on, and Rank takes its slot: the
@@ -376,19 +427,6 @@ func (r *Ranker) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 	default:
 		return false, fmt.Errorf("cgmgraph: ranker stepped after completion")
 	}
-}
-
-// emptyParts returns the per-destination scratch for v VPs, every part
-// empty and keeping its capacity. A part is sent before the next Step
-// empties it, and Send copies, so no message aliases it.
-func (r *Ranker) emptyParts(v int) [][]uint64 {
-	if len(r.parts) != v {
-		r.parts = make([][]uint64, v)
-	}
-	for d := range r.parts {
-		r.parts[d] = r.parts[d][:0]
-	}
-	return r.parts
 }
 
 // applyUpdates processes pointer/rank/subscription messages. It
@@ -446,7 +484,13 @@ func (r *Ranker) applyUpdates(env *bsp.Env, in []bsp.Message, lo int) (cmd int, 
 // one message per destination VP, and drops those subscriptions.
 func (r *Ranker) notify(env *bsp.Env) {
 	v := env.NumVPs()
-	parts := r.emptyParts(v)
+	r.out.reset(v)
+	for s := 0; s+2 <= len(r.subs); s += 2 {
+		if r.known[r.subs[s]] != 0 {
+			r.out.count(cgm.Owner(r.N, v, int(r.subs[s+1])), 3)
+		}
+	}
+	r.out.layout()
 	kept := r.subs[:0]
 	for s := 0; s+2 <= len(r.subs); s += 2 {
 		j, u := r.subs[s], r.subs[s+1]
@@ -454,15 +498,10 @@ func (r *Ranker) notify(env *bsp.Env) {
 			kept = append(kept, j, u)
 			continue
 		}
-		d := cgm.Owner(r.N, v, int(u))
-		parts[d] = append(parts[d], rkTagRank, u, r.Rank[j])
+		r.out.put(cgm.Owner(r.N, v, int(u)), rkTagRank, u, r.Rank[j])
 	}
 	r.subs = kept
-	for d, part := range parts {
-		if len(part) > 0 {
-			env.Send(d, part)
-		}
-	}
+	r.out.send(env)
 }
 
 // zeroed returns s cut to n words, all zero, reallocating when it is
@@ -504,32 +543,34 @@ func getFlags(dec *words.Decoder, buf []uint64, n int) []uint64 {
 // context carries only what its phase reads. Before the first Step that
 // is Succ and Weight. After it come the state and known flags as bits,
 // pred until expansion and Rank from then on, and the subscription
-// pairs.
+// pairs. Every array is packed, two node ids, weights or ranks a word,
+// unless a value does not fit in half a word.
 func (r *Ranker) Save(enc *words.Encoder) {
 	enc.PutUint(rankerFormat)
 	enc.PutUint(r.phase)
 	enc.PutUint(uint64(r.Rounds))
 	enc.PutUint(r.expand)
-	enc.PutUints(r.Succ)
-	enc.PutUints(r.Weight)
+	enc.PutPacked(r.Succ)
+	enc.PutPacked(r.Weight)
 	if r.phase == rkSetup {
 		return
 	}
 	putFlags(enc, r.state)
 	putFlags(enc, r.known)
 	if r.phase < rkExpand {
-		enc.PutUints(r.pred)
+		enc.PutPacked(r.pred)
 	} else {
-		enc.PutUints(r.Rank)
+		enc.PutPacked(r.Rank)
 	}
-	enc.PutUints(r.subs)
+	enc.PutPacked(r.subs)
 }
 
-// Load restores the Ranker; N must already be set by the host. The
-// flags and the subscription pairs go into the Ranker's own memory,
-// reusing its capacity; the array the phase does not carry, pred or
-// Rank, is nil. A state that does not begin with rankerFormat panics,
-// which the engines report as a typed program error.
+// Load restores the Ranker; N must already be set by the host. Every
+// array is decoded into the Ranker's own memory, reusing its capacity:
+// Succ and Weight into theirs, which the Ranker owns once the host has
+// set them, pred or Rank, whichever the phase carries, into slot, and
+// the other is nil. A state that does not begin with rankerFormat
+// panics, which the engines report as a typed program error.
 func (r *Ranker) Load(dec *words.Decoder) {
 	if f := dec.Uint(); f != rankerFormat {
 		panic(fmt.Sprintf("cgmgraph: ranker state format %#x, want %#x", f, rankerFormat))
@@ -537,24 +578,25 @@ func (r *Ranker) Load(dec *words.Decoder) {
 	r.phase = dec.Uint()
 	r.Rounds = int(dec.Uint())
 	r.expand = dec.Uint()
-	r.Succ = dec.Uints()
-	r.Weight = dec.Uints()
+	r.Succ = dec.Packed(r.Succ)
+	r.Weight = dec.Packed(r.Weight)
 	r.pred, r.Rank = nil, nil
 	if r.phase == rkSetup {
 		return
 	}
 	r.state = getFlags(dec, r.state, len(r.Succ))
 	r.known = getFlags(dec, r.known, len(r.Succ))
+	r.slot = dec.Packed(r.slot)
 	if r.phase < rkExpand {
-		r.pred = dec.Uints()
+		r.pred = r.slot
 	} else {
-		r.Rank = dec.Uints()
+		r.Rank = r.slot
 	}
-	r.subs = append(r.subs[:0], dec.UintsView()...)
+	r.subs = dec.Packed(r.subs)
 }
 
 // SaveSize bounds Save's output for maxOwn owned nodes and maxSubs
-// subscriptions.
+// subscriptions: every array at a word a value, as if none were packed.
 func (r *Ranker) SaveSize(maxOwn, maxSubs int) int {
 	return 4 + 3*words.SizeUints(maxOwn) + 2*((maxOwn+63)/64) + words.SizeUints(2*maxSubs)
 }

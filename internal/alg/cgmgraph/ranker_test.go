@@ -45,9 +45,10 @@ func (v *probeVP) Save(enc *words.Encoder) {
 
 // TestRankerContextWords: a Ranker context carries only what its phase
 // reads — Succ, Weight, and pred or Rank, the state and known flags as
-// bits, and two words a subscription — so after every superstep each
-// VP's context is at most 3·own + 2·⌈own/64⌉ + 2·subs + 8 words, and the
-// declared µ holds it.
+// bits, and the subscription pairs — and packs two node ids, unit
+// weights or ranks a word, so after every superstep each VP's context
+// is at most 3·⌈own/2⌉ + 2·⌈own/64⌉ + subs + 8 words, and the declared µ
+// holds it.
 func TestRankerContextWords(t *testing.T) {
 	const n, v = 1 << 12, 8
 	succ := randomChains(prng.New(31), n, 1)
@@ -58,7 +59,7 @@ func TestRankerContextWords(t *testing.T) {
 	saves, maxSubs := 0, 0
 	p := &probe{ListRank: lr, save: func(id, step int, vp bsp.VP, ctx []uint64) {
 		own, subs := cgmgraph.RankerSizes(vp)
-		if bound := 3*own + 2*((own+63)/64) + 2*subs + 8; len(ctx) > bound {
+		if bound := 3*((own+1)/2) + 2*((own+63)/64) + subs + 8; len(ctx) > bound {
 			t.Errorf("VP %d superstep %d: context of %d words for %d nodes and %d subscriptions, want ≤ %d", id, step, len(ctx), own, subs, bound)
 		}
 		saves++
@@ -125,10 +126,11 @@ func contractionRound(t *testing.T, n, v int) (bsp.Program, []uint64, []bsp.Mess
 	return lr, ctx, in
 }
 
-// TestRankerStepAllocs: a splice round's Load → Step → Save on a reused
-// VP object allocates nothing, whatever the owned nodes and the
-// subscriptions: the flags and the subscription pairs go into the
-// Ranker's own memory, and the node arrays into the decoder's arena.
+// TestRankerStepAllocs: the set-up's and a splice round's Load → Step →
+// Save on a reused VP object allocate nothing, whatever the owned nodes
+// and the subscriptions: every array is decoded into the Ranker's own
+// memory, and the set-up's records per destination go into one buffer
+// the Ranker keeps.
 func TestRankerStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -136,32 +138,41 @@ func TestRankerStepAllocs(t *testing.T) {
 	for _, n := range []int{1 << 11, 1 << 14} {
 		const v = 8
 		p, ctx, in := contractionRound(t, n, v)
+		var setup words.Encoder
+		p.NewVP(0).Save(&setup)
 		vp := p.NewVP(0)
 		var (
-			arena words.Arena
-			dec   words.Decoder
-			enc   words.Encoder
-			env   bsp.Env
+			dec words.Decoder
+			enc words.Encoder
+			env bsp.Env
 		)
-		mem := make([]uint64, len(ctx))
-		round := func() {
-			arena.Reset(mem)
-			dec.Reset(ctx, &arena)
-			vp.Load(&dec)
-			env.Reset(0, v, 3, 1, func(int, []uint64) {})
-			if _, err := vp.Step(&env, in); err != nil {
-				t.Fatal(err)
+		round := func(ctx []uint64, step int, in []bsp.Message) func() {
+			return func() {
+				dec.Reset(ctx, nil)
+				vp.Load(&dec)
+				env.Reset(0, v, step, 1, func(int, []uint64) {})
+				if _, err := vp.Step(&env, in); err != nil {
+					t.Fatal(err)
+				}
+				enc.Reset()
+				vp.Save(&enc)
+				env.ClearSent()
 			}
-			enc.Reset()
-			vp.Save(&enc)
-			env.ClearSent()
 		}
-		round()
-		a := testing.AllocsPerRun(20, round)
-		own, subs := cgmgraph.RankerSizes(vp)
-		t.Logf("n=%d: a splice round of %d nodes and %d subscriptions: %v allocations", n, own, subs, a)
-		if a != 0 {
-			t.Errorf("n=%d: %v allocations, want 0", n, a)
+		for _, r := range []struct {
+			name string
+			run  func()
+		}{
+			{"the set-up", round(setup.Words(), 0, nil)},
+			{"a splice round", round(ctx, 3, in)},
+		} {
+			r.run()
+			a := testing.AllocsPerRun(20, r.run)
+			own, subs := cgmgraph.RankerSizes(vp)
+			t.Logf("n=%d: %s of %d nodes and %d subscriptions: %v allocations", n, r.name, own, subs, a)
+			if a != 0 {
+				t.Errorf("n=%d: %s: %v allocations, want 0", n, r.name, a)
+			}
 		}
 	}
 }

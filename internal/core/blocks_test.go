@@ -528,7 +528,10 @@ func TestReassembleRejectsDamage(t *testing.T) {
 // it says: a payload word's change arrives in its message, and a record
 // header's is an error or a delivery of well-formed messages; a header
 // or padding word's change is an error or nothing, but for a last
-// chunk's fill moved over all-zero words.
+// chunk's fill moved over all-zero words. Half the inputs keep processor
+// 0's messages out of cell 0, and half overwrite the padding word where a
+// forged segment would keep its fill: together, the shape in which only
+// the order rule of splitBlocks keeps a phantom message from VP 0 out.
 func FuzzReassemble(f *testing.F) {
 	f.Add(uint64(1), false, uint32(0), uint64(0))
 	f.Add(uint64(2), true, uint32(4), uint64(1))
@@ -546,12 +549,26 @@ func FuzzReassemble(f *testing.F) {
 		sh := streamShape(p, p*vpp-r.Intn(vpp), 1+r.Intn(vpp), 4, B)
 		sh.muBlocks = 1 + r.Intn(sh.muBlocks)
 		sent, want, _ := randomTraffic(r, sh)
+		if p > 1 && r.Intn(2) == 0 {
+			// Processor 0 sends cell 0 nothing, so the cell's blocks hold
+			// other senders' streams alone: a segment forged in their
+			// padding reads as stream 0 from VP 0, whose zero words are a
+			// message from VP 0 to VP 0 that the cell would take.
+			lo, hi := batchVPs(sh, 0, 0)
+			for j := range sent[0] {
+				sent[0][j] = slices.DeleteFunc(sent[0][j], func(m outMsg) bool { return m.dst < hi })
+			}
+			for d := lo; d < hi; d++ {
+				want[d] = slices.DeleteFunc(want[d], func(m bsp.Message) bool { return sh.owner(m.Src) == 0 })
+			}
+		}
 		s := shareStep(t, sh, sendStep(t, sh, int(seed>>8)%2, sent))
 		if len(s.buf) == 0 {
 			return
 		}
 		order := make([]int, len(s.metas))
 		r.PermInto(order)
+		aim := r.Intn(2) == 0
 
 		// Where the overwritten word lies, read off the unmutated streams:
 		// a payload word of message (src, seq) to dst, or a header.
@@ -559,6 +576,14 @@ func FuzzReassemble(f *testing.F) {
 		payload, record := false, false
 		if mutate {
 			at := int(pos) % len(s.buf)
+			if i := at / B; aim {
+				// Aim at the padding word where a segment after the
+				// block's last would keep its fill, with a fill flagged
+				// last: the word a forged segment starts from.
+				if _, end := blockSegs(s.buf[i*B : (i+1)*B]); end+segWords <= B {
+					at, val = i*B+end+segWords-1, val%uint64(B)<<1|1
+				}
+			}
 			i, w := at/B, at%B
 			img := s.buf[i*B : (i+1)*B]
 			segs, _ := blockSegs(img)

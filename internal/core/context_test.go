@@ -505,7 +505,9 @@ func TestContextOpsFollowUse(t *testing.T) {
 		{sort, 2, 26, []int{10, 26, 2, 25}},
 		// listrank declares µ for a worst-case subscription table and
 		// fills a seventh of it: 571 operations each way before packing.
-		{listrank, 1, 13, []int{7, 19, 8, 26, 9, 29, 10, 30, 10, 30, 9, 24, 7, 19, 7, 19, 7, 19}},
+		// Its arrays packed two values a word (DESIGN.md §23.1): 302 →
+		// 159 in all, {13, [7 19 8 26 9 29 …]} → {7, [4 10 4 13 5 15 …]}.
+		{listrank, 1, 7, []int{4, 10, 4, 13, 5, 15, 5, 15, 5, 16, 5, 13, 4, 10, 4, 10, 4, 10}},
 		{listrank, 2, 0, []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 	} {
 		inst, err := row.spec.Build()

@@ -9,12 +9,16 @@
 // message payloads into word slices.
 //
 // Encoding is positional and fixed-width: every Put* call appends a
-// known number of words, and the matching Get on the Decoder must be
-// issued in the same order. Mismatched decodes are programming errors
-// and panic, like an out-of-bounds slice index.
+// known number of words, but PutPacked, which appends at most as many
+// as PutUints, and the matching Get on the Decoder must be issued in
+// the same order. Mismatched decodes are programming errors and panic,
+// like an out-of-bounds slice index.
 package words
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Encoder appends values to a word buffer. The zero value is ready to
 // use and grows as needed; NewEncoder can wrap a preallocated buffer to
@@ -83,6 +87,51 @@ func (e *Encoder) PutInts(s []int64) {
 	for _, v := range s {
 		e.buf = append(e.buf, uint64(v))
 	}
+}
+
+// packedMark is the high half of the length word of an array in the
+// packed form; the low half is the length. A plain array's length word
+// has a zero high half, so a damaged mark reads as neither form and
+// panics instead of being read as the other one.
+const packedMark = 0x5041434b << 32
+
+// half masks a word's low 32 bits.
+const half = 1<<32 - 1
+
+// fitsHalf reports whether u is a 32-bit value sign-extended to 64
+// bits: a node id below 2³¹, ^0 (a "none" marker), or a small signed
+// weight.
+func fitsHalf(u uint64) bool { return uint64(int64(int32(u))) == u }
+
+// unhalf sign-extends the low 32 bits of w.
+func unhalf(w uint64) uint64 { return uint64(int64(int32(uint32(w)))) }
+
+// PutPacked appends s as an array Decoder.Packed reads. When s holds
+// two or more values and every one fits in half a word, sign-extended,
+// the length word carries packedMark and two values share each word,
+// the first in the low half; an odd last value's high half is zero.
+// Otherwise it is the plain form PutUints writes. Either way it takes
+// at most SizeUints(len(s)) words.
+func (e *Encoder) PutPacked(s []uint64) {
+	if n := len(s); n >= 2 && n <= half {
+		at := len(e.buf)
+		e.buf = slices.Grow(e.buf, 1+(n+1)/2)
+		e.buf = append(e.buf, packedMark|uint64(n))
+		for i := 0; i < n; i += 2 {
+			lo, hi := s[i], uint64(0)
+			if i+1 < n {
+				hi = s[i+1]
+			}
+			if !fitsHalf(lo) || !fitsHalf(hi) {
+				e.buf = e.buf[:at]
+				e.PutUints(s)
+				return
+			}
+			e.buf = append(e.buf, lo&half|hi<<32)
+		}
+		return
+	}
+	e.PutUints(s)
 }
 
 // Arena is memory a Decoder carves the slices Uints returns from, so
@@ -179,6 +228,54 @@ func (d *Decoder) UintsView() []uint64 {
 	s := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return s
+}
+
+// Packed decodes an array PutPacked wrote, in either form, into buf's
+// memory, which grows when it is too small, and returns it: a caller
+// that passes back what the last call returned decodes without
+// allocating once its buffer has held the largest array. The result is
+// never nil, even when empty. A length word whose high half is neither
+// zero nor packedMark, a length the buffer does not hold, a packed form
+// of fewer than two values or a nonzero pad panics, as a corrupt Uints
+// length does.
+func (d *Decoder) Packed(buf []uint64) []uint64 {
+	h := d.next()
+	if h>>32 == 0 {
+		n := int(h)
+		if d.off+n > len(d.buf) {
+			panic("words: corrupt slice length")
+		}
+		s := fit(buf, n)
+		copy(s, d.buf[d.off:d.off+n])
+		d.off += n
+		return s
+	}
+	n := int(h & half)
+	nw := (n + 1) / 2
+	if h&^half != packedMark || n < 2 || d.off+nw > len(d.buf) {
+		panic("words: corrupt slice length")
+	}
+	src := d.buf[d.off : d.off+nw]
+	if n%2 == 1 && src[nw-1]>>32 != 0 {
+		panic("words: corrupt packed pad")
+	}
+	s := fit(buf, n)
+	for i, w := range src[:n/2] {
+		s[2*i], s[2*i+1] = unhalf(w), unhalf(w>>32)
+	}
+	if n%2 == 1 {
+		s[n-1] = unhalf(src[nw-1])
+	}
+	d.off += nw
+	return s
+}
+
+// fit returns buf cut to n words, grown when it holds fewer; never nil.
+func fit(buf []uint64, n int) []uint64 {
+	if buf = slices.Grow(buf[:0], n)[:n]; buf == nil {
+		return []uint64{}
+	}
+	return buf
 }
 
 // Ints decodes a length-prefixed slice of signed integers.

@@ -1,8 +1,12 @@
 package words
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -259,4 +263,206 @@ func TestGrowIsExactFit(t *testing.T) {
 	if &e.Words()[0] != before || e.Len() != 11 || e.Words()[0] != 1 {
 		t.Error("filling the room Grow made reallocated, or lost a word")
 	}
+}
+
+// packedWords encodes each slice with PutPacked, in order.
+func packedWords(ss ...[]uint64) []uint64 {
+	e := NewEncoder(nil)
+	for _, s := range ss {
+		e.PutPacked(s)
+	}
+	return e.Words()
+}
+
+func TestPackedRoundTrip(t *testing.T) {
+	const none = ^uint64(0)
+	for _, tc := range []struct {
+		name  string
+		s     []uint64
+		words int // encoded size
+	}{
+		{"empty", []uint64{}, 1},
+		{"one value", []uint64{5}, 2},
+		{"even length", []uint64{0, 1, 2, 3}, 3},
+		{"odd length", []uint64{7, 8, 9}, 3},
+		{"none and negatives", []uint64{none, 3, uint64(1<<64 - 2), none, 1<<31 - 1}, 4},
+		{"int32 extremes", []uint64{uint64(1<<64 - 1<<31), 1<<31 - 1}, 2},
+		{"2^31 falls back", []uint64{1 << 31, 1, 2}, 4},
+		{"2^40 falls back", []uint64{1, 1 << 40, 1, 1}, 5},
+	} {
+		ws := packedWords(tc.s, []uint64{42})
+		if got := len(ws) - 2; got != tc.words {
+			t.Errorf("%s: %d words, want %d", tc.name, got, tc.words)
+		}
+		if tc.words == len(tc.s)+1 && !reflect.DeepEqual(ws[:tc.words], encodedSlices(tc.s)) {
+			t.Errorf("%s: the fallback is not the plain form PutUints writes", tc.name)
+		}
+		if tc.words > SizeUints(len(tc.s)) {
+			t.Errorf("%s: %d words, above SizeUints' %d", tc.name, tc.words, SizeUints(len(tc.s)))
+		}
+		d := NewDecoder(ws)
+		if got := d.Packed(nil); !reflect.DeepEqual(got, tc.s) {
+			t.Errorf("%s: decoded %v, want %v", tc.name, got, tc.s)
+		}
+		if got := d.Packed(nil); !reflect.DeepEqual(got, []uint64{42}) || d.Remaining() != 0 {
+			t.Errorf("%s: the next array decoded as %v with %d words left", tc.name, got, d.Remaining())
+		}
+	}
+}
+
+func TestPackedOddLengthPad(t *testing.T) {
+	for n := 3; n <= 9; n += 2 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = ^uint64(i) // none, -2, -3, …: every high half set
+		}
+		ws := packedWords(s)
+		if pad := ws[len(ws)-1] >> 32; pad != 0 {
+			t.Errorf("n=%d: pad %#x, want 0", n, pad)
+		}
+		if got := NewDecoder(ws).Packed(nil); !reflect.DeepEqual(got, s) {
+			t.Errorf("n=%d: decoded %v, want %v", n, got, s)
+		}
+	}
+}
+
+func TestPackedEmptyNotNil(t *testing.T) {
+	ws := packedWords(nil, []uint64{}, nil)
+	d := NewDecoder(ws)
+	for i, buf := range [][]uint64{nil, make([]uint64, 0, 4), make([]uint64, 3)} {
+		if s := d.Packed(buf); s == nil || len(s) != 0 {
+			t.Errorf("array %d: %v (nil %v), want empty and non-nil", i, s, s == nil)
+		}
+	}
+}
+
+func TestPackedReusesBuffer(t *testing.T) {
+	big := make([]uint64, 101)
+	for i := range big {
+		big[i] = uint64(i) - 50
+	}
+	ws := packedWords(big, big[:7], []uint64{1 << 40, 1, 2}, nil)
+	var d Decoder
+	buf := make([]uint64, 0, 8)
+	decode := func() {
+		d.Reset(ws, nil)
+		for range 4 {
+			buf = d.Packed(buf)
+		}
+	}
+	decode()
+	if a := testing.AllocsPerRun(20, decode); a != 0 {
+		t.Errorf("%v allocations a pass once the buffer has held the largest array, want 0", a)
+	}
+	d.Reset(ws, nil)
+	first := d.Packed(buf)
+	if !reflect.DeepEqual(first, big) || &first[0] != &buf[:1][0] {
+		t.Error("the decode did not land in the caller's buffer")
+	}
+}
+
+func TestPackedDamagePanics(t *testing.T) {
+	good := packedWords([]uint64{1, 2, 3})
+	for _, tc := range []struct {
+		name string
+		ws   []uint64
+	}{
+		{"one bit of the mark", append([]uint64{good[0] ^ 1<<40}, good[1:]...)},
+		{"the mark's top bit", append([]uint64{good[0] ^ 1<<63}, good[1:]...)},
+		{"a length past the end", append([]uint64{packedMark | 5}, good[1:]...)},
+		{"a packed single value", append([]uint64{packedMark | 1}, good[1:]...)},
+		{"a packed empty array", []uint64{packedMark}},
+		{"a nonzero pad", []uint64{good[0], good[1], good[2] | 1<<32}},
+		{"a plain length past the end", []uint64{4, 1, 2}},
+	} {
+		msg := packedPanic(tc.ws)
+		if !strings.HasPrefix(msg, "words: corrupt") {
+			t.Errorf("%s: panic %q, want a corrupt-array panic", tc.name, msg)
+		}
+	}
+}
+
+// packedPanic decodes one packed array from ws and returns what it
+// panicked with, "" when it did not.
+func packedPanic(ws []uint64) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	NewDecoder(ws).Packed(nil)
+	return ""
+}
+
+// FuzzPacked: any array round-trips through PutPacked and Packed into a
+// reused buffer, in at most SizeUints words. A damaged length word then
+// either panics as a corrupt Uints does, or reads as a length: a
+// damaged mark that does not swap the forms panics, and an array whose
+// length alone is damaged decodes the original values up to the
+// shorter of the two lengths, never values misread from another form.
+func FuzzPacked(f *testing.F) {
+	f.Add(byte(1), []byte("\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"), uint64(0))
+	f.Add(byte(3), []byte("0123456789abcdef01234567"), uint64(1<<63))
+	f.Add(byte(0), []byte("0123456789abcdef"), uint64(1))
+	f.Add(byte(1), []byte("0123456789abcdef01234567"), uint64(2))
+	f.Add(byte(1), []byte("0123456789abcdef"), uint64(packedMark))
+	f.Fuzz(func(t *testing.T, mode byte, data []byte, mask uint64) {
+		// mode's bit 0 makes every value fit in half a word, bit 1 then
+		// spoils one.
+		s := make([]uint64, len(data)/8)
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint64(data[8*i:])
+			if mode&1 != 0 {
+				s[i] = unhalf(s[i])
+			}
+		}
+		if mode&2 != 0 && len(s) > 0 {
+			s[int(mode>>2)%len(s)] = 1 << 40
+		}
+		const sentinel = 0x5e47
+		ws := packedWords(s, []uint64{sentinel})
+		if n := len(ws) - 2; n > SizeUints(len(s)) {
+			t.Fatalf("%d values took %d words, above SizeUints' %d", len(s), n, SizeUints(len(s)))
+		}
+		d := NewDecoder(ws)
+		buf := make([]uint64, int(mode)%5)
+		got := d.Packed(buf)
+		if got == nil || !slices.Equal(got, s) {
+			t.Fatalf("decoded %v, want %v", got, s)
+		}
+		if tail := d.Packed(got); !slices.Equal(tail, []uint64{sentinel}) || d.Remaining() != 0 {
+			t.Fatalf("the next array decoded as %v with %d words left", tail, d.Remaining())
+		}
+
+		if mask == 0 {
+			return
+		}
+		dam := slices.Clone(ws)
+		dam[0] ^= mask
+		var (
+			got2 []uint64
+			msg  string
+		)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			got2 = NewDecoder(dam).Packed(nil)
+		}()
+		swapped := mask>>32 == packedMark>>32
+		switch {
+		case msg != "":
+			if !strings.HasPrefix(msg, "words: corrupt") {
+				t.Fatalf("header %#x → %#x: panic %q, want a corrupt-array panic", ws[0], dam[0], msg)
+			}
+		case mask>>32 != 0 && !swapped:
+			t.Fatalf("header %#x → %#x: a damaged mark decoded as %v", ws[0], dam[0], got2)
+		case !swapped:
+			if k := min(len(got2), len(s)); !slices.Equal(got2[:k], s[:k]) {
+				t.Fatalf("header %#x → %#x: decoded %v, not a prefix-equal reading of %v", ws[0], dam[0], got2, s)
+			}
+		}
+	})
 }
