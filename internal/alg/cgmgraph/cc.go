@@ -415,8 +415,8 @@ func (vp *ccVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 const ccFormat = 0x43434d5001
 
 // Save marshals the VP's state. Every array holds vertex or edge ids or
-// 0/1 flags, so each is packed two values a word while the graph has
-// fewer than 2³¹ vertices and edges (words.Encoder.PutPacked).
+// 0/1 flags, so PutUints writes each two values a word while the graph
+// has fewer than 2³¹ vertices and edges.
 func (vp *ccVP) Save(enc *words.Encoder) {
 	enc.PutUint(ccFormat)
 	enc.PutUint(vp.phase)
@@ -425,7 +425,7 @@ func (vp *ccVP) Save(enc *words.Encoder) {
 	enc.PutBool(vp.jumpFirst)
 	enc.PutUint(vp.rounds)
 	for _, a := range vp.arrays() {
-		enc.PutPacked(*a)
+		enc.PutUints(*a)
 	}
 }
 
@@ -442,7 +442,7 @@ func (vp *ccVP) Load(dec *words.Decoder) {
 	vp.jumpFirst = dec.Bool()
 	vp.rounds = dec.Uint()
 	for _, a := range vp.arrays() {
-		*a = dec.Packed(*a)
+		*a = dec.UintsInto(*a)
 	}
 }
 

@@ -343,14 +343,14 @@ func (vp *eulerVP) Step(env *bsp.Env, in []bsp.Message) (bool, error) {
 const eulerFormat = 0x45554c5201
 
 // Save marshals the VP's state. Every array holds arc or vertex ids,
-// none, tour positions, depths or sizes, so each is packed two values a
-// word while the tree has fewer than 2³¹ arcs (words.Encoder.PutPacked).
+// none, tour positions, depths or sizes, so PutUints writes each two
+// values a word while the tree has fewer than 2³¹ arcs.
 func (vp *eulerVP) Save(enc *words.Encoder) {
 	enc.PutUint(eulerFormat)
 	enc.PutUint(vp.phase)
 	enc.PutBool(vp.origSucc != nil)
 	for _, a := range vp.arrays() {
-		enc.PutPacked(*a)
+		enc.PutUints(*a)
 	}
 	vp.ranker.Save(enc)
 }
@@ -365,7 +365,7 @@ func (vp *eulerVP) Load(dec *words.Decoder) {
 	vp.phase = dec.Uint()
 	started := dec.Bool()
 	for _, a := range vp.arrays() {
-		*a = dec.Packed(*a)
+		*a = dec.UintsInto(*a)
 	}
 	if !started {
 		vp.origSucc = nil

@@ -3,6 +3,7 @@ package cgmgraph
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"embsp/internal/alg/cgm"
 	"embsp/internal/bsp"
@@ -391,7 +392,7 @@ func (vp *lcaVP) Load(dec *words.Decoder) {
 	vp.level = dec.Uint()
 	vp.euler.Load(dec)
 	nlv := int(dec.Uint())
-	vp.st = make([][]uint64, nlv)
+	vp.st = slices.Grow(vp.st[:0], nlv)[:nlv]
 	for i := range vp.st {
 		vp.st[i] = dec.Uints()
 	}

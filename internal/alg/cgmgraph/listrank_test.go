@@ -383,7 +383,7 @@ type rankerState struct {
 func decodeRankerState(w []uint64) rankerState {
 	dec := words.NewDecoder(w[1:]) // past the format word
 	s := rankerState{phase: dec.Uint(), rounds: dec.Uint(), expand: dec.Uint()}
-	s.succ, s.weight = dec.Packed(nil), dec.Packed(nil)
+	s.succ, s.weight = dec.UintsInto(nil), dec.UintsInto(nil)
 	own := len(s.succ)
 	flags := func() []uint64 {
 		f := make([]uint64, own)
@@ -396,9 +396,9 @@ func decodeRankerState(w []uint64) rankerState {
 		return f
 	}
 	s.state, s.known = flags(), flags()
-	s.pred = dec.Packed(nil)
+	s.pred = dec.UintsInto(nil)
 	s.subs = make([][]uint64, own)
-	pairs := dec.Packed(nil)
+	pairs := dec.UintsInto(nil)
 	for k := 0; k < len(pairs); k += 2 {
 		s.subs[pairs[k]] = append(s.subs[pairs[k]], pairs[k+1])
 	}
@@ -417,7 +417,7 @@ func format2Layout(s rankerState, enc *words.Encoder) {
 	enc.PutUint(s.rounds)
 	enc.PutUint(s.expand)
 	for _, a := range [][]uint64{s.succ, s.weight, make([]uint64, len(s.succ)), s.pred, s.state, s.known} {
-		enc.PutUints(a)
+		putPlain(enc, a)
 	}
 	for _, subs := range s.subs {
 		enc.PutUint(uint64(2 * len(subs)))
@@ -441,9 +441,9 @@ func preFormatLayout(s rankerState, enc *words.Encoder) {
 	dec.Uint()
 	enc.PutBool(false)
 	for range 6 {
-		enc.PutUints(dec.Uints())
+		putPlain(enc, dec.Uints())
 	}
-	enc.PutUints(f2.Words()[f2.Len()-dec.Remaining():])
+	putPlain(enc, f2.Words()[f2.Len()-dec.Remaining():])
 }
 
 // TestRankerRefusesOlderState: a state directory stopped in contraction

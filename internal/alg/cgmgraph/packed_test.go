@@ -78,10 +78,17 @@ func refusesOlderState(t *testing.T, p bsp.Program, at int, layout func([]uint64
 	}
 }
 
-// plainArrays copies n packed arrays from dec to enc in the plain form.
+// putPlain writes a in the plain array form, a length word and then
+// the values, as PutUints did before it wrote half words.
+func putPlain(enc *words.Encoder, a []uint64) {
+	enc.PutUint(uint64(len(a)))
+	enc.PutWords(a)
+}
+
+// plainArrays copies n arrays from dec to enc in the plain form.
 func plainArrays(dec *words.Decoder, enc *words.Encoder, n int) {
 	for range n {
-		enc.PutUints(dec.Packed(nil))
+		putPlain(enc, dec.Uints())
 	}
 }
 
@@ -94,8 +101,8 @@ func rankerFormat3(dec *words.Decoder, enc *words.Encoder) {
 	enc.PutUint(phase)
 	enc.PutUint(dec.Uint()) // rounds
 	enc.PutUint(dec.Uint()) // expansion steps
-	succ := dec.Packed(nil)
-	enc.PutUints(succ)
+	succ := dec.Uints()
+	putPlain(enc, succ)
 	plainArrays(dec, enc, 1) // Weight
 	if phase == 0 {
 		return
@@ -178,7 +185,7 @@ func TestRankerPackedFallback(t *testing.T) {
 	p := &probe{ListRank: lr, save: func(id, step int, _ bsp.VP, ctx []uint64) {
 		if step == 0 {
 			dec := words.NewDecoder(ctx[4:]) // past the format word, phase, rounds and expansion steps
-			dec.Packed(nil)                  // Succ
+			dec.UintsInto(nil)               // Succ
 			plain[id] = ctx[4+dec.Offset()]>>32 == 0
 		}
 	}}

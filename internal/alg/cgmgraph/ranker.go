@@ -132,7 +132,8 @@ const none = ^uint64(0)
 // rankerFormat leads every saved Ranker state. It is above every phase
 // value, so a state saved in a layout that began with its phase is
 // refused by Load rather than misread; 4 is the layout whose node
-// arrays are packed (words.Encoder.PutPacked), 3 the one before.
+// arrays are in half words (words.Encoder.PutUints picks that form for
+// them), 3 the one before.
 const rankerFormat = 0x524b4c4d04
 
 // Ranker phases.
@@ -550,19 +551,19 @@ func (r *Ranker) Save(enc *words.Encoder) {
 	enc.PutUint(r.phase)
 	enc.PutUint(uint64(r.Rounds))
 	enc.PutUint(r.expand)
-	enc.PutPacked(r.Succ)
-	enc.PutPacked(r.Weight)
+	enc.PutUints(r.Succ)
+	enc.PutUints(r.Weight)
 	if r.phase == rkSetup {
 		return
 	}
 	putFlags(enc, r.state)
 	putFlags(enc, r.known)
 	if r.phase < rkExpand {
-		enc.PutPacked(r.pred)
+		enc.PutUints(r.pred)
 	} else {
-		enc.PutPacked(r.Rank)
+		enc.PutUints(r.Rank)
 	}
-	enc.PutPacked(r.subs)
+	enc.PutUints(r.subs)
 }
 
 // Load restores the Ranker; N must already be set by the host. Every
@@ -578,21 +579,21 @@ func (r *Ranker) Load(dec *words.Decoder) {
 	r.phase = dec.Uint()
 	r.Rounds = int(dec.Uint())
 	r.expand = dec.Uint()
-	r.Succ = dec.Packed(r.Succ)
-	r.Weight = dec.Packed(r.Weight)
+	r.Succ = dec.UintsInto(r.Succ)
+	r.Weight = dec.UintsInto(r.Weight)
 	r.pred, r.Rank = nil, nil
 	if r.phase == rkSetup {
 		return
 	}
 	r.state = getFlags(dec, r.state, len(r.Succ))
 	r.known = getFlags(dec, r.known, len(r.Succ))
-	r.slot = dec.Packed(r.slot)
+	r.slot = dec.UintsInto(r.slot)
 	if r.phase < rkExpand {
 		r.pred = r.slot
 	} else {
 		r.Rank = r.slot
 	}
-	r.subs = dec.Packed(r.subs)
+	r.subs = dec.UintsInto(r.subs)
 }
 
 // SaveSize bounds Save's output for maxOwn owned nodes and maxSubs

@@ -109,7 +109,10 @@ type VP interface {
 	Save(enc *words.Encoder)
 	// Load restores the VP's context from a previous Save, into an
 	// object that may have held another VP: it sets every field Step
-	// reads. The slices dec.Uints returns follow the lifetime rule above.
+	// reads. The slices dec.Uints returns follow the lifetime rule above;
+	// dec.UintsInto decodes into memory the VP passes, its own, which it
+	// may reuse from Load to Load. Both read an array in whichever form
+	// PutUints wrote it, half words or plain.
 	Load(dec *words.Decoder)
 }
 

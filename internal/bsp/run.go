@@ -216,11 +216,13 @@ const contextCanary = 0xDEADBEEFCAFEF00D
 // stampArena returns the arena memory for loading the saved contexts:
 // mem, or a larger replacement, with every word of both set to
 // contextCanary. Every context is saved when it runs, so a VP that still
-// reads a slice an earlier Load decoded reads the canary.
+// reads a slice an earlier Load decoded reads the canary. An array saved
+// in half words decodes to twice its words, so the arena holds twice the
+// words saved.
 func stampArena(mem []uint64, saved [][]uint64) []uint64 {
 	n := 0
 	for _, ctx := range saved {
-		n += len(ctx)
+		n += 2 * len(ctx)
 	}
 	mem = mem[:cap(mem)]
 	for i := range mem {

@@ -16,7 +16,8 @@ func testBatch(blocks, B int) core.BlockBatch {
 	enc.PutInt(int64(blocks))
 	for i := 0; i < blocks; i++ {
 		enc.PutInts([]int64{1, 0, int64(i), int64(i)})
-		enc.PutUints(payloadOf(B))
+		enc.PutUint(uint64(B))
+		enc.PutWords(payloadOf(B))
 	}
 	return core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
 }

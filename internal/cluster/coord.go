@@ -546,9 +546,24 @@ func collect[T any](c *coordinator, respKind uint64, req func(enc *words.Encoder
 	}
 	out := make([]T, len(decs))
 	for i, dec := range decs {
-		out[i] = decode(dec)
+		if out[i], err = decodeReply(i, respKind, dec, decode); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
+}
+
+// decodeReply runs decode over worker i's reply of the given kind. A
+// reply shorter than what decode reads, or one that claims more records
+// than it holds, panics the word decoder; it is returned as an error
+// naming the worker, which the driver rolls back like any failed hop.
+func decodeReply[T any](i int, kind uint64, dec *words.Decoder, decode func(*words.Decoder) T) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cluster: worker %d: malformed %s reply: %v", i, msgName(kind), r)
+		}
+	}()
+	return decode(dec), nil
 }
 
 // Setup is phase one of the setup barrier (decision record 0).
@@ -561,7 +576,9 @@ func (c *coordinator) Setup() ([]disk.Stats, error) {
 	stats := make([]disk.Stats, len(decs))
 	c.staged = make([]*core.NodeSnapshot, len(decs))
 	for i, dec := range decs {
-		stats[i] = core.DecodeDiskStats(dec)
+		if stats[i], err = decodeReply(i, msgSetupOut, dec, core.DecodeDiskStats); err != nil {
+			return nil, err
+		}
 		c.staged[i] = c.stageSnapshot(i, dec)
 	}
 	c.probe("prepare", -1)

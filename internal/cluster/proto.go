@@ -283,7 +283,12 @@ func putSnapshot(enc *words.Encoder, snap *core.NodeSnapshot) {
 
 // decodeSnapshotTail reads a reply's optional snapshot; replies from
 // pre-replication workers have no tail at all.
-func decodeSnapshotTail(dec *words.Decoder) (*core.NodeSnapshot, error) {
+func decodeSnapshotTail(dec *words.Decoder) (snap *core.NodeSnapshot, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cluster: malformed snapshot: %v", r)
+		}
+	}()
 	if dec.Remaining() == 0 || !dec.Bool() {
 		return nil, nil
 	}
@@ -311,14 +316,16 @@ const nonceWords = 4
 func encodeChallenge(nonce []uint64) []uint64 {
 	enc := words.NewEncoder(nil)
 	enc.PutUint(msgChallenge)
-	enc.PutUints(nonce)
+	enc.PutUint(uint64(len(nonce)))
+	enc.PutWords(nonce)
 	return enc.Words()
 }
 
 func encodeAuth(mac []uint64) []uint64 {
 	enc := words.NewEncoder(nil)
 	enc.PutUint(msgAuth)
-	enc.PutUints(mac)
+	enc.PutUint(uint64(len(mac)))
+	enc.PutWords(mac)
 	return enc.Words()
 }
 
@@ -377,7 +384,10 @@ func batchesSize(bs []core.BlockBatch) int {
 }
 
 func decodeBatches(dec *words.Decoder) []core.BlockBatch {
-	n := int(dec.Int())
+	n := dec.Int()
+	if n < 0 || n > int64(dec.Remaining()) { // a batch takes a word at least
+		panic(fmt.Sprintf("cluster: %d block batches in %d words", n, dec.Remaining()))
+	}
 	bs := make([]core.BlockBatch, n)
 	for i := range bs {
 		bs[i] = core.DecodeBlockBatch(dec)

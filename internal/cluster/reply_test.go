@@ -1,0 +1,97 @@
+package cluster
+
+import (
+	"strings"
+	"testing"
+
+	"embsp/internal/bsp"
+	"embsp/internal/core"
+	"embsp/internal/disk"
+	"embsp/internal/words"
+)
+
+// replyDecoders are the coordinator's decoders of the replies collect
+// and Setup read, by reply kind.
+var replyDecoders = map[uint64]func(*words.Decoder) error{
+	msgComputeOut: func(dec *words.Decoder) error {
+		_, err := decodeReply(3, msgComputeOut, dec, decodeComputeOut)
+		return err
+	},
+	msgSumOut: func(dec *words.Decoder) error {
+		_, err := decodeReply(3, msgSumOut, dec, decodeSumOut)
+		return err
+	},
+	msgFinalOut: func(dec *words.Decoder) error {
+		_, err := decodeReply(3, msgFinalOut, dec, core.DecodeNodeReport)
+		return err
+	},
+	msgSetupOut: func(dec *words.Decoder) error {
+		_, err := decodeReply(3, msgSetupOut, dec, core.DecodeDiskStats)
+		return err
+	},
+}
+
+// decodeFrame decodes a reply frame of the given kind as worker 3's.
+func decodeFrame(t *testing.T, kind uint64, frame []uint64) error {
+	t.Helper()
+	dec, err := expect(frame, kind)
+	if err != nil {
+		t.Fatalf("%s: %v", msgName(kind), err)
+	}
+	return replyDecoders[kind](dec)
+}
+
+// TestMalformedReplies: a worker's reply that ends early, or whose
+// count of batches, blocks, traffic records or contexts claims more than
+// the frame holds, is an error naming the worker, never a panic of the
+// coordinator and never an allocation sized by the damaged count.
+func TestMalformedReplies(t *testing.T) {
+	var enc words.Encoder
+	report := &core.NodeReport{Lo: 2, Hi: 4, Ctx: [][]uint64{{1, 2}, {3}}}
+	good := map[uint64][]uint64{
+		msgComputeOut: append([]uint64(nil), encodeComputeOut(&enc, &core.BatchOut{
+			Scatter: []core.BlockBatch{testBatch(2, 8), {}},
+			Pkts:    []int64{1, 2},
+			Wrds:    []int64{3, 4},
+			Traffic: []bsp.VPTraffic{{SendWords: 5}, {RecvWords: 6}},
+		})...),
+		msgSumOut:   append([]uint64(nil), encodeSumOut(&enc, core.StepTotals{Sleepers: 1, Sends: 2, Ops: 3})...),
+		msgFinalOut: append([]uint64(nil), encodeFinalOut(&enc, report)...),
+		msgSetupOut: append([]uint64(nil), encodeSetupOut(&enc, disk.Stats{}, nil)...),
+	}
+	// The setup reply's last word says it carries no snapshot, an
+	// optional tail: the reply without it is whole.
+	good[msgSetupOut] = good[msgSetupOut][:len(good[msgSetupOut])-1]
+	for kind, frame := range good {
+		if err := decodeFrame(t, kind, frame); err != nil {
+			t.Fatalf("%s: the whole reply: %v", msgName(kind), err)
+		}
+		for n := 1; n < len(frame); n++ {
+			err := decodeFrame(t, kind, frame[:n])
+			if err == nil || !strings.Contains(err.Error(), "worker 3") || !strings.Contains(err.Error(), "malformed") {
+				t.Errorf("%s cut to %d of %d words: %v, want a malformed-reply error naming worker 3", msgName(kind), n, len(frame), err)
+			}
+		}
+	}
+
+	const huge = 1 << 40
+	noCtx := encodeFinalOut(&enc, &core.NodeReport{Lo: 2, Hi: 4})
+	noCtx[len(noCtx)-5] = huge // the context count, before the two memory marks and the skew
+	for _, tc := range []struct {
+		name  string
+		kind  uint64
+		frame []uint64
+	}{
+		{"batch count", msgComputeOut, []uint64{msgComputeOut, huge}},
+		{"block count", msgComputeOut, []uint64{msgComputeOut, 1, huge, 0, 0}},
+		{"traffic count", msgComputeOut, []uint64{msgComputeOut, 0, 0, 0, huge, 0}},
+		{"negative block count", msgComputeOut, []uint64{msgComputeOut, 1, 1 << 63}},
+		{"context count", msgFinalOut, noCtx},
+		{"two step totals", msgSumOut, []uint64{msgSumOut, 2, 1, 2}},
+	} {
+		err := decodeFrame(t, tc.kind, tc.frame)
+		if err == nil || !strings.Contains(err.Error(), "worker 3") {
+			t.Errorf("%s: %v, want an error naming worker 3", tc.name, err)
+		}
+	}
+}

@@ -37,7 +37,8 @@ type stepBufs struct {
 	// outgoing messages, and grows by append, as they are known only once
 	// they are sent.
 	vps       []bsp.VP        // the VP slots: slot i holds the batch's i-th VP, Loaded from ctx into the object NewVP made for the slot's first VP
-	vpMem     []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded
+	vpMem     []uint64        // the slices their Loads decode, carved by arena: the words the batch loaded and vpExtra more (loadBatch)
+	vpExtra   int             // the most words a batch's Loads have decoded beyond the words it loaded: its arrays saved in half words
 	arena     words.Arena     // vpMem, as the decoder carves it
 	dec       words.Decoder   // the context being loaded
 	env       bsp.Env         // the environment of the VP stepping; its send memory holds the batch's payloads until the sink has packed them

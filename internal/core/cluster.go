@@ -87,6 +87,17 @@ func (b BlockBatch) Size() int {
 	return n
 }
 
+// wireCount reads a count of records that take at least per words each
+// and returns it, panicking, as a corrupt length does, when dec does not
+// hold that many: a damaged count must not size an allocation.
+func wireCount(dec *words.Decoder, per int, what string) int {
+	n := dec.Int()
+	if n < 0 || n > int64(dec.Remaining()/per) {
+		panic(fmt.Sprintf("core: %d %s records in %d words", n, what, dec.Remaining()))
+	}
+	return int(n)
+}
+
 // Encode appends the batch's wire form.
 func (b BlockBatch) Encode(enc *words.Encoder) {
 	enc.PutInt(int64(len(b.blocks)))
@@ -96,14 +107,15 @@ func (b BlockBatch) Encode(enc *words.Encoder) {
 		enc.PutInt(int64(wb.meta.src))
 		enc.PutInt(int64(wb.meta.seq))
 		enc.PutInt(int64(wb.meta.chunk))
-		enc.PutUints(wb.img)
+		enc.PutUint(uint64(len(wb.img)))
+		enc.PutWords(wb.img)
 	}
 }
 
 // DecodeBlockBatch reads a batch encoded by Encode. Its images are
 // capacity-limited views of dec's buffer, not copies (see BlockBatch).
 func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
-	n := int(dec.Int())
+	n := wireCount(dec, blockMetaWords+1, "block")
 	if n == 0 {
 		return BlockBatch{}
 	}
@@ -143,7 +155,7 @@ const trafficWords = 7
 func SizeTraffic(n int) int { return 1 + n*trafficWords }
 
 func DecodeTraffic(dec *words.Decoder) []bsp.VPTraffic {
-	n := int(dec.Int())
+	n := wireCount(dec, trafficWords, "traffic")
 	if n == 0 {
 		return nil
 	}
@@ -190,7 +202,8 @@ func EncodeNodeReport(enc *words.Encoder, r *NodeReport) {
 	enc.PutInts([]int64{r.FinishOps, r.FinishReadOps, r.FinishBlocksRead})
 	enc.PutInt(int64(len(r.Ctx)))
 	for _, c := range r.Ctx {
-		enc.PutUints(c)
+		enc.PutUint(uint64(len(c)))
+		enc.PutWords(c)
 	}
 	enc.PutInts([]int64{r.MemHigh, r.PeakLive})
 	enc.PutFloat(r.MaxSkew)
@@ -203,8 +216,7 @@ func DecodeNodeReport(dec *words.Decoder) *NodeReport {
 	r.RunStats = decodeStats(dec)
 	f := dec.Ints()
 	r.FinishOps, r.FinishReadOps, r.FinishBlocksRead = f[0], f[1], f[2]
-	n := int(dec.Int())
-	r.Ctx = make([][]uint64, n)
+	r.Ctx = make([][]uint64, wireCount(dec, 1, "context"))
 	for i := range r.Ctx {
 		r.Ctx[i] = dec.Uints()
 	}

@@ -454,7 +454,8 @@ func forgedBlock(dst, src, B int) core.BlockBatch {
 	enc := words.NewEncoder(nil)
 	enc.PutInt(1)
 	enc.PutInts([]int64{int64(dst), int64(src), 0, 0})
-	enc.PutUints(img)
+	enc.PutUint(uint64(len(img)))
+	enc.PutWords(img)
 	return core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
 }
 
@@ -556,7 +557,8 @@ func TestWriteRefusesMalformedBlocks(t *testing.T) {
 		for _, w := range []int{tc.dst, 8, 0, 0} {
 			enc.PutInt(int64(w))
 		}
-		enc.PutUints(make([]uint64, tc.words))
+		enc.PutUint(uint64(tc.words))
+		enc.PutWords(make([]uint64, tc.words))
 		bad := core.DecodeBlockBatch(words.NewDecoder(enc.Words()))
 		if err := n.Write(0, 0, []core.BlockBatch{{}, bad}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Write returned %v, want an error naming %q", tc.name, err, tc.want)

@@ -284,3 +284,65 @@ func (v *sizedVP) Load(dec *words.Decoder) {
 		v.words[i] = dec.Uint()
 	}
 }
+
+// TestVPMemHalfWordLoads: lca saves its sparse-table rows in half words,
+// so its contexts decode to more words than they were loaded as, and an
+// arena of the loaded words runs dry. The arena a batch's Loads carve
+// from holds the words loaded and the most any batch has decoded beyond
+// its words, so once the slot objects and the buffer have grown,
+// Loading a batch of lca's contexts allocates nothing.
+func TestVPMemHalfWordLoads(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	inst, err := workload.Spec{Alg: "lca", N: 2048, V: 16, Seed: 7}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr core.Transport
+	res, err := core.RunOver(func(inner core.Transport) core.Transport {
+		tr = inner
+		return inner
+	}, inst.Program, workload.Machine(inst.Program, 1, 4, 64, 6, 1000), core.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Batch 0's records, as its load reads them, from the final contexts.
+	var ctx []uint64
+	var enc words.Encoder
+	for _, vp := range res.VPs[:res.EM.K] {
+		enc.Reset()
+		vp.Save(&enc)
+		ctx = append(append(ctx, uint64(enc.Len())), enc.Words()...)
+	}
+	var vps []bsp.VP
+	load := func() {
+		if vps, err = core.LoadBatch(tr, 0, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+
+	// The same Loads from an arena of the loaded words allocate.
+	var (
+		arena words.Arena
+		dec   words.Decoder
+	)
+	mem := make([]uint64, len(ctx))
+	tight := func() {
+		arena.Reset(mem)
+		for i, pos := 0, 0; i < len(vps); i++ {
+			n := int(ctx[pos])
+			dec.Reset(ctx[pos+1:pos+1+n], &arena)
+			vps[i].Load(&dec)
+			pos += 1 + n
+		}
+	}
+	tight()
+	if a := testing.AllocsPerRun(10, tight); a == 0 {
+		t.Fatalf("%d VPs' contexts of %d words decode from an arena of their words: they hold no half-word array", len(vps), len(ctx))
+	}
+	if a := testing.AllocsPerRun(10, load); a != 0 {
+		t.Errorf("a batch Load of %d VPs' contexts, %d words, allocated %v times once the buffers had grown, want 0", len(vps), len(ctx), a)
+	}
+}

@@ -96,6 +96,14 @@ func Tails(t Transport) (open, slots []int) {
 	return open, slots
 }
 
+// LoadBatch Loads ctx, batch j's context records (each a length word,
+// then the context), into processor 0's slot objects as a batch's load
+// does, from the arena it sizes, and returns the slot objects.
+func LoadBatch(t Transport, j int, ctx []uint64) ([]bsp.VP, error) {
+	n := t.(*engine).nodes[0]
+	return n.sh.loadBatch(n.ps, j, 0, ctx)
+}
+
 // CtxBuffers reports, on the engine RunOver hands to wrap, each
 // processor's context buffer: the first word of its backing array (nil
 // before it has one) and its capacity in words.
@@ -433,7 +441,8 @@ func procRecord(sh simShape, ps *procState, step int) ProcRecord {
 	dirs := tail.Len()
 	sh.encodeHeld(tail, ps)
 	held := tail.Len()
-	tail.PutUints(ps.sleep)
+	tail.PutUint(uint64(len(ps.sleep)))
+	tail.PutWords(ps.sleep)
 	sleep := tail.Len()
 	ps.encodeState(tail)
 	encodeStoreState(store, ps.chain.State())

@@ -139,7 +139,7 @@ import (
 // for it, and a batch of sleepers with no input is skipped, DESIGN.md §24)
 // moved all of them by the fingerprint word, and every RUN and NODE record
 // by the layout as well: after the held section each processor section
-// carries its sleep bits, ⌈owned VPs/64⌉ words in the form of PutUints.
+// carries its sleep bits, a count word and ⌈owned VPs/64⌉ words.
 // Checked against the commit before with modelRules held at 12 and the
 // sleep section left out: every record is the commit before's, word for
 // word (no superstep 0 skips a batch: nobody sleeps before it). Old → new:
@@ -261,6 +261,21 @@ import (
 //	NODE 0                0xf12448bcaad8a3ec 0xcb29f5f3200fe29e → 0x4a069db255c068c3 0xc2446d0c02bb69db
 //	NODE 1                0x90f49318c6e74e26 0xc42ada97bcf29864 → 0x481eb524de684326 0x5c65e12b4af2e069
 //	CORD                  0xd990ce51b68ab7f5 0x4fa56ecfc9ec92ff → 0x0572a70fcd8e897a 0x1dc7b14e000c88f9
+//
+// modelRules 18 → 19 (PutUints writes an array whose values all fit in
+// half a word two values a word, DESIGN.md §23.2) moved all of them by
+// the fingerprint word alone. Checked against the commit before with
+// modelRules held at 18: every record is the commit before's, word for
+// word. Old → new:
+//
+//	RUN P=1               0xbd4f909cd506fe65 0x301cb9d6b296caa2 → 0x4139de6247c832be 0xd5619d68569152dd
+//	RUN P=2               0x2dd9e4aca7de145a 0x22a51f1679884374 → 0xf61e469a5f880921 0x3862b18954e643a1
+//	file+parity+faults    0x16fa4ea5c5f445a6 0x913cd87ce7cbd911 → 0xc363640f5ef895e3 0x82070e52238358f8
+//	file+mirror+death     0xa285d32dd989ed21 0x11084d06572a41a3 → 0x0d0928422f2c927c 0xfea5254ac3ccd5d2
+//	mapped+parity         0xac7406045d447878 0xc745cb1350b54475 → 0x680e5943acbd65f3 0x28300bd4427c7324
+//	NODE 0                0x4a069db255c068c3 0xc2446d0c02bb69db → 0x96e5a34071756a54 0xb3dea214d7a5ad18
+//	NODE 1                0x481eb524de684326 0x5c65e12b4af2e069 → 0x4e552abb6119ec5c 0x6ea5da355e1c23ff
+//	CORD                  0x0572a70fcd8e897a 0x1dc7b14e000c88f9 → 0x6998f4ef4ffb1a27 0x7546de5dfe2f9aea
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -294,8 +309,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0xbd4f909cd506fe65, 0x301cb9d6b296caa2},
-		2: {0x2dd9e4aca7de145a, 0x22a51f1679884374},
+		1: {0x4139de6247c832be, 0xd5619d68569152dd},
+		2: {0xf61e469a5f880921, 0x3862b18954e643a1},
 	} {
 		run(fmt.Sprintf("RUN P=%d", p), p, opts, want)
 	}
@@ -311,15 +326,15 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0x16fa4ea5c5f445a6, 0x913cd87ce7cbd911}},
+		}, [2]uint64{0xc363640f5ef895e3, 0x82070e52238358f8}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0xa285d32dd989ed21, 0x11084d06572a41a3}},
+		}, [2]uint64{0xd0928422f2c927c, 0xfea5254ac3ccd5d2}},
 		{"mapped+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0xac7406045d447878, 0xc745cb1350b54475}},
+		}, [2]uint64{0x680e5943acbd65f3, 0x28300bd4427c7324}},
 	} {
 		o := opts
 		row.with(&o)
@@ -338,9 +353,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x4a069db255c068c3, 0xc2446d0c02bb69db})
-	check("NODE 1", node1, [2]uint64{0x481eb524de684326, 0x5c65e12b4af2e069})
-	check("CORD", coord, [2]uint64{0x0572a70fcd8e897a, 0x1dc7b14e000c88f9})
+	check("NODE 0", node0, [2]uint64{0x96e5a34071756a54, 0xb3dea214d7a5ad18})
+	check("NODE 1", node1, [2]uint64{0x4e552abb6119ec5c, 0x6ea5da355e1c23ff})
+	check("CORD", coord, [2]uint64{0x6998f4ef4ffb1a27, 0x7546de5dfe2f9aea})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

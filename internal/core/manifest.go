@@ -75,11 +75,13 @@ const (
 // the set-up's placement draws nothing from the PRNG; 18: a message
 // record's header is two words, dst<<32|src and seq<<32|len, and the
 // tails a superstep's last round writes share blocks per destination
-// cell, §21.1 — fewer message blocks, on other tracks). It is folded into every
+// cell, §21.1 — fewer message blocks, on other tracks; 19: every VP
+// array whose values all fit in half a word is saved two values a word,
+// §23.2 — smaller contexts, so fewer context blocks). It is folded into every
 // fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 18
+const modelRules = 19
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -381,8 +383,8 @@ func (r *recordReader) held(sh *simShape, ps *procState, step int) (j int, recs 
 	return want, recs
 }
 
-// sleep reads the sleep bits of n owned VPs: ⌈n/64⌉ words, in the form
-// of PutUints, with no bit set past the n-th.
+// sleep reads the sleep bits of n owned VPs: their count of words,
+// ⌈n/64⌉, then the words, with no bit set past the n-th.
 func (r *recordReader) sleep(n int) []uint64 {
 	bits := make([]uint64, r.count((n+63)/64, "words of sleep bits"))
 	for i := range bits {
@@ -510,7 +512,8 @@ func (sh *simShape) encodeProcManifest(enc *words.Encoder, ps *procState) {
 	encodeDirectory(enc, ps.inDir)
 	encodeContexts(enc, ps.ctxDir, ps.chain.Config().D)
 	sh.encodeHeld(enc, ps)
-	enc.PutUints(ps.sleep)
+	enc.PutUint(uint64(len(ps.sleep)))
+	enc.PutWords(ps.sleep)
 	ps.encodeState(enc)
 }
 

@@ -697,6 +697,27 @@ func (sh *simShape) batchSleeps(ps *procState, j int) bool {
 	return true
 }
 
+// loadBatch Loads the context records ctx of batch j into its slot
+// objects, which NewVP made once, for the first VP each slot held
+// (bsp.VP's contract), and returns them. The Loads' arrays are carved
+// from vpMem, sized for ctx and the most any batch decoded beyond its
+// words (arrays saved in half words unpack to up to twice their words).
+func (sh *simShape) loadBatch(ps *procState, j, step int, ctx []uint64) ([]bsp.VP, error) {
+	lo, hi := sh.batchBounds(ps, j)
+	bound := sh.k * sh.muBlocks * sh.cfg.B
+	ps.arena.Reset(fitUpTo(&ps.vpMem, 0, min(len(ctx)+ps.vpExtra, 2*len(ctx), bound), bound))
+	vps := grow(&ps.vps, hi-lo)
+	err := sh.loadContexts(ps, j, ctx, func(id int, ctx []uint64) error {
+		if vps[id-lo] == nil {
+			vps[id-lo] = sh.p.NewVP(id)
+		}
+		ps.dec.Reset(ctx, &ps.arena)
+		return bsp.SafeLoad(vps[id-lo], &ps.dec, id, step)
+	})
+	ps.vpExtra = max(ps.vpExtra, ps.arena.Asked()-len(ctx))
+	return vps, err
+}
+
 // simulateBatch simulates the (non-empty) batch j of processor ps:
 // reassemble the messages its fetch reads, load the k current VPs, run
 // their computation supersteps, write their contexts back, and hand the
@@ -709,7 +730,6 @@ func (sh *simShape) batchSleeps(ps *procState, j int) bool {
 func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	lo, hi := sh.batchBounds(ps, j)
 	n := hi - lo
-	B := sh.cfg.B
 
 	// The batch's one read, contexts and messages, is under fetch-msg;
 	// decoding the contexts and loading the VPs under fetch-ctx.
@@ -731,20 +751,10 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	}
 	spMsg.End()
 
-	// Contexts of the current k VPs, decoded into the words they were
+	// Contexts of the current k VPs, decoded from the words they were
 	// loaded as: the held records, or the blocks the directory lists.
 	spFetch := sh.tr.BeginStep(obs.CatEngine, phFetchCtx, ps.id, 0, step, j)
-	ps.arena.Reset(fitUpTo(&ps.vpMem, 0, min(len(in.ctx), n*sh.muBlocks*B), sh.k*sh.muBlocks*B))
-	// Each context is Loaded into its slot's VP object, which NewVP made
-	// once, for the first VP the slot held (bsp.VP's contract).
-	vps := grow(&ps.vps, n)
-	err = sh.loadContexts(ps, j, in.ctx, func(id int, ctx []uint64) error {
-		if vps[id-lo] == nil {
-			vps[id-lo] = sh.p.NewVP(id)
-		}
-		ps.dec.Reset(ctx, &ps.arena)
-		return bsp.SafeLoad(vps[id-lo], &ps.dec, id, step)
-	})
+	vps, err := sh.loadBatch(ps, j, step, in.ctx)
 	if err == nil && !ps.ckptOn {
 		// Nothing rolls back to them: the batch's save gets them back.
 		err = ps.releaseContexts(j)

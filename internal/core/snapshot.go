@@ -62,7 +62,8 @@ func (s *NodeSnapshot) Encode(enc *words.Encoder) {
 	enc.PutInt(int64(s.Version))
 	enc.PutBool(s.Full)
 	enc.PutInt(int64(s.Base))
-	enc.PutUints(s.Manifest)
+	enc.PutUint(uint64(len(s.Manifest)))
+	enc.PutWords(s.Manifest)
 	enc.PutInt(int64(len(s.Tracks)))
 	for _, t := range s.Tracks {
 		enc.PutInt(int64(t.Disk))
@@ -73,7 +74,8 @@ func (s *NodeSnapshot) Encode(enc *words.Encoder) {
 		}
 		enc.PutBool(true)
 		enc.PutUint(disk.Checksum(t.Payload))
-		enc.PutUints(t.Payload)
+		enc.PutUint(uint64(len(t.Payload)))
+		enc.PutWords(t.Payload)
 	}
 }
 

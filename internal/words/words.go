@@ -8,11 +8,11 @@
 // Encoder/Decoder pair used to marshal virtual-processor contexts and
 // message payloads into word slices.
 //
-// Encoding is positional and fixed-width: every Put* call appends a
-// known number of words, but PutPacked, which appends at most as many
-// as PutUints, and the matching Get on the Decoder must be issued in
-// the same order. Mismatched decodes are programming errors and panic,
-// like an out-of-bounds slice index.
+// Encoding is positional: every Put* call appends a known number of
+// words, except PutUints, which appends at most SizeUints of them, and
+// the matching Get on the Decoder must be issued in the same order.
+// Mismatched decodes are programming errors and panic, like an
+// out-of-bounds slice index.
 package words
 
 import (
@@ -74,11 +74,28 @@ func (e *Encoder) PutBool(b bool) {
 // prefix: words the reader knows how to delimit.
 func (e *Encoder) PutWords(s []uint64) { e.buf = append(e.buf, s...) }
 
-// PutUints appends a length prefix followed by the slice elements
-// (len(s)+1 words).
+// PutUints appends s as an array Uints and UintsInto read. When s
+// holds two or more values and every one fits in half a word,
+// sign-extended, the length word carries packedMark and two values
+// share each word, the first in the low half; an odd last value's high
+// half is zero. Otherwise the length word is len(s) and the values
+// follow as they are. Either way it takes at most SizeUints(len(s))
+// words.
 func (e *Encoder) PutUints(s []uint64) {
-	e.buf = append(e.buf, uint64(len(s)))
-	e.buf = append(e.buf, s...)
+	n := len(s)
+	if n < 2 || n > half || !allHalf(s) {
+		e.buf = append(e.buf, uint64(n))
+		e.buf = append(e.buf, s...)
+		return
+	}
+	e.buf = slices.Grow(e.buf, 1+(n+1)/2)
+	e.buf = append(e.buf, packedMark|uint64(n))
+	for i := 1; i < n; i += 2 {
+		e.buf = append(e.buf, s[i-1]&half|s[i]<<32)
+	}
+	if n%2 == 1 {
+		e.buf = append(e.buf, s[n-1]&half)
+	}
 }
 
 // PutInts appends a length prefix followed by the slice elements.
@@ -90,49 +107,28 @@ func (e *Encoder) PutInts(s []int64) {
 }
 
 // packedMark is the high half of the length word of an array in the
-// packed form; the low half is the length. A plain array's length word
-// has a zero high half, so a damaged mark reads as neither form and
-// panics instead of being read as the other one.
+// half-word form; the low half is the length. A plain array's length
+// word has a zero high half, so a damaged mark reads as neither form
+// and panics instead of being read as the other one.
 const packedMark = 0x5041434b << 32
 
 // half masks a word's low 32 bits.
 const half = 1<<32 - 1
 
-// fitsHalf reports whether u is a 32-bit value sign-extended to 64
-// bits: a node id below 2³¹, ^0 (a "none" marker), or a small signed
-// weight.
-func fitsHalf(u uint64) bool { return uint64(int64(int32(u))) == u }
+// allHalf reports whether every value of s is a 32-bit value
+// sign-extended to 64 bits: a node id below 2³¹, ^0 (a "none" marker),
+// or a small signed weight.
+func allHalf(s []uint64) bool {
+	for _, u := range s {
+		if uint64(int64(int32(u))) != u {
+			return false
+		}
+	}
+	return true
+}
 
 // unhalf sign-extends the low 32 bits of w.
 func unhalf(w uint64) uint64 { return uint64(int64(int32(uint32(w)))) }
-
-// PutPacked appends s as an array Decoder.Packed reads. When s holds
-// two or more values and every one fits in half a word, sign-extended,
-// the length word carries packedMark and two values share each word,
-// the first in the low half; an odd last value's high half is zero.
-// Otherwise it is the plain form PutUints writes. Either way it takes
-// at most SizeUints(len(s)) words.
-func (e *Encoder) PutPacked(s []uint64) {
-	if n := len(s); n >= 2 && n <= half {
-		at := len(e.buf)
-		e.buf = slices.Grow(e.buf, 1+(n+1)/2)
-		e.buf = append(e.buf, packedMark|uint64(n))
-		for i := 0; i < n; i += 2 {
-			lo, hi := s[i], uint64(0)
-			if i+1 < n {
-				hi = s[i+1]
-			}
-			if !fitsHalf(lo) || !fitsHalf(hi) {
-				e.buf = e.buf[:at]
-				e.PutUints(s)
-				return
-			}
-			e.buf = append(e.buf, lo&half|hi<<32)
-		}
-		return
-	}
-	e.PutUints(s)
-}
 
 // Arena is memory a Decoder carves the slices Uints returns from, so
 // that decoding allocates nothing while the arena lasts. Each slice is
@@ -140,16 +136,25 @@ func (e *Encoder) PutPacked(s []uint64) {
 // the next one. The slices stay the arena's words, so they are valid
 // only until the arena's memory is handed out again.
 type Arena struct {
-	buf []uint64
-	off int
+	buf   []uint64
+	off   int
+	asked int
 }
 
 // Reset makes buf the arena's memory, all of it free.
-func (a *Arena) Reset(buf []uint64) { a.buf, a.off = buf, 0 }
+func (a *Arena) Reset(buf []uint64) { a.buf, a.off, a.asked = buf, 0, 0 }
+
+// Asked returns the words asked of the arena since its Reset, carved or
+// not: the memory the decodes would have needed.
+func (a *Arena) Asked() int { return a.asked }
 
 // take carves n words, or returns nil when a is nil or has fewer left.
 func (a *Arena) take(n int) []uint64 {
-	if a == nil || n > len(a.buf)-a.off {
+	if a == nil {
+		return nil
+	}
+	a.asked += n
+	if n > len(a.buf)-a.off {
 		return nil
 	}
 	s := a.buf[a.off : a.off+n : a.off+n]
@@ -200,73 +205,83 @@ func (d *Decoder) Float() float64 { return math.Float64frombits(d.next()) }
 // Bool decodes one word as a boolean.
 func (d *Decoder) Bool() bool { return d.next() != 0 }
 
-// Uints decodes a length-prefixed slice. The result is a copy, carved
-// from the Decoder's arena when it has room and allocated otherwise;
-// it is never nil, even when empty.
+// Uints decodes an array PutUints wrote, in either form. The result
+// is a copy, carved from the Decoder's arena when it has room and
+// allocated otherwise; it is never nil, even when empty.
 func (d *Decoder) Uints() []uint64 {
-	n := int(d.next())
-	if n < 0 || d.off+n > len(d.buf) {
-		panic("words: corrupt slice length")
-	}
+	src, n := d.array()
 	s := d.arena.take(n)
 	if s == nil {
 		s = make([]uint64, n)
 	}
-	copy(s, d.buf[d.off:d.off+n])
-	d.off += n
-	return s
+	return unpack(s, src)
 }
 
-// UintsView decodes a length-prefixed slice as Uints does, but returns
-// a capacity-limited view of the decoder's buffer instead of a copy: it
-// is valid as long as that buffer is, and an append to it reallocates.
+// UintsInto decodes an array PutUints wrote, in either form, into buf's
+// memory, which grows when it is too small, and returns it: a caller
+// that passes back what the last call returned decodes without
+// allocating once its buffer has held the largest array. The result is
+// never nil, even when empty.
+func (d *Decoder) UintsInto(buf []uint64) []uint64 {
+	src, n := d.array()
+	return unpack(fit(buf, n), src)
+}
+
+// UintsView decodes a length word and that many words after it, the
+// plain form, and returns a capacity-limited view of the decoder's
+// buffer instead of a copy: it is valid as long as that buffer is, and
+// an append to it reallocates. An array in the half-word form panics.
 func (d *Decoder) UintsView() []uint64 {
-	n := int(d.next())
-	if n < 0 || d.off+n > len(d.buf) {
-		panic("words: corrupt slice length")
-	}
+	n := d.count(d.next())
 	s := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return s
 }
 
-// Packed decodes an array PutPacked wrote, in either form, into buf's
-// memory, which grows when it is too small, and returns it: a caller
-// that passes back what the last call returned decodes without
-// allocating once its buffer has held the largest array. The result is
-// never nil, even when empty. A length word whose high half is neither
-// zero nor packedMark, a length the buffer does not hold, a packed form
-// of fewer than two values or a nonzero pad panics, as a corrupt Uints
-// length does.
-func (d *Decoder) Packed(buf []uint64) []uint64 {
-	h := d.next()
-	if h>>32 == 0 {
-		n := int(h)
-		if d.off+n > len(d.buf) {
-			panic("words: corrupt slice length")
-		}
-		s := fit(buf, n)
-		copy(s, d.buf[d.off:d.off+n])
-		d.off += n
-		return s
-	}
-	n := int(h & half)
-	nw := (n + 1) / 2
-	if h&^half != packedMark || n < 2 || d.off+nw > len(d.buf) {
+// count checks a plain length word against the words left and returns
+// it as a length.
+func (d *Decoder) count(h uint64) int {
+	if h > uint64(d.Remaining()) {
 		panic("words: corrupt slice length")
 	}
-	src := d.buf[d.off : d.off+nw]
-	if n%2 == 1 && src[nw-1]>>32 != 0 {
+	return int(h)
+}
+
+// array consumes an array in either form and returns its encoded words
+// and its length. A length word whose high half is neither zero nor
+// packedMark, a length the buffer does not hold, a half-word form of
+// fewer than two values or a nonzero pad panics.
+func (d *Decoder) array() (src []uint64, n int) {
+	h := d.next()
+	n, nw := int(h&half), int(h&half)
+	if h>>32 != 0 {
+		if h&^half != packedMark || n < 2 {
+			panic("words: corrupt slice length")
+		}
+		nw = (n + 1) / 2
+	}
+	src = d.buf[d.off : d.off+d.count(uint64(nw))]
+	if nw < n && n%2 == 1 && src[nw-1]>>32 != 0 {
 		panic("words: corrupt packed pad")
 	}
-	s := fit(buf, n)
-	for i, w := range src[:n/2] {
+	d.off += nw
+	return src, n
+}
+
+// unpack fills s, of an array's length, from its encoded words src, a
+// copy when they are as many and two values a word otherwise, and
+// returns it.
+func unpack(s, src []uint64) []uint64 {
+	if len(s) == len(src) {
+		copy(s, src)
+		return s
+	}
+	for i, w := range src[:len(s)/2] {
 		s[2*i], s[2*i+1] = unhalf(w), unhalf(w>>32)
 	}
-	if n%2 == 1 {
-		s[n-1] = unhalf(src[nw-1])
+	if len(s)%2 == 1 {
+		s[len(s)-1] = unhalf(src[len(src)-1])
 	}
-	d.off += nw
 	return s
 }
 
@@ -280,10 +295,7 @@ func fit(buf []uint64, n int) []uint64 {
 
 // Ints decodes a length-prefixed slice of signed integers.
 func (d *Decoder) Ints() []int64 {
-	n := int(d.next())
-	if n < 0 || d.off+n > len(d.buf) {
-		panic("words: corrupt slice length")
-	}
+	n := d.count(d.next())
 	s := make([]int64, n)
 	for i := range s {
 		s[i] = int64(d.buf[d.off+i])
@@ -293,5 +305,5 @@ func (d *Decoder) Ints() []int64 {
 }
 
 // SizeUints returns the encoded size in words of a []uint64 of length n
-// (length prefix plus elements). SizeInts and SizeFloats are identical.
+// (length prefix plus elements), the most PutUints appends for it.
 func SizeUints(n int) int { return 1 + n }

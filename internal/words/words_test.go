@@ -134,11 +134,20 @@ func TestCorruptSliceLengthPanics(t *testing.T) {
 	d.Uints()
 }
 
+// TestSizeUints: an array that does not fit in half words takes
+// SizeUints words, and one that does takes fewer.
 func TestSizeUints(t *testing.T) {
-	e := NewEncoder(nil)
-	e.PutUints(make([]uint64, 17))
-	if e.Len() != SizeUints(17) {
-		t.Errorf("encoded %d words, SizeUints says %d", e.Len(), SizeUints(17))
+	wide := make([]uint64, 17)
+	wide[16] = 1 << 40
+	for _, tc := range []struct {
+		s    []uint64
+		want int
+	}{{wide, SizeUints(17)}, {make([]uint64, 17), 1 + 9}} {
+		e := NewEncoder(nil)
+		e.PutUints(tc.s)
+		if e.Len() != tc.want || e.Len() > SizeUints(17) {
+			t.Errorf("encoded %d words, want %d (SizeUints says at most %d)", e.Len(), tc.want, SizeUints(17))
+		}
 	}
 }
 
@@ -147,6 +156,17 @@ func encodedSlices(ss ...[]uint64) []uint64 {
 	e := NewEncoder(nil)
 	for _, s := range ss {
 		e.PutUints(s)
+	}
+	return e.Words()
+}
+
+// plainSlices encodes each slice in the plain form, a length word and
+// then the values, in order.
+func plainSlices(ss ...[]uint64) []uint64 {
+	e := NewEncoder(nil)
+	for _, s := range ss {
+		e.PutUint(uint64(len(s)))
+		e.PutWords(s)
 	}
 	return e.Words()
 }
@@ -206,6 +226,9 @@ func TestArenaExhaustedFallsBackToHeap(t *testing.T) {
 	if !reflect.DeepEqual([][]uint64{a, b, c}, [][]uint64{{1, 2}, {3, 4}, {5}}) {
 		t.Errorf("decoded %v, %v, %v", a, b, c)
 	}
+	if arena.Asked() != 5 {
+		t.Errorf("the arena was asked for %d words, want 5, the one it could not carve included", arena.Asked())
+	}
 }
 
 func TestResetClearsOffsets(t *testing.T) {
@@ -224,8 +247,8 @@ func TestResetClearsOffsets(t *testing.T) {
 		t.Errorf("Decoder.Reset leaves offset %d", d.Offset())
 	}
 	arena.Reset(mem)
-	if arena.off != 0 {
-		t.Errorf("Arena.Reset leaves offset %d", arena.off)
+	if arena.off != 0 || arena.Asked() != 0 {
+		t.Errorf("Arena.Reset leaves offset %d and %d words asked", arena.off, arena.Asked())
 	}
 	if s := d.Uints(); &s[0] != &mem[0] {
 		t.Error("a reset arena does not hand out its memory from the start")
@@ -233,7 +256,7 @@ func TestResetClearsOffsets(t *testing.T) {
 }
 
 func TestUintsViewAliasesTheBuffer(t *testing.T) {
-	ws := encodedSlices([]uint64{1, 2}, []uint64{3, 4, 5})
+	ws := plainSlices([]uint64{1, 2}, []uint64{3, 4, 5})
 	d := NewDecoder(ws)
 	a, b := d.UintsView(), d.UintsView()
 	if &a[0] != &ws[1] || &b[0] != &ws[4] {
@@ -265,13 +288,14 @@ func TestGrowIsExactFit(t *testing.T) {
 	}
 }
 
-// packedWords encodes each slice with PutPacked, in order.
-func packedWords(ss ...[]uint64) []uint64 {
-	e := NewEncoder(nil)
-	for _, s := range ss {
-		e.PutPacked(s)
-	}
-	return e.Words()
+// decoders lists the two ways to decode an array: Uints, carved from an
+// arena, and UintsInto a buffer of the caller's.
+var decoders = []struct {
+	name   string
+	decode func(d *Decoder) []uint64
+}{
+	{"Uints", (*Decoder).Uints},
+	{"UintsInto", func(d *Decoder) []uint64 { return d.UintsInto(nil) }},
 }
 
 func TestPackedRoundTrip(t *testing.T) {
@@ -290,23 +314,39 @@ func TestPackedRoundTrip(t *testing.T) {
 		{"2^31 falls back", []uint64{1 << 31, 1, 2}, 4},
 		{"2^40 falls back", []uint64{1, 1 << 40, 1, 1}, 5},
 	} {
-		ws := packedWords(tc.s, []uint64{42})
+		ws := encodedSlices(tc.s, []uint64{42})
 		if got := len(ws) - 2; got != tc.words {
 			t.Errorf("%s: %d words, want %d", tc.name, got, tc.words)
 		}
-		if tc.words == len(tc.s)+1 && !reflect.DeepEqual(ws[:tc.words], encodedSlices(tc.s)) {
-			t.Errorf("%s: the fallback is not the plain form PutUints writes", tc.name)
+		if tc.words == len(tc.s)+1 && !reflect.DeepEqual(ws[:tc.words], plainSlices(tc.s)) {
+			t.Errorf("%s: the fallback is not the plain form", tc.name)
 		}
 		if tc.words > SizeUints(len(tc.s)) {
 			t.Errorf("%s: %d words, above SizeUints' %d", tc.name, tc.words, SizeUints(len(tc.s)))
 		}
-		d := NewDecoder(ws)
-		if got := d.Packed(nil); !reflect.DeepEqual(got, tc.s) {
-			t.Errorf("%s: decoded %v, want %v", tc.name, got, tc.s)
+		for _, dc := range decoders {
+			d := NewDecoder(ws)
+			if got := dc.decode(d); !reflect.DeepEqual(got, tc.s) {
+				t.Errorf("%s, %s: decoded %v, want %v", tc.name, dc.name, got, tc.s)
+			}
+			if got := dc.decode(d); !reflect.DeepEqual(got, []uint64{42}) || d.Remaining() != 0 {
+				t.Errorf("%s, %s: the next array decoded as %v with %d words left", tc.name, dc.name, got, d.Remaining())
+			}
 		}
-		if got := d.Packed(nil); !reflect.DeepEqual(got, []uint64{42}) || d.Remaining() != 0 {
-			t.Errorf("%s: the next array decoded as %v with %d words left", tc.name, got, d.Remaining())
-		}
+	}
+}
+
+// TestPlainFormReadBack: an array written in the plain form, whose
+// values would all fit in half words, reads back through both decoders.
+func TestPlainFormReadBack(t *testing.T) {
+	s := []uint64{1, 2, ^uint64(0), 4, 5}
+	ws := plainSlices(s, s)
+	var arena Arena
+	arena.Reset(make([]uint64, 5))
+	var d Decoder
+	d.Reset(ws, &arena)
+	if a, b := d.Uints(), d.UintsInto(nil); !reflect.DeepEqual(a, s) || !reflect.DeepEqual(b, s) || d.Remaining() != 0 {
+		t.Errorf("decoded %v and %v with %d words left, want %v twice", a, b, d.Remaining(), s)
 	}
 }
 
@@ -316,38 +356,43 @@ func TestPackedOddLengthPad(t *testing.T) {
 		for i := range s {
 			s[i] = ^uint64(i) // none, -2, -3, …: every high half set
 		}
-		ws := packedWords(s)
+		ws := encodedSlices(s)
 		if pad := ws[len(ws)-1] >> 32; pad != 0 {
 			t.Errorf("n=%d: pad %#x, want 0", n, pad)
 		}
-		if got := NewDecoder(ws).Packed(nil); !reflect.DeepEqual(got, s) {
-			t.Errorf("n=%d: decoded %v, want %v", n, got, s)
+		for _, dc := range decoders {
+			if got := dc.decode(NewDecoder(ws)); !reflect.DeepEqual(got, s) {
+				t.Errorf("n=%d, %s: decoded %v, want %v", n, dc.name, got, s)
+			}
 		}
 	}
 }
 
 func TestPackedEmptyNotNil(t *testing.T) {
-	ws := packedWords(nil, []uint64{}, nil)
+	ws := encodedSlices(nil, []uint64{}, nil)
 	d := NewDecoder(ws)
 	for i, buf := range [][]uint64{nil, make([]uint64, 0, 4), make([]uint64, 3)} {
-		if s := d.Packed(buf); s == nil || len(s) != 0 {
+		if s := d.UintsInto(buf); s == nil || len(s) != 0 {
 			t.Errorf("array %d: %v (nil %v), want empty and non-nil", i, s, s == nil)
 		}
 	}
 }
 
+// TestPackedReusesBuffer: UintsInto decodes into the caller's buffer,
+// and Uints into its arena, with no allocation once either has room.
 func TestPackedReusesBuffer(t *testing.T) {
 	big := make([]uint64, 101)
 	for i := range big {
 		big[i] = uint64(i) - 50
 	}
-	ws := packedWords(big, big[:7], []uint64{1 << 40, 1, 2}, nil)
+	arrays := [][]uint64{big, big[:7], {1 << 40, 1, 2}, nil}
+	ws := encodedSlices(arrays...)
 	var d Decoder
 	buf := make([]uint64, 0, 8)
 	decode := func() {
 		d.Reset(ws, nil)
-		for range 4 {
-			buf = d.Packed(buf)
+		for range arrays {
+			buf = d.UintsInto(buf)
 		}
 	}
 	decode()
@@ -355,14 +400,27 @@ func TestPackedReusesBuffer(t *testing.T) {
 		t.Errorf("%v allocations a pass once the buffer has held the largest array, want 0", a)
 	}
 	d.Reset(ws, nil)
-	first := d.Packed(buf)
+	first := d.UintsInto(buf)
 	if !reflect.DeepEqual(first, big) || &first[0] != &buf[:1][0] {
 		t.Error("the decode did not land in the caller's buffer")
+	}
+
+	var arena Arena
+	mem := make([]uint64, 101+7+3)
+	carve := func() {
+		arena.Reset(mem)
+		d.Reset(ws, &arena)
+		for range arrays {
+			d.Uints()
+		}
+	}
+	if a := testing.AllocsPerRun(20, carve); a != 0 {
+		t.Errorf("Uints: %v allocations a pass from an arena of the decoded words, want 0", a)
 	}
 }
 
 func TestPackedDamagePanics(t *testing.T) {
-	good := packedWords([]uint64{1, 2, 3})
+	good := encodedSlices([]uint64{1, 2, 3})
 	for _, tc := range []struct {
 		name string
 		ws   []uint64
@@ -374,41 +432,50 @@ func TestPackedDamagePanics(t *testing.T) {
 		{"a packed empty array", []uint64{packedMark}},
 		{"a nonzero pad", []uint64{good[0], good[1], good[2] | 1<<32}},
 		{"a plain length past the end", []uint64{4, 1, 2}},
+		{"a plain length of 2^63", []uint64{1 << 63, 1, 2}},
 	} {
-		msg := packedPanic(tc.ws)
-		if !strings.HasPrefix(msg, "words: corrupt") {
-			t.Errorf("%s: panic %q, want a corrupt-array panic", tc.name, msg)
+		for _, dc := range decoders {
+			msg := decodePanic(tc.ws, dc.decode)
+			if !strings.HasPrefix(msg, "words: corrupt") {
+				t.Errorf("%s, %s: panic %q, want a corrupt-array panic", tc.name, dc.name, msg)
+			}
 		}
+	}
+	if msg := decodePanic(good, (*Decoder).UintsView); !strings.HasPrefix(msg, "words: corrupt") {
+		t.Errorf("UintsView of a half-word array: panic %q, want a corrupt-array panic", msg)
 	}
 }
 
-// packedPanic decodes one packed array from ws and returns what it
-// panicked with, "" when it did not.
-func packedPanic(ws []uint64) (msg string) {
+// decodePanic decodes one array from ws and returns what it panicked
+// with, "" when it did not.
+func decodePanic(ws []uint64, decode func(*Decoder) []uint64) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg = fmt.Sprint(r)
 		}
 	}()
-	NewDecoder(ws).Packed(nil)
+	decode(NewDecoder(ws))
 	return ""
 }
 
-// FuzzPacked: any array round-trips through PutPacked and Packed into a
-// reused buffer, in at most SizeUints words. A damaged length word then
-// either panics as a corrupt Uints does, or reads as a length: a
-// damaged mark that does not swap the forms panics, and an array whose
-// length alone is damaged decodes the original values up to the
-// shorter of the two lengths, never values misread from another form.
+// FuzzPacked: any array round-trips through PutUints, and through Uints
+// from an arena and UintsInto a reused buffer, in at most SizeUints
+// words; the same array written in the plain form reads back the same.
+// A damaged length word then either panics as a corrupt array does, or
+// reads as a length, the same through both decoders: a damaged mark
+// that does not swap the forms panics, and an array whose length alone
+// is damaged decodes the original values up to the shorter of the two
+// lengths, never values misread from another form.
 func FuzzPacked(f *testing.F) {
 	f.Add(byte(1), []byte("\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"), uint64(0))
 	f.Add(byte(3), []byte("0123456789abcdef01234567"), uint64(1<<63))
 	f.Add(byte(0), []byte("0123456789abcdef"), uint64(1))
 	f.Add(byte(1), []byte("0123456789abcdef01234567"), uint64(2))
 	f.Add(byte(1), []byte("0123456789abcdef"), uint64(packedMark))
+	f.Add(byte(5), []byte("0123456789abcdef01234567"), uint64(3))
 	f.Fuzz(func(t *testing.T, mode byte, data []byte, mask uint64) {
 		// mode's bit 0 makes every value fit in half a word, bit 1 then
-		// spoils one.
+		// spoils one, and bit 2 writes the array in the plain form.
 		s := make([]uint64, len(data)/8)
 		for i := range s {
 			s[i] = binary.LittleEndian.Uint64(data[8*i:])
@@ -417,20 +484,31 @@ func FuzzPacked(f *testing.F) {
 			}
 		}
 		if mode&2 != 0 && len(s) > 0 {
-			s[int(mode>>2)%len(s)] = 1 << 40
+			s[int(mode>>3)%len(s)] = 1 << 40
 		}
 		const sentinel = 0x5e47
-		ws := packedWords(s, []uint64{sentinel})
+		ws := encodedSlices(s, []uint64{sentinel})
+		if mode&4 != 0 {
+			ws = plainSlices(s, []uint64{sentinel})
+		}
 		if n := len(ws) - 2; n > SizeUints(len(s)) {
 			t.Fatalf("%d values took %d words, above SizeUints' %d", len(s), n, SizeUints(len(s)))
 		}
-		d := NewDecoder(ws)
-		buf := make([]uint64, int(mode)%5)
-		got := d.Packed(buf)
-		if got == nil || !slices.Equal(got, s) {
-			t.Fatalf("decoded %v, want %v", got, s)
+		var arena Arena
+		arena.Reset(make([]uint64, int(mode)%(len(s)+2)))
+		var d Decoder
+		d.Reset(ws, &arena)
+		if got := d.Uints(); got == nil || !slices.Equal(got, s) {
+			t.Fatalf("Uints decoded %v, want %v", got, s)
 		}
-		if tail := d.Packed(got); !slices.Equal(tail, []uint64{sentinel}) || d.Remaining() != 0 {
+		d.Uints()
+		d.Reset(ws, nil)
+		buf := make([]uint64, int(mode)%5)
+		got := d.UintsInto(buf)
+		if got == nil || !slices.Equal(got, s) {
+			t.Fatalf("UintsInto decoded %v, want %v", got, s)
+		}
+		if tail := d.UintsInto(got); !slices.Equal(tail, []uint64{sentinel}) || d.Remaining() != 0 {
 			t.Fatalf("the next array decoded as %v with %d words left", tail, d.Remaining())
 		}
 
@@ -439,18 +517,10 @@ func FuzzPacked(f *testing.F) {
 		}
 		dam := slices.Clone(ws)
 		dam[0] ^= mask
-		var (
-			got2 []uint64
-			msg  string
-		)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					msg = fmt.Sprint(r)
-				}
-			}()
-			got2 = NewDecoder(dam).Packed(nil)
-		}()
+		msg := decodePanic(dam, (*Decoder).Uints)
+		if msg2 := decodePanic(dam, decoders[1].decode); msg2 != msg {
+			t.Fatalf("header %#x → %#x: Uints panicked %q and UintsInto %q", ws[0], dam[0], msg, msg2)
+		}
 		swapped := mask>>32 == packedMark>>32
 		switch {
 		case msg != "":
@@ -458,8 +528,9 @@ func FuzzPacked(f *testing.F) {
 				t.Fatalf("header %#x → %#x: panic %q, want a corrupt-array panic", ws[0], dam[0], msg)
 			}
 		case mask>>32 != 0 && !swapped:
-			t.Fatalf("header %#x → %#x: a damaged mark decoded as %v", ws[0], dam[0], got2)
+			t.Fatalf("header %#x → %#x: a damaged mark decoded", ws[0], dam[0])
 		case !swapped:
+			got2 := NewDecoder(dam).UintsInto(nil)
 			if k := min(len(got2), len(s)); !slices.Equal(got2[:k], s[:k]) {
 				t.Fatalf("header %#x → %#x: decoded %v, not a prefix-equal reading of %v", ws[0], dam[0], got2, s)
 			}
