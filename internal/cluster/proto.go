@@ -113,8 +113,13 @@ func putString(enc *words.Encoder, s string) {
 	}
 }
 
+// getString reads a string putString wrote. A length its words cannot
+// hold panics, as a truncated frame does, before it sizes an allocation.
 func getString(dec *words.Decoder) string {
 	n := int(dec.Int())
+	if n < 0 || n > 8*dec.Remaining() {
+		panic(fmt.Sprintf("cluster: a %d-byte string in %d words", n, dec.Remaining()))
+	}
 	b := make([]byte, 0, n)
 	for len(b) < n {
 		w := dec.Uint()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -166,32 +167,100 @@ func (w *Worker) Serve(link *Link) error {
 	}
 }
 
-// handle performs one request and builds the response. Engine errors
-// become ERR responses — the coordinator classifies them; the worker
-// keeps serving.
+// request is a coordinator's request, decoded: the fields its kind
+// carries.
+type request struct {
+	kind    uint64
+	nonce   []uint64           // CHALLENGE
+	node    int                // RESTORE: the node to become
+	snap    *core.NodeSnapshot // RESTORE
+	commit  bool               // WELCOME: the prepared record's fate
+	repl    replReq            // SETUP, PREPARE
+	j, step int                // COMPUTE and WRITE; STEP_BEGIN's and PREPARE's step
+	halted  bool               // PREPARE
+	in      []core.BlockBatch  // WRITE: one batch per source, aliasing the frame
+}
+
+// decodeRequest decodes a request frame under decodeUntrusted, so that a
+// frame too short for its kind, a count it does not hold, an array of
+// the wrong number of fields, damaged block metadata or words past the
+// last field is an error, not a panic.
+func decodeRequest(msg []uint64) (r request, err error) {
+	if len(msg) == 0 {
+		return r, errors.New("cluster: empty request frame")
+	}
+	r.kind = msg[0]
+	var snapErr error
+	err = decodeUntrusted(msg, r.kind, func(dec *words.Decoder) {
+		switch r.kind {
+		case msgChallenge:
+			r.nonce = dec.Uints()
+		case msgRestore:
+			r.node = int(dec.Int())
+			r.snap, snapErr = core.DecodeSnapshot(dec)
+		case msgWelcome:
+			r.commit = dec.Bool()
+		case msgSetup:
+			r.repl = decodeReplReq(dec)
+		case msgStepBegin:
+			r.step = int(fields(dec, 1)[0])
+		case msgCompute, msgWrite:
+			f := fields(dec, 2)
+			r.j, r.step = int(f[0]), int(f[1])
+			if r.kind == msgWrite {
+				r.in = decodeBatches(dec)
+			}
+		case msgPrepare:
+			f := fields(dec, 2)
+			r.step, r.halted = int(f[0]), f[1] != 0
+			r.repl = decodeReplReq(dec)
+		}
+		if snapErr == nil && dec.Remaining() > 0 {
+			panic(fmt.Sprintf("%d words past the last field", dec.Remaining()))
+		}
+	})
+	if err == nil && snapErr != nil {
+		err = fmt.Errorf("cluster: malformed %s frame: %w", msgName(r.kind), snapErr)
+	}
+	return r, err
+}
+
+// fields reads an array of exactly n integers; any other count panics,
+// as a truncated frame does.
+func fields(dec *words.Decoder, n int) []int64 {
+	f := dec.Ints()
+	if len(f) != n {
+		panic(fmt.Sprintf("%d fields, want %d", len(f), n))
+	}
+	return f
+}
+
+// handle performs one request and builds the response. A request that
+// does not decode, and engine errors, become ERR responses — the
+// coordinator classifies them; the worker keeps serving.
 func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
-	dec := words.NewDecoder(msg)
-	kind := dec.Uint()
 	enc := &w.enc
 	fail := func(err error) ([]uint64, bool) { return encodeErr(enc, err), false }
+	r, err := decodeRequest(msg)
+	if err != nil {
+		return fail(err)
+	}
 	if w.engine == nil {
 		// A parked spare can only authenticate, adopt a node, or leave.
-		switch kind {
+		switch r.kind {
 		case msgChallenge, msgRestore, msgShutdown:
 		default:
-			return fail(fmt.Errorf("cluster: spare worker got %s before RESTORE", msgName(kind)))
+			return fail(fmt.Errorf("cluster: spare worker got %s before RESTORE", msgName(r.kind)))
 		}
 	}
-	switch kind {
+	if (r.kind == msgCompute || r.kind == msgWrite) && (r.j < 0 || r.j >= w.engine.Batches()) {
+		return fail(fmt.Errorf("cluster: %s of batch %d, of %d", msgName(r.kind), r.j, w.engine.Batches()))
+	}
+	switch r.kind {
 	case msgChallenge:
-		return encodeAuth(authMAC(w.Secret, dec.Uints())), false
+		return encodeAuth(authMAC(w.Secret, r.nonce)), false
 	case msgRestore:
-		id := int(dec.Int())
-		snap, err := core.DecodeSnapshot(dec)
-		if err != nil {
-			return fail(err)
-		}
-		if err := w.restore(id, snap); err != nil {
+		if err := w.restore(r.node, r.snap); err != nil {
 			return fail(err)
 		}
 		return w.welcomeOut(), false
@@ -205,7 +274,7 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		// abort to the committed barrier: a reconnecting worker may carry
 		// a half-run superstep in memory and on disk, and adopting the
 		// committed record discards every trace of it.
-		if err := w.engine.ResolvePending(dec.Bool()); err != nil {
+		if err := w.engine.ResolvePending(r.commit); err != nil {
 			return fail(err)
 		}
 		if err := w.engine.LoadCommitted(); err != nil {
@@ -213,14 +282,13 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		}
 		return w.welcomeOut(), false
 	case msgSetup:
-		req := decodeReplReq(dec)
 		stats, err := w.engine.Setup()
 		if err != nil {
 			return fail(err)
 		}
 		var snap *core.NodeSnapshot
-		if req.Replicate {
-			if snap, err = w.engine.ExportSnapshot(req.Base); err != nil {
+		if r.repl.Replicate {
+			if snap, err = w.engine.ExportSnapshot(r.repl.Base); err != nil {
 				return fail(err)
 			}
 		}
@@ -229,36 +297,30 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		w.engine.BeginStep()
 		return encodeKind(enc, msgOK), false
 	case msgCompute:
-		f := dec.Ints()
-		bo, err := w.engine.Compute(int(f[0]), int(f[1]))
+		bo, err := w.engine.Compute(r.j, r.step)
 		if err != nil {
 			return fail(err)
 		}
-		w.probe("computed", int(f[1]))
+		w.probe("computed", r.step)
 		return encodeComputeOut(enc, bo), false
 	case msgWrite:
 		// The batches alias msg, which Write copies out of before it
 		// returns (core.BlockBatch).
-		f := dec.Ints()
-		in := decodeBatches(dec)
-		if err := w.engine.Write(int(f[0]), int(f[1]), in); err != nil {
+		if err := w.engine.Write(r.j, r.step, r.in); err != nil {
 			return fail(err)
 		}
 		return encodeKind(enc, msgOK), false
 	case msgSum:
 		return encodeSumOut(enc, w.engine.StepTotals()), false
 	case msgPrepare:
-		f := dec.Ints()
-		req := decodeReplReq(dec)
-		step := int(f[0])
-		if _, err := w.engine.Prepare(step, f[1] != 0); err != nil {
+		if _, err := w.engine.Prepare(r.step, r.halted); err != nil {
 			return fail(err)
 		}
-		w.probe("prepared", step)
+		w.probe("prepared", r.step)
 		var snap *core.NodeSnapshot
-		if req.Replicate {
+		if r.repl.Replicate {
 			var err error
-			if snap, err = w.engine.ExportSnapshot(req.Base); err != nil {
+			if snap, err = w.engine.ExportSnapshot(r.repl.Base); err != nil {
 				return fail(err)
 			}
 		}
@@ -279,15 +341,15 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 		}
 		return encodeKind(enc, msgAborted), false
 	case msgFinal:
-		r, err := w.engine.Final()
+		report, err := w.engine.Final()
 		if err != nil {
 			return fail(err)
 		}
-		return encodeFinalOut(enc, r), false
+		return encodeFinalOut(enc, report), false
 	case msgShutdown:
 		return encodeKind(enc, msgBye), true
 	}
-	return fail(fmt.Errorf("cluster: worker %d: unexpected %s", w.NodeID, msgName(kind)))
+	return fail(fmt.Errorf("cluster: worker %d: unexpected %s", w.NodeID, msgName(r.kind)))
 }
 
 // Run dials the coordinator and serves; with redial true it keeps

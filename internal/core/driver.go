@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
-	"sync"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -492,8 +492,11 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 // (NodeEngine, cluster.go) in one address space, which hand the blocks
 // that leave a processor to their owners by reference. Its nodes have
 // no journals: a node's record is its section of the decision record
-// (encodeProcs). The set-up's context writes, Compute, Write and Final
-// run the nodes as goroutines; the set-up barriers and Prepare run in
+// (encodeProcs). Every node but the first has a goroutine of its own for
+// the run, which serves the engine's calls (nodeCall) from its channel;
+// the first runs on the driver's goroutine, so a one-node machine starts
+// none. The set-up's context writes, Compute, Write and Final run on
+// every node at once (parallel); the set-up barriers and Prepare run in
 // node order. Under a fault plan a recoverable fault on any node returns
 // every node to the barrier it kept, and the driver replays the
 // superstep (DESIGN.md §8).
@@ -516,6 +519,27 @@ type engine struct {
 	outs   []*BatchOut
 	totals []StepTotals
 	ops    []int64
+	errs   []error
+
+	calls []chan nodeCall // node i's calls, for every i ≥ 1
+	done  chan struct{}   // a node's answer to a call, and its goroutine's end
+}
+
+// nodePhase is a phase the engine runs on every node at once.
+type nodePhase uint8
+
+const (
+	phaseContexts nodePhase = iota // the set-up's initial contexts
+	phaseCompute                   // batch j's fetching and computing phases
+	phaseWrite                     // batch j's writing phase, of the blocks in the node's recv
+	phaseFinal                     // the finish phase, whose report the node keeps
+)
+
+// nodeCall is one phase for a node, of batch j in superstep step where
+// the phase has them.
+type nodeCall struct {
+	phase   nodePhase
+	j, step int
 }
 
 func runProgram(ctx context.Context, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
@@ -567,7 +591,7 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 		}
 	}
 	P := e.cfg.P
-	e.nodes, e.outs, e.totals, e.ops = make([]*NodeEngine, P), make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P)
+	e.nodes, e.outs, e.totals, e.ops, e.errs = make([]*NodeEngine, P), make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P), make([]error, P)
 	for i := range e.nodes {
 		var dir string
 		if root != "" {
@@ -587,6 +611,8 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	for _, n := range e.nodes {
 		n.keep(manifest == nil) // the barrier the run starts from
 	}
+	e.start()
+	defer e.stop()
 	res, err := d.run()
 	if err != nil {
 		return nil, err
@@ -598,23 +624,71 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	return res, nil
 }
 
-// parallel runs f once per node, concurrently, and joins errors. One
-// node runs it on the calling goroutine.
-func (e *engine) parallel(f func(n *NodeEngine) error) error {
-	if len(e.nodes) == 1 {
-		return f(e.nodes[0])
+// start starts a goroutine for every node but the first, which serves
+// the node's calls until stop.
+func (e *engine) start() {
+	e.done = make(chan struct{}, len(e.nodes))
+	for _, n := range e.nodes[1:] {
+		calls := make(chan nodeCall)
+		e.calls = append(e.calls, calls)
+		go e.serve(n, calls)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(e.nodes))
-	for i, n := range e.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = f(n)
-		}()
+}
+
+// serve runs node n's calls, each answered on done, until its channel
+// closes, and answers once more as it ends.
+func (e *engine) serve(n *NodeEngine, calls <-chan nodeCall) {
+	for c := range calls {
+		e.errs[n.ps.id] = e.call(n, c)
+		e.done <- struct{}{}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	e.done <- struct{}{}
+}
+
+// stop ends the nodes' goroutines and waits until each has.
+func (e *engine) stop() {
+	for _, calls := range e.calls {
+		close(calls)
+	}
+	for range e.calls {
+		<-e.done
+	}
+	e.calls = nil
+}
+
+// call runs phase c on node n.
+func (e *engine) call(n *NodeEngine, c nodeCall) (err error) {
+	switch c.phase {
+	case phaseContexts:
+		err = e.writeInitialContexts(n.ps)
+	case phaseCompute:
+		_, err = n.Compute(c.j, c.step)
+	case phaseWrite:
+		err = n.Write(c.j, c.step, n.ps.recv)
+	case phaseFinal:
+		_, err = n.Final()
+	}
+	return err
+}
+
+// parallel runs c on every node at once — the first on the calling
+// goroutine, each other on its own — and joins their errors once all
+// have answered. A node woken by its call waits in the caller's
+// scheduler slot, from which an idle processor steals it only after a
+// back-off, so the caller yields first: the woken node runs at once, and
+// the caller resumes wherever a processor is free.
+func (e *engine) parallel(c nodeCall) error {
+	for _, calls := range e.calls {
+		calls <- c
+	}
+	if len(e.calls) > 0 {
+		runtime.Gosched()
+	}
+	e.errs[0] = e.call(e.nodes[0], c)
+	for range e.calls {
+		<-e.done
+	}
+	return errors.Join(e.errs...)
 }
 
 // Setup writes every node's initial contexts, then, once all have, runs
@@ -622,8 +696,7 @@ func (e *engine) parallel(f func(n *NodeEngine) error) error {
 // contexts finds every node before its barrier commit, and the driver
 // rolls them all back (Rollback at step -1).
 func (e *engine) Setup() ([]disk.Stats, error) {
-	contexts := func(n *NodeEngine) error { return e.writeInitialContexts(n.ps) }
-	if err := e.parallel(contexts); err != nil {
+	if err := e.parallel(nodeCall{phase: phaseContexts}); err != nil {
 		return nil, err
 	}
 	stats := make([]disk.Stats, len(e.nodes))
@@ -648,14 +721,9 @@ func (e *engine) Begin(step int) error {
 	return nil
 }
 
-// Compute runs batch j on every node. One node runs it on this
-// goroutine, with no closure to allocate.
+// Compute runs batch j on every node.
 func (e *engine) Compute(j, step int) ([]*BatchOut, error) {
-	if len(e.nodes) == 1 {
-		_, err := e.nodes[0].Compute(j, step)
-		return e.outs, err
-	}
-	return e.outs, e.parallel(func(n *NodeEngine) error { _, err := n.Compute(j, step); return err })
+	return e.outs, e.parallel(nodeCall{phase: phaseCompute, j: j, step: step})
 }
 
 // Write hands every node the blocks the others delivered to it, then
@@ -667,10 +735,7 @@ func (e *engine) Write(j, step int, outs []*BatchOut) error {
 			in[src] = bo.Scatter[n.ps.id]
 		}
 	}
-	if len(e.nodes) == 1 {
-		return e.nodes[0].Write(j, step, e.nodes[0].ps.recv)
-	}
-	return e.parallel(func(n *NodeEngine) error { return n.Write(j, step, n.ps.recv) })
+	return e.parallel(nodeCall{phase: phaseWrite, j: j, step: step})
 }
 
 func (e *engine) Totals() ([]StepTotals, error) {
@@ -718,22 +783,26 @@ func (e *engine) Rollback(step, attempt int, cause error) (maxAborted int64, err
 	return maxAborted, nil
 }
 
-// Final collects every node's report. The finish phase only reads, so a
-// recoverable fault runs it again with nothing to return to.
+// Final collects every node's report, which each keeps once its finish
+// phase succeeded. The finish phase only reads, so a recoverable fault
+// runs it again with nothing to return to.
 func (e *engine) Final() ([]*NodeReport, error) {
-	reports := make([]*NodeReport, len(e.nodes))
-	phase := func(n *NodeEngine) (err error) {
-		reports[n.ps.id], err = n.Final()
-		return err
-	}
-	err := e.parallel(phase)
+	final := nodeCall{phase: phaseFinal}
+	err := e.parallel(final)
 	r := 0
 	for ; err != nil && e.nodes[0].faulty() && fault.Replayable(err) && r < maxReplays; r++ {
 		e.led.replays++
-		err = e.parallel(phase)
+		err = e.parallel(final)
 	}
-	if err != nil && r >= maxReplays {
+	switch {
+	case err != nil && r >= maxReplays:
 		return nil, fmt.Errorf("core: finish phase unrecoverable after %d replays: %w", r, err)
+	case err != nil:
+		return nil, err
 	}
-	return reports, err
+	reports := make([]*NodeReport, len(e.nodes))
+	for i, n := range e.nodes {
+		reports[i] = n.report
+	}
+	return reports, nil
 }

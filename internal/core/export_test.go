@@ -19,7 +19,13 @@ const CanaryWord = canaryWord
 // RunOver is Run with the engine's in-memory Transport wrapped by wrap,
 // so a test can watch — or fail — the driver's calls.
 func RunOver(wrap func(Transport) Transport, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
-	e, d := newEngine(context.Background(), p, cfg, opts)
+	return RunOverContext(context.Background(), wrap, p, cfg, opts)
+}
+
+// RunOverContext is RunOver under ctx, which the engine checks at every
+// superstep barrier.
+func RunOverContext(ctx context.Context, wrap func(Transport) Transport, p bsp.Program, cfg MachineConfig, opts Options) (*Result, error) {
+	e, d := newEngine(ctx, p, cfg, opts)
 	d.t = wrap(e)
 	return e.run(d)
 }

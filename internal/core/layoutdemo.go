@@ -36,7 +36,8 @@ func DemoRouting(w io.Writer, tr *obs.Tracer, v, d, b, blocksPerVP, k int, seed 
 	dir := newOutDirectory(groups, d)
 	rng := prng.New(seed)
 	var bufs stepBufs
-	writer := newBlockWriter(arr, dir, nil, func(dst int) int { return groupOf(dst, k) }, rng, false, nil, &bufs)
+	var writer blockWriter
+	writer.init(arr, dir, nil, func(dst int) int { return groupOf(dst, k) }, rng, false, nil, &bufs)
 
 	// Writing phase: every VP sends blocksPerVP single-block messages
 	// to every... one block per (src, dst) round-robin pattern.

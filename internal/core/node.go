@@ -109,9 +109,20 @@ type procState struct {
 	sends   int
 	skipped []bool        // per batch: skipped, its committed contexts carried into the generation written
 	dir     *outDirectory // the directory being written: the next input from the commit on
-	writer  *blockWriter
-	pack    streamPacker // the superstep's message streams, their tails open across its rounds
-	final   *NodeReport  // the finish phase's report, begun at its first attempt
+	spare   *outDirectory // the directory the last superstep consumed, emptied for the next one's
+	writer  blockWriter
+	batchOf func(dst int) int // sh.batchOf, the writer's key, bound once
+	pack    streamPacker      // the superstep's message streams, their tails open across its rounds
+	final   *NodeReport       // the finish phase's report, begun at its first attempt
+
+	// The VPs' emitter (emit, bound once as emitFn): a batch's generated
+	// messages go to msgs and their words to outWords; sender is the VP
+	// stepping, seq its next message's number and sendPkts the packets it
+	// has sent.
+	emitFn                func(dst int, payload []uint64)
+	rec                   *bsp.CostRecorder // emit's packet arithmetic
+	outWords              int64
+	sender, seq, sendPkts int
 
 	// Accounting.
 	opsMark int64
@@ -294,7 +305,18 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	// committed).
 	ps.ckptOn = dir != "" || ps.down != nil
 	ps.ctxWrite = ps.ctxDir
+	ps.batchOf, ps.emitFn, ps.rec = sh.batchOf, ps.emit, sh.rec
 	return ps, nil
+}
+
+// emit is the VPs' emitter in the computing phase: it takes the stepping
+// VP's next message, whose payload stays in the Env's send memory until
+// scatter has packed it.
+func (ps *procState) emit(dst int, payload []uint64) {
+	ps.msgs = append(ps.msgs, outMsg{dst: dst, src: ps.sender, seq: ps.seq, payload: payload})
+	ps.seq++
+	ps.sendPkts += ps.rec.MsgPkts(len(payload) + 1)
+	ps.outWords += int64(len(payload) + 1)
 }
 
 // procDir is the per-processor drive directory under a state root.
@@ -467,7 +489,8 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 	if err := ps.acct.Grab(sh.opWords()); err != nil {
 		return err
 	}
-	w := newBlockWriter(ps.chain, nil, ps.ctxWrite, sh.batchOf, nil, true, ps.down, &ps.stepBufs)
+	w := &ps.writer
+	w.init(ps.chain, nil, ps.ctxWrite, ps.batchOf, nil, true, ps.down, &ps.stepBufs)
 	var err error
 	for r := 0; r < sh.batches && err == nil; r++ {
 		grab, err = sh.saveContexts(ps, w, sh.batchAt(-1, r), -1, grab, sh.p.NewVP)
@@ -549,22 +572,28 @@ func (sh *simShape) syncStore(ps *procState, step int) error {
 
 // beginStep resets the processor's superstep-scoped scratch for
 // superstep step: the send tally and the skipped batches, the outgoing
-// directory (keyed by destination batch), the ops watermark, under the
-// checkpoint discipline the context generation to write, the block
-// writer over the processor's operation buffer, and the stream packer
-// with no tail open. The writer counts the contexts of every batch the
-// superstep will skip where they lie — the generation carries them into
-// the batch's next read — so that it places the batch's messages around
-// them; the rule (skips) reads only what the barrier left.
+// directory (keyed by destination batch) — the spare, emptied, unless
+// that is the input — the ops watermark, under the checkpoint discipline
+// the context generation to write, the block writer over the processor's
+// operation buffer, and the stream packer with no tail open. The writer
+// counts the contexts of every batch the superstep will skip where they
+// lie — the generation carries them into the batch's next read — so that
+// it places the batch's messages around them; the rule (skips) reads
+// only what the barrier left.
 func (sh *simShape) beginStep(ps *procState, step int) {
 	ps.sends = 0
 	clear(ps.skipped)
-	ps.dir = newOutDirectory(sh.batches, sh.cfg.D)
+	if ps.spare == nil || ps.spare == ps.inDir {
+		ps.spare = newOutDirectory(sh.batches, sh.cfg.D)
+	} else {
+		ps.spare.reset()
+	}
+	ps.dir = ps.spare
 	ps.opsMark = ps.chain.Stats().Ops
 	if ps.ckptOn {
 		ps.ctxWrite = make([][]disk.Addr, sh.batches)
 	}
-	ps.writer = newBlockWriter(ps.chain, ps.dir, ps.ctxWrite, sh.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
+	ps.writer.init(ps.chain, ps.dir, ps.ctxWrite, ps.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
 	for j := range ps.ctxDir {
 		if sh.skips(ps, j, step, !ps.inDir.holds(j)) {
 			ps.writer.carry(j, ps.ctxDir[j])
@@ -773,18 +802,11 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 	// messages in internal memory, as the paper prescribes: each payload
 	// is copied once, into the processor's Env, where it stays until
 	// scatter has packed it.
-	outs := ps.msgs[:0]
+	ps.msgs, ps.outWords = ps.msgs[:0], 0
 	ps.env.ClearSent()
-	var outWords int64
-	var id, seq, sendPkts int
-	emit := func(dst int, payload []uint64) {
-		outs = append(outs, outMsg{dst: dst, src: id, seq: seq, payload: payload})
-		seq++
-		sendPkts += sh.rec.MsgPkts(len(payload) + 1)
-		outWords += int64(len(payload) + 1)
-	}
 	for i := 0; i < n; i++ {
-		id, seq, sendPkts = lo+i, 0, 0
+		id := lo + i
+		ps.sender, ps.seq, ps.sendPkts = id, 0, 0
 		recvWords, recvPkts := 0, 0
 		for _, m := range inbox[i] {
 			w := len(m.Payload) + 1
@@ -795,7 +817,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 			return fmt.Errorf("core: VP %d received %d words in superstep %d, exceeding γ=%d", id, recvWords, step, sh.gamma)
 		}
 		env := &ps.env
-		env.Reset(id, sh.v, step, sh.opts.Seed, emit)
+		env.Reset(id, sh.v, step, sh.opts.Seed, ps.emitFn)
 		halt, err := bsp.SafeStep(vps[i], env, inbox[i])
 		if err != nil {
 			return fmt.Errorf("core: VP %d superstep %d: %w", id, step, err)
@@ -808,7 +830,7 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 		ps.sends += msgs
 		ps.out.Traffic = append(ps.out.Traffic, bsp.VPTraffic{
 			SendWords: sw, RecvWords: recvWords,
-			SendPkts: sendPkts, RecvPkts: recvPkts,
+			SendPkts: ps.sendPkts, RecvPkts: recvPkts,
 			Messages: msgs, Charge: charge,
 		})
 	}
@@ -816,21 +838,20 @@ func (sh *simShape) simulateBatch(ps *procState, j, step int) error {
 
 	// Write contexts back.
 	spCtx := sh.tr.BeginStep(obs.CatEngine, phWriteCtx, ps.id, 0, step, j)
-	ctxGrab, err := sh.saveContexts(ps, ps.writer, j, step, in.ctxGrab, func(id int) bsp.VP { return vps[id-lo] })
+	ctxGrab, err := sh.saveContexts(ps, &ps.writer, j, step, in.ctxGrab, func(id int) bsp.VP { return vps[id-lo] })
 	if err != nil {
 		return err
 	}
 	ps.acct.Release(ctxGrab - ps.heldGrab())
 	spCtx.End()
 
-	if err := ps.acct.Grab(outWords); err != nil {
+	if err := ps.acct.Grab(ps.outWords); err != nil {
 		return err
 	}
-	if err := sh.scatter(ps, j, step, outs); err != nil {
+	if err := sh.scatter(ps, j, step, ps.msgs); err != nil {
 		return err
 	}
-	ps.msgs = outs
-	ps.acct.Release(outWords)
+	ps.acct.Release(ps.outWords)
 	ps.acct.Release(in.grab)
 	return nil
 }
@@ -983,7 +1004,8 @@ func (sh *simShape) freeInput(ps *procState) error {
 // load already did) — but for a skipped batch's, which the generation it
 // wrote carries over — and the generation it wrote becomes current. A
 // halting superstep frees nothing and is followed by no write: its stale
-// contexts keep their tracks beside its input.
+// contexts keep their tracks beside its input. The directory the
+// superstep consumed is kept as the spare the next one writes.
 func (sh *simShape) commitProc(ps *procState, halted bool) error {
 	if !halted {
 		if ps.ckptOn {
@@ -997,7 +1019,7 @@ func (sh *simShape) commitProc(ps *procState, halted bool) error {
 				return err
 			}
 		}
-		ps.inDir = ps.dir
+		ps.spare, ps.inDir = ps.inDir, ps.dir
 		ps.maxSkew = max(ps.maxSkew, ps.writer.skew())
 	}
 	ps.ctxDir = ps.ctxWrite

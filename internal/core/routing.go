@@ -35,6 +35,16 @@ func newOutDirectory(groups, D int) *outDirectory {
 	return d
 }
 
+// reset empties the directory, keeping its lists' memory.
+func (d *outDirectory) reset() {
+	for _, perDrive := range d.q {
+		for i := range perDrive {
+			perDrive[i] = perDrive[i][:0]
+		}
+	}
+	d.total = 0
+}
+
 // holds reports whether the directory lists blocks for group g; a nil
 // directory, the input before the first superstep, lists none.
 func (d *outDirectory) holds(g int) bool {
@@ -134,18 +144,18 @@ type pendingBlock struct {
 	ctx   bool
 }
 
-// newBlockWriter returns a writer over the processor's operation
-// buffer, request list, pending-block and load tables, which it owns
-// until the superstep's last flush. It lists message blocks in dir and
-// context blocks in ctx, which hold an entry a batch; a writer of
-// context blocks alone (the set-up's) has no dir.
-func newBlockWriter(dsk disk.Store, dir *outDirectory, ctx [][]disk.Addr, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) *blockWriter {
+// init makes w an empty writer over the processor's operation buffer,
+// request list, pending-block and load tables, which it owns until the
+// superstep's last flush. It lists message blocks in dir and context
+// blocks in ctx, which hold an entry a batch; a writer of context blocks
+// alone (the set-up's) has no dir.
+func (w *blockWriter) init(dsk disk.Store, dir *outDirectory, ctx [][]disk.Addr, groupOf func(dst int) int, rng *prng.Rand, det bool, down func(int) bool, bufs *stepBufs) {
 	D, B := dsk.Config().D, dsk.Config().B
 	batches := len(ctx)
 	if dir != nil {
 		batches = len(dir.q)
 	}
-	w := &blockWriter{
+	*w = blockWriter{
 		dsk: dsk, dir: dir, ctx: ctx, groupOf: groupOf, rng: rng, det: det, down: down,
 		load: grow(&bufs.load, batches*D),
 		buf:  fit(&bufs.op, D*B), reqs: grow(&bufs.writes, D),
@@ -157,7 +167,6 @@ func newBlockWriter(dsk disk.Store, dir *outDirectory, ctx [][]disk.Addr, groupO
 		*s, place = place[:D:D], place[D:]
 	}
 	w.lanes = len(w.liveInto(w.live))
-	return w
 }
 
 // add takes a message block.

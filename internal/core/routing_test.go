@@ -31,7 +31,8 @@ func (c *routeCase) write(t testing.TB, r *prng.Rand) {
 	t.Helper()
 	D, B := c.dsk.Config().D, c.dsk.Config().B
 	c.dir = newOutDirectory((c.v+c.k-1)/c.k, D)
-	writer := newBlockWriter(c.dsk, c.dir, nil, func(dst int) int { return groupOf(dst, c.k) }, r, false, nil, &c.bufs)
+	var writer blockWriter
+	writer.init(c.dsk, c.dir, nil, func(dst int) int { return groupOf(dst, c.k) }, r, false, nil, &c.bufs)
 	img := make([]uint64, B)
 	for i := 0; i < c.nBlocks; i++ {
 		// A payload word derived from the block's identity, so a read can
@@ -195,7 +196,8 @@ func TestRoutingParallelism(t *testing.T) {
 	dir := newOutDirectory(v/k, d)
 	r := prng.New(7)
 	var bufs stepBufs
-	writer := newBlockWriter(arr, dir, nil, func(dst int) int { return groupOf(dst, k) }, r, false, nil, &bufs)
+	var writer blockWriter
+	writer.init(arr, dir, nil, func(dst int) int { return groupOf(dst, k) }, r, false, nil, &bufs)
 	img := make([]uint64, b)
 	for c := 0; c < perVP; c++ {
 		for dst := 0; dst < v; dst++ {
@@ -272,7 +274,8 @@ func TestBlockWriterPlacementBound(t *testing.T) {
 			down, L = func(d int) bool { return d == dead }, D-1
 		}
 		var bufs stepBufs
-		w := newBlockWriter(dsk, dir, ctx, func(dst int) int { return dst }, prng.New(uint64(c)), r.Intn(2) == 0, down, &bufs)
+		var w blockWriter
+		w.init(dsk, dir, ctx, func(dst int) int { return dst }, prng.New(uint64(c)), r.Intn(2) == 0, down, &bufs)
 		weights := make([]int, G)
 		for g := range weights {
 			weights[g] = 1 + r.Intn(1<<r.Intn(6))
