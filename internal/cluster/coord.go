@@ -353,11 +353,14 @@ func (c *coordinator) welcome(j joinReq) error {
 		return err
 	}
 	dec, err := expect(msg, msgWelcomeOut)
+	var out welcomeOut
+	if err == nil {
+		out, err = decodeReply(id, msgWelcomeOut, dec, decodeWelcomeOut)
+	}
 	if err != nil {
 		j.link.Close()
 		return err
 	}
-	out := decodeWelcomeOut(dec)
 	if C > 0 && (out.Committed != C || out.StepsDone != c.core.StepsDone()) {
 		j.link.Close()
 		return fmt.Errorf("%w: worker %d reconciled to record %d / step %d, coordinator at record %d / step %d",
@@ -395,11 +398,14 @@ func (c *coordinator) migrate(link *Link, id int) error {
 		return err
 	}
 	dec, err := expect(msg, msgWelcomeOut)
+	var out welcomeOut
+	if err == nil {
+		out, err = decodeReply(id, msgWelcomeOut, dec, decodeWelcomeOut)
+	}
 	if err != nil {
 		link.Close()
 		return err
 	}
-	out := decodeWelcomeOut(dec)
 	if out.Committed != C || out.StepsDone != c.core.StepsDone() {
 		link.Close()
 		return fmt.Errorf("%w: worker %d restored to record %d / step %d, coordinator at record %d / step %d",

@@ -465,11 +465,20 @@ func decodeUntrusted(msg []uint64, kind uint64, decode func(dec *words.Decoder))
 
 // expect decodes a message and demands the given kind, surfacing a
 // worker's ERR as a *WorkerError (fatal: a deterministic engine
-// failure will not go away on replay).
-func expect(msg []uint64, kind uint64) (*words.Decoder, error) {
-	dec := words.NewDecoder(msg)
+// failure will not go away on replay). An empty frame, or an ERR whose
+// text is cut, is an error like a frame of another kind.
+func expect(msg []uint64, kind uint64) (dec *words.Decoder, err error) {
+	if len(msg) == 0 {
+		return nil, fmt.Errorf("cluster: expected %s, got an empty frame", msgName(kind))
+	}
+	dec = words.NewDecoder(msg)
 	got := dec.Uint()
 	if got == msgErr {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("cluster: expected %s, got a malformed ERR frame: %v", msgName(kind), r)
+			}
+		}()
 		return nil, &WorkerError{Node: -1, Msg: getString(dec)}
 	}
 	if got != kind {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,6 +94,44 @@ func TestMalformedReplies(t *testing.T) {
 		err := decodeFrame(t, tc.kind, tc.frame)
 		if err == nil || !strings.Contains(err.Error(), "worker 3") {
 			t.Errorf("%s: %v, want an error naming worker 3", tc.name, err)
+		}
+	}
+}
+
+// TestCutRepliesAreErrors: the coordinator reads a WELCOME_OUT reply
+// with expect and then decodes it, and any reply may be a worker's ERR.
+// Either reply cut at any length — down to the empty frame, or an ERR
+// whose text ends early — is an error, never a panic of the
+// coordinator.
+func TestCutRepliesAreErrors(t *testing.T) {
+	var enc words.Encoder
+	welcome := welcomeOut{Committed: 4, StepsDone: 3, Halted: true}.encode()
+	errFrame := append([]uint64(nil), encodeErr(&enc, errors.New("worker 3: a failure whose text spans three words"))...)
+	read := func(frame []uint64) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%d words of %v: the coordinator panicked: %v", len(frame), frame, r)
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		dec, err := expect(frame, msgWelcomeOut)
+		if err == nil {
+			_, err = decodeReply(3, msgWelcomeOut, dec, decodeWelcomeOut)
+		}
+		return err
+	}
+	if err := read(welcome); err != nil {
+		t.Fatalf("the whole WELCOME_OUT reply: %v", err)
+	}
+	var we *WorkerError
+	if err := read(errFrame); !errors.As(err, &we) || !strings.Contains(we.Msg, "three words") {
+		t.Fatalf("the whole ERR reply: %v, want the worker's error", err)
+	}
+	for _, frame := range [][]uint64{welcome, errFrame} {
+		for n := 0; n < len(frame); n++ {
+			if err := read(frame[:n]); err == nil {
+				t.Errorf("%s cut to %d of %d words: no error", msgName(frame[0]), n, len(frame))
+			}
 		}
 	}
 }

@@ -63,6 +63,7 @@ type stepBufs struct {
 	place   []int          // the block writer's matching scratch, 7·D entries
 	reads   []disk.ReadReq
 	writes  []disk.WriteReq
+	hint    []disk.Addr // the group pipeline's prefetch list (prefetchBatch)
 
 	// The rows this processor owns of the block exchange.
 	recv []BlockBatch // the writing phase's input, per source

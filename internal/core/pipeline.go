@@ -84,13 +84,14 @@ func (sh *simShape) prefetchFirst(ps *procState, step int) {
 // (none for a held batch) plus the batch's message blocks — none for a
 // batch it knows will be skipped. Only a one-processor machine knows a
 // batch's input ahead of its round; the others gather it from every
-// processor.
+// processor. The list is the processor's hint buffer, which the next
+// call reuses: the store copies what it stages before Prefetch returns.
 func (sh *simShape) prefetchBatch(ps *procState, j, step int) []disk.Addr {
 	lo, hi := sh.batchBounds(ps, j)
 	if lo == hi || sh.cfg.P == 1 && sh.skips(ps, j, step, !ps.inDir.holds(j)) {
 		return nil
 	}
-	addrs := append([]disk.Addr(nil), ps.ctxDir[j]...)
+	addrs := append(ps.hint[:0], ps.ctxDir[j]...)
 	if ps.inDir != nil {
 		for d, refs := range ps.inDir.q[j] {
 			for _, ref := range refs {
@@ -98,5 +99,6 @@ func (sh *simShape) prefetchBatch(ps *procState, j, step int) []disk.Addr {
 			}
 		}
 	}
+	ps.hint = addrs
 	return addrs
 }

@@ -1,8 +1,10 @@
 package disk
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -531,19 +533,21 @@ func (m *model) adoptState(s StoreState) error {
 	return nil
 }
 
-// SortedAddrs returns the keys of an address-keyed map by drive, then
-// track — the order every map iteration that causes I/O, or enters an
-// encoded state or a snapshot, must take to stay deterministic.
-func SortedAddrs[V any](m map[Addr]V) []Addr {
-	out := make([]Addr, 0, len(m))
+// SortedAddrs appends the keys of an address-keyed map to dst by drive,
+// then track — the order every map iteration that causes I/O, or enters
+// an encoded state or a snapshot, must take to stay deterministic — and
+// returns the extended list. A caller that keeps the list passes it back
+// cut to zero, and allocates nothing once it has held the largest map.
+func SortedAddrs[V any](dst []Addr, m map[Addr]V) []Addr {
+	n := len(dst)
 	for a := range m {
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Disk != out[j].Disk {
-			return out[i].Disk < out[j].Disk
+	slices.SortFunc(dst[n:], func(a, b Addr) int {
+		if a.Disk != b.Disk {
+			return cmp.Compare(a.Disk, b.Disk)
 		}
-		return out[i].Track < out[j].Track
+		return cmp.Compare(a.Track, b.Track)
 	})
-	return out
+	return dst
 }

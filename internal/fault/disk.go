@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"embsp/internal/disk"
@@ -53,6 +54,22 @@ type Disk struct {
 	dead     []bool
 	sums     map[disk.Addr]uint64 // checksum per written track
 	ctr      Counters
+
+	// Scratch an attempt reuses, so a warm layer allocates nothing per
+	// operation: tickDrives' per-request injection flags and per-drive
+	// ticks, readAttempt's corruption draws and EncodeState's sorted
+	// checksum keys.
+	inject, ticked []bool
+	draws          []corruptDraw
+	keys           []disk.Addr
+}
+
+// corruptDraw is one in-flight corruption a read attempt drew: request
+// i's word w has bit bit flipped.
+type corruptDraw struct {
+	i   int
+	w   int
+	bit uint
 }
 
 // driveDier is implemented by a redundancy layer somewhere beneath the
@@ -92,6 +109,7 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 		attempts:   make([]int64, cfg.D),
 		dead:       make([]bool, cfg.D),
 		sums:       make(map[disk.Addr]uint64),
+		ticked:     make([]bool, cfg.D),
 	}
 	for d := range f.rngs {
 		f.rngs[d] = prng.New(prng.Derive(plan.Seed, 0xFA01, uint64(d)))
@@ -127,7 +145,8 @@ func (f *Disk) Release(d, t int) error {
 // tickDrives advances the attempt clock of each drive the request
 // list touches by one (at(i) is request i's address) and reports, per
 // request, whether injection is active for it (its drive's clock has
-// reached FirstOp). It also handles the scheduled drive death: the
+// reached FirstOp), in a list the next attempt reuses. It also handles
+// the scheduled drive death: the
 // failing drive dies when its own clock reaches FailDriveOp, so only an
 // operation that touches that drive can trigger the death — which is
 // what makes the schedule independent of how operations on other drives
@@ -141,8 +160,10 @@ func (f *Disk) Release(d, t int) error {
 // layer below the loss is unrecoverable, at the death and at every later
 // touch of the drive.
 func (f *Disk) tickDrives(op string, n int, at func(int) disk.Addr) (inject []bool, err error) {
-	inject = make([]bool, n)
-	ticked := make([]bool, len(f.attempts))
+	inject = slices.Grow(f.inject[:0], n)[:n]
+	f.inject = inject
+	ticked := f.ticked
+	clear(ticked)
 	for i := 0; i < n; i++ {
 		a := at(i)
 		d := a.Disk
@@ -209,12 +230,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 	// Draw the fault schedule for this attempt before doing any I/O,
 	// each request from its own drive's stream, so the schedule depends
 	// only on that drive's attempt history.
-	type corruptDraw struct {
-		i   int
-		w   int
-		bit uint
-	}
-	failIdx, corrupt := -1, []corruptDraw(nil)
+	failIdx, corrupt := -1, f.draws[:0]
 	for i, r := range reqs {
 		if !inject[i] {
 			continue
@@ -231,6 +247,7 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 			})
 		}
 	}
+	f.draws = corrupt
 
 	if err := f.inner.ReadOp(reqs); err != nil {
 		return err
@@ -363,9 +380,9 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 		c.RecoveryOps,
 	})
 
-	sumKeys := disk.SortedAddrs(f.sums)
-	enc.PutInt(int64(len(sumKeys)))
-	for _, k := range sumKeys {
+	f.keys = disk.SortedAddrs(f.keys[:0], f.sums)
+	enc.PutInt(int64(len(f.keys)))
+	for _, k := range f.keys {
 		enc.PutInt(int64(k.Disk))
 		enc.PutInt(int64(k.Track))
 		enc.PutUint(f.sums[k])

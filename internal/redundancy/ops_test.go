@@ -108,7 +108,7 @@ func checkInvariants(t *testing.T, s *Store) {
 			striped, len(sids), len(s.stripeOf), s.ctr.StripedBlocks, s.ctr.ParityBlocks)
 	}
 	buf := make([]uint64, s.B)
-	for _, p := range disk.SortedAddrs(s.sums) {
+	for _, p := range disk.SortedAddrs(nil, s.sums) {
 		if _, parity := s.parityAt[p]; parity || s.dead[p.Disk] {
 			continue
 		}
@@ -246,7 +246,7 @@ func (m *opModel) releaseTrack(a disk.Addr) {
 
 // read checks one live track, wherever the superstep is.
 func (m *opModel) read() {
-	all := disk.SortedAddrs(m.live)
+	all := disk.SortedAddrs(nil, m.live)
 	if len(all) == 0 {
 		return
 	}
@@ -268,7 +268,7 @@ func (m *opModel) flush() {
 	}
 	checkInvariants(m.t, m.s)
 	got := make([]uint64, m.B)
-	for _, a := range disk.SortedAddrs(m.live) {
+	for _, a := range disk.SortedAddrs(nil, m.live) {
 		if err := m.s.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: got}}); err != nil {
 			m.t.Fatalf("ReadOp %v: %v", a, err)
 		}
@@ -346,7 +346,7 @@ func runOps(t *testing.T, mode Mode, D int, steps func() bool, pick func(n int) 
 		m.step([]int{0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7}[pick(15)])
 	}
 	m.flush()
-	for _, a := range disk.SortedAddrs(m.live) {
+	for _, a := range disk.SortedAddrs(nil, m.live) {
 		m.releaseTrack(a)
 	}
 	m.flush()

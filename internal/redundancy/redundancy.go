@@ -57,6 +57,13 @@
 // dead drive's members leave with theirs, and until then a read of one is
 // reconstructed (DESIGN.md §10).
 //
+// What the layer holds outside the engine's memory is its directories
+// and the parity cache, a B-word block per stripe it caches. It reuses
+// all of it: a block the cache lets go waits on a free list for the next
+// stripe, as a dropped stripe does, and the round schedules and request
+// lists are the Store's own, so a warm layer allocates nothing per
+// operation (DESIGN.md §19).
+//
 // All map iterations that cause I/O or enter encoded state are sorted,
 // so the layer preserves the repository's bitwise-determinism
 // guarantees.
@@ -241,6 +248,21 @@ type Store struct {
 
 	ctr       Counters
 	cachePeak int // most parity blocks cached at once (CachePeak)
+
+	// Scratch the operations reuse, so a warm layer allocates nothing per
+	// operation. reads, rawReads and writes schedule readPhys's,
+	// readRaw's and writePhys's lists: readRaw runs inside a readPhys
+	// round (readPhys → rebuildBad → rebuild → readRaw), so the two reads
+	// have a schedule each. spare holds retired stripes and free the
+	// parity buffers the cache let go, at most cachePeak of them.
+	reads, rawReads schedule[disk.ReadReq]
+	writes          schedule[disk.WriteReq]
+	live, lost      []disk.ReadReq  // ReadOp's split of its requests
+	parityReqs      []disk.WriteReq // writeParity's requests
+	ids             []int           // FlushParity's, dropLeavers' and EncodeState's stripe ids
+	keys            []disk.Addr     // dropLeavers' leavers and EncodeState's checksummed tracks
+	spare           []*stripe
+	free            [][]uint64
 }
 
 // Wrap layers parity redundancy over a store. Parity requires at least
@@ -274,6 +296,9 @@ func wrap(below disk.Store, mode Mode) (*Store, error) {
 		pdirty:   make(map[int]bool),
 		left:     make(map[disk.Addr]bool),
 		dead:     make([]bool, cfg.D),
+		reads:    newSchedule[disk.ReadReq](cfg.D),
+		rawReads: newSchedule[disk.ReadReq](cfg.D),
+		writes:   newSchedule[disk.WriteReq](cfg.D),
 	}, nil
 }
 
@@ -289,7 +314,7 @@ func (s *Store) Counters() Counters {
 
 // CachePeak returns the most parity blocks the cache has held at once:
 // with the operation buffers, what the layer holds outside the engine's
-// accounted memory.
+// accounted memory. The free list of parity blocks keeps no more.
 func (s *Store) CachePeak() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,33 +336,46 @@ func (s *Store) DriveDied(d int) {
 // parityUsable reports whether the stripe's parity track is readable.
 func (s *Store) parityUsable(st *stripe) bool { return !s.dead[st.parity.Disk] }
 
-// rounds cuts a list of physical requests into parallel operations by
+// schedule cuts a list of physical requests into parallel operations by
 // its per-drive queues: operation r takes the r-th request of every
 // drive, so a list costs its fullest drive's count in whatever order it
 // arrives (sorted by drive and track, by stripe), and requests for one
-// drive keep their order.
-func rounds[R any](reqs []R, drive func(R) int) [][]R {
-	var ops [][]R
-	queued := make(map[int]int) // requests scheduled so far, per drive
-	for _, r := range reqs {
-		d := drive(r)
-		if queued[d] == len(ops) {
-			ops = append(ops, nil)
-		}
-		ops[queued[d]] = append(ops[queued[d]], r)
-		queued[d]++
-	}
-	return ops
+// drive keep their order. It keeps its counters and round lists for the
+// next cut, which reuses them: what cut returns is valid until then.
+type schedule[R any] struct {
+	queued []int // requests scheduled so far, per drive
+	ops    [][]R // the rounds
 }
 
-func readDrive(r disk.ReadReq) int { return r.Disk }
+func newSchedule[R any](D int) schedule[R] { return schedule[R]{queued: make([]int, D)} }
+
+func (sc *schedule[R]) cut(reqs []R, drive func(R) int) [][]R {
+	clear(sc.queued)
+	n := 0
+	for _, r := range reqs {
+		d := drive(r)
+		if sc.queued[d] == n {
+			if n == len(sc.ops) {
+				sc.ops = append(sc.ops, nil)
+			}
+			sc.ops[n] = sc.ops[n][:0]
+			n++
+		}
+		sc.ops[sc.queued[d]] = append(sc.ops[sc.queued[d]], r)
+		sc.queued[d]++
+	}
+	return sc.ops[:n]
+}
+
+func readDrive(r disk.ReadReq) int   { return r.Disk }
+func writeDrive(r disk.WriteReq) int { return r.Disk }
 
 // readRaw issues physical reads grouped into valid parallel operations,
 // taking the bytes as they lie. It returns the number of operations the
 // inner store charged (a failed read is not charged).
 func (s *Store) readRaw(reqs []disk.ReadReq) (int, error) {
 	ops := 0
-	for _, sub := range rounds(reqs, readDrive) {
+	for _, sub := range s.rawReads.cut(reqs, readDrive) {
 		if err := s.inner.ReadOp(sub); err != nil {
 			return ops, err
 		}
@@ -354,16 +392,16 @@ func (s *Store) readRaw(reqs []disk.ReadReq) (int, error) {
 // destination from the rest of its stripe (rebuildBad).
 func (s *Store) readPhys(reqs []disk.ReadReq) (int, error) {
 	ops := 0
-	for _, sub := range rounds(reqs, readDrive) {
+	for _, sub := range s.reads.cut(reqs, readDrive) {
 		for len(sub) > 0 {
 			err := s.inner.ReadOp(sub)
-			var cte *disk.CorruptTrackError
-			if !errors.As(err, &cte) {
-				if err != nil {
-					return ops, err
-				}
+			if err == nil {
 				ops++
 				break
+			}
+			var cte *disk.CorruptTrackError
+			if !errors.As(err, &cte) {
+				return ops, err
 			}
 			i := slices.IndexFunc(sub, func(r disk.ReadReq) bool { return r.Disk == cte.Disk && r.Track == cte.Track })
 			if i < 0 {
@@ -400,7 +438,7 @@ func (s *Store) rebuildBad(r disk.ReadReq) error {
 // operations issued.
 func (s *Store) writePhys(reqs []disk.WriteReq) (int, error) {
 	ops := 0
-	for _, sub := range rounds(reqs, func(r disk.WriteReq) int { return r.Disk }) {
+	for _, sub := range s.writes.cut(reqs, writeDrive) {
 		if err := s.inner.WriteOp(sub); err != nil {
 			return ops, err
 		}
@@ -422,7 +460,7 @@ func (s *Store) loadParity(sid int) error {
 	if !s.parityUsable(st) {
 		return fmt.Errorf("redundancy: parity of stripe %d is on dead drive %d", sid, st.parity.Disk)
 	}
-	buf := make([]uint64, s.B)
+	buf := s.takeBuf()
 	ops, err := s.readPhys([]disk.ReadReq{{Disk: st.parity.Disk, Track: st.parity.Track, Dst: buf}})
 	s.parityReads(ops)
 	if err != nil {
@@ -430,6 +468,29 @@ func (s *Store) loadParity(sid int) error {
 	}
 	s.pval[sid] = buf
 	return nil
+}
+
+// takeBuf returns a parity buffer for the cache, from the free list when
+// it holds one; its content is stale.
+func (s *Store) takeBuf() []uint64 {
+	if n := len(s.free); n > 0 {
+		buf := s.free[n-1]
+		s.free = s.free[:n-1]
+		return buf
+	}
+	return make([]uint64, s.B)
+}
+
+// dropCached lets the cache go of stripe sid's parity buffer, if it holds
+// one: the free list keeps it for a later stripe, up to the most the cache
+// has held at once.
+func (s *Store) dropCached(sid int) {
+	if buf, ok := s.pval[sid]; ok {
+		delete(s.pval, sid)
+		if len(s.free) < s.cachePeak {
+			s.free = append(s.free, buf)
+		}
+	}
 }
 
 // parityReads charges n parity-maintenance operations that read.
@@ -504,7 +565,7 @@ func (s *Store) rebuild(p disk.Addr, dst []uint64) (int, error) {
 func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var live, lost []disk.ReadReq
+	live, lost := s.live[:0], s.lost[:0]
 	for _, r := range reqs {
 		_, striped := s.stripeOf[disk.Addr{Disk: r.Disk, Track: r.Track}]
 		switch {
@@ -519,6 +580,7 @@ func (s *Store) ReadOp(reqs []disk.ReadReq) error {
 			clear(r.Dst)
 		}
 	}
+	s.live, s.lost = live, lost
 	ops, err := s.readPhys(live)
 	if err != nil {
 		return err
@@ -626,7 +688,7 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 	// of a member loads it back (loadParity).
 	err = s.writeParity(s.filled)
 	for _, sid := range s.filled {
-		delete(s.pval, sid)
+		s.dropCached(sid)
 	}
 	s.filled = s.filled[:0]
 	return err
@@ -636,13 +698,14 @@ func (s *Store) WriteOp(reqs []disk.WriteReq) error {
 // except a stripe whose parity drive has died (unprotected until its
 // members leave).
 func (s *Store) writeParity(sids []int) error {
-	reqs := make([]disk.WriteReq, 0, len(sids))
+	reqs := s.parityReqs[:0]
 	for _, sid := range sids {
 		if st := s.stripes[sid]; s.pdirty[sid] && s.parityUsable(st) {
 			reqs = append(reqs, disk.WriteReq{Disk: st.parity.Disk, Track: st.parity.Track, Src: s.pval[sid]})
 		}
 		delete(s.pdirty, sid)
 	}
+	s.parityReqs = reqs
 	n, err := s.writePhys(reqs)
 	s.ctr.ParityOps += int64(n)
 	return err
@@ -674,18 +737,19 @@ func (s *Store) Release(d, t int) error {
 // refused with a *ContractError before anything changes: folding the
 // leavers out would read them back.
 func (s *Store) dropLeavers() error {
-	keys := disk.SortedAddrs(s.left)
-	for _, k := range keys {
+	s.keys = disk.SortedAddrs(s.keys[:0], s.left)
+	for _, k := range s.keys {
 		sid := s.stripeOf[k]
 		if st := s.stripes[sid]; st.count > 0 && s.parityUsable(st) {
 			return &ContractError{Op: "FlushParity", Track: k, Reason: fmt.Sprintf("it left stripe %d, which %d of its members have not", sid, st.count)}
 		}
 	}
-	sids := make([]int, len(keys))
-	for i, k := range keys {
-		sids[i] = s.stripeOf[k]
+	sids := s.ids[:0]
+	for _, k := range s.keys {
+		sids = append(sids, s.stripeOf[k])
 		s.forget(k)
 	}
+	s.ids = sids
 	for _, sid := range sids {
 		if st, ok := s.stripes[sid]; ok && st.count == 0 {
 			if err := s.dropStripe(sid); err != nil {
@@ -705,14 +769,16 @@ func (s *Store) forget(k disk.Addr) {
 	delete(s.left, k)
 }
 
-// dropStripe frees an empty stripe and its parity track.
+// dropStripe frees an empty stripe and its parity track; the stripe and
+// its cached parity buffer are kept for reuse.
 func (s *Store) dropStripe(sid int) error {
 	st := s.stripes[sid]
 	delete(s.parityAt, st.parity)
 	delete(s.sums, st.parity)
-	delete(s.pval, sid)
+	s.dropCached(sid)
 	delete(s.pdirty, sid)
 	delete(s.stripes, sid)
+	s.spare = append(s.spare, st)
 	s.ctr.ParityBlocks--
 	if s.dead[st.parity.Disk] {
 		return nil
@@ -721,6 +787,23 @@ func (s *Store) dropStripe(sid int) error {
 		return fmt.Errorf("redundancy: dropping stripe %d: %w", sid, err)
 	}
 	return nil
+}
+
+// newStripe returns an empty stripe with parity track p, a retired one
+// when the layer keeps one.
+func (s *Store) newStripe(p disk.Addr) *stripe {
+	var st *stripe
+	if n := len(s.spare); n > 0 {
+		st = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	} else {
+		st = &stripe{members: make([]int, s.D)}
+	}
+	st.parity, st.count = p, 0
+	for d := range st.members {
+		st.members[d] = -1
+	}
+	return st
 }
 
 func (s *Store) removeOpen(sid int) {
@@ -770,16 +853,15 @@ func (s *Store) assign(k disk.Addr) (sid int, ok bool) {
 	}
 	sid = s.next
 	s.next++
-	st := &stripe{parity: disk.Addr{Disk: pd, Track: s.inner.Alloc(pd)}, members: make([]int, s.D)}
-	for d := range st.members {
-		st.members[d] = -1
-	}
+	st := s.newStripe(disk.Addr{Disk: pd, Track: s.inner.Alloc(pd)})
 	st.members[k.Disk] = k.Track
 	st.count = 1
 	s.stripes[sid] = st
 	s.parityAt[disk.Addr{Disk: pd, Track: st.parity.Track}] = sid
 	s.stripeOf[k] = sid
-	s.pval[sid] = make([]uint64, s.B)
+	pv := s.takeBuf()
+	clear(pv)
+	s.pval[sid] = pv
 	s.pdirty[sid] = true
 	s.ctr.ParityBlocks++
 	s.ctr.StripedBlocks++
@@ -827,17 +909,18 @@ func (s *Store) FlushParity() error {
 		return err
 	}
 	s.cachePeak = max(s.cachePeak, len(s.pval))
-	sids := make([]int, 0, len(s.pdirty))
+	sids := s.ids[:0]
 	for sid := range s.pdirty {
 		sids = append(sids, sid)
 	}
-	sort.Ints(sids)
+	slices.Sort(sids)
+	s.ids = sids
 	if err := s.writeParity(sids); err != nil {
 		return err
 	}
 	// Drop the cache: memory stays bounded by the stripes touched in one
-	// superstep, not by the run.
-	s.pval = make(map[int][]uint64)
+	// superstep, not by the run, and the free list keeps the buffers.
+	s.dropCache()
 	s.open, s.filled = s.open[:0], s.filled[:0]
 	for _, k := range s.held {
 		delete(s.sums, k)
@@ -871,11 +954,12 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		c.ParityOps, c.ParityBlocks, c.StripedBlocks, c.ParityReadOps,
 	})
 
-	sids := make([]int, 0, len(s.stripes))
+	sids := s.ids[:0]
 	for sid := range s.stripes {
 		sids = append(sids, sid)
 	}
-	sort.Ints(sids)
+	slices.Sort(sids)
+	s.ids = sids
 	enc.PutInt(int64(len(sids)))
 	for _, sid := range sids {
 		st := s.stripes[sid]
@@ -887,9 +971,9 @@ func (s *Store) EncodeState(enc *words.Encoder) {
 		}
 	}
 
-	sumKeys := disk.SortedAddrs(s.sums)
-	enc.PutInt(int64(len(sumKeys)))
-	for _, k := range sumKeys {
+	s.keys = disk.SortedAddrs(s.keys[:0], s.sums)
+	enc.PutInt(int64(len(s.keys)))
+	for _, k := range s.keys {
 		enc.PutInt(int64(k.Disk))
 		enc.PutInt(int64(k.Track))
 		enc.PutUint(s.sums[k])
@@ -930,14 +1014,16 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 		}
 	}
 
-	s.stripes = make(map[int]*stripe)
-	s.stripeOf = make(map[disk.Addr]int)
-	s.parityAt = make(map[disk.Addr]int)
-	s.open = nil
+	for _, st := range s.stripes {
+		s.spare = append(s.spare, st)
+	}
+	clear(s.stripes)
+	clear(s.stripeOf)
+	clear(s.parityAt)
+	s.open = s.open[:0]
 	for n := dec.Int(); n > 0; n-- {
 		sid := int(dec.Int())
-		st := &stripe{members: make([]int, s.D)}
-		st.parity = disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())}
+		st := s.newStripe(disk.Addr{Disk: int(dec.Int()), Track: int(dec.Int())})
 		for d := 0; d < s.D; d++ {
 			st.members[d] = int(dec.Int())
 			if st.members[d] >= 0 {
@@ -949,17 +1035,24 @@ func (s *Store) DecodeState(dec *words.Decoder, replay bool) error {
 		s.parityAt[st.parity] = sid
 	}
 
-	s.sums = make(map[disk.Addr]uint64)
+	clear(s.sums)
 	for n := dec.Int(); n > 0; n-- {
 		d := int(dec.Int())
 		t := int(dec.Int())
 		s.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
 	}
-	s.pval = make(map[int][]uint64)
-	s.pdirty = make(map[int]bool)
-	s.left = make(map[disk.Addr]bool)
-	s.filled, s.held = nil, nil
+	s.dropCache()
+	clear(s.pdirty)
+	clear(s.left)
+	s.filled, s.held = s.filled[:0], s.held[:0]
 	return nil
+}
+
+// dropCache empties the parity cache into the free list.
+func (s *Store) dropCache() {
+	for sid := range s.pval {
+		s.dropCached(sid)
+	}
 }
 
 // Reconcile checks the disk against the adopted record after a
@@ -996,7 +1089,7 @@ func (s *Store) Reconcile() error {
 func (s *Store) reconcile() error {
 	var fixes []disk.WriteReq
 	buf := make([]uint64, s.B)
-	for _, k := range disk.SortedAddrs(s.sums) {
+	for _, k := range disk.SortedAddrs(nil, s.sums) {
 		if s.dead[k.Disk] {
 			continue
 		}

@@ -1,6 +1,7 @@
 package redundancy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -255,6 +256,21 @@ func TestRewriteVerifiesOldBytes(t *testing.T) {
 	}
 }
 
+// rotSlot zeroes the magic word of track a's slot in the file store in
+// dir, so the store reports the slot corrupt.
+func rotSlot(t *testing.T, dir string, B int, a disk.Addr) {
+	t.Helper()
+	fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", a.Disk)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	// A slot is the magic word, the checksum and the B payload words.
+	if _, err := fh.WriteAt(make([]byte, 8), int64(a.Track)*int64(B+2)*8); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRottedSlotIsServedDegraded: a slot that rotted at rest under the
 // file store — its magic word cleared by hand, the method of
 // TestListedTrackWithoutMagicIsCorrupt — is rebuilt from the rest of its
@@ -289,24 +305,12 @@ func TestRottedSlotIsServedDegraded(t *testing.T) {
 	if sibling.Disk < 0 {
 		t.Fatalf("the stripe of %v has no other member", victim)
 	}
-	rot := func(a disk.Addr) {
-		t.Helper()
-		fh, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("drive-%03d.dat", a.Disk)), os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fh.Close()
-		// A slot is the magic word, the checksum and the B payload words.
-		if _, err := fh.WriteAt(make([]byte, 8), int64(a.Track)*(B+2)*8); err != nil {
-			t.Fatal(err)
-		}
-	}
 	rotted := func(a disk.Addr) bool {
 		var ce *disk.CorruptTrackError
 		return errors.As(raw.ReadOp([]disk.ReadReq{{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)}}), &ce)
 	}
 
-	rot(victim)
+	rotSlot(t, dir, B, victim)
 	before := raw.Stats()
 	checkTrack(t, s, victim, B)
 	if w := raw.Stats().WriteOps - before.WriteOps; w != 0 {
@@ -321,7 +325,7 @@ func TestRottedSlotIsServedDegraded(t *testing.T) {
 		t.Errorf("the read wrote the rotted slot of %v back", victim)
 	}
 
-	rot(sibling)
+	rotSlot(t, dir, B, sibling)
 	var ce *disk.CorruptTrackError
 	if err := s.ReadOp([]disk.ReadReq{{Disk: victim.Disk, Track: victim.Track, Dst: make([]uint64, B)}}); !errors.As(err, &ce) {
 		t.Errorf("read of %v with its sibling %v rotted too: %v, want a *disk.CorruptTrackError", victim, sibling, err)
@@ -637,7 +641,7 @@ func TestPhysOpsFollowFullestDrive(t *testing.T) {
 			set[a] = struct{}{}
 		}
 		perDrive := make(map[int]int)
-		for _, a := range disk.SortedAddrs(set) {
+		for _, a := range disk.SortedAddrs(nil, set) {
 			reads = append(reads, disk.ReadReq{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)})
 			perDrive[a.Disk]++
 			fullest = max(fullest, perDrive[a.Disk])
@@ -730,5 +734,56 @@ func TestSealKeepsStripesApart(t *testing.T) {
 			checkInvariants(t, s)
 			checkTrack(t, s, stays, B)
 		}
+	}
+}
+
+// TestRebuildInsideARound: readPhys rebuilds a rotted track of a round
+// while the round is still being read, so the rebuild's reads, which
+// readRaw schedules, must not disturb the rounds readPhys is working
+// through. A list of three rows, whose first round holds the rotted
+// track first, is read whole: every track its own pattern, the round
+// re-issued without the rotted track, two degraded operations (the
+// stripe's parity and the rest of its members) and nothing else.
+func TestRebuildInsideARound(t *testing.T) {
+	const D, B, rows = 4, 8, 3
+	dir := t.TempDir()
+	raw, err := disk.OpenFile(dir, disk.Config{D: D, B: B}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	s, err := Wrap(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := writeTracks(t, s, D, B, rows)
+	flushChecked(t, s)
+	if err := raw.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// By drive, then track: round r reads each drive's r-th row.
+	slices.SortFunc(addrs, func(a, b disk.Addr) int { return cmp.Or(a.Disk-b.Disk, a.Track-b.Track) })
+	var reads []disk.ReadReq
+	for _, a := range addrs {
+		reads = append(reads, disk.ReadReq{Disk: a.Disk, Track: a.Track, Dst: make([]uint64, B)})
+	}
+	victim := disk.Addr{Disk: reads[0].Disk, Track: reads[0].Track}
+	rotSlot(t, dir, B, victim)
+	before, c0 := raw.Stats(), s.Counters()
+	n, err := s.readPhys(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, B)
+	for _, r := range reads {
+		if pattern(want, r.Disk, r.Track); !slices.Equal(r.Dst, want) {
+			t.Errorf("drive %d track %d: read %#x, want %#x", r.Disk, r.Track, r.Dst, want)
+		}
+	}
+	c := s.Counters()
+	if ops := raw.Stats().Ops - before.Ops; n != rows || ops != rows+2 || c.ChecksumFailures-c0.ChecksumFailures != 1 ||
+		c.ReconstructedBlocks-c0.ReconstructedBlocks != 1 || c.DegradedOps-c0.DegradedOps != 2 {
+		t.Errorf("reading %d rows with %v rotted: %d operations of the list's, %d on the store, counters %+v → %+v; want %d, %d, and one checksum failure, one reconstruction, two degraded operations",
+			rows, victim, n, ops, c0, c, rows, rows+2)
 	}
 }
