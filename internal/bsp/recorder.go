@@ -90,11 +90,13 @@ func (c *CostRecorder) Rewind(mark int) {
 	c.open = false
 }
 
-// Steps returns a copy of the closed supersteps recorded so far. The
-// EM engines serialize it into their commit journal so a resumed run
-// reports the same per-superstep costs as an uninterrupted one.
+// Steps returns the closed supersteps recorded so far: the recorder's
+// own list, capacity-limited, valid until the next Rewind or Restore,
+// and read-only. The EM engines serialize it into their commit journal
+// so a resumed run reports the same per-superstep costs as an
+// uninterrupted one.
 func (c *CostRecorder) Steps() []SuperstepCost {
-	return append([]SuperstepCost(nil), c.steps...)
+	return c.steps[:len(c.steps):len(c.steps)]
 }
 
 // Restore replaces the recorded supersteps with a list previously

@@ -92,11 +92,23 @@ func fatal(err error) bool {
 type coordinator struct {
 	cc      Config
 	core    *core.CoordCore
-	links   []*Link         // per worker slot; nil = disconnected
-	encs    []words.Encoder // per worker slot: its requests, fanout's goroutine i only
-	epochs  []int           // connection incarnations seen per slot
+	links   []*Link // per worker slot; nil = disconnected
+	epochs  []int   // connection incarnations seen per slot
 	replica *ReplicaStore
 	spares  []joinReq // parked spare workers, adopted on worker loss
+
+	// The fan-out (fanout): the reply kind every slot's goroutine
+	// expects, the slots, their decoders as fanout returns them, a done
+	// signal per finished leg, a WRITE's batches as they are encoded, and
+	// what the phases return, reused.
+	resp    uint64
+	slots   []slot
+	serving sync.WaitGroup // the slots' goroutines, until shutdown ends them
+	decs    []*words.Decoder
+	legs    chan struct{}
+	in      []core.BlockBatch
+	outs    []*core.BatchOut
+	totals  []core.StepTotals
 
 	joins    chan joinReq
 	acceptWG sync.WaitGroup
@@ -129,6 +141,29 @@ type joinReq struct {
 	link *Link
 }
 
+// call is one fan-out: the request's kind and what it carries, and the
+// reply's kind.
+type call struct {
+	req, resp uint64
+	j, step   int
+	halted    bool             // PREPARE
+	outs      []*core.BatchOut // WRITE: the round's COMPUTE_OUT rows, by source
+}
+
+// slot is worker slot i's side of the fan-outs: req, its request,
+// encoded into enc; dec, its reply, valid until the slot's next call;
+// and out, its COMPUTE_OUT, decoded into memory it reuses. Its
+// goroutine (serve) lives for the run and alone uses the slot between a
+// call's hand-off and the leg's done signal.
+type slot struct {
+	wake chan struct{}
+	enc  words.Encoder
+	req  []uint64
+	dec  words.Decoder
+	err  error
+	out  core.BatchOut
+}
+
 // Run drives a full cluster run: accept P workers, reconcile their
 // journals, drive compound supersteps under two-phase commit, survive
 // worker deaths by abort-and-replay, and assemble the Result — which
@@ -151,15 +186,26 @@ func Run(cc Config) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	P := cc.Cfg.P
 	c := &coordinator{
 		cc:      cc,
 		core:    cco,
-		links:   make([]*Link, cc.Cfg.P),
-		encs:    make([]words.Encoder, cc.Cfg.P),
-		epochs:  make([]int, cc.Cfg.P),
-		joins:   make(chan joinReq, 2*cc.Cfg.P),
+		links:   make([]*Link, P),
+		epochs:  make([]int, P),
+		slots:   make([]slot, P),
+		decs:    make([]*words.Decoder, P),
+		legs:    make(chan struct{}, P),
+		outs:    make([]*core.BatchOut, P),
+		totals:  make([]core.StepTotals, P),
+		joins:   make(chan joinReq, 2*P),
 		closed:  make(chan struct{}),
 		pending: make(map[*Link]struct{}),
+	}
+	c.serving.Add(P)
+	for i := range c.slots {
+		c.slots[i].wake = make(chan struct{})
+		c.decs[i], c.outs[i] = &c.slots[i].dec, &c.slots[i].out
+		go c.serve(i)
 	}
 	if m := cc.Metrics; m != nil {
 		c.barrierWait = m.Histogram("cluster_barrier_wait_nanos")
@@ -221,7 +267,7 @@ func (c *coordinator) acceptLoop() {
 				return
 			}
 			var h hello
-			if err := decodeUntrusted(msg, msgHello, func(dec *words.Decoder) { h = decodeHello(dec) }); err != nil {
+			if err := decodeUntrusted(new(words.Decoder), msg, msgHello, func(dec *words.Decoder) { h = decodeHello(dec) }); err != nil {
 				link.Close()
 				return
 			}
@@ -295,7 +341,7 @@ func (c *coordinator) challenge(link *Link) error {
 		return err
 	}
 	var mac []uint64
-	if err := decodeUntrusted(msg, msgAuth, func(dec *words.Decoder) { mac = dec.Uints() }); err != nil {
+	if err := decodeUntrusted(new(words.Decoder), msg, msgAuth, func(dec *words.Decoder) { mac = dec.Uints() }); err != nil {
 		add(c.authRejects, 1)
 		return err
 	}
@@ -352,11 +398,7 @@ func (c *coordinator) welcome(j joinReq) error {
 		j.link.Close()
 		return err
 	}
-	dec, err := expect(msg, msgWelcomeOut)
-	var out welcomeOut
-	if err == nil {
-		out, err = decodeReply(id, msgWelcomeOut, dec, decodeWelcomeOut)
-	}
+	out, err := readWelcomeOut(id, msg)
 	if err != nil {
 		j.link.Close()
 		return err
@@ -397,11 +439,7 @@ func (c *coordinator) migrate(link *Link, id int) error {
 		link.Close()
 		return err
 	}
-	dec, err := expect(msg, msgWelcomeOut)
-	var out welcomeOut
-	if err == nil {
-		out, err = decodeReply(id, msgWelcomeOut, dec, decodeWelcomeOut)
-	}
+	out, err := readWelcomeOut(id, msg)
 	if err != nil {
 		link.Close()
 		return err
@@ -500,93 +538,137 @@ func fatalJoin(err error) bool {
 
 var errDiverged = errors.New("cluster: state diverged")
 
-// fanout sends req(i) to every worker concurrently and returns the
-// typed responses. req encodes worker i's request into enc, slot i's
-// encoder, which goroutine i alone uses. Any failure is joined with its
-// worker attributed; the caller classifies and recovers.
-func (c *coordinator) fanout(respKind uint64, req func(enc *words.Encoder, i int) []uint64) ([]*words.Decoder, error) {
-	P := len(c.links)
-	decs := make([]*words.Decoder, P)
-	errs := make([]error, P)
-	var wg sync.WaitGroup
-	for i := 0; i < P; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			l := c.links[i]
-			if l == nil {
-				errs[i] = fmt.Errorf("cluster: worker %d disconnected", i)
-				return
-			}
-			if err := l.Send(req(&c.encs[i], i)); err != nil {
-				errs[i] = fmt.Errorf("cluster: worker %d: %w", i, err)
-				return
-			}
-			msg, err := l.Recv(c.cc.RecvTimeout)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: worker %d: %w", i, err)
-				return
-			}
-			dec, err := expect(msg, respKind)
-			if err != nil {
-				var we *WorkerError
-				if errors.As(err, &we) {
-					we.Node = i
-				} else {
-					err = fmt.Errorf("cluster: worker %d: %w", i, err)
-				}
-				errs[i] = err
-			}
-			decs[i] = dec
-		}(i)
+// fanout carries k to every worker concurrently — each slot's goroutine
+// its own worker's leg — and returns the slots' decoders, each set to
+// read its worker's reply past the kind word; they are valid until the
+// next fan-out. Every request is encoded before any leg starts: a WRITE
+// is made of the workers' COMPUTE_OUT replies, which a link takes back
+// as soon as the next reply on it arrives (Link). Any failure is joined
+// with its worker attributed; the caller classifies and recovers.
+func (c *coordinator) fanout(k call) ([]*words.Decoder, error) {
+	for i := range c.slots {
+		c.slots[i].req = c.request(i, &c.slots[i].enc, &k)
 	}
-	wg.Wait()
-	return decs, errors.Join(errs...)
-}
-
-// collect is fanout with every response decoded.
-func collect[T any](c *coordinator, respKind uint64, req func(enc *words.Encoder, i int) []uint64, decode func(*words.Decoder) T) ([]T, error) {
-	decs, err := c.fanout(respKind, req)
-	if err != nil {
-		return nil, err
+	c.resp = k.resp
+	for i := range c.slots {
+		c.slots[i].wake <- struct{}{}
 	}
-	out := make([]T, len(decs))
-	for i, dec := range decs {
-		if out[i], err = decodeReply(i, respKind, dec, decode); err != nil {
-			return nil, err
+	var err error
+	for range c.slots {
+		<-c.legs
+	}
+	for i := range c.slots {
+		if e := c.slots[i].err; e != nil {
+			err = errors.Join(err, e)
 		}
 	}
-	return out, nil
+	return c.decs, err
+}
+
+// serve is slot i's goroutine: a leg of every fan-out until shutdown
+// closes its wake channel.
+func (c *coordinator) serve(i int) {
+	defer c.serving.Done()
+	s := &c.slots[i]
+	for range s.wake {
+		s.err = c.leg(i, s)
+		c.legs <- struct{}{}
+	}
+}
+
+// leg sends worker i the slot's request and reads the reply into the
+// slot's decoder.
+func (c *coordinator) leg(i int, s *slot) error {
+	l := c.links[i]
+	if l == nil {
+		return fmt.Errorf("cluster: worker %d disconnected", i)
+	}
+	if err := l.Send(s.req); err != nil {
+		return fmt.Errorf("cluster: worker %d: %w", i, err)
+	}
+	msg, err := l.Recv(c.cc.RecvTimeout)
+	if err != nil {
+		return fmt.Errorf("cluster: worker %d: %w", i, err)
+	}
+	if err := expect(&s.dec, msg, c.resp); err != nil {
+		var we *WorkerError
+		if errors.As(err, &we) {
+			we.Node = i
+			return we
+		}
+		return fmt.Errorf("cluster: worker %d: %w", i, err)
+	}
+	return nil
+}
+
+// request encodes worker i's request of call k into enc.
+func (c *coordinator) request(i int, enc *words.Encoder, k *call) []uint64 {
+	switch k.req {
+	case msgSetup:
+		return encodeSetup(enc, c.replReq(i))
+	case msgStepBegin:
+		return encodeKindStep(enc, msgStepBegin, int64(k.step))
+	case msgCompute:
+		return encodeKindStep(enc, msgCompute, int64(k.j), int64(k.step))
+	case msgWrite:
+		// What every worker delivered to this one in the round's
+		// computing phase, by source.
+		c.in = c.in[:0]
+		for _, bo := range k.outs {
+			c.in = append(c.in, bo.Scatter[i])
+		}
+		return encodeWriteReq(enc, k.j, k.step, c.in)
+	case msgPrepare:
+		return encodePrepare(enc, k.step, k.halted, c.replReq(i))
+	}
+	return encodeKind(enc, k.req)
+}
+
+// gather is fanout with every reply decoded by decode, in worker order.
+func (c *coordinator) gather(k call, decode func(i int, dec *words.Decoder)) error {
+	decs, err := c.fanout(k)
+	if err != nil {
+		return err
+	}
+	for i, dec := range decs {
+		if err := decodeReply(i, k.resp, dec, func(dec *words.Decoder) { decode(i, dec) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readWelcomeOut reads worker id's WELCOME_OUT reply, or its error.
+func readWelcomeOut(id int, msg []uint64) (out welcomeOut, err error) {
+	var dec words.Decoder
+	if err = expect(&dec, msg, msgWelcomeOut); err == nil {
+		err = decodeReply(id, msgWelcomeOut, &dec, func(dec *words.Decoder) { out = decodeWelcomeOut(dec) })
+	}
+	return out, err
 }
 
 // decodeReply runs decode over worker i's reply of the given kind. A
 // reply shorter than what decode reads, or one that claims more records
 // than it holds, panics the word decoder; it is returned as an error
 // naming the worker, which the driver rolls back like any failed hop.
-func decodeReply[T any](i int, kind uint64, dec *words.Decoder, decode func(*words.Decoder) T) (v T, err error) {
+func decodeReply(i int, kind uint64, dec *words.Decoder, decode func(*words.Decoder)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cluster: worker %d: malformed %s reply: %v", i, msgName(kind), r)
 		}
 	}()
-	return decode(dec), nil
+	decode(dec)
+	return nil
 }
 
 // Setup is phase one of the setup barrier (decision record 0).
 func (c *coordinator) Setup() ([]disk.Stats, error) {
 	c.replWait()
-	decs, err := c.fanout(msgSetupOut, func(enc *words.Encoder, i int) []uint64 { return encodeSetup(enc, c.replReq(i)) })
-	if err != nil {
+	stats := make([]disk.Stats, len(c.slots))
+	if err := c.gather(call{req: msgSetup, resp: msgSetupOut}, func(i int, dec *words.Decoder) { stats[i] = core.DecodeDiskStats(dec) }); err != nil {
 		return nil, err
 	}
-	stats := make([]disk.Stats, len(decs))
-	c.staged = make([]*core.NodeSnapshot, len(decs))
-	for i, dec := range decs {
-		if stats[i], err = decodeReply(i, msgSetupOut, dec, core.DecodeDiskStats); err != nil {
-			return nil, err
-		}
-		c.staged[i] = c.stageSnapshot(i, dec)
-	}
+	c.stage(c.decs)
 	c.probe("prepare", -1)
 	return stats, nil
 }
@@ -601,19 +683,23 @@ func (c *coordinator) replReq(i int) replReq {
 	return replReq{Replicate: true, Base: c.replica.Version(i)}
 }
 
-// stageSnapshot decodes the optional snapshot tail of worker i's
-// phase-one reply. Staged, not applied: only a landed decision record
-// promotes it into the replica store.
-func (c *coordinator) stageSnapshot(i int, dec *words.Decoder) *core.NodeSnapshot {
+// stage decodes the optional snapshot tails of the workers' phase-one
+// replies. Staged, not applied: only a landed decision record promotes
+// them into the replica store. Without a replica there is nothing to
+// stage.
+func (c *coordinator) stage(decs []*words.Decoder) {
 	if c.replica == nil {
-		return nil
+		return
 	}
-	snap, err := decodeSnapshotTail(dec)
-	if err != nil {
-		c.replica.Invalidate(i)
-		return nil
+	c.staged = make([]*core.NodeSnapshot, len(decs))
+	for i, dec := range decs {
+		snap, err := decodeSnapshotTail(dec)
+		if err != nil {
+			c.replica.Invalidate(i)
+			continue
+		}
+		c.staged[i] = snap
 	}
-	return snap
 }
 
 // Rollback is abort-and-replay: any transport failure before the
@@ -633,6 +719,7 @@ func (c *coordinator) Rollback(step, attempt int, cause error) (int64, error) {
 	if step < 0 {
 		req, resp = welcome{Reset: true}.encode(), msgWelcomeOut
 	}
+	var dec words.Decoder
 	for i, l := range c.links {
 		if l == nil {
 			continue
@@ -641,7 +728,7 @@ func (c *coordinator) Rollback(step, attempt int, cause error) (int64, error) {
 		if err == nil {
 			var msg []uint64
 			if msg, err = l.Recv(c.cc.RecvTimeout); err == nil {
-				_, err = expect(msg, resp)
+				err = expect(&dec, msg, resp)
 			}
 		}
 		if fatal(err) {
@@ -671,32 +758,34 @@ func (c *coordinator) reacquire() error {
 }
 
 func (c *coordinator) Begin(step int) error {
-	_, err := c.fanout(msgOK, func(enc *words.Encoder, _ int) []uint64 { return encodeKindStep(enc, msgStepBegin, int64(step)) })
+	_, err := c.fanout(call{req: msgStepBegin, resp: msgOK, step: step})
 	return err
 }
 
+// Compute returns the workers' COMPUTE_OUT rows, decoded into the slots'
+// memory; they are valid until the next Compute. Their batches alias the
+// replies, which stay valid through the Write that relays them: a link
+// takes a reply back only when the next one arrives (Link).
 func (c *coordinator) Compute(j, step int) ([]*core.BatchOut, error) {
-	return collect(c, msgComputeOut, func(enc *words.Encoder, _ int) []uint64 {
-		return encodeKindStep(enc, msgCompute, int64(j), int64(step))
-	}, decodeComputeOut)
+	if err := c.gather(call{req: msgCompute, resp: msgComputeOut, j: j, step: step}, func(i int, dec *words.Decoder) { decodeComputeOut(dec, c.outs[i]) }); err != nil {
+		return nil, err
+	}
+	return c.outs, nil
 }
 
 // Write relays to every worker what each worker delivered to it in the
-// round's computing phase. The batches alias the replies they were
-// decoded from, which nothing else holds.
+// round's computing phase. The batches alias the COMPUTE_OUT replies
+// they were decoded from, which nothing else holds.
 func (c *coordinator) Write(j, step int, outs []*core.BatchOut) error {
-	_, err := c.fanout(msgOK, func(enc *words.Encoder, dst int) []uint64 {
-		in := make([]core.BlockBatch, len(outs))
-		for src, bo := range outs {
-			in[src] = bo.Scatter[dst]
-		}
-		return encodeWriteReq(enc, j, step, in)
-	})
+	_, err := c.fanout(call{req: msgWrite, resp: msgOK, j: j, step: step, outs: outs})
 	return err
 }
 
 func (c *coordinator) Totals() ([]core.StepTotals, error) {
-	return collect(c, msgSumOut, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgSum) }, decodeSumOut)
+	if err := c.gather(call{req: msgSum, resp: msgSumOut}, func(i int, dec *words.Decoder) { c.totals[i] = decodeSumOut(dec) }); err != nil {
+		return nil, err
+	}
+	return c.totals, nil
 }
 
 // Prepare is 2PC phase one: every worker journals its prepared barrier
@@ -705,14 +794,11 @@ func (c *coordinator) Prepare(step int, halted bool) ([]int64, error) {
 	c.probe("prepare", step)
 	c.barrier = time.Now()
 	c.replWait() // the previous barrier's apply had the whole superstep to land
-	decs, err := c.fanout(msgPrepared, func(enc *words.Encoder, i int) []uint64 { return encodePrepare(enc, step, halted, c.replReq(i)) })
+	decs, err := c.fanout(call{req: msgPrepare, resp: msgPrepared, step: step, halted: halted})
 	if err != nil {
 		return nil, err
 	}
-	c.staged = make([]*core.NodeSnapshot, len(decs))
-	for i, dec := range decs {
-		c.staged[i] = c.stageSnapshot(i, dec)
-	}
+	c.stage(decs)
 	return nil, nil
 }
 
@@ -738,7 +824,7 @@ func (c *coordinator) Commit(step int) error {
 // dead worker whose state died with it migrates from the replica.
 func (c *coordinator) broadcastCommit() error {
 	for {
-		_, err := c.fanout(msgCommitted, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgCommit) })
+		_, err := c.fanout(call{req: msgCommit, resp: msgCommitted})
 		if err == nil {
 			return nil
 		}
@@ -818,7 +904,11 @@ func (c *coordinator) dropDead() (empty int) {
 
 func (c *coordinator) Final() ([]*core.NodeReport, error) {
 	final := func() ([]*core.NodeReport, error) {
-		return collect(c, msgFinalOut, func(enc *words.Encoder, _ int) []uint64 { return encodeKind(enc, msgFinal) }, core.DecodeNodeReport)
+		reports := make([]*core.NodeReport, len(c.slots))
+		if err := c.gather(call{req: msgFinal, resp: msgFinalOut}, func(i int, dec *words.Decoder) { reports[i] = core.DecodeNodeReport(dec) }); err != nil {
+			return nil, err
+		}
+		return reports, nil
 	}
 	reports, err := final()
 	if err != nil && !fatal(err) {
@@ -845,10 +935,15 @@ func (c *coordinator) shutdown() {
 		l.Close()
 	}
 	c.pmu.Unlock()
+	for i := range c.slots {
+		close(c.slots[i].wake)
+	}
+	c.serving.Wait()
+	var dec words.Decoder
 	byebye := func(l *Link) {
 		if l.Send(encodeKind(new(words.Encoder), msgShutdown)) == nil {
 			if msg, err := l.Recv(5 * time.Second); err == nil {
-				expect(msg, msgBye) //nolint:errcheck
+				expect(&dec, msg, msgBye) //nolint:errcheck
 			}
 		}
 		l.Close()

@@ -388,14 +388,19 @@ func batchesSize(bs []core.BlockBatch) int {
 	return n
 }
 
-func decodeBatches(dec *words.Decoder) []core.BlockBatch {
+// decodeBatches decodes what encodeBatches wrote into bs's memory — the
+// list and each batch's block list — which grows when it is too small.
+func decodeBatches(dec *words.Decoder, bs []core.BlockBatch) []core.BlockBatch {
 	n := dec.Int()
 	if n < 0 || n > int64(dec.Remaining()) { // a batch takes a word at least
 		panic(fmt.Sprintf("cluster: %d block batches in %d words", n, dec.Remaining()))
 	}
-	bs := make([]core.BlockBatch, n)
+	if int(n) > cap(bs) {
+		bs = append(bs[:cap(bs)], make([]core.BlockBatch, int(n)-cap(bs))...)
+	}
+	bs = bs[:n]
 	for i := range bs {
-		bs[i] = core.DecodeBlockBatch(dec)
+		bs[i].Decode(dec)
 	}
 	return bs
 }
@@ -420,13 +425,13 @@ func encodeComputeOut(enc *words.Encoder, bo *core.BatchOut) []uint64 {
 	return enc.Words()
 }
 
-func decodeComputeOut(dec *words.Decoder) *core.BatchOut {
-	return &core.BatchOut{
-		Scatter: decodeBatches(dec),
-		Pkts:    dec.Ints(),
-		Wrds:    dec.Ints(),
-		Traffic: core.DecodeTraffic(dec),
-	}
+// decodeComputeOut decodes a COMPUTE_OUT reply into bo, whose memory it
+// reuses; the batches alias dec's words.
+func decodeComputeOut(dec *words.Decoder, bo *core.BatchOut) {
+	bo.Scatter = decodeBatches(dec, bo.Scatter)
+	bo.Pkts = dec.IntsInto(bo.Pkts)
+	bo.Wrds = dec.IntsInto(bo.Wrds)
+	bo.Traffic = core.DecodeTraffic(dec, bo.Traffic)
 }
 
 // encodeSumOut carries the worker's superstep totals at the vote point.
@@ -435,8 +440,20 @@ func encodeSumOut(enc *words.Encoder, s core.StepTotals) []uint64 {
 }
 
 func decodeSumOut(dec *words.Decoder) core.StepTotals {
-	f := dec.Ints()
+	var f [3]int64
+	fields(dec, f[:])
 	return core.StepTotals{Sleepers: int(f[0]), Sends: int(f[1]), Ops: f[2]}
+}
+
+// fields reads an array of exactly len(f) integers into f; any other
+// count panics, as a truncated frame does.
+func fields(dec *words.Decoder, f []int64) {
+	if n := dec.Int(); n != int64(len(f)) {
+		panic(fmt.Sprintf("%d fields, want %d", n, len(f)))
+	}
+	for i := range f {
+		f[i] = dec.Int()
+	}
 }
 
 func encodeFinalOut(enc *words.Encoder, r *core.NodeReport) []uint64 {
@@ -447,31 +464,31 @@ func encodeFinalOut(enc *words.Encoder, r *core.NodeReport) []uint64 {
 }
 
 // decodeUntrusted runs decode over a frame of the given kind from a peer
-// that has not authenticated: a frame shorter than what decode reads,
-// on which the word decoder panics, is an error, as is a frame of
-// another kind.
-func decodeUntrusted(msg []uint64, kind uint64, decode func(dec *words.Decoder)) (err error) {
+// that has not authenticated, through dec: a frame shorter than what
+// decode reads, on which the word decoder panics, is an error, as is a
+// frame of another kind.
+func decodeUntrusted(dec *words.Decoder, msg []uint64, kind uint64, decode func(dec *words.Decoder)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cluster: malformed %s frame: %v", msgName(kind), r)
 		}
 	}()
-	dec, err := expect(msg, kind)
-	if err == nil {
+	if err = expect(dec, msg, kind); err == nil {
 		decode(dec)
 	}
 	return err
 }
 
-// expect decodes a message and demands the given kind, surfacing a
-// worker's ERR as a *WorkerError (fatal: a deterministic engine
-// failure will not go away on replay). An empty frame, or an ERR whose
-// text is cut, is an error like a frame of another kind.
-func expect(msg []uint64, kind uint64) (dec *words.Decoder, err error) {
+// expect sets dec, the caller's, to read msg past its kind word and
+// demands the given kind, surfacing a worker's ERR as a *WorkerError
+// (fatal: a deterministic engine failure will not go away on replay). An
+// empty frame, or an ERR whose text is cut, is an error like a frame of
+// another kind.
+func expect(dec *words.Decoder, msg []uint64, kind uint64) (err error) {
 	if len(msg) == 0 {
-		return nil, fmt.Errorf("cluster: expected %s, got an empty frame", msgName(kind))
+		return fmt.Errorf("cluster: expected %s, got an empty frame", msgName(kind))
 	}
-	dec = words.NewDecoder(msg)
+	dec.Reset(msg, nil)
 	got := dec.Uint()
 	if got == msgErr {
 		defer func() {
@@ -479,10 +496,10 @@ func expect(msg []uint64, kind uint64) (dec *words.Decoder, err error) {
 				err = fmt.Errorf("cluster: expected %s, got a malformed ERR frame: %v", msgName(kind), r)
 			}
 		}()
-		return nil, &WorkerError{Node: -1, Msg: getString(dec)}
+		return &WorkerError{Node: -1, Msg: getString(dec)}
 	}
 	if got != kind {
-		return nil, fmt.Errorf("cluster: expected %s, got %s", msgName(kind), msgName(got))
+		return fmt.Errorf("cluster: expected %s, got %s", msgName(kind), msgName(got))
 	}
-	return dec, nil
+	return nil
 }

@@ -16,31 +16,27 @@ import (
 // and Setup read, by reply kind.
 var replyDecoders = map[uint64]func(*words.Decoder) error{
 	msgComputeOut: func(dec *words.Decoder) error {
-		_, err := decodeReply(3, msgComputeOut, dec, decodeComputeOut)
-		return err
+		return decodeReply(3, msgComputeOut, dec, func(dec *words.Decoder) { decodeComputeOut(dec, new(core.BatchOut)) })
 	},
 	msgSumOut: func(dec *words.Decoder) error {
-		_, err := decodeReply(3, msgSumOut, dec, decodeSumOut)
-		return err
+		return decodeReply(3, msgSumOut, dec, func(dec *words.Decoder) { decodeSumOut(dec) })
 	},
 	msgFinalOut: func(dec *words.Decoder) error {
-		_, err := decodeReply(3, msgFinalOut, dec, core.DecodeNodeReport)
-		return err
+		return decodeReply(3, msgFinalOut, dec, func(dec *words.Decoder) { core.DecodeNodeReport(dec) })
 	},
 	msgSetupOut: func(dec *words.Decoder) error {
-		_, err := decodeReply(3, msgSetupOut, dec, core.DecodeDiskStats)
-		return err
+		return decodeReply(3, msgSetupOut, dec, func(dec *words.Decoder) { core.DecodeDiskStats(dec) })
 	},
 }
 
 // decodeFrame decodes a reply frame of the given kind as worker 3's.
 func decodeFrame(t *testing.T, kind uint64, frame []uint64) error {
 	t.Helper()
-	dec, err := expect(frame, kind)
-	if err != nil {
+	var dec words.Decoder
+	if err := expect(&dec, frame, kind); err != nil {
 		t.Fatalf("%s: %v", msgName(kind), err)
 	}
-	return replyDecoders[kind](dec)
+	return replyDecoders[kind](&dec)
 }
 
 // TestMalformedReplies: a worker's reply that ends early, or whose
@@ -114,10 +110,7 @@ func TestCutRepliesAreErrors(t *testing.T) {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		dec, err := expect(frame, msgWelcomeOut)
-		if err == nil {
-			_, err = decodeReply(3, msgWelcomeOut, dec, decodeWelcomeOut)
-		}
+		_, err = readWelcomeOut(3, frame)
 		return err
 	}
 	if err := read(welcome); err != nil {

@@ -76,8 +76,8 @@ func TestWorkerRefusesMalformedRequests(t *testing.T) {
 	refused("empty frame", nil, "empty request frame")
 	for kind, rf := range requestFrames() {
 		name := msgName(kind)
-		r, err := decodeRequest(rf.frame)
-		if err != nil || r.kind != kind {
+		var r request
+		if err := decodeRequest(rf.frame, &r); err != nil || r.kind != kind {
 			t.Fatalf("%s: the whole request decodes as %s: %v", name, msgName(r.kind), err)
 		}
 		for n := 1; n < len(rf.frame); n++ {
@@ -154,7 +154,7 @@ func FuzzWorkerRequest(f *testing.F) {
 		if len(resp) == 0 {
 			t.Fatalf("empty reply to %v", msg)
 		}
-		if _, err := decodeRequest(msg); err != nil {
+		if err := decodeRequest(msg, new(request)); err != nil {
 			if _, isErr := errReply(resp); !isErr {
 				t.Fatalf("malformed request %v (%v) answered with kind %d", msg, err, resp[0])
 			}

@@ -40,6 +40,14 @@ func (e *LostError) Error() string {
 // from 1; the receiver requires each to be one past the last. A
 // fault.NetPlan's Deaths silence this endpoint's own writes from a
 // given sequence number on, which is how tests kill a link.
+//
+// A received payload is the link's memory: it is valid until the next
+// Recv on the link returns, which hands it back for the reader to fill
+// again. The link keeps two payloads, one the receiver holds and one the
+// reader fills, which is all a lockstep protocol needs — at most one
+// DATA frame is in flight in each direction — so a warm link receives
+// without allocating (DESIGN.md §19). Recv is never called concurrently
+// on one link; Send may be, with itself and with Recv.
 type Link struct {
 	conn    net.Conn
 	wmu     sync.Mutex // serializes whole-frame writes (protocol, pings, pongs)
@@ -56,7 +64,13 @@ type Link struct {
 	lastRecv   atomic.Int64 // UnixNano of the last intact frame read
 	pingSeq    uint64       // heartbeat goroutine only
 
-	in      chan []uint64
+	in   chan []uint64 // DATA payloads, from the reader to Recv
+	free chan []uint64 // payloads Recv has handed back, for the reader to fill
+	// Recv's own: the payload it last returned (when holding) and its
+	// deadline's timer, re-armed at every call.
+	held    []uint64
+	holding bool
+	timer   *time.Timer
 	done    chan struct{}
 	errOnce sync.Once
 	err     error
@@ -127,8 +141,11 @@ func NewLink(conn net.Conn, cfg LinkConfig) *Link {
 		// The protocol is lockstep: at most one message is in flight in
 		// each direction, so one slot lets the reader run a frame ahead.
 		in:   make(chan []uint64, 1),
+		free: make(chan []uint64, 2),
 		done: make(chan struct{}),
 	}
+	l.free <- nil // the two payloads, grown to their frames as they come
+	l.free <- nil
 	l.peer.Store(int64(cfg.Peer))
 	l.epoch.Store(int64(cfg.Epoch))
 	if l.hbInterval > 0 && l.hbTimeout <= 0 {
@@ -196,14 +213,25 @@ var errSequence = errors.New("cluster: data frame out of sequence")
 // readLoop is the connection's only reader. Keep-alives are answered
 // here; a DATA frame goes to Recv; any error — a checksum mismatch
 // included — ends the link. Frames are read through a fixed chunk the
-// loop owns; each one's payload is a fresh allocation that the receiver
-// then owns outright (a decoded BlockBatch aliases it).
+// loop owns, into a payload Recv has handed back (waiting for one if
+// the receiver holds both), which goes to Recv with the frame when it
+// is DATA and is kept for the next frame otherwise.
 func (l *Link) readLoop() {
 	br := bufio.NewReaderSize(l.conn, 1<<16)
 	chunk := make([]byte, frameChunkBytes)
 	var recvSeq uint64
+	var buf []uint64
+	taken := false
 	for {
-		f, err := readFrame(br, chunk)
+		if !taken {
+			select {
+			case buf = <-l.free:
+				taken = true
+			case <-l.done:
+				return
+			}
+		}
+		f, err := readFrame(br, chunk, buf)
 		if err == errChecksum {
 			add(l.checksumRejects, 1)
 		}
@@ -226,6 +254,7 @@ func (l *Link) readLoop() {
 			return
 		}
 		recvSeq = f.seq
+		taken = false
 		select {
 		case l.in <- f.payload:
 		case <-l.done:
@@ -233,6 +262,15 @@ func (l *Link) readLoop() {
 		}
 	}
 }
+
+// poisonRecycled, under test, makes Recv stamp every payload it takes
+// back with recycledCanary before the reader may fill it again, so that
+// a receiver that read a payload past its lifetime sees the canary
+// instead of its message.
+var poisonRecycled atomic.Bool
+
+// recycledCanary is the word a payload taken back is stamped with.
+const recycledCanary = 0xDEADC0DEDEADC0DE
 
 // fail ends the link with err, the first time only, and closes the
 // connection, so every blocked goroutine at both ends wakes.
@@ -307,20 +345,52 @@ func (l *Link) Send(msg []uint64) error {
 }
 
 // Recv waits up to timeout for the next message; timeout <= 0 waits
-// forever.
+// forever. The message is valid until the next Recv returns, which
+// hands its memory back to the link (see Link).
 func (l *Link) Recv(timeout time.Duration) ([]uint64, error) {
-	var expire <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		expire = timer.C
+	if timeout <= 0 {
+		return l.recv(nil, time.Time{}, timeout)
 	}
-	select {
-	case msg := <-l.in:
-		return msg, nil
-	case <-expire:
-		return nil, fmt.Errorf("cluster: no message from peer %d within %v", l.peerID(), timeout)
-	case <-l.done:
-		return nil, l.err
+	deadline := time.Now().Add(timeout)
+	if l.timer == nil {
+		l.timer = time.NewTimer(timeout)
+	} else {
+		l.timer.Reset(timeout)
 	}
+	msg, err := l.recv(l.timer.C, deadline, timeout)
+	l.timer.Stop()
+	return msg, err
+}
+
+// recv is Recv's wait, which expire, when not nil, ends at deadline.
+func (l *Link) recv(expire <-chan time.Time, deadline time.Time, timeout time.Duration) ([]uint64, error) {
+	for {
+		select {
+		case msg := <-l.in:
+			if l.holding {
+				l.recycle(l.held)
+			}
+			l.held, l.holding = msg, true
+			return msg, nil
+		case now := <-expire:
+			if now.Before(deadline) {
+				continue // the tick of an earlier call's timer, which fired as it was stopped
+			}
+			return nil, fmt.Errorf("cluster: no message from peer %d within %v", l.peerID(), timeout)
+		case <-l.done:
+			return nil, l.err
+		}
+	}
+}
+
+// recycle hands a payload the receiver is done with back to the reader.
+// The link holds two, so there is always room for it.
+func (l *Link) recycle(p []uint64) {
+	if poisonRecycled.Load() {
+		p = p[:cap(p)]
+		for i := range p {
+			p[i] = recycledCanary
+		}
+	}
+	l.free <- p
 }

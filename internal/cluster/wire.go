@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The frame is the unit a link writes and reads:
@@ -104,9 +105,9 @@ func streamFrame(w io.Writer, chunk []byte, kind byte, seq uint64, payload []uin
 var errChecksum = fmt.Errorf("cluster: frame checksum mismatch")
 
 // readFrame reads one frame through chunk, decoding its payload straight
-// into the one allocation it makes. A checksum failure returns
-// errChecksum with the whole frame consumed.
-func readFrame(r io.Reader, chunk []byte) (frame, error) {
+// into buf's memory, which grows when it is too small. A checksum
+// failure returns errChecksum with the whole frame consumed.
+func readFrame(r io.Reader, chunk []byte, buf []uint64) (frame, error) {
 	hdr := chunk[:frameHeaderBytes]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frame{}, err
@@ -119,7 +120,7 @@ func readFrame(r io.Reader, chunk []byte) (frame, error) {
 	if f.kind != frameData && f.kind != framePing && f.kind != framePong {
 		return frame{}, fmt.Errorf("cluster: unknown frame kind 0x%02x", f.kind)
 	}
-	f.payload = make([]uint64, n)
+	f.payload = slices.Grow(buf[:0], int(n))[:n]
 	h, sum := frameHash(f.kind, f.seq), uint64(0)
 	for i := 0; i <= len(f.payload); {
 		b := chunk[:8*min(len(chunk)/8, len(f.payload)+1-i)]

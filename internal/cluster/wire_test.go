@@ -77,7 +77,7 @@ func TestFrameRoundtrip(t *testing.T) {
 				t.Fatalf("%d-word frame: a write of %d bytes, past the %d-byte chunk", len(f.payload), n, frameChunkBytes)
 			}
 		}
-		got, err := readFrame(bytes.NewReader(w.Bytes()), chunk)
+		got, err := readFrame(bytes.NewReader(w.Bytes()), chunk, nil)
 		if err != nil {
 			t.Fatalf("readFrame(%d words): %v", len(f.payload), err)
 		}
@@ -127,10 +127,10 @@ func TestFrameChecksumRejectKeepsAlignment(t *testing.T) {
 		stream := frameBytes(t, frame{kind: frameData, seq: 8, payload: payloadOf(n)}, good)
 		stream[tc.at] ^= 0xff
 		r, chunk := bytes.NewReader(stream), make([]byte, frameChunkBytes)
-		if _, err := readFrame(r, chunk); err != errChecksum {
+		if _, err := readFrame(r, chunk, nil); err != errChecksum {
 			t.Fatalf("%s corrupted: got err %v, want errChecksum", tc.region, err)
 		}
-		got, err := readFrame(r, chunk)
+		got, err := readFrame(r, chunk, nil)
 		if err != nil {
 			t.Fatalf("%s corrupted: frame after it: %v", tc.region, err)
 		}
@@ -144,7 +144,7 @@ func TestFrameOversizeRejected(t *testing.T) {
 	buf := frameBytes(t, frame{kind: frameData, seq: 1, payload: []uint64{1}})
 	// Forge an absurd payload length in the header.
 	buf[0], buf[1], buf[2], buf[3] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := readFrame(bytes.NewReader(buf), make([]byte, frameChunkBytes)); err == nil || err == errChecksum {
+	if _, err := readFrame(bytes.NewReader(buf), make([]byte, frameChunkBytes), nil); err == nil || err == errChecksum {
 		t.Fatalf("oversize frame: got %v, want hard error", err)
 	}
 }
@@ -169,7 +169,7 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 		r := bytes.NewReader(data)
-		got, err := readFrame(r, make([]byte, 24))
+		got, err := readFrame(r, make([]byte, 24), nil)
 		if err != nil {
 			return
 		}
@@ -302,7 +302,7 @@ func TestServeByeRaceIsCleanShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expect(bye, msgBye); err != nil {
+	if err := expect(new(words.Decoder), bye, msgBye); err != nil {
 		t.Fatal(err)
 	}
 	coord.Close()

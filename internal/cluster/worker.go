@@ -44,7 +44,12 @@ type Worker struct {
 	Probe func(phase string, step int)
 
 	engine *core.NodeEngine
-	enc    words.Encoder // every reply but the handshake's, reused once Send returns
+	// fresh: the engine was opened fresh in this process — no journal
+	// was found — and has served nothing since, so it is already what a
+	// RESET would make of it.
+	fresh bool
+	enc   words.Encoder // every reply but the handshake's, reused once Send returns
+	req   request       // the request being served, decoded into memory it reuses
 }
 
 func (w *Worker) probe(phase string, step int) {
@@ -67,7 +72,7 @@ func (w *Worker) Open() error {
 	if err != nil {
 		return err
 	}
-	w.engine = eng
+	w.engine, w.fresh = eng, !resume
 	return nil
 }
 
@@ -77,13 +82,17 @@ func (w *Worker) Close() error {
 		return nil
 	}
 	err := w.engine.Close()
-	w.engine = nil
+	w.engine, w.fresh = nil, false
 	return err
 }
 
 // reset wipes the node's state directory and reopens fresh — the
-// coordinator's verdict when no barrier has ever committed.
+// coordinator's verdict when no barrier has ever committed — unless the
+// engine is fresh already: a fresh run opens every node once.
 func (w *Worker) reset() error {
+	if w.fresh {
+		return nil
+	}
 	if w.engine != nil {
 		w.engine.Close()
 		w.engine = nil
@@ -168,7 +177,8 @@ func (w *Worker) Serve(link *Link) error {
 }
 
 // request is a coordinator's request, decoded: the fields its kind
-// carries.
+// carries. A request is decoded into the last one's memory: its decoder
+// and its list of batches.
 type request struct {
 	kind    uint64
 	nonce   []uint64           // CHALLENGE
@@ -179,19 +189,22 @@ type request struct {
 	j, step int                // COMPUTE and WRITE; STEP_BEGIN's and PREPARE's step
 	halted  bool               // PREPARE
 	in      []core.BlockBatch  // WRITE: one batch per source, aliasing the frame
+	dec     words.Decoder
 }
 
-// decodeRequest decodes a request frame under decodeUntrusted, so that a
-// frame too short for its kind, a count it does not hold, an array of
-// the wrong number of fields, damaged block metadata or words past the
-// last field is an error, not a panic.
-func decodeRequest(msg []uint64) (r request, err error) {
+// decodeRequest decodes a request frame into r under decodeUntrusted, so
+// that a frame too short for its kind, a count it does not hold, an
+// array of the wrong number of fields, damaged block metadata or words
+// past the last field is an error, not a panic.
+func decodeRequest(msg []uint64, r *request) (err error) {
+	*r = request{in: r.in[:0], dec: r.dec}
 	if len(msg) == 0 {
-		return r, errors.New("cluster: empty request frame")
+		return errors.New("cluster: empty request frame")
 	}
 	r.kind = msg[0]
 	var snapErr error
-	err = decodeUntrusted(msg, r.kind, func(dec *words.Decoder) {
+	err = decodeUntrusted(&r.dec, msg, r.kind, func(dec *words.Decoder) {
+		var f [2]int64
 		switch r.kind {
 		case msgChallenge:
 			r.nonce = dec.Uints()
@@ -203,15 +216,16 @@ func decodeRequest(msg []uint64) (r request, err error) {
 		case msgSetup:
 			r.repl = decodeReplReq(dec)
 		case msgStepBegin:
-			r.step = int(fields(dec, 1)[0])
+			fields(dec, f[:1])
+			r.step = int(f[0])
 		case msgCompute, msgWrite:
-			f := fields(dec, 2)
+			fields(dec, f[:])
 			r.j, r.step = int(f[0]), int(f[1])
 			if r.kind == msgWrite {
-				r.in = decodeBatches(dec)
+				r.in = decodeBatches(dec, r.in)
 			}
 		case msgPrepare:
-			f := fields(dec, 2)
+			fields(dec, f[:])
 			r.step, r.halted = int(f[0]), f[1] != 0
 			r.repl = decodeReplReq(dec)
 		}
@@ -222,17 +236,7 @@ func decodeRequest(msg []uint64) (r request, err error) {
 	if err == nil && snapErr != nil {
 		err = fmt.Errorf("cluster: malformed %s frame: %w", msgName(r.kind), snapErr)
 	}
-	return r, err
-}
-
-// fields reads an array of exactly n integers; any other count panics,
-// as a truncated frame does.
-func fields(dec *words.Decoder, n int) []int64 {
-	f := dec.Ints()
-	if len(f) != n {
-		panic(fmt.Sprintf("%d fields, want %d", len(f), n))
-	}
-	return f
+	return err
 }
 
 // handle performs one request and builds the response. A request that
@@ -241,9 +245,12 @@ func fields(dec *words.Decoder, n int) []int64 {
 func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 	enc := &w.enc
 	fail := func(err error) ([]uint64, bool) { return encodeErr(enc, err), false }
-	r, err := decodeRequest(msg)
-	if err != nil {
+	r := &w.req
+	if err := decodeRequest(msg, r); err != nil {
 		return fail(err)
+	}
+	if r.kind != msgReset {
+		w.fresh = false // whatever it does, the engine has served it
 	}
 	if w.engine == nil {
 		// A parked spare can only authenticate, adopt a node, or leave.
@@ -354,8 +361,14 @@ func (w *Worker) handle(msg []uint64) (resp []uint64, done bool) {
 
 // Run dials the coordinator and serves; with redial true it keeps
 // reconnecting (with backoff) after connection loss until SHUTDOWN,
-// which is the join-mode worker's whole life cycle.
-func (w *Worker) Run(addr string, redial bool, lc LinkConfig) error {
+// which is the join-mode worker's whole life cycle. It closes the
+// engine when it returns.
+func (w *Worker) Run(addr string, redial bool, lc LinkConfig) (err error) {
+	defer func() {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	incarnation := lc.Epoch
 	for attempt := 0; ; attempt++ {
 		conn, err := net.Dial("tcp", addr)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
@@ -115,11 +116,17 @@ func (b BlockBatch) Encode(enc *words.Encoder) {
 // DecodeBlockBatch reads a batch encoded by Encode. Its images are
 // capacity-limited views of dec's buffer, not copies (see BlockBatch).
 func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
+	var b BlockBatch
+	b.Decode(dec)
+	return b
+}
+
+// Decode reads a batch encoded by Encode into b, whose block list it
+// reuses, as DecodeBlockBatch does.
+func (b *BlockBatch) Decode(dec *words.Decoder) {
 	n := wireCount(dec, blockMetaWords+1, "block")
-	if n == 0 {
-		return BlockBatch{}
-	}
-	blocks := make([]wireBlock, n)
+	b.blocks = slices.Grow(b.blocks[:0], n)[:n]
+	blocks := b.blocks
 	for i := range blocks {
 		if dec.Int() != blockMetaWords-1 {
 			panic("core: corrupt block metadata")
@@ -128,7 +135,6 @@ func DecodeBlockBatch(dec *words.Decoder) BlockBatch {
 		m.dst, m.src, m.seq, m.chunk = int(dec.Int()), int(dec.Int()), int(dec.Int()), int(dec.Int())
 		blocks[i].img = dec.UintsView()
 	}
-	return BlockBatch{blocks: blocks}
 }
 
 // EncodeTraffic / DecodeTraffic are the wire form of VP traffic
@@ -154,12 +160,11 @@ const trafficWords = 7
 // records.
 func SizeTraffic(n int) int { return 1 + n*trafficWords }
 
-func DecodeTraffic(dec *words.Decoder) []bsp.VPTraffic {
+// DecodeTraffic decodes into ts's memory, which grows when it is too
+// small, and returns it.
+func DecodeTraffic(dec *words.Decoder, ts []bsp.VPTraffic) []bsp.VPTraffic {
 	n := wireCount(dec, trafficWords, "traffic")
-	if n == 0 {
-		return nil
-	}
-	ts := make([]bsp.VPTraffic, n)
+	ts = slices.Grow(ts[:0], n)[:n]
 	for i := range ts {
 		if dec.Int() != trafficWords-1 {
 			panic("core: corrupt traffic record")

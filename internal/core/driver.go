@@ -293,11 +293,11 @@ func (l *ledger) encode(enc *words.Encoder) {
 	encodeStats(enc, l.setup)
 	enc.PutFloat(l.ioTime)
 	enc.PutFloat(l.commTime)
-	counts := []int64{l.commPkts, l.commWords}
 	if l.procs != nil {
-		counts = append(counts, l.replays, l.recoveryOps)
+		enc.PutInts([]int64{l.commPkts, l.commWords, l.replays, l.recoveryOps})
+	} else {
+		enc.PutInts([]int64{l.commPkts, l.commWords})
 	}
-	enc.PutInts(counts)
 	encodeRecSteps(enc, l.sh.rec.Steps())
 	if l.procs != nil {
 		l.procs(enc)
@@ -356,6 +356,7 @@ func (l *ledger) assemble(reports []*NodeReport) (*Result, error) {
 		RecoveryOps:    l.recoveryOps,
 	}
 	vps := make([]bsp.VP, sh.v)
+	dec := new(words.Decoder) // no arena: the VPs go to the Result with what they decode
 	for i, r := range reports {
 		em.PerProc[i] = r.RunStats
 		em.Run.Add(r.RunStats)
@@ -371,7 +372,8 @@ func (l *ledger) assemble(reports []*NodeReport) (*Result, error) {
 		copy(vps[r.Lo:], r.vps)
 		for idx, ctx := range r.Ctx {
 			vp := sh.p.NewVP(r.Lo + idx)
-			if err := bsp.SafeLoad(vp, words.NewDecoder(ctx), r.Lo+idx, l.stepsDone); err != nil {
+			dec.Reset(ctx, nil)
+			if err := bsp.SafeLoad(vp, dec, r.Lo+idx, l.stepsDone); err != nil {
 				return nil, err
 			}
 			vps[r.Lo+idx] = vp

@@ -278,14 +278,12 @@ func encodeDirectory(enc *words.Encoder, dir *outDirectory) {
 		return
 	}
 	enc.PutInt(int64(len(dir.q)))
-	var tracks []int64
 	for _, perDrive := range dir.q {
 		for _, refs := range perDrive {
-			tracks = tracks[:0]
+			enc.PutInt(int64(len(refs))) // the form of PutInts
 			for _, ref := range refs {
-				tracks = append(tracks, int64(ref.track))
+				enc.PutInt(int64(ref.track))
 			}
-			enc.PutInts(tracks)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"embsp/internal/mem"
 	"embsp/internal/obs"
 	"embsp/internal/prng"
-	"embsp/internal/words"
 )
 
 // This file is the step machine: every phase of the compound superstep
@@ -100,6 +99,7 @@ type procState struct {
 	down     func(d int) bool // the fault layer's dead drives; nil without one
 	ctxDir   [][]disk.Addr    // the context directory: per batch, the tracks its committed contexts fill, in block order
 	ctxWrite [][]disk.Addr    // the generation being written: ctxDir itself, but a checkpointed superstep's own until it commits
+	ctxGens  [2][][]disk.Addr // under the checkpoint discipline, the two tables ctxDir and ctxWrite take in turn
 	inDir    *outDirectory    // the input's blocks where their writer left them, per batch; nil before the first superstep
 	held     int              // the turnaround batch, whose packed records ctx holds until the next round 0 loads them; -1: none
 	heldLen  int              // the words of those records
@@ -167,7 +167,7 @@ func (ps *procState) heldGrab() int64 {
 
 // stepOps returns the parallel I/O operations consumed since beginStep,
 // or since the set-up attempt began.
-func (ps *procState) stepOps() int64 { return ps.chain.Stats().Ops - ps.opsMark }
+func (ps *procState) stepOps() int64 { return ps.ops() - ps.opsMark }
 
 // simShape is the derived shape of a run — everything that follows
 // deterministically from (program, machine config, options) — plus the
@@ -305,6 +305,9 @@ func (sh *simShape) newProcState(i int, dir string, resume bool) (*procState, er
 	// committed).
 	ps.ckptOn = dir != "" || ps.down != nil
 	ps.ctxWrite = ps.ctxDir
+	if ps.ckptOn {
+		ps.ctxGens = [2][][]disk.Addr{ps.ctxDir, make([][]disk.Addr, sh.batches)}
+	}
 	ps.batchOf, ps.emitFn, ps.rec = sh.batchOf, ps.emit, sh.rec
 	return ps, nil
 }
@@ -485,7 +488,7 @@ func (sh *simShape) writeInitialContexts(ps *procState) error {
 	// A held batch's records are written over: their blocks start the grab.
 	grab := ps.heldGrab()
 	ps.held = -1
-	ps.opsMark = ps.chain.Stats().Ops // a rolled-back attempt charges its own operations
+	ps.opsMark = ps.ops() // a rolled-back attempt charges its own operations
 	if err := ps.acct.Grab(sh.opWords()); err != nil {
 		return err
 	}
@@ -544,7 +547,9 @@ func (sh *simShape) finalReport(ps *procState, step int, load bool) (*NodeReport
 			}
 			vp := sh.p.NewVP(id)
 			r.vps[id-ps.lo] = vp
-			return bsp.SafeLoad(vp, words.NewDecoder(ctx), id, step)
+			// No arena: the VPs go to the Result with what they decode.
+			ps.dec.Reset(ctx, nil)
+			return bsp.SafeLoad(vp, &ps.dec, id, step)
 		})
 		ps.acct.Release(in.ctxGrab)
 		if err != nil {
@@ -589,9 +594,9 @@ func (sh *simShape) beginStep(ps *procState, step int) {
 		ps.spare.reset()
 	}
 	ps.dir = ps.spare
-	ps.opsMark = ps.chain.Stats().Ops
+	ps.opsMark = ps.ops()
 	if ps.ckptOn {
-		ps.ctxWrite = make([][]disk.Addr, sh.batches)
+		ps.nextGeneration()
 	}
 	ps.writer.init(ps.chain, ps.dir, ps.ctxWrite, ps.batchOf, ps.rng, sh.opts.Deterministic, ps.down, &ps.stepBufs)
 	for j := range ps.ctxDir {
@@ -600,6 +605,31 @@ func (sh *simShape) beginStep(ps *procState, step int) {
 		}
 	}
 	ps.pack.reset(sh, ps.lo, ps.acct, &ps.stepBufs)
+}
+
+// nextGeneration makes ctxWrite, under the checkpoint discipline, the
+// table ctxDir is not: the generation before the committed one, whose
+// tracks the commit released — or an aborted attempt's, which wrote to
+// tracks the rollback freed. Its lists keep their memory for the
+// superstep's saves to fill, but for a batch the committed generation
+// carried over from it, whose list is the committed one's.
+func (ps *procState) nextGeneration() {
+	ps.ctxWrite = ps.ctxGens[0]
+	if len(ps.ctxDir) > 0 && &ps.ctxWrite[0] == &ps.ctxDir[0] {
+		ps.ctxWrite = ps.ctxGens[1]
+	}
+	for j, tracks := range ps.ctxWrite {
+		if sameMemory(tracks, ps.ctxDir[j]) {
+			tracks = nil
+		}
+		ps.ctxWrite[j] = tracks[:0]
+	}
+}
+
+// sameMemory reports whether two lists end their capacity at the same
+// element: one list, cut differently.
+func sameMemory(a, b []disk.Addr) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // batchIn is what one batch's fetch read: its incoming message blocks —

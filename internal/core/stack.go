@@ -21,6 +21,10 @@ import (
 // never per block.
 type storeStack struct {
 	chain disk.Store
+	// The chain's statistics and state as ops and encodeState last read
+	// them, in memory they reuse.
+	stats disk.Stats
+	state disk.StoreState
 }
 
 // openStack builds processor pid's chain: file-backed under dir, or
@@ -68,7 +72,13 @@ func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, 
 		}
 		chain = fd
 	}
-	return storeStack{chain}, nil
+	return storeStack{chain: chain}, nil
+}
+
+// ops returns the operations the chain has performed.
+func (s *storeStack) ops() int64 {
+	s.chain.StatsInto(&s.stats)
+	return s.stats.Ops
 }
 
 // durable reports whether the chain ends in drive files rather than in
@@ -102,19 +112,19 @@ func (s storeStack) seal() {
 // commit, so the manifest always captures a parity-consistent state.
 // Returns the I/O operations consumed, so a multiprocessor driver can
 // charge the slowest processor's share.
-func (s storeStack) parityBarrier(tr *obs.Tracer, pid int) (int64, error) {
+func (s *storeStack) parityBarrier(tr *obs.Tracer, pid int) (int64, error) {
 	red := disk.Find[*redundancy.Store](s.chain)
 	if red == nil {
 		return 0, nil
 	}
-	before := s.chain.Stats().Ops
+	before := s.ops()
 	sp := tr.Begin(obs.CatEngine, phParity, pid, 0)
 	err := red.FlushParity()
 	sp.End()
 	if err != nil {
 		return 0, err
 	}
-	return s.chain.Stats().Ops - before, nil
+	return s.ops() - before, nil
 }
 
 // reconcile runs after a resume adopted the manifest: a crashed attempt
@@ -130,8 +140,9 @@ func (s storeStack) reconcile() error {
 
 // encodeState appends the chain's journaled state: the store's
 // StoreState, then each optional layer behind a presence flag.
-func (s storeStack) encodeState(enc *words.Encoder) {
-	encodeStoreState(enc, s.chain.State())
+func (s *storeStack) encodeState(enc *words.Encoder) {
+	s.chain.StateInto(&s.state)
+	encodeStoreState(enc, s.state)
 	fd, red := disk.Find[*fault.Disk](s.chain), disk.Find[*redundancy.Store](s.chain)
 	enc.PutBool(fd != nil)
 	if fd != nil {

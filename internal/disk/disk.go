@@ -241,6 +241,8 @@ type Store interface {
 	Release(d, t int) error
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
+	// StatsInto is Stats into s's memory, its per-drive table reused.
+	StatsInto(s *Stats)
 	// ResetStats zeroes the model statistics. The file store's
 	// wall-clock overlap counters (File.Overlap) stay untouched: they
 	// are outside the model contract and mid-run model resets must not
@@ -252,6 +254,11 @@ type Store interface {
 	// defines the store exactly; the engines journal it at every
 	// barrier commit.
 	State() StoreState
+	// StateInto is State into s's memory, whose tables and lists it
+	// reuses: the engines capture the state at every barrier, and a
+	// capture into the same s allocates nothing once it has held the
+	// largest. Its Fresh is nil, as State's, when no drive has one.
+	StateInto(s *StoreState)
 	// AdoptState replaces the store's metadata with a previously
 	// captured State — the resume path's inverse of State. The state
 	// comes from a journal or over the wire, so it is validated in full

@@ -88,6 +88,64 @@ type File struct {
 	needSync []bool  // drives with bytes landed since their last completed fsync
 	wepoch   []int64 // bumped per byte-landing; guards needSync against racing writes
 	st       *stage  // the staging cache; workers only under emulated latency
+	fsyncs   fsyncers
+}
+
+// fsyncers fsync a file store's marked drives at once, one goroutine a
+// drive, started by the first Sync and ended by Close, so that a barrier
+// starts no goroutine and allocates nothing. mu serializes Syncs, which
+// share the per-drive epochs and errors; a drive's goroutine fsyncs it at
+// every send on its wake channel and answers on done.
+type fsyncers struct {
+	mu     sync.Mutex
+	wake   []chan struct{}
+	done   chan struct{}
+	epochs []int64
+	errs   []error
+	wg     sync.WaitGroup // the goroutines, until they exit
+}
+
+// startFsyncers launches the drives' goroutines, once.
+func (f *File) startFsyncers() {
+	fs := &f.fsyncs
+	if fs.wake != nil {
+		return
+	}
+	D := f.cfg.D
+	fs.wake, fs.done = make([]chan struct{}, D), make(chan struct{}, D)
+	fs.epochs, fs.errs = make([]int64, D), make([]error, D)
+	fs.wg.Add(D)
+	for d := range fs.wake {
+		fs.wake[d] = make(chan struct{})
+		go f.fsyncer(d, fs.wake[d])
+	}
+}
+
+// fsyncer is drive d's goroutine, woken on wake.
+func (f *File) fsyncer(d int, wake <-chan struct{}) {
+	fs := &f.fsyncs
+	defer fs.wg.Done()
+	for range wake {
+		f.st.xfer.begin()
+		sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
+		fs.errs[d] = f.files[d].Sync()
+		sp.End()
+		f.st.xfer.end()
+		fs.done <- struct{}{}
+	}
+}
+
+// stopFsyncers ends the drives' goroutines, with no Sync in flight, and
+// returns once they have exited.
+func (f *File) stopFsyncers() {
+	fs := &f.fsyncs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, w := range fs.wake {
+		close(w)
+	}
+	fs.wake = nil
+	fs.wg.Wait()
 }
 
 // FileOptions tunes the physical I/O engine of a file-backed store.
@@ -550,6 +608,10 @@ func (f *File) Sync() error {
 		}
 	}()
 	f.st.drain()
+	fs := &f.fsyncs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f.startFsyncers()
 	// Snapshot which drives need an fsync and at which write epoch;
 	// after the fsyncs, clear only marks whose epoch is unchanged (a
 	// racing writer's bytes stay marked for the next Sync).
@@ -558,31 +620,24 @@ func (f *File) Sync() error {
 		f.mu.Unlock()
 		return err
 	}
-	epochs := make([]int64, f.cfg.D)
+	epochs, errs := fs.epochs, fs.errs
 	for d := range epochs {
-		epochs[d] = -1
+		epochs[d], errs[d] = -1, nil
 		if f.files[d] != nil && f.needSync[d] {
 			epochs[d] = f.wepoch[d]
 		}
 	}
 	f.mu.Unlock()
-	errs := make([]error, f.cfg.D)
-	var wg sync.WaitGroup
+	n := 0
 	for d := range epochs {
-		if epochs[d] < 0 {
-			continue
+		if epochs[d] >= 0 {
+			fs.wake[d] <- struct{}{}
+			n++
 		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			f.st.xfer.begin()
-			defer f.st.xfer.end()
-			sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
-			errs[d] = f.files[d].Sync()
-			sp.End()
-		}(d)
 	}
-	wg.Wait()
+	for ; n > 0; n-- {
+		<-fs.done
+	}
 	f.mu.Lock()
 	for d := range epochs {
 		if epochs[d] >= 0 && errs[d] == nil && f.wepoch[d] == epochs[d] {
@@ -601,6 +656,7 @@ func (f *File) Sync() error {
 // Close stops the I/O workers — queued writes land first — and closes
 // every drive file.
 func (f *File) Close() error {
+	f.stopFsyncers()
 	f.st.stop()
 	f.mu.Lock()
 	first := f.st.werr

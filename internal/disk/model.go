@@ -116,13 +116,18 @@ func (a *account) chargeWriteOp(n int) {
 }
 
 func (a *account) snapshot() Stats {
-	s := a.stats
-	s.PerDrive = append([]DriveStats(nil), a.stats.PerDrive...)
+	var s Stats
+	a.statsInto(&s)
 	return s
 }
 
-// chain returns a copy of the per-drive access chain.
-func (a *account) chain() []int { return append([]int(nil), a.lastTrack...) }
+// statsInto copies the statistics into s, its per-drive table into the
+// memory s holds.
+func (a *account) statsInto(s *Stats) {
+	per := s.PerDrive
+	*s = a.stats
+	s.PerDrive = append(per[:0], a.stats.PerDrive...)
+}
 
 // reset zeroes the statistics; the access chain is position, not
 // statistics, and stays.
@@ -208,6 +213,13 @@ func (m *model) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.snapshot()
+}
+
+// StatsInto is Stats into s's memory.
+func (m *model) StatsInto(s *Stats) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.statsInto(s)
 }
 
 // ResetStats zeroes the model statistics, e.g. to exclude input
@@ -418,17 +430,17 @@ func (m *model) release(d, t int) error {
 	return nil
 }
 
-// freshLists returns each drive's fresh tracks in ascending order, or
-// nil — allocating nothing — when no drive has one.
-func (m *model) freshLists() [][]int {
-	var out [][]int
+// freshLists returns each drive's fresh tracks in ascending order, in
+// out's memory, or nil — allocating nothing — when no drive has one.
+func (m *model) freshLists(out [][]int) [][]int {
+	have := false
 	for d := range m.drives {
 		dr := &m.drives[d]
 		if len(dr.blank) == len(dr.freeList) && dr.top == dr.next {
 			continue
 		}
-		if out == nil {
-			out = make([][]int, len(m.drives))
+		if !have {
+			out, have = lists(out, len(m.drives)), true
 		}
 		for t, free := range dr.blank {
 			if !free {
@@ -440,7 +452,22 @@ func (m *model) freshLists() [][]int {
 			out[d] = append(out[d], t)
 		}
 	}
+	if !have {
+		return nil
+	}
 	return out
+}
+
+// lists returns n empty lists in ls's memory, each keeping its own.
+func lists(ls [][]int, n int) [][]int {
+	if n > cap(ls) {
+		ls = append(ls[:cap(ls)], make([][]int, n-cap(ls))...)
+	}
+	ls = ls[:n]
+	for i := range ls {
+		ls[i] = ls[i][:0]
+	}
+	return ls
 }
 
 // row returns list d of per-drive lists that may be nil.
@@ -476,14 +503,26 @@ func (dr *drive) load(d, next int, free, fresh []int) error {
 // State captures the store's persistent metadata: statistics, access
 // chains and per-drive allocator state.
 func (m *model) State() StoreState {
+	var s StoreState
+	m.StateInto(&s)
+	return s
+}
+
+// StateInto is State into s's memory: its tables and lists are cut,
+// grown and overwritten, so that a caller that captures every barrier's
+// state into the same s allocates nothing once it has held the largest.
+func (m *model) StateInto(s *StoreState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := StoreState{Stats: m.snapshot(), Next: make([]int, m.cfg.D), Last: m.chain(), Free: make([][]int, m.cfg.D), Fresh: m.freshLists()}
+	m.statsInto(&s.Stats)
+	s.Next = s.Next[:0]
+	s.Last = append(s.Last[:0], m.lastTrack...)
+	s.Free = lists(s.Free, len(m.drives))
 	for d := range m.drives {
-		s.Next[d] = m.drives[d].next
-		s.Free[d] = append([]int(nil), m.drives[d].freeList...)
+		s.Next = append(s.Next, m.drives[d].next)
+		s.Free[d] = append(s.Free[d], m.drives[d].freeList...)
 	}
-	return s
+	s.Fresh = m.freshLists(s.Fresh)
 }
 
 // stateError reports a StoreState that AdoptState refused.

@@ -266,6 +266,9 @@ func (s *stage) enqueue(a Addr, e *entry) { s.queues[a.Disk].push(task{a: a, e: 
 // drain blocks until every transfer queued so far has completed.
 // Called without the lock.
 func (s *stage) drain() {
+	if len(s.queues) == 0 {
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(s.queues))
 	for _, q := range s.queues {

@@ -116,6 +116,13 @@ func (t *Tier) Stats() Stats {
 	return t.acc.snapshot()
 }
 
+// StatsInto is Stats into s's memory.
+func (t *Tier) StatsInto(s *Stats) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.acc.statsInto(s)
+}
+
 // ResetStats zeroes the tier's model statistics and the backend's.
 func (t *Tier) ResetStats() {
 	t.mu.Lock()
@@ -128,11 +135,18 @@ func (t *Tier) ResetStats() {
 // and access chains over the backend's allocator. It is exactly what a
 // flat store's State would hold for the same logical history.
 func (t *Tier) State() StoreState {
-	s := t.inner.State()
+	var s StoreState
+	t.StateInto(&s)
+	return s
+}
+
+// StateInto is State into s's memory.
+func (t *Tier) StateInto(s *StoreState) {
+	t.inner.StateInto(s)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s.Stats, s.Last = t.acc.snapshot(), t.acc.chain()
-	return s
+	t.acc.statsInto(&s.Stats)
+	s.Last = append(s.Last[:0], t.acc.lastTrack...)
 }
 
 // AdoptState adopts a checkpoint into the chain: the full state

@@ -61,9 +61,11 @@ func (e *Error) Error() string {
 // Journal is a one-checkpoint commit log. It is not safe for concurrent
 // use.
 type Journal struct {
-	dir   string
-	count int // committed records
-	torn  bool
+	dir       string
+	wal, prep string   // the committed and the prepared record's files
+	dh        *os.File // dir, opened by the first syncDir and kept until Close
+	count     int      // committed records
+	torn      bool
 
 	// last and pending are a pair of reused buffers, each a record's
 	// checksummed words [seq, n, payload…]: the committed record, and the
@@ -87,19 +89,43 @@ func (j *Journal) SetTracer(tr *obs.Tracer, pid int) {
 func walPath(dir string) string  { return filepath.Join(dir, "journal.wal") }
 func prepPath(dir string) string { return filepath.Join(dir, "journal.prep") }
 
+// newJournal is the journal in dir, its committed record last (count
+// of them).
+func newJournal(dir string, count int, last []uint64) *Journal {
+	return &Journal{dir: dir, wal: walPath(dir), prep: prepPath(dir), count: count, last: last}
+}
+
+// syncDir fsyncs the journal's directory, so that a record file just
+// created, renamed or removed in it survives a crash. The directory
+// stays open for the next one.
+func (j *Journal) syncDir() error {
+	if j.dh == nil {
+		dh, err := os.Open(j.dir)
+		if err != nil {
+			return err
+		}
+		j.dh = dh
+	}
+	return j.dh.Sync()
+}
+
 // Create starts a fresh journal in dir, discarding any previous one.
 func Create(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir}
-	if err := j.writeFile(walPath(dir), nil); err != nil {
+	j := newJournal(dir, 0, nil)
+	if err := j.writeFile(j.wal, nil); err != nil {
 		return nil, err
 	}
-	if err := os.Remove(prepPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := os.Remove(j.prep); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	return j, disk.SyncDir(dir)
+	if err := j.syncDir(); err != nil {
+		j.Close()
+		return nil, err
+	}
+	return j, nil
 }
 
 // Read returns the last committed payload of the journal in dir and the
@@ -155,7 +181,7 @@ func load(dir string) (*Journal, error) {
 		jerr.Path = walPath(dir)
 		return nil, jerr
 	}
-	return &Journal{dir: dir, count: count, last: ws}, nil
+	return newJournal(dir, count, ws), nil
 }
 
 // Open loads an existing journal for resumption: the committed record,
@@ -167,6 +193,7 @@ func Open(dir string) (*Journal, error) {
 		return nil, err
 	}
 	if err := j.dropPrepared(); err != nil {
+		j.Close()
 		return nil, err
 	}
 	return j, nil
@@ -195,6 +222,7 @@ func OpenPrepared(dir string) (*Journal, error) {
 		}
 	}
 	if err := j.dropPrepared(); err != nil {
+		j.Close()
 		return nil, err
 	}
 	return j, nil
@@ -202,7 +230,7 @@ func OpenPrepared(dir string) (*Journal, error) {
 
 // dropPrepared removes an undecided prepared file, if there is one.
 func (j *Journal) dropPrepared() error {
-	err := os.Remove(prepPath(j.dir))
+	err := os.Remove(j.prep)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -210,7 +238,7 @@ func (j *Journal) dropPrepared() error {
 		return err
 	}
 	j.torn = true
-	return disk.SyncDir(j.dir)
+	return j.syncDir()
 }
 
 // parseRecord decodes one framed record, returning its checksummed words
@@ -273,10 +301,10 @@ func (j *Journal) writeFile(path string, ws []uint64) error {
 // stage writes and fsyncs the next record's prepared file.
 func (j *Journal) stage(payload []uint64) error {
 	if j.hasPending {
-		return &Error{Path: prepPath(j.dir), Record: j.count, Reason: "prepare with a record already pending"}
+		return &Error{Path: j.prep, Record: j.count, Reason: "prepare with a record already pending"}
 	}
 	j.pending = append(append(j.pending[:0], uint64(j.count), uint64(len(payload))), payload...)
-	return j.writeFile(prepPath(j.dir), j.pending)
+	return j.writeFile(j.prep, j.pending)
 }
 
 // Append commits one record: its prepared file is written and fsynced,
@@ -302,7 +330,7 @@ func (j *Journal) Prepare(payload []uint64) error {
 	if err := j.stage(payload); err != nil {
 		return err
 	}
-	if err := disk.SyncDir(j.dir); err != nil {
+	if err := j.syncDir(); err != nil {
 		return err
 	}
 	j.hasPending = true
@@ -315,14 +343,14 @@ func (j *Journal) Prepare(payload []uint64) error {
 // CommitPending returns nil.
 func (j *Journal) CommitPending() error {
 	if !j.hasPending {
-		return &Error{Path: walPath(j.dir), Record: j.count, Reason: "commit with no record pending"}
+		return &Error{Path: j.wal, Record: j.count, Reason: "commit with no record pending"}
 	}
-	if err := os.Rename(prepPath(j.dir), walPath(j.dir)); err != nil {
+	if err := os.Rename(j.prep, j.wal); err != nil {
 		return err
 	}
 	j.count++
 	j.last, j.pending, j.hasPending = j.pending, j.last, false
-	return disk.SyncDir(j.dir)
+	return j.syncDir()
 }
 
 // AbortPending discards the pending record, removing its prepared file —
@@ -333,10 +361,10 @@ func (j *Journal) AbortPending() error {
 		return nil
 	}
 	j.hasPending = false
-	if err := os.Remove(prepPath(j.dir)); err != nil {
+	if err := os.Remove(j.prep); err != nil {
 		return err
 	}
-	return disk.SyncDir(j.dir)
+	return j.syncDir()
 }
 
 // HasPending reports whether a prepared record awaits its decision.
@@ -367,6 +395,14 @@ func (j *Journal) Records() (last []uint64, count int) {
 // rename.
 func (j *Journal) Torn() bool { return j.torn }
 
-// Close releases the journal. Every record it committed is durable
-// already; it must not be appended to afterwards.
-func (j *Journal) Close() error { return nil }
+// Close releases the journal: the directory it keeps open. Every record
+// it committed is durable already; it must not be appended to
+// afterwards.
+func (j *Journal) Close() error {
+	if j.dh == nil {
+		return nil
+	}
+	err := j.dh.Close()
+	j.dh = nil
+	return err
+}

@@ -18,6 +18,7 @@ func Seed(dir string, count int, last []uint64) (*Journal, error) {
 	}
 	j.count = count - 1
 	if err := j.Append(last); err != nil {
+		j.Close()
 		return nil, err
 	}
 	return j, nil

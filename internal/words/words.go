@@ -304,6 +304,20 @@ func (d *Decoder) Ints() []int64 {
 	return s
 }
 
+// IntsInto decodes a slice Ints reads into buf's memory, which grows
+// when it is too small, and returns it: a caller that passes back what
+// the last call returned decodes without allocating once its buffer has
+// held the longest slice.
+func (d *Decoder) IntsInto(buf []int64) []int64 {
+	n := d.count(d.next())
+	s := slices.Grow(buf[:0], n)[:n]
+	for i := range s {
+		s[i] = int64(d.buf[d.off+i])
+	}
+	d.off += n
+	return s
+}
+
 // SizeUints returns the encoded size in words of a []uint64 of length n
 // (length prefix plus elements), the most PutUints appends for it.
 func SizeUints(n int) int { return 1 + n }

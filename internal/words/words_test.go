@@ -537,3 +537,32 @@ func FuzzPacked(f *testing.F) {
 		}
 	})
 }
+
+// TestIntsIntoReusesBuffer: IntsInto decodes what Ints does, into the
+// caller's buffer, with no allocation once it has held the longest slice.
+func TestIntsIntoReusesBuffer(t *testing.T) {
+	enc := NewEncoder(nil)
+	slices := [][]int64{{-1, 2, 1 << 40}, {}, {7}}
+	for _, s := range slices {
+		enc.PutInts(s)
+	}
+	var d Decoder
+	var buf []int64
+	for i, s := range slices {
+		if i == 0 {
+			d.Reset(enc.Words(), nil)
+		}
+		if buf = d.IntsInto(buf); !reflect.DeepEqual(buf, s) && len(s)+len(buf) > 0 {
+			t.Errorf("slice %d: IntsInto read %v, want %v", i, buf, s)
+		}
+	}
+	decode := func() {
+		d.Reset(enc.Words(), nil)
+		for range slices {
+			buf = d.IntsInto(buf)
+		}
+	}
+	if a := testing.AllocsPerRun(20, decode); a != 0 {
+		t.Errorf("%v allocations a pass once the buffer has held the longest slice, want 0", a)
+	}
+}
