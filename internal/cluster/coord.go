@@ -15,6 +15,7 @@ import (
 	"embsp/internal/core"
 	"embsp/internal/disk"
 	"embsp/internal/fault"
+	"embsp/internal/gang"
 	"embsp/internal/obs"
 	"embsp/internal/words"
 )
@@ -97,18 +98,17 @@ type coordinator struct {
 	replica *ReplicaStore
 	spares  []joinReq // parked spare workers, adopted on worker loss
 
-	// The fan-out (fanout): the reply kind every slot's goroutine
-	// expects, the slots, their decoders as fanout returns them, a done
-	// signal per finished leg, a WRITE's batches as they are encoded, and
+	// The fan-out (fanout): the reply kind every leg expects, the slots,
+	// the gang whose member i runs slot i's legs, the slots' decoders as
+	// fanout returns them, a WRITE's batches as they are encoded, and
 	// what the phases return, reused.
-	resp    uint64
-	slots   []slot
-	serving sync.WaitGroup // the slots' goroutines, until shutdown ends them
-	decs    []*words.Decoder
-	legs    chan struct{}
-	in      []core.BlockBatch
-	outs    []*core.BatchOut
-	totals  []core.StepTotals
+	resp   uint64
+	slots  []slot
+	gang   gang.Gang
+	decs   []*words.Decoder
+	in     []core.BlockBatch
+	outs   []*core.BatchOut
+	totals []core.StepTotals
 
 	joins    chan joinReq
 	acceptWG sync.WaitGroup
@@ -152,16 +152,14 @@ type call struct {
 
 // slot is worker slot i's side of the fan-outs: req, its request,
 // encoded into enc; dec, its reply, valid until the slot's next call;
-// and out, its COMPUTE_OUT, decoded into memory it reuses. Its
-// goroutine (serve) lives for the run and alone uses the slot between a
-// call's hand-off and the leg's done signal.
+// and out, its COMPUTE_OUT, decoded into memory it reuses. Its gang
+// member alone uses the slot between the member's Wake and the
+// fan-out's Wait.
 type slot struct {
-	wake chan struct{}
-	enc  words.Encoder
-	req  []uint64
-	dec  words.Decoder
-	err  error
-	out  core.BatchOut
+	enc words.Encoder
+	req []uint64
+	dec words.Decoder
+	out core.BatchOut
 }
 
 // Run drives a full cluster run: accept P workers, reconcile their
@@ -194,19 +192,16 @@ func Run(cc Config) (*core.Result, error) {
 		epochs:  make([]int, P),
 		slots:   make([]slot, P),
 		decs:    make([]*words.Decoder, P),
-		legs:    make(chan struct{}, P),
 		outs:    make([]*core.BatchOut, P),
 		totals:  make([]core.StepTotals, P),
 		joins:   make(chan joinReq, 2*P),
 		closed:  make(chan struct{}),
 		pending: make(map[*Link]struct{}),
 	}
-	c.serving.Add(P)
 	for i := range c.slots {
-		c.slots[i].wake = make(chan struct{})
 		c.decs[i], c.outs[i] = &c.slots[i].dec, &c.slots[i].out
-		go c.serve(i)
 	}
+	c.gang.Start(P, c.leg)
 	if m := cc.Metrics; m != nil {
 		c.barrierWait = m.Histogram("cluster_barrier_wait_nanos")
 		c.replays = m.Counter("cluster_step_replays")
@@ -538,47 +533,29 @@ func fatalJoin(err error) bool {
 
 var errDiverged = errors.New("cluster: state diverged")
 
-// fanout carries k to every worker concurrently — each slot's goroutine
-// its own worker's leg — and returns the slots' decoders, each set to
-// read its worker's reply past the kind word; they are valid until the
-// next fan-out. Every request is encoded before any leg starts: a WRITE
-// is made of the workers' COMPUTE_OUT replies, which a link takes back
-// as soon as the next reply on it arrives (Link). Any failure is joined
-// with its worker attributed; the caller classifies and recovers.
+// fanout carries k to every worker concurrently — each slot's gang
+// member its own worker's leg — and returns the slots' decoders, each
+// set to read its worker's reply past the kind word; they are valid
+// until the next fan-out. Every request is encoded before any leg
+// starts: a WRITE is made of the workers' COMPUTE_OUT replies, which a
+// link takes back as soon as the next reply on it arrives (Link). Any
+// failure is joined with its worker attributed; the caller classifies
+// and recovers.
 func (c *coordinator) fanout(k call) ([]*words.Decoder, error) {
 	for i := range c.slots {
 		c.slots[i].req = c.request(i, &c.slots[i].enc, &k)
 	}
 	c.resp = k.resp
 	for i := range c.slots {
-		c.slots[i].wake <- struct{}{}
+		c.gang.Wake(i)
 	}
-	var err error
-	for range c.slots {
-		<-c.legs
-	}
-	for i := range c.slots {
-		if e := c.slots[i].err; e != nil {
-			err = errors.Join(err, e)
-		}
-	}
-	return c.decs, err
+	return c.decs, c.gang.Wait()
 }
 
-// serve is slot i's goroutine: a leg of every fan-out until shutdown
-// closes its wake channel.
-func (c *coordinator) serve(i int) {
-	defer c.serving.Done()
-	s := &c.slots[i]
-	for range s.wake {
-		s.err = c.leg(i, s)
-		c.legs <- struct{}{}
-	}
-}
-
-// leg sends worker i the slot's request and reads the reply into the
+// leg sends worker i its slot's request and reads the reply into the
 // slot's decoder.
-func (c *coordinator) leg(i int, s *slot) error {
+func (c *coordinator) leg(i int) error {
+	s := &c.slots[i]
 	l := c.links[i]
 	if l == nil {
 		return fmt.Errorf("cluster: worker %d disconnected", i)
@@ -935,10 +912,7 @@ func (c *coordinator) shutdown() {
 		l.Close()
 	}
 	c.pmu.Unlock()
-	for i := range c.slots {
-		close(c.slots[i].wake)
-	}
-	c.serving.Wait()
+	c.gang.Stop()
 	var dec words.Decoder
 	byebye := func(l *Link) {
 		if l.Send(encodeKind(new(words.Encoder), msgShutdown)) == nil {

@@ -10,6 +10,7 @@ import (
 	"embsp/internal/bsp"
 	"embsp/internal/disk"
 	"embsp/internal/fault"
+	"embsp/internal/gang"
 	"embsp/internal/journal"
 	"embsp/internal/words"
 )
@@ -494,14 +495,14 @@ func (d *driver) superstep(step int) (halted bool, err error) {
 // (NodeEngine, cluster.go) in one address space, which hand the blocks
 // that leave a processor to their owners by reference. Its nodes have
 // no journals: a node's record is its section of the decision record
-// (encodeProcs). Every node but the first has a goroutine of its own for
-// the run, which serves the engine's calls (nodeCall) from its channel;
-// the first runs on the driver's goroutine, so a one-node machine starts
-// none. The set-up's context writes, Compute, Write and Final run on
-// every node at once (parallel); the set-up barriers and Prepare run in
-// node order. Under a fault plan a recoverable fault on any node returns
-// every node to the barrier it kept, and the driver replays the
-// superstep (DESIGN.md §8).
+// (encodeProcs). Every node but the first is a member of the engine's
+// gang (internal/gang), a goroutine of its own for the run; the first
+// runs on the driver's goroutine, so a one-node machine starts none. The
+// set-up's context writes, Compute, Write and Final run on every node at
+// once (parallel); the set-up barriers and Prepare run in node order.
+// Under a fault plan a recoverable fault on any node returns every node
+// to the barrier it kept, and the driver replays the superstep
+// (DESIGN.md §8).
 
 // maxReplays bounds how many times one compound superstep may be
 // rolled back and replayed before the engine gives up. Each replay draws
@@ -521,10 +522,9 @@ type engine struct {
 	outs   []*BatchOut
 	totals []StepTotals
 	ops    []int64
-	errs   []error
 
-	calls []chan nodeCall // node i's calls, for every i ≥ 1
-	done  chan struct{}   // a node's answer to a call, and its goroutine's end
+	cur  nodeCall  // the call parallel runs on every node
+	gang gang.Gang // member i runs cur on node i+1
 }
 
 // nodePhase is a phase the engine runs on every node at once.
@@ -593,7 +593,7 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 		}
 	}
 	P := e.cfg.P
-	e.nodes, e.outs, e.totals, e.ops, e.errs = make([]*NodeEngine, P), make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P), make([]error, P)
+	e.nodes, e.outs, e.totals, e.ops = make([]*NodeEngine, P), make([]*BatchOut, P), make([]StepTotals, P), make([]int64, P)
 	for i := range e.nodes {
 		var dir string
 		if root != "" {
@@ -613,8 +613,8 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	for _, n := range e.nodes {
 		n.keep(manifest == nil) // the barrier the run starts from
 	}
-	e.start()
-	defer e.stop()
+	e.gang.Start(P-1, func(i int) error { return e.call(e.nodes[1+i]) })
+	defer e.gang.Stop()
 	res, err := d.run()
 	if err != nil {
 		return nil, err
@@ -626,41 +626,9 @@ func (e *engine) openAndRun(d *driver) (*Result, error) {
 	return res, nil
 }
 
-// start starts a goroutine for every node but the first, which serves
-// the node's calls until stop.
-func (e *engine) start() {
-	e.done = make(chan struct{}, len(e.nodes))
-	for _, n := range e.nodes[1:] {
-		calls := make(chan nodeCall)
-		e.calls = append(e.calls, calls)
-		go e.serve(n, calls)
-	}
-}
-
-// serve runs node n's calls, each answered on done, until its channel
-// closes, and answers once more as it ends.
-func (e *engine) serve(n *NodeEngine, calls <-chan nodeCall) {
-	for c := range calls {
-		e.errs[n.ps.id] = e.call(n, c)
-		e.done <- struct{}{}
-	}
-	e.done <- struct{}{}
-}
-
-// stop ends the nodes' goroutines and waits until each has.
-func (e *engine) stop() {
-	for _, calls := range e.calls {
-		close(calls)
-	}
-	for range e.calls {
-		<-e.done
-	}
-	e.calls = nil
-}
-
-// call runs phase c on node n.
-func (e *engine) call(n *NodeEngine, c nodeCall) (err error) {
-	switch c.phase {
+// call runs the call parallel set, cur, on node n.
+func (e *engine) call(n *NodeEngine) (err error) {
+	switch c := e.cur; c.phase {
 	case phaseContexts:
 		err = e.writeInitialContexts(n.ps)
 	case phaseCompute:
@@ -674,23 +642,21 @@ func (e *engine) call(n *NodeEngine, c nodeCall) (err error) {
 }
 
 // parallel runs c on every node at once — the first on the calling
-// goroutine, each other on its own — and joins their errors once all
-// have answered. A node woken by its call waits in the caller's
-// scheduler slot, from which an idle processor steals it only after a
-// back-off, so the caller yields first: the woken node runs at once, and
-// the caller resumes wherever a processor is free.
+// goroutine, each other on its gang member — and joins their errors, in
+// node order, once all have returned. A node woken by its call waits in
+// the caller's scheduler slot, from which an idle processor steals it
+// only after a back-off, so the caller yields first: the woken node runs
+// at once, and the caller resumes wherever a processor is free.
 func (e *engine) parallel(c nodeCall) error {
-	for _, calls := range e.calls {
-		calls <- c
+	e.cur = c
+	for i := range e.nodes[1:] {
+		e.gang.Wake(i)
 	}
-	if len(e.calls) > 0 {
+	if len(e.nodes) > 1 {
 		runtime.Gosched()
 	}
-	e.errs[0] = e.call(e.nodes[0], c)
-	for range e.calls {
-		<-e.done
-	}
-	return errors.Join(e.errs...)
+	err := e.call(e.nodes[0])
+	return errors.Join(err, e.gang.Wait())
 }
 
 // Setup writes every node's initial contexts, then, once all have, runs

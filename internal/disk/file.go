@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"embsp/internal/gang"
 	"embsp/internal/obs"
 )
 
@@ -88,64 +89,13 @@ type File struct {
 	needSync []bool  // drives with bytes landed since their last completed fsync
 	wepoch   []int64 // bumped per byte-landing; guards needSync against racing writes
 	st       *stage  // the staging cache; workers only under emulated latency
-	fsyncs   fsyncers
-}
 
-// fsyncers fsync a file store's marked drives at once, one goroutine a
-// drive, started by the first Sync and ended by Close, so that a barrier
-// starts no goroutine and allocates nothing. mu serializes Syncs, which
-// share the per-drive epochs and errors; a drive's goroutine fsyncs it at
-// every send on its wake channel and answers on done.
-type fsyncers struct {
-	mu     sync.Mutex
-	wake   []chan struct{}
-	done   chan struct{}
-	epochs []int64
-	errs   []error
-	wg     sync.WaitGroup // the goroutines, until they exit
-}
-
-// startFsyncers launches the drives' goroutines, once.
-func (f *File) startFsyncers() {
-	fs := &f.fsyncs
-	if fs.wake != nil {
-		return
-	}
-	D := f.cfg.D
-	fs.wake, fs.done = make([]chan struct{}, D), make(chan struct{}, D)
-	fs.epochs, fs.errs = make([]int64, D), make([]error, D)
-	fs.wg.Add(D)
-	for d := range fs.wake {
-		fs.wake[d] = make(chan struct{})
-		go f.fsyncer(d, fs.wake[d])
-	}
-}
-
-// fsyncer is drive d's goroutine, woken on wake.
-func (f *File) fsyncer(d int, wake <-chan struct{}) {
-	fs := &f.fsyncs
-	defer fs.wg.Done()
-	for range wake {
-		f.st.xfer.begin()
-		sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
-		fs.errs[d] = f.files[d].Sync()
-		sp.End()
-		f.st.xfer.end()
-		fs.done <- struct{}{}
-	}
-}
-
-// stopFsyncers ends the drives' goroutines, with no Sync in flight, and
-// returns once they have exited.
-func (f *File) stopFsyncers() {
-	fs := &f.fsyncs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for _, w := range fs.wake {
-		close(w)
-	}
-	fs.wake = nil
-	fs.wg.Wait()
+	// The barrier's fsyncs: one gang member a drive (fsync), from open to
+	// Close, so that a barrier starts no goroutine and allocates nothing.
+	// syncMu serializes Syncs, which share syncEpochs, and Close.
+	syncMu     sync.Mutex
+	syncEpochs []int64 // per drive: the write epoch a Sync fsyncs it at; -1: not fsynced
+	fsyncs     gang.Gang
 }
 
 // FileOptions tunes the physical I/O engine of a file-backed store.
@@ -215,12 +165,14 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 		buf:        make([]byte, df.slotB),
 		needSync:   make([]bool, cfg.D),
 		wepoch:     make([]int64, cfg.D),
+		syncEpochs: make([]int64, cfg.D),
 	}
 	f.model.init(cfg, f)
 	f.st = newStage(f, opt.CacheWords)
 	if opt.AccessLatency > 0 {
 		f.st.start()
 	}
+	f.fsyncs.Start(cfg.D, f.fsync)
 	return f, nil
 }
 
@@ -608,55 +560,58 @@ func (f *File) Sync() error {
 		}
 	}()
 	f.st.drain()
-	fs := &f.fsyncs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f.startFsyncers()
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
 	// Snapshot which drives need an fsync and at which write epoch;
 	// after the fsyncs, clear only marks whose epoch is unchanged (a
-	// racing writer's bytes stay marked for the next Sync).
+	// racing writer's bytes stay marked for the next Sync). A failed
+	// fsync clears no mark.
 	f.mu.Lock()
 	if err := f.st.werr; err != nil {
 		f.mu.Unlock()
 		return err
 	}
-	epochs, errs := fs.epochs, fs.errs
+	epochs := f.syncEpochs
 	for d := range epochs {
-		epochs[d], errs[d] = -1, nil
+		epochs[d] = -1
 		if f.files[d] != nil && f.needSync[d] {
 			epochs[d] = f.wepoch[d]
 		}
 	}
 	f.mu.Unlock()
-	n := 0
-	for d := range epochs {
-		if epochs[d] >= 0 {
-			fs.wake[d] <- struct{}{}
-			n++
+	for d, e := range epochs {
+		if e >= 0 {
+			f.fsyncs.Wake(d)
 		}
 	}
-	for ; n > 0; n-- {
-		<-fs.done
+	if err := f.fsyncs.Wait(); err != nil {
+		return err
 	}
 	f.mu.Lock()
-	for d := range epochs {
-		if epochs[d] >= 0 && errs[d] == nil && f.wepoch[d] == epochs[d] {
+	for d, e := range epochs {
+		if e >= 0 && f.wepoch[d] == e {
 			f.needSync[d] = false
 		}
 	}
 	f.mu.Unlock()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// Close stops the I/O workers — queued writes land first — and closes
-// every drive file.
+// fsync is member d of the fsync gang: it fsyncs drive d.
+func (f *File) fsync(d int) error {
+	f.st.xfer.begin()
+	defer f.st.xfer.end()
+	sp := f.tr.Begin(obs.CatIO, "phys-fsync", f.tpid, 1+d)
+	defer sp.End()
+	return f.files[d].Sync()
+}
+
+// Close stops the fsync gang and the I/O workers — queued writes land
+// first — and closes every drive file; a Sync after it fsyncs nothing.
 func (f *File) Close() error {
-	f.stopFsyncers()
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
+	f.fsyncs.Stop()
 	f.st.stop()
 	f.mu.Lock()
 	first := f.st.werr

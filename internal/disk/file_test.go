@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"embsp/internal/prng"
 )
@@ -272,9 +274,12 @@ func TestListedTrackWithoutMagicIsCorrupt(t *testing.T) {
 
 // TestFileCloseIdempotent: Close must be callable any number of times
 // (the engines close on both success and error unwind paths), and the
-// store must stay usable up to the first Close.
+// store must stay usable up to the first Close. A Sync after Close
+// starts no goroutine: every one the store started is gone once it
+// returns.
 func TestFileCloseIdempotent(t *testing.T) {
 	const D, B = 2, 8
+	base := runtime.NumGoroutine()
 	f, err := OpenFile(t.TempDir(), Config{D: D, B: B}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +298,15 @@ func TestFileCloseIdempotent(t *testing.T) {
 	// Sync after Close skips the nil handles rather than crashing.
 	if err := f.Sync(); err != nil {
 		t.Errorf("Sync after Close: %v", err)
+	}
+	// Goroutines an earlier test left may still be ending.
+	left := runtime.NumGoroutine() - base
+	for deadline := time.Now().Add(2 * time.Second); left > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		left = runtime.NumGoroutine() - base
+	}
+	if left > 0 {
+		t.Errorf("%d goroutines outlive the Sync after Close", left)
 	}
 }
 
