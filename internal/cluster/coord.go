@@ -660,7 +660,7 @@ func (c *coordinator) replReq(i int) replReq {
 	return replReq{Replicate: true, Base: c.replica.Version(i)}
 }
 
-// stage decodes the optional snapshot tails of the workers' phase-one
+// stage decodes the snapshot tails of the workers' phase-one
 // replies. Staged, not applied: only a landed decision record promotes
 // them into the replica store. Without a replica there is nothing to
 // stage.

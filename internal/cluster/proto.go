@@ -247,12 +247,8 @@ func (r replReq) put(enc *words.Encoder) {
 	enc.PutInt(int64(r.Base))
 }
 
-// decodeReplReq reads the optional piggyback tail; a request without
-// one (the pre-replication form) asks for no snapshot.
+// decodeReplReq reads what put wrote.
 func decodeReplReq(dec *words.Decoder) replReq {
-	if dec.Remaining() == 0 {
-		return replReq{Base: -1}
-	}
 	return replReq{Replicate: dec.Bool(), Base: int(dec.Int())}
 }
 
@@ -275,8 +271,8 @@ func encodePrepare(enc *words.Encoder, step int, halt bool, r replReq) []uint64 
 	return enc.Words()
 }
 
-// putSnapshot appends the optional snapshot tail of a SETUP_OUT or
-// PREPARED reply.
+// putSnapshot appends the snapshot tail of a SETUP_OUT or PREPARED
+// reply: a flag, and the snapshot when it is set.
 func putSnapshot(enc *words.Encoder, snap *core.NodeSnapshot) {
 	if snap == nil {
 		enc.PutBool(false)
@@ -286,15 +282,14 @@ func putSnapshot(enc *words.Encoder, snap *core.NodeSnapshot) {
 	snap.Encode(enc)
 }
 
-// decodeSnapshotTail reads a reply's optional snapshot; replies from
-// pre-replication workers have no tail at all.
+// decodeSnapshotTail reads what putSnapshot wrote.
 func decodeSnapshotTail(dec *words.Decoder) (snap *core.NodeSnapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("cluster: malformed snapshot: %v", r)
 		}
 	}()
-	if dec.Remaining() == 0 || !dec.Bool() {
+	if !dec.Bool() {
 		return nil, nil
 	}
 	return core.DecodeSnapshot(dec)

@@ -13,7 +13,8 @@ import (
 )
 
 // replyDecoders are the coordinator's decoders of the replies collect
-// and Setup read, by reply kind.
+// and Setup read, by reply kind; a setup reply's snapshot tail is read as
+// stage reads it.
 var replyDecoders = map[uint64]func(*words.Decoder) error{
 	msgComputeOut: func(dec *words.Decoder) error {
 		return decodeReply(3, msgComputeOut, dec, func(dec *words.Decoder) { decodeComputeOut(dec, new(core.BatchOut)) })
@@ -25,7 +26,12 @@ var replyDecoders = map[uint64]func(*words.Decoder) error{
 		return decodeReply(3, msgFinalOut, dec, func(dec *words.Decoder) { core.DecodeNodeReport(dec) })
 	},
 	msgSetupOut: func(dec *words.Decoder) error {
-		return decodeReply(3, msgSetupOut, dec, func(dec *words.Decoder) { core.DecodeDiskStats(dec) })
+		return decodeReply(3, msgSetupOut, dec, func(dec *words.Decoder) {
+			core.DecodeDiskStats(dec)
+			if _, err := decodeSnapshotTail(dec); err != nil {
+				panic(err)
+			}
+		})
 	},
 }
 
@@ -57,9 +63,6 @@ func TestMalformedReplies(t *testing.T) {
 		msgFinalOut: append([]uint64(nil), encodeFinalOut(&enc, report)...),
 		msgSetupOut: append([]uint64(nil), encodeSetupOut(&enc, disk.Stats{}, nil)...),
 	}
-	// The setup reply's last word says it carries no snapshot, an
-	// optional tail: the reply without it is whole.
-	good[msgSetupOut] = good[msgSetupOut][:len(good[msgSetupOut])-1]
 	for kind, frame := range good {
 		if err := decodeFrame(t, kind, frame); err != nil {
 			t.Fatalf("%s: the whole reply: %v", msgName(kind), err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -11,33 +10,24 @@ import (
 	"embsp/internal/words"
 )
 
-// requestFrame is a well-formed request and the lengths at which it is
-// whole: its own, and that of the request without its optional tail.
-type requestFrame struct {
-	frame []uint64
-	whole []int
-}
-
 // requestFrames returns a well-formed request of every kind a worker
 // serves, by kind.
-func requestFrames() map[uint64]requestFrame {
+func requestFrames() map[uint64][]uint64 {
 	var enc words.Encoder
-	own := func(msg []uint64, whole ...int) requestFrame {
-		return requestFrame{frame: append([]uint64(nil), msg...), whole: append(whole, len(msg))}
-	}
+	own := func(msg []uint64) []uint64 { return append([]uint64(nil), msg...) }
 	snap := &core.NodeSnapshot{Version: 1, Full: true, Base: -1, Manifest: []uint64{1, 2},
 		Tracks: []core.TrackImage{{Disk: 0, Track: 1, Payload: []uint64{5, 6}}, {Disk: 1, Track: 0}}}
 	repl := replReq{Replicate: true, Base: 2}
-	frames := map[uint64]requestFrame{
+	frames := map[uint64][]uint64{
 		msgChallenge: own(encodeChallenge([]uint64{1, 2, 3, 4})),
 		msgRestore:   own(encodeRestore(0, snap)),
 		msgReset:     own(welcome{Reset: true}.encode()),
 		msgWelcome:   own(welcome{CommitPending: true}.encode()),
-		msgSetup:     own(encodeSetup(&enc, repl), 1),
+		msgSetup:     own(encodeSetup(&enc, repl)),
 		msgStepBegin: own(encodeKindStep(&enc, msgStepBegin, 3)),
 		msgCompute:   own(encodeKindStep(&enc, msgCompute, 1, 3)),
 		msgWrite:     own(encodeWriteReq(&enc, 1, 3, []core.BlockBatch{testBatch(2, 8), {}})),
-		msgPrepare:   own(encodePrepare(&enc, 3, true, repl), 4),
+		msgPrepare:   own(encodePrepare(&enc, 3, true, repl)),
 	}
 	for _, k := range []uint64{msgSum, msgCommit, msgAbort, msgFinal, msgShutdown} {
 		frames[k] = own(encodeKind(&enc, k))
@@ -74,22 +64,20 @@ func TestWorkerRefusesMalformedRequests(t *testing.T) {
 		}
 	}
 	refused("empty frame", nil, "empty request frame")
-	for kind, rf := range requestFrames() {
+	for kind, frame := range requestFrames() {
 		name := msgName(kind)
 		var r request
-		if err := decodeRequest(rf.frame, &r); err != nil || r.kind != kind {
+		if err := decodeRequest(frame, &r); err != nil || r.kind != kind {
 			t.Fatalf("%s: the whole request decodes as %s: %v", name, msgName(r.kind), err)
 		}
-		for n := 1; n < len(rf.frame); n++ {
-			if !slices.Contains(rf.whole, n) {
-				refused(fmt.Sprintf("%s cut to %d words", name, n), rf.frame[:n], "malformed "+name)
-			}
+		for n := 1; n < len(frame); n++ {
+			refused(fmt.Sprintf("%s cut to %d words", name, n), frame[:n], "malformed "+name)
 		}
-		refused(name+" with a word past its end", append(rf.frame, 0), "past the last field")
+		refused(name+" with a word past its end", append(frame, 0), "past the last field")
 	}
 
 	const huge = 1 << 40
-	write := requestFrames()[msgWrite].frame
+	write := requestFrames()[msgWrite]
 	at := func(frame []uint64, i int, v uint64) []uint64 {
 		f := append([]uint64(nil), frame...)
 		f[i] = v
@@ -100,11 +88,11 @@ func TestWorkerRefusesMalformedRequests(t *testing.T) {
 		frame []uint64
 		want  string
 	}{
-		{"CHALLENGE nonce count", at(requestFrames()[msgChallenge].frame, 1, huge), "malformed CHALLENGE"},
-		{"RESTORE manifest count", at(requestFrames()[msgRestore].frame, 5, huge), "malformed RESTORE"},
-		{"RESTORE track count", at(requestFrames()[msgRestore].frame, 8, huge), "track images"},
-		{"STEP_BEGIN field count", at(requestFrames()[msgStepBegin].frame, 1, huge), "malformed STEP_BEGIN"},
-		{"COMPUTE field count", at(requestFrames()[msgCompute].frame, 1, huge), "malformed COMPUTE"},
+		{"CHALLENGE nonce count", at(requestFrames()[msgChallenge], 1, huge), "malformed CHALLENGE"},
+		{"RESTORE manifest count", at(requestFrames()[msgRestore], 5, huge), "malformed RESTORE"},
+		{"RESTORE track count", at(requestFrames()[msgRestore], 8, huge), "track images"},
+		{"STEP_BEGIN field count", at(requestFrames()[msgStepBegin], 1, huge), "malformed STEP_BEGIN"},
+		{"COMPUTE field count", at(requestFrames()[msgCompute], 1, huge), "malformed COMPUTE"},
 		{"COMPUTE with one field", []uint64{msgCompute, 1, 1}, "1 fields, want 2"},
 		{"COMPUTE with three fields", []uint64{msgCompute, 3, 1, 3, 0}, "3 fields, want 2"},
 		{"COMPUTE of a batch the node lacks", []uint64{msgCompute, 2, 99, 0}, "COMPUTE of batch 99"},
@@ -114,12 +102,12 @@ func TestWorkerRefusesMalformedRequests(t *testing.T) {
 		{"WRITE block count", at(write, 5, huge), "malformed WRITE"},
 		{"WRITE negative block count", at(write, 5, 1<<63), "malformed WRITE"},
 		{"WRITE block metadata", at(write, 6, 7), "corrupt block metadata"},
-		{"PREPARE field count", at(requestFrames()[msgPrepare].frame, 1, huge), "malformed PREPARE"},
+		{"PREPARE field count", at(requestFrames()[msgPrepare], 1, huge), "malformed PREPARE"},
 	} {
 		refused(tc.name, tc.frame, tc.want)
 	}
 	// The worker still serves: its node has run nothing.
-	if resp, _ := w.handle(requestFrames()[msgSum].frame); len(resp) == 0 || resp[0] != msgSumOut {
+	if resp, _ := w.handle(requestFrames()[msgSum]); len(resp) == 0 || resp[0] != msgSumOut {
 		t.Fatalf("SUM after the malformed requests: reply kind %v", resp)
 	}
 }
@@ -138,9 +126,9 @@ func wordsOf(data []byte) []uint64 {
 // is a spare, which decodes every request but runs no node, so the
 // inputs exercise the decoding alone.
 func FuzzWorkerRequest(f *testing.F) {
-	for _, rf := range requestFrames() {
-		data := make([]byte, 8*len(rf.frame))
-		for i, w := range rf.frame {
+	for _, frame := range requestFrames() {
+		data := make([]byte, 8*len(frame))
+		for i, w := range frame {
 			binary.LittleEndian.PutUint64(data[8*i:], w)
 		}
 		f.Add(data)

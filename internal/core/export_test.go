@@ -392,11 +392,9 @@ func WithoutHistory(ws []uint64, D int) []uint64 {
 	}
 	if skip(1); ws[at-1] != 0 { // the fault layer
 		skip(1)
-		zero(D + 4*D) // clocks and streams
-		skip(1)
+		zero(D + 4*D)            // clocks and streams
 		zero(D)                  // dead drives
 		zero(words.SizeUints(8)) // counters
-		skip(1 + 3*int(ws[at]))  // checksums
 	}
 	if skip(1); ws[at-1] != 0 { // the redundancy layer
 		skip(1)

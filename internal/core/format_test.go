@@ -276,6 +276,23 @@ import (
 //	NODE 0                0x4a069db255c068c3 0xc2446d0c02bb69db → 0x96e5a34071756a54 0xb3dea214d7a5ad18
 //	NODE 1                0x481eb524de684326 0x5c65e12b4af2e069 → 0x4e552abb6119ec5c 0x6ea5da355e1c23ff
 //	CORD                  0x0572a70fcd8e897a 0x1dc7b14e000c88f9 → 0x6998f4ef4ffb1a27 0x7546de5dfe2f9aea
+//
+// modelRules 19 → 20 (the fault layer keeps no per-track checksums, and
+// the fingerprint lost its two placeholder slots) moved all of them by
+// the fingerprint word, and the two rows with a fault plan by the layout
+// of the fault section too, which lost the checksum directory — its count
+// and three words a track — and the second copy of the drive count, before
+// the dead drives. Checked word by word against the commit before: every
+// other word of every record is the commit before's. Old → new:
+//
+//	RUN P=1               0x4139de6247c832be 0xd5619d68569152dd → 0x3957fb914129c8a4 0x4dbcd014c334f6bf
+//	RUN P=2               0xf61e469a5f880921 0x3862b18954e643a1 → 0x34d5e46846d9ff83 0x67325541bcca561f
+//	file+parity+faults    0xc363640f5ef895e3 0x82070e52238358f8 → 0xd1ec82dd119dd463 0x2cdcb71a01dc60cb
+//	file+mirror+death     0x0d0928422f2c927c 0xfea5254ac3ccd5d2 → 0xd175bf83e9b5ccb0 0x33c26801ad8dd966
+//	mapped+parity         0x680e5943acbd65f3 0x28300bd4427c7324 → 0xe366f0cef04dbd89 0xe4cf2352528672aa
+//	NODE 0                0x96e5a34071756a54 0xb3dea214d7a5ad18 → 0x67c89ec5f206867f 0x334255733675f2c7
+//	NODE 1                0x4e552abb6119ec5c 0x6ea5da355e1c23ff → 0xabe8d0f50e1ce7cc 0x0486e277509a406f
+//	CORD                  0x6998f4ef4ffb1a27 0x7546de5dfe2f9aea → 0x13df696ca2fd3531 0x702d4c75e012b9d4
 func TestManifestFormatsPinned(t *testing.T) {
 	prog := clusterProgram()
 	opts := core.Options{Seed: 7}
@@ -309,8 +326,8 @@ func TestManifestFormatsPinned(t *testing.T) {
 		check(kind, got, want)
 	}
 	for p, want := range map[int][2]uint64{
-		1: {0x4139de6247c832be, 0xd5619d68569152dd},
-		2: {0xf61e469a5f880921, 0x3862b18954e643a1},
+		1: {0x3957fb914129c8a4, 0x4dbcd014c334f6bf},
+		2: {0x34d5e46846d9ff83, 0x67325541bcca561f},
 	} {
 		run(fmt.Sprintf("RUN P=%d", p), p, opts, want)
 	}
@@ -326,15 +343,15 @@ func TestManifestFormatsPinned(t *testing.T) {
 		{"file+parity+faults", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 			o.FaultPlan = &fault.Plan{Seed: 11, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01}
-		}, [2]uint64{0xc363640f5ef895e3, 0x82070e52238358f8}},
+		}, [2]uint64{0xd1ec82dd119dd463, 0x2cdcb71a01dc60cb}},
 		{"file+mirror+drive death", 1, func(o *core.Options) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
-		}, [2]uint64{0xd0928422f2c927c, 0xfea5254ac3ccd5d2}},
+		}, [2]uint64{0xd175bf83e9b5ccb0, 0x33c26801ad8dd966}},
 		{"mapped+parity", 2, func(o *core.Options) {
 			o.MappedStore = true
 			o.Redundancy = redundancy.Parity
-		}, [2]uint64{0x680e5943acbd65f3, 0x28300bd4427c7324}},
+		}, [2]uint64{0xe366f0cef04dbd89, 0xe4cf2352528672aa}},
 	} {
 		o := opts
 		row.with(&o)
@@ -353,9 +370,9 @@ func TestManifestFormatsPinned(t *testing.T) {
 	}
 	rig.run(t)
 	rig.close()
-	check("NODE 0", node0, [2]uint64{0x96e5a34071756a54, 0xb3dea214d7a5ad18})
-	check("NODE 1", node1, [2]uint64{0x4e552abb6119ec5c, 0x6ea5da355e1c23ff})
-	check("CORD", coord, [2]uint64{0x6998f4ef4ffb1a27, 0x7546de5dfe2f9aea})
+	check("NODE 0", node0, [2]uint64{0x67c89ec5f206867f, 0x334255733675f2c7})
+	check("NODE 1", node1, [2]uint64{0xabe8d0f50e1ce7cc, 0x486e277509a406f})
+	check("CORD", coord, [2]uint64{0x13df696ca2fd3531, 0x702d4c75e012b9d4})
 }
 
 // TestGoldenRowsOverTheWire runs the P > 1 instances of the root

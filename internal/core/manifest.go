@@ -77,11 +77,14 @@ const (
 // tails a superstep's last round writes share blocks per destination
 // cell, §21.1 — fewer message blocks, on other tracks; 19: every VP
 // array whose values all fit in half a word is saved two values a word,
-// §23.2 — smaller contexts, so fewer context blocks). It is folded into every
-// fingerprint, so a directory journaled under other
+// §23.2 — smaller contexts, so fewer context blocks; 20: the fault layer
+// keeps no per-track checksums, so its section of a processor's record is
+// history alone, and the configuration fingerprint drops the two slots
+// that kept the word layout of journals written under rules 14, §8). It
+// is folded into every fingerprint, so a directory journaled under other
 // rules, or a cluster peer built with them, is refused rather than
 // resumed into hybrid counts or fed blocks it cannot parse.
-const modelRules = 19
+const modelRules = 20
 
 // configFingerprint folds everything a resumed run must agree on into
 // one checksum word.
@@ -89,18 +92,13 @@ func configFingerprint(kind uint64, cfg MachineConfig, opts Options, v, mu, gamm
 	enc := words.NewEncoder(nil)
 	enc.PutUint(kind)
 	enc.PutUint(modelRules)
-	// Two slots keep the word layout of journals written when the
-	// memory slack and the superstep guard were settable: the slack's
-	// slot holds 0 (its default, the only value runs passed) and the
-	// guard's holds the constant, so those journals still resume.
-	enc.PutInts([]int64{int64(cfg.P), int64(cfg.M), int64(cfg.D), int64(cfg.B), 0})
+	enc.PutInts([]int64{int64(cfg.P), int64(cfg.M), int64(cfg.D), int64(cfg.B)})
 	enc.PutFloat(cfg.G)
 	enc.PutFloat(cfg.Cost.GUnit)
 	enc.PutFloat(cfg.Cost.GPkt)
 	enc.PutInt(int64(cfg.Cost.Pkt))
 	enc.PutFloat(cfg.Cost.L)
 	enc.PutUint(opts.Seed)
-	enc.PutInt(bsp.MaxSupersteps)
 	enc.PutBool(opts.Deterministic)
 	enc.PutInt(int64(opts.MaxRetries))
 	plan := opts.FaultPlan

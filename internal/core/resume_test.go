@@ -336,16 +336,18 @@ func TestResumeRefusesOlderManifest(t *testing.T) {
 // two-word headers and shared tail blocks; one journaled at
 // modelRules = 18 saved every VP array a word a value, unless the
 // program packed it itself, so its contexts fill more blocks, on other
-// tracks, than this engine's would on a replay;
+// tracks, than this engine's would on a replay; one journaled at
+// modelRules = 19 carries a fault layer's checksum directory in every
+// record under a fault plan, which this engine no longer reads;
 // this engine can neither parse them nor continue them into honest
 // counts. The directory is a crashed run of this commit whose record is
 // rewritten to carry the fingerprint an older commit (modelRules = 2 to
-// 8 and 13 to 18, each read off a journal its binary wrote) stamps on the
+// 8 and 13 to 19, each read off a journal its binary wrote) stamps on the
 // same program, machine and options; it is refused
 // by the fingerprint and left byte for byte as found. (A directory PR 24 wrote past its first barrier is
 // refused before that, by the journal: TestJournalRefusesManyRecords.)
 func TestResumeRefusesOlderModelRules(t *testing.T) {
-	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2, 14: 0xd9bf13d44e6ba1b3, 15: 0x23914063f92601d6, 16: 0xcc7d0b18f0ee001, 17: 0x3d5930a65de61234, 18: 0xbc21cd95e9cbd8df} {
+	for rules, fpr := range map[int]uint64{2: 0x694602f950d5dc1f, 3: 0xda8683cbbeac7df0, 4: 0x2af4776ab2b2b351, 5: 0x2e69c34c7b3c67c0, 6: 0x7927757ced92eb43, 7: 0xbc01eb90947c72c6, 8: 0x2f8add74d071256d, 13: 0x424e35fb2bfa49a2, 14: 0xd9bf13d44e6ba1b3, 15: 0x23914063f92601d6, 16: 0xcc7d0b18f0ee001, 17: 0x3d5930a65de61234, 18: 0xbc21cd95e9cbd8df, 19: 0x151d893b45d9b87a} {
 		t.Run(fmt.Sprintf("rules%d", rules), func(t *testing.T) { refusesFingerprint(t, fpr) })
 	}
 }

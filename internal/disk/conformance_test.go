@@ -23,6 +23,22 @@ const confD, confB = 3, 8
 // earlier store left there.
 type confOpener func(t *testing.T, dir string, resume bool) Backend
 
+// ConfLink is a link of a store chain that the case named confLinkCase
+// also runs through, over the array. The link's package registers it from
+// its own tests (this package cannot import it): Wrap layers the link
+// over a store.
+type ConfLink struct {
+	Name string
+	Wrap func(Store) Store
+}
+
+// ConfLinks are the registered links.
+var ConfLinks []ConfLink
+
+// confLinkCase is the case that also runs through every link: the
+// others pin allocations and statistics that a link's own tracks move.
+const confLinkCase = "blank"
+
 // confStores lists the store kinds under test: name and constructor.
 // The worker kinds run at a small emulated latency, without which the
 // file store starts no workers.
@@ -74,6 +90,7 @@ type transcript struct {
 	Reads   [][]uint64 // every ReadOp payload
 	Refused []bool     // whether each guarded call returned an error
 	Exports [][]uint64 // every ExportTrack payload (nil = blank)
+	Blanks  []bool     // every Blank answer
 	Stats   []Stats
 	States  []StoreState
 }
@@ -130,6 +147,26 @@ func (r *replay) read(addrs ...Addr) [][]uint64 {
 func (r *replay) release(d, t int) {
 	if err := r.s.Release(d, t); err != nil {
 		r.t.Fatalf("Release(%d,%d): %v", d, t, err)
+	}
+}
+
+// blank records Blank(d, t) and checks it against want.
+func (r *replay) blank(what string, d, t int, want bool) {
+	got := r.s.Blank(d, t)
+	r.Blanks = append(r.Blanks, got)
+	if got != want {
+		r.t.Errorf("Blank of %s = %v, want %v", what, got, want)
+	}
+}
+
+// barrier settles the chain as the engines do at a barrier: a parity
+// link's flush, which hands the tracks released since the last one to
+// the allocator and closes the open stripes; nothing on a plain store.
+func (r *replay) barrier() {
+	if l, ok := r.s.(interface{ FlushParity() error }); ok {
+		if err := l.FlushParity(); err != nil {
+			r.t.Fatalf("FlushParity: %v", err)
+		}
 	}
 }
 
@@ -454,6 +491,48 @@ var confCases = []struct {
 		}
 	}},
 
+	// Blank answers from the allocator alone: a fresh track, a free one
+	// and one beyond the bump mark are blank, a written one is not — also
+	// once AdoptState or Rollback has returned the metadata to a capture.
+	// Tracks come from Alloc unrecorded, since a link allocates tracks of
+	// its own, and each write is a barrier's only one, so that it leaves
+	// a parity link's stripe on its own.
+	{confLinkCase, func(r *replay) {
+		free, written, fresh := r.s.Alloc(0), r.s.Alloc(1), r.s.Alloc(2)
+		r.blank("a fresh track", 2, fresh, true)
+		r.blank("a track beyond the bump mark", 1, written+5, true)
+		r.write(Addr{0, free})
+		r.barrier()
+		r.write(Addr{1, written})
+		r.barrier()
+		r.blank("a written track", 0, free, false)
+		r.release(0, free)
+		r.barrier()
+		r.blank("a free track", 0, free, true)
+		r.blank("a written track", 1, written, false)
+
+		st := r.s.State()
+		later := r.s.Alloc(2)
+		r.write(Addr{2, later})
+		r.blank("a written track", 2, later, false)
+		if err := r.s.AdoptState(st); err != nil {
+			r.t.Fatalf("AdoptState of a captured state: %v", err)
+		}
+		r.blank("a track written after the adopted state", 2, later, true)
+		r.blank("a free track of the adopted state", 0, free, true)
+		r.blank("a fresh track of the adopted state", 2, fresh, true)
+		r.blank("a written track of the adopted state", 1, written, false)
+
+		mark := r.s.State()
+		reused := r.s.Alloc(0)
+		r.write(Addr{0, reused}, Addr{2, fresh})
+		r.blank("a written track", 2, fresh, false)
+		r.rollback(mark)
+		r.blank("a track written after the mark, once free", 0, reused, true)
+		r.blank("a track written after the mark, once fresh", 2, fresh, true)
+		r.blank("a written track of the mark", 1, written, false)
+	}},
+
 	// A long seeded mix of every model operation.
 	{"seeded-mix", func(r *replay) {
 		rnd := prng.New(0x5eed)
@@ -502,12 +581,24 @@ var confCases = []struct {
 }
 
 // TestStoreConformance replays every case against every store kind
-// and requires each transcript to equal the in-memory Array's.
+// and requires each transcript to equal the in-memory Array's; the
+// blank case also runs through every registered link.
 func TestStoreConformance(t *testing.T) {
+	cfg := Config{D: confD, B: confB}
 	for _, c := range confCases {
 		t.Run(c.name, func(t *testing.T) {
 			var ref *transcript
-			for _, st := range confStores() {
+			stores := confStores()
+			for _, l := range ConfLinks {
+				if c.name != confLinkCase {
+					break
+				}
+				stores = append(stores, struct {
+					name string
+					open confOpener
+				}{l.Name + "-over-array", func(*testing.T, string, bool) Backend { return l.Wrap(MustNewArray(cfg)) }})
+			}
+			for _, st := range stores {
 				t.Run(st.name, func(t *testing.T) {
 					dir := t.TempDir()
 					r := &replay{t: t, s: st.open(t, dir, false), payloads: prng.New(0xC0FFEE)}

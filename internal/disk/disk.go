@@ -239,6 +239,10 @@ type Store interface {
 	// Release returns a track to drive d's free list; it reads as zeros
 	// from then on.
 	Release(d, t int) error
+	// Blank reports whether track t of drive d reads as zeros by
+	// allocator metadata alone: free, fresh or beyond the drive's bump
+	// mark. d must be a drive of the store.
+	Blank(d, t int) bool
 	// Stats returns a copy of the accumulated I/O statistics.
 	Stats() Stats
 	// StatsInto is Stats into s's memory, its per-drive table reused.

@@ -356,6 +356,15 @@ func (m *model) blank(d, t int) bool {
 	return blank || t >= dr.top
 }
 
+// Blank is blank under the store's mutex: whether a read of track t on
+// drive d, which must be a drive of the store, delivers zeros by
+// allocator metadata alone.
+func (m *model) Blank(d, t int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.blank(d, t)
+}
+
 // checkRaw range-checks a raw (accounting-free) track export or import.
 func (m *model) checkRaw(op string, d, t int) error {
 	if d < 0 || d >= m.cfg.D || t < 0 {

@@ -23,10 +23,10 @@ const DefaultMaxRetries = 8
 type inner = disk.Store
 
 // Disk is the fault layer, a link of a store chain: injection
-// according to a Plan, per-track checksums and bounded charged retries.
-// It protects nothing: a dead drive's tracks are the redundancy layer's
-// to serve, beneath it. It overrides ReadOp, WriteOp and Release; the
-// rest is the embedded chain's, promoted — allocation (directory
+// according to a Plan and bounded charged retries. It keeps no per-track
+// state and protects nothing: a dead drive's tracks are the redundancy
+// layer's to serve, beneath it. It overrides ReadOp and WriteOp alone;
+// the rest is the embedded chain's, promoted — allocation (directory
 // metadata, not I/O, so it never faults), Stats (retries are real
 // charged operations), state, durability and the raw track hooks — so
 // engines run on a faulted chain unchanged.
@@ -52,16 +52,13 @@ type Disk struct {
 	rngs     []*prng.Rand // per-drive injection streams
 	attempts []int64      // per-drive operation-attempt clocks
 	dead     []bool
-	sums     map[disk.Addr]uint64 // checksum per written track
 	ctr      Counters
 
 	// Scratch an attempt reuses, so a warm layer allocates nothing per
 	// operation: tickDrives' per-request injection flags and per-drive
-	// ticks, readAttempt's corruption draws and EncodeState's sorted
-	// checksum keys.
+	// ticks, and readAttempt's corruption draws.
 	inject, ticked []bool
 	draws          []corruptDraw
-	keys           []disk.Addr
 }
 
 // corruptDraw is one in-flight corruption a read attempt drew: request
@@ -108,7 +105,6 @@ func Wrap(a disk.Store, plan Plan, maxRetries int) (*Disk, error) {
 		rngs:       make([]*prng.Rand, cfg.D),
 		attempts:   make([]int64, cfg.D),
 		dead:       make([]bool, cfg.D),
-		sums:       make(map[disk.Addr]uint64),
 		ticked:     make([]bool, cfg.D),
 	}
 	for d := range f.rngs {
@@ -132,14 +128,6 @@ func (f *Disk) Down(d int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.dead[d]
-}
-
-// Release frees a track and its checksum.
-func (f *Disk) Release(d, t int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.sums, disk.Addr{Disk: d, Track: t})
-	return f.inner.Release(d, t)
 }
 
 // tickDrives advances the attempt clock of each drive the request
@@ -196,19 +184,31 @@ func (f *Disk) Clock(d int) int64 {
 	return f.attempts[d]
 }
 
-// ReadOp performs one parallel read with fault injection, checksum
-// verification and bounded retries. Every attempt — including failed
-// ones — is charged against the underlying array, so recovery is visible
-// in the model's I/O cost exactly as the retry-with-backoff policy
-// prescribes.
+// ReadOp performs one parallel read with fault injection and bounded
+// retries.
 func (f *Disk) ReadOp(reqs []disk.ReadReq) error {
-	if len(reqs) == 0 {
+	return f.retry(len(reqs), func() error { return f.readAttempt(reqs) })
+}
+
+// WriteOp performs one parallel write with fault injection and bounded
+// retries.
+func (f *Disk) WriteOp(reqs []disk.WriteReq) error {
+	return f.retry(len(reqs), func() error { return f.writeAttempt(reqs) })
+}
+
+// retry runs attempt, one try of an operation on n requests, until it
+// succeeds, meets a fault that is not transient or spends the retry
+// budget. Every attempt — including failed ones — is charged against the
+// underlying array, so recovery is visible in the model's I/O cost
+// exactly as the retry-with-backoff policy prescribes.
+func (f *Disk) retry(n int, attempt func() error) error {
+	if n == 0 {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for try := 0; ; try++ {
-		err := f.readAttempt(reqs)
+		err := attempt()
 		if err == nil {
 			return nil
 		}
@@ -217,7 +217,7 @@ func (f *Disk) ReadOp(reqs []disk.ReadReq) error {
 			return err
 		}
 		f.ctr.Retries++
-		f.ctr.RetriedBlocks += int64(len(reqs))
+		f.ctr.RetriedBlocks += int64(n)
 	}
 }
 
@@ -261,51 +261,30 @@ func (f *Disk) readAttempt(reqs []disk.ReadReq) error {
 		return &Error{Kind: TransientRead, Disk: reqs[failIdx].Disk, Track: reqs[failIdx].Track, Op: "read", Recoverable: true}
 	}
 
-	// In-flight corruption: flip one deterministic bit of the
-	// delivered block (only meaningful for checksummed tracks).
+	// In-flight corruption: flip one deterministic bit of the delivered
+	// block, unless the transfer is blank by metadata — a zero-filled
+	// read the medium never served. Every flip is detected, as a block
+	// checksum detects it (one flipped bit always changes a track's
+	// checksum), and the lowest-indexed flipped request is the one
+	// reported.
+	bad := -1
 	for _, c := range corrupt {
-		if _, ok := f.sums[disk.Addr{Disk: reqs[c.i].Disk, Track: reqs[c.i].Track}]; !ok {
+		r := reqs[c.i]
+		if f.inner.Blank(r.Disk, r.Track) {
 			continue
 		}
-		reqs[c.i].Dst[c.w] ^= 1 << c.bit
+		r.Dst[c.w] ^= 1 << c.bit
 		f.ctr.InjectedCorruptions++
+		if bad < 0 {
+			bad = c.i
+		}
 	}
-
-	// Verify checksums of everything delivered.
-	for _, r := range reqs {
-		want, ok := f.sums[disk.Addr{Disk: r.Disk, Track: r.Track}]
-		if !ok {
-			continue
-		}
-		if got := disk.Checksum(r.Dst); got != want {
-			f.ctr.ChecksumFailures++
-			f.ctr.RecoveryOps++ // the re-read this detection forces
-			return &Error{Kind: Corruption, Disk: r.Disk, Track: r.Track, Op: "read", Recoverable: true}
-		}
+	if bad >= 0 {
+		f.ctr.ChecksumFailures++
+		f.ctr.RecoveryOps++ // the re-read this detection forces
+		return &Error{Kind: Corruption, Disk: reqs[bad].Disk, Track: reqs[bad].Track, Op: "read", Recoverable: true}
 	}
 	return nil
-}
-
-// WriteOp performs one parallel write with fault injection, checksum
-// recording and bounded retries.
-func (f *Disk) WriteOp(reqs []disk.WriteReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for try := 0; ; try++ {
-		err := f.writeAttempt(reqs)
-		if err == nil {
-			return nil
-		}
-		var fe *Error
-		if !errors.As(err, &fe) || !fe.Transient() || try >= f.maxRetries {
-			return err
-		}
-		f.ctr.Retries++
-		f.ctr.RetriedBlocks += int64(len(reqs))
-	}
 }
 
 func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
@@ -329,9 +308,6 @@ func (f *Disk) writeAttempt(reqs []disk.WriteReq) error {
 	if err := f.inner.WriteOp(reqs); err != nil {
 		return err
 	}
-	for _, r := range reqs {
-		f.sums[disk.Addr{Disk: r.Disk, Track: r.Track}] = disk.Checksum(r.Src)
-	}
 
 	if failIdx >= 0 {
 		f.ctr.InjectedWriteFaults++
@@ -350,12 +326,11 @@ func Replayable(err error) bool {
 }
 
 // EncodeState appends the fault layer's complete persistent state to
-// enc: the per-drive fault-schedule clocks, the per-drive injection
-// PRNGs, dead drives, the accumulated counters, and the checksum
-// directory (in sorted address order, so the encoding is
-// deterministic). It is the layer's part of a processor's barrier
-// record, which a resumed process adopts whole and a superstep replay
-// adopts in part (DecodeState).
+// enc: the drive count, the per-drive fault-schedule clocks, the
+// per-drive injection PRNGs, dead drives and the accumulated counters —
+// a fixed size for D drives, and all of it history. It is the layer's part of a
+// processor's barrier record, which a resumed process adopts and a
+// superstep replay does not (DecodeState).
 func (f *Disk) EncodeState(enc *words.Encoder) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -369,7 +344,6 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 			enc.PutUint(w)
 		}
 	}
-	enc.PutInt(int64(len(f.dead)))
 	for _, d := range f.dead {
 		enc.PutBool(d)
 	}
@@ -379,22 +353,14 @@ func (f *Disk) EncodeState(enc *words.Encoder) {
 		c.ChecksumFailures, c.DriveFailures, c.Retries, c.RetriedBlocks,
 		c.RecoveryOps,
 	})
-
-	f.keys = disk.SortedAddrs(f.keys[:0], f.sums)
-	enc.PutInt(int64(len(f.keys)))
-	for _, k := range f.keys {
-		enc.PutInt(int64(k.Disk))
-		enc.PutInt(int64(k.Track))
-		enc.PutUint(f.sums[k])
-	}
 }
 
-// DecodeState adopts state written by EncodeState. A resumed process
-// adopts all of it, so the fault schedule continues exactly where the
-// barrier left it. A superstep replay (replay) adopts the checksum
-// directory alone: the clocks, the injection streams, the dead drives
-// and the counters are history, which a replay keeps — it is new work
-// under new draws, not a rewind of what happened (DESIGN.md §8).
+// DecodeState reads state written by EncodeState. A resumed process
+// adopts it, so the fault schedule continues exactly where the barrier
+// left it. A superstep replay (replay) adopts none of it: the clocks,
+// the injection streams, the dead drives and the counters are history,
+// which a replay keeps — it is new work under new draws, not a rewind of
+// what happened (DESIGN.md §8).
 func (f *Disk) DecodeState(dec *words.Decoder, replay bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -416,10 +382,6 @@ func (f *Disk) DecodeState(dec *words.Decoder, replay bool) error {
 			r.SetState(st)
 		}
 	}
-	nd := int(dec.Int())
-	if nd != len(f.dead) {
-		return fmt.Errorf("fault: decoding state for %d drives into %d-drive layer", nd, len(f.dead))
-	}
 	for d := range f.dead {
 		if dead := dec.Bool(); !replay {
 			f.dead[d] = dead
@@ -435,13 +397,6 @@ func (f *Disk) DecodeState(dec *words.Decoder, replay bool) error {
 			ChecksumFailures: cs[3], DriveFailures: cs[4], Retries: cs[5], RetriedBlocks: cs[6],
 			RecoveryOps: cs[7],
 		}
-	}
-
-	f.sums = make(map[disk.Addr]uint64)
-	for n := dec.Int(); n > 0; n-- {
-		d := int(dec.Int())
-		t := int(dec.Int())
-		f.sums[disk.Addr{Disk: d, Track: t}] = dec.Uint()
 	}
 	return nil
 }

@@ -11,7 +11,7 @@
 //   - transient read and write errors: the operation is charged but
 //     fails, and succeeds when re-issued;
 //   - transfer corruption: a read delivers a bit-flipped block, which
-//     the per-track checksums detect;
+//     is always detected, as a block checksum detects one flipped bit;
 //   - permanent single-drive failure: from a configured operation
 //     index on, one drive stops serving I/O for good.
 //
@@ -58,8 +58,8 @@ const (
 	// TransientWrite is a write operation that failed but will succeed
 	// when re-issued.
 	TransientWrite
-	// Corruption is a read that delivered a bit-flipped block, detected
-	// by the per-track checksum. Re-reading delivers clean data.
+	// Corruption is a read that delivered a bit-flipped block, always
+	// detected. Re-reading delivers clean data.
 	Corruption
 	// DriveLoss is a permanent single-drive failure.
 	DriveLoss
@@ -126,9 +126,9 @@ type Plan struct {
 	// re-issue the operation — the charged-retry model).
 	WriteErrorRate float64
 	// CorruptRate is the per-block probability that a read delivers a
-	// block with one bit flipped in transfer. Only blocks with a
-	// recorded checksum are corrupted (a flip in a never-written block
-	// would be undetectable and meaningless).
+	// block with one bit flipped in transfer. Only transfers the medium
+	// serves are corrupted: a track blank by allocator metadata (free,
+	// fresh or past the bump mark) reads as exact zeros.
 	CorruptRate float64
 	// FirstOp exempts the first FirstOp operation attempts of each
 	// drive from injection, e.g. to let input staging run clean.
@@ -187,8 +187,8 @@ type Counters struct {
 	InjectedReadFaults  int64
 	InjectedWriteFaults int64
 	InjectedCorruptions int64
-	// ChecksumFailures counts blocks whose per-track checksum did not
-	// match on read (each detected corruption is one).
+	// ChecksumFailures counts read attempts that detected corruption:
+	// one an attempt, however many of its blocks were flipped.
 	ChecksumFailures int64
 	// DriveFailures counts permanent drive deaths (0 or 1 per array).
 	DriveFailures int64

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"embsp/internal/disk"
@@ -152,6 +153,47 @@ func TestCorruptionDetected(t *testing.T) {
 		if dst[i] != src[i] {
 			t.Fatalf("clean re-read gave %v, want %v", dst, src)
 		}
+	}
+}
+
+// TestCorruptionsOfOneAttempt: every block an attempt corrupts is
+// counted, and the attempt is one detection, reported for the lowest
+// request index it corrupted, and one re-read; a block blank by metadata
+// is never corrupted.
+func TestCorruptionsOfOneAttempt(t *testing.T) {
+	f := mustWrap(testArray(t, 3, 4), Plan{Seed: 1, CorruptRate: 0.99}, -1)
+	srcs := [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	tracks := []int{f.Alloc(0), f.Alloc(1), f.Alloc(2)}
+	for d, src := range srcs {
+		if err := f.WriteOp([]disk.WriteReq{{Disk: d, Track: tracks[d], Src: src}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drive 1's block first, drive 2's fresh track last.
+	reqs := []disk.ReadReq{
+		{Disk: 1, Track: tracks[1], Dst: make([]uint64, 4)},
+		{Disk: 0, Track: tracks[0], Dst: make([]uint64, 4)},
+		{Disk: 2, Track: tracks[2], Dst: make([]uint64, 4)},
+	}
+	err := f.ReadOp(reqs)
+	var fe *Error
+	if !errors.As(err, &fe) || fe.Kind != Corruption || !fe.Recoverable || fe.Disk != 1 || fe.Track != tracks[1] {
+		t.Fatalf("ReadOp = %v, want a recoverable Corruption of request 0 (drive 1)", err)
+	}
+	for i, d := range []int{1, 0} {
+		flipped := 0
+		for w := range reqs[i].Dst {
+			flipped += bits.OnesCount64(reqs[i].Dst[w] ^ srcs[d][w])
+		}
+		if flipped != 1 {
+			t.Errorf("request %d delivered %v, %d bits off %v, want 1", i, reqs[i].Dst, flipped, srcs[d])
+		}
+	}
+	if dst := reqs[2].Dst; dst[0]|dst[1]|dst[2]|dst[3] != 0 {
+		t.Errorf("the fresh track read %v, want zeros", dst)
+	}
+	if c := f.Counters(); c.InjectedCorruptions != 2 || c.ChecksumFailures != 1 || c.RecoveryOps != 1 || c.Retries != 0 {
+		t.Errorf("counters %+v, want 2 injected corruptions, 1 checksum failure, 1 recovery op, no retry", c)
 	}
 }
 
