@@ -15,6 +15,7 @@ package cgm
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -79,13 +80,95 @@ func recLess(a, b []uint64) bool {
 // identical and the unstable sort leaves the same words as a stable one
 // would.
 //
-// It is an introsort over the flat slice, with the w-word compare and
+// One-word records go to sortWords, one distribution pass. Wider ones
+// go to an introsort over the flat slice, with the w-word compare and
 // swap written out so no call goes through an interface: median-of-three
 // quicksort, insertion sort below 12 records, and sort.Sort past
-// 2·bits.Len(n) levels, so the worst case stays O(n log n).
+// 2·bits.Len(n) levels. Either way the worst case stays O(n log n).
 func SortRecords(data []uint64, w int) {
+	if w == 1 {
+		sortWords(data)
+		return
+	}
 	n := len(data) / w
 	introsort(data, w, 0, n, 2*bits.Len(uint(n)))
+}
+
+// maxDigitBits caps sortWords' digit: 2^11 buckets, two counters each,
+// are 32 KiB of stack.
+const maxDigitBits = 11
+
+// sortWords sorts a in place with one most-significant-digit
+// distribution pass, allocating nothing. The digit is the
+// min(bits.Len(n), 11) bits just below the highest bit in which any two
+// keys differ, so n keys spread over about n buckets even when they are
+// small integers or share a long prefix. An American-flag permutation
+// (cycle leader, McIlroy, Bostic and McIlroy's "Engineering Radix
+// Sort") moves every key into its bucket; each bucket is then sorted by
+// insertion up to 16 keys and by slices.Sort above, so the worst case —
+// almost every key in one bucket — stays O(n log n).
+func sortWords(a []uint64) {
+	n := len(a)
+	if n <= 16 {
+		insertionSortWords(a)
+		return
+	}
+	var diff uint64
+	for _, x := range a {
+		diff |= x ^ a[0]
+	}
+	if diff == 0 {
+		return // all keys equal
+	}
+	top := bits.Len64(diff)
+	digit := min(bits.Len(uint(n)), maxDigitBits, top)
+	shift, mask := uint(top-digit), uint64(1)<<digit-1
+	nb := 1 << digit
+
+	// end[b] is the end of bucket b; next[b] its lowest placed key.
+	var end, next [1 << maxDigitBits]int
+	for _, x := range a {
+		end[x>>shift&mask]++
+	}
+	sum := 0
+	for b := range end[:nb] {
+		sum += end[b]
+		end[b], next[b] = sum, sum
+	}
+	// Fill every bucket downward from its end. i is the lowest slot not
+	// yet final: when the key carried out of it lands back on i, i is its
+	// bucket's first slot and the whole bucket is placed.
+	for i := 0; i < n; {
+		x := a[i]
+		b := x >> shift & mask
+		for next[b]--; next[b] > i; next[b]-- {
+			a[next[b]], x = x, a[next[b]]
+			b = x >> shift & mask
+		}
+		a[i] = x
+		i = end[b]
+	}
+
+	lo := 0
+	for _, hi := range end[:nb] {
+		if hi-lo <= 16 {
+			insertionSortWords(a[lo:hi])
+		} else {
+			slices.Sort(a[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// insertionSortWords sorts a short a in place.
+func insertionSortWords(a []uint64) {
+	for i := 1; i < len(a); i++ {
+		x, j := a[i], i
+		for ; j > 0 && a[j-1] > x; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
 }
 
 // introsort sorts records [lo, hi) of data, falling back to sort.Sort

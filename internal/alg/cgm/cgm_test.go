@@ -1,6 +1,8 @@
 package cgm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"slices"
 	"sort"
@@ -180,6 +182,61 @@ func TestSortRecordsAdversarial(t *testing.T) {
 			}
 		}
 	}
+	// One-word keys that steer sortWords' digit: a long shared prefix,
+	// a difference in the top bit alone, small integers, one bucket that
+	// holds all but one key, and the two extreme words.
+	words := map[string]func(r *prng.Rand, i, n int) uint64{
+		"prefix-40":  func(r *prng.Rand, i, n int) uint64 { return 0xabcdef1234<<24 | r.Uint64()>>40 },
+		"bit-63":     func(r *prng.Rand, i, n int) uint64 { return r.Uint64()&(1<<63) | 0x5555 },
+		"below-1000": func(r *prng.Rand, i, n int) uint64 { return r.Uint64() % 1000 },
+		"one-bucket": func(r *prng.Rand, i, n int) uint64 {
+			if i == n/2 {
+				return 1 << 63
+			}
+			return r.Uint64() >> 48
+		},
+		"zero-max": func(r *prng.Rand, i, n int) uint64 { return -(r.Uint64() & 1) },
+	}
+	for name, key := range words {
+		for _, n := range []int{0, 1, 2, 17, 255, 256, 257, 4097} {
+			r := prng.New(uint64(n))
+			data := make([]uint64, n)
+			for i := range data {
+				data[i] = key(r, i, n)
+			}
+			want := slices.Clone(data)
+			slices.Sort(want)
+			SortRecords(data, 1)
+			if !slices.Equal(data, want) {
+				t.Fatalf("%s w=1 n=%d: not slices.Sort's words", name, n)
+			}
+		}
+	}
+}
+
+// FuzzSortRecords: arbitrary words at widths 1 to 3 sort to exactly
+// the words slices.SortFunc leaves under the lexicographic compare.
+func FuzzSortRecords(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(0))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0}, 40), uint8(0))
+	f.Add(bytes.Repeat([]byte{7, 3, 0, 0, 0, 0, 0, 0}, 60), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xff, 0, 1, 2, 3, 4, 5, 6, 7}, 50), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, wRaw uint8) {
+		w := 1 + int(wRaw%3)
+		n := len(raw) / 8 / w
+		data := make([]uint64, n*w)
+		for i := range data {
+			data[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		recs := toPairs(data, w)
+		slices.SortFunc(recs, slices.Compare[[]uint64])
+		want := slices.Concat(recs...)
+		SortRecords(data, w)
+		if !slices.Equal(data, want) {
+			t.Fatalf("w=%d n=%d: not slices.SortFunc's words", w, n)
+		}
+	})
 }
 
 // medianOfThreeKiller is Musser's sequence that drives a median-of-three
@@ -202,42 +259,74 @@ func medianOfThreeKiller(i, n int) uint64 {
 
 // TestSorterMergeAllocs: phase 3 merges into the Sorter's scratch, so
 // once a slot has merged a phase 3, another that receives no more words
-// allocates nothing.
+// allocates nothing — through the heap at W = 2 and through sortWords at
+// W = 1. At W = 1 a warm slot's phase 0, local sort and samples, and
+// SortRecords itself allocate nothing either.
 func TestSorterMergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const w, v = 2, 16
-	r := prng.New(3)
-	runs := func(per int) []bsp.Message {
-		in := make([]bsp.Message, v)
-		for src := range in {
-			run := make([]uint64, per*w)
-			for i := range run {
-				run[i] = r.Uint64() % 1000
+	const v = 16
+	for _, w := range []int{2, 1} {
+		r := prng.New(3)
+		runs := func(per int) []bsp.Message {
+			in := make([]bsp.Message, v)
+			for src := range in {
+				run := make([]uint64, per*w)
+				for i := range run {
+					run[i] = r.Uint64() % 1000
+				}
+				SortRecords(run, w)
+				in[src] = bsp.Message{Src: src, Payload: run}
 			}
-			SortRecords(run, w)
-			in[src] = bsp.Message{Src: src, Payload: run}
+			return in
 		}
-		return in
+		s := &Sorter{W: w}
+		env := bsp.NewEnv(0, v, 3, 1, nil)
+		phase3 := func(in []bsp.Message) {
+			s.phase, s.Data = 3, nil
+			if _, err := s.Step(env, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		phase3(runs(40))
+		for _, per := range []int{40, 25, 0} {
+			in := runs(per)
+			if a := testing.AllocsPerRun(20, func() { phase3(in) }); a != 0 {
+				t.Errorf("w=%d: phase 3 of %d records after one of %d: %v allocations, want 0", w, v*per, v*40, a)
+			}
+			if !RecordsSorted(s.Data, w) || len(s.Data) != v*per*w {
+				t.Fatalf("w=%d: phase 3 of %d records left %d words, sorted %v", w, v*per, len(s.Data), RecordsSorted(s.Data, w))
+			}
+		}
 	}
-	s := &Sorter{W: w}
-	env := bsp.NewEnv(0, v, 3, 1, nil)
-	phase3 := func(in []bsp.Message) {
-		s.phase, s.Data = 3, nil
-		if _, err := s.Step(env, in); err != nil {
+
+	r := prng.New(4)
+	data := make([]uint64, 1024)
+	for i := range data {
+		data[i] = r.Uint64()
+	}
+	buf := make([]uint64, len(data))
+	if a := testing.AllocsPerRun(20, func() { copy(buf, data); SortRecords(buf, 1) }); a != 0 {
+		t.Errorf("SortRecords of %d one-word records: %v allocations, want 0", len(buf), a)
+	}
+	s := &Sorter{W: 1}
+	var env bsp.Env // reused, so Send copies into memory it keeps
+	phase0 := func() {
+		env.Reset(0, v, 0, 1, func(int, []uint64) {})
+		env.ClearSent()
+		copy(buf, data)
+		s.phase, s.Data = 0, buf
+		if _, err := s.Step(&env, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	phase3(runs(40))
-	for _, per := range []int{40, 25, 0} {
-		in := runs(per)
-		if a := testing.AllocsPerRun(20, func() { phase3(in) }); a != 0 {
-			t.Errorf("phase 3 of %d records after one of %d: %v allocations, want 0", v*per, v*40, a)
-		}
-		if !RecordsSorted(s.Data, w) || len(s.Data) != v*per*w {
-			t.Fatalf("phase 3 of %d records left %d words, sorted %v", v*per, len(s.Data), RecordsSorted(s.Data, w))
-		}
+	phase0()
+	if a := testing.AllocsPerRun(20, phase0); a != 0 {
+		t.Errorf("phase 0 of %d one-word records on a warm slot: %v allocations, want 0", len(buf), a)
+	}
+	if !RecordsSorted(s.Data, 1) {
+		t.Fatal("phase 0 left its records unsorted")
 	}
 }
 

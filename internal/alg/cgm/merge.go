@@ -3,8 +3,9 @@ package cgm
 // Sorted runs of w-word records are merged with a binary min-heap of
 // run heads, O(n log k) for k runs. An entry of the heap is a record
 // slice keyed by its first w words: the Sorter's entries are what is
-// left of each run, the PDM merge sort's a copy of each run's head. The
-// heap is written out over [][]uint64, so a compare is a loop over
+// left of each run of records wider than one word (it sorts one-word
+// runs with sortWords), the PDM merge sort's a copy of each run's head.
+// The heap is written out over [][]uint64, so a compare is a loop over
 // words and not an interface call.
 
 // InitHeap orders h as a min-heap by the first w words of each entry.

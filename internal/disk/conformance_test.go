@@ -23,8 +23,8 @@ const confD, confB = 3, 8
 // earlier store left there.
 type confOpener func(t *testing.T, dir string, resume bool) Backend
 
-// ConfLink is a link of a store chain that the case named confLinkCase
-// also runs through, over the array. The link's package registers it from
+// ConfLink is a link of a store chain that the cases in confLinkCases
+// also run through, over the array. The link's package registers it from
 // its own tests (this package cannot import it): Wrap layers the link
 // over a store.
 type ConfLink struct {
@@ -35,9 +35,9 @@ type ConfLink struct {
 // ConfLinks are the registered links.
 var ConfLinks []ConfLink
 
-// confLinkCase is the case that also runs through every link: the
+// confLinkCases are the cases that also run through every link: the
 // others pin allocations and statistics that a link's own tracks move.
-const confLinkCase = "blank"
+var confLinkCases = map[string]bool{"blank": true, "release-by-barrier": true}
 
 // confStores lists the store kinds under test: name and constructor.
 // The worker kinds run at a small emulated latency, without which the
@@ -497,7 +497,7 @@ var confCases = []struct {
 	// Tracks come from Alloc unrecorded, since a link allocates tracks of
 	// its own, and each write is a barrier's only one, so that it leaves
 	// a parity link's stripe on its own.
-	{confLinkCase, func(r *replay) {
+	{"blank", func(r *replay) {
 		free, written, fresh := r.s.Alloc(0), r.s.Alloc(1), r.s.Alloc(2)
 		r.blank("a fresh track", 2, fresh, true)
 		r.blank("a track beyond the bump mark", 1, written+5, true)
@@ -531,6 +531,34 @@ var confCases = []struct {
 		r.blank("a track written after the mark, once free", 0, reused, true)
 		r.blank("a track written after the mark, once fresh", 2, fresh, true)
 		r.blank("a written track of the mark", 1, written, false)
+	}},
+
+	// A released track reads zeros, and Blank answers true, from the next
+	// barrier at the latest: a physical store frees it at once, a parity
+	// link at its flush, until which the bytes stay where parity encodes
+	// them. What a store answers between the Release and the barrier is
+	// checked, not recorded — no engine reads a track it released.
+	{"release-by-barrier", func(r *replay) {
+		tr := r.s.Alloc(0)
+		r.write(Addr{0, tr})
+		r.barrier()
+		old := r.read(Addr{0, tr})[0]
+		r.release(0, tr)
+		held := make([]uint64, confB)
+		if err := r.s.ReadOp([]ReadReq{{Disk: 0, Track: tr, Dst: held}}); err != nil {
+			r.t.Fatalf("ReadOp of a released track before the barrier: %v", err)
+		}
+		_, holds := r.s.(interface{ FlushParity() error })
+		if blank := r.s.Blank(0, tr); holds && (blank || !reflect.DeepEqual(held, old)) {
+			r.t.Errorf("a track released before the flush: Blank %v and read %v, want false and its bytes %v", blank, held, old)
+		} else if !holds && (!blank || !isBlank(held)) {
+			r.t.Errorf("a released track: Blank %v and read %v, want true and zeros", blank, held)
+		}
+		r.barrier()
+		r.blank("a released track after the barrier", 0, tr, true)
+		if got := r.read(Addr{0, tr})[0]; !isBlank(got) {
+			r.t.Errorf("a released track after the barrier read %v, want zeros", got)
+		}
 	}},
 
 	// A long seeded mix of every model operation.
@@ -590,7 +618,7 @@ func TestStoreConformance(t *testing.T) {
 			var ref *transcript
 			stores := confStores()
 			for _, l := range ConfLinks {
-				if c.name != confLinkCase {
+				if !confLinkCases[c.name] {
 					break
 				}
 				stores = append(stores, struct {

@@ -236,8 +236,12 @@ type Store interface {
 	WriteOp(reqs []WriteReq) error
 	// Alloc returns a free track on drive d.
 	Alloc(d int) int
-	// Release returns a track to drive d's free list; it reads as zeros
-	// from then on.
+	// Release returns a track to drive d's free list. The track reads as
+	// zeros, and Blank answers true, from the next barrier at the latest:
+	// a physical store frees it at once, and a link may hold the release
+	// until its barrier — the parity link keeps the bytes its stripe's
+	// parity encodes until FlushParity. No engine reads a track it
+	// released.
 	Release(d, t int) error
 	// Blank reports whether track t of drive d reads as zeros by
 	// allocator metadata alone: free, fresh or beyond the drive's bump
