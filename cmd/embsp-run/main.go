@@ -172,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stateDir := fs.String("state-dir", "", "directory for durable on-disk state and the superstep journal")
 	resume := fs.Bool("resume", false, "resume an interrupted run from the journal in -state-dir")
 	killStep := fs.Int("kill-step", -1, "crash-test hook: SIGKILL the process mid-computation of this superstep")
-	storeKind := fs.String("store", "file", "durable store backend for -state-dir runs: file (pread/pwrite) or mapped (mmap, zero-copy; falls back to file where unsupported)")
 	driveLatency := fs.Duration("drive-latency", 0, "emulated per-track access latency of the file-backed drives (e.g. 1ms; 0 = none); it also picks the physical schedule: one I/O worker per drive and the group pipeline under latency, synchronous at zero")
 	redundancyFlag := fs.String("redundancy", "", "drive redundancy: none, mirror or parity")
 	soak := fs.Bool("soak", false, "chaos-soak mode: randomized fault/kill/resume schedules over the Table 1 workloads, checked bitwise against the reference")
@@ -200,21 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed: *seed, Deterministic: *det, MaxRetries: *maxRetries,
 		StateDir: *stateDir, Resume: *resume,
 		DriveLatency: *driveLatency,
-	}
-	switch *storeKind {
-	case "file":
-	case "mapped":
-		if *stateDir == "" {
-			fmt.Fprintln(stderr, "-store mapped requires -state-dir (the mapped store maps durable drive files)")
-			return 2
-		}
-		opts.MappedStore = true
-		if !embsp.MmapSupported() {
-			fmt.Fprintln(stderr, "note: mmap is unsupported on this platform; falling back to the file store (results are identical)")
-		}
-	default:
-		fmt.Fprintf(stderr, "bad -store %q: want file or mapped\n", *storeKind)
-		return 2
 	}
 	if *redundancyFlag != "" {
 		mode, err := embsp.ParseRedundancy(*redundancyFlag)

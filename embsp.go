@@ -165,11 +165,11 @@ func DefaultMachine() MachineConfig { return core.DefaultMachine() }
 // examples.
 func DefaultCostParams() CostParams { return bsp.DefaultCostParams() }
 
-// MmapSupported reports whether the mmap-backed store
-// (Options.MappedStore) is available on this platform. When it is
-// not, mapped runs silently fall back to the pread/pwrite file store
-// with identical results, so callers only need this to explain the
-// fallback, never to gate correctness.
+// MmapSupported reports whether this platform can open the mmap-backed
+// drive store. No run opens that store — every durable run uses the
+// pread/pwrite file store — so this only tells the benchmark whether
+// its per-drive mapped row can run; it goes with that row (ROADMAP item
+// 1(d)).
 func MmapSupported() bool { return disk.MmapSupported() }
 
 // Run executes the program on the configured external-memory machine:

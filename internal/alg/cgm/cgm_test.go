@@ -3,6 +3,7 @@ package cgm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -345,4 +346,33 @@ func lessSlice(a, b []uint64) bool {
 		}
 	}
 	return false
+}
+
+// BenchmarkSortWords times the distribution pass against slices.Sort
+// on 256 distinct inputs of n random keys each, taken in turn, so
+// neither sorts an input it sorted before: the crossover below which
+// sortWords hands its input to slices.Sort (minDistribute).
+func BenchmarkSortWords(b *testing.B) {
+	r := prng.New(1)
+	for _, n := range []int{24, 32, 40, 48, 56, 64, 128} {
+		inputs := make([][]uint64, 256)
+		for i := range inputs {
+			inputs[i] = make([]uint64, n)
+			for j := range inputs[i] {
+				inputs[i][j] = r.Uint64()
+			}
+		}
+		work := make([]uint64, n)
+		for _, sorter := range []struct {
+			name string
+			sort func([]uint64)
+		}{{"distribute", distributeWords}, {"slices", slices.Sort[[]uint64]}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, sorter.name), func(b *testing.B) {
+				for i := range b.N {
+					copy(work, inputs[i%len(inputs)])
+					sorter.sort(work)
+				}
+			})
+		}
+	}
 }

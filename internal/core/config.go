@@ -150,22 +150,6 @@ type Options struct {
 	// fingerprint — a durable run may resume under another latency.
 	// Zero emulates nothing; ignored by in-memory arrays.
 	DriveLatency time.Duration
-	// MappedStore selects the mmap-backed store variant for durable
-	// runs: checksummed track slots are mapped into memory instead of
-	// accessed with pread/pwrite, so a read is one copy from the
-	// mapping into the engine's group buffer and a write is one copy
-	// back — the zero-copy fast path for page-cache-fast storage. The
-	// on-disk layout is identical to the default file store, so the
-	// knob stays out of the config fingerprint like DriveLatency
-	// does: a crashed run may resume with either store kind.
-	// Mapped pages are page-cache memory, not engine memory, and are
-	// accounted separately (store_mapped_high_words metric), never
-	// against M. On platforms without mmap support the engines fall
-	// back to the file store — results are bitwise identical either
-	// way; a fallback is counted by the store_mapped_fallbacks metric
-	// so a benchmark cannot silently measure the wrong store.
-	// Requires StateDir; ignored without one.
-	MappedStore bool
 	// Trace, when non-nil, records the run's wall-clock phase spans:
 	// per-superstep/per-group engine phases (context fetch/writeback,
 	// message read/write, compute, parity flush, barrier
@@ -209,9 +193,6 @@ func (o Options) Validate(cfg MachineConfig) error {
 	}
 	if o.Resume && o.StateDir == "" {
 		return fmt.Errorf("core: Resume requires a StateDir")
-	}
-	if o.MappedStore && o.StateDir == "" {
-		return fmt.Errorf("core: MappedStore requires a StateDir (the mapped store maps durable drive files)")
 	}
 	switch o.Redundancy {
 	case redundancy.None, redundancy.Mirror, redundancy.Parity:

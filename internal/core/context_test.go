@@ -107,27 +107,24 @@ func TestBreathingContexts(t *testing.T) {
 		}
 
 		// Kill in every superstep, which resumes from the barrier before it
-		// (kill@0: the set-up's), and after the halting barrier, on either
-		// store; resume on the other.
-		for _, mapped := range []bool{false, true} {
-			for kill := 0; kill <= ref.Costs.Supersteps; kill++ {
-				label := fmt.Sprintf("%s mapped=%v kill@%d", label, mapped, kill)
-				opts := core.Options{Seed: 5, StateDir: t.TempDir(), MappedStore: mapped}
-				if kill < ref.Costs.Supersteps {
-					crashed := &panicProgram{Program: prog, panicStep: kill}
-					_, err := core.Run(crashed, cfg, opts)
-					crashed.crashed(t, label, err)
-				} else if _, err := core.RunOver(func(inner core.Transport) core.Transport { return &finalCrash{inner} }, prog, cfg, opts); !errors.Is(err, errFinalCrash) {
-					t.Fatalf("%s: crashed run returned %v, want the crash before the finish phase", label, err)
-				}
-				opts.Resume, opts.MappedStore = true, !mapped // and across stores
-				resumed, err := core.Run(prog, cfg, opts)
-				if err != nil {
-					t.Fatalf("%s resume: %v", label, err)
-				}
-				sameContexts(t, label, ref.VPs, resumed.VPs)
-				resultsIdentical(t, clean, resumed, label)
+		// (kill@0: the set-up's), and after the halting barrier.
+		for kill := 0; kill <= ref.Costs.Supersteps; kill++ {
+			label := fmt.Sprintf("%s kill@%d", label, kill)
+			opts := core.Options{Seed: 5, StateDir: t.TempDir()}
+			if kill < ref.Costs.Supersteps {
+				crashed := &panicProgram{Program: prog, panicStep: kill}
+				_, err := core.Run(crashed, cfg, opts)
+				crashed.crashed(t, label, err)
+			} else if _, err := core.RunOver(func(inner core.Transport) core.Transport { return &finalCrash{inner} }, prog, cfg, opts); !errors.Is(err, errFinalCrash) {
+				t.Fatalf("%s: crashed run returned %v, want the crash before the finish phase", label, err)
 			}
+			opts.Resume = true
+			resumed, err := core.Run(prog, cfg, opts)
+			if err != nil {
+				t.Fatalf("%s resume: %v", label, err)
+			}
+			sameContexts(t, label, ref.VPs, resumed.VPs)
+			resultsIdentical(t, clean, resumed, label)
 		}
 		if p == 1 {
 			continue
@@ -693,8 +690,8 @@ func phaseStats(em core.EMStats, chains bool) [3]disk.Stats {
 
 // TestPhaseStatsAcrossRuntimes: the turnaround batch is held the same way
 // under both disciplines and on every transport, so on the 13 Table 1
-// workloads at P = 1 and P = 3 an in-place run, a file run, a mapped run
-// and — at P = 3 — a cluster run over the wire report the
+// workloads at P = 1 and P = 3 an in-place run, a file run and — at
+// P = 3 — a cluster run over the wire report the
 // same Setup, Run and Finish statistics: every operation, block and drive
 // (the array's access chains aside).
 func TestPhaseStatsAcrossRuntimes(t *testing.T) {
@@ -721,19 +718,13 @@ func TestPhaseStatsAcrossRuntimes(t *testing.T) {
 				if p == 1 && file.EM.Groups < 2 {
 					t.Fatalf("P=1: %d batches, want a turnaround batch and others", file.EM.Groups)
 				}
-				got := map[string][3]disk.Stats{
-					"mapped": phaseStats(run(core.Options{StateDir: t.TempDir(), MappedStore: true}).EM, true),
-				}
 				if p > 1 {
 					rig := openRig(t, inst.Program, cfg, core.Options{Seed: seed}, t.TempDir(), false)
 					rig.wire = true
-					got["cluster"] = phaseStats(rig.run(t).EM, true)
-					rig.close()
-				}
-				for label, ph := range got {
-					if !reflect.DeepEqual(ph, want) {
-						t.Errorf("P=%d %s: setup, run and finish statistics %+v, the file run's %+v", p, label, ph, want)
+					if ph := phaseStats(rig.run(t).EM, true); !reflect.DeepEqual(ph, want) {
+						t.Errorf("P=%d cluster: setup, run and finish statistics %+v, the file run's %+v", p, ph, want)
 					}
+					rig.close()
 				}
 				if ph := phaseStats(run(core.Options{}).EM, false); !reflect.DeepEqual(ph, phaseStats(file.EM, false)) {
 					t.Errorf("P=%d in place: setup, run and finish statistics %+v, the file run's %+v", p, ph, phaseStats(file.EM, false))

@@ -38,54 +38,43 @@ func (m *marksAtFinal) Final() ([]*core.NodeReport, error) {
 // TestLiveBlocksAreDriveFiles: LiveBlocksPerDrive is the most tracks any
 // drive had allocated at once — the allocator reuses a released track
 // before it extends a drive, so that is the largest bump mark — and a
-// durable run's drive files are exactly that long: bump mark × slot bytes
-// on the file store, the mapping that holds it on the mapped one. For a
-// program that declares
+// durable run's drive files are exactly that long: bump mark × slot
+// bytes. For a program that declares
 // µ = 10 blocks and saves a word it is the handful of tracks three
 // one-block batches need, not the 120/D the declaration would reserve.
 func TestLiveBlocksAreDriveFiles(t *testing.T) {
 	for _, spec := range []workload.Spec{{Alg: "sort", N: 8192, V: 16, Seed: 7}, {Alg: "listrank", N: 2048, V: 8, Seed: 7}} {
 		for _, p := range []int{1, 2} {
-			for _, mapped := range []bool{false, true} {
-				inst, err := spec.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := workload.Machine(inst.Program, p, 4, 64, 6, 1000)
-				dir := t.TempDir()
-				var m *marksAtFinal
-				res, err := core.RunOver(func(inner core.Transport) core.Transport {
-					m = &marksAtFinal{Transport: inner}
-					return m
-				}, inst.Program, cfg, core.Options{Seed: 7, StateDir: dir, MappedStore: mapped})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s P=%d mapped=%v", spec.Alg, p, mapped)
-				largest := 0
-				for proc, marks := range m.marks {
-					for d, mark := range marks {
-						largest = max(largest, mark)
-						fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("proc-%02d", proc), fmt.Sprintf("drive-%03d.dat", d)))
-						if err != nil {
-							t.Fatal(err)
-						}
-						// The mapped store maps whole tracks in powers of two
-						// from 64: its file is the mapping, the first that
-						// holds the mark.
-						tracks := mark
-						if mapped {
-							for tracks = 64; tracks < mark; tracks *= 2 {
-							}
-						}
-						if want := int64(tracks * (cfg.B + 2) * 8); fi.Size() != want {
-							t.Errorf("%s: drive %d of processor %d is %d bytes, want %d: %d tracks of [magic, checksum, B words] for a bump mark of %d", label, d, proc, fi.Size(), want, tracks, mark)
-						}
+			inst, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := workload.Machine(inst.Program, p, 4, 64, 6, 1000)
+			dir := t.TempDir()
+			var m *marksAtFinal
+			res, err := core.RunOver(func(inner core.Transport) core.Transport {
+				m = &marksAtFinal{Transport: inner}
+				return m
+			}, inst.Program, cfg, core.Options{Seed: 7, StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s P=%d", spec.Alg, p)
+			largest := 0
+			for proc, marks := range m.marks {
+				for d, mark := range marks {
+					largest = max(largest, mark)
+					fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("proc-%02d", proc), fmt.Sprintf("drive-%03d.dat", d)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := int64(mark * (cfg.B + 2) * 8); fi.Size() != want {
+						t.Errorf("%s: drive %d of processor %d is %d bytes, want %d: a bump mark of %d tracks of [magic, checksum, B words]", label, d, proc, fi.Size(), want, mark)
 					}
 				}
-				if res.EM.LiveBlocksPerDrive != int64(largest) || largest == 0 {
-					t.Errorf("%s: LiveBlocksPerDrive = %d, the largest bump mark is %d", label, res.EM.LiveBlocksPerDrive, largest)
-				}
+			}
+			if res.EM.LiveBlocksPerDrive != int64(largest) || largest == 0 {
+				t.Errorf("%s: LiveBlocksPerDrive = %d, the largest bump mark is %d", label, res.EM.LiveBlocksPerDrive, largest)
 			}
 		}
 	}

@@ -500,7 +500,7 @@ func (n *NodeEngine) Prepared() []uint64 { return n.jrn.Pending() }
 // records adopted.
 func (r ProcRecord) Decode(ws []uint64) (err error, untouched bool, named []disk.Addr, st disk.StoreState, held []int) {
 	opts := r.sh.opts
-	opts.StateDir, opts.MappedStore = "", false
+	opts.StateDir = ""
 	sh := r.sh
 	sh.opts = opts
 	ps, err := sh.newProcState(r.id, "", false)

@@ -208,7 +208,10 @@ import (
 //
 // The mapped+parity row was mapped+tier+parity while the engine could
 // stack a store tier (DESIGN.md §17). A tier never entered a record, so
-// the row kept its words when the tier left it.
+// the row kept its words when the tier left it. It is file+parity since
+// the engine stopped opening the mmap-backed store (DESIGN.md §16.2):
+// the store kind never entered a record either, so it kept its words
+// again.
 //
 // modelRules 15 → 16 (the block writer matches an operation's blocks to
 // drives, DESIGN.md §7) moved all of them by the fingerprint word alone.
@@ -348,8 +351,7 @@ func TestManifestFormatsPinned(t *testing.T) {
 			o.Redundancy = redundancy.Mirror
 			o.FaultPlan = &fault.Plan{Seed: 11, FailDriveOp: 12, FailDrive: 1}
 		}, [2]uint64{0xd175bf83e9b5ccb0, 0x33c26801ad8dd966}},
-		{"mapped+parity", 2, func(o *core.Options) {
-			o.MappedStore = true
+		{"file+parity", 2, func(o *core.Options) {
 			o.Redundancy = redundancy.Parity
 		}, [2]uint64{0xe366f0cef04dbd89, 0xe4cf2352528672aa}},
 	} {

@@ -22,27 +22,6 @@ import (
 // wrong byte) — prefetching is pure cache priming with zero model
 // accounting either way.
 
-// openRunStore opens the durable store of one processor's chain: the
-// mmap-backed store when Options.MappedStore is set and the platform
-// supports it, else the file store with the run's I/O-worker options.
-// The fallback is graceful: the two stores share one on-disk format, so
-// it is invisible to results and resume, and the store_mapped_fallbacks
-// metric makes it visible to observability.
-func openRunStore(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, gamma, pid int) (disk.Store, error) {
-	dcfg := disk.Config{D: cfg.D, B: cfg.B}
-	if opts.MappedStore && disk.MmapSupported() {
-		return disk.OpenMapped(dir, dcfg, resume, disk.MappedOptions{
-			AccessLatency: opts.DriveLatency,
-			Tracer:        opts.Trace,
-			TracePID:      pid,
-		})
-	}
-	if opts.MappedStore {
-		opts.Metrics.Counter("store_mapped_fallbacks").Add(1)
-	}
-	return disk.OpenFileOpts(dir, dcfg, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid))
-}
-
 // fileStoreOpts resolves the run options and the engine memory budget
 // into the file store's options. The prefetch /
 // write-behind cache gets a quarter of the engine's internal-memory

@@ -296,34 +296,32 @@ func (c *crashAfterPrepare) Prepare(step int, halted bool) ([]int64, error) {
 // wiped, "stream … truncated at chunk 1 of 2".)
 func TestParityCrashAfterPrepareResumes(t *testing.T) {
 	p := testProgram()
-	for _, mapped := range []bool{false, true} {
-		for _, procs := range []int{1, 2} {
-			for _, plan := range []*fault.Plan{nil, transientPlan(77)} {
-				label := fmt.Sprintf("mapped=%v P=%d faults=%v", mapped, procs, plan != nil)
-				cfg := parMachine(procs, 4, 8, 256)
-				opts := func(dir string) core.Options {
-					return core.Options{Seed: 3, StateDir: dir, MappedStore: mapped, FaultPlan: plan, Redundancy: redundancy.Parity}
+	for _, procs := range []int{1, 2} {
+		for _, plan := range []*fault.Plan{nil, transientPlan(77)} {
+			label := fmt.Sprintf("P=%d faults=%v", procs, plan != nil)
+			cfg := parMachine(procs, 4, 8, 256)
+			opts := func(dir string) core.Options {
+				return core.Options{Seed: 3, StateDir: dir, FaultPlan: plan, Redundancy: redundancy.Parity}
+			}
+			clean, err := core.Run(p, cfg, opts(t.TempDir()))
+			if err != nil {
+				t.Fatalf("%s clean: %v", label, err)
+			}
+			for step := 0; step < clean.Costs.Supersteps; step++ {
+				dir := t.TempDir()
+				_, err := core.RunOver(func(e core.Transport) core.Transport {
+					return &crashAfterPrepare{Transport: e, step: step}
+				}, p, cfg, opts(dir))
+				if !errors.Is(err, errCrashed) {
+					t.Fatalf("%s step %d: crashed run returned %v", label, step, err)
 				}
-				clean, err := core.Run(p, cfg, opts(t.TempDir()))
+				resumed := opts(dir)
+				resumed.Resume = true
+				res, err := core.Run(p, cfg, resumed)
 				if err != nil {
-					t.Fatalf("%s clean: %v", label, err)
+					t.Fatalf("%s: resume after a crash past superstep %d's Prepare: %v", label, step, err)
 				}
-				for step := 0; step < clean.Costs.Supersteps; step++ {
-					dir := t.TempDir()
-					_, err := core.RunOver(func(e core.Transport) core.Transport {
-						return &crashAfterPrepare{Transport: e, step: step}
-					}, p, cfg, opts(dir))
-					if !errors.Is(err, errCrashed) {
-						t.Fatalf("%s step %d: crashed run returned %v", label, step, err)
-					}
-					resumed := opts(dir)
-					resumed.Resume = true
-					res, err := core.Run(p, cfg, resumed)
-					if err != nil {
-						t.Fatalf("%s: resume after a crash past superstep %d's Prepare: %v", label, step, err)
-					}
-					resultsIdentical(t, clean, res, fmt.Sprintf("%s crash after Prepare(%d)", label, step))
-				}
+				resultsIdentical(t, clean, res, fmt.Sprintf("%s crash after Prepare(%d)", label, step))
 			}
 		}
 	}

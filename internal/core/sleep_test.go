@@ -127,8 +127,7 @@ func TestSleepingBatchesTable1(t *testing.T) {
 // the middle one is neither held nor last — the 13 Table 1 workloads end
 // with the reference runner's contexts and costs (the reference checking
 // every sleeper's contract), in place and durable under parity with
-// transient faults and a drive death, and the durable runs agree with
-// each other in every EM statistic across stores.
+// transient faults and a drive death.
 func TestSleepBitwiseTable1(t *testing.T) {
 	const seed = 23
 	for _, name := range workload.Table1Names() {
@@ -144,14 +143,11 @@ func TestSleepBitwiseTable1(t *testing.T) {
 			}
 			for _, p := range []int{1, 3} {
 				cfg := workload.Machine(inst.Program, p, 4, 16, 2, 100) // k = 2
-				faulty := func(mapped bool) core.Options {
-					return core.Options{Seed: seed, StateDir: t.TempDir(), MappedStore: mapped,
-						Redundancy: redundancy.Parity,
-						FaultPlan: &fault.Plan{Seed: seed, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01,
-							FailDrive: 1, FailDriveOp: 10, FailProc: p - 1}}
-				}
-				var runs []*core.Result
-				for i, opts := range []core.Options{{Seed: seed}, faulty(false), faulty(true)} {
+				faulty := core.Options{Seed: seed, StateDir: t.TempDir(),
+					Redundancy: redundancy.Parity,
+					FaultPlan: &fault.Plan{Seed: seed, ReadErrorRate: 0.01, WriteErrorRate: 0.01, CorruptRate: 0.01,
+						FailDrive: 1, FailDriveOp: 10, FailProc: p - 1}}
+				for i, opts := range []core.Options{{Seed: seed}, faulty} {
 					var m *skipMeter
 					res, err := core.RunOver(func(inner core.Transport) core.Transport {
 						m = &skipMeter{Transport: inner}
@@ -166,10 +162,6 @@ func TestSleepBitwiseTable1(t *testing.T) {
 					if sorts := name != "permute" && name != "transpose" && name != "listrank" && name != "euler" && name != "cc"; sorts != (m.pairs > 0) {
 						t.Errorf("P=%d run %d: %d batches skipped", p, i, m.pairs)
 					}
-					runs = append(runs, res)
-				}
-				if d := core.Diff(runs[1], runs[2]); d != "" {
-					t.Errorf("P=%d: the file and the mapped run under parity and faults differ: %s", p, d)
 				}
 			}
 		})

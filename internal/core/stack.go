@@ -14,8 +14,8 @@ import (
 // storeStack is one processor's store chain, built in one place
 // (openStack) for every engine, outermost link first: the fault layer
 // when the run has a fault plan; the redundancy layer when Redundancy is
-// mirror or parity; then the in-memory array, or the durable file or
-// mapped store. The engines address the one value for I/O, state,
+// mirror or parity; then the in-memory array, or the durable file
+// store. The engines address the one value for I/O, state,
 // durability and the raw track hooks alike, and find a layer's own
 // surface by walking it (disk.Find) — per superstep, barrier or batch,
 // never per block.
@@ -41,7 +41,7 @@ func openStack(dir string, cfg MachineConfig, opts Options, resume bool, k, mu, 
 		chain = disk.MustNewArray(disk.Config{D: cfg.D, B: cfg.B})
 	} else {
 		var err error
-		if chain, err = openRunStore(dir, cfg, opts, resume, k, mu, gamma, pid); err != nil {
+		if chain, err = disk.OpenFileOpts(dir, disk.Config{D: cfg.D, B: cfg.B}, resume, fileStoreOpts(cfg, opts, k, mu, gamma, pid)); err != nil {
 			return storeStack{}, err
 		}
 	}
@@ -89,7 +89,8 @@ func (s storeStack) durable() bool {
 
 // prefetcher returns the group pipeline's prefetch target: the file
 // store, the one store that stages blocks, or nil when the chain ends
-// in another. A file store with no latency to hide ignores the hint.
+// in the in-memory array. A file store with no latency to hide ignores
+// the hint.
 func (s storeStack) prefetcher() *disk.File {
 	return disk.Find[*disk.File](s.chain)
 }
@@ -212,24 +213,12 @@ func (s storeStack) report(em *EMStats, reg *obs.Registry) {
 		em.DegradedOps += c.DegradedOps
 		em.ReconstructedBlocks += c.ReconstructedBlocks
 		c.Publish(reg)
-		// Like mapped pages, the parity cache is outside the budget M.
+		// The parity cache is outside the budget M.
 		reg.Counter("parity_cache_peak_blocks").Max(int64(red.CachePeak()))
 	}
-	if !s.durable() {
-		return
-	}
-	// The overlap counters are the file store's; a mapped chain
-	// publishes the set at zero.
-	var ov disk.OverlapStats
 	if f := disk.Find[*disk.File](s.chain); f != nil {
-		ov = f.Overlap()
-	}
-	em.Overlap.Add(ov)
-	ov.Publish(reg)
-	if m := disk.Find[*disk.Mapped](s.chain); m != nil {
-		// Mapped pages are deliberately outside the engine's
-		// internal-memory budget M — they are kernel page cache, the EM
-		// model's "disk" — so their high-water mark is a gauge of its own.
-		reg.Counter("store_mapped_high_words").Max(m.MappedHigh())
+		ov := f.Overlap()
+		em.Overlap.Add(ov)
+		ov.Publish(reg)
 	}
 }

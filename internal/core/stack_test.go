@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -17,9 +19,15 @@ import (
 // mode, fault plan and physical schedule — the links outermost first,
 // what disk.Find returns for each thing the engines look up, the
 // methods no link overrides reaching the base through the whole stack,
-// and Close on the chain releasing the base. The drive latency picks
+// and Close on the chain releasing the base, whose directory then
+// resumes with the tracks the chain wrote. The drive latency picks
 // the schedule: pipeline=0 runs under a latency, which starts the file
 // store's I/O workers, and pipeline=-1 at none, where it is synchronous.
+//
+// The mapped base is a state directory as the mmap-backed store leaves
+// it, its drive files grown to that store's first mapping of 64 tracks.
+// No run opens that store any more, but a directory it wrote must still
+// resume, on the file store: both write one slot format.
 func TestStoreChain(t *testing.T) {
 	cfg := MachineConfig{P: 1, M: 256, D: 2, B: 8}
 	const k, mu, gamma = 1, 8, 8
@@ -28,10 +36,7 @@ func TestStoreChain(t *testing.T) {
 		for _, mode := range []redundancy.Mode{redundancy.None, redundancy.Mirror, redundancy.Parity} {
 			for _, faults := range []bool{false, true} {
 				for _, pipeline := range []int{0, -1} {
-					if base == "mapped" && !disk.MmapSupported() {
-						continue
-					}
-					opts := Options{Redundancy: mode, MappedStore: base == "mapped"}
+					opts := Options{Redundancy: mode}
 					if faults {
 						opts.FaultPlan = plan
 					}
@@ -50,18 +55,34 @@ func TestStoreChain(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkChain(t, s, base, mode, faults, opts)
+						written := checkChain(t, s, base, mode, faults, opts)
+						st := s.chain.State()
 						if err := s.chain.Close(); err != nil {
 							t.Fatal(err)
 						}
 						if dir == "" {
 							return
 						}
+						if base == "mapped" {
+							growToMapping(t, dir, cfg)
+						}
 						again, err := openStack(dir, cfg, opts, true, k, mu, gamma, 0)
 						if err != nil {
 							t.Fatalf("the directory does not reopen after Close on the chain: %v", err)
 						}
-						again.chain.Close()
+						defer again.chain.Close()
+						f := disk.Find[*disk.File](again.chain)
+						if f == nil {
+							t.Fatalf("the reopened chain ends in a %T, want the file store", again.chain)
+						}
+						if err := f.AdoptState(st); err != nil {
+							t.Fatal(err)
+						}
+						for a, want := range written {
+							if got, err := again.chain.ExportTrack(a.Disk, a.Track); err != nil || !slices.Equal(got, want) {
+								t.Errorf("track %v reads %v (%v) after the resume, want %v", a, got, err, want)
+							}
+						}
 					})
 				}
 			}
@@ -69,7 +90,9 @@ func TestStoreChain(t *testing.T) {
 	}
 }
 
-func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, faulty bool, opts Options) {
+// checkChain returns the tracks it wrote through the chain, with their
+// words.
+func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, faulty bool, opts Options) map[disk.Addr][]uint64 {
 	t.Helper()
 	// The links, outermost first.
 	var want []string
@@ -79,7 +102,7 @@ func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, f
 	if mode != redundancy.None {
 		want = append(want, "*redundancy.Store")
 	}
-	want = append(want, map[string]string{"array": "*disk.Array", "file": "*disk.File", "mapped": "*disk.Mapped"}[base])
+	want = append(want, map[string]string{"array": "*disk.Array", "file": "*disk.File", "mapped": "*disk.File"}[base])
 	var got []string
 	var links []disk.Store
 	for l := s.chain; l != nil; {
@@ -102,13 +125,11 @@ func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, f
 	if red := disk.Find[*redundancy.Store](s.chain); (red != nil) != (mode != redundancy.None) {
 		t.Errorf("Find[*redundancy.Store] = %v under redundancy %v", red, mode)
 	}
-	if m := disk.Find[*disk.Mapped](s.chain); (m != nil) != (base == "mapped") {
-		t.Errorf("Find[*disk.Mapped] = %v over a %s base", m, base)
+	// A durable chain ends in the file store.
+	wantPF, file := bottom.(*disk.File) // the array takes no hint
+	if s.durable() != (base != "array") || s.durable() != file {
+		t.Errorf("durable() = %v over a %s base, which is a %T", s.durable(), base, bottom)
 	}
-	if s.durable() != (base != "array") {
-		t.Errorf("durable() = %v over a %s base", s.durable(), base)
-	}
-	wantPF, _ := bottom.(*disk.File) // array and mapped take no hint
 	if pf := s.prefetcher(); pf != wantPF {
 		t.Errorf("prefetch target is %p, want %p (the file store at the base, or nil)", pf, wantPF)
 	}
@@ -157,5 +178,25 @@ func checkChain(t *testing.T, s storeStack, base string, mode redundancy.Mode, f
 	}
 	if direct, err = bottom.ExportTrack(b.Disk, b.Track); err != nil || !slices.Equal(direct, image) {
 		t.Errorf("ImportTrack through the chain left %v on the base (%v), want %v", direct, err, image)
+	}
+	if err := s.chain.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return map[disk.Addr][]uint64{a: payload, b: image}
+}
+
+// growToMapping grows every drive file in dir to the mmap-backed store's
+// first mapping, 64 slots: the store ftruncated a file to its mapping
+// before it mapped it, so its files ran past their last track in zeros.
+func growToMapping(t *testing.T, dir string, cfg MachineConfig) {
+	t.Helper()
+	drives, err := filepath.Glob(filepath.Join(dir, "drive-*.dat"))
+	if err != nil || len(drives) != cfg.D {
+		t.Fatalf("%d drive files in %s (%v), want %d", len(drives), dir, err, cfg.D)
+	}
+	for _, name := range drives {
+		if err := os.Truncate(name, int64(64*(cfg.B+2)*8)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

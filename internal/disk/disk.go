@@ -19,7 +19,8 @@
 // operations, per-drive block balance) are read directly off these
 // statistics. The stores differ only in where a track's words live:
 // in memory (Array), in pread/pwrite drive files (File) or in mapped
-// drive files (Mapped); Tier is an accounting shim above any of them.
+// drive files (Mapped, which no engine opens); Tier is an accounting
+// shim above any of them.
 // All of them, and the layers other packages stack on them, are one
 // interface, Store; a processor's stack of them is a chain that Find
 // walks.
@@ -217,8 +218,8 @@ func Checksum(ws []uint64) uint64 {
 // transfers, dynamic track allocation and I/O accounting; whole-state
 // capture/adoption (the journal commit and resume, and through Rollback
 // the superstep replay); durability; and the raw track hooks
-// replication ships state through. *Array, *File and
-// *Mapped are the physical stores a chain ends in; the redundancy layer
+// replication ships state through. *Array and *File are the physical
+// stores an engine's chain ends in (*Mapped is one too); the redundancy layer
 // (internal/redundancy), the fault layer (internal/fault) and the
 // accounting shim *Tier are links that embed the Store beneath them,
 // override what they change and expose it as Inner() Store — everything
@@ -305,8 +306,8 @@ var (
 // returns the outermost link that is a T, or T's zero value (nil for
 // the pointer types links are looked up by) when there is none: how a
 // caller holding only the chain reaches one store's or layer's own
-// surface (*File's prefetch hint and overlap counters, *Mapped, the
-// parity and fault layers).
+// surface (*File's prefetch hint and overlap counters, the parity and
+// fault layers).
 func Find[T any](s Store) (found T) {
 	for s != nil {
 		if t, ok := s.(T); ok {
@@ -413,6 +414,10 @@ func (a *Array) writeSlot(d, t int, src []uint64) error {
 	copy(a.tracks[d][t], src)
 	return nil
 }
+
+// A slice copy has no span and no latency: the raw moves are the same.
+func (a *Array) getSlot(d, t int, dst []uint64) error { return a.readSlot(d, t, dst) }
+func (a *Array) putSlot(d, t int, src []uint64) error { return a.writeSlot(d, t, src) }
 
 // Release returns a track to the drive's free list, with the model's
 // guards against double and out-of-range frees. The in-memory array

@@ -83,7 +83,11 @@ import (
 // are independent.
 type File struct {
 	model      // the EM-model half; its mu also guards st and the fsync marks
-	driveFiles // the drive files and their physical options
+	driveFiles // the drive files
+
+	lat  time.Duration // emulated per-access latency (AccessLatency)
+	tr   *obs.Tracer   // physical-transfer spans; nil = no tracing
+	tpid int           // trace pid label (owning processor)
 
 	buf      []byte  // scratch for one slot (synchronous path and raw hooks, under mu)
 	needSync []bool  // drives with bytes landed since their last completed fsync
@@ -156,12 +160,15 @@ func OpenFile(dir string, cfg Config, resume bool) (*File, error) {
 // workers, one per drive, start only when there is emulated latency to
 // hide.
 func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, error) {
-	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
+	df, err := openDrives(dir, cfg, resume)
 	if err != nil {
 		return nil, err
 	}
 	f := &File{
 		driveFiles: df,
+		lat:        opt.AccessLatency,
+		tr:         opt.Tracer,
+		tpid:       opt.TracePID,
 		buf:        make([]byte, df.slotB),
 		needSync:   make([]bool, cfg.D),
 		wepoch:     make([]int64, cfg.D),
@@ -177,22 +184,18 @@ func OpenFileOpts(dir string, cfg Config, resume bool, opt FileOptions) (*File, 
 }
 
 // driveFiles is the physical side the two durable stores, File and
-// Mapped, share: one drive-NNN.dat per simulated drive in one layout,
-// plus the options of a physical access.
+// Mapped, share: one drive-NNN.dat per simulated drive in one layout.
 type driveFiles struct {
 	files []*os.File
-	slotB int64         // slot size in bytes
-	lat   time.Duration // emulated per-access latency (AccessLatency)
-	tr    *obs.Tracer   // physical-transfer spans; nil = no tracing
-	tpid  int           // trace pid label (owning processor)
+	slotB int64 // slot size in bytes
 }
 
 // openDrives prepares a state directory and opens its D drive files. A
 // fresh open records the geometry and truncates previous drive files;
 // a resuming open requires a matching geometry and leaves every byte
 // in place.
-func openDrives(dir string, cfg Config, resume bool, lat time.Duration, tr *obs.Tracer, tpid int) (driveFiles, error) {
-	df := driveFiles{slotB: slotBytes(cfg.B), lat: lat, tr: tr, tpid: tpid}
+func openDrives(dir string, cfg Config, resume bool) (driveFiles, error) {
+	df := driveFiles{slotB: slotBytes(cfg.B)}
 	if err := cfg.Validate(); err != nil {
 		return df, err
 	}
@@ -241,14 +244,12 @@ func (df *driveFiles) closeFiles() error {
 // access starts one physical track access on drive d: it opens the
 // access's trace span (the caller defers End) and, when AccessLatency
 // is set, sleeps first, exactly as a drive head would spend its access
-// time. The sleep happens on whichever goroutine moves the bytes, so
-// the synchronous stores pay D sequential access times per parallel op
-// while the worker store pays them concurrently — the schedule
-// difference the option exists to expose.
-func (df *driveFiles) access(name string, d int) obs.Span {
-	sp := df.tr.Begin(obs.CatIO, name, df.tpid, 1+d)
-	if df.lat > 0 {
-		time.Sleep(df.lat)
+// time. The sleep happens on the worker that moves the bytes, so the D
+// drives of one parallel op pay their access times concurrently.
+func (f *File) access(name string, d int) obs.Span {
+	sp := f.tr.Begin(obs.CatIO, name, f.tpid, 1+d)
+	if f.lat > 0 {
+		time.Sleep(f.lat)
 	}
 	return sp
 }
@@ -371,12 +372,20 @@ func (f *File) writeSlotBuf(buf []byte, d, t int, src []uint64) error {
 
 // readSlot and writeSlot are the synchronous store's slotIO: one
 // transfer inside the call, under f.mu, through the store's scratch
-// slot.
+// slot; getSlot and putSlot are the same moves raw.
 func (f *File) readSlot(d, t int, dst []uint64) error { return f.readSlotBuf(f.buf, d, t, dst) }
 
 func (f *File) writeSlot(d, t int, src []uint64) error {
 	err := f.writeSlotBuf(f.buf, d, t, src)
 	f.markWritten(d) // even on error: bytes may have partially landed
+	return err
+}
+
+func (f *File) getSlot(d, t int, dst []uint64) error { return f.pread(f.buf, d, t, dst) }
+
+func (f *File) putSlot(d, t int, src []uint64) error {
+	err := f.pwrite(f.buf, d, t, src)
+	f.markWritten(d)
 	return err
 }
 

@@ -3,73 +3,37 @@ package disk
 import (
 	"fmt"
 	"runtime"
-	"time"
-
-	"embsp/internal/mem"
-	"embsp/internal/obs"
 )
 
 // Mapped is an mmap-backed Store: the same on-disk layout as File —
 // one drive-NNN.dat per simulated drive, the checksummed slots of
 // codec.go, the same geometry file — but the drive files are mapped into
 // memory instead of accessed with pread/pwrite. A read decodes the
-// mapped slot straight into the caller's buffer (one copy, no syscall,
-// no scratch encode/decode round-trip) and a write encodes straight
-// into the mapping; durability is established by Sync via msync+fsync.
+// mapped slot straight into the caller's buffer and a write encodes
+// straight into the mapping; durability is established by Sync via
+// msync+fsync. Crash safety is File's: the per-track checksum makes a
+// torn mapped write detectable, and releases and allocations stay
+// metadata-only. SIGBUS on access beyond end-of-file is unreachable by
+// construction: the file is always ftruncated to the mapped capacity
+// before the mapping is created.
 //
-// Because the byte format is identical to File's, the store kinds are
-// interchangeable under the engines' commit journal: a run killed on
-// one store kind resumes on the other (the config fingerprint
-// deliberately excludes the store kind, like it excludes the I/O
-// schedule). Crash safety is also File's, unchanged: the per-track
-// checksum makes a torn mapped write — the page writeback equivalent
-// of a torn pwrite — detectable instead of silently delivering
-// garbage, and releases and allocations stay metadata-only: a free or
-// fresh track reads blank whatever its slot still holds. The one hazard
-// specific to mmap, SIGBUS on access beyond end-of-file, is
-// unreachable by construction: the file is always ftruncated to the
-// mapped capacity before the mapping is created.
-//
-// Mapped is fully synchronous (every transfer happens inside the
-// call, under one lock) and has no staging cache or prefetch hint:
-// there is no physical queue to overlap, which is the point — on page-cache
-// fast storage the zero-copy path *is* the fast path, and the group
-// pipeline degrades gracefully to the serial schedule exactly as on
-// the in-memory Array. Model accounting is the shared core of
-// model.go, so runs are bitwise identical across all three.
-//
-// The words of mapped capacity are tracked in a mem.Accountant
-// (MappedHigh) for observability: mapped pages are backed
-// by the page cache, not the engine's internal memory M, so they are
-// accounted separately and never charged against the engine budget.
+// No engine opens it: measured against File it won no cell and its
+// files were 1.5–10× larger (DESIGN.md §16.2). It is kept, fully
+// synchronous and without options, only for the benchmark's per-drive
+// rows, and goes with disk.Tier.
 type Mapped struct {
 	model      // the EM-model half; its mu also guards everything below
-	driveFiles // the drive files and their physical options
+	driveFiles // the drive files
 
-	maps     [][]byte        // drive d's file, mapped; len = capT[d]*slotB
-	capT     []int           // mapped capacity of drive d, in tracks
-	needSync []bool          // drives with writes (or growth) since their last Sync
-	acct     *mem.Accountant // mapped words, observability only
+	maps     [][]byte // drive d's file, mapped; len = capT[d]*slotB
+	capT     []int    // mapped capacity of drive d, in tracks
+	needSync []bool   // drives with writes (or growth) since their last Sync
 }
 
-// MappedOptions tunes an mmap-backed store.
-type MappedOptions struct {
-	// AccessLatency emulates the access time of one track transfer,
-	// exactly as FileOptions.AccessLatency does for the synchronous
-	// File store: each mapped slot access sleeps this long first,
-	// inside the call.
-	AccessLatency time.Duration
-	// Tracer, when non-nil, records every mapped transfer as an
-	// "io"-category span ("map-read", "map-write", "map-sync"),
-	// labelled with TracePID and 1+drive like File's spans.
-	Tracer *obs.Tracer
-	// TracePID labels the store's spans with the owning processor id.
-	TracePID int
-}
+// MappedOptions tunes an mmap-backed store; there is nothing to tune.
+type MappedOptions struct{}
 
 // MmapSupported reports whether this platform can open a Mapped store.
-// Callers that want the mmap fast path opportunistically (the engines'
-// Options.MappedStore) fall back to OpenFileOpts when it is false.
 func MmapSupported() bool { return mmapSupported }
 
 // minMappedTracks is the initial per-drive mapped capacity; growth
@@ -82,11 +46,11 @@ const minMappedTracks = 64
 // resuming open requires a matching geometry and leaves all track
 // contents in place — including contents written by a File store,
 // which uses the identical layout.
-func OpenMapped(dir string, cfg Config, resume bool, opt MappedOptions) (*Mapped, error) {
+func OpenMapped(dir string, cfg Config, resume bool, _ MappedOptions) (*Mapped, error) {
 	if !mmapSupported {
 		return nil, errNoMmap()
 	}
-	df, err := openDrives(dir, cfg, resume, opt.AccessLatency, opt.Tracer, opt.TracePID)
+	df, err := openDrives(dir, cfg, resume)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +59,6 @@ func OpenMapped(dir string, cfg Config, resume bool, opt MappedOptions) (*Mapped
 		maps:       make([][]byte, cfg.D),
 		capT:       make([]int, cfg.D),
 		needSync:   make([]bool, cfg.D),
-		acct:       mem.NewAccountant(0), // non-positive limit: track, never block
 	}
 	m.model.init(cfg, m)
 	for d, fh := range m.files {
@@ -137,17 +100,10 @@ func (m *Mapped) remap(d, newCap int) error {
 		return fmt.Errorf("disk: mapping drive %d (%d tracks): %w", d, newCap, err)
 	}
 	if m.maps[d] != nil {
-		old := int64(len(m.maps[d]) / 8)
 		if err := munmapFile(m.maps[d]); err != nil {
 			_ = munmapFile(nb)
 			return err
 		}
-		m.acct.Release(old)
-	}
-	if err := m.acct.Grab(int64(len(nb) / 8)); err != nil {
-		// Unlimited accountant: only reachable on arithmetic overflow.
-		_ = munmapFile(nb)
-		return err
 	}
 	m.maps[d] = nb
 	m.capT[d] = newCap
@@ -163,25 +119,22 @@ func (m *Mapped) slot(d, t int) []byte {
 	return m.maps[d][off : off+m.slotB]
 }
 
-// MappedHigh returns the high-water mark of the mapped capacity across
-// all drives, in words. Page-cache memory, not engine memory: reported
-// for observability, never charged against the engine's M budget.
-func (m *Mapped) MappedHigh() int64 { return m.acct.High() }
+// getSlot and putSlot are the store's raw slot moves, and readSlot and
+// writeSlot the same moves: a mapped access has no span and no latency.
 
-// get decodes the mapped slot (d, t) into dst raw — no span, no
-// emulated latency. A slot that does not decode, or one beyond the
-// mapped (= physical) capacity, which was never written, is a
-// *CorruptTrackError. Caller holds m.mu.
-func (m *Mapped) get(d, t int, dst []uint64) error {
+// getSlot decodes the mapped slot (d, t) into dst. A slot that does not
+// decode, or one beyond the mapped (= physical) capacity, which was
+// never written, is a *CorruptTrackError. Caller holds m.mu.
+func (m *Mapped) getSlot(d, t int, dst []uint64) error {
 	if t >= m.capT[d] || !decodeSlot(m.slot(d, t), dst) {
 		return m.corrupt(d, t)
 	}
 	return nil
 }
 
-// put encodes src into the mapped slot (d, t) raw, growing the mapping
+// putSlot encodes src into the mapped slot (d, t), growing the mapping
 // as needed. Caller holds m.mu.
-func (m *Mapped) put(d, t int, src []uint64) error {
+func (m *Mapped) putSlot(d, t int, src []uint64) error {
 	if t >= m.capT[d] {
 		newCap := m.capT[d] * 2
 		if newCap <= t {
@@ -196,27 +149,16 @@ func (m *Mapped) put(d, t int, src []uint64) error {
 	return nil
 }
 
-// readSlot and writeSlot are the store's slotIO: one mapped transfer
-// inside the call, under m.mu.
-
-func (m *Mapped) readSlot(d, t int, dst []uint64) error {
-	defer m.access("map-read", d).End()
-	return m.get(d, t, dst)
-}
-
-func (m *Mapped) writeSlot(d, t int, src []uint64) error {
-	defer m.access("map-write", d).End()
-	return m.put(d, t, src)
-}
+func (m *Mapped) readSlot(d, t int, dst []uint64) error  { return m.getSlot(d, t, dst) }
+func (m *Mapped) writeSlot(d, t int, src []uint64) error { return m.putSlot(d, t, src) }
 
 // Sync makes all stored track contents durable: kick writeback of the
 // dirty mappings (msync MS_ASYNC), then fsync the files. On Linux's
 // unified page cache the fsync alone covers mmap-dirtied pages — it
 // is what establishes durability; the asynchronous msync just starts
-// the writeback early. (A synchronous MS_SYNC here would write every
-// dirty page back twice per barrier.) The fsync also makes the file
-// size from any growth ftruncate durable. Drives with no stores since
-// their last Sync are skipped.
+// the writeback early. The fsync also makes the file size from any
+// growth ftruncate durable. Drives with no stores since their last Sync
+// are skipped.
 func (m *Mapped) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -224,12 +166,10 @@ func (m *Mapped) Sync() error {
 		if m.files[d] == nil || !m.needSync[d] {
 			continue
 		}
-		sp := m.tr.Begin(obs.CatIO, "map-sync", m.tpid, 1+d)
 		err := msyncFile(m.maps[d])
 		if err == nil {
 			err = m.files[d].Sync()
 		}
-		sp.End()
 		if err != nil {
 			return err
 		}
@@ -248,7 +188,6 @@ func (m *Mapped) Close() error {
 			if err := munmapFile(m.maps[d]); err != nil && first == nil {
 				first = err
 			}
-			m.acct.Release(int64(len(m.maps[d]) / 8))
 			m.maps[d] = nil
 			m.capT[d] = 0
 		}
@@ -257,35 +196,4 @@ func (m *Mapped) Close() error {
 		first = err
 	}
 	return first
-}
-
-// ExportTrack reads the committed payload of one track, bypassing all
-// model accounting and emulated latency — File.ExportTrack's contract
-// on the mapped store. There is no write-behind cache to quiesce, but
-// callers Sync first anyway for the durability half of the contract.
-func (m *Mapped) ExportTrack(d, t int) ([]uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkRaw("ExportTrack", d, t); err != nil {
-		return nil, err
-	}
-	if m.blank(d, t) {
-		return nil, nil
-	}
-	dst := make([]uint64, m.cfg.B)
-	if err := m.get(d, t, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ImportTrack writes one track's B-word payload raw —
-// File.ImportTrack's contract on the mapped store.
-func (m *Mapped) ImportTrack(d, t int, payload []uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.beginImport(d, t, payload); err != nil {
-		return err
-	}
-	return m.put(d, t, payload)
 }

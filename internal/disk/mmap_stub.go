@@ -5,8 +5,8 @@ package disk
 import "os"
 
 // mmapSupported is false on platforms without the Linux mmap/msync
-// surface the Mapped store relies on; OpenMapped fails cleanly and
-// callers (see MmapSupported) fall back to the File store.
+// surface the Mapped store relies on; OpenMapped fails cleanly (see
+// MmapSupported).
 const mmapSupported = false
 
 func mmapFile(*os.File, int) ([]byte, error) { return nil, errNoMmap() }

@@ -21,13 +21,17 @@ import (
 
 // slotIO is the physical half of a store: move one track's payload.
 // Array implements it over in-memory slices, File over pread/pwrite,
-// Mapped over the mapping. readSlot is called only for tracks the
-// allocator does not read as blank, and nothing asks a store to clear a
-// track. The model calls it with its mutex held; none of the
-// implementations touches model state.
+// Mapped over the mapping. readSlot and writeSlot are the moves of the
+// model's operations; getSlot and putSlot are the same moves raw — no
+// trace span, no emulated latency — under ExportTrack and ImportTrack.
+// A slot is read only for tracks the allocator does not read as blank,
+// and nothing asks a store to clear a track. The model calls slotIO with
+// its mutex held; none of the implementations touches model state.
 type slotIO interface {
 	readSlot(d, t int, dst []uint64) error
 	writeSlot(d, t int, src []uint64) error
+	getSlot(d, t int, dst []uint64) error
+	putSlot(d, t int, src []uint64) error
 }
 
 // account is the accounting half of the model: the Stats and the
@@ -365,6 +369,13 @@ func (m *model) Blank(d, t int) bool {
 	return m.blank(d, t)
 }
 
+// Replication support. The cluster runtime ships a node's state to the
+// coordinator's replica store at every committed barrier; what it needs
+// from the store is raw, side-effect free access to track payloads.
+// ExportTrack and ImportTrack touch no Stats, no fault clock, no emulated
+// latency and no cache, so a run that exports its tracks stays bitwise
+// identical to one that does not.
+
 // checkRaw range-checks a raw (accounting-free) track export or import.
 func (m *model) checkRaw(op string, d, t int) error {
 	if d < 0 || d >= m.cfg.D || t < 0 {
@@ -373,9 +384,35 @@ func (m *model) checkRaw(op string, d, t int) error {
 	return nil
 }
 
-// beginImport checks a raw ImportTrack of B words and ends the track's
-// fresh state: from here on it reads what the import writes.
-func (m *model) beginImport(d, t int, payload []uint64) error {
+// ExportTrack reads the committed payload of one track raw. It returns
+// nil (no error) when the track reads as blank by metadata — released,
+// fresh or beyond the bump mark — and a *CorruptTrackError when a
+// durable store's track the metadata lists as written has no intact
+// slot. The caller must have quiesced the store with Sync first: queued
+// writes that have not landed are not visible to the raw read.
+func (m *model) ExportTrack(d, t int) ([]uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.checkRaw("ExportTrack", d, t); err != nil {
+		return nil, err
+	}
+	if m.blank(d, t) {
+		return nil, nil
+	}
+	dst := make([]uint64, m.cfg.B)
+	if err := m.phys.getSlot(d, t, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ImportTrack writes one track's B-word payload raw and ends the track's
+// fresh state: from here on it reads what the import wrote. It exists
+// for adopting a replica snapshot into a fresh store; using it on a
+// store with queued physical work is a caller bug.
+func (m *model) ImportTrack(d, t int, payload []uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := m.checkRaw("ImportTrack", d, t); err != nil {
 		return err
 	}
@@ -383,7 +420,7 @@ func (m *model) beginImport(d, t int, payload []uint64) error {
 		return fmt.Errorf("disk: ImportTrack payload has %d words, want B=%d", len(payload), m.cfg.B)
 	}
 	m.drives[d].unfresh(t)
-	return nil
+	return m.phys.putSlot(d, t, payload)
 }
 
 // Alloc returns a free track on drive d, reusing freed tracks (newest

@@ -4,12 +4,10 @@ package embsp_test
 // serial schedule (zero drive latency — fully synchronous file store,
 // no prefetch) and the pipelined one (per-drive I/O workers, prefetch,
 // write-behind — which the drive latency picks, so the pipelined legs
-// emulate a little), and
-// on the mmap-backed store (zero-copy, fully synchronous), on
-// sequential and parallel machines, under clean and faulty schedules —
-// and every word of the Result and every model-visible EM statistic
-// must be bitwise identical. The physical schedule and the store
-// backend are allowed to change wall-clock time and the Overlap
+// emulate a little), on sequential and parallel machines, under clean
+// and faulty schedules — and every word of the Result and every
+// model-visible EM statistic must be bitwise identical. The physical
+// schedule is allowed to change wall-clock time and the Overlap
 // counters, nothing else.
 
 import (
@@ -70,19 +68,6 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d pipelined file: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d clean", procs), serial, piped)
-				// The mmap-backed store shares the file store's on-disk
-				// format and its exact accounting (blank tracks by metadata
-				// included), so the mapped run must match the
-				// serial file run in the FULL EM statistics, not just
-				// outputs and costs. The mapped store has one schedule
-				// (no physical queue to stage into).
-				mapped, err := embsp.Run(prog, cfg, embsp.Options{
-					Seed: 0xBA77E7, StateDir: t.TempDir(), MappedStore: true,
-				})
-				if err != nil {
-					t.Fatalf("P=%d mapped: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d mapped", procs), serial, mapped)
 				// Across backends the contract covers outputs and model
 				// costs; the track layout legitimately differs between an
 				// in-place Array run and a checkpointed File run (which
@@ -122,15 +107,6 @@ func TestPipelineDeterminismBattery(t *testing.T) {
 					t.Fatalf("P=%d faulty pipelined: %v", procs, err)
 				}
 				mustAgree(t, fmt.Sprintf("P=%d faults+parity", procs), fSerial, fPiped)
-				// Same faulty schedule on the mapped store: the fault
-				// sequence is a pure function of the op order, which the
-				// store backend must not perturb either.
-				fOpts.StateDir, fOpts.MappedStore = t.TempDir(), true
-				fMapped, err := embsp.Run(prog, cfg, fOpts)
-				if err != nil {
-					t.Fatalf("P=%d faulty mapped: %v", procs, err)
-				}
-				mustAgree(t, fmt.Sprintf("P=%d faults+parity mapped", procs), fSerial, fMapped)
 			}
 		})
 	}

@@ -26,7 +26,6 @@ import (
 const (
 	helperEnv = "EMBSP_CRASH_HELPER_DIR"
 	killEnv   = "EMBSP_CRASH_KILL_STEP"
-	storeEnv  = "EMBSP_CRASH_STORE" // "mapped" runs the helper on the mmap-backed store
 	procsEnv  = "EMBSP_CRASH_PROCS" // the helper's P, when not crashMachine's 1
 	// latencyEnv, set to a duration, runs the helper under that emulated
 	// drive latency: the pipelined schedule, with I/O workers, prefetch
@@ -112,9 +111,6 @@ func TestCrashHelperProcess(t *testing.T) {
 	}
 	prog := &sigkillProgram{Program: crashSort(t), killStep: killStep}
 	opts := embsp.Options{Seed: 7, StateDir: dir}
-	if os.Getenv(storeEnv) == "mapped" {
-		opts.MappedStore = true
-	}
 	if lat := os.Getenv(latencyEnv); lat != "" {
 		if opts.DriveLatency, err = time.ParseDuration(lat); err != nil {
 			t.Fatal(err)
@@ -228,20 +224,25 @@ func sameAsClean(t *testing.T, label string, clean, res *embsp.Result) {
 	}
 }
 
-// TestKillAndResumeAcrossStores crosses the STORE BACKEND over the
-// crash boundary, in both directions: SIGKILL a run on the mmap-backed
-// store and resume it on the fully synchronous pread/pwrite file
-// store, then SIGKILL a pipelined file-store run and resume it on the
-// mapped store. The two stores share one on-disk slot format and one
-// journal, so each resumed run must be bitwise identical to an
-// uninterrupted one — the durable state carries no trace of which
-// backend (or physical schedule) wrote it. The kill comes in every
-// superstep, so the resume starts from every barrier — the set-up's,
-// whose held batch is superstep 0's first, included — and after the
-// halting barrier, whose held batch the resumed finish phase decodes
-// from the journal; at P = 1 and at P = 2, where the batch's records are
-// in every processor's section of the record.
-func TestKillAndResumeAcrossStores(t *testing.T) {
+// crossLatency is the emulated drive latency of the cross-schedule
+// legs: enough to start the file store's I/O workers, prefetch and
+// write-behind.
+const crossLatency = 50 * time.Microsecond
+
+// TestKillAndResumeAcrossSchedules crosses the PHYSICAL SCHEDULE over
+// the crash boundary, in both directions: SIGKILL a run under emulated
+// drive latency — I/O workers, prefetched blocks and write-behind queues
+// live at the kill — and resume it at zero latency on the fully
+// synchronous store, then SIGKILL a synchronous run and resume it under
+// latency. The journal's durable state carries no trace of the schedule
+// that wrote it, so each resumed run must be bitwise identical to an
+// uninterrupted one. The kill comes in every superstep, so the resume
+// starts from every barrier — the set-up's, whose held batch is
+// superstep 0's first, included — and after the halting barrier, whose
+// held batch the resumed finish phase decodes from the journal; at P = 1
+// and at P = 2, where the batch's records are in every processor's
+// section of the record.
+func TestKillAndResumeAcrossSchedules(t *testing.T) {
 	p := crashSort(t)
 	for _, procs := range []int{1, 2} {
 		cfg := crashMachine()
@@ -258,25 +259,25 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 			}
 			label := "P=" + strconv.Itoa(procs) + " " + at
 
-			// Die on the mapped store, resume on the synchronous file store.
+			// Die under latency, resume synchronous.
 			dir := filepath.Join(t.TempDir(), "state")
-			killHelper(t, helperEnv+"="+dir, at, storeEnv+"=mapped", procsEnv+"="+strconv.Itoa(procs))
+			killHelper(t, helperEnv+"="+dir, at, latencyEnv+"="+crossLatency.String(), procsEnv+"="+strconv.Itoa(procs))
 			res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
 			if err != nil {
-				t.Fatalf("%s: file resume of a mapped crash: %v", label, err)
+				t.Fatalf("%s: synchronous resume of a pipelined crash: %v", label, err)
 			}
-			sameAsClean(t, label+" mapped->file", clean, res)
+			sameAsClean(t, label+" pipelined->synchronous", clean, res)
 
-			// Die on the pipelined file store, resume on the mapped store.
+			// Die synchronous, resume under latency.
 			dir = filepath.Join(t.TempDir(), "state")
 			killHelper(t, helperEnv+"="+dir, at, procsEnv+"="+strconv.Itoa(procs))
 			res, err = embsp.Run(p, cfg, embsp.Options{
-				Seed: 7, StateDir: dir, Resume: true, MappedStore: true,
+				Seed: 7, StateDir: dir, Resume: true, DriveLatency: crossLatency,
 			})
 			if err != nil {
-				t.Fatalf("%s: mapped resume of a pipelined file crash: %v", label, err)
+				t.Fatalf("%s: pipelined resume of a synchronous crash: %v", label, err)
 			}
-			sameAsClean(t, label+" file->mapped", clean, res)
+			sameAsClean(t, label+" synchronous->pipelined", clean, res)
 		}
 	}
 }
@@ -284,9 +285,9 @@ func TestKillAndResumeAcrossStores(t *testing.T) {
 // TestKillAndResumeScatteredInput: the input of the superstep a kill
 // interrupts lies where its writer put it, under a directory the last
 // barrier journaled per processor. SIGKILL the sort in superstep 3, whose
-// input is the all-to-all's, at P = 1 and P = 2 on the file and the
-// mapped store, and the resumed run reads that input again from the
-// journaled directory, bitwise as an uninterrupted run.
+// input is the all-to-all's, at P = 1 and P = 2, and the resumed run
+// reads that input again from the journaled directory, bitwise as an
+// uninterrupted run.
 func TestKillAndResumeScatteredInput(t *testing.T) {
 	p := crashSort(t)
 	for _, procs := range []int{1, 2} {
@@ -296,15 +297,13 @@ func TestKillAndResumeScatteredInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, store := range []string{"file", "mapped"} {
-			label := "P=" + strconv.Itoa(procs) + " " + store
-			dir := filepath.Join(t.TempDir(), "state")
-			killHelper(t, helperEnv+"="+dir, killEnv+"=3", procsEnv+"="+strconv.Itoa(procs), storeEnv+"="+store)
-			res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true, MappedStore: store == "mapped"})
-			if err != nil {
-				t.Fatalf("%s: resume after SIGKILL: %v", label, err)
-			}
-			sameAsClean(t, label, clean, res)
+		label := "P=" + strconv.Itoa(procs)
+		dir := filepath.Join(t.TempDir(), "state")
+		killHelper(t, helperEnv+"="+dir, killEnv+"=3", procsEnv+"="+strconv.Itoa(procs))
+		res, err := embsp.Run(p, cfg, embsp.Options{Seed: 7, StateDir: dir, Resume: true})
+		if err != nil {
+			t.Fatalf("%s: resume after SIGKILL: %v", label, err)
 		}
+		sameAsClean(t, label, clean, res)
 	}
 }
